@@ -19,23 +19,24 @@ import (
 	"repro/internal/obs"
 )
 
-// TestWarmInvokeZeroAllocs pins the warm synchronous invoke path at zero
-// heap allocations per request.
+// TestWarmInvokeZeroAllocs pins the warm synchronous invoke path — through
+// the public tenant handle — at zero heap allocations per request.
 func TestWarmInvokeZeroAllocs(t *testing.T) {
 	p := core.New(core.Options{})
-	if err := p.FaaS.Register("noop", "bench", func(ctx *faas.Ctx, in []byte) ([]byte, error) {
+	bench := p.Tenant("bench")
+	if err := bench.Register("noop", func(ctx *faas.Ctx, in []byte) ([]byte, error) {
 		return in, nil
 	}, faas.Config{WarmStart: 1, ColdStart: 1, KeepAlive: time.Hour}); err != nil {
 		t.Fatal(err)
 	}
 	// Past the tracer retention cap and every lazily-built ring.
 	for i := 0; i < 20000; i++ {
-		if _, err := p.FaaS.Invoke("noop", nil); err != nil {
+		if _, err := bench.Invoke("noop", nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	got := testing.AllocsPerRun(2000, func() {
-		if _, err := p.FaaS.Invoke("noop", nil); err != nil {
+		if _, err := bench.Invoke("noop", nil); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -88,18 +89,19 @@ func TestWarmInvokeTracedZeroAllocs(t *testing.T) {
 		KeepFraction:  0,
 		SlowThreshold: time.Hour,
 	})
-	if err := p.FaaS.Register("noop", "bench", func(ctx *faas.Ctx, in []byte) ([]byte, error) {
+	bench := p.Tenant("bench")
+	if err := bench.Register("noop", func(ctx *faas.Ctx, in []byte) ([]byte, error) {
 		return in, nil
 	}, faas.Config{WarmStart: 1, ColdStart: 1, KeepAlive: time.Hour}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20000; i++ {
-		if _, err := p.FaaS.Invoke("noop", nil); err != nil {
+		if _, err := bench.Invoke("noop", nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	got := testing.AllocsPerRun(2000, func() {
-		if _, err := p.FaaS.Invoke("noop", nil); err != nil {
+		if _, err := bench.Invoke("noop", nil); err != nil {
 			t.Fatal(err)
 		}
 	})

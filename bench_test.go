@@ -79,20 +79,21 @@ func BenchmarkE27Elastic(b *testing.B)          { benchExperiment(b, "E27") }
 
 // --- micro-benchmarks on the real clock (data-plane hot paths) ---
 
-// BenchmarkInvokeWarm measures warm synchronous invocation overhead.
+// BenchmarkInvokeWarm measures warm synchronous invocation overhead through
+// the public tenant handle.
 func BenchmarkInvokeWarm(b *testing.B) {
-	p := core.New(core.Options{})
-	if err := p.FaaS.Register("noop", "bench", func(ctx *faas.Ctx, in []byte) ([]byte, error) {
+	bench := core.New(core.Options{}).Tenant("bench")
+	if err := bench.Register("noop", func(ctx *faas.Ctx, in []byte) ([]byte, error) {
 		return in, nil
 	}, faas.Config{WarmStart: 1, ColdStart: 1, KeepAlive: time.Hour}); err != nil {
 		b.Fatal(err)
 	}
-	if _, err := p.FaaS.Invoke("noop", nil); err != nil {
+	if _, err := bench.Invoke("noop", nil); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.FaaS.Invoke("noop", nil); err != nil {
+		if _, err := bench.Invoke("noop", nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -139,14 +140,14 @@ func BenchmarkBreakerFastFail(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		_, _ = p.FaaS.Invoke("flaky", nil)
+		_, _ = p.FaaS.InvokeFor("bench", "flaky", nil)
 	}
-	if st, err := p.FaaS.BreakerState("flaky"); err != nil || st != "open" {
+	if st, err := p.FaaS.BreakerState("bench", "flaky"); err != nil || st != "open" {
 		b.Fatalf("breaker = %q, %v; want open", st, err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.FaaS.Invoke("flaky", nil); !errors.Is(err, faas.ErrCircuitOpen) {
+		if _, err := p.FaaS.InvokeFor("bench", "flaky", nil); !errors.Is(err, faas.ErrCircuitOpen) {
 			b.Fatalf("want ErrCircuitOpen, got %v", err)
 		}
 	}
@@ -166,7 +167,7 @@ func BenchmarkInvokeWithRetry(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := p.FaaS.InvokeWithRetry("noop", nil, pol); err != nil {
+			if _, err := p.FaaS.InvokeWithRetry("bench", "noop", "", nil, pol); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -184,7 +185,7 @@ func BenchmarkInvokeWithRetry(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res, err := p.FaaS.InvokeWithRetry("flip", nil, pol)
+			res, err := p.FaaS.InvokeWithRetry("bench", "flip", "", nil, pol)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -343,7 +344,7 @@ func BenchmarkInvokeWarmParallel(b *testing.B) {
 		}, faas.Config{WarmStart: 1, ColdStart: 1, KeepAlive: time.Hour, MaxConcurrency: 1 << 20}); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := p.FaaS.Invoke(names[i], nil); err != nil {
+		if _, err := p.FaaS.InvokeFor("bench", names[i], nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -353,7 +354,7 @@ func BenchmarkInvokeWarmParallel(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		name := names[int(next.Add(1)-1)%nFuncs]
 		for pb.Next() {
-			if _, err := p.FaaS.Invoke(name, nil); err != nil {
+			if _, err := p.FaaS.InvokeFor("bench", name, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -591,12 +592,12 @@ func BenchmarkOrchestratedChain(b *testing.B) {
 	e := p.Orchestrator
 	sm := orchestrate.Chain(orchestrate.Task("a"), orchestrate.Task("b"), orchestrate.Task("c"))
 	// Warm all instances.
-	if _, err := e.Execute(sm, nil); err != nil {
+	if _, err := e.Execute("bench", sm, nil); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Execute(sm, nil); err != nil {
+		if _, err := e.Execute("bench", sm, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -634,13 +635,13 @@ func BenchmarkTracePropagation(b *testing.B) {
 		}, faas.Config{WarmStart: 1, ColdStart: 1, KeepAlive: time.Hour}); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := p.FaaS.Invoke("noop", nil); err != nil {
+		if _, err := p.FaaS.InvokeFor("bench", "noop", nil); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := p.FaaS.Invoke("noop", nil); err != nil {
+			if _, err := p.FaaS.InvokeFor("bench", "noop", nil); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -245,9 +245,9 @@ func demoPipeline(p *core.Platform, clock simclock.Clock) {
 		log.Fatal(err)
 	}
 	var results []string
-	faas.BindBlob(p.FaaS, p.Blob, "in", "driver")
+	faas.BindBlob(p.FaaS, p.Blob, "in", demo.Name(), "driver")
 	if err := demo.Register("driver", func(ctx *faas.Ctx, in []byte) ([]byte, error) {
-		out, err := p.Orchestrator.Execute(orchestrate.Task("etl"), in)
+		out, err := p.Orchestrator.Execute(demo.Name(), orchestrate.Task("etl"), in)
 		if err == nil {
 			results = append(results, string(out))
 		}
@@ -438,7 +438,7 @@ func demoBurst(p *core.Platform, clock simclock.Clock) {
 
 	clock.Sleep(15 * time.Second) // idle: scale-to-zero + machine drain
 	st := ctrl.Status()
-	pool, _ := p.FaaS.PoolTarget("api")
+	pool, _ := p.FaaS.PoolTarget(demo.Name(), "api")
 	fmt.Printf("after %v idle: pool=%d machines=%d retired=%d (scale-to-zero reclaimed the fleet)\n",
 		15*time.Second, pool, st.Machines, st.Retired)
 }

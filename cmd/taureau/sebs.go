@@ -43,8 +43,8 @@ func runGateway(addr, tokenSpec string) {
 	tokens := make(map[string]string)
 	for _, pair := range strings.Split(tokenSpec, ",") {
 		tok, tenant, ok := strings.Cut(strings.TrimSpace(pair), "=")
-		if !ok || tok == "" || tenant == "" {
-			fmt.Fprintf(os.Stderr, "bad -tokens entry %q (want token=tenant)\n", pair)
+		if !ok || tok == "" || tenant == "" || strings.Contains(tenant, "/") {
+			fmt.Fprintf(os.Stderr, "bad -tokens entry %q (want token=tenant, no \"/\" in tenant)\n", pair)
 			os.Exit(1)
 		}
 		tokens[tok] = tenant

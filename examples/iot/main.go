@@ -75,7 +75,7 @@ func main() {
 		if err := iotCo.Register("register-device", register, faas.Config{MemoryMB: 128}); err != nil {
 			log.Fatal(err)
 		}
-		if err := faas.BindQueue(platform.FaaS, platform.Queue, "registrations", "register-device", 10); err != nil {
+		if err := faas.BindQueue(platform.FaaS, platform.Queue, "registrations", iotCo.Name(), "register-device", 10); err != nil {
 			log.Fatal(err)
 		}
 
@@ -125,7 +125,7 @@ func main() {
 		for _, a := range alerts[:min(3, len(alerts))] {
 			fmt.Println("  " + a)
 		}
-		st, _ := platform.FaaS.Stats("register-device")
+		st, _ := iotCo.Stats("register-device")
 		fmt.Printf("\nregistration function: %d invocations, %d cold starts\n", st.Invocations, st.ColdStarts)
 	})
 

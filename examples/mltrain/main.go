@@ -69,7 +69,7 @@ func main() {
 
 		// 4. Serve it: shared model cache removes the per-request load.
 		fn, err := mlserve.Deploy(platform.FaaS, store, "churn", mlserve.ServeConfig{
-			Model: "churn-v1", UseCache: true,
+			Model: "churn-v1", UseCache: true, Tenant: "infer",
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -77,7 +77,7 @@ func main() {
 		fmt.Println("\n— inference serving (shared model cache) —")
 		for i := 0; i < 3; i++ {
 			req, _ := json.Marshal(mlserve.InferRequest{Features: train.X[i]})
-			res, err := platform.FaaS.Invoke(fn, req)
+			res, err := platform.FaaS.InvokeFor("infer", fn, req)
 			if err != nil {
 				log.Fatal(err)
 			}

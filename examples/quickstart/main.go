@@ -51,7 +51,7 @@ func main() {
 		if err := platform.Queue.CreateQueue("greetings", "acme", queue.DefaultConfig()); err != nil {
 			log.Fatal(err)
 		}
-		if err := faas.BindQueue(platform.FaaS, platform.Queue, "greetings", "greet", 10); err != nil {
+		if err := faas.BindQueue(platform.FaaS, platform.Queue, "greetings", acme.Name(), "greet", 10); err != nil {
 			log.Fatal(err)
 		}
 		for i := 0; i < 5; i++ {
@@ -64,7 +64,7 @@ func main() {
 		// 4. Demand-driven execution: idle past the keep-alive, the warm
 		// pool scales back to zero (§2).
 		clock.Sleep(2 * time.Minute)
-		st, _ := platform.FaaS.Stats("greet")
+		st, _ := acme.Stats("greet")
 		fmt.Printf("\nafter idle: invocations=%d coldStarts=%d warmIdle=%d (scaled to zero)\n",
 			st.Invocations, st.ColdStarts, st.WarmIdle)
 	})

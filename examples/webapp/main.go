@@ -154,7 +154,7 @@ func main() {
 			{Session: "s42", Action: "view"},
 		} {
 			raw, _ := json.Marshal(step)
-			res, err = sp.Invoke("cart", raw)
+			res, err = sp.Invoke("shop", "cart", raw)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -161,11 +161,11 @@ func Run(p *faas.Platform, store ShuffleStore, job Job, chunks []string) (map[st
 	if err := p.Register(mapperName, job.Tenant, mapper, job.WorkerConfig); err != nil {
 		return nil, err
 	}
-	defer p.Unregister(mapperName)
+	defer p.UnregisterFor(job.Tenant, mapperName)
 	if err := p.Register(reducerName, job.Tenant, reducer, job.WorkerConfig); err != nil {
 		return nil, err
 	}
-	defer p.Unregister(reducerName)
+	defer p.UnregisterFor(job.Tenant, reducerName)
 
 	// Map phase: all chunks in parallel.
 	var wg sync.WaitGroup
@@ -177,7 +177,7 @@ func Run(p *faas.Platform, store ShuffleStore, job Job, chunks []string) (map[st
 			Chunk string `json:"chunk"`
 		}{i, chunk})
 		wg.Add(1)
-		p.InvokeAsync(mapperName, payload, func(_ faas.Result, err error) {
+		p.InvokeAsyncFor(job.Tenant, mapperName, payload, func(_ faas.Result, err error) {
 			mu.Lock()
 			if err != nil && firstErr == nil {
 				firstErr = err
@@ -199,7 +199,7 @@ func Run(p *faas.Platform, store ShuffleStore, job Job, chunks []string) (map[st
 			Partition int `json:"partition"`
 		}{r})
 		wg.Add(1)
-		p.InvokeAsync(reducerName, payload, func(res faas.Result, err error) {
+		p.InvokeAsyncFor(job.Tenant, reducerName, payload, func(res faas.Result, err error) {
 			mu.Lock()
 			if err != nil && firstErr == nil {
 				firstErr = err

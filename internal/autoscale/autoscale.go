@@ -219,8 +219,8 @@ func (c *Controller) Tick() {
 	alphaP := alphaFor(c.cfg.TickInterval, c.cfg.PanicWindow)
 
 	type action struct {
-		key     string
-		desired int
+		tenant, name string
+		desired      int
 	}
 	actions := make([]action, 0, len(loads))
 	var (
@@ -230,7 +230,7 @@ func (c *Controller) Tick() {
 		totalDesired   int
 	)
 	for _, l := range loads {
-		// State is keyed by the tenant-qualified key: two tenants' same-named
+		// State is keyed by the "tenant/name" label: two tenants' same-named
 		// functions are scaled independently.
 		s := c.fns[l.Key]
 		if s == nil {
@@ -331,7 +331,7 @@ func (c *Controller) Tick() {
 		s.desired = desired
 		s.desiredGauge.Set(float64(desired))
 		totalDesired += desired
-		actions = append(actions, action{key: l.Key, desired: desired})
+		actions = append(actions, action{tenant: l.Tenant, name: l.Name, desired: desired})
 
 		if c.cluster != nil {
 			footprint := desired
@@ -384,7 +384,7 @@ func (c *Controller) Tick() {
 	// Push pool targets outside c.mu: SetPoolTarget takes platform locks
 	// and spawns provisioning goroutines.
 	for _, a := range actions {
-		_, _ = c.p.SetPoolTarget(a.key, a.desired)
+		_, _ = c.p.SetPoolTarget(a.tenant, a.name, a.desired)
 	}
 }
 

@@ -61,7 +61,7 @@ func TestBurstPanicAndScaleToZero(t *testing.T) {
 
 	v.Run(func() {
 		ctrl.Start()
-		rep := faas.Drive(p, "burst", nil, make([]time.Duration, 12))
+		rep := faas.Drive(p, "t", "burst", nil, make([]time.Duration, 12))
 		v.Sleep(1500 * time.Millisecond)
 
 		st := ctrl.Status()
@@ -89,7 +89,7 @@ func TestBurstPanicAndScaleToZero(t *testing.T) {
 		if fs.Desired != 0 {
 			t.Errorf("desired = %d after idle, want 0 (scale-to-zero)", fs.Desired)
 		}
-		if tgt, _ := p.PoolTarget("burst"); tgt != 0 {
+		if tgt, _ := p.PoolTarget("t", "burst"); tgt != 0 {
 			t.Errorf("pool target = %d after idle, want 0", tgt)
 		}
 		if got := cluster.ActiveMachines(); got != 0 {
@@ -125,7 +125,7 @@ func TestKeepAliveIsTheScaleToZeroFloor(t *testing.T) {
 		PanicWindow: time.Second, ScaleToZeroAfter: 2 * time.Second,
 	})
 	v.Run(func() {
-		if _, err := p.Invoke("sticky", nil); err != nil {
+		if _, err := p.InvokeFor("t", "sticky", nil); err != nil {
 			t.Fatal(err)
 		}
 		// 10s idle: well past ScaleToZeroAfter, inside KeepAlive.
@@ -136,7 +136,7 @@ func TestKeepAliveIsTheScaleToZeroFloor(t *testing.T) {
 		if fs := ctrl.Status().Functions[0]; fs.Desired != 1 {
 			t.Errorf("desired = %d inside keep-alive, want 1", fs.Desired)
 		}
-		st, _ := p.Stats("sticky")
+		st, _ := p.StatsFor("t", "sticky")
 		if st.WarmIdle != 1 {
 			t.Errorf("warm idle = %d inside keep-alive, want 1", st.WarmIdle)
 		}
@@ -175,7 +175,7 @@ func TestPredictivePrewarm(t *testing.T) {
 		}
 		v.Run(func() {
 			ctrl.Start()
-			rep := faas.Drive(p, "tides", nil, offsets)
+			rep := faas.Drive(p, "t", "tides", nil, offsets)
 			rep.Wait()
 			ctrl.Stop()
 			for _, r := range rep.Results() {
@@ -221,7 +221,7 @@ func TestPlacePressureGrowsTheFleet(t *testing.T) {
 	})
 	v.Run(func() {
 		ctrl.Start()
-		rep := faas.Drive(p, "squeeze", nil, make([]time.Duration, 4))
+		rep := faas.Drive(p, "t", "squeeze", nil, make([]time.Duration, 4))
 		rep.Wait()
 		if n := len(rep.Errors()); n != 0 {
 			t.Fatalf("errors = %d (fleet never grew?): %v", n, rep.Errors()[0])

@@ -185,7 +185,7 @@ func AllPairsServerless(p *faas.Platform, seqs []string, s Scoring, cfg Serverle
 	if err := p.Register(fnName, cfg.Tenant, worker, cfg.Worker); err != nil {
 		return nil, err
 	}
-	defer p.Unregister(fnName)
+	defer p.UnregisterFor(cfg.Tenant, fnName)
 
 	var wg sync.WaitGroup
 	var mu sync.Mutex
@@ -198,7 +198,7 @@ func AllPairsServerless(p *faas.Platform, seqs []string, s Scoring, cfg Serverle
 		}
 		payload, _ := json.Marshal(pairs[lo:hi])
 		wg.Add(1)
-		p.InvokeAsync(fnName, payload, func(res faas.Result, err error) {
+		p.InvokeAsyncFor(cfg.Tenant, fnName, payload, func(res faas.Result, err error) {
 			mu.Lock()
 			if err != nil && firstErr == nil {
 				firstErr = err

@@ -128,7 +128,7 @@ func runAutoscaleSoak(t *testing.T, seed int64) autoscaleSoakResult {
 				v.Go(func() {
 					defer wg.Done()
 					v.Sleep(time.Duration(wave)*500*time.Millisecond + 700*time.Microsecond)
-					out, err := fp.Invoke("writer", []byte(key))
+					out, err := fp.InvokeFor("soak", "writer", []byte(key))
 					mu.Lock()
 					defer mu.Unlock()
 					res.invoked++
@@ -164,7 +164,7 @@ func runAutoscaleSoak(t *testing.T, seed int64) autoscaleSoakResult {
 		inj.Wait()
 
 		v.Sleep(15 * time.Second) // idle: scale-to-zero + drain
-		res.finalPool, _ = fp.PoolTarget("writer")
+		res.finalPool, _ = fp.PoolTarget("soak", "writer")
 		res.finalMach = ctrl.Status().Machines
 
 		// Every acked put must still read back through the repaired replicas.

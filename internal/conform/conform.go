@@ -40,6 +40,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/faas"
 	"repro/internal/jiffy"
+	"repro/internal/obs"
 	"repro/internal/pulsar"
 )
 
@@ -466,7 +467,10 @@ func driveInvocation(env *Env, w Workload, i int, plan InvPlan) error {
 	cr := env.Crasher
 	p := env.P.FaaS
 	payload := w.Payload(i)
-	key := fmt.Sprintf("req-%d", i)
+	key := "" // unkeyed: the dedup window, if any, is not consulted
+	if w.DedupKeyed {
+		key = fmt.Sprintf("req-%d", i)
+	}
 	faults := plan.Faults
 
 	if len(faults) > 0 && faults[0] >= 0 {
@@ -490,23 +494,13 @@ func driveInvocation(env *Env, w Workload, i int, plan InvPlan) error {
 			return true
 		},
 	}
-	var err error
-	if w.DedupKeyed {
-		_, err = p.InvokeWithRetryIdem(envFunction, key, payload, pol)
-	} else {
-		_, err = p.InvokeWithRetry(envFunction, payload, pol)
-	}
+	_, err := p.InvokeWithRetry(envTenant, envFunction, key, payload, pol)
 	cr.Disarm()
 	if err != nil {
 		return fmt.Errorf("final attempt failed: %w", err)
 	}
 	for d := 0; d < plan.Dups; d++ {
-		if w.DedupKeyed {
-			_, err = p.InvokeIdem(envFunction, key, payload)
-		} else {
-			_, err = p.Invoke(envFunction, payload)
-		}
-		if err != nil {
+		if _, err := p.InvokeForTraceIdem(envTenant, envFunction, payload, obs.TraceCtx{}, key); err != nil {
 			return fmt.Errorf("duplicate delivery %d failed: %w", d, err)
 		}
 	}

@@ -103,7 +103,7 @@ func TestOrchestratorWired(t *testing.T) {
 		must(t, p.Tenant("t").Register("double", func(ctx *faas.Ctx, in []byte) ([]byte, error) {
 			return append(in, in...), nil
 		}, faas.Config{}))
-		out, err := p.Orchestrator.Execute(orchestrate.Chain(
+		out, err := p.Orchestrator.Execute("t", orchestrate.Chain(
 			orchestrate.Task("double"),
 			orchestrate.Task("double"),
 		), []byte("ab"))

@@ -37,7 +37,7 @@ func TestPatternPeriodicInvocation(t *testing.T) {
 		for i := range schedule {
 			schedule[i] = time.Duration(i) * 10 * time.Minute
 		}
-		rep := faas.Drive(p.FaaS, "scan", nil, schedule)
+		rep := faas.Drive(p.FaaS, "t", "scan", nil, schedule)
 		rep.Wait()
 	})
 	if runs != 6 {
@@ -56,7 +56,7 @@ func TestPatternEventDriven(t *testing.T) {
 			atomic.AddInt64(&processed, 1)
 			return nil, nil
 		}, faas.Config{}))
-		faas.BindBlob(p.FaaS, p.Blob, "in", "react")
+		faas.BindBlob(p.FaaS, p.Blob, "in", "t", "react")
 		for i := 0; i < 4; i++ {
 			_, err := p.Blob.Put("in", fmt.Sprintf("o%d", i), []byte("x"), blob.PutOptions{})
 			must(t, err)
@@ -81,7 +81,7 @@ func TestPatternDataTransformation(t *testing.T) {
 			_, err := p.Blob.Put("out", string(payload), upper, blob.PutOptions{})
 			return nil, err
 		}, faas.Config{}))
-		must(t, faas.BindQueue(p.FaaS, p.Queue, "jobs", "transform", 10))
+		must(t, faas.BindQueue(p.FaaS, p.Queue, "jobs", "t", "transform", 10))
 		for _, name := range []string{"a", "b", "c"} {
 			_, err := p.Queue.Send("jobs", []byte(name))
 			must(t, err)
@@ -147,12 +147,12 @@ func TestPatternStateMachine(t *testing.T) {
 				{When: func(in []byte) bool { return len(in) < 5 }, Then: orchestrate.Task("small")},
 			}, orchestrate.Task("large")),
 		)
-		out, err := p.Orchestrator.Execute(sm, []byte("ab"))
+		out, err := p.Orchestrator.Execute("t", sm, []byte("ab"))
 		must(t, err)
 		if string(out) != "small:ab" {
 			t.Errorf("out = %q", out)
 		}
-		out, err = p.Orchestrator.Execute(sm, []byte("abcdefgh"))
+		out, err = p.Orchestrator.Execute("t", sm, []byte("abcdefgh"))
 		must(t, err)
 		if string(out) != "large:abcdefgh" {
 			t.Errorf("out = %q", out)
@@ -179,7 +179,7 @@ func TestPatternBundled(t *testing.T) {
 			_, err := prod.Send(payload)
 			return nil, err
 		}, faas.Config{}))
-		must(t, faas.BindQueue(p.FaaS, p.Queue, "work", "worker", 10))
+		must(t, faas.BindQueue(p.FaaS, p.Queue, "work", "t", "worker", 10))
 
 		// Streaming aggregate over results. (The wide poll keeps the idle
 		// function from dominating virtual-clock advances across the
@@ -202,7 +202,7 @@ func TestPatternBundled(t *testing.T) {
 			return nil, nil
 		}, faas.Config{}))
 		schedule := []time.Duration{0, time.Second, 2 * time.Second}
-		rep := faas.Drive(p.FaaS, "tick", nil, schedule)
+		rep := faas.Drive(p.FaaS, "t", "tick", nil, schedule)
 		rep.Wait()
 		for i := 0; i < 2000 && atomic.LoadInt64(&aggregated) < 9; i++ {
 			v.Sleep(50 * time.Millisecond)

@@ -82,16 +82,17 @@ func TestTenantHandle(t *testing.T) {
 // TestTenantNamespacedFunctionNames: function names are a namespace per
 // tenant. Two tenants each own a "resize" without colliding — registration
 // neither fails nor reveals that the other tenant's name exists — and each
-// handle's Invoke resolves to its own tenant's deployment. The bare-name
-// legacy surface reports the shared name as ambiguous instead of silently
-// picking a tenant.
+// handle's Invoke resolves to its own tenant's deployment, whose handler sees
+// the name it was registered under.
 func TestTenantNamespacedFunctionNames(t *testing.T) {
 	p, v := NewVirtual(Options{})
 	defer v.Close()
 	acme := p.Tenant("acme")
 	evil := p.Tenant("evil")
 	mk := func(out string) faas.Handler {
-		return func(ctx *faas.Ctx, in []byte) ([]byte, error) { return []byte(out), nil }
+		return func(ctx *faas.Ctx, in []byte) ([]byte, error) {
+			return []byte(out + ":" + ctx.FunctionName), nil
+		}
 	}
 	must(t, acme.Register("resize", mk("acme"), faas.Config{}))
 	must(t, evil.Register("resize", mk("evil"), faas.Config{}))
@@ -99,25 +100,46 @@ func TestTenantNamespacedFunctionNames(t *testing.T) {
 		t.Fatalf("same-tenant re-register = %v, want ErrExists", err)
 	}
 	v.Run(func() {
-		for _, tc := range []struct {
-			h    *TenantHandle
-			want string
-		}{{acme, "acme"}, {evil, "evil"}} {
-			res, err := tc.h.Invoke("resize", nil)
-			if err != nil || string(res.Output) != tc.want {
-				t.Fatalf("%s.Invoke(resize) = %q, %v", tc.h.Name(), res.Output, err)
+		for _, h := range []*TenantHandle{acme, evil} {
+			res, err := h.Invoke("resize", nil)
+			if want := h.Name() + ":resize"; err != nil || string(res.Output) != want {
+				t.Fatalf("%s.Invoke(resize) = %q, %v; want %q", h.Name(), res.Output, err, want)
 			}
 		}
 		// Cross-tenant names stay unprobeable.
 		if _, err := acme.Invoke("missing", nil); !errors.Is(err, faas.ErrNoFunction) {
 			t.Fatalf("missing = %v", err)
 		}
-		// The tenant-unscoped bare faas lookup cannot pick a winner.
-		if _, err := p.FaaS.Invoke("resize", nil); !errors.Is(err, faas.ErrAmbiguous) {
-			t.Fatalf("bare Invoke(resize) = %v, want ErrAmbiguous", err)
+	})
+}
+
+// TestFunctionIdentityIsTenantAndName: a function is identified by the pair
+// {tenant, name}, never by a "tenant/name" string. A name containing "/"
+// therefore cannot alias into another tenant's namespace: it is neither
+// reachable from, nor deletable by, the tenant it spells, and two pairs whose
+// joined forms coincide are still two functions.
+func TestFunctionIdentityIsTenantAndName(t *testing.T) {
+	p, v := NewVirtual(Options{})
+	defer v.Close()
+	victim := p.Tenant("victim")
+	evil := p.Tenant("evil")
+	must(t, evil.Register("victim/resize", func(_ *faas.Ctx, in []byte) ([]byte, error) {
+		t.Errorf("evil's handler ran with payload %q", in)
+		return nil, nil
+	}, faas.Config{}))
+	v.Run(func() {
+		if _, err := victim.Invoke("resize", []byte("secret")); !errors.Is(err, faas.ErrNoFunction) {
+			t.Fatalf("victim.Invoke(resize) = %v, want ErrNoFunction", err)
 		}
 	})
-	if _, ok := p.FaaS.PoolTarget("acme/resize"); !ok {
-		t.Fatal("qualified PoolTarget lookup failed")
+	if err := victim.Unregister("resize"); !errors.Is(err, faas.ErrNoFunction) {
+		t.Fatalf("victim.Unregister(resize) = %v, want ErrNoFunction", err)
 	}
+	if fns := evil.Functions(); len(fns) != 1 || fns[0].Name != "victim/resize" {
+		t.Fatalf("evil.Functions() = %+v, want its one function intact", fns)
+	}
+
+	nop := func(*faas.Ctx, []byte) ([]byte, error) { return nil, nil }
+	must(t, p.FaaS.Register("c", "a/b", nop, faas.Config{}))
+	must(t, p.FaaS.Register("b/c", "a", nop, faas.Config{}))
 }

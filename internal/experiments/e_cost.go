@@ -55,7 +55,7 @@ func E1CostEfficiency() Table {
 			if err := p.Tenant("acme").Register("api", handler, faas.Config{MemoryMB: memoryMB}); err != nil {
 				panic(err)
 			}
-			rep := faas.Drive(p.FaaS, "api", nil, arrivals)
+			rep := faas.Drive(p.FaaS, "acme", "api", nil, arrivals)
 			rep.Wait()
 			nInvocations = len(rep.Results())
 		})
@@ -93,12 +93,12 @@ func E2Elasticity() Table {
 		}, faas.Config{KeepAlive: time.Minute}); err != nil {
 			panic(err)
 		}
-		rep := faas.Drive(p.FaaS, "app", nil, arrivals)
+		rep := faas.Drive(p.FaaS, "t", "app", nil, arrivals)
 		rep.Wait()
-		v.Sleep(3 * time.Minute) // idle tail: instances should be reaped
-		p.FaaS.Stats("app")      // force final reap sample
+		v.Sleep(3 * time.Minute)    // idle tail: instances should be reaped
+		p.FaaS.StatsFor("t", "app") // force final reap sample
 	})
-	st, _ := p.FaaS.Stats("app")
+	st, _ := p.FaaS.StatsFor("t", "app")
 
 	table := Table{
 		ID:      "E2",
@@ -160,10 +160,10 @@ func E3ColdStart() Table {
 			}, faas.Config{KeepAlive: keepAlive, ColdStart: 250 * time.Millisecond, WarmStart: time.Millisecond}); err != nil {
 				panic(err)
 			}
-			rep := faas.Drive(p.FaaS, "fn", nil, arrivals)
+			rep := faas.Drive(p.FaaS, "t", "fn", nil, arrivals)
 			rep.Wait()
 		})
-		st, _ := p.FaaS.Stats("fn")
+		st, _ := p.FaaS.StatsFor("t", "fn")
 		v.Close()
 		table.Rows = append(table.Rows, []string{
 			gap.String(), f("%d", st.Invocations), f("%d", st.ColdStarts),

@@ -181,7 +181,7 @@ func runBurstConverge(seed int64) elasticDigest {
 		v.Sleep(30 * time.Second) // idle: scale-to-zero, then drain
 		st := ctrl.Status()
 		d.FinalMach = st.Machines
-		d.FinalPool, _ = p.FaaS.PoolTarget("api")
+		d.FinalPool, _ = p.FaaS.PoolTarget(demo.Name(), "api")
 	})
 
 	d.Served = len(latAll)

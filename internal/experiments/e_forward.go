@@ -77,8 +77,8 @@ func E20SLA() Table {
 
 		var durations []time.Duration
 		v.Run(func() {
-			repA := faas.Drive(p.FaaS, "cpu-fn", nil, make([]time.Duration, 8))
-			repB := faas.Drive(p.FaaS, "mem-fn", nil, make([]time.Duration, 8))
+			repA := faas.Drive(p.FaaS, "acme", "cpu-fn", nil, make([]time.Duration, 8))
+			repB := faas.Drive(p.FaaS, "acme", "mem-fn", nil, make([]time.Duration, 8))
 			repA.Wait()
 			repB.Wait()
 			for _, r := range append(repA.Results(), repB.Results()...) {
@@ -206,10 +206,10 @@ func E22Provisioned() Table {
 			panic(err)
 		}
 		v.Run(func() {
-			rep := faas.Drive(p.FaaS, "spiky", nil, arrivals)
+			rep := faas.Drive(p.FaaS, "t", "spiky", nil, arrivals)
 			rep.Wait()
 		})
-		st, _ := p.FaaS.Stats("spiky")
+		st, _ := p.FaaS.StatsFor("t", "spiky")
 		v.Close()
 		cfg := "on-demand"
 		if prewarm > 0 {

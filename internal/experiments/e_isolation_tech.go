@@ -36,10 +36,10 @@ func E24IsolationTech() Table {
 			panic(err)
 		}
 		v.Run(func() {
-			rep := faas.Drive(p.FaaS, "fn", nil, arrivals)
+			rep := faas.Drive(p.FaaS, "t", "fn", nil, arrivals)
 			rep.Wait()
 		})
-		st, _ := p.FaaS.Stats("fn")
+		st, _ := p.FaaS.StatsFor("t", "fn")
 		v.Close()
 		table.Rows = append(table.Rows, []string{
 			iso.Name,

@@ -163,13 +163,13 @@ func E17Inference() Table {
 			if useCache {
 				name = "cache"
 			}
-			fn, err := mlserve.Deploy(p.FaaS, ms, name, mlserve.ServeConfig{Model: "clf", UseCache: useCache})
+			fn, err := mlserve.Deploy(p.FaaS, ms, name, mlserve.ServeConfig{Model: "clf", UseCache: useCache, Tenant: "infer"})
 			if err != nil {
 				panic(err)
 			}
 			req := inferPayload(len(model))
 			for i := 0; i < 21; i++ {
-				res, err := p.FaaS.Invoke(fn, req)
+				res, err := p.FaaS.InvokeFor("infer", fn, req)
 				if err != nil {
 					panic(err)
 				}

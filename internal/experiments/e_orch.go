@@ -69,7 +69,7 @@ func E7Orchestration() Table {
 			direct := p.Meter.Units("acme", billing.ResInvocationGBs)
 
 			p.Meter.Reset()
-			if _, err := e.Execute(c.machine, []byte("x")); err != nil {
+			if _, err := e.Execute("acme", c.machine, []byte("x")); err != nil {
 				panic(err)
 			}
 			composed := p.Meter.Units("acme", billing.ResInvocationGBs)

@@ -129,25 +129,24 @@ func (p *Platform) SetAdmission(cfg AdmissionConfig) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if cfg.RatePerSecond <= 0 {
-		p.adm = nil
+		p.adm.Store(nil)
 		return
 	}
 	cfg = cfg.withDefaults()
-	if p.adm == nil {
-		p.adm = &admission{cfg: cfg, buckets: map[string]*tenantBucket{}}
+	a := p.adm.Load()
+	if a == nil {
+		p.adm.Store(&admission{cfg: cfg, buckets: map[string]*tenantBucket{}})
 		return
 	}
-	p.adm.mu.Lock()
-	p.adm.cfg = cfg
-	p.adm.mu.Unlock()
+	a.mu.Lock()
+	a.cfg = cfg
+	a.mu.Unlock()
 }
 
 // SetTenantLimit sets one tenant's fair-share weight, burst and queue
 // bounds. No-op unless SetAdmission has enabled admission.
 func (p *Platform) SetTenantLimit(tenant string, l TenantLimit) {
-	p.mu.RLock()
-	a := p.adm
-	p.mu.RUnlock()
+	a := p.adm.Load()
 	if a == nil {
 		return
 	}
@@ -166,9 +165,7 @@ func (p *Platform) SetTenantLimit(tenant string, l TenantLimit) {
 // AdmissionShed returns how many of the tenant's requests admission has shed
 // (0 when admission is off or the tenant is unknown).
 func (p *Platform) AdmissionShed(tenant string) int64 {
-	p.mu.RLock()
-	a := p.adm
-	p.mu.RUnlock()
+	a := p.adm.Load()
 	if a == nil {
 		return 0
 	}
@@ -183,9 +180,7 @@ func (p *Platform) AdmissionShed(tenant string) int64 {
 // AdmissionAdmitted returns how many of the tenant's requests admission let
 // through.
 func (p *Platform) AdmissionAdmitted(tenant string) int64 {
-	p.mu.RLock()
-	a := p.adm
-	p.mu.RUnlock()
+	a := p.adm.Load()
 	if a == nil {
 		return 0
 	}

@@ -30,8 +30,8 @@ func TestAdmissionShedAndFairness(t *testing.T) {
 		for i := range vicOffsets {
 			vicOffsets[i] = time.Duration(i) * 200 * time.Millisecond
 		}
-		atkRep := Drive(p, "atk", nil, make([]time.Duration, 40))
-		vicRep := Drive(p, "vic", nil, vicOffsets)
+		atkRep := Drive(p, "attacker", "atk", nil, make([]time.Duration, 40))
+		vicRep := Drive(p, "victim", "vic", nil, vicOffsets)
 		atkRep.Wait()
 		vicRep.Wait()
 		atkErrs = atkRep.Errors()
@@ -88,7 +88,7 @@ func TestAdmissionQueueDeterministic(t *testing.T) {
 
 	v.Run(func() {
 		start := v.Now()
-		rep := Drive(p, "q", nil, make([]time.Duration, 4))
+		rep := Drive(p, "t", "q", nil, make([]time.Duration, 4))
 		rep.Wait()
 		if n := len(rep.Errors()); n != 0 {
 			t.Fatalf("errors = %d, want 0", n)
@@ -116,7 +116,7 @@ func TestAdmissionDisable(t *testing.T) {
 	p.SetAdmission(AdmissionConfig{RatePerSecond: 1, Burst: 1, MaxQueue: 1, MaxWait: time.Millisecond})
 	p.SetAdmission(AdmissionConfig{})
 	v.Run(func() {
-		rep := Drive(p, "f", nil, make([]time.Duration, 20))
+		rep := Drive(p, "t", "f", nil, make([]time.Duration, 20))
 		rep.Wait()
 		if n := len(rep.Errors()); n != 0 {
 			t.Fatalf("errors with admission disabled = %d, want 0", n)
@@ -142,8 +142,8 @@ func TestSetTenantLimitWeights(t *testing.T) {
 	var heavyDone, lightDone time.Duration
 	v.Run(func() {
 		start := v.Now()
-		heavyRep := Drive(p, "heavy", nil, make([]time.Duration, 10))
-		lightRep := Drive(p, "light", nil, make([]time.Duration, 10))
+		heavyRep := Drive(p, "gold", "heavy", nil, make([]time.Duration, 10))
+		lightRep := Drive(p, "bronze", "light", nil, make([]time.Duration, 10))
 		heavyRep.Wait()
 		heavyDone = v.Now().Sub(start)
 		lightRep.Wait()
@@ -168,30 +168,30 @@ func TestSetPoolTarget(t *testing.T) {
 	}))
 	v.Run(func() {
 		v.Sleep(time.Millisecond) // let Register's own prewarm settle
-		started, err := p.SetPoolTarget("pw", 3)
+		started, err := p.SetPoolTarget("t", "pw", 3)
 		must(t, err)
 		if started != 2 { // prewarm already holds 1 idle
 			t.Fatalf("started = %d, want 2", started)
 		}
-		st, _ := p.Stats("pw")
+		st, _ := p.StatsFor("t", "pw")
 		if st.Warming != 2 {
 			t.Fatalf("warming = %d, want 2", st.Warming)
 		}
 		v.Sleep(200 * time.Millisecond) // cold starts complete
-		st, _ = p.Stats("pw")
+		st, _ = p.StatsFor("t", "pw")
 		if st.Warming != 0 || st.WarmIdle != 3 {
 			t.Fatalf("after warmup: warming=%d idle=%d, want 0/3", st.Warming, st.WarmIdle)
 		}
-		if tgt, ok := p.PoolTarget("pw"); !ok || tgt != 3 {
+		if tgt, ok := p.PoolTarget("t", "pw"); !ok || tgt != 3 {
 			t.Fatalf("PoolTarget = %d,%v, want 3,true", tgt, ok)
 		}
 		// Trim to zero: the Prewarm floor of 1 holds.
-		released, err := p.SetPoolTarget("pw", 0)
+		released, err := p.SetPoolTarget("t", "pw", 0)
 		must(t, err)
 		if released != -2 {
 			t.Fatalf("released = %d, want -2 (floor keeps 1)", released)
 		}
-		st, _ = p.Stats("pw")
+		st, _ = p.StatsFor("t", "pw")
 		if st.WarmIdle != 1 {
 			t.Fatalf("idle after trim = %d, want the Prewarm floor of 1", st.WarmIdle)
 		}
@@ -200,17 +200,17 @@ func TestSetPoolTarget(t *testing.T) {
 	// Growth is capped by MaxConcurrency.
 	must(t, p.Register("capped", "t", echo, Config{MaxConcurrency: 2, ColdStart: time.Millisecond}))
 	v.Run(func() {
-		started, err := p.SetPoolTarget("capped", 5)
+		started, err := p.SetPoolTarget("t", "capped", 5)
 		must(t, err)
 		if started != 2 {
 			t.Fatalf("started = %d, want MaxConcurrency cap of 2", started)
 		}
 	})
 
-	if _, err := p.SetPoolTarget("ghost", 1); !errors.Is(err, ErrNoFunction) {
+	if _, err := p.SetPoolTarget("t", "ghost", 1); !errors.Is(err, ErrNoFunction) {
 		t.Fatalf("err = %v, want ErrNoFunction", err)
 	}
-	if _, ok := p.PoolTarget("ghost"); ok {
+	if _, ok := p.PoolTarget("t", "ghost"); ok {
 		t.Fatal("PoolTarget(ghost) ok = true")
 	}
 }
@@ -226,7 +226,7 @@ func TestLoadsSnapshot(t *testing.T) {
 		KeepAlive: 30 * time.Second, Prewarm: 0, MemoryMB: 256,
 	}))
 	v.Run(func() {
-		rep := Drive(p, "alpha", nil, make([]time.Duration, 3))
+		rep := Drive(p, "t1", "alpha", nil, make([]time.Duration, 3))
 		rep.Wait()
 	})
 	loads := p.Loads()
@@ -268,14 +268,14 @@ func TestColdStartBudget(t *testing.T) {
 
 	v.Run(func() {
 		// Fill the machine with two prewarmed hog instances.
-		if n, err := p.SetPoolTarget("hog", 2); err != nil || n != 2 {
+		if n, err := p.SetPoolTarget("t", "hog", 2); err != nil || n != 2 {
 			t.Fatalf("prewarm hog: n=%d err=%v", n, err)
 		}
 		v.Sleep(10 * time.Millisecond)
 
 		// Without a budget the cold placement fails immediately.
 		start := v.Now()
-		_, err := p.Invoke("strict", nil)
+		_, err := p.InvokeFor("t", "strict", nil)
 		if !errors.Is(err, ErrThrottled) {
 			t.Fatalf("no-budget err = %v, want ErrThrottled", err)
 		}
@@ -286,7 +286,7 @@ func TestColdStartBudget(t *testing.T) {
 		// With a budget and no relief, the invocation fails only after the
 		// budget lapses, with the typed timeout sentinel.
 		start = v.Now()
-		_, err = p.Invoke("late", nil)
+		_, err = p.InvokeFor("t", "late", nil)
 		if !errors.Is(err, ErrColdStartTimeout) || !errors.Is(err, errs.ErrColdStartTimeout) {
 			t.Fatalf("budget err = %v, want ErrColdStartTimeout", err)
 		}
@@ -297,11 +297,11 @@ func TestColdStartBudget(t *testing.T) {
 		// Capacity freed inside the budget rescues the invocation.
 		v.Go(func() {
 			v.Sleep(50 * time.Millisecond)
-			if _, err := p.SetPoolTarget("hog", 0); err != nil {
+			if _, err := p.SetPoolTarget("t", "hog", 0); err != nil {
 				t.Errorf("trim hog: %v", err)
 			}
 		})
-		res, err := p.Invoke("late", nil)
+		res, err := p.InvokeFor("t", "late", nil)
 		must(t, err)
 		if !res.Cold {
 			t.Fatal("rescued invocation should be cold")

@@ -17,7 +17,7 @@ func TestPrewarmEliminatesColdStarts(t *testing.T) {
 	}))
 	v.Run(func() {
 		// Four concurrent first requests: all should hit warm instances.
-		rep := Drive(p, "hot", nil, make([]time.Duration, 4))
+		rep := Drive(p, "t", "hot", nil, make([]time.Duration, 4))
 		rep.Wait()
 		for _, r := range rep.Results() {
 			if r.Cold {
@@ -25,7 +25,7 @@ func TestPrewarmEliminatesColdStarts(t *testing.T) {
 			}
 		}
 	})
-	st, _ := p.Stats("hot")
+	st, _ := p.StatsFor("t", "hot")
 	if st.ColdStarts != 0 {
 		t.Fatalf("cold starts = %d, want 0", st.ColdStarts)
 	}
@@ -38,10 +38,10 @@ func TestPrewarmFloorSurvivesReaping(t *testing.T) {
 	must(t, p.Register("floor", "t", echo, Config{Prewarm: 2, KeepAlive: time.Minute}))
 	v.Run(func() {
 		// Burst to 6 instances.
-		rep := Drive(p, "floor", nil, make([]time.Duration, 6))
+		rep := Drive(p, "t", "floor", nil, make([]time.Duration, 6))
 		rep.Wait()
 		v.Sleep(10 * time.Minute) // way past keep-alive
-		st, _ := p.Stats("floor")
+		st, _ := p.StatsFor("t", "floor")
 		if st.WarmIdle != 2 {
 			t.Errorf("warm idle = %d, want the Prewarm floor of 2", st.WarmIdle)
 		}
@@ -58,13 +58,13 @@ func TestClusterPlacementAndRelease(t *testing.T) {
 		MemoryMB: 1024, KeepAlive: time.Minute,
 	}))
 	v.Run(func() {
-		rep := Drive(p, "placed", nil, make([]time.Duration, 3))
+		rep := Drive(p, "acme", "placed", nil, make([]time.Duration, 3))
 		rep.Wait()
 		if got := cluster.ActiveMachines(); got == 0 {
 			t.Error("no machines active while instances warm")
 		}
-		v.Sleep(5 * time.Minute) // keep-alive lapses → instances released
-		p.Stats("placed")        // force reap
+		v.Sleep(5 * time.Minute)     // keep-alive lapses → instances released
+		p.StatsFor("acme", "placed") // force reap
 		if got := cluster.ActiveMachines(); got != 0 {
 			t.Errorf("machines still active after scale-to-zero: %d", got)
 		}
@@ -82,7 +82,7 @@ func TestClusterCapacityThrottles(t *testing.T) {
 		Demand: scheduler.Resources{CPU: 2000, MemMB: 512}, KeepAlive: time.Hour, MaxRetries: -1,
 	}))
 	v.Run(func() {
-		rep := Drive(p, "tight", nil, make([]time.Duration, 3))
+		rep := Drive(p, "t", "tight", nil, make([]time.Duration, 3))
 		rep.Wait()
 		if len(rep.Errors()) != 1 {
 			t.Errorf("errors = %d, want 1 (third instance unplaceable)", len(rep.Errors()))
@@ -117,14 +117,14 @@ func TestInterferenceSlowdown(t *testing.T) {
 	}))
 	v.Run(func() {
 		// Alone: 1s of work takes 1s.
-		res, err := p.Invoke("noisy", nil)
+		res, err := p.InvokeFor("t", "noisy", nil)
 		must(t, err)
 		if res.Latency > 1100*time.Millisecond {
 			t.Errorf("solo latency %v", res.Latency)
 		}
 		// Four concurrent instances on one machine: 3 contenders each →
 		// slowdown 2.5× → ~2.5s.
-		rep := Drive(p, "noisy", nil, make([]time.Duration, 4))
+		rep := Drive(p, "t", "noisy", nil, make([]time.Duration, 4))
 		rep.Wait()
 		sawSlow := false
 		for _, r := range rep.Results() {

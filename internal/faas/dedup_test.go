@@ -2,11 +2,13 @@ package faas
 
 import (
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/billing"
+	"repro/internal/obs"
 	"repro/internal/simclock"
 )
 
@@ -28,7 +30,7 @@ func TestRetryBreakerTripBillingConsistent(t *testing.T) {
 		BreakerCooldown:  time.Hour,
 	}))
 	v.Run(func() {
-		res, err := p.InvokeWithRetry("f", nil, RetryPolicy{
+		res, err := p.InvokeWithRetry("acme", "f", "", nil, RetryPolicy{
 			MaxAttempts: 5,
 			Base:        time.Millisecond,
 			Jitter:      -1,
@@ -39,7 +41,7 @@ func TestRetryBreakerTripBillingConsistent(t *testing.T) {
 		if res.Attempt != 4 {
 			t.Errorf("res.Attempt = %d, want 4 (three executions + the fast-fail)", res.Attempt)
 		}
-		st, _ := p.Stats("f")
+		st, _ := p.StatsFor("acme", "f")
 		if st.Invocations != 3 {
 			t.Errorf("executions = %d, want 3", st.Invocations)
 		}
@@ -64,12 +66,12 @@ func TestDedupWindowServesCachedResult(t *testing.T) {
 		return []byte("ok"), nil
 	}, Config{DedupWindow: time.Minute}))
 	v.Run(func() {
-		r1, err := p.InvokeIdem("f", "k1", nil)
+		r1, err := p.InvokeForTraceIdem("acme", "f", nil, obs.TraceCtx{}, "k1")
 		must(t, err)
 		if r1.Deduped {
 			t.Error("first keyed invoke must execute, not dedup")
 		}
-		r2, err := p.InvokeIdem("f", "k1", nil)
+		r2, err := p.InvokeForTraceIdem("acme", "f", nil, obs.TraceCtx{}, "k1")
 		must(t, err)
 		if !r2.Deduped {
 			t.Error("duplicate key inside the window must be served from cache")
@@ -77,7 +79,7 @@ func TestDedupWindowServesCachedResult(t *testing.T) {
 		if string(r2.Output) != "ok" {
 			t.Errorf("cached output = %q, want %q", r2.Output, "ok")
 		}
-		if r3, err := p.InvokeIdem("f", "k2", nil); err != nil || r3.Deduped {
+		if r3, err := p.InvokeForTraceIdem("acme", "f", nil, obs.TraceCtx{}, "k2"); err != nil || r3.Deduped {
 			t.Errorf("fresh key: err=%v deduped=%v, want execution", err, r3.Deduped)
 		}
 		if got := atomic.LoadInt64(&execs); got != 2 {
@@ -88,7 +90,7 @@ func TestDedupWindowServesCachedResult(t *testing.T) {
 		}
 		// Past the window the key executes again.
 		v.Sleep(2 * time.Minute)
-		r4, err := p.InvokeIdem("f", "k1", nil)
+		r4, err := p.InvokeForTraceIdem("acme", "f", nil, obs.TraceCtx{}, "k1")
 		must(t, err)
 		if r4.Deduped {
 			t.Error("key past the window must re-execute")
@@ -108,11 +110,11 @@ func TestDedupNeverCachesFailures(t *testing.T) {
 	var healthy int64
 	must(t, p.Register("f", "acme", failing(&healthy), Config{DedupWindow: time.Minute}))
 	v.Run(func() {
-		if _, err := p.InvokeIdem("f", "k", nil); err == nil {
+		if _, err := p.InvokeForTraceIdem("acme", "f", nil, obs.TraceCtx{}, "k"); err == nil {
 			t.Fatal("want handler failure")
 		}
 		atomic.StoreInt64(&healthy, 1)
-		res, err := p.InvokeIdem("f", "k", nil)
+		res, err := p.InvokeForTraceIdem("acme", "f", nil, obs.TraceCtx{}, "k")
 		must(t, err)
 		if res.Deduped {
 			t.Error("retry after failure was deduped; failures must not be cached")
@@ -147,12 +149,12 @@ func TestRetryDecideLostReply(t *testing.T) {
 		Decide:      func(attempt int, res Result, err error) bool { return attempt < 2 },
 	}
 	v.Run(func() {
-		res, err := p.InvokeWithRetry("plain", nil, lostReply)
+		res, err := p.InvokeWithRetry("acme", "plain", "", nil, lostReply)
 		must(t, err)
 		if res.Attempt != 2 || atomic.LoadInt64(&plain) != 2 {
 			t.Errorf("plain: attempt=%d execs=%d, want 2/2 (lost reply re-executes)", res.Attempt, plain)
 		}
-		res, err = p.InvokeWithRetryIdem("keyed", "req-1", nil, lostReply)
+		res, err = p.InvokeWithRetry("acme", "keyed", "req-1", nil, lostReply)
 		must(t, err)
 		if res.Attempt != 2 || !res.Deduped {
 			t.Errorf("keyed: attempt=%d deduped=%v, want attempt 2 served from cache", res.Attempt, res.Deduped)
@@ -161,4 +163,44 @@ func TestRetryDecideLostReply(t *testing.T) {
 			t.Errorf("keyed executions = %d, want 1", got)
 		}
 	})
+}
+
+// TestDedupCacheHoldsTheLiveWindowExactly drives the dedup cache with
+// synthetic timestamps: however many keys are live, none is evicted before its
+// window lapses, and a store drops exactly the entries that have lapsed.
+func TestDedupCacheHoldsTheLiveWindowExactly(t *testing.T) {
+	const n = 3 * 4096
+	fn := &function{cfg: Config{DedupWindow: time.Minute}}
+	t0 := time.Unix(0, 0)
+	key := func(i int) string { return fmt.Sprintf("k%d", i) }
+	at := func(ms int) time.Time { return t0.Add(time.Duration(ms) * time.Millisecond) }
+	for i := 0; i < n; i++ {
+		fn.dedupStore(key(i), Result{RequestID: int64(i)}, at(i))
+	}
+	if len(fn.idem) != n {
+		t.Fatalf("cached %d of %d live keys", len(fn.idem), n)
+	}
+	for i := 0; i < n; i++ {
+		if res, ok := fn.dedupLookup(key(i), at(n)); !ok || res.RequestID != int64(i) {
+			t.Fatalf("live key %d: hit=%v res=%+v", i, ok, res)
+		}
+	}
+
+	// Key 0 succeeds again at 30s: its entry now outlives its first record.
+	fn.dedupStore(key(0), Result{RequestID: -1}, at(30_000))
+	// A store at 65s drops the keys stored before 5s — and only those.
+	now := at(65_000)
+	fn.dedupStore("late", Result{}, now)
+	if want := n - 5000 + 2; len(fn.idem) != want || len(fn.idemOrder) != want {
+		t.Fatalf("after the window: %d cached, %d ordered, want %d each", len(fn.idem), len(fn.idemOrder), want)
+	}
+	if res, ok := fn.dedupLookup(key(0), now); !ok || res.RequestID != -1 {
+		t.Errorf("re-stored key evicted with its older record: hit=%v res=%+v", ok, res)
+	}
+	if _, ok := fn.dedupLookup(key(4999), now); ok {
+		t.Error("key past its window still served")
+	}
+	if _, ok := fn.dedupLookup(key(5000), now); !ok {
+		t.Error("key at the edge of its window evicted early")
+	}
 }

@@ -35,7 +35,6 @@ import (
 var (
 	ErrNoFunction  = errors.New("faas: function not registered")
 	ErrExists      = errors.New("faas: function already registered")
-	ErrAmbiguous   = errors.New("faas: function name owned by several tenants; qualify as tenant/name")
 	ErrThrottled   = fmt.Errorf("faas: concurrency limit reached (%w)", errs.ErrThrottled)
 	ErrTimeout     = errors.New("faas: execution time limit exceeded")
 	ErrPayloadSize = errors.New("faas: payload too large")
@@ -73,7 +72,7 @@ type Config struct {
 	// WarmStart is the dispatch latency onto an existing instance.
 	// Default 1ms.
 	WarmStart time.Duration
-	// MaxRetries is how many times InvokeAsync re-executes a failed
+	// MaxRetries is how many times InvokeAsyncFor re-executes a failed
 	// invocation. Default 2 (i.e. up to 3 attempts), as AWS Lambda does
 	// for asynchronous events.
 	MaxRetries int
@@ -102,8 +101,8 @@ type Config struct {
 	// behaviour: a failed placement throttles immediately.
 	ColdStartBudget time.Duration
 	// DedupWindow arms per-function idempotency-key deduplication: an invoke
-	// carrying a key (InvokeIdem, InvokeWithRetryIdem) whose previous keyed
-	// invocation *succeeded* within the window is served the cached Result —
+	// carrying a key (InvokeForTraceIdem, InvokeWithRetry) whose previous
+	// keyed invocation *succeeded* within the window is served the cached Result —
 	// no handler execution, no billing — with Result.Deduped set. This is the
 	// opt-in half of exactly-once-observable semantics over an at-least-once
 	// transport: the platform still retries, but a client that lost the reply
@@ -159,9 +158,9 @@ type Ctx struct {
 	Attempt      int   // 1-based attempt number under async retry
 	// Trace is the handler span's causal context. Handlers thread it into
 	// downstream trace-aware APIs (pulsar SendTrace, jiffy Traced, nested
-	// InvokeTrace) so one request is one trace across subsystems. It is two
-	// int64s copied by value — safe to pass onward even though *Ctx itself
-	// is pooled and must not be retained.
+	// InvokeForTraceIdem) so one request is one trace across subsystems. It
+	// is two int64s copied by value — safe to pass onward even though *Ctx
+	// itself is pooled and must not be retained.
 	Trace obs.TraceCtx
 
 	budget   time.Duration // remaining execution time
@@ -222,9 +221,12 @@ type ScalePoint struct {
 }
 
 type function struct {
-	name     string
-	key      string // tenant-qualified registry key: "tenant/name"
-	tenant   string
+	name   string
+	tenant string
+	// key is the "tenant/name" display label, computed once at Register. It
+	// is write-only — it names scheduler slots, Load.Key and autoscaler
+	// gauges — and is never parsed or used to resolve a function.
+	key      string
 	handler  Handler
 	cfg      Config
 	platform *Platform
@@ -233,11 +235,14 @@ type function struct {
 	brkGauge *obs.Gauge // per-function breaker state; nil → no-op
 
 	// idem is the dedup-window cache (armed when cfg.DedupWindow > 0):
-	// idempotency key → cached successful Result and its expiry. Its own
-	// mutex, not fn.mu — a dedup hit must not contend with the instance-pool
-	// bookkeeping it exists to bypass.
-	idemMu sync.Mutex
-	idem   map[string]idemEntry
+	// idempotency key → cached successful Result and its expiry. idemOrder
+	// lists the stored keys oldest first; every entry lives one DedupWindow,
+	// so expiries are monotone and the expired ones are always at its head.
+	// Its own mutex, not fn.mu — a dedup hit must not contend with the
+	// instance-pool bookkeeping it exists to bypass.
+	idemMu    sync.Mutex
+	idem      map[string]idemEntry
+	idemOrder []idemExpiry
 
 	// Tenant/function-labeled handles and the tenant SLO accumulator,
 	// resolved once at Register (nil no-ops without observability) so the
@@ -276,10 +281,11 @@ type idemEntry struct {
 	expires time.Time
 }
 
-// idemSweepAt bounds the dedup cache: once the map holds this many entries a
-// store first sweeps everything expired, so the cache is O(live window), not
-// O(history).
-const idemSweepAt = 1 << 12
+// idemExpiry is one idemOrder record: a stored key and when that store lapses.
+type idemExpiry struct {
+	key     string
+	expires time.Time
+}
 
 // dedupLookup returns the cached Result for an idempotency key if it is still
 // inside the window. Expired entries are deleted on the way.
@@ -310,14 +316,19 @@ func (fn *function) dedupStore(key string, res Result, now time.Time) {
 	defer fn.idemMu.Unlock()
 	if fn.idem == nil {
 		fn.idem = map[string]idemEntry{}
-	} else if len(fn.idem) >= idemSweepAt {
-		for k, e := range fn.idem {
-			if now.After(e.expires) {
-				delete(fn.idem, k)
-			}
-		}
 	}
-	fn.idem[key] = idemEntry{res: res, expires: now.Add(fn.cfg.DedupWindow)}
+	// Drop what has lapsed, so the cache is O(live window), not O(history).
+	// A key stored again since keeps its newer entry: the map's expiry decides.
+	for len(fn.idemOrder) > 0 && now.After(fn.idemOrder[0].expires) {
+		k := fn.idemOrder[0].key
+		if e, ok := fn.idem[k]; ok && now.After(e.expires) {
+			delete(fn.idem, k)
+		}
+		fn.idemOrder = fn.idemOrder[1:]
+	}
+	expires := now.Add(fn.cfg.DedupWindow)
+	fn.idem[key] = idemEntry{res: res, expires: expires}
+	fn.idemOrder = append(fn.idemOrder, idemExpiry{key: key, expires: expires})
 }
 
 // durationWindow is the per-function latency-window size. Every existing
@@ -365,16 +376,11 @@ type Platform struct {
 	clock simclock.Clock
 	meter *billing.Meter
 
-	mu        sync.RWMutex // guards functions, bare, cluster, penalty, adm
-	functions map[string]*function
-	// bare indexes functions by unqualified name, maintained at
-	// Register/Unregister time so bare-name lookup on the invoke hot path is
-	// one map probe instead of a registry scan. A nil value marks a name
-	// owned by several tenants (ErrAmbiguous).
-	bare map[string]*function
+	mu        sync.RWMutex // guards functions, cluster, penalty; serializes SetAdmission
+	functions map[fnID]*function
 
 	// adm is the per-tenant admission state (nil = admission off).
-	adm *admission
+	adm atomic.Pointer[admission]
 
 	nextReq atomic.Int64
 
@@ -415,8 +421,7 @@ func New(clock simclock.Clock, meter *billing.Meter) *Platform {
 	return &Platform{
 		clock:     clock,
 		meter:     meter,
-		functions: map[string]*function{},
-		bare:      map[string]*function{},
+		functions: map[fnID]*function{},
 		rng:       rand.New(rand.NewSource(0x7a05)),
 	}
 }
@@ -476,58 +481,21 @@ func (p *Platform) Cluster() *scheduler.Cluster {
 	return p.cluster
 }
 
-// qualifiedKey is the registry key for a tenant's function. Function names
-// are a namespace per tenant: two tenants may each own a "resize".
-func qualifiedKey(tenant, name string) string { return tenant + "/" + name }
+// fnID is a function's identity: names are a namespace per tenant, so two
+// tenants may each own a "resize" and neither can name the other's.
+type fnID struct{ tenant, name string }
 
-// lookupLocked resolves a bare or tenant-qualified ("tenant/name") function
-// name under p.mu. A bare name resolves when exactly one tenant owns it —
-// the whole pre-tenant-handle API keeps working unchanged — and fails with
-// ErrAmbiguous once several tenants deploy the same name, at which point
-// callers must qualify (or go through a TenantHandle, which always does).
-// Both forms are a single map probe: the bare index is maintained at
-// registration time, so the invoke hot path never scans the registry.
-func (p *Platform) lookupLocked(name string) (*function, error) {
-	if fn, ok := p.functions[name]; ok {
-		return fn, nil
-	}
-	if fn, ok := p.bare[name]; ok {
-		if fn == nil {
-			return nil, fmt.Errorf("%w: %q", ErrAmbiguous, name)
-		}
-		return fn, nil
-	}
-	return nil, fmt.Errorf("%w: %q", ErrNoFunction, name)
-}
-
-// rebuildBareLocked recomputes the bare-name index entry for name after a
-// registration change. Called with p.mu held for writing; O(registry), but
-// only on Unregister — never on the invoke path.
-func (p *Platform) rebuildBareLocked(name string) {
-	var hit *function
-	ambiguous := false
-	for _, fn := range p.functions {
-		if fn.name == name {
-			if hit != nil {
-				ambiguous = true
-			}
-			hit = fn
-		}
-	}
-	switch {
-	case ambiguous:
-		p.bare[name] = nil
-	case hit != nil:
-		p.bare[name] = hit
-	default:
-		delete(p.bare, name)
-	}
-}
-
-func (p *Platform) lookup(name string) (*function, error) {
+// lookup resolves tenant's function name. It is the only resolution path:
+// another tenant's function of the same name is indistinguishable from an
+// unregistered one.
+func (p *Platform) lookup(tenant, name string) (*function, error) {
 	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.lookupLocked(name)
+	fn := p.functions[fnID{tenant, name}]
+	p.mu.RUnlock()
+	if fn == nil {
+		return nil, fmt.Errorf("%w: %q", ErrNoFunction, name)
+	}
+	return fn, nil
 }
 
 // Register adds a function owned by tenant. With Prewarm > 0, the
@@ -535,13 +503,13 @@ func (p *Platform) lookup(name string) (*function, error) {
 // scoped per tenant: registration collides only with the same tenant's own
 // functions, never with (and without revealing) another tenant's.
 func (p *Platform) Register(name, tenant string, handler Handler, cfg Config) error {
-	key := qualifiedKey(tenant, name)
+	id := fnID{tenant, name}
 	p.mu.Lock()
-	if _, ok := p.functions[key]; ok {
+	if _, ok := p.functions[id]; ok {
 		p.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrExists, name)
 	}
-	fn := &function{name: name, key: key, tenant: tenant, handler: handler, cfg: cfg.withDefaults(), platform: p}
+	fn := &function{name: name, tenant: tenant, key: tenant + "/" + name, handler: handler, cfg: cfg.withDefaults(), platform: p}
 	if fn.cfg.BreakerThreshold > 0 {
 		fn.brkGauge = p.obsReg.Gauge("faas.breaker.state." + name)
 	}
@@ -549,12 +517,7 @@ func (p *Platform) Register(name, tenant string, handler Handler, cfg Config) er
 	fn.lblFail = p.obsFailVec.With(tenant, name)
 	fn.lblLat = p.obsLatVec.With(tenant, name)
 	fn.slo = p.obsSLO.Tenant(tenant)
-	p.functions[key] = fn
-	if _, taken := p.bare[name]; taken {
-		p.bare[name] = nil // second tenant deployed the name: now ambiguous
-	} else {
-		p.bare[name] = fn
-	}
+	p.functions[id] = fn
 	p.mu.Unlock()
 
 	// Provisioned concurrency: instances exist before the first request.
@@ -575,8 +538,8 @@ func (p *Platform) Register(name, tenant string, handler Handler, cfg Config) er
 	return nil
 }
 
-// instKey identifies an instance in the attached cluster. Keyed by the
-// tenant-qualified function key so two tenants' same-named functions never
+// instKey identifies an instance in the attached cluster. Built from the
+// function's "tenant/name" label so two tenants' same-named functions never
 // collide on cluster slots.
 func instKey(fnKey string, id int64) string {
 	return fmt.Sprintf("%s#%d", fnKey, id)
@@ -612,18 +575,18 @@ func (p *Platform) slowdownFor(fn *function, inst *instance) float64 {
 	return 1 + p.penalty*float64(p.cluster.ContendersOf(instKey(fn.key, inst.id)))
 }
 
-// Unregister removes a function, releasing its idle instances' cluster
-// capacity.
-func (p *Platform) Unregister(name string) error {
+// UnregisterFor removes tenant's function name, releasing its idle
+// instances' cluster capacity. Another tenant's same-named function is
+// untouched and unprobeable (ErrNoFunction either way).
+func (p *Platform) UnregisterFor(tenant, name string) error {
+	id := fnID{tenant, name}
 	p.mu.Lock()
-	fn, err := p.lookupLocked(name)
-	if err != nil {
-		p.mu.Unlock()
-		return err
-	}
-	delete(p.functions, fn.key)
-	p.rebuildBareLocked(fn.name)
+	fn := p.functions[id]
+	delete(p.functions, id)
 	p.mu.Unlock()
+	if fn == nil {
+		return fmt.Errorf("%w: %q", ErrNoFunction, name)
+	}
 
 	fn.mu.Lock()
 	defer fn.mu.Unlock()
@@ -650,56 +613,22 @@ type Result struct {
 	Deduped bool
 }
 
-// Invoke runs a function synchronously and returns its result. The calling
-// goroutine pays the start latency and execution time on the platform clock.
-func (p *Platform) Invoke(name string, payload []byte) (Result, error) {
-	return p.invoke(name, payload, 1, obs.TraceCtx{}, "")
-}
-
-// InvokeIdem is Invoke carrying an idempotency key: on a function with a
-// DedupWindow, a key whose previous invocation succeeded inside the window is
-// answered from the cache (Result.Deduped) without executing or billing.
-func (p *Platform) InvokeIdem(name, idemKey string, payload []byte) (Result, error) {
-	return p.invoke(name, payload, 1, obs.TraceCtx{}, idemKey)
-}
-
-// InvokeTrace is Invoke with an inbound causal context: a zero tc roots a
-// new trace at this invocation; a valid tc (an orchestrate step, a consuming
-// function's handler span) attaches the invocation to the caller's trace.
-func (p *Platform) InvokeTrace(name string, payload []byte, tc obs.TraceCtx) (Result, error) {
-	return p.invoke(name, payload, 1, tc, "")
-}
-
-// InvokeFor runs tenant's function name synchronously, resolving only within
-// that tenant's namespace: another tenant's function of the same name is
-// indistinguishable from an unregistered one.
+// InvokeFor runs tenant's function name synchronously and returns its
+// result. The calling goroutine pays the start latency and execution time on
+// the platform clock.
 func (p *Platform) InvokeFor(tenant, name string, payload []byte) (Result, error) {
-	return p.invoke(qualifiedKey(tenant, name), payload, 1, obs.TraceCtx{}, "")
+	return p.invoke(tenant, name, payload, 1, obs.TraceCtx{}, "")
 }
 
-// InvokeForTrace is InvokeFor with an inbound causal context.
-func (p *Platform) InvokeForTrace(tenant, name string, payload []byte, tc obs.TraceCtx) (Result, error) {
-	return p.invoke(qualifiedKey(tenant, name), payload, 1, tc, "")
-}
-
-// InvokeForTraceIdem is InvokeFor carrying both an inbound causal context and
-// an idempotency key — the full-surface entry point a front door (the HTTP
-// gateway) uses: one trace per external request, tenant-scoped resolution,
-// and keyed dedup when the caller re-sends a lost reply.
+// InvokeForTraceIdem is InvokeFor carrying an inbound causal context and an
+// idempotency key. A zero tc roots a new trace at this invocation; a valid tc
+// (the HTTP gateway's request span, an orchestrate step, a consuming
+// function's handler span) attaches the invocation to the caller's trace. On
+// a function with a DedupWindow, a non-empty idemKey whose previous
+// invocation succeeded inside the window is answered from the cache
+// (Result.Deduped) without executing or billing.
 func (p *Platform) InvokeForTraceIdem(tenant, name string, payload []byte, tc obs.TraceCtx, idemKey string) (Result, error) {
-	return p.invoke(qualifiedKey(tenant, name), payload, 1, tc, idemKey)
-}
-
-// UnregisterFor removes tenant's function name, resolving only within that
-// tenant's namespace: another tenant's same-named function is untouched and
-// unprobeable (ErrNoFunction either way).
-func (p *Platform) UnregisterFor(tenant, name string) error {
-	return p.Unregister(qualifiedKey(tenant, name))
-}
-
-// StatsFor is Stats resolved within tenant's namespace.
-func (p *Platform) StatsFor(tenant, name string) (Stats, error) {
-	return p.Stats(qualifiedKey(tenant, name))
+	return p.invoke(tenant, name, payload, 1, tc, idemKey)
 }
 
 // FunctionInfo summarizes one registered function for control-plane listings.
@@ -725,16 +654,8 @@ func (p *Platform) FunctionsFor(tenant string) []FunctionInfo {
 	return out
 }
 
-// InvokeAsyncFor is InvokeAsync resolved within tenant's namespace.
-func (p *Platform) InvokeAsyncFor(tenant, name string, payload []byte, done func(Result, error)) {
-	p.InvokeAsync(qualifiedKey(tenant, name), payload, done)
-}
-
-func (p *Platform) invoke(name string, payload []byte, attempt int, parent obs.TraceCtx, idemKey string) (Result, error) {
-	p.mu.RLock()
-	fn, err := p.lookupLocked(name)
-	adm := p.adm
-	p.mu.RUnlock()
+func (p *Platform) invoke(tenant, name string, payload []byte, attempt int, parent obs.TraceCtx, idemKey string) (Result, error) {
+	fn, err := p.lookup(tenant, name)
 	if err != nil {
 		return Result{}, err
 	}
@@ -766,7 +687,7 @@ func (p *Platform) invoke(name string, payload []byte, attempt int, parent obs.T
 
 	// Tenant admission: the fair-share token bucket gates (and may queue or
 	// shed) the request before any breaker or concurrency state is touched.
-	if err := p.admit(adm, fn.tenant); err != nil {
+	if err := p.admit(p.adm.Load(), fn.tenant); err != nil {
 		fn.mu.Lock()
 		fn.throttles++
 		fn.mu.Unlock()
@@ -966,15 +887,15 @@ const asyncRetryBase = 500 * time.Millisecond
 // a burst of failed invocations does not re-execute in lockstep.
 const asyncJitter = 0.2
 
-// InvokeAsync runs a function on its own goroutine, transparently
-// re-executing it on failure — with exponential backoff plus jitter — up to
-// the function's MaxRetries (§4.1: "most FaaS platforms re-execute functions
+// InvokeAsyncFor runs tenant's function name on its own goroutine,
+// transparently re-executing it on failure — with exponential backoff plus
+// jitter — up to the function's MaxRetries (§4.1: "most FaaS platforms re-execute functions
 // transparently on failure"). done, if non-nil, receives the final result;
 // its Attempt and RetryWait fields surface how many executions it took and
 // how long the retries backed off in total.
-func (p *Platform) InvokeAsync(name string, payload []byte, done func(Result, error)) {
+func (p *Platform) InvokeAsyncFor(tenant, name string, payload []byte, done func(Result, error)) {
 	p.clock.Go(func() {
-		fn, lookupErr := p.lookup(name)
+		fn, lookupErr := p.lookup(tenant, name)
 		retries := 0
 		if lookupErr == nil {
 			retries = fn.cfg.MaxRetries
@@ -996,7 +917,7 @@ func (p *Platform) InvokeAsync(name string, payload []byte, done func(Result, er
 				waited += d
 				backoff *= 2
 			}
-			res, err = p.invoke(name, payload, attempt, root.Ctx(), "")
+			res, err = p.invoke(tenant, name, payload, attempt, root.Ctx(), "")
 			res.Attempt = attempt
 			res.RetryWait = waited
 			if err == nil {
@@ -1098,10 +1019,10 @@ type Stats struct {
 	Timeline  []ScalePoint
 }
 
-// Stats returns a snapshot for a function, with the warm pool reaped as of
-// now (so WarmIdle reflects scale-to-zero).
-func (p *Platform) Stats(name string) (Stats, error) {
-	fn, err := p.lookup(name)
+// StatsFor returns a snapshot for tenant's function name, with the warm pool
+// reaped as of now (so WarmIdle reflects scale-to-zero).
+func (p *Platform) StatsFor(tenant, name string) (Stats, error) {
+	fn, err := p.lookup(tenant, name)
 	if err != nil {
 		return Stats{}, err
 	}

@@ -22,13 +22,13 @@ func worker(d time.Duration) Handler {
 func TestRegisterInvoke(t *testing.T) {
 	p := New(simclock.Real{}, nil)
 	must(t, p.Register("echo", "t", echo, Config{}))
-	res, err := p.Invoke("echo", []byte("hi"))
+	res, err := p.InvokeFor("t", "echo", []byte("hi"))
 	must(t, err)
 	if string(res.Output) != "hi" || !res.Cold {
 		t.Fatalf("res = %+v", res)
 	}
 	// Second invoke reuses the warm instance.
-	res2, err := p.Invoke("echo", []byte("again"))
+	res2, err := p.InvokeFor("t", "echo", []byte("again"))
 	must(t, err)
 	if res2.Cold {
 		t.Fatal("second invocation was cold")
@@ -41,11 +41,11 @@ func TestRegisterDuplicateAndMissing(t *testing.T) {
 	if err := p.Register("f", "t", echo, Config{}); !errors.Is(err, ErrExists) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, err := p.Invoke("ghost", nil); !errors.Is(err, ErrNoFunction) {
+	if _, err := p.InvokeFor("t", "ghost", nil); !errors.Is(err, ErrNoFunction) {
 		t.Fatalf("err = %v", err)
 	}
-	must(t, p.Unregister("f"))
-	if err := p.Unregister("f"); !errors.Is(err, ErrNoFunction) {
+	must(t, p.UnregisterFor("t", "f"))
+	if err := p.UnregisterFor("t", "f"); !errors.Is(err, ErrNoFunction) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -57,12 +57,12 @@ func TestColdVsWarmLatency(t *testing.T) {
 	cfg := Config{ColdStart: 200 * time.Millisecond, WarmStart: time.Millisecond, KeepAlive: time.Hour}
 	must(t, p.Register("f", "t", worker(10*time.Millisecond), cfg))
 	v.Run(func() {
-		res1, err := p.Invoke("f", nil)
+		res1, err := p.InvokeFor("t", "f", nil)
 		must(t, err)
 		if res1.Latency != 210*time.Millisecond {
 			t.Errorf("cold latency = %v, want 210ms", res1.Latency)
 		}
-		res2, err := p.Invoke("f", nil)
+		res2, err := p.InvokeFor("t", "f", nil)
 		must(t, err)
 		if res2.Latency != 11*time.Millisecond {
 			t.Errorf("warm latency = %v, want 11ms", res2.Latency)
@@ -76,16 +76,16 @@ func TestKeepAliveExpiryCausesColdStart(t *testing.T) {
 	p := New(v, nil)
 	must(t, p.Register("f", "t", echo, Config{KeepAlive: time.Minute}))
 	v.Run(func() {
-		_, err := p.Invoke("f", nil)
+		_, err := p.InvokeFor("t", "f", nil)
 		must(t, err)
 		v.Sleep(30 * time.Second)
-		res, err := p.Invoke("f", nil)
+		res, err := p.InvokeFor("t", "f", nil)
 		must(t, err)
 		if res.Cold {
 			t.Error("instance reaped before keep-alive lapsed")
 		}
 		v.Sleep(2 * time.Minute)
-		res, err = p.Invoke("f", nil)
+		res, err = p.InvokeFor("t", "f", nil)
 		must(t, err)
 		if !res.Cold {
 			t.Error("instance survived past keep-alive")
@@ -100,15 +100,15 @@ func TestScaleToZero(t *testing.T) {
 	must(t, p.Register("f", "t", echo, Config{KeepAlive: time.Minute}))
 	v.Run(func() {
 		for i := 0; i < 3; i++ {
-			_, err := p.Invoke("f", nil)
+			_, err := p.InvokeFor("t", "f", nil)
 			must(t, err)
 		}
-		st, _ := p.Stats("f")
+		st, _ := p.StatsFor("t", "f")
 		if st.WarmIdle != 1 {
 			t.Errorf("warm idle = %d, want 1 (sequential reuse)", st.WarmIdle)
 		}
 		v.Sleep(5 * time.Minute)
-		st, _ = p.Stats("f")
+		st, _ = p.StatsFor("t", "f")
 		if st.WarmIdle != 0 || st.Running != 0 {
 			t.Errorf("did not scale to zero: %+v", st)
 		}
@@ -123,10 +123,10 @@ func TestDemandDrivenScaleOut(t *testing.T) {
 	must(t, p.Register("f", "t", worker(time.Second), Config{KeepAlive: time.Hour}))
 	var end time.Time
 	v.Run(func() {
-		rep := Drive(p, "f", nil, make([]time.Duration, 8)) // 8 arrivals at t=0
+		rep := Drive(p, "t", "f", nil, make([]time.Duration, 8)) // 8 arrivals at t=0
 		rep.Wait()
 		end = v.Now()
-		st, _ := p.Stats("f")
+		st, _ := p.StatsFor("t", "f")
 		if st.ColdStarts != 8 {
 			t.Errorf("cold starts = %d, want 8", st.ColdStarts)
 		}
@@ -146,7 +146,7 @@ func TestConcurrencyThrottle(t *testing.T) {
 		var throttled int64
 		done := make(chan struct{}, 3)
 		for i := 0; i < 3; i++ {
-			p.InvokeAsync("f", nil, func(_ Result, err error) {
+			p.InvokeAsyncFor("t", "f", nil, func(_ Result, err error) {
 				if errors.Is(err, ErrThrottled) {
 					atomic.AddInt64(&throttled, 1)
 				}
@@ -171,7 +171,7 @@ func TestExecutionTimeLimit(t *testing.T) {
 	must(t, p.Register("slow", "t", worker(10*time.Second), Config{Timeout: time.Second, MaxRetries: -1}))
 	v.Run(func() {
 		start := v.Now()
-		_, err := p.Invoke("slow", nil)
+		_, err := p.InvokeFor("t", "slow", nil)
 		if !errors.Is(err, ErrTimeout) {
 			t.Errorf("err = %v, want ErrTimeout", err)
 		}
@@ -179,7 +179,7 @@ func TestExecutionTimeLimit(t *testing.T) {
 		if e := v.Now().Sub(start); e > 2*time.Second {
 			t.Errorf("timeout did not bound execution: %v", e)
 		}
-		st, _ := p.Stats("slow")
+		st, _ := p.StatsFor("t", "slow")
 		if st.Timeouts != 1 {
 			t.Errorf("timeouts = %d", st.Timeouts)
 		}
@@ -194,7 +194,7 @@ func TestBillingFineGrained(t *testing.T) {
 	// 250 ms of work at 1024 MB bills 300 ms → 0.3 GB-s.
 	must(t, p.Register("f", "acme", worker(250*time.Millisecond), Config{MemoryMB: 1024}))
 	v.Run(func() {
-		_, err := p.Invoke("f", nil)
+		_, err := p.InvokeFor("acme", "f", nil)
 		must(t, err)
 	})
 	got := m.Units("acme", billing.ResInvocationGBs)
@@ -221,7 +221,7 @@ func TestAsyncRetrySucceedsEventually(t *testing.T) {
 	v.Run(func() {
 		done := make(chan error, 1)
 		var attempt int
-		p.InvokeAsync("flaky", nil, func(res Result, err error) {
+		p.InvokeAsyncFor("t", "flaky", nil, func(res Result, err error) {
 			attempt = int(atomic.LoadInt64(&calls))
 			done <- err
 		})
@@ -251,7 +251,7 @@ func TestAttemptNumberVisibleToHandler(t *testing.T) {
 	must(t, p.Register("f", "t", h, Config{MaxRetries: 2}))
 	v.Run(func() {
 		done := make(chan struct{})
-		p.InvokeAsync("f", nil, func(Result, error) { close(done) })
+		p.InvokeAsyncFor("t", "f", nil, func(Result, error) { close(done) })
 		v.BlockOn(func() { <-done })
 	})
 	if lastAttempt != 2 {
@@ -262,7 +262,7 @@ func TestAttemptNumberVisibleToHandler(t *testing.T) {
 func TestPayloadLimit(t *testing.T) {
 	p := New(simclock.Real{}, nil)
 	must(t, p.Register("f", "t", echo, Config{MaxPayload: 10}))
-	if _, err := p.Invoke("f", make([]byte, 11)); !errors.Is(err, ErrPayloadSize) {
+	if _, err := p.InvokeFor("t", "f", make([]byte, 11)); !errors.Is(err, ErrPayloadSize) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -273,12 +273,12 @@ func TestTimelineRecordsScaling(t *testing.T) {
 	p := New(v, nil)
 	must(t, p.Register("f", "t", worker(time.Second), Config{KeepAlive: time.Minute}))
 	v.Run(func() {
-		rep := Drive(p, "f", nil, make([]time.Duration, 4))
+		rep := Drive(p, "t", "f", nil, make([]time.Duration, 4))
 		rep.Wait()
 		v.Sleep(2 * time.Minute)
-		p.Stats("f") // force reap
+		p.StatsFor("t", "f") // force reap
 	})
-	st, _ := p.Stats("f")
+	st, _ := p.StatsFor("t", "f")
 	peak := 0
 	for _, pt := range st.Timeline {
 		if pt.Instances > peak {
@@ -314,10 +314,10 @@ func TestHandlerErrorCountsAsFailure(t *testing.T) {
 	p := New(simclock.Real{}, nil)
 	boom := errors.New("boom")
 	must(t, p.Register("f", "t", func(*Ctx, []byte) ([]byte, error) { return nil, boom }, Config{}))
-	if _, err := p.Invoke("f", nil); !errors.Is(err, boom) {
+	if _, err := p.InvokeFor("t", "f", nil); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
-	st, _ := p.Stats("f")
+	st, _ := p.StatsFor("t", "f")
 	if st.Failures != 1 {
 		t.Fatalf("failures = %d", st.Failures)
 	}

@@ -71,7 +71,7 @@ func TestCtxAccessors(t *testing.T) {
 	}
 	must(t, p.Register("f", "t", h, Config{Timeout: time.Second}))
 	v.Run(func() {
-		_, err := p.Invoke("f", nil)
+		_, err := p.InvokeFor("t", "f", nil)
 		must(t, err)
 	})
 	if remaining != 900*time.Millisecond {
@@ -101,7 +101,7 @@ func TestPrewarmedUnregisterReleasesCluster(t *testing.T) {
 	if cluster.ActiveMachines() == 0 {
 		t.Fatal("prewarmed instances not placed")
 	}
-	must(t, p.Unregister("pw"))
+	must(t, p.UnregisterFor("t", "pw"))
 	if cluster.ActiveMachines() != 0 {
 		t.Fatalf("unregister left %d machines active", cluster.ActiveMachines())
 	}

@@ -52,9 +52,9 @@ func (fn *function) demandOf() scheduler.Resources {
 
 // Load is one function's instantaneous load, as the autoscaler sees it.
 type Load struct {
-	// Key is the tenant-qualified registry key ("tenant/name") — the handle
-	// to pass back into SetPoolTarget/PoolTarget, unambiguous even when two
-	// tenants deploy the same function name. Name and Tenant are its parts.
+	// Tenant and Name identify the function (pass them back into
+	// SetPoolTarget/PoolTarget). Key is its "tenant/name" display label: the
+	// sort order of Loads and the name of per-function state and gauges.
 	Key    string
 	Name   string
 	Tenant string
@@ -82,7 +82,7 @@ type Load struct {
 // Pool returns the function's total instance footprint.
 func (l Load) Pool() int { return l.Running + l.WarmIdle + l.Warming }
 
-// Loads snapshots every registered function's load, sorted by name (the
+// Loads snapshots every registered function's load, sorted by Key (the
 // deterministic iteration order the autoscaler depends on). It is cheap:
 // no durations or timelines are copied.
 func (p *Platform) Loads() []Load {
@@ -115,20 +115,20 @@ func (p *Platform) Loads() []Load {
 	return out
 }
 
-// SetPoolTarget drives a function's instance pool (running + warm idle +
-// warming) toward target. Growth provisions warm instances asynchronously —
-// each pays its cold start off the request path and joins the idle pool
-// when ready; a placement rejection is counted (Load.PlaceFails) and
+// SetPoolTarget drives the instance pool (running + warm idle + warming) of
+// tenant's function name toward target. Growth provisions warm instances
+// asynchronously — each pays its cold start off the request path and joins
+// the idle pool when ready; a placement rejection is counted (Load.PlaceFails) and
 // surrendered for this tick, so the autoscaler can Grow the cluster and
 // retry next tick. Shrinkage releases surplus idle instances immediately
 // (oldest first), never below the Prewarm floor and never touching running
 // or still-warming instances. It returns how many instances were started
 // (+) or released (-).
-func (p *Platform) SetPoolTarget(name string, target int) (int, error) {
+func (p *Platform) SetPoolTarget(tenant, name string, target int) (int, error) {
 	if target < 0 {
 		target = 0
 	}
-	fn, err := p.lookup(name)
+	fn, err := p.lookup(tenant, name)
 	if err != nil {
 		return 0, err
 	}
@@ -209,20 +209,10 @@ func (p *Platform) provision(fn *function, inst *instance) {
 	p.obsPrewarmed.Inc()
 }
 
-// Owner returns the tenant that registered the function (false when the
-// function is unknown).
-func (p *Platform) Owner(name string) (string, bool) {
-	fn, err := p.lookup(name)
-	if err != nil {
-		return "", false
-	}
-	return fn.tenant, true
-}
-
-// PoolTarget returns the function's current autoscaler target (0 and false
-// when the function is unknown).
-func (p *Platform) PoolTarget(name string) (int, bool) {
-	fn, err := p.lookup(name)
+// PoolTarget returns the current autoscaler target of tenant's function name
+// (0 and false when the function is unknown).
+func (p *Platform) PoolTarget(tenant, name string) (int, bool) {
+	fn, err := p.lookup(tenant, name)
 	if err != nil {
 		return 0, false
 	}

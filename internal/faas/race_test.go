@@ -37,7 +37,7 @@ func TestParallelWarmInvokes(t *testing.T) {
 			defer wg.Done()
 			name := fmt.Sprintf("f%d", w%fns)
 			for n := 0; n < iters; n++ {
-				res, err := p.Invoke(name, []byte("x"))
+				res, err := p.InvokeFor("t", name, []byte("x"))
 				if err != nil {
 					t.Errorf("worker %d: %v", w, err)
 					return
@@ -52,7 +52,7 @@ func TestParallelWarmInvokes(t *testing.T) {
 	wg.Wait()
 	var invocations int64
 	for i := 0; i < fns; i++ {
-		st, err := p.Stats(fmt.Sprintf("f%d", i))
+		st, err := p.StatsFor("t", fmt.Sprintf("f%d", i))
 		must(t, err)
 		invocations += st.Invocations
 		if st.Throttles != 0 {

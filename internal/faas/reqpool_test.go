@@ -71,7 +71,7 @@ func TestRequestPoolNoCrossTenantLeak(t *testing.T) {
 			defer wg.Done()
 			payload := []byte("payload-" + tenant)
 			for i := 0; i < perTenant; i++ {
-				res, err := p.Invoke("echo-"+tenant, payload)
+				res, err := p.InvokeFor(tenant, "echo-"+tenant, payload)
 				if err != nil {
 					errs <- fmt.Errorf("%s invoke %d: %w", tenant, i, err)
 					return

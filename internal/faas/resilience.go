@@ -216,29 +216,20 @@ func (p *Platform) jittered(d time.Duration, frac float64) time.Duration {
 	return d - time.Duration(u*frac*float64(d))
 }
 
-// InvokeWithRetry runs a function synchronously, re-invoking failed attempts
-// after a capped exponential backoff with jitter. Errors that retrying
-// cannot fix — unknown function, oversized payload, an open circuit breaker
-// — return immediately: the breaker exists to shed load, so hammering it
-// from the retry loop would defeat the point. The returned Result's Attempt
+// InvokeWithRetry runs tenant's function name synchronously, re-invoking
+// failed attempts after a capped exponential backoff with jitter. Errors that
+// retrying cannot fix — unknown function, oversized payload, an open circuit
+// breaker — return immediately: the breaker exists to shed load, so hammering
+// it from the retry loop would defeat the point. Every attempt presents
+// idemKey ("" = none), so on a function with a DedupWindow a retry of an
+// attempt that actually succeeded (a lost reply) is served from the dedup
+// cache instead of re-executing the handler. The returned Result's Attempt
 // and RetryWait fields report the attempt that produced it and the total
 // backoff slept.
-func (p *Platform) InvokeWithRetry(name string, payload []byte, pol RetryPolicy) (Result, error) {
-	return p.invokeWithRetry(name, "", payload, pol)
-}
-
-// InvokeWithRetryIdem is InvokeWithRetry carrying an idempotency key: every
-// attempt presents idemKey, so on a function with a DedupWindow a retry of an
-// attempt that actually succeeded (a lost reply) is served from the dedup
-// cache instead of re-executing the handler.
-func (p *Platform) InvokeWithRetryIdem(name, idemKey string, payload []byte, pol RetryPolicy) (Result, error) {
-	return p.invokeWithRetry(name, idemKey, payload, pol)
-}
-
-func (p *Platform) invokeWithRetry(name, idemKey string, payload []byte, pol RetryPolicy) (Result, error) {
+func (p *Platform) InvokeWithRetry(tenant, name, idemKey string, payload []byte, pol RetryPolicy) (Result, error) {
 	pol = pol.withDefaults()
 	// All attempts share one trace under a retry-wrapper root, mirroring
-	// InvokeAsync: a retried request reads as one causal story, not N.
+	// InvokeAsyncFor: a retried request reads as one causal story, not N.
 	root := p.obsTracer.Start(obs.TraceCtx{}, "faas.invoke.retry")
 	var res Result
 	var err error
@@ -251,7 +242,7 @@ func (p *Platform) invokeWithRetry(name, idemKey string, payload []byte, pol Ret
 			wspan.End()
 			waited += d
 		}
-		res, err = p.invoke(name, payload, attempt, root.Ctx(), idemKey)
+		res, err = p.invoke(tenant, name, payload, attempt, root.Ctx(), idemKey)
 		res.Attempt = attempt
 		res.RetryWait = waited
 		if pol.Decide != nil {
@@ -279,10 +270,11 @@ func retryable(err error) bool {
 		!errors.Is(err, ErrCircuitOpen)
 }
 
-// BreakerState reports a function's current breaker position ("closed",
-// "open", "half-open"); functions without an armed breaker are "closed".
-func (p *Platform) BreakerState(name string) (string, error) {
-	fn, err := p.lookup(name)
+// BreakerState reports the current breaker position of tenant's function
+// name ("closed", "open", "half-open"); functions without an armed breaker
+// are "closed".
+func (p *Platform) BreakerState(tenant, name string) (string, error) {
+	fn, err := p.lookup(tenant, name)
 	if err != nil {
 		return "", err
 	}

@@ -9,12 +9,13 @@ import (
 	"repro/internal/queue"
 )
 
-// BindQueue wires a queue as an event source for a function (the Lambda+SQS
-// ETL pattern of §3.1): every send triggers a dispatch that receives up to
-// batch messages, invokes the function once per message, and acks messages
-// whose invocation succeeded. Failed messages stay on the queue and redeliver
-// after the visibility timeout, feeding the dead-letter redrive policy.
-func BindQueue(p *Platform, qs *queue.Service, queueName, fnName string, batch int) error {
+// BindQueue wires a queue as an event source for tenant's function (the
+// Lambda+SQS ETL pattern of §3.1): every send triggers a dispatch that
+// receives up to batch messages, invokes the function once per message, and
+// acks messages whose invocation succeeded. Failed messages stay on the queue
+// and redeliver after the visibility timeout, feeding the dead-letter redrive
+// policy.
+func BindQueue(p *Platform, qs *queue.Service, queueName, tenant, fnName string, batch int) error {
 	if batch <= 0 {
 		batch = 1
 	}
@@ -25,7 +26,7 @@ func BindQueue(p *Platform, qs *queue.Service, queueName, fnName string, batch i
 		}
 		for _, d := range deliveries {
 			d := d
-			p.InvokeAsync(fnName, d.Body, func(_ Result, err error) {
+			p.InvokeAsyncFor(tenant, fnName, d.Body, func(_ Result, err error) {
 				if err == nil {
 					_ = qs.Ack(qn, d.ReceiptHandle)
 				}
@@ -43,10 +44,10 @@ type BlobEvent struct {
 	ETag   string `json:"etag"`
 }
 
-// BindBlob invokes a function for every mutation in the given bucket (the
-// event-driven web/data-processing pattern of §3.1: an object lands in
+// BindBlob invokes tenant's function for every mutation in the given bucket
+// (the event-driven web/data-processing pattern of §3.1: an object lands in
 // storage and a function reacts).
-func BindBlob(p *Platform, store *blob.Store, bucketName, fnName string) {
+func BindBlob(p *Platform, store *blob.Store, bucketName, tenant, fnName string) {
 	store.Subscribe(func(e blob.Event) {
 		if e.Object.Bucket != bucketName {
 			return
@@ -62,7 +63,7 @@ func BindBlob(p *Platform, store *blob.Store, bucketName, fnName string) {
 			Size:   e.Object.Size,
 			ETag:   e.Object.ETag,
 		})
-		p.InvokeAsync(fnName, payload, nil)
+		p.InvokeAsyncFor(tenant, fnName, payload, nil)
 	})
 }
 
@@ -94,11 +95,11 @@ func (r *DriveReport) Wait() {
 	r.p.clock.BlockOn(r.wg.Wait)
 }
 
-// Drive replays an arrival schedule against a function: at each offset in
-// arrivals (relative to now), one asynchronous invocation fires. It is the
+// Drive replays an arrival schedule against tenant's function: at each offset
+// in arrivals (relative to now), one asynchronous invocation fires. It is the
 // bridge from workload generators to the platform used by the elasticity,
 // cold-start and cost experiments (E1-E3).
-func Drive(p *Platform, fnName string, payload []byte, arrivals []time.Duration) *DriveReport {
+func Drive(p *Platform, tenant, fnName string, payload []byte, arrivals []time.Duration) *DriveReport {
 	rep := &DriveReport{p: p}
 	rep.wg.Add(len(arrivals))
 	p.clock.Go(func() {
@@ -106,7 +107,7 @@ func Drive(p *Platform, fnName string, payload []byte, arrivals []time.Duration)
 		for _, at := range arrivals {
 			p.clock.Sleep(at - prev)
 			prev = at
-			p.InvokeAsync(fnName, payload, func(res Result, err error) {
+			p.InvokeAsyncFor(tenant, fnName, payload, func(res Result, err error) {
 				rep.mu.Lock()
 				rep.results = append(rep.results, res)
 				if err != nil {

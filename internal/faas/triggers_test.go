@@ -28,7 +28,7 @@ func TestBindQueueInvokesAndAcks(t *testing.T) {
 		return nil, nil
 	}
 	must(t, p.Register("etl", "t", h, Config{}))
-	must(t, BindQueue(p, qs, "jobs", "etl", 10))
+	must(t, BindQueue(p, qs, "jobs", "t", "etl", 10))
 
 	v.Run(func() {
 		for _, m := range []string{"a", "b", "c"} {
@@ -58,7 +58,7 @@ func TestBindQueueFailedMessageStays(t *testing.T) {
 		return nil, errTransient
 	}
 	must(t, p.Register("bad", "t", h, Config{MaxRetries: -1}))
-	must(t, BindQueue(p, qs, "jobs", "bad", 1))
+	must(t, BindQueue(p, qs, "jobs", "t", "bad", 1))
 	v.Run(func() {
 		_, err := qs.Send("jobs", []byte("x"))
 		must(t, err)
@@ -98,7 +98,7 @@ func TestBindBlobEventPayload(t *testing.T) {
 		return nil, nil
 	}
 	must(t, p.Register("thumb", "t", h, Config{}))
-	BindBlob(p, store, "photos", "thumb")
+	BindBlob(p, store, "photos", "t", "thumb")
 
 	v.Run(func() {
 		_, err := store.Put("photos", "cat.jpg", []byte("img"), blob.PutOptions{})
@@ -140,7 +140,7 @@ func TestDriveSchedulesArrivals(t *testing.T) {
 	must(t, p.Register("f", "t", h, Config{ColdStart: time.Millisecond, WarmStart: time.Millisecond}))
 	arrivals := []time.Duration{0, time.Second, 2 * time.Second}
 	v.Run(func() {
-		rep := Drive(p, "f", nil, arrivals)
+		rep := Drive(p, "t", "f", nil, arrivals)
 		rep.Wait()
 		if len(rep.Results()) != 3 || len(rep.Errors()) != 0 {
 			t.Errorf("results=%d errors=%d", len(rep.Results()), len(rep.Errors()))

@@ -157,6 +157,9 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
+// maxNameLen bounds a registered function name.
+const maxNameLen = 128
+
 // handleRegister deploys a function from its wire spec.
 func (g *Gateway) handleRegister(w http.ResponseWriter, r *http.Request, tenant string) {
 	body, err := g.readBody(w, r)
@@ -171,6 +174,12 @@ func (g *Gateway) handleRegister(w http.ResponseWriter, r *http.Request, tenant 
 	}
 	if spec.Name == "" || spec.Handler == "" {
 		writeError(w, fmt.Errorf("%w: name and handler are required", ErrBadRequest))
+		return
+	}
+	// The platform labels a function "tenant/name" (autoscaler state, gauges,
+	// scheduler slots); a "/" in either part would let two labels coincide.
+	if strings.Contains(spec.Name, "/") || len(spec.Name) > maxNameLen {
+		writeError(w, fmt.Errorf("%w: name must not contain \"/\" nor exceed %d bytes", ErrBadRequest, maxNameLen))
 		return
 	}
 	h, err := g.exec.Resolve(spec)
@@ -341,7 +350,7 @@ func (g *Gateway) handleInvokeAsync(w http.ResponseWriter, r *http.Request, tena
 type InvocationStatus struct {
 	ID        string     `json:"id"`
 	Function  string     `json:"function"`
-	Status    string     `json:"status"` // pending | succeeded | failed
+	Status    string     `json:"status"`           // pending | succeeded | failed
 	Output    []byte     `json:"output,omitempty"` // base64 in JSON
 	Error     *ErrorBody `json:"error,omitempty"`
 	Cold      bool       `json:"cold,omitempty"`

@@ -107,9 +107,9 @@ func TestAuthRequired(t *testing.T) {
 	}
 }
 
-// TestRegisterValidation: malformed JSON and incomplete specs are 400
-// bad_request; unknown handlers are 400 unknown_handler; duplicate
-// registration is 409 function_exists.
+// TestRegisterValidation: malformed JSON, incomplete specs and names that
+// contain "/" or run past 128 bytes are 400 bad_request; unknown handlers are
+// 400 unknown_handler; duplicate registration is 409 function_exists.
 func TestRegisterValidation(t *testing.T) {
 	_, srv := newRealGateway(t, nil)
 	c := &Client{BaseURL: srv.URL, Token: "tok-a"}
@@ -122,6 +122,8 @@ func TestRegisterValidation(t *testing.T) {
 		{"malformed JSON", `{"name": "f", `, "bad_request"},
 		{"missing handler", `{"name": "f"}`, "bad_request"},
 		{"missing name", `{"handler": "echo"}`, "bad_request"},
+		{"slash in name", `{"name": "victim/f", "handler": "echo"}`, "bad_request"},
+		{"name too long", `{"name": "` + strings.Repeat("n", 129) + `", "handler": "echo"}`, "bad_request"},
 		{"unknown handler", `{"name": "f", "handler": "cobol"}`, "unknown_handler"},
 	}
 	for _, tc := range cases {
@@ -280,7 +282,7 @@ func TestAsyncLifecycle(t *testing.T) {
 	}
 
 	for what, err := range map[string]error{
-		"unknown id": func() error { _, e := c.Invocation("inv-999999"); return e }(),
+		"unknown id":      func() error { _, e := c.Invocation("inv-999999"); return e }(),
 		"cross-tenant id": func() error { _, e := b.Invocation(id); return e }(),
 	} {
 		if !errors.Is(err, ErrNoInvocation) {

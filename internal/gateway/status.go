@@ -65,7 +65,6 @@ var wireTable = []wireMapping{
 	{faas.ErrColdStartTimeout, http.StatusServiceUnavailable, "cold_start_timeout", false},
 	{faas.ErrNoFunction, http.StatusNotFound, "no_function", false},
 	{faas.ErrExists, http.StatusConflict, "function_exists", false},
-	{faas.ErrAmbiguous, http.StatusConflict, "ambiguous_name", false},
 	{faas.ErrPayloadSize, http.StatusRequestEntityTooLarge, "payload_too_large", false},
 	{faas.ErrTimeout, http.StatusGatewayTimeout, "execution_timeout", false},
 

@@ -168,7 +168,7 @@ func Run(p *faas.Platform, ns *jiffy.Namespace, g *Graph, prog VertexProgram, cf
 	if err := p.Register(fnName, cfg.Tenant, worker, cfg.Worker); err != nil {
 		return nil, RunStats{}, err
 	}
-	defer p.Unregister(fnName)
+	defer p.UnregisterFor(cfg.Tenant, fnName)
 
 	stats := RunStats{}
 	for step := 0; step < cfg.MaxSupersteps; step++ {
@@ -183,7 +183,7 @@ func Run(p *faas.Platform, ns *jiffy.Namespace, g *Graph, prog VertexProgram, cf
 				Step      int `json:"step"`
 			}{q, step})
 			wg.Add(1)
-			p.InvokeAsync(fnName, payload, func(res faas.Result, err error) {
+			p.InvokeAsyncFor(cfg.Tenant, fnName, payload, func(res faas.Result, err error) {
 				mu.Lock()
 				if err != nil && firstErr == nil {
 					firstErr = err

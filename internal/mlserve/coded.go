@@ -120,7 +120,7 @@ func MatVec(p *faas.Platform, a [][]float64, x []float64, cfg CodedConfig) (Code
 	}); err != nil {
 		return CodedReport{}, err
 	}
-	defer p.Unregister(fnName)
+	defer p.UnregisterFor(cfg.Tenant, fnName)
 
 	start := clock.Now()
 	var mu sync.Mutex
@@ -137,7 +137,7 @@ func MatVec(p *faas.Platform, a [][]float64, x []float64, cfg CodedConfig) (Code
 			payload, _ := json.Marshal(struct{ Stripe, Replica int }{s, r})
 			s := s
 			wgAll.Add(1)
-			p.InvokeAsync(fnName, payload, func(res faas.Result, err error) {
+			p.InvokeAsyncFor(cfg.Tenant, fnName, payload, func(res faas.Result, err error) {
 				defer wgAll.Done()
 				if err != nil {
 					return

@@ -256,13 +256,13 @@ func TestInferenceCacheCutsLatency(t *testing.T) {
 			return
 		}
 		req, _ := json.Marshal(InferRequest{Features: make([]float64, len(big))})
-		res1, err := p.Invoke(fn, req)
+		res1, err := p.InvokeFor("infer", fn, req)
 		if err != nil {
 			t.Error(err)
 			return
 		}
 		coldLat = res1.Latency
-		res2, err := p.Invoke(fn, req)
+		res2, err := p.InvokeFor("infer", fn, req)
 		if err != nil {
 			t.Error(err)
 			return
@@ -298,7 +298,7 @@ func TestInferencePrediction(t *testing.T) {
 			return
 		}
 		req, _ := json.Marshal(InferRequest{Features: []float64{1, 0}})
-		res, err := p.Invoke(fn, req)
+		res, err := p.InvokeFor("infer", fn, req)
 		if err != nil {
 			t.Error(err)
 			return
@@ -313,7 +313,7 @@ func TestInferencePrediction(t *testing.T) {
 		}
 		// Dimension mismatch surfaces as an error.
 		bad, _ := json.Marshal(InferRequest{Features: []float64{1}})
-		if _, err := p.Invoke(fn, bad); err == nil {
+		if _, err := p.InvokeFor("infer", fn, bad); err == nil {
 			t.Error("dimension mismatch not rejected")
 		}
 	})

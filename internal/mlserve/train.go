@@ -130,7 +130,7 @@ func TrainDistributed(p *faas.Platform, ds Dataset, cfg TrainConfig) (TrainRepor
 	}); err != nil {
 		return TrainReport{}, err
 	}
-	defer p.Unregister(fnName)
+	defer p.UnregisterFor(cfg.Tenant, fnName)
 
 	rep := TrainReport{}
 	for r := 0; r < cfg.Rounds; r++ {
@@ -144,7 +144,7 @@ func TrainDistributed(p *faas.Platform, ds Dataset, cfg TrainConfig) (TrainRepor
 		for wkr := 0; wkr < cfg.Workers; wkr++ {
 			payload, _ := json.Marshal(struct{ Shard int }{wkr})
 			wg.Add(1)
-			p.InvokeAsync(fnName, payload, func(_ faas.Result, err error) {
+			p.InvokeAsyncFor(cfg.Tenant, fnName, payload, func(_ faas.Result, err error) {
 				mu.Lock()
 				if err != nil && firstErr == nil {
 					firstErr = err

@@ -1,6 +1,6 @@
 package obs
 
-// PR7 unit coverage: labeled vec cardinality and overflow folding, tail-
+// Unit coverage for labeled vec cardinality and overflow folding, tail-
 // sampler determinism, SLO burn-rate math on the virtual clock, histogram
 // exemplars, and the Prometheus exposition golden file.
 

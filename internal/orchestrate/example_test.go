@@ -22,7 +22,7 @@ func ExampleChain() {
 	}, faas.Config{WarmStart: 1, ColdStart: 1})
 
 	engine := orchestrate.NewEngine(p)
-	out, err := engine.Execute(orchestrate.Chain(
+	out, err := engine.Execute("demo", orchestrate.Chain(
 		orchestrate.Task("upper"),
 		orchestrate.Task("exclaim"),
 	), []byte("le taureau"))

@@ -167,9 +167,10 @@ func (t *Trace) add(at time.Time, kind, detail string) {
 }
 
 type execCtx struct {
-	trace *Trace
-	depth int
-	span  *obs.Span // current parent span; nil when tracing is off
+	tenant string // whose functions Task steps invoke
+	trace  *Trace
+	depth  int
+	span   *obs.Span // current parent span; nil when tracing is off
 }
 
 // childCtx opens a child span named prefix+name under the execution's
@@ -188,7 +189,9 @@ func (ec *execCtx) childCtx(prefix, name string) (*obs.Span, *execCtx) {
 	if sp == nil {
 		return nil, ec
 	}
-	return sp, &execCtx{trace: ec.trace, depth: ec.depth, span: sp}
+	child := *ec
+	child.span = sp
+	return sp, &child
 }
 
 // Engine interprets state machines against a FaaS platform.
@@ -230,13 +233,14 @@ func (e *Engine) RegisterComposition(name string, sm State) error {
 	return nil
 }
 
-// Execute runs a state machine to completion and returns its output. With
+// Execute runs a state machine to completion on behalf of tenant — every Task
+// step invokes that tenant's function — and returns its output. With
 // observability attached, the execution forms one trace: a root span plus a
 // child span per step.
-func (e *Engine) Execute(sm State, input []byte) ([]byte, error) {
+func (e *Engine) Execute(tenant string, sm State, input []byte) ([]byte, error) {
 	e.obsExecs.Inc()
 	root := e.obs.Tracer().StartSpan("orchestrate.execution")
-	out, err := sm.run(e, &execCtx{span: root}, input)
+	out, err := sm.run(e, &execCtx{tenant: tenant, span: root}, input)
 	if err != nil {
 		root.SetAttr("error", err.Error())
 	}
@@ -245,11 +249,11 @@ func (e *Engine) Execute(sm State, input []byte) ([]byte, error) {
 }
 
 // ExecuteTraced runs a state machine, also returning its execution trace.
-func (e *Engine) ExecuteTraced(sm State, input []byte) ([]byte, *Trace, error) {
+func (e *Engine) ExecuteTraced(tenant string, sm State, input []byte) ([]byte, *Trace, error) {
 	e.obsExecs.Inc()
 	tr := &Trace{}
 	root := e.obs.Tracer().StartSpan("orchestrate.execution")
-	out, err := sm.run(e, &execCtx{trace: tr, span: root}, input)
+	out, err := sm.run(e, &execCtx{tenant: tenant, trace: tr, span: root}, input)
 	if err != nil {
 		root.SetAttr("error", err.Error())
 	}
@@ -287,7 +291,7 @@ func (s taskState) run(e *Engine, ec *execCtx, input []byte) ([]byte, error) {
 			// invocation (queue, handler, and anything the handler touches)
 			// joins the execution's trace instead of rooting its own.
 			var res faas.Result
-			res, err = e.platform.InvokeTrace(s.target, input, sp.Ctx())
+			res, err = e.platform.InvokeForTraceIdem(ec.tenant, s.target, input, sp.Ctx(), "")
 			out = res.Output
 			if err != nil && errors.Is(err, faas.ErrNoFunction) {
 				return nil, fmt.Errorf("%w: %q", ErrUnknownTarget, s.target)

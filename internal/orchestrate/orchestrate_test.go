@@ -45,7 +45,7 @@ func TestChainPipesOutput(t *testing.T) {
 	var out []byte
 	var err error
 	v.Run(func() {
-		out, err = e.Execute(Chain(Task("upper"), Task("exclaim")), []byte("hi"))
+		out, err = e.Execute("acme", Chain(Task("upper"), Task("exclaim")), []byte("hi"))
 	})
 	if err != nil || string(out) != "HI!" {
 		t.Fatalf("out = %q err = %v", out, err)
@@ -57,7 +57,7 @@ func TestParallelFanOut(t *testing.T) {
 	var out []byte
 	var err error
 	v.Run(func() {
-		out, err = e.Execute(Parallel(Task("upper"), Task("exclaim")), []byte("go"))
+		out, err = e.Execute("acme", Parallel(Task("upper"), Task("exclaim")), []byte("go"))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +80,7 @@ func TestParallelRunsConcurrently(t *testing.T) {
 		t.Fatal(err)
 	}
 	end := v.Run(func() {
-		if _, err := e.Execute(Parallel(Task("slow"), Task("slow"), Task("slow")), nil); err != nil {
+		if _, err := e.Execute("acme", Parallel(Task("slow"), Task("slow"), Task("slow")), nil); err != nil {
 			t.Error(err)
 		}
 	})
@@ -95,11 +95,11 @@ func TestChoiceRouting(t *testing.T) {
 		{When: func(in []byte) bool { return strings.HasPrefix(string(in), "img:") }, Then: Task("upper")},
 	}, Task("exclaim"))
 	v.Run(func() {
-		out, err := e.Execute(sm, []byte("img:cat"))
+		out, err := e.Execute("acme", sm, []byte("img:cat"))
 		if err != nil || string(out) != "IMG:CAT" {
 			t.Errorf("branch out = %q err=%v", out, err)
 		}
-		out, err = e.Execute(sm, []byte("other"))
+		out, err = e.Execute("acme", sm, []byte("other"))
 		if err != nil || string(out) != "other!" {
 			t.Errorf("default out = %q err=%v", out, err)
 		}
@@ -112,7 +112,7 @@ func TestChoiceNoMatchNoDefault(t *testing.T) {
 		{When: func([]byte) bool { return false }, Then: Task("upper")},
 	}, nil)
 	v.Run(func() {
-		if _, err := e.Execute(sm, []byte("x")); !errors.Is(err, ErrNoChoice) {
+		if _, err := e.Execute("acme", sm, []byte("x")); !errors.Is(err, ErrNoChoice) {
 			t.Errorf("err = %v", err)
 		}
 	})
@@ -124,7 +124,7 @@ func TestMapAppliesPerElement(t *testing.T) {
 	var out []byte
 	var err error
 	v.Run(func() {
-		out, err = e.Execute(Map(Task("upper"), 2), input)
+		out, err = e.Execute("acme", Map(Task("upper"), 2), input)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +143,7 @@ func TestMapAppliesPerElement(t *testing.T) {
 func TestMapRejectsNonArray(t *testing.T) {
 	v, _, _, e := testEnv(t)
 	v.Run(func() {
-		if _, err := e.Execute(Map(Task("upper"), 0), []byte("notjson")); !errors.Is(err, ErrBadInput) {
+		if _, err := e.Execute("acme", Map(Task("upper"), 0), []byte("notjson")); !errors.Is(err, ErrBadInput) {
 			t.Errorf("err = %v", err)
 		}
 	})
@@ -152,7 +152,7 @@ func TestMapRejectsNonArray(t *testing.T) {
 func TestWaitAdvancesClock(t *testing.T) {
 	v, _, _, e := testEnv(t)
 	end := v.Run(func() {
-		out, err := e.Execute(Chain(Wait(time.Minute), Pass(nil)), []byte("keep"))
+		out, err := e.Execute("acme", Chain(Wait(time.Minute), Pass(nil)), []byte("keep"))
 		if err != nil || string(out) != "keep" {
 			t.Errorf("out = %q err = %v", out, err)
 		}
@@ -166,7 +166,7 @@ func TestPassTransform(t *testing.T) {
 	v, _, _, e := testEnv(t)
 	double := Pass(func(in []byte) ([]byte, error) { return append(in, in...), nil })
 	v.Run(func() {
-		out, err := e.Execute(double, []byte("ab"))
+		out, err := e.Execute("acme", double, []byte("ab"))
 		if err != nil || string(out) != "abab" {
 			t.Errorf("out = %q err = %v", out, err)
 		}
@@ -176,7 +176,7 @@ func TestPassTransform(t *testing.T) {
 func TestFailState(t *testing.T) {
 	v, _, _, e := testEnv(t)
 	v.Run(func() {
-		if _, err := e.Execute(Fail("bad input"), nil); !errors.Is(err, ErrFailed) {
+		if _, err := e.Execute("acme", Fail("bad input"), nil); !errors.Is(err, ErrFailed) {
 			t.Errorf("err = %v", err)
 		}
 	})
@@ -195,7 +195,7 @@ func TestTaskRetryWithBackoff(t *testing.T) {
 	}
 	start := simclock.Epoch
 	end := v.Run(func() {
-		out, err := e.Execute(TaskRetry("flaky", RetryPolicy{MaxAttempts: 4, Interval: time.Second, Backoff: 2}), nil)
+		out, err := e.Execute("acme", TaskRetry("flaky", RetryPolicy{MaxAttempts: 4, Interval: time.Second, Backoff: 2}), nil)
 		if err != nil || string(out) != "ok" {
 			t.Errorf("out = %q err = %v", out, err)
 		}
@@ -218,7 +218,7 @@ func TestTaskCatchFallback(t *testing.T) {
 	}
 	sm := TaskCatch("broken", RetryPolicy{MaxAttempts: 2}, Task("exclaim"))
 	v.Run(func() {
-		out, err := e.Execute(sm, []byte("in"))
+		out, err := e.Execute("acme", sm, []byte("in"))
 		if err != nil || string(out) != "in!" {
 			t.Errorf("catch out = %q err = %v", out, err)
 		}
@@ -228,7 +228,7 @@ func TestTaskCatchFallback(t *testing.T) {
 func TestUnknownTarget(t *testing.T) {
 	v, _, _, e := testEnv(t)
 	v.Run(func() {
-		if _, err := e.Execute(Task("ghost"), nil); !errors.Is(err, ErrUnknownTarget) {
+		if _, err := e.Execute("acme", Task("ghost"), nil); !errors.Is(err, ErrUnknownTarget) {
 			t.Errorf("err = %v", err)
 		}
 	})
@@ -247,7 +247,7 @@ func TestCompositionIsAFunction(t *testing.T) {
 	// Nest the composition inside another composition.
 	outer := Chain(Task("shout"), Task("exclaim"))
 	v.Run(func() {
-		out, err := e.Execute(outer, []byte("hey"))
+		out, err := e.Execute("acme", outer, []byte("hey"))
 		if err != nil || string(out) != "HEY!!" {
 			t.Errorf("out = %q err = %v", out, err)
 		}
@@ -264,7 +264,7 @@ func TestNoDoubleBilling(t *testing.T) {
 	// Baseline: invoke the three functions directly.
 	v.Run(func() {
 		for _, f := range []string{"upper", "exclaim", "len"} {
-			if _, err := p.Invoke(f, []byte("hi")); err != nil {
+			if _, err := p.InvokeFor("acme", f, []byte("hi")); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -274,7 +274,7 @@ func TestNoDoubleBilling(t *testing.T) {
 	m.Reset()
 
 	v.Run(func() {
-		if _, err := e.Execute(Task("pipeline"), []byte("hi")); err != nil {
+		if _, err := e.Execute("acme", Task("pipeline"), []byte("hi")); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -289,7 +289,7 @@ func TestNoDoubleBilling(t *testing.T) {
 func TestExecuteTraced(t *testing.T) {
 	v, _, _, e := testEnv(t)
 	v.Run(func() {
-		_, tr, err := e.ExecuteTraced(Chain(Task("upper"), Wait(time.Second), Task("exclaim")), []byte("x"))
+		_, tr, err := e.ExecuteTraced("acme", Chain(Task("upper"), Wait(time.Second), Task("exclaim")), []byte("x"))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,7 +3,6 @@ package pulsar
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -42,21 +41,6 @@ func TestBinaryCodecSmallerThanJSON(t *testing.T) {
 	}
 }
 
-func TestDecodeMessageJSONFallback(t *testing.T) {
-	m := Message{Seq: 5, Key: "k", Payload: []byte("legacy"), PublishTime: time.Unix(9, 9).UTC(), Topic: "old"}
-	raw, err := json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := decodeMessage(raw)
-	if err != nil {
-		t.Fatalf("JSON fallback decode: %v", err)
-	}
-	if got.Seq != m.Seq || got.Key != m.Key || !bytes.Equal(got.Payload, m.Payload) || got.Topic != m.Topic {
-		t.Fatalf("fallback = %+v, want %+v", got, m)
-	}
-}
-
 func TestDecodeMessageRejectsGarbage(t *testing.T) {
 	enc := encodeMessage(Message{Seq: 1, Key: "k", Payload: []byte("p"), Topic: "t", PublishTime: time.Unix(1, 0)})
 	bad := [][]byte{
@@ -71,49 +55,9 @@ func TestDecodeMessageRejectsGarbage(t *testing.T) {
 			t.Fatalf("case %d: decode of %v succeeded", i, b)
 		}
 	}
-}
-
-// TestJSONLedgerBackwardCompat simulates a topic whose history predates the
-// binary codec: its ledger holds JSON entries. Topic recovery must decode
-// them, and new binary publishes must continue the same stream.
-func TestJSONLedgerBackwardCompat(t *testing.T) {
-	e := newEnv(t, 1, 3)
-	e.v.Run(func() {
-		must(t, e.cluster.CreateTopic("legacy", 0))
-		// Write the pre-codec history directly: a closed ledger of JSON
-		// entries registered as the topic's first ledger.
-		w, err := e.ledgers.CreateLedger(3, 2, 2)
-		must(t, err)
-		for i := 0; i < 3; i++ {
-			m := Message{Seq: int64(i), Key: "k", Payload: []byte(fmt.Sprintf("old-%d", i)), PublishTime: e.v.Now(), Topic: "legacy"}
-			raw, merr := json.Marshal(m)
-			must(t, merr)
-			_, aerr := w.Append(raw)
-			must(t, aerr)
-		}
-		must(t, w.Close())
-		must(t, e.cluster.setTopicLedgers("legacy", []int64{w.ID()}))
-
-		prod, err := e.cluster.CreateProducer("legacy")
-		must(t, err)
-		seq, err := prod.Send([]byte("new-binary"))
-		must(t, err)
-		if seq != 3 {
-			t.Errorf("post-recovery seq = %d, want 3 (JSON backlog counted)", seq)
-		}
-		cons, err := e.cluster.Subscribe("legacy", "s", Exclusive, Earliest)
-		must(t, err)
-		want := []string{"old-0", "old-1", "old-2", "new-binary"}
-		for i, p := range want {
-			m, ok := cons.Receive(time.Second)
-			if !ok {
-				t.Errorf("timed out waiting for message %d", i)
-				return
-			}
-			if string(m.Payload) != p || m.Seq != int64(i) {
-				t.Errorf("message %d = seq %d %q, want seq %d %q", i, m.Seq, m.Payload, i, p)
-			}
-			must(t, cons.Ack(m))
-		}
-	})
+	// No ledger outlives the process, so none holds pre-codec JSON entries:
+	// '{' is one more unknown version byte.
+	if _, err := decodeMessage([]byte(`{"seq":5}`)); err == nil || !strings.Contains(err.Error(), "unknown entry codec version 0x7b") {
+		t.Fatalf("JSON entry decode error = %v, want unknown codec version", err)
+	}
 }

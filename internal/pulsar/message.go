@@ -9,7 +9,6 @@ package pulsar
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -31,12 +30,12 @@ type Message struct {
 	// Trace is the publish-side causal context, carried in memory only: it
 	// parents per-delivery "pulsar.deliver" spans. It is deliberately not
 	// part of the wire format — a trace ends with its request, so entries
-	// replayed from a recovered ledger (or an old JSON topic) come back
-	// untraced rather than resurrecting long-finalized traces.
+	// replayed from a recovered ledger come back untraced rather than
+	// resurrecting long-finalized traces.
 	Trace obs.TraceCtx `json:"-"`
 }
 
-// Ledger entry wire format. Entries written by current brokers are binary:
+// Ledger entry wire format:
 //
 //	byte 0      codecVersion (0x01)
 //	bytes 1-8   Seq, big-endian int64
@@ -44,10 +43,6 @@ type Message struct {
 //	uvarint     len(Key)   followed by the key bytes
 //	uvarint     len(Topic) followed by the topic bytes
 //	uvarint     len(Payload) followed by the payload bytes
-//
-// Ledgers written before the binary codec hold JSON objects; decodeMessage
-// falls back to JSON when the first byte is '{' (which can never be a valid
-// version byte), so old topics still recover.
 const codecVersion = 0x01
 
 const msgFixedHeader = 1 + 8 + 8 // version + seq + publish time
@@ -109,16 +104,11 @@ func stampEntry(entry []byte, seq int64, at time.Time) {
 	binary.BigEndian.PutUint64(entry[9:], uint64(at.UnixNano()))
 }
 
-// decodeMessage parses a ledger entry in either the binary format or the
-// legacy JSON format. The returned Message's Payload may alias b.
+// decodeMessage parses a ledger entry. The returned Message's Payload may
+// alias b.
 func decodeMessage(b []byte) (Message, error) {
 	if len(b) == 0 {
 		return Message{}, fmt.Errorf("pulsar: empty ledger entry")
-	}
-	if b[0] == '{' { // legacy JSON entry
-		var m Message
-		err := json.Unmarshal(b, &m)
-		return m, err
 	}
 	if b[0] != codecVersion {
 		return Message{}, fmt.Errorf("pulsar: unknown entry codec version 0x%02x", b[0])

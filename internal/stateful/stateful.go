@@ -49,7 +49,7 @@ type Platform struct {
 	ns   *jiffy.Namespace
 
 	mu     sync.RWMutex
-	caches map[string]*cache // function#instance → local cache
+	caches map[string]*cache // tenant/function#instance → local cache
 
 	hits   atomic.Int64
 	misses atomic.Int64
@@ -98,7 +98,7 @@ type Ctx struct {
 	*faas.Ctx
 	p   *Platform
 	ttl time.Duration
-	key string // cache key: function#instance
+	key string // cache key: tenant/function#instance
 }
 
 // Get reads a state key, serving from this instance's local cache when the
@@ -166,16 +166,16 @@ func (p *Platform) Register(name, tenant string, h Handler, cfg Config) error {
 			Ctx: fctx,
 			p:   p,
 			ttl: cfg.CacheTTL,
-			key: fmt.Sprintf("%s#%d", name, fctx.InstanceID),
+			key: fmt.Sprintf("%s/%s#%d", tenant, name, fctx.InstanceID),
 		}
 		return h(ctx, payload)
 	}
 	return p.faas.Register(name, tenant, wrapped, cfg.Function)
 }
 
-// Invoke runs a stateful function synchronously.
-func (p *Platform) Invoke(name string, payload []byte) (faas.Result, error) {
-	return p.faas.Invoke(name, payload)
+// Invoke runs tenant's stateful function name synchronously.
+func (p *Platform) Invoke(tenant, name string, payload []byte) (faas.Result, error) {
+	return p.faas.InvokeFor(tenant, name, payload)
 }
 
 // IsNoKey reports whether err is a state miss.

@@ -41,7 +41,7 @@ func TestStatePersistsAcrossInvocations(t *testing.T) {
 	}
 	v.Run(func() {
 		for want := 1; want <= 5; want++ {
-			res, err := p.Invoke("counter", nil)
+			res, err := p.Invoke("t", "counter", nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -75,7 +75,7 @@ func TestCacheServesRepeatReadsFast(t *testing.T) {
 		if err := p.ns.Put("cfg", []byte("v1")); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := p.Invoke("reader", nil); err != nil {
+		if _, err := p.Invoke("t", "reader", nil); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -108,23 +108,54 @@ func TestBoundedStaleness(t *testing.T) {
 		if err := p.ns.Put("k", []byte("old")); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := p.Invoke("reader", nil); err != nil {
+		if _, err := p.Invoke("t", "reader", nil); err != nil {
 			t.Fatal(err)
 		}
 		// An external writer updates the shared store directly.
 		if err := p.ns.Put("k", []byte("new")); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := p.Invoke("reader", nil); err != nil {
+		if _, err := p.Invoke("t", "reader", nil); err != nil {
 			t.Fatal(err)
 		}
 		v.Sleep(11 * time.Second) // past the TTL
-		if _, err := p.Invoke("reader", nil); err != nil {
+		if _, err := p.Invoke("t", "reader", nil); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if len(got) != 3 || got[0] != "old" || got[1] != "old" || got[2] != "new" {
 		t.Fatalf("reads = %v, want [old old(cached) new]", got)
+	}
+}
+
+// TestCachesArePerTenant: two tenants' same-named functions each have an
+// instance #1; a value cached by one must not be served to the other.
+func TestCachesArePerTenant(t *testing.T) {
+	v, p := env(t, jiffy.NoLatency)
+	reader := func(ctx *Ctx, _ []byte) ([]byte, error) { return ctx.Get("k") }
+	cfg := Config{CacheTTL: time.Hour, Function: faas.Config{KeepAlive: time.Hour}}
+	for _, tenant := range []string{"a", "b"} {
+		if err := p.Register("reader", tenant, reader, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	v.Run(func() {
+		if err := p.ns.Put("k", []byte("old")); err != nil {
+			t.Fatal(err)
+		}
+		if res, err := p.Invoke("a", "reader", nil); err != nil || string(res.Output) != "old" {
+			t.Fatalf("a read %q, %v", res.Output, err)
+		}
+		if err := p.ns.Put("k", []byte("new")); err != nil {
+			t.Fatal(err)
+		}
+		// b's instance has fetched nothing yet: it must go to the store.
+		if res, err := p.Invoke("b", "reader", nil); err != nil || string(res.Output) != "new" {
+			t.Fatalf("b read %q, %v; want the store's value, not a's cached one", res.Output, err)
+		}
+	})
+	if hits, misses := p.CacheStats(); hits != 0 || misses != 2 {
+		t.Fatalf("cache stats hits=%d misses=%d, want 0/2", hits, misses)
 	}
 }
 
@@ -140,7 +171,7 @@ func TestWriteThroughVisibleImmediatelyToWriter(t *testing.T) {
 		t.Fatal(err)
 	}
 	v.Run(func() {
-		res, err := p.Invoke("rw", []byte("fresh"))
+		res, err := p.Invoke("t", "rw", []byte("fresh"))
 		if err != nil || string(res.Output) != "fresh" {
 			t.Fatalf("res = %q err = %v", res.Output, err)
 		}
@@ -165,7 +196,7 @@ func TestDeleteClearsCacheAndStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	v.Run(func() {
-		if _, err := p.Invoke("h", nil); err != nil {
+		if _, err := p.Invoke("t", "h", nil); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -129,6 +129,7 @@ func EncodeParallel(p *faas.Platform, v Video, cost CostModel, chunks int) (Repo
 func encodeChunked(p *faas.Platform, v Video, cost CostModel, chunks int) (Report, error) {
 	clock := p.Clock()
 	start := clock.Now()
+	const tenant = "video"
 	fnName := fmt.Sprintf("encode-%d-%d", len(v.Frames), chunks)
 
 	type chunkResult struct {
@@ -149,14 +150,14 @@ func encodeChunked(p *faas.Platform, v Video, cost CostModel, chunks int) (Repor
 		ctx.Work(work)
 		return json.Marshal(chunkResult{Bytes: bytes})
 	}
-	if err := p.Register(fnName, "video", worker, faas.Config{
+	if err := p.Register(fnName, tenant, worker, faas.Config{
 		ColdStart:  50 * time.Millisecond,
 		Timeout:    time.Hour,
 		MaxRetries: -1,
 	}); err != nil {
 		return Report{}, err
 	}
-	defer p.Unregister(fnName)
+	defer p.UnregisterFor(tenant, fnName)
 
 	per := (len(v.Frames) + chunks - 1) / chunks
 	var wg sync.WaitGroup
@@ -174,7 +175,7 @@ func encodeChunked(p *faas.Platform, v Video, cost CostModel, chunks int) (Repor
 		}
 		payload, _ := json.Marshal(struct{ Lo, Hi int }{lo, hi})
 		wg.Add(1)
-		p.InvokeAsync(fnName, payload, func(res faas.Result, err error) {
+		p.InvokeAsyncFor(tenant, fnName, payload, func(res faas.Result, err error) {
 			mu.Lock()
 			if err != nil && firstErr == nil {
 				firstErr = err
