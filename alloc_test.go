@@ -1,22 +1,25 @@
 package repro
 
-// Allocation-regression gate for the two hot paths the PR6 rework made
-// allocation-free (DESIGN.md §10). These run in CI's alloc-gate job, so a
+// Allocation-regression gate for the hot paths that are allocation-free: the
+// warm invoke and the publish of the PR6 rework (DESIGN.md §10), and the
+// durable ack. These run in CI's alloc-gate job, so a
 // change that quietly reintroduces a per-request or per-publish heap
 // allocation fails the build instead of showing up three PRs later as a
 // bench regression.
 //
-// Both tests warm up well past the lazy one-time allocations (pool seeding,
+// Every test warms up well past the lazy one-time allocations (pool seeding,
 // duration/billing rings, tracer retention cap) before measuring: the gate
 // is about steady state, not first-touch cost.
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/faas"
 	"repro/internal/obs"
+	"repro/internal/pulsar"
 )
 
 // TestWarmInvokeZeroAllocs pins the warm synchronous invoke path — through
@@ -110,5 +113,96 @@ func TestWarmInvokeTracedZeroAllocs(t *testing.T) {
 	}
 	if st := p.Obs.Tracer().Stats(); st.DiscardedTraces == 0 {
 		t.Fatalf("sampler never discarded a trace (stats %+v); the gate is not exercising staging", st)
+	}
+}
+
+// TestAckZeroAllocs pins Consumer.Ack — which returns only once the full
+// cursor record is in the coordination store — at zero heap allocations per
+// ack, in three shapes: the benchmark's (one consumer acking in order on a
+// Shared subscription), the same on KeyShared with keyed messages, and a
+// Shared subscription whose second consumer holds 4000 messages and never
+// acks, so every measured ack lands beyond the prefix and rewrites a record
+// of thousands of out-of-order acks. In that last shape the ack set, the
+// encode buffer and the store node's buffer each grow by an entry per ack;
+// they double a handful of times over the run, which AllocsPerRun's integer
+// average counts as the amortized zero it is — a per-ack map walk, sort or
+// record copy would show as whole allocations.
+func TestAckZeroAllocs(t *testing.T) {
+	const warm, runs = 1000, 2000
+	shapes := []struct {
+		name    string
+		mode    pulsar.SubMode
+		keyed   bool
+		stalled int // messages held by a second consumer that never acks
+	}{
+		{name: "shared-in-order", mode: pulsar.Shared},
+		{name: "key-shared-in-order", mode: pulsar.KeyShared, keyed: true},
+		{name: "shared-stalled-peer", mode: pulsar.Shared, stalled: 4000},
+	}
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			p := core.New(core.Options{PulsarBatchMax: 16})
+			if err := p.Pulsar.CreateTopic("ack-gate", 0); err != nil {
+				t.Fatal(err)
+			}
+			prod, err := p.Pulsar.CreateProducer("ack-gate")
+			if err != nil {
+				t.Fatal(err)
+			}
+			cons, err := p.Pulsar.Subscribe("ack-gate", "s", sh.mode, pulsar.Earliest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cons.Close()
+			// One more than warm+runs: AllocsPerRun makes a warm-up call.
+			mine, total := warm+runs+1, warm+runs+1
+			if sh.stalled > 0 {
+				// Round-robin dispatch: the two consumers get alternate seqs.
+				peer, err := p.Pulsar.Subscribe("ack-gate", "s", sh.mode, pulsar.Earliest)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer peer.Close()
+				mine, total = sh.stalled, 2*sh.stalled
+			}
+			payload := make([]byte, 256)
+			for i := 0; i < total; i++ {
+				key := ""
+				if sh.keyed {
+					key = fmt.Sprintf("k%d", i%64)
+				}
+				if err := prod.SendAsync(key, payload); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := prod.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			msgs := make([]pulsar.Message, 0, mine)
+			for len(msgs) < mine {
+				m, ok := cons.Receive(time.Second)
+				if !ok {
+					t.Fatalf("received %d of %d messages", len(msgs), mine)
+				}
+				msgs = append(msgs, m)
+			}
+			next := 0
+			ack := func() {
+				if err := cons.Ack(msgs[next]); err != nil {
+					t.Fatal(err)
+				}
+				next++
+			}
+			for i := 0; i < warm; i++ {
+				ack()
+			}
+			if got := testing.AllocsPerRun(runs, ack); got != 0 {
+				t.Fatalf("ack allocates %.3f allocs/op, want 0", got)
+			}
+			want := int64(total - next)
+			if n, err := p.Pulsar.Backlog("ack-gate", "s"); err != nil || n != want {
+				t.Fatalf("backlog = %d, %v; want %d (every ack counted once)", n, err, want)
+			}
+		})
 	}
 }

@@ -8,6 +8,10 @@
 // ephemeral node it created is removed and the relevant watches fire. The
 // store is linearizable by construction (a single mutex orders all
 // operations).
+//
+// A node's data lives in a buffer the node owns: Set overwrites it in place
+// (reusing its capacity), and Get and LockHolder always hand out copies, so no
+// caller ever holds a view that a later Set could change.
 package coord
 
 import (
@@ -185,9 +189,8 @@ func (s *Store) CreateSequential(path string, data []byte, mode Mode, owner Sess
 }
 
 func (s *Store) create(path string, data []byte, mode Mode, owner SessionID, sequential bool) (string, error) {
-	parts, err := splitPath(path)
-	if err != nil {
-		return "", err
+	if !validPath(path) {
+		return "", errBadPath(path)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -202,40 +205,45 @@ func (s *Store) create(path string, data []byte, mode Mode, owner SessionID, seq
 		}
 	}
 
-	parent := s.root
-	for _, p := range parts[:len(parts)-1] {
-		child, ok := parent.children[p]
-		if !ok {
-			return "", fmt.Errorf("%w: missing parent %q in %q", ErrNoNode, p, path)
-		}
-		parent = child
+	dir, name := splitLast(path)
+	parent, missing := s.descendLocked(dir)
+	if parent == nil {
+		return "", fmt.Errorf("%w: missing parent %q in %q", ErrNoNode, missing, path)
 	}
 	if parent != s.root && parent.stat.EphemeralOwner != 0 {
 		return "", ErrEphChildren
 	}
-	name := parts[len(parts)-1]
 	if sequential {
 		name = fmt.Sprintf("%s%010d", name, parent.seq)
 		parent.seq++
-		path = "/" + strings.Join(append(append([]string{}, parts[:len(parts)-1]...), name), "/")
+		path = dir + "/" + name
 	}
 	if _, ok := parent.children[name]; ok {
 		return "", fmt.Errorf("%w: %q", ErrNodeExists, path)
 	}
+	n := s.addChildLocked(parent, path, name, data)
+	if mode == Ephemeral {
+		n.stat.EphemeralOwner = owner
+		sess.ephemerals[path] = struct{}{}
+	}
+	return path, nil
+}
+
+// addChildLocked links a new persistent node holding a copy of data under
+// parent as name — path is the new node's full path — and fires parent's
+// child watches. The caller has checked that name is free and that parent
+// may have children.
+func (s *Store) addChildLocked(parent *node, path, name string, data []byte) *node {
 	now := s.clock.Now()
 	n := &node{
 		data:     append([]byte(nil), data...),
 		children: map[string]*node{},
 		stat:     Stat{CreatedAt: now, ModifiedAt: now},
 	}
-	if mode == Ephemeral {
-		n.stat.EphemeralOwner = owner
-		sess.ephemerals[path] = struct{}{}
-	}
 	parent.children[name] = n
 	parent.stat.NumChildren = len(parent.children)
 	s.fireLocked(&parent.childWatch, Event{Type: EventChildrenChanged, Path: parentPath(path)})
-	return path, nil
+	return n
 }
 
 // Get returns a node's data and metadata.
@@ -273,7 +281,7 @@ func (s *Store) Set(path string, data []byte, version int64) (Stat, error) {
 	if version != AnyVersion && version != n.stat.Version {
 		return Stat{}, fmt.Errorf("%w: have %d, want %d", ErrBadVersion, n.stat.Version, version)
 	}
-	n.data = append([]byte(nil), data...)
+	n.data = append(n.data[:0], data...) // in place: readers only ever hold copies
 	n.stat.Version++
 	n.stat.ModifiedAt = s.clock.Now()
 	s.fireLocked(&n.dataWatch, Event{Type: EventDataChanged, Path: path})
@@ -338,53 +346,92 @@ func (s *Store) WatchChildren(path string) (<-chan Event, error) {
 
 // EnsurePath creates every missing component of path as a persistent node
 // with empty data (a convenience ZooKeeper clients typically implement
-// themselves).
+// themselves). It is one walk under one lock acquisition, and allocates
+// nothing when the whole path already exists.
 func (s *Store) EnsurePath(path string) error {
-	parts, err := splitPath(path)
-	if err != nil {
-		return err
+	if !validPath(path) {
+		return errBadPath(path)
 	}
-	for i := range parts {
-		p := "/" + strings.Join(parts[:i+1], "/")
-		if err := s.Create(p, nil, Persistent, 0); err != nil && !errors.Is(err, ErrNodeExists) {
-			return err
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.reapLocked()
+	n := s.root
+	for i := 0; i < len(path); {
+		end := partEnd(path, i)
+		child, ok := n.children[path[i+1:end]]
+		if !ok {
+			if n != s.root && n.stat.EphemeralOwner != 0 {
+				return ErrEphChildren
+			}
+			child = s.addChildLocked(n, path[:end], path[i+1:end], nil)
 		}
+		n, i = child, end
 	}
 	return nil
 }
 
 // --- internals ---
 
-func (s *Store) lookupLocked(path string) (*node, error) {
-	parts, err := splitPath(path)
-	if err != nil {
-		return nil, err
+// validPath reports whether path is a slash followed by one or more
+// non-empty components separated by single slashes: "/a" and "/a/b" are
+// paths; "", "/", "a", "//", "/a/" and "/a//b" are not.
+func validPath(path string) bool {
+	return len(path) > 1 && path[0] == '/' && path[len(path)-1] != '/' && !strings.Contains(path, "//")
+}
+
+func errBadPath(path string) error { return fmt.Errorf("%w: %q", ErrBadPath, path) }
+
+// partEnd returns where the component opened by the slash at path[i] ends.
+func partEnd(path string, i int) int {
+	if j := strings.IndexByte(path[i+1:], '/'); j >= 0 {
+		return i + 1 + j
 	}
-	n := s.root
-	for _, p := range parts {
-		child, ok := n.children[p]
+	return len(path)
+}
+
+// splitLast cuts a valid path into its parent's path ("" for the root) and
+// its final component.
+func splitLast(path string) (dir, name string) {
+	i := strings.LastIndexByte(path, '/')
+	return path[:i], path[i+1:]
+}
+
+// descendLocked walks dir — "" for the root, otherwise a valid path — by
+// index, without splitting it. It returns the node there, or nil and the
+// first component that does not exist.
+func (s *Store) descendLocked(dir string) (n *node, missing string) {
+	n = s.root
+	for i := 0; i < len(dir); {
+		end := partEnd(dir, i)
+		child, ok := n.children[dir[i+1:end]]
 		if !ok {
-			return nil, fmt.Errorf("%w: %q", ErrNoNode, path)
+			return nil, dir[i+1 : end]
 		}
-		n = child
+		n, i = child, end
+	}
+	return n, ""
+}
+
+func (s *Store) lookupLocked(path string) (*node, error) {
+	if !validPath(path) {
+		return nil, errBadPath(path)
+	}
+	n, _ := s.descendLocked(path)
+	if n == nil {
+		return nil, fmt.Errorf("%w: %q", ErrNoNode, path)
 	}
 	return n, nil
 }
 
 func (s *Store) deleteLocked(path string, version int64, checkChildren bool) error {
-	parts, err := splitPath(path)
-	if err != nil {
-		return err
+	if !validPath(path) {
+		return errBadPath(path)
 	}
-	parent := s.root
-	for _, p := range parts[:len(parts)-1] {
-		child, ok := parent.children[p]
-		if !ok {
-			return fmt.Errorf("%w: %q", ErrNoNode, path)
-		}
-		parent = child
+	dir, name := splitLast(path)
+	parent, _ := s.descendLocked(dir)
+	if parent == nil {
+		return fmt.Errorf("%w: %q", ErrNoNode, path)
 	}
-	name := parts[len(parts)-1]
 	n, ok := parent.children[name]
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNoNode, path)
@@ -442,22 +489,6 @@ func (s *Store) fireLocked(watches *[]chan Event, ev Event) {
 		ch <- ev // capacity 1, used once: never blocks
 	}
 	*watches = nil
-}
-
-func splitPath(path string) ([]string, error) {
-	if !strings.HasPrefix(path, "/") || path == "/" {
-		return nil, fmt.Errorf("%w: %q", ErrBadPath, path)
-	}
-	parts := strings.Split(strings.Trim(path, "/"), "/")
-	for _, p := range parts {
-		if p == "" {
-			return nil, fmt.Errorf("%w: %q", ErrBadPath, path)
-		}
-	}
-	if path != "/"+strings.Join(parts, "/") {
-		return nil, fmt.Errorf("%w: %q", ErrBadPath, path)
-	}
-	return parts, nil
 }
 
 func parentPath(path string) string {

@@ -286,6 +286,118 @@ func TestGetReturnsCopy(t *testing.T) {
 	}
 }
 
+// TestSetDoesNotReachEarlierReads: Set overwrites the node's buffer in
+// place, so what Get handed out before must be a copy a later, shorter or
+// longer value cannot change.
+func TestSetDoesNotReachEarlierReads(t *testing.T) {
+	s := newStore()
+	must(t, s.Create("/c", []byte("abcdef"), Persistent, 0))
+	first, _, _ := s.Get("/c")
+	_, err := s.Set("/c", []byte("xy"), AnyVersion) // shorter: reuses the buffer
+	must(t, err)
+	second, _, _ := s.Get("/c")
+	_, err = s.Set("/c", []byte("0123456789abcdef"), AnyVersion) // longer: may regrow it
+	must(t, err)
+	third, st, _ := s.Get("/c")
+	holder, held := s.LockHolder("/c")
+	_, err = s.Set("/c", []byte("zz"), AnyVersion)
+	must(t, err)
+	if string(first) != "abcdef" || string(second) != "xy" || string(third) != "0123456789abcdef" || !held || string(holder) != "0123456789abcdef" {
+		t.Fatalf("earlier reads changed under later Sets: %q %q %q %q", first, second, third, holder)
+	}
+	if st.Version != 2 {
+		t.Fatalf("version after two Sets = %d, want 2", st.Version)
+	}
+}
+
+// TestPathVerdictsAgree: every operation that takes a path gives the same
+// verdict on it — a malformed path is ErrBadPath everywhere (even when a
+// prefix of it is missing), a well-formed one never is, and a well-formed
+// path with nothing there is ErrNoNode.
+func TestPathVerdictsAgree(t *testing.T) {
+	cases := []struct {
+		path string
+		bad  bool
+	}{
+		{"", true}, {"/", true}, {"a", true}, {"a/b", true}, {"//", true}, {"///", true},
+		{"/a/", true}, {"/a//b", true}, {"//a", true}, {"/a/b/", true}, {"/missing//b", true}, {"/missing/", true},
+		{"/a", false}, {"/a/b", false}, {"/missing", false}, {"/missing/b/c", false},
+		{"/a b", false}, {"/ù/é", false}, {"/a/.", false}, {"/a/b/c/d/e/f", false},
+	}
+	for _, tc := range cases {
+		s := newStore()
+		must(t, s.EnsurePath("/a/b"))
+		if tc.bad {
+			_, _, getErr := s.Get(tc.path)
+			_, setErr := s.Set(tc.path, nil, AnyVersion)
+			_, wdErr := s.WatchData(tc.path)
+			_, chErr := s.Children(tc.path)
+			for op, err := range map[string]error{
+				"Create": s.Create(tc.path, nil, Persistent, 0), "Get": getErr, "Set": setErr,
+				"Delete": s.Delete(tc.path, AnyVersion), "EnsurePath": s.EnsurePath(tc.path),
+				"WatchData": wdErr, "Children": chErr,
+			} {
+				if !errors.Is(err, ErrBadPath) {
+					t.Errorf("%s(%q) = %v, want ErrBadPath", op, tc.path, err)
+				}
+			}
+			if s.Exists(tc.path) {
+				t.Errorf("Exists(%q) = true for a malformed path", tc.path)
+			}
+			continue
+		}
+		if existed := s.Exists(tc.path); !existed {
+			_, _, getErr := s.Get(tc.path)
+			_, setErr := s.Set(tc.path, nil, AnyVersion)
+			for op, err := range map[string]error{"Get": getErr, "Set": setErr, "Delete": s.Delete(tc.path, AnyVersion)} {
+				if !errors.Is(err, ErrNoNode) {
+					t.Errorf("%s(%q) on a missing node = %v, want ErrNoNode", op, tc.path, err)
+				}
+			}
+		}
+		if err := s.Create(tc.path, nil, Persistent, 0); errors.Is(err, ErrBadPath) {
+			t.Errorf("Create(%q) = %v for a well-formed path", tc.path, err)
+		}
+		must(t, s.EnsurePath(tc.path))
+		must(t, s.EnsurePath(tc.path)) // idempotent
+		if !s.Exists(tc.path) {
+			t.Errorf("Exists(%q) = false after EnsurePath", tc.path)
+		}
+		if _, err := s.Set(tc.path, []byte("v"), AnyVersion); err != nil {
+			t.Errorf("Set(%q) after EnsurePath = %v", tc.path, err)
+		}
+		if data, _, err := s.Get(tc.path); err != nil || string(data) != "v" {
+			t.Errorf("Get(%q) after Set = %q, %v", tc.path, data, err)
+		}
+	}
+}
+
+// TestEnsurePathCreatesOnlyWhatIsMissing: existing components keep their
+// data and version, each missing one fires its parent's child watch once,
+// and an ephemeral node still cannot be given children.
+func TestEnsurePathCreatesOnlyWhatIsMissing(t *testing.T) {
+	s := newStore()
+	must(t, s.Create("/a", []byte("keep"), Persistent, 0))
+	_, err := s.Set("/a", []byte("kept"), AnyVersion)
+	must(t, err)
+	rootW, _ := s.WatchChildren("/a")
+	must(t, s.EnsurePath("/a/b/c"))
+	if ev := <-rootW; ev.Type != EventChildrenChanged || ev.Path != "/a" {
+		t.Fatalf("child watch on /a fired %+v", ev)
+	}
+	if data, st, _ := s.Get("/a"); string(data) != "kept" || st.Version != 1 || st.NumChildren != 1 {
+		t.Fatalf("/a after EnsurePath = %q %+v", data, st)
+	}
+	if names, _ := s.Children("/a/b"); len(names) != 1 || names[0] != "c" {
+		t.Fatalf("children of /a/b = %v", names)
+	}
+	sess := s.NewSession(0)
+	must(t, s.Create("/a/eph", nil, Ephemeral, sess))
+	if err := s.EnsurePath("/a/eph/x/y"); !errors.Is(err, ErrEphChildren) {
+		t.Fatalf("EnsurePath under an ephemeral node = %v, want ErrEphChildren", err)
+	}
+}
+
 func must(t *testing.T, err error) {
 	t.Helper()
 	if err != nil {

@@ -1,9 +1,9 @@
 package pulsar
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -46,7 +46,7 @@ type subscription struct {
 	mode      SubMode
 
 	ackedPrefix  int64           // every seq < ackedPrefix is acked
-	acks         map[int64]bool  // out-of-order acks beyond the prefix
+	acks         []int64         // out-of-order acks beyond the prefix, ascending
 	pending      map[int64]int64 // delivered unacked: seq → consumer id
 	redeliver    []int64         // seqs queued for redelivery
 	nextDispatch int64           // next fresh seq to dispatch
@@ -58,6 +58,16 @@ type subscription struct {
 	// (see Cluster.DropAcks / RedeliverUnacked).
 	dropAcks int
 
+	// The durable cursor lives in the coordination-service node at
+	// cursorPath, which subscribe creates (or loadTopic finds); every ack
+	// re-encodes the full record into cursorBuf and overwrites the node.
+	// unsaved is set while the node is behind the in-memory cursor because a
+	// write failed, so that a retried ack writes again instead of returning
+	// early below the prefix.
+	cursorPath string
+	cursorBuf  []byte
+	unsaved    bool
+
 	// backlogGauge tracks this subscription's unacked message count. Resolved
 	// once at subscription creation; nil (no-op) when observability is off.
 	backlogGauge *obs.Gauge
@@ -67,6 +77,31 @@ type subscription struct {
 // the topic's lock held; a single atomic store when observability is on.
 func (sub *subscription) updateBacklogLocked(ts *topicState) {
 	sub.backlogGauge.Set(float64(ts.nextSeq - sub.ackedPrefix - int64(len(sub.acks))))
+}
+
+// acked reports whether seq has been acked.
+func (sub *subscription) acked(seq int64) bool {
+	if seq < sub.ackedPrefix {
+		return true
+	}
+	_, found := slices.BinarySearch(sub.acks, seq)
+	return found
+}
+
+// markAcked records an ack at or beyond the prefix (a repeat changes
+// nothing) and advances the prefix over every ack that has become
+// contiguous with it. The head is removed by copying down, so the backing
+// array is kept and a steady stream of acks allocates nothing.
+func (sub *subscription) markAcked(seq int64) {
+	if i, found := slices.BinarySearch(sub.acks, seq); !found {
+		sub.acks = slices.Insert(sub.acks, i, seq)
+	}
+	n := 0
+	for n < len(sub.acks) && sub.acks[n] == sub.ackedPrefix {
+		sub.ackedPrefix++
+		n++
+	}
+	sub.acks = slices.Delete(sub.acks, 0, n)
 }
 
 type ledgerRange struct {
@@ -427,8 +462,9 @@ func (b *Broker) narrowRange(topicName string, lo, hi uint64) {
 }
 
 // dropTopic releases a topic's in-memory state for a graceful handoff:
-// cursors are persisted (belt and braces — every ack already persists) and
-// the writer closed so the ledger tail is sealed for the next owner's
+// cursors are persisted (belt and braces — every ack already persists, so a
+// failed write here loses nothing an Ack reported durable) and the writer
+// closed so the ledger tail is sealed for the next owner's
 // recovery. Publishers in flight finish first (write lock); later arrivals
 // get ErrNoTopic and re-resolve ownership.
 func (b *Broker) dropTopic(topicName string) {
@@ -444,7 +480,7 @@ func (b *Broker) dropTopic(topicName string) {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	for _, sub := range ts.subs {
-		b.cluster.persistCursor(sub)
+		_ = b.cluster.persistCursor(sub)
 	}
 	if ts.writer != nil {
 		ts.writer.Close()
@@ -479,7 +515,9 @@ func (b *Broker) snapshotLoad() (samples []topicLoadSample, down bool) {
 }
 
 // subscribe creates the durable subscription if needed and attaches the
-// consumer, triggering backlog dispatch.
+// consumer, triggering backlog dispatch. A new subscription exists only once
+// its cursor node does: if the coordination service refuses the node, the
+// error is returned and nothing is registered.
 func (b *Broker) subscribe(topicName, subName string, mode SubMode, pos InitialPosition, reg *consumerReg) error {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
@@ -500,14 +538,16 @@ func (b *Broker) subscribe(topicName, subName string, mode SubMode, pos InitialP
 			name:         subName,
 			mode:         mode,
 			ackedPrefix:  start,
-			acks:         map[int64]bool{},
 			pending:      map[int64]int64{},
 			nextDispatch: start,
-			backlogGauge: b.cluster.obs.Gauge("pulsar.backlog." + topicName + "." + subName),
+			cursorPath:   cursorPath(topicName, subName),
 		}
+		if err := b.cluster.createCursor(sub); err != nil {
+			return err
+		}
+		sub.backlogGauge = b.cluster.obs.Gauge("pulsar.backlog." + topicName + "." + subName)
 		ts.subs[subName] = sub
 		sub.updateBacklogLocked(ts)
-		b.cluster.persistCursor(sub)
 	}
 	if sub.mode == Exclusive && len(sub.consumers) > 0 {
 		return fmt.Errorf("%w: %s/%s", ErrExclusiveTaken, topicName, subName)
@@ -558,7 +598,12 @@ func (b *Broker) detach(topicName, subName string, consumerID int64) {
 	b.dispatchLocked(ts, sub)
 }
 
-// ack marks a message consumed and advances the durable cursor.
+// ack marks a message consumed and writes the durable cursor: it returns nil
+// only once the full cursor record — prefix and every out-of-order ack — is
+// in the coordination service. If that write fails the error is returned and
+// the in-memory cursor is not rolled back: each record is the subscription's
+// whole state, so the next ack that reaches the store (a retry of this one
+// included) makes this ack durable too.
 func (b *Broker) ack(topicName, subName string, seq int64) error {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
@@ -573,6 +618,9 @@ func (b *Broker) ack(topicName, subName string, seq int64) error {
 		return fmt.Errorf("pulsar: unknown subscription %s/%s", topicName, subName)
 	}
 	if seq < sub.ackedPrefix {
+		if sub.unsaved {
+			return b.cluster.persistCursor(sub)
+		}
 		return nil
 	}
 	if sub.dropAcks > 0 {
@@ -583,17 +631,12 @@ func (b *Broker) ack(topicName, subName string, seq int64) error {
 		return nil
 	}
 	delete(sub.pending, seq)
-	sub.acks[seq] = true
-	for sub.acks[sub.ackedPrefix] {
-		delete(sub.acks, sub.ackedPrefix)
-		sub.ackedPrefix++
-	}
+	sub.markAcked(seq)
 	sub.updateBacklogLocked(ts)
 	// Persist on every ack, not just prefix advances: out-of-order acks
 	// beyond the prefix must survive a broker failover, or the new owner
 	// would redeliver already-acked messages.
-	b.cluster.persistCursor(sub)
-	return nil
+	return b.cluster.persistCursor(sub)
 }
 
 // dispatchLocked delivers redeliveries and fresh messages to consumers per
@@ -609,15 +652,14 @@ func (b *Broker) dispatchLocked(ts *topicState, sub *subscription) {
 		now = b.cluster.clock.Now()
 	}
 	// Redeliveries first (preserving rough order), then fresh messages.
-	for len(sub.redeliver) > 0 {
-		seq := sub.redeliver[0]
-		sub.redeliver = sub.redeliver[1:]
+	for _, seq := range sub.redeliver {
 		b.deliverLocked(ts, sub, seq, now)
 	}
+	sub.redeliver = sub.redeliver[:0] // keep the backing array for the next round
 	for sub.nextDispatch < ts.nextSeq {
 		seq := sub.nextDispatch
 		sub.nextDispatch++
-		if seq < sub.ackedPrefix || sub.acks[seq] {
+		if sub.acked(seq) {
 			continue // already consumed (e.g. cursor moved by recovery)
 		}
 		b.deliverLocked(ts, sub, seq, now)
@@ -739,20 +781,19 @@ func (b *Broker) loadTopic(topicName string) error {
 		return err
 	}
 	for name, cur := range subs {
+		// Out-of-order acks come back too (the record is already ascending),
+		// so the new owner never redelivers a message the subscription
+		// already acked.
 		sub := &subscription{
 			topicName:    topicName,
 			name:         name,
 			mode:         cur.Mode,
 			ackedPrefix:  cur.AckedPrefix,
-			acks:         map[int64]bool{},
+			acks:         cur.Acks,
 			pending:      map[int64]int64{},
 			nextDispatch: cur.AckedPrefix,
+			cursorPath:   cursorPath(topicName, name),
 			backlogGauge: c.obs.Gauge("pulsar.backlog." + topicName + "." + name),
-		}
-		// Restore out-of-order acks so the new owner never redelivers a
-		// message the subscription already acked.
-		for _, seq := range cur.Acks {
-			sub.acks[seq] = true
 		}
 		ts.subs[name] = sub
 		sub.updateBacklogLocked(ts)
@@ -781,14 +822,3 @@ func (b *Broker) backlog(topicName, subName string) (int64, error) {
 	}
 	return ts.nextSeq - sub.ackedPrefix - int64(len(sub.acks)), nil
 }
-
-// cursorRecord is the durable per-subscription state in the coordination
-// service: the contiguous acked prefix plus any out-of-order acks beyond it
-// (Shared/KeyShared subscriptions ack out of order routinely).
-type cursorRecord struct {
-	Mode        SubMode `json:"mode"`
-	AckedPrefix int64   `json:"acked_prefix"`
-	Acks        []int64 `json:"acks,omitempty"`
-}
-
-func encodeCursor(c cursorRecord) []byte { b, _ := json.Marshal(c); return b }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -439,6 +438,14 @@ func (c *Cluster) setTopicLedgers(topic string, ids []int64) error {
 	return err
 }
 
+// cursorPath is the coordination-service node holding a subscription's
+// durable cursor.
+func cursorPath(topic, sub string) string { return "/pulsar/subs/" + topic + "/" + sub }
+
+// topicSubscriptions reads every durable cursor of a concrete topic. A
+// record that cannot be read or decoded is an error, not a missing
+// subscription: coming up without it would restart its consumers from their
+// initial position, redelivering or skipping the whole backlog.
 func (c *Cluster) topicSubscriptions(topic string) (map[string]cursorRecord, error) {
 	base := "/pulsar/subs/" + topic
 	if !c.meta.Exists(base) {
@@ -450,34 +457,52 @@ func (c *Cluster) topicSubscriptions(topic string) (map[string]cursorRecord, err
 	}
 	out := map[string]cursorRecord{}
 	for _, n := range names {
-		raw, _, err := c.meta.Get(base + "/" + n)
+		path := cursorPath(topic, n)
+		raw, _, err := c.meta.Get(path)
 		if err != nil {
-			continue
+			return nil, fmt.Errorf("pulsar: read cursor: %w", err)
 		}
-		var cur cursorRecord
-		if err := json.Unmarshal(raw, &cur); err != nil {
-			continue
+		cur, err := decodeCursor(raw)
+		if err != nil {
+			return nil, fmt.Errorf("%w (node %s)", err, path)
 		}
 		out[n] = cur
 	}
 	return out, nil
 }
 
-func (c *Cluster) persistCursor(sub *subscription) {
-	base := "/pulsar/subs/" + sub.topicName
-	_ = c.meta.EnsurePath(base)
-	path := base + "/" + sub.name
-	var acks []int64
-	for seq := range sub.acks {
-		acks = append(acks, seq)
+// createCursor writes a new subscription's first cursor record. This is the
+// one place a cursor node is created; acks only overwrite it.
+func (c *Cluster) createCursor(sub *subscription) error {
+	err := c.meta.EnsurePath("/pulsar/subs/" + sub.topicName)
+	if err == nil {
+		sub.cursorBuf = appendCursor(sub.cursorBuf[:0], cursorRecord{Mode: sub.mode, AckedPrefix: sub.ackedPrefix})
+		err = c.meta.Create(sub.cursorPath, sub.cursorBuf, coord.Persistent, 0)
 	}
-	sort.Slice(acks, func(i, j int) bool { return acks[i] < acks[j] })
-	raw := encodeCursor(cursorRecord{Mode: sub.mode, AckedPrefix: sub.ackedPrefix, Acks: acks})
-	if !c.meta.Exists(path) {
-		_ = c.meta.Create(path, raw, coord.Persistent, 0)
-		return
+	if errors.Is(err, coord.ErrNodeExists) {
+		// A split wrote the child's cursor copies after this broker had
+		// already loaded the child (an inspection such as Topics +
+		// AckedMessages can elect it early). Nothing has acked against the
+		// copy, so overwriting it loses nothing.
+		return c.persistCursor(sub)
 	}
-	_, _ = c.meta.Set(path, raw, coord.AnyVersion)
+	if err != nil {
+		return fmt.Errorf("pulsar: create cursor: %w", err)
+	}
+	return nil
+}
+
+// persistCursor overwrites the subscription's cursor node with its full
+// current state, encoded into the subscription's own buffer: one in-place
+// store write, no allocation. Called with the topic's lock held.
+func (c *Cluster) persistCursor(sub *subscription) error {
+	sub.cursorBuf = appendCursor(sub.cursorBuf[:0], cursorRecord{Mode: sub.mode, AckedPrefix: sub.ackedPrefix, Acks: sub.acks})
+	_, err := c.meta.Set(sub.cursorPath, sub.cursorBuf, coord.AnyVersion)
+	sub.unsaved = err != nil
+	if err != nil {
+		return fmt.Errorf("pulsar: persist cursor: %w", err)
+	}
+	return nil
 }
 
 func (c *Cluster) meterPublish(n int) {

@@ -157,10 +157,7 @@ func (b *Broker) ackedMessages(topicName, subName string) ([][]byte, error) {
 	for seq := int64(0); seq < sub.ackedPrefix; seq++ {
 		seqs = append(seqs, seq)
 	}
-	for seq := range sub.acks {
-		seqs = append(seqs, seq)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+	seqs = append(seqs, sub.acks...) // ascending, all beyond the prefix
 	out := make([][]byte, 0, len(seqs))
 	for _, seq := range seqs {
 		if seq < int64(len(ts.cache)) {

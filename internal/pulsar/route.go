@@ -263,8 +263,8 @@ func (c *Cluster) SplitPartition(logical, concrete, target string) (string, erro
 		return "", err
 	}
 	for name, cur := range parentSubs {
-		raw := encodeCursor(cursorRecord{Mode: cur.Mode})
-		if err := c.meta.Create("/pulsar/subs/"+child+"/"+name, raw, coord.Persistent, 0); err != nil && !errors.Is(err, coord.ErrNodeExists) {
+		raw := appendCursor(nil, cursorRecord{Mode: cur.Mode})
+		if err := c.meta.Create(cursorPath(child, name), raw, coord.Persistent, 0); err != nil && !errors.Is(err, coord.ErrNodeExists) {
 			return "", err
 		}
 	}
