@@ -2,7 +2,8 @@ package repro
 
 // Allocation-regression gate for the hot paths that are allocation-free: the
 // warm invoke and the publish of the PR6 rework (DESIGN.md §10), and the
-// durable ack. These run in CI's alloc-gate job, so a
+// durable ack — and for the gateway's sync invoke, whose own share of an HTTP
+// round trip is pinned (DESIGN.md §14). These run in CI's alloc-gate job, so a
 // change that quietly reintroduces a per-request or per-publish heap
 // allocation fails the build instead of showing up three PRs later as a
 // bench regression.
@@ -12,12 +13,18 @@ package repro
 // is about steady state, not first-touch cost.
 
 import (
+	"bytes"
 	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/faas"
+	"repro/internal/gateway"
 	"repro/internal/obs"
 	"repro/internal/pulsar"
 )
@@ -204,5 +211,128 @@ func TestAckZeroAllocs(t *testing.T) {
 				t.Fatalf("backlog = %d, %v; want %d (every ack counted once)", n, err, want)
 			}
 		})
+	}
+}
+
+// echoGateway is a gateway over a platform with one warm 1 ns echo function,
+// "echo" of tenant "bench", reachable with the token "bench-token".
+func echoGateway(t *testing.T) *gateway.Gateway {
+	t.Helper()
+	p := core.New(core.Options{})
+	if err := p.Tenant("bench").Register("echo", func(ctx *faas.Ctx, in []byte) ([]byte, error) {
+		return in, nil
+	}, faas.Config{WarmStart: 1, ColdStart: 1, KeepAlive: time.Hour}); err != nil {
+		t.Fatal(err)
+	}
+	return gateway.New(p, gateway.Config{Tokens: map[string]string{"bench-token": "bench"}})
+}
+
+// loopbackClient serves gw on a loopback listener and returns a Client that
+// holds one keep-alive connection to it. Budgets over it include net/http's
+// allocations, which only hold without the race detector: under it sync.Pool
+// drops what net/http returns to its pools.
+func loopbackClient(t *testing.T, gw *gateway.Gateway) *gateway.Client {
+	t.Helper()
+	if raceDetector {
+		t.Skip("net/http's pooled buffers are reallocated under the race detector")
+	}
+	srv := httptest.NewServer(gw)
+	t.Cleanup(srv.Close)
+	tr := &http.Transport{MaxIdleConnsPerHost: 1}
+	t.Cleanup(tr.CloseIdleConnections)
+	return &gateway.Client{BaseURL: srv.URL, Token: "bench-token", HTTP: &http.Client{Transport: tr}}
+}
+
+// discardWriter is a reusable http.ResponseWriter that allocates nothing.
+type discardWriter struct {
+	header http.Header
+	status int
+}
+
+func (w *discardWriter) Header() http.Header         { return w.header }
+func (w *discardWriter) WriteHeader(code int)        { w.status = code }
+func (w *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
+
+// TestGatewayServeAllocs pins what Gateway.ServeHTTP itself allocates for a
+// sync 64 B echo — no network, a reusable writer. Seven are the gateway's:
+// the mux's match, http.MaxBytesReader, the body buffer, the invoke closure
+// and its results, and the two allocations behind all the response's header
+// values; two are this test's request copy and body wrapper. It was 18 with
+// io.ReadAll, seven Header.Set + strconv pairs and a goroutine hop per invoke.
+func TestGatewayServeAllocs(t *testing.T) {
+	const want = 9
+	gw := echoGateway(t)
+	payload := make([]byte, 64)
+	tmpl := httptest.NewRequest(http.MethodPost, "/v1/functions/echo/invoke", nil)
+	tmpl.Header.Set("Authorization", "Bearer bench-token")
+	body := bytes.NewReader(nil)
+	w := &discardWriter{header: http.Header{}}
+	serve := func() {
+		req := *tmpl // the mux writes its match into the request
+		body.Reset(payload)
+		req.Body, req.ContentLength = io.NopCloser(body), int64(len(payload))
+		clear(w.header)
+		w.status = 0
+		gw.ServeHTTP(w, &req)
+		if w.status != http.StatusOK {
+			t.Fatalf("status %d", w.status)
+		}
+	}
+	for i := 0; i < 20000; i++ {
+		serve()
+	}
+	if got := testing.AllocsPerRun(2000, serve); got > want {
+		t.Fatalf("ServeHTTP allocates %.1f allocs/op for a 64 B echo, want <= %d", got, want)
+	}
+}
+
+// TestGatewayClientInvokeAllocs pins a whole Client.Invoke of 64 B over a
+// loopback keep-alive connection — client, net/http on both sides, server —
+// as the process-wide malloc count per call. It was 123 and measures 103;
+// net/http's own share (MIME header parse, Header.Clone, transport channels)
+// is all but 14 of that, and the two spare are for its next release.
+func TestGatewayClientInvokeAllocs(t *testing.T) {
+	const want = 105
+	c := loopbackClient(t, echoGateway(t))
+	payload := make([]byte, 64)
+	invoke := func() {
+		if res, err := c.Invoke("echo", payload); err != nil || len(res.Output) != len(payload) {
+			t.Fatalf("invoke: %d bytes, %v", len(res.Output), err)
+		}
+	}
+	for i := 0; i < 20000; i++ {
+		invoke()
+	}
+	// AllocsPerRun counts every goroutine's mallocs: the server's are in.
+	if got := testing.AllocsPerRun(2000, invoke); got > want {
+		t.Fatalf("Client.Invoke allocates %.1f allocs/op for a 64 B echo over loopback, want <= %d", got, want)
+	}
+}
+
+// TestGatewayBigEchoBytes bounds the bytes a 64 KiB echo round trip asks the
+// allocator for at 3x the payload: one buffer of the declared size where the
+// server reads the request, one where the client reads the response, and
+// net/http's 32 KiB copy buffer for the request body (2.6x in all), against
+// 9.4x when both sides grew io.ReadAll buffers from 512 B.
+func TestGatewayBigEchoBytes(t *testing.T) {
+	const size, runs = 64 << 10, 200
+	c := loopbackClient(t, echoGateway(t))
+	payload := make([]byte, size)
+	invoke := func() {
+		if res, err := c.Invoke("echo", payload); err != nil || len(res.Output) != size {
+			t.Fatalf("invoke: %d bytes, %v", len(res.Output), err)
+		}
+	}
+	for i := 0; i < 50; i++ {
+		invoke()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		invoke()
+	}
+	runtime.ReadMemStats(&after)
+	if got := float64(after.TotalAlloc-before.TotalAlloc) / runs; got > 3*size {
+		t.Fatalf("64 KiB echo allocates %.0f B per round trip (%.1fx the payload), want <= 3x", got, got/size)
 	}
 }

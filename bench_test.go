@@ -101,10 +101,10 @@ func BenchmarkInvokeWarm(b *testing.B) {
 
 // BenchmarkGatewayInvoke measures the same warm invocation as
 // BenchmarkInvokeWarm, but end-to-end through the HTTP gateway: a live TCP
-// listener, bearer auth, request parsing, the clock-worker handoff, header
-// marshalling and the streamed response. The delta against InvokeWarm is
-// the full HTTP-path overhead. One op is one HTTP round trip, so this runs
-// at its own (smaller) fixed iteration count in bench.sh.
+// listener, bearer auth, request parsing, Clock.Join, header marshalling and
+// the response write. The delta against InvokeWarm is the full HTTP-path
+// overhead. One op is one HTTP round trip, so this runs at its own (smaller)
+// fixed iteration count in bench.sh.
 func BenchmarkGatewayInvoke(b *testing.B) {
 	p := core.New(core.Options{})
 	gw := gateway.New(p, gateway.Config{Tokens: map[string]string{"bench-token": "bench"}})

@@ -6,14 +6,17 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/billing"
 )
 
 // Client is a typed caller of the v1 API. The zero fields default sanely
-// (http.DefaultClient, no Block wrapper); BaseURL and Token are required.
+// (http.DefaultClient, no Block wrapper); BaseURL and Token are required, and
+// are read once, by the first call. A Client must not be copied after that.
 //
 // Block, when set, wraps every HTTP round-trip. A driver goroutine tracked
 // by the virtual clock MUST set it to clock.BlockOn: the socket wait inside
@@ -25,12 +28,16 @@ type Client struct {
 	Token   string
 	HTTP    *http.Client
 	Block   func(func())
+
+	once    sync.Once
+	base    url.URL // BaseURL, parsed
+	baseErr error
+	bearer  string // the Authorization value
 }
 
 // InvokeResult is the client-side decoding of a sync invoke response: the
-// streamed body plus the X-Taureau-* metadata headers. Latency and Billed
-// are platform-clock figures — under a virtual clock, exact simulated
-// durations.
+// body plus the X-Taureau-* metadata headers. Latency and Billed are
+// platform-clock figures — under a virtual clock, exact simulated durations.
 type InvokeResult struct {
 	Output    []byte
 	Cold      bool
@@ -49,42 +56,94 @@ func (c *Client) httpClient() *http.Client {
 	return http.DefaultClient
 }
 
-// do runs one request and returns status, body and headers. Non-2xx
-// responses come back as (*APIError, nil body) so errors.Is works against
-// platform sentinels across the wire.
-func (c *Client) do(method, path string, body []byte, hdr map[string]string) (int, []byte, http.Header, error) {
-	req, err := http.NewRequest(method, c.BaseURL+path, bytes.NewReader(body))
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	req.Header.Set("Authorization", "Bearer "+c.Token)
-	for k, v := range hdr {
-		req.Header.Set(k, v)
-	}
+// call is everything one request allocates on the client's side of net/http,
+// in one piece: the request, its URL and body reader, the backing array of
+// its header values, and what the round trip returns.
+type call struct {
+	c       *Client
+	req     http.Request
+	url     url.URL
+	payload []byte
+	body    bytes.Reader
+	vals    [3]string // one header value each: Authorization, Content-Type, Idempotency-Key
 
-	var resp *http.Response
-	var respBody []byte
-	var rtErr error
-	roundTrip := func() {
-		resp, rtErr = c.httpClient().Do(req)
-		if rtErr != nil {
+	resp *http.Response
+	out  []byte
+	err  error
+}
+
+// getBody is the request's GetBody: a fresh reader over the payload, for a
+// redirect or a retry on a keep-alive connection the server had closed.
+func (k *call) getBody() (io.ReadCloser, error) {
+	return io.NopCloser(bytes.NewReader(k.payload)), nil
+}
+
+// roundTrip sends the request and reads the whole response body.
+func (k *call) roundTrip() {
+	k.resp, k.err = k.c.httpClient().Do(&k.req)
+	if k.err != nil {
+		return
+	}
+	defer k.resp.Body.Close()
+	k.out, k.err = readAllSized(k.resp.Body, k.resp.ContentLength)
+}
+
+// do runs one request and returns body and headers. path is unescaped: it is
+// assigned to URL.Path, so a name holding "?", "#", "%" or a space reaches the
+// server as that name. Non-2xx responses come back as (*APIError, nil body) so
+// errors.Is works against platform sentinels across the wire.
+func (c *Client) do(method, path, contentType, idemKey string, body []byte) ([]byte, http.Header, error) {
+	c.once.Do(func() {
+		u, err := url.Parse(c.BaseURL)
+		if err != nil {
+			c.baseErr = err
 			return
 		}
-		defer resp.Body.Close()
-		respBody, rtErr = io.ReadAll(resp.Body)
+		c.base, c.bearer = *u, "Bearer "+c.Token
+	})
+	if c.baseErr != nil {
+		return nil, nil, c.baseErr
 	}
+
+	k := &call{c: c, url: c.base, payload: body}
+	k.url.Path += path
+	// The header is a fresh map per request: RoundTripper wrappers Set on it.
+	hdr, n := make(http.Header, len(k.vals)), 0
+	set := func(key, v string) {
+		k.vals[n] = v
+		hdr[key] = k.vals[n : n+1 : n+1]
+		n++
+	}
+	set("Authorization", c.bearer)
+	if contentType != "" {
+		set("Content-Type", contentType)
+	}
+	if idemKey != "" {
+		set("Idempotency-Key", idemKey)
+	}
+	k.req = http.Request{
+		Method: method, URL: &k.url, Host: k.url.Host, Header: hdr,
+		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+	}
+	if len(body) > 0 {
+		k.body.Reset(body)
+		// io.NopCloser over a *bytes.Reader is a body net/http knows to be in
+		// memory, which it sends in the same write as the request header.
+		k.req.Body, k.req.GetBody, k.req.ContentLength = io.NopCloser(&k.body), k.getBody, int64(len(body))
+	}
+
 	if c.Block != nil {
-		c.Block(roundTrip)
+		c.Block(k.roundTrip)
 	} else {
-		roundTrip()
+		k.roundTrip()
 	}
-	if rtErr != nil {
-		return 0, nil, nil, rtErr
+	if k.err != nil {
+		return nil, nil, k.err
 	}
-	if resp.StatusCode >= 400 {
-		return resp.StatusCode, nil, resp.Header, decodeError(resp.StatusCode, respBody)
+	if k.resp.StatusCode >= 400 {
+		return nil, k.resp.Header, decodeError(k.resp.StatusCode, k.out)
 	}
-	return resp.StatusCode, respBody, resp.Header, nil
+	return k.out, k.resp.Header, nil
 }
 
 // Register deploys a function from its spec.
@@ -93,9 +152,7 @@ func (c *Client) Register(spec FunctionSpec) error {
 	if err != nil {
 		return err
 	}
-	_, _, _, err = c.do(http.MethodPost, "/v1/functions", body, map[string]string{
-		"Content-Type": "application/json",
-	})
+	_, _, err = c.do(http.MethodPost, "/v1/functions", "application/json", "", body)
 	return err
 }
 
@@ -107,11 +164,7 @@ func (c *Client) Invoke(name string, payload []byte) (InvokeResult, error) {
 
 // InvokeIdem is Invoke carrying an idempotency key.
 func (c *Client) InvokeIdem(name, idemKey string, payload []byte) (InvokeResult, error) {
-	hdr := map[string]string{"Content-Type": "application/octet-stream"}
-	if idemKey != "" {
-		hdr["Idempotency-Key"] = idemKey
-	}
-	_, body, respHdr, err := c.do(http.MethodPost, "/v1/functions/"+name+"/invoke", payload, hdr)
+	body, respHdr, err := c.do(http.MethodPost, "/v1/functions/"+name+"/invoke", octetStream, idemKey, payload)
 	if err != nil {
 		return InvokeResult{}, err
 	}
@@ -133,9 +186,7 @@ func (c *Client) InvokeIdem(name, idemKey string, payload []byte) (InvokeResult,
 
 // InvokeAsync submits an invocation and returns its id for polling.
 func (c *Client) InvokeAsync(name string, payload []byte) (string, error) {
-	_, body, _, err := c.do(http.MethodPost, "/v1/functions/"+name+"/invoke-async", payload, map[string]string{
-		"Content-Type": "application/octet-stream",
-	})
+	body, _, err := c.do(http.MethodPost, "/v1/functions/"+name+"/invoke-async", octetStream, "", payload)
 	if err != nil {
 		return "", err
 	}
@@ -150,7 +201,7 @@ func (c *Client) InvokeAsync(name string, payload []byte) (string, error) {
 
 // Invocation polls one async invocation's status.
 func (c *Client) Invocation(id string) (InvocationStatus, error) {
-	_, body, _, err := c.do(http.MethodGet, "/v1/invocations/"+id, nil, nil)
+	body, _, err := c.do(http.MethodGet, "/v1/invocations/"+id, "", "", nil)
 	if err != nil {
 		return InvocationStatus{}, err
 	}
@@ -163,7 +214,7 @@ func (c *Client) Invocation(id string) (InvocationStatus, error) {
 
 // List returns this tenant's functions.
 func (c *Client) List() ([]FunctionSummary, error) {
-	_, body, _, err := c.do(http.MethodGet, "/v1/functions", nil, nil)
+	body, _, err := c.do(http.MethodGet, "/v1/functions", "", "", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -178,13 +229,13 @@ func (c *Client) List() ([]FunctionSummary, error) {
 
 // Delete unregisters a function.
 func (c *Client) Delete(name string) error {
-	_, _, _, err := c.do(http.MethodDelete, "/v1/functions/"+name, nil, nil)
+	_, _, err := c.do(http.MethodDelete, "/v1/functions/"+name, "", "", nil)
 	return err
 }
 
 // Invoice fetches the tenant's priced usage.
 func (c *Client) Invoice(tenant string) (billing.Invoice, error) {
-	_, body, _, err := c.do(http.MethodGet, "/v1/tenants/"+tenant+"/invoice", nil, nil)
+	body, _, err := c.do(http.MethodGet, "/v1/tenants/"+tenant+"/invoice", "", "", nil)
 	if err != nil {
 		return billing.Invoice{}, err
 	}

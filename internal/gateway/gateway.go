@@ -10,7 +10,7 @@
 //	POST   /v1/functions                  register (FunctionSpec body)
 //	GET    /v1/functions                  list this tenant's functions
 //	DELETE /v1/functions/{name}           unregister
-//	POST   /v1/functions/{name}/invoke    sync invoke (streaming body)
+//	POST   /v1/functions/{name}/invoke    sync invoke (raw body in, raw body out)
 //	POST   /v1/functions/{name}/invoke-async   submit, 202 + id
 //	GET    /v1/invocations/{id}           poll an async invocation
 //	GET    /v1/tenants/{tenant}/invoice   priced usage
@@ -19,16 +19,19 @@
 // Every error is a JSON envelope with a machine-readable code drawn from the
 // wire table in status.go; invocation metadata (cold, latency, billed
 // duration — all on the platform clock, so deterministic under the virtual
-// clock) travels in X-Taureau-* response headers beside the streamed output.
+// clock) travels in X-Taureau-* response headers beside the output. Bodies
+// are read once into a buffer of their declared size, and the output — one
+// []byte already — goes out under its Content-Length in a single write.
 //
 // Clock discipline: gateway handlers run on net/http goroutines the virtual
-// clock does not track. Each invoke is therefore handed to a clock.Go worker
-// (tracked; its Sleeps advance virtual time) and the handler waits on a
-// plain channel — an untracked wait the clock cannot see, which is exactly
-// right: the HTTP goroutine must be invisible to quiescence detection.
-// Virtual-clock callers in the same process wrap their HTTP round-trips in
-// clock.BlockOn (see Client) so the driver's socket wait does not deadlock
-// the simulation.
+// clock does not track. Each invoke therefore runs inside Clock.Join: under
+// the virtual clock that is a tracked worker (its Sleeps advance virtual
+// time) the handler waits for on a plain channel — an untracked wait the
+// clock cannot see, which is exactly right: the HTTP goroutine must be
+// invisible to quiescence detection; under the real clock it is a plain call
+// on the handler's own goroutine. Virtual-clock callers in the same process
+// wrap their HTTP round-trips in clock.BlockOn (see Client) so the driver's
+// socket wait does not deadlock the simulation.
 package gateway
 
 import (
@@ -135,18 +138,55 @@ func (g *Gateway) authed(h func(http.ResponseWriter, *http.Request, string)) htt
 	}
 }
 
-// readBody drains the request body under the size cap, translating the cap
-// trip to the payload-size sentinel.
+// readBody reads the request body once, at its declared size, under the size
+// cap. A declared Content-Length over the cap is refused before a byte is
+// read; a body of unknown length is cut off by http.MaxBytesReader.
 func (g *Gateway) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.maxBody))
+	tooLarge := func() error {
+		return fmt.Errorf("%w: request body exceeds %d bytes", faas.ErrPayloadSize, g.maxBody)
+	}
+	if r.ContentLength > g.maxBody {
+		return nil, tooLarge()
+	}
+	body, err := readAllSized(http.MaxBytesReader(w, r.Body, g.maxBody), r.ContentLength)
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			return nil, fmt.Errorf("%w: request body exceeds %d bytes", faas.ErrPayloadSize, g.maxBody)
+			return nil, tooLarge()
 		}
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	return body, nil
+}
+
+// readAllSized reads a body into a buffer that starts at its declared length
+// (512 B when that is negative: unknown) and grows as io.ReadAll's does. It
+// stops at the declared length, which net/http's bodies reach together with
+// their io.EOF, so a body that keeps its word costs one allocation and no
+// copy. Buffers are not pooled: a handler's output may alias its payload, and
+// the dedup window retains outputs.
+func readAllSized(r io.Reader, declared int64) ([]byte, error) {
+	size := declared
+	if size < 0 {
+		size = 512
+	}
+	b := make([]byte, 0, size)
+	for {
+		if len(b) == cap(b) {
+			if int64(len(b)) == declared {
+				return b, nil
+			}
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+	}
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -231,36 +271,35 @@ func (g *Gateway) handleDelete(w http.ResponseWriter, r *http.Request, tenant st
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// runInvoke executes one invocation on a clock-tracked worker goroutine and
-// waits for it on a plain (untracked, clock-invisible) channel. Each HTTP
-// invoke roots exactly one trace; the span carries tenant and function
-// labels into the SLO/telemetry pipeline.
+// runInvoke executes one invocation in platform time: Clock.Join moves it
+// onto a tracked goroutine under the virtual clock and runs it right here
+// under the real one. Each HTTP invoke roots exactly one trace; the span
+// carries tenant and function labels into the SLO/telemetry pipeline.
 func (g *Gateway) runInvoke(tenant, name string, payload []byte, idemKey string) (faas.Result, error) {
-	type outcome struct {
+	// One heap object for what the closure hands back, not one per result.
+	var out struct {
 		res faas.Result
 		err error
 	}
-	ch := make(chan outcome, 1)
-	g.p.Clock.Go(func() {
+	g.p.Clock.Join(func() {
 		var span obs.SpanRef
 		var tc obs.TraceCtx
 		if g.p.Obs != nil {
 			span = g.p.Obs.Tracer().Start(obs.TraceCtx{}, "gateway.invoke")
 			tc = span.Ctx()
 		}
-		res, err := g.p.FaaS.InvokeForTraceIdem(tenant, name, payload, tc, idemKey)
+		out.res, out.err = g.p.FaaS.InvokeForTraceIdem(tenant, name, payload, tc, idemKey)
 		if span.Active() {
-			span.EndLabeled(tenant, name, err != nil)
+			span.EndLabeled(tenant, name, out.err != nil)
 		}
-		ch <- outcome{res, err}
 	})
-	o := <-ch
-	return o.res, o.err
+	return out.res, out.err
 }
 
 // Result metadata headers on sync invoke responses. Values are platform-
 // clock durations in nanoseconds — under the virtual clock they are exact
-// simulated figures, independent of wall time.
+// simulated figures, independent of wall time. The names are in canonical
+// form: setResultHeaders stores them without http.Header.Set's rewrite.
 const (
 	hdrRequestID = "X-Taureau-Request-Id"
 	hdrCold      = "X-Taureau-Cold"
@@ -271,24 +310,54 @@ const (
 	hdrDeduped   = "X-Taureau-Deduped"
 )
 
-func setResultHeaders(w http.ResponseWriter, res faas.Result) {
-	h := w.Header()
-	h.Set(hdrRequestID, strconv.FormatInt(res.RequestID, 10))
-	h.Set(hdrCold, strconv.FormatBool(res.Cold))
-	h.Set(hdrLatencyNs, strconv.FormatInt(res.Latency.Nanoseconds(), 10))
-	h.Set(hdrBilledNs, strconv.FormatInt(res.Billed.Nanoseconds(), 10))
-	h.Set(hdrAttempt, strconv.Itoa(res.Attempt))
-	h.Set(hdrTraceID, strconv.FormatInt(res.TraceID, 10))
-	if res.Deduped {
-		h.Set(hdrDeduped, "true")
-	}
-}
+const octetStream = "application/octet-stream"
 
-// invokeChunk bounds each streamed write of the response body. Handler
-// outputs are arbitrary bytes; streaming them in flushed chunks means a
-// client sees first bytes before the last are serialized, and large outputs
-// never require a contiguous response buffer.
-const invokeChunk = 32 << 10
+// Header values every response shares; nothing writes through them.
+var (
+	valTrue        = []string{"true"}
+	valFalse       = []string{"false"}
+	valOctetStream = []string{octetStream}
+)
+
+// setResultHeaders writes the metadata, Content-Type and Content-Length of a
+// sync invoke response (the output is one []byte, so its length is known).
+// The six numbers are formatted into one stack buffer and converted once;
+// each header's value is a sub-string of that, held in a one-element window
+// of one backing array: two allocations for the lot.
+func setResultHeaders(h http.Header, res *faas.Result) {
+	nums := [...]struct {
+		key string
+		v   int64
+	}{
+		{hdrRequestID, res.RequestID},
+		{hdrLatencyNs, res.Latency.Nanoseconds()},
+		{hdrBilledNs, res.Billed.Nanoseconds()},
+		{hdrAttempt, int64(res.Attempt)},
+		{hdrTraceID, res.TraceID},
+		{"Content-Length", int64(len(res.Output))},
+	}
+	var buf [len(nums) * 20]byte // an int64 prints in at most 20 bytes
+	var end [len(nums)]int
+	b := buf[:0]
+	for i, n := range nums {
+		b = strconv.AppendInt(b, n.v, 10)
+		end[i] = len(b)
+	}
+	all, vals, start := string(b), make([]string, len(nums)), 0
+	for i, n := range nums {
+		vals[i] = all[start:end[i]]
+		h[n.key] = vals[i : i+1 : i+1]
+		start = end[i]
+	}
+	h[hdrCold] = valFalse
+	if res.Cold {
+		h[hdrCold] = valTrue
+	}
+	if res.Deduped {
+		h[hdrDeduped] = valTrue
+	}
+	h["Content-Type"] = valOctetStream
+}
 
 func (g *Gateway) handleInvoke(w http.ResponseWriter, r *http.Request, tenant string) {
 	payload, err := g.readBody(w, r)
@@ -296,28 +365,14 @@ func (g *Gateway) handleInvoke(w http.ResponseWriter, r *http.Request, tenant st
 		writeError(w, err)
 		return
 	}
-	name := r.PathValue("name")
-	res, err := g.runInvoke(tenant, name, payload, r.Header.Get("Idempotency-Key"))
+	res, err := g.runInvoke(tenant, r.PathValue("name"), payload, r.Header.Get("Idempotency-Key"))
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	setResultHeaders(w, res)
-	w.Header().Set("Content-Type", "application/octet-stream")
+	setResultHeaders(w.Header(), &res)
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	for off := 0; off < len(res.Output); off += invokeChunk {
-		end := off + invokeChunk
-		if end > len(res.Output) {
-			end = len(res.Output)
-		}
-		if _, err := w.Write(res.Output[off:end]); err != nil {
-			return // client went away mid-stream
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
+	_, _ = w.Write(res.Output) // an error means the client went away
 }
 
 func (g *Gateway) handleInvokeAsync(w http.ResponseWriter, r *http.Request, tenant string) {

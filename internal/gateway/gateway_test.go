@@ -5,10 +5,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -65,6 +69,22 @@ func httpDo(t *testing.T, method, url, token string, body []byte) *http.Response
 	}
 	t.Cleanup(func() { resp.Body.Close() })
 	return resp
+}
+
+// pollDone polls an async invocation until it leaves "pending" (5 s at most).
+func pollDone(t *testing.T, c *Client, id string) InvocationStatus {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		st, err := c.Invocation(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Status != "pending" || time.Now().After(deadline) {
+			return st
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
 }
 
 func decodeEnvelope(t *testing.T, resp *http.Response) Envelope {
@@ -189,38 +209,259 @@ func TestCrossTenantUnprobeable(t *testing.T) {
 	}
 }
 
-// TestInvokeStreamingAndHeaders: the sync invoke round-trips a payload
-// larger than the streaming chunk size and carries result metadata in
-// X-Taureau-* headers.
-func TestInvokeStreamingAndHeaders(t *testing.T) {
+// TestInvokeWireShape: a raw http.Client (not gateway.Client — the wire must
+// not have moved for anyone) sees, for an empty, a small and a multi-buffer
+// output, Content-Length == len(output), no Transfer-Encoding, the exact body,
+// and the seven X-Taureau-* headers under their canonical names; a replayed
+// Idempotency-Key answers with the same bytes plus X-Taureau-Deduped. The
+// typed Client decodes the same response to the same values.
+func TestInvokeWireShape(t *testing.T) {
+	p, srv := newRealGateway(t, nil)
+	echo := func(ctx *faas.Ctx, in []byte) ([]byte, error) { return in, nil }
+	cfg := faas.Config{ColdStart: time.Millisecond, WarmStart: time.Millisecond, KeepAlive: time.Minute, DedupWindow: time.Minute}
+	if err := p.Tenant("alpha").Register("shape", echo, cfg); err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range []string{hdrRequestID, hdrCold, hdrLatencyNs, hdrBilledNs, hdrAttempt, hdrTraceID, hdrDeduped} {
+		if h != http.CanonicalHeaderKey(h) {
+			t.Errorf("header %q is not canonical; setResultHeaders stores it as written", h)
+		}
+	}
+	invoke := func(payload []byte, idemKey string) (*http.Response, []byte) {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/functions/shape/invoke", bytes.NewReader(payload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Authorization", "Bearer tok-a")
+		if idemKey != "" {
+			req.Header.Set("Idempotency-Key", idemKey)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, body
+	}
+	positive := func(resp *http.Response, key string) int64 {
+		t.Helper()
+		v, err := strconv.ParseInt(resp.Header.Get(key), 10, 64)
+		if err != nil || v <= 0 {
+			t.Errorf("%s = %q, want a positive integer", key, resp.Header.Get(key))
+		}
+		return v
+	}
+
+	for i, size := range []int{0, 64, 3*(32<<10) + 1} {
+		payload := bytes.Repeat([]byte("chunky"), size/6+1)[:size]
+		key := fmt.Sprintf("key-%d", size)
+		resp, body := invoke(payload, key)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%d B: status %d", size, resp.StatusCode)
+		}
+		if resp.ContentLength != int64(size) || len(resp.TransferEncoding) != 0 {
+			t.Errorf("%d B: Content-Length %d, Transfer-Encoding %v; want %d and none", size, resp.ContentLength, resp.TransferEncoding, size)
+		}
+		if !bytes.Equal(body, payload) {
+			t.Errorf("%d B: body mismatch (%d bytes back)", size, len(body))
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != "application/octet-stream" {
+			t.Errorf("%d B: Content-Type %q", size, ct)
+		}
+		id := positive(resp, hdrRequestID)
+		positive(resp, hdrLatencyNs)
+		positive(resp, hdrBilledNs)
+		positive(resp, hdrTraceID)
+		if got, want := resp.Header.Get(hdrCold), strconv.FormatBool(i == 0); got != want {
+			t.Errorf("%d B: %s = %q, want %q", size, hdrCold, got, want)
+		}
+		if got := resp.Header.Get(hdrAttempt); got != "1" {
+			t.Errorf("%d B: %s = %q, want 1", size, hdrAttempt, got)
+		}
+		if _, ok := resp.Header[hdrDeduped]; ok {
+			t.Errorf("%d B: first use of a key came back deduped", size)
+		}
+
+		replay, body := invoke(payload, key)
+		if replay.Header.Get(hdrDeduped) != "true" || !bytes.Equal(body, payload) || replay.ContentLength != int64(size) {
+			t.Errorf("%d B: replay deduped=%q, %d bytes, Content-Length %d", size, replay.Header.Get(hdrDeduped), len(body), replay.ContentLength)
+		}
+		// A replay is a request of its own answered with the original's result.
+		if got := positive(replay, hdrRequestID); got <= id {
+			t.Errorf("%d B: replay request id %d, want one after the original's %d", size, got, id)
+		}
+		if got, want := replay.Header.Get(hdrCold), strconv.FormatBool(i == 0); got != want {
+			t.Errorf("%d B: replay %s = %q, want the original's %q", size, hdrCold, got, want)
+		}
+
+		c := &Client{BaseURL: srv.URL, Token: "tok-a"}
+		res, err := c.InvokeIdem("shape", key, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(res.Output, payload) || !res.Deduped || res.Cold != (i == 0) || res.RequestID <= id ||
+			res.Attempt != 1 || res.Latency <= 0 || res.Billed <= 0 || res.TraceID <= 0 {
+			res.Output = nil
+			t.Errorf("%d B: Client decoded %+v", size, res)
+		}
+	}
+}
+
+// TestInvokeUnknownLength: a chunked upload (no Content-Length) is read to
+// its end and echoed, and is still capped by MaxBody.
+func TestInvokeUnknownLength(t *testing.T) {
+	const maxBody = 4 << 10
+	_, srv := newRealGateway(t, &Config{MaxBody: maxBody})
+	c := &Client{BaseURL: srv.URL, Token: "tok-a"}
+	if err := c.Register(fastSpec("piped")); err != nil {
+		t.Fatal(err)
+	}
+	upload := func(payload []byte) *http.Response {
+		t.Helper()
+		pr, pw := io.Pipe()
+		go func() {
+			_, err := pw.Write(payload)
+			pw.CloseWithError(err) // a refused upload fails the write; the response says why
+		}()
+		req, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/functions/piped/invoke", pr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if req.ContentLength != 0 || req.GetBody != nil {
+			t.Fatalf("pipe body has a known length: %d", req.ContentLength)
+		}
+		req.ContentLength = -1
+		req.Header.Set("Authorization", "Bearer tok-a")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { resp.Body.Close() })
+		return resp
+	}
+
+	payload := bytes.Repeat([]byte("p"), 3000) // several growth steps past 512 B
+	resp := upload(payload)
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK || !bytes.Equal(body, payload) {
+		t.Fatalf("chunked upload: status %d, %d bytes back, err %v", resp.StatusCode, len(body), err)
+	}
+	if resp.ContentLength != int64(len(payload)) {
+		t.Errorf("Content-Length %d, want %d", resp.ContentLength, len(payload))
+	}
+
+	resp = upload(bytes.Repeat([]byte("p"), maxBody+1))
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize chunked upload: status %d, want 413", resp.StatusCode)
+	}
+	if env := decodeEnvelope(t, resp); env.Error.Code != "payload_too_large" {
+		t.Fatalf("oversize chunked upload: code %q, want payload_too_large", env.Error.Code)
+	}
+}
+
+// unreadable is a request body that must not be read.
+type unreadable struct{ t *testing.T }
+
+func (u unreadable) Read([]byte) (int, error) {
+	u.t.Error("the body of a request declared over MaxBody was read")
+	return 0, io.EOF
+}
+func (unreadable) Close() error { return nil }
+
+// TestDeclaredOversizeRefusedUnread: a Content-Length over MaxBody is 413
+// payload_too_large before a byte of the body is read, on every route that
+// takes one.
+func TestDeclaredOversizeRefusedUnread(t *testing.T) {
+	gw := New(core.New(core.Options{}), Config{Tokens: map[string]string{"tok-a": "alpha"}, MaxBody: 256})
+	for _, path := range []string{"/v1/functions", "/v1/functions/f/invoke", "/v1/functions/f/invoke-async"} {
+		req := httptest.NewRequest(http.MethodPost, path, unreadable{t})
+		req.ContentLength = 257
+		req.Header.Set("Authorization", "Bearer tok-a")
+		rec := httptest.NewRecorder()
+		gw.ServeHTTP(rec, req)
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status %d, want 413", path, rec.Code)
+			continue
+		}
+		if env := decodeEnvelope(t, rec.Result()); env.Error.Code != "payload_too_large" {
+			t.Errorf("%s: code %q, want payload_too_large", path, env.Error.Code)
+		}
+	}
+}
+
+// TestClientAddressesEveryRegisteredName: Register only refuses "/" and
+// over-long names, so the Client must reach a name made of the characters a
+// URL gives meaning to — on every call that takes a name.
+func TestClientAddressesEveryRegisteredName(t *testing.T) {
+	const name = "a b?c#d%e"
 	_, srv := newRealGateway(t, nil)
 	c := &Client{BaseURL: srv.URL, Token: "tok-a"}
-	if err := c.Register(fastSpec("big")); err != nil {
+	if err := c.Register(fastSpec(name)); err != nil {
 		t.Fatal(err)
 	}
-	payload := bytes.Repeat([]byte("chunky"), (invokeChunk*3)/6+1)
-	res, err := c.Invoke("big", payload)
+	if fns, err := c.List(); err != nil || len(fns) != 1 || fns[0].Name != name {
+		t.Fatalf("list = %+v, %v; want one function named %q", fns, err, name)
+	}
+	res, err := c.Invoke(name, []byte("sync"))
+	if err != nil || string(res.Output) != "sync" {
+		t.Fatalf("invoke = %q, %v", res.Output, err)
+	}
+	id, err := c.InvokeAsync(name, []byte("async"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(res.Output, payload) {
-		t.Fatalf("output mismatch: got %d bytes, want %d", len(res.Output), len(payload))
+	st := pollDone(t, c, id)
+	if st.Status != "succeeded" || string(st.Output) != "async" || st.Function != name {
+		t.Fatalf("async status = %+v", st)
 	}
-	if !res.Cold {
-		t.Error("first invoke should be cold")
+	if err := c.Delete(name); err != nil {
+		t.Fatalf("delete: %v", err)
 	}
-	if res.RequestID <= 0 || res.Attempt != 1 || res.Latency <= 0 {
-		t.Errorf("metadata = %+v, want positive request id/latency, attempt 1", res)
+	if _, err := c.Invoke(name, nil); !errors.Is(err, faas.ErrNoFunction) {
+		t.Fatalf("invoke after delete = %v, want ErrNoFunction", err)
 	}
-	if res.TraceID <= 0 {
-		t.Errorf("trace id = %d, want a rooted trace per HTTP invoke", res.TraceID)
+}
+
+// TestClientKeepsOneConnection: reading a response to its declared length
+// must leave the connection reusable — empty, small and large bodies, errors
+// and JSON routes included.
+func TestClientKeepsOneConnection(t *testing.T) {
+	p := core.New(core.Options{})
+	srv := httptest.NewUnstartedServer(New(p, Config{Tokens: map[string]string{"tok-a": "alpha"}}))
+	var conns atomic.Int32
+	srv.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			conns.Add(1)
+		}
 	}
-	warm, err := c.Invoke("big", []byte("x"))
-	if err != nil {
+	srv.Start()
+	defer srv.Close()
+	tr := &http.Transport{}
+	defer tr.CloseIdleConnections()
+	c := &Client{BaseURL: srv.URL, Token: "tok-a", HTTP: &http.Client{Transport: tr}}
+	if err := c.Register(fastSpec("kept")); err != nil {
 		t.Fatal(err)
 	}
-	if warm.Cold {
-		t.Error("second invoke should be warm")
+	for i := 0; i < 5; i++ {
+		for _, size := range []int{0, 64, 64 << 10} {
+			if res, err := c.Invoke("kept", make([]byte, size)); err != nil || len(res.Output) != size {
+				t.Fatalf("invoke %d B: %d bytes back, %v", size, len(res.Output), err)
+			}
+		}
+		if _, err := c.Invoke("ghost", nil); !errors.Is(err, faas.ErrNoFunction) {
+			t.Fatalf("invoke of ghost = %v", err)
+		}
+		if _, err := c.List(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := conns.Load(); n != 1 {
+		t.Fatalf("%d connections opened, want 1 kept alive", n)
 	}
 }
 
@@ -259,18 +500,7 @@ func TestAsyncLifecycle(t *testing.T) {
 		t.Fatalf("id = %q, want inv-* form", id)
 	}
 
-	var st InvocationStatus
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st, err = c.Invocation(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Status != "pending" || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	st := pollDone(t, c, id)
 	if st.Status != "succeeded" {
 		t.Fatalf("final status = %q, want succeeded", st.Status)
 	}
@@ -306,18 +536,7 @@ func TestAsyncFailureSurfacesEnvelopeCode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st InvocationStatus
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st, err = c.Invocation(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Status != "pending" || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	st := pollDone(t, c, id)
 	if st.Status != "failed" || st.Error == nil {
 		t.Fatalf("status = %+v, want failed with error body", st)
 	}

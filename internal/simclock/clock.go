@@ -6,9 +6,10 @@
 //
 // The virtual clock follows a quiescence-advance design: goroutines
 // participating in simulated time are spawned through Clock.Go, and block
-// through Clock.Sleep or Clock.BlockOn. When every tracked goroutine is
-// blocked and at least one is sleeping on a deadline, the clock jumps to the
-// earliest deadline and wakes the sleepers due at that instant.
+// through Clock.Sleep or Clock.BlockOn; goroutines the clock does not track
+// (net/http handlers) enter through Clock.Join. When every tracked goroutine
+// is blocked and at least one is sleeping on a deadline, the clock jumps to
+// the earliest deadline and wakes the sleepers due at that instant.
 package simclock
 
 import (
@@ -42,6 +43,14 @@ type Clock interface {
 	// goroutine as blocked so time can advance past it; under the real
 	// clock it simply calls fn.
 	BlockOn(fn func())
+
+	// Join runs fn in this clock's time on behalf of a goroutine the clock
+	// does not track (a net/http handler, say) and returns once fn has. Under
+	// the virtual clock fn runs on a tracked goroutine, so its Sleeps advance
+	// virtual time, while the caller waits where the clock cannot see it —
+	// an untracked goroutine must stay invisible to quiescence detection.
+	// Under the real clock there is nothing to track: it simply calls fn.
+	Join(fn func())
 }
 
 // Real is the wall Clock. The zero value is ready to use.
@@ -82,3 +91,6 @@ func (Real) Go(fn func()) { go fn() }
 
 // BlockOn simply runs fn.
 func (Real) BlockOn(fn func()) { fn() }
+
+// Join simply runs fn, on the caller's goroutine.
+func (Real) Join(fn func()) { fn() }

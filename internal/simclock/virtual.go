@@ -158,6 +158,18 @@ func (v *Virtual) BlockOn(fn func()) {
 	v.cond.Broadcast()
 }
 
+// Join runs fn on a tracked goroutine and waits for it on a plain channel:
+// the caller is untracked, and a wait the clock could see would count a
+// goroutine it never started.
+func (v *Virtual) Join(fn func()) {
+	done := make(chan struct{})
+	v.Go(func() {
+		fn()
+		close(done)
+	})
+	<-done
+}
+
 // Run executes fn as the root tracked goroutine and blocks the caller (which
 // is outside the simulation) until fn and every goroutine it spawned via Go
 // have finished. It returns the final virtual time.

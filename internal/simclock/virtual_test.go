@@ -1,6 +1,8 @@
 package simclock
 
 import (
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -234,5 +236,63 @@ func TestVirtualManyGoroutinesStress(t *testing.T) {
 	}
 	if end.Sub(Epoch) > 35*time.Second || end.Sub(Epoch) < 5*time.Second {
 		t.Fatalf("implausible elapsed %v", end.Sub(Epoch))
+	}
+}
+
+// goid names the calling goroutine, from the header line of its stack trace
+// ("goroutine 18 [running]:").
+func goid() string {
+	var buf [64]byte
+	return strings.Fields(string(buf[:runtime.Stack(buf[:], false)]))[1]
+}
+
+// TestRealJoinRunsOnCaller: under the real clock Join is a plain call — fn
+// runs on the caller's goroutine and has returned when Join does.
+func TestRealJoinRunsOnCaller(t *testing.T) {
+	var c Clock = Real{}
+	var ran string
+	c.Join(func() { ran = goid() })
+	if ran != goid() {
+		t.Fatalf("fn ran on goroutine %s, Join was called on %s", ran, goid())
+	}
+}
+
+// TestVirtualJoinFromUntrackedGoroutine is the gateway's situation: a tracked
+// driver waits in BlockOn for a goroutine the clock never started (the HTTP
+// handler), which runs clock-timed work through Join. fn's Sleep must advance
+// virtual time by exactly its duration, Join must return only after fn, the
+// untracked wait must not read as a deadlock (the driver would panic), and
+// every repetition must see the same elapsed time.
+func TestVirtualJoinFromUntrackedGoroutine(t *testing.T) {
+	const d = 7 * time.Millisecond
+	for rep := 0; rep < 50; rep++ {
+		v := NewVirtual()
+		var slept time.Duration
+		var fnDone, sameGoroutine bool
+		v.Run(func() {
+			handled := make(chan struct{})
+			go func() { // untracked, like a net/http handler goroutine
+				defer close(handled)
+				caller := goid()
+				v.Join(func() {
+					t0 := v.Now()
+					v.Sleep(d)
+					slept = v.Now().Sub(t0)
+					sameGoroutine = goid() == caller
+					fnDone = true
+				})
+				if !fnDone {
+					t.Error("Join returned before fn did")
+				}
+			}()
+			v.BlockOn(func() { <-handled })
+		})
+		v.Close()
+		if sameGoroutine {
+			t.Fatal("fn ran on the untracked caller: its Sleep is invisible to the clock")
+		}
+		if slept != d || v.Elapsed() != d {
+			t.Fatalf("rep %d: fn slept %v, clock elapsed %v; want %v for both", rep, slept, v.Elapsed(), d)
+		}
 	}
 }
