@@ -393,7 +393,7 @@ func demoBurst(p *core.Platform, clock simclock.Clock) {
 
 	var (
 		mu        sync.Mutex
-		wg        sync.WaitGroup
+		wg        = simclock.NewGroup(clock)
 		latencies []time.Duration
 		cold      int
 		peakWant  int
@@ -401,9 +401,7 @@ func demoBurst(p *core.Platform, clock simclock.Clock) {
 	start := clock.Now()
 	for _, at := range arrivals {
 		at := at
-		wg.Add(1)
-		clock.Go(func() {
-			defer wg.Done()
+		wg.Go(func() {
 			clock.Sleep(at - clock.Now().Sub(start))
 			res, err := demo.Invoke("api", []byte("r"))
 			if err != nil {
@@ -418,9 +416,7 @@ func demoBurst(p *core.Platform, clock simclock.Clock) {
 		})
 	}
 	// Sample the controller's desired count while the surge is in flight.
-	wg.Add(1)
-	clock.Go(func() {
-		defer wg.Done()
+	wg.Go(func() {
 		for i := 0; i < 12; i++ {
 			clock.Sleep(time.Second)
 			for _, f := range ctrl.Status().Functions {
@@ -430,7 +426,7 @@ func demoBurst(p *core.Platform, clock simclock.Clock) {
 			}
 		}
 	})
-	clock.BlockOn(wg.Wait)
+	wg.Wait()
 
 	p99, _ := faas.PercentileOK(latencies, 99)
 	fmt.Printf("served %d/%d invocations (%d cold starts), p99 %v, peak desired instances %d\n",

@@ -19,6 +19,7 @@ import (
 	"repro/internal/blob"
 	"repro/internal/faas"
 	"repro/internal/jiffy"
+	"repro/internal/simclock"
 )
 
 // ErrJobFailed wraps worker failures.
@@ -168,7 +169,7 @@ func Run(p *faas.Platform, store ShuffleStore, job Job, chunks []string) (map[st
 	defer p.UnregisterFor(job.Tenant, reducerName)
 
 	// Map phase: all chunks in parallel.
-	var wg sync.WaitGroup
+	wg := simclock.NewGroup(p.Clock())
 	var mu sync.Mutex
 	var firstErr error
 	for i, chunk := range chunks {
@@ -186,7 +187,7 @@ func Run(p *faas.Platform, store ShuffleStore, job Job, chunks []string) (map[st
 			wg.Done()
 		})
 	}
-	p.Clock().BlockOn(wg.Wait)
+	wg.Wait()
 	if firstErr != nil {
 		return nil, fmt.Errorf("%w: map phase: %v", ErrJobFailed, firstErr)
 	}
@@ -213,7 +214,7 @@ func Run(p *faas.Platform, store ShuffleStore, job Job, chunks []string) (map[st
 			wg.Done()
 		})
 	}
-	p.Clock().BlockOn(wg.Wait)
+	wg.Wait()
 	if firstErr != nil {
 		return nil, fmt.Errorf("%w: reduce phase: %v", ErrJobFailed, firstErr)
 	}

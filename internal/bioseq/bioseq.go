@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/faas"
+	"repro/internal/simclock"
 )
 
 // ErrBadInput is returned for invalid workloads.
@@ -187,7 +188,7 @@ func AllPairsServerless(p *faas.Platform, seqs []string, s Scoring, cfg Serverle
 	}
 	defer p.UnregisterFor(cfg.Tenant, fnName)
 
-	var wg sync.WaitGroup
+	wg := simclock.NewGroup(p.Clock())
 	var mu sync.Mutex
 	var firstErr error
 	results := make(map[Pair]int, len(pairs))
@@ -214,7 +215,7 @@ func AllPairsServerless(p *faas.Platform, seqs []string, s Scoring, cfg Serverle
 			wg.Done()
 		})
 	}
-	p.Clock().BlockOn(wg.Wait)
+	wg.Wait()
 	if firstErr != nil {
 		return nil, firstErr
 	}

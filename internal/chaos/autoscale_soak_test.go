@@ -114,7 +114,7 @@ func runAutoscaleSoak(t *testing.T, seed int64) autoscaleSoakResult {
 
 		// Burst phase: 8 concurrent waves every 500ms for 8s, overlapping
 		// the whole fault schedule; then idle for scale-to-zero.
-		var wg sync.WaitGroup
+		wg := simclock.NewGroup(v)
 		var mu sync.Mutex
 		for wave := 0; wave < 16; wave++ {
 			wave := wave
@@ -124,9 +124,7 @@ func runAutoscaleSoak(t *testing.T, seed int64) autoscaleSoakResult {
 			}
 			for j := 0; j < width; j++ {
 				key := fmt.Sprintf("w%d-%d", wave, j)
-				wg.Add(1)
-				v.Go(func() {
-					defer wg.Done()
+				wg.Go(func() {
 					v.Sleep(time.Duration(wave)*500*time.Millisecond + 700*time.Microsecond)
 					out, err := fp.InvokeFor("soak", "writer", []byte(key))
 					mu.Lock()
@@ -144,9 +142,7 @@ func runAutoscaleSoak(t *testing.T, seed int64) autoscaleSoakResult {
 			}
 		}
 		// Sample the controller while the burst runs.
-		wg.Add(1)
-		v.Go(func() {
-			defer wg.Done()
+		wg.Go(func() {
 			for i := 0; i < 8; i++ {
 				v.Sleep(time.Second)
 				st := ctrl.Status()
@@ -160,7 +156,7 @@ func runAutoscaleSoak(t *testing.T, seed int64) autoscaleSoakResult {
 				}
 			}
 		})
-		v.BlockOn(wg.Wait)
+		wg.Wait()
 		inj.Wait()
 
 		v.Sleep(15 * time.Second) // idle: scale-to-zero + drain

@@ -218,7 +218,7 @@ type Injector struct {
 	log      []string
 	downAt   map[string]time.Time
 	crashers map[string]*Crasher // function name → effect-boundary crasher
-	wg       sync.WaitGroup
+	wg       *simclock.Group
 }
 
 // RegisterCrasher attaches a function's effect-boundary Crasher so
@@ -236,6 +236,7 @@ func (inj *Injector) RegisterCrasher(name string, c *Crasher) {
 func NewInjector(clock simclock.Clock, ledgers *ledger.System, cluster *pulsar.Cluster, mem *jiffy.Controller) *Injector {
 	return &Injector{
 		clock:   clock,
+		wg:      simclock.NewGroup(clock),
 		ledgers: ledgers,
 		cluster: cluster,
 		mem:     mem,
@@ -254,9 +255,7 @@ func (inj *Injector) SetObs(r *obs.Registry) {
 // virtual clock inside Virtual.Run the replay completes before Run returns;
 // Wait blocks explicitly otherwise.
 func (inj *Injector) Run(sch Schedule) {
-	inj.wg.Add(1)
-	inj.clock.Go(func() {
-		defer inj.wg.Done()
+	inj.wg.Go(func() {
 		var elapsed time.Duration
 		for _, e := range sch {
 			if e.At > elapsed {
@@ -269,7 +268,7 @@ func (inj *Injector) Run(sch Schedule) {
 }
 
 // Wait blocks (clock-aware) until every scheduled event has been applied.
-func (inj *Injector) Wait() { inj.clock.BlockOn(inj.wg.Wait) }
+func (inj *Injector) Wait() { inj.wg.Wait() }
 
 // Log returns the applied-event log, one line per event in application
 // order. Two runs with the same seed, stack and workload produce identical

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -79,10 +78,8 @@ func runMoveCrash(t *testing.T) moveCrashResult {
 
 		cluster.SetHandoffDelay(2 * time.Millisecond)
 		inj.Run(sch)
-		var wg sync.WaitGroup
-		wg.Add(1)
-		v.Go(func() {
-			defer wg.Done()
+		wg := simclock.NewGroup(v)
+		wg.Go(func() {
 			err := cluster.MoveTopic("orders", "broker-1")
 			if err == nil {
 				t.Error("move to crashed broker unexpectedly succeeded")
@@ -93,7 +90,7 @@ func runMoveCrash(t *testing.T) moveCrashResult {
 			}
 			res.moveErr = "broker-down"
 		})
-		v.BlockOn(wg.Wait)
+		wg.Wait()
 		cluster.SetHandoffDelay(0)
 
 		// The topic is unowned and the destination is still down: the next

@@ -111,16 +111,14 @@ func runSoak(t *testing.T, seed int64) soakResult {
 		must(t, err)
 
 		inj.Run(sch)
-		var wg sync.WaitGroup
+		wg := simclock.NewGroup(v)
 		var ackedEntries [][]byte
 		var mu sync.Mutex
 
 		// Ledger workload: a batch append every 2ms. With 5 bookies and at
 		// most one down, ensemble replacement must absorb every crash: a
 		// failed append here is a recovery bug, not acceptable chaos.
-		wg.Add(1)
-		v.Go(func() {
-			defer wg.Done()
+		wg.Go(func() {
 			for i := 0; i < iters; i++ {
 				batch := [][]byte{
 					[]byte(fmt.Sprintf("L%d-a", i)),
@@ -142,9 +140,7 @@ func runSoak(t *testing.T, seed int64) soakResult {
 		// fail and no acked put may vanish.
 		jiffyAcked := map[string]string{}
 		var enq, deq []string
-		wg.Add(1)
-		v.Go(func() {
-			defer wg.Done()
+		wg.Go(func() {
 			for i := 0; i < iters; i++ {
 				k, val := fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i)
 				if err := ns.Put(k, []byte(val)); err != nil {
@@ -173,9 +169,7 @@ func runSoak(t *testing.T, seed int64) soakResult {
 		// exhausted failover retries may fail a publish — that loss is
 		// legal (never acked); only acked publishes are load-bearing.
 		prodDone := make(chan struct{})
-		wg.Add(1)
-		v.Go(func() {
-			defer wg.Done()
+		wg.Go(func() {
 			defer close(prodDone)
 			for i := 0; i < iters; i++ {
 				payload := fmt.Sprintf("m%d", i)
@@ -191,9 +185,7 @@ func runSoak(t *testing.T, seed int64) soakResult {
 		// Pulsar consumer: receive and ack everything, riding through
 		// broker failovers; drains after the producer stops.
 		received := map[int64][]byte{}
-		wg.Add(1)
-		v.Go(func() {
-			defer wg.Done()
+		wg.Go(func() {
 			done := false
 			for {
 				m, ok := cons.Receive(4 * time.Millisecond)
@@ -214,7 +206,7 @@ func runSoak(t *testing.T, seed int64) soakResult {
 			}
 		})
 
-		v.BlockOn(wg.Wait)
+		wg.Wait()
 		inj.Wait()
 
 		// --- verification: zero lost acked data, everywhere ---

@@ -2,7 +2,6 @@ package chaos
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -83,11 +82,9 @@ func runTraceSoak(t *testing.T, seed int64) (digest string, stats obs.TracerStat
 		must(t, err)
 
 		inj.Run(filtered)
-		var wg sync.WaitGroup
+		wg := simclock.NewGroup(v)
 		prodDone := make(chan struct{})
-		wg.Add(1)
-		v.Go(func() {
-			defer wg.Done()
+		wg.Go(func() {
 			defer close(prodDone)
 			for i := 0; i < 40; i++ {
 				root := tr.Start(obs.TraceCtx{}, "soak.request")
@@ -98,9 +95,7 @@ func runTraceSoak(t *testing.T, seed int64) (digest string, stats obs.TracerStat
 				v.Sleep(2 * time.Millisecond)
 			}
 		})
-		wg.Add(1)
-		v.Go(func() {
-			defer wg.Done()
+		wg.Go(func() {
 			done := false
 			for {
 				m, ok := cons.Receive(4 * time.Millisecond)
@@ -118,7 +113,7 @@ func runTraceSoak(t *testing.T, seed int64) (digest string, stats obs.TracerStat
 				}
 			}
 		})
-		v.BlockOn(wg.Wait)
+		wg.Wait()
 		inj.Wait()
 	})
 	return tr.CanonicalDigest(), tr.Stats()

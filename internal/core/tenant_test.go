@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/billing"
 	"repro/internal/faas"
+	"repro/internal/simclock"
 )
 
 func TestTenantHandle(t *testing.T) {
@@ -39,20 +40,18 @@ func TestTenantHandle(t *testing.T) {
 		}
 
 		// Async path honors the same scoping.
-		got := make(chan error, 1)
-		rival.InvokeAsync("resize", nil, func(_ faas.Result, err error) { got <- err })
-		v.BlockOn(func() {
-			if err := <-got; !errors.Is(err, faas.ErrNoFunction) {
-				t.Errorf("cross-tenant async err = %v, want ErrNoFunction", err)
-			}
-		})
-		done := make(chan error, 1)
-		acme.InvokeAsync("resize", []byte("x"), func(_ faas.Result, err error) { done <- err })
-		v.BlockOn(func() {
-			if err := <-done; err != nil {
-				t.Errorf("own async invoke: %v", err)
-			}
-		})
+		var rivalErr, ownErr error
+		async := simclock.NewGroup(v)
+		async.Add(2)
+		rival.InvokeAsync("resize", nil, func(_ faas.Result, err error) { rivalErr = err; async.Done() })
+		acme.InvokeAsync("resize", []byte("x"), func(_ faas.Result, err error) { ownErr = err; async.Done() })
+		async.Wait()
+		if !errors.Is(rivalErr, faas.ErrNoFunction) {
+			t.Errorf("cross-tenant async err = %v, want ErrNoFunction", rivalErr)
+		}
+		if ownErr != nil {
+			t.Errorf("own async invoke: %v", ownErr)
+		}
 	})
 
 	// The invocation shows up on the handle's invoice.

@@ -130,11 +130,10 @@ func runChaosSoak(seed int64) chaosDigest {
 		}
 
 		inj.Run(sch)
-		done := make(chan struct{}, 3)
+		workers := simclock.NewGroup(v)
 
 		var acked int
-		v.Go(func() {
-			defer func() { done <- struct{}{} }()
+		workers.Go(func() {
 			for i := 0; i < iters; i++ {
 				if _, err := w.Append([]byte(fmt.Sprintf("L%d", i))); err == nil {
 					acked++
@@ -145,8 +144,7 @@ func runChaosSoak(seed int64) chaosDigest {
 
 		jiffyAcked := map[string]string{}
 		var enq []string
-		v.Go(func() {
-			defer func() { done <- struct{}{} }()
+		workers.Go(func() {
 			for i := 0; i < iters; i++ {
 				k, val := fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i)
 				if err := ns.Put(k, []byte(val)); err == nil {
@@ -162,8 +160,7 @@ func runChaosSoak(seed int64) chaosDigest {
 
 		var pubAcked []string
 		prodDone := make(chan struct{})
-		v.Go(func() {
-			defer func() { done <- struct{}{} }()
+		workers.Go(func() {
 			defer close(prodDone)
 			for i := 0; i < iters; i++ {
 				payload := fmt.Sprintf("m%d", i)
@@ -175,9 +172,7 @@ func runChaosSoak(seed int64) chaosDigest {
 		})
 
 		received := map[string]bool{}
-		recvDone := make(chan struct{})
-		v.Go(func() {
-			defer close(recvDone)
+		workers.Go(func() {
 			closing := false
 			for {
 				m, ok := cons.Receive(4 * time.Millisecond)
@@ -197,10 +192,7 @@ func runChaosSoak(seed int64) chaosDigest {
 			}
 		})
 
-		for i := 0; i < 3; i++ {
-			v.BlockOn(func() { <-done })
-		}
-		v.BlockOn(func() { <-recvDone })
+		workers.Wait()
 		inj.Wait()
 
 		// Verify each plane against what was acked.

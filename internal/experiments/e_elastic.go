@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/faas"
 	"repro/internal/scheduler"
+	"repro/internal/simclock"
 	"repro/internal/workload"
 )
 
@@ -111,7 +112,7 @@ func runBurstConverge(seed int64) elasticDigest {
 
 	var (
 		mu        sync.Mutex
-		wg        sync.WaitGroup
+		wg        = simclock.NewGroup(v)
 		latAll    []time.Duration
 		perSecond = make([][]time.Duration, int(window/time.Second)+1)
 		d         elasticDigest
@@ -140,9 +141,7 @@ func runBurstConverge(seed int64) elasticDigest {
 
 		for _, at := range arrivals {
 			at := at
-			wg.Add(1)
-			v.Go(func() {
-				defer wg.Done()
+			wg.Go(func() {
 				v.Sleep(at)
 				res, err := demo.Invoke("api", nil)
 				if err != nil {
@@ -160,9 +159,7 @@ func runBurstConverge(seed int64) elasticDigest {
 			})
 		}
 		// Sample the controller's view once per tick while the burst runs.
-		wg.Add(1)
-		v.Go(func() {
-			defer wg.Done()
+		wg.Go(func() {
 			for i := 0; i < int(window/time.Second); i++ {
 				v.Sleep(time.Second)
 				st := ctrl.Status()
@@ -176,7 +173,7 @@ func runBurstConverge(seed int64) elasticDigest {
 				}
 			}
 		})
-		v.BlockOn(wg.Wait)
+		wg.Wait()
 
 		v.Sleep(30 * time.Second) // idle: scale-to-zero, then drain
 		st := ctrl.Status()
@@ -236,7 +233,7 @@ func runFairness(seed int64) fairnessDigest {
 
 		var (
 			mu   sync.Mutex
-			wg   sync.WaitGroup
+			wg   = simclock.NewGroup(v)
 			lats []time.Duration
 			aOK  int
 		)
@@ -255,9 +252,7 @@ func runFairness(seed int64) fairnessDigest {
 			drive := func(t *core.TenantHandle, fn string, arrivals []time.Duration, ok *int) {
 				for _, at := range arrivals {
 					at := at
-					wg.Add(1)
-					v.Go(func() {
-						defer wg.Done()
+					wg.Go(func() {
 						v.Sleep(at)
 						res, err := t.Invoke(fn, nil)
 						if err != nil {
@@ -277,7 +272,7 @@ func runFairness(seed int64) fairnessDigest {
 			if withAttacker {
 				drive(attacker, "a", workload.OffsetArrivals(workload.Arrivals(workload.Constant(floodRPS), window, seed+1), 700*time.Microsecond), &aOK)
 			}
-			v.BlockOn(wg.Wait)
+			wg.Wait()
 		})
 		return lats, victim.Shed(), attacker.Shed(), aOK
 	}

@@ -144,20 +144,17 @@ func TestConcurrencyThrottle(t *testing.T) {
 	must(t, p.Register("f", "t", worker(time.Second), Config{MaxConcurrency: 2, KeepAlive: time.Hour, MaxRetries: -1}))
 	v.Run(func() {
 		var throttled int64
-		done := make(chan struct{}, 3)
+		done := simclock.NewGroup(v)
 		for i := 0; i < 3; i++ {
+			done.Add(1)
 			p.InvokeAsyncFor("t", "f", nil, func(_ Result, err error) {
 				if errors.Is(err, ErrThrottled) {
 					atomic.AddInt64(&throttled, 1)
 				}
-				done <- struct{}{}
+				done.Done()
 			})
 		}
-		v.BlockOn(func() {
-			for i := 0; i < 3; i++ {
-				<-done
-			}
-		})
+		done.Wait()
 		if throttled != 1 {
 			t.Errorf("throttled = %d, want 1", throttled)
 		}
@@ -219,14 +216,14 @@ func TestAsyncRetrySucceedsEventually(t *testing.T) {
 	}
 	must(t, p.Register("flaky", "t", flaky, Config{MaxRetries: 2}))
 	v.Run(func() {
-		done := make(chan error, 1)
+		done := simclock.NewEvent(v)
 		var attempt int
-		p.InvokeAsyncFor("t", "flaky", nil, func(res Result, err error) {
-			attempt = int(atomic.LoadInt64(&calls))
-			done <- err
-		})
 		var err error
-		v.BlockOn(func() { err = <-done })
+		p.InvokeAsyncFor("t", "flaky", nil, func(_ Result, e error) {
+			attempt, err = int(atomic.LoadInt64(&calls)), e
+			done.Set()
+		})
+		done.Wait()
 		if err != nil {
 			t.Errorf("async retry failed: %v", err)
 		}
@@ -250,9 +247,9 @@ func TestAttemptNumberVisibleToHandler(t *testing.T) {
 	}
 	must(t, p.Register("f", "t", h, Config{MaxRetries: 2}))
 	v.Run(func() {
-		done := make(chan struct{})
-		p.InvokeAsyncFor("t", "f", nil, func(Result, error) { close(done) })
-		v.BlockOn(func() { <-done })
+		done := simclock.NewEvent(v)
+		p.InvokeAsyncFor("t", "f", nil, func(Result, error) { done.Set() })
+		done.Wait()
 	})
 	if lastAttempt != 2 {
 		t.Fatalf("final attempt = %d, want 2", lastAttempt)

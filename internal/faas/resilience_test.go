@@ -249,15 +249,15 @@ func TestAsyncRetryJitterBounds(t *testing.T) {
 	must(t, p.Register("f", "t", flaky, Config{MaxRetries: 2}))
 	var final Result
 	v.Run(func() {
-		done := make(chan struct{})
+		done := simclock.NewEvent(v)
 		p.InvokeAsyncFor("t", "f", nil, func(res Result, err error) {
 			final = res
 			if err != nil {
 				t.Errorf("async retry failed: %v", err)
 			}
-			close(done)
+			done.Set()
 		})
-		v.BlockOn(func() { <-done })
+		done.Wait()
 	})
 	if final.Attempt != 3 {
 		t.Fatalf("Attempt = %d, want 3", final.Attempt)

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/blob"
 	"repro/internal/queue"
+	"repro/internal/simclock"
 )
 
 // BindQueue wires a queue as an event source for tenant's function (the
@@ -72,8 +73,7 @@ type DriveReport struct {
 	mu      sync.Mutex
 	results []Result
 	errs    []error
-	wg      sync.WaitGroup
-	p       *Platform
+	wg      *simclock.Group
 }
 
 // Results returns the collected invocation results (call after Wait).
@@ -91,16 +91,14 @@ func (r *DriveReport) Errors() []error {
 }
 
 // Wait blocks (clock-aware) until every driven invocation has completed.
-func (r *DriveReport) Wait() {
-	r.p.clock.BlockOn(r.wg.Wait)
-}
+func (r *DriveReport) Wait() { r.wg.Wait() }
 
 // Drive replays an arrival schedule against tenant's function: at each offset
 // in arrivals (relative to now), one asynchronous invocation fires. It is the
 // bridge from workload generators to the platform used by the elasticity,
 // cold-start and cost experiments (E1-E3).
 func Drive(p *Platform, tenant, fnName string, payload []byte, arrivals []time.Duration) *DriveReport {
-	rep := &DriveReport{p: p}
+	rep := &DriveReport{wg: simclock.NewGroup(p.clock)}
 	rep.wg.Add(len(arrivals))
 	p.clock.Go(func() {
 		var prev time.Duration

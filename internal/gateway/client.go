@@ -19,10 +19,12 @@ import (
 // are read once, by the first call. A Client must not be copied after that.
 //
 // Block, when set, wraps every HTTP round-trip. A driver goroutine tracked
-// by the virtual clock MUST set it to clock.BlockOn: the socket wait inside
-// Do is otherwise invisible to quiescence detection and the simulation
-// deadlocks — the clock sees a tracked goroutine that is neither running nor
-// blocked on it. Real-clock callers leave it nil.
+// by the virtual clock MUST set it to Virtual.Outside: the socket wait inside
+// Do is a wait on the world beyond the clock, which then holds virtual time
+// still while the request or the response is in flight and lets it move only
+// while the server side runs the invocation inside Clock.Join. Without it the
+// clock counts the client as runnable throughout and the simulation never
+// advances. Real-clock callers leave it nil.
 type Client struct {
 	BaseURL string
 	Token   string

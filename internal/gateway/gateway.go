@@ -27,11 +27,12 @@
 // clock does not track. Each invoke therefore runs inside Clock.Join: under
 // the virtual clock that is a tracked worker (its Sleeps advance virtual
 // time) the handler waits for on a plain channel — an untracked wait the
-// clock cannot see, which is exactly right: the HTTP goroutine must be
-// invisible to quiescence detection; under the real clock it is a plain call
-// on the handler's own goroutine. Virtual-clock callers in the same process
-// wrap their HTTP round-trips in clock.BlockOn (see Client) so the driver's
-// socket wait does not deadlock the simulation.
+// clock cannot see, which is exactly right: the HTTP goroutine takes no part
+// in the clock's runnable count; under the real clock it is a plain call on
+// the handler's own goroutine. Virtual-clock callers in the same process wrap
+// their HTTP round-trips in Virtual.Outside (see Client.Block): the round
+// trip holds virtual time still except while its Join is running, so the
+// latency a client observes is exactly what the invocation slept.
 package gateway
 
 import (

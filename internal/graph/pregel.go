@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/faas"
 	"repro/internal/jiffy"
+	"repro/internal/simclock"
 )
 
 // VertexProgram defines one vertex-centric computation (the Pregel model
@@ -172,7 +173,7 @@ func Run(p *faas.Platform, ns *jiffy.Namespace, g *Graph, prog VertexProgram, cf
 
 	stats := RunStats{}
 	for step := 0; step < cfg.MaxSupersteps; step++ {
-		var wg sync.WaitGroup
+		wg := simclock.NewGroup(p.Clock())
 		var mu sync.Mutex
 		var firstErr error
 		stepSent := int64(0)
@@ -201,7 +202,7 @@ func Run(p *faas.Platform, ns *jiffy.Namespace, g *Graph, prog VertexProgram, cf
 				wg.Done()
 			})
 		}
-		p.Clock().BlockOn(wg.Wait)
+		wg.Wait()
 		if firstErr != nil {
 			return nil, stats, firstErr
 		}

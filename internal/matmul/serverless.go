@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/faas"
 	"repro/internal/jiffy"
+	"repro/internal/simclock"
 )
 
 // encode serializes a matrix for ephemeral storage.
@@ -143,7 +144,7 @@ func MulBlocked(p *faas.Platform, ns *jiffy.Namespace, a, b Matrix, cfg Serverle
 	}
 	defer p.UnregisterFor(cfg.Tenant, fnName)
 
-	var wg sync.WaitGroup
+	wg := simclock.NewGroup(p.Clock())
 	var mu sync.Mutex
 	var firstErr error
 	for i := 0; i < aRT; i++ {
@@ -160,7 +161,7 @@ func MulBlocked(p *faas.Platform, ns *jiffy.Namespace, a, b Matrix, cfg Serverle
 			})
 		}
 	}
-	p.Clock().BlockOn(wg.Wait)
+	wg.Wait()
 	if firstErr != nil {
 		return Matrix{}, firstErr
 	}
@@ -250,7 +251,7 @@ func StrassenServerless(p *faas.Platform, ns *jiffy.Namespace, a, b Matrix, cuto
 	}
 	defer p.UnregisterFor(cfg.Tenant, fnName)
 
-	var wg sync.WaitGroup
+	wg := simclock.NewGroup(p.Clock())
 	var mu sync.Mutex
 	var firstErr error
 	for i := 0; i < 7; i++ {
@@ -265,7 +266,7 @@ func StrassenServerless(p *faas.Platform, ns *jiffy.Namespace, a, b Matrix, cuto
 			wg.Done()
 		})
 	}
-	p.Clock().BlockOn(wg.Wait)
+	wg.Wait()
 	if firstErr != nil {
 		return Matrix{}, firstErr
 	}

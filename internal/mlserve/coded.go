@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/faas"
+	"repro/internal/simclock"
 )
 
 // CodedConfig parameterizes straggler-resilient distributed mat-vec — the
@@ -127,10 +128,8 @@ func MatVec(p *faas.Platform, a [][]float64, x []float64, cfg CodedConfig) (Code
 	stripeDone := make([]bool, cfg.Stripes)
 	stripeOut := make([][]float64, cfg.Stripes)
 	remaining := cfg.Stripes
-	var wall time.Duration
-	allDone := make(chan struct{})
-	var once sync.Once
-	var wgAll sync.WaitGroup
+	allDone := simclock.NewEvent(clock)
+	wgAll := simclock.NewGroup(clock)
 
 	for s := 0; s < cfg.Stripes; s++ {
 		for r := 0; r < cfg.Replication; r++ {
@@ -152,27 +151,18 @@ func MatVec(p *faas.Platform, a [][]float64, x []float64, cfg CodedConfig) (Code
 					stripeOut[s] = out
 					remaining--
 					if remaining == 0 {
-						// Stamp the wall here, in the resolving tracked
-						// goroutine: virtual time cannot advance while it
-						// runs. Reading Now() after BlockOn resumes instead
-						// races with the clock driver — if this goroutine's
-						// waker is descheduled past the settle window (GC
-						// assist pressure), the driver jumps to the next
-						// deadline (a straggler's wake) first and the
-						// measurement absorbs the stragglers it was designed
-						// to dodge.
-						wall = clock.Now().Sub(start)
-						once.Do(func() { close(allDone) })
+						allDone.Set()
 					}
 				}
 				mu.Unlock()
 			})
 		}
 	}
-	clock.BlockOn(func() { <-allDone })
+	allDone.Wait()
+	wall := clock.Now().Sub(start)
 	// Drain the redundant replicas before returning (they exist and bill;
 	// the *result* was ready at wall).
-	clock.BlockOn(wgAll.Wait)
+	wgAll.Wait()
 
 	y := make([]float64, 0, rows)
 	mu.Lock()

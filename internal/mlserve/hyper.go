@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/faas"
+	"repro/internal/simclock"
 )
 
 // HyperConfig parameterizes a hyperparameter grid search in the style of
@@ -102,7 +103,7 @@ func GridSearch(p *faas.Platform, train, val Dataset, cfg HyperConfig) (HyperRep
 		return &out
 	}
 	if cfg.Concurrent {
-		var wg sync.WaitGroup
+		wg := simclock.NewGroup(clock)
 		var mu sync.Mutex
 		for _, tr := range grid {
 			payload, _ := json.Marshal(tr)
@@ -116,7 +117,7 @@ func GridSearch(p *faas.Platform, train, val Dataset, cfg HyperConfig) (HyperRep
 				wg.Done()
 			})
 		}
-		clock.BlockOn(wg.Wait)
+		wg.Wait()
 	} else {
 		for _, tr := range grid {
 			payload, _ := json.Marshal(tr)

@@ -101,18 +101,11 @@ func TestPSServiceSerializes(t *testing.T) {
 	defer v.Close()
 	ps := NewServer(v, 4, 10*time.Millisecond)
 	end := v.Run(func() {
-		done := make(chan struct{}, 8)
+		appliers := simclock.NewGroup(v)
 		for i := 0; i < 8; i++ {
-			v.Go(func() {
-				ps.Apply([]float64{1, 1, 1, 1}, 0.1)
-				done <- struct{}{}
-			})
+			appliers.Go(func() { ps.Apply([]float64{1, 1, 1, 1}, 0.1) })
 		}
-		v.BlockOn(func() {
-			for i := 0; i < 8; i++ {
-				<-done
-			}
-		})
+		appliers.Wait()
 	})
 	// 8 serialized applies at 10ms = 80ms.
 	if el := end.Sub(simclock.Epoch); el != 80*time.Millisecond {

@@ -1,7 +1,6 @@
 package mlserve
 
 import (
-	"sync"
 	"time"
 
 	"repro/internal/simclock"
@@ -16,7 +15,7 @@ type Server struct {
 	clock   simclock.Clock
 	service time.Duration
 
-	mu      sync.Mutex
+	mu      *simclock.Sem // one permit: held across the modelled service time
 	w       []float64
 	pulls   int64
 	applies int64
@@ -25,19 +24,13 @@ type Server struct {
 // NewServer creates a parameter server with zero-initialized weights of the
 // given dimension and the given per-request service time.
 func NewServer(clock simclock.Clock, dim int, service time.Duration) *Server {
-	return &Server{clock: clock, service: service, w: make([]float64, dim)}
-}
-
-// lockSlow acquires the server's lock in a virtual-clock-aware way: waiting
-// for a busy server counts as blocked, letting simulated time advance.
-func (s *Server) lockSlow() {
-	s.clock.BlockOn(s.mu.Lock)
+	return &Server{clock: clock, service: service, mu: simclock.NewSem(clock, 1), w: make([]float64, dim)}
 }
 
 // Pull returns a copy of the current weights, paying one service time.
 func (s *Server) Pull() []float64 {
-	s.lockSlow()
-	defer s.mu.Unlock()
+	s.mu.Acquire()
+	defer s.mu.Release()
 	s.clock.Sleep(s.service)
 	s.pulls++
 	return append([]float64{}, s.w...)
@@ -45,8 +38,8 @@ func (s *Server) Pull() []float64 {
 
 // Apply subtracts factor·grad from the weights, paying one service time.
 func (s *Server) Apply(grad []float64, factor float64) {
-	s.lockSlow()
-	defer s.mu.Unlock()
+	s.mu.Acquire()
+	defer s.mu.Release()
 	s.clock.Sleep(s.service)
 	s.applies++
 	for i := range s.w {
@@ -57,15 +50,15 @@ func (s *Server) Apply(grad []float64, factor float64) {
 // Snapshot returns the weights without paying service time (coordinator
 // bookkeeping, not a modelled network request).
 func (s *Server) Snapshot() []float64 {
-	s.lockSlow()
-	defer s.mu.Unlock()
+	s.mu.Acquire()
+	defer s.mu.Release()
 	return append([]float64{}, s.w...)
 }
 
 // Stats returns (pulls, applies) processed so far.
 func (s *Server) Stats() (int64, int64) {
-	s.lockSlow()
-	defer s.mu.Unlock()
+	s.mu.Acquire()
+	defer s.mu.Release()
 	return s.pulls, s.applies
 }
 
@@ -93,7 +86,7 @@ type Aggregator struct {
 	fanIn   int
 	service time.Duration
 
-	mu     sync.Mutex
+	mu     *simclock.Sem // one permit, as Server.mu
 	acc    []float64
 	factor float64
 	count  int
@@ -101,12 +94,12 @@ type Aggregator struct {
 
 // NewAggregator creates an aggregator forwarding to root after fanIn pushes.
 func NewAggregator(clock simclock.Clock, root *Server, fanIn int, service time.Duration) *Aggregator {
-	return &Aggregator{clock: clock, root: root, fanIn: fanIn, service: service}
+	return &Aggregator{clock: clock, root: root, fanIn: fanIn, service: service, mu: simclock.NewSem(clock, 1)}
 }
 
 // Push implements Pusher.
 func (a *Aggregator) Push(grad []float64, factor float64) {
-	a.clock.BlockOn(a.mu.Lock)
+	a.mu.Acquire()
 	a.clock.Sleep(a.service)
 	if a.acc == nil {
 		a.acc = make([]float64, len(grad))
@@ -122,7 +115,7 @@ func (a *Aggregator) Push(grad []float64, factor float64) {
 		flush, f = a.acc, a.factor
 		a.acc, a.count = nil, 0
 	}
-	a.mu.Unlock()
+	a.mu.Release()
 	if flush != nil {
 		a.root.Apply(flush, f)
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/faas"
+	"repro/internal/simclock"
 )
 
 // Topology selects the parameter-server arrangement.
@@ -138,7 +139,7 @@ func TrainDistributed(p *faas.Platform, ds Dataset, cfg TrainConfig) (TrainRepor
 		snapshot = root.Snapshot()
 		snapMu.Unlock()
 		start := clock.Now()
-		var wg sync.WaitGroup
+		wg := simclock.NewGroup(clock)
 		var mu sync.Mutex
 		var firstErr error
 		for wkr := 0; wkr < cfg.Workers; wkr++ {
@@ -153,7 +154,7 @@ func TrainDistributed(p *faas.Platform, ds Dataset, cfg TrainConfig) (TrainRepor
 				wg.Done()
 			})
 		}
-		clock.BlockOn(wg.Wait)
+		wg.Wait()
 		if firstErr != nil {
 			return rep, firstErr
 		}

@@ -25,6 +25,7 @@ import (
 
 	"repro/internal/faas"
 	"repro/internal/obs"
+	"repro/internal/simclock"
 )
 
 // Errors returned by the engine.
@@ -334,17 +335,15 @@ func (s parallelState) run(e *Engine, ec *execCtx, input []byte) ([]byte, error)
 	defer sp.End()
 	outs := make([]json.RawMessage, len(s))
 	errs := make([]error, len(s))
-	var wg sync.WaitGroup
+	wg := simclock.NewGroup(clock)
 	for i, br := range s {
 		i, br := i, br
-		wg.Add(1)
-		clock.Go(func() {
-			defer wg.Done()
+		wg.Go(func() {
 			out, err := br.run(e, ec, input)
 			outs[i], errs[i] = out, err
 		})
 	}
-	clock.BlockOn(wg.Wait)
+	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -389,27 +388,25 @@ func (s mapState) run(e *Engine, ec *execCtx, input []byte) ([]byte, error) {
 	defer sp.End()
 	outs := make([]json.RawMessage, len(items))
 	errs := make([]error, len(items))
-	var wg sync.WaitGroup
-	var sem chan struct{}
+	wg := simclock.NewGroup(clock)
+	var sem *simclock.Sem
 	if s.maxConc > 0 {
-		sem = make(chan struct{}, s.maxConc)
+		sem = simclock.NewSem(clock, s.maxConc)
 	}
 	for i, item := range items {
 		i, item := i, item
-		wg.Add(1)
 		if sem != nil {
-			clock.BlockOn(func() { sem <- struct{}{} })
+			sem.Acquire()
 		}
-		clock.Go(func() {
-			defer wg.Done()
+		wg.Go(func() {
 			if sem != nil {
-				defer func() { <-sem }()
+				defer sem.Release()
 			}
 			out, err := s.iterator.run(e, ec, item)
 			outs[i], errs[i] = out, err
 		})
 	}
-	clock.BlockOn(wg.Wait)
+	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/simclock"
 )
 
 // ErrNoOutput is returned by FnContext.Publish when the function has no
@@ -114,7 +116,7 @@ type RunningFunction struct {
 	processed int64
 	errs      int64
 	stopped   int32
-	wg        sync.WaitGroup
+	wg        *simclock.Group
 }
 
 // StartFunction deploys a function: its instances run as tracked goroutines
@@ -129,7 +131,7 @@ func (c *Cluster) StartFunction(cfg FunctionConfig, handler FnHandler) (*Running
 	if len(cfg.Inputs) == 0 {
 		return nil, fmt.Errorf("pulsar: function %q has no input topics", cfg.Name)
 	}
-	rf := &RunningFunction{cluster: c, cfg: cfg, handler: handler, state: map[string][]byte{}}
+	rf := &RunningFunction{cluster: c, cfg: cfg, handler: handler, state: map[string][]byte{}, wg: simclock.NewGroup(c.clock)}
 	if cfg.Output != "" {
 		out, err := c.CreateProducer(cfg.Output)
 		if err != nil {
@@ -148,11 +150,7 @@ func (c *Cluster) StartFunction(cfg FunctionConfig, handler FnHandler) (*Running
 			}
 			consumers = append(consumers, cons)
 		}
-		rf.wg.Add(1)
-		c.clock.Go(func() {
-			defer rf.wg.Done()
-			rf.instanceLoop(consumers)
-		})
+		rf.wg.Go(func() { rf.instanceLoop(consumers) })
 	}
 	return rf, nil
 }
@@ -213,5 +211,5 @@ func (rf *RunningFunction) StateSnapshot() map[string][]byte {
 // Stop signals every instance to exit and waits for them (clock-aware).
 func (rf *RunningFunction) Stop() {
 	atomic.StoreInt32(&rf.stopped, 1)
-	rf.cluster.clock.BlockOn(rf.wg.Wait)
+	rf.wg.Wait()
 }

@@ -1,9 +1,10 @@
 package pulsar
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/simclock"
 )
 
 // Replicator implements Pulsar's geo-replication (§4.3 names it among the
@@ -15,7 +16,7 @@ type Replicator struct {
 	src     *Cluster
 	dst     *Cluster
 	stopped int32
-	wg      sync.WaitGroup
+	wg      *simclock.Group
 
 	replicated int64
 	dropped    int64
@@ -70,8 +71,7 @@ func StartReplicator(src, dst *Cluster, cfg ReplicatorConfig) (*Replicator, erro
 		cons.Close()
 		return nil, err
 	}
-	r := &Replicator{src: src, dst: dst}
-	r.wg.Add(1)
+	r := &Replicator{src: src, dst: dst, wg: simclock.NewGroup(src.clock)}
 	// mirrored tracks the highest source seq already published to the
 	// destination, per concrete source topic. A message can arrive twice —
 	// its ack was lost in flight or the source broker failed over before the
@@ -80,8 +80,7 @@ func StartReplicator(src, dst *Cluster, cfg ReplicatorConfig) (*Replicator, erro
 	// subscription's only consumer, so "seq ≤ high-water mark" is exactly
 	// "already replicated": re-ack it and move on.
 	mirrored := map[string]int64{}
-	src.clock.Go(func() {
-		defer r.wg.Done()
+	r.wg.Go(func() {
 		defer cons.Close()
 		for atomic.LoadInt32(&r.stopped) == 0 {
 			m, ok := cons.TryReceive()
@@ -138,5 +137,5 @@ func (r *Replicator) Dropped() int64 { return atomic.LoadInt64(&r.dropped) }
 // Stop halts replication (clock-aware).
 func (r *Replicator) Stop() {
 	atomic.StoreInt32(&r.stopped, 1)
-	r.src.clock.BlockOn(r.wg.Wait)
+	r.wg.Wait()
 }

@@ -6,11 +6,11 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/simclock"
 	"repro/internal/workload"
 )
 
@@ -102,17 +102,15 @@ func runScaleSoak(t *testing.T, brokers int) (int64, string) {
 			}
 		}
 		start := e.v.Now()
-		var wg sync.WaitGroup
+		wg := simclock.NewGroup(e.v)
 		for i := range topics {
 			i := i
 			sched := laneSchedule(300, window, int64(100+i), i)
-			wg.Add(1)
-			e.v.Go(func() {
-				defer wg.Done()
+			wg.Go(func() {
 				atomic.AddInt64(&counts[i], runLane(t, e, prods[i], "", sched, window, start))
 			})
 		}
-		e.v.BlockOn(wg.Wait)
+		wg.Wait()
 	})
 	var total int64
 	var dig strings.Builder
@@ -188,17 +186,15 @@ func TestLoadManagerRebalanceUnderLoad(t *testing.T) {
 				MinMoveRate:    10,
 			})
 			start := e.v.Now()
-			var wg sync.WaitGroup
+			wg := simclock.NewGroup(e.v)
 			for i := range topics {
 				i := i
 				sched := laneSchedule(150, window, int64(200+i), i)
-				wg.Add(1)
-				e.v.Go(func() {
-					defer wg.Done()
+				wg.Go(func() {
 					atomic.AddInt64(&counts[i], runLane(t, e, prods[i], "", sched, window, start))
 				})
 			}
-			e.v.BlockOn(wg.Wait)
+			wg.Wait()
 			lm.Stop()
 			events = lm.Events()
 		})
@@ -293,12 +289,10 @@ func TestHotKeySplitBoundedP99(t *testing.T) {
 				SplitRate:      1200,
 			})
 			start = e.v.Now()
-			var wg sync.WaitGroup
+			wg := simclock.NewGroup(e.v)
 			for i := 0; i < lanes; i++ {
 				i := i
-				wg.Add(1)
-				e.v.Go(func() {
-					defer wg.Done()
+				wg.Go(func() {
 					for j, at := range scheds[i] {
 						if d := at - e.v.Now().Sub(start); d > 0 {
 							e.v.Sleep(d)
@@ -316,7 +310,7 @@ func TestHotKeySplitBoundedP99(t *testing.T) {
 					}
 				})
 			}
-			e.v.BlockOn(wg.Wait)
+			wg.Wait()
 			lm.Stop()
 			events = lm.Events()
 

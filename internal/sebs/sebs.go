@@ -346,7 +346,7 @@ func Run(cfg Config) (Report, error) {
 				return
 			}
 			exec.Bind(a.spec.Handler, h)
-			c := &gateway.Client{BaseURL: srv.URL, Token: tokenOf(a.name), Block: v.BlockOn}
+			c := &gateway.Client{BaseURL: srv.URL, Token: tokenOf(a.name), Block: v.Outside}
 			if err := c.Register(a.spec); err != nil {
 				runErr = fmt.Errorf("sebs: %s register: %w", a.name, err)
 				return

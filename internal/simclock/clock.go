@@ -4,12 +4,24 @@
 // billing windows and autoscaler dynamics are reproducible and run in
 // microseconds of real time regardless of how many simulated hours they span.
 //
-// The virtual clock follows a quiescence-advance design: goroutines
-// participating in simulated time are spawned through Clock.Go, and block
-// through Clock.Sleep or Clock.BlockOn; goroutines the clock does not track
-// (net/http handlers) enter through Clock.Join. When every tracked goroutine
-// is blocked and at least one is sleeping on a deadline, the clock jumps to
-// the earliest deadline and wakes the sleepers due at that instant.
+// The rule the virtual clock rests on: a tracked goroutine may wait only
+// through the clock; a wait on the outside world holds the clock unless a
+// Join covers it. Goroutines taking part in simulated time are spawned
+// through Clock.Go (or are the function passed to Virtual.Run). They wait for
+// time with Clock.Sleep and for each other with Group, Event and Sem, whose
+// releasing side marks the waiter runnable under the clock's lock before it
+// carries on. A tracked goroutine that must wait on something the clock cannot
+// see — an HTTP round trip — wraps it in Virtual.Outside and keeps counting
+// as runnable; goroutines the clock does not track (net/http handlers) run
+// clock-timed work through Clock.Join, and while a Join runs it stands in for
+// one Outside waiter. So the clock always knows exactly how many goroutines
+// can still act:
+//
+//	runnable = active − waiting − min(outside, joins)
+//
+// The goroutine whose Sleep, wait or return takes that count to zero jumps
+// the clock to the earliest deadline and wakes the sleepers due at that
+// instant. No goroutine drives the clock and nothing in it reads wall time.
 package simclock
 
 import (
@@ -21,9 +33,10 @@ import (
 //
 // Components must route all time-dependent behaviour through a Clock:
 // reading time with Now, modelling latency with Sleep, spawning concurrent
-// work with Go, and waiting on non-time events (channels, wait groups) with
-// BlockOn. Code that follows this discipline runs identically under the real
-// clock and the virtual clock.
+// work with Go, and waiting for other goroutines with Group, Event or Sem.
+// Code that follows this discipline runs identically under the real clock and
+// the virtual clock. Real and Virtual are the only implementations: the
+// interface is sealed by park and unpark, the primitive under those helpers.
 type Clock interface {
 	// Now returns the current time on this clock.
 	Now() time.Time
@@ -33,24 +46,24 @@ type Clock interface {
 	Sleep(d time.Duration)
 
 	// Go spawns fn as a goroutine tracked by this clock. All goroutines
-	// that Sleep or BlockOn on a virtual clock must be spawned via Go (or
-	// be the function passed to Virtual.Run).
+	// that Sleep or wait on a virtual clock must be spawned via Go (or be
+	// the function passed to Virtual.Run or Join).
 	Go(fn func())
-
-	// BlockOn runs fn, which is expected to block on a non-time event
-	// (channel receive, WaitGroup, mutex) that some other tracked
-	// goroutine will resolve. Under the virtual clock this marks the
-	// goroutine as blocked so time can advance past it; under the real
-	// clock it simply calls fn.
-	BlockOn(fn func())
 
 	// Join runs fn in this clock's time on behalf of a goroutine the clock
 	// does not track (a net/http handler, say) and returns once fn has. Under
-	// the virtual clock fn runs on a tracked goroutine, so its Sleeps advance
-	// virtual time, while the caller waits where the clock cannot see it —
-	// an untracked goroutine must stay invisible to quiescence detection.
+	// the virtual clock fn runs on a tracked worker, so its Sleeps advance
+	// virtual time, while the caller waits where the clock cannot see it.
 	// Under the real clock there is nothing to track: it simply calls fn.
 	Join(fn func())
+
+	// park blocks the calling goroutine until unpark(p), which may come
+	// first. Under the virtual clock the caller stops counting as runnable
+	// until then, so time can advance past it, and the unpark must come from
+	// a tracked goroutine. Under the real clock the pair is a channel
+	// receive and send.
+	park(p *parker)
+	unpark(p *parker)
 }
 
 // Real is the wall Clock. The zero value is ready to use.
@@ -89,8 +102,11 @@ func (Real) Sleep(d time.Duration) {
 // Go spawns fn with the go statement.
 func (Real) Go(fn func()) { go fn() }
 
-// BlockOn simply runs fn.
-func (Real) BlockOn(fn func()) { fn() }
+// park receives p's release.
+func (Real) park(p *parker) { <-p.ch }
+
+// unpark sends p's release; the slot is buffered, so it never blocks.
+func (Real) unpark(p *parker) { p.ch <- struct{}{} }
 
 // Join simply runs fn, on the caller's goroutine.
 func (Real) Join(fn func()) { fn() }

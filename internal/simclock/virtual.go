@@ -3,34 +3,49 @@ package simclock
 import (
 	"container/heap"
 	"fmt"
+	"runtime"
+	"sort"
+	"strings"
 	"sync"
 	"time"
 )
 
-// Virtual is a deterministic discrete-event Clock. Time only moves when every
-// tracked goroutine is blocked; it then jumps directly to the earliest
-// pending deadline. A simulation spanning days completes in real
-// milliseconds, and two runs with the same inputs observe identical
-// timestamps.
+// Virtual is a deterministic discrete-event Clock. Time only moves when no
+// tracked goroutine can run; it then jumps directly to the earliest pending
+// deadline. A simulation spanning days completes in real milliseconds, and
+// two runs with the same inputs observe identical timestamps.
+//
+// The clock has no goroutine of its own and never consults the wall clock.
+// It keeps one invariant under mu,
+//
+//	runnable = active − waiting − min(outside, joins)
+//
+// and every method that can lower runnable (Sleep, a Group, Event or Sem
+// wait, a tracked goroutine returning, Outside, the end of a Join) checks it before releasing mu: the
+// goroutine that takes it to zero advances time itself, to the earliest
+// deadline, and wakes the sleepers due there — or, with no deadline pending
+// and goroutines parked, reports the deadlock on the spot.
 //
 // Use NewVirtual to create one and Run to execute the simulation's root
 // function.
 type Virtual struct {
 	mu      sync.Mutex
-	cond    *sync.Cond // signalled on every state mutation; the driver waits on it
+	idle    *sync.Cond // signalled when active reaches zero; Run waits on it
 	now     time.Time
-	active  int   // tracked goroutines currently alive
-	blocked int   // of those, blocked in Sleep or BlockOn
-	gen     int64 // bumped on every state mutation; lets the driver detect churn
+	active  int // tracked goroutines alive, Join workers included
+	waiting int // of those, asleep on a deadline or parked
+	outside int // of those, inside Outside: waiting on the world beyond the clock
+	joins   int // Join workers alive; each accounts for one Outside waiter
 	seq     int64
 	sleep   sleepHeap
-	closed  bool
+	parked  []*parker // who is parked, for the deadlock report
 }
 
 type sleeper struct {
 	deadline time.Time
 	seq      int64 // FIFO tiebreak for equal deadlines: determinism
-	wake     chan struct{}
+	woken    bool
+	wake     chan struct{} // nil while the sleeper has not had to block
 }
 
 type sleepHeap []*sleeper
@@ -56,38 +71,16 @@ func (h sleepHeap) peek() *sleeper { return h[0] }
 // Epoch is the instant at which virtual clocks created by NewVirtual start.
 var Epoch = time.Date(2020, 6, 14, 0, 0, 0, 0, time.UTC) // SIGMOD'20, day one
 
-// settle is how long the driver waits, in real time, to confirm the
-// simulation is quiescent before advancing virtual time. It gives goroutines
-// that were just woken (and are briefly still counted as blocked) a chance to
-// resume and register as runnable. The generation check re-verifies state
-// after the window, so settle trades a little safety margin for simulation
-// throughput (it is paid once per virtual-time advance).
-const settle = 75 * time.Microsecond
-
-// deadlockConfirm is how long quiescence-with-no-timers must persist, with
-// no state change, before the clock declares the simulation deadlocked.
-// Transients — a goroutine descheduled inside a momentary BlockOn — can look
-// deadlocked for a scheduling quantum; a real deadlock persists forever, so
-// a generous window costs nothing.
-const deadlockConfirm = 250 * time.Millisecond
-
-// NewVirtual returns a Virtual clock positioned at Epoch with its advance
-// driver running. Call Close when the clock is no longer needed.
+// NewVirtual returns a Virtual clock positioned at Epoch.
 func NewVirtual() *Virtual {
 	v := &Virtual{now: Epoch}
-	v.cond = sync.NewCond(&v.mu)
-	go v.drive()
+	v.idle = sync.NewCond(&v.mu)
 	return v
 }
 
-// Close stops the clock's internal driver goroutine. Using the clock after
-// Close may hang tracked goroutines; only call it once the simulation is done.
-func (v *Virtual) Close() {
-	v.mu.Lock()
-	v.closed = true
-	v.mu.Unlock()
-	v.cond.Broadcast()
-}
+// Close does nothing: the clock owns no goroutine and no resource. It stays
+// because callers defer it, and may be called any number of times.
+func (v *Virtual) Close() {}
 
 // Now returns the current virtual time.
 func (v *Virtual) Now() time.Time {
@@ -96,78 +89,239 @@ func (v *Virtual) Now() time.Time {
 	return v.now
 }
 
+// Elapsed returns the virtual time elapsed since Epoch.
+func (v *Virtual) Elapsed() time.Duration {
+	return v.Now().Sub(Epoch)
+}
+
+// advance runs, with mu held, after a transition that may have lowered the
+// runnable count. At zero it advances time to the earliest deadline and wakes
+// every sleeper due at that instant. It returns a non-empty report when the
+// simulation cannot continue — nothing runnable, nothing to advance to, and
+// goroutines parked — for the caller to panic with once it has unlocked.
+func (v *Virtual) advance() (fatal string) {
+	covered := v.outside
+	if v.joins < covered {
+		covered = v.joins
+	}
+	switch runnable := v.active - v.waiting - covered; {
+	case runnable > 0:
+	case runnable < 0:
+		return "simclock: a goroutine the clock does not track slept, waited or called Outside; spawn it with Go, or enter through Run or Join"
+	case v.sleep.Len() > 0:
+		if next := v.sleep.peek().deadline; next.After(v.now) {
+			v.now = next
+		}
+		for v.sleep.Len() > 0 && !v.sleep.peek().deadline.After(v.now) {
+			s := heap.Pop(&v.sleep).(*sleeper)
+			v.waiting--
+			s.woken = true
+			if s.wake != nil {
+				close(s.wake)
+			}
+		}
+	case len(v.parked) > 0:
+		return v.deadlockReport()
+	}
+	return ""
+}
+
+// unlockAdvance is advance, then Unlock, then the panic if advance asked for one.
+func (v *Virtual) unlockAdvance() {
+	fatal := v.advance()
+	v.mu.Unlock()
+	if fatal != "" {
+		panic(fatal)
+	}
+}
+
+// deadlockReport describes a simulation in which nothing can run and no
+// timer is pending: the instant, the census, and where each parked goroutine
+// parked (the first frame outside this package's helpers).
+func (v *Virtual) deadlockReport() string {
+	sites := map[string]int{}
+	for _, p := range v.parked {
+		sites[p.site()]++
+	}
+	lines := make([]string, 0, len(sites))
+	for site, n := range sites {
+		lines = append(lines, fmt.Sprintf("\n\t%s (%d)", site, n))
+	}
+	sort.Strings(lines)
+	return fmt.Sprintf("simclock: deadlock at %s (+%v): %d goroutines parked, %d sleeping, %d tracked, none runnable; parked at:%s",
+		v.now.Format(time.RFC3339Nano), v.now.Sub(Epoch), len(v.parked), v.sleep.Len(), v.active, strings.Join(lines, ""))
+}
+
 // Sleep blocks the calling tracked goroutine for d of virtual time.
 func (v *Virtual) Sleep(d time.Duration) {
 	if d <= 0 {
 		return
 	}
 	v.mu.Lock()
-	s := &sleeper{deadline: v.now.Add(d), seq: v.seq, wake: make(chan struct{})}
+	s := &sleeper{deadline: v.now.Add(d), seq: v.seq}
 	v.seq++
 	heap.Push(&v.sleep, s)
-	v.blocked++
-	v.gen++
+	v.waiting++
+	// When the caller was the last runnable goroutine and its own deadline is
+	// the earliest, advance has already woken it: no channel, no blocking.
+	fatal := v.advance()
+	if !s.woken {
+		s.wake = make(chan struct{})
+	}
+	wake := s.wake
 	v.mu.Unlock()
-	v.cond.Broadcast()
-
-	<-s.wake // the driver decremented blocked when it woke us
+	if fatal != "" {
+		panic(fatal)
+	}
+	if wake != nil {
+		<-wake
+	}
 }
 
 // Go spawns fn as a tracked goroutine.
 func (v *Virtual) Go(fn func()) {
-	v.mu.Lock()
-	v.active++
-	v.gen++
-	v.mu.Unlock()
-	v.cond.Broadcast()
+	v.enter()
 	go func() {
-		defer func() {
-			v.mu.Lock()
-			v.active--
-			v.gen++
-			v.mu.Unlock()
-			v.cond.Broadcast()
-		}()
+		defer v.exit()
 		fn()
 	}()
 }
 
-// BlockOn marks the calling tracked goroutine as blocked while fn runs.
-// fn must block only on events resolved by other tracked goroutines.
-//
-// Caveat: the caller may observe a LATER Now() than the instant its event
-// was resolved. Resolution is a plain memory operation the clock cannot
-// see, so if the resumed caller stays descheduled past the driver's settle
-// window (e.g. under GC assist pressure) the driver can advance to the
-// next deadline first. When an exact timestamp matters — wall-time
-// measurements especially — capture Now() in the resolving tracked
-// goroutine, not after BlockOn returns.
-func (v *Virtual) BlockOn(fn func()) {
+func (v *Virtual) enter() {
 	v.mu.Lock()
-	v.blocked++
-	v.gen++
+	v.active++
 	v.mu.Unlock()
-	v.cond.Broadcast()
-
-	fn()
-
-	v.mu.Lock()
-	v.blocked--
-	v.gen++
-	v.mu.Unlock()
-	v.cond.Broadcast()
 }
 
-// Join runs fn on a tracked goroutine and waits for it on a plain channel:
-// the caller is untracked, and a wait the clock could see would count a
-// goroutine it never started.
+func (v *Virtual) exit() {
+	v.mu.Lock()
+	v.exitLocked()
+}
+
+func (v *Virtual) exitLocked() {
+	v.active--
+	if v.active == 0 {
+		v.idle.Broadcast()
+	}
+	v.unlockAdvance()
+}
+
+// parker is a one-shot parking spot: one goroutine parks on it and one unpark
+// releases it, in either order. It is the primitive under Group, Event and
+// Sem.
+type parker struct {
+	ch chan struct{} // buffered, one slot: the release
+
+	// Guarded by Virtual.mu; unused on the real clock.
+	parked   bool
+	released bool
+	idx      int        // position in Virtual.parked while parked
+	pcs      [6]uintptr // call stack of park, for the deadlock report
+	npc      int
+}
+
+// newParker returns a parker ready for one park and one unpark.
+func newParker() *parker { return &parker{ch: make(chan struct{}, 1)} }
+
+// site names where p parked: the innermost frame outside this package's own
+// wait helpers.
+func (p *parker) site() string {
+	frames := runtime.CallersFrames(p.pcs[:p.npc])
+	for {
+		f, more := frames.Next()
+		helper := strings.HasPrefix(f.Function, "repro/internal/simclock.") && !strings.HasSuffix(f.File, "_test.go")
+		if !helper || !more {
+			return fmt.Sprintf("%s:%d", f.File, f.Line)
+		}
+	}
+}
+
+// park blocks the calling tracked goroutine until unpark(p). The goroutine
+// counts as waiting from here until the unpark, which must come from a
+// goroutine the clock tracks.
+func (v *Virtual) park(p *parker) {
+	v.mu.Lock()
+	if p.released {
+		v.mu.Unlock()
+		return
+	}
+	p.parked, p.idx = true, len(v.parked)
+	v.parked = append(v.parked, p)
+	p.npc = runtime.Callers(2, p.pcs[:])
+	v.waiting++
+	v.unlockAdvance()
+	<-p.ch
+}
+
+// unpark releases p's goroutine. It is counted runnable again before unpark
+// returns — under the clock's lock, while the caller is itself still
+// runnable — so virtual time cannot move between the release and the resume.
+func (v *Virtual) unpark(p *parker) {
+	v.mu.Lock()
+	p.released = true
+	if p.parked {
+		last := len(v.parked) - 1
+		v.parked[p.idx] = v.parked[last]
+		v.parked[p.idx].idx = p.idx
+		v.parked[last] = nil
+		v.parked = v.parked[:last]
+		p.parked = false
+		v.waiting--
+		p.ch <- struct{}{}
+	}
+	v.mu.Unlock()
+}
+
+// Outside runs fn, in which the calling tracked goroutine waits on the world
+// beyond the clock: a socket, an untracked goroutine. The wait holds the
+// clock still — the caller stays counted as runnable, because what it waits
+// for may be in flight where the clock cannot see it — except while a Join
+// is running, which is the far side of that wait executing in clock time:
+// each live Join accounts for one Outside waiter, and the Join's own worker
+// then decides whether time may move. gateway.Client.Block takes this method.
+func (v *Virtual) Outside(fn func()) {
+	v.mu.Lock()
+	v.outside++
+	v.unlockAdvance()
+	fn()
+	v.mu.Lock()
+	v.outside--
+	v.mu.Unlock()
+}
+
+// Join runs fn on a tracked worker and waits for it on a plain channel: the
+// caller is untracked, and a wait the clock could see would count a
+// goroutine it never started. The worker registers as a Join for as long as
+// fn runs, so a tracked goroutine waiting in Outside for this caller stops
+// holding the clock exactly while fn can act on it.
 func (v *Virtual) Join(fn func()) {
 	done := make(chan struct{})
-	v.Go(func() {
+	v.mu.Lock()
+	v.active++
+	v.joins++
+	v.mu.Unlock()
+	go func() {
+		defer close(done)
+		defer func() {
+			v.mu.Lock()
+			v.joins--
+			v.exitLocked()
+		}()
 		fn()
-		close(done)
-	})
+	}()
 	<-done
+}
+
+// BlockOn runs fn with the caller outside the tracked set: it leaves as if it
+// had returned and re-enters as if spawned by Go, so the counts stay exact
+// but the caller may resume after time has moved on.
+//
+// Deprecated: kept only for benchmark/ladder.go. Wait with Group, Event or
+// Sem; wrap a wait on the outside world in Outside.
+func (v *Virtual) BlockOn(fn func()) {
+	v.exit()
+	fn()
+	v.enter()
 }
 
 // Run executes fn as the root tracked goroutine and blocks the caller (which
@@ -180,88 +334,10 @@ func (v *Virtual) Run(fn func()) time.Time {
 		fn()
 	})
 	<-finished
-	// Wait for stragglers spawned by fn that are still alive.
-	v.mu.Lock()
-	for v.active > 0 {
-		v.mu.Unlock()
-		time.Sleep(settle)
-		v.mu.Lock()
-	}
-	t := v.now
-	v.mu.Unlock()
-	return t
-}
-
-// Elapsed returns the virtual time elapsed since Epoch.
-func (v *Virtual) Elapsed() time.Duration {
-	return v.Now().Sub(Epoch)
-}
-
-// drive is the clock's advance loop. It waits until the simulation is
-// quiescent (every tracked goroutine blocked), confirms quiescence held for a
-// settle window, then jumps time to the earliest deadline and wakes the
-// sleepers due there.
-func (v *Virtual) drive() {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	for {
-		for !v.closed && !v.quiescentLocked() {
-			v.cond.Wait()
-		}
-		if v.closed {
-			return
-		}
-		// Confirm nothing changed across a settle window: a goroutine
-		// woken a moment ago may still be counted as blocked.
-		g := v.gen
-		v.mu.Unlock()
-		time.Sleep(settle)
-		v.mu.Lock()
-		if v.closed {
-			return
-		}
-		if v.gen != g || !v.quiescentLocked() {
-			continue
-		}
-		if v.sleep.Len() == 0 {
-			// Every goroutine appears to wait on a non-time event. Confirm
-			// the state holds over a long window before declaring a
-			// genuine deadlock in the simulated program.
-			confirmed := true
-			deadline := time.Now().Add(deadlockConfirm)
-			for time.Now().Before(deadline) {
-				g2 := v.gen
-				v.mu.Unlock()
-				time.Sleep(settle)
-				v.mu.Lock()
-				if v.closed {
-					return
-				}
-				if v.gen != g2 || !v.quiescentLocked() || v.sleep.Len() > 0 {
-					confirmed = false
-					break
-				}
-			}
-			if !confirmed {
-				continue
-			}
-			panic(fmt.Sprintf("simclock: deadlock at %s: %d goroutines blocked with no pending timers",
-				v.now.Format(time.RFC3339Nano), v.blocked))
-		}
-		next := v.sleep.peek().deadline
-		if next.After(v.now) {
-			v.now = next
-		}
-		for v.sleep.Len() > 0 && !v.sleep.peek().deadline.After(v.now) {
-			s := heap.Pop(&v.sleep).(*sleeper)
-			v.blocked-- // the woken goroutine is runnable again
-			close(s.wake)
-		}
-		v.gen++
+	for v.active > 0 { // stragglers spawned by fn
+		v.idle.Wait()
 	}
-}
-
-// quiescentLocked reports whether every tracked goroutine is blocked.
-func (v *Virtual) quiescentLocked() bool {
-	return v.active > 0 && v.blocked >= v.active
+	return v.now
 }

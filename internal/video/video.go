@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/faas"
+	"repro/internal/simclock"
 )
 
 // ErrNoFrames is returned for empty videos.
@@ -160,7 +161,7 @@ func encodeChunked(p *faas.Platform, v Video, cost CostModel, chunks int) (Repor
 	defer p.UnregisterFor(tenant, fnName)
 
 	per := (len(v.Frames) + chunks - 1) / chunks
-	var wg sync.WaitGroup
+	wg := simclock.NewGroup(clock)
 	var mu sync.Mutex
 	var firstErr error
 	totalBytes := 0
@@ -189,7 +190,7 @@ func encodeChunked(p *faas.Platform, v Video, cost CostModel, chunks int) (Repor
 			wg.Done()
 		})
 	}
-	clock.BlockOn(wg.Wait)
+	wg.Wait()
 	if firstErr != nil {
 		return Report{}, firstErr
 	}

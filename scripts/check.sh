@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 gate: vet, build, race-enabled tests. Heavy experiment benchmarks
-# and simulations honor `-short`, keeping this suitable for CI / pre-commit.
+# Tier-1 gate: vet, build, the whole suite under the race detector (about a
+# minute on 2 CPUs).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -8,6 +8,11 @@ echo "== go vet ./..."
 go vet ./...
 echo "== go build ./..."
 go build ./...
-echo "== go test -race -short ./..."
-go test -race -short ./...
+echo "== internal/simclock/virtual.go never consults the wall clock"
+if grep -nE 'time\.(Sleep|After|NewTimer)\b' internal/simclock/virtual.go; then
+	echo "check: the virtual clock must not wait on wall time" >&2
+	exit 1
+fi
+echo "== go test -race ./..."
+go test -race ./...
 echo "tier-1 gate OK"
