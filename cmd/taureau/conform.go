@@ -2,28 +2,35 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
+	"flag"
 	"fmt"
-	"os"
+	"io"
 
 	"repro/internal/conform"
 )
 
-// runConformance explores every reference workload with the deterministic
+// cmdConform explores every reference workload with the deterministic
 // interleaving explorer and reports each verdict against its locked
 // expectation. A divergent workload prints its minimal witness schedule as
 // JSON — replayable via conform.RunSchedule — and a verdict that contradicts
 // the reference expectation fails the process.
-func runConformance(full bool) {
+func cmdConform(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("taureau conform", flag.ContinueOnError)
+	full := fs.Bool("full", false, "explore 300 schedules per workload instead of the quick 60")
+	if err := parseFlags(fs, stderr, args); err != nil {
+		return err
+	}
 	opts := conform.Options{MaxSchedules: 60, Parallelism: 4}
-	if full {
+	if *full {
 		opts.MaxSchedules = 300
 	}
-	fmt.Printf("execution-semantics conformance (budget %d schedules/workload)\n\n", opts.MaxSchedules)
+	fmt.Fprintf(stdout, "execution-semantics conformance (budget %d schedules/workload)\n\n", opts.MaxSchedules)
 	failed := false
 	for _, ref := range conform.References() {
 		rep, err := conform.Explore(ref.Workload, opts)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%-22s explorer error: %v\n", ref.Workload.Name, err)
+			fmt.Fprintf(stderr, "%-22s explorer error: %v\n", ref.Workload.Name, err)
 			failed = true
 			continue
 		}
@@ -36,20 +43,20 @@ func runConformance(full bool) {
 			match = "UNEXPECTED"
 			failed = true
 		}
-		fmt.Printf("%-22s %-11s %s  (%d interleavings, %d effect points, billing-as-predicted=%v)\n",
+		fmt.Fprintf(stdout, "%-22s %-11s %s  (%d interleavings, %d effect points, billing-as-predicted=%v)\n",
 			ref.Workload.Name, verdict, match, rep.Explored, rep.EffectPoints, rep.BillingOK)
-		fmt.Printf("%22s   %s\n", "", ref.Why)
+		fmt.Fprintf(stdout, "%22s   %s\n", "", ref.Why)
 		if rep.Witness != nil {
 			w, err := json.Marshal(rep.Witness)
 			if err == nil {
-				fmt.Printf("%22s   witness: %s\n", "", w)
+				fmt.Fprintf(stdout, "%22s   witness: %s\n", "", w)
 			}
-			fmt.Printf("%22s   %s\n", "", rep.Witness.Diff)
+			fmt.Fprintf(stdout, "%22s   %s\n", "", rep.Witness.Diff)
 		}
 	}
 	if failed {
-		fmt.Fprintln(os.Stderr, "\nconformance verdicts diverged from the reference expectations")
-		os.Exit(1)
+		return errors.New("conformance verdicts diverged from the reference expectations")
 	}
-	fmt.Println("\nall reference verdicts match")
+	fmt.Fprintln(stdout, "\nall reference verdicts match")
+	return nil
 }

@@ -1,593 +1,114 @@
-// Command taureau is the platform's CLI: it boots a full in-process
-// serverless deployment (FaaS + BaaS + Pulsar + Jiffy + orchestration) and
-// runs a named demo scenario against it, printing what happened and what it
-// cost. It is the quickest way to poke at the public API without writing a
-// program.
+// Command taureau is the platform's one binary: every runtime surface of the
+// repository is a subcommand of it, and each subcommand owns its flags.
 //
-// Usage:
+//	taureau demo <name> [flags]    run a demo scenario on a virtual-clock platform
+//	taureau gateway [flags]        serve the v1 REST API + telemetry on the real clock
+//	taureau sebs [flags]           SeBS-style suite through the HTTP gateway, JSON report
+//	taureau conform [flags]        execution-semantics conformance explorer
+//	taureau experiments [flags]    regenerate the experiment tables E1–E27 (EXPERIMENTS.md)
 //
-//	taureau -demo invoke      # deploy + invoke a function, show the bill
-//	taureau -demo pipeline    # blob-triggered orchestrated ETL
-//	taureau -demo stream      # Count-Min as a Pulsar function (Fig. 3)
-//	taureau -demo state       # Jiffy namespaces, scaling, leases
-//	taureau -demo oram        # Path ORAM access-pattern hiding (§6)
-//	taureau -demo burst       # autoscaler under a 10× open-loop burst (§4.1)
-//	taureau -demo rebalance   # broker load manager spreading hot partitions
-//	taureau -list             # list demos
+// demo boots a full in-process deployment (FaaS + BaaS + Pulsar + Jiffy +
+// orchestration), runs the named scenario, and prints what happened and what
+// it cost:
 //
-// Telemetry:
+//	taureau demo -list             # invoke pipeline stream state oram burst rebalance
+//	taureau demo invoke            # deploy + invoke a function, show the bill
+//	taureau demo pipeline          # blob-triggered orchestrated ETL
+//	taureau demo stream            # Count-Min as a Pulsar function (Fig. 3)
+//	taureau demo state             # Jiffy namespaces, scaling, leases
+//	taureau demo oram              # Path ORAM access-pattern hiding (§6)
+//	taureau demo burst             # autoscaler under a 10× open-loop burst (§4.1)
+//	taureau demo rebalance         # broker load manager spreading hot partitions
 //
-//	taureau -demo invoke -metrics                # metrics dump after the demo
-//	taureau -demo stream -metrics -format prom   # Prometheus text exposition
-//	taureau -demo pipeline -trace                # trace spans as a JSON list
-//	taureau -demo pipeline -trace -trace-top 5   # 5 slowest traces as span trees
-//	taureau -demo invoke -trace -trace-tenant demo   # one tenant's traces only
-//	taureau -demo burst -slo                     # per-tenant SLO burn-rate report
-//	taureau -demo stream -serve :9090            # keep serving /metrics + pprof
-//	taureau -demo burst -serve :9090             # … plus /autoscale state and /slo
-//	taureau -demo rebalance -serve :9090         # … plus the /brokers load report
+//	taureau demo invoke -metrics                   # metrics dump after the demo
+//	taureau demo stream -metrics -format prom      # … as Prometheus text (or json)
+//	taureau demo pipeline -trace                   # trace spans as a JSON list
+//	taureau demo pipeline -trace -trace-top 5      # 5 slowest traces as span trees
+//	taureau demo invoke -trace -trace-tenant demo  # one tenant's traces only
+//	taureau demo burst -slo                        # per-tenant SLO burn-rate report
+//	taureau demo burst -serve :9090                # then serve /metrics, /trace, /slo, pprof,
+//	                                               # /autoscale and /brokers until killed
+//	taureau demo stream -chaos 42                  # run under seeded fault injection
 //
-// Chaos:
+// The others:
 //
-//	taureau -demo stream -chaos 42    # run the demo under seeded fault injection
+//	taureau gateway -addr :8080 -tokens dev-token=dev,other=acme
+//	taureau sebs -requests 10 -apps webapp,video
+//	taureau conform -full          # 300 schedules per workload instead of 60
+//	taureau experiments -list      # experiment index
+//	taureau experiments -e E6      # one experiment; no -e runs all 27
+//
+// A command-line mistake prints usage to stderr and exits 2; a failed run
+// exits 1.
 package main
 
 import (
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
-	"sort"
-	"sync"
-	"time"
-
-	"net/http"
-
-	"repro/internal/autoscale"
-	"repro/internal/blob"
-	"repro/internal/chaos"
-	"repro/internal/core"
-	"repro/internal/faas"
-	"repro/internal/jiffy"
-	"repro/internal/obs"
-	"repro/internal/oram"
-	"repro/internal/orchestrate"
-	"repro/internal/pulsar"
-	"repro/internal/scheduler"
-	"repro/internal/simclock"
-	"repro/internal/sketch"
-	"repro/internal/workload"
 )
 
-var demos = map[string]func(*core.Platform, simclock.Clock){
-	"invoke":    demoInvoke,
-	"pipeline":  demoPipeline,
-	"stream":    demoStream,
-	"state":     demoState,
-	"oram":      demoORAM,
-	"burst":     demoBurst,
-	"rebalance": demoRebalance,
+// errUsage marks a command-line mistake whose explanation has already been
+// written to stderr.
+var errUsage = errors.New("usage")
+
+type command struct {
+	name, summary string
+	run           func(args []string, stdout, stderr io.Writer) error
 }
 
-func main() {
-	var (
-		demo        = flag.String("demo", "invoke", "demo scenario to run")
-		list        = flag.Bool("list", false, "list demos and exit")
-		metrics     = flag.Bool("metrics", false, "dump platform metrics after the demo")
-		format      = flag.String("format", "text", "metrics dump format: text, prom, or json")
-		trace       = flag.Bool("trace", false, "dump collected trace spans as JSON after the demo")
-		traceTop    = flag.Int("trace-top", 0, "with -trace: print the N slowest traces (span trees, slowest first) instead of raw JSON")
-		traceTenant = flag.String("trace-tenant", "", "with -trace: only traces attributed to this tenant")
-		slo         = flag.Bool("slo", false, "print the per-tenant SLO burn-rate report after the demo")
-		serve       = flag.String("serve", "", "after the demo, serve /metrics, /metrics.json, /trace, /slo and pprof on this address (e.g. :9090)")
-		seed        = flag.Int64("chaos", -1, "seed=N: run the demo under a seeded fault schedule (bookie/broker/jiffy crashes, stragglers, drops); -1 disables")
-		conformRun  = flag.Bool("conform", false, "run the execution-semantics conformance explorer over the reference workloads and exit")
-		conformFull = flag.Bool("conform-full", false, "like -conform, but with the full schedule budget instead of the quick one")
-		sebsRun     = flag.Bool("sebs", false, "run the SeBS-style end-to-end suite through the HTTP gateway and print the JSON report")
-		sebsReqs    = flag.Int("sebs-requests", 0, "with -sebs: requests per app (0 = default 40)")
-		sebsApps    = flag.String("sebs-apps", "", "with -sebs: comma-separated app subset (default all)")
-		gatewayAddr = flag.String("gateway", "", "serve the v1 REST API + telemetry on this address (real clock; e.g. :8080) until killed")
-		tokenSpec   = flag.String("tokens", "dev-token=dev", "with -gateway: comma-separated bearer token=tenant pairs")
-	)
-	flag.Parse()
-	if *conformRun || *conformFull {
-		runConformance(*conformFull)
-		return
-	}
-	if *sebsRun {
-		runSebs(*sebsReqs, *sebsApps)
-		return
-	}
-	if *gatewayAddr != "" {
-		runGateway(*gatewayAddr, *tokenSpec)
-		return
-	}
-	if *list {
-		names := make([]string, 0, len(demos))
-		for n := range demos {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			fmt.Println(n)
-		}
-		return
-	}
-	fn, ok := demos[*demo]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown demo %q; use -list\n", *demo)
-		os.Exit(1)
-	}
-	platform, clock := core.NewVirtual(core.Options{})
-	defer clock.Close()
-	var inj *chaos.Injector
-	clock.Run(func() {
-		if *seed >= 0 {
-			inj = startChaos(platform, clock, *seed)
-		}
-		fn(platform, clock)
-		if inj != nil {
-			inj.Wait()
-		}
-	})
-	if inj != nil {
-		fmt.Println("\nchaos events applied:")
-		for _, line := range inj.Log() {
-			fmt.Println("  " + line)
-		}
-	}
-	fmt.Println()
-	for _, tenant := range platform.Meter.Tenants() {
-		fmt.Print(platform.Tenant(tenant).Invoice())
-	}
-	fmt.Printf("simulated time: %v\n", platform.Elapsed())
+var commands = []command{
+	{"demo", "<name> [flags]: run a demo scenario (demo -list names them)", cmdDemo},
+	{"gateway", "[flags]: serve the v1 REST API + telemetry until killed", cmdGateway},
+	{"sebs", "[flags]: run the SeBS-style suite, print the JSON report", cmdSebs},
+	{"conform", "[flags]: run the conformance explorer over the reference workloads", cmdConform},
+	{"experiments", "[flags]: regenerate the experiment tables E1–E27", cmdExperiments},
+}
 
-	if *metrics {
-		fmt.Println()
-		var err error
-		switch *format {
-		case "text":
-			err = platform.Obs.WriteText(os.Stdout)
-		case "prom":
-			err = platform.Obs.WritePrometheus(os.Stdout)
-		case "json":
-			err = platform.Obs.WriteJSON(os.Stdout)
-		default:
-			fmt.Fprintf(os.Stderr, "unknown -format %q; use text, prom, or json\n", *format)
-			os.Exit(1)
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-	}
-	if *trace || *traceTop > 0 || *traceTenant != "" {
-		fmt.Println()
-		if *traceTop > 0 || *traceTenant != "" {
-			printTraces(platform.Obs.Tracer(), *traceTop, *traceTenant)
-		} else {
-			out, err := platform.Obs.Tracer().ExportJSON()
-			if err != nil {
-				log.Fatal(err)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) > 0 {
+		for _, c := range commands {
+			if c.name != args[0] {
+				continue
 			}
-			os.Stdout.Write(out)
-			fmt.Println()
-		}
-	}
-	if *slo {
-		fmt.Println()
-		if err := platform.Obs.SLO().WriteSLOText(os.Stdout); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if *serve != "" {
-		fmt.Printf("\nserving /metrics, /metrics.json, /trace, /autoscale, /brokers and /debug/pprof on %s (ctrl-c to stop)\n", *serve)
-		autoscaleRoute := obs.Route{Pattern: "/autoscale", Handler: func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			var st autoscale.Status
-			if platform.Autoscaler != nil {
-				st = platform.Autoscaler.Status()
-			}
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			_ = enc.Encode(st)
-		}}
-		brokersRoute := obs.Route{Pattern: "/brokers", Handler: func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			var rep pulsar.LoadReport
-			if platform.BrokerLoad != nil {
-				rep = platform.BrokerLoad.Report()
-			}
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			_ = enc.Encode(rep)
-		}}
-		if err := platform.Obs.Serve(*serve, autoscaleRoute, brokersRoute); err != nil {
-			log.Fatal(err)
-		}
-	}
-}
-
-func demoInvoke(p *core.Platform, clock simclock.Clock) {
-	demo := p.Tenant("demo")
-	if err := demo.Register("hello", func(ctx *faas.Ctx, in []byte) ([]byte, error) {
-		ctx.Work(30 * time.Millisecond)
-		return []byte(fmt.Sprintf("hello %s", in)), nil
-	}, faas.Config{MemoryMB: 256}); err != nil {
-		log.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		res, err := demo.Invoke("hello", []byte(fmt.Sprintf("call-%d", i)))
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("%-16s cold=%-5v latency=%-10v billed=%v\n", res.Output, res.Cold, res.Latency, res.Billed)
-	}
-}
-
-func demoPipeline(p *core.Platform, clock simclock.Clock) {
-	demo := p.Tenant("demo")
-	if err := p.Blob.CreateBucket("in", "demo"); err != nil {
-		log.Fatal(err)
-	}
-	for _, step := range []string{"extract", "transform", "load"} {
-		step := step
-		if err := demo.Register(step, func(ctx *faas.Ctx, in []byte) ([]byte, error) {
-			ctx.Work(25 * time.Millisecond)
-			return append(in, []byte("|"+step)...), nil
-		}, faas.Config{MemoryMB: 128}); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if err := p.Orchestrator.RegisterComposition("etl", orchestrate.Chain(
-		orchestrate.Task("extract"), orchestrate.Task("transform"), orchestrate.Task("load"),
-	)); err != nil {
-		log.Fatal(err)
-	}
-	var results []string
-	faas.BindBlob(p.FaaS, p.Blob, "in", demo.Name(), "driver")
-	if err := demo.Register("driver", func(ctx *faas.Ctx, in []byte) ([]byte, error) {
-		out, err := p.Orchestrator.Execute(demo.Name(), orchestrate.Task("etl"), in)
-		if err == nil {
-			results = append(results, string(out))
-		}
-		return out, err
-	}, faas.Config{MemoryMB: 128}); err != nil {
-		log.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := p.Blob.Put("in", fmt.Sprintf("obj-%d", i), []byte("x"), blob.PutOptions{}); err != nil {
-			log.Fatal(err)
-		}
-	}
-	clock.Sleep(2 * time.Second)
-	fmt.Printf("pipeline ran %d times; sample output tail: %q\n", len(results), tail(results))
-}
-
-func demoStream(p *core.Platform, clock simclock.Clock) {
-	if err := p.Pulsar.CreateTopic("clicks", 2); err != nil {
-		log.Fatal(err)
-	}
-	cm := sketch.NewCountMinWH(20, 20)
-	fn, err := p.Pulsar.StartFunction(pulsar.FunctionConfig{Name: "cm", Inputs: []string{"clicks"}},
-		func(ctx *pulsar.FnContext, m pulsar.Message) ([]byte, error) {
-			cm.Add(m.Key, 1)
-			return nil, nil
-		})
-	if err != nil {
-		log.Fatal(err)
-	}
-	prod, err := p.Pulsar.CreateProducer("clicks")
-	if err != nil {
-		log.Fatal(err)
-	}
-	keys := workload.ZipfKeys(100, 1.5, 2000, 7)
-	for _, k := range keys {
-		if _, err := prod.SendKey(k, nil); err != nil {
-			log.Fatal(err)
-		}
-	}
-	for i := 0; i < 10000 && fn.Processed() < int64(len(keys)); i++ {
-		clock.Sleep(5 * time.Millisecond)
-	}
-	fn.Stop()
-	fmt.Printf("processed %d events; estimate(key-0) = %d\n", fn.Processed(), cm.Estimate("key-0"))
-}
-
-func demoState(p *core.Platform, clock simclock.Clock) {
-	app, err := p.Jiffy.CreateNamespace("/demo", jiffy.NamespaceOptions{Lease: time.Minute})
-	if err != nil {
-		log.Fatal(err)
-	}
-	task, err := app.CreateChild("task1", jiffy.NamespaceOptions{Lease: time.Minute})
-	if err != nil {
-		log.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		if err := task.Put(fmt.Sprintf("k%d", i), []byte("value")); err != nil {
-			log.Fatal(err)
-		}
-	}
-	moved, err := task.Scale(+3)
-	if err != nil {
-		log.Fatal(err)
-	}
-	out, _ := json.Marshal(map[string]any{
-		"namespace":  task.Path(),
-		"blocks":     task.Blocks(),
-		"used_bytes": task.UsedBytes(),
-		"keys_moved": moved,
-		"pool_free":  p.Jiffy.FreeBlocks(),
-	})
-	fmt.Printf("after scale(+3): %s\n", out)
-	clock.Sleep(2 * time.Minute) // lease lapses
-	p.Jiffy.ReapExpired()
-	fmt.Printf("after lease expiry: pool free = %d (state reclaimed)\n", p.Jiffy.FreeBlocks())
-}
-
-func demoORAM(p *core.Platform, clock simclock.Clock) {
-	if err := p.Blob.CreateBucket("secure", "demo"); err != nil {
-		log.Fatal(err)
-	}
-	client, err := oram.New(p.Blob, "secure", "tree", 64, 7)
-	if err != nil {
-		log.Fatal(err)
-	}
-	start := clock.Now()
-	if err := client.Write(13, []byte("the bull, plate XI")); err != nil {
-		log.Fatal(err)
-	}
-	writeDur := clock.Now().Sub(start)
-	start = clock.Now()
-	data, err := client.Read(13)
-	if err != nil {
-		log.Fatal(err)
-	}
-	readDur := clock.Now().Sub(start)
-	fmt.Printf("oram[13] = %q\n", data)
-	fmt.Printf("each access touched exactly %d buckets (path length %d×2): write %v, read %v\n",
-		2*(client.Levels()+1), client.Levels()+1, writeDur.Round(time.Millisecond), readDur.Round(time.Millisecond))
-	fmt.Printf("the store observed %d reads and %d writes — none reveal which block was used\n",
-		client.Reads, client.Writes)
-}
-
-// demoBurst drives the elastic control plane (§4.1) with an open-loop 10×
-// burst: steady 2 rps, a 20 rps surge, then idle. The autoscaler panics up,
-// absorbs the surge, re-converges, and finally scales the function — and the
-// machines behind it — back to zero.
-func demoBurst(p *core.Platform, clock simclock.Clock) {
-	demo := p.Tenant("demo")
-	// A machine fleet so the controller has something to grow and drain:
-	// each machine holds four 1000-mCPU instances.
-	p.FaaS.AttachCluster(scheduler.NewCluster(scheduler.Resources{CPU: 4000, MemMB: 16384}, scheduler.FirstFit{}), 0)
-	if err := demo.Register("api", func(ctx *faas.Ctx, in []byte) ([]byte, error) {
-		ctx.Work(250 * time.Millisecond)
-		return in, nil
-	}, faas.Config{
-		MemoryMB:        128,
-		ColdStart:       200 * time.Millisecond,
-		KeepAlive:       4 * time.Second,
-		ColdStartBudget: 10 * time.Second,
-	}); err != nil {
-		log.Fatal(err)
-	}
-	ctrl := p.EnableAutoscale(autoscale.Config{
-		TickInterval:     time.Second,
-		StableWindow:     20 * time.Second,
-		PanicWindow:      3 * time.Second,
-		ScaleToZeroAfter: 5 * time.Second,
-		DrainDelay:       4 * time.Second,
-	})
-	defer ctrl.Stop()
-
-	const (
-		baseRPS = 2.0
-		window  = 30 * time.Second
-	)
-	rf := workload.Burst(baseRPS, 10, 5*time.Second, 5*time.Second)
-	// Off-grid arrivals (+500µs) cannot race a same-instant autoscaler tick,
-	// which keeps the virtual-clock run deterministic.
-	arrivals := workload.OffsetArrivals(workload.Arrivals(rf, window, 42), 500*time.Microsecond)
-	fmt.Printf("open-loop drive: %.0f rps steady, 10× burst at 5s for 5s — %d arrivals over %v\n",
-		baseRPS, len(arrivals), window)
-
-	var (
-		mu        sync.Mutex
-		wg        = simclock.NewGroup(clock)
-		latencies []time.Duration
-		cold      int
-		peakWant  int
-	)
-	start := clock.Now()
-	for _, at := range arrivals {
-		at := at
-		wg.Go(func() {
-			clock.Sleep(at - clock.Now().Sub(start))
-			res, err := demo.Invoke("api", []byte("r"))
-			if err != nil {
-				return
-			}
-			mu.Lock()
-			latencies = append(latencies, res.Latency)
-			if res.Cold {
-				cold++
-			}
-			mu.Unlock()
-		})
-	}
-	// Sample the controller's desired count while the surge is in flight.
-	wg.Go(func() {
-		for i := 0; i < 12; i++ {
-			clock.Sleep(time.Second)
-			for _, f := range ctrl.Status().Functions {
-				if f.Name == "api" && f.Desired > peakWant {
-					peakWant = f.Desired
-				}
+			switch err := c.run(args[1:], stdout, stderr); {
+			case err == nil, errors.Is(err, flag.ErrHelp):
+				return 0
+			case errors.Is(err, errUsage):
+				return 2
+			default:
+				fmt.Fprintln(stderr, "taureau:", err)
+				return 1
 			}
 		}
-	})
-	wg.Wait()
-
-	p99, _ := faas.PercentileOK(latencies, 99)
-	fmt.Printf("served %d/%d invocations (%d cold starts), p99 %v, peak desired instances %d\n",
-		len(latencies), len(arrivals), cold, p99.Round(time.Millisecond), peakWant)
-
-	clock.Sleep(15 * time.Second) // idle: scale-to-zero + machine drain
-	st := ctrl.Status()
-	pool, _ := p.FaaS.PoolTarget(demo.Name(), "api")
-	fmt.Printf("after %v idle: pool=%d machines=%d retired=%d (scale-to-zero reclaimed the fleet)\n",
-		15*time.Second, pool, st.Machines, st.Retired)
+		fmt.Fprintf(stderr, "taureau: unknown subcommand %q\n", args[0])
+	}
+	fmt.Fprintln(stderr, "usage: taureau <subcommand> [flags]")
+	for _, c := range commands {
+		fmt.Fprintf(stderr, "  taureau %-11s %s\n", c.name, c.summary)
+	}
+	fmt.Fprintln(stderr, "each subcommand lists its flags with -h")
+	return 2
 }
 
-// startChaos generates a seeded fault schedule against the platform's
-// bookies, brokers and Jiffy nodes and starts replaying it alongside the
-// demo. Bookie straggler events are filtered out: the platform's bookie
-// fleet is shared with Pulsar, whose brokers append under topic locks, and
-// a sleeper holding a lock the injector contends stalls the virtual clock.
-func startChaos(p *core.Platform, clock simclock.Clock, seed int64) *chaos.Injector {
-	inj := chaos.NewInjector(clock, p.Ledgers, p.Pulsar, p.Jiffy)
-	if p.Obs != nil {
-		inj.SetObs(p.Obs)
-	}
-	sch := chaos.Generate(chaos.Options{
-		Seed:       seed,
-		Duration:   500 * time.Millisecond,
-		Bookies:    p.Ledgers.BookieIDs(),
-		Brokers:    p.Pulsar.BrokerIDs(),
-		JiffyNodes: p.Jiffy.NodeIDs(),
-	})
-	filtered := sch[:0]
-	for _, e := range sch {
-		if e.Kind == chaos.KindBookie && e.Op == chaos.OpSlow {
-			continue
+// parseFlags parses a subcommand's arguments, which must all be flags. The
+// flag package has already reported any mistake to stderr.
+func parseFlags(fs *flag.FlagSet, stderr io.Writer, args []string) error {
+	fs.SetOutput(stderr)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
 		}
-		filtered = append(filtered, e)
+		return errUsage
 	}
-	fmt.Printf("chaos: seed %d, %d faults over 500ms\n\n", seed, len(filtered))
-	inj.Run(filtered)
-	return inj
-}
-
-// printTraces renders retained traces as indented span trees, slowest root
-// first — the -trace-top / -trace-tenant view. top <= 0 means "all".
-func printTraces(tr *obs.Tracer, top int, tenant string) {
-	traces := tr.Traces()
-	if tenant != "" {
-		kept := traces[:0]
-		for _, t := range traces {
-			if t.Tenant == tenant {
-				kept = append(kept, t)
-			}
-		}
-		traces = kept
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "%s: unexpected argument %q\n", fs.Name(), fs.Arg(0))
+		fs.Usage()
+		return errUsage
 	}
-	sort.SliceStable(traces, func(i, j int) bool { return traces[i].Duration > traces[j].Duration })
-	if top > 0 && len(traces) > top {
-		traces = traces[:top]
-	}
-	if len(traces) == 0 {
-		fmt.Println("no matching traces")
-		return
-	}
-	for _, t := range traces {
-		errMark := ""
-		if t.Err {
-			errMark = "  ERR"
-		}
-		fmt.Printf("trace %016x  %-24s tenant=%-12s dur=%-12v spans=%d%s\n",
-			uint64(t.TraceID), t.Name, valueOr(t.Tenant, "-"), t.Duration, t.Spans, errMark)
-		spans := tr.TraceSpans(t.TraceID)
-		children := map[int64][]obs.SpanData{}
-		for _, sd := range spans {
-			children[sd.ParentID] = append(children[sd.ParentID], sd)
-		}
-		for pid := range children {
-			kids := children[pid]
-			sort.Slice(kids, func(i, j int) bool {
-				if !kids[i].Start.Equal(kids[j].Start) {
-					return kids[i].Start.Before(kids[j].Start)
-				}
-				return kids[i].Name < kids[j].Name
-			})
-		}
-		var walk func(id int64, depth int)
-		walk = func(id int64, depth int) {
-			for _, sd := range children[id] {
-				mark := ""
-				if sd.Err {
-					mark = "  ERR"
-				}
-				fmt.Printf("  %*s%-*s %v%s\n", 2*depth, "", 30-2*depth, sd.Name, sd.Duration, mark)
-				walk(sd.SpanID, depth+1)
-			}
-		}
-		// Roots are spans whose parent is not in this trace (ParentID 0).
-		walk(0, 0)
-	}
-}
-
-func valueOr(s, fallback string) string {
-	if s == "" {
-		return fallback
-	}
-	return s
-}
-
-func tail(s []string) string {
-	if len(s) == 0 {
-		return ""
-	}
-	return s[len(s)-1]
-}
-
-// demoRebalance pins a fleet of topics onto one broker, drives skewed
-// publish load, and lets the broker load manager spread the hot partitions
-// across the cluster through cursor-exact ownership handoffs. With
-// -serve :9090 the final /brokers endpoint reports the per-broker load.
-func demoRebalance(p *core.Platform, clock simclock.Clock) {
-	topics := []string{"orders", "payments", "carts", "emails", "fraud", "audit"}
-	prods := make([]*pulsar.Producer, len(topics))
-	for i, tp := range topics {
-		if err := p.Pulsar.CreateTopic(tp, 0); err != nil {
-			log.Fatal(err)
-		}
-		if err := p.Pulsar.MoveTopic(tp, "broker-0"); err != nil {
-			log.Fatal(err)
-		}
-		prod, err := p.Pulsar.CreateProducer(tp)
-		if err != nil {
-			log.Fatal(err)
-		}
-		prods[i] = prod
-	}
-	fmt.Printf("%d topics pinned to broker-0; load manager sampling every 100ms\n", len(topics))
-	lm := p.EnableBrokerLoadManager(pulsar.LoadManagerConfig{
-		Interval:       100*time.Millisecond + 333*time.Nanosecond,
-		OverloadFactor: 1.1,
-		MinMoveRate:    10,
-	})
-	defer lm.Stop()
-
-	// Skewed load: topic i publishes (i+1)×50 msg per 100ms round.
-	payload := workload.Payload(256, 7)
-	for round := 0; round < 10; round++ {
-		for i, prod := range prods {
-			for n := 0; n < (i+1)*5; n++ {
-				if _, err := prod.Send(payload); err != nil {
-					log.Fatal(err)
-				}
-			}
-		}
-		clock.Sleep(100 * time.Millisecond)
-	}
-
-	rep := lm.Report()
-	fmt.Printf("\nload manager: %d moves, %d splits\n", rep.Moves, rep.Splits)
-	for _, ev := range rep.Events {
-		fmt.Printf("  %-5s %-10s %s → %s\n", ev.Action, ev.Topic, ev.From, ev.To)
-	}
-	fmt.Println()
-	for _, b := range rep.Brokers {
-		fmt.Printf("%-10s topics=%d rate=%.0f msg/s\n", b.ID, b.Topics, b.MsgsPerSec)
-	}
+	return nil
 }

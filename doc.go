@@ -10,6 +10,7 @@
 //
 // Start at internal/core for the assembled platform, DESIGN.md for the
 // system inventory, and EXPERIMENTS.md for the experiment results. The
-// examples/ directory holds runnable programs; cmd/benchrunner regenerates
-// every experiment table.
+// examples/ directory holds runnable programs; cmd/taureau is the one binary
+// (taureau experiments regenerates every experiment table) and benchmark/
+// owns every performance number.
 package repro

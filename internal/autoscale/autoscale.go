@@ -32,9 +32,6 @@ import (
 type Config struct {
 	// TickInterval is the control-loop period. Default 2s.
 	TickInterval time.Duration
-	// TargetPerInstance is the in-flight concurrency one instance should
-	// carry (Knative's container-concurrency target). Default 1.
-	TargetPerInstance float64
 	// StableWindow smooths the in-flight signal for steady-state sizing;
 	// it is also how long panic mode persists after its last trigger.
 	// Default 60s.
@@ -42,12 +39,6 @@ type Config struct {
 	// PanicWindow smooths the in-flight signal for burst detection.
 	// Default 6s.
 	PanicWindow time.Duration
-	// PanicThreshold enters panic mode when the panic-window desired
-	// instance count reaches this multiple of current capacity. Default 2.
-	PanicThreshold float64
-	// MaxScaleUpRate caps growth per tick as a multiple of current
-	// capacity (Knative's max-scale-up-rate). Default 10.
-	MaxScaleUpRate float64
 	// ScaleToZeroAfter reclaims a function's last instances once it has
 	// been idle this long. A function's own KeepAlive acts as a floor:
 	// the effective delay is max(ScaleToZeroAfter, KeepAlive). Default 60s.
@@ -56,31 +47,32 @@ type Config struct {
 	// EWMA predicts the next request within two ticks, even if reactive
 	// sizing would scale to zero. Off by default.
 	PredictivePrewarm bool
-	// MaxMachines caps cluster growth (0 = unlimited).
-	MaxMachines int
 	// DrainDelay is how long machine surplus must persist before empty
 	// machines are drained — hysteresis against thrashing. Default 30s.
 	DrainDelay time.Duration
 }
 
+const (
+	// targetPerInstance is the in-flight concurrency one instance should
+	// carry (Knative's container-concurrency target).
+	targetPerInstance = 1.0
+	// panicThreshold enters panic mode when the panic-window desired
+	// instance count reaches this multiple of current capacity.
+	panicThreshold = 2.0
+	// maxScaleUpRate caps growth per tick as a multiple of current capacity
+	// (Knative's max-scale-up-rate).
+	maxScaleUpRate = 10.0
+)
+
 func (c Config) withDefaults() Config {
 	if c.TickInterval <= 0 {
 		c.TickInterval = 2 * time.Second
-	}
-	if c.TargetPerInstance <= 0 {
-		c.TargetPerInstance = 1
 	}
 	if c.StableWindow <= 0 {
 		c.StableWindow = 60 * time.Second
 	}
 	if c.PanicWindow <= 0 {
 		c.PanicWindow = 6 * time.Second
-	}
-	if c.PanicThreshold <= 0 {
-		c.PanicThreshold = 2
-	}
-	if c.MaxScaleUpRate <= 0 {
-		c.MaxScaleUpRate = 10
 	}
 	if c.ScaleToZeroAfter <= 0 {
 		c.ScaleToZeroAfter = 60 * time.Second
@@ -273,14 +265,14 @@ func (c *Controller) Tick() {
 		}
 
 		current := l.Pool()
-		desiredStable := int(math.Ceil(s.stable / c.cfg.TargetPerInstance))
-		desiredPanic := int(math.Ceil(s.panicky / c.cfg.TargetPerInstance))
+		desiredStable := int(math.Ceil(s.stable / targetPerInstance))
+		desiredPanic := int(math.Ceil(s.panicky / targetPerInstance))
 
 		// Enter (or extend) panic when the fast window wants a multiple of
 		// what the controller last asked for — instances self-materialize on
 		// the invoke path, so the pool itself chases inflight too closely to
 		// be the burst baseline. Panic persists for a stable window.
-		if float64(desiredPanic) >= c.cfg.PanicThreshold*math.Max(float64(s.desired), 1) {
+		if float64(desiredPanic) >= panicThreshold*math.Max(float64(s.desired), 1) {
 			s.panicUntil = now.Add(c.cfg.StableWindow)
 		}
 		desired := desiredStable
@@ -322,7 +314,7 @@ func (c *Controller) Tick() {
 			desired = l.Prewarm
 		}
 		// Rate-limit growth, then respect the concurrency cap.
-		if maxUp := int(math.Ceil(math.Max(float64(current), 1) * c.cfg.MaxScaleUpRate)); desired > maxUp {
+		if maxUp := int(math.Ceil(math.Max(float64(current), 1) * maxScaleUpRate)); desired > maxUp {
 			desired = maxUp
 		}
 		if desired > l.MaxConcurrency {
@@ -356,9 +348,6 @@ func (c *Controller) Tick() {
 			// Placements failed at current size: our packing estimate is
 			// optimistic (fragmentation), so force one machine of growth.
 			target = cur + 1
-		}
-		if c.cfg.MaxMachines > 0 && target > c.cfg.MaxMachines {
-			target = c.cfg.MaxMachines
 		}
 		switch {
 		case target > cur:
@@ -401,7 +390,7 @@ type FnStatus struct {
 }
 
 // Status is a point-in-time snapshot of the control loop, served by
-// `taureau -serve` at /autoscale.
+// `taureau demo <name> -serve` at /autoscale.
 type Status struct {
 	Ticks     int64      `json:"ticks"`
 	Machines  int        `json:"machines"`

@@ -102,9 +102,13 @@ type Options struct {
 	// Drops is how many drop bursts to plan (bookies and brokers only).
 	// Default 2.
 	Drops int
-	// MaxSlow bounds injected straggler latency. Default 2ms.
-	MaxSlow time.Duration
 }
+
+// Injected straggler latency is slowStep × 1..maxSlowSteps: 0.5ms to 2ms.
+const (
+	slowStep     = 500 * time.Microsecond
+	maxSlowSteps = 4
+)
 
 // eventOffset keeps fault instants off the millisecond grid that workload
 // loops tick on: no fault ever lands at the exact instant a workload
@@ -133,9 +137,6 @@ func Generate(opts Options) Schedule {
 	}
 	if opts.Drops == 0 {
 		opts.Drops = 2
-	}
-	if opts.MaxSlow <= 0 {
-		opts.MaxSlow = 2 * time.Millisecond
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 	slots := int(opts.Duration / time.Millisecond)
@@ -180,14 +181,10 @@ func Generate(opts Options) Schedule {
 			Event{At: at(start + down), Op: OpRestart, Kind: t.kind, Target: t.id},
 		)
 	}
-	slowSteps := int(opts.MaxSlow / (500 * time.Microsecond))
-	if slowSteps < 1 {
-		slowSteps = 1
-	}
 	for i := 0; i < opts.Stragglers && len(flaky) > 0; i++ {
 		t := flaky[rng.Intn(len(flaky))]
 		start := 1 + rng.Intn(slots*7/10)
-		lat := time.Duration(1+rng.Intn(slowSteps)) * 500 * time.Microsecond
+		lat := time.Duration(1+rng.Intn(maxSlowSteps)) * slowStep
 		span := 1 + rng.Intn(slots/5+1)
 		sch = append(sch,
 			Event{At: at(start), Op: OpSlow, Kind: t.kind, Target: t.id, Latency: lat},

@@ -98,28 +98,14 @@ type Options struct {
 	// MaxSchedules caps how many distinct schedules run (weight-ordered, so
 	// the cap keeps the shallowest). Default 300.
 	MaxSchedules int
-	// MaxFaultDepth caps the per-invocation fault-sequence length.
-	// Default 4.
-	MaxFaultDepth int
-	// MaxDups caps duplicate deliveries per invocation (dup-only workloads
-	// explore deeper; see dupOnlyMaxDups). Default 2.
-	MaxDups int
 	// Parallelism is how many schedules run concurrently, each on its own
 	// platform and virtual clock. Default 4.
 	Parallelism int
-	// StopAtFirst stops issuing new schedules once a divergence is found.
-	StopAtFirst bool
 }
 
 func (o Options) withDefaults() Options {
 	if o.MaxSchedules <= 0 {
 		o.MaxSchedules = 300
-	}
-	if o.MaxFaultDepth <= 0 {
-		o.MaxFaultDepth = 4
-	}
-	if o.MaxDups <= 0 {
-		o.MaxDups = 2
 	}
 	if o.Parallelism <= 0 {
 		o.Parallelism = 4
@@ -216,7 +202,6 @@ type outcome struct {
 	// maxEffects is the largest boundary count any single execution
 	// crossed (the baseline run uses it to size the crash alphabet).
 	maxEffects int
-	skipped    bool
 }
 
 // Explore runs the full bounded exploration for one workload.
@@ -235,36 +220,19 @@ func Explore(w Workload, opts Options) (Report, error) {
 	scheds := enumerate(w.Invocations, base.maxEffects, w.SinkTopic != "", w.DupOnly, opts)
 	results := make([]outcome, len(scheds))
 
-	var (
-		wg       sync.WaitGroup
-		next     = make(chan int)
-		stop     = make(chan struct{})
-		stopOnce sync.Once
-	)
+	var wg sync.WaitGroup
+	next := make(chan int)
 	for p := 0; p < opts.Parallelism; p++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range next {
 				results[i] = runSchedule(w, scheds[i])
-				if opts.StopAtFirst {
-					if _, ok := diverges(w, scheds[i], results[i], base); ok {
-						stopOnce.Do(func() { close(stop) })
-					}
-				}
 			}
 		}()
 	}
 	for i := range scheds {
-		select {
-		case <-stop:
-		case next <- i:
-			continue
-		}
-		for j := i; j < len(scheds); j++ {
-			results[j].skipped = true
-		}
-		break
+		next <- i
 	}
 	close(next)
 	wg.Wait()
@@ -280,9 +248,6 @@ func Explore(w Workload, opts Options) (Report, error) {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "baseline digest=%x execs=%d billed=%d\n", base.Digest, base.Execs, base.Billed)
 	for i, res := range results {
-		if res.skipped {
-			continue
-		}
 		rep.Explored++
 		fmt.Fprintf(h, "%s digest=%x execs=%d billed=%d\n", scheds[i], res.Digest, res.Execs, res.Billed)
 		if res.runErr != nil {

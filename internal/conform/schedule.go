@@ -101,8 +101,7 @@ const (
 // depth. Output is capped at opts.MaxSchedules.
 func enumerate(invocations, effects int, sink, dupOnly bool, opts Options) []Schedule {
 	var alphabet []int
-	maxFaults := opts.MaxFaultDepth
-	maxDups := opts.MaxDups
+	maxFaults, maxDups := maxFaultDepth, defaultMaxDups
 	if dupOnly {
 		maxFaults = 0
 		maxDups = dupOnlyMaxDups
@@ -128,9 +127,15 @@ func enumerate(invocations, effects int, sink, dupOnly bool, opts Options) []Sch
 	return out
 }
 
-// dupOnlyMaxDups is the duplicate-delivery depth for dup-only workloads:
-// without crash faults, depth is the only lever for coverage.
-const dupOnlyMaxDups = 5
+const (
+	// maxFaultDepth caps the per-invocation fault-sequence length.
+	maxFaultDepth = 4
+	// defaultMaxDups caps duplicate deliveries per invocation.
+	defaultMaxDups = 2
+	// dupOnlyMaxDups is the duplicate-delivery depth for dup-only workloads:
+	// without crash faults, depth is the only lever for coverage.
+	dupOnlyMaxDups = 5
+)
 
 // genWeight appends every schedule of exactly the given weight, in
 // deterministic order: invocation by invocation, fault-sequence length before

@@ -51,19 +51,12 @@ type Options struct {
 	// PulsarFlushInterval bounds buffered-message staleness for batching
 	// producers. Default 1ms.
 	PulsarFlushInterval time.Duration
-	// BlobLatency models blob store access. Default blob.S3Latency.
-	BlobLatency blob.LatencyModel
 	// JiffyLatency models ephemeral access. Default jiffy.MemoryLatency.
 	JiffyLatency jiffy.LatencyModel
-	// Pricing converts metered usage to dollars. Default
-	// billing.DefaultPricing().
-	Pricing billing.Pricing
-	// Obs is the observability registry threaded through every subsystem.
-	// Nil creates a fresh registry on the platform clock; set DisableObs to
-	// run fully uninstrumented instead.
-	Obs *obs.Registry
 	// DisableObs turns platform observability off: subsystems get nil
-	// instruments and their hot paths pay only a predicted branch.
+	// instruments and their hot paths pay only a predicted branch. By
+	// default a fresh registry on the platform clock is threaded through
+	// every subsystem.
 	DisableObs bool
 }
 
@@ -86,14 +79,8 @@ func (o Options) withDefaults() Options {
 	if o.JiffyBlockSize <= 0 {
 		o.JiffyBlockSize = 64 << 10
 	}
-	if o.BlobLatency == (blob.LatencyModel{}) {
-		o.BlobLatency = blob.S3Latency
-	}
 	if o.JiffyLatency == (jiffy.LatencyModel{}) {
 		o.JiffyLatency = jiffy.MemoryLatency
-	}
-	if o.Pricing == nil {
-		o.Pricing = billing.DefaultPricing()
 	}
 	return o
 }
@@ -140,8 +127,8 @@ func New(opts Options) *Platform {
 	clock := opts.Clock
 	meter := billing.NewMeter()
 
-	reg := opts.Obs
-	if reg == nil && !opts.DisableObs {
+	var reg *obs.Registry
+	if !opts.DisableObs {
 		reg = obs.New(clock)
 	}
 
@@ -165,7 +152,7 @@ func New(opts Options) *Platform {
 		jf.AddNode(fmt.Sprintf("mem-%d", i), opts.BlocksPerNode)
 	}
 	fp := faas.New(clock, meter)
-	blobStore := blob.New(clock, meter, opts.BlobLatency)
+	blobStore := blob.New(clock, meter, blob.S3Latency)
 	queueSvc := queue.New(clock, meter)
 	db := kvdb.New(clock, meter)
 	engine := orchestrate.NewEngine(fp)
@@ -177,7 +164,7 @@ func New(opts Options) *Platform {
 	return &Platform{
 		Clock:        clock,
 		Meter:        meter,
-		Pricing:      opts.Pricing,
+		Pricing:      billing.DefaultPricing(),
 		Obs:          reg,
 		FaaS:         fp,
 		Blob:         blobStore,

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/pulsar"
+	"repro/internal/simclock"
 	"repro/internal/sketch"
 	"repro/internal/workload"
 )
@@ -27,6 +28,16 @@ func E6PulsarSketch() Table {
 	var processed int64
 	var wall time.Duration
 	v.Run(func() {
+		// Every wait is a clock-visible hand-off, so the measured span is
+		// exactly one poll period at any GOMAXPROCS. The function instance
+		// polls at start (nothing yet) and sleeps its 5ms; the clock can only
+		// carry the driver off the poll grid once it has, so the stream lands
+		// strictly inside that sleep. The handler stamps the instant the last
+		// event lands and releases the driver — polling Processed() instead
+		// would tie with the instance's own wake-up.
+		var seen int
+		var doneAt time.Time
+		done := simclock.NewEvent(v)
 		if err := p.Pulsar.CreateTopic("events", 4); err != nil {
 			panic(err)
 		}
@@ -35,6 +46,10 @@ func E6PulsarSketch() Table {
 			Inputs: []string{"events"},
 		}, func(ctx *pulsar.FnContext, m pulsar.Message) ([]byte, error) {
 			cm.Add(m.Key, 1) // single instance: the sketch is the function's state (Fig. 3)
+			if seen++; seen == events {
+				doneAt = v.Now()
+				done.Set()
+			}
 			return nil, nil
 		})
 		if err != nil {
@@ -45,17 +60,16 @@ func E6PulsarSketch() Table {
 			panic(err)
 		}
 		start := v.Now()
+		v.Sleep(333 * time.Microsecond)
 		for _, k := range keys {
 			if _, err := prod.SendKey(k, nil); err != nil {
 				panic(err)
 			}
 		}
-		for i := 0; i < 100000 && rf.Processed() < events; i++ {
-			v.Sleep(5 * time.Millisecond)
-		}
-		wall = v.Now().Sub(start)
-		processed = rf.Processed()
+		done.Wait()
+		wall = doneAt.Sub(start)
 		rf.Stop()
+		processed = rf.Processed()
 	})
 
 	// Top keys by true count.

@@ -1,11 +1,11 @@
 // Package experiments operationalizes the paper's qualitative claims as
-// measurable experiments (E1-E18; see DESIGN.md §2 for the full index).
+// measurable experiments (E1-E27; see DESIGN.md §2 for the index).
 // Le Taureau is a vision/tutorial paper with no evaluation tables of its
 // own, so each experiment here turns one claim from the text into a
 // reproducible table: the workload, the treatment and baseline systems, and
-// the shape the claim predicts. cmd/benchrunner prints the tables;
-// bench_test.go wraps each in a testing.B benchmark; EXPERIMENTS.md records
-// expected vs measured shapes.
+// the shape the claim predicts. `taureau experiments` prints the tables;
+// experiments_test.go asserts each shape; EXPERIMENTS.md records expected vs
+// measured shapes.
 //
 // Every experiment runs on a fresh virtual-clock platform, so results are
 // deterministic and a full sweep takes seconds of real time.

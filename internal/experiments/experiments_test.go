@@ -142,6 +142,12 @@ func TestE6EstimatesWithinBound(t *testing.T) {
 			t.Fatalf("estimate out of bound at row %d:\n%s", i, tb)
 		}
 	}
+	// The span is one function poll period, at every GOMAXPROCS (the line
+	// EXPERIMENTS.md records).
+	const note = "6000 events processed in 5ms simulated (1200000 msg/s through broker+ledger); εN bound = 60"
+	if tb.Notes != note {
+		t.Fatalf("note = %q, want %q", tb.Notes, note)
+	}
 }
 
 func TestE7NoDoubleBilling(t *testing.T) {

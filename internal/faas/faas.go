@@ -879,73 +879,6 @@ func (p *Platform) invoke(tenant, name string, payload []byte, attempt int, pare
 	return res, err
 }
 
-// asyncRetryBase is the backoff before an async re-execution; it doubles per
-// attempt (providers space retries out so transient failures can clear).
-const asyncRetryBase = 500 * time.Millisecond
-
-// asyncJitter is the fraction of each async backoff that is randomized, so
-// a burst of failed invocations does not re-execute in lockstep.
-const asyncJitter = 0.2
-
-// InvokeAsyncFor runs tenant's function name on its own goroutine,
-// transparently re-executing it on failure — with exponential backoff plus
-// jitter — up to the function's MaxRetries (§4.1: "most FaaS platforms re-execute functions
-// transparently on failure"). done, if non-nil, receives the final result;
-// its Attempt and RetryWait fields surface how many executions it took and
-// how long the retries backed off in total.
-func (p *Platform) InvokeAsyncFor(tenant, name string, payload []byte, done func(Result, error)) {
-	p.clock.Go(func() {
-		fn, lookupErr := p.lookup(tenant, name)
-		retries := 0
-		if lookupErr == nil {
-			retries = fn.cfg.MaxRetries
-		}
-		// One async submission is one trace: the wrapper span roots it, each
-		// execution attempt and each backoff sleep is a child, so a trace of
-		// a retried request shows attempt 1 failing, the wait, attempt 2...
-		root := p.obsTracer.Start(obs.TraceCtx{}, "faas.invoke.async")
-		var res Result
-		var err error
-		var waited time.Duration
-		backoff := asyncRetryBase
-		for attempt := 1; attempt <= retries+1; attempt++ {
-			if attempt > 1 {
-				d := p.jittered(backoff, asyncJitter)
-				wspan := p.obsTracer.Start(root.Ctx(), "faas.retry.backoff")
-				p.clock.Sleep(d)
-				wspan.End()
-				waited += d
-				backoff *= 2
-			}
-			res, err = p.invoke(tenant, name, payload, attempt, root.Ctx(), "")
-			res.Attempt = attempt
-			res.RetryWait = waited
-			if err == nil {
-				break
-			}
-			// A tenant-level shed is an explicit back-pressure signal:
-			// retrying it from inside the platform would amplify exactly
-			// the overload admission is shedding (a retry storm). Surface
-			// it to the caller instead.
-			if errors.Is(err, ErrTenantThrottled) {
-				break
-			}
-		}
-		p.obsRetryWait.Observe(waited)
-		if root.Active() {
-			res.TraceID = root.TraceID()
-		}
-		if fn != nil {
-			root.EndLabeled(fn.tenant, fn.name, err != nil)
-		} else {
-			root.EndErr(true)
-		}
-		if done != nil {
-			done(res, err)
-		}
-	})
-}
-
 // reapLocked retires idle instances whose keep-alive lapsed, never dropping
 // the idle pool below the provisioned (Prewarm) floor. Called with fn.mu
 // held — on every acquire and release, so the steady-state scan (nothing

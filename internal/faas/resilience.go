@@ -8,11 +8,11 @@ import (
 	"repro/internal/obs"
 )
 
-// This file is the platform's sync-invoke resilience plane: a per-function
+// This file is the platform's invoke resilience plane: a per-function
 // circuit breaker (closed → open → half-open) that sheds load fast when a
-// handler persistently fails, and a capped exponential-backoff retry policy
-// with deterministic jitter for callers who want at-least-once semantics on
-// the synchronous path. Jangda et al. ("Formal Foundations of Serverless
+// handler persistently fails, and the one capped exponential-backoff retry
+// loop with deterministic jitter behind both at-least-once entry points
+// (InvokeWithRetry, InvokeAsyncFor). Jangda et al. ("Formal Foundations of Serverless
 // Computing") make the case that retry behaviour *is* the observable
 // contract of a FaaS platform; this makes ours explicit and testable.
 
@@ -143,8 +143,8 @@ func (p *Platform) recordBreaker(fn *function, out breakerOutcome, probe bool) {
 	}
 }
 
-// RetryPolicy configures InvokeWithRetry: capped exponential backoff with
-// jitter, slept on the platform clock.
+// RetryPolicy configures InvokeWithRetry: exponential backoff (doubling from
+// Base, each wait capped at retryCap) with jitter, slept on the platform clock.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of executions, including the first.
 	// Default 3.
@@ -152,8 +152,6 @@ type RetryPolicy struct {
 	// Base is the backoff before the second attempt; it doubles per attempt.
 	// Default 100ms.
 	Base time.Duration
-	// Cap bounds a single backoff. Default 10s.
-	Cap time.Duration
 	// Jitter is the fraction of each backoff that is randomized (equal
 	// jitter: the sleep lands in ((1-Jitter)·d, d]). Default 0.2; negative
 	// disables jitter entirely.
@@ -165,10 +163,20 @@ type RetryPolicy struct {
 	// after a *successful* attempt — modelling a client that lost the reply
 	// and re-invokes — which is what lets the conformance explorer
 	// (internal/conform) drive every attempt boundary as an explicit
-	// decision point. Non-retryable platform errors (unknown function,
-	// oversized payload, open breaker) still end the loop.
+	// decision point. Errors that are not retryable still end the loop.
 	Decide func(attempt int, res Result, err error) bool
 }
+
+const (
+	// retryCap bounds a single backoff, sync or async.
+	retryCap = 10 * time.Second
+	// retryJitter is the default randomized fraction of each backoff, so a
+	// burst of failed invocations does not re-execute in lockstep.
+	retryJitter = 0.2
+	// asyncRetryBase is the backoff before the first async re-execution
+	// (providers space retries out so transient failures can clear).
+	asyncRetryBase = 500 * time.Millisecond
+)
 
 func (rp RetryPolicy) withDefaults() RetryPolicy {
 	if rp.MaxAttempts <= 0 {
@@ -177,11 +185,8 @@ func (rp RetryPolicy) withDefaults() RetryPolicy {
 	if rp.Base <= 0 {
 		rp.Base = 100 * time.Millisecond
 	}
-	if rp.Cap <= 0 {
-		rp.Cap = 10 * time.Second
-	}
 	if rp.Jitter == 0 {
-		rp.Jitter = 0.2
+		rp.Jitter = retryJitter
 	}
 	if rp.Jitter < 0 {
 		rp.Jitter = 0
@@ -190,18 +195,6 @@ func (rp RetryPolicy) withDefaults() RetryPolicy {
 		rp.Jitter = 1
 	}
 	return rp
-}
-
-// backoffFor returns the un-jittered wait before the given (2-based) attempt.
-func (rp RetryPolicy) backoffFor(attempt int) time.Duration {
-	d := rp.Base
-	for i := 2; i < attempt && d < rp.Cap; i++ {
-		d *= 2
-	}
-	if d > rp.Cap {
-		d = rp.Cap
-	}
-	return d
 }
 
 // jittered shaves a random slice (up to frac·d) off d, using the platform's
@@ -217,41 +210,70 @@ func (p *Platform) jittered(d time.Duration, frac float64) time.Duration {
 }
 
 // InvokeWithRetry runs tenant's function name synchronously, re-invoking
-// failed attempts after a capped exponential backoff with jitter. Errors that
-// retrying cannot fix — unknown function, oversized payload, an open circuit
-// breaker — return immediately: the breaker exists to shed load, so hammering
-// it from the retry loop would defeat the point. Every attempt presents
-// idemKey ("" = none), so on a function with a DedupWindow a retry of an
-// attempt that actually succeeded (a lost reply) is served from the dedup
-// cache instead of re-executing the handler. The returned Result's Attempt
-// and RetryWait fields report the attempt that produced it and the total
-// backoff slept.
+// failed attempts after a capped exponential backoff with jitter; an error
+// that is not retryable returns immediately. Every attempt presents idemKey
+// ("" = none), so on a function with a DedupWindow a retry of an attempt that
+// actually succeeded (a lost reply) is served from the dedup cache instead of
+// re-executing the handler. The returned Result's Attempt and RetryWait
+// fields report the attempt that produced it and the total backoff slept.
 func (p *Platform) InvokeWithRetry(tenant, name, idemKey string, payload []byte, pol RetryPolicy) (Result, error) {
-	pol = pol.withDefaults()
-	// All attempts share one trace under a retry-wrapper root, mirroring
-	// InvokeAsyncFor: a retried request reads as one causal story, not N.
-	root := p.obsTracer.Start(obs.TraceCtx{}, "faas.invoke.retry")
+	return p.invokeRetrying("faas.invoke.retry", tenant, name, idemKey, payload, pol.withDefaults())
+}
+
+// InvokeAsyncFor runs tenant's function name on its own goroutine,
+// transparently re-executing it on failure — same loop and stop rule as
+// InvokeWithRetry — up to the function's MaxRetries (§4.1: "most FaaS
+// platforms re-execute functions transparently on failure"). done, if
+// non-nil, receives the final result; its Attempt and RetryWait fields
+// surface how many executions it took and how long the retries backed off in
+// total.
+func (p *Platform) InvokeAsyncFor(tenant, name string, payload []byte, done func(Result, error)) {
+	p.clock.Go(func() {
+		pol := RetryPolicy{MaxAttempts: 1, Base: asyncRetryBase, Jitter: retryJitter}
+		if fn, err := p.lookup(tenant, name); err == nil {
+			pol.MaxAttempts += fn.cfg.MaxRetries
+		}
+		res, err := p.invokeRetrying("faas.invoke.async", tenant, name, "", payload, pol)
+		if done != nil {
+			done(res, err)
+		}
+	})
+}
+
+// invokeRetrying is the platform's one attempt/backoff loop. All attempts
+// share one trace under a root span named rootName — each execution and each
+// backoff sleep is a child — so a retried request reads as one causal story
+// (attempt 1 failing, the wait, attempt 2 …), not N. pol arrives with its
+// defaults applied and is passed by value: the loop allocates nothing per
+// attempt.
+func (p *Platform) invokeRetrying(rootName, tenant, name, idemKey string, payload []byte, pol RetryPolicy) (Result, error) {
+	root := p.obsTracer.Start(obs.TraceCtx{}, rootName)
 	var res Result
 	var err error
 	var waited time.Duration
+	backoff := pol.Base
 	for attempt := 1; attempt <= pol.MaxAttempts; attempt++ {
 		if attempt > 1 {
-			d := p.jittered(pol.backoffFor(attempt), pol.Jitter)
+			d := p.jittered(min(backoff, retryCap), pol.Jitter)
 			wspan := p.obsTracer.Start(root.Ctx(), "faas.retry.backoff")
 			p.clock.Sleep(d)
 			wspan.End()
 			waited += d
+			if backoff < retryCap {
+				backoff *= 2
+			}
 		}
 		res, err = p.invoke(tenant, name, payload, attempt, root.Ctx(), idemKey)
 		res.Attempt = attempt
 		res.RetryWait = waited
+		if err != nil && !retryable(err) {
+			break
+		}
 		if pol.Decide != nil {
-			if (err != nil && !retryable(err)) || !pol.Decide(attempt, res, err) {
+			if !pol.Decide(attempt, res, err) {
 				break
 			}
-			continue
-		}
-		if err == nil || !retryable(err) {
+		} else if err == nil {
 			break
 		}
 	}
@@ -259,15 +281,22 @@ func (p *Platform) InvokeWithRetry(tenant, name, idemKey string, payload []byte,
 	if root.Active() {
 		res.TraceID = root.TraceID()
 	}
-	root.EndErr(err != nil)
+	root.EndLabeled(tenant, name, err != nil)
 	return res, err
 }
 
-// retryable reports whether a retry could plausibly change the outcome.
+// retryable reports whether a retry could plausibly change the outcome. Not
+// retryable: an unknown function and an oversized payload (nothing changes
+// between attempts); an open circuit breaker (it exists to shed load, so
+// hammering it from the retry loop would defeat the point); and a
+// tenant-level shed — an explicit back-pressure signal, where retrying from
+// inside the platform would amplify exactly the overload admission is
+// shedding (a retry storm).
 func retryable(err error) bool {
 	return !errors.Is(err, ErrNoFunction) &&
 		!errors.Is(err, ErrPayloadSize) &&
-		!errors.Is(err, ErrCircuitOpen)
+		!errors.Is(err, ErrCircuitOpen) &&
+		!errors.Is(err, ErrTenantThrottled)
 }
 
 // BreakerState reports the current breaker position of tenant's function

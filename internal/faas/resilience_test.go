@@ -267,3 +267,88 @@ func TestAsyncRetryJitterBounds(t *testing.T) {
 		t.Fatalf("RetryWait = %v, want in (1200ms, 1500ms]", final.RetryWait)
 	}
 }
+
+// TestRetryStopRuleSharedByBothEntryPoints drives InvokeWithRetry and
+// InvokeAsyncFor — three attempts allowed each — over every error the one
+// retryable predicate refuses, plus a plain handler error: both entry points
+// stop after a single attempt on the former and retry the latter, reporting
+// Attempt and RetryWait.
+func TestRetryStopRuleSharedByBothEntryPoints(t *testing.T) {
+	entries := []struct {
+		name string
+		call func(p *Platform, v *simclock.Virtual, fn string, payload []byte) (Result, error)
+	}{
+		{"sync", func(p *Platform, _ *simclock.Virtual, fn string, payload []byte) (Result, error) {
+			return p.InvokeWithRetry("t", fn, "", payload, RetryPolicy{MaxAttempts: 3})
+		}},
+		{"async", func(p *Platform, v *simclock.Virtual, fn string, payload []byte) (res Result, err error) {
+			done := simclock.NewEvent(v)
+			p.InvokeAsyncFor("t", fn, payload, func(r Result, e error) {
+				res, err = r, e
+				done.Set()
+			})
+			done.Wait()
+			return res, err
+		}},
+	}
+	var calls int64
+	flaky := func(ctx *Ctx, payload []byte) ([]byte, error) {
+		if atomic.AddInt64(&calls, 1) < 3 {
+			return nil, errors.New("transient")
+		}
+		return []byte("ok"), nil
+	}
+	cases := []struct {
+		name    string
+		fn      string
+		payload []byte
+		setup   func(p *Platform) // runs on the clock, before the retrying call
+		want    error             // nil: the third attempt succeeds
+	}{
+		{name: "tenant throttled", fn: "echo", want: ErrTenantThrottled, setup: func(p *Platform) {
+			// One token, refilled once a second: the first invoke takes it,
+			// and no backoff the loop could sleep brings it back in time.
+			p.SetAdmission(AdmissionConfig{RatePerSecond: 1, Burst: 1, MaxWait: time.Millisecond})
+			p.InvokeFor("t", "echo", nil)
+		}},
+		{name: "circuit open", fn: "broken", want: ErrCircuitOpen, setup: func(p *Platform) {
+			p.InvokeFor("t", "broken", nil) // threshold 1: opens the breaker
+		}},
+		{name: "payload too large", fn: "echo", payload: make([]byte, 9), want: ErrPayloadSize},
+		{name: "no function", fn: "nope", want: ErrNoFunction},
+		{name: "handler error", fn: "flaky"},
+	}
+	for _, tc := range cases {
+		for _, entry := range entries {
+			tc, entry := tc, entry
+			t.Run(tc.name+"/"+entry.name, func(t *testing.T) {
+				v := simclock.NewVirtual()
+				defer v.Close()
+				p := New(v, nil)
+				var unhealthy int64
+				atomic.StoreInt64(&calls, 0)
+				must(t, p.Register("echo", "t", echo, Config{MaxPayload: 8}))
+				must(t, p.Register("flaky", "t", flaky, Config{}))
+				must(t, p.Register("broken", "t", failing(&unhealthy), Config{BreakerThreshold: 1, BreakerCooldown: time.Hour}))
+				v.Run(func() {
+					if tc.setup != nil {
+						tc.setup(p)
+					}
+					res, err := entry.call(p, v, tc.fn, tc.payload)
+					if tc.want == nil {
+						if err != nil || res.Attempt != 3 || res.RetryWait <= 0 {
+							t.Errorf("got Attempt %d, RetryWait %v, err %v; want success on attempt 3 after a backoff", res.Attempt, res.RetryWait, err)
+						}
+						return
+					}
+					if !errors.Is(err, tc.want) {
+						t.Errorf("err = %v, want %v", err, tc.want)
+					}
+					if res.Attempt != 1 || res.RetryWait != 0 {
+						t.Errorf("Attempt = %d, RetryWait = %v; want 1 attempt and no backoff", res.Attempt, res.RetryWait)
+					}
+				})
+			})
+		}
+	}
+}

@@ -63,7 +63,7 @@ type Config struct {
 }
 
 // Gateway serves the v1 REST API over one core.Platform. It is an
-// http.Handler; mount it wherever (httptest, taureau -gateway, behind the
+// http.Handler; mount it wherever (httptest, taureau gateway, behind the
 // telemetry mux).
 type Gateway struct {
 	p       *core.Platform

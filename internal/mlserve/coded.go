@@ -27,15 +27,16 @@ type CodedConfig struct {
 	// StragglerProb is each task's probability of straggling.
 	StragglerProb float64
 	// StragglerDelay is the extra modelled latency a straggler pays.
-	// Default 10× WorkPerRow×rows.
+	// Default 10ms × rows.
 	StragglerDelay time.Duration
-	// WorkPerEntry models compute per matrix entry. Default 1µs.
-	WorkPerEntry time.Duration
 	// Seed drives straggler injection.
 	Seed int64
 	// Tenant owns the worker function. Default "coded".
 	Tenant string
 }
+
+// workPerEntry models compute per matrix entry.
+const workPerEntry = time.Microsecond
 
 func (c CodedConfig) withDefaults(rows int) CodedConfig {
 	if c.Stripes <= 0 {
@@ -43,9 +44,6 @@ func (c CodedConfig) withDefaults(rows int) CodedConfig {
 	}
 	if c.Replication <= 0 {
 		c.Replication = 1
-	}
-	if c.WorkPerEntry == 0 {
-		c.WorkPerEntry = time.Microsecond
 	}
 	if c.StragglerDelay == 0 {
 		c.StragglerDelay = 10 * time.Duration(rows) * time.Millisecond
@@ -108,7 +106,7 @@ func MatVec(p *faas.Platform, a [][]float64, x []float64, cfg CodedConfig) (Code
 				out[i-lo] += v * x[j]
 			}
 		}
-		ctx.Work(time.Duration((hi-lo)*len(x)) * cfg.WorkPerEntry)
+		ctx.Work(time.Duration((hi-lo)*len(x)) * workPerEntry)
 		if straggle[in.Stripe][in.Replica] {
 			ctx.Work(cfg.StragglerDelay)
 		}

@@ -78,19 +78,17 @@ type ServeConfig struct {
 	Model string
 	// UseCache enables the shared model cache (the TrIMS treatment arm).
 	UseCache bool
-	// InferCost models per-request compute. Default 2ms ([112]: inference
-	// is cheap; loading is what hurts).
-	InferCost time.Duration
 	// Function overrides the function config.
 	Function faas.Config
 	// Tenant owns the function. Default "infer".
 	Tenant string
 }
 
+// inferCost models per-request compute ([112]: inference is cheap; loading
+// is what hurts).
+const inferCost = 2 * time.Millisecond
+
 func (c ServeConfig) withDefaults() ServeConfig {
-	if c.InferCost == 0 {
-		c.InferCost = 2 * time.Millisecond
-	}
 	if c.Tenant == "" {
 		c.Tenant = "infer"
 	}
@@ -132,7 +130,7 @@ func Deploy(p *faas.Platform, ms *ModelStore, name string, cfg ServeConfig) (str
 		if len(req.Features) != len(w) {
 			return nil, fmt.Errorf("mlserve: feature dim %d != model dim %d", len(req.Features), len(w))
 		}
-		ctx.Work(cfg.InferCost)
+		ctx.Work(inferCost)
 		prob := sigmoid(dot(req.Features, w))
 		label := 0
 		if prob >= 0.5 {

@@ -28,8 +28,6 @@ type TrainConfig struct {
 	LR      float64
 	// Topology selects flat vs hierarchical parameter serving.
 	Topology Topology
-	// Aggregators overrides the hierarchical fan-out (default ≈ √Workers).
-	Aggregators int
 	// PSService is the parameter server's per-request service time.
 	// Default 5ms.
 	PSService time.Duration
@@ -57,9 +55,6 @@ func (c TrainConfig) withDefaults() TrainConfig {
 	}
 	if c.Tenant == "" {
 		c.Tenant = "mltrain"
-	}
-	if c.Aggregators <= 0 {
-		c.Aggregators = isqrt(c.Workers)
 	}
 	return c
 }
@@ -90,18 +85,18 @@ func TrainDistributed(p *faas.Platform, ds Dataset, cfg TrainConfig) (TrainRepor
 			paths[i] = root
 		}
 	case Hierarchical:
-		aggs := make([]*Aggregator, cfg.Aggregators)
+		aggs := make([]*Aggregator, isqrt(cfg.Workers)) // fan-out ≈ √Workers
 		// Workers are dealt round-robin; each aggregator knows its exact
 		// fan-in so it flushes once per round.
 		for a := range aggs {
-			fanIn := cfg.Workers / cfg.Aggregators
-			if a < cfg.Workers%cfg.Aggregators {
+			fanIn := cfg.Workers / len(aggs)
+			if a < cfg.Workers%len(aggs) {
 				fanIn++
 			}
 			aggs[a] = NewAggregator(clock, root, fanIn, cfg.PSService)
 		}
 		for i := range paths {
-			paths[i] = aggs[i%cfg.Aggregators]
+			paths[i] = aggs[i%len(aggs)]
 		}
 	}
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -36,11 +37,13 @@ func TestNilSafety(t *testing.T) {
 	if err := r.WritePrometheus(&bytes.Buffer{}); err != nil {
 		t.Fatal(err)
 	}
-	sp := r.Tracer().StartSpan("root")
-	sp.SetAttr("k", "v")
-	child := sp.StartChild("child")
+	sp := r.Tracer().Start(TraceCtx{}, "root")
+	child := r.Tracer().Start(sp.Ctx(), "child")
 	child.End()
-	sp.End()
+	sp.EndAttrs(true, Attr{Key: "k", Value: "v"})
+	if sp.Active() || child.Active() || sp.Ctx().Valid() {
+		t.Fatalf("nil tracer handed out a live span")
+	}
 	if spans := r.Tracer().Spans(); spans != nil {
 		t.Fatalf("nil tracer returned spans")
 	}
@@ -137,12 +140,11 @@ func TestTracerVirtualClockDeterministic(t *testing.T) {
 		defer v.Close()
 		r := New(v)
 		v.Run(func() {
-			root := r.Tracer().StartSpan("exec")
+			root := r.Tracer().Start(TraceCtx{}, "exec")
 			v.Sleep(10 * time.Millisecond)
-			child := root.StartChild("step")
-			child.SetAttr("target", "fn")
+			child := r.Tracer().Start(root.Ctx(), "step")
 			v.Sleep(30 * time.Millisecond)
-			child.End()
+			child.EndAttrs(false, Attr{Key: "target", Value: "fn"})
 			root.End()
 		})
 		return r.Tracer().Spans()
@@ -168,12 +170,47 @@ func TestTracerVirtualClockDeterministic(t *testing.T) {
 	}
 }
 
+// TestSpanRefEndAttrs: attributes given at End land on the finished span in
+// order; the failed flag marks the span and carries its trace through a
+// keep-nothing sampler.
+func TestSpanRefEndAttrs(t *testing.T) {
+	tr := NewTracer(nil)
+	tr.SetSampler(SamplerConfig{}) // keeps error traces only
+
+	ok := tr.Start(TraceCtx{}, "ok")
+	ok.EndAttrs(false, Attr{Key: "branch", Value: "0"})
+
+	root := tr.Start(TraceCtx{}, "exec")
+	step := tr.Start(root.Ctx(), "step")
+	step.EndAttrs(true, Attr{Key: "retry", Value: "attempt 2"}, Attr{Key: "error", Value: "boom"})
+	root.End()
+
+	spans := tr.Spans()
+	if len(spans) != 2 {
+		t.Fatalf("retained %d spans, want the failed trace's 2: %+v", len(spans), spans)
+	}
+	got := spans[0]
+	want := []Attr{{Key: "retry", Value: "attempt 2"}, {Key: "error", Value: "boom"}}
+	if got.Name != "step" || !got.Err || !reflect.DeepEqual(got.Attrs, want) {
+		t.Fatalf("step span = %+v, want Err with attrs %v", got, want)
+	}
+	if spans[1].Name != "exec" || spans[1].Err || spans[1].Attrs != nil {
+		t.Fatalf("root span = %+v, want plain", spans[1])
+	}
+	if text := tr.CanonicalText(); !strings.Contains(text, `err retry="attempt 2" error="boom"`) {
+		t.Fatalf("canonical text lacks the attributes:\n%s", text)
+	}
+	if st := tr.Stats(); st.DiscardedTraces != 1 || st.KeptTraces != 1 {
+		t.Fatalf("sampler stats = %+v, want the attr-only trace discarded and the failed one kept", st)
+	}
+}
+
 func TestTracerSpanCap(t *testing.T) {
 	r := New(nil)
 	tr := r.Tracer()
 	tr.SetMaxSpans(10)
 	for i := 0; i < 25; i++ {
-		tr.StartSpan("s").End()
+		tr.Start(TraceCtx{}, "s").End()
 	}
 	if got := len(tr.Spans()); got != 10 {
 		t.Fatalf("retained %d spans, want 10", got)
@@ -228,7 +265,7 @@ func TestPrometheusAndJSONExport(t *testing.T) {
 func TestHTTPHandler(t *testing.T) {
 	r := New(nil)
 	r.Counter("hits").Inc()
-	r.Tracer().StartSpan("root").End()
+	r.Tracer().Start(TraceCtx{}, "root").End()
 	srv := httptest.NewServer(r.Handler())
 	defer srv.Close()
 

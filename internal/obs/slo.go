@@ -228,7 +228,7 @@ func (e *SLOEngine) Snapshot() []SLOSnapshot {
 }
 
 // WriteSLOText renders the engine's current evaluation as a human-readable
-// report (the `taureau -slo` output).
+// report (the `taureau demo <name> -slo` output).
 func (e *SLOEngine) WriteSLOText(w io.Writer) error {
 	snaps := e.Snapshot()
 	if len(snaps) == 0 {

@@ -240,6 +240,10 @@ func (s SpanRef) EndErr(failed bool) { s.finish(failed, "", "", nil) }
 // root spans so trace queries can filter by tenant.
 func (s SpanRef) EndLabeled(tenant, fn string, failed bool) { s.finish(failed, tenant, fn, nil) }
 
+// EndAttrs finishes the span with annotations (the one allocating way to
+// end a span: the attrs slice is retained with the finished record).
+func (s SpanRef) EndAttrs(failed bool, attrs ...Attr) { s.finish(failed, "", "", attrs) }
+
 func (s SpanRef) finish(failed bool, tenant, fn string, attrs []Attr) {
 	t := s.t
 	if t == nil {
@@ -354,131 +358,6 @@ func sampleKeep(name string, startNs, seed int64, frac float64) bool {
 		h = (h ^ uint64(byte(seed>>i))) * prime
 	}
 	return float64(h%1000000)/1000000 < frac
-}
-
-// ---------------------------------------------------------------------------
-// Legacy pointer-span API, kept for attribute-heavy call sites (orchestrate)
-// and existing tests. A *Span wraps a SpanRef plus an attribute buffer;
-// objects are pooled, so a span must not be touched after End.
-// ---------------------------------------------------------------------------
-
-// Span is an in-flight span. All methods are nil-safe no-ops so callers can
-// trace unconditionally against a nil tracer.
-//
-// Spans are pooled: End hands the finished record to the tracer and recycles
-// the Span object, so a span must not be touched after End — no SetAttr, no
-// StartChild, no second End. (End remains idempotent against accidental
-// double-calls that race the recycle, but a retained pointer is a bug.)
-type Span struct {
-	mu     sync.Mutex
-	ref    SpanRef
-	attrs  []Attr
-	failed bool
-	ended  bool
-}
-
-// spanPool recycles Span objects so steady-state tracing under the
-// retention cap allocates only when a span carries attributes.
-var spanPool = sync.Pool{New: func() any { return new(Span) }}
-
-func takeSpan(ref SpanRef) *Span {
-	sp := spanPool.Get().(*Span)
-	sp.mu.Lock()
-	sp.ref = ref
-	sp.attrs = nil
-	sp.failed = false
-	sp.ended = false
-	sp.mu.Unlock()
-	return sp
-}
-
-// StartSpan opens a root span, beginning a new trace. Nil tracer → nil span;
-// a tracer whose retention buffer is full also returns nil (counted as
-// dropped), so capped tracing stays allocation-free.
-func (t *Tracer) StartSpan(name string) *Span {
-	ref := t.Start(TraceCtx{}, name)
-	if ref.t == nil {
-		return nil
-	}
-	return takeSpan(ref)
-}
-
-// StartChild opens a child span in the same trace. Nil span → nil child.
-func (sp *Span) StartChild(name string) *Span {
-	if sp == nil {
-		return nil
-	}
-	sp.mu.Lock()
-	ref := sp.ref
-	ended := sp.ended
-	sp.mu.Unlock()
-	if ended || ref.t == nil {
-		return nil
-	}
-	child := ref.t.Start(ref.Ctx(), name)
-	if child.t == nil {
-		return nil
-	}
-	return takeSpan(child)
-}
-
-// Ctx returns the span's trace context for value-API propagation (e.g.
-// handing an orchestrate step's identity to faas). Zero after End or on nil.
-func (sp *Span) Ctx() TraceCtx {
-	if sp == nil {
-		return TraceCtx{}
-	}
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	if sp.ended {
-		return TraceCtx{}
-	}
-	return sp.ref.Ctx()
-}
-
-// SetAttr annotates the span. A key of "error" also flags the span failed,
-// which keeps its trace through the tail sampler. No-op on nil or after End.
-func (sp *Span) SetAttr(key, value string) {
-	if sp == nil {
-		return
-	}
-	sp.mu.Lock()
-	if !sp.ended {
-		sp.attrs = append(sp.attrs, Attr{Key: key, Value: value})
-		if key == "error" {
-			sp.failed = true
-		}
-	}
-	sp.mu.Unlock()
-}
-
-// TraceID returns the span's trace id (0 on nil).
-func (sp *Span) TraceID() int64 {
-	if sp == nil {
-		return 0
-	}
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	return sp.ref.TraceID()
-}
-
-// End finishes the span, recording it with the tracer. Idempotent; no-op on
-// nil.
-func (sp *Span) End() {
-	if sp == nil {
-		return
-	}
-	sp.mu.Lock()
-	if sp.ended {
-		sp.mu.Unlock()
-		return
-	}
-	sp.ended = true
-	ref, attrs, failed := sp.ref, sp.attrs, sp.failed
-	sp.ref, sp.attrs, sp.failed = SpanRef{}, nil, false
-	sp.mu.Unlock()
-	spanPool.Put(sp)
-	ref.finish(failed, "", "", attrs)
 }
 
 // ---------------------------------------------------------------------------

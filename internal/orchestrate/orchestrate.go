@@ -171,28 +171,40 @@ type execCtx struct {
 	tenant string // whose functions Task steps invoke
 	trace  *Trace
 	depth  int
-	span   *obs.Span // current parent span; nil when tracing is off
+	span   obs.SpanRef // current parent span; inert when tracing is off
 }
 
 // childCtx opens a child span named prefix+name under the execution's
 // current span and returns a derived context carrying it. With tracing off
-// (nil span, or the tracer's retention buffer full) both returns are no-ops /
+// (inert span, or the tracer's retention buffer full) both returns are no-ops /
 // the receiver itself, and the name is never materialized — hot paths pay no
 // concat allocation.
-func (ec *execCtx) childCtx(prefix, name string) (*obs.Span, *execCtx) {
-	if ec.span == nil {
-		return nil, ec
+func (ec *execCtx) childCtx(e *Engine, prefix, name string) (obs.SpanRef, *execCtx) {
+	if !ec.span.Active() {
+		return obs.SpanRef{}, ec
 	}
 	if prefix != "" {
 		name = prefix + name
 	}
-	sp := ec.span.StartChild(name)
-	if sp == nil {
-		return nil, ec
+	sp := e.obs.Tracer().Start(ec.span.Ctx(), name)
+	if !sp.Active() {
+		return sp, ec
 	}
 	child := *ec
 	child.span = sp
 	return sp, &child
+}
+
+// endSpan finishes sp with attrs; a non-nil err is appended as the "error"
+// attribute and flags the span (and so its trace) failed.
+func endSpan(sp obs.SpanRef, err error, attrs ...obs.Attr) {
+	if !sp.Active() {
+		return
+	}
+	if err != nil {
+		attrs = append(attrs, obs.Attr{Key: "error", Value: err.Error()})
+	}
+	sp.EndAttrs(err != nil, attrs...)
 }
 
 // Engine interprets state machines against a FaaS platform.
@@ -240,12 +252,9 @@ func (e *Engine) RegisterComposition(name string, sm State) error {
 // child span per step.
 func (e *Engine) Execute(tenant string, sm State, input []byte) ([]byte, error) {
 	e.obsExecs.Inc()
-	root := e.obs.Tracer().StartSpan("orchestrate.execution")
+	root := e.obs.Tracer().Start(obs.TraceCtx{}, "orchestrate.execution")
 	out, err := sm.run(e, &execCtx{tenant: tenant, span: root}, input)
-	if err != nil {
-		root.SetAttr("error", err.Error())
-	}
-	root.End()
+	endSpan(root, err)
 	return out, err
 }
 
@@ -253,12 +262,9 @@ func (e *Engine) Execute(tenant string, sm State, input []byte) ([]byte, error) 
 func (e *Engine) ExecuteTraced(tenant string, sm State, input []byte) ([]byte, *Trace, error) {
 	e.obsExecs.Inc()
 	tr := &Trace{}
-	root := e.obs.Tracer().StartSpan("orchestrate.execution")
+	root := e.obs.Tracer().Start(obs.TraceCtx{}, "orchestrate.execution")
 	out, err := sm.run(e, &execCtx{tenant: tenant, trace: tr, span: root}, input)
-	if err != nil {
-		root.SetAttr("error", err.Error())
-	}
-	root.End()
+	endSpan(root, err)
 	return out, tr, err
 }
 
@@ -271,16 +277,18 @@ func (s taskState) run(e *Engine, ec *execCtx, input []byte) ([]byte, error) {
 	e.mu.Unlock()
 
 	e.obsSteps.Inc()
-	sp, ec := ec.childCtx("task:", s.target)
-	defer sp.End()
-
+	sp, ec := ec.childCtx(e, "task:", s.target)
+	var attrs []obs.Attr // retry/catch annotations, attached when the span ends
 	var out []byte
-	var err error
+	var err, spanErr error
+	defer func() { endSpan(sp, spanErr, attrs...) }()
 	interval := s.retry.Interval
 	for attempt := 1; attempt <= s.retry.attempts(); attempt++ {
 		if attempt > 1 {
 			ec.trace.add(clock.Now(), "retry", fmt.Sprintf("%s attempt %d", s.target, attempt))
-			sp.SetAttr("retry", fmt.Sprintf("attempt %d", attempt))
+			if sp.Active() {
+				attrs = append(attrs, obs.Attr{Key: "retry", Value: fmt.Sprintf("attempt %d", attempt)})
+			}
 			clock.Sleep(interval)
 			interval = time.Duration(float64(interval) * s.retry.backoff())
 		}
@@ -304,12 +312,12 @@ func (s taskState) run(e *Engine, ec *execCtx, input []byte) ([]byte, error) {
 	}
 	if s.catch != nil {
 		ec.trace.add(clock.Now(), "catch", s.target)
-		sp.SetAttr("catch", s.target)
+		if sp.Active() {
+			attrs = append(attrs, obs.Attr{Key: "catch", Value: s.target})
+		}
 		return s.catch.run(e, ec, input)
 	}
-	if err != nil {
-		sp.SetAttr("error", err.Error())
-	}
+	spanErr = err
 	return nil, err
 }
 
@@ -328,11 +336,10 @@ func (s chainState) run(e *Engine, ec *execCtx, input []byte) ([]byte, error) {
 func (s parallelState) run(e *Engine, ec *execCtx, input []byte) ([]byte, error) {
 	clock := e.platform.Clock()
 	ec.trace.add(clock.Now(), "parallel", fmt.Sprintf("%d branches", len(s)))
-	sp, ec := ec.childCtx("", "parallel")
-	if sp != nil {
-		sp.SetAttr("branches", fmt.Sprint(len(s)))
+	sp, ec := ec.childCtx(e, "", "parallel")
+	if sp.Active() {
+		defer sp.EndAttrs(false, obs.Attr{Key: "branches", Value: fmt.Sprint(len(s))})
 	}
-	defer sp.End()
 	outs := make([]json.RawMessage, len(s))
 	errs := make([]error, len(s))
 	wg := simclock.NewGroup(clock)
@@ -356,11 +363,10 @@ func (s choiceState) run(e *Engine, ec *execCtx, input []byte) ([]byte, error) {
 	for i, br := range s.branches {
 		if br.When(input) {
 			ec.trace.add(e.platform.Clock().Now(), "choice", fmt.Sprintf("branch %d", i))
-			sp, ec := ec.childCtx("", "choice")
-			if sp != nil {
-				sp.SetAttr("branch", fmt.Sprint(i))
+			sp, ec := ec.childCtx(e, "", "choice")
+			if sp.Active() {
+				defer sp.EndAttrs(false, obs.Attr{Key: "branch", Value: fmt.Sprint(i)})
 			}
-			defer sp.End()
 			return br.Then.run(e, ec, input)
 		}
 	}
@@ -368,9 +374,8 @@ func (s choiceState) run(e *Engine, ec *execCtx, input []byte) ([]byte, error) {
 		return nil, ErrNoChoice
 	}
 	ec.trace.add(e.platform.Clock().Now(), "choice", "default")
-	sp, ec := ec.childCtx("", "choice")
-	sp.SetAttr("branch", "default")
-	defer sp.End()
+	sp, ec := ec.childCtx(e, "", "choice")
+	defer sp.EndAttrs(false, obs.Attr{Key: "branch", Value: "default"})
 	return s.fallback.run(e, ec, input)
 }
 
@@ -381,11 +386,10 @@ func (s mapState) run(e *Engine, ec *execCtx, input []byte) ([]byte, error) {
 	}
 	clock := e.platform.Clock()
 	ec.trace.add(clock.Now(), "map", fmt.Sprintf("%d items", len(items)))
-	sp, ec := ec.childCtx("", "map")
-	if sp != nil {
-		sp.SetAttr("items", fmt.Sprint(len(items)))
+	sp, ec := ec.childCtx(e, "", "map")
+	if sp.Active() {
+		defer sp.EndAttrs(false, obs.Attr{Key: "items", Value: fmt.Sprint(len(items))})
 	}
-	defer sp.End()
 	outs := make([]json.RawMessage, len(items))
 	errs := make([]error, len(items))
 	wg := simclock.NewGroup(clock)
@@ -417,7 +421,7 @@ func (s mapState) run(e *Engine, ec *execCtx, input []byte) ([]byte, error) {
 
 func (s waitState) run(e *Engine, ec *execCtx, input []byte) ([]byte, error) {
 	ec.trace.add(e.platform.Clock().Now(), "wait", time.Duration(s).String())
-	sp, _ := ec.childCtx("", "wait")
+	sp, _ := ec.childCtx(e, "", "wait")
 	e.platform.Clock().Sleep(time.Duration(s))
 	sp.End()
 	return input, nil

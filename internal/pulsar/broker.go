@@ -765,7 +765,7 @@ func (b *Broker) loadTopic(topicName string) error {
 			ts.nextSeq++
 		}
 	}
-	w, err := c.ledgers.CreateLedger(c.cfg.EnsembleSize, c.cfg.WriteQuorum, c.cfg.AckQuorum)
+	w, err := c.ledgers.CreateLedger(topicEnsemble, c.cfg.WriteQuorum, c.cfg.AckQuorum)
 	if err != nil {
 		return err
 	}

@@ -18,11 +18,10 @@ import (
 
 // ClusterConfig parameterizes a cluster.
 type ClusterConfig struct {
-	// EnsembleSize/WriteQuorum/AckQuorum configure each topic ledger's
-	// replication (defaults 3/2/2).
-	EnsembleSize int
-	WriteQuorum  int
-	AckQuorum    int
+	// WriteQuorum/AckQuorum configure each topic ledger's replication over
+	// its topicEnsemble bookies (defaults 2/2).
+	WriteQuorum int
+	AckQuorum   int
 	// Tenant is billed for publishes. Default "pulsar".
 	Tenant string
 	// BatchMaxMessages is the default per-producer batch size for
@@ -42,10 +41,10 @@ type ClusterConfig struct {
 	ServiceTime time.Duration
 }
 
+// topicEnsemble is how many bookies each topic ledger stripes over.
+const topicEnsemble = 3
+
 func (c ClusterConfig) withDefaults() ClusterConfig {
-	if c.EnsembleSize == 0 {
-		c.EnsembleSize = 3
-	}
 	if c.WriteQuorum == 0 {
 		c.WriteQuorum = 2
 	}

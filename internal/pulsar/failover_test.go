@@ -175,3 +175,43 @@ func TestGeoReplicationDropsAfterRetries(t *testing.T) {
 		t.Errorf("pulsar.georepl.dropped = %d, want 3", n)
 	}
 }
+
+// TestReplicatorStopMidRetryKeepsMessage: a Stop that lands during a retry
+// backoff must not take the "retries exhausted" arm — the message stays
+// unacked on the source, so the next replicator mirrors it.
+func TestReplicatorStopMidRetryKeepsMessage(t *testing.T) {
+	e := newEnv(t, 1, 3)
+	west := newSecondCluster(e, 1, 3)
+	e.v.Run(func() {
+		must(t, e.cluster.CreateTopic("t", 0))
+		must(t, west.CreateTopic("t", 0))
+		wb, _ := west.Broker("west-broker-0")
+		wb.SetDown(true)
+
+		repl, err := StartReplicator(e.cluster, west, ReplicatorConfig{
+			SrcTopic: "t", DstTopic: "t", MaxRetries: 3, RetryBase: 100 * time.Millisecond,
+		})
+		must(t, err)
+		prod, _ := e.cluster.CreateProducer("t")
+		_, err = prod.Send([]byte("m0"))
+		must(t, err)
+		e.v.Sleep(50 * time.Millisecond) // first publish failed; first backoff (100ms) in progress
+		repl.Stop()
+		if repl.Dropped() != 0 || repl.Replicated() != 0 {
+			t.Fatalf("stopped mid-retry: dropped = %d, replicated = %d, want 0 and 0", repl.Dropped(), repl.Replicated())
+		}
+
+		wb.SetDown(false)
+		repl2, err := StartReplicator(e.cluster, west, ReplicatorConfig{SrcTopic: "t", DstTopic: "t"})
+		must(t, err)
+		cons, err := west.Subscribe("t", "check", Exclusive, Earliest)
+		must(t, err)
+		if m, ok := cons.Receive(time.Second); !ok || string(m.Payload) != "m0" {
+			t.Fatalf("destination got %q, %v; want the message the first replicator was still retrying", m.Payload, ok)
+		}
+		repl2.Stop()
+		if repl2.Replicated() != 1 || repl2.Dropped() != 0 {
+			t.Fatalf("second replicator: replicated = %d, dropped = %d, want 1 and 0", repl2.Replicated(), repl2.Dropped())
+		}
+	})
+}

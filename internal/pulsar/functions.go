@@ -96,8 +96,6 @@ type FunctionConfig struct {
 	// Instances is the function's parallelism; instances share a Shared
 	// subscription named "fn-<Name>". Default 1.
 	Instances int
-	// Position selects where a newly deployed function starts reading.
-	Position InitialPosition
 	// PollTimeout bounds each instance's receive wait (default 5ms); it is
 	// also the function's stop-detection latency.
 	PollTimeout time.Duration
@@ -143,7 +141,7 @@ func (c *Cluster) StartFunction(cfg FunctionConfig, handler FnHandler) (*Running
 	for i := 0; i < cfg.Instances; i++ {
 		var consumers []*Consumer
 		for _, in := range cfg.Inputs {
-			cons, err := c.Subscribe(in, subName, Shared, cfg.Position)
+			cons, err := c.Subscribe(in, subName, Shared, Latest)
 			if err != nil {
 				rf.Stop()
 				return nil, err

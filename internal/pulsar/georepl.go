@@ -28,41 +28,36 @@ type ReplicatorConfig struct {
 	SrcTopic string
 	// DstTopic is produced to on the destination cluster (must exist).
 	DstTopic string
-	// SubscriptionName names the replicator's durable cursor on the
-	// source. Default "geo-replicator".
-	SubscriptionName string
-	// Poll bounds the replicator's idle wait (default 5ms).
-	Poll time.Duration
 	// MaxRetries bounds how many times a failed destination publish is
 	// retried (with doubling backoff from RetryBase) before the message is
 	// dropped — acked on the source and counted in pulsar.georepl.dropped —
 	// so one poisoned message cannot wedge the replication stream forever.
-	// 0 means the default (5); negative retries forever (the pre-bounded
-	// behavior: leave unacked and let the cursor hold position).
+	// Default 5.
 	MaxRetries int
 	// RetryBase is the first retry backoff; it doubles per retry. Default
-	// Poll.
+	// 5ms.
 	RetryBase time.Duration
 }
+
+const (
+	// replSubscription names the replicator's durable cursor on the source.
+	replSubscription = "geo-replicator"
+	// replPoll bounds the replicator's idle wait.
+	replPoll = 5 * time.Millisecond
+)
 
 // StartReplicator begins replicating src's messages (from the earliest
 // unreplicated position) into dst. Stop it with Stop; the durable
 // subscription survives, so a restarted replicator resumes where it left
 // off.
 func StartReplicator(src, dst *Cluster, cfg ReplicatorConfig) (*Replicator, error) {
-	if cfg.SubscriptionName == "" {
-		cfg.SubscriptionName = "geo-replicator"
-	}
-	if cfg.Poll <= 0 {
-		cfg.Poll = 5 * time.Millisecond
-	}
-	if cfg.MaxRetries == 0 {
+	if cfg.MaxRetries <= 0 {
 		cfg.MaxRetries = 5
 	}
 	if cfg.RetryBase <= 0 {
-		cfg.RetryBase = cfg.Poll
+		cfg.RetryBase = replPoll
 	}
-	cons, err := src.Subscribe(cfg.SrcTopic, cfg.SubscriptionName, Failover, Earliest)
+	cons, err := src.Subscribe(cfg.SrcTopic, replSubscription, Failover, Earliest)
 	if err != nil {
 		return nil, err
 	}
@@ -85,7 +80,7 @@ func StartReplicator(src, dst *Cluster, cfg ReplicatorConfig) (*Replicator, erro
 		for atomic.LoadInt32(&r.stopped) == 0 {
 			m, ok := cons.TryReceive()
 			if !ok {
-				src.clock.Sleep(cfg.Poll)
+				src.clock.Sleep(replPoll)
 				continue
 			}
 			if hw, ok := mirrored[m.Topic]; ok && m.Seq <= hw {
@@ -94,19 +89,17 @@ func StartReplicator(src, dst *Cluster, cfg ReplicatorConfig) (*Replicator, erro
 			}
 			_, err := prod.SendKey(m.Key, m.Payload)
 			backoff := cfg.RetryBase
-			for retry := 0; err != nil && (cfg.MaxRetries < 0 || retry < cfg.MaxRetries); retry++ {
-				if atomic.LoadInt32(&r.stopped) != 0 {
-					break
-				}
+			retry := 0
+			for ; err != nil && retry < cfg.MaxRetries && atomic.LoadInt32(&r.stopped) == 0; retry++ {
 				src.clock.Sleep(backoff)
 				backoff *= 2
 				_, err = prod.SendKey(m.Key, m.Payload)
 			}
 			if err != nil {
-				if cfg.MaxRetries < 0 {
-					// Unbounded mode, stopped mid-retry: leave unacked so the
+				if retry < cfg.MaxRetries {
+					// Stopped mid-retry: leave the message unacked so the
 					// durable cursor holds position for the next replicator.
-					continue
+					break
 				}
 				// Retries exhausted: drop the message rather than wedge the
 				// stream — ack it on the source and count the loss.

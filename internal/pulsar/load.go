@@ -25,14 +25,12 @@ type LoadManagerConfig struct {
 	// SplitRate is the per-partition publish rate (msgs/s) above which a
 	// ranged partition splits its key range in two. Zero disables splits.
 	SplitRate float64
-	// MaxMovesPerTick bounds reassignments per tick so the plane converges
-	// in small, observable steps. Default 1.
-	MaxMovesPerTick int
-	// Cooldown is how many ticks a topic rests after being moved or split
-	// (its counters reset on handoff, so its measured rate is noise for a
-	// tick; acting on it again immediately would ping-pong). Default 2.
-	Cooldown int
 }
+
+// loadCooldown is how many ticks a topic rests after being moved or split
+// (its counters reset on handoff, so its measured rate is noise for a tick;
+// acting on it again immediately would ping-pong).
+const loadCooldown = 2
 
 func (c LoadManagerConfig) withDefaults() LoadManagerConfig {
 	if c.Interval <= 0 {
@@ -43,12 +41,6 @@ func (c LoadManagerConfig) withDefaults() LoadManagerConfig {
 	}
 	if c.MinMoveRate <= 0 {
 		c.MinMoveRate = 1
-	}
-	if c.MaxMovesPerTick <= 0 {
-		c.MaxMovesPerTick = 1
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 2
 	}
 	return c
 }
@@ -229,8 +221,8 @@ func (lm *LoadManager) Tick() {
 					lm.splits++
 					lm.obsSplits.Inc()
 					lm.obsDecision.With("split").Inc()
-					lm.cool[topic] = lm.cfg.Cooldown
-					lm.cool[child] = lm.cfg.Cooldown
+					lm.cool[topic] = loadCooldown
+					lm.cool[child] = loadCooldown
 					lm.events = append(lm.events, LoadEvent{At: now, Action: "split", Topic: topic, To: target.id, Child: child})
 					return // act once per tick; resample before the next step
 				}
@@ -240,29 +232,24 @@ func (lm *LoadManager) Tick() {
 
 	// Reassignment: shed the hottest eligible partition from the most
 	// loaded broker to the least loaded one, when the spread is worth it.
-	moves := 0
-	for moves < lm.cfg.MaxMovesPerTick {
-		sort.SliceStable(live, func(i, j int) bool { return live[i].rate > live[j].rate })
-		src, dst := live[0], live[len(live)-1]
-		if src.rate <= mean*lm.cfg.OverloadFactor {
-			break
-		}
-		tr, ok := lm.pickMoveLocked(src, dst)
-		if !ok {
-			break
-		}
-		if err := lm.c.MoveTopic(tr.topic, dst.id); err != nil {
-			break
-		}
-		lm.moves++
-		lm.obsMoves.Inc()
-		lm.obsDecision.With("move").Inc()
-		lm.cool[tr.topic] = lm.cfg.Cooldown
-		lm.events = append(lm.events, LoadEvent{At: now, Action: "move", Topic: tr.topic, From: src.id, To: dst.id})
-		src.rate -= tr.rate
-		dst.rate += tr.rate
-		moves++
+	// One move per tick, so the plane converges in small, observable steps.
+	sort.SliceStable(live, func(i, j int) bool { return live[i].rate > live[j].rate })
+	src, dst := live[0], live[len(live)-1]
+	if src.rate <= mean*lm.cfg.OverloadFactor {
+		return
 	}
+	tr, ok := lm.pickMoveLocked(src, dst)
+	if !ok {
+		return
+	}
+	if err := lm.c.MoveTopic(tr.topic, dst.id); err != nil {
+		return
+	}
+	lm.moves++
+	lm.obsMoves.Inc()
+	lm.obsDecision.With("move").Inc()
+	lm.cool[tr.topic] = loadCooldown
+	lm.events = append(lm.events, LoadEvent{At: now, Action: "move", Topic: tr.topic, From: src.id, To: dst.id})
 }
 
 // sampleLocked reads every broker's counters and converts deltas to rates.

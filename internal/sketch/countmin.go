@@ -54,8 +54,8 @@ func (c *CountMin) Add(key string, count uint64) {
 // AddConservative counts key with the conservative-update heuristic
 // (Estan & Varghese): each counter is raised only as far as needed so the
 // minimum reaches estimate+count. Estimates stay one-sided (never
-// undercount) but overcounts shrink substantially on skewed streams — the
-// ablation benchmark BenchmarkAblationCountMinUpdate quantifies it.
+// undercount) but overcounts shrink substantially on skewed streams
+// (TestConservativeTighterThanStandard).
 // Conservative sketches must not be merged (Merge assumes plain addition).
 func (c *CountMin) AddConservative(key string, count uint64) {
 	target := c.Estimate(key) + count

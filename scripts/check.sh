@@ -13,6 +13,8 @@ if grep -nE 'time\.(Sleep|After|NewTimer)\b' internal/simclock/virtual.go; then
 	echo "check: the virtual clock must not wait on wall time" >&2
 	exit 1
 fi
+echo "== one binary: cmd/ holds a single package"
+[ "$(go list ./cmd/... | wc -l)" -eq 1 ] || { echo "check: cmd/ must hold exactly one package (taureau)" >&2; exit 1; }
 echo "== go test -race ./..."
 go test -race ./...
 echo "tier-1 gate OK"

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Regenerate EXPERIMENTS.md from cmd/benchrunner output.
+"""Regenerate EXPERIMENTS.md from `taureau experiments` output.
 
-Usage: go run ./cmd/benchrunner | python3 scripts/gen_experiments_md.py > EXPERIMENTS.md
+Usage: go run ./cmd/taureau experiments | python3 scripts/gen_experiments_md.py > EXPERIMENTS.md
 """
 import sys
 import re
@@ -56,7 +56,7 @@ is also asserted programmatically in `internal/experiments/experiments_test.go`.
 Regenerate with:
 
 ```bash
-go run ./cmd/benchrunner | python3 scripts/gen_experiments_md.py > EXPERIMENTS.md
+go run ./cmd/taureau experiments | python3 scripts/gen_experiments_md.py > EXPERIMENTS.md
 ```
 
 ---
