@@ -214,6 +214,81 @@ func TestAckZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestStreamBytesPerMessage is the byte budget beside the count budgets: what
+// the whole stream path asks the allocator for per 256 B keyed message — sync
+// and batch16 producers over a 4-partition topic, one consumer that receives
+// and acks everything — stays within 800 B. About 460 B of that is the one
+// necessary copy (the arena entry), the consumer's inbox segments and the
+// billing ring; the rest is the topic cache and three bookie indexes, which
+// write each slot once (DESIGN.md §10). Growing those by append re-copied
+// history at every growth step and read 1115 B here; it reads 621 B now.
+func TestStreamBytesPerMessage(t *testing.T) {
+	const burst, warm, timed, budget = 100, 10, 200, 800
+	p := core.New(core.Options{})
+	if err := p.Pulsar.CreateTopic("bytes-gate", 4); err != nil {
+		t.Fatal(err)
+	}
+	syncProd, err := p.Pulsar.CreateProducer("bytes-gate")
+	if err != nil {
+		t.Fatal(err)
+	}
+	batchProd, err := p.Pulsar.CreateProducerOpts("bytes-gate", pulsar.ProducerOptions{MaxBatch: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cons, err := p.Pulsar.Subscribe("bytes-gate", "s", pulsar.Shared, pulsar.Earliest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cons.Close()
+	keys := make([]string, 1024)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%04d", i)
+	}
+	payload := make([]byte, 256)
+	// One burst through each producer in turn, then receive and ack it.
+	round := func(b int) {
+		for i := 0; i < burst; i++ {
+			key := keys[(b*burst+i)*7%len(keys)]
+			if b%2 == 1 {
+				err = batchProd.SendAsync(key, payload)
+			} else {
+				_, err = syncProd.SendKey(key, payload)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := batchProd.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < burst; i++ {
+			m, ok := cons.Receive(time.Second)
+			if !ok {
+				t.Fatalf("burst %d: received %d of %d messages", b, i, burst)
+			}
+			if err := cons.Ack(m); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for b := 0; b < warm; b++ {
+		round(b)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for b := warm; b < warm+timed; b++ {
+		round(b)
+	}
+	runtime.ReadMemStats(&after)
+	if got := float64(after.TotalAlloc-before.TotalAlloc) / (timed * burst); got > budget {
+		t.Fatalf("the stream path allocates %.0f B per 256 B message, want <= %d", got, budget)
+	}
+	if n, err := p.Pulsar.Backlog("bytes-gate", "s"); err != nil || n != 0 {
+		t.Fatalf("backlog = %d, %v; want 0", n, err)
+	}
+}
+
 // echoGateway is a gateway over a platform with one warm 1 ns echo function,
 // "echo" of tenant "bench", reachable with the token "bench-token".
 func echoGateway(t *testing.T) *gateway.Gateway {

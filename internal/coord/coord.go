@@ -142,13 +142,13 @@ func (s *Store) NewSession(ttl time.Duration) SessionID {
 func (s *Store) KeepAlive(id SessionID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.reapLocked()
+	now := s.reapLocked()
 	sess, ok := s.sessions[id]
 	if !ok || sess.closed {
 		return ErrNoSession
 	}
 	if sess.ttl > 0 {
-		sess.expiresAt = s.clock.Now().Add(sess.ttl)
+		sess.expiresAt = now.Add(sess.ttl)
 	}
 	return nil
 }
@@ -194,7 +194,7 @@ func (s *Store) create(path string, data []byte, mode Mode, owner SessionID, seq
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.reapLocked()
+	now := s.reapLocked()
 
 	var sess *session
 	if mode == Ephemeral {
@@ -221,7 +221,7 @@ func (s *Store) create(path string, data []byte, mode Mode, owner SessionID, seq
 	if _, ok := parent.children[name]; ok {
 		return "", fmt.Errorf("%w: %q", ErrNodeExists, path)
 	}
-	n := s.addChildLocked(parent, path, name, data)
+	n := s.addChildLocked(parent, path, name, data, now)
 	if mode == Ephemeral {
 		n.stat.EphemeralOwner = owner
 		sess.ephemerals[path] = struct{}{}
@@ -230,11 +230,10 @@ func (s *Store) create(path string, data []byte, mode Mode, owner SessionID, seq
 }
 
 // addChildLocked links a new persistent node holding a copy of data under
-// parent as name — path is the new node's full path — and fires parent's
-// child watches. The caller has checked that name is free and that parent
-// may have children.
-func (s *Store) addChildLocked(parent *node, path, name string, data []byte) *node {
-	now := s.clock.Now()
+// parent as name — path is the new node's full path — stamps it with now and
+// fires parent's child watches. The caller has checked that name is free and
+// that parent may have children.
+func (s *Store) addChildLocked(parent *node, path, name string, data []byte, now time.Time) *node {
 	n := &node{
 		data:     append([]byte(nil), data...),
 		children: map[string]*node{},
@@ -273,7 +272,7 @@ func (s *Store) Exists(path string) bool {
 func (s *Store) Set(path string, data []byte, version int64) (Stat, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.reapLocked()
+	now := s.reapLocked()
 	n, err := s.lookupLocked(path)
 	if err != nil {
 		return Stat{}, err
@@ -283,7 +282,7 @@ func (s *Store) Set(path string, data []byte, version int64) (Stat, error) {
 	}
 	n.data = append(n.data[:0], data...) // in place: readers only ever hold copies
 	n.stat.Version++
-	n.stat.ModifiedAt = s.clock.Now()
+	n.stat.ModifiedAt = now
 	s.fireLocked(&n.dataWatch, Event{Type: EventDataChanged, Path: path})
 	return n.stat, nil
 }
@@ -354,7 +353,7 @@ func (s *Store) EnsurePath(path string) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.reapLocked()
+	now := s.reapLocked()
 	n := s.root
 	for i := 0; i < len(path); {
 		end := partEnd(path, i)
@@ -363,7 +362,7 @@ func (s *Store) EnsurePath(path string) error {
 			if n != s.root && n.stat.EphemeralOwner != 0 {
 				return ErrEphChildren
 			}
-			child = s.addChildLocked(n, path[:end], path[i+1:end], nil)
+			child = s.addChildLocked(n, path[:end], path[i+1:end], nil, now)
 		}
 		n, i = child, end
 	}
@@ -454,8 +453,10 @@ func (s *Store) deleteLocked(path string, version int64, checkChildren bool) err
 	return nil
 }
 
-// reapLocked lazily expires sessions whose leases have lapsed.
-func (s *Store) reapLocked() {
+// reapLocked lazily expires sessions whose leases have lapsed. It returns
+// the instant it read, which is the operation's one reading of the clock:
+// mutators stamp what they write with it.
+func (s *Store) reapLocked() time.Time {
 	now := s.clock.Now()
 	for _, sess := range s.sessions {
 		if sess.closed || sess.ttl == 0 {
@@ -465,6 +466,7 @@ func (s *Store) reapLocked() {
 			s.endSessionLocked(sess)
 		}
 	}
+	return now
 }
 
 func (s *Store) endSessionLocked(sess *session) {

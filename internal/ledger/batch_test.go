@@ -124,7 +124,7 @@ func TestBookieSharesEntryBuffer(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		b, _ := s.Bookie(fmt.Sprintf("bookie-%d", i))
 		b.mu.Lock()
-		bufs = append(bufs, b.ledgers[w.ledgerID].entries[id])
+		bufs = append(bufs, b.entryLocked(w.ledgerID, id))
 		b.mu.Unlock()
 	}
 	for i := 1; i < len(bufs); i++ {

@@ -24,6 +24,7 @@ import (
 
 	"repro/internal/coord"
 	"repro/internal/obs"
+	"repro/internal/seglog"
 	"repro/internal/simclock"
 )
 
@@ -43,15 +44,14 @@ var (
 )
 
 // ledgerStore is one ledger's entries on one bookie. Entry IDs are dense
-// and ascending, so a slice indexed by entry ID replaces the old flat
-// (ledger, entry)-keyed map: an append is a bounds check plus an amortized
-// slice grow instead of a hash insert whose rehashes scale with the
-// bookie's total entry count. Striped writes leave nil holes for the
-// entries other quorum members hold.
+// and ascending, so the index is a log addressed by entry ID: an append is
+// a bounds check and a store into the tail segment, and an index slot, once
+// written, is never copied again (DESIGN.md §10). Striped writes leave nil
+// holes for the entries other quorum members hold.
 type ledgerStore struct {
-	entries [][]byte // indexed by entry ID; nil = not stored here
-	count   int      // non-nil entries
-	last    int64    // highest entry id seen (-1 if none)
+	entries seglog.Log[[]byte] // indexed by entry ID; nil = not stored here
+	count   int                // non-nil entries
+	last    int64              // highest entry id seen (-1 if none)
 	fenced  bool
 }
 
@@ -135,13 +135,14 @@ func (b *Bookie) addEntry(ledgerID, entryID int64, data []byte) error {
 	if ls.fenced {
 		return fmt.Errorf("%w: ledger %d on %s", ErrFenced, ledgerID, b.ID)
 	}
-	for int64(len(ls.entries)) <= entryID {
-		ls.entries = append(ls.entries, nil)
+	for int64(ls.entries.Len()) <= entryID {
+		ls.entries.Append(nil)
 	}
-	if ls.entries[entryID] == nil {
+	slot := ls.entries.At(int(entryID))
+	if *slot == nil {
 		ls.count++
 	}
-	ls.entries[entryID] = data // shared, immutable (see type doc)
+	*slot = data // shared, immutable (see type doc)
 	if entryID > ls.last {
 		ls.last = entryID
 	}
@@ -154,11 +155,20 @@ func (b *Bookie) readEntry(ledgerID, entryID int64) ([]byte, error) {
 	if b.down {
 		return nil, fmt.Errorf("%w: %s", ErrBookieDown, b.ID)
 	}
-	ls := b.ledgers[ledgerID]
-	if ls == nil || entryID < 0 || entryID >= int64(len(ls.entries)) || ls.entries[entryID] == nil {
-		return nil, fmt.Errorf("%w: ledger %d entry %d on %s", ErrNoEntry, ledgerID, entryID, b.ID)
+	if data := b.entryLocked(ledgerID, entryID); data != nil {
+		return append([]byte(nil), data...), nil
 	}
-	return append([]byte(nil), ls.entries[entryID]...), nil
+	return nil, fmt.Errorf("%w: ledger %d entry %d on %s", ErrNoEntry, ledgerID, entryID, b.ID)
+}
+
+// entryLocked returns the buffer this bookie stores for an entry, nil when
+// it holds none. Called with b.mu held.
+func (b *Bookie) entryLocked(ledgerID, entryID int64) []byte {
+	ls := b.ledgers[ledgerID]
+	if ls == nil || entryID < 0 || entryID >= int64(ls.entries.Len()) {
+		return nil
+	}
+	return *ls.entries.At(int(entryID))
 }
 
 // fence marks the ledger read-only on this bookie and returns the highest

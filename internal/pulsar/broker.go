@@ -12,6 +12,7 @@ import (
 	"repro/internal/coord"
 	"repro/internal/ledger"
 	"repro/internal/obs"
+	"repro/internal/seglog"
 )
 
 // Errors returned by the messaging layer.
@@ -45,11 +46,11 @@ type subscription struct {
 	name      string
 	mode      SubMode
 
-	ackedPrefix  int64           // every seq < ackedPrefix is acked
-	acks         []int64         // out-of-order acks beyond the prefix, ascending
-	pending      map[int64]int64 // delivered unacked: seq → consumer id
-	redeliver    []int64         // seqs queued for redelivery
-	nextDispatch int64           // next fresh seq to dispatch
+	ackedPrefix  int64         // every seq < ackedPrefix is acked
+	acks         []int64       // out-of-order acks beyond the prefix, ascending
+	pending      pendingWindow // delivered unacked: seq → consumer id, over [ackedPrefix, nextDispatch)
+	redeliver    []int64       // seqs queued for redelivery
+	nextDispatch int64         // next fresh seq to dispatch
 	consumers    []*consumerReg
 	rr           int // round-robin pointer for Shared
 	// dropAcks makes the next N acks vanish in flight: the consumer's Ack
@@ -132,7 +133,7 @@ type topicState struct {
 	mu      sync.Mutex
 	writer  *ledger.Writer
 	ranges  []ledgerRange
-	cache   []Message // all messages, indexed by seq
+	cache   seglog.Log[Message] // all messages, indexed by seq
 	nextSeq int64
 	subs    map[string]*subscription
 }
@@ -317,7 +318,7 @@ func (b *Broker) publishEntry(topicName, key string, entry, payload []byte, tc o
 		return 0, err
 	}
 	ts.nextSeq++
-	ts.cache = append(ts.cache, Message{Seq: seq, Key: key, Payload: payload, PublishTime: now, Topic: ts.name, Trace: tc})
+	ts.cache.Append(Message{Seq: seq, Key: key, Payload: payload, PublishTime: now, Topic: ts.name, Trace: tc})
 	atomic.AddInt64(&ts.pubMsgs, 1)
 	atomic.AddInt64(&ts.pubBytes, int64(len(payload)))
 	c := b.cluster
@@ -386,7 +387,7 @@ func (b *Broker) publishEntryBatch(topicName string, keys []string, entries, vie
 		if i < len(traces) {
 			m.Trace = traces[i]
 		}
-		ts.cache = append(ts.cache, m)
+		ts.cache.Append(m)
 	}
 	ts.nextSeq = first + int64(len(entries))
 	var nbytes int64
@@ -538,7 +539,7 @@ func (b *Broker) subscribe(topicName, subName string, mode SubMode, pos InitialP
 			name:         subName,
 			mode:         mode,
 			ackedPrefix:  start,
-			pending:      map[int64]int64{},
+			pending:      pendingWindow{base: start, end: start},
 			nextDispatch: start,
 			cursorPath:   cursorPath(topicName, subName),
 		}
@@ -584,17 +585,7 @@ func (b *Broker) detach(topicName, subName string, consumerID int64) {
 	}
 	sub.consumers = kept
 	sub.rr = 0
-	var orphans []int64
-	for seq, cid := range sub.pending {
-		if cid == consumerID {
-			orphans = append(orphans, seq)
-		}
-	}
-	sort.Slice(orphans, func(i, j int) bool { return orphans[i] < orphans[j] })
-	for _, seq := range orphans {
-		delete(sub.pending, seq)
-		sub.redeliver = append(sub.redeliver, seq)
-	}
+	sub.redeliver = sub.pending.drain(consumerID, sub.redeliver)
 	b.dispatchLocked(ts, sub)
 }
 
@@ -630,8 +621,9 @@ func (b *Broker) ack(topicName, subName string, seq int64) error {
 		sub.dropAcks--
 		return nil
 	}
-	delete(sub.pending, seq)
+	sub.pending.clear(seq)
 	sub.markAcked(seq)
+	sub.pending.advance(sub.ackedPrefix)
 	sub.updateBacklogLocked(ts)
 	// Persist on every ack, not just prefix advances: out-of-order acks
 	// beyond the prefix must survive a broker failover, or the new owner
@@ -682,7 +674,7 @@ func fnv1a(s string) uint32 {
 }
 
 func (b *Broker) deliverLocked(ts *topicState, sub *subscription, seq int64, now time.Time) {
-	m := ts.cache[seq]
+	m := ts.cache.At(int(seq))
 	var target *consumerReg
 	switch sub.mode {
 	case Exclusive, Failover:
@@ -693,7 +685,7 @@ func (b *Broker) deliverLocked(ts *topicState, sub *subscription, seq int64, now
 	case KeyShared:
 		target = sub.consumers[int(fnv1a(m.Key))%len(sub.consumers)]
 	}
-	sub.pending[seq] = target.id
+	sub.pending.set(seq, target.id)
 	if !now.IsZero() {
 		b.cluster.obsDispatchLat.Observe(now.Sub(m.PublishTime))
 	}
@@ -703,14 +695,19 @@ func (b *Broker) deliverLocked(ts *topicState, sub *subscription, seq int64, now
 	if m.Trace.Valid() {
 		b.cluster.tracer.Start(m.Trace, "pulsar.deliver").End()
 	}
-	target.inbox.push(m)
+	target.inbox.push(*m)
 }
 
 // loadTopic recovers a topic's state onto this broker after it acquires
-// ownership: previous ledgers are recovered (fencing any zombie writer), the
-// message cache is rebuilt, a fresh ledger is opened for new appends, and
-// durable subscription cursors are restored. Unacked messages redeliver on
-// the next consumer attach (at-least-once).
+// ownership: durable subscription cursors are read, previous ledgers are
+// recovered (fencing any zombie writer), the message cache is rebuilt, and a
+// fresh ledger is opened for new appends. Unacked messages redeliver on the
+// next consumer attach (at-least-once).
+//
+// Everything that can refuse the load comes before anything the load
+// creates or deletes: an unreadable cursor or ledger fails the takeover with
+// the topic's ledger list and the ledger store exactly as they were, so a
+// retry starts from the same place instead of leaking a ledger per attempt.
 func (b *Broker) loadTopic(topicName string) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -730,15 +727,21 @@ func (b *Broker) loadTopic(topicName string) error {
 	// time the whole recovery (ledger fencing + replay + cursor restore).
 	takeover := len(ids) > 0
 	recoverStart := c.clock.Now()
+	cursors, err := c.topicSubscriptions(topicName)
+	if err != nil {
+		return err
+	}
 	ts := &topicState{name: topicName, subs: map[string]*subscription{}}
 	if md, err := c.getTopicMeta(topicName); err == nil {
 		atomic.StoreUint64(&ts.keyLo, md.Lo)
 		atomic.StoreUint64(&ts.keyHi, md.Hi)
 	}
 	// Ledgers that recover empty are dropped from the topic's ledger list
-	// (and deleted): nothing references them, and without the prune every
-	// handoff would add one more ledger to recover on the next handoff,
-	// making repeated reassignment O(moves) instead of O(history).
+	// (and deleted once the list no longer names them): nothing references
+	// them, and without the prune every handoff would add one more ledger
+	// to recover on the next handoff, making repeated reassignment O(moves)
+	// instead of O(history).
+	var empty []int64
 	kept := ids[:0]
 	for _, id := range ids {
 		r, err := c.ledgers.Recover(id)
@@ -750,7 +753,7 @@ func (b *Broker) loadTopic(topicName string) error {
 			return err
 		}
 		if len(entries) == 0 {
-			_ = c.ledgers.DeleteLedger(id)
+			empty = append(empty, id)
 			continue
 		}
 		kept = append(kept, id)
@@ -761,7 +764,7 @@ func (b *Broker) loadTopic(topicName string) error {
 				return err
 			}
 			m.Seq = ts.nextSeq // authoritative position
-			ts.cache = append(ts.cache, m)
+			ts.cache.Append(m)
 			ts.nextSeq++
 		}
 	}
@@ -774,13 +777,11 @@ func (b *Broker) loadTopic(topicName string) error {
 	if err := c.setTopicLedgers(topicName, append(kept, w.ID())); err != nil {
 		return err
 	}
-
-	// Restore durable subscriptions.
-	subs, err := c.topicSubscriptions(topicName)
-	if err != nil {
-		return err
+	for _, id := range empty {
+		_ = c.ledgers.DeleteLedger(id) // unreferenced now; a leftover is only garbage
 	}
-	for name, cur := range subs {
+
+	for name, cur := range cursors {
 		// Out-of-order acks come back too (the record is already ascending),
 		// so the new owner never redelivers a message the subscription
 		// already acked.
@@ -790,7 +791,7 @@ func (b *Broker) loadTopic(topicName string) error {
 			mode:         cur.Mode,
 			ackedPrefix:  cur.AckedPrefix,
 			acks:         cur.Acks,
-			pending:      map[int64]int64{},
+			pending:      pendingWindow{base: cur.AckedPrefix, end: cur.AckedPrefix},
 			nextDispatch: cur.AckedPrefix,
 			cursorPath:   cursorPath(topicName, name),
 			backlogGauge: c.obs.Gauge("pulsar.backlog." + topicName + "." + name),

@@ -43,12 +43,16 @@ func TestBinaryCodecSmallerThanJSON(t *testing.T) {
 
 func TestDecodeMessageRejectsGarbage(t *testing.T) {
 	enc := encodeMessage(Message{Seq: 1, Key: "k", Payload: []byte("p"), Topic: "t", PublishTime: time.Unix(1, 0)})
+	padded := append([]byte{}, enc[:msgFixedHeader]...)
+	padded = append(append(padded, 0x81, 0x00), enc[msgFixedHeader+1:]...)
 	bad := [][]byte{
-		nil,                    // empty
-		{0x7f},                 // unknown version
-		enc[:5],                // truncated header
-		enc[:len(enc)-1],       // truncated payload
-		append([]byte{}, 0x01), // version byte only
+		nil,                                // empty
+		{0x7f},                             // unknown version
+		enc[:5],                            // truncated header
+		enc[:len(enc)-1],                   // truncated payload
+		append([]byte{}, 0x01),             // version byte only
+		append(enc[:len(enc):len(enc)], 0), // trailing byte
+		padded,                             // key length 1 written in two bytes
 	}
 	for i, b := range bad {
 		if _, err := decodeMessage(b); err == nil {
@@ -60,4 +64,23 @@ func TestDecodeMessageRejectsGarbage(t *testing.T) {
 	if _, err := decodeMessage([]byte(`{"seq":5}`)); err == nil || !strings.Contains(err.Error(), "unknown entry codec version 0x7b") {
 		t.Fatalf("JSON entry decode error = %v, want unknown codec version", err)
 	}
+}
+
+// FuzzDecodeMessage: no input panics the entry decoder, and whatever it
+// accepts is canonical — it re-encodes to the identical bytes.
+func FuzzDecodeMessage(f *testing.F) {
+	f.Add([]byte(nil))
+	f.Add(encodeMessage(Message{Topic: "t"}))
+	f.Add(encodeMessage(Message{Seq: 42, Key: "user-7", Payload: []byte("hello"), PublishTime: time.Unix(1234, 5678), Topic: "events-partition-3"}))
+	f.Add(encodeMessage(Message{Seq: -1, Key: strings.Repeat("k", 200), Payload: bytes.Repeat([]byte{0xff}, 300), PublishTime: time.Unix(0, -1), Topic: "x"}))
+	f.Add([]byte(`{"seq":5}`))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		m, err := decodeMessage(b)
+		if err != nil {
+			return
+		}
+		if enc := encodeMessage(m); !bytes.Equal(enc, b) {
+			t.Fatalf("accepted %x, which re-encodes to %x (%+v)", b, enc, m)
+		}
+	})
 }

@@ -105,7 +105,9 @@ func stampEntry(entry []byte, seq int64, at time.Time) {
 }
 
 // decodeMessage parses a ledger entry. The returned Message's Payload may
-// alias b.
+// alias b. Like decodeCursor it accepts exactly what the encoder writes — a
+// padded length prefix or bytes after the payload is an error — so an entry
+// that decodes re-encodes to itself (FuzzDecodeMessage).
 func decodeMessage(b []byte) (Message, error) {
 	if len(b) == 0 {
 		return Message{}, fmt.Errorf("pulsar: empty ledger entry")
@@ -131,9 +133,12 @@ func decodeMessage(b []byte) (Message, error) {
 		return Message{}, fmt.Errorf("pulsar: bad entry topic: %w", err)
 	}
 	m.Topic = string(topic)
-	payload, _, err := readLenPrefixed(b, off)
+	payload, off, err := readLenPrefixed(b, off)
 	if err != nil {
 		return Message{}, fmt.Errorf("pulsar: bad entry payload: %w", err)
+	}
+	if off != len(b) {
+		return Message{}, fmt.Errorf("pulsar: %d trailing bytes after entry payload", len(b)-off)
 	}
 	m.Payload = payload
 	return m, nil
@@ -142,7 +147,7 @@ func decodeMessage(b []byte) (Message, error) {
 // readLenPrefixed reads a uvarint length then that many bytes from b[off:].
 func readLenPrefixed(b []byte, off int) ([]byte, int, error) {
 	n, sz := binary.Uvarint(b[off:])
-	if sz <= 0 {
+	if sz <= 0 || sz != uvarintLen(n) {
 		return nil, 0, fmt.Errorf("bad length prefix at offset %d", off)
 	}
 	off += sz

@@ -132,17 +132,11 @@ func (b *Broker) redeliverUnacked(topicName, subName string) (int, error) {
 		return 0, err
 	}
 	defer ts.mu.Unlock()
-	pending := make([]int64, 0, len(sub.pending))
-	for seq := range sub.pending {
-		pending = append(pending, seq)
-	}
-	sort.Slice(pending, func(i, j int) bool { return pending[i] < pending[j] })
-	for _, seq := range pending {
-		delete(sub.pending, seq)
-		sub.redeliver = append(sub.redeliver, seq)
-	}
+	queued := len(sub.redeliver)
+	sub.redeliver = sub.pending.drain(0, sub.redeliver)
+	n := len(sub.redeliver) - queued
 	b.dispatchLocked(ts, sub)
-	return len(pending), nil
+	return n, nil
 }
 
 func (b *Broker) ackedMessages(topicName, subName string) ([][]byte, error) {
@@ -160,8 +154,8 @@ func (b *Broker) ackedMessages(topicName, subName string) ([][]byte, error) {
 	seqs = append(seqs, sub.acks...) // ascending, all beyond the prefix
 	out := make([][]byte, 0, len(seqs))
 	for _, seq := range seqs {
-		if seq < int64(len(ts.cache)) {
-			out = append(out, append([]byte(nil), ts.cache[seq].Payload...))
+		if seq < int64(ts.cache.Len()) {
+			out = append(out, append([]byte(nil), ts.cache.At(int(seq)).Payload...))
 		}
 	}
 	return out, nil

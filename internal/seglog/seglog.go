@@ -1,0 +1,80 @@
+// Package seglog is the one structure behind the stream data plane's rule
+// that an element appended to a log is written once and never moved: the
+// broker's topic cache and a bookie's per-ledger entry index are both a Log.
+//
+// A plain slice grown by append re-copies its whole history at every growth
+// step — on the hot path, under the owner's lock, for elements the
+// immutability contract (DESIGN.md §10) says never change. A Log instead
+// allocates segments and leaves them where they are: At(i) stays valid for
+// the life of the Log however many appends follow.
+package seglog
+
+import "math/bits"
+
+// Segment sizes are measured constants, not knobs (DESIGN.md §10). Segments
+// double from firstSize up to segSize elements and stay at segSize from then
+// on, so a log of one element costs firstSize slots rather than segSize, and
+// a long log allocates once per segSize appends.
+const (
+	firstBits = 4
+	firstSize = 1 << firstBits
+	segBits   = 11
+	segSize   = 1 << segBits
+	// doubling is how many segments come before the first of segSize.
+	doubling = segBits - firstBits
+	// tableCap pre-sizes the segment table for the first 20 464 elements
+	// (the doubling segments and nine of segSize), so a typical log never
+	// regrows it.
+	tableCap = 16
+)
+
+// Log is an append-only sequence of T addressed by index. The zero value is
+// an empty log. It is not safe for concurrent use; callers hold their own
+// lock, as they did around the slice it replaces.
+type Log[T any] struct {
+	segs [][]T
+	n    int
+}
+
+// locate maps an index to its segment and the offset within it. Shifting
+// the index by firstSize makes the doubling segments the power-of-two
+// ranges [16,32), [32,64) … [2048,4096); everything above is fixed-size.
+func locate(i int) (seg, off int) {
+	j := uint(i) + firstSize
+	if j < 2*segSize {
+		b := bits.Len(j) - 1
+		return b - firstBits, int(j &^ (1 << b))
+	}
+	return int(j>>segBits) + doubling - 1, int(j & (segSize - 1))
+}
+
+// Len returns the number of elements appended.
+func (l *Log[T]) Len() int { return l.n }
+
+// Append adds v at index Len().
+func (l *Log[T]) Append(v T) {
+	seg, off := locate(l.n)
+	if seg == len(l.segs) {
+		if l.segs == nil {
+			l.segs = make([][]T, 0, tableCap)
+		}
+		size := segSize
+		if seg < doubling {
+			size = firstSize << seg
+		}
+		// Growing the table moves segment headers, never elements.
+		l.segs = append(l.segs, make([]T, size))
+	}
+	l.segs[seg][off] = v
+	l.n++
+}
+
+// At returns the address of element i, which no later Append invalidates.
+// It panics if i is outside [0, Len()).
+func (l *Log[T]) At(i int) *T {
+	if uint(i) >= uint(l.n) {
+		panic("seglog: index out of range")
+	}
+	seg, off := locate(i)
+	return &l.segs[seg][off]
+}
