@@ -4,7 +4,9 @@
 // they actually consume, whereas the server-centric baseline reserves
 // capacity — and pays for it — regardless of use.
 //
-// The Meter accumulates usage records; Pricing converts them to dollars.
+// The Meter accumulates usage into exact per-tenant totals; Pricing converts
+// them to dollars. It keeps no itemized log: nothing on the platform reads
+// one, so a Meter costs what its totals maps hold and nothing per record.
 // Default prices mirror the public price sheets the paper's ecosystem ran on
 // circa 2020 (AWS Lambda, S3, EC2 on-demand), so that experiment E1's
 // serverless-vs-reserved comparison reproduces the published cost structure.
@@ -64,24 +66,15 @@ type Record struct {
 	Tenant   string
 	Resource string
 	Units    float64
-	At       time.Time
 }
 
-// recordWindow is how many itemized usage records a Meter retains (the
-// most recent ones; totals are always exact and unbounded). A fixed ring —
-// lazily allocated, never grown — keeps the metering call on the invoke and
-// publish hot paths allocation-free and bounds Meter memory on long soaks.
-const recordWindow = 1 << 14
-
-// Meter accumulates usage records, thread-safely. Per-tenant totals are
-// exact over the Meter's whole lifetime; the itemized record log is a
-// sliding window of the most recent recordWindow entries.
+// Meter accumulates usage, thread-safely. Per-tenant totals are exact over
+// the Meter's whole lifetime and are all it keeps: its size is the number
+// of distinct (tenant, resource) pairs seen, so a warm metering call on the
+// invoke and publish hot paths allocates nothing.
 type Meter struct {
-	mu       sync.Mutex
-	recBuf   []Record // fixed-capacity ring, lazily allocated
-	recNext  int
-	recCount int
-	totals   map[string]map[string]float64 // tenant → resource → units
+	mu     sync.Mutex
+	totals map[string]map[string]float64 // tenant → resource → units
 }
 
 // NewMeter returns an empty Meter.
@@ -89,27 +82,25 @@ func NewMeter() *Meter {
 	return &Meter{totals: map[string]map[string]float64{}}
 }
 
-// Add appends a usage record. Zero-unit records are dropped.
+// Add accrues a usage record into its tenant's totals. Zero-unit records
+// are dropped (they create no tenant and no line item).
 func (m *Meter) Add(r Record) {
 	if r.Units == 0 {
 		return
 	}
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.recBuf == nil {
-		m.recBuf = make([]Record, recordWindow)
-	}
-	m.recBuf[m.recNext] = r
-	m.recNext = (m.recNext + 1) % len(m.recBuf)
-	if m.recCount < len(m.recBuf) {
-		m.recCount++
-	}
-	t := m.totals[r.Tenant]
+	m.tenantLocked(r.Tenant)[r.Resource] += r.Units
+	m.mu.Unlock()
+}
+
+// tenantLocked returns the tenant's totals map, creating it on first use.
+func (m *Meter) tenantLocked(tenant string) map[string]float64 {
+	t := m.totals[tenant]
 	if t == nil {
 		t = map[string]float64{}
-		m.totals[r.Tenant] = t
+		m.totals[tenant] = t
 	}
-	t[r.Resource] += r.Units
+	return t
 }
 
 // BillingGranularity is the time quantum functions are billed in. AWS Lambda
@@ -128,12 +119,19 @@ func BilledDuration(d time.Duration) time.Duration {
 }
 
 // AddInvocation meters one function invocation: the request fee plus
-// GB-seconds for the billed (rounded-up) duration at the given memory size.
-func (m *Meter) AddInvocation(tenant string, d time.Duration, memoryMB int, at time.Time) {
-	billed := BilledDuration(d)
-	gbSeconds := billed.Seconds() * float64(memoryMB) / 1024.0
-	m.Add(Record{Tenant: tenant, Resource: ResInvocationGBs, Units: gbSeconds, At: at})
-	m.Add(Record{Tenant: tenant, Resource: ResInvocationReqs, Units: 1, At: at})
+// GB-seconds for the billed (rounded-up) duration at the given memory size,
+// under one lock and one tenant lookup. The time parameter is unused — the
+// Meter stamps nothing — and stays only because benchmark/ladder.go passes
+// it; the next benchmark change drops it on both sides.
+func (m *Meter) AddInvocation(tenant string, d time.Duration, memoryMB int, _ time.Time) {
+	gbSeconds := BilledDuration(d).Seconds() * float64(memoryMB) / 1024.0
+	m.mu.Lock()
+	t := m.tenantLocked(tenant)
+	if gbSeconds != 0 {
+		t[ResInvocationGBs] += gbSeconds
+	}
+	t[ResInvocationReqs]++
+	m.mu.Unlock()
 }
 
 // Units returns the total units a tenant has accrued for a resource.
@@ -155,27 +153,10 @@ func (m *Meter) Tenants() []string {
 	return out
 }
 
-// Records returns a copy of the retained usage records (the most recent
-// recordWindow), in insertion order.
-func (m *Meter) Records() []Record {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]Record, 0, m.recCount)
-	start := m.recNext - m.recCount
-	if start < 0 {
-		start += len(m.recBuf)
-	}
-	for i := 0; i < m.recCount; i++ {
-		out = append(out, m.recBuf[(start+i)%len(m.recBuf)])
-	}
-	return out
-}
-
 // Reset clears all accumulated usage.
 func (m *Meter) Reset() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.recBuf, m.recNext, m.recCount = nil, 0, 0
 	m.totals = map[string]map[string]float64{}
 }
 

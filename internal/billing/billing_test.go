@@ -88,8 +88,41 @@ func TestInvoiceTotalsAndOrdering(t *testing.T) {
 func TestZeroUnitRecordsDropped(t *testing.T) {
 	m := NewMeter()
 	m.Add(Record{Tenant: "t", Resource: "x", Units: 0})
-	if len(m.Records()) != 0 {
-		t.Fatal("zero-unit record retained")
+	if got := m.Tenants(); len(got) != 0 {
+		t.Fatalf("zero-unit record created tenants %v", got)
+	}
+	if inv := m.Invoice("t", DefaultPricing()); len(inv.Lines) != 0 || m.Units("t", "x") != 0 {
+		t.Fatalf("zero-unit record itemized: %+v", inv)
+	}
+	// An invocation at zero memory bills the request and no GB-seconds line.
+	m.AddInvocation("t", time.Second, 0, time.Time{})
+	if inv := m.Invoice("t", DefaultPricing()); len(inv.Lines) != 1 || inv.Lines[0].Resource != ResInvocationReqs {
+		t.Fatalf("zero-memory invocation lines = %+v, want requests only", inv.Lines)
+	}
+}
+
+// TestTotalsExactOverManyAdds: totals are the Meter's only state, exact far
+// past any window a record log would have had (the old ring held 1<<14).
+func TestTotalsExactOverManyAdds(t *testing.T) {
+	m := NewMeter()
+	const n = 1<<14 + 1000
+	for i := 0; i < n; i++ {
+		m.Add(Record{Tenant: "t", Resource: ResMsgPublish, Units: 2})
+		m.AddInvocation("t", 150*time.Millisecond, 512, time.Time{})
+	}
+	if got := m.Units("t", ResMsgPublish); got != 2*n {
+		t.Fatalf("publish units = %v, want %v", got, 2*n)
+	}
+	if got := m.Units("t", ResInvocationReqs); got != n {
+		t.Fatalf("requests = %v, want %v", got, n)
+	}
+	// 200 ms billed × 0.5 GB = 0.1 GB-s each.
+	if got, want := m.Units("t", ResInvocationGBs), 0.1*n; math.Abs(got-want) > 1e-6 {
+		t.Fatalf("GB-seconds = %v, want %v", got, want)
+	}
+	inv := m.Invoice("t", DefaultPricing())
+	if len(inv.Lines) != 3 {
+		t.Fatalf("invoice lines = %+v, want 3", inv.Lines)
 	}
 }
 
@@ -107,8 +140,12 @@ func TestReset(t *testing.T) {
 	m := NewMeter()
 	m.Add(Record{Tenant: "t", Resource: "r", Units: 5})
 	m.Reset()
-	if m.Units("t", "r") != 0 || len(m.Records()) != 0 {
+	if m.Units("t", "r") != 0 || len(m.Tenants()) != 0 || len(m.Invoice("t", DefaultPricing()).Lines) != 0 {
 		t.Fatal("Reset did not clear")
+	}
+	m.Add(Record{Tenant: "t", Resource: "r", Units: 2})
+	if got := m.Units("t", "r"); got != 2 {
+		t.Fatalf("Units after Reset and reuse = %v, want 2", got)
 	}
 }
 
@@ -171,7 +208,7 @@ func TestMeterConcurrentAdds(t *testing.T) {
 }
 
 // TestMeterConcurrentRecordInvoice hammers the Meter with concurrent writers
-// (Add, AddInvocation) and readers (Invoice, Units, Tenants, Records) — the
+// (Add, AddInvocation) and readers (Invoice, Units, Tenants) — the
 // pattern a live platform produces when the billing surface is scraped while
 // traffic flows. Run under -race this proves the Meter's locking covers every
 // public method, not just Add.
@@ -180,6 +217,7 @@ func TestMeterConcurrentRecordInvoice(t *testing.T) {
 	p := DefaultPricing()
 	tenants := []string{"acme", "globex", "initech"}
 	const writers, perWriter = 6, 500
+	wantPub := float64(writers * perWriter / len(tenants))
 
 	var wg sync.WaitGroup
 	for i := 0; i < writers; i++ {
@@ -206,14 +244,15 @@ func TestMeterConcurrentRecordInvoice(t *testing.T) {
 						return
 					}
 				}
-				_ = m.Units(tenants[j%len(tenants)], ResInvocationReqs)
-				_ = m.Records()
+				if got := m.Units(tenants[j%len(tenants)], ResInvocationReqs); got < 0 || got > wantPub {
+					t.Errorf("Units mid-run = %v, out of range", got)
+					return
+				}
 			}
 		}()
 	}
 	wg.Wait()
 
-	wantPub := float64(writers * perWriter / len(tenants))
 	for _, tenant := range tenants {
 		if got := m.Units(tenant, ResMsgPublish); got != wantPub {
 			t.Errorf("Units(%s, publish) = %v, want %v", tenant, got, wantPub)
@@ -221,5 +260,11 @@ func TestMeterConcurrentRecordInvoice(t *testing.T) {
 		if got := m.Units(tenant, ResInvocationReqs); got != wantPub {
 			t.Errorf("Units(%s, requests) = %v, want %v", tenant, got, wantPub)
 		}
+		if inv := m.Invoice(tenant, p); len(inv.Lines) != 3 {
+			t.Errorf("Invoice(%s) lines = %+v, want 3 resources", tenant, inv.Lines)
+		}
+	}
+	if got := m.Tenants(); len(got) != len(tenants) {
+		t.Errorf("Tenants = %v, want %v", got, tenants)
 	}
 }

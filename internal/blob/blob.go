@@ -383,7 +383,7 @@ func (s *Store) TotalBytes(bucketName string) (int, error) {
 
 func (s *Store) meterAdd(tenant, resource string, units float64) {
 	if s.meter != nil {
-		s.meter.Add(billing.Record{Tenant: tenant, Resource: resource, Units: units, At: s.clock.Now()})
+		s.meter.Add(billing.Record{Tenant: tenant, Resource: resource, Units: units})
 	}
 }
 

@@ -229,7 +229,7 @@ func (p *Platform) admit(a *admission, tenant string) error {
 		a.mu.Unlock()
 		p.obsAdmShed.Inc()
 		if p.meter != nil {
-			p.meter.Add(billing.Record{Tenant: tenant, Resource: billing.ResShedRequests, Units: 1, At: now})
+			p.meter.Add(billing.Record{Tenant: tenant, Resource: billing.ResShedRequests, Units: 1})
 		}
 		return fmt.Errorf("%w: tenant %q shed by admission (wait %v, queued %d)",
 			ErrTenantThrottled, tenant, wait, b.queued)

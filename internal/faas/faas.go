@@ -265,10 +265,13 @@ type function struct {
 	throttles   int64
 	timeouts    int64
 	failures    int64
-	// durations is a fixed-capacity ring of the most recent end-to-end
-	// invoke latencies (lazily allocated, durationWindow entries). A ring
-	// instead of an unbounded append keeps the steady-state invoke path
-	// allocation-free and bounds per-function memory on long soaks.
+	// durBuf is a ring of the most recent end-to-end invoke latencies,
+	// sized by use: nil until the first invoke, then grown ×durGrowth from
+	// durInitial to durationWindow (recordDurationLocked), where it stays
+	// and wraps. The last growth step is over within the first few thousand
+	// invokes, so the steady-state invoke path is allocation-free and a
+	// function's memory is bounded on long soaks, while a function invoked a
+	// handful of times holds a handful of samples' worth.
 	durBuf   []time.Duration
 	durNext  int // next write position
 	durCount int // number of valid entries (≤ len(durBuf))
@@ -331,17 +334,32 @@ func (fn *function) dedupStore(key string, res Result, now time.Time) {
 	fn.idemOrder = append(fn.idemOrder, idemExpiry{key: key, expires: expires})
 }
 
-// durationWindow is the per-function latency-window size. Every existing
-// workload (experiments, demos, soaks) invokes any single function far fewer
-// times than this, so percentiles over the window equal percentiles over the
-// full history for them; only unbounded growth is cut off.
+// durationWindow is the per-function latency-window size: the cap the ring
+// grows to. Every existing workload (experiments, demos, soaks) invokes any
+// single function far fewer times than this, so percentiles over the window
+// equal percentiles over the full history for them; only unbounded growth is
+// cut off.
 const durationWindow = 1 << 15
 
-// recordDurationLocked appends a latency sample to the ring. Called with
+// The ring starts at durInitial samples and is multiplied by durGrowth each
+// time it fills below the cap: 64 → 512 → 4096 → 32768, three copies of
+// 4672 samples in all, the last at sample 4097 — inside any warm-up, so no
+// step lands in a measured steady state.
+const (
+	durInitial = 1 << 6
+	durGrowth  = 8
+)
+
+// recordDurationLocked appends a latency sample to the ring, growing it
+// first when it is full and still below durationWindow. A ring below the cap
+// has never wrapped (it grows the moment it fills), so its samples sit
+// oldest-first from index 0 and a plain copy keeps the order. Called with
 // fn.mu held.
 func (fn *function) recordDurationLocked(d time.Duration) {
-	if fn.durBuf == nil {
-		fn.durBuf = make([]time.Duration, durationWindow)
+	if n := len(fn.durBuf); fn.durCount == n && n < durationWindow {
+		grown := make([]time.Duration, min(max(durInitial, n*durGrowth), durationWindow))
+		fn.durNext = copy(grown, fn.durBuf)
+		fn.durBuf = grown
 	}
 	fn.durBuf[fn.durNext] = d
 	fn.durNext = (fn.durNext + 1) % len(fn.durBuf)

@@ -12,7 +12,7 @@
 //	DELETE /v1/functions/{name}           unregister
 //	POST   /v1/functions/{name}/invoke    sync invoke (raw body in, raw body out)
 //	POST   /v1/functions/{name}/invoke-async   submit, 202 + id
-//	GET    /v1/invocations/{id}           poll an async invocation
+//	GET    /v1/invocations/{id}           poll an async invocation (kept 10 min after it finishes)
 //	GET    /v1/tenants/{tenant}/invoice   priced usage
 //	GET    /healthz                       liveness (no auth)
 //
@@ -44,6 +44,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/faas"
@@ -75,15 +76,63 @@ type Gateway struct {
 	mu     sync.Mutex
 	invs   map[string]*invocation
 	nextID int64
+	// Finished records in completion order, oldest at doneHead: the queue
+	// evictLocked trims. Pending records are not on it — they are bounded by
+	// what the platform admits and every one finishes (Config.Timeout).
+	doneHead, doneTail *invocation
+	doneCount          int
 }
+
+// A finished async record is kept for its submitter to poll, not for ever:
+// it is evicted, oldest completion first, once it has been finished for
+// invocationTTL on the platform clock or once more than maxFinished are
+// retained. An evicted id polls exactly like an unknown one (404
+// no_invocation).
+const (
+	invocationTTL = 10 * time.Minute
+	maxFinished   = 1 << 16
+)
 
 // invocation is one async submission's lifecycle record.
 type invocation struct {
+	id       string
 	tenant   string
 	function string
 	done     bool
 	res      faas.Result
 	err      error
+	doneAt   time.Time   // platform clock, set with done
+	next     *invocation // younger neighbour on the finished queue
+}
+
+// finishLocked records an invocation's outcome and queues it for eviction.
+// Caller holds g.mu.
+func (g *Gateway) finishLocked(inv *invocation, res faas.Result, err error, now time.Time) {
+	inv.done, inv.res, inv.err, inv.doneAt = true, res, err, now
+	if g.doneTail == nil {
+		g.doneHead = inv
+	} else {
+		g.doneTail.next = inv
+	}
+	g.doneTail = inv
+	g.doneCount++
+	g.evictLocked(now)
+}
+
+// evictLocked drops finished records from the old end of the queue while
+// there are more than maxFinished or the oldest has outlived invocationTTL.
+// Completion times only grow along the queue, so the expired are always at
+// its head. Caller holds g.mu.
+func (g *Gateway) evictLocked(now time.Time) {
+	for g.doneHead != nil && (g.doneCount > maxFinished || now.Sub(g.doneHead.doneAt) > invocationTTL) {
+		h := g.doneHead
+		delete(g.invs, h.id)
+		g.doneHead, h.next = h.next, nil
+		g.doneCount--
+	}
+	if g.doneHead == nil {
+		g.doneTail = nil
+	}
 }
 
 // New builds a Gateway over p.
@@ -387,16 +436,16 @@ func (g *Gateway) handleInvokeAsync(w http.ResponseWriter, r *http.Request, tena
 	g.mu.Lock()
 	g.nextID++
 	id := fmt.Sprintf("inv-%06d", g.nextID)
-	g.invs[id] = &invocation{tenant: tenant, function: name}
+	inv := &invocation{id: id, tenant: tenant, function: name}
+	g.invs[id] = inv
 	g.mu.Unlock()
 
 	// InvokeAsyncFor spawns its own clock-tracked goroutine and applies the
 	// platform's transparent retry; the callback lands on that goroutine.
 	g.p.FaaS.InvokeAsyncFor(tenant, name, payload, func(res faas.Result, err error) {
+		now := g.p.Clock.Now()
 		g.mu.Lock()
-		if inv := g.invs[id]; inv != nil {
-			inv.done, inv.res, inv.err = true, res, err
-		}
+		g.finishLocked(inv, res, err, now)
 		g.mu.Unlock()
 	})
 	writeJSON(w, http.StatusAccepted, map[string]string{"id": id, "status": "pending"})
@@ -417,7 +466,9 @@ type InvocationStatus struct {
 
 func (g *Gateway) handlePoll(w http.ResponseWriter, r *http.Request, tenant string) {
 	id := r.PathValue("id")
+	now := g.p.Clock.Now()
 	g.mu.Lock()
+	g.evictLocked(now) // a record past its TTL is gone even if nothing finished since
 	inv := g.invs[id]
 	var snap invocation
 	if inv != nil {

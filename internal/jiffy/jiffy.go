@@ -691,7 +691,6 @@ func (c *Controller) freeBlocksLocked(blocks []*block) {
 				Tenant:   c.cfg.Tenant,
 				Resource: billing.ResJiffyBlockSecs,
 				Units:    held * float64(len(b.nodes)),
-				At:       now,
 			})
 		}
 		clear(b.kv)

@@ -444,6 +444,6 @@ func visible(versions []rowVersion, readTS int64) (rowVersion, bool) {
 
 func (db *DB) meterAdd(tenant, resource string, units float64) {
 	if db.meter != nil {
-		db.meter.Add(billing.Record{Tenant: tenant, Resource: resource, Units: units, At: db.clock.Now()})
+		db.meter.Add(billing.Record{Tenant: tenant, Resource: resource, Units: units})
 	}
 }

@@ -218,6 +218,26 @@ func TestTracerSpanCap(t *testing.T) {
 	if got := tr.Dropped(); got != 15 {
 		t.Fatalf("dropped = %d, want 15", got)
 	}
+	// A capped tracer counts drops without its mutex: concurrent Starts,
+	// racing the readers, lose no drop.
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				if tr.Start(TraceCtx{}, "s").Active() {
+					t.Error("capped tracer handed out a live span")
+					return
+				}
+				_ = tr.Stats()
+			}
+		}()
+	}
+	wg.Wait()
+	if got := tr.Dropped(); got != 15+4*500 {
+		t.Fatalf("dropped after concurrent capped starts = %d, want %d", got, 15+4*500)
+	}
 	tr.Reset()
 	if len(tr.Spans()) != 0 || tr.Dropped() != 0 {
 		t.Fatalf("reset did not clear")

@@ -8,9 +8,13 @@
 // instruments, and every method on a nil instrument is a no-op. Subsystems
 // therefore instrument their hot paths unconditionally and pay only a
 // predicted branch when observability is off. The cost when it is on is a
-// single atomic add per counter increment and a bit-twiddle plus two atomic
-// adds per histogram observation — the benchmark ladder's obs.invoke_tax_ns
-// and obs.publish_tax_ns rungs keep this honest.
+// single atomic add per counter increment; per histogram observation a
+// bit-twiddle, two atomic adds (bucket, sum) and one atomic load of the max
+// (a compare-and-swap only on a new maximum, a store only with a trace
+// exemplar) — the count is the buckets' total, summed at Snapshot, not a
+// third add; and one atomic load plus one atomic add per Start on a tracer
+// at its cap. The benchmark ladder's obs.invoke_tax_ns and
+// obs.publish_tax_ns rungs keep this honest.
 package obs
 
 import (
@@ -158,7 +162,6 @@ type Histogram struct {
 	// exemplars holds the most recent trace id observed per bucket (0 =
 	// none), so a slow percentile bucket links to a concrete trace.
 	exemplars [maxBucket + 1]int64
-	count     int64
 	sum       int64 // nanoseconds (or raw units for value histograms)
 	max       int64
 	value     bool // set once at creation: observations are unitless counts
@@ -192,7 +195,6 @@ func (h *Histogram) observe(ns, traceID int64) {
 	if traceID != 0 {
 		atomic.StoreInt64(&h.exemplars[b], traceID)
 	}
-	atomic.AddInt64(&h.count, 1)
 	atomic.AddInt64(&h.sum, ns)
 	for {
 		old := atomic.LoadInt64(&h.max)

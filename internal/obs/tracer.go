@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/seglog"
 	"repro/internal/simclock"
 )
 
@@ -89,23 +90,27 @@ type traceBuf struct {
 }
 
 // Tracer creates and collects spans with tail sampling: spans stage in
-// per-trace buffers and move to the bounded retention buffer only when the
+// per-trace buffers and move to the bounded retention log only when the
 // trace finalizes and the sampler keeps it.
 type Tracer struct {
 	clock  simclock.Clock
 	nextID int64
 
-	// full flips once the retained buffer reaches maxSpans; from then on
-	// Start returns an inert SpanRef so steady-state tracing after the cap
-	// costs one atomic load, not staging work per span.
+	// full flips once the retained log reaches maxSpans; from then on Start
+	// returns an inert SpanRef, so steady-state tracing after the cap costs
+	// one atomic load and one atomic add (dropped) — no mutex, no staging
+	// work per span.
 	full      atomic.Bool
 	samplerOn atomic.Bool
+	dropped   atomic.Int64 // spans dropped at the retention/active caps
 
-	mu        sync.Mutex
-	active    map[int64]*traceBuf
-	free      []*traceBuf
-	retained  []SpanData
-	dropped   int64 // spans dropped at the retention/active caps
+	mu     sync.Mutex
+	active map[int64]*traceBuf
+	free   []*traceBuf
+	// retained is the finished-span log, first maxSpans kept. Segmented: a
+	// span is written once and never moved, so finalizing a trace never
+	// re-copies the history while every Start/End waits on mu.
+	retained  seglog.Log[SpanData]
 	late      int64 // spans whose parent trace already finalized
 	sampled   int64 // spans discarded by the sampler (whole traces)
 	kept      int64 // traces kept by the sampler
@@ -142,7 +147,7 @@ func (t *Tracer) SetMaxSpans(n int) {
 	}
 	t.mu.Lock()
 	t.maxSpans = n
-	t.full.Store(len(t.retained) >= n)
+	t.full.Store(t.retained.Len() >= n)
 	t.mu.Unlock()
 }
 
@@ -198,9 +203,7 @@ func (t *Tracer) Start(parent TraceCtx, name string) SpanRef {
 		return SpanRef{}
 	}
 	if t.full.Load() {
-		t.mu.Lock()
-		t.dropped++
-		t.mu.Unlock()
+		t.dropped.Add(1)
 		return SpanRef{}
 	}
 	now := t.clock.Now()
@@ -208,7 +211,7 @@ func (t *Tracer) Start(parent TraceCtx, name string) SpanRef {
 	t.mu.Lock()
 	if parent.Trace == 0 {
 		if len(t.active) >= t.maxActive {
-			t.dropped++
+			t.dropped.Add(1)
 			t.mu.Unlock()
 			return SpanRef{}
 		}
@@ -286,7 +289,7 @@ func (s SpanRef) finish(failed bool, tenant, fn string, attrs []Attr) {
 }
 
 // finalizeLocked rules on a completed trace: sampler decision, then either
-// move its spans into the retention buffer or discard them. Caller holds
+// move its spans into the retention log or discard them. Caller holds
 // t.mu.
 func (t *Tracer) finalizeLocked(id int64, buf *traceBuf) {
 	delete(t.active, id)
@@ -300,13 +303,13 @@ func (t *Tracer) finalizeLocked(id int64, buf *traceBuf) {
 	if keep {
 		t.kept++
 		for i := range buf.spans {
-			if len(t.retained) < t.maxSpans {
-				t.retained = append(t.retained, buf.spans[i])
+			if t.retained.Len() < t.maxSpans {
+				t.retained.Append(buf.spans[i])
 			} else {
-				t.dropped++
+				t.dropped.Add(1)
 			}
 		}
-		if len(t.retained) >= t.maxSpans {
+		if t.retained.Len() >= t.maxSpans {
 			t.full.Store(true)
 		}
 	} else {
@@ -372,7 +375,11 @@ func (t *Tracer) Spans() []SpanData {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return append([]SpanData(nil), t.retained...)
+	out := make([]SpanData, t.retained.Len())
+	for i := range out {
+		out[i] = *t.retained.At(i)
+	}
+	return out
 }
 
 // Dropped reports how many spans were discarded at the retention or
@@ -381,9 +388,7 @@ func (t *Tracer) Dropped() int64 {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
+	return t.dropped.Load()
 }
 
 // TracerStats breaks down where spans went.
@@ -405,12 +410,12 @@ func (t *Tracer) Stats() TracerStats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return TracerStats{
-		Retained:        len(t.retained),
+		Retained:        t.retained.Len(),
 		ActiveTraces:    len(t.active),
 		KeptTraces:      t.kept,
 		DiscardedTraces: t.discarded,
 		SampledOutSpans: t.sampled,
-		DroppedSpans:    t.dropped,
+		DroppedSpans:    t.dropped.Load(),
 		LateSpans:       t.late,
 	}
 }
@@ -421,8 +426,8 @@ func (t *Tracer) Reset() {
 		return
 	}
 	t.mu.Lock()
-	t.retained = nil
-	t.dropped = 0
+	t.retained = seglog.Log[SpanData]{}
+	t.dropped.Store(0)
 	t.late = 0
 	t.sampled = 0
 	t.kept = 0
@@ -456,8 +461,8 @@ func (t *Tracer) Traces() []TraceSummary {
 	t.mu.Lock()
 	byID := make(map[int64]*TraceSummary)
 	order := make([]int64, 0, 64)
-	for i := range t.retained {
-		sd := &t.retained[i]
+	for i := 0; i < t.retained.Len(); i++ {
+		sd := t.retained.At(i)
 		ts := byID[sd.TraceID]
 		if ts == nil {
 			ts = &TraceSummary{TraceID: sd.TraceID}
@@ -501,9 +506,9 @@ func (t *Tracer) TraceSpans(traceID int64) []SpanData {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var out []SpanData
-	for i := range t.retained {
-		if t.retained[i].TraceID == traceID {
-			out = append(out, t.retained[i])
+	for i := 0; i < t.retained.Len(); i++ {
+		if sd := t.retained.At(i); sd.TraceID == traceID {
+			out = append(out, *sd)
 		}
 	}
 	return out

@@ -1,0 +1,236 @@
+package obs
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"fmt"
+	"reflect"
+	"sort"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/simclock"
+)
+
+// spanOracle is the plain-slice model of the tracer's retention log: every
+// finished span in completion order, trimmed to the first max.
+type spanOracle struct {
+	v     *simclock.Virtual
+	tr    *Tracer
+	spans []SpanData
+}
+
+// trace runs one three-span trace (two children, then the root) on the
+// virtual clock and records what each span must look like from what the
+// test itself observed: the ids on the SpanRef and the clock readings.
+func (o *spanOracle) trace(i int) {
+	end := func(ref SpanRef, parent int64, start time.Time, sd SpanData) {
+		if !ref.Active() {
+			return
+		}
+		sd.TraceID, sd.SpanID, sd.ParentID = ref.TraceID(), ref.Ctx().Span, parent
+		sd.Start, sd.Duration = start, o.v.Now().Sub(start)
+		o.spans = append(o.spans, sd)
+	}
+	failed := i%7 == 0
+	tenant := fmt.Sprintf("tenant-%d", i%3)
+
+	rootStart := o.v.Now()
+	root := o.tr.Start(TraceCtx{}, "invoke")
+	o.v.Sleep(time.Millisecond)
+
+	aStart := o.v.Now()
+	a := o.tr.Start(root.Ctx(), "exec")
+	o.v.Sleep(time.Duration(1+i%5) * time.Millisecond)
+	attrs := []Attr{{Key: "i", Value: fmt.Sprint(i)}}
+	a.EndAttrs(failed, attrs...)
+	end(a, root.Ctx().Span, aStart, SpanData{Name: "exec", Err: failed, Attrs: attrs})
+
+	bStart := o.v.Now()
+	b := o.tr.Start(root.Ctx(), "bill")
+	o.v.Sleep(time.Millisecond)
+	b.End()
+	end(b, root.Ctx().Span, bStart, SpanData{Name: "bill"})
+
+	root.EndLabeled(tenant, "fn", failed)
+	end(root, 0, rootStart, SpanData{Name: "invoke", Tenant: tenant, Fn: "fn", Err: failed})
+}
+
+// canonical renders the oracle's traces the way CanonicalText documents:
+// id-free, traces by root start, children by their own rendering. Every
+// trace here is a root with leaf children, so the tree walk is two levels.
+func (o *spanOracle) canonical() string {
+	line := func(sd SpanData, indent string) string {
+		s := fmt.Sprintf("%s%s start=%d dur=%d", indent, sd.Name, sd.Start.UnixNano(), sd.Duration.Nanoseconds())
+		if sd.Tenant != "" {
+			s += " tenant=" + sd.Tenant
+		}
+		if sd.Fn != "" {
+			s += " fn=" + sd.Fn
+		}
+		if sd.Err {
+			s += " err"
+		}
+		for _, a := range sd.Attrs {
+			s += fmt.Sprintf(" %s=%q", a.Key, a.Value)
+		}
+		return s + "\n"
+	}
+	kids := map[int64][]string{}
+	seen := map[int64]bool{}
+	var roots []SpanData
+	for _, sd := range o.spans {
+		seen[sd.TraceID] = true
+		if sd.SpanID == sd.TraceID {
+			roots = append(roots, sd)
+		} else {
+			kids[sd.ParentID] = append(kids[sd.ParentID], line(sd, "    "))
+		}
+	}
+	sort.Slice(roots, func(i, j int) bool { return roots[i].Start.Before(roots[j].Start) })
+	var b strings.Builder
+	fmt.Fprintf(&b, "traces=%d orphan_traces=%d\n", len(roots), len(seen)-len(roots))
+	for _, r := range roots {
+		b.WriteString("trace\n" + line(r, "  "))
+		sort.Strings(kids[r.SpanID])
+		b.WriteString(strings.Join(kids[r.SpanID], ""))
+	}
+	return b.String()
+}
+
+func (o *spanOracle) check(t *testing.T, when string) {
+	t.Helper()
+	tr, want := o.tr, o.spans
+	got := tr.Spans()
+	if len(got) != len(want) {
+		t.Fatalf("%s: Spans has %d spans, oracle %d", when, len(got), len(want))
+	}
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("%s: Spans[%d] = %+v, oracle %+v", when, i, got[i], want[i])
+		}
+	}
+	if st := tr.Stats(); st.Retained != len(want) {
+		t.Fatalf("%s: Stats.Retained = %d, oracle %d", when, st.Retained, len(want))
+	}
+
+	// Traces: one summary per trace whose root was retained, by root start.
+	var sums []TraceSummary
+	count, failed := map[int64]int{}, map[int64]bool{}
+	for _, sd := range want {
+		count[sd.TraceID]++
+		failed[sd.TraceID] = failed[sd.TraceID] || sd.Err
+	}
+	for _, sd := range want {
+		if sd.SpanID == sd.TraceID {
+			sums = append(sums, TraceSummary{TraceID: sd.TraceID, Name: sd.Name, Tenant: sd.Tenant,
+				Start: sd.Start, Duration: sd.Duration, Spans: count[sd.TraceID], Err: failed[sd.TraceID]})
+		}
+	}
+	if got := tr.Traces(); len(got) != len(sums) || (len(sums) > 0 && !reflect.DeepEqual(got, sums)) {
+		t.Fatalf("%s: Traces has %d summaries, oracle %d (or they differ)", when, len(got), len(sums))
+	}
+
+	// TraceSpans: a trace at each end, ones whose spans straddle seglog
+	// segment boundaries (indices 16, 48, 2032, 4080, 6128), and a stranger.
+	ids := []int64{-1}
+	for _, i := range []int{0, 15, 16, 47, 48, 2031, 2032, 4079, 4080, len(want) - 1} {
+		if i >= 0 && i < len(want) {
+			ids = append(ids, want[i].TraceID)
+		}
+	}
+	for _, id := range ids {
+		var w []SpanData
+		for _, sd := range want {
+			if sd.TraceID == id {
+				w = append(w, sd)
+			}
+		}
+		if g := tr.TraceSpans(id); !reflect.DeepEqual(g, w) {
+			t.Fatalf("%s: TraceSpans(%d) = %d spans %+v, oracle %d", when, id, len(g), g, len(w))
+		}
+	}
+
+	wantJSON, err := json.MarshalIndent(append([]SpanData{}, want...), "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotJSON, err := tr.ExportJSON(); err != nil || !bytes.Equal(gotJSON, wantJSON) {
+		t.Fatalf("%s: ExportJSON (%d bytes, err %v) differs from the oracle's (%d bytes)", when, len(gotJSON), err, len(wantJSON))
+	}
+
+	text := o.canonical()
+	if got := tr.CanonicalText(); got != text {
+		t.Fatalf("%s: CanonicalText differs from the oracle's rendering (%d vs %d bytes)", when, len(got), len(text))
+	}
+	sum := sha256.Sum256([]byte(text))
+	if got := tr.CanonicalDigest(); got != hex.EncodeToString(sum[:]) {
+		t.Fatalf("%s: CanonicalDigest = %s, oracle %x", when, got, sum)
+	}
+}
+
+// TestTracerReadPathsMatchOracle: every read path of the segmented span log
+// (Spans, Traces, TraceSpans, ExportJSON, CanonicalText/Digest) agrees with a
+// plain slice across segment boundaries; the cap keeps the first maxSpans;
+// lowering the cap below the current length keeps what is there and drops
+// what follows; Reset empties the log and it fills again from index 0.
+func TestTracerReadPathsMatchOracle(t *testing.T) {
+	v := simclock.NewVirtual()
+	defer v.Close()
+	tr := NewTracer(v)
+	o := &spanOracle{v: v, tr: tr}
+	const traces, cap1 = 1700, 5000 // 5100 spans: the cap lands inside a trace
+	tr.SetMaxSpans(cap1)
+	v.Run(func() {
+		o.check(t, "empty")
+		for i := 0; i < traces; i++ {
+			o.trace(i)
+			if i == 5 || i == 16 {
+				o.check(t, fmt.Sprintf("after %d traces", i+1))
+			}
+		}
+	})
+	// The oracle saw every span that was live at its End; the log keeps the
+	// first cap1 of them (trace 1667 loses its root to the cap) and every
+	// Start after that is dropped unstaged.
+	if len(o.spans) != cap1+1 {
+		t.Fatalf("oracle recorded %d finished spans, want %d", len(o.spans), cap1+1)
+	}
+	o.spans = o.spans[:cap1]
+	o.check(t, "at the cap")
+	if got, want := tr.Dropped(), int64(3*traces-cap1); got != want {
+		t.Fatalf("Dropped = %d, want %d", got, want)
+	}
+
+	// A cap below the current length truncates nothing and admits nothing.
+	tr.SetMaxSpans(100)
+	v.Run(func() { o.trace(traces) })
+	if len(o.spans) != cap1 {
+		t.Fatalf("a tracer over its cap handed out live spans")
+	}
+	o.check(t, "cap lowered below length")
+	if got, want := tr.Dropped(), int64(3*traces-cap1+3); got != want {
+		t.Fatalf("Dropped after lowering the cap = %d, want %d", got, want)
+	}
+
+	// Restoring the default cap reopens the log where it stopped.
+	tr.SetMaxSpans(0)
+	v.Run(func() { o.trace(traces + 1) })
+	o.check(t, "cap restored")
+
+	tr.Reset()
+	o.spans = nil
+	o.check(t, "after Reset")
+	if st := tr.Stats(); st != (TracerStats{}) {
+		t.Fatalf("Stats after Reset = %+v, want zero", st)
+	}
+	v.Run(func() {
+		for i := 0; i < 20; i++ {
+			o.trace(i)
+		}
+	})
+	o.check(t, "reused after Reset")
+}

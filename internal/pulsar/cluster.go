@@ -506,7 +506,7 @@ func (c *Cluster) persistCursor(sub *subscription) error {
 
 func (c *Cluster) meterPublish(n int) {
 	if c.meter != nil && n > 0 {
-		c.meter.Add(billing.Record{Tenant: c.cfg.Tenant, Resource: billing.ResMsgPublish, Units: float64(n), At: c.clock.Now()})
+		c.meter.Add(billing.Record{Tenant: c.cfg.Tenant, Resource: billing.ResMsgPublish, Units: float64(n)})
 	}
 }
 

@@ -353,7 +353,7 @@ func (s *Service) Publish(topicName string, body []byte) error {
 
 func (s *Service) meterAdd(tenant string, units float64) {
 	if s.meter != nil {
-		s.meter.Add(billing.Record{Tenant: tenant, Resource: billing.ResQueueReqs, Units: units, At: s.clock.Now()})
+		s.meter.Add(billing.Record{Tenant: tenant, Resource: billing.ResQueueReqs, Units: units})
 	}
 }
 
