@@ -62,10 +62,11 @@ func TestWarmInvokeZeroAllocs(t *testing.T) {
 // paper's scale-to-zero case — pays per function what eight invokes put into
 // it, not a latency window, a span log and a meter log sized for tens of
 // thousands. 64 functions under 4 tenants, 8 invokes each, on a fresh
-// platform: ≤16 KB allocated per function over the invokes (5.3 measured;
-// 284 when the first invoke allocated a full 256 KiB window and the first
-// metered unit a 1 MiB record ring) and ≤3 MB live afterwards (1.4 measured,
-// was 18.4).
+// platform: ≤16 KB allocated per function over the invokes (11.1 measured, 8
+// of them the function's latency histogram, whose bucket block is allocated
+// by its first observation rather than at registration; 284 when the first
+// invoke allocated a full 256 KiB window and the first metered unit a 1 MiB
+// record ring) and ≤3 MB live afterwards (1.0 measured, was 18.4).
 func TestFunctionFootprint(t *testing.T) {
 	const tenants, perTenant, invokes = 4, 16, 8
 	var before, mid, after runtime.MemStats
@@ -107,6 +108,54 @@ func TestFunctionFootprint(t *testing.T) {
 		t.Errorf("platform with %d barely-used functions holds %d B live, want <= %d", fns, live, 3<<20)
 	}
 	runtime.KeepAlive(p)
+}
+
+// TestPlatformFootprint is the fixed cost before any use, and the tracer's at
+// its most: what a platform that has registered 64 functions and invoked none
+// holds, and what its span log holds once full. Observability state is sized
+// by use like the rest (DESIGN.md §10): a histogram is a 32 B header until its
+// first observation and a retained span a 56 B pointer-free record, so the
+// idle platform fits 512 KB (227 measured; 941 when each of its 22 + 64
+// histograms was born with 8 KB of buckets) and the full log 1.2 MB (1.04
+// measured; 2.52 when a slot was a 136 B SpanData).
+func TestPlatformFootprint(t *testing.T) {
+	const fns, idleBound, logBound = 64, 512 << 10, 1200 << 10
+	live := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := live()
+	p := core.New(core.Options{})
+	h := p.Tenant("idle")
+	for j := 0; j < fns; j++ {
+		if err := h.Register(fmt.Sprintf("fn-%d", j), func(ctx *faas.Ctx, in []byte) ([]byte, error) {
+			return in, nil
+		}, faas.Config{WarmStart: 1, ColdStart: 1, KeepAlive: time.Hour}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	idle := live() - before
+	runtime.KeepAlive(p)
+
+	before = live()
+	tr := obs.NewTracer(nil)
+	for tr.Stats().Retained < obs.DefaultMaxSpans {
+		root := tr.Start(obs.TraceCtx{}, "faas.invoke")
+		tr.Start(root.Ctx(), "faas.exec").End()
+		root.EndLabeled("idle", "fn-0", false)
+	}
+	full := live() - before
+	runtime.KeepAlive(tr)
+
+	t.Logf("platform with %d never-invoked functions holds %d B; a tracer at its %d-span cap holds %d B", fns, idle, obs.DefaultMaxSpans, full)
+	if idle > idleBound {
+		t.Errorf("platform with %d never-invoked functions holds %d B live, want <= %d", fns, idle, idleBound)
+	}
+	if full > logBound {
+		t.Errorf("tracer at its cap holds %d B live, want <= %d", full, logBound)
+	}
 }
 
 // TestPublishSyncAtMostOneAlloc pins the synchronous publish path at ≤1

@@ -446,6 +446,11 @@ func printTraces(w io.Writer, tr *obs.Tracer, top int, tenant string) {
 		fmt.Fprintln(w, "no matching traces")
 		return
 	}
+	// One pass over the log for every trace printed, not one per trace.
+	byTrace := map[int64][]obs.SpanData{}
+	for _, sd := range tr.Spans() {
+		byTrace[sd.TraceID] = append(byTrace[sd.TraceID], sd)
+	}
 	for _, t := range traces {
 		errMark := ""
 		if t.Err {
@@ -453,9 +458,8 @@ func printTraces(w io.Writer, tr *obs.Tracer, top int, tenant string) {
 		}
 		fmt.Fprintf(w, "trace %016x  %-24s tenant=%-12s dur=%-12v spans=%d%s\n",
 			uint64(t.TraceID), t.Name, valueOr(t.Tenant, "-"), t.Duration, t.Spans, errMark)
-		spans := tr.TraceSpans(t.TraceID)
 		children := map[int64][]obs.SpanData{}
-		for _, sd := range spans {
+		for _, sd := range byTrace[t.TraceID] {
 			children[sd.ParentID] = append(children[sd.ParentID], sd)
 		}
 		for pid := range children {

@@ -4,7 +4,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"strings"
 
 	"repro/internal/core"
@@ -13,7 +12,8 @@ import (
 )
 
 // cmdGateway serves the v1 REST API (plus the telemetry endpoints) on a
-// real-clock platform until killed. Tokens arrive as
+// real-clock platform until SIGINT or SIGTERM, which drains the requests in
+// flight before returning. Tokens arrive as
 // "token=tenant,token=tenant"; the in-process executor exposes the builtin
 // handlers (echo, work, fail), so the whole register→invoke→invoice loop is
 // curl-able with no Go code.
@@ -35,10 +35,9 @@ func cmdGateway(args []string, stdout, stderr io.Writer) error {
 	}
 	p := core.New(core.Options{})
 	gw := gateway.New(p, gateway.Config{Tokens: tokens, Executor: gateway.NewInProc()})
-	handler := p.Obs.Handler(
+	fmt.Fprintf(stdout, "taureau gateway: serving v1 API + telemetry on %s (%d tenant tokens)\n", *addr, len(tokens))
+	return p.Obs.Serve(*addr,
 		obs.Route{Pattern: "/v1/", Handler: gw.ServeHTTP},
 		obs.Route{Pattern: "/healthz", Handler: gw.ServeHTTP},
 	)
-	fmt.Fprintf(stdout, "taureau gateway: serving v1 API + telemetry on %s (%d tenant tokens)\n", *addr, len(tokens))
-	return http.ListenAndServe(*addr, handler)
 }

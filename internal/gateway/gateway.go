@@ -209,24 +209,35 @@ func (g *Gateway) readBody(w http.ResponseWriter, r *http.Request) ([]byte, erro
 	return body, nil
 }
 
+// eagerBody is the largest declared length allocated before a byte arrives.
+// A Content-Length is a claim: past this size the buffer follows the bytes
+// that have actually come, so a stalled upload holds what it sent, not the
+// MaxBody it announced.
+const eagerBody = 1 << 20
+
 // readAllSized reads a body into a buffer that starts at its declared length
-// (512 B when that is negative: unknown) and grows as io.ReadAll's does. It
+// (512 B when that is negative: unknown; eagerBody when it is larger) and
+// grows as io.ReadAll's does, or by doubling up to the declared length. It
 // stops at the declared length, which net/http's bodies reach together with
-// their io.EOF, so a body that keeps its word costs one allocation and no
-// copy. Buffers are not pooled: a handler's output may alias its payload, and
-// the dedup window retains outputs.
+// their io.EOF, so a body up to eagerBody that keeps its word costs one
+// allocation and no copy. Buffers are not pooled: a handler's output may
+// alias its payload, and the dedup window retains outputs.
 func readAllSized(r io.Reader, declared int64) ([]byte, error) {
 	size := declared
 	if size < 0 {
 		size = 512
 	}
-	b := make([]byte, 0, size)
+	b := make([]byte, 0, min(size, eagerBody))
 	for {
 		if len(b) == cap(b) {
-			if int64(len(b)) == declared {
+			switch {
+			case int64(len(b)) == declared:
 				return b, nil
+			case declared < 0:
+				b = append(b, 0)[:len(b)]
+			default:
+				b = append(make([]byte, 0, min(2*int64(cap(b)), declared)), b...)
 			}
-			b = append(b, 0)[:len(b)]
 		}
 		n, err := r.Read(b[len(b):cap(b)])
 		b = b[:len(b)+n]
@@ -250,6 +261,11 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // maxNameLen bounds a registered function name.
 const maxNameLen = 128
 
+// maxPrewarm bounds the instances a spec may provision at registration, at
+// the concurrency limit a function gets by default: Register builds them
+// before it returns, so an unbounded count is memory for the asking.
+const maxPrewarm = 1000
+
 // handleRegister deploys a function from its wire spec.
 func (g *Gateway) handleRegister(w http.ResponseWriter, r *http.Request, tenant string) {
 	body, err := g.readBody(w, r)
@@ -270,6 +286,10 @@ func (g *Gateway) handleRegister(w http.ResponseWriter, r *http.Request, tenant 
 	// scheduler slots); a "/" in either part would let two labels coincide.
 	if strings.Contains(spec.Name, "/") || len(spec.Name) > maxNameLen {
 		writeError(w, fmt.Errorf("%w: name must not contain \"/\" nor exceed %d bytes", ErrBadRequest, maxNameLen))
+		return
+	}
+	if spec.Prewarm < 0 || spec.Prewarm > maxPrewarm {
+		writeError(w, fmt.Errorf("%w: prewarm must be between 0 and %d", ErrBadRequest, maxPrewarm))
 		return
 	}
 	h, err := g.exec.Resolve(spec)

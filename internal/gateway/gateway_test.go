@@ -14,6 +14,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"repro/internal/core"
@@ -127,9 +128,10 @@ func TestAuthRequired(t *testing.T) {
 	}
 }
 
-// TestRegisterValidation: malformed JSON, incomplete specs and names that
-// contain "/" or run past 128 bytes are 400 bad_request; unknown handlers are
-// 400 unknown_handler; duplicate registration is 409 function_exists.
+// TestRegisterValidation: malformed JSON, incomplete specs, names that
+// contain "/" or run past 128 bytes and a prewarm outside [0, 1000] are 400
+// bad_request; unknown handlers are 400 unknown_handler; duplicate
+// registration is 409 function_exists.
 func TestRegisterValidation(t *testing.T) {
 	_, srv := newRealGateway(t, nil)
 	c := &Client{BaseURL: srv.URL, Token: "tok-a"}
@@ -144,6 +146,8 @@ func TestRegisterValidation(t *testing.T) {
 		{"missing name", `{"handler": "echo"}`, "bad_request"},
 		{"slash in name", `{"name": "victim/f", "handler": "echo"}`, "bad_request"},
 		{"name too long", `{"name": "` + strings.Repeat("n", 129) + `", "handler": "echo"}`, "bad_request"},
+		{"prewarm bomb", `{"name": "f", "handler": "echo", "prewarm": 1000000000}`, "bad_request"},
+		{"negative prewarm", `{"name": "f", "handler": "echo", "prewarm": -1}`, "bad_request"},
 		{"unknown handler", `{"name": "f", "handler": "cobol"}`, "unknown_handler"},
 	}
 	for _, tc := range cases {
@@ -361,6 +365,42 @@ func TestInvokeUnknownLength(t *testing.T) {
 	}
 	if env := decodeEnvelope(t, resp); env.Error.Code != "payload_too_large" {
 		t.Fatalf("oversize chunked upload: code %q, want payload_too_large", env.Error.Code)
+	}
+}
+
+// TestLargeBodyGrowsAsItArrives: a declared length over eagerBody is not
+// allocated up front — an upload that announces MaxBody and then stalls holds
+// 1 MiB, not 8 — and an honest body of that size still arrives byte-exact,
+// in a buffer of exactly its length.
+func TestLargeBodyGrowsAsItArrives(t *testing.T) {
+	const size = 8 << 20
+	stalled := errors.New("stalled")
+	b, err := readAllSized(io.MultiReader(strings.NewReader("x"), iotest.ErrReader(stalled)), size)
+	if err != stalled || string(b) != "x" || cap(b) > eagerBody {
+		t.Fatalf("stalled upload: %d bytes in a %d B buffer, err %v; want 1 byte, <= %d B, %v", len(b), cap(b), err, eagerBody, stalled)
+	}
+	// Up to eagerBody a declaration is still one exact allocation.
+	if b, err = readAllSized(strings.NewReader("x"), eagerBody); err != nil || len(b) != 1 || cap(b) != eagerBody {
+		t.Fatalf("1 MiB declaration: %d bytes in a %d B buffer, err %v", len(b), cap(b), err)
+	}
+
+	payload := make([]byte, size)
+	for i := range payload {
+		payload[i] = byte(i * 31 >> 3)
+	}
+	if b, err = readAllSized(bytes.NewReader(payload), size); err != nil || !bytes.Equal(b, payload) || cap(b) != size {
+		t.Fatalf("8 MiB body: %d bytes in a %d B buffer, err %v", len(b), cap(b), err)
+	}
+
+	p, srv := newRealGateway(t, nil)
+	if err := p.Tenant("alpha").Register("big", func(ctx *faas.Ctx, in []byte) ([]byte, error) {
+		return in, nil
+	}, faas.Config{MaxPayload: size, ColdStart: time.Millisecond, WarmStart: time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	c := &Client{BaseURL: srv.URL, Token: "tok-a"}
+	if res, err := c.Invoke("big", payload); err != nil || !bytes.Equal(res.Output, payload) {
+		t.Fatalf("8 MiB echo through the gateway: %d bytes back, err %v", len(res.Output), err)
 	}
 }
 

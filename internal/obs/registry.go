@@ -8,13 +8,19 @@
 // instruments, and every method on a nil instrument is a no-op. Subsystems
 // therefore instrument their hot paths unconditionally and pay only a
 // predicted branch when observability is off. The cost when it is on is a
-// single atomic add per counter increment; per histogram observation a
-// bit-twiddle, two atomic adds (bucket, sum) and one atomic load of the max
-// (a compare-and-swap only on a new maximum, a store only with a trace
-// exemplar) — the count is the buckets' total, summed at Snapshot, not a
-// third add; and one atomic load plus one atomic add per Start on a tracer
-// at its cap. The benchmark ladder's obs.invoke_tax_ns and
-// obs.publish_tax_ns rungs keep this honest.
+// single atomic add per counter increment; per histogram observation an
+// atomic load of the bucket block's pointer, a bit-twiddle, two atomic adds
+// (bucket, sum) and one atomic load of the max (a compare-and-swap only on a
+// new maximum, a store only with a trace exemplar) — the count is the
+// buckets' total, summed at Snapshot, not a third add; and one atomic load
+// plus one atomic add per Start on a tracer at its cap. The benchmark
+// ladder's obs.invoke_tax_ns and obs.publish_tax_ns rungs keep this honest.
+//
+// What it holds is sized by use (DESIGN.md §5, §10): a histogram is a 32-byte
+// header until its first observation allocates its buckets, a retained span
+// is a 56-byte record with no pointer in it, so the tracer's log at its cap
+// is one megabyte the collector never scans, and a tenant's SLO ring is
+// 16-byte cells.
 package obs
 
 import (
@@ -157,14 +163,30 @@ func bucketUpper(idx int) int64 {
 // Histogram is a fixed-bucket histogram. Latency histograms observe duration
 // nanoseconds; value histograms (ValueHistogram) observe raw counts like
 // batch sizes. Snapshots expose count, sum, and p50/p95/p99.
+//
+// A histogram nothing has been observed into is this header: its 8 KB of
+// buckets and exemplars are one block allocated by the first observation, so
+// a platform pays for the histograms its workload reaches, not the ones it
+// registers.
 type Histogram struct {
+	block atomic.Pointer[histBlock] // nil until the first observation
+	sum   int64                     // nanoseconds (or raw units for value histograms)
+	max   int64
+	value bool // set once at creation: observations are unitless counts
+}
+
+type histBlock struct {
 	buckets [maxBucket + 1]int64
 	// exemplars holds the most recent trace id observed per bucket (0 =
 	// none), so a slow percentile bucket links to a concrete trace.
 	exemplars [maxBucket + 1]int64
-	sum       int64 // nanoseconds (or raw units for value histograms)
-	max       int64
-	value     bool // set once at creation: observations are unitless counts
+}
+
+// firstBlock installs the block on the first observation. Concurrent first
+// observers each build one; one wins the swap and the rest drop theirs.
+func (h *Histogram) firstBlock() *histBlock {
+	h.block.CompareAndSwap(nil, new(histBlock))
+	return h.block.Load()
 }
 
 // Observe records one duration. No-op on nil.
@@ -190,10 +212,14 @@ func (h *Histogram) observe(ns, traceID int64) {
 	if ns < 0 {
 		ns = 0
 	}
+	blk := h.block.Load()
+	if blk == nil {
+		blk = h.firstBlock()
+	}
 	b := bucketOf(ns)
-	atomic.AddInt64(&h.buckets[b], 1)
+	atomic.AddInt64(&blk.buckets[b], 1)
 	if traceID != 0 {
-		atomic.StoreInt64(&h.exemplars[b], traceID)
+		atomic.StoreInt64(&blk.exemplars[b], traceID)
 	}
 	atomic.AddInt64(&h.sum, ns)
 	for {
@@ -224,10 +250,14 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	if h == nil {
 		return HistogramSnapshot{}
 	}
+	blk := h.block.Load()
+	if blk == nil {
+		return HistogramSnapshot{}
+	}
 	var counts [maxBucket + 1]int64
 	var total int64
-	for i := range h.buckets {
-		counts[i] = atomic.LoadInt64(&h.buckets[i])
+	for i := range blk.buckets {
+		counts[i] = atomic.LoadInt64(&blk.buckets[i])
 		total += counts[i]
 	}
 	snap := HistogramSnapshot{
@@ -262,8 +292,8 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	snap.P50, _ = quantile(0.50)
 	snap.P95, b95 = quantile(0.95)
 	snap.P99, b99 = quantile(0.99)
-	snap.ExemplarP95 = atomic.LoadInt64(&h.exemplars[b95])
-	snap.ExemplarP99 = atomic.LoadInt64(&h.exemplars[b99])
+	snap.ExemplarP95 = atomic.LoadInt64(&blk.exemplars[b95])
+	snap.ExemplarP99 = atomic.LoadInt64(&blk.exemplars[b99])
 	return snap
 }
 

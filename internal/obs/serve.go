@@ -1,9 +1,15 @@
 package obs
 
 import (
+	"context"
 	"encoding/json"
+	"net"
 	"net/http"
 	"net/http/pprof"
+	"os"
+	"os/signal"
+	"syscall"
+	"time"
 )
 
 // Handler returns the registry's HTTP surface:
@@ -76,7 +82,51 @@ type Route struct {
 	Handler http.HandlerFunc
 }
 
-// Serve blocks serving the registry's Handler on addr (e.g. ":9090").
+// Limits on the served socket, constants rather than knobs: a peer gets
+// readHeaderTimeout to send a request's header and a kept-alive connection
+// idleTimeout to send its next one, so a client that connects and goes quiet
+// costs a file descriptor for seconds, not for the life of the process; and
+// on a signal, requests in flight get drainTimeout to finish.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+	drainTimeout      = 10 * time.Second
+)
+
+// Serve blocks serving the registry's Handler on addr (e.g. ":9090") until
+// SIGINT or SIGTERM, then stops accepting, lets requests in flight finish
+// (for drainTimeout at most) and returns nil.
 func (r *Registry) Serve(addr string, extra ...Route) error {
-	return http.ListenAndServe(addr, r.Handler(extra...))
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	return serveUntil(ctx, newServer(r.Handler(extra...)), ln, drainTimeout)
+}
+
+func newServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
+// serveUntil serves ln until ctx is done, then shuts srv down: no new
+// connections, idle ones closed, busy ones given drain to finish and closed
+// under their requests after that (the error says so).
+func serveUntil(ctx context.Context, srv *http.Server, ln net.Listener, drain time.Duration) error {
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	select {
+	case err := <-served:
+		return err
+	case <-ctx.Done():
+	}
+	dctx, cancel := context.WithTimeout(context.Background(), drain)
+	defer cancel()
+	err := srv.Shutdown(dctx)
+	if err != nil {
+		_ = srv.Close() // the drain ran out; Close cannot fail more usefully than err
+	}
+	<-served // http.ErrServerClosed: Shutdown was called
+	return err
 }

@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -41,11 +42,21 @@ var DefaultSLOConfig = SLOConfig{
 	LatencyObjective: 0.99,
 }
 
+// sloCell is one 30 s bucket, 16 bytes: the epoch number fits a uint32 until
+// the year 6053, and a count that reaches the top stays there (4 billion
+// requests in one tenant's 30 s reads as 4 billion, not as a few).
 type sloCell struct {
-	epoch int64 // bucket epoch (now / sloBucket); stale cells are lazily reset
-	total int64
-	errs  int64
-	slow  int64
+	epoch uint32 // bucket epoch (now / sloBucket); stale cells are lazily reset
+	total uint32
+	errs  uint32
+	slow  uint32
+}
+
+// bump adds one to a cell count, saturating.
+func bump(n *uint32) {
+	if *n != math.MaxUint32 {
+		*n++
+	}
 }
 
 // TenantSLO accumulates one tenant's request outcomes. Handles are resolved
@@ -60,43 +71,45 @@ type TenantSLO struct {
 	buckets [sloRingLen]sloCell
 }
 
+// epoch numbers the 30 s bucket the clock is in.
+func (s *TenantSLO) epoch() uint32 {
+	return uint32(s.clock.Now().UnixNano() / int64(sloBucket))
+}
+
 // Record adds one request outcome. No-op on nil.
 func (s *TenantSLO) Record(d time.Duration, failed bool) {
 	if s == nil {
 		return
 	}
-	ep := s.clock.Now().UnixNano() / int64(sloBucket)
+	ep := s.epoch()
 	s.mu.Lock()
 	c := &s.buckets[ep%sloRingLen]
 	if c.epoch != ep {
 		*c = sloCell{epoch: ep}
 	}
-	c.total++
+	bump(&c.total)
 	if failed {
-		c.errs++
+		bump(&c.errs)
 	}
 	if d > s.cfg.LatencyTarget {
-		c.slow++
+		bump(&c.slow)
 	}
 	s.mu.Unlock()
 }
 
 // windowLocked sums the cells covering [now-w, now]. Caller holds s.mu.
-func (s *TenantSLO) windowLocked(nowEp int64, w time.Duration) (total, errs, slow int64) {
-	n := int64(w / sloBucket)
+func (s *TenantSLO) windowLocked(nowEp uint32, w time.Duration) (total, errs, slow int64) {
+	n := uint32(w / sloBucket)
 	if n < 1 {
 		n = 1
 	}
-	for i := int64(0); i < n; i++ {
+	for i := uint32(0); i < n && i <= nowEp; i++ {
 		ep := nowEp - i
-		if ep < 0 {
-			break
-		}
 		c := &s.buckets[ep%sloRingLen]
 		if c.epoch == ep {
-			total += c.total
-			errs += c.errs
-			slow += c.slow
+			total += int64(c.total)
+			errs += int64(c.errs)
+			slow += int64(c.slow)
 		}
 	}
 	return
@@ -125,7 +138,7 @@ type SLOSnapshot struct {
 
 // snapshot evaluates all burn windows at the current clock instant.
 func (s *TenantSLO) snapshot() SLOSnapshot {
-	nowEp := s.clock.Now().UnixNano() / int64(sloBucket)
+	nowEp := s.epoch()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	snap := SLOSnapshot{Tenant: s.name, Config: s.cfg}

@@ -75,6 +75,20 @@ type SamplerConfig struct {
 	SlowThreshold time.Duration // root duration ≥ threshold is always kept (0 disables)
 }
 
+// spanRec is a retained span: 56 bytes and no pointer, so the log at its cap
+// is a megabyte the collector never scans. Strings are indexes into the
+// tracer's table, attrs a 1-based index into its side log, Start nanoseconds
+// since the Unix epoch (rebuilt in the clock's location on read).
+type spanRec struct {
+	trace, span, parent int64
+	start, dur          int64
+	name, tenant, fn    uint32
+	attrs               uint32 // recErr | 1-based index into Tracer.attrs, 0 = none
+}
+
+// recErr is SpanData.Err, kept in the attrs index's spare top bit.
+const recErr = 1 << 31
+
 // traceBuf stages the spans of one in-flight trace until the sampler can
 // rule on the whole thing. Buffers are recycled through a free list so
 // steady-state tracing allocates nothing.
@@ -94,6 +108,7 @@ type traceBuf struct {
 // trace finalizes and the sampler keeps it.
 type Tracer struct {
 	clock  simclock.Clock
+	loc    *time.Location // of every instant clock hands out
 	nextID int64
 
 	// full flips once the retained log reaches maxSpans; from then on Start
@@ -109,8 +124,14 @@ type Tracer struct {
 	free   []*traceBuf
 	// retained is the finished-span log, first maxSpans kept. Segmented: a
 	// span is written once and never moved, so finalizing a trace never
-	// re-copies the history while every Start/End waits on mu.
-	retained  seglog.Log[SpanData]
+	// re-copies the history while every Start/End waits on mu. Only a kept
+	// span is converted, so strs, strIdx and attrs hold what retained refers
+	// to and nothing else: at most 3, 3 and 1 entries per retained span.
+	retained seglog.Log[spanRec]
+	strs     []string          // strs[0] == ""
+	strIdx   map[string]uint32 // inverse of strs
+	attrs    seglog.Log[[]Attr]
+
 	late      int64 // spans whose parent trace already finalized
 	sampled   int64 // spans discarded by the sampler (whole traces)
 	kept      int64 // traces kept by the sampler
@@ -123,6 +144,9 @@ type Tracer struct {
 func newTracer(clock simclock.Clock) *Tracer {
 	return &Tracer{
 		clock:     clock,
+		loc:       clock.Now().Location(),
+		strs:      []string{""},
+		strIdx:    map[string]uint32{},
 		active:    map[int64]*traceBuf{},
 		maxSpans:  DefaultMaxSpans,
 		maxActive: DefaultMaxActiveTraces,
@@ -304,7 +328,7 @@ func (t *Tracer) finalizeLocked(id int64, buf *traceBuf) {
 		t.kept++
 		for i := range buf.spans {
 			if t.retained.Len() < t.maxSpans {
-				t.retained.Append(buf.spans[i])
+				t.retained.Append(t.recordLocked(&buf.spans[i]))
 			} else {
 				t.dropped.Add(1)
 			}
@@ -338,6 +362,56 @@ func (t *Tracer) recycleBufLocked(buf *traceBuf) {
 	if len(t.free) < 64 {
 		t.free = append(t.free, buf)
 	}
+}
+
+// recordLocked converts a kept span to its retained form, interning its
+// strings. The table grows only on a string not seen before, which a
+// platform's handful of span names, tenants and functions stop supplying
+// long before the log fills. Caller holds t.mu.
+func (t *Tracer) recordLocked(sd *SpanData) spanRec {
+	rec := spanRec{
+		trace: sd.TraceID, span: sd.SpanID, parent: sd.ParentID,
+		start: sd.Start.UnixNano(), dur: int64(sd.Duration),
+		name: t.internLocked(sd.Name), tenant: t.internLocked(sd.Tenant), fn: t.internLocked(sd.Fn),
+	}
+	if len(sd.Attrs) > 0 {
+		t.attrs.Append(sd.Attrs)
+		rec.attrs = uint32(t.attrs.Len())
+	}
+	if sd.Err {
+		rec.attrs |= recErr
+	}
+	return rec
+}
+
+func (t *Tracer) internLocked(s string) uint32 {
+	if s == "" {
+		return 0
+	}
+	i, ok := t.strIdx[s]
+	if !ok {
+		i = uint32(len(t.strs))
+		t.strs = append(t.strs, s)
+		t.strIdx[s] = i
+	}
+	return i
+}
+
+// spanLocked materializes retained span i as the public type. Caller holds
+// t.mu.
+func (t *Tracer) spanLocked(i int) SpanData {
+	rec := t.retained.At(i)
+	sd := SpanData{
+		TraceID: rec.trace, SpanID: rec.span, ParentID: rec.parent,
+		Name: t.strs[rec.name], Tenant: t.strs[rec.tenant], Fn: t.strs[rec.fn],
+		Start:    time.Unix(0, rec.start).In(t.loc),
+		Duration: time.Duration(rec.dur),
+		Err:      rec.attrs&recErr != 0,
+	}
+	if a := rec.attrs &^ recErr; a != 0 {
+		sd.Attrs = *t.attrs.At(int(a) - 1)
+	}
+	return sd
 }
 
 // sampleKeep is the deterministic sampling fingerprint: FNV-1a over the
@@ -377,7 +451,7 @@ func (t *Tracer) Spans() []SpanData {
 	defer t.mu.Unlock()
 	out := make([]SpanData, t.retained.Len())
 	for i := range out {
-		out[i] = *t.retained.At(i)
+		out[i] = t.spanLocked(i)
 	}
 	return out
 }
@@ -426,7 +500,10 @@ func (t *Tracer) Reset() {
 		return
 	}
 	t.mu.Lock()
-	t.retained = seglog.Log[SpanData]{}
+	t.retained = seglog.Log[spanRec]{}
+	t.strs = t.strs[:1]
+	clear(t.strIdx)
+	t.attrs = seglog.Log[[]Attr]{}
 	t.dropped.Store(0)
 	t.late = 0
 	t.sampled = 0
@@ -462,18 +539,19 @@ func (t *Tracer) Traces() []TraceSummary {
 	byID := make(map[int64]*TraceSummary)
 	order := make([]int64, 0, 64)
 	for i := 0; i < t.retained.Len(); i++ {
-		sd := t.retained.At(i)
-		ts := byID[sd.TraceID]
+		rec := t.retained.At(i)
+		ts := byID[rec.trace]
 		if ts == nil {
-			ts = &TraceSummary{TraceID: sd.TraceID}
-			byID[sd.TraceID] = ts
-			order = append(order, sd.TraceID)
+			ts = &TraceSummary{TraceID: rec.trace}
+			byID[rec.trace] = ts
+			order = append(order, rec.trace)
 		}
 		ts.Spans++
-		if sd.Err {
+		if rec.attrs&recErr != 0 {
 			ts.Err = true
 		}
-		if sd.SpanID == sd.TraceID { // root
+		if rec.span == rec.trace { // root
+			sd := t.spanLocked(i)
 			ts.Name = sd.Name
 			ts.Tenant = sd.Tenant
 			ts.Start = sd.Start
@@ -507,8 +585,8 @@ func (t *Tracer) TraceSpans(traceID int64) []SpanData {
 	defer t.mu.Unlock()
 	var out []SpanData
 	for i := 0; i < t.retained.Len(); i++ {
-		if sd := t.retained.At(i); sd.TraceID == traceID {
-			out = append(out, *sd)
+		if t.retained.At(i).trace == traceID {
+			out = append(out, t.spanLocked(i))
 		}
 	}
 	return out

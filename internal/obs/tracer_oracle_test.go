@@ -234,3 +234,125 @@ func TestTracerReadPathsMatchOracle(t *testing.T) {
 	})
 	o.check(t, "reused after Reset")
 }
+
+// TestSpanRecordLayout: the retained record is what DESIGN.md §5 says it is —
+// at most 64 bytes and nothing in it the collector has to follow, which is
+// what makes the log at its cap a block the marker skips.
+func TestSpanRecordLayout(t *testing.T) {
+	typ := reflect.TypeOf(spanRec{})
+	if typ.Size() > 64 {
+		t.Errorf("spanRec is %d bytes, want <= 64", typ.Size())
+	}
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				walk(path+"."+typ.Field(i).Name, typ.Field(i).Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+			reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		default:
+			t.Errorf("%s is a %s: the record must hold no pointer", path, typ.Kind())
+		}
+	}
+	walk("spanRec", typ)
+}
+
+// TestTracerKeepsNothingOfDroppedSpans: strings and attrs are interned when a
+// span is retained, not when it ends, so a trace the sampler discards and a
+// span that falls past the cap leave nothing in the table or the side log —
+// both stay bounded by the cap however many distinct tenants pass through.
+func TestTracerKeepsNothingOfDroppedSpans(t *testing.T) {
+	v := simclock.NewVirtual()
+	defer v.Close()
+	tr := NewTracer(v)
+	sizes := func() [3]int {
+		tr.mu.Lock()
+		defer tr.mu.Unlock()
+		return [3]int{len(tr.strs), len(tr.strIdx), tr.attrs.Len()}
+	}
+	trace := func(i int, failed bool) {
+		root := tr.Start(TraceCtx{}, fmt.Sprintf("root-%d", i))
+		tr.Start(root.Ctx(), fmt.Sprintf("child-%d", i)).EndAttrs(false, Attr{Key: "i", Value: fmt.Sprint(i)})
+		root.EndLabeled(fmt.Sprintf("tenant-%d", i), fmt.Sprintf("fn-%d", i), failed)
+	}
+	if got, want := sizes(), [3]int{1, 0, 0}; got != want {
+		t.Fatalf("fresh tracer holds table/index/attrs %v, want %v", got, want)
+	}
+
+	tr.SetSampler(SamplerConfig{Seed: 1}) // keeps failed traces only
+	for i := 0; i < 100; i++ {
+		trace(i, false)
+	}
+	if st := tr.Stats(); st.DiscardedTraces != 100 || st.Retained != 0 {
+		t.Fatalf("stats %+v, want 100 traces discarded and nothing retained", st)
+	}
+	if got, want := sizes(), [3]int{1, 0, 0}; got != want {
+		t.Fatalf("after 100 discarded traces the tracer holds %v, want %v", got, want)
+	}
+
+	trace(100, true) // kept: four strings and one attr set
+	if got, want := sizes(), [3]int{5, 4, 1}; got != want {
+		t.Fatalf("after one kept trace the tracer holds %v, want %v", got, want)
+	}
+
+	// The cap lands inside a kept trace: its root is dropped unconverted.
+	tr.SetMaxSpans(3)
+	trace(101, true)
+	if st := tr.Stats(); st.Retained != 3 || st.DroppedSpans != 1 {
+		t.Fatalf("stats %+v, want 3 retained and the root dropped at the cap", st)
+	}
+	if got, want := sizes(), [3]int{6, 5, 2}; got != want {
+		t.Fatalf("after a trace cut by the cap the tracer holds %v, want %v (the child's name and attrs only)", got, want)
+	}
+	trace(102, true) // inert: the log is full
+	if got, want := sizes(), [3]int{6, 5, 2}; got != want {
+		t.Fatalf("a full tracer grew to %v, want %v", got, want)
+	}
+
+	tr.Reset()
+	if got, want := sizes(), [3]int{1, 0, 0}; got != want {
+		t.Fatalf("after Reset the tracer holds %v, want %v", got, want)
+	}
+}
+
+// TestTracerRealClockRoundTrip: under simclock.Real a span's Start goes
+// through the record as nanoseconds and comes back the same instant in the
+// same location (without the monotonic reading, which no export carries), so
+// ExportJSON is byte-for-byte what the staged span would have marshalled to.
+func TestTracerRealClockRoundTrip(t *testing.T) {
+	tr := NewTracer(simclock.Real{})
+	root := tr.Start(TraceCtx{}, "invoke")
+	child := tr.Start(root.Ctx(), "exec")
+	child.EndAttrs(true, Attr{Key: "k", Value: "v"})
+	root.EndLabeled("acme", "fn", true)
+
+	got := tr.Spans()
+	if len(got) != 2 {
+		t.Fatalf("retained %d spans, want 2", len(got))
+	}
+	for i, ref := range []SpanRef{child, root} {
+		if !got[i].Start.Equal(ref.start) || got[i].Start.Location() != ref.start.Location() {
+			t.Fatalf("span %d: Start = %v, want %v in the same location", i, got[i].Start, ref.start)
+		}
+	}
+	want := []SpanData{
+		{TraceID: root.TraceID(), SpanID: child.Ctx().Span, ParentID: root.Ctx().Span, Name: "exec",
+			Start: child.start, Duration: got[0].Duration, Err: true, Attrs: []Attr{{Key: "k", Value: "v"}}},
+		{TraceID: root.TraceID(), SpanID: root.Ctx().Span, Name: "invoke", Tenant: "acme", Fn: "fn",
+			Start: root.start, Duration: got[1].Duration, Err: true},
+	}
+	wantJSON, err := json.MarshalIndent(want, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pass := 0; pass < 2; pass++ {
+		if gotJSON, err := tr.ExportJSON(); err != nil || !bytes.Equal(gotJSON, wantJSON) {
+			t.Fatalf("ExportJSON pass %d (err %v):\n%s\nwant:\n%s", pass, err, gotJSON, wantJSON)
+		}
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -15,6 +16,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/simclock"
 )
@@ -213,6 +215,69 @@ func TestSLOBurnRates(t *testing.T) {
 	}
 	if snap.ErrorPage || snap.ErrorTicket {
 		t.Fatalf("error alerts must stay clear on successful traffic: %+v", snap)
+	}
+}
+
+// TestSLOCellSaturates: a cell is four uint32s, and a count that reaches the
+// top stays there rather than wrapping to a quiet tenant.
+func TestSLOCellSaturates(t *testing.T) {
+	if got := unsafe.Sizeof(sloCell{}); got != 16 {
+		t.Fatalf("sloCell is %d bytes, want 16", got)
+	}
+	v := simclock.NewVirtual()
+	defer v.Close()
+	s := New(v).SLO().Tenant("acme")
+	s.Record(time.Millisecond, true)
+	ep := s.epoch()
+	c := &s.buckets[ep%sloRingLen]
+	if *c != (sloCell{epoch: ep, total: 1, errs: 1}) {
+		t.Fatalf("cell after one failed request = %+v", *c)
+	}
+	c.total, c.errs = math.MaxUint32-1, math.MaxUint32-1
+	for i := 0; i < 3; i++ {
+		s.Record(time.Millisecond, true)
+	}
+	if c.total != math.MaxUint32 || c.errs != math.MaxUint32 || c.slow != 0 {
+		t.Fatalf("cell after saturating = %+v, want total and errs pinned at %d", *c, uint32(math.MaxUint32))
+	}
+	if w := s.snapshot().Windows[0]; w.Total != math.MaxUint32 || w.Errors != math.MaxUint32 {
+		t.Fatalf("5m window reads total=%d errors=%d, want %d", w.Total, w.Errors, uint32(math.MaxUint32))
+	}
+}
+
+// TestHistogramFirstObservationRace: 32 goroutines make the first
+// observations of one histogram at once. One block wins the swap; no
+// observation lands in a block that lost.
+func TestHistogramFirstObservationRace(t *testing.T) {
+	const workers, perWorker = 32, 100
+	for round := 0; round < 20; round++ {
+		h := New(nil).Histogram("h")
+		if h.block.Load() != nil || h.Snapshot() != (HistogramSnapshot{}) {
+			t.Fatal("an unobserved histogram has a block or a non-zero snapshot")
+		}
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 1; g <= workers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				<-start
+				for i := 0; i < perWorker; i++ {
+					h.ObserveTrace(time.Duration(g)*time.Millisecond, int64(g))
+				}
+			}(g)
+		}
+		close(start)
+		wg.Wait()
+		snap := h.Snapshot()
+		wantSum := time.Duration(workers*(workers+1)/2*perWorker) * time.Millisecond
+		if snap.Count != workers*perWorker || snap.Sum != wantSum || snap.Max != workers*time.Millisecond {
+			t.Fatalf("round %d: count=%d sum=%v max=%v, want %d/%v/%v", round, snap.Count, snap.Sum, snap.Max,
+				workers*perWorker, wantSum, workers*time.Millisecond)
+		}
+		if snap.ExemplarP99 < 1 || snap.ExemplarP99 > workers {
+			t.Fatalf("round %d: p99 exemplar = %d, want a worker's trace id", round, snap.ExemplarP99)
+		}
 	}
 }
 
