@@ -67,3 +67,60 @@ func TestScheduleJSONRoundTripConformanceOps(t *testing.T) {
 		t.Fatalf("round trip diverged:\n  in:  %+v\n  out: %+v", sch, back)
 	}
 }
+
+// FuzzScheduleJSON feeds Schedule's decoder — the last one in the tree that
+// sees bytes from outside (a saved divergence witness, replayed) — arbitrary
+// input. It must never panic; an event whose time or latency is not a
+// duration is an error, and nothing else about a well-formed event is; and
+// whatever decodes re-encodes to itself: the encoding decodes to the same
+// schedule and encodes to the same bytes again, which is what comparing
+// witnesses as serialized values relies on.
+func FuzzScheduleJSON(f *testing.F) {
+	gen, err := json.Marshal(Generate(Options{Seed: 7, Bookies: []string{"bookie-0", "bookie-1"}, Brokers: []string{"broker-0"}, JiffyNodes: []string{"mem-0"}}))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(gen)
+	f.Add([]byte(`[{"at":"333µs","op":"duplicate","kind":"sub","target":"orders/workers"},{"at":"1.5ms","op":"slow","kind":"broker","target":"broker-0","latency":"-2h3m"}]`))
+	f.Add([]byte(`[{"at":"soon","op":"crash","kind":"bookie"}]`))
+	f.Add([]byte(`[{"at":"1ms","op":"slow","kind":"bookie","latency":"1 parsec"}]`))
+	f.Add([]byte(`[{"at":"1ms","n":"two"}]`))
+	f.Add([]byte(`[null]`))
+	f.Add([]byte(`null`))
+	f.Add([]byte(`[]`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var sch Schedule
+		err := json.Unmarshal(data, &sch)
+		// Where the bytes are a well-formed array of wire events, the decoder
+		// fails exactly when one of the duration strings does.
+		var wire []eventJSON
+		if json.Unmarshal(data, &wire) == nil {
+			bad := false
+			for _, w := range wire {
+				_, atErr := time.ParseDuration(w.At)
+				_, latErr := time.ParseDuration(w.Latency)
+				bad = bad || atErr != nil || (w.Latency != "" && latErr != nil)
+			}
+			if bad != (err != nil) {
+				t.Fatalf("bad duration = %v but decode err = %v\n  in: %s", bad, err, data)
+			}
+		}
+		if err != nil {
+			return
+		}
+		raw, err := json.Marshal(sch)
+		if err != nil {
+			t.Fatalf("decoded schedule does not encode: %v\n  in: %s", err, data)
+		}
+		var back Schedule
+		if err := json.Unmarshal(raw, &back); err != nil {
+			t.Fatalf("encoding does not decode: %v\n  in:  %s\n  enc: %s", err, data, raw)
+		}
+		if !reflect.DeepEqual(sch, back) {
+			t.Fatalf("round trip diverged:\n  in:  %+v\n  out: %+v", sch, back)
+		}
+		if raw2, err := json.Marshal(back); err != nil || string(raw2) != string(raw) {
+			t.Fatalf("re-encoding not byte-identical (%v):\n  %s\n  %s", err, raw, raw2)
+		}
+	})
+}

@@ -591,7 +591,20 @@ func (w *Writer) Close() error {
 	return err
 }
 
-// Reader reads a closed ledger.
+// Reader returns a reader over what this writer has appended so far: entries
+// [0, next), BookKeeper's read up to last-add-confirmed. It is how a ledger's
+// one writer reads its own ledger back without closing it. The reader is a
+// snapshot — later appends are past its LastEntry, and a later ensemble
+// change is served through the replicas it already knows — so open one per
+// pass and do not keep it.
+func (w *Writer) Reader() *Reader {
+	md := w.meta // replaceBookies installs a fresh Ensemble slice, never edits this one
+	md.LastEntry = w.next - 1
+	return &Reader{sys: w.sys, ledgerID: w.ledgerID, meta: md}
+}
+
+// Reader reads a closed ledger, or an open one up to where its writer had
+// got (Writer.Reader).
 type Reader struct {
 	sys      *System
 	ledgerID int64

@@ -162,3 +162,85 @@ func TestSetSlowGatesAppend(t *testing.T) {
 		b.SetSlow(0)
 	})
 }
+
+// TestWriterReadsItsOwnOpenLedger: the one writer of an open ledger can read
+// back what it has appended — up to the last entry it had acknowledged, and
+// not past it — without closing the ledger; from the second replica when the
+// first is down; and, through a fresh reader, after an ensemble change, both
+// while the replacement bookie is still empty and once it has been filled.
+func TestWriterReadsItsOwnOpenLedger(t *testing.T) {
+	v := simclock.NewVirtual()
+	defer v.Close()
+	s := NewSystem(v, coord.NewStore(v))
+	for i := 0; i < 4; i++ {
+		s.AddBookie(NewBookie(fmt.Sprintf("bookie-%d", i)))
+	}
+	entry := func(i int) string { return fmt.Sprintf("entry-%d", i) }
+	readAll := func(r *Reader, n int) {
+		t.Helper()
+		if r.LastEntry() != int64(n-1) {
+			t.Fatalf("LastEntry = %d, want %d", r.LastEntry(), n-1)
+		}
+		for i := 0; i < n; i++ {
+			got, err := r.Read(int64(i))
+			if err != nil || string(got) != entry(i) {
+				t.Fatalf("Read(%d) = %q, %v; want %q", i, got, err, entry(i))
+			}
+		}
+	}
+	var w *Writer
+	v.Run(func() {
+		var err error
+		w, err = s.CreateLedger(3, 2, 2)
+		must(t, err)
+		if _, err := w.Reader().Read(0); !errors.Is(err, ErrNoEntry) {
+			t.Fatalf("Read(0) of an empty open ledger: err = %v, want ErrNoEntry", err)
+		}
+		for i := 0; i < 9; i++ {
+			_, err := w.Append([]byte(entry(i)))
+			must(t, err)
+		}
+		r := w.Reader()
+		readAll(r, 9)
+		for _, id := range []int64{9, 10, -1} {
+			if _, err := r.Read(id); !errors.Is(err, ErrNoEntry) {
+				t.Fatalf("Read(%d) with next = 9: err = %v, want ErrNoEntry", id, err)
+			}
+		}
+		// A snapshot: it does not see a later append, a fresh reader does.
+		_, err = w.Append([]byte(entry(9)))
+		must(t, err)
+		if _, err := r.Read(9); !errors.Is(err, ErrNoEntry) {
+			t.Fatalf("stale reader saw a later append: err = %v", err)
+		}
+		if _, err := s.OpenReader(w.ID()); !errors.Is(err, ErrNotClosed) {
+			t.Fatalf("the ledger must still be open: OpenReader err = %v", err)
+		}
+
+		// First replica of entries 0, 3, 6, 9 down: the second serves them.
+		down, _ := s.Bookie(w.meta.Ensemble[0])
+		down.SetDown(true)
+		readAll(w.Reader(), 10)
+
+		// The next append striped onto the dead bookie (entry 11) swaps it for
+		// the spare. A reader taken now meets the replacement before
+		// re-replication has filled it (that runs on its own goroutine) and
+		// falls through to the live replica.
+		for i := 10; i < 12; i++ {
+			_, err = w.Append([]byte(entry(i)))
+			must(t, err)
+		}
+		if w.meta.Ensemble[0] == down.ID {
+			t.Fatalf("ensemble unchanged after an append with %s down: %v", down.ID, w.meta.Ensemble)
+		}
+		readAll(w.Reader(), 12)
+		readAll(r, 9) // and the reader from before the change still works
+	})
+	// Run has drained the re-replication; the ledger is still open.
+	v.Run(func() {
+		readAll(w.Reader(), 12)
+		_, err := w.Append([]byte(entry(12)))
+		must(t, err)
+		readAll(w.Reader(), 13)
+	})
+}

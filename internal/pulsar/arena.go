@@ -10,9 +10,9 @@ const arenaBlockSize = 64 << 10
 // blocks amortizes the per-publish allocation to ~zero in steady state.
 //
 // There is deliberately no free list for the entries themselves: an entry
-// buffer is handed — uncopied — to the bookie ensemble and the topic cache,
-// which retain it for the ledger's lifetime, so individual entries are never
-// recyclable. What the arena buys is fewer, larger heap objects (and GC
+// buffer is handed — uncopied — to the bookie ensemble, which retains it for
+// the ledger's lifetime (the topic's message window lets go of its view once
+// the message is acked), so individual entries are never recyclable. What the arena buys is fewer, larger heap objects (and GC
 // ticket counts that don't scale with publish volume); a block stays pinned
 // only as long as its entries would have been anyway.
 type entryArena struct {

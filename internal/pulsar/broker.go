@@ -12,7 +12,6 @@ import (
 	"repro/internal/coord"
 	"repro/internal/ledger"
 	"repro/internal/obs"
-	"repro/internal/seglog"
 )
 
 // Errors returned by the messaging layer.
@@ -77,7 +76,7 @@ type subscription struct {
 // updateBacklogLocked refreshes the subscription's backlog gauge. Called with
 // the topic's lock held; a single atomic store when observability is on.
 func (sub *subscription) updateBacklogLocked(ts *topicState) {
-	sub.backlogGauge.Set(float64(ts.nextSeq - sub.ackedPrefix - int64(len(sub.acks))))
+	sub.backlogGauge.Set(float64(ts.win.end - sub.ackedPrefix - int64(len(sub.acks))))
 }
 
 // acked reports whether seq has been acked.
@@ -130,12 +129,90 @@ type topicState struct {
 
 	name string
 
-	mu      sync.Mutex
-	writer  *ledger.Writer
-	ranges  []ledgerRange
-	cache   seglog.Log[Message] // all messages, indexed by seq
-	nextSeq int64
-	subs    map[string]*subscription
+	mu     sync.Mutex
+	writer *ledger.Writer
+	ranges []ledgerRange // ascending StartSeq; the last is writer's, still open
+	win    msgWindow     // the unacked tail; win.end is the topic's next seq
+	subs   map[string]*subscription
+}
+
+// retain adds a just-appended message to the window, first letting go of
+// what every subscription has acked if the ring would otherwise grow. With
+// nobody subscribed nothing is kept: a subscription that joins later starts
+// at end, or reads the ledgers.
+func (ts *topicState) retain(m Message) {
+	if ts.win.full() {
+		floor := ts.win.end
+		for _, sub := range ts.subs {
+			floor = min(floor, sub.ackedPrefix)
+		}
+		ts.win.trim(floor)
+	}
+	ts.win.append(m)
+}
+
+// readRange is the one ledger read-back: it calls fn, in seq order, for
+// every message in [from, to) as the topic's ledgers hold it, taking one
+// reader per ledger touched: from open (System.OpenReader, or loadTopic's
+// just-recovered readers) for a closed ledger, from the writer for the
+// current one. A seq is a position — ledger i's entry e is seq StartSeq+e —
+// which the current ledger is checked for before it is read. The pointer is
+// good for the call only. Called with the topic's lock held, or — by
+// loadTopic — before the topic is shared.
+func (ts *topicState) readRange(open func(int64) (*ledger.Reader, error), from, to int64, fn func(*Message)) error {
+	var m Message // fn's argument escapes: one heap slot a call, not one a message
+	for i, rg := range ts.ranges {
+		end := to
+		if i+1 < len(ts.ranges) {
+			end = min(to, ts.ranges[i+1].StartSeq)
+		}
+		seq := max(from, rg.StartSeq)
+		if seq >= end {
+			continue
+		}
+		var r *ledger.Reader
+		if ts.writer != nil && rg.ID == ts.writer.ID() {
+			r = ts.writer.Reader() // the current ledger is never closed while owned
+			if n := rg.StartSeq + r.LastEntry() + 1; n != ts.win.end {
+				return fmt.Errorf("pulsar: topic %q ends at seq %d, its ledger %d at %d", ts.name, ts.win.end, rg.ID, n)
+			}
+		} else {
+			var err error
+			if r, err = open(rg.ID); err != nil {
+				return err
+			}
+		}
+		for ; seq < end; seq++ {
+			e, err := r.Read(seq - rg.StartSeq)
+			if err != nil {
+				return err
+			}
+			if m, err = decodeMessage(e, ts.name); err != nil {
+				return err
+			}
+			// The position is authoritative: a recovered minority write may
+			// carry a stale stamp.
+			m.Seq = seq
+			fn(&m)
+		}
+	}
+	return nil
+}
+
+// each calls fn, in seq order, for every message in [from, to), to <=
+// win.end: read back from the ledgers below the window, then out of it. The
+// pointer is good for the call only.
+func (ts *topicState) each(sys *ledger.System, from, to int64, fn func(*Message)) error {
+	if from < ts.win.base {
+		if err := ts.readRange(sys.OpenReader, from, min(to, ts.win.base), fn); err != nil {
+			return err
+		}
+		from = ts.win.base
+	}
+	for ; from < to; from++ {
+		fn(ts.win.at(from))
+	}
+	return nil
 }
 
 // Broker is the stateless message-serving component of Figure 1: it
@@ -279,11 +356,12 @@ func (b *Broker) publish(topicName, key string, payload []byte) (int64, error) {
 // authoritative seq and publish time in place under the topic lock, before
 // the durable append) and payload is the view aliasing entry's payload
 // bytes. From here the buffer travels uncopied: the bookie replicas retain
-// it as the durable entry, the topic cache holds the payload view, and
-// consumers receive that same view. The caller must treat both as
-// immutable once passed in — on a failed append the buffer may already sit
-// on a bookie, so a retry must re-encode into a fresh buffer, never restamp
-// this one (Producer.SendKey does exactly that).
+// it as the durable entry, the topic's window holds the payload view until
+// every subscription has acked past it, and consumers receive that same
+// view. The caller must treat both as immutable once passed in — on a failed
+// append the buffer may already sit on a bookie, so a retry must re-encode
+// into a fresh buffer, never restamp this one (Producer.SendKey does exactly
+// that).
 //
 // tc is the publish-side causal context (zero = untraced): the durable
 // append and every delivery of this message become its children.
@@ -312,13 +390,12 @@ func (b *Broker) publishEntry(topicName, key string, entry, payload []byte, tc o
 		return 0, err
 	}
 	now := b.cluster.clock.Now()
-	seq := ts.nextSeq
+	seq := ts.win.end
 	stampEntry(entry, seq, now)
 	if _, err := ts.writer.AppendCtx(entry, tc); err != nil {
 		return 0, err
 	}
-	ts.nextSeq++
-	ts.cache.Append(Message{Seq: seq, Key: key, Payload: payload, PublishTime: now, Topic: ts.name, Trace: tc})
+	ts.retain(Message{Seq: seq, Key: key, Payload: payload, PublishTime: now, Topic: ts.name, Trace: tc})
 	atomic.AddInt64(&ts.pubMsgs, 1)
 	atomic.AddInt64(&ts.pubBytes, int64(len(payload)))
 	c := b.cluster
@@ -326,10 +403,7 @@ func (b *Broker) publishEntry(topicName, key string, entry, payload []byte, tc o
 	if c.obsPublishLat != nil {
 		c.obsPublishLat.Observe(c.clock.Now().Sub(now))
 	}
-	for _, sub := range ts.subs {
-		b.dispatchLocked(ts, sub)
-		sub.updateBacklogLocked(ts)
-	}
+	b.dispatchAllLocked(ts)
 	return seq, nil
 }
 
@@ -366,7 +440,7 @@ func (b *Broker) publishEntryBatch(topicName string, keys []string, entries, vie
 		}
 	}
 	now := b.cluster.clock.Now()
-	first := ts.nextSeq
+	first := ts.win.end
 	for i := range entries {
 		stampEntry(entries[i], first+int64(i), now)
 	}
@@ -379,19 +453,28 @@ func (b *Broker) publishEntryBatch(topicName string, keys []string, entries, vie
 			break
 		}
 	}
-	if _, err := ts.writer.AppendBatchCtx(entries, batchCtx); err != nil {
-		return 0, err
+	_, err = ts.writer.AppendBatchCtx(entries, batchCtx)
+	if err != nil {
+		// Entries commit in order and the ones ahead of the failure stay
+		// committed (Writer.AppendBatch). They hold the ledger's next
+		// positions, so they are the topic's next seqs whatever the producer
+		// is told: publish that prefix, or every later seq would name one
+		// message in the window and another on the ledger. A producer that
+		// sends the batch again duplicates the prefix, as at-least-once allows.
+		rg := ts.ranges[len(ts.ranges)-1]
+		n := rg.StartSeq + ts.writer.Reader().LastEntry() + 1 - first
+		if n == 0 {
+			return 0, err
+		}
+		entries, views = entries[:n], views[:n]
 	}
-	for i := range entries {
-		m := Message{Seq: first + int64(i), Key: keys[i], Payload: views[i], PublishTime: now, Topic: ts.name}
+	var nbytes int64
+	for i, v := range views {
+		m := Message{Seq: first + int64(i), Key: keys[i], Payload: v, PublishTime: now, Topic: ts.name}
 		if i < len(traces) {
 			m.Trace = traces[i]
 		}
-		ts.cache.Append(m)
-	}
-	ts.nextSeq = first + int64(len(entries))
-	var nbytes int64
-	for _, v := range views {
+		ts.retain(m)
 		nbytes += int64(len(v))
 	}
 	atomic.AddInt64(&ts.pubMsgs, int64(len(entries)))
@@ -402,11 +485,21 @@ func (b *Broker) publishEntryBatch(topicName string, keys []string, entries, vie
 	if c.obsPublishLat != nil {
 		c.obsPublishLat.Observe(c.clock.Now().Sub(now))
 	}
+	b.dispatchAllLocked(ts)
+	return first, err
+}
+
+// dispatchAllLocked runs a dispatch round for every subscription of a topic
+// that has just taken a publish. The publish is durable whatever happens
+// here, so a failed read-back is counted, not returned: the subscription's
+// next round resumes where this one stopped.
+func (b *Broker) dispatchAllLocked(ts *topicState) {
 	for _, sub := range ts.subs {
-		b.dispatchLocked(ts, sub)
+		if b.dispatchLocked(ts, sub) != nil {
+			b.cluster.obs.Counter("pulsar.readback.errors").Inc()
+		}
 		sub.updateBacklogLocked(ts)
 	}
-	return first, nil
 }
 
 // checkRange fences keyed publishes against the partition's accepted
@@ -518,7 +611,10 @@ func (b *Broker) snapshotLoad() (samples []topicLoadSample, down bool) {
 // subscribe creates the durable subscription if needed and attaches the
 // consumer, triggering backlog dispatch. A new subscription exists only once
 // its cursor node does: if the coordination service refuses the node, the
-// error is returned and nothing is registered.
+// error is returned and nothing is registered. If the backlog lies below the
+// window and cannot be read back, the error is returned with the consumer
+// attached and holding what was read: attaching it again resumes the backlog
+// (Consumer.Receive does, every poll); closing it queues that for redelivery.
 func (b *Broker) subscribe(topicName, subName string, mode SubMode, pos InitialPosition, reg *consumerReg) error {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
@@ -532,7 +628,7 @@ func (b *Broker) subscribe(topicName, subName string, mode SubMode, pos InitialP
 	if !ok {
 		start := int64(0)
 		if pos == Latest {
-			start = ts.nextSeq
+			start = ts.win.end
 		}
 		sub = &subscription{
 			topicName:    topicName,
@@ -553,14 +649,10 @@ func (b *Broker) subscribe(topicName, subName string, mode SubMode, pos InitialP
 	if sub.mode == Exclusive && len(sub.consumers) > 0 {
 		return fmt.Errorf("%w: %s/%s", ErrExclusiveTaken, topicName, subName)
 	}
-	for _, c := range sub.consumers {
-		if c.id == reg.id {
-			return nil // already attached (idempotent re-attach)
-		}
+	if !slices.ContainsFunc(sub.consumers, func(c *consumerReg) bool { return c.id == reg.id }) {
+		sub.consumers = append(sub.consumers, reg) // else a re-attach, idempotent
 	}
-	sub.consumers = append(sub.consumers, reg)
-	b.dispatchLocked(ts, sub)
-	return nil
+	return b.dispatchLocked(ts, sub)
 }
 
 // detach removes a consumer; its pending messages are queued for redelivery.
@@ -586,7 +678,9 @@ func (b *Broker) detach(topicName, subName string, consumerID int64) {
 	sub.consumers = kept
 	sub.rr = 0
 	sub.redeliver = sub.pending.drain(consumerID, sub.redeliver)
-	b.dispatchLocked(ts, sub)
+	if b.dispatchLocked(ts, sub) != nil {
+		b.cluster.obs.Counter("pulsar.readback.errors").Inc() // the queue is kept for the next round
+	}
 }
 
 // ack marks a message consumed and writes the durable cursor: it returns nil
@@ -633,29 +727,48 @@ func (b *Broker) ack(topicName, subName string, seq int64) error {
 
 // dispatchLocked delivers redeliveries and fresh messages to consumers per
 // the subscription mode. Called with the topic's lock held.
-func (b *Broker) dispatchLocked(ts *topicState, sub *subscription) {
+//
+// Whatever lies below the window — a new Earliest subscription's start, a
+// queued redelivery the acked prefix has since passed — is read back from the
+// ledgers. If that read fails the round ends there and the error is returned,
+// with the cursor and the queue at what was delivered: the next round (an
+// attach, a publish, a redelivery request) resumes from it, so nothing is
+// skipped and nothing delivered twice.
+func (b *Broker) dispatchLocked(ts *topicState, sub *subscription) error {
 	if len(sub.consumers) == 0 {
-		return
+		return nil
 	}
 	// One timestamp covers the whole dispatch round: dispatch latency is
 	// observed per delivered message but the clock is read at most once.
 	var now time.Time
-	if b.cluster.obsDispatchLat != nil && (len(sub.redeliver) > 0 || sub.nextDispatch < ts.nextSeq) {
+	if b.cluster.obsDispatchLat != nil && (len(sub.redeliver) > 0 || sub.nextDispatch < ts.win.end) {
 		now = b.cluster.clock.Now()
 	}
-	// Redeliveries first (preserving rough order), then fresh messages.
-	for _, seq := range sub.redeliver {
-		b.deliverLocked(ts, sub, seq, now)
-	}
-	sub.redeliver = sub.redeliver[:0] // keep the backing array for the next round
-	for sub.nextDispatch < ts.nextSeq {
-		seq := sub.nextDispatch
-		sub.nextDispatch++
-		if sub.acked(seq) {
-			continue // already consumed (e.g. cursor moved by recovery)
+	sys := b.cluster.ledgers
+	// Redeliveries first (preserving rough order), then fresh messages. A run
+	// of consecutive seqs is one walk, so one reader when it is off-window.
+	q, done := sub.redeliver, 0
+	var err error
+	for done < len(q) && err == nil {
+		to := q[done] + 1
+		for i := done + 1; i < len(q) && q[i] == to; i++ {
+			to++
 		}
-		b.deliverLocked(ts, sub, seq, now)
+		err = ts.each(sys, q[done], to, func(m *Message) {
+			b.deliverLocked(sub, m, now)
+			done++
+		})
 	}
+	sub.redeliver = q[:copy(q, q[done:])] // keep the backing array for the next round
+	if err != nil {
+		return err
+	}
+	return ts.each(sys, sub.nextDispatch, ts.win.end, func(m *Message) {
+		sub.nextDispatch = m.Seq + 1
+		if !sub.acked(m.Seq) { // else already consumed (e.g. cursor moved by recovery)
+			b.deliverLocked(sub, m, now)
+		}
+	})
 }
 
 // FNV-1a constants (inlined so KeyShared dispatch allocates nothing).
@@ -673,8 +786,7 @@ func fnv1a(s string) uint32 {
 	return h
 }
 
-func (b *Broker) deliverLocked(ts *topicState, sub *subscription, seq int64, now time.Time) {
-	m := ts.cache.At(int(seq))
+func (b *Broker) deliverLocked(sub *subscription, m *Message, now time.Time) {
 	var target *consumerReg
 	switch sub.mode {
 	case Exclusive, Failover:
@@ -685,7 +797,7 @@ func (b *Broker) deliverLocked(ts *topicState, sub *subscription, seq int64, now
 	case KeyShared:
 		target = sub.consumers[int(fnv1a(m.Key))%len(sub.consumers)]
 	}
-	sub.pending.set(seq, target.id)
+	sub.pending.set(m.Seq, target.id)
 	if !now.IsZero() {
 		b.cluster.obsDispatchLat.Observe(now.Sub(m.PublishTime))
 	}
@@ -700,9 +812,9 @@ func (b *Broker) deliverLocked(ts *topicState, sub *subscription, seq int64, now
 
 // loadTopic recovers a topic's state onto this broker after it acquires
 // ownership: durable subscription cursors are read, previous ledgers are
-// recovered (fencing any zombie writer), the message cache is rebuilt, and a
-// fresh ledger is opened for new appends. Unacked messages redeliver on the
-// next consumer attach (at-least-once).
+// recovered (fencing any zombie writer), the message window is rebuilt over
+// the unacked tail, and a fresh ledger is opened for new appends. Unacked
+// messages redeliver on the next consumer attach (at-least-once).
 //
 // Everything that can refuse the load comes before anything the load
 // creates or deletes: an unreadable cursor or ledger fails the takeover with
@@ -743,37 +855,44 @@ func (b *Broker) loadTopic(topicName string) error {
 	// instead of O(history).
 	var empty []int64
 	kept := ids[:0]
+	recovered := map[int64]*ledger.Reader{} // the replay reads through these
+	next := int64(0)
 	for _, id := range ids {
 		r, err := c.ledgers.Recover(id)
 		if err != nil {
 			return err
 		}
-		entries, err := r.ReadAll()
-		if err != nil {
-			return err
-		}
-		if len(entries) == 0 {
+		if r.LastEntry() < 0 {
 			empty = append(empty, id)
 			continue
 		}
 		kept = append(kept, id)
-		ts.ranges = append(ts.ranges, ledgerRange{ID: id, StartSeq: ts.nextSeq})
-		for _, e := range entries {
-			m, err := decodeMessage(e)
-			if err != nil {
-				return err
-			}
-			m.Seq = ts.nextSeq // authoritative position
-			ts.cache.Append(m)
-			ts.nextSeq++
+		recovered[id] = r
+		ts.ranges = append(ts.ranges, ledgerRange{ID: id, StartSeq: next})
+		next += r.LastEntry() + 1
+	}
+	// The replay reads every entry, as a takeover always has — an unreadable
+	// or undecodable one refuses the load — but keeps only what some cursor
+	// has yet to ack, so the new owner's memory is the backlog too.
+	keep := next
+	for _, cur := range cursors {
+		keep = min(keep, cur.AckedPrefix)
+	}
+	ts.win = msgWindow{base: keep, end: keep}
+	open := func(id int64) (*ledger.Reader, error) { return recovered[id], nil }
+	if err := ts.readRange(open, 0, next, func(m *Message) {
+		if m.Seq >= keep {
+			ts.win.append(*m)
 		}
+	}); err != nil {
+		return err
 	}
 	w, err := c.ledgers.CreateLedger(topicEnsemble, c.cfg.WriteQuorum, c.cfg.AckQuorum)
 	if err != nil {
 		return err
 	}
 	ts.writer = w
-	ts.ranges = append(ts.ranges, ledgerRange{ID: w.ID(), StartSeq: ts.nextSeq})
+	ts.ranges = append(ts.ranges, ledgerRange{ID: w.ID(), StartSeq: next})
 	if err := c.setTopicLedgers(topicName, append(kept, w.ID())); err != nil {
 		return err
 	}
@@ -821,5 +940,5 @@ func (b *Broker) backlog(topicName, subName string) (int64, error) {
 	if !ok {
 		return 0, fmt.Errorf("pulsar: unknown subscription %s/%s", topicName, subName)
 	}
-	return ts.nextSeq - sub.ackedPrefix - int64(len(sub.acks)), nil
+	return ts.win.end - sub.ackedPrefix - int64(len(sub.acks)), nil
 }

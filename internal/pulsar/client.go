@@ -210,8 +210,10 @@ func (p *Producer) sendKey(key string, payload []byte, pctx obs.TraceCtx) (int64
 // message older than FlushInterval, or on an explicit Flush. The payload is
 // copied (into its encoded entry buffer) at enqueue time, so the caller may
 // reuse its buffer immediately. A flush error discards that flush's
-// buffered messages (they were never assigned seqs); the caller decides
-// whether to re-send.
+// buffered messages; the caller decides whether to re-send. They were never
+// assigned seqs, except that a batch whose ledger append failed part-way has
+// published the entries that committed before the failure, so a re-send
+// duplicates those.
 func (p *Producer) SendAsync(key string, payload []byte) error {
 	return p.SendAsyncTrace(key, payload, obs.TraceCtx{})
 }
@@ -265,8 +267,8 @@ func (p *Producer) takeBatchLocked() *topicBatch {
 }
 
 // recycleBatchLocked clears a drained batch's slices (dropping buffer
-// references — the ledger and topic cache own them now) and shelves it for
-// reuse. Called with p.mu held.
+// references — the ledger and the topic's window own them now) and shelves
+// it for reuse. Called with p.mu held.
 func (p *Producer) recycleBatchLocked(tb *topicBatch) {
 	for i := range tb.entries {
 		tb.keys[i], tb.entries[i], tb.views[i] = "", nil, nil
@@ -464,6 +466,7 @@ func (c *Cluster) Subscribe(topic, subName string, mode SubMode, pos InitialPosi
 		epochs:    map[string]int64{},
 	}
 	if err := cons.ensureAttached(); err != nil {
+		cons.Close() // it may be attached somewhere: a later partition, or the backlog read, failed
 		return nil, err
 	}
 	return cons, nil

@@ -20,7 +20,7 @@ func TestBinaryCodecRoundTrip(t *testing.T) {
 		if enc[0] != codecVersion {
 			t.Fatalf("case %d: version byte = 0x%02x", i, enc[0])
 		}
-		got, err := decodeMessage(enc)
+		got, err := decodeMessage(enc, "")
 		if err != nil {
 			t.Fatalf("case %d: decode: %v", i, err)
 		}
@@ -55,13 +55,13 @@ func TestDecodeMessageRejectsGarbage(t *testing.T) {
 		padded,                             // key length 1 written in two bytes
 	}
 	for i, b := range bad {
-		if _, err := decodeMessage(b); err == nil {
+		if _, err := decodeMessage(b, ""); err == nil {
 			t.Fatalf("case %d: decode of %v succeeded", i, b)
 		}
 	}
 	// No ledger outlives the process, so none holds pre-codec JSON entries:
 	// '{' is one more unknown version byte.
-	if _, err := decodeMessage([]byte(`{"seq":5}`)); err == nil || !strings.Contains(err.Error(), "unknown entry codec version 0x7b") {
+	if _, err := decodeMessage([]byte(`{"seq":5}`), ""); err == nil || !strings.Contains(err.Error(), "unknown entry codec version 0x7b") {
 		t.Fatalf("JSON entry decode error = %v, want unknown codec version", err)
 	}
 }
@@ -75,7 +75,7 @@ func FuzzDecodeMessage(f *testing.F) {
 	f.Add(encodeMessage(Message{Seq: -1, Key: strings.Repeat("k", 200), Payload: bytes.Repeat([]byte{0xff}, 300), PublishTime: time.Unix(0, -1), Topic: "x"}))
 	f.Add([]byte(`{"seq":5}`))
 	f.Fuzz(func(t *testing.T, b []byte) {
-		m, err := decodeMessage(b)
+		m, err := decodeMessage(b, "")
 		if err != nil {
 			return
 		}

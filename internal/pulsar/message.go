@@ -80,7 +80,7 @@ func entrySize(key, topic string, payloadLen int) int {
 // entrySize bytes — leaving the seq and publish-time header fields zero for
 // the owning broker to stamp (stampEntry). It returns the view of buf's
 // payload bytes: the one copy on the publish path happens here, and that
-// view is what the topic cache and consumers share afterwards. Producers
+// view is what the topic's window and consumers share afterwards. Producers
 // carve buf from an arena, so this is also where the buffer's zero-copy
 // journey to the bookies begins.
 func encodeEntryInto(buf []byte, key, topic string, payload []byte) []byte {
@@ -107,8 +107,11 @@ func stampEntry(entry []byte, seq int64, at time.Time) {
 // decodeMessage parses a ledger entry. The returned Message's Payload may
 // alias b. Like decodeCursor it accepts exactly what the encoder writes — a
 // padded length prefix or bytes after the payload is an error — so an entry
-// that decodes re-encodes to itself (FuzzDecodeMessage).
-func decodeMessage(b []byte) (Message, error) {
+// that decodes re-encodes to itself (FuzzDecodeMessage). topic is the name
+// the caller expects the entry to carry — every entry of a topic's ledgers
+// names that topic — and an entry that does shares the caller's string
+// instead of allocating its own; any other name decodes as itself.
+func decodeMessage(b []byte, topic string) (Message, error) {
 	if len(b) == 0 {
 		return Message{}, fmt.Errorf("pulsar: empty ledger entry")
 	}
@@ -128,11 +131,13 @@ func decodeMessage(b []byte) (Message, error) {
 		return Message{}, fmt.Errorf("pulsar: bad entry key: %w", err)
 	}
 	m.Key = string(key)
-	topic, off, err := readLenPrefixed(b, off)
+	name, off, err := readLenPrefixed(b, off)
 	if err != nil {
 		return Message{}, fmt.Errorf("pulsar: bad entry topic: %w", err)
 	}
-	m.Topic = string(topic)
+	if m.Topic = topic; string(name) != topic {
+		m.Topic = string(name)
+	}
 	payload, off, err := readLenPrefixed(b, off)
 	if err != nil {
 		return Message{}, fmt.Errorf("pulsar: bad entry payload: %w", err)

@@ -50,8 +50,8 @@ func (c *Cluster) DropAcks(topic, subName string, n int) error {
 func (c *Cluster) RedeliverUnacked(topic, subName string) (int, error) {
 	var n int
 	err := c.withOwner(topic, func(b *Broker) error {
-		var err error
-		n, err = b.redeliverUnacked(topic, subName)
+		m, err := b.redeliverUnacked(topic, subName)
+		n += m // a retry finds them queued already
 		return err
 	})
 	return n, err
@@ -135,8 +135,7 @@ func (b *Broker) redeliverUnacked(topicName, subName string) (int, error) {
 	queued := len(sub.redeliver)
 	sub.redeliver = sub.pending.drain(0, sub.redeliver)
 	n := len(sub.redeliver) - queued
-	b.dispatchLocked(ts, sub)
-	return n, nil
+	return n, b.dispatchLocked(ts, sub)
 }
 
 func (b *Broker) ackedMessages(topicName, subName string) ([][]byte, error) {
@@ -147,16 +146,19 @@ func (b *Broker) ackedMessages(topicName, subName string) ([][]byte, error) {
 		return nil, err
 	}
 	defer ts.mu.Unlock()
-	seqs := make([]int64, 0, int(sub.ackedPrefix)+len(sub.acks))
-	for seq := int64(0); seq < sub.ackedPrefix; seq++ {
-		seqs = append(seqs, seq)
+	// Every acked seq lies in [0, hi): the prefix, then the out-of-order
+	// acks (ascending, all beyond it).
+	hi := sub.ackedPrefix
+	if n := len(sub.acks); n > 0 {
+		hi = sub.acks[n-1] + 1
 	}
-	seqs = append(seqs, sub.acks...) // ascending, all beyond the prefix
-	out := make([][]byte, 0, len(seqs))
-	for _, seq := range seqs {
-		if seq < int64(ts.cache.Len()) {
-			out = append(out, append([]byte(nil), ts.cache.At(int(seq)).Payload...))
+	out := make([][]byte, 0, int(sub.ackedPrefix)+len(sub.acks))
+	if err := ts.each(b.cluster.ledgers, 0, min(hi, ts.win.end), func(m *Message) {
+		if sub.acked(m.Seq) {
+			out = append(out, append([]byte(nil), m.Payload...))
 		}
+	}); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
