@@ -322,14 +322,15 @@ func TestAckZeroAllocs(t *testing.T) {
 // TestStreamBytesPerMessage is the byte budget beside the count budgets: what
 // the whole stream path asks the allocator for per 256 B keyed message — sync
 // and batch16 producers over a 4-partition topic, one consumer that receives
-// and acks everything — stays within 600 B. About 420 B of that is the one
-// necessary copy (the arena entry) and the consumer's inbox segments; the rest
-// is three bookie indexes, which write each slot once (DESIGN.md §10). The
-// topic's message window is not in it: a consumer that keeps up cycles
-// through one small ring. Growing cache and indexes by append read 1115 B
-// here, segmented logs 621 B, the window 501 B.
+// and acks everything — stays within 450 B. About 310 B of that is the one
+// necessary copy (the arena entry); the rest is three bookie indexes, which
+// write each slot once (DESIGN.md §10). Neither end of the path is in it: a
+// consumer that keeps up cycles through one small window ring on the broker
+// and through the receiver queue it was given at Subscribe. Growing cache and
+// indexes by append read 1115 B here, segmented logs 621 B, the window 501 B,
+// the fixed receiver queue 387 B.
 func TestStreamBytesPerMessage(t *testing.T) {
-	const burst, warm, timed, budget = 100, 10, 200, 600
+	const burst, warm, timed, budget = 100, 10, 200, 450
 	p := core.New(core.Options{})
 	if err := p.Pulsar.CreateTopic("bytes-gate", 4); err != nil {
 		t.Fatal(err)
@@ -589,5 +590,95 @@ func TestGatewayBigEchoBytes(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if got := float64(after.TotalAlloc-before.TotalAlloc) / runs; got > 3*size {
 		t.Fatalf("64 KiB echo allocates %.0f B per round trip (%.1fx the payload), want <= 3x", got, got/size)
+	}
+}
+
+// TestConsumerHoldsAQueueNotTheBacklog is the retention gate for the other end
+// of the path: a consumer that stops receiving costs its receiver queue, not a
+// copy of everything published since. 200 000 keyed 256 B messages go to 4
+// partitions with a consumer attached that never calls Receive, and what the
+// process holds afterwards has grown by no more than 580 B per message: the
+// arena entry and three index slots every message costs (≈380 B,
+// TestTopicMemoryBoundedByBacklog) and its 104 B slot in the partition's
+// window, which holds the unacked tail in a ring of up to twice that (≈150 B
+// measured). A second copy of the Message on the consumer's side (656 B in
+// all, when dispatch pushed the backlog into an inbox that grew) does not
+// fit. The consumer then drains and acks all of it, each partition's seqs in
+// order, through the flow path. And the queue is what a consumer costs: a
+// Subscribe on a topic that is already owned allocates 120 KB at most (1024
+// slots of 112 B, and a cursor per partition).
+func TestConsumerHoldsAQueueNotTheBacklog(t *testing.T) {
+	const budget, subscribeBudget = 580, 120 << 10
+	total := 200000
+	if raceDetector || testing.Short() {
+		total = 50000 // same per-message figure, a tenth of the time under -race
+	}
+	p := core.New(core.Options{})
+	if err := p.Pulsar.CreateTopic("queue-gate", 4); err != nil {
+		t.Fatal(err)
+	}
+	prod, err := p.Pulsar.CreateProducerOpts("queue-gate", pulsar.ProducerOptions{MaxBatch: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cons, err := p.Pulsar.Subscribe("queue-gate", "s", pulsar.Shared, pulsar.Earliest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cons.Close()
+	// The first Subscribe elected the partitions' owners; this one only attaches.
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	probe, err := p.Pulsar.Subscribe("queue-gate", "probe", pulsar.Shared, pulsar.Latest)
+	runtime.ReadMemStats(&m1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe.Close()
+	t.Logf("a Subscribe on 4 owned partitions allocates %d B", m1.TotalAlloc-m0.TotalAlloc)
+	if got := m1.TotalAlloc - m0.TotalAlloc; got > subscribeBudget {
+		t.Fatalf("a Subscribe on 4 owned partitions allocates %d B, want <= %d", got, subscribeBudget)
+	}
+
+	keys := make([]string, 1024)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%04d", i)
+	}
+	payload := make([]byte, 256)
+	before := liveHeap()
+	for i := 0; i < total; i++ {
+		if err := prod.SendAsync(keys[i*7%len(keys)], payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := prod.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	after := liveHeap()
+	got := float64(after-before) / float64(total)
+	t.Logf("live heap grew %.0f B per unreceived 256 B message over %d messages", got, total)
+	if got > budget {
+		t.Fatalf("live heap grew %.0f B per unreceived 256 B message over %d messages, want <= %d", got, total, budget)
+	}
+
+	next := map[string]int64{}
+	for i := 0; i < total; i++ {
+		m, ok := cons.Receive(time.Second)
+		if !ok {
+			t.Fatalf("received %d of %d messages", i, total)
+		}
+		if m.Seq != next[m.Topic] {
+			t.Fatalf("%s: seq %d arrived, want %d", m.Topic, m.Seq, next[m.Topic])
+		}
+		next[m.Topic]++
+		if err := cons.Ack(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m, ok := cons.TryReceive(); ok {
+		t.Fatalf("extra message: %s seq %d", m.Topic, m.Seq)
+	}
+	if n, err := p.Pulsar.Backlog("queue-gate", "s"); err != nil || n != 0 {
+		t.Fatalf("backlog = %d, %v; want 0", n, err)
 	}
 }

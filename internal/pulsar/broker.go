@@ -33,10 +33,14 @@ var (
 	ErrRouteMoved = errors.New("pulsar: key range moved")
 )
 
-// consumerReg is a consumer's registration on a broker-side subscription.
+// consumerReg is a consumer's registration on a broker-side subscription:
+// one per Consumer, shared by every partition it is attached to. starved is
+// set by a broker whose push found the queue full and cleared by the consumer
+// when it asks for the stopped rounds to be run again (ensureAttached).
 type consumerReg struct {
-	id    int64
-	inbox *inbox
+	id      int64
+	inbox   *inbox
+	starved atomic.Bool
 }
 
 // subscription is the broker-side durable cursor plus attached consumers.
@@ -156,10 +160,11 @@ func (ts *topicState) retain(m Message) {
 // reader per ledger touched: from open (System.OpenReader, or loadTopic's
 // just-recovered readers) for a closed ledger, from the writer for the
 // current one. A seq is a position — ledger i's entry e is seq StartSeq+e —
-// which the current ledger is checked for before it is read. The pointer is
-// good for the call only. Called with the topic's lock held, or — by
-// loadTopic — before the topic is shared.
-func (ts *topicState) readRange(open func(int64) (*ledger.Reader, error), from, to int64, fn func(*Message)) error {
+// which the current ledger is checked for before it is read. The walk ends,
+// with no error, when fn returns false; nothing past that message is read. The
+// pointer is good for the call only. Called with the topic's lock held, or —
+// by loadTopic — before the topic is shared.
+func (ts *topicState) readRange(open func(int64) (*ledger.Reader, error), from, to int64, fn func(*Message) bool) error {
 	var m Message // fn's argument escapes: one heap slot a call, not one a message
 	for i, rg := range ts.ranges {
 		end := to
@@ -193,24 +198,31 @@ func (ts *topicState) readRange(open func(int64) (*ledger.Reader, error), from, 
 			// The position is authoritative: a recovered minority write may
 			// carry a stale stamp.
 			m.Seq = seq
-			fn(&m)
+			if !fn(&m) {
+				return nil
+			}
 		}
 	}
 	return nil
 }
 
 // each calls fn, in seq order, for every message in [from, to), to <=
-// win.end: read back from the ledgers below the window, then out of it. The
-// pointer is good for the call only.
-func (ts *topicState) each(sys *ledger.System, from, to int64, fn func(*Message)) error {
+// win.end, until fn returns false: read back from the ledgers below the
+// window, then out of it. The pointer is good for the call only.
+func (ts *topicState) each(sys *ledger.System, from, to int64, fn func(*Message) bool) error {
+	more := true
 	if from < ts.win.base {
-		if err := ts.readRange(sys.OpenReader, from, min(to, ts.win.base), fn); err != nil {
+		below := min(to, ts.win.base)
+		if err := ts.readRange(sys.OpenReader, from, below, func(m *Message) bool {
+			more = fn(m)
+			return more
+		}); err != nil {
 			return err
 		}
-		from = ts.win.base
+		from = below
 	}
-	for ; from < to; from++ {
-		fn(ts.win.at(from))
+	for ; more && from < to; from++ {
+		more = fn(ts.win.at(from))
 	}
 	return nil
 }
@@ -609,12 +621,16 @@ func (b *Broker) snapshotLoad() (samples []topicLoadSample, down bool) {
 }
 
 // subscribe creates the durable subscription if needed and attaches the
-// consumer, triggering backlog dispatch. A new subscription exists only once
-// its cursor node does: if the coordination service refuses the node, the
-// error is returned and nothing is registered. If the backlog lies below the
-// window and cannot be read back, the error is returned with the consumer
-// attached and holding what was read: attaching it again resumes the backlog
-// (Consumer.Receive does, every poll); closing it queues that for redelivery.
+// consumer, triggering backlog dispatch: as much of the backlog as the
+// consumer's queue has room for. Attaching a consumer that is attached already
+// changes nothing and runs a dispatch round, which is how a consumer whose
+// queue had filled asks for the rest (Pulsar's Flow). A new subscription
+// exists only once its cursor node does: if the coordination service refuses
+// the node, the error is returned and nothing is registered. If the backlog
+// lies below the window and cannot be read back, the error is returned with
+// the consumer attached and holding what was read: attaching it again resumes
+// the backlog (Consumer.Receive does, every poll); closing it queues that for
+// redelivery.
 func (b *Broker) subscribe(topicName, subName string, mode SubMode, pos InitialPosition, reg *consumerReg) error {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
@@ -646,11 +662,11 @@ func (b *Broker) subscribe(topicName, subName string, mode SubMode, pos InitialP
 		ts.subs[subName] = sub
 		sub.updateBacklogLocked(ts)
 	}
-	if sub.mode == Exclusive && len(sub.consumers) > 0 {
-		return fmt.Errorf("%w: %s/%s", ErrExclusiveTaken, topicName, subName)
-	}
 	if !slices.ContainsFunc(sub.consumers, func(c *consumerReg) bool { return c.id == reg.id }) {
-		sub.consumers = append(sub.consumers, reg) // else a re-attach, idempotent
+		if sub.mode == Exclusive && len(sub.consumers) > 0 {
+			return fmt.Errorf("%w: %s/%s", ErrExclusiveTaken, topicName, subName)
+		}
+		sub.consumers = append(sub.consumers, reg)
 	}
 	return b.dispatchLocked(ts, sub)
 }
@@ -730,10 +746,14 @@ func (b *Broker) ack(topicName, subName string, seq int64) error {
 //
 // Whatever lies below the window — a new Earliest subscription's start, a
 // queued redelivery the acked prefix has since passed — is read back from the
-// ledgers. If that read fails the round ends there and the error is returned,
-// with the cursor and the queue at what was delivered: the next round (an
-// attach, a publish, a redelivery request) resumes from it, so nothing is
-// skipped and nothing delivered twice.
+// ledgers. The round ends at the first message that cannot be placed, because
+// that read failed (the error is returned) or because no consumer that may
+// take it has room in its queue (counted, not an error), with the cursor and
+// the redelivery queue at exactly what was delivered. Undelivered messages
+// stay where they are with no consumer attached, in [nextDispatch, win.end),
+// and the next round (an attach, a publish, a redelivery request, a consumer
+// with room again) resumes from there, so nothing is skipped and nothing
+// delivered twice; one round reads back at most a queue's worth.
 func (b *Broker) dispatchLocked(ts *topicState, sub *subscription) error {
 	if len(sub.consumers) == 0 {
 		return nil
@@ -748,27 +768,34 @@ func (b *Broker) dispatchLocked(ts *topicState, sub *subscription) error {
 	// Redeliveries first (preserving rough order), then fresh messages. A run
 	// of consecutive seqs is one walk, so one reader when it is off-window.
 	q, done := sub.redeliver, 0
+	room := true
 	var err error
-	for done < len(q) && err == nil {
+	for done < len(q) && err == nil && room {
 		to := q[done] + 1
 		for i := done + 1; i < len(q) && q[i] == to; i++ {
 			to++
 		}
-		err = ts.each(sys, q[done], to, func(m *Message) {
-			b.deliverLocked(sub, m, now)
-			done++
+		err = ts.each(sys, q[done], to, func(m *Message) bool {
+			if room = b.deliverLocked(sub, m, now); room {
+				done++
+			}
+			return room
 		})
 	}
 	sub.redeliver = q[:copy(q, q[done:])] // keep the backing array for the next round
-	if err != nil {
-		return err
+	if err == nil && room {
+		err = ts.each(sys, sub.nextDispatch, ts.win.end, func(m *Message) bool {
+			// An acked seq was already consumed (e.g. cursor moved by recovery).
+			if room = sub.acked(m.Seq) || b.deliverLocked(sub, m, now); room {
+				sub.nextDispatch = m.Seq + 1
+			}
+			return room
+		})
 	}
-	return ts.each(sys, sub.nextDispatch, ts.win.end, func(m *Message) {
-		sub.nextDispatch = m.Seq + 1
-		if !sub.acked(m.Seq) { // else already consumed (e.g. cursor moved by recovery)
-			b.deliverLocked(sub, m, now)
-		}
-	})
+	if !room {
+		b.cluster.obs.Counter("pulsar.dispatch.blocked").Inc()
+	}
+	return err
 }
 
 // FNV-1a constants (inlined so KeyShared dispatch allocates nothing).
@@ -786,28 +813,50 @@ func fnv1a(s string) uint32 {
 	return h
 }
 
-func (b *Broker) deliverLocked(sub *subscription, m *Message, now time.Time) {
-	var target *consumerReg
-	switch sub.mode {
-	case Exclusive, Failover:
-		target = sub.consumers[0]
-	case Shared:
-		target = sub.consumers[sub.rr%len(sub.consumers)]
-		sub.rr++
-	case KeyShared:
-		target = sub.consumers[int(fnv1a(m.Key))%len(sub.consumers)]
+// deliverLocked places m in the queue of the consumer the subscription mode
+// picks, and reports whether it could: room in a consumer's queue is its
+// permits, and this is the one place that finds there are none. Exclusive,
+// Failover and KeyShared have one consumer that may take m, so a full queue
+// there stops the round at m (order first); Shared passes a full consumer
+// over for the next one with room and stops only when none has. A consumer
+// that was refused is marked starved: it runs the round again once it has
+// drained (Consumer.ensureAttached).
+func (b *Broker) deliverLocked(sub *subscription, m *Message, now time.Time) bool {
+	n := len(sub.consumers)
+	tries := 1
+	if sub.mode == Shared {
+		tries = n
 	}
-	sub.pending.set(m.Seq, target.id)
-	if !now.IsZero() {
-		b.cluster.obsDispatchLat.Observe(now.Sub(m.PublishTime))
+	for ; tries > 0; tries-- {
+		var target *consumerReg
+		switch sub.mode {
+		case Exclusive, Failover:
+			target = sub.consumers[0]
+		case Shared:
+			target = sub.consumers[sub.rr%n]
+			sub.rr++
+		case KeyShared:
+			target = sub.consumers[int(fnv1a(m.Key))%n]
+		}
+		if !target.inbox.push(m) {
+			target.starved.Store(true)
+			continue
+		}
+		// The consumer may be receiving m already; its ack waits for the
+		// topic's lock, which the caller holds.
+		sub.pending.set(m.Seq, target.id)
+		if !now.IsZero() {
+			b.cluster.obsDispatchLat.Observe(now.Sub(m.PublishTime))
+		}
+		// Traced deliveries (first dispatch, still within the publish window)
+		// record a "pulsar.deliver" child; redeliveries of long-finalized
+		// traces fall into the tracer's late-span count by design.
+		if m.Trace.Valid() {
+			b.cluster.tracer.Start(m.Trace, "pulsar.deliver").End()
+		}
+		return true
 	}
-	// Traced deliveries (first dispatch, still within the publish window)
-	// record a "pulsar.deliver" child; redeliveries of long-finalized traces
-	// fall into the tracer's late-span count by design.
-	if m.Trace.Valid() {
-		b.cluster.tracer.Start(m.Trace, "pulsar.deliver").End()
-	}
-	target.inbox.push(*m)
+	return false
 }
 
 // loadTopic recovers a topic's state onto this broker after it acquires
@@ -880,14 +929,15 @@ func (b *Broker) loadTopic(topicName string) error {
 	}
 	ts.win = msgWindow{base: keep, end: keep}
 	open := func(id int64) (*ledger.Reader, error) { return recovered[id], nil }
-	if err := ts.readRange(open, 0, next, func(m *Message) {
+	if err := ts.readRange(open, 0, next, func(m *Message) bool {
 		if m.Seq >= keep {
 			ts.win.append(*m)
 		}
+		return true
 	}); err != nil {
 		return err
 	}
-	w, err := c.ledgers.CreateLedger(topicEnsemble, c.cfg.WriteQuorum, c.cfg.AckQuorum)
+	w, err := c.ledgers.CreateLedger(topicEnsemble, topicWriteQuorum, topicAckQuorum)
 	if err != nil {
 		return err
 	}

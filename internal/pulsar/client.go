@@ -401,25 +401,29 @@ func (p *Producer) routeTo(tbl *routeTable, key string) string {
 }
 
 // Consumer receives messages from a subscription. For partitioned topics it
-// consumes a merged stream across all partitions. Consumers poll their inbox
-// on the cluster clock, transparently re-attaching after broker failovers.
+// consumes a merged stream across all partitions. It holds a receiver queue,
+// not the backlog: brokers push into a fixed ring of receiverQueue messages
+// and end their dispatch round when it is full; Receive polls the ring on the
+// cluster clock, asks the brokers for the rest once the ring has drained to
+// half, and transparently re-attaches after broker failovers.
 //
-// A Consumer's inbox is a single-consumer queue: at most one goroutine may
-// call TryReceive/Receive on a given Consumer at a time (brokers push into
-// it concurrently from many topics; only the pop side is exclusive). Use one
-// Consumer per receiving goroutine, as every existing caller does.
+// At most one goroutine may call TryReceive/Receive on a given Consumer at a
+// time (brokers push into its queue concurrently from many topics; delivery
+// order means something to one receiver only). Use one Consumer per receiving
+// goroutine, as every existing caller does. Close may come from any goroutine.
 type Consumer struct {
 	c    *Cluster
 	name string // topic
 	sub  string
 	mode SubMode
 	pos  InitialPosition
-	id   int64
 
-	inbox *inbox
+	// reg is what brokers hold of this consumer: its id, its queue and the
+	// mark a broker leaves when the queue was full.
+	reg consumerReg
 
 	// holder tracks the logical topic's routing table; rtVersion is the
-	// last version whose partitions this consumer attached. A split bumps
+	// last version whose partitions this consumer has seen. A split bumps
 	// the version, and the next attach pass discovers the child partitions
 	// (appended to names in creation order — parents first, which is what
 	// keeps per-key delivery ordered across a split). Partitions beyond the
@@ -432,11 +436,11 @@ type Consumer struct {
 	mu        sync.Mutex
 	concrete  []string
 	rtVersion int64
-	epochs    map[string]int64
+	epochs    map[string]int64 // ownership epoch attached at; none until the first attach
 	closed    bool
 }
 
-// receivePoll is the consumer's inbox polling interval.
+// receivePoll is the consumer's queue polling interval.
 const receivePoll = time.Millisecond
 
 // Subscribe attaches a new consumer to (creating if needed) the named
@@ -457,8 +461,7 @@ func (c *Cluster) Subscribe(topic, subName string, mode SubMode, pos InitialPosi
 		sub:       subName,
 		mode:      mode,
 		pos:       pos,
-		id:        id,
-		inbox:     newInbox(),
+		reg:       consumerReg{id: id, inbox: newInbox()},
 		holder:    h,
 		initialN:  len(tbl.names),
 		concrete:  append([]string(nil), tbl.names...),
@@ -472,10 +475,19 @@ func (c *Cluster) Subscribe(topic, subName string, mode SubMode, pos InitialPosi
 	return cons, nil
 }
 
-// ensureAttached (re-)subscribes on every partition whose ownership epoch
-// changed since the consumer last attached, first folding in any partitions
-// a split created since the last pass.
-func (cons *Consumer) ensureAttached() error {
+// ensureAttached is one pass over the consumer's partitions, in creation
+// order, first folding in any a split created since the last pass. A
+// partition whose ownership epoch changed is subscribed again on its new
+// owner. If a broker found the queue full since the last pass, the mark is
+// cleared and every other partition is subscribed again too, which changes
+// nothing on its broker and runs the dispatch round the full queue ended.
+//
+// A partition is attached for the first time only while no partition before
+// it has been refused room. Per-key order across a split is the parent's
+// backlog entering the queue before the child's stream (route.go); with a
+// queue that can fill, that means the child waits until a pass over the
+// partitions already attached has placed everything they had.
+func (cons *Consumer) ensureAttached() (err error) {
 	cons.mu.Lock()
 	defer cons.mu.Unlock()
 	if cons.closed {
@@ -489,20 +501,31 @@ func (cons *Consumer) ensureAttached() error {
 		}
 		cons.rtVersion = tbl.version
 	}
+	flow := cons.reg.starved.Swap(false)
+	if flow {
+		defer func() {
+			if err != nil {
+				cons.reg.starved.Store(true) // the pass did not finish: the next one asks again
+			}
+		}()
+	}
 	for i, t := range cons.concrete {
 		b, ep, err := cons.c.ensureOwner(t)
 		if err != nil {
 			return err
 		}
-		if cons.epochs[t] == ep {
+		attached := cons.epochs[t]
+		if attached == ep && !flow {
 			continue
+		}
+		if attached == 0 && cons.reg.starved.Load() {
+			return nil
 		}
 		pos := cons.pos
 		if i >= cons.initialN {
 			pos = Earliest // split children: consume from their first message
 		}
-		reg := &consumerReg{id: cons.id, inbox: cons.inbox}
-		if err := b.subscribe(t, cons.sub, cons.mode, pos, reg); err != nil {
+		if err := b.subscribe(t, cons.sub, cons.mode, pos, &cons.reg); err != nil {
 			// A stale ownership-cache hit surfaces here (the cached broker
 			// no longer owns t); invalidate so the next attach re-resolves.
 			cons.c.invalidateOwner(t)
@@ -513,27 +536,41 @@ func (cons *Consumer) ensureAttached() error {
 	return nil
 }
 
+// tryReceive pops the queue, and makes an attach pass when it is empty (the
+// owner may have changed) or has drained to half with a broker waiting for
+// room (Pulsar's Flow: a consumer that keeps up never takes that path). The
+// error is the attach pass's, for Receive to tell a closed consumer from an
+// empty one.
+func (cons *Consumer) tryReceive() (Message, bool, error) {
+	in := cons.reg.inbox
+	m, ok := in.pop()
+	if ok && !(cons.reg.starved.Load() && in.len() <= receiverQueue/2) {
+		return m, true, nil
+	}
+	err := cons.ensureAttached()
+	if !ok && err == nil {
+		m, ok = in.pop()
+	}
+	return m, ok, err
+}
+
 // TryReceive returns a buffered message without waiting.
 func (cons *Consumer) TryReceive() (Message, bool) {
-	if m, ok := cons.inbox.pop(); ok {
-		return m, true
-	}
-	// Empty inbox: the owner may have changed; re-attach and retry once.
-	if err := cons.ensureAttached(); err != nil {
-		return Message{}, false
-	}
-	return cons.inbox.pop()
+	m, ok, _ := cons.tryReceive()
+	return m, ok
 }
 
 // Receive waits up to timeout (on the cluster clock) for a message. The
-// boolean reports whether a message arrived.
+// boolean reports whether a message arrived; on a closed consumer it is false
+// at once.
 func (cons *Consumer) Receive(timeout time.Duration) (Message, bool) {
 	deadline := cons.c.clock.Now().Add(timeout)
 	for {
-		if m, ok := cons.TryReceive(); ok {
+		m, ok, err := cons.tryReceive()
+		if ok {
 			return m, true
 		}
-		if cons.c.clock.Now().After(deadline) {
+		if errors.Is(err, ErrConsumerClosed) || cons.c.clock.Now().After(deadline) {
 			return Message{}, false
 		}
 		cons.c.clock.Sleep(receivePoll)
@@ -560,8 +597,9 @@ func (cons *Consumer) Ack(m Message) error {
 	return lastErr
 }
 
-// Close detaches the consumer; its unacked messages redeliver to surviving
-// consumers on the subscription.
+// Close detaches the consumer and empties its queue: its unacked messages,
+// those included, redeliver to surviving consumers on the subscription, and a
+// closed consumer hands out nothing.
 func (cons *Consumer) Close() {
 	cons.mu.Lock()
 	if cons.closed {
@@ -574,8 +612,12 @@ func (cons *Consumer) Close() {
 	for _, t := range concrete {
 		if data, held := cons.c.meta.LockHolder("/pulsar/owners/" + t); held {
 			if b, ok := cons.c.Broker(string(data)); ok {
-				b.detach(t, cons.sub, cons.id)
+				b.detach(t, cons.sub, cons.reg.id)
 			}
 		}
+	}
+	// Nothing pushes any more: every broker that knew the consumer has let go.
+	for ok := true; ok; {
+		_, ok = cons.reg.inbox.pop()
 	}
 }

@@ -18,10 +18,6 @@ import (
 
 // ClusterConfig parameterizes a cluster.
 type ClusterConfig struct {
-	// WriteQuorum/AckQuorum configure each topic ledger's replication over
-	// its topicEnsemble bookies (defaults 2/2).
-	WriteQuorum int
-	AckQuorum   int
 	// Tenant is billed for publishes. Default "pulsar".
 	Tenant string
 	// BatchMaxMessages is the default per-producer batch size for
@@ -41,16 +37,15 @@ type ClusterConfig struct {
 	ServiceTime time.Duration
 }
 
-// topicEnsemble is how many bookies each topic ledger stripes over.
-const topicEnsemble = 3
+// Each topic ledger stripes over topicEnsemble bookies; an entry is written
+// to topicWriteQuorum of them and acknowledged once topicAckQuorum have it.
+const (
+	topicEnsemble    = 3
+	topicWriteQuorum = 2
+	topicAckQuorum   = 2
+)
 
 func (c ClusterConfig) withDefaults() ClusterConfig {
-	if c.WriteQuorum == 0 {
-		c.WriteQuorum = 2
-	}
-	if c.AckQuorum == 0 {
-		c.AckQuorum = 2
-	}
 	if c.Tenant == "" {
 		c.Tenant = "pulsar"
 	}

@@ -2,109 +2,91 @@ package pulsar
 
 import "sync/atomic"
 
-// inboxSegCap is the slot count of one inbox segment. A segment is ~20 KB of
-// Messages; one heap allocation buys 256 pushes.
-const inboxSegCap = 256
+// receiverQueue is how many delivered messages a consumer holds: Pulsar's
+// default receiver queue (1000) rounded up to a power of two. It is a
+// constant, not an option: it bounds what a consumer that stops receiving
+// costs (1024 slots of 112 B, allocated once at Subscribe) and how much one
+// dispatch round reads back under a partition's lock, and nothing in the
+// repository wants a second value for either.
+const receiverQueue = 1024
 
-// inboxSeg is one write-once segment of the queue. Producers claim slots by
-// ticket (tail.Add), write the message, then set the slot's published flag;
-// slots are never reused, so a slow producer can only delay its own slot,
-// never corrupt a neighbour's.
-type inboxSeg struct {
-	next      atomic.Pointer[inboxSeg]
-	tail      atomic.Int64 // tickets issued in this segment (may exceed inboxSegCap)
-	published [inboxSegCap]atomic.Bool
-	msgs      [inboxSegCap]Message
+// inboxSlot is one cell of the ring. seq says whose turn the cell is: pos
+// when the producer that claimed position pos may write it, pos+1 once that
+// message is published, pos+receiverQueue once it has been popped and the
+// cell is free for the next lap.
+type inboxSlot struct {
+	seq atomic.Int64
+	msg Message
 }
 
-// inbox is an unbounded lock-free MPSC delivery queue: many producers
-// (brokers dispatching different topics/partitions under their own topic
-// locks) push concurrently, exactly one consumer goroutine pops. Replacing
-// the old mutex-guarded ring means a publish never queues behind a consumer
-// mid-pop — dispatch is wait-free for producers except when a segment fills.
-//
-// Structure: a linked list of fixed-size write-once segments. Producers
-// race on an atomic ticket per segment; overflow tickets install (or help
-// install) the next segment via CAS and retry there. The single consumer
-// owns headSeg/headIdx outright — no synchronization on the read position.
-// Segments are never recycled: retiring them to the garbage collector
-// side-steps the ABA and late-producer hazards reuse would invite, at the
-// cost of one allocation per inboxSegCap messages.
+// inbox is a consumer's receiver queue: one fixed ring, many producers
+// (brokers dispatching different partitions under their own topic locks),
+// one consumer. A producer claims a position by CAS on tail, writes the
+// cell, then publishes it through the cell's seq, so a slow producer delays
+// only its own cell; push reports a full ring instead of growing it, and the
+// broker ends its dispatch round there (deliverLocked): room in the ring is
+// the consumer's flow permits. The steady-state op allocates nothing.
 //
 // Ordering: messages from one producer (pushes under one topic's lock)
 // arrive in order because each push completes before the next begins.
-// Cross-producer interleaving carries no ordering contract, same as before.
-// pop stops at the first unpublished slot even if later slots are published:
-// that slot's producer is mid-push, and its message is not deliverable yet.
+// Cross-producer interleaving carries no ordering contract. pop stops at the
+// first unpublished cell even if later cells are published: that cell's
+// producer is mid-push, and its message is not deliverable yet.
+//
+// pop takes head by CAS although one goroutine receives: Consumer.Close may
+// come from another goroutine, to stop a blocked Receive, and empties the
+// ring under the receiver's last pop.
 type inbox struct {
-	headSeg *inboxSeg // consumer-owned; only pop touches these
-	headIdx int
-
-	tailSeg atomic.Pointer[inboxSeg]
-
-	pushed atomic.Int64
-	popped atomic.Int64
+	head  atomic.Int64
+	tail  atomic.Int64
+	slots *[receiverQueue]inboxSlot // its own allocation: 14 pages exactly
 }
 
 func newInbox() *inbox {
-	in := &inbox{}
-	seg := &inboxSeg{}
-	in.headSeg = seg
-	in.tailSeg.Store(seg)
+	in := &inbox{slots: new([receiverQueue]inboxSlot)}
+	for i := range in.slots {
+		in.slots[i].seq.Store(int64(i))
+	}
 	return in
 }
 
-// push enqueues m. Safe for any number of concurrent producers.
-func (in *inbox) push(m Message) {
+// push enqueues m, or reports false when receiverQueue messages are unpopped.
+// Safe for any number of concurrent producers.
+func (in *inbox) push(m *Message) bool {
 	for {
-		seg := in.tailSeg.Load()
-		t := seg.tail.Add(1) - 1
-		if t < inboxSegCap {
-			seg.msgs[t] = m
-			seg.published[t].Store(true)
-			in.pushed.Add(1)
-			return
-		}
-		// Segment exhausted: install the successor (or adopt the one a
-		// racing producer installed), advance the shared tail pointer past
-		// the full segment, and retry there.
-		next := seg.next.Load()
-		if next == nil {
-			n := &inboxSeg{}
-			if seg.next.CompareAndSwap(nil, n) {
-				next = n
-			} else {
-				next = seg.next.Load()
-			}
-		}
-		in.tailSeg.CompareAndSwap(seg, next)
+		pos := in.tail.Load()
+		s := &in.slots[pos&(receiverQueue-1)]
+		switch seq := s.seq.Load(); {
+		case seq < pos: // still holds the message from a lap ago
+			return false
+		case seq == pos && in.tail.CompareAndSwap(pos, pos+1):
+			s.msg = *m
+			s.seq.Store(pos + 1)
+			return true
+		} // else another producer took pos: try the next
 	}
 }
 
-// pop dequeues the oldest delivered message. Single-consumer only: exactly
-// one goroutine may call pop (each Consumer owns its inbox — documented on
-// Consumer).
+// pop dequeues the oldest delivered message.
 func (in *inbox) pop() (Message, bool) {
 	for {
-		if in.headIdx < inboxSegCap {
-			if !in.headSeg.published[in.headIdx].Load() {
-				return Message{}, false
-			}
-			m := in.headSeg.msgs[in.headIdx]
-			in.headSeg.msgs[in.headIdx] = Message{} // release the payload reference
-			in.headIdx++
-			in.popped.Add(1)
-			return m, true
-		}
-		next := in.headSeg.next.Load()
-		if next == nil {
+		pos := in.head.Load()
+		s := &in.slots[pos&(receiverQueue-1)]
+		switch seq := s.seq.Load(); {
+		case seq <= pos: // empty, or its producer is mid-push
 			return Message{}, false
-		}
-		in.headSeg, in.headIdx = next, 0
+		case seq == pos+1 && in.head.CompareAndSwap(pos, pos+1):
+			m := s.msg
+			s.msg = Message{} // release the payload reference
+			s.seq.Store(pos + receiverQueue)
+			return m, true
+		} // else Close took pos: try the next
 	}
 }
 
-// len reports the buffered message count (exact when producers are quiet).
+// len reports the buffered message count (exact when both sides are quiet,
+// never below zero).
 func (in *inbox) len() int {
-	return int(in.pushed.Load() - in.popped.Load())
+	head := in.head.Load()
+	return int(in.tail.Load() - head)
 }

@@ -153,10 +153,11 @@ func (b *Broker) ackedMessages(topicName, subName string) ([][]byte, error) {
 		hi = sub.acks[n-1] + 1
 	}
 	out := make([][]byte, 0, int(sub.ackedPrefix)+len(sub.acks))
-	if err := ts.each(b.cluster.ledgers, 0, min(hi, ts.win.end), func(m *Message) {
+	if err := ts.each(b.cluster.ledgers, 0, min(hi, ts.win.end), func(m *Message) bool {
 		if sub.acked(m.Seq) {
 			out = append(out, append([]byte(nil), m.Payload...))
 		}
+		return true
 	}); err != nil {
 		return nil, err
 	}

@@ -55,8 +55,10 @@ type routeTable struct {
 	// names lists concrete topics in creation order (parents before the
 	// children split off them). Consumers attach in this order, which is
 	// what makes per-key order survive a split: a key's pre-split backlog
-	// on the parent is always pushed to the inbox before its post-split
-	// stream on the child. Unkeyed round-robin also spreads over names.
+	// on the parent is always pushed to the consumer's queue before its
+	// post-split stream on the child (the queue is bounded, so a partition
+	// is first attached only once those before it have placed everything:
+	// Consumer.ensureAttached). Unkeyed round-robin also spreads over names.
 	names []string
 	// parts is sorted by lo for binary-search routing; empty for plain
 	// topics.
