@@ -510,13 +510,14 @@ func (w *discardWriter) WriteHeader(code int)        { w.status = code }
 func (w *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
 
 // TestGatewayServeAllocs pins what Gateway.ServeHTTP itself allocates for a
-// sync 64 B echo — no network, a reusable writer. Seven are the gateway's:
-// the mux's match, http.MaxBytesReader, the body buffer, the invoke closure
-// and its results, and the two allocations behind all the response's header
-// values; two are this test's request copy and body wrapper. It was 18 with
+// sync 64 B echo — no network, a reusable writer. Six are the gateway's: the
+// mux's match, http.MaxBytesReader, the invoke closure and its results, and
+// the two allocations behind all the response's header values; two are this
+// test's request copy and body wrapper. The seventh was the body buffer, which
+// an un-keyed invoke now borrows from the gateway's pool. It was 18 with
 // io.ReadAll, seven Header.Set + strconv pairs and a goroutine hop per invoke.
 func TestGatewayServeAllocs(t *testing.T) {
-	const want = 9
+	const want = 8
 	gw := echoGateway(t)
 	payload := make([]byte, 64)
 	tmpl := httptest.NewRequest(http.MethodPost, "/v1/functions/echo/invoke", nil)
@@ -537,18 +538,20 @@ func TestGatewayServeAllocs(t *testing.T) {
 	for i := 0; i < 20000; i++ {
 		serve()
 	}
-	if got := testing.AllocsPerRun(2000, serve); got > want {
+	got := testing.AllocsPerRun(2000, serve)
+	t.Logf("ServeHTTP allocates %.1f allocs/op for a 64 B echo", got)
+	if got > want {
 		t.Fatalf("ServeHTTP allocates %.1f allocs/op for a 64 B echo, want <= %d", got, want)
 	}
 }
 
 // TestGatewayClientInvokeAllocs pins a whole Client.Invoke of 64 B over a
 // loopback keep-alive connection — client, net/http on both sides, server —
-// as the process-wide malloc count per call. It was 123 and measures 103;
+// as the process-wide malloc count per call. It was 123 and measures 102;
 // net/http's own share (MIME header parse, Header.Clone, transport channels)
-// is all but 14 of that, and the two spare are for its next release.
+// is all but 13 of that, and the two spare are for its next release.
 func TestGatewayClientInvokeAllocs(t *testing.T) {
-	const want = 105
+	const want = 104
 	c := loopbackClient(t, echoGateway(t))
 	payload := make([]byte, 64)
 	invoke := func() {
@@ -560,16 +563,21 @@ func TestGatewayClientInvokeAllocs(t *testing.T) {
 		invoke()
 	}
 	// AllocsPerRun counts every goroutine's mallocs: the server's are in.
-	if got := testing.AllocsPerRun(2000, invoke); got > want {
+	got := testing.AllocsPerRun(2000, invoke)
+	t.Logf("Client.Invoke allocates %.1f allocs/op for a 64 B echo over loopback", got)
+	if got > want {
 		t.Fatalf("Client.Invoke allocates %.1f allocs/op for a 64 B echo over loopback, want <= %d", got, want)
 	}
 }
 
 // TestGatewayBigEchoBytes bounds the bytes a 64 KiB echo round trip asks the
-// allocator for at 3x the payload: one buffer of the declared size where the
-// server reads the request, one where the client reads the response, and
-// net/http's 32 KiB copy buffer for the request body (2.6x in all), against
-// 9.4x when both sides grew io.ReadAll buffers from 512 B.
+// allocator for at 2x the payload. What is left is one buffer of the declared
+// size where the client reads the response — the caller's result, its to keep
+// — and net/http's 32 KiB copy buffer for the request body, which belongs to
+// the caller's http.Transport (1.7x in all). The server's buffer is borrowed
+// from the gateway's pool, bought once for requests served one after another
+// and not once each: it was the third piece of 2.6x, itself down from 9.4x
+// when both sides grew io.ReadAll buffers from 512 B.
 func TestGatewayBigEchoBytes(t *testing.T) {
 	const size, runs = 64 << 10, 200
 	c := loopbackClient(t, echoGateway(t))
@@ -588,8 +596,10 @@ func TestGatewayBigEchoBytes(t *testing.T) {
 		invoke()
 	}
 	runtime.ReadMemStats(&after)
-	if got := float64(after.TotalAlloc-before.TotalAlloc) / runs; got > 3*size {
-		t.Fatalf("64 KiB echo allocates %.0f B per round trip (%.1fx the payload), want <= 3x", got, got/size)
+	got := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("64 KiB echo allocates %.0f B per round trip (%.1fx the payload)", got, got/size)
+	if got > 2*size {
+		t.Fatalf("64 KiB echo allocates %.0f B per round trip (%.1fx the payload), want <= 2x", got, got/size)
 	}
 }
 

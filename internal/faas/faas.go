@@ -49,7 +49,10 @@ var (
 // and may use any platform service captured in its closure; its returned
 // bytes are the invocation result. The *Ctx is drawn from a platform-wide
 // pool and is recycled when the handler returns: handlers must not retain it
-// past return (copy the fields they need instead).
+// past return (copy the fields they need instead). The payload is the
+// caller's buffer, valid until the handler returns: a handler that keeps it
+// (or a sub-slice) copies it, and must not write past its length; the
+// returned bytes may alias it.
 type Handler func(ctx *Ctx, payload []byte) ([]byte, error)
 
 // Config parameterizes one registered function.

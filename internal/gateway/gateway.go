@@ -20,8 +20,9 @@
 // wire table in status.go; invocation metadata (cold, latency, billed
 // duration — all on the platform clock, so deterministic under the virtual
 // clock) travels in X-Taureau-* response headers beside the output. Bodies
-// are read once into a buffer of their declared size, and the output — one
-// []byte already — goes out under its Content-Length in a single write.
+// are read once into a buffer of their declared size — borrowed from bodyPool
+// by an un-keyed sync invoke, bought by every other request — and the output,
+// one []byte already, goes out under its Content-Length in a single write.
 //
 // Clock discipline: gateway handlers run on net/http goroutines the virtual
 // clock does not track. Each invoke therefore runs inside Clock.Join: under
@@ -188,17 +189,33 @@ func (g *Gateway) authed(h func(http.ResponseWriter, *http.Request, string)) htt
 	}
 }
 
+// bodyPool lends a body buffer to an un-keyed sync invoke, the one request
+// whose payload has a known end: faas hands it to the handler and nowhere
+// else, and by the time handleInvoke puts the buffer back the handler has
+// returned (faas.Handler: valid until then) and the output, which may alias
+// it, is written. A keyed invoke's output stays in the dedup window and an
+// async one's payload and result outlive the request, so neither draws from
+// it: a small body kept in a recycled large buffer would pin all of it.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
 // readBody reads the request body once, at its declared size, under the size
 // cap. A declared Content-Length over the cap is refused before a byte is
-// read; a body of unknown length is cut off by http.MaxBytesReader.
-func (g *Gateway) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+// read; a body of unknown length is cut off by http.MaxBytesReader. It reads
+// into *buf if that is large enough and leaves there the buffer to recycle;
+// a caller that recycles nothing passes new([]byte). Either way the body's
+// capacity is its length: what a recycled buffer holds past it (another
+// tenant's bytes; buffers are not zeroed) no reslice or append can reach.
+func (g *Gateway) readBody(w http.ResponseWriter, r *http.Request, buf *[]byte) ([]byte, error) {
 	tooLarge := func() error {
 		return fmt.Errorf("%w: request body exceeds %d bytes", faas.ErrPayloadSize, g.maxBody)
 	}
 	if r.ContentLength > g.maxBody {
 		return nil, tooLarge()
 	}
-	body, err := readAllSized(http.MaxBytesReader(w, r.Body, g.maxBody), r.ContentLength)
+	body, err := readAllSized(http.MaxBytesReader(w, r.Body, g.maxBody), r.ContentLength, *buf)
+	if cap(body) <= eagerBody {
+		*buf = body // else the one it outgrew is what goes back
+	}
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -206,40 +223,49 @@ func (g *Gateway) readBody(w http.ResponseWriter, r *http.Request) ([]byte, erro
 		}
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	return body, nil
+	return body[:len(body):len(body)], nil
 }
 
-// eagerBody is the largest declared length allocated before a byte arrives.
-// A Content-Length is a claim: past this size the buffer follows the bytes
-// that have actually come, so a stalled upload holds what it sent, not the
-// MaxBody it announced.
+// eagerBody is the largest declared length allocated before a byte arrives,
+// and the largest buffer bodyPool keeps. A Content-Length is a claim: past
+// this size the buffer follows the bytes that have actually come, so a
+// stalled upload holds what it sent, not the MaxBody it announced.
 const eagerBody = 1 << 20
 
-// readAllSized reads a body into a buffer that starts at its declared length
-// (512 B when that is negative: unknown; eagerBody when it is larger) and
-// grows as io.ReadAll's does, or by doubling up to the declared length. It
-// stops at the declared length, which net/http's bodies reach together with
-// their io.EOF, so a body up to eagerBody that keeps its word costs one
-// allocation and no copy. Buffers are not pooled: a handler's output may
-// alias its payload, and the dedup window retains outputs.
-func readAllSized(r io.Reader, declared int64) ([]byte, error) {
-	size := declared
-	if size < 0 {
+// readAllSized reads a body into a buffer of at least its declared length
+// (512 B when that is negative: unknown; eagerBody when it is larger): from,
+// when one that large is passed, else a new one of exactly that size. The
+// buffer grows as io.ReadAll's does, or by doubling up to the declared
+// length. It stops at the declared length, which net/http's bodies reach
+// together with their io.EOF, so a body up to eagerBody that keeps its word
+// costs one allocation, or none, and no copy.
+func readAllSized(r io.Reader, declared int64, from ...[]byte) ([]byte, error) {
+	size := min(declared, eagerBody)
+	if declared < 0 {
 		size = 512
 	}
-	b := make([]byte, 0, min(size, eagerBody))
+	var b []byte
+	if len(from) > 0 && int64(cap(from[0])) >= size {
+		b = from[0][:0]
+	} else {
+		b = make([]byte, 0, size)
+	}
 	for {
+		if int64(len(b)) == declared {
+			return b, nil
+		}
 		if len(b) == cap(b) {
-			switch {
-			case int64(len(b)) == declared:
-				return b, nil
-			case declared < 0:
+			if declared < 0 {
 				b = append(b, 0)[:len(b)]
-			default:
+			} else {
 				b = append(make([]byte, 0, min(2*int64(cap(b)), declared)), b...)
 			}
 		}
-		n, err := r.Read(b[len(b):cap(b)])
+		end := cap(b)
+		if declared >= 0 && declared < int64(end) {
+			end = int(declared)
+		}
+		n, err := r.Read(b[len(b):end])
 		b = b[:len(b)+n]
 		if err == io.EOF {
 			return b, nil
@@ -261,6 +287,10 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // maxNameLen bounds a registered function name.
 const maxNameLen = 128
 
+// maxIdemKeyLen bounds an Idempotency-Key: the dedup window holds the key,
+// with its result, for the function's DedupWindow.
+const maxIdemKeyLen = 256
+
 // maxPrewarm bounds the instances a spec may provision at registration, at
 // the concurrency limit a function gets by default: Register builds them
 // before it returns, so an unbounded count is memory for the asking.
@@ -268,7 +298,7 @@ const maxPrewarm = 1000
 
 // handleRegister deploys a function from its wire spec.
 func (g *Gateway) handleRegister(w http.ResponseWriter, r *http.Request, tenant string) {
-	body, err := g.readBody(w, r)
+	body, err := g.readBody(w, r, new([]byte))
 	if err != nil {
 		writeError(w, err)
 		return
@@ -429,13 +459,26 @@ func setResultHeaders(h http.Header, res *faas.Result) {
 	h["Content-Type"] = valOctetStream
 }
 
+// handleInvoke gives the body its owner: the key, read before a body byte,
+// decides whether the buffer is bodyPool's or the request's own.
 func (g *Gateway) handleInvoke(w http.ResponseWriter, r *http.Request, tenant string) {
-	payload, err := g.readBody(w, r)
+	idemKey := r.Header.Get("Idempotency-Key")
+	if len(idemKey) > maxIdemKeyLen {
+		writeError(w, fmt.Errorf("%w: Idempotency-Key must not exceed %d bytes", ErrBadRequest, maxIdemKeyLen))
+		return
+	}
+	buf := new([]byte) // on the stack: only lent reaches Put
+	if idemKey == "" {
+		lent := bodyPool.Get().(*[]byte)
+		defer bodyPool.Put(lent) // after the response is written, error envelope or output
+		buf = lent
+	}
+	payload, err := g.readBody(w, r, buf)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	res, err := g.runInvoke(tenant, r.PathValue("name"), payload, r.Header.Get("Idempotency-Key"))
+	res, err := g.runInvoke(tenant, r.PathValue("name"), payload, idemKey)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -446,7 +489,7 @@ func (g *Gateway) handleInvoke(w http.ResponseWriter, r *http.Request, tenant st
 }
 
 func (g *Gateway) handleInvokeAsync(w http.ResponseWriter, r *http.Request, tenant string) {
-	payload, err := g.readBody(w, r)
+	payload, err := g.readBody(w, r, new([]byte))
 	if err != nil {
 		writeError(w, err)
 		return
