@@ -245,8 +245,8 @@ func TestKeyedBodyPinsOnlyItself(t *testing.T) {
 		}
 		body := stamped(i, 64)
 		q := wireReq{token: "tok-a", key: fmt.Sprintf("key-%d", i), body: body}
-		if code, h, out := q.do(t, g); code != http.StatusOK || h.Get(hdrDeduped) != "" || !bytes.Equal(out, body) {
-			t.Fatalf("keyed echo %d: status %d, deduped %q, %d bytes", i, code, h.Get(hdrDeduped), len(out))
+		if code, h, out := q.do(t, g); code != http.StatusOK || resultOf(t, h).Deduped || !bytes.Equal(out, body) {
+			t.Fatalf("keyed echo %d: status %d, result %q, %d bytes", i, code, h.Get(hdrResult), len(out))
 		}
 	}
 	round(-1) // the window's map and the recorder's first buffers exist
@@ -261,8 +261,8 @@ func TestKeyedBodyPinsOnlyItself(t *testing.T) {
 	}
 	for _, i := range []int{0, keys / 2, keys - 1} {
 		q := wireReq{token: "tok-a", key: fmt.Sprintf("key-%d", i)}
-		if code, h, out := q.do(t, g); code != http.StatusOK || h.Get(hdrDeduped) != "true" || !bytes.Equal(out, stamped(i, 64)) {
-			t.Fatalf("replay of key %d: status %d, deduped %q, its own bytes: %v", i, code, h.Get(hdrDeduped), bytes.Equal(out, stamped(i, 64)))
+		if code, h, out := q.do(t, g); code != http.StatusOK || !resultOf(t, h).Deduped || !bytes.Equal(out, stamped(i, 64)) {
+			t.Fatalf("replay of key %d: status %d, result %q, its own bytes: %v", i, code, h.Get(hdrResult), bytes.Equal(out, stamped(i, 64)))
 		}
 	}
 }

@@ -2,28 +2,34 @@ package gateway
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/url"
-	"strconv"
 	"sync"
 	"time"
 
 	"repro/internal/billing"
 )
 
-// Client is a typed caller of the v1 API. The zero fields default sanely
-// (http.DefaultClient, no Block wrapper); BaseURL and Token are required, and
+// Client is a typed caller of the v1 API. BaseURL and Token are required, and
 // are read once, by the first call. A Client must not be copied after that.
+//
+// Of HTTP a call uses two fields: Transport, on which it sends the request
+// directly (http.DefaultTransport when HTTP or its Transport is nil), and
+// Timeout, which when set bounds the whole call, the body read included. Jar
+// and CheckRedirect are not consulted: the v1 API sets no cookie and issues no
+// redirect, so a 3xx is an *APIError like any other non-2xx, and http.Client.Do
+// is not paid to prepare for either on every request.
 //
 // Block, when set, wraps every HTTP round-trip. A driver goroutine tracked
 // by the virtual clock MUST set it to Virtual.Outside: the socket wait inside
-// Do is a wait on the world beyond the clock, which then holds virtual time
-// still while the request or the response is in flight and lets it move only
-// while the server side runs the invocation inside Clock.Join. Without it the
-// clock counts the client as runnable throughout and the simulation never
+// RoundTrip is a wait on the world beyond the clock, which then holds virtual
+// time still while the request or the response is in flight and lets it move
+// only while the server side runs the invocation inside Clock.Join. Without it
+// the clock counts the client as runnable throughout and the simulation never
 // advances. Real-clock callers leave it nil.
 type Client struct {
 	BaseURL string
@@ -38,7 +44,7 @@ type Client struct {
 }
 
 // InvokeResult is the client-side decoding of a sync invoke response: the
-// body plus the X-Taureau-* metadata headers. Latency and Billed are
+// body plus the X-Taureau-Result metadata header. Latency and Billed are
 // platform-clock figures — under a virtual clock, exact simulated durations.
 type InvokeResult struct {
 	Output    []byte
@@ -51,13 +57,6 @@ type InvokeResult struct {
 	Deduped   bool
 }
 
-func (c *Client) httpClient() *http.Client {
-	if c.HTTP != nil {
-		return c.HTTP
-	}
-	return http.DefaultClient
-}
-
 // call is everything one request allocates on the client's side of net/http,
 // in one piece: the request, its URL and body reader, the backing array of
 // its header values, and what the round trip returns.
@@ -67,22 +66,34 @@ type call struct {
 	url     url.URL
 	payload []byte
 	body    bytes.Reader
-	vals    [3]string // one header value each: Authorization, Content-Type, Idempotency-Key
+	vals    [4]string // one header value each: Authorization, Accept-Encoding, Content-Type, Idempotency-Key
 
 	resp *http.Response
 	out  []byte
 	err  error
 }
 
-// getBody is the request's GetBody: a fresh reader over the payload, for a
-// redirect or a retry on a keep-alive connection the server had closed.
+// getBody is the request's GetBody: a fresh reader over the payload, for the
+// Transport's retry on a keep-alive connection the server had closed.
 func (k *call) getBody() (io.ReadCloser, error) {
 	return io.NopCloser(bytes.NewReader(k.payload)), nil
 }
 
-// roundTrip sends the request and reads the whole response body.
+// roundTrip sends the request on the Transport and reads the whole response
+// body, both inside HTTP.Timeout when there is one.
 func (k *call) roundTrip() {
-	k.resp, k.err = k.c.httpClient().Do(&k.req)
+	rt, req := http.DefaultTransport, &k.req
+	if h := k.c.HTTP; h != nil {
+		if h.Transport != nil {
+			rt = h.Transport
+		}
+		if h.Timeout > 0 {
+			ctx, cancel := context.WithTimeout(context.Background(), h.Timeout)
+			defer cancel()
+			req = req.WithContext(ctx)
+		}
+	}
+	k.resp, k.err = rt.RoundTrip(req)
 	if k.err != nil {
 		return
 	}
@@ -90,11 +101,13 @@ func (k *call) roundTrip() {
 	k.out, k.err = readAllSized(k.resp.Body, k.resp.ContentLength)
 }
 
-// do runs one request and returns body and headers. path is unescaped: it is
-// assigned to URL.Path, so a name holding "?", "#", "%" or a space reaches the
-// server as that name. Non-2xx responses come back as (*APIError, nil body) so
-// errors.Is works against platform sentinels across the wire.
-func (c *Client) do(method, path, contentType, idemKey string, body []byte) ([]byte, http.Header, error) {
+// do runs one request and returns body and headers. The path is dir+name+verb
+// under BaseURL's own, joined here so that a call builds one path string. It
+// is unescaped: it is assigned to URL.Path, so a name holding "?", "#", "%" or
+// a space reaches the server as that name. Non-2xx responses — a 3xx too:
+// nothing under this follows a redirect — come back as (*APIError, nil body)
+// so errors.Is works against platform sentinels across the wire.
+func (c *Client) do(method, dir, name, verb, contentType, idemKey string, body []byte) ([]byte, http.Header, error) {
 	c.once.Do(func() {
 		u, err := url.Parse(c.BaseURL)
 		if err != nil {
@@ -108,7 +121,7 @@ func (c *Client) do(method, path, contentType, idemKey string, body []byte) ([]b
 	}
 
 	k := &call{c: c, url: c.base, payload: body}
-	k.url.Path += path
+	k.url.Path = c.base.Path + dir + name + verb
 	// The header is a fresh map per request: RoundTripper wrappers Set on it.
 	hdr, n := make(http.Header, len(k.vals)), 0
 	set := func(key, v string) {
@@ -117,6 +130,9 @@ func (c *Client) do(method, path, contentType, idemKey string, body []byte) ([]b
 		n++
 	}
 	set("Authorization", c.bearer)
+	// Function output is opaque bytes the gateway never compresses; saying so
+	// spares the Transport its own gzip negotiation on every request.
+	set("Accept-Encoding", "identity")
 	if contentType != "" {
 		set("Content-Type", contentType)
 	}
@@ -140,9 +156,9 @@ func (c *Client) do(method, path, contentType, idemKey string, body []byte) ([]b
 		k.roundTrip()
 	}
 	if k.err != nil {
-		return nil, nil, k.err
+		return nil, nil, fmt.Errorf("gateway client: %s %s: %w", method, k.url.Path, k.err)
 	}
-	if k.resp.StatusCode >= 400 {
+	if k.resp.StatusCode < 200 || k.resp.StatusCode > 299 {
 		return nil, k.resp.Header, decodeError(k.resp.StatusCode, k.out)
 	}
 	return k.out, k.resp.Header, nil
@@ -154,41 +170,34 @@ func (c *Client) Register(spec FunctionSpec) error {
 	if err != nil {
 		return err
 	}
-	_, _, err = c.do(http.MethodPost, "/v1/functions", "application/json", "", body)
+	_, _, err = c.do(http.MethodPost, "/v1/functions", "", "", "application/json", "", body)
 	return err
 }
 
 // Invoke runs a function synchronously and decodes the result metadata from
-// the response headers.
+// the response's X-Taureau-Result header; a 200 without a well-formed one is
+// an error, not a zero result.
 func (c *Client) Invoke(name string, payload []byte) (InvokeResult, error) {
 	return c.InvokeIdem(name, "", payload)
 }
 
 // InvokeIdem is Invoke carrying an idempotency key.
 func (c *Client) InvokeIdem(name, idemKey string, payload []byte) (InvokeResult, error) {
-	body, respHdr, err := c.do(http.MethodPost, "/v1/functions/"+name+"/invoke", octetStream, idemKey, payload)
+	body, respHdr, err := c.do(http.MethodPost, "/v1/functions/", name, "/invoke", octetStream, idemKey, payload)
 	if err != nil {
 		return InvokeResult{}, err
 	}
-	parseI := func(key string) int64 {
-		v, _ := strconv.ParseInt(respHdr.Get(key), 10, 64)
-		return v
+	res, ok := parseResult(respHdr.Get(hdrResult))
+	if !ok {
+		return InvokeResult{}, fmt.Errorf("gateway client: bad result header %q", respHdr.Get(hdrResult))
 	}
-	return InvokeResult{
-		Output:    body,
-		Cold:      respHdr.Get(hdrCold) == "true",
-		Latency:   time.Duration(parseI(hdrLatencyNs)),
-		Billed:    time.Duration(parseI(hdrBilledNs)),
-		RequestID: parseI(hdrRequestID),
-		TraceID:   parseI(hdrTraceID),
-		Attempt:   int(parseI(hdrAttempt)),
-		Deduped:   respHdr.Get(hdrDeduped) == "true",
-	}, nil
+	res.Output = body
+	return res, nil
 }
 
 // InvokeAsync submits an invocation and returns its id for polling.
 func (c *Client) InvokeAsync(name string, payload []byte) (string, error) {
-	body, _, err := c.do(http.MethodPost, "/v1/functions/"+name+"/invoke-async", octetStream, "", payload)
+	body, _, err := c.do(http.MethodPost, "/v1/functions/", name, "/invoke-async", octetStream, "", payload)
 	if err != nil {
 		return "", err
 	}
@@ -203,7 +212,7 @@ func (c *Client) InvokeAsync(name string, payload []byte) (string, error) {
 
 // Invocation polls one async invocation's status.
 func (c *Client) Invocation(id string) (InvocationStatus, error) {
-	body, _, err := c.do(http.MethodGet, "/v1/invocations/"+id, "", "", nil)
+	body, _, err := c.do(http.MethodGet, "/v1/invocations/", id, "", "", "", nil)
 	if err != nil {
 		return InvocationStatus{}, err
 	}
@@ -216,7 +225,7 @@ func (c *Client) Invocation(id string) (InvocationStatus, error) {
 
 // List returns this tenant's functions.
 func (c *Client) List() ([]FunctionSummary, error) {
-	body, _, err := c.do(http.MethodGet, "/v1/functions", "", "", nil)
+	body, _, err := c.do(http.MethodGet, "/v1/functions", "", "", "", "", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -231,13 +240,13 @@ func (c *Client) List() ([]FunctionSummary, error) {
 
 // Delete unregisters a function.
 func (c *Client) Delete(name string) error {
-	_, _, err := c.do(http.MethodDelete, "/v1/functions/"+name, "", "", nil)
+	_, _, err := c.do(http.MethodDelete, "/v1/functions/", name, "", "", "", nil)
 	return err
 }
 
 // Invoice fetches the tenant's priced usage.
 func (c *Client) Invoice(tenant string) (billing.Invoice, error) {
-	body, _, err := c.do(http.MethodGet, "/v1/tenants/"+tenant+"/invoice", "", "", nil)
+	body, _, err := c.do(http.MethodGet, "/v1/tenants/", tenant, "/invoice", "", "", nil)
 	if err != nil {
 		return billing.Invoice{}, err
 	}

@@ -3,11 +3,15 @@ package gateway
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/faas"
 )
 
 // FuzzRegisterRequest: POST /v1/functions is where outside bytes reach two
@@ -65,6 +69,77 @@ func FuzzRegisterRequest(f *testing.F) {
 		}
 		if fns := gw.p.Tenant(tenant).Functions(); len(fns) != 0 {
 			t.Fatalf("status %d but the tenant has functions %+v", rec.Code, fns)
+		}
+	})
+}
+
+// FuzzResultHeader: X-Taureau-Result is formatted by the gateway and parsed
+// from outside bytes by the client, by one function each. Any faas.Result
+// formats to a value that parses back to the same seven fields; arbitrary
+// bytes never panic the parser, and whatever it accepts formats to the
+// canonical value, which parses to the same again. The seeds pin the grammar:
+// members in any order and unknown integer or boolean members are accepted; a
+// missing, repeated, empty, mistyped or overflowing one is refused.
+func FuzzResultHeader(f *testing.F) {
+	const canonical = "request-id=812, attempt=1, latency-ns=1042, billed-ns=1000000, trace-id=4411, cold=?0, deduped=?1"
+	want := InvokeResult{RequestID: 812, Attempt: 1, Latency: 1042, Billed: time.Millisecond, TraceID: 4411, Deduped: true}
+	for _, seed := range []struct {
+		raw string
+		ok  bool
+	}{
+		{canonical, true},
+		{"deduped=?1, cold=?0, trace-id=4411, billed-ns=1000000, latency-ns=1042, attempt=1, request-id=812", true},
+		{"request-id=812,attempt=1,\tlatency-ns=1042 ,  billed-ns=1000000,trace-id=4411,cold=?0,deduped=?1", true},
+		{"region=3, " + canonical + ", throttled=?0, queue-ns=-7", true},
+		{"request-id=0812, attempt=01, latency-ns=1042, billed-ns=1000000, trace-id=4411, cold=?0, deduped=?1", true},
+		{"", false},
+		{"request-id=812", false},
+		{canonical + ", attempt=1", false},     // repeated
+		{canonical + ",", false},               // empty member
+		{canonical + ", =1", false},            // empty key
+		{canonical + ", note=\"a, b\"", false}, // not an integer or a boolean
+		{canonical + ", flag", false},          // a bare key
+		{canonical + ";v=2", false},            // parameters
+		{"request-id=, attempt=1, latency-ns=1042, billed-ns=1000000, trace-id=4411, cold=?0, deduped=?1", false},
+		{"request-id=812, attempt=1, latency-ns=abc, billed-ns=1000000, trace-id=4411, cold=?0, deduped=?1", false},
+		{"request-id=+812, attempt=1, latency-ns=1042, billed-ns=1000000, trace-id=4411, cold=?0, deduped=?1", false},
+		{"request-id=9223372036854775808, attempt=1, latency-ns=1042, billed-ns=1000000, trace-id=4411, cold=?0, deduped=?1", false},
+		{"request-id=812, attempt=1, latency-ns=1042, billed-ns=1000000, trace-id=4411, cold=0, deduped=?1", false},
+		{"request-id=?1, attempt=1, latency-ns=1042, billed-ns=1000000, trace-id=4411, cold=?0, deduped=?1", false},
+		{"request-id=812, attempt=1, latency-ns=1042, billed-ns=1000000, trace-id=4411, cold=?2, deduped=?1", false},
+		{"request-id=812, attempt=1, latency-ns=1042, billed-ns=1000000, trace-id=4411, cold=?0, deduped=true", false},
+	} {
+		got, ok := parseResult(seed.raw)
+		if ok != seed.ok || (ok && !reflect.DeepEqual(got, want)) {
+			f.Errorf("parseResult(%q) = %+v, %v; want %+v, %v", seed.raw, got, ok, want, seed.ok)
+		}
+		f.Add(seed.raw, int64(812), int64(1042), int64(1000000), int64(4411), 1, false, true)
+	}
+	f.Add(canonical, int64(math.MaxInt64), int64(math.MinInt64), int64(-1), int64(0), math.MaxInt32, true, true)
+
+	f.Fuzz(func(t *testing.T, raw string, requestID, latency, billed, traceID int64, attempt int, cold, deduped bool) {
+		res := faas.Result{
+			RequestID: requestID, Attempt: attempt, Latency: time.Duration(latency), Billed: time.Duration(billed),
+			TraceID: traceID, Cold: cold, Deduped: deduped,
+		}
+		value := string(appendResult(nil, &res))
+		got, ok := parseResult(value)
+		if want := (InvokeResult{RequestID: requestID, Attempt: attempt, Latency: res.Latency, Billed: res.Billed, TraceID: traceID, Cold: cold, Deduped: deduped}); !ok || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%+v formats to %q, which parses to %+v, %v", res, value, got, ok)
+		}
+
+		got, ok = parseResult(raw)
+		if !ok {
+			return
+		}
+		res = faas.Result{
+			RequestID: got.RequestID, Attempt: got.Attempt, Latency: got.Latency, Billed: got.Billed,
+			TraceID: got.TraceID, Cold: got.Cold, Deduped: got.Deduped,
+		}
+		value = string(appendResult(nil, &res))
+		again, ok := parseResult(value)
+		if !ok || !reflect.DeepEqual(again, got) {
+			t.Fatalf("%q parses to %+v, which formats to %q, which parses to %+v, %v", raw, got, value, again, ok)
 		}
 	})
 }

@@ -19,10 +19,11 @@
 // Every error is a JSON envelope with a machine-readable code drawn from the
 // wire table in status.go; invocation metadata (cold, latency, billed
 // duration — all on the platform clock, so deterministic under the virtual
-// clock) travels in X-Taureau-* response headers beside the output. Bodies
-// are read once into a buffer of their declared size — borrowed from bodyPool
-// by an un-keyed sync invoke, bought by every other request — and the output,
-// one []byte already, goes out under its Content-Length in a single write.
+// clock) travels in one structured response header, X-Taureau-Result, beside
+// the output. Bodies are read once into a buffer of their declared size —
+// borrowed from bodyPool by an un-keyed sync invoke, bought by every other
+// request — and the output, one []byte already, goes out under its
+// Content-Length in a single write.
 //
 // Clock discipline: gateway handlers run on net/http goroutines the virtual
 // clock does not track. Each invoke therefore runs inside Clock.Join: under
@@ -42,6 +43,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -200,10 +202,11 @@ var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // readBody reads the request body once, at its declared size, under the size
 // cap. A declared Content-Length over the cap is refused before a byte is
-// read; a body of unknown length is cut off by http.MaxBytesReader. It reads
-// into *buf if that is large enough and leaves there the buffer to recycle;
-// a caller that recycles nothing passes new([]byte). Either way the body's
-// capacity is its length: what a recycled buffer holds past it (another
+// read, and one under it needs no second guard: net/http ends the body at its
+// declared length. A body of unknown length is cut off by http.MaxBytesReader.
+// It reads into *buf if that is large enough and leaves there the buffer to
+// recycle; a caller that recycles nothing passes new([]byte). Either way the
+// body's capacity is its length: what a recycled buffer holds past it (another
 // tenant's bytes; buffers are not zeroed) no reslice or append can reach.
 func (g *Gateway) readBody(w http.ResponseWriter, r *http.Request, buf *[]byte) ([]byte, error) {
 	tooLarge := func() error {
@@ -212,7 +215,11 @@ func (g *Gateway) readBody(w http.ResponseWriter, r *http.Request, buf *[]byte) 
 	if r.ContentLength > g.maxBody {
 		return nil, tooLarge()
 	}
-	body, err := readAllSized(http.MaxBytesReader(w, r.Body, g.maxBody), r.ContentLength, *buf)
+	src := r.Body
+	if r.ContentLength < 0 {
+		src = http.MaxBytesReader(w, src, g.maxBody)
+	}
+	body, err := readAllSized(src, r.ContentLength, *buf)
 	if cap(body) <= eagerBody {
 		*buf = body // else the one it outgrew is what goes back
 	}
@@ -396,66 +403,101 @@ func (g *Gateway) runInvoke(tenant, name string, payload []byte, idemKey string)
 	return out.res, out.err
 }
 
-// Result metadata headers on sync invoke responses. Values are platform-
-// clock durations in nanoseconds — under the virtual clock they are exact
-// simulated figures, independent of wall time. The names are in canonical
-// form: setResultHeaders stores them without http.Header.Set's rewrite.
-const (
-	hdrRequestID = "X-Taureau-Request-Id"
-	hdrCold      = "X-Taureau-Cold"
-	hdrLatencyNs = "X-Taureau-Latency-Ns"
-	hdrBilledNs  = "X-Taureau-Billed-Ns"
-	hdrAttempt   = "X-Taureau-Attempt"
-	hdrTraceID   = "X-Taureau-Trace-Id"
-	hdrDeduped   = "X-Taureau-Deduped"
-)
+// hdrResult carries a sync invoke's metadata beside the output: an RFC 8941
+// dictionary of resultKeys in that order, integers bare and booleans ?0/?1,
+//
+//	request-id=812, attempt=1, latency-ns=1042, billed-ns=1000000, trace-id=4411, cold=?0, deduped=?0
+//
+// One header, because net/http charges by the header: formatted and cloned on
+// the way out, parsed and — the name being no common one — canonicalised into
+// a new string on the way in. The durations are platform-clock nanoseconds:
+// under the virtual clock exact simulated figures, independent of wall time.
+// Integers span int64, wider than RFC 8941's 15 digits: ids are counters.
+const hdrResult = "X-Taureau-Result"
+
+var resultKeys = [...]string{"request-id", "attempt", "latency-ns", "billed-ns", "trace-id", "cold", "deduped"}
+
+const firstBoolKey = 5 // resultKeys from here on are booleans
+
+// appendResult formats res's metadata as the value of hdrResult.
+func appendResult(b []byte, res *faas.Result) []byte {
+	vals := [len(resultKeys)]int64{res.RequestID, int64(res.Attempt), res.Latency.Nanoseconds(), res.Billed.Nanoseconds(), res.TraceID}
+	if res.Cold {
+		vals[firstBoolKey] = 1
+	}
+	if res.Deduped {
+		vals[firstBoolKey+1] = 1
+	}
+	for i, key := range resultKeys {
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = append(append(b, key...), '=')
+		if i >= firstBoolKey {
+			b = append(b, '?')
+		}
+		b = strconv.AppendInt(b, vals[i], 10)
+	}
+	return b
+}
+
+// parseResult decodes a value of hdrResult without allocating. Members may
+// come in any order, and one under a key not in resultKeys is skipped once its
+// value reads as an integer or a boolean: a field added later breaks no
+// client. A value that is not a dictionary of those two types, or that lacks
+// or repeats one of resultKeys or gives it the other type, does not parse.
+func parseResult(s string) (InvokeResult, bool) {
+	var vals [len(resultKeys)]int64
+	seen := 0
+	for more := true; more; {
+		var member string
+		member, s, more = strings.Cut(s, ",")
+		key, val, _ := strings.Cut(strings.Trim(member, " \t"), "=")
+		isBool := val == "?0" || val == "?1"
+		if isBool {
+			val = val[1:]
+		}
+		v, err := strconv.ParseInt(val, 10, 64)
+		if err != nil || val[0] == '+' || key == "" {
+			return InvokeResult{}, false
+		}
+		i := slices.Index(resultKeys[:], key)
+		if i < 0 {
+			continue // a member newer than this client
+		}
+		if seen&(1<<i) != 0 || isBool != (i >= firstBoolKey) {
+			return InvokeResult{}, false
+		}
+		seen |= 1 << i
+		vals[i] = v
+	}
+	if seen != 1<<len(resultKeys)-1 {
+		return InvokeResult{}, false
+	}
+	return InvokeResult{
+		RequestID: vals[0], Attempt: int(vals[1]), Latency: time.Duration(vals[2]), Billed: time.Duration(vals[3]),
+		TraceID: vals[4], Cold: vals[5] == 1, Deduped: vals[6] == 1,
+	}, true
+}
 
 const octetStream = "application/octet-stream"
 
-// Header values every response shares; nothing writes through them.
-var (
-	valTrue        = []string{"true"}
-	valFalse       = []string{"false"}
-	valOctetStream = []string{octetStream}
-)
+// The Content-Type every sync invoke response shares; nothing writes through it.
+var valOctetStream = []string{octetStream}
 
 // setResultHeaders writes the metadata, Content-Type and Content-Length of a
 // sync invoke response (the output is one []byte, so its length is known).
-// The six numbers are formatted into one stack buffer and converted once;
-// each header's value is a sub-string of that, held in a one-element window
-// of one backing array: two allocations for the lot.
+// Both values are formatted into one stack buffer and converted once; each is
+// a sub-string of that, held in a one-element window of one backing array:
+// two allocations for the lot.
 func setResultHeaders(h http.Header, res *faas.Result) {
-	nums := [...]struct {
-		key string
-		v   int64
-	}{
-		{hdrRequestID, res.RequestID},
-		{hdrLatencyNs, res.Latency.Nanoseconds()},
-		{hdrBilledNs, res.Billed.Nanoseconds()},
-		{hdrAttempt, int64(res.Attempt)},
-		{hdrTraceID, res.TraceID},
-		{"Content-Length", int64(len(res.Output))},
-	}
-	var buf [len(nums) * 20]byte // an int64 prints in at most 20 bytes
-	var end [len(nums)]int
-	b := buf[:0]
-	for i, n := range nums {
-		b = strconv.AppendInt(b, n.v, 10)
-		end[i] = len(b)
-	}
-	all, vals, start := string(b), make([]string, len(nums)), 0
-	for i, n := range nums {
-		vals[i] = all[start:end[i]]
-		h[n.key] = vals[i : i+1 : i+1]
-		start = end[i]
-	}
-	h[hdrCold] = valFalse
-	if res.Cold {
-		h[hdrCold] = valTrue
-	}
-	if res.Deduped {
-		h[hdrDeduped] = valTrue
-	}
+	var buf [200]byte // 78 bytes of keys and booleans, six int64s of at most 20 each
+	b := appendResult(buf[:0], res)
+	n := len(b)
+	b = strconv.AppendInt(b, int64(len(res.Output)), 10)
+	all, vals := string(b), make([]string, 2)
+	vals[0], vals[1] = all[:n], all[n:]
+	h[hdrResult], h["Content-Length"] = vals[0:1:1], vals[1:2:2]
 	h["Content-Type"] = valOctetStream
 }
 

@@ -9,6 +9,9 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
+	"slices"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -213,12 +216,53 @@ func TestCrossTenantUnprobeable(t *testing.T) {
 	}
 }
 
-// TestInvokeWireShape: a raw http.Client (not gateway.Client — the wire must
-// not have moved for anyone) sees, for an empty, a small and a multi-buffer
-// output, Content-Length == len(output), no Transfer-Encoding, the exact body,
-// and the seven X-Taureau-* headers under their canonical names; a replayed
-// Idempotency-Key answers with the same bytes plus X-Taureau-Deduped. The
-// typed Client decodes the same response to the same values.
+// resultOf decodes a response's X-Taureau-Result header.
+func resultOf(t *testing.T, h http.Header) InvokeResult {
+	t.Helper()
+	res, ok := parseResult(h.Get(hdrResult))
+	if !ok {
+		t.Fatalf("%s = %q does not parse", hdrResult, h.Get(hdrResult))
+	}
+	return res
+}
+
+// TestResultHeaderAllocs: the header is charged once a side — the gateway's
+// two allocations hold both of its values, and the client's scan makes none.
+func TestResultHeaderAllocs(t *testing.T) {
+	res := faas.Result{RequestID: 1 << 40, Attempt: 1, Latency: time.Hour, Billed: time.Hour, TraceID: 1 << 50, Cold: true, Output: make([]byte, 64)}
+	h := http.Header{}
+	if got := testing.AllocsPerRun(100, func() { setResultHeaders(h, &res) }); got > 2 {
+		t.Errorf("setResultHeaders allocates %.0f times, want 2", got)
+	}
+	value := h.Get(hdrResult)
+	if got := testing.AllocsPerRun(100, func() {
+		if _, ok := parseResult(value); !ok {
+			t.Fatalf("%q does not parse", value)
+		}
+	}); got != 0 {
+		t.Errorf("parseResult allocates %.0f times, want 0", got)
+	}
+}
+
+// headerNames lists h's keys, sorted.
+func headerNames(h http.Header) []string {
+	names := make([]string, 0, len(h))
+	for k := range h {
+		names = append(names, k)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// TestInvokeWireShape is the wire contract of a sync invoke, as a whitelist: a
+// header added in either direction fails here and becomes a reviewed line.
+// A raw http.Client (not gateway.Client) sees, for an empty, a small and a
+// multi-buffer output, Content-Length == len(output), no Transfer-Encoding, the
+// exact body, and exactly four headers, the metadata all in X-Taureau-Result
+// in its canonical order; a replayed Idempotency-Key answers with the same
+// bytes, deduped=?1, the original's cold flag and a request id of its own. The
+// typed Client decodes the same response to the same values, and what it sends
+// is exactly five headers, six when keyed.
 func TestInvokeWireShape(t *testing.T) {
 	p, srv := newRealGateway(t, nil)
 	echo := func(ctx *faas.Ctx, in []byte) ([]byte, error) { return in, nil }
@@ -226,10 +270,8 @@ func TestInvokeWireShape(t *testing.T) {
 	if err := p.Tenant("alpha").Register("shape", echo, cfg); err != nil {
 		t.Fatal(err)
 	}
-	for _, h := range []string{hdrRequestID, hdrCold, hdrLatencyNs, hdrBilledNs, hdrAttempt, hdrTraceID, hdrDeduped} {
-		if h != http.CanonicalHeaderKey(h) {
-			t.Errorf("header %q is not canonical; setResultHeaders stores it as written", h)
-		}
+	if hdrResult != http.CanonicalHeaderKey(hdrResult) {
+		t.Errorf("header %q is not canonical; setResultHeaders stores it as written", hdrResult)
 	}
 	invoke := func(payload []byte, idemKey string) (*http.Response, []byte) {
 		t.Helper()
@@ -252,55 +294,48 @@ func TestInvokeWireShape(t *testing.T) {
 		}
 		return resp, body
 	}
-	positive := func(resp *http.Response, key string) int64 {
+	wantNames := []string{"Content-Length", "Content-Type", "Date", hdrResult}
+	canonical := regexp.MustCompile(`^request-id=[1-9][0-9]*, attempt=1, latency-ns=[1-9][0-9]*, billed-ns=[1-9][0-9]*, trace-id=[1-9][0-9]*, cold=\?[01], deduped=\?[01]$`)
+	// check holds one response to the whitelist and returns its metadata.
+	check := func(what string, resp *http.Response, body, payload []byte, cold, deduped bool) InvokeResult {
 		t.Helper()
-		v, err := strconv.ParseInt(resp.Header.Get(key), 10, 64)
-		if err != nil || v <= 0 {
-			t.Errorf("%s = %q, want a positive integer", key, resp.Header.Get(key))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", what, resp.StatusCode)
 		}
-		return v
+		if resp.ContentLength != int64(len(payload)) || len(resp.TransferEncoding) != 0 {
+			t.Errorf("%s: Content-Length %d, Transfer-Encoding %v; want %d and none", what, resp.ContentLength, resp.TransferEncoding, len(payload))
+		}
+		if !bytes.Equal(body, payload) {
+			t.Errorf("%s: body mismatch (%d bytes back)", what, len(body))
+		}
+		if got := headerNames(resp.Header); !slices.Equal(got, wantNames) {
+			t.Errorf("%s: response headers %v, want exactly %v", what, got, wantNames)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != "application/octet-stream" {
+			t.Errorf("%s: Content-Type %q", what, ct)
+		}
+		if vs := resp.Header[hdrResult]; len(vs) != 1 || !canonical.MatchString(vs[0]) {
+			t.Errorf("%s: %s = %q, want one value in the canonical order", what, hdrResult, vs)
+		}
+		res := resultOf(t, resp.Header)
+		if res.Cold != cold || res.Deduped != deduped || res.Attempt != 1 ||
+			res.RequestID <= 0 || res.Latency <= 0 || res.Billed <= 0 || res.TraceID <= 0 {
+			t.Errorf("%s: metadata %+v, want cold %v, deduped %v, attempt 1 and positive ids and durations", what, res, cold, deduped)
+		}
+		return res
 	}
 
 	for i, size := range []int{0, 64, 3*(32<<10) + 1} {
 		payload := bytes.Repeat([]byte("chunky"), size/6+1)[:size]
 		key := fmt.Sprintf("key-%d", size)
 		resp, body := invoke(payload, key)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%d B: status %d", size, resp.StatusCode)
-		}
-		if resp.ContentLength != int64(size) || len(resp.TransferEncoding) != 0 {
-			t.Errorf("%d B: Content-Length %d, Transfer-Encoding %v; want %d and none", size, resp.ContentLength, resp.TransferEncoding, size)
-		}
-		if !bytes.Equal(body, payload) {
-			t.Errorf("%d B: body mismatch (%d bytes back)", size, len(body))
-		}
-		if ct := resp.Header.Get("Content-Type"); ct != "application/octet-stream" {
-			t.Errorf("%d B: Content-Type %q", size, ct)
-		}
-		id := positive(resp, hdrRequestID)
-		positive(resp, hdrLatencyNs)
-		positive(resp, hdrBilledNs)
-		positive(resp, hdrTraceID)
-		if got, want := resp.Header.Get(hdrCold), strconv.FormatBool(i == 0); got != want {
-			t.Errorf("%d B: %s = %q, want %q", size, hdrCold, got, want)
-		}
-		if got := resp.Header.Get(hdrAttempt); got != "1" {
-			t.Errorf("%d B: %s = %q, want 1", size, hdrAttempt, got)
-		}
-		if _, ok := resp.Header[hdrDeduped]; ok {
-			t.Errorf("%d B: first use of a key came back deduped", size)
-		}
+		first := check(fmt.Sprintf("%d B", size), resp, body, payload, i == 0, false)
 
-		replay, body := invoke(payload, key)
-		if replay.Header.Get(hdrDeduped) != "true" || !bytes.Equal(body, payload) || replay.ContentLength != int64(size) {
-			t.Errorf("%d B: replay deduped=%q, %d bytes, Content-Length %d", size, replay.Header.Get(hdrDeduped), len(body), replay.ContentLength)
-		}
 		// A replay is a request of its own answered with the original's result.
-		if got := positive(replay, hdrRequestID); got <= id {
-			t.Errorf("%d B: replay request id %d, want one after the original's %d", size, got, id)
-		}
-		if got, want := replay.Header.Get(hdrCold), strconv.FormatBool(i == 0); got != want {
-			t.Errorf("%d B: replay %s = %q, want the original's %q", size, hdrCold, got, want)
+		resp, body = invoke(payload, key)
+		replay := check(fmt.Sprintf("%d B replay", size), resp, body, payload, i == 0, true)
+		if replay.RequestID <= first.RequestID || replay.Latency != first.Latency || replay.Billed != first.Billed {
+			t.Errorf("%d B: replay %+v of %+v; want a later request id and the original's durations", size, replay, first)
 		}
 
 		c := &Client{BaseURL: srv.URL, Token: "tok-a"}
@@ -308,10 +343,49 @@ func TestInvokeWireShape(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(res.Output, payload) || !res.Deduped || res.Cold != (i == 0) || res.RequestID <= id ||
-			res.Attempt != 1 || res.Latency <= 0 || res.Billed <= 0 || res.TraceID <= 0 {
+		if !bytes.Equal(res.Output, payload) || !res.Deduped || res.Cold != (i == 0) || res.RequestID <= replay.RequestID ||
+			res.Attempt != 1 || res.Latency != first.Latency || res.Billed != first.Billed || res.TraceID <= 0 {
 			res.Output = nil
 			t.Errorf("%d B: Client decoded %+v", size, res)
+		}
+	}
+}
+
+// TestClientRequestHeaders is the other direction of the whitelist: a
+// recording server sees from Client.Invoke exactly Authorization, Content-Type,
+// Content-Length, User-Agent and Accept-Encoding: identity — the API compresses
+// nothing, and saying so keeps the Transport from asking for gzip — plus
+// Idempotency-Key from InvokeIdem.
+func TestClientRequestHeaders(t *testing.T) {
+	seen := make(chan http.Header, 1)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		seen <- r.Header.Clone()
+		setResultHeaders(w.Header(), &faas.Result{RequestID: 1, Attempt: 1})
+	}))
+	defer srv.Close()
+	c := &Client{BaseURL: srv.URL, Token: "tok-a"}
+	want := []string{"Accept-Encoding", "Authorization", "Content-Length", "Content-Type", "User-Agent"}
+	for _, key := range []string{"", "k1"} {
+		for _, size := range []int{0, 64} {
+			if _, err := c.InvokeIdem("f", key, make([]byte, size)); err != nil {
+				t.Fatal(err)
+			}
+			got, names := <-seen, want
+			if key != "" {
+				names = append(slices.Clone(want), "Idempotency-Key")
+				sort.Strings(names)
+			}
+			if !slices.Equal(headerNames(got), names) {
+				t.Errorf("key %q, %d B: request headers %v, want exactly %v", key, size, headerNames(got), names)
+			}
+			for name, v := range map[string]string{
+				"Accept-Encoding": "identity", "Authorization": "Bearer tok-a", "Content-Type": octetStream,
+				"Content-Length": strconv.Itoa(size), "Idempotency-Key": key,
+			} {
+				if got.Get(name) != v || len(got[name]) > 1 {
+					t.Errorf("key %q, %d B: %s = %q, want %q", key, size, name, got[name], v)
+				}
+			}
 		}
 	}
 }
@@ -431,6 +505,60 @@ func TestDeclaredOversizeRefusedUnread(t *testing.T) {
 		if env := decodeEnvelope(t, rec.Result()); env.Error.Code != "payload_too_large" {
 			t.Errorf("%s: code %q, want payload_too_large", path, env.Error.Code)
 		}
+	}
+}
+
+// TestChunkedBodyStillCapped: MaxBytesReader now guards only the body whose
+// length nobody declared, and there it still does: a chunked upload one byte
+// over MaxBody is 413 payload_too_large on every route that takes a body, and
+// nothing is registered or invoked.
+func TestChunkedBodyStillCapped(t *testing.T) {
+	p := core.New(core.Options{})
+	if err := p.Tenant("alpha").Register("f", func(ctx *faas.Ctx, in []byte) ([]byte, error) { return in, nil }, faas.Config{}); err != nil {
+		t.Fatal(err)
+	}
+	gw := New(p, Config{Tokens: map[string]string{"tok-a": "alpha"}, MaxBody: 256})
+	for _, path := range []string{"/v1/functions", "/v1/functions/f/invoke", "/v1/functions/f/invoke-async"} {
+		for _, tc := range []struct{ size, want int }{{256, 0}, {257, http.StatusRequestEntityTooLarge}} {
+			req := httptest.NewRequest(http.MethodPost, path, iotest.OneByteReader(bytes.NewReader(make([]byte, tc.size))))
+			req.ContentLength = -1
+			req.Header.Set("Authorization", "Bearer tok-a")
+			rec := httptest.NewRecorder()
+			gw.ServeHTTP(rec, req)
+			if tc.want == 0 {
+				// At the cap the body is read whole: a register of 256 zero bytes
+				// is bad JSON (400), an invoke of them runs.
+				if rec.Code == http.StatusRequestEntityTooLarge {
+					t.Errorf("%s, %d B chunked: 413 at the cap", path, tc.size)
+				}
+				continue
+			}
+			if rec.Code != tc.want {
+				t.Errorf("%s, %d B chunked: status %d, want %d", path, tc.size, rec.Code, tc.want)
+				continue
+			}
+			if env := decodeEnvelope(t, rec.Result()); env.Error.Code != "payload_too_large" {
+				t.Errorf("%s, %d B chunked: code %q, want payload_too_large", path, tc.size, env.Error.Code)
+			}
+		}
+	}
+	// The two bodies at the cap ran, one sync and one async; no oversize one did.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		st, err := p.Tenant("alpha").Stats("f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Invocations == 2 || time.Now().After(deadline) {
+			if st.Invocations != 2 {
+				t.Errorf("%d invocations, want the 2 at the cap", st.Invocations)
+			}
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if fns := p.Tenant("alpha").Functions(); len(fns) != 1 {
+		t.Errorf("functions %+v, want only f", fns)
 	}
 }
 

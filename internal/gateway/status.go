@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"time"
 
 	"repro/internal/errs"
 	"repro/internal/faas"
@@ -141,6 +142,9 @@ type APIError struct {
 	Status  int
 	Code    string
 	Message string
+	// RetryAfter is the server's back-off hint on throttle-class errors
+	// (the envelope's retry_after_ms); zero when it sent none.
+	RetryAfter time.Duration
 }
 
 // Error renders the wire error.
@@ -164,5 +168,8 @@ func decodeError(status int, body []byte) *APIError {
 	if err := json.Unmarshal(body, &env); err != nil || env.Error.Code == "" {
 		return &APIError{Status: status, Code: "internal", Message: string(body)}
 	}
-	return &APIError{Status: status, Code: env.Error.Code, Message: env.Error.Message}
+	return &APIError{
+		Status: status, Code: env.Error.Code, Message: env.Error.Message,
+		RetryAfter: time.Duration(env.Error.RetryAfterMs) * time.Millisecond,
+	}
 }

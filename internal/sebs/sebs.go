@@ -7,7 +7,7 @@
 //
 // Everything runs on the virtual clock, so the report is deterministic: the
 // latency figures are exact simulated durations carried back in the
-// gateway's X-Taureau-* headers (wall time never enters them), cold starts
+// gateway's X-Taureau-Result header (wall time never enters them), cold starts
 // are forced at fixed points by sleeping past the keep-alive between bursts,
 // and billing is the platform meter priced by the default pricing table.
 // The HTTP transport is real (a live TCP listener, real request parsing);
