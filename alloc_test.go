@@ -29,6 +29,7 @@ import (
 	"repro/internal/gateway"
 	"repro/internal/obs"
 	"repro/internal/pulsar"
+	"repro/internal/sebs"
 )
 
 // TestWarmInvokeZeroAllocs pins the warm synchronous invoke path — through
@@ -62,11 +63,14 @@ func TestWarmInvokeZeroAllocs(t *testing.T) {
 // paper's scale-to-zero case — pays per function what eight invokes put into
 // it, not a latency window, a span log and a meter log sized for tens of
 // thousands. 64 functions under 4 tenants, 8 invokes each, on a fresh
-// platform: ≤16 KB allocated per function over the invokes (11.1 measured, 8
-// of them the function's latency histogram, whose bucket block is allocated
-// by its first observation rather than at registration; 284 when the first
-// invoke allocated a full 256 KiB window and the first metered unit a 1 MiB
-// record ring) and ≤3 MB live afterwards (1.0 measured, was 18.4).
+// platform: ≤16 KB allocated per function over the invokes (12.1 measured, 8
+// of them the function's latency histogram, whose bucket and exemplar blocks
+// are allocated by its first observation rather than at registration, and 2
+// its two counters' shards, allocated by their first Add — bytes moved from
+// registration to first use, 11.1 before; 284 when the first invoke allocated
+// a full 256 KiB window and the first metered unit a 1 MiB record ring) and
+// ≤3 MB live afterwards (0.83 measured, 0.97 with counters born sharded, was
+// 18.4).
 func TestFunctionFootprint(t *testing.T) {
 	const tenants, perTenant, invokes = 4, 16, 8
 	var before, mid, after runtime.MemStats
@@ -122,12 +126,15 @@ func liveHeap() int64 {
 // its most: what a platform that has registered 64 functions and invoked none
 // holds, and what its span log holds once full. Observability state is sized
 // by use like the rest (DESIGN.md §10): a histogram is a 32 B header until its
-// first observation and a retained span a 56 B pointer-free record, so the
-// idle platform fits 512 KB (227 measured; 941 when each of its 22 + 64
-// histograms was born with 8 KB of buckets) and the full log 1.2 MB (1.04
-// measured; 2.52 when a slot was a 136 B SpanData).
+// first observation, a counter an 8 B one until its first Add, a tenant's SLO
+// ring nothing until its first request, and a retained span a 56 B
+// pointer-free record, so the idle platform fits 128 KB (53 measured; 227
+// when each of its 27 + 2·64 counters was born with 1 KB of shards and the
+// tenant with an 11.5 KB SLO ring, 941 when each of its 22 + 64 histograms
+// was born with 8 KB of buckets) and the full log 1.2 MB (1.04 measured; 2.52
+// when a slot was a 136 B SpanData).
 func TestPlatformFootprint(t *testing.T) {
-	const fns, idleBound, logBound = 64, 512 << 10, 1200 << 10
+	const fns, idleBound, logBound = 64, 128 << 10, 1200 << 10
 	before := liveHeap()
 	p := core.New(core.Options{})
 	h := p.Tenant("idle")
@@ -157,6 +164,39 @@ func TestPlatformFootprint(t *testing.T) {
 	}
 	if full > logBound {
 		t.Errorf("tracer at its cap holds %d B live, want <= %d", full, logBound)
+	}
+}
+
+// TestSebsCallBytes is the fixed cost at its most frequent: sim-sebs builds a
+// whole platform, gateway included, for every SeBS-style call, so what one
+// call asks the allocator for is mostly what a platform costs before and at
+// its first use. After one warm-up call, a sebs.Run of 2 requests per app
+// allocates ≤460 KB (406 measured; 513 when every counter was born with 1 KB
+// of shards, every histogram's first observation bought its exemplars with its
+// buckets, each tenant's SLO ring was its full 11.5 KB and each platform
+// seeded a 4.9 KB jitter rng it never drew from). The figure is the least of
+// three calls: a call whose client dials a second connection to the fresh
+// server, or that meets a collection emptying net/http's pools, buys up to
+// 40 KB more of net/http's buffers.
+func TestSebsCallBytes(t *testing.T) {
+	const budget = 460 << 10
+	if raceDetector {
+		t.Skip("net/http's pooled buffers are reallocated under the race detector")
+	}
+	call := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := sebs.Run(sebs.Config{Requests: 2}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	call()
+	got := min(call(), call(), call())
+	t.Logf("a 2-request sebs call allocates %d B", got)
+	if got > budget {
+		t.Fatalf("a 2-request sebs call allocates %d B, want <= %d", got, budget)
 	}
 }
 

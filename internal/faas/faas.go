@@ -408,8 +408,9 @@ type Platform struct {
 	cluster *scheduler.Cluster
 	penalty float64 // slowdown per same-dominant co-resident
 
-	// rng drives retry jitter. Seeded at construction so retry spacing is
-	// deterministic under the virtual clock; guarded by rngMu.
+	// rng drives retry jitter. Built with a fixed seed by the first jitter,
+	// so retry spacing is deterministic under the virtual clock and a
+	// platform that never retries never pays its 4.9 KB; guarded by rngMu.
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
@@ -443,7 +444,6 @@ func New(clock simclock.Clock, meter *billing.Meter) *Platform {
 		clock:     clock,
 		meter:     meter,
 		functions: map[fnID]*function{},
-		rng:       rand.New(rand.NewSource(0x7a05)),
 	}
 }
 

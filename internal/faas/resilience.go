@@ -2,6 +2,7 @@ package faas
 
 import (
 	"errors"
+	"math/rand"
 	"sync"
 	"time"
 
@@ -204,6 +205,9 @@ func (p *Platform) jittered(d time.Duration, frac float64) time.Duration {
 		return d
 	}
 	p.rngMu.Lock()
+	if p.rng == nil {
+		p.rng = rand.New(rand.NewSource(0x7a05))
+	}
 	u := p.rng.Float64()
 	p.rngMu.Unlock()
 	return d - time.Duration(u*frac*float64(d))

@@ -2,6 +2,7 @@ package faas
 
 import (
 	"errors"
+	"math/rand"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -228,6 +229,24 @@ func TestRetryJitterDeterministic(t *testing.T) {
 		}
 		if a[i] <= 0 {
 			t.Fatalf("RetryWait[%d] = %v, want > 0", i, a[i])
+		}
+	}
+}
+
+// TestRetryJitterSeededOnFirstUse: the jitter rng is built by the first
+// jitter, not by New, and a fresh platform's sequence is still the one seeded
+// with 0x7a05.
+func TestRetryJitterSeededOnFirstUse(t *testing.T) {
+	p := New(simclock.NewVirtual(), nil)
+	if p.rng != nil {
+		t.Fatal("New built the jitter rng before any jitter")
+	}
+	oracle := rand.New(rand.NewSource(0x7a05))
+	const d, frac = time.Second, 0.5
+	for i := 0; i < 3; i++ {
+		want := d - time.Duration(oracle.Float64()*frac*float64(d))
+		if got := p.jittered(d, frac); got != want {
+			t.Fatalf("jitter %d = %v, want %v", i, got, want)
 		}
 	}
 }

@@ -7,20 +7,22 @@
 // Everything is nil-safe by contract: a nil *Registry hands out nil
 // instruments, and every method on a nil instrument is a no-op. Subsystems
 // therefore instrument their hot paths unconditionally and pay only a
-// predicted branch when observability is off. The cost when it is on is a
-// single atomic add per counter increment; per histogram observation an
-// atomic load of the bucket block's pointer, a bit-twiddle, two atomic adds
-// (bucket, sum) and one atomic load of the max (a compare-and-swap only on a
-// new maximum, a store only with a trace exemplar) — the count is the
+// predicted branch when observability is off. The cost when it is on is an
+// atomic load of the shards' pointer and one atomic add per counter
+// increment; per histogram observation an atomic load of the bucket block's
+// pointer, a bit-twiddle, two atomic adds (bucket, sum) and one atomic load
+// of the max (a compare-and-swap only on a new maximum; with a trace id, a
+// load of the exemplar block's pointer and a store) — the count is the
 // buckets' total, summed at Snapshot, not a third add; and one atomic load
 // plus one atomic add per Start on a tracer at its cap. The benchmark
 // ladder's obs.invoke_tax_ns and obs.publish_tax_ns rungs keep this honest.
 //
-// What it holds is sized by use (DESIGN.md §5, §10): a histogram is a 32-byte
-// header until its first observation allocates its buckets, a retained span
-// is a 56-byte record with no pointer in it, so the tracer's log at its cap
-// is one megabyte the collector never scans, and a tenant's SLO ring is
-// 16-byte cells.
+// What it holds is sized by use (DESIGN.md §5, §10): a counter is an 8-byte
+// header until its first Add, a histogram a 32-byte one until its first
+// observation (and its exemplars until its first traced one), a tenant's SLO
+// ring the 16-byte cells its traffic's epochs need, and a retained span a
+// 56-byte record with no pointer in it, so the tracer's log at its cap is one
+// megabyte the collector never scans.
 package obs
 
 import (
@@ -54,9 +56,17 @@ func shardIdx() int {
 	return int((uintptr(unsafe.Pointer(&b)) >> 10) & (shardCount - 1))
 }
 
-// Counter is a monotonically increasing sharded counter.
+// Counter is a monotonically increasing sharded counter: an 8-byte header
+// until its first Add allocates its 1 KB of shards.
 type Counter struct {
-	shards [shardCount]cell
+	shards atomic.Pointer[[shardCount]cell] // nil until the first Add
+}
+
+// firstShards installs the shards on the first Add. Concurrent first adders
+// each build them; one wins the swap and the rest drop theirs.
+func (c *Counter) firstShards() *[shardCount]cell {
+	c.shards.CompareAndSwap(nil, new([shardCount]cell))
+	return c.shards.Load()
 }
 
 // Inc adds 1.
@@ -67,17 +77,25 @@ func (c *Counter) Add(n int64) {
 	if c == nil {
 		return
 	}
-	atomic.AddInt64(&c.shards[shardIdx()].v, n)
+	s := c.shards.Load()
+	if s == nil {
+		s = c.firstShards()
+	}
+	atomic.AddInt64(&s[shardIdx()].v, n)
 }
 
-// Value returns the counter's current total (0 on nil).
+// Value returns the counter's current total (0 on nil or before the first Add).
 func (c *Counter) Value() int64 {
 	if c == nil {
 		return 0
 	}
+	s := c.shards.Load()
+	if s == nil {
+		return 0
+	}
 	var total int64
-	for i := range c.shards {
-		total += atomic.LoadInt64(&c.shards[i].v)
+	for i := range s {
+		total += atomic.LoadInt64(&s[i].v)
 	}
 	return total
 }
@@ -164,10 +182,10 @@ func bucketUpper(idx int) int64 {
 // nanoseconds; value histograms (ValueHistogram) observe raw counts like
 // batch sizes. Snapshots expose count, sum, and p50/p95/p99.
 //
-// A histogram nothing has been observed into is this header: its 8 KB of
-// buckets and exemplars are one block allocated by the first observation, so
-// a platform pays for the histograms its workload reaches, not the ones it
-// registers.
+// A histogram nothing has been observed into is this header: its 4 KB of
+// buckets are a block allocated by the first observation and its 4 KB of
+// exemplars a second one allocated by the first with a trace id, so a
+// platform pays for what its workload observes and traces, not what it registers.
 type Histogram struct {
 	block atomic.Pointer[histBlock] // nil until the first observation
 	sum   int64                     // nanoseconds (or raw units for value histograms)
@@ -176,10 +194,11 @@ type Histogram struct {
 }
 
 type histBlock struct {
-	buckets [maxBucket + 1]int64
-	// exemplars holds the most recent trace id observed per bucket (0 =
-	// none), so a slow percentile bucket links to a concrete trace.
-	exemplars [maxBucket + 1]int64
+	// exemplars holds the most recent trace id observed per bucket (0 = none),
+	// so a slow percentile bucket links to a concrete trace; nil until the
+	// first traced observation. First, so the collector scans one word.
+	exemplars atomic.Pointer[[maxBucket + 1]int64]
+	buckets   [maxBucket + 1]int64
 }
 
 // firstBlock installs the block on the first observation. Concurrent first
@@ -187,6 +206,13 @@ type histBlock struct {
 func (h *Histogram) firstBlock() *histBlock {
 	h.block.CompareAndSwap(nil, new(histBlock))
 	return h.block.Load()
+}
+
+// firstExemplars installs the exemplar block on the first traced
+// observation, the same way.
+func (b *histBlock) firstExemplars() *[maxBucket + 1]int64 {
+	b.exemplars.CompareAndSwap(nil, new([maxBucket + 1]int64))
+	return b.exemplars.Load()
 }
 
 // Observe records one duration. No-op on nil.
@@ -219,7 +245,11 @@ func (h *Histogram) observe(ns, traceID int64) {
 	b := bucketOf(ns)
 	atomic.AddInt64(&blk.buckets[b], 1)
 	if traceID != 0 {
-		atomic.StoreInt64(&blk.exemplars[b], traceID)
+		ex := blk.exemplars.Load()
+		if ex == nil {
+			ex = blk.firstExemplars()
+		}
+		atomic.StoreInt64(&ex[b], traceID)
 	}
 	atomic.AddInt64(&h.sum, ns)
 	for {
@@ -292,8 +322,10 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	snap.P50, _ = quantile(0.50)
 	snap.P95, b95 = quantile(0.95)
 	snap.P99, b99 = quantile(0.99)
-	snap.ExemplarP95 = atomic.LoadInt64(&blk.exemplars[b95])
-	snap.ExemplarP99 = atomic.LoadInt64(&blk.exemplars[b99])
+	if ex := blk.exemplars.Load(); ex != nil {
+		snap.ExemplarP95 = atomic.LoadInt64(&ex[b95])
+		snap.ExemplarP99 = atomic.LoadInt64(&ex[b99])
+	}
 	return snap
 }
 

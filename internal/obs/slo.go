@@ -20,6 +20,7 @@ import (
 const (
 	sloBucket      = 30 * time.Second // rollup resolution
 	sloRingLen     = 721              // 6h of buckets plus the in-progress one
+	sloFirstRing   = 8                // cells a tenant's ring starts with
 	sloMaxWindow   = 6 * time.Hour
 	PageBurnRate   = 14.4 // both fast windows at/above this → page
 	TicketBurnRate = 3.0  // both slow windows at/above this → ticket
@@ -61,14 +62,19 @@ func bump(n *uint32) {
 
 // TenantSLO accumulates one tenant's request outcomes. Handles are resolved
 // once at function-registration time; Record is a mutex plus integer
-// arithmetic — no allocation, no map access.
+// arithmetic — no map access, and no allocation once the ring has grown to
+// the epochs the tenant's traffic spans.
 type TenantSLO struct {
 	name  string
 	clock simclock.Clock
 
-	mu      sync.Mutex
-	cfg     SLOConfig
-	buckets [sloRingLen]sloCell
+	mu  sync.Mutex
+	cfg SLOConfig
+	// buckets is a ring indexed by epoch % len: nil until the first Record,
+	// then sloFirstRing cells, doubled (capped at sloRingLen) whenever an
+	// epoch would overwrite a cell that a 6 h window still reads — so it
+	// holds exactly what a fixed sloRingLen ring would.
+	buckets []sloCell
 }
 
 // epoch numbers the 30 s bucket the clock is in.
@@ -83,10 +89,7 @@ func (s *TenantSLO) Record(d time.Duration, failed bool) {
 	}
 	ep := s.epoch()
 	s.mu.Lock()
-	c := &s.buckets[ep%sloRingLen]
-	if c.epoch != ep {
-		*c = sloCell{epoch: ep}
-	}
+	c := s.cellLocked(ep)
 	bump(&c.total)
 	if failed {
 		bump(&c.errs)
@@ -97,16 +100,46 @@ func (s *TenantSLO) Record(d time.Duration, failed bool) {
 	s.mu.Unlock()
 }
 
-// windowLocked sums the cells covering [now-w, now]. Caller holds s.mu.
-func (s *TenantSLO) windowLocked(nowEp uint32, w time.Duration) (total, errs, slow int64) {
-	n := uint32(w / sloBucket)
-	if n < 1 {
-		n = 1
+// cellLocked returns ep's cell, reset if it held another epoch. Caller holds
+// s.mu.
+func (s *TenantSLO) cellLocked(ep uint32) *sloCell {
+	if s.buckets == nil {
+		s.buckets = make([]sloCell, sloFirstRing)
 	}
-	for i := uint32(0); i < n && i <= nowEp; i++ {
-		ep := nowEp - i
-		c := &s.buckets[ep%sloRingLen]
-		if c.epoch == ep {
+	c := &s.buckets[ep%uint32(len(s.buckets))]
+	// Below the cap, a used cell within sloRingLen epochs of ep, either way (a
+	// concurrent Record may land out of order), is one the fixed ring keeps.
+	for c.epoch != ep && c.total != 0 && (ep-c.epoch < sloRingLen || c.epoch-ep < sloRingLen) &&
+		len(s.buckets) < sloRingLen {
+		s.growLocked()
+		c = &s.buckets[ep%uint32(len(s.buckets))]
+	}
+	if c.epoch != ep {
+		*c = sloCell{epoch: ep}
+	}
+	return c
+}
+
+// growLocked doubles the ring, capped at sloRingLen, re-homing every used
+// cell by epoch % len. Only the step to the cap can land two cells on one
+// slot; their epochs then differ by a multiple of sloRingLen and the newer
+// one stays, as in the fixed ring. Caller holds s.mu.
+func (s *TenantSLO) growLocked() {
+	grown := make([]sloCell, min(2*len(s.buckets), sloRingLen))
+	for _, c := range s.buckets {
+		if dst := &grown[c.epoch%uint32(len(grown))]; c.total != 0 && c.epoch >= dst.epoch {
+			*dst = c
+		}
+	}
+	s.buckets = grown
+}
+
+// windowLocked sums the cells covering [now-w, now]. Each epoch has at most
+// one cell, so a scan of the ring finds them. Caller holds s.mu.
+func (s *TenantSLO) windowLocked(nowEp uint32, w time.Duration) (total, errs, slow int64) {
+	n := max(uint32(w/sloBucket), 1)
+	for _, c := range s.buckets {
+		if nowEp-c.epoch < n { // an epoch after nowEp wraps past n
 			total += int64(c.total)
 			errs += int64(c.errs)
 			slow += int64(c.slow)

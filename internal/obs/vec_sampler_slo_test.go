@@ -9,8 +9,10 @@ import (
 	"flag"
 	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -229,7 +231,7 @@ func TestSLOCellSaturates(t *testing.T) {
 	s := New(v).SLO().Tenant("acme")
 	s.Record(time.Millisecond, true)
 	ep := s.epoch()
-	c := &s.buckets[ep%sloRingLen]
+	c := &s.buckets[ep%uint32(len(s.buckets))]
 	if *c != (sloCell{epoch: ep, total: 1, errs: 1}) {
 		t.Fatalf("cell after one failed request = %+v", *c)
 	}
@@ -242,6 +244,170 @@ func TestSLOCellSaturates(t *testing.T) {
 	}
 	if w := s.snapshot().Windows[0]; w.Total != math.MaxUint32 || w.Errors != math.MaxUint32 {
 		t.Fatalf("5m window reads total=%d errors=%d, want %d", w.Total, w.Errors, uint32(math.MaxUint32))
+	}
+}
+
+// sloTwin drives a ring that grows by use and one born at its full
+// sloRingLen cells side by side on one virtual clock.
+type sloTwin struct {
+	t            *testing.T
+	name         string
+	v            *simclock.Virtual
+	grown, fixed *TenantSLO
+	diverged     bool // reported once: the walk runs on a clock goroutine, where Fatal may not be called
+}
+
+func newSLOTwin(t *testing.T, name string) *sloTwin {
+	v := simclock.NewVirtual()
+	cfg := SLOConfig{Objective: 0.99, LatencyTarget: 10 * time.Millisecond, LatencyObjective: 0.9}
+	return &sloTwin{t: t, name: name, v: v,
+		grown: &TenantSLO{name: "t", clock: v, cfg: cfg},
+		fixed: &TenantSLO{name: "t", clock: v, cfg: cfg, buckets: make([]sloCell, sloRingLen)},
+	}
+}
+
+func (w *sloTwin) record(d time.Duration, failed bool) {
+	w.grown.Record(d, failed)
+	w.fixed.Record(d, failed)
+}
+
+// sleep moves the clock on by whole epochs; both rings must read the same
+// at the epoch it leaves and at the one it reaches.
+func (w *sloTwin) sleep(epochs int) {
+	w.check()
+	w.v.Sleep(time.Duration(epochs) * sloBucket)
+	w.check()
+}
+
+func (w *sloTwin) check() {
+	if w.diverged {
+		return
+	}
+	if g, f := w.grown.snapshot(), w.fixed.snapshot(); !reflect.DeepEqual(g, f) {
+		w.diverged = true
+		w.t.Errorf("%s: ring of %d cells reads\n%+v\nfixed ring reads\n%+v", w.name, len(w.grown.buckets), g, f)
+	}
+}
+
+// TestSLORingMatchesFixedOracle: through random epoch walks — same-epoch
+// bursts, one-epoch steps, gaps of every size up to past the 6 h horizon —
+// a ring that grows by use reads exactly what the fixed ring reads.
+func TestSLORingMatchesFixedOracle(t *testing.T) {
+	gaps := []int{100, 720, 721, 10000}
+	for seed := int64(1); seed <= 4; seed++ {
+		w := newSLOTwin(t, fmt.Sprintf("seed %d", seed))
+		rng := rand.New(rand.NewSource(seed))
+		w.v.Run(func() {
+			for step := 0; step < 2000; step++ {
+				switch k := rng.Intn(10); {
+				case k < 4: // a burst in the current epoch
+					for i := rng.Intn(20); i >= 0; i-- {
+						w.record(time.Duration(rng.Intn(20))*time.Millisecond, rng.Intn(4) == 0)
+					}
+				case k < 7:
+					w.sleep(1)
+				case k < 9:
+					w.sleep(1 + rng.Intn(800))
+				default:
+					w.sleep(gaps[rng.Intn(len(gaps))])
+				}
+			}
+		})
+		if n := len(w.grown.buckets); n > sloRingLen {
+			t.Fatalf("%s: ring grew to %d cells, cap %d", w.name, n, sloRingLen)
+		}
+	}
+
+	// The one step that can land two used cells on one slot is 512 → 721
+	// cells. Epoch e1 and e2 = e1+721 meet there if nothing recorded since
+	// has e1's residue mod 8 (721 ≡ 1, so e2 has not) and e1 sits later in
+	// the 512-cell ring than e2; e2 is inside the window and must win.
+	w := newSLOTwin(t, "two cells on one slot")
+	w.v.Run(func() {
+		w.sleep(int(303+512-w.grown.epoch()%512) % 512) // e1 % 512 = 303; e2 % 512 = 0
+		e1 := w.grown.epoch()
+		w.record(time.Millisecond, true)
+		w.sleep(721)
+		for ep := e1 + 721; ep < e1+721+600; ep++ {
+			if ep%8 != e1%8 {
+				w.record(time.Second, false)
+			}
+			w.sleep(1)
+		}
+	})
+	if n := len(w.grown.buckets); n != sloRingLen {
+		t.Fatalf("ring has %d cells, want it grown to %d", n, sloRingLen)
+	}
+
+	// Record reads the clock before it takes the lock, so a concurrent one can
+	// land an epoch late. One sloFirstRing epochs late shares a slot of the
+	// first ring with a newer used cell; it must grow the ring, not evict it.
+	w = newSLOTwin(t, "a late Record")
+	w.v.Run(func() {
+		e := w.grown.epoch()
+		w.sleep(sloFirstRing)
+		w.record(time.Second, true)
+		for _, s := range []*TenantSLO{w.grown, w.fixed} {
+			s.mu.Lock()
+			bump(&s.cellLocked(e).total)
+			s.mu.Unlock()
+		}
+		w.check()
+	})
+}
+
+// TestCounterFirstAddRace: 32 goroutines make a counter's first Adds at
+// once. One set of shards wins the swap; no Add lands in a set that lost.
+func TestCounterFirstAddRace(t *testing.T) {
+	const workers, perWorker = 32, 100
+	for round := 0; round < 20; round++ {
+		c := New(nil).Counter("c")
+		if c.shards.Load() != nil || c.Value() != 0 {
+			t.Fatal("an untouched counter has shards or a non-zero value")
+		}
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < workers; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for i := 0; i < perWorker; i++ {
+					c.Add(2)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if got := c.Value(); got != 2*workers*perWorker {
+			t.Fatalf("round %d: value %d, want %d", round, got, 2*workers*perWorker)
+		}
+	}
+}
+
+// TestExemplarsOnlyWhenTraced: a histogram observed only without trace ids
+// never allocates its exemplar block and reports no exemplars; the first
+// traced observation installs it.
+func TestExemplarsOnlyWhenTraced(t *testing.T) {
+	h := New(nil).Histogram("h")
+	for i := 0; i < 100; i++ {
+		h.Observe(time.Duration(i) * time.Millisecond)
+	}
+	h.ObserveTrace(time.Second, 0) // trace id 0 is "untraced"
+	if h.block.Load().exemplars.Load() != nil {
+		t.Fatal("an untraced histogram allocated its exemplar block")
+	}
+	if snap := h.Snapshot(); snap.Count != 101 || snap.ExemplarP95 != 0 || snap.ExemplarP99 != 0 {
+		t.Fatalf("untraced snapshot = %+v, want 101 observations and no exemplars", snap)
+	}
+	for i := 0; i < 10; i++ { // the slow tail owns p95 and p99
+		h.ObserveTrace(2*time.Second, 42)
+	}
+	if h.block.Load().exemplars.Load() == nil {
+		t.Fatal("a traced observation left no exemplar block")
+	}
+	if snap := h.Snapshot(); snap.ExemplarP99 != 42 {
+		t.Fatalf("ExemplarP99 = %d, want 42", snap.ExemplarP99)
 	}
 }
 
