@@ -202,8 +202,10 @@ func TestSebsCallBytes(t *testing.T) {
 
 // TestPublishSyncAtMostOneAlloc pins the synchronous publish path at ≤1
 // alloc per message. The budget covers the amortized arena-block refill
-// (one 64KB block per ~200 entries) and topic-cache growth; a per-publish
-// message copy or a rebuilt map would blow well past it.
+// (one 64KB block per ~200 entries) and the bookies' entry-index segments;
+// with nobody subscribed the topic's window ring stays at its first size. A
+// per-publish message copy, a rebuilt map or a one-element commit whose
+// arrays escape to the heap would blow well past it.
 func TestPublishSyncAtMostOneAlloc(t *testing.T) {
 	p := core.New(core.Options{PulsarBatchMax: 1, PulsarFlushInterval: time.Hour})
 	if err := p.Pulsar.CreateTopic("alloc-gate", 0); err != nil {

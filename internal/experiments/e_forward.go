@@ -159,12 +159,12 @@ func E21TieredStorage() Table {
 			if err != nil {
 				panic(err)
 			}
-			if _, err := r.ReadTiered(0); err != nil {
+			if _, err := r.Read(0); err != nil {
 				panic(err)
 			}
 			first := v.Now().Sub(start)
 			for i := int64(1); i < entries; i++ {
-				if _, err := r.ReadTiered(i); err != nil {
+				if _, err := r.Read(i); err != nil {
 					panic(err)
 				}
 			}

@@ -208,6 +208,11 @@ type metadata struct {
 	AckQuorum   int      `json:"ack_quorum"`
 	Closed      bool     `json:"closed"`
 	LastEntry   int64    `json:"last_entry"` // valid when Closed
+	// The cold-tier location of an offloaded ledger (System.Offload); empty,
+	// and absent from the encoding, while the entries are on bookies.
+	Offloaded bool   `json:"offloaded,omitempty"`
+	Bucket    string `json:"bucket,omitempty"`
+	Key       string `json:"key,omitempty"`
 }
 
 const metaRoot = "/ledgers"
@@ -327,43 +332,17 @@ func (s *System) CreateLedger(ensembleSize, writeQuorum, ackQuorum int) (*Writer
 // ID returns the ledger's id.
 func (w *Writer) ID() int64 { return w.ledgerID }
 
-// Append writes data as the next entry, returning its entry id once
-// ackQuorum bookies have it. The writer retains data without copying (see
-// the Bookie immutability contract): do not mutate it after the call.
+// Append writes data as the next entry — a group commit of one — returning
+// its entry id once ackQuorum bookies have it. The writer retains data
+// without copying (see the Bookie immutability contract): do not mutate it
+// after the call.
 func (w *Writer) Append(data []byte) (int64, error) {
-	return w.AppendCtx(data, obs.TraceCtx{})
-}
-
-// AppendCtx is Append carrying the caller's causal context: a valid tc adds
-// a "ledger.append" span (covering the durability round trip and quorum
-// replication) to the caller's trace. A zero tc traces nothing — untraced
-// appends cost one branch, not a span.
-func (w *Writer) AppendCtx(data []byte, tc obs.TraceCtx) (int64, error) {
-	if w.closed {
-		return 0, ErrWriterClosed
-	}
-	var span obs.SpanRef
-	if tc.Valid() {
-		span = w.sys.tracer.Start(tc, "ledger.append")
-	}
-	var start time.Time
-	if w.sys.obsAppendLat != nil {
-		start = w.sys.clock.Now()
-	}
-	w.sys.clock.Sleep(w.sys.AppendLatency + w.stragglerExtra())
-	entryID := w.next
-	if err := w.replicate(entryID, data); err != nil {
-		span.EndErr(true)
+	entries := [1][]byte{data}
+	id, err := w.AppendBatchCtx(entries[:], obs.TraceCtx{})
+	if err != nil {
 		return 0, err
 	}
-	w.next++
-	w.sys.obsAppends.Inc()
-	w.sys.obsFanIn.ObserveValue(1)
-	if !start.IsZero() {
-		w.sys.obsAppendLat.Observe(w.sys.clock.Now().Sub(start))
-	}
-	span.End()
-	return entryID, nil
+	return id, nil
 }
 
 // AppendBatch writes entries as one group commit: the modelled
@@ -379,10 +358,12 @@ func (w *Writer) AppendBatch(entries [][]byte) (int64, error) {
 	return w.AppendBatchCtx(entries, obs.TraceCtx{})
 }
 
-// AppendBatchCtx is AppendBatch carrying a causal context for the group
-// commit. Batches aggregate entries from many requests, so the span is
-// coarse: it parents on tc (by convention the first traced entry in the
-// batch) and annotates nothing per-entry.
+// AppendBatchCtx is AppendBatch carrying the caller's causal context: a
+// valid tc adds one "ledger.append" span (covering the durability round trip
+// and quorum replication) to the caller's trace. A group aggregates entries
+// from many requests, so the span is coarse: it parents on tc (by convention
+// the first traced entry in the group) and annotates nothing per entry. A
+// zero tc traces nothing — an untraced commit costs one branch, not a span.
 func (w *Writer) AppendBatchCtx(entries [][]byte, tc obs.TraceCtx) (int64, error) {
 	if w.closed {
 		return 0, ErrWriterClosed
@@ -393,7 +374,7 @@ func (w *Writer) AppendBatchCtx(entries [][]byte, tc obs.TraceCtx) (int64, error
 	}
 	var span obs.SpanRef
 	if tc.Valid() {
-		span = w.sys.tracer.Start(tc, "ledger.append.batch")
+		span = w.sys.tracer.Start(tc, "ledger.append")
 	}
 	var start time.Time
 	if w.sys.obsAppendLat != nil {
@@ -630,9 +611,17 @@ func (s *System) OpenReader(ledgerID int64) (*Reader, error) {
 // LastEntry returns the id of the final entry (-1 for an empty ledger).
 func (r *Reader) LastEntry() int64 { return r.meta.LastEntry }
 
-// Read returns entry entryID, trying each replica until a live bookie
+// Read returns entry entryID as a private copy: from the blob-tier copy
+// OpenTiered fetched when the ledger is offloaded (no ReadLatency: the fetch
+// paid for it), otherwise from each replica in turn until a live bookie
 // serves it.
 func (r *Reader) Read(entryID int64) ([]byte, error) {
+	if r.cold != nil {
+		if entryID < 0 || entryID >= int64(len(r.cold)) {
+			return nil, fmt.Errorf("%w: %d (last is %d)", ErrNoEntry, entryID, len(r.cold)-1)
+		}
+		return append([]byte(nil), r.cold[entryID]...), nil
+	}
 	if entryID < 0 || entryID > r.meta.LastEntry {
 		return nil, fmt.Errorf("%w: %d (last is %d)", ErrNoEntry, entryID, r.meta.LastEntry)
 	}
@@ -738,6 +727,12 @@ func (s *System) DeleteLedger(ledgerID int64) error {
 	if _, err := s.loadMeta(ledgerID); err != nil {
 		return err
 	}
+	s.dropEntries(ledgerID)
+	return s.meta.Delete(metaPath(ledgerID), coord.AnyVersion)
+}
+
+// dropEntries deletes a ledger's entries from every bookie.
+func (s *System) dropEntries(ledgerID int64) {
 	s.mu.Lock()
 	bookies := make([]*Bookie, 0, len(s.order))
 	for _, id := range s.order {
@@ -747,7 +742,6 @@ func (s *System) DeleteLedger(ledgerID int64) error {
 	for _, b := range bookies {
 		b.deleteLedger(ledgerID)
 	}
-	return s.meta.Delete(metaPath(ledgerID), coord.AnyVersion)
 }
 
 func (s *System) loadMeta(ledgerID int64) (metadata, error) {

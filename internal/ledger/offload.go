@@ -2,29 +2,17 @@ package ledger
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 
 	"repro/internal/blob"
 	"repro/internal/coord"
 )
 
-// ErrNotOffloaded is returned when tiered reads find no offload object.
-var ErrNotOffloaded = errors.New("ledger: ledger is not offloaded")
-
-// offloadMeta extends a ledger's metadata with its cold-tier location.
-type offloadMeta struct {
-	metadata
-	Offloaded bool   `json:"offloaded,omitempty"`
-	Bucket    string `json:"bucket,omitempty"`
-	Key       string `json:"key,omitempty"`
-}
-
 // Offload moves a closed ledger's entries to the blob store — Pulsar's
 // tiered storage (§4.3): hot data on bookies, older segments on cheap
 // object storage, transparently readable. The bookies' copies are deleted;
-// subsequent reads fetch (and cache) the offload object, paying blob-store
-// latency instead of bookie latency.
+// a reader opened with OpenTiered fetches the offload object once, paying
+// blob-store latency instead of bookie latency.
 func (s *System) Offload(ledgerID int64, store *blob.Store, bucket string) error {
 	md, err := s.loadMeta(ledgerID)
 	if err != nil {
@@ -46,73 +34,34 @@ func (s *System) Offload(ledgerID int64, store *blob.Store, bucket string) error
 	if _, err := store.Put(bucket, key, payload, blob.PutOptions{}); err != nil {
 		return err
 	}
-	om := offloadMeta{metadata: md, Offloaded: true, Bucket: bucket, Key: key}
-	raw, _ := json.Marshal(om)
+	md.Offloaded, md.Bucket, md.Key = true, bucket, key
+	raw, _ := json.Marshal(md)
 	if _, err := s.meta.Set(metaPath(ledgerID), raw, coord.AnyVersion); err != nil {
 		return err
 	}
-	// Reclaim bookie space.
-	s.mu.Lock()
-	bookies := make([]*Bookie, 0, len(s.order))
-	for _, id := range s.order {
-		bookies = append(bookies, s.bookies[id])
-	}
-	s.mu.Unlock()
-	for _, b := range bookies {
-		b.deleteLedger(ledgerID)
-	}
+	s.dropEntries(ledgerID) // reclaim bookie space
 	return nil
-}
-
-// IsOffloaded reports whether the ledger lives on the cold tier.
-func (s *System) IsOffloaded(ledgerID int64) bool {
-	raw, _, err := s.meta.Get(metaPath(ledgerID))
-	if err != nil {
-		return false
-	}
-	var om offloadMeta
-	if json.Unmarshal(raw, &om) != nil {
-		return false
-	}
-	return om.Offloaded
 }
 
 // OpenTiered opens a closed ledger wherever it lives: bookies for hot
 // ledgers, the blob store for offloaded ones.
 func (s *System) OpenTiered(ledgerID int64, store *blob.Store) (*Reader, error) {
-	raw, _, err := s.meta.Get(metaPath(ledgerID))
+	md, err := s.loadMeta(ledgerID)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %d", ErrNoLedger, ledgerID)
-	}
-	var om offloadMeta
-	if err := json.Unmarshal(raw, &om); err != nil {
 		return nil, err
 	}
-	if !om.Closed {
+	if !md.Closed {
 		return nil, fmt.Errorf("%w: ledger %d", ErrNotClosed, ledgerID)
 	}
-	r := &Reader{sys: s, ledgerID: ledgerID, meta: om.metadata}
-	if om.Offloaded {
-		payload, _, err := store.Get(om.Bucket, om.Key)
+	r := &Reader{sys: s, ledgerID: ledgerID, meta: md}
+	if md.Offloaded {
+		payload, _, err := store.Get(md.Bucket, md.Key)
 		if err != nil {
 			return nil, err
 		}
-		var entries [][]byte
-		if err := json.Unmarshal(payload, &entries); err != nil {
+		if err := json.Unmarshal(payload, &r.cold); err != nil {
 			return nil, err
 		}
-		r.cold = entries
 	}
 	return r, nil
-}
-
-// ReadTiered returns entry entryID from the reader's tier.
-func (r *Reader) ReadTiered(entryID int64) ([]byte, error) {
-	if r.cold != nil {
-		if entryID < 0 || entryID >= int64(len(r.cold)) {
-			return nil, fmt.Errorf("%w: %d (last is %d)", ErrNoEntry, entryID, len(r.cold)-1)
-		}
-		return append([]byte(nil), r.cold[entryID]...), nil
-	}
-	return r.Read(entryID)
 }

@@ -1,11 +1,16 @@
 package pulsar
 
 import (
+	"bytes"
 	"fmt"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/billing"
+	"repro/internal/obs"
 )
 
 // TestSendAsyncFlushesAtMaxBatch: messages stay buffered until the batch
@@ -136,4 +141,88 @@ func TestBatchedPartitionedPerKeyRouting(t *testing.T) {
 			t.Errorf("saw %d keys, want %d", len(last), keys)
 		}
 	})
+}
+
+// TestSyncSendIsAGroupCommitOfOne: a synchronous send and a one-message
+// async flush reach the bookies through the same group commit. On twin
+// clusters they assign the same seq, write the same ledger entry, deliver
+// the same message, trace one "ledger.append" and observe a fan-in of 1.
+func TestSyncSendIsAGroupCommitOfOne(t *testing.T) {
+	type outcome struct {
+		seq    int64
+		entry  []byte
+		msg    Message
+		ledger []string // the trace's ledger span names
+		fanIn  obs.HistogramSnapshot
+	}
+	run := func(send func(p *Producer, tc obs.TraceCtx) (int64, error)) outcome {
+		e := newEnv(t, 1, 3)
+		reg := obs.New(e.v)
+		e.cluster.SetObs(reg)
+		e.ledgers.SetObs(reg)
+		var o outcome
+		e.v.Run(func() {
+			must(t, e.cluster.CreateTopic("t", 0))
+			prod, err := e.cluster.CreateProducerOpts("t", ProducerOptions{MaxBatch: 16, FlushInterval: time.Hour})
+			must(t, err)
+			cons, err := e.cluster.Subscribe("t", "s", Exclusive, Earliest)
+			must(t, err)
+			root := reg.Tracer().Start(obs.TraceCtx{}, "test.root")
+			o.seq, err = send(prod, root.Ctx())
+			must(t, err)
+			root.End()
+			m, ok := cons.Receive(time.Second)
+			if !ok {
+				t.Fatal("message not delivered")
+			}
+			if m.Trace.Trace != root.TraceID() {
+				t.Errorf("delivered message carries trace %d, want %d", m.Trace.Trace, root.TraceID())
+			}
+			m.Trace = obs.TraceCtx{} // a sync send adds a pulsar.publish span between
+			o.msg = m
+			b, _, err := e.cluster.ensureOwner("t")
+			must(t, err)
+			b.mu.RLock()
+			ts := b.topics["t"]
+			ts.mu.Lock()
+			o.entry, err = ts.writer.Reader().Read(o.seq)
+			ts.mu.Unlock()
+			b.mu.RUnlock()
+			must(t, err)
+			for _, sd := range reg.Tracer().TraceSpans(root.TraceID()) {
+				if strings.HasPrefix(sd.Name, "ledger.") {
+					o.ledger = append(o.ledger, sd.Name)
+				}
+			}
+			o.fanIn = reg.HistogramSnapshotOf("ledger.append.batch.fanin")
+		})
+		return o
+	}
+	sent := run(func(p *Producer, tc obs.TraceCtx) (int64, error) {
+		return p.SendTrace([]byte("one"), tc)
+	})
+	flushed := run(func(p *Producer, tc obs.TraceCtx) (int64, error) {
+		if err := p.SendAsyncTrace("", []byte("one"), tc); err != nil {
+			return 0, err
+		}
+		return 0, p.Flush() // the first message of a fresh topic is seq 0
+	})
+
+	if sent.seq != flushed.seq {
+		t.Errorf("seq: sent %d, flushed %d", sent.seq, flushed.seq)
+	}
+	if !bytes.Equal(sent.entry, flushed.entry) {
+		t.Errorf("ledger entry: sent %x, flushed %x", sent.entry, flushed.entry)
+	}
+	if !reflect.DeepEqual(sent.msg, flushed.msg) {
+		t.Errorf("delivered: sent %+v, flushed %+v", sent.msg, flushed.msg)
+	}
+	for _, o := range []outcome{sent, flushed} {
+		if !slices.Equal(o.ledger, []string{"ledger.append"}) {
+			t.Errorf("ledger spans %v, want one ledger.append", o.ledger)
+		}
+		if o.fanIn.Count != 1 || o.fanIn.Sum != 1 {
+			t.Errorf("fan-in: %d commits of total %d entries, want 1 of 1", o.fanIn.Count, o.fanIn.Sum)
+		}
+	}
 }

@@ -352,82 +352,31 @@ func (b *Broker) topicLocked(topicName string) (*topicState, error) {
 	return ts, nil
 }
 
-// publish appends a message durably and dispatches it to subscribers. This
-// is the non-producer entry point (tests, ad-hoc callers): it encodes the
-// entry itself — the encode doubles as the defensive payload copy — and
-// funnels into the zero-copy path below.
-func (b *Broker) publish(topicName, key string, payload []byte) (int64, error) {
-	entry := make([]byte, entrySize(key, topicName, len(payload)))
-	view := encodeEntryInto(entry, key, topicName, payload)
-	return b.publishEntry(topicName, key, entry, view, obs.TraceCtx{})
-}
-
-// publishEntry appends a pre-encoded entry durably and dispatches it.
+// publishEntries is the one commit from producer to bookie: it appends
+// pre-encoded entries as one ledger group commit and then dispatches. A
+// synchronous send is a group of one. Returns the first assigned seq; all
+// messages share one PublishTime.
 //
-// entry is the wire-format buffer (header unstamped; the broker writes the
+// entries are wire-format buffers (headers unstamped; the broker writes the
 // authoritative seq and publish time in place under the topic lock, before
-// the durable append) and payload is the view aliasing entry's payload
-// bytes. From here the buffer travels uncopied: the bookie replicas retain
-// it as the durable entry, the topic's window holds the payload view until
-// every subscription has acked past it, and consumers receive that same
-// view. The caller must treat both as immutable once passed in — on a failed
-// append the buffer may already sit on a bookie, so a retry must re-encode
-// into a fresh buffer, never restamp this one (Producer.SendKey does exactly
+// the durable append) and views the payloads aliasing them. From here the
+// buffers travel uncopied: the bookie replicas retain them as the durable
+// entries, the topic's window holds the payload views until every
+// subscription has acked past them, and consumers receive those same views.
+// The caller must treat both as immutable once passed in — on a failed
+// append a buffer may already sit on a bookie, so a retry must re-encode
+// into a fresh buffer, never restamp this one (the producer does exactly
 // that).
 //
-// tc is the publish-side causal context (zero = untraced): the durable
-// append and every delivery of this message become its children.
-func (b *Broker) publishEntry(topicName, key string, entry, payload []byte, tc obs.TraceCtx) (int64, error) {
+// traces[i] is message i's publish-side causal context (zero = untraced):
+// the group commit parents on the first traced message, and every delivery
+// on its own message's context.
+func (b *Broker) publishEntries(topicName string, keys []string, entries, views [][]byte, traces []obs.TraceCtx) (int64, error) {
 	if d := b.extraLatency(); d > 0 {
 		b.cluster.clock.Sleep(d) // before any lock: sleeping under a lock stalls the virtual clock
 	}
 	// Fail fast before reserving capacity: a publish the broker will reject
 	// anyway (not owned, fenced key) must not queue behind real work.
-	if err := b.precheck(topicName, key); err != nil {
-		return 0, err
-	}
-	b.admitService(1)
-	if b.takeDrop() {
-		return 0, fmt.Errorf("%w: %s", ErrPublishDropped, b.ID)
-	}
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	ts, err := b.topicLocked(topicName)
-	if err != nil {
-		return 0, err
-	}
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	if err := ts.checkRange(key); err != nil {
-		return 0, err
-	}
-	now := b.cluster.clock.Now()
-	seq := ts.win.end
-	stampEntry(entry, seq, now)
-	if _, err := ts.writer.AppendCtx(entry, tc); err != nil {
-		return 0, err
-	}
-	ts.retain(Message{Seq: seq, Key: key, Payload: payload, PublishTime: now, Topic: ts.name, Trace: tc})
-	atomic.AddInt64(&ts.pubMsgs, 1)
-	atomic.AddInt64(&ts.pubBytes, int64(len(payload)))
-	c := b.cluster
-	c.obsPublished.Inc()
-	if c.obsPublishLat != nil {
-		c.obsPublishLat.Observe(c.clock.Now().Sub(now))
-	}
-	b.dispatchAllLocked(ts)
-	return seq, nil
-}
-
-// publishEntryBatch appends a producer batch as one ledger group commit and
-// then dispatches. entries are pre-encoded wire buffers and views their
-// payload aliases (see publishEntry for the ownership contract); all
-// messages share one PublishTime. Returns the first assigned seq.
-func (b *Broker) publishEntryBatch(topicName string, keys []string, entries, views [][]byte, traces []obs.TraceCtx) (int64, error) {
-	if d := b.extraLatency(); d > 0 {
-		b.cluster.clock.Sleep(d)
-	}
-	// Fail fast before reserving capacity (see publishEntry).
 	if err := b.precheck(topicName, keys...); err != nil {
 		return 0, err
 	}
@@ -456,8 +405,6 @@ func (b *Broker) publishEntryBatch(topicName string, keys []string, entries, vie
 	for i := range entries {
 		stampEntry(entries[i], first+int64(i), now)
 	}
-	// The group commit parents on the batch's first traced message; each
-	// message keeps its own context for delivery-time spans.
 	var batchCtx obs.TraceCtx
 	for _, tc := range traces {
 		if tc.Valid() {
@@ -482,18 +429,13 @@ func (b *Broker) publishEntryBatch(topicName string, keys []string, entries, vie
 	}
 	var nbytes int64
 	for i, v := range views {
-		m := Message{Seq: first + int64(i), Key: keys[i], Payload: v, PublishTime: now, Topic: ts.name}
-		if i < len(traces) {
-			m.Trace = traces[i]
-		}
-		ts.retain(m)
+		ts.retain(Message{Seq: first + int64(i), Key: keys[i], Payload: v, PublishTime: now, Topic: ts.name, Trace: traces[i]})
 		nbytes += int64(len(v))
 	}
 	atomic.AddInt64(&ts.pubMsgs, int64(len(entries)))
 	atomic.AddInt64(&ts.pubBytes, nbytes)
 	c := b.cluster
 	c.obsPublished.Add(int64(len(entries)))
-	c.obsBatchSize.ObserveValue(int64(len(entries)))
 	if c.obsPublishLat != nil {
 		c.obsPublishLat.Observe(c.clock.Now().Sub(now))
 	}

@@ -54,7 +54,7 @@ type Producer struct {
 	// the pin, a split mid-buffer could spread one key across two batches
 	// whose flush order is unordered — a per-key order violation. With it,
 	// a stale batch is bounced whole by the broker's range fence and
-	// redistributed in message order (see publishBatchLocked).
+	// redistributed in message order (see publishBatch).
 	batchRT *routeTable
 
 	// arena carves encoded-entry buffers (guarded by mu); free recycles
@@ -151,7 +151,9 @@ func (p *Producer) SendKeyTrace(key string, payload []byte, tc obs.TraceCtx) (in
 
 // sendKey is the shared synchronous publish path; pctx (the publish span's
 // context, or zero when untraced) flows to the broker so deliveries and the
-// ledger append parent on it.
+// ledger append parent on it. It does not hold p.mu across the broker call:
+// Pulsar Function instances share one output producer, and a raw mutex wait
+// behind a publish that sleeps on the clock would stall a virtual clock.
 func (p *Producer) sendKey(key string, payload []byte, pctx obs.TraceCtx) (int64, error) {
 	p.mu.Lock()
 	if p.pendingN > 0 {
@@ -161,8 +163,10 @@ func (p *Producer) sendKey(key string, payload []byte, pctx obs.TraceCtx) (int64
 		}
 	}
 	t := p.routeTo(p.holder.load(), key)
-	entry := p.arena.alloc(entrySize(key, t, len(payload)))
-	view := encodeEntryInto(entry, key, t, payload)
+	// A group commit of one: the arrays stay on the stack.
+	keys, entries, views, traces := [1]string{key}, [1][]byte{}, [1][]byte{}, [1]obs.TraceCtx{pctx}
+	entries[0] = p.arena.alloc(entrySize(key, t, len(payload)))
+	views[0] = encodeEntryInto(entries[0], key, t, payload)
 	p.mu.Unlock()
 	var lastErr error
 	for attempt := 0; attempt < 4; attempt++ {
@@ -172,16 +176,15 @@ func (p *Producer) sendKey(key string, payload []byte, pctx obs.TraceCtx) (int64
 			// retained durable entry. (On a route move the topic — encoded
 			// in the entry — changed too.)
 			p.mu.Lock()
-			fresh := p.arena.alloc(entrySize(key, t, len(view)))
-			view = encodeEntryInto(fresh, key, t, view)
-			entry = fresh
+			entries[0] = p.arena.alloc(entrySize(key, t, len(views[0])))
+			views[0] = encodeEntryInto(entries[0], key, t, views[0])
 			p.mu.Unlock()
 		}
 		b, _, err := p.c.ensureOwner(t)
 		if err != nil {
 			return 0, err
 		}
-		seq, err := b.publishEntry(t, key, entry, view, pctx)
+		seq, err := b.publishEntries(t, keys[:], entries[:], views[:], traces[:])
 		if err == nil {
 			p.c.meterPublish(1)
 			return seq, nil
@@ -295,7 +298,7 @@ func (p *Producer) flushLocked() error {
 	}
 	var firstErr error
 	for t, tb := range p.pending {
-		if err := p.publishBatchLocked(t, tb); err != nil && firstErr == nil {
+		if err := p.publishBatch(t, tb, true); err != nil && firstErr == nil {
 			firstErr = err
 		}
 		delete(p.pending, t)
@@ -305,20 +308,18 @@ func (p *Producer) flushLocked() error {
 	return firstErr
 }
 
-// publishBatchLocked commits one partition's batch, re-resolving ownership
-// on broker failover like the synchronous path. A batch bounced whole by
-// the broker's key-range fence (the partition split while it was buffered)
-// is redistributed against fresh routing once. Called with p.mu held.
-func (p *Producer) publishBatchLocked(t string, tb *topicBatch) error {
-	return p.publishBatch(t, tb, true)
-}
-
+// publishBatch commits one partition's batch, re-resolving ownership on
+// broker failover like the synchronous path. With allowReroute, a batch
+// bounced whole by the broker's key-range fence (the partition split while
+// it was buffered) is redistributed against fresh routing once. Called with
+// p.mu held: unlike a synchronous send, a flush keeps the lock across the
+// broker call, which is what keeps per-key order across flushes.
 func (p *Producer) publishBatch(t string, tb *topicBatch, allowReroute bool) error {
 	var lastErr error
 	for attempt := 0; attempt < 3; attempt++ {
 		if attempt > 0 {
 			// Fresh buffers for the retry: the failed append may have left
-			// the old ones on bookie replicas (see Broker.publishEntry).
+			// the old ones on bookie replicas (see Broker.publishEntries).
 			for i := range tb.entries {
 				fresh := p.arena.alloc(len(tb.entries[i]))
 				tb.views[i] = encodeEntryInto(fresh, tb.keys[i], t, tb.views[i])
@@ -329,7 +330,7 @@ func (p *Producer) publishBatch(t string, tb *topicBatch, allowReroute bool) err
 		if err != nil {
 			return err
 		}
-		if _, err := b.publishEntryBatch(t, tb.keys, tb.entries, tb.views, tb.traces); err == nil {
+		if _, err := b.publishEntries(t, tb.keys, tb.entries, tb.views, tb.traces); err == nil {
 			p.c.meterPublish(len(tb.entries))
 			return nil
 		} else {

@@ -109,7 +109,6 @@ type Cluster struct {
 	obsPublished     *obs.Counter
 	obsPublishLat    *obs.Histogram
 	obsDispatchLat   *obs.Histogram
-	obsBatchSize     *obs.Histogram
 	obsRecoveries    *obs.Counter
 	obsRecoveryTime  *obs.Histogram
 	obsGeoReplicated *obs.Counter
@@ -124,7 +123,6 @@ func (c *Cluster) SetObs(r *obs.Registry) {
 	c.obsPublished = r.Counter("pulsar.publish.messages")
 	c.obsPublishLat = r.Histogram("pulsar.publish.latency")
 	c.obsDispatchLat = r.Histogram("pulsar.dispatch.latency")
-	c.obsBatchSize = r.ValueHistogram("pulsar.publish.batch.size")
 	c.obsRecoveries = r.Counter("pulsar.recoveries")
 	c.obsRecoveryTime = r.Histogram("pulsar.recovery.time")
 	c.obsGeoReplicated = r.Counter("pulsar.georepl.replicated")

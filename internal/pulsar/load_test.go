@@ -11,6 +11,7 @@ import (
 	"repro/internal/billing"
 	"repro/internal/coord"
 	"repro/internal/ledger"
+	"repro/internal/obs"
 	"repro/internal/simclock"
 )
 
@@ -30,6 +31,16 @@ func newEnvCfg(t *testing.T, brokers, bookies int, cfg ClusterConfig) *env {
 		cl.AddBroker(fmt.Sprintf("broker-%d", i))
 	}
 	return &env{v: v, cluster: cl, meter: meter, ledgers: ls}
+}
+
+// publish commits one message straight to a broker, bypassing the producer's
+// routing and retries: it encodes the entry itself and commits it as a group
+// of one.
+func (b *Broker) publish(topicName, key string, payload []byte) (int64, error) {
+	entry := make([]byte, entrySize(key, topicName, len(payload)))
+	keys, traces := [1]string{key}, [1]obs.TraceCtx{}
+	entries, views := [1][]byte{entry}, [1][]byte{encodeEntryInto(entry, key, topicName, payload)}
+	return b.publishEntries(topicName, keys[:], entries[:], views[:], traces[:])
 }
 
 // keysInRange deterministically scans "user-N" keys until it finds count

@@ -22,7 +22,7 @@ const hashSpace = uint64(1) << 32
 // partition creation order — parents always precede the children split off
 // them) and the next partition ordinal. For a concrete partition it carries
 // that partition's own [Lo, Hi) key range, which the owning broker enforces
-// (see publishEntry). Plain topics keep the original {"partitions":0} shape,
+// (see publishEntries). Plain topics keep the original {"partitions":0} shape,
 // so pre-range metadata still decodes.
 type topicMeta struct {
 	Partitions int         `json:"partitions"`

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 gate: vet, build, the whole suite under the race detector (about a
-# minute on 2 CPUs).
+# Tier-1 gate: vet, build, API.md against the exported surface
+# (scripts/api.sh), the whole suite under the race detector (about a minute
+# on 2 CPUs).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -15,6 +16,11 @@ if grep -nE 'time\.(Sleep|After|NewTimer)\b' internal/simclock/virtual.go; then
 fi
 echo "== one binary: cmd/ holds a single package"
 [ "$(go list ./cmd/... | wc -l)" -eq 1 ] || { echo "check: cmd/ must hold exactly one package (taureau)" >&2; exit 1; }
+echo "== API.md lists the exported surface"
+if ! diff <(scripts/api.sh) API.md; then
+	echo "check: exported surface changed: run scripts/api.sh > API.md" >&2
+	exit 1
+fi
 echo "== go test -race ./..."
 go test -race ./...
 echo "tier-1 gate OK"
