@@ -63,14 +63,14 @@ func TestWarmInvokeZeroAllocs(t *testing.T) {
 // paper's scale-to-zero case — pays per function what eight invokes put into
 // it, not a latency window, a span log and a meter log sized for tens of
 // thousands. 64 functions under 4 tenants, 8 invokes each, on a fresh
-// platform: ≤16 KB allocated per function over the invokes (12.1 measured, 8
-// of them the function's latency histogram, whose bucket and exemplar blocks
-// are allocated by its first observation rather than at registration, and 2
-// its two counters' shards, allocated by their first Add — bytes moved from
-// registration to first use, 11.1 before; 284 when the first invoke allocated
-// a full 256 KiB window and the first metered unit a 1 MiB record ring) and
-// ≤3 MB live afterwards (0.83 measured, 0.97 with counters born sharded, was
-// 18.4).
+// platform that nobody reads: ≤6 KB allocated per function over the invokes
+// (3.0 measured: an invoke writes one record to its function's invoke log,
+// 160 B then 320 B, and the instruments it feeds — a latency series of two
+// 3.9 KB blocks, two counters' 1 KB shards — are bought by the first fold,
+// which only a read or a full log runs; 12.1 when every invoke wrote them
+// directly, 284 when the first invoke allocated a full 256 KiB window and the
+// first metered unit a 1 MiB record ring) and ≤1 MB live afterwards (0.20
+// measured, 0.83 with direct writes, was 18.4).
 func TestFunctionFootprint(t *testing.T) {
 	const tenants, perTenant, invokes = 4, 16, 8
 	var before, mid, after runtime.MemStats
@@ -105,11 +105,11 @@ func TestFunctionFootprint(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	live := int64(after.HeapAlloc) - int64(before.HeapAlloc)
 	t.Logf("%.0f B allocated per function over the invokes, %d B live", perFn, live)
-	if perFn > 16<<10 {
-		t.Errorf("%d invokes of each of %d functions allocate %.0f B per function, want <= %d", invokes, fns, perFn, 16<<10)
+	if perFn > 6<<10 {
+		t.Errorf("%d invokes of each of %d functions allocate %.0f B per function, want <= %d", invokes, fns, perFn, 6<<10)
 	}
-	if live > 3<<20 {
-		t.Errorf("platform with %d barely-used functions holds %d B live, want <= %d", fns, live, 3<<20)
+	if live > 1<<20 {
+		t.Errorf("platform with %d barely-used functions holds %d B live, want <= %d", fns, live, 1<<20)
 	}
 	runtime.KeepAlive(p)
 }
@@ -128,11 +128,12 @@ func liveHeap() int64 {
 // by use like the rest (DESIGN.md §10): a histogram is a 32 B header until its
 // first observation, a counter an 8 B one until its first Add, a tenant's SLO
 // ring nothing until its first request, and a retained span a 56 B
-// pointer-free record, so the idle platform fits 128 KB (53 measured; 227
-// when each of its 27 + 2·64 counters was born with 1 KB of shards and the
-// tenant with an 11.5 KB SLO ring, 941 when each of its 22 + 64 histograms
-// was born with 8 KB of buckets) and the full log 1.2 MB (1.04 measured; 2.52
-// when a slot was a 136 B SpanData).
+// pointer-free record, so the idle platform fits 128 KB (57 measured; 53
+// before the invoke log's fields took a function past the 512 B size class,
+// 227 when each of its 27 + 2·64 counters was born with 1 KB of shards and
+// the tenant with an 11.5 KB SLO ring, 941 when each of its 22 + 64
+// histograms was born with 8 KB of buckets) and the full log 1.2 MB (1.04
+// measured; 2.52 when a slot was a 136 B SpanData).
 func TestPlatformFootprint(t *testing.T) {
 	const fns, idleBound, logBound = 64, 128 << 10, 1200 << 10
 	before := liveHeap()
@@ -171,15 +172,17 @@ func TestPlatformFootprint(t *testing.T) {
 // whole platform, gateway included, for every SeBS-style call, so what one
 // call asks the allocator for is mostly what a platform costs before and at
 // its first use. After one warm-up call, a sebs.Run of 2 requests per app
-// allocates ≤460 KB (406 measured; 513 when every counter was born with 1 KB
-// of shards, every histogram's first observation bought its exemplars with its
-// buckets, each tenant's SLO ring was its full 11.5 KB and each platform
-// seeded a 4.9 KB jitter rng it never drew from). The figure is the least of
-// three calls: a call whose client dials a second connection to the fresh
-// server, or that meets a collection emptying net/http's pools, buys up to
-// 40 KB more of net/http's buffers.
+// allocates ≤400 KB (351 measured: its invokes write invoke-log records and a
+// call never reads its metrics, so no fold buys the invoke instruments; 406
+// when every invoke wrote them directly, 513 when every counter was born with
+// 1 KB of shards, every histogram's first observation bought its exemplars
+// with its buckets, each tenant's SLO ring was its full 11.5 KB and each
+// platform seeded a 4.9 KB jitter rng it never drew from). The figure is the
+// least of three calls: a call whose client dials a second connection to the
+// fresh server, or that meets a collection emptying net/http's pools, buys up
+// to 40 KB more of net/http's buffers.
 func TestSebsCallBytes(t *testing.T) {
-	const budget = 460 << 10
+	const budget = 400 << 10
 	if raceDetector {
 		t.Skip("net/http's pooled buffers are reallocated under the race detector")
 	}

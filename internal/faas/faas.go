@@ -248,15 +248,19 @@ type function struct {
 	idemOrder []idemExpiry
 
 	// Tenant/function-labeled handles and the tenant SLO accumulator,
-	// resolved once at Register (nil no-ops without observability) so the
-	// invoke path never touches a label map.
+	// resolved once at Register (nil no-ops without observability) so a fold
+	// never touches a label map. The invoke path does not touch them at all:
+	// it appends one record to the invoke log below, and a fold replays the
+	// log into these and the platform's invoke instruments (invokelog.go).
 	lblInv  *obs.Counter
 	lblFail *obs.Counter
 	lblLat  *obs.Histogram
 	slo     *obs.TenantSLO
 
 	mu          sync.Mutex
-	idle        []*instance // LIFO: most recently used first
+	log         []invokeRecord // the invoke log: completed invokes not yet folded
+	logged      bool           // listed in platform.logged
+	idle        []*instance    // LIFO: most recently used first
 	running     int
 	warming     int  // instances provisioning toward the pool target
 	gone        bool // set by Unregister; in-flight provisions release
@@ -414,6 +418,17 @@ type Platform struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
+	// The invoke logs' fold state (invokelog.go). logSeq numbers completed
+	// invokes platform-wide; logged lists the functions whose log holds
+	// records, under logMu; foldMu runs one fold at a time and guards the
+	// fold's two scratch buffers.
+	logSeq  atomic.Uint32
+	logMu   sync.Mutex
+	logged  []*function
+	foldMu  sync.Mutex
+	foldFns []*function
+	foldBuf []loggedInvoke
+
 	// Pre-resolved observability handles; nil (all no-ops) until SetObs.
 	obsReg         *obs.Registry // kept for per-function breaker gauges
 	obsCold        *obs.Counter
@@ -447,10 +462,12 @@ func New(clock simclock.Clock, meter *billing.Meter) *Platform {
 	}
 }
 
-// SetObs attaches observability instruments. Handles are resolved once here
-// so the invoke path touches only atomics; a nil registry yields nil
-// instruments, whose methods are no-ops. Call before registering functions
-// so their breaker gauges land in the registry.
+// SetObs attaches observability instruments. Handles are resolved once here,
+// and the fold of the functions' invoke logs is registered as the registry's
+// OnRead hook, so every registry read sees every completed invoke; a nil
+// registry yields nil instruments, whose methods are no-ops, and no invoke
+// log is kept. Call before registering functions so their breaker gauges
+// land in the registry.
 func (p *Platform) SetObs(r *obs.Registry) {
 	p.obsReg = r
 	p.obsCold = r.Counter("faas.invoke.cold")
@@ -477,6 +494,7 @@ func (p *Platform) SetObs(r *obs.Registry) {
 	r.SetHelp("faas.tenant.failures", "Handler failures and timeouts, by tenant and function.")
 	r.SetHelp("faas.tenant.latency", "End-to-end invoke latency, by tenant and function.")
 	r.SetHelp("faas.invoke.latency", "End-to-end invoke latency across all tenants.")
+	r.OnRead(p.foldInvokeLogs)
 }
 
 // Clock returns the platform's clock (handlers and triggers share it).
@@ -597,8 +615,9 @@ func (p *Platform) slowdownFor(fn *function, inst *instance) float64 {
 }
 
 // UnregisterFor removes tenant's function name, releasing its idle
-// instances' cluster capacity. Another tenant's same-named function is
-// untouched and unprobeable (ErrNoFunction either way).
+// instances' cluster capacity and folding its invoke log. Another tenant's
+// same-named function is untouched and unprobeable (ErrNoFunction either
+// way).
 func (p *Platform) UnregisterFor(tenant, name string) error {
 	id := fnID{tenant, name}
 	p.mu.Lock()
@@ -610,12 +629,15 @@ func (p *Platform) UnregisterFor(tenant, name string) error {
 	}
 
 	fn.mu.Lock()
-	defer fn.mu.Unlock()
 	fn.gone = true
 	for _, in := range fn.idle {
 		p.releaseInstance(fn, in)
 	}
 	fn.idle = nil
+	fn.mu.Unlock()
+	// Once gone is set, an invoke still in flight folds its own record as it
+	// completes; this fold takes everything logged before.
+	p.foldInvokeLogs()
 	return nil
 }
 
@@ -690,7 +712,8 @@ func (p *Platform) invoke(tenant, name string, payload []byte, attempt int, pare
 
 	if len(payload) > fn.cfg.MaxPayload {
 		span.EndLabeled(fn.tenant, fn.name, true)
-		return Result{}, fmt.Errorf("%w: %d > %d bytes", ErrPayloadSize, len(payload), fn.cfg.MaxPayload)
+		return Result{RequestID: reqID, Attempt: attempt, TraceID: span.TraceID()},
+			fmt.Errorf("%w: %d > %d bytes", ErrPayloadSize, len(payload), fn.cfg.MaxPayload)
 	}
 
 	// Dedup window: a key that already succeeded inside the window never
@@ -758,7 +781,8 @@ func (p *Platform) invoke(tenant, name string, payload []byte, attempt int, pare
 			}
 			qspan.EndErr(true)
 			span.EndLabeled(fn.tenant, fn.name, true)
-			return Result{TraceID: span.TraceID()}, fmt.Errorf("%w: %q at %d", ErrThrottled, name, fn.cfg.MaxConcurrency)
+			return Result{RequestID: reqID, Attempt: attempt, TraceID: span.TraceID()},
+				fmt.Errorf("%w: %q at %d", ErrThrottled, name, fn.cfg.MaxConcurrency)
 		}
 		fn.nextInst++
 		inst = &instance{id: fn.nextInst}
@@ -786,24 +810,21 @@ func (p *Platform) invoke(tenant, name string, payload []byte, attempt int, pare
 			}
 			qspan.EndErr(true)
 			span.EndLabeled(fn.tenant, fn.name, true)
+			res := Result{RequestID: reqID, Attempt: attempt, TraceID: span.TraceID()}
 			if fn.cfg.ColdStartBudget > 0 {
-				return Result{TraceID: span.TraceID()}, fmt.Errorf("%w: %q after %v: %v",
-					ErrColdStartTimeout, name, fn.cfg.ColdStartBudget, err)
+				return res, fmt.Errorf("%w: %q after %v: %v", ErrColdStartTimeout, name, fn.cfg.ColdStartBudget, err)
 			}
-			return Result{TraceID: span.TraceID()}, fmt.Errorf("%w: %q: %v", ErrThrottled, name, err)
+			return res, fmt.Errorf("%w: %q: %v", ErrThrottled, name, err)
 		}
 	}
 
 	// Pay start latency.
 	if cold {
-		p.obsCold.Inc()
 		p.clock.Sleep(fn.cfg.ColdStart)
 	} else {
-		p.obsWarm.Inc()
 		p.clock.Sleep(fn.cfg.WarmStart)
 	}
 	execStart := p.clock.Now()
-	p.obsQueueWait.Observe(execStart.Sub(start))
 	qspan.End()
 
 	// Execute with the time-limit budget. The invocation record comes from
@@ -836,14 +857,6 @@ func (p *Platform) invoke(tenant, name string, payload []byte, attempt int, pare
 	hspan.EndErr(err != nil)
 
 	end := p.clock.Now()
-	p.obsHandlerLat.Observe(end.Sub(execStart))
-	p.obsInvokeLat.ObserveTrace(end.Sub(start), span.TraceID())
-	fn.lblInv.Inc()
-	if err != nil {
-		fn.lblFail.Inc()
-	}
-	fn.lblLat.ObserveTrace(end.Sub(start), span.TraceID())
-	fn.slo.Record(end.Sub(start), err != nil)
 	if execDur == 0 {
 		// Handlers that do no modelled work still bill a minimum granule.
 		execDur = time.Millisecond
@@ -853,7 +866,17 @@ func (p *Platform) invoke(tenant, name string, payload []byte, attempt int, pare
 	}
 
 	// Return the instance to the warm pool (even after handler errors; the
-	// runtime survives user exceptions, as on real platforms).
+	// runtime survives user exceptions, as on real platforms), and log the
+	// invoke for the metrics to fold.
+	rec := invokeRecord{
+		end:     end.UnixNano(),
+		wait:    execStart.Sub(start),
+		run:     end.Sub(execStart),
+		traceID: span.TraceID(),
+		cold:    cold,
+		failed:  err != nil,
+		timeout: errors.Is(err, ErrTimeout),
+	}
 	fn.mu.Lock()
 	fn.running--
 	inst.idleSince = end
@@ -864,16 +887,18 @@ func (p *Platform) invoke(tenant, name string, payload []byte, attempt int, pare
 		p.releaseInstance(fn, inst)
 	}
 	fn.recordDurationLocked(end.Sub(start))
-	if err != nil {
-		if errors.Is(err, ErrTimeout) {
+	if rec.failed {
+		if rec.timeout {
 			fn.timeouts++
-			p.obsTimeout.Inc()
 		}
 		fn.failures++
-		p.obsFailure.Inc()
 	}
+	fold := p.obsReg != nil && fn.logLocked(rec)
 	fn.recordLocked(end)
 	fn.mu.Unlock()
+	if fold {
+		p.foldInvokeLogs()
+	}
 
 	if gated {
 		out := outcomeSuccess

@@ -112,7 +112,7 @@ func (r *Registry) writeHeader(w io.Writer, last *string, rawName, promID, kind 
 		return nil
 	}
 	*last = promID
-	if help := r.HelpFor(rawName); help != "" {
+	if help := r.helpFor(rawName); help != "" {
 		if _, err := fmt.Fprintf(w, "# HELP %s %s\n", promID, escapeHelp(help)); err != nil {
 			return err
 		}

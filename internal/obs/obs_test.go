@@ -52,6 +52,42 @@ func TestNilSafety(t *testing.T) {
 	}
 }
 
+// TestOnReadFoldsBeforeEveryRead: each registry read, and SetObjective, runs
+// the OnRead hooks first, so a write a hook defers is in what it reads;
+// handle reads do not.
+func TestOnReadFoldsBeforeEveryRead(t *testing.T) {
+	r := New(nil)
+	c := r.Counter("deferred")
+	pending := int64(0)
+	r.OnRead(func() { c.Add(pending); pending = 0 })
+	reads := []struct {
+		name string
+		read func() int64
+	}{
+		{"Snapshot", func() int64 { return r.Snapshot().Counters[0].Value }},
+		{"CounterValue", func() int64 { return r.CounterValue("deferred") }},
+		{"WritePrometheus", func() int64 {
+			var b bytes.Buffer
+			if err := r.WritePrometheus(&b); err != nil {
+				t.Fatal(err)
+			}
+			return int64(strings.Count(b.String(), "deferred "))
+		}},
+		{"SLO().Snapshot", func() int64 { r.SLO().Snapshot(); return c.Value() }},
+		{"WriteSLOText", func() int64 { r.SLO().WriteSLOText(&bytes.Buffer{}); return c.Value() }},
+		{"SetObjective", func() int64 { r.SLO().SetObjective("t", SLOConfig{}); return c.Value() }},
+	}
+	for i, rd := range reads {
+		pending = 1
+		if before := c.Value(); before != int64(i) {
+			t.Fatalf("a handle read folded: %d after %d registry reads", before, i)
+		}
+		if got := rd.read(); got < 1 || c.Value() != int64(i+1) || pending != 0 {
+			t.Fatalf("%s read %d and left %d pending, want the hook folded first", rd.name, got, pending)
+		}
+	}
+}
+
 func TestCounterConcurrent(t *testing.T) {
 	r := New(nil)
 	c := r.Counter("hits")

@@ -16,13 +16,23 @@
 // buckets' total, summed at Snapshot, not a third add; and one atomic load
 // plus one atomic add per Start on a tracer at its cap. The benchmark
 // ladder's obs.invoke_tax_ns and obs.publish_tax_ns rungs keep this honest.
+// A subsystem may pay less still by batching its writes and folding them in
+// before every registry read, through Registry.OnRead: a faas invoke writes
+// one 40-byte record to its function's invoke log in place of its counter
+// adds, histogram observations and SLO cell, and the log is replayed into
+// those when it fills or someone reads (DESIGN.md §5). Registry reads
+// (Snapshot, the exporters, CounterValue, the SLO engine's Snapshot and
+// WriteSLOText) see every such write; a read on an instrument handle
+// (Counter.Value, Histogram.Snapshot) sees only what has been folded.
 //
 // What it holds is sized by use (DESIGN.md §5, §10): a counter is an 8-byte
 // header until its first Add, a histogram a 32-byte one until its first
 // observation (and its exemplars until its first traced one), a tenant's SLO
 // ring the 16-byte cells its traffic's epochs need, and a retained span a
 // 56-byte record with no pointer in it, so the tracer's log at its cap is one
-// megabyte the collector never scans.
+// megabyte the collector never scans. What a batching subsystem has not
+// folded yet costs nothing here: a platform nobody reads whose functions run
+// a few times each never buys their instruments' blocks and shards.
 package obs
 
 import (
@@ -343,6 +353,7 @@ type Registry struct {
 	hvecs    map[string]*HistogramVec
 	help     map[string]string
 	slo      *SLOEngine
+	onRead   []func()
 
 	tracer *Tracer
 }
@@ -506,9 +517,36 @@ func (r *Registry) SLO() *SLOEngine {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.slo == nil {
-		r.slo = newSLOEngine(r.clock)
+		r.slo = newSLOEngine(r.clock, r.fold)
 	}
 	return r.slo
+}
+
+// OnRead registers fold to run before every read of the registry: Snapshot
+// (and the exporters and /metrics on it), CounterValue, and the SLO engine's
+// Snapshot and WriteSLOText; and before SLOEngine.SetObjective, so that an
+// outcome is judged against the objective it completed under. A subsystem that batches its writes (faas's
+// per-function invoke logs) folds them into its instruments here, so a read
+// sees every write made before it. fold runs with no registry lock held;
+// reads on an instrument handle (Counter.Value, Histogram.Snapshot) do not
+// run it. Nil-safe.
+func (r *Registry) OnRead(fold func()) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	r.onRead = append(r.onRead, fold)
+	r.mu.Unlock()
+}
+
+// fold runs the OnRead hooks.
+func (r *Registry) fold() {
+	r.mu.RLock()
+	hooks := r.onRead
+	r.mu.RUnlock()
+	for _, f := range hooks {
+		f()
+	}
 }
 
 // Tracer returns the registry's tracer (nil on a nil registry).
@@ -569,11 +607,13 @@ func labelsLess(a, b []Label) bool {
 	return len(a) < len(b)
 }
 
-// Snapshot captures every instrument. Empty snapshot on nil.
+// Snapshot captures every instrument, after the OnRead hooks have folded
+// what they hold. Empty snapshot on nil.
 func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return Snapshot{}
 	}
+	r.fold()
 	r.mu.RLock()
 	counters := make(map[string]*Counter, len(r.counters))
 	for k, v := range r.counters {
@@ -618,7 +658,7 @@ func (r *Registry) Snapshot() Snapshot {
 	for _, v := range hvecs {
 		snap.Histograms = v.snapshot(snap.Histograms)
 	}
-	snap.SLOs = slo.Snapshot()
+	snap.SLOs = slo.evaluate()
 	sort.Slice(snap.Counters, func(i, j int) bool {
 		if snap.Counters[i].Name != snap.Counters[j].Name {
 			return snap.Counters[i].Name < snap.Counters[j].Name
@@ -635,34 +675,22 @@ func (r *Registry) Snapshot() Snapshot {
 	return snap
 }
 
-// HelpFor returns the registered help string for a metric ("" if none).
-func (r *Registry) HelpFor(name string) string {
-	if r == nil {
-		return ""
-	}
+// helpFor returns the registered help string for a metric ("" if none).
+func (r *Registry) helpFor(name string) string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return r.help[name]
 }
 
-// CounterValue is a convenience lookup (0 if absent or nil registry).
+// CounterValue is a convenience lookup, after the OnRead hooks have folded
+// (0 if absent or nil registry).
 func (r *Registry) CounterValue(name string) int64 {
 	if r == nil {
 		return 0
 	}
+	r.fold()
 	r.mu.RLock()
 	c := r.counters[name]
 	r.mu.RUnlock()
 	return c.Value()
-}
-
-// HistogramSnapshotOf is a convenience lookup (zero value if absent).
-func (r *Registry) HistogramSnapshotOf(name string) HistogramSnapshot {
-	if r == nil {
-		return HistogramSnapshot{}
-	}
-	r.mu.RLock()
-	h := r.hists[name]
-	r.mu.RUnlock()
-	return h.Snapshot()
 }

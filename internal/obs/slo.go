@@ -63,7 +63,9 @@ func bump(n *uint32) {
 // TenantSLO accumulates one tenant's request outcomes. Handles are resolved
 // once at function-registration time; Record is a mutex plus integer
 // arithmetic — no map access, and no allocation once the ring has grown to
-// the epochs the tenant's traffic spans.
+// the epochs the tenant's traffic spans. Outcomes may be recorded late and
+// out of order (faas folds them from its invoke logs): each lands in the
+// epoch of its own instant.
 type TenantSLO struct {
 	name  string
 	clock simclock.Clock
@@ -77,44 +79,56 @@ type TenantSLO struct {
 	buckets []sloCell
 }
 
-// epoch numbers the 30 s bucket the clock is in.
-func (s *TenantSLO) epoch() uint32 {
-	return uint32(s.clock.Now().UnixNano() / int64(sloBucket))
+// epochOf numbers the 30 s bucket t is in.
+func epochOf(t time.Time) uint32 {
+	return uint32(t.UnixNano() / int64(sloBucket))
 }
 
-// Record adds one request outcome. No-op on nil.
-func (s *TenantSLO) Record(d time.Duration, failed bool) {
+// epoch numbers the 30 s bucket the clock is in.
+func (s *TenantSLO) epoch() uint32 {
+	return epochOf(s.clock.Now())
+}
+
+// Record adds the outcome of one request that completed at the instant at,
+// in at's epoch. No-op on nil.
+func (s *TenantSLO) Record(at time.Time, d time.Duration, failed bool) {
 	if s == nil {
 		return
 	}
-	ep := s.epoch()
+	ep := epochOf(at)
 	s.mu.Lock()
-	c := s.cellLocked(ep)
-	bump(&c.total)
-	if failed {
-		bump(&c.errs)
-	}
-	if d > s.cfg.LatencyTarget {
-		bump(&c.slow)
+	if c := s.cellLocked(ep); c != nil {
+		bump(&c.total)
+		if failed {
+			bump(&c.errs)
+		}
+		if d > s.cfg.LatencyTarget {
+			bump(&c.slow)
+		}
 	}
 	s.mu.Unlock()
 }
 
-// cellLocked returns ep's cell, reset if it held another epoch. Caller holds
-// s.mu.
+// cellLocked returns ep's cell, reset if it held an older epoch, or nil when
+// it holds a newer one: ep is then sloRingLen epochs or more behind an
+// epoch already recorded, so no window will ever read it, and a fixed ring
+// fed in time order would have overwritten it too. Caller holds s.mu.
 func (s *TenantSLO) cellLocked(ep uint32) *sloCell {
 	if s.buckets == nil {
 		s.buckets = make([]sloCell, sloFirstRing)
 	}
 	c := &s.buckets[ep%uint32(len(s.buckets))]
 	// Below the cap, a used cell within sloRingLen epochs of ep, either way (a
-	// concurrent Record may land out of order), is one the fixed ring keeps.
+	// Record may land out of order), is one the fixed ring keeps.
 	for c.epoch != ep && c.total != 0 && (ep-c.epoch < sloRingLen || c.epoch-ep < sloRingLen) &&
 		len(s.buckets) < sloRingLen {
 		s.growLocked()
 		c = &s.buckets[ep%uint32(len(s.buckets))]
 	}
 	if c.epoch != ep {
+		if c.total != 0 && int32(c.epoch-ep) > 0 {
+			return nil
+		}
 		*c = sloCell{epoch: ep}
 	}
 	return c
@@ -203,13 +217,14 @@ func (s *TenantSLO) snapshot() SLOSnapshot {
 // SLOEngine hands out per-tenant SLO accumulators.
 type SLOEngine struct {
 	clock simclock.Clock
+	fold  func() // the registry's OnRead hooks
 
 	mu      sync.RWMutex
 	tenants map[string]*TenantSLO
 }
 
-func newSLOEngine(clock simclock.Clock) *SLOEngine {
-	return &SLOEngine{clock: clock, tenants: map[string]*TenantSLO{}}
+func newSLOEngine(clock simclock.Clock, fold func()) *SLOEngine {
+	return &SLOEngine{clock: clock, fold: fold, tenants: map[string]*TenantSLO{}}
 }
 
 // Tenant returns (creating with defaults if needed) the tenant's
@@ -234,11 +249,14 @@ func (e *SLOEngine) Tenant(name string) *TenantSLO {
 }
 
 // SetObjective replaces a tenant's objectives (creating the tenant if
-// needed). Zero fields fall back to defaults. Nil-safe.
+// needed). Zero fields fall back to defaults. The registry's OnRead hooks
+// fold first, so an outcome recorded before the change is judged slow or
+// fast against the latency target it completed under. Nil-safe.
 func (e *SLOEngine) SetObjective(name string, cfg SLOConfig) {
 	if e == nil {
 		return
 	}
+	e.fold()
 	if cfg.Objective <= 0 || cfg.Objective >= 1 {
 		cfg.Objective = DefaultSLOConfig.Objective
 	}
@@ -254,8 +272,18 @@ func (e *SLOEngine) SetObjective(name string, cfg SLOConfig) {
 	s.mu.Unlock()
 }
 
-// Snapshot evaluates every tenant, sorted by name. Empty on nil.
+// Snapshot evaluates every tenant, sorted by name, after the registry's
+// OnRead hooks have folded what they hold. Empty on nil.
 func (e *SLOEngine) Snapshot() []SLOSnapshot {
+	if e == nil {
+		return nil
+	}
+	e.fold()
+	return e.evaluate()
+}
+
+// evaluate is Snapshot without the fold (Registry.Snapshot has run it).
+func (e *SLOEngine) evaluate() []SLOSnapshot {
 	if e == nil {
 		return nil
 	}

@@ -168,7 +168,7 @@ func TestSLOBurnRates(t *testing.T) {
 		// 2% error rate against a 0.1% budget → burn 20 in every window →
 		// page (fast pair ≥ 14.4) and ticket (slow pair ≥ 3.0).
 		for i := 0; i < 1000; i++ {
-			s.Record(10*time.Millisecond, i%50 == 0)
+			s.Record(v.Now(), 10*time.Millisecond, i%50 == 0)
 		}
 	})
 	snaps := eng.Snapshot()
@@ -208,7 +208,7 @@ func TestSLOBurnRates(t *testing.T) {
 	// Slow-but-successful traffic trips the latency objective only.
 	v.Run(func() {
 		for i := 0; i < 1000; i++ {
-			s.Record(500*time.Millisecond, false) // > 100ms target, 1% budget → burn 100
+			s.Record(v.Now(), 500*time.Millisecond, false) // > 100ms target, 1% budget → burn 100
 		}
 	})
 	snap = eng.Snapshot()[0]
@@ -229,7 +229,7 @@ func TestSLOCellSaturates(t *testing.T) {
 	v := simclock.NewVirtual()
 	defer v.Close()
 	s := New(v).SLO().Tenant("acme")
-	s.Record(time.Millisecond, true)
+	s.Record(v.Now(), time.Millisecond, true)
 	ep := s.epoch()
 	c := &s.buckets[ep%uint32(len(s.buckets))]
 	if *c != (sloCell{epoch: ep, total: 1, errs: 1}) {
@@ -237,7 +237,7 @@ func TestSLOCellSaturates(t *testing.T) {
 	}
 	c.total, c.errs = math.MaxUint32-1, math.MaxUint32-1
 	for i := 0; i < 3; i++ {
-		s.Record(time.Millisecond, true)
+		s.Record(v.Now(), time.Millisecond, true)
 	}
 	if c.total != math.MaxUint32 || c.errs != math.MaxUint32 || c.slow != 0 {
 		t.Fatalf("cell after saturating = %+v, want total and errs pinned at %d", *c, uint32(math.MaxUint32))
@@ -267,8 +267,8 @@ func newSLOTwin(t *testing.T, name string) *sloTwin {
 }
 
 func (w *sloTwin) record(d time.Duration, failed bool) {
-	w.grown.Record(d, failed)
-	w.fixed.Record(d, failed)
+	w.grown.Record(w.v.Now(), d, failed)
+	w.fixed.Record(w.v.Now(), d, failed)
 }
 
 // sleep moves the clock on by whole epochs; both rings must read the same
@@ -339,9 +339,9 @@ func TestSLORingMatchesFixedOracle(t *testing.T) {
 		t.Fatalf("ring has %d cells, want it grown to %d", n, sloRingLen)
 	}
 
-	// Record reads the clock before it takes the lock, so a concurrent one can
-	// land an epoch late. One sloFirstRing epochs late shares a slot of the
-	// first ring with a newer used cell; it must grow the ring, not evict it.
+	// A Record can land an epoch late (faas folds outcomes after the fact).
+	// One sloFirstRing epochs late shares a slot of the first ring with a
+	// newer used cell; it must grow the ring, not evict it.
 	w = newSLOTwin(t, "a late Record")
 	w.v.Run(func() {
 		e := w.grown.epoch()
@@ -354,6 +354,46 @@ func TestSLORingMatchesFixedOracle(t *testing.T) {
 		}
 		w.check()
 	})
+}
+
+// TestSLORecordOutOfOrder: outcomes recorded late and in any order, as faas
+// folds them from its invoke logs, read as the same outcomes recorded as
+// they happened. Each lands in its own instant's epoch, and one that a newer
+// epoch has pushed past the ring's 6 h reach is dropped rather than let to
+// clobber the newer cell.
+func TestSLORecordOutOfOrder(t *testing.T) {
+	v := simclock.NewVirtual()
+	defer v.Close()
+	eng := New(v).SLO()
+	inOrder, shuffled := eng.Tenant("a"), eng.Tenant("b")
+	type outcome struct {
+		at     time.Time
+		d      time.Duration
+		failed bool
+	}
+	rng := rand.New(rand.NewSource(5))
+	const span = 20 * time.Hour
+	outs := make([]outcome, 5000)
+	for i := range outs {
+		outs[i] = outcome{v.Now().Add(time.Duration(rng.Int63n(int64(span)))), time.Duration(rng.Intn(1000)) * time.Millisecond, rng.Intn(10) == 0}
+	}
+	sort.Slice(outs, func(i, j int) bool { return outs[i].at.Before(outs[j].at) })
+	for _, o := range outs {
+		inOrder.Record(o.at, o.d, o.failed)
+	}
+	rng.Shuffle(len(outs), func(i, j int) { outs[i], outs[j] = outs[j], outs[i] })
+	for _, o := range outs {
+		shuffled.Record(o.at, o.d, o.failed)
+	}
+	v.Run(func() { v.Sleep(span) })
+	snaps := eng.Snapshot()
+	if snaps[0].Windows[3].Total == 0 {
+		t.Fatal("the 6 h window is empty")
+	}
+	snaps[1].Tenant = snaps[0].Tenant
+	if !reflect.DeepEqual(snaps[0], snaps[1]) {
+		t.Fatalf("recorded in order:\n%+v\nshuffled:\n%+v", snaps[0], snaps[1])
+	}
 }
 
 // TestCounterFirstAddRace: 32 goroutines make a counter's first Adds at

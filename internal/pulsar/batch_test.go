@@ -194,7 +194,11 @@ func TestSyncSendIsAGroupCommitOfOne(t *testing.T) {
 					o.ledger = append(o.ledger, sd.Name)
 				}
 			}
-			o.fanIn = reg.HistogramSnapshotOf("ledger.append.batch.fanin")
+			for _, h := range reg.Snapshot().Histograms {
+				if h.Name == "ledger.append.batch.fanin" {
+					o.fanIn = h.HistogramSnapshot
+				}
+			}
 		})
 		return o
 	}
