@@ -205,7 +205,7 @@ func TestSebsCallBytes(t *testing.T) {
 
 // TestPublishSyncAtMostOneAlloc pins the synchronous publish path at ≤1
 // alloc per message. The budget covers the amortized arena-block refill
-// (one 64KB block per ~200 entries) and the bookies' entry-index segments;
+// (one 128 KB block per ~400 entries) and the bookies' entry-index segments;
 // with nobody subscribed the topic's window ring stays at its first size. A
 // per-publish message copy, a rebuilt map or a one-element commit whose
 // arrays escape to the heap would blow well past it.
@@ -444,24 +444,32 @@ func TestStreamBytesPerMessage(t *testing.T) {
 }
 
 // TestTopicMemoryBoundedByBacklog is the retention gate beside the allocation
-// ones: a broker holds a topic's unacked tail, not the topic. 200 000 keyed
-// 256 B messages go through publish → Receive → Ack on 4 partitions in bursts
-// of 100, and what the process still holds afterwards (liveHeap) has grown by
-// no more than 420 B per message: the arena entry (≈306 B, on the bookies
-// until its ledger goes) and a 24 B index slot on each of three bookies. A
-// per-message slot in a broker-side cache (104 B; this read 487 with one)
-// does not fit. The rings themselves are internal/pulsar's to see: its
+// ones: a broker holds a topic's unacked tail, and the bookies hold about one
+// ledger of it per partition, not the topic. 200 000 keyed 256 B messages go
+// through publish → Receive → Ack on 4 partitions in bursts of 100. Each
+// partition's ledger rolls at 4080 entries and a ledger every subscription
+// has acked past is deleted, so what the process holds plateaus: the live
+// heap after the whole run is within 1.2× of the live heap after a tenth of
+// it (≈7 MB both: a producer's arena block holds entries of all four
+// partitions and goes once each has deleted the ledger holding its share),
+// and the bookies never hold more than two ledgers' worth of entry replicas
+// per partition. Without deletion the heap grew ≈380 B per message — the
+// arena entry and a 24 B index slot on each of three bookies — ≈76 MB over
+// this run. The rings themselves are internal/pulsar's to see: its
 // TestWindowRingsBoundedAtScale holds each partition's to 1024 slots over
-// this same load, and TestEarliestAfterTrimReplaysEverything shows that
-// everything a ring let go of can still be read.
+// this same load.
 func TestTopicMemoryBoundedByBacklog(t *testing.T) {
-	const burst, warm, budget = 100, 10, 420
-	total := 200000
-	if raceDetector || testing.Short() {
-		total = 50000 // same per-message figure, a tenth of the time under -race
-	}
+	const (
+		burst, warm, partitions = 100, 10, 4
+		// Two ledgers of topicLedgerEntries (internal/pulsar) per partition,
+		// each entry on a write quorum of two bookies.
+		maxEntries = 2 * 4080 * partitions * 2
+	)
+	// A tenth of the run must be past the first rolls: before them the
+	// heap is still climbing to the plateau.
+	const total = 200000
 	p := core.New(core.Options{})
-	if err := p.Pulsar.CreateTopic("retain-gate", 4); err != nil {
+	if err := p.Pulsar.CreateTopic("retain-gate", partitions); err != nil {
 		t.Fatal(err)
 	}
 	prod, err := p.Pulsar.CreateProducerOpts("retain-gate", pulsar.ProducerOptions{MaxBatch: 16})
@@ -478,6 +486,15 @@ func TestTopicMemoryBoundedByBacklog(t *testing.T) {
 		keys[i] = fmt.Sprintf("k%04d", i)
 	}
 	payload := make([]byte, 256)
+	entries := func() int {
+		n := 0
+		for _, id := range p.Ledgers.BookieIDs() {
+			b, _ := p.Ledgers.Bookie(id)
+			n += b.EntryCount()
+		}
+		return n
+	}
+	maxHeld := 0
 	round := func(b int) {
 		for i := 0; i < burst; i++ {
 			if err := prod.SendAsync(keys[(b*burst+i)*7%len(keys)], payload); err != nil {
@@ -496,22 +513,57 @@ func TestTopicMemoryBoundedByBacklog(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		if n := entries(); n > maxEntries {
+			t.Fatalf("after burst %d the bookies hold %d entry replicas, want <= %d", b, n, maxEntries)
+		} else {
+			maxHeld = max(maxHeld, n)
+		}
 	}
-	for b := 0; b < warm; b++ {
+	rounds := total / burst
+	for b := 0; b < warm+rounds/10; b++ {
 		round(b)
 	}
-	before := liveHeap()
-	for b := warm; b < warm+total/burst; b++ {
+	tenth := liveHeap()
+	for b := warm + rounds/10; b < warm+rounds; b++ {
 		round(b)
 	}
-	after := liveHeap()
-	got := float64(after-before) / float64(total)
-	t.Logf("live heap grew %.0f B per acked 256 B message over %d messages", got, total)
-	if got > budget {
-		t.Fatalf("live heap grew %.0f B per acked 256 B message over %d messages, want <= %d", got, total, budget)
+	end := liveHeap()
+	t.Logf("live heap %.2f MB after %d messages, %.2f MB after %d; the bookies held at most %d entry replicas",
+		float64(tenth)/(1<<20), total/10, float64(end)/(1<<20), total, maxHeld)
+	if float64(end) > 1.2*float64(tenth) {
+		t.Fatalf("live heap %.2f MB after %d messages, %.2f MB after a tenth of them: want a plateau (<= 1.2x)",
+			float64(end)/(1<<20), total, float64(tenth)/(1<<20))
 	}
 	if n, err := p.Pulsar.Backlog("retain-gate", "s"); err != nil || n != 0 {
 		t.Fatalf("backlog = %d, %v; want 0", n, err)
+	}
+}
+
+// TestRollAndTrimAllocs bounds what a topic pays per ledger for forgetting:
+// a Writer.Roll — the new ledger's metadata node and its path, the old one
+// sealed in place — plus the DeleteLedger of a sealed ledger allocate at most
+// 8 times.
+func TestRollAndTrimAllocs(t *testing.T) {
+	p := core.New(core.Options{})
+	w, err := p.Ledgers.CreateLedger(3, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Append([]byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(100, func() {
+		sealed := w.ID()
+		if err := w.Roll(); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Ledgers.DeleteLedger(sealed); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("a roll plus a delete allocates %.1f times", got)
+	if got > 8 {
+		t.Fatalf("a roll plus a delete allocates %.1f times, want <= 8", got)
 	}
 }
 

@@ -85,8 +85,8 @@ const AnyVersion int64 = -1
 type node struct {
 	data     []byte
 	stat     Stat
-	children map[string]*node
-	seq      int64 // counter for sequential children
+	children map[string]*node // nil until the first child
+	seq      int64            // counter for sequential children
 
 	dataWatch  []chan Event
 	childWatch []chan Event
@@ -114,7 +114,7 @@ type Store struct {
 func NewStore(clock simclock.Clock) *Store {
 	return &Store{
 		clock:    clock,
-		root:     &node{children: map[string]*node{}},
+		root:     &node{},
 		sessions: map[SessionID]*session{},
 	}
 }
@@ -235,9 +235,11 @@ func (s *Store) create(path string, data []byte, mode Mode, owner SessionID, seq
 // that parent may have children.
 func (s *Store) addChildLocked(parent *node, path, name string, data []byte, now time.Time) *node {
 	n := &node{
-		data:     append([]byte(nil), data...),
-		children: map[string]*node{},
-		stat:     Stat{CreatedAt: now, ModifiedAt: now},
+		data: append([]byte(nil), data...),
+		stat: Stat{CreatedAt: now, ModifiedAt: now},
+	}
+	if parent.children == nil {
+		parent.children = map[string]*node{} // most nodes are leaves: made on the first child
 	}
 	parent.children[name] = n
 	parent.stat.NumChildren = len(parent.children)

@@ -35,7 +35,7 @@ func TestAppendBatchOrderAndIDs(t *testing.T) {
 	must(t, w.Close())
 	r, err := s.OpenReader(w.ID())
 	must(t, err)
-	all, err := r.ReadAll()
+	all, err := r.readAll()
 	must(t, err)
 	want := []string{"solo-0", "batch-0", "batch-1", "batch-2", "batch-3", "batch-4", "solo-1"}
 	if len(all) != len(want) {

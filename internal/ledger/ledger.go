@@ -9,12 +9,16 @@
 // fences the ensemble so the dead writer cannot add entries, then finds the
 // last entry that reached the ack quorum.
 //
+// A writer that keeps one log as a run of ledgers — a topic does — rolls it
+// (Writer.Roll): the current ledger is sealed as Close would seal it and the
+// same Writer continues in a fresh one, so each sealed ledger can be deleted
+// on its own once nobody needs it.
+//
 // Ledger metadata (ensemble, quorum sizes, state) lives in the coordination
-// service, as it does in the real system.
+// service, as it does in the real system, in a fixed binary record (meta.go).
 package ledger
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -121,7 +125,11 @@ func (b *Bookie) DropNext(n int) {
 	b.dropNext = int64(n)
 }
 
-func (b *Bookie) addEntry(ledgerID, entryID int64, data []byte) error {
+// addEntry stores data as the ledger's entry entryID. reserve is how many
+// entries the writer expects the ledger to take: the first entry a bookie
+// holds for a ledger presizes its index to it (seglog.Log.Reserve), so a
+// rolled ledger's index is one allocation. Zero leaves the index to grow.
+func (b *Bookie) addEntry(ledgerID, entryID int64, data []byte, reserve int) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.down {
@@ -135,6 +143,7 @@ func (b *Bookie) addEntry(ledgerID, entryID int64, data []byte) error {
 	if ls.fenced {
 		return fmt.Errorf("%w: ledger %d on %s", ErrFenced, ledgerID, b.ID)
 	}
+	ls.entries.Reserve(reserve)
 	for int64(ls.entries.Len()) <= entryID {
 		ls.entries.Append(nil)
 	}
@@ -199,20 +208,6 @@ func (b *Bookie) EntryCount() int {
 		n += ls.count
 	}
 	return n
-}
-
-// metadata is the per-ledger record kept in the coordination service.
-type metadata struct {
-	Ensemble    []string `json:"ensemble"`
-	WriteQuorum int      `json:"write_quorum"`
-	AckQuorum   int      `json:"ack_quorum"`
-	Closed      bool     `json:"closed"`
-	LastEntry   int64    `json:"last_entry"` // valid when Closed
-	// The cold-tier location of an offloaded ledger (System.Offload); empty,
-	// and absent from the encoding, while the entries are on bookies.
-	Offloaded bool   `json:"offloaded,omitempty"`
-	Bucket    string `json:"bucket,omitempty"`
-	Key       string `json:"key,omitempty"`
 }
 
 const metaRoot = "/ledgers"
@@ -293,8 +288,11 @@ func (s *System) BookieIDs() []string {
 type Writer struct {
 	sys      *System
 	ledgerID int64
+	path     string // the ledger's metadata node
 	meta     metadata
+	metaBuf  []byte // meta's encoding, rewritten in place on every change
 	next     int64
+	reserve  int // index presize for the ledger's bookies (addEntry)
 	closed   bool
 }
 
@@ -305,28 +303,102 @@ func (s *System) CreateLedger(ensembleSize, writeQuorum, ackQuorum int) (*Writer
 	if ackQuorum < 1 || ackQuorum > writeQuorum || writeQuorum > ensembleSize {
 		return nil, fmt.Errorf("%w: ensemble=%d write=%d ack=%d", ErrBadQuorum, ensembleSize, writeQuorum, ackQuorum)
 	}
+	ensemble, err := s.pickEnsemble(ensembleSize)
+	if err != nil {
+		return nil, err
+	}
+	w := &Writer{sys: s}
+	if err := w.open(metadata{Ensemble: ensemble, WriteQuorum: writeQuorum, AckQuorum: ackQuorum}); err != nil {
+		return nil, err
+	}
+	return w, nil
+}
+
+// pickEnsemble returns the first size live bookies in registration order.
+func (s *System) pickEnsemble(size int) ([]string, error) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	var live []string
 	for _, id := range s.order {
 		if !s.bookies[id].Down() {
 			live = append(live, id)
 		}
 	}
-	if len(live) < ensembleSize {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("%w: have %d live, need %d", ErrNotEnough, len(live), ensembleSize)
+	if len(live) < size {
+		return nil, fmt.Errorf("%w: have %d live, need %d", ErrNotEnough, len(live), size)
 	}
-	s.nextID++
-	id := s.nextID
-	ensemble := live[:ensembleSize]
-	s.mu.Unlock()
+	return live[:size], nil
+}
 
-	md := metadata{Ensemble: ensemble, WriteQuorum: writeQuorum, AckQuorum: ackQuorum}
-	raw, _ := json.Marshal(md)
-	if err := s.meta.Create(metaPath(id), raw, coord.Persistent, 0); err != nil {
-		return nil, err
+// allLive reports whether every bookie of an ensemble is registered and up.
+func (s *System) allLive(ensemble []string) bool {
+	for _, id := range ensemble {
+		if b, ok := s.Bookie(id); !ok || b.Down() {
+			return false
+		}
 	}
-	return &Writer{sys: s, ledgerID: id, meta: md}, nil
+	return true
+}
+
+// open points the writer at a new, empty ledger with metadata md, whose node
+// it creates. The writer is unchanged when that fails.
+func (w *Writer) open(md metadata) error {
+	w.sys.mu.Lock()
+	w.sys.nextID++
+	id := w.sys.nextID
+	w.sys.mu.Unlock()
+	path := metaPath(id)
+	buf := appendMeta(w.metaBuf[:0], md)
+	if err := w.sys.meta.Create(path, buf, coord.Persistent, 0); err != nil {
+		return err
+	}
+	w.ledgerID, w.path, w.meta, w.metaBuf, w.next = id, path, md, buf, 0
+	return nil
+}
+
+// saveMeta rewrites the ledger's metadata node from w.meta.
+func (w *Writer) saveMeta() error {
+	w.metaBuf = appendMeta(w.metaBuf[:0], w.meta)
+	_, err := w.sys.meta.Set(w.path, w.metaBuf, coord.AnyVersion)
+	return err
+}
+
+// Roll seals the writer's ledger as Close does and continues the writer in a
+// fresh ledger, whose first entry id is 0 again. The new ledger keeps the
+// ensemble while every member is live and otherwise takes live bookies as
+// CreateLedger does; its bookies presize their index to the length of the
+// ledger just sealed. A failed Roll leaves the writer appending where it
+// was, with no new ledger.
+func (w *Writer) Roll() error {
+	if w.closed {
+		return ErrWriterClosed
+	}
+	ensemble := w.meta.Ensemble
+	if !w.sys.allLive(ensemble) {
+		var err error
+		if ensemble, err = w.sys.pickEnsemble(len(ensemble)); err != nil {
+			return err
+		}
+	}
+	prev := *w
+	sealed := w.meta
+	sealed.Closed, sealed.LastEntry = true, w.next-1
+	// The successor's node first: until the seal lands, the old ledger is
+	// still the one the writer appends to.
+	if err := w.open(metadata{Ensemble: ensemble, WriteQuorum: sealed.WriteQuorum, AckQuorum: sealed.AckQuorum}); err != nil {
+		return err
+	}
+	// The node owns its own copy of the new record, so the buffer is free to
+	// encode the sealed one.
+	w.metaBuf = appendMeta(w.metaBuf[:0], sealed)
+	if _, err := w.sys.meta.Set(prev.path, w.metaBuf, coord.AnyVersion); err != nil {
+		_ = w.sys.meta.Delete(w.path, coord.AnyVersion)
+		prev.metaBuf = w.metaBuf
+		*w = prev
+		return err
+	}
+	w.reserve = int(prev.next)
+	return nil
 }
 
 // ID returns the ledger's id.
@@ -417,10 +489,10 @@ func (w *Writer) replicate(entryID int64, data []byte) error {
 				failed = append(failed, pos)
 				continue
 			}
-			err := b.addEntry(w.ledgerID, entryID, data)
+			err := b.addEntry(w.ledgerID, entryID, data, w.reserve)
 			if errors.Is(err, ErrDropped) {
 				// One immediate retry absorbs an isolated lost RPC.
-				err = b.addEntry(w.ledgerID, entryID, data)
+				err = b.addEntry(w.ledgerID, entryID, data, w.reserve)
 			}
 			if err != nil {
 				if errors.Is(err, ErrFenced) {
@@ -473,8 +545,7 @@ func (w *Writer) replaceBookies(positions []int) error {
 		ensemble[pos] = spares[i]
 	}
 	w.meta.Ensemble = ensemble
-	raw, _ := json.Marshal(w.meta)
-	if _, err := w.sys.meta.Set(metaPath(w.ledgerID), raw, coord.AnyVersion); err != nil {
+	if err := w.saveMeta(); err != nil {
 		return err
 	}
 	w.sys.obsReplacements.Add(int64(len(positions)))
@@ -521,7 +592,7 @@ func (s *System) rereplicate(ledgerID int64, md metadata, replaced map[int]strin
 			if data == nil {
 				continue
 			}
-			if err := dst.addEntry(ledgerID, e, data); err == nil {
+			if err := dst.addEntry(ledgerID, e, data, 0); err == nil {
 				copied++
 			}
 		}
@@ -567,9 +638,7 @@ func (w *Writer) Close() error {
 	w.closed = true
 	w.meta.Closed = true
 	w.meta.LastEntry = w.next - 1
-	raw, _ := json.Marshal(w.meta)
-	_, err := w.sys.meta.Set(metaPath(w.ledgerID), raw, coord.AnyVersion)
-	return err
+	return w.saveMeta()
 }
 
 // Reader returns a reader over what this writer has appended so far: entries
@@ -652,8 +721,8 @@ func (r *Reader) Read(entryID int64) ([]byte, error) {
 	return nil, fmt.Errorf("ledger %d entry %d unreadable: %w", r.ledgerID, entryID, lastErr)
 }
 
-// ReadAll returns every entry in order.
-func (r *Reader) ReadAll() ([][]byte, error) {
+// readAll returns every entry in order.
+func (r *Reader) readAll() ([][]byte, error) {
 	out := make([][]byte, 0, r.meta.LastEntry+1)
 	for e := int64(0); e <= r.meta.LastEntry; e++ {
 		data, err := r.Read(e)
@@ -715,31 +784,31 @@ func (s *System) Recover(ledgerID int64) (*Reader, error) {
 	}
 	md.Closed = true
 	md.LastEntry = lastEntry
-	raw, _ := json.Marshal(md)
-	if _, err := s.meta.Set(metaPath(ledgerID), raw, coord.AnyVersion); err != nil {
+	if _, err := s.meta.Set(metaPath(ledgerID), appendMeta(nil, md), coord.AnyVersion); err != nil {
 		return nil, err
 	}
 	return &Reader{sys: s, ledgerID: ledgerID, meta: md}, nil
 }
 
-// DeleteLedger removes a ledger's entries from all bookies and its metadata.
+// DeleteLedger removes a ledger's metadata and its entries from all bookies.
+// The metadata goes first, so no reader can open a ledger whose entries are
+// gone.
 func (s *System) DeleteLedger(ledgerID int64) error {
-	if _, err := s.loadMeta(ledgerID); err != nil {
+	if err := s.meta.Delete(metaPath(ledgerID), coord.AnyVersion); err != nil {
+		if errors.Is(err, coord.ErrNoNode) {
+			return fmt.Errorf("%w: %d", ErrNoLedger, ledgerID)
+		}
 		return err
 	}
 	s.dropEntries(ledgerID)
-	return s.meta.Delete(metaPath(ledgerID), coord.AnyVersion)
+	return nil
 }
 
 // dropEntries deletes a ledger's entries from every bookie.
 func (s *System) dropEntries(ledgerID int64) {
 	s.mu.Lock()
-	bookies := make([]*Bookie, 0, len(s.order))
-	for _, id := range s.order {
-		bookies = append(bookies, s.bookies[id])
-	}
-	s.mu.Unlock()
-	for _, b := range bookies {
+	defer s.mu.Unlock()
+	for _, b := range s.bookies {
 		b.deleteLedger(ledgerID)
 	}
 }
@@ -749,11 +818,5 @@ func (s *System) loadMeta(ledgerID int64) (metadata, error) {
 	if err != nil {
 		return metadata{}, fmt.Errorf("%w: %d", ErrNoLedger, ledgerID)
 	}
-	var md metadata
-	if err := json.Unmarshal(raw, &md); err != nil {
-		return metadata{}, err
-	}
-	return md, nil
+	return decodeMeta(raw)
 }
-
-func metaPath(id int64) string { return fmt.Sprintf("%s/%d", metaRoot, id) }

@@ -36,7 +36,7 @@ func TestAppendCloseRead(t *testing.T) {
 	if r.LastEntry() != 9 {
 		t.Fatalf("LastEntry = %d", r.LastEntry())
 	}
-	all, err := r.ReadAll()
+	all, err := r.readAll()
 	must(t, err)
 	for i, e := range all {
 		if string(e) != fmt.Sprintf("entry-%d", i) {
@@ -92,7 +92,7 @@ func TestReadSurvivesBookieFailure(t *testing.T) {
 		b.SetDown(true)
 		r, err := s.OpenReader(w.ID())
 		must(t, err)
-		if _, err := r.ReadAll(); err != nil {
+		if _, err := r.readAll(); err != nil {
 			t.Fatalf("ReadAll with %s down: %v", b.ID, err)
 		}
 		b.SetDown(false)

@@ -22,7 +22,7 @@ func (s *System) Offload(ledgerID int64, store *blob.Store, bucket string) error
 		return fmt.Errorf("%w: ledger %d", ErrNotClosed, ledgerID)
 	}
 	r := &Reader{sys: s, ledgerID: ledgerID, meta: md}
-	entries, err := r.ReadAll()
+	entries, err := r.readAll()
 	if err != nil {
 		return err
 	}
@@ -35,8 +35,7 @@ func (s *System) Offload(ledgerID int64, store *blob.Store, bucket string) error
 		return err
 	}
 	md.Offloaded, md.Bucket, md.Key = true, bucket, key
-	raw, _ := json.Marshal(md)
-	if _, err := s.meta.Set(metaPath(ledgerID), raw, coord.AnyVersion); err != nil {
+	if _, err := s.meta.Set(metaPath(ledgerID), appendMeta(nil, md), coord.AnyVersion); err != nil {
 		return err
 	}
 	s.dropEntries(ledgerID) // reclaim bookie space

@@ -66,11 +66,13 @@ func TestOpenTieredOnHotLedger(t *testing.T) {
 	_, err := w.Append([]byte("hot"))
 	must(t, err)
 	must(t, w.Close())
-	// The cold-tier fields are absent from a hot ledger's metadata.
+	// The cold-tier fields are absent from a hot ledger's metadata: version,
+	// closed, quorums 2/2, three bookie ids, last entry 0, and nothing after.
 	raw, _, err := s.meta.Get(metaPath(w.ID()))
 	must(t, err)
-	if want := `{"ensemble":["bookie-0","bookie-1","bookie-2"],"write_quorum":2,"ack_quorum":2,"closed":true,"last_entry":0}`; string(raw) != want {
-		t.Fatalf("metadata = %s, want %s", raw, want)
+	want := "\x01\x01\x02\x02\x03" + "\x08bookie-0\x08bookie-1\x08bookie-2" + "\x00\x00\x00\x00\x00\x00\x00\x00"
+	if string(raw) != want {
+		t.Fatalf("metadata = %q, want %q", raw, want)
 	}
 	r, err := s.OpenTiered(w.ID(), store)
 	must(t, err)

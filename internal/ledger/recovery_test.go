@@ -55,7 +55,7 @@ func TestEnsembleChangeOnBookieCrash(t *testing.T) {
 	v.Run(func() {
 		r, err := s.OpenReader(w.ID())
 		must(t, err)
-		all, err := r.ReadAll()
+		all, err := r.readAll()
 		must(t, err)
 		if len(all) != 16 {
 			t.Fatalf("read %d entries, want 16", len(all))
@@ -95,7 +95,7 @@ func TestEnsembleChangeMidBatch(t *testing.T) {
 		must(t, w.Close())
 		r, err := s.OpenReader(w.ID())
 		must(t, err)
-		all, err := r.ReadAll()
+		all, err := r.readAll()
 		must(t, err)
 		if len(all) != 4 {
 			t.Errorf("read %d entries, want 4", len(all))

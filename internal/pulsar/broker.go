@@ -108,11 +108,6 @@ func (sub *subscription) markAcked(seq int64) {
 	sub.acks = slices.Delete(sub.acks, 0, n)
 }
 
-type ledgerRange struct {
-	ID       int64 `json:"id"`
-	StartSeq int64 `json:"start_seq"`
-}
-
 // topicState is a broker's in-memory state for a topic it owns. Each topic
 // carries its own lock, so publishes and dispatches on distinct topics never
 // contend: Broker.mu only guards the topic table itself.
@@ -135,10 +130,20 @@ type topicState struct {
 
 	mu     sync.Mutex
 	writer *ledger.Writer
-	ranges []ledgerRange // ascending StartSeq; the last is writer's, still open
-	win    msgWindow     // the unacked tail; win.end is the topic's next seq
-	subs   map[string]*subscription
+	// ranges are the retained ledgers, ascending StartSeq: ranges[0].StartSeq
+	// is the oldest seq the topic still holds, and the last range is the
+	// writer's, still open. The same list, encoded into listBuf, is the
+	// node at listPath.
+	ranges   []ledgerRange
+	listPath string
+	listBuf  []byte
+	win      msgWindow // the unacked tail; win.end is the topic's next seq
+	subs     map[string]*subscription
 }
+
+// first is the oldest seq the topic retains: where an Earliest subscription
+// starts, and below which nothing can be read back.
+func (ts *topicState) first() int64 { return ts.ranges[0].StartSeq }
 
 // retain adds a just-appended message to the window, first letting go of
 // what every subscription has acked if the ring would otherwise grow. With
@@ -160,11 +165,15 @@ func (ts *topicState) retain(m Message) {
 // reader per ledger touched: from open (System.OpenReader, or loadTopic's
 // just-recovered readers) for a closed ledger, from the writer for the
 // current one. A seq is a position — ledger i's entry e is seq StartSeq+e —
-// which the current ledger is checked for before it is read. The walk ends,
-// with no error, when fn returns false; nothing past that message is read. The
-// pointer is good for the call only. Called with the topic's lock held, or —
-// by loadTopic — before the topic is shared.
+// which the current ledger is checked for before it is read. A from below
+// the oldest retained seq is an error: those ledgers are deleted. The walk
+// ends, with no error, when fn returns false; nothing past that message is
+// read. The pointer is good for the call only. Called with the topic's lock
+// held, or — by loadTopic — before the topic is shared.
 func (ts *topicState) readRange(open func(int64) (*ledger.Reader, error), from, to int64, fn func(*Message) bool) error {
+	if from < to && from < ts.first() {
+		return fmt.Errorf("pulsar: topic %q retains seqs from %d, not %d", ts.name, ts.first(), from)
+	}
 	var m Message // fn's argument escapes: one heap slot a call, not one a message
 	for i, rg := range ts.ranges {
 		end := to
@@ -400,6 +409,11 @@ func (b *Broker) publishEntries(topicName string, keys []string, entries, views 
 			return 0, err
 		}
 	}
+	if open := ts.win.end - ts.ranges[len(ts.ranges)-1].StartSeq; open > 0 && open+int64(len(entries)) > topicLedgerEntries {
+		if err := b.rollLocked(ts); err != nil {
+			return 0, err
+		}
+	}
 	now := b.cluster.clock.Now()
 	first := ts.win.end
 	for i := range entries {
@@ -441,6 +455,59 @@ func (b *Broker) publishEntries(topicName string, keys []string, entries, views 
 	}
 	b.dispatchAllLocked(ts)
 	return first, err
+}
+
+// rollLocked moves the topic's writer to a fresh ledger, which a batch can
+// then fill without straddling two, names it in the topic's ledger list
+// before anything is appended to it, and deletes what every subscription has
+// acked past. Called with the topic's lock held; nothing here sleeps.
+func (b *Broker) rollLocked(ts *topicState) error {
+	if err := ts.writer.Roll(); err != nil {
+		return err
+	}
+	ts.ranges = append(ts.ranges, ledgerRange{ID: ts.writer.ID(), StartSeq: ts.win.end})
+	return b.retireLocked(ts, true)
+}
+
+// retireLocked deletes the sealed ledgers that lie wholly below the topic's
+// floor: the lowest seq any subscription may still need, which is its acked
+// prefix or the lowest seq in its redelivery queue, whichever is lower. A
+// topic with no subscription deletes nothing, and neither does one whose
+// cursor write is pending (sub.unsaved): a failover would restart it from
+// the durable cursor, behind the in-memory one. The ledger list is written
+// first, so the coordination service never names a deleted ledger; save
+// writes it even when nothing is deleted (after a roll). Called with the
+// topic's lock held.
+func (b *Broker) retireLocked(ts *topicState, save bool) error {
+	n := 0
+	if len(ts.subs) > 0 {
+		floor := ts.win.end
+		for _, sub := range ts.subs {
+			if sub.unsaved {
+				floor = ts.first()
+				break
+			}
+			floor = min(floor, sub.ackedPrefix)
+			for _, seq := range sub.redeliver {
+				floor = min(floor, seq)
+			}
+		}
+		for n+1 < len(ts.ranges) && ts.ranges[n+1].StartSeq <= floor {
+			n++
+		}
+	}
+	if n == 0 && !save {
+		return nil
+	}
+	c := b.cluster
+	if err := c.setTopicLedgers(ts, ts.ranges[n:]); err != nil {
+		return err
+	}
+	for _, rg := range ts.ranges[:n] {
+		_ = c.ledgers.DeleteLedger(rg.ID) // unnamed now: a leftover is only garbage
+	}
+	ts.ranges = ts.ranges[:copy(ts.ranges, ts.ranges[n:])]
+	return nil
 }
 
 // dispatchAllLocked runs a dispatch round for every subscription of a topic
@@ -584,7 +651,7 @@ func (b *Broker) subscribe(topicName, subName string, mode SubMode, pos InitialP
 	defer ts.mu.Unlock()
 	sub, ok := ts.subs[subName]
 	if !ok {
-		start := int64(0)
+		start := ts.first()
 		if pos == Latest {
 			start = ts.win.end
 		}
@@ -680,7 +747,16 @@ func (b *Broker) ack(topicName, subName string, seq int64) error {
 	// Persist on every ack, not just prefix advances: out-of-order acks
 	// beyond the prefix must survive a broker failover, or the new owner
 	// would redeliver already-acked messages.
-	return b.cluster.persistCursor(sub)
+	if err := b.cluster.persistCursor(sub); err != nil {
+		return err
+	}
+	// A prefix past the oldest ledger's end may have freed it. The ack is
+	// durable either way: a list write that fails here leaves the ledger for
+	// the next roll or crossing to delete.
+	if len(ts.ranges) > 1 && sub.ackedPrefix >= ts.ranges[1].StartSeq {
+		_ = b.retireLocked(ts, false)
+	}
+	return nil
 }
 
 // dispatchLocked delivers redeliveries and fresh messages to consumers per
@@ -822,45 +898,63 @@ func (b *Broker) loadTopic(topicName string) error {
 	}
 	c := b.cluster
 
-	ids, err := c.topicLedgers(topicName)
+	prior, err := c.topicLedgers(topicName)
 	if err != nil {
 		return err
 	}
 	// Prior ledgers mean this is a failover takeover, not a first election;
 	// time the whole recovery (ledger fencing + replay + cursor restore).
-	takeover := len(ids) > 0
+	takeover := len(prior) > 0
 	recoverStart := c.clock.Now()
 	cursors, err := c.topicSubscriptions(topicName)
 	if err != nil {
 		return err
 	}
-	ts := &topicState{name: topicName, subs: map[string]*subscription{}}
+	ts := &topicState{name: topicName, listPath: ledgersPath(topicName), subs: map[string]*subscription{}}
 	if md, err := c.getTopicMeta(topicName); err == nil {
 		atomic.StoreUint64(&ts.keyLo, md.Lo)
 		atomic.StoreUint64(&ts.keyHi, md.Hi)
 	}
-	// Ledgers that recover empty are dropped from the topic's ledger list
-	// (and deleted once the list no longer names them): nothing references
-	// them, and without the prune every handoff would add one more ledger
-	// to recover on the next handoff, making repeated reassignment O(moves)
-	// instead of O(history).
+	// The topic starts where its oldest retained ledger does: seqs below
+	// it were deleted once every subscription had acked them. Ledgers that
+	// recover empty are dropped from the topic's ledger list (and deleted
+	// once the list no longer names them): nothing references them, and
+	// without the prune every handoff would add one more ledger to recover
+	// on the next handoff, making repeated reassignment O(moves) instead of
+	// O(history).
 	var empty []int64
-	kept := ids[:0]
 	recovered := map[int64]*ledger.Reader{} // the replay reads through these
-	next := int64(0)
-	for _, id := range ids {
-		r, err := c.ledgers.Recover(id)
+	start := int64(0)
+	if len(prior) > 0 {
+		start = prior[0].StartSeq
+	}
+	next := start
+	for _, rg := range prior {
+		r, err := c.ledgers.Recover(rg.ID)
 		if err != nil {
 			return err
 		}
 		if r.LastEntry() < 0 {
-			empty = append(empty, id)
+			empty = append(empty, rg.ID)
 			continue
 		}
-		kept = append(kept, id)
-		recovered[id] = r
-		ts.ranges = append(ts.ranges, ledgerRange{ID: id, StartSeq: next})
+		recovered[rg.ID] = r
+		ts.ranges = append(ts.ranges, ledgerRange{ID: rg.ID, StartSeq: next})
 		next += r.LastEntry() + 1
+	}
+	for name, cur := range cursors {
+		if cur.AckedPrefix < start {
+			// A cursor below the oldest retained seq — a split's copy that no
+			// consumer had attached to while the other subscriptions' acks
+			// deleted the ledgers under it — resumes where the topic now
+			// starts, as an Earliest subscription would.
+			i, _ := slices.BinarySearch(cur.Acks, start)
+			cur.AckedPrefix, cur.Acks = start, cur.Acks[i:]
+			for len(cur.Acks) > 0 && cur.Acks[0] == cur.AckedPrefix {
+				cur.AckedPrefix, cur.Acks = cur.AckedPrefix+1, cur.Acks[1:]
+			}
+			cursors[name] = cur
+		}
 	}
 	// The replay reads every entry, as a takeover always has — an unreadable
 	// or undecodable one refuses the load — but keeps only what some cursor
@@ -871,7 +965,7 @@ func (b *Broker) loadTopic(topicName string) error {
 	}
 	ts.win = msgWindow{base: keep, end: keep}
 	open := func(id int64) (*ledger.Reader, error) { return recovered[id], nil }
-	if err := ts.readRange(open, 0, next, func(m *Message) bool {
+	if err := ts.readRange(open, start, next, func(m *Message) bool {
 		if m.Seq >= keep {
 			ts.win.append(*m)
 		}
@@ -885,7 +979,7 @@ func (b *Broker) loadTopic(topicName string) error {
 	}
 	ts.writer = w
 	ts.ranges = append(ts.ranges, ledgerRange{ID: w.ID(), StartSeq: next})
-	if err := c.setTopicLedgers(topicName, append(kept, w.ID())); err != nil {
+	if err := c.setTopicLedgers(ts, ts.ranges); err != nil {
 		return err
 	}
 	for _, id := range empty {

@@ -331,16 +331,20 @@ func TestSplitKeepsKeyOrderWithFullQueue(t *testing.T) {
 }
 
 // TestLateEarliestReadsBackAQueueAtATime: a late Earliest subscriber on a long
-// topic makes its attach read back what its queue has room for, not the
-// topic. Each read holds the partition's lock for ReadLatency, so that is how
-// long a publish issued at the moment of the attach waits: a queue's worth of
-// reads and the one that found the queue full, for the attach and again for
-// the publish's own round. Reading the whole topic would take total reads.
+// topic starts at the oldest seq the topic retains — the ledgers the first
+// subscription acked past are deleted — and its attach reads back what its
+// queue has room for, not the retained ledgers. Each read holds the
+// partition's lock for ReadLatency, so that is how long a publish issued at
+// the moment of the attach waits: a queue's worth of reads and the one that
+// found the queue full, for the attach and again for the publish's own
+// round. Reading everything retained would take several queues' worth.
 func TestLateEarliestReadsBackAQueueAtATime(t *testing.T) {
 	const burst, readLatency = 100, time.Millisecond
-	total := 50000
+	// Past a multiple of topicLedgerEntries by more than two queues: that is
+	// what the topic retains once its consumer has acked everything.
+	total := 52000
 	if testing.Short() {
-		total = 10000
+		total = 11000
 	}
 	e := newEnv(t, 1, 3)
 	e.v.Run(func() {
@@ -362,6 +366,10 @@ func TestLateEarliestReadsBackAQueueAtATime(t *testing.T) {
 		if w := windowOf(t, e.cluster, "t"); w.base < int64(total-4*burst) {
 			t.Fatalf("window base = %d after %d acked messages: nothing to read back", w.base, total)
 		}
+		first, _ := retainedFirst(t, e.cluster, "t")
+		if first == 0 || int64(total)-first <= 2*receiverQueue {
+			t.Fatalf("the topic retains seqs from %d of %d: want a deleted prefix and several queues' worth left", first, total)
+		}
 
 		e.ledgers.ReadLatency = readLatency
 		start := e.v.Now()
@@ -370,11 +378,11 @@ func TestLateEarliestReadsBackAQueueAtATime(t *testing.T) {
 		publishN(t, prod, total, 1, noKey)
 		waited := e.v.Now().Sub(start)
 		if limit := (receiverQueue + 2) * readLatency; waited > limit {
-			t.Fatalf("a publish issued as the late subscriber attached completed after %v, want <= %v (the whole topic is %v)", waited, limit, time.Duration(total)*readLatency)
+			t.Fatalf("a publish issued as the late subscriber attached completed after %v, want <= %v (what the topic retains is %v)", waited, limit, time.Duration(int64(total)-first)*readLatency)
 		}
 		e.ledgers.ReadLatency = 0
 
-		for i := 0; i <= total; i++ {
+		for i := int(first); i <= total; i++ {
 			m, ok := late.Receive(time.Second)
 			if !ok || m.Seq != int64(i) || idOf(t, m) != i {
 				t.Fatalf("late subscription: message %d = seq %d %q (%v)", i, m.Seq, m.Payload, ok)

@@ -213,6 +213,8 @@ const (
 	// Latest delivers only messages published after the subscription is
 	// created.
 	Latest InitialPosition = iota
-	// Earliest replays the topic's full backlog.
+	// Earliest starts at the oldest message the topic retains: everything
+	// published, unless ledgers every subscription had acked past were
+	// deleted, in which case the first message of the oldest ledger left.
 	Earliest
 )

@@ -12,9 +12,9 @@ const msgMinRing = 16
 // here. Everything below base is on the ledgers (topicState.readRange).
 //
 // With the topic's lock held: at(seq) is stable until the next append; a
-// slot outside [base, end) is stale, not zero — what it still references is
-// pinned by the bookies' copy of the entry anyway (DESIGN.md §10, "Arena
-// honesty").
+// slot outside [base, end) is zero — trim clears what base passes — so the
+// ring pins no entry the topic's ledgers have let go of (DESIGN.md §10,
+// "Arena honesty").
 type msgWindow struct {
 	ring      []Message // len is 0 or a power of two
 	base, end int64
@@ -26,10 +26,13 @@ func (w *msgWindow) at(seq int64) *Message { return &w.ring[seq&int64(len(w.ring
 // full reports whether the next append has to grow the ring.
 func (w *msgWindow) full() bool { return w.end-w.base == int64(len(w.ring)) }
 
-// trim forgets every message below floor. base never moves back: a
-// subscription that joins below it reads the ledgers.
+// trim forgets every message below floor, zeroing the slots base passes.
+// base never moves back: a subscription that joins below it reads the
+// ledgers.
 func (w *msgWindow) trim(floor int64) {
-	w.base = max(w.base, min(floor, w.end))
+	for end := min(floor, w.end); w.base < end; w.base++ {
+		*w.at(w.base) = Message{}
+	}
 }
 
 // append adds m at seq end, doubling a full ring first.

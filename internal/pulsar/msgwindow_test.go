@@ -14,8 +14,9 @@ import (
 // different prefixes, a subscription that joins late, and one that goes away.
 // After every publish: no subscription's acked prefix has been passed (base
 // never trims an unacked seq), every seq from base up reads back as the
-// oracle's message, and the ring is no larger than the doubling that the
-// widest unacked span seen so far demands.
+// oracle's message, every slot outside [base, end) is zero (a stale slot
+// would pin an entry its deleted ledger let go of), and the ring is no larger
+// than the doubling that the widest unacked span seen so far demands.
 func TestMsgWindowMatchesSliceOracle(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -90,6 +91,11 @@ func TestMsgWindowMatchesSliceOracle(t *testing.T) {
 			}
 			for seq := w.base; step%64 == 0 && seq < w.end; seq++ {
 				check(seq)
+			}
+			for seq := w.end; step%64 == 0 && seq < w.base+int64(len(w.ring)); seq++ {
+				if m := w.at(seq); m.Payload != nil || m.Key != "" {
+					t.Fatalf("seed %d step %d: stale slot for seq %d outside [%d,%d) holds %+v", seed, step, seq, w.base, w.end, *m)
+				}
 			}
 		}
 		// Bounded by the backlog, not by what was published: the late joiner

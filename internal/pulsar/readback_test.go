@@ -24,20 +24,41 @@ func windowOf(t *testing.T, c *Cluster, topic string) msgWindow {
 	return ts.win
 }
 
-// TestEarliestAfterTrimReplaysEverything: a consumer that keeps up leaves the
-// broker holding a small ring, not the topic — and everything the ring let go
-// of is still there for whoever asks. 10 000 keyed messages are consumed and
-// acked across a broker failover (so the history is one closed ledger and the
-// new owner's open one); a second Earliest subscription then receives all of
-// them in order with their keys and payloads, and AckedMessages returns the
-// published payloads byte for byte.
-func TestEarliestAfterTrimReplaysEverything(t *testing.T) {
+// retainedFirst returns the owning broker's oldest retained seq and its
+// ledger count for a concrete topic.
+func retainedFirst(t *testing.T, c *Cluster, topic string) (first int64, ledgers int) {
+	t.Helper()
+	b, _, err := c.ensureOwner(topic)
+	must(t, err)
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	ts, err := b.topicLocked(topic)
+	must(t, err)
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	return ts.first(), len(ts.ranges)
+}
+
+// earliestAfterTrim consumes and acks 10 000 keyed messages across a broker
+// failover (so the history is ledgers of the first owner, closed, and of the
+// survivor), then subscribes a second Earliest subscription and checks what
+// it and AckedMessages see: every message from the oldest retained seq on,
+// in order, with its key and payload. With hold, a subscription that never
+// acks exists from the start and keeps every ledger, so that seq is 0.
+// Without it, the ledgers the consumer acked past are deleted and the topic
+// retains only the survivor's last ledger or two.
+func earliestAfterTrim(t *testing.T, hold bool) {
 	const total, burst = 10000, 100
 	e := newEnv(t, 2, 3)
 	e.v.Run(func() {
 		must(t, e.cluster.CreateTopic("t", 0))
 		prod, err := e.cluster.CreateProducer("t")
 		must(t, err)
+		if hold {
+			holder, err := e.cluster.Subscribe("t", "hold", Exclusive, Earliest)
+			must(t, err)
+			holder.Close() // the subscription stays, acked prefix 0
+		}
 		cons, err := e.cluster.Subscribe("t", "s", Exclusive, Earliest)
 		must(t, err)
 		key := func(i int) string { return fmt.Sprintf("k%d", i%13) }
@@ -61,13 +82,17 @@ func TestEarliestAfterTrimReplaysEverything(t *testing.T) {
 			}
 		}
 		w := windowOf(t, e.cluster, "t")
-		if w.end != total || w.base < total-2*burst || len(w.ring) > 4*burst {
+		if !hold && (w.end != total || w.base < total-2*burst || len(w.ring) > 4*burst) {
 			t.Fatalf("after %d acked messages the window is [%d,%d) in %d slots; want the last burst or two", total, w.base, w.end, len(w.ring))
+		}
+		first, ledgers := retainedFirst(t, e.cluster, "t")
+		if hold && first != 0 || !hold && (first == 0 || ledgers > 2 || total-first > 2*topicLedgerEntries) {
+			t.Fatalf("the topic retains %d ledgers from seq %d (hold %v)", ledgers, first, hold)
 		}
 
 		late, err := e.cluster.Subscribe("t", "late", Exclusive, Earliest)
 		must(t, err)
-		for i := 0; i < total; i++ {
+		for i := int(first); i < total; i++ {
 			m, ok := late.Receive(time.Second)
 			if !ok {
 				t.Fatalf("late subscription: timed out at message %d", i)
@@ -82,24 +107,43 @@ func TestEarliestAfterTrimReplaysEverything(t *testing.T) {
 
 		acked, err := e.cluster.AckedMessages("t", "s")
 		must(t, err)
-		if len(acked) != total {
-			t.Fatalf("AckedMessages returned %d payloads, want %d", len(acked), total)
+		if len(acked) != total-int(first) {
+			t.Fatalf("AckedMessages returned %d payloads, want %d", len(acked), total-int(first))
 		}
 		for i, p := range acked {
-			if !bytes.Equal(p, payload(i)) {
-				t.Fatalf("AckedMessages[%d] = %q, want %q", i, p, payload(i))
+			if !bytes.Equal(p, payload(int(first)+i)) {
+				t.Fatalf("AckedMessages[%d] = %q, want %q", i, p, payload(int(first)+i))
 			}
 		}
 		// The late subscription has acked nothing, bar two out of order: that
 		// is all it reports, read from below the window.
-		must(t, late.Ack(Message{Topic: "t", Seq: 7}))
-		must(t, late.Ack(Message{Topic: "t", Seq: 4200}))
+		a, b := int(first)+7, int(first)+4200%(total-int(first))
+		must(t, late.Ack(Message{Topic: "t", Seq: int64(a)}))
+		must(t, late.Ack(Message{Topic: "t", Seq: int64(b)}))
 		acked, err = e.cluster.AckedMessages("t", "late")
 		must(t, err)
-		if len(acked) != 2 || !bytes.Equal(acked[0], payload(7)) || !bytes.Equal(acked[1], payload(4200)) {
-			t.Fatalf("AckedMessages(late) = %q, want payloads 7 and 4200", acked)
+		if len(acked) != 2 || !bytes.Equal(acked[0], payload(a)) || !bytes.Equal(acked[1], payload(b)) {
+			t.Fatalf("AckedMessages(late) = %q, want payloads %d and %d", acked, a, b)
 		}
 	})
+}
+
+// TestEarliestAfterTrimReplaysEverything: a consumer that keeps up leaves the
+// broker holding a small ring, not the topic — and while another
+// subscription has acked nothing, every ledger stays: a late Earliest
+// subscription receives the whole topic from seq 0, read back from the
+// ledgers of both owners, and AckedMessages returns every published payload
+// byte for byte.
+func TestEarliestAfterTrimReplaysEverything(t *testing.T) {
+	earliestAfterTrim(t, true)
+}
+
+// TestEarliestAfterTrimStartsAtRetained: with every subscription acked past
+// them, the topic's older ledgers are deleted, and a late Earliest
+// subscription starts at the oldest seq the topic retains — its first
+// ledger left — and receives everything from there.
+func TestEarliestAfterTrimStartsAtRetained(t *testing.T) {
+	earliestAfterTrim(t, false)
 }
 
 // TestRedeliveryBelowPrefixStillDelivered: a seq queued for redelivery when

@@ -57,8 +57,9 @@ func (c *Cluster) RedeliverUnacked(topic, subName string) (int, error) {
 	return n, err
 }
 
-// AckedMessages returns copies of the payloads of every message the
-// subscription on a concrete topic has acked, in seq order. It is the
+// AckedMessages returns copies of the payloads of every retained message the
+// subscription on a concrete topic has acked, in seq order: messages in
+// ledgers deleted once every subscription had acked them are gone. It is the
 // verification read behind the conformance explorer's "set of acked messages
 // per subscription" observable.
 func (c *Cluster) AckedMessages(topic, subName string) ([][]byte, error) {
@@ -146,14 +147,14 @@ func (b *Broker) ackedMessages(topicName, subName string) ([][]byte, error) {
 		return nil, err
 	}
 	defer ts.mu.Unlock()
-	// Every acked seq lies in [0, hi): the prefix, then the out-of-order
-	// acks (ascending, all beyond it).
-	hi := sub.ackedPrefix
+	// Every retained acked seq lies in [first, hi): the prefix, then the
+	// out-of-order acks (ascending, all beyond it).
+	lo, hi := ts.first(), sub.ackedPrefix
 	if n := len(sub.acks); n > 0 {
 		hi = sub.acks[n-1] + 1
 	}
-	out := make([][]byte, 0, int(sub.ackedPrefix)+len(sub.acks))
-	if err := ts.each(b.cluster.ledgers, 0, min(hi, ts.win.end), func(m *Message) bool {
+	out := make([][]byte, 0, max(0, int(sub.ackedPrefix-lo))+len(sub.acks))
+	if err := ts.each(b.cluster.ledgers, lo, min(hi, ts.win.end), func(m *Message) bool {
 		if sub.acked(m.Seq) {
 			out = append(out, append([]byte(nil), m.Payload...))
 		}

@@ -6,7 +6,9 @@
 // step — on the hot path, under the owner's lock, for elements the
 // immutability contract (DESIGN.md §10) says never change. A Log instead
 // allocates segments and leaves them where they are: At(i) stays valid for
-// the life of the Log however many appends follow.
+// the life of the Log however many appends follow. A log whose length is
+// known in advance reserves it as one first segment (Reserve), so filling it
+// costs one allocation instead of a run of doubling segments.
 package seglog
 
 import "math/bits"
@@ -32,6 +34,7 @@ const (
 // an empty log. It is not safe for concurrent use; callers hold their own
 // lock, as they did around the slice it replaces.
 type Log[T any] struct {
+	head []T // the Reserve'd first segment; indices past it go to segs
 	segs [][]T
 	n    int
 }
@@ -51,15 +54,41 @@ func locate(i int) (seg, off int) {
 // Len returns the number of elements appended.
 func (l *Log[T]) Len() int { return l.n }
 
+// Reserve marks an empty log as long: its first segment is presized to n
+// elements, rounded up to a multiple of firstSize and capped at segSize, and
+// every later one is segSize — the doubling segments are skipped. The cap
+// bounds what a reserve can leave unused to one segment's slots. It does
+// nothing to a log that has elements or a reserve already.
+func (l *Log[T]) Reserve(n int) {
+	if l.n == 0 && l.head == nil && n > 0 {
+		l.head = make([]T, min((n+firstSize-1)&^(firstSize-1), segSize))
+	}
+}
+
+// place maps an index to its segment in segs and the offset within it, for
+// an index past the head.
+func (l *Log[T]) place(i int) (seg, off int) {
+	if l.head == nil {
+		return locate(i)
+	}
+	j := i - len(l.head)
+	return j >> segBits, j & (segSize - 1)
+}
+
 // Append adds v at index Len().
 func (l *Log[T]) Append(v T) {
-	seg, off := locate(l.n)
+	if l.n < len(l.head) {
+		l.head[l.n] = v
+		l.n++
+		return
+	}
+	seg, off := l.place(l.n)
 	if seg == len(l.segs) {
 		if l.segs == nil {
 			l.segs = make([][]T, 0, tableCap)
 		}
 		size := segSize
-		if seg < doubling {
+		if l.head == nil && seg < doubling {
 			size = firstSize << seg
 		}
 		// Growing the table moves segment headers, never elements.
@@ -75,6 +104,9 @@ func (l *Log[T]) At(i int) *T {
 	if uint(i) >= uint(l.n) {
 		panic("seglog: index out of range")
 	}
-	seg, off := locate(i)
+	if i < len(l.head) {
+		return &l.head[i]
+	}
+	seg, off := l.place(i)
 	return &l.segs[seg][off]
 }

@@ -30,11 +30,16 @@ func TestLocateIsDenseAndInBounds(t *testing.T) {
 // TestLogMatchesSliceOracle drives a Log and a plain slice with the same
 // random appends — nil holes included, as the striped bookie index leaves
 // them — and after every burst checks Len, At on every index, and that every
-// address At ever returned still holds its element: nothing moved.
+// address At ever returned still holds its element: nothing moved. Even seeds
+// Reserve a random first segment, so appends cross from it into the doubling
+// segments too.
 func TestLogMatchesSliceOracle(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		var l Log[[]byte]
+		if seed%2 == 0 {
+			l.Reserve(1 + rng.Intn(2*segSize))
+		}
 		var oracle [][]byte
 		var addrs []*[]byte
 		for len(oracle) < 3*segSize {
@@ -110,5 +115,40 @@ func TestSegmentBudget(t *testing.T) {
 	})
 	if got > n/segSize+1 {
 		t.Fatalf("%d appends allocated %.0f times, want <= %d", n, got, n/segSize+1)
+	}
+}
+
+// TestReserveSkipsTheDoubling: a log reserved to a segment's length fills
+// with one allocation; a reserve is capped at one segment, and a reserved log
+// grows a segSize segment (plus the segment table) at a time from there — a
+// 4096-element log is three allocations, not the doubling run's ten — and
+// Reserve on a log that has elements changes nothing.
+func TestReserveSkipsTheDoubling(t *testing.T) {
+	fill := func(reserve, n int) float64 {
+		return testing.AllocsPerRun(10, func() {
+			var l Log[[]byte]
+			l.Reserve(reserve)
+			for i := 0; i < n; i++ {
+				l.Append(nil)
+			}
+		})
+	}
+	if got := fill(segSize-10, segSize); got != 1 { // rounded up to segSize
+		t.Fatalf("filling a log reserved to its length took %.0f allocations, want 1", got)
+	}
+	if got := fill(2*segSize, 2*segSize); got != 3 {
+		t.Fatalf("filling a log reserved past a segment took %.0f allocations, want 3", got)
+	}
+	var l Log[int]
+	l.Reserve(1)
+	for i := 0; i <= firstSize; i++ {
+		l.Append(i)
+	}
+	if len(l.head) != firstSize || len(l.segs) != 1 || len(l.segs[0]) != segSize || *l.At(firstSize) != firstSize {
+		t.Fatalf("reserve of 1: head %d slots, %d spill segments", len(l.head), len(l.segs))
+	}
+	l.Reserve(10 * segSize)
+	if len(l.head) != firstSize {
+		t.Fatalf("Reserve on a non-empty log resized it to %d", len(l.head))
 	}
 }
