@@ -88,7 +88,7 @@ func runTraceSoak(t *testing.T, seed int64) (digest string, stats obs.TracerStat
 			defer close(prodDone)
 			for i := 0; i < 40; i++ {
 				root := tr.Start(obs.TraceCtx{}, "soak.request")
-				_, perr := prod.SendTrace([]byte(fmt.Sprintf("m%d", i)), root.Ctx())
+				_, perr := prod.SendKeyTrace("", []byte(fmt.Sprintf("m%d", i)), root.Ctx())
 				tns := ns.Traced(root.Ctx())
 				kerr := tns.Put(fmt.Sprintf("k%d", i), []byte("v"))
 				root.EndErr(perr != nil || kerr != nil)

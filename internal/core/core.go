@@ -159,7 +159,14 @@ func New(opts Options) *Platform {
 
 	// Attach instrumentation before any traffic. With DisableObs (nil reg)
 	// every subsystem gets nil instruments and stays no-op.
-	obs.Wire(reg, ledgers, cluster, jf, fp, blobStore, queueSvc, db, engine)
+	ledgers.SetObs(reg)
+	cluster.SetObs(reg)
+	jf.SetObs(reg)
+	fp.SetObs(reg)
+	blobStore.SetObs(reg)
+	queueSvc.SetObs(reg)
+	db.SetObs(reg)
+	engine.SetObs(reg)
 
 	return &Platform{
 		Clock:        clock,
@@ -177,20 +184,6 @@ func New(opts Options) *Platform {
 		Orchestrator: engine,
 	}
 }
-
-// Compile-time proof that every platform subsystem satisfies the shared
-// instrumentation contract obs.Wire fans out over.
-var (
-	_ obs.Instrumentable = (*ledger.System)(nil)
-	_ obs.Instrumentable = (*pulsar.Cluster)(nil)
-	_ obs.Instrumentable = (*jiffy.Controller)(nil)
-	_ obs.Instrumentable = (*faas.Platform)(nil)
-	_ obs.Instrumentable = (*blob.Store)(nil)
-	_ obs.Instrumentable = (*queue.Service)(nil)
-	_ obs.Instrumentable = (*kvdb.DB)(nil)
-	_ obs.Instrumentable = (*orchestrate.Engine)(nil)
-	_ obs.Instrumentable = (*autoscale.Controller)(nil)
-)
 
 // EnableAutoscale builds, wires and starts the elastic control plane over
 // the platform's FaaS layer and whatever cluster is attached to it (attach

@@ -160,7 +160,7 @@ type Ctx struct {
 	InstanceID   int64 // identity of the warm instance running this request
 	Attempt      int   // 1-based attempt number under async retry
 	// Trace is the handler span's causal context. Handlers thread it into
-	// downstream trace-aware APIs (pulsar SendTrace, jiffy Traced, nested
+	// downstream trace-aware APIs (pulsar SendKeyTrace, jiffy Traced, nested
 	// InvokeForTraceIdem) so one request is one trace across subsystems. It
 	// is two int64s copied by value — safe to pass onward even though *Ctx
 	// itself is pooled and must not be retained.

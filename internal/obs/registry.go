@@ -7,7 +7,12 @@
 // Everything is nil-safe by contract: a nil *Registry hands out nil
 // instruments, and every method on a nil instrument is a no-op. Subsystems
 // therefore instrument their hot paths unconditionally and pay only a
-// predicted branch when observability is off. The cost when it is on is an
+// predicted branch when observability is off. A subsystem takes its registry
+// through its own SetObs, which resolves every handle it needs by name once;
+// each such lookup — a counter, gauge, histogram, labeled family (CounterVec
+// and HistogramVec are one generic family over their instrument), a family's
+// series or an SLO tenant — is one get-or-create that takes a read lock when
+// the instrument exists. The cost when it is on is an
 // atomic load of the shards' pointer and one atomic add per counter
 // increment; per histogram observation an atomic load of the bucket block's
 // pointer, a bit-twiddle, two atomic adds (bucket, sum) and one atomic load
@@ -349,12 +354,12 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	cvecs    map[string]*CounterVec
-	hvecs    map[string]*HistogramVec
+	cvecs    map[string]*family[Counter]
+	hvecs    map[string]*family[Histogram]
 	help     map[string]string
-	slo      *SLOEngine
 	onRead   []func()
 
+	slo    *SLOEngine
 	tracer *Tracer
 }
 
@@ -364,16 +369,18 @@ func New(clock simclock.Clock) *Registry {
 	if clock == nil {
 		clock = simclock.Real{}
 	}
-	return &Registry{
+	r := &Registry{
 		clock:    clock,
 		counters: map[string]*Counter{},
 		gauges:   map[string]*Gauge{},
 		hists:    map[string]*Histogram{},
-		cvecs:    map[string]*CounterVec{},
-		hvecs:    map[string]*HistogramVec{},
+		cvecs:    map[string]*family[Counter]{},
+		hvecs:    map[string]*family[Histogram]{},
 		help:     map[string]string{},
 		tracer:   newTracer(clock),
 	}
+	r.slo = newSLOEngine(clock, r.fold)
+	return r
 }
 
 // Counter returns (creating if needed) the named counter. Nil registry →
@@ -382,19 +389,7 @@ func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	c := r.counters[name]
-	r.mu.RUnlock()
-	if c != nil {
-		return c
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c = r.counters[name]; c == nil {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
+	return lookup(&r.mu, r.counters, name, func() *Counter { return &Counter{} })
 }
 
 // Gauge returns (creating if needed) the named gauge. Nil-safe.
@@ -402,19 +397,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	g := r.gauges[name]
-	r.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g = r.gauges[name]; g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
+	return lookup(&r.mu, r.gauges, name, func() *Gauge { return &Gauge{} })
 }
 
 // Histogram returns (creating if needed) the named histogram. Nil-safe.
@@ -433,19 +416,7 @@ func (r *Registry) histogram(name string, value bool) *Histogram {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	h := r.hists[name]
-	r.mu.RUnlock()
-	if h != nil {
-		return h
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h = r.hists[name]; h == nil {
-		h = &Histogram{value: value}
-		r.hists[name] = h
-	}
-	return h
+	return lookup(&r.mu, r.hists, name, func() *Histogram { return &Histogram{value: value} })
 }
 
 // CounterVec returns (creating if needed) the named labeled counter family.
@@ -455,19 +426,7 @@ func (r *Registry) CounterVec(name string, labelKeys ...string) *CounterVec {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	v := r.cvecs[name]
-	r.mu.RUnlock()
-	if v != nil {
-		return v
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if v = r.cvecs[name]; v == nil {
-		v = &CounterVec{core: newVecCore(name, append([]string(nil), labelKeys...)), counters: map[string]*Counter{}}
-		r.cvecs[name] = v
-	}
-	return v
+	return (*CounterVec)(lookup(&r.mu, r.cvecs, name, func() *family[Counter] { return newFamily[Counter](name, labelKeys) }))
 }
 
 // HistogramVec returns (creating if needed) the named labeled latency
@@ -476,19 +435,7 @@ func (r *Registry) HistogramVec(name string, labelKeys ...string) *HistogramVec 
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	v := r.hvecs[name]
-	r.mu.RUnlock()
-	if v != nil {
-		return v
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if v = r.hvecs[name]; v == nil {
-		v = &HistogramVec{core: newVecCore(name, append([]string(nil), labelKeys...)), hists: map[string]*Histogram{}}
-		r.hvecs[name] = v
-	}
-	return v
+	return (*HistogramVec)(lookup(&r.mu, r.hvecs, name, func() *family[Histogram] { return newFamily[Histogram](name, labelKeys) }))
 }
 
 // SetHelp attaches a help string to a metric name; exporters emit it as
@@ -502,22 +449,11 @@ func (r *Registry) SetHelp(name, text string) {
 	r.mu.Unlock()
 }
 
-// SLO returns the registry's per-tenant SLO engine, creating it on first
-// use. Nil registry → nil engine, whose methods no-op.
+// SLO returns the registry's per-tenant SLO engine. Nil registry → nil
+// engine, whose methods no-op.
 func (r *Registry) SLO() *SLOEngine {
 	if r == nil {
 		return nil
-	}
-	r.mu.RLock()
-	e := r.slo
-	r.mu.RUnlock()
-	if e != nil {
-		return e
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.slo == nil {
-		r.slo = newSLOEngine(r.clock, r.fold)
 	}
 	return r.slo
 }
@@ -627,15 +563,14 @@ func (r *Registry) Snapshot() Snapshot {
 	for k, v := range r.hists {
 		hists[k] = v
 	}
-	cvecs := make([]*CounterVec, 0, len(r.cvecs))
+	cvecs := make([]*family[Counter], 0, len(r.cvecs))
 	for _, v := range r.cvecs {
 		cvecs = append(cvecs, v)
 	}
-	hvecs := make([]*HistogramVec, 0, len(r.hvecs))
+	hvecs := make([]*family[Histogram], 0, len(r.hvecs))
 	for _, v := range r.hvecs {
 		hvecs = append(hvecs, v)
 	}
-	slo := r.slo
 	r.mu.RUnlock()
 
 	var snap Snapshot
@@ -643,7 +578,9 @@ func (r *Registry) Snapshot() Snapshot {
 		snap.Counters = append(snap.Counters, CounterSnapshot{Name: name, Value: c.Value()})
 	}
 	for _, v := range cvecs {
-		snap.Counters = v.snapshot(snap.Counters)
+		v.each(func(labels []Label, c *Counter) {
+			snap.Counters = append(snap.Counters, CounterSnapshot{Name: v.name, Labels: labels, Value: c.Value()})
+		})
 	}
 	for name, g := range gauges {
 		snap.Gauges = append(snap.Gauges, GaugeSnapshot{Name: name, Value: g.Value()})
@@ -656,9 +593,11 @@ func (r *Registry) Snapshot() Snapshot {
 		snap.Histograms = append(snap.Histograms, NamedHistogram{Name: name, Unit: unit, HistogramSnapshot: h.Snapshot()})
 	}
 	for _, v := range hvecs {
-		snap.Histograms = v.snapshot(snap.Histograms)
+		v.each(func(labels []Label, h *Histogram) {
+			snap.Histograms = append(snap.Histograms, NamedHistogram{Name: v.name, Unit: "ns", Labels: labels, HistogramSnapshot: h.Snapshot()})
+		})
 	}
-	snap.SLOs = slo.evaluate()
+	snap.SLOs = r.slo.evaluate()
 	sort.Slice(snap.Counters, func(i, j int) bool {
 		if snap.Counters[i].Name != snap.Counters[j].Name {
 			return snap.Counters[i].Name < snap.Counters[j].Name

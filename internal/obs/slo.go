@@ -233,19 +233,9 @@ func (e *SLOEngine) Tenant(name string) *TenantSLO {
 	if e == nil {
 		return nil
 	}
-	e.mu.RLock()
-	s := e.tenants[name]
-	e.mu.RUnlock()
-	if s != nil {
-		return s
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if s = e.tenants[name]; s == nil {
-		s = &TenantSLO{name: name, clock: e.clock, cfg: DefaultSLOConfig}
-		e.tenants[name] = s
-	}
-	return s
+	return lookup(&e.mu, e.tenants, name, func() *TenantSLO {
+		return &TenantSLO{name: name, clock: e.clock, cfg: DefaultSLOConfig}
+	})
 }
 
 // SetObjective replaces a tenant's objectives (creating the tenant if

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"sort"
 	"strings"
 	"sync"
 )
@@ -21,239 +20,136 @@ type Label struct {
 	Value string `json:"value"`
 }
 
-// vecCore is the shared label-interning machinery behind CounterVec and
-// HistogramVec. With is a setup-time operation (it may allocate); the
-// returned instrument is the hot-path handle and stays allocation-free.
-type vecCore struct {
+// lookup returns m[name], making it with mk on first use: a read lock when
+// it exists, the write lock and a second look when it may not. mk runs under
+// the write lock and may decline with nil, which lookup returns unstored.
+// Every get-or-create in the package goes through here.
+func lookup[V any](mu *sync.RWMutex, m map[string]*V, name string, mk func() *V) *V {
+	mu.RLock()
+	v := m[name]
+	mu.RUnlock()
+	if v != nil {
+		return v
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if v = m[name]; v == nil {
+		if v = mk(); v != nil {
+			m[name] = v
+		}
+	}
+	return v
+}
+
+// family is a labeled instrument family, the one implementation behind
+// CounterVec and HistogramVec: one series per combination of label values,
+// keyed by the values joined. With is a setup-time operation (it may
+// allocate); the instrument it returns is the hot-path handle and stays
+// allocation-free.
+type family[T any] struct {
 	name string
 	keys []string
-	max  int
 
 	mu     sync.RWMutex
-	series map[string][]string // interned label values by joined key
+	max    int
+	series map[string]*series[T]
+	other  *series[T] // the __other__ series; nil until the cap or a wrong arity
 }
 
-func newVecCore(name string, keys []string) *vecCore {
-	return &vecCore{name: name, keys: keys, max: DefaultMaxSeries, series: map[string][]string{}}
+// series is one label combination and its instrument. The overflow series
+// has no values.
+type series[T any] struct {
+	vals []string
+	inst T
 }
 
-// intern resolves vals to a stable series key, or "" when the combination
-// would exceed the cardinality cap (callers then use their overflow series).
-// A wrong arity never panics on the hot path — it folds into overflow too,
-// which shows up in exports as a loud __other__ series rather than a crash.
-func (v *vecCore) intern(vals []string) (string, bool) {
-	if len(vals) != len(v.keys) {
-		return "", false
+func newFamily[T any](name string, keys []string) *family[T] {
+	return &family[T]{name: name, keys: append([]string(nil), keys...), max: DefaultMaxSeries, series: map[string]*series[T]{}}
+}
+
+// with resolves the instrument for vals, folding into the __other__ series
+// past the cardinality cap. A wrong arity never panics on the hot path — it
+// folds into overflow too, which shows up in exports as a loud __other__
+// series rather than a crash. Nil-safe.
+func (f *family[T]) with(vals []string) *T {
+	if f == nil {
+		return nil
 	}
-	key := strings.Join(vals, "\x1f")
-	v.mu.RLock()
-	_, ok := v.series[key]
-	n := len(v.series)
-	v.mu.RUnlock()
-	if ok {
-		return key, true
-	}
-	if n >= v.max {
-		return "", false
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if _, ok := v.series[key]; !ok {
-		if len(v.series) >= v.max {
-			return "", false
+	if len(vals) == len(f.keys) {
+		s := lookup(&f.mu, f.series, strings.Join(vals, "\x1f"), func() *series[T] {
+			if len(f.series) >= f.max {
+				return nil
+			}
+			return &series[T]{vals: append([]string(nil), vals...)}
+		})
+		if s != nil {
+			return &s.inst
 		}
-		v.series[key] = append([]string(nil), vals...)
 	}
-	return key, true
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.other == nil {
+		f.other = &series[T]{}
+	}
+	return &f.other.inst
 }
 
-// labels reconstructs the sorted-by-insertion label set for a series key.
-func (v *vecCore) labels(key string) []Label {
-	v.mu.RLock()
-	vals := v.series[key]
-	v.mu.RUnlock()
-	out := make([]Label, len(v.keys))
-	for i, k := range v.keys {
-		val := OverflowLabel
-		if i < len(vals) {
-			val = vals[i]
-		}
-		out[i] = Label{Key: k, Value: val}
-	}
-	return out
-}
-
-func (v *vecCore) overflowLabels() []Label {
-	out := make([]Label, len(v.keys))
-	for i, k := range v.keys {
-		out[i] = Label{Key: k, Value: OverflowLabel}
-	}
-	return out
-}
-
-// SetMaxSeries adjusts the cardinality cap (≤0 restores the default).
-// Series already interned stay; only new combinations are folded.
-func (v *vecCore) SetMaxSeries(n int) {
-	if v == nil {
+// setMax adjusts the cardinality cap (≤0 restores the default). Series
+// already interned stay; only new combinations are folded. Nil-safe.
+func (f *family[T]) setMax(n int) {
+	if f == nil {
 		return
 	}
 	if n <= 0 {
 		n = DefaultMaxSeries
 	}
-	v.mu.Lock()
-	v.max = n
-	v.mu.Unlock()
+	f.mu.Lock()
+	f.max = n
+	f.mu.Unlock()
+}
+
+// each calls fn with every series' labels and instrument, the overflow
+// series last. Registry.Snapshot sorts what it collects.
+func (f *family[T]) each(fn func([]Label, *T)) {
+	f.mu.RLock()
+	all := make([]*series[T], 0, len(f.series)+1)
+	for _, s := range f.series {
+		all = append(all, s)
+	}
+	if f.other != nil {
+		all = append(all, f.other)
+	}
+	f.mu.RUnlock()
+	for _, s := range all {
+		labels := make([]Label, len(f.keys))
+		for i, k := range f.keys {
+			labels[i] = Label{Key: k, Value: OverflowLabel}
+			if s.vals != nil {
+				labels[i].Value = s.vals[i]
+			}
+		}
+		fn(labels, &s.inst)
+	}
 }
 
 // CounterVec is a family of counters keyed by label values (e.g. tenant,
 // function). Resolve a handle once with With at setup time; the handle is a
 // plain *Counter, so the increment path is identical to unlabeled counters.
-type CounterVec struct {
-	core *vecCore
-
-	mu       sync.RWMutex
-	counters map[string]*Counter
-	other    *Counter
-}
+type CounterVec family[Counter]
 
 // With resolves the counter for the given label values, folding into the
 // __other__ overflow series past the cardinality cap. Nil-safe.
-func (v *CounterVec) With(vals ...string) *Counter {
-	if v == nil {
-		return nil
-	}
-	key, ok := v.core.intern(vals)
-	if !ok {
-		return v.otherCounter()
-	}
-	v.mu.RLock()
-	c := v.counters[key]
-	v.mu.RUnlock()
-	if c != nil {
-		return c
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if c = v.counters[key]; c == nil {
-		c = &Counter{}
-		v.counters[key] = c
-	}
-	return c
-}
-
-func (v *CounterVec) otherCounter() *Counter {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if v.other == nil {
-		v.other = &Counter{}
-	}
-	return v.other
-}
+func (v *CounterVec) With(vals ...string) *Counter { return (*family[Counter])(v).with(vals) }
 
 // SetMaxSeries adjusts the vec's cardinality cap. Nil-safe.
-func (v *CounterVec) SetMaxSeries(n int) {
-	if v == nil {
-		return
-	}
-	v.core.SetMaxSeries(n)
-}
+func (v *CounterVec) SetMaxSeries(n int) { (*family[Counter])(v).setMax(n) }
 
-// snapshot appends the vec's series (sorted by label values) to out.
-func (v *CounterVec) snapshot(out []CounterSnapshot) []CounterSnapshot {
-	v.mu.RLock()
-	keys := make([]string, 0, len(v.counters))
-	for k := range v.counters {
-		keys = append(keys, k)
-	}
-	other := v.other
-	v.mu.RUnlock()
-	sort.Strings(keys)
-	for _, k := range keys {
-		v.mu.RLock()
-		c := v.counters[k]
-		v.mu.RUnlock()
-		out = append(out, CounterSnapshot{Name: v.core.name, Labels: v.core.labels(k), Value: c.Value()})
-	}
-	if other != nil {
-		out = append(out, CounterSnapshot{Name: v.core.name, Labels: v.core.overflowLabels(), Value: other.Value()})
-	}
-	return out
-}
-
-// HistogramVec is a family of histograms keyed by label values.
-type HistogramVec struct {
-	core  *vecCore
-	value bool
-
-	mu    sync.RWMutex
-	hists map[string]*Histogram
-	other *Histogram
-}
+// HistogramVec is a family of latency histograms keyed by label values.
+type HistogramVec family[Histogram]
 
 // With resolves the histogram for the given label values, folding into the
 // __other__ overflow series past the cardinality cap. Nil-safe.
-func (v *HistogramVec) With(vals ...string) *Histogram {
-	if v == nil {
-		return nil
-	}
-	key, ok := v.core.intern(vals)
-	if !ok {
-		return v.otherHist()
-	}
-	v.mu.RLock()
-	h := v.hists[key]
-	v.mu.RUnlock()
-	if h != nil {
-		return h
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if h = v.hists[key]; h == nil {
-		h = &Histogram{value: v.value}
-		v.hists[key] = h
-	}
-	return h
-}
-
-func (v *HistogramVec) otherHist() *Histogram {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if v.other == nil {
-		v.other = &Histogram{value: v.value}
-	}
-	return v.other
-}
+func (v *HistogramVec) With(vals ...string) *Histogram { return (*family[Histogram])(v).with(vals) }
 
 // SetMaxSeries adjusts the vec's cardinality cap. Nil-safe.
-func (v *HistogramVec) SetMaxSeries(n int) {
-	if v == nil {
-		return
-	}
-	v.core.SetMaxSeries(n)
-}
-
-// snapshot appends the vec's series (sorted by label values) to out.
-func (v *HistogramVec) snapshot(out []NamedHistogram) []NamedHistogram {
-	unit := "ns"
-	if v.value {
-		unit = "count"
-	}
-	v.mu.RLock()
-	keys := make([]string, 0, len(v.hists))
-	for k := range v.hists {
-		keys = append(keys, k)
-	}
-	other := v.other
-	v.mu.RUnlock()
-	sort.Strings(keys)
-	for _, k := range keys {
-		v.mu.RLock()
-		h := v.hists[k]
-		v.mu.RUnlock()
-		out = append(out, NamedHistogram{Name: v.core.name, Unit: unit, Labels: v.core.labels(k), HistogramSnapshot: h.Snapshot()})
-	}
-	if other != nil {
-		out = append(out, NamedHistogram{Name: v.core.name, Unit: unit, Labels: v.core.overflowLabels(), HistogramSnapshot: other.Snapshot()})
-	}
-	return out
-}
+func (v *HistogramVec) SetMaxSeries(n int) { (*family[Histogram])(v).setMax(n) }

@@ -76,31 +76,90 @@ func TestVecConcurrentAccess(t *testing.T) {
 	v := simclock.NewVirtual()
 	defer v.Close()
 	r := New(v)
-	cv := r.CounterVec("stress.counter", "tenant", "fn")
-	hv := r.HistogramVec("stress.latency", "tenant")
-	cv.SetMaxSeries(8)
-	hv.SetMaxSeries(8)
+	// Every goroutine resolves every kind of instrument by the same names at
+	// once, so each get-or-create races its twins.
+	type handles struct {
+		counter        *Counter
+		gauge          *Gauge
+		hist, valHist  *Histogram
+		cv             *CounterVec
+		hv             *HistogramVec
+		cvSeries       *Counter
+		hvSeries       *Histogram
+		tenant         *TenantSLO
+		cvOver, cvArgs *Counter
+		hvOver         *Histogram
+	}
+	var got [8]handles
+	start := make(chan struct{})
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		g := g
+	for g := range got {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			<-start
+			cv := r.CounterVec("stress.counter", "tenant", "fn")
+			hv := r.HistogramVec("stress.latency", "tenant")
+			cv.SetMaxSeries(8)
+			hv.SetMaxSeries(8)
+			got[g] = handles{
+				counter: r.Counter("stress"), gauge: r.Gauge("stress"),
+				hist: r.Histogram("stress.hist"), valHist: r.ValueHistogram("stress.value"),
+				cv: cv, hv: hv, cvSeries: cv.With("shared", "fn"), hvSeries: hv.With("shared"),
+				tenant: r.SLO().Tenant("stress"),
+			}
 			for i := 0; i < 500; i++ {
 				cv.With(fmt.Sprintf("tenant-%d", (g+i)%16), "fn").Inc()
 				hv.With(fmt.Sprintf("tenant-%d", i%16)).Observe(time.Duration(i) * time.Microsecond)
 			}
+			// This goroutine alone has tried 16 combinations, so the cap of 8
+			// is full: a new combination, like a wrong arity, folds into the
+			// one overflow series.
+			got[g].cvOver = cv.With(fmt.Sprintf("late-%d", g), "fn")
+			got[g].cvArgs = cv.With("wrong-arity")
+			got[g].hvOver = hv.With(fmt.Sprintf("late-%d", g))
 		}()
 	}
+	close(start)
 	wg.Wait()
+	h := got[0]
+	if h.counter == nil || h.gauge == nil || h.hist == nil || h.valHist == nil || h.hist == h.valHist ||
+		h.cvSeries == nil || h.hvSeries == nil || h.tenant == nil || h.cvOver == nil || h.hvOver == nil {
+		t.Fatalf("resolved a nil or aliased instrument: %+v", h)
+	}
+	if h.cvOver != h.cvArgs {
+		t.Fatal("a wrong arity and a combination past the cap must share the overflow counter")
+	}
+	for g := range got {
+		if got[g] != h {
+			t.Fatalf("goroutine %d resolved %+v, goroutine 0 %+v: one instance per name and kind", g, got[g], h)
+		}
+	}
 	var total int64
-	for _, c := range r.Snapshot().Counters {
+	series, over := map[string]int{}, map[string]int{}
+	snap := r.Snapshot()
+	for _, c := range snap.Counters {
 		if c.Name == "stress.counter" {
 			total += c.Value
+		}
+		series[c.Name]++
+		if len(c.Labels) > 0 && c.Labels[0].Value == OverflowLabel {
+			over[c.Name]++
+		}
+	}
+	for _, hs := range snap.Histograms {
+		series[hs.Name]++
+		if len(hs.Labels) > 0 && hs.Labels[0].Value == OverflowLabel {
+			over[hs.Name]++
 		}
 	}
 	if total != 8*500 {
 		t.Fatalf("counted %d increments across series, want %d", total, 8*500)
+	}
+	for _, name := range []string{"stress.counter", "stress.latency"} {
+		if series[name] != 9 || over[name] != 1 {
+			t.Fatalf("%s exports %d series, %d of them overflow; want the cap of 8 plus one shared overflow", name, series[name], over[name])
+		}
 	}
 }
 

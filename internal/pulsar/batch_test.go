@@ -203,7 +203,7 @@ func TestSyncSendIsAGroupCommitOfOne(t *testing.T) {
 		return o
 	}
 	sent := run(func(p *Producer, tc obs.TraceCtx) (int64, error) {
-		return p.SendTrace([]byte("one"), tc)
+		return p.SendKeyTrace("", []byte("one"), tc)
 	})
 	flushed := run(func(p *Producer, tc obs.TraceCtx) (int64, error) {
 		if err := p.SendAsyncTrace("", []byte("one"), tc); err != nil {

@@ -113,11 +113,6 @@ func (p *Producer) Send(payload []byte) (int64, error) {
 	return p.SendKey("", payload)
 }
 
-// SendTrace publishes an unkeyed message under the caller's causal context.
-func (p *Producer) SendTrace(payload []byte, tc obs.TraceCtx) (int64, error) {
-	return p.SendKeyTrace("", payload, tc)
-}
-
 // retryablePublishErr reports whether a publish failure warrants owner
 // re-resolution and retry: the broker was down or no longer owned the topic,
 // or its writer lost the ledger to a new owner's recovery (fencing) — all

@@ -124,13 +124,6 @@ func (c *Cluster) NewLoadManager(cfg LoadManagerConfig) *LoadManager {
 	return lm
 }
 
-// StartLoadManager builds and starts a load manager in one call.
-func (c *Cluster) StartLoadManager(cfg LoadManagerConfig) *LoadManager {
-	lm := c.NewLoadManager(cfg)
-	lm.Start()
-	return lm
-}
-
 // Start launches the control loop on the cluster clock. Idempotent.
 func (lm *LoadManager) Start() {
 	lm.mu.Lock()

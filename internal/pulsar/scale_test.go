@@ -180,11 +180,12 @@ func TestLoadManagerRebalanceUnderLoad(t *testing.T) {
 					t.Fatalf("%s elected %s, want broker-0", tp, b.ID)
 				}
 			}
-			lm := e.cluster.StartLoadManager(LoadManagerConfig{
+			lm := e.cluster.NewLoadManager(LoadManagerConfig{
 				Interval:       100*time.Millisecond + 333*time.Nanosecond,
 				OverloadFactor: 1.1,
 				MinMoveRate:    10,
 			})
+			lm.Start()
 			start := e.v.Now()
 			wg := simclock.NewGroup(e.v)
 			for i := range topics {
@@ -283,11 +284,12 @@ func TestHotKeySplitBoundedP99(t *testing.T) {
 			}
 			// The first tick fires at ~150ms, giving a real pre-split steady
 			// region to baseline p99 against at the same offered load.
-			lm = e.cluster.StartLoadManager(LoadManagerConfig{
+			lm = e.cluster.NewLoadManager(LoadManagerConfig{
 				Interval:       150*time.Millisecond + 333*time.Nanosecond,
 				OverloadFactor: 100, // moves off: this test isolates the split path
 				SplitRate:      1200,
 			})
+			lm.Start()
 			start = e.v.Now()
 			wg := simclock.NewGroup(e.v)
 			for i := 0; i < lanes; i++ {

@@ -40,7 +40,7 @@ func TestSingleTraceAcrossSubsystems(t *testing.T) {
 
 	acme := p.Tenant("acme")
 	if err := acme.Register("handler", func(ctx *faas.Ctx, in []byte) ([]byte, error) {
-		if _, err := prod.SendTrace(in, ctx.Trace); err != nil {
+		if _, err := prod.SendKeyTrace("", in, ctx.Trace); err != nil {
 			return nil, err
 		}
 		if err := ns.Traced(ctx.Trace).Put("state", in); err != nil {
