@@ -64,13 +64,15 @@ func TestWarmInvokeZeroAllocs(t *testing.T) {
 // it, not a latency window, a span log and a meter log sized for tens of
 // thousands. 64 functions under 4 tenants, 8 invokes each, on a fresh
 // platform that nobody reads: ≤6 KB allocated per function over the invokes
-// (3.0 measured: an invoke writes one record to its function's invoke log,
+// (1.3 measured: an invoke writes one record to its function's invoke log,
 // 160 B then 320 B, and the instruments it feeds — a latency series of two
 // 3.9 KB blocks, two counters' 1 KB shards — are bought by the first fold,
-// which only a read or a full log runs; 12.1 when every invoke wrote them
-// directly, 284 when the first invoke allocated a full 256 KiB window and the
-// first metered unit a 1 MiB record ring) and ≤1 MB live afterwards (0.20
-// measured, 0.83 with direct writes, was 18.4).
+// which only a read or a full log runs; 3.0 with a 512 B latency window per
+// function and 56 B span records, 12.1 when every invoke wrote the
+// instruments directly, 284 when the first invoke allocated a full 256 KiB
+// window and the first metered unit a 1 MiB record ring) and ≤1 MB live
+// afterwards (0.11 measured, 0.23 with the window and 56 B span records, 0.83
+// with direct writes, was 18.4).
 func TestFunctionFootprint(t *testing.T) {
 	const tenants, perTenant, invokes = 4, 16, 8
 	var before, mid, after runtime.MemStats
@@ -127,15 +129,16 @@ func liveHeap() int64 {
 // holds, and what its span log holds once full. Observability state is sized
 // by use like the rest (DESIGN.md §10): a histogram is a 32 B header until its
 // first observation, a counter an 8 B one until its first Add, a tenant's SLO
-// ring nothing until its first request, and a retained span a 56 B
-// pointer-free record, so the idle platform fits 128 KB (57 measured; 53
-// before the invoke log's fields took a function past the 512 B size class,
-// 227 when each of its 27 + 2·64 counters was born with 1 KB of shards and
-// the tenant with an 11.5 KB SLO ring, 941 when each of its 22 + 64
-// histograms was born with 8 KB of buckets) and the full log 1.2 MB (1.04
-// measured; 2.52 when a slot was a 136 B SpanData).
+// ring nothing until its first request, and a retained span a delta-varint
+// record of about 12 B in a chunked byte log, so the idle platform fits
+// 128 KB (57 measured; 53 before the invoke log's fields took a function
+// past the 512 B size class, 227 when each of its 27 + 2·64 counters was
+// born with 1 KB of shards and the tenant with an 11.5 KB SLO ring, 941 when
+// each of its 22 + 64 histograms was born with 8 KB of buckets) and the full
+// log 320 KB (199 measured; 1 037 when a span was a 56 B record, 2 520 when
+// it was a 136 B SpanData).
 func TestPlatformFootprint(t *testing.T) {
-	const fns, idleBound, logBound = 64, 128 << 10, 1200 << 10
+	const fns, idleBound, logBound = 64, 128 << 10, 320 << 10
 	before := liveHeap()
 	p := core.New(core.Options{})
 	h := p.Tenant("idle")
@@ -172,9 +175,10 @@ func TestPlatformFootprint(t *testing.T) {
 // whole platform, gateway included, for every SeBS-style call, so what one
 // call asks the allocator for is mostly what a platform costs before and at
 // its first use. After one warm-up call, a sebs.Run of 2 requests per app
-// allocates ≤400 KB (351 measured: its invokes write invoke-log records and a
-// call never reads its metrics, so no fold buys the invoke instruments; 406
-// when every invoke wrote them directly, 513 when every counter was born with
+// allocates ≤400 KB (346 measured, 351 with 56 B span records and a latency
+// window: its invokes write invoke-log records and a call never reads its
+// metrics, so no fold buys the invoke instruments; 406 when every invoke
+// wrote them directly, 513 when every counter was born with
 // 1 KB of shards, every histogram's first observation bought its exemplars
 // with its buckets, each tenant's SLO ring was its full 11.5 KB and each
 // platform seeded a 4.9 KB jitter rng it never drew from). The figure is the

@@ -81,9 +81,7 @@ func E20SLA() Table {
 			repB := faas.Drive(p.FaaS, "acme", "mem-fn", nil, make([]time.Duration, 8))
 			repA.Wait()
 			repB.Wait()
-			for _, r := range append(repA.Results(), repB.Results()...) {
-				durations = append(durations, r.Latency)
-			}
+			durations = append(latencies(repA), latencies(repB)...)
 		})
 		used := 0
 		for _, m := range cluster.Machines() {
@@ -205,8 +203,9 @@ func E22Provisioned() Table {
 		}, faas.Config{Prewarm: prewarm, ColdStart: 400 * time.Millisecond, WarmStart: time.Millisecond}); err != nil {
 			panic(err)
 		}
+		var rep *faas.DriveReport
 		v.Run(func() {
-			rep := faas.Drive(p.FaaS, "t", "spiky", nil, arrivals)
+			rep = faas.Drive(p.FaaS, "t", "spiky", nil, arrivals)
 			rep.Wait()
 		})
 		st, _ := p.FaaS.StatsFor("t", "spiky")
@@ -217,8 +216,8 @@ func E22Provisioned() Table {
 		}
 		table.Rows = append(table.Rows, []string{
 			cfg, f("%d", st.Invocations), f("%d", st.ColdStarts),
-			faas.Percentile(st.Durations, 50).Round(time.Millisecond).String(),
-			faas.Percentile(st.Durations, 99).Round(time.Millisecond).String(),
+			faas.Percentile(latencies(rep), 50).Round(time.Millisecond).String(),
+			faas.Percentile(latencies(rep), 99).Round(time.Millisecond).String(),
 			f("%d", st.WarmIdle),
 		})
 	}

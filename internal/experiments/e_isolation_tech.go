@@ -35,16 +35,16 @@ func E24IsolationTech() Table {
 		}, cfg); err != nil {
 			panic(err)
 		}
+		var rep *faas.DriveReport
 		v.Run(func() {
-			rep := faas.Drive(p.FaaS, "t", "fn", nil, arrivals)
+			rep = faas.Drive(p.FaaS, "t", "fn", nil, arrivals)
 			rep.Wait()
 		})
-		st, _ := p.FaaS.StatsFor("t", "fn")
 		v.Close()
 		table.Rows = append(table.Rows, []string{
 			iso.Name,
 			iso.ColdStart.String(),
-			faas.Percentile(st.Durations, 99).Round(time.Millisecond).String(),
+			faas.Percentile(latencies(rep), 99).Round(time.Millisecond).String(),
 			f("%d", iso.Density(128, 16384)),
 		})
 	}

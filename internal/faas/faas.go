@@ -272,17 +272,7 @@ type function struct {
 	throttles   int64
 	timeouts    int64
 	failures    int64
-	// durBuf is a ring of the most recent end-to-end invoke latencies,
-	// sized by use: nil until the first invoke, then grown ×durGrowth from
-	// durInitial to durationWindow (recordDurationLocked), where it stays
-	// and wraps. The last growth step is over within the first few thousand
-	// invokes, so the steady-state invoke path is allocation-free and a
-	// function's memory is bounded on long soaks, while a function invoked a
-	// handful of times holds a handful of samples' worth.
-	durBuf   []time.Duration
-	durNext  int // next write position
-	durCount int // number of valid entries (≤ len(durBuf))
-	timeline []ScalePoint
+	timeline    []ScalePoint
 }
 
 // idemEntry is one cached keyed result in a function's dedup window.
@@ -339,54 +329,6 @@ func (fn *function) dedupStore(key string, res Result, now time.Time) {
 	expires := now.Add(fn.cfg.DedupWindow)
 	fn.idem[key] = idemEntry{res: res, expires: expires}
 	fn.idemOrder = append(fn.idemOrder, idemExpiry{key: key, expires: expires})
-}
-
-// durationWindow is the per-function latency-window size: the cap the ring
-// grows to. Every existing workload (experiments, demos, soaks) invokes any
-// single function far fewer times than this, so percentiles over the window
-// equal percentiles over the full history for them; only unbounded growth is
-// cut off.
-const durationWindow = 1 << 15
-
-// The ring starts at durInitial samples and is multiplied by durGrowth each
-// time it fills below the cap: 64 → 512 → 4096 → 32768, three copies of
-// 4672 samples in all, the last at sample 4097 — inside any warm-up, so no
-// step lands in a measured steady state.
-const (
-	durInitial = 1 << 6
-	durGrowth  = 8
-)
-
-// recordDurationLocked appends a latency sample to the ring, growing it
-// first when it is full and still below durationWindow. A ring below the cap
-// has never wrapped (it grows the moment it fills), so its samples sit
-// oldest-first from index 0 and a plain copy keeps the order. Called with
-// fn.mu held.
-func (fn *function) recordDurationLocked(d time.Duration) {
-	if n := len(fn.durBuf); fn.durCount == n && n < durationWindow {
-		grown := make([]time.Duration, min(max(durInitial, n*durGrowth), durationWindow))
-		fn.durNext = copy(grown, fn.durBuf)
-		fn.durBuf = grown
-	}
-	fn.durBuf[fn.durNext] = d
-	fn.durNext = (fn.durNext + 1) % len(fn.durBuf)
-	if fn.durCount < len(fn.durBuf) {
-		fn.durCount++
-	}
-}
-
-// durationsLocked reconstructs the window oldest-first. Called with fn.mu
-// held.
-func (fn *function) durationsLocked() []time.Duration {
-	out := make([]time.Duration, 0, fn.durCount)
-	start := fn.durNext - fn.durCount
-	if start < 0 {
-		start += len(fn.durBuf)
-	}
-	for i := 0; i < fn.durCount; i++ {
-		out = append(out, fn.durBuf[(start+i)%len(fn.durBuf)])
-	}
-	return out
 }
 
 // Platform is the FaaS control plane plus data plane.
@@ -886,7 +828,6 @@ func (p *Platform) invoke(tenant, name string, payload []byte, attempt int, pare
 	} else {
 		p.releaseInstance(fn, inst)
 	}
-	fn.recordDurationLocked(end.Sub(start))
 	if rec.failed {
 		if rec.timeout {
 			fn.timeouts++
@@ -992,10 +933,7 @@ type Stats struct {
 	WarmIdle    int
 	Running     int
 	Warming     int
-	// Durations holds the most recent durationWindow end-to-end invoke
-	// latencies, oldest first.
-	Durations []time.Duration
-	Timeline  []ScalePoint
+	Timeline    []ScalePoint
 }
 
 // StatsFor returns a snapshot for tenant's function name, with the warm pool
@@ -1017,7 +955,6 @@ func (p *Platform) StatsFor(tenant, name string) (Stats, error) {
 		WarmIdle:    len(fn.idle),
 		Running:     fn.running,
 		Warming:     fn.warming,
-		Durations:   fn.durationsLocked(),
 		Timeline:    append([]ScalePoint{}, fn.timeline...),
 	}, nil
 }

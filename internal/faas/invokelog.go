@@ -39,7 +39,7 @@ type invokeRecord struct {
 	timeout bool
 }
 
-// The log is sized by use, like durBuf: nil until the first invoke, then
+// The log is sized by use: nil until the first invoke, then
 // invokeLogFirst records, doubled each time it fills; from invokeLogCap
 // records on, every invoke that logs one runs a fold before it returns. So
 // the log holds 64 records, plus at most one per invoke that completes while

@@ -34,10 +34,11 @@
 // header until its first Add, a histogram a 32-byte one until its first
 // observation (and its exemplars until its first traced one), a tenant's SLO
 // ring the 16-byte cells its traffic's epochs need, and a retained span a
-// 56-byte record with no pointer in it, so the tracer's log at its cap is one
-// megabyte the collector never scans. What a batching subsystem has not
-// folded yet costs nothing here: a platform nobody reads whose functions run
-// a few times each never buys their instruments' blocks and shards.
+// delta-varint record of about 12 bytes in a chunked byte log, so the
+// tracer's log at its cap is about 200 KB the collector never scans. What a
+// batching subsystem has not folded yet costs nothing here: a platform
+// nobody reads whose functions run a few times each never buys their
+// instruments' blocks and shards.
 package obs
 
 import (

@@ -75,10 +75,10 @@ type SamplerConfig struct {
 	SlowThreshold time.Duration // root duration ≥ threshold is always kept (0 disables)
 }
 
-// spanRec is a retained span: 56 bytes and no pointer, so the log at its cap
-// is a megabyte the collector never scans. Strings are indexes into the
-// tracer's table, attrs a 1-based index into its side log, Start nanoseconds
-// since the Unix epoch (rebuilt in the clock's location on read).
+// spanRec is a retained span as spanLog decodes it: 56 bytes, no pointer.
+// Strings are indexes into the tracer's table, attrs a 1-based index into
+// its side log, Start nanoseconds since the Unix epoch (rebuilt in the
+// clock's location on read).
 type spanRec struct {
 	trace, span, parent int64
 	start, dur          int64
@@ -122,12 +122,12 @@ type Tracer struct {
 	mu     sync.Mutex
 	active map[int64]*traceBuf
 	free   []*traceBuf
-	// retained is the finished-span log, first maxSpans kept. Segmented: a
+	// retained is the finished-span log, first maxSpans kept. Chunked: a
 	// span is written once and never moved, so finalizing a trace never
 	// re-copies the history while every Start/End waits on mu. Only a kept
 	// span is converted, so strs, strIdx and attrs hold what retained refers
 	// to and nothing else: at most 3, 3 and 1 entries per retained span.
-	retained seglog.Log[spanRec]
+	retained spanLog
 	strs     []string          // strs[0] == ""
 	strIdx   map[string]uint32 // inverse of strs
 	attrs    seglog.Log[[]Attr]
@@ -171,7 +171,7 @@ func (t *Tracer) SetMaxSpans(n int) {
 	}
 	t.mu.Lock()
 	t.maxSpans = n
-	t.full.Store(t.retained.Len() >= n)
+	t.full.Store(t.retained.n >= n)
 	t.mu.Unlock()
 }
 
@@ -327,13 +327,13 @@ func (t *Tracer) finalizeLocked(id int64, buf *traceBuf) {
 	if keep {
 		t.kept++
 		for i := range buf.spans {
-			if t.retained.Len() < t.maxSpans {
+			if t.retained.n < t.maxSpans {
 				t.retained.Append(t.recordLocked(&buf.spans[i]))
 			} else {
 				t.dropped.Add(1)
 			}
 		}
-		if t.retained.Len() >= t.maxSpans {
+		if t.retained.n >= t.maxSpans {
 			t.full.Store(true)
 		}
 	} else {
@@ -397,10 +397,9 @@ func (t *Tracer) internLocked(s string) uint32 {
 	return i
 }
 
-// spanLocked materializes retained span i as the public type. Caller holds
-// t.mu.
-func (t *Tracer) spanLocked(i int) SpanData {
-	rec := t.retained.At(i)
+// spanLocked materializes a retained record as the public type. Caller
+// holds t.mu.
+func (t *Tracer) spanLocked(rec *spanRec) SpanData {
 	sd := SpanData{
 		TraceID: rec.trace, SpanID: rec.span, ParentID: rec.parent,
 		Name: t.strs[rec.name], Tenant: t.strs[rec.tenant], Fn: t.strs[rec.fn],
@@ -449,9 +448,9 @@ func (t *Tracer) Spans() []SpanData {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]SpanData, t.retained.Len())
-	for i := range out {
-		out[i] = t.spanLocked(i)
+	out := make([]SpanData, 0, t.retained.n)
+	for c := t.retained.cursor(); c.next(); {
+		out = append(out, t.spanLocked(&c.rec))
 	}
 	return out
 }
@@ -484,7 +483,7 @@ func (t *Tracer) Stats() TracerStats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return TracerStats{
-		Retained:        t.retained.Len(),
+		Retained:        t.retained.n,
 		ActiveTraces:    len(t.active),
 		KeptTraces:      t.kept,
 		DiscardedTraces: t.discarded,
@@ -500,7 +499,7 @@ func (t *Tracer) Reset() {
 		return
 	}
 	t.mu.Lock()
-	t.retained = seglog.Log[spanRec]{}
+	t.retained = spanLog{}
 	t.strs = t.strs[:1]
 	clear(t.strIdx)
 	t.attrs = seglog.Log[[]Attr]{}
@@ -538,8 +537,8 @@ func (t *Tracer) Traces() []TraceSummary {
 	t.mu.Lock()
 	byID := make(map[int64]*TraceSummary)
 	order := make([]int64, 0, 64)
-	for i := 0; i < t.retained.Len(); i++ {
-		rec := t.retained.At(i)
+	for c := t.retained.cursor(); c.next(); {
+		rec := &c.rec
 		ts := byID[rec.trace]
 		if ts == nil {
 			ts = &TraceSummary{TraceID: rec.trace}
@@ -551,7 +550,7 @@ func (t *Tracer) Traces() []TraceSummary {
 			ts.Err = true
 		}
 		if rec.span == rec.trace { // root
-			sd := t.spanLocked(i)
+			sd := t.spanLocked(rec)
 			ts.Name = sd.Name
 			ts.Tenant = sd.Tenant
 			ts.Start = sd.Start
@@ -584,9 +583,9 @@ func (t *Tracer) TraceSpans(traceID int64) []SpanData {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var out []SpanData
-	for i := 0; i < t.retained.Len(); i++ {
-		if t.retained.At(i).trace == traceID {
-			out = append(out, t.spanLocked(i))
+	for c := t.retained.cursor(); c.next(); {
+		if c.rec.trace == traceID {
+			out = append(out, t.spanLocked(&c.rec))
 		}
 	}
 	return out
