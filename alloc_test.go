@@ -371,15 +371,17 @@ func TestAckZeroAllocs(t *testing.T) {
 // TestStreamBytesPerMessage is the byte budget beside the count budgets: what
 // the whole stream path asks the allocator for per 256 B keyed message — sync
 // and batch16 producers over a 4-partition topic, one consumer that receives
-// and acks everything — stays within 450 B. About 310 B of that is the one
-// necessary copy (the arena entry); the rest is three bookie indexes, which
-// write each slot once (DESIGN.md §10). Neither end of the path is in it: a
-// consumer that keeps up cycles through one small window ring on the broker
-// and through the receiver queue it was given at Subscribe. Growing cache and
-// indexes by append read 1115 B here, segmented logs 621 B, the window 501 B,
-// the fixed receiver queue 387 B.
+// and acks everything — stays within 340 B. About 275 B of that is the one
+// necessary copy (the arena entry); the rest is its ledger's entry table,
+// which the ledger's bookies share and which writes each slot once
+// (DESIGN.md §10). Neither end of the path is in it: a consumer that keeps up
+// cycles through one small window ring on the broker and through the
+// receiver queue it was given at Subscribe. Growing cache and indexes by
+// append read 1115 B here, segmented logs 621 B, the window 501 B, the fixed
+// receiver queue 387 B, one entry table a ledger 339 B, entries without
+// topic and seq 300 B.
 func TestStreamBytesPerMessage(t *testing.T) {
-	const burst, warm, timed, budget = 100, 10, 200, 450
+	const burst, warm, timed, budget = 100, 10, 200, 340
 	p := core.New(core.Options{})
 	if err := p.Pulsar.CreateTopic("bytes-gate", 4); err != nil {
 		t.Fatal(err)
@@ -717,18 +719,19 @@ func TestGatewayBigEchoBytes(t *testing.T) {
 // of the path: a consumer that stops receiving costs its receiver queue, not a
 // copy of everything published since. 200 000 keyed 256 B messages go to 4
 // partitions with a consumer attached that never calls Receive, and what the
-// process holds afterwards has grown by no more than 580 B per message: the
-// arena entry and three index slots every message costs (≈380 B,
-// TestTopicMemoryBoundedByBacklog) and its 104 B slot in the partition's
-// window, which holds the unacked tail in a ring of up to twice that (≈150 B
-// measured). A second copy of the Message on the consumer's side (656 B in
-// all, when dispatch pushed the backlog into an inbox that grew) does not
+// process holds afterwards has grown by no more than 500 B per message: the
+// arena entry and the entry-table slot every message costs (≈310 B) and its
+// 104 B slot in the partition's window, which holds the unacked tail in a
+// ring of up to twice that (≈150 B measured); 460 B measured, 533 B when
+// each of three bookies kept its own index slot and entries named their
+// topic and seq. A second copy of the Message on the consumer's side (656 B
+// in all, when dispatch pushed the backlog into an inbox that grew) does not
 // fit. The consumer then drains and acks all of it, each partition's seqs in
 // order, through the flow path. And the queue is what a consumer costs: a
 // Subscribe on a topic that is already owned allocates 120 KB at most (1024
 // slots of 112 B, and a cursor per partition).
 func TestConsumerHoldsAQueueNotTheBacklog(t *testing.T) {
-	const budget, subscribeBudget = 580, 120 << 10
+	const budget, subscribeBudget = 500, 120 << 10
 	total := 200000
 	if raceDetector || testing.Short() {
 		total = 50000 // same per-message figure, a tenth of the time under -race

@@ -14,6 +14,10 @@
 // same Writer continues in a fresh one, so each sealed ledger can be deleted
 // on its own once nobody needs it.
 //
+// A ledger's entries are stored once however many bookies hold them: the
+// System keeps one entry table per ledger, whose slot for an entry holds the
+// writer's buffer and a bitmask of the bookies that store it.
+//
 // Ledger metadata (ensemble, quorum sizes, state) lives in the coordination
 // service, as it does in the real system, in a fixed binary record (meta.go).
 package ledger
@@ -47,26 +51,112 @@ var (
 	ErrDropped      = errors.New("ledger: replication write dropped")
 )
 
-// ledgerStore is one ledger's entries on one bookie. Entry IDs are dense
-// and ascending, so the index is a log addressed by entry ID: an append is
-// a bounds check and a store into the tail segment, and an index slot, once
-// written, is never copied again (DESIGN.md §10). Striped writes leave nil
-// holes for the entries other quorum members hold.
+// entryTable is one ledger's entries, shared by its bookies as they share
+// each entry's buffer (see the Bookie contract). Entry IDs are dense and
+// ascending, so it is a log addressed by entry ID whose slots, once written,
+// are never copied again (DESIGN.md §10). The System makes a ledger's table
+// with the ledger and drops it with the ledger's entries; its lock is taken
+// under a Bookie's, never the other way round.
+type entryTable struct {
+	mu      sync.Mutex
+	slots   seglog.Log[entrySlot] // indexed by entry ID
+	members int                   // bookies given a bit so far
+}
+
+// entrySlot is one entry and the bookies that store that buffer as it: bit
+// i is the i-th bookie to hold any entry of the ledger.
+type entrySlot struct {
+	data []byte
+	held uint64
+}
+
+// ledgerStore is one bookie's part in one ledger.
 type ledgerStore struct {
-	entries seglog.Log[[]byte] // indexed by entry ID; nil = not stored here
-	count   int                // non-nil entries
-	last    int64              // highest entry id seen (-1 if none)
-	fenced  bool
+	table  *entryTable // nil until the bookie stores an entry of the ledger
+	bit    uint64      // the bookie's bit in table; 0 for a 65th member
+	count  int         // entries this bookie stores
+	last   int64       // highest entry id seen (-1 if none)
+	fenced bool
+	// own holds the entries this bookie stores apart from the table: one it
+	// was sent a different buffer for than another bookie still holds (a
+	// failed append retried at the same id), or all of them for a bookie
+	// without a bit. Nil until the first.
+	own map[int64][]byte
+}
+
+// store makes data the bookie's entry e and reports whether it held no
+// entry e before. Called with the bookie's lock held.
+func (ls *ledgerStore) store(t *entryTable, e int64, data []byte) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if ls.table == nil {
+		ls.table = t
+		if t.members < 64 {
+			ls.bit = 1 << t.members
+			t.members++
+		}
+	}
+	_, had := ls.own[e]
+	delete(ls.own, e)
+	if ls.bit == 0 {
+		ls.keep(e, data)
+		return !had
+	}
+	for int64(t.slots.Len()) <= e {
+		t.slots.Append(entrySlot{})
+	}
+	s := t.slots.At(int(e))
+	had = had || s.held&ls.bit != 0
+	switch {
+	case s.held&^ls.bit == 0: // no other bookie holds the slot's buffer
+		s.data, s.held = data, ls.bit
+	case sameBuffer(s.data, data):
+		s.held |= ls.bit
+	default: // another bookie keeps the buffer of an earlier attempt
+		s.held &^= ls.bit
+		ls.keep(e, data)
+	}
+	return !had
+}
+
+func (ls *ledgerStore) keep(e int64, data []byte) {
+	if ls.own == nil {
+		ls.own = map[int64][]byte{}
+	}
+	ls.own[e] = data
+}
+
+// entry returns the buffer the bookie stores as entry e, nil when it holds
+// none. Called with the bookie's lock held.
+func (ls *ledgerStore) entry(e int64) []byte {
+	if t := ls.table; t != nil && ls.bit != 0 {
+		t.mu.Lock()
+		defer t.mu.Unlock()
+		if e >= 0 && e < int64(t.slots.Len()) {
+			if s := t.slots.At(int(e)); s.held&ls.bit != 0 {
+				return s.data
+			}
+		}
+	}
+	return ls.own[e]
+}
+
+// sameBuffer reports whether a and b are one buffer rather than equal bytes.
+func sameBuffer(a, b []byte) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // Bookie is one storage node.
 //
 // Entry immutability contract: addEntry retains the data slice it is handed
-// without copying, and every replica of an entry shares that one buffer. The
-// writer makes (exactly) one defensive copy before replicating — callers
-// above the ledger layer must never mutate a buffer after appending it.
-// readEntry still returns a fresh copy, so readers may mutate what they get
-// back.
+// without copying, and every replica of an entry shares that one buffer —
+// and that one slot of the ledger's entryTable, which records which bookies
+// store it. Callers above the ledger layer must never mutate a buffer after
+// appending it. readEntry still returns a fresh copy, so readers may mutate
+// what they get back. What a bookie serves is its own all the same: an entry
+// it missed (down, dropped or fenced) is not served by it, one rewritten at
+// the same id while another bookie keeps the earlier buffer is served as
+// rewritten, and fence and EntryCount count its entries only.
 type Bookie struct {
 	ID string
 
@@ -125,11 +215,9 @@ func (b *Bookie) DropNext(n int) {
 	b.dropNext = int64(n)
 }
 
-// addEntry stores data as the ledger's entry entryID. reserve is how many
-// entries the writer expects the ledger to take: the first entry a bookie
-// holds for a ledger presizes its index to it (seglog.Log.Reserve), so a
-// rolled ledger's index is one allocation. Zero leaves the index to grow.
-func (b *Bookie) addEntry(ledgerID, entryID int64, data []byte, reserve int) error {
+// addEntry stores data as the ledger's entry entryID; t is the ledger's
+// entry table.
+func (b *Bookie) addEntry(t *entryTable, ledgerID, entryID int64, data []byte) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.down {
@@ -143,15 +231,9 @@ func (b *Bookie) addEntry(ledgerID, entryID int64, data []byte, reserve int) err
 	if ls.fenced {
 		return fmt.Errorf("%w: ledger %d on %s", ErrFenced, ledgerID, b.ID)
 	}
-	ls.entries.Reserve(reserve)
-	for int64(ls.entries.Len()) <= entryID {
-		ls.entries.Append(nil)
-	}
-	slot := ls.entries.At(int(entryID))
-	if *slot == nil {
+	if ls.store(t, entryID, data) { // shared, immutable (see type doc)
 		ls.count++
 	}
-	*slot = data // shared, immutable (see type doc)
 	if entryID > ls.last {
 		ls.last = entryID
 	}
@@ -159,13 +241,23 @@ func (b *Bookie) addEntry(ledgerID, entryID int64, data []byte, reserve int) err
 }
 
 func (b *Bookie) readEntry(ledgerID, entryID int64) ([]byte, error) {
+	data, err := b.storedEntry(ledgerID, entryID)
+	if err != nil {
+		return nil, err
+	}
+	return append([]byte(nil), data...), nil
+}
+
+// storedEntry is readEntry without the copy: the buffer itself, for
+// rereplication to share.
+func (b *Bookie) storedEntry(ledgerID, entryID int64) ([]byte, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.down {
 		return nil, fmt.Errorf("%w: %s", ErrBookieDown, b.ID)
 	}
 	if data := b.entryLocked(ledgerID, entryID); data != nil {
-		return append([]byte(nil), data...), nil
+		return data, nil
 	}
 	return nil, fmt.Errorf("%w: ledger %d entry %d on %s", ErrNoEntry, ledgerID, entryID, b.ID)
 }
@@ -173,11 +265,10 @@ func (b *Bookie) readEntry(ledgerID, entryID int64) ([]byte, error) {
 // entryLocked returns the buffer this bookie stores for an entry, nil when
 // it holds none. Called with b.mu held.
 func (b *Bookie) entryLocked(ledgerID, entryID int64) []byte {
-	ls := b.ledgers[ledgerID]
-	if ls == nil || entryID < 0 || entryID >= int64(ls.entries.Len()) {
-		return nil
+	if ls := b.ledgers[ledgerID]; ls != nil {
+		return ls.entry(entryID)
 	}
-	return *ls.entries.At(int(entryID))
+	return nil
 }
 
 // fence marks the ledger read-only on this bookie and returns the highest
@@ -226,6 +317,7 @@ type System struct {
 	bookies map[string]*Bookie
 	order   []string // registration order, for deterministic ensembles
 	nextID  int64
+	tables  map[int64]*entryTable // each live ledger's entries
 
 	// Pre-resolved observability handles; nil (no-ops) until SetObs.
 	obsAppends      *obs.Counter
@@ -255,7 +347,7 @@ func (s *System) SetObs(r *obs.Registry) {
 // NewSystem creates a ledger system using meta for metadata.
 func NewSystem(clock simclock.Clock, meta *coord.Store) *System {
 	_ = meta.EnsurePath(metaRoot)
-	return &System{clock: clock, meta: meta, bookies: map[string]*Bookie{}}
+	return &System{clock: clock, meta: meta, bookies: map[string]*Bookie{}, tables: map[int64]*entryTable{}}
 }
 
 // AddBookie registers a bookie with the cluster.
@@ -291,8 +383,8 @@ type Writer struct {
 	path     string // the ledger's metadata node
 	meta     metadata
 	metaBuf  []byte // meta's encoding, rewritten in place on every change
+	table    *entryTable
 	next     int64
-	reserve  int // index presize for the ledger's bookies (addEntry)
 	closed   bool
 }
 
@@ -308,7 +400,7 @@ func (s *System) CreateLedger(ensembleSize, writeQuorum, ackQuorum int) (*Writer
 		return nil, err
 	}
 	w := &Writer{sys: s}
-	if err := w.open(metadata{Ensemble: ensemble, WriteQuorum: writeQuorum, AckQuorum: ackQuorum}); err != nil {
+	if err := w.open(metadata{Ensemble: ensemble, WriteQuorum: writeQuorum, AckQuorum: ackQuorum}, 0); err != nil {
 		return nil, err
 	}
 	return w, nil
@@ -341,8 +433,10 @@ func (s *System) allLive(ensemble []string) bool {
 }
 
 // open points the writer at a new, empty ledger with metadata md, whose node
-// it creates. The writer is unchanged when that fails.
-func (w *Writer) open(md metadata) error {
+// it creates, and whose entry table it presizes to reserve entries
+// (seglog.Log.Reserve; zero leaves the table to grow). The writer is
+// unchanged when that fails.
+func (w *Writer) open(md metadata, reserve int) error {
 	w.sys.mu.Lock()
 	w.sys.nextID++
 	id := w.sys.nextID
@@ -352,7 +446,12 @@ func (w *Writer) open(md metadata) error {
 	if err := w.sys.meta.Create(path, buf, coord.Persistent, 0); err != nil {
 		return err
 	}
-	w.ledgerID, w.path, w.meta, w.metaBuf, w.next = id, path, md, buf, 0
+	t := &entryTable{}
+	t.slots.Reserve(reserve)
+	w.sys.mu.Lock()
+	w.sys.tables[id] = t
+	w.sys.mu.Unlock()
+	w.ledgerID, w.path, w.meta, w.metaBuf, w.table, w.next = id, path, md, buf, t, 0
 	return nil
 }
 
@@ -366,8 +465,8 @@ func (w *Writer) saveMeta() error {
 // Roll seals the writer's ledger as Close does and continues the writer in a
 // fresh ledger, whose first entry id is 0 again. The new ledger keeps the
 // ensemble while every member is live and otherwise takes live bookies as
-// CreateLedger does; its bookies presize their index to the length of the
-// ledger just sealed. A failed Roll leaves the writer appending where it
+// CreateLedger does; its entry table is presized to the length of the ledger
+// just sealed. A failed Roll leaves the writer appending where it
 // was, with no new ledger.
 func (w *Writer) Roll() error {
 	if w.closed {
@@ -385,7 +484,7 @@ func (w *Writer) Roll() error {
 	sealed.Closed, sealed.LastEntry = true, w.next-1
 	// The successor's node first: until the seal lands, the old ledger is
 	// still the one the writer appends to.
-	if err := w.open(metadata{Ensemble: ensemble, WriteQuorum: sealed.WriteQuorum, AckQuorum: sealed.AckQuorum}); err != nil {
+	if err := w.open(metadata{Ensemble: ensemble, WriteQuorum: sealed.WriteQuorum, AckQuorum: sealed.AckQuorum}, int(prev.next)); err != nil {
 		return err
 	}
 	// The node owns its own copy of the new record, so the buffer is free to
@@ -393,11 +492,11 @@ func (w *Writer) Roll() error {
 	w.metaBuf = appendMeta(w.metaBuf[:0], sealed)
 	if _, err := w.sys.meta.Set(prev.path, w.metaBuf, coord.AnyVersion); err != nil {
 		_ = w.sys.meta.Delete(w.path, coord.AnyVersion)
+		w.sys.dropEntries(w.ledgerID)
 		prev.metaBuf = w.metaBuf
 		*w = prev
 		return err
 	}
-	w.reserve = int(prev.next)
 	return nil
 }
 
@@ -489,10 +588,10 @@ func (w *Writer) replicate(entryID int64, data []byte) error {
 				failed = append(failed, pos)
 				continue
 			}
-			err := b.addEntry(w.ledgerID, entryID, data, w.reserve)
+			err := b.addEntry(w.table, w.ledgerID, entryID, data)
 			if errors.Is(err, ErrDropped) {
 				// One immediate retry absorbs an isolated lost RPC.
-				err = b.addEntry(w.ledgerID, entryID, data, w.reserve)
+				err = b.addEntry(w.table, w.ledgerID, entryID, data)
 			}
 			if err != nil {
 				if errors.Is(err, ErrFenced) {
@@ -554,9 +653,9 @@ func (w *Writer) replaceBookies(positions []int) error {
 	md := w.meta
 	md.Ensemble = append([]string(nil), ensemble...)
 	upto := w.next
-	sys, ledgerID := w.sys, w.ledgerID
+	sys, ledgerID, t := w.sys, w.ledgerID, w.table
 	sys.clock.Go(func() {
-		copied := sys.rereplicate(ledgerID, md, replaced, upto)
+		copied := sys.rereplicate(t, ledgerID, md, replaced, upto)
 		sys.obsReplicated.Add(int64(copied))
 		sys.obsRecoveries.Inc()
 		sys.obsRecoveryTime.Observe(sys.clock.Now().Sub(start))
@@ -564,11 +663,13 @@ func (w *Writer) replaceBookies(positions []int) error {
 	return nil
 }
 
-// rereplicate copies every entry in [0, upto) whose replica set includes a
-// replaced ensemble position from a surviving replica onto the replacement
-// bookie. Entries with no reachable replica are skipped: they were either
-// never acked, or lost beyond what the quorum can protect.
-func (s *System) rereplicate(ledgerID int64, md metadata, replaced map[int]string, upto int64) int {
+// rereplicate restores every entry in [0, upto) whose replica set includes a
+// replaced ensemble position onto the replacement bookie: it takes a
+// surviving replica's buffer and stores it there, which sets the bookie's bit
+// in the ledger's table t rather than copying. Entries with no reachable
+// replica are skipped: they were either never acked, or lost beyond what the
+// quorum can protect.
+func (s *System) rereplicate(t *entryTable, ledgerID int64, md metadata, replaced map[int]string, upto int64) int {
 	copied := 0
 	for e := int64(0); e < upto; e++ {
 		for j := 0; j < md.WriteQuorum; j++ {
@@ -586,13 +687,13 @@ func (s *System) rereplicate(ledgerID int64, md metadata, replaced map[int]strin
 				// Last resort: the replaced bookie may still serve reads
 				// (e.g. it only dropped writes).
 				if ob, ok := s.Bookie(old); ok {
-					data, _ = ob.readEntry(ledgerID, e)
+					data, _ = ob.storedEntry(ledgerID, e)
 				}
 			}
 			if data == nil {
 				continue
 			}
-			if err := dst.addEntry(ledgerID, e, data, 0); err == nil {
+			if err := dst.addEntry(t, ledgerID, e, data); err == nil {
 				copied++
 			}
 		}
@@ -600,7 +701,7 @@ func (s *System) rereplicate(ledgerID int64, md metadata, replaced map[int]strin
 	return copied
 }
 
-// readReplica fetches one entry from any replica position other than skipPos.
+// readReplica fetches one entry's buffer from any replica position but skipPos.
 func (s *System) readReplica(ledgerID int64, md metadata, entryID int64, skipPos int) []byte {
 	for j := 0; j < md.WriteQuorum; j++ {
 		pos := int((entryID + int64(j)) % int64(len(md.Ensemble)))
@@ -608,7 +709,7 @@ func (s *System) readReplica(ledgerID int64, md metadata, entryID int64, skipPos
 			continue
 		}
 		if b, ok := s.Bookie(md.Ensemble[pos]); ok {
-			if data, err := b.readEntry(ledgerID, entryID); err == nil {
+			if data, err := b.storedEntry(ledgerID, entryID); err == nil {
 				return data
 			}
 		}
@@ -804,10 +905,11 @@ func (s *System) DeleteLedger(ledgerID int64) error {
 	return nil
 }
 
-// dropEntries deletes a ledger's entries from every bookie.
+// dropEntries deletes a ledger's entries from every bookie, and its table.
 func (s *System) dropEntries(ledgerID int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	delete(s.tables, ledgerID)
 	for _, b := range s.bookies {
 		b.deleteLedger(ledgerID)
 	}

@@ -88,12 +88,12 @@ func TestRollReplacesDeadBookie(t *testing.T) {
 	}
 }
 
-// TestRollPresizesIndex: a rolled ledger's bookies each hold its index in
-// one allocation sized from the ledger before it (up to a full index
+// TestRollPresizesIndex: a rolled ledger's entry table, which its bookies
+// share, is one allocation sized from the ledger before it (up to a full
 // segment), so a roll and a segment's worth of appends cost a handful of
-// allocations — a roll's metadata node, and per bookie the ledger's store and
-// its index — rather than a run of doubling segments per bookie (eight
-// segments and their table on each of three bookies).
+// allocations — a roll's metadata node, the ledger's table and its first
+// segment, and per bookie the ledger's store — rather than a run of doubling
+// segments (eight segments and their table).
 func TestRollPresizesIndex(t *testing.T) {
 	const n = 2048
 	s := newSystem(3)

@@ -204,9 +204,7 @@ func (ts *topicState) readRange(open func(int64) (*ledger.Reader, error), from, 
 			if m, err = decodeMessage(e, ts.name); err != nil {
 				return err
 			}
-			// The position is authoritative: a recovered minority write may
-			// carry a stale stamp.
-			m.Seq = seq
+			m.Seq = seq // the entry's position is its seq
 			if !fn(&m) {
 				return nil
 			}
@@ -363,11 +361,11 @@ func (b *Broker) topicLocked(topicName string) (*topicState, error) {
 // messages share one PublishTime.
 //
 // entries are wire-format buffers (headers unstamped; the broker writes the
-// authoritative seq and publish time in place under the topic lock, before
-// the durable append) and views the payloads aliasing them. From here the
-// buffers travel uncopied: the bookie replicas retain them as the durable
-// entries, the topic's window holds the payload views until every
-// subscription has acked past them, and consumers receive those same views.
+// publish time in place under the topic lock, before the durable append)
+// and views the payloads aliasing them. From here the buffers travel
+// uncopied: the bookie replicas retain them as the durable entries, the
+// topic's window holds the payload views until every subscription has acked
+// past them, and consumers receive those same views.
 // The caller must treat both as immutable once passed in — on a failed
 // append a buffer may already sit on a bookie, so a retry must re-encode
 // into a fresh buffer, never restamp this one (the producer does exactly
@@ -413,7 +411,7 @@ func (b *Broker) publishEntries(topicName string, keys []string, entries, views 
 	now := b.cluster.clock.Now()
 	first := ts.win.end
 	for i := range entries {
-		stampEntry(entries[i], first+int64(i), now)
+		stampEntry(entries[i], now)
 	}
 	var batchCtx obs.TraceCtx
 	for _, tc := range traces {

@@ -160,19 +160,18 @@ func (p *Producer) sendKey(key string, payload []byte, pctx obs.TraceCtx) (int64
 	t := p.routeTo(p.holder.load(), key)
 	// A group commit of one: the arrays stay on the stack.
 	keys, entries, views, traces := [1]string{key}, [1][]byte{}, [1][]byte{}, [1]obs.TraceCtx{pctx}
-	entries[0] = p.arena.alloc(entrySize(key, t, len(payload)))
-	views[0] = encodeEntryInto(entries[0], key, t, payload)
+	entries[0] = p.arena.alloc(entrySize(key, len(payload)))
+	views[0] = encodeEntryInto(entries[0], key, payload)
 	p.mu.Unlock()
 	var lastErr error
 	for attempt := 0; attempt < 4; attempt++ {
 		if attempt > 0 {
 			// Re-encode into a fresh buffer: the failed attempt may have
 			// left the old one on a bookie, and a restamp would mutate a
-			// retained durable entry. (On a route move the topic — encoded
-			// in the entry — changed too.)
+			// retained durable entry.
 			p.mu.Lock()
-			entries[0] = p.arena.alloc(entrySize(key, t, len(views[0])))
-			views[0] = encodeEntryInto(entries[0], key, t, views[0])
+			entries[0] = p.arena.alloc(len(entries[0]))
+			views[0] = encodeEntryInto(entries[0], key, views[0])
 			p.mu.Unlock()
 		}
 		b, _, err := p.c.ensureOwner(t)
@@ -234,10 +233,10 @@ func (p *Producer) SendAsyncTrace(key string, payload []byte, tc obs.TraceCtx) e
 		tb = p.takeBatchLocked()
 		p.pending[t] = tb
 	}
-	entry := p.arena.alloc(entrySize(key, t, len(payload)))
+	entry := p.arena.alloc(entrySize(key, len(payload)))
 	tb.keys = append(tb.keys, key)
 	tb.entries = append(tb.entries, entry)
-	tb.views = append(tb.views, encodeEntryInto(entry, key, t, payload))
+	tb.views = append(tb.views, encodeEntryInto(entry, key, payload))
 	tb.traces = append(tb.traces, tc)
 	p.pendingN++
 	if p.pendingN >= p.maxBatch {
@@ -317,7 +316,7 @@ func (p *Producer) publishBatch(t string, tb *topicBatch, allowReroute bool) err
 			// the old ones on bookie replicas (see Broker.publishEntries).
 			for i := range tb.entries {
 				fresh := p.arena.alloc(len(tb.entries[i]))
-				tb.views[i] = encodeEntryInto(fresh, tb.keys[i], t, tb.views[i])
+				tb.views[i] = encodeEntryInto(fresh, tb.keys[i], tb.views[i])
 				tb.entries[i] = fresh
 			}
 		}
@@ -362,11 +361,11 @@ func (p *Producer) redistributeLocked(tb *topicBatch) error {
 			groups[t2] = g
 			order = append(order, t2)
 		}
-		// The topic name is encoded in the entry, so re-encode from the
-		// payload view into a fresh buffer for the new partition.
-		fresh := p.arena.alloc(entrySize(key, t2, len(tb.views[i])))
-		g.views = append(g.views, encodeEntryInto(fresh, key, t2, tb.views[i]))
-		g.entries = append(g.entries, fresh)
+		// An entry does not name its partition, and a batch the fence
+		// bounced was never stamped or appended, so its buffers move as
+		// they are.
+		g.views = append(g.views, tb.views[i])
+		g.entries = append(g.entries, tb.entries[i])
 		g.keys = append(g.keys, key)
 		g.traces = append(g.traces, tb.traces[i])
 	}

@@ -43,12 +43,12 @@ type ClusterConfig struct {
 // topicLedgerEntries entries, and a sealed ledger is deleted once every
 // subscription has acked past it, so a topic keeps about one ledger's worth
 // of acked messages on the bookies. The size is a measured constant, not a
-// knob: 4080 is what a bookie's index holds in its doubling segments (16
-// slots up to 2048), so a topic's first ledger fills them exactly instead
-// of spilling a 2048-slot segment for its last few entries, and later
-// ledgers, whose indexes start at a full segment (Writer.Roll), fill two.
-// A roll and its delete are a few allocations per 4080 messages; the
-// retained ledger is ≈1.3 MB of 256 B messages.
+// knob: 4080 is what a ledger's entry table holds in its doubling segments
+// (16 slots up to 2048), so a topic's first ledger fills them exactly
+// instead of spilling a 2048-slot segment for its last few entries, and
+// later ledgers, whose tables start at a full segment (Writer.Roll), fill
+// two. A roll and its delete are a few allocations per 4080 messages; the
+// retained ledger is ≈1.1 MB of 256 B messages and its 128 KB table.
 const (
 	topicEnsemble      = 3
 	topicWriteQuorum   = 2

@@ -8,6 +8,9 @@ import (
 	"time"
 )
 
+// TestBinaryCodecRoundTrip: an entry carries key, payload and publish time;
+// the topic is the one the entry is decoded for, and the seq is not on the
+// wire at all (readRange sets it from the entry's position).
 func TestBinaryCodecRoundTrip(t *testing.T) {
 	cases := []Message{
 		{Seq: 0, Key: "", Payload: nil, PublishTime: time.Unix(0, 0), Topic: "t"},
@@ -20,11 +23,11 @@ func TestBinaryCodecRoundTrip(t *testing.T) {
 		if enc[0] != codecVersion {
 			t.Fatalf("case %d: version byte = 0x%02x", i, enc[0])
 		}
-		got, err := decodeMessage(enc, "")
+		got, err := decodeMessage(enc, m.Topic)
 		if err != nil {
 			t.Fatalf("case %d: decode: %v", i, err)
 		}
-		if got.Seq != m.Seq || got.Key != m.Key || got.Topic != m.Topic ||
+		if got.Key != m.Key || got.Topic != m.Topic ||
 			!bytes.Equal(got.Payload, m.Payload) ||
 			!got.PublishTime.Equal(m.PublishTime) {
 			t.Fatalf("case %d: round trip = %+v, want %+v", i, got, m)
@@ -42,7 +45,7 @@ func TestBinaryCodecSmallerThanJSON(t *testing.T) {
 }
 
 func TestDecodeMessageRejectsGarbage(t *testing.T) {
-	enc := encodeMessage(Message{Seq: 1, Key: "k", Payload: []byte("p"), Topic: "t", PublishTime: time.Unix(1, 0)})
+	enc := encodeMessage(Message{Key: "k", Payload: []byte("p"), PublishTime: time.Unix(1, 0)})
 	padded := append([]byte{}, enc[:msgFixedHeader]...)
 	padded = append(append(padded, 0x81, 0x00), enc[msgFixedHeader+1:]...)
 	bad := [][]byte{
@@ -50,7 +53,7 @@ func TestDecodeMessageRejectsGarbage(t *testing.T) {
 		{0x7f},                             // unknown version
 		enc[:5],                            // truncated header
 		enc[:len(enc)-1],                   // truncated payload
-		append([]byte{}, 0x01),             // version byte only
+		append([]byte{}, codecVersion),     // version byte only
 		append(enc[:len(enc):len(enc)], 0), // trailing byte
 		padded,                             // key length 1 written in two bytes
 	}
@@ -59,10 +62,15 @@ func TestDecodeMessageRejectsGarbage(t *testing.T) {
 			t.Fatalf("case %d: decode of %v succeeded", i, b)
 		}
 	}
-	// No ledger outlives the process, so none holds pre-codec JSON entries:
-	// '{' is one more unknown version byte.
+	// No ledger outlives the process, so none holds pre-codec JSON entries
+	// or v1 ones (seq and topic on the wire): '{' and 0x01 are unknown
+	// version bytes.
 	if _, err := decodeMessage([]byte(`{"seq":5}`), ""); err == nil || !strings.Contains(err.Error(), "unknown entry codec version 0x7b") {
 		t.Fatalf("JSON entry decode error = %v, want unknown codec version", err)
+	}
+	v1 := []byte{0x01, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0x3b, 0x9a, 0xca, 0, 1, 'k', 1, 't', 1, 'p'}
+	if _, err := decodeMessage(v1, "t"); err == nil || !strings.Contains(err.Error(), "unknown entry codec version 0x01") {
+		t.Fatalf("v1 entry decode error = %v, want unknown codec version 0x01", err)
 	}
 }
 

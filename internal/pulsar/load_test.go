@@ -37,9 +37,9 @@ func newEnvCfg(t *testing.T, brokers, bookies int, cfg ClusterConfig) *env {
 // routing and retries: it encodes the entry itself and commits it as a group
 // of one.
 func (b *Broker) publish(topicName, key string, payload []byte) (int64, error) {
-	entry := make([]byte, entrySize(key, topicName, len(payload)))
+	entry := make([]byte, entrySize(key, len(payload)))
 	keys, traces := [1]string{key}, [1]obs.TraceCtx{}
-	entries, views := [1][]byte{entry}, [1][]byte{encodeEntryInto(entry, key, topicName, payload)}
+	entries, views := [1][]byte{entry}, [1][]byte{encodeEntryInto(entry, key, payload)}
 	return b.publishEntries(topicName, keys[:], entries[:], views[:], traces[:])
 }
 

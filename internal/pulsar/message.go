@@ -37,80 +37,67 @@ type Message struct {
 
 // Ledger entry wire format:
 //
-//	byte 0      codecVersion (0x01)
-//	bytes 1-8   Seq, big-endian int64
-//	bytes 9-16  PublishTime, big-endian int64 unix nanoseconds
+//	byte 0      codecVersion (0x02)
+//	bytes 1-8   PublishTime, big-endian int64 unix nanoseconds
 //	uvarint     len(Key)   followed by the key bytes
-//	uvarint     len(Topic) followed by the topic bytes
 //	uvarint     len(Payload) followed by the payload bytes
-const codecVersion = 0x01
+//
+// An entry names neither its topic nor its seq: its ledger implies both. A
+// topic's ledgers hold that topic's messages only, and an entry's position
+// in them is its seq (readRange), as in Pulsar's managed ledger. Version
+// 0x01 carried both; no ledger outlives the process, so none holds one.
+const codecVersion = 0x02
 
-const msgFixedHeader = 1 + 8 + 8 // version + seq + publish time
+const msgFixedHeader = 1 + 8 // version + publish time
 
-// encodeMessage serializes m into a single freshly allocated buffer.
+// encodeMessage serializes m into a single freshly allocated buffer. Its Seq
+// and Topic are not part of the entry.
 func encodeMessage(m Message) []byte {
-	size := msgFixedHeader +
-		uvarintLen(uint64(len(m.Key))) + len(m.Key) +
-		uvarintLen(uint64(len(m.Topic))) + len(m.Topic) +
-		uvarintLen(uint64(len(m.Payload))) + len(m.Payload)
-	b := make([]byte, size)
-	b[0] = codecVersion
-	binary.BigEndian.PutUint64(b[1:], uint64(m.Seq))
-	binary.BigEndian.PutUint64(b[9:], uint64(m.PublishTime.UnixNano()))
-	off := msgFixedHeader
-	off += binary.PutUvarint(b[off:], uint64(len(m.Key)))
-	off += copy(b[off:], m.Key)
-	off += binary.PutUvarint(b[off:], uint64(len(m.Topic)))
-	off += copy(b[off:], m.Topic)
-	off += binary.PutUvarint(b[off:], uint64(len(m.Payload)))
-	copy(b[off:], m.Payload)
+	b := make([]byte, entrySize(m.Key, len(m.Payload)))
+	encodeEntryInto(b, m.Key, m.Payload)
+	stampEntry(b, m.PublishTime)
 	return b
 }
 
-// entrySize returns the encoded size of an entry with the given key, topic
-// and payload length.
-func entrySize(key, topic string, payloadLen int) int {
+// entrySize returns the encoded size of an entry with the given key and
+// payload length.
+func entrySize(key string, payloadLen int) int {
 	return msgFixedHeader +
 		uvarintLen(uint64(len(key))) + len(key) +
-		uvarintLen(uint64(len(topic))) + len(topic) +
 		uvarintLen(uint64(payloadLen)) + payloadLen
 }
 
 // encodeEntryInto serializes an entry into buf — which must be exactly
-// entrySize bytes — leaving the seq and publish-time header fields zero for
-// the owning broker to stamp (stampEntry). It returns the view of buf's
-// payload bytes: the one copy on the publish path happens here, and that
-// view is what the topic's window and consumers share afterwards. Producers
-// carve buf from an arena, so this is also where the buffer's zero-copy
-// journey to the bookies begins.
-func encodeEntryInto(buf []byte, key, topic string, payload []byte) []byte {
+// entrySize bytes — leaving the publish-time header field zero for the
+// owning broker to stamp (stampEntry). It returns the view of buf's payload
+// bytes: the one copy on the publish path happens here, and that view is
+// what the topic's window and consumers share afterwards. Producers carve
+// buf from an arena, so this is also where the buffer's zero-copy journey to
+// the bookies begins.
+func encodeEntryInto(buf []byte, key string, payload []byte) []byte {
 	buf[0] = codecVersion
 	off := msgFixedHeader
 	off += binary.PutUvarint(buf[off:], uint64(len(key)))
 	off += copy(buf[off:], key)
-	off += binary.PutUvarint(buf[off:], uint64(len(topic)))
-	off += copy(buf[off:], topic)
 	off += binary.PutUvarint(buf[off:], uint64(len(payload)))
 	copy(buf[off:], payload)
 	return buf[off : off+len(payload) : off+len(payload)]
 }
 
-// stampEntry writes the authoritative sequence number and publish time into
-// a pre-encoded entry's fixed-offset header. The owning broker calls this
-// under the topic lock, before the durable append — the only mutation an
-// entry buffer ever sees after encoding.
-func stampEntry(entry []byte, seq int64, at time.Time) {
-	binary.BigEndian.PutUint64(entry[1:], uint64(seq))
-	binary.BigEndian.PutUint64(entry[9:], uint64(at.UnixNano()))
+// stampEntry writes the publish time into a pre-encoded entry's fixed-offset
+// header. The owning broker calls this under the topic lock, before the
+// durable append — the only mutation an entry buffer ever sees after
+// encoding.
+func stampEntry(entry []byte, at time.Time) {
+	binary.BigEndian.PutUint64(entry[1:], uint64(at.UnixNano()))
 }
 
-// decodeMessage parses a ledger entry. The returned Message's Payload may
-// alias b. Like decodeCursor it accepts exactly what the encoder writes — a
-// padded length prefix or bytes after the payload is an error — so an entry
-// that decodes re-encodes to itself (FuzzDecodeMessage). topic is the name
-// the caller expects the entry to carry — every entry of a topic's ledgers
-// names that topic — and an entry that does shares the caller's string
-// instead of allocating its own; any other name decodes as itself.
+// decodeMessage parses a ledger entry of topic's. The returned Message's
+// Payload may alias b, its Topic is topic, and its Seq is zero: the caller
+// knows the entry's position and sets it. Like decodeCursor it accepts
+// exactly what the encoder writes — a padded length prefix or bytes after
+// the payload is an error — so an entry that decodes re-encodes to itself
+// (FuzzDecodeMessage).
 func decodeMessage(b []byte, topic string) (Message, error) {
 	if len(b) == 0 {
 		return Message{}, fmt.Errorf("pulsar: empty ledger entry")
@@ -122,22 +109,14 @@ func decodeMessage(b []byte, topic string) (Message, error) {
 		return Message{}, fmt.Errorf("pulsar: truncated entry header (%d bytes)", len(b))
 	}
 	m := Message{
-		Seq:         int64(binary.BigEndian.Uint64(b[1:])),
-		PublishTime: time.Unix(0, int64(binary.BigEndian.Uint64(b[9:]))),
+		PublishTime: time.Unix(0, int64(binary.BigEndian.Uint64(b[1:]))),
+		Topic:       topic,
 	}
-	off := msgFixedHeader
-	key, off, err := readLenPrefixed(b, off)
+	key, off, err := readLenPrefixed(b, msgFixedHeader)
 	if err != nil {
 		return Message{}, fmt.Errorf("pulsar: bad entry key: %w", err)
 	}
 	m.Key = string(key)
-	name, off, err := readLenPrefixed(b, off)
-	if err != nil {
-		return Message{}, fmt.Errorf("pulsar: bad entry topic: %w", err)
-	}
-	if m.Topic = topic; string(name) != topic {
-		m.Topic = string(name)
-	}
 	payload, off, err := readLenPrefixed(b, off)
 	if err != nil {
 		return Message{}, fmt.Errorf("pulsar: bad entry payload: %w", err)

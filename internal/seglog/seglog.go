@@ -1,6 +1,7 @@
 // Package seglog is the one structure behind the platform's rule that an
-// element appended to a log is written once and never moved: a bookie's
-// per-ledger entry index and the tracer's attr side log are each a Log.
+// element appended to a log is written once and never moved: a ledger's
+// entry table, which its bookies share, and the tracer's attr side log are
+// each a Log.
 //
 // A plain slice grown by append re-copies its whole history at every growth
 // step — on the hot path, under the owner's lock, for elements the
