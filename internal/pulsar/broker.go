@@ -77,6 +77,22 @@ type subscription struct {
 	backlogGauge *obs.Gauge
 }
 
+// newSubscription builds a subscription resuming from the cursor record cur
+// (nothing delivered yet, nothing queued), its backlog gauge resolved.
+func (c *Cluster) newSubscription(topicName, name string, cur cursorRecord) *subscription {
+	return &subscription{
+		topicName:    topicName,
+		name:         name,
+		mode:         cur.Mode,
+		ackedPrefix:  cur.AckedPrefix,
+		acks:         cur.Acks,
+		pending:      pendingWindow{base: cur.AckedPrefix, end: cur.AckedPrefix},
+		nextDispatch: cur.AckedPrefix,
+		cursorPath:   cursorPath(topicName, name),
+		backlogGauge: c.obs.Gauge("pulsar.backlog." + topicName + "." + name),
+	}
+}
+
 // updateBacklogLocked refreshes the subscription's backlog gauge. Called with
 // the topic's lock held; a single atomic store when observability is on.
 func (sub *subscription) updateBacklogLocked(ts *topicState) {
@@ -353,6 +369,22 @@ func (b *Broker) topicLocked(topicName string) (*topicState, error) {
 		return nil, fmt.Errorf("%w: %q not owned by %s", ErrNoTopic, topicName, b.ID)
 	}
 	return ts, nil
+}
+
+// subLocked looks up a live topic's subscription, returning with the topic's
+// lock held when it finds one. Called with b.mu held (read or write).
+func (b *Broker) subLocked(topicName, subName string) (*topicState, *subscription, error) {
+	ts, err := b.topicLocked(topicName)
+	if err != nil {
+		return nil, nil, err
+	}
+	ts.mu.Lock()
+	sub, ok := ts.subs[subName]
+	if !ok {
+		ts.mu.Unlock()
+		return nil, nil, fmt.Errorf("pulsar: unknown subscription %s/%s", topicName, subName)
+	}
+	return ts, sub, nil
 }
 
 // publishEntries is the one commit from producer to bookie: it appends
@@ -649,19 +681,10 @@ func (b *Broker) subscribe(topicName, subName string, mode SubMode, pos InitialP
 		if pos == Latest {
 			start = ts.win.end
 		}
-		sub = &subscription{
-			topicName:    topicName,
-			name:         subName,
-			mode:         mode,
-			ackedPrefix:  start,
-			pending:      pendingWindow{base: start, end: start},
-			nextDispatch: start,
-			cursorPath:   cursorPath(topicName, subName),
-		}
+		sub = b.cluster.newSubscription(topicName, subName, cursorRecord{Mode: mode, AckedPrefix: start})
 		if err := b.cluster.createCursor(sub); err != nil {
 			return err
 		}
-		sub.backlogGauge = b.cluster.obs.Gauge("pulsar.backlog." + topicName + "." + subName)
 		ts.subs[subName] = sub
 		sub.updateBacklogLocked(ts)
 	}
@@ -678,16 +701,11 @@ func (b *Broker) subscribe(topicName, subName string, mode SubMode, pos InitialP
 func (b *Broker) detach(topicName, subName string, consumerID int64) {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	ts, ok := b.topics[topicName]
-	if !ok {
+	ts, sub, err := b.subLocked(topicName, subName)
+	if err != nil {
 		return
 	}
-	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	sub, ok := ts.subs[subName]
-	if !ok {
-		return
-	}
 	kept := sub.consumers[:0]
 	for _, c := range sub.consumers {
 		if c.id != consumerID {
@@ -711,16 +729,11 @@ func (b *Broker) detach(topicName, subName string, consumerID int64) {
 func (b *Broker) ack(topicName, subName string, seq int64) error {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	ts, err := b.topicLocked(topicName)
+	ts, sub, err := b.subLocked(topicName, subName)
 	if err != nil {
 		return err
 	}
-	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	sub, ok := ts.subs[subName]
-	if !ok {
-		return fmt.Errorf("pulsar: unknown subscription %s/%s", topicName, subName)
-	}
 	if seq < sub.ackedPrefix {
 		if sub.unsaved {
 			return b.cluster.persistCursor(sub)
@@ -984,17 +997,7 @@ func (b *Broker) loadTopic(topicName string) error {
 		// Out-of-order acks come back too (the record is already ascending),
 		// so the new owner never redelivers a message the subscription
 		// already acked.
-		sub := &subscription{
-			topicName:    topicName,
-			name:         name,
-			mode:         cur.Mode,
-			ackedPrefix:  cur.AckedPrefix,
-			acks:         cur.Acks,
-			pending:      pendingWindow{base: cur.AckedPrefix, end: cur.AckedPrefix},
-			nextDispatch: cur.AckedPrefix,
-			cursorPath:   cursorPath(topicName, name),
-			backlogGauge: c.obs.Gauge("pulsar.backlog." + topicName + "." + name),
-		}
+		sub := c.newSubscription(topicName, name, cur)
 		ts.subs[name] = sub
 		sub.updateBacklogLocked(ts)
 	}
@@ -1010,15 +1013,10 @@ func (b *Broker) loadTopic(topicName string) error {
 func (b *Broker) backlog(topicName, subName string) (int64, error) {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	ts, ok := b.topics[topicName]
-	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrNoTopic, topicName)
+	ts, sub, err := b.subLocked(topicName, subName)
+	if err != nil {
+		return 0, err
 	}
-	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	sub, ok := ts.subs[subName]
-	if !ok {
-		return 0, fmt.Errorf("pulsar: unknown subscription %s/%s", topicName, subName)
-	}
 	return ts.win.end - sub.ackedPrefix - int64(len(sub.acks)), nil
 }

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/ledger"
 	"repro/internal/obs"
 )
 
@@ -39,7 +38,7 @@ type Producer struct {
 	// lock-free load of the current table, so a partition split is visible
 	// to existing producers on their next send — there is no per-producer
 	// partition count to go stale (brokers additionally fence stale routes
-	// with ErrRouteMoved; see sendKey's retry loop).
+	// with ErrRouteMoved; see sendKey's re-route).
 	holder *routeHolder
 
 	maxBatch int
@@ -113,15 +112,6 @@ func (p *Producer) Send(payload []byte) (int64, error) {
 	return p.SendKey("", payload)
 }
 
-// retryablePublishErr reports whether a publish failure warrants owner
-// re-resolution and retry: the broker was down or no longer owned the topic,
-// or its writer lost the ledger to a new owner's recovery (fencing) — all
-// the shapes a stale ownership-cache entry can produce.
-func retryablePublishErr(err error) bool {
-	return errors.Is(err, ErrBrokerDown) || errors.Is(err, ErrNoTopic) ||
-		errors.Is(err, ledger.ErrFenced) || errors.Is(err, ledger.ErrWriterClosed)
-}
-
 // SendKey publishes a keyed message synchronously. Keyed messages on
 // partitioned topics always route to the same partition, preserving per-key
 // order. Any buffered SendAsync messages flush first, so the synchronous
@@ -163,9 +153,10 @@ func (p *Producer) sendKey(key string, payload []byte, pctx obs.TraceCtx) (int64
 	entries[0] = p.arena.alloc(entrySize(key, len(payload)))
 	views[0] = encodeEntryInto(entries[0], key, payload)
 	p.mu.Unlock()
-	var lastErr error
-	for attempt := 0; attempt < 4; attempt++ {
-		if attempt > 0 {
+	var seq int64
+	first := true
+	send := func(b *Broker) (err error) {
+		if !first {
 			// Re-encode into a fresh buffer: the failed attempt may have
 			// left the old one on a bookie, and a restamp would mutate a
 			// retained durable entry.
@@ -174,31 +165,23 @@ func (p *Producer) sendKey(key string, payload []byte, pctx obs.TraceCtx) (int64
 			views[0] = encodeEntryInto(entries[0], key, views[0])
 			p.mu.Unlock()
 		}
-		b, _, err := p.c.ensureOwner(t)
-		if err != nil {
-			return 0, err
-		}
-		seq, err := b.publishEntries(t, keys[:], entries[:], views[:], traces[:])
-		if err == nil {
-			p.c.meterPublish(1)
-			return seq, nil
-		}
-		lastErr = err
-		if errors.Is(err, ErrRouteMoved) {
-			// The partition split after we routed: ownership is fine, the
-			// route is stale. Re-route against the current table and
-			// republish to the child.
-			t = p.routeTo(p.holder.load(), key)
-			continue
-		}
-		// The owner may have died (or been deposed) between lookup and
-		// publish; drop the cached resolution and re-resolve.
-		p.c.invalidateOwner(t)
-		if !retryablePublishErr(err) {
-			return 0, err
-		}
+		first = false
+		seq, err = b.publishEntries(t, keys[:], entries[:], views[:], traces[:])
+		return err
 	}
-	return 0, lastErr
+	err := p.c.withOwner(t, send)
+	if errors.Is(err, ErrRouteMoved) {
+		// The partition split after we routed: ownership is fine, the route
+		// is stale. Re-route against the current table and republish to the
+		// child.
+		t = p.routeTo(p.holder.load(), key)
+		err = p.c.withOwner(t, send)
+	}
+	if err != nil {
+		return 0, err
+	}
+	p.c.meterPublish(1)
+	return seq, nil
 }
 
 // SendAsync buffers a keyed message for batched publication. The batch for
@@ -302,16 +285,16 @@ func (p *Producer) flushLocked() error {
 	return firstErr
 }
 
-// publishBatch commits one partition's batch, re-resolving ownership on
-// broker failover like the synchronous path. With allowReroute, a batch
-// bounced whole by the broker's key-range fence (the partition split while
-// it was buffered) is redistributed against fresh routing once. Called with
-// p.mu held: unlike a synchronous send, a flush keeps the lock across the
-// broker call, which is what keeps per-key order across flushes.
+// publishBatch commits one partition's batch through withOwner, like the
+// synchronous path. With allowReroute, a batch bounced whole by the broker's
+// key-range fence (the partition split while it was buffered) is
+// redistributed against fresh routing once. Called with p.mu held: unlike a
+// synchronous send, a flush keeps the lock across the broker call, which is
+// what keeps per-key order across flushes.
 func (p *Producer) publishBatch(t string, tb *topicBatch, allowReroute bool) error {
-	var lastErr error
-	for attempt := 0; attempt < 3; attempt++ {
-		if attempt > 0 {
+	first := true
+	err := p.c.withOwner(t, func(b *Broker) error {
+		if !first {
 			// Fresh buffers for the retry: the failed append may have left
 			// the old ones on bookie replicas (see Broker.publishEntries).
 			for i := range tb.entries {
@@ -320,28 +303,17 @@ func (p *Producer) publishBatch(t string, tb *topicBatch, allowReroute bool) err
 				tb.entries[i] = fresh
 			}
 		}
-		b, _, err := p.c.ensureOwner(t)
-		if err != nil {
-			return err
-		}
-		if _, err := b.publishEntries(t, tb.keys, tb.entries, tb.views, tb.traces); err == nil {
-			p.c.meterPublish(len(tb.entries))
-			return nil
-		} else {
-			lastErr = err
-			if errors.Is(err, ErrRouteMoved) {
-				if !allowReroute {
-					return err
-				}
-				return p.redistributeLocked(tb)
-			}
-			p.c.invalidateOwner(t)
-			if !retryablePublishErr(err) {
-				return err
-			}
-		}
+		first = false
+		_, err := b.publishEntries(t, tb.keys, tb.entries, tb.views, tb.traces)
+		return err
+	})
+	if errors.Is(err, ErrRouteMoved) && allowReroute {
+		return p.redistributeLocked(tb)
 	}
-	return lastErr
+	if err == nil {
+		p.c.meterPublish(len(tb.entries))
+	}
+	return err
 }
 
 // redistributeLocked re-routes a fenced batch's messages against the
@@ -521,9 +493,9 @@ func (cons *Consumer) ensureAttached() (err error) {
 			pos = Earliest // split children: consume from their first message
 		}
 		if err := b.subscribe(t, cons.sub, cons.mode, pos, &cons.reg); err != nil {
-			// A stale ownership-cache hit surfaces here (the cached broker
-			// no longer owns t); invalidate so the next attach re-resolves.
-			cons.c.invalidateOwner(t)
+			if staleOwner(err) {
+				cons.c.invalidateOwner(t) // the next attach re-resolves
+			}
 			return err
 		}
 		cons.epochs[t] = ep
@@ -573,23 +545,12 @@ func (cons *Consumer) Receive(timeout time.Duration) (Message, bool) {
 }
 
 // Ack marks a message consumed, advancing the subscription's durable cursor.
-// Like publish, it re-resolves ownership once if the cached owner turns out
-// to be deposed or down.
+// Like publish, it goes through withOwner: a stale owner is re-resolved and
+// the ack retried on the real one.
 func (cons *Consumer) Ack(m Message) error {
-	var lastErr error
-	for attempt := 0; attempt < 2; attempt++ {
-		b, _, err := cons.c.ensureOwner(m.Topic)
-		if err != nil {
-			return err
-		}
-		err = b.ack(m.Topic, cons.sub, m.Seq)
-		if err == nil || (!errors.Is(err, ErrBrokerDown) && !errors.Is(err, ErrNoTopic)) {
-			return err
-		}
-		lastErr = err
-		cons.c.invalidateOwner(m.Topic)
-	}
-	return lastErr
+	return cons.c.withOwner(m.Topic, func(b *Broker) error {
+		return b.ack(m.Topic, cons.sub, m.Seq)
+	})
 }
 
 // Close detaches the consumer and empties its queue: its unacked messages,
@@ -605,10 +566,8 @@ func (cons *Consumer) Close() {
 	concrete := append([]string{}, cons.concrete...)
 	cons.mu.Unlock()
 	for _, t := range concrete {
-		if data, held := cons.c.meta.LockHolder("/pulsar/owners/" + t); held {
-			if b, ok := cons.c.Broker(string(data)); ok {
-				b.detach(t, cons.sub, cons.reg.id)
-			}
+		if b, _ := cons.c.lockHolder(t); b != nil {
+			b.detach(t, cons.sub, cons.reg.id)
 		}
 	}
 	// Nothing pushes any more: every broker that knew the consumer has let go.

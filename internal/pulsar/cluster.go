@@ -86,11 +86,11 @@ type Cluster struct {
 
 	// owners caches resolved topic ownership so the publish/ack hot path is
 	// one lock-free map probe instead of a coordination-service lock lookup
-	// per call. Entries are invalidated error-driven: a caller whose
-	// operation on the cached broker fails with an ownership-shaped error
-	// (ErrBrokerDown, ErrNoTopic, a fenced/closed ledger) calls
-	// invalidateOwner and re-resolves. Staleness is safe, never silent: a
-	// deposed broker either knows it lost the topic (ErrNoTopic) or its
+	// per call. Entries are invalidated error-driven: an operation on the
+	// cached broker that fails with a stale owner (staleOwner: ErrBrokerDown,
+	// ErrNoTopic, a fenced/closed ledger) drops the entry and re-resolves, in
+	// withOwner or a consumer's attach pass. Staleness is safe, never silent:
+	// a deposed broker either knows it lost the topic (ErrNoTopic) or its
 	// zombie writer is fenced by the new owner's recovery (ErrFenced), so a
 	// stale entry can only produce an error, not a lost ack or a divergent
 	// ledger.
@@ -264,6 +264,39 @@ func (c *Cluster) dropOwnerEntries(b *Broker) {
 	})
 }
 
+// ownerAttempts bounds withOwner: how many times one op may meet a stale
+// owner before its last stale error is returned.
+const ownerAttempts = 4
+
+// staleOwner reports whether err is what a stale owner-cache entry produces:
+// the cached broker was down or no longer owned the topic, or its writer lost
+// the ledger to a new owner's recovery (fencing). See the owners field.
+func staleOwner(err error) bool {
+	return errors.Is(err, ErrBrokerDown) || errors.Is(err, ErrNoTopic) ||
+		errors.Is(err, ledger.ErrFenced) || errors.Is(err, ledger.ErrWriterClosed)
+}
+
+// withOwner runs op against the broker owning the concrete topic. It is the
+// one way a client op reaches a topic's owner: when op fails with a stale
+// owner, the cached resolution is dropped and op runs again on a fresh one,
+// up to ownerAttempts times in all. Any other error (an unknown
+// subscription, ErrRouteMoved, a readback error) is returned at once and
+// leaves the cache as it is.
+func (c *Cluster) withOwner(topic string, op func(b *Broker) error) error {
+	var err error
+	for attempt := 0; attempt < ownerAttempts; attempt++ {
+		var b *Broker
+		if b, _, err = c.ensureOwner(topic); err != nil {
+			return err
+		}
+		if err = op(b); !staleOwner(err) {
+			return err
+		}
+		c.invalidateOwner(topic)
+	}
+	return err
+}
+
 // ensureOwner returns the broker owning the concrete topic, electing one
 // (and running topic recovery on it) if the topic is unowned or its owner is
 // down. It also returns the ownership epoch, which clients use to detect
@@ -283,12 +316,9 @@ func (c *Cluster) ensureOwner(topic string) (*Broker, int64, error) {
 // resolveOwner is the slow path: the coordination-service lookup/election,
 // caching the result.
 func (c *Cluster) resolveOwner(topic string) (*Broker, int64, error) {
-	lockPath := "/pulsar/owners/" + topic
 	for attempt := 0; attempt < 8; attempt++ {
-		if data, held := c.meta.LockHolder(lockPath); held {
-			id := string(data)
-			b, ok := c.Broker(id)
-			if ok && !b.Down() {
+		if b, held := c.lockHolder(topic); held {
+			if b != nil && !b.Down() {
 				c.mu.Lock()
 				ep := c.epochs[topic]
 				c.mu.Unlock()
@@ -296,31 +326,57 @@ func (c *Cluster) resolveOwner(topic string) (*Broker, int64, error) {
 				return b, ep, nil
 			}
 			// Owner is gone or down: break the stale lock.
-			c.meta.Release(lockPath)
+			c.meta.Release(ownerPath(topic))
 		}
 		cand := c.pickBroker(topic)
 		if cand == nil {
 			return nil, 0, ErrNoBroker
 		}
-		ok, err := c.meta.TryAcquire(lockPath, []byte(cand.ID), cand.session)
+		ep, ok, err := c.claim(topic, cand)
 		if err != nil {
 			return nil, 0, err
 		}
-		if !ok {
-			continue // raced with another acquirer; retry lookup
+		if ok {
+			return cand, ep, nil
 		}
-		if err := cand.loadTopic(topic); err != nil {
-			c.meta.Release(lockPath)
-			return nil, 0, err
-		}
-		c.mu.Lock()
-		c.epochs[topic]++
-		ep := c.epochs[topic]
-		c.mu.Unlock()
-		c.owners.Store(topic, ownerEntry{b: cand, ep: ep})
-		return cand, ep, nil
+		// Raced with another acquirer; retry lookup.
 	}
 	return nil, 0, fmt.Errorf("pulsar: ownership of %q could not be established", topic)
+}
+
+// ownerPath is the coordination-service lock node naming a concrete topic's
+// owner.
+func ownerPath(topic string) string { return "/pulsar/owners/" + topic }
+
+// lockHolder reports whether the topic's ownership lock is held, and by which
+// registered broker (nil if the holder's id names none).
+func (c *Cluster) lockHolder(topic string) (b *Broker, held bool) {
+	data, held := c.meta.LockHolder(ownerPath(topic))
+	if held {
+		b, _ = c.Broker(string(data))
+	}
+	return b, held
+}
+
+// claim makes b the topic's owner: it takes the ownership lock, loads the
+// topic on b (releasing the lock if that fails), bumps the ownership epoch
+// and caches the resolution. ok is false, with no error, when someone else
+// holds the lock.
+func (c *Cluster) claim(topic string, b *Broker) (ep int64, ok bool, err error) {
+	if ok, err = c.meta.TryAcquire(ownerPath(topic), []byte(b.ID), b.session); !ok || err != nil {
+		return 0, false, err
+	}
+	if err := b.loadTopic(topic); err != nil {
+		c.meta.Release(ownerPath(topic))
+		c.invalidateOwner(topic)
+		return 0, false, err
+	}
+	c.mu.Lock()
+	c.epochs[topic]++
+	ep = c.epochs[topic]
+	c.mu.Unlock()
+	c.owners.Store(topic, ownerEntry{b: b, ep: ep})
+	return ep, true, nil
 }
 
 // SetHandoffDelay stretches the unowned window inside MoveTopic by d — a
@@ -346,20 +402,18 @@ func (c *Cluster) MoveTopic(topic, toID string) error {
 	if to.Down() {
 		return fmt.Errorf("%w: %s", ErrBrokerDown, toID)
 	}
-	lockPath := "/pulsar/owners/" + topic
-	if data, held := c.meta.LockHolder(lockPath); held {
-		if string(data) == toID {
-			return nil // already there
-		}
-		if from, ok := c.Broker(string(data)); ok {
-			// dropTopic write-locks the broker, waiting out in-flight
-			// publishes; later arrivals get ErrNoTopic and re-resolve.
-			from.dropTopic(topic)
-		}
-		c.invalidateOwner(topic)
-		c.meta.Release(lockPath)
-	} else {
-		c.invalidateOwner(topic)
+	from, held := c.lockHolder(topic)
+	if held && from == to {
+		return nil // already there
+	}
+	if from != nil {
+		// dropTopic write-locks the broker, waiting out in-flight publishes;
+		// later arrivals get ErrNoTopic and re-resolve.
+		from.dropTopic(topic)
+	}
+	c.invalidateOwner(topic)
+	if held {
+		c.meta.Release(ownerPath(topic))
 	}
 	if d := time.Duration(atomic.LoadInt64(&c.handoffDelay)); d > 0 {
 		c.clock.Sleep(d) // no locks held: the chaos window
@@ -367,31 +421,9 @@ func (c *Cluster) MoveTopic(topic, toID string) error {
 	if to.Down() {
 		return fmt.Errorf("%w: %s died mid-handoff", ErrBrokerDown, toID)
 	}
-	return c.assignTopic(topic, to)
-}
-
-// assignTopic acquires ownership of topic for b and loads it. Losing the
-// acquire race is not an error: whoever won owns the topic.
-func (c *Cluster) assignTopic(topic string, b *Broker) error {
-	lockPath := "/pulsar/owners/" + topic
-	ok, err := c.meta.TryAcquire(lockPath, []byte(b.ID), b.session)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return nil
-	}
-	if err := b.loadTopic(topic); err != nil {
-		c.meta.Release(lockPath)
-		c.invalidateOwner(topic)
-		return err
-	}
-	c.mu.Lock()
-	c.epochs[topic]++
-	ep := c.epochs[topic]
-	c.mu.Unlock()
-	c.owners.Store(topic, ownerEntry{b: b, ep: ep})
-	return nil
+	// Losing the claim race is not an error: whoever won owns the topic.
+	_, _, err := c.claim(topic, to)
+	return err
 }
 
 // pickBroker hashes the topic onto the live brokers for stable assignment.
@@ -525,20 +557,12 @@ func (c *Cluster) Backlog(topic, subName string) (int64, error) {
 	}
 	var total int64
 	for _, t := range h.load().names {
-		b, _, err := c.ensureOwner(t)
-		if err != nil {
+		var n int64
+		if err := c.withOwner(t, func(b *Broker) (err error) {
+			n, err = b.backlog(t, subName)
+			return err
+		}); err != nil {
 			return 0, err
-		}
-		n, err := b.backlog(t, subName)
-		if err != nil {
-			// Stale ownership-cache hit: re-resolve once and retry.
-			c.invalidateOwner(t)
-			if b, _, err = c.ensureOwner(t); err != nil {
-				return 0, err
-			}
-			if n, err = b.backlog(t, subName); err != nil {
-				return 0, err
-			}
 		}
 		total += n
 	}

@@ -1,9 +1,6 @@
 package pulsar
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // This file is the duplicate-delivery injection surface the conformance
 // explorer (internal/conform) and the chaos plane drive. At-least-once
@@ -15,25 +12,9 @@ import (
 // path, the production exact-cursor machinery is what gets exercised.
 //
 // All three entry points address a concrete topic (a plain topic, or one
-// partition of a partitioned topic) and re-resolve ownership once on an
-// ownership-shaped failure, like Backlog does.
-
-// withOwner runs op against the broker owning the concrete topic, retrying
-// once through a fresh ownership resolution if the cached owner was stale.
-func (c *Cluster) withOwner(topic string, op func(b *Broker) error) error {
-	b, _, err := c.ensureOwner(topic)
-	if err != nil {
-		return err
-	}
-	if err := op(b); err != nil {
-		c.invalidateOwner(topic)
-		if b, _, err = c.ensureOwner(topic); err != nil {
-			return err
-		}
-		return op(b)
-	}
-	return nil
-}
+// partition of a partitioned topic) and reach its owner through withOwner,
+// as every client op does: a stale owner is re-resolved and the op retried,
+// any other error (a missing subscription included) is returned as it is.
 
 // DropAcks arms the subscription on a concrete topic to lose its next n acks
 // in flight: each affected Ack reports success to the consumer while the
@@ -97,20 +78,6 @@ func (c *Cluster) Subscriptions(topic string) ([]string, error) {
 	}
 	sort.Strings(names)
 	return names, nil
-}
-
-func (b *Broker) subLocked(topicName, subName string) (*topicState, *subscription, error) {
-	ts, err := b.topicLocked(topicName)
-	if err != nil {
-		return nil, nil, err
-	}
-	ts.mu.Lock()
-	sub, ok := ts.subs[subName]
-	if !ok {
-		ts.mu.Unlock()
-		return nil, nil, fmt.Errorf("pulsar: unknown subscription %s/%s", topicName, subName)
-	}
-	return ts, sub, nil
 }
 
 func (b *Broker) dropNextAcks(topicName, subName string, n int) error {

@@ -286,7 +286,7 @@ func (c *Cluster) SplitPartition(logical, concrete, target string) (string, erro
 	// usual way.
 	if target != "" {
 		if b, ok := c.Broker(target); ok && !b.Down() {
-			_ = c.assignTopic(child, b)
+			_, _, _ = c.claim(child, b)
 		}
 	}
 
@@ -311,10 +311,8 @@ func (c *Cluster) SplitPartition(logical, concrete, target string) (string, erro
 	// fences upper-half keys with ErrRouteMoved.
 	if v, ok := c.owners.Load(concrete); ok {
 		v.(ownerEntry).b.narrowRange(concrete, lo, mid)
-	} else if data, held := c.meta.LockHolder("/pulsar/owners/" + concrete); held {
-		if b, ok := c.Broker(string(data)); ok {
-			b.narrowRange(concrete, lo, mid)
-		}
+	} else if b, _ := c.lockHolder(concrete); b != nil {
+		b.narrowRange(concrete, lo, mid)
 	}
 	return child, nil
 }
