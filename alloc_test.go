@@ -129,16 +129,17 @@ func liveHeap() int64 {
 // holds, and what its span log holds once full. Observability state is sized
 // by use like the rest (DESIGN.md §10): a histogram is a 32 B header until its
 // first observation, a counter an 8 B one until its first Add, a tenant's SLO
-// ring nothing until its first request, and a retained span a delta-varint
-// record of about 12 B in a chunked byte log, so the idle platform fits
-// 128 KB (57 measured; 53 before the invoke log's fields took a function
-// past the 512 B size class, 227 when each of its 27 + 2·64 counters was
-// born with 1 KB of shards and the tenant with an 11.5 KB SLO ring, 941 when
-// each of its 22 + 64 histograms was born with 8 KB of buckets) and the full
-// log 320 KB (199 measured; 1 037 when a span was a 56 B record, 2 520 when
-// it was a 136 B SpanData).
+// ring nothing until its first request, and a kept trace one record in a
+// chunked byte log, about 5 B a span once its shape is interned, so the idle
+// platform fits 128 KB (57 measured; 53 before the invoke log's fields took a
+// function past the 512 B size class, 227 when each of its 27 + 2·64 counters
+// was born with 1 KB of shards and the tenant with an 11.5 KB SLO ring, 941
+// when each of its 22 + 64 histograms was born with 8 KB of buckets) and the
+// full log 160 KB (102 measured; 199 when each span was its own delta-varint
+// record, 1 037 when a span was a 56 B record, 2 520 when it was a 136 B
+// SpanData).
 func TestPlatformFootprint(t *testing.T) {
-	const fns, idleBound, logBound = 64, 128 << 10, 320 << 10
+	const fns, idleBound, logBound = 64, 128 << 10, 160 << 10
 	before := liveHeap()
 	p := core.New(core.Options{})
 	h := p.Tenant("idle")

@@ -1,84 +1,296 @@
 package obs
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
-// spanLog is the tracer's retained spans as delta-varint records (DESIGN.md
-// §5). Every reader walks it from the front, so a record's trace and start
-// are deltas from the previous record's, its span and parent from its own
-// trace: about 12 bytes a span, where a spanRec is 56. Chunks are noscan,
-// start at 1 KiB and double up to 64 KiB, and no record straddles two. The
-// zero value is empty; callers hold the tracer's lock.
+// spanLog is the tracer's retained spans, one record per kept trace
+// (DESIGN.md §5). What every trace of a kind shares — per span its name,
+// labels, err and has-attrs bits, its Start-order position and its parent's
+// — is said once, in a shape interned in the log's table, so a record is a
+// shape id, its trace and root start as deltas from the previous record's,
+// and per span only a start offset from the root's and a duration: about 5
+// bytes a span, where a spanRec is 56. What a shape cannot say departs from
+// it and is written in the record: the id and parent of a span in a trace
+// whose ids are not dense, a parent outside the trace, an attr index. Every
+// reader walks the log from the front. Chunks are noscan, start at 1 KiB and
+// double up to 16 KiB, and no record straddles two: a trace too long for one
+// record continues in the next. The zero value is empty; callers hold the
+// tracer's lock.
 type spanLog struct {
 	chunks [][]byte
-	n      int     // records appended
-	last   spanRec // the previous record, the base of the next one's deltas
+	n      int // spans appended
+	// lastTrace and lastBase are the previous record's trace and base start,
+	// the origin of the next record's deltas.
+	lastTrace, lastBase int64
+	shapes              []spanShape
+	shapeIdx            map[string]uint32 // spanShape.spans → index in shapes
 }
+
+// spanShape is what every record of one kind shares.
+type spanShape struct {
+	// spans holds, per span in completion order, uvarints: name, tenant, fn,
+	// the shape flags, the span's position unless shDeparts, and its parent's
+	// position if shParentIn. It is also the shape's key in shapeIdx.
+	spans string
+	vars  int // varints a record of this shape writes after its header
+}
+
+// Shape flags, one word per span. A parent with neither parent flag is 0.
+const (
+	shErr       = 1 << iota // attrs carries recErr
+	shAttrs                 // the record writes the attr index
+	shAnchor                // the span starts at the record's base: no offset written
+	shDeparts               // the record writes span - trace; the shape holds no position
+	shParentIn              // parent = trace + a position the shape holds
+	shParentOut             // the record writes parent - trace
+)
 
 const (
 	spanChunkFirst     = 1 << 10
-	spanChunkDoublings = 6 // chunks after the first double, then stay at 64 KiB
-	// maxSpanRec is the longest record: five varint64s (trace, start, dur,
-	// span, parent), the 33-bit attrs word and three uint32 string indexes.
-	maxSpanRec = 5*binary.MaxVarintLen64 + 4*binary.MaxVarintLen32
+	spanChunkDoublings = 4 // chunks after the first double, then stay at 16 KiB
+	// maxRecHead is the longest record header: the shape id and two varint64
+	// deltas. maxRecSpan is the most one span adds: four varint64s (start
+	// offset, dur, span, parent) and the attr index.
+	maxRecHead = binary.MaxVarintLen32 + 2*binary.MaxVarintLen64
+	maxRecSpan = 4*binary.MaxVarintLen64 + binary.MaxVarintLen32
 )
 
-// Append encodes r after the last record. Every int64 round-trips exactly:
-// a delta is taken and added back with wrapping arithmetic, and a root's
-// parent (0) is a flag in the attrs word rather than a delta.
-func (l *spanLog) Append(r spanRec) {
-	k := len(l.chunks) - 1
-	if k < 0 || cap(l.chunks[k])-len(l.chunks[k]) < maxSpanRec {
-		l.chunks = append(l.chunks, make([]byte, 0, spanChunkFirst<<min(len(l.chunks), spanChunkDoublings)))
-		k++
+// Append encodes the kept spans of one trace, all sharing recs[0].trace, in
+// completion order after the last record. Every field round-trips exactly:
+// deltas are taken and added back with wrapping arithmetic.
+func (l *spanLog) Append(recs []spanRec) {
+	if len(recs) == 0 {
+		return
 	}
-	word := uint64(r.attrs) << 1
-	if r.parent != 0 {
-		word |= 1
+	// The ids are dense when each is trace + its Start-order position, in
+	// [0, len(recs)): then the shape holds positions and the record no ids.
+	// Otherwise every span departs, so interleaved traces share a shape.
+	bound := int64(len(recs))
+	for i := range recs {
+		if p := recs[i].span - recs[0].trace; p < 0 || p >= bound {
+			bound = 0
+			break
+		}
 	}
-	b := binary.AppendVarint(l.chunks[k], r.trace-l.last.trace)
-	b = binary.AppendVarint(b, r.start-l.last.start)
-	b = binary.AppendVarint(b, r.dur)
-	b = binary.AppendVarint(b, r.span-r.trace)
-	b = binary.AppendUvarint(b, word)
-	if r.parent != 0 {
-		b = binary.AppendVarint(b, r.parent-r.trace)
+	for len(recs) > 0 {
+		k, last := len(recs), len(l.chunks)-1
+		room := 0
+		if last >= 0 {
+			room = cap(l.chunks[last]) - len(l.chunks[last])
+		}
+		if maxRecHead+k*maxRecSpan > room {
+			if last < 0 || len(l.chunks[last]) > 0 {
+				l.chunks = append(l.chunks, make([]byte, 0, spanChunkFirst<<min(len(l.chunks), spanChunkDoublings)))
+				continue
+			}
+			k = (room - maxRecHead) / maxRecSpan // too long for a fresh chunk
+		}
+		l.record(recs[:k], bound)
+		recs = recs[k:]
 	}
-	b = binary.AppendUvarint(b, uint64(r.name))
-	b = binary.AppendUvarint(b, uint64(r.tenant))
-	l.chunks[k] = binary.AppendUvarint(b, uint64(r.fn))
-	l.last = r
-	l.n++
 }
 
-// spanCursor decodes a spanLog front to back: for c := l.cursor(); c.next(); {}
+// shapeFlags says how r is stored in a record of trace whose positions are
+// [0, bound).
+func shapeFlags(r *spanRec, trace, bound int64, anchor bool) uint64 {
+	var f uint64
+	if r.attrs&recErr != 0 {
+		f |= shErr
+	}
+	if r.attrs&^recErr != 0 {
+		f |= shAttrs
+	}
+	if anchor {
+		f |= shAnchor
+	}
+	if p := r.span - trace; p < 0 || p >= bound {
+		f |= shDeparts
+	}
+	if r.parent != 0 {
+		if p := r.parent - trace; p < 0 || p >= bound {
+			f |= shParentOut
+		} else {
+			f |= shParentIn
+		}
+	}
+	return f
+}
+
+// record writes recs as one record into the last chunk, which has room for
+// it. Its base start is the root's, or the first span's when the root is in
+// another record.
+func (l *spanLog) record(recs []spanRec, bound int64) {
+	trace, anchor := recs[0].trace, 0
+	for i := range recs {
+		if recs[i].span == trace {
+			anchor = i
+			break
+		}
+	}
+	base := recs[anchor].start
+
+	var stack [128]byte // the shape of most records, so looking it up allocates nothing
+	key, vars := stack[:0], 0
+	for i := range recs {
+		r := &recs[i]
+		f := shapeFlags(r, trace, bound, i == anchor)
+		key = binary.AppendUvarint(key, uint64(r.name))
+		key = binary.AppendUvarint(key, uint64(r.tenant))
+		key = binary.AppendUvarint(key, uint64(r.fn))
+		key = binary.AppendUvarint(key, f)
+		if f&shDeparts == 0 {
+			key = binary.AppendUvarint(key, uint64(r.span-trace))
+		}
+		if f&shParentIn != 0 {
+			key = binary.AppendUvarint(key, uint64(r.parent-trace))
+		}
+		vars += 2 + bits.OnesCount64(f&(shDeparts|shParentOut|shAttrs)) // start offset, dur, departures
+		if f&shAnchor != 0 {
+			vars--
+		}
+	}
+	id, ok := l.shapeIdx[string(key)]
+	if !ok {
+		if l.shapeIdx == nil { // a platform's traces come in a few kinds
+			l.shapeIdx, l.shapes = map[string]uint32{}, make([]spanShape, 0, 8)
+		}
+		id = uint32(len(l.shapes))
+		sh := spanShape{spans: string(key), vars: vars}
+		l.shapeIdx[sh.spans] = id
+		l.shapes = append(l.shapes, sh)
+	}
+
+	last := len(l.chunks) - 1
+	b := binary.AppendUvarint(l.chunks[last], uint64(id))
+	b = binary.AppendVarint(b, trace-l.lastTrace)
+	b = binary.AppendVarint(b, base-l.lastBase)
+	for i := range recs {
+		r := &recs[i]
+		f := shapeFlags(r, trace, bound, i == anchor)
+		if f&shAnchor == 0 {
+			b = binary.AppendVarint(b, r.start-base)
+		}
+		b = binary.AppendVarint(b, r.dur)
+		if f&shDeparts != 0 {
+			b = binary.AppendVarint(b, r.span-trace)
+		}
+		if f&shParentOut != 0 {
+			b = binary.AppendVarint(b, r.parent-trace)
+		}
+		if f&shAttrs != 0 {
+			b = binary.AppendUvarint(b, uint64(r.attrs&^recErr))
+		}
+	}
+	l.chunks[last] = b
+	l.lastTrace, l.lastBase = trace, base
+	l.n += len(recs)
+}
+
+// spanCursor decodes a spanLog front to back, span by span:
+//
+//	for c := l.cursor(); c.next(); {}
+//
+// or record by record, decoding a record's spans or skipping them:
+//
+//	for c := l.cursor(); c.record(); { c.skip() or for c.span() {} }
 type spanCursor struct {
 	chunks [][]byte
+	shapes []spanShape
 	b      []byte // what is left of the chunk being read
+	sb     string // what is left of the current record's shape
+	vars   int    // the current record's varints after its header
+	base   int64  // the current record's base start
 	rec    spanRec
 }
 
-func (l *spanLog) cursor() spanCursor { return spanCursor{chunks: l.chunks} }
+func (l *spanLog) cursor() spanCursor { return spanCursor{chunks: l.chunks, shapes: l.shapes} }
 
-// next decodes the following record into rec, reporting false at the end.
+// next decodes the following span into rec, reporting false at the end.
 func (c *spanCursor) next() bool {
+	for !c.span() {
+		if !c.record() {
+			return false
+		}
+	}
+	return true
+}
+
+// record moves to the next record, reporting false at the end; rec.trace is
+// then its trace. The current record's spans must all have been decoded or
+// skipped.
+func (c *spanCursor) record() bool {
 	for len(c.b) == 0 {
 		if len(c.chunks) == 0 {
 			return false
 		}
 		c.b, c.chunks = c.chunks[0], c.chunks[1:]
 	}
-	r := &c.rec
-	r.trace += c.varint()
-	r.start += c.varint()
-	r.dur = c.varint()
-	r.span = r.trace + c.varint()
-	word := c.uvarint()
-	r.attrs, r.parent = uint32(word>>1), 0
-	if word&1 != 0 {
-		r.parent = r.trace + c.varint()
-	}
-	r.name, r.tenant, r.fn = uint32(c.uvarint()), uint32(c.uvarint()), uint32(c.uvarint())
+	sh := &c.shapes[c.uvarint()]
+	c.sb, c.vars = sh.spans, sh.vars
+	c.rec.trace += c.varint()
+	c.base += c.varint()
 	return true
+}
+
+// skip passes over the spans of the record just moved to without decoding
+// them.
+func (c *spanCursor) skip() {
+	for range c.vars {
+		c.uvarint()
+	}
+	c.sb = ""
+}
+
+// span decodes the current record's next span into rec, reporting false
+// when the record has none left.
+func (c *spanCursor) span() bool {
+	if len(c.sb) == 0 {
+		return false
+	}
+	r := &c.rec
+	r.name, r.tenant, r.fn = uint32(c.shape()), uint32(c.shape()), uint32(c.shape())
+	f := c.shape()
+	r.start = c.base
+	if f&shAnchor == 0 {
+		r.start += c.varint()
+	}
+	r.dur = c.varint()
+	if f&shDeparts != 0 {
+		r.span = r.trace + c.varint()
+	} else {
+		r.span = r.trace + int64(c.shape())
+	}
+	switch {
+	case f&shParentIn != 0:
+		r.parent = r.trace + int64(c.shape())
+	case f&shParentOut != 0:
+		r.parent = r.trace + c.varint()
+	default:
+		r.parent = 0
+	}
+	r.attrs = 0
+	if f&shErr != 0 {
+		r.attrs = recErr
+	}
+	if f&shAttrs != 0 {
+		r.attrs |= uint32(c.uvarint())
+	}
+	return true
+}
+
+// shape reads the next uvarint of the current record's shape.
+func (c *spanCursor) shape() uint64 {
+	var v uint64
+	for shift := 0; ; shift += 7 {
+		b := c.sb[0]
+		c.sb = c.sb[1:]
+		v |= uint64(b&0x7f) << shift
+		if b < 0x80 {
+			return v
+		}
+	}
 }
 
 func (c *spanCursor) varint() int64 {

@@ -8,23 +8,29 @@ import (
 )
 
 // spanRecBytes is how many fuzz bytes make one record: five int64s and four
-// uint32s, little-endian, in spanRec's field order.
-const spanRecBytes = 5*8 + 4*4
+// uint32s, little-endian, in spanRec's field order, then a byte that, when
+// odd, ends the Append call after the record, as the cap cuts a trace.
+const spanRecBytes = 5*8 + 4*4 + 1
 
-func putSpanRec(b []byte, r spanRec) []byte {
+func putSpanRec(b []byte, r spanRec, cut bool) []byte {
 	for _, v := range []int64{r.trace, r.span, r.parent, r.start, r.dur} {
 		b = binary.LittleEndian.AppendUint64(b, uint64(v))
 	}
 	for _, v := range []uint32{r.name, r.tenant, r.fn, r.attrs} {
 		b = binary.LittleEndian.AppendUint32(b, v)
 	}
-	return b
+	if cut {
+		return append(b, 1)
+	}
+	return append(b, 0)
 }
 
-// spanRecs reads records from data (a short tail is zero-padded) and repeats
-// them until there are at least n, so a short input still fills chunks.
-func spanRecs(data []byte, n int) []spanRec {
+// spanRecs reads records and their cut flags from data (a short tail is
+// zero-padded) and repeats them until there are at least n, so a short input
+// still fills chunks.
+func spanRecs(data []byte, n int) ([]spanRec, []bool) {
 	var recs []spanRec
+	var cuts []bool
 	for len(data) > 0 {
 		var w [spanRecBytes]byte
 		data = data[copy(w[:], data):]
@@ -32,20 +38,24 @@ func spanRecs(data []byte, n int) []spanRec {
 		u32 := func(i int) uint32 { return binary.LittleEndian.Uint32(w[40+4*i:]) }
 		recs = append(recs, spanRec{trace: i64(0), span: i64(1), parent: i64(2), start: i64(3), dur: i64(4),
 			name: u32(0), tenant: u32(1), fn: u32(2), attrs: u32(3)})
+		cuts = append(cuts, w[spanRecBytes-1]&1 != 0)
 	}
 	for m := len(recs); m > 0 && len(recs) < n; {
 		recs = append(recs, recs[len(recs)%m])
+		cuts = append(cuts, cuts[len(cuts)%m])
 	}
-	return recs
+	return recs, cuts
 }
 
-// FuzzSpanLog: whatever records are appended, the span log decodes exactly
-// the sequence a plain []spanRec holds, and its length counts them.
+// FuzzSpanLog: however records are appended — in runs that share a trace,
+// cut where a record says so — the span log decodes exactly the sequence a
+// plain []spanRec holds, its length counts them, and walking it by record,
+// skipping every other one, decodes the same records as decoding them all.
 func FuzzSpanLog(f *testing.F) {
 	seed := func(n uint16, recs ...spanRec) {
 		var b []byte
 		for _, r := range recs {
-			b = putSpanRec(b, r)
+			b = putSpanRec(b, r, false)
 		}
 		f.Add(b, n)
 	}
@@ -67,7 +77,7 @@ func FuzzSpanLog(f *testing.F) {
 		spanRec{trace: 50, span: 51, parent: 50, start: 4e18, dur: 0},
 		spanRec{trace: 50, span: 52, parent: 51, start: 4e18 - 1, dur: -5, attrs: 2},
 		spanRec{trace: 50, span: 50, start: 3e18, dur: 1})
-	// Long enough to cross the doubling chunks and reach the 64 KiB ones.
+	// Long enough to cross the doubling chunks and reach the 16 KiB ones.
 	seed(6000,
 		spanRec{trace: hi, span: lo, parent: 1, start: lo, dur: hi, name: math.MaxUint32, attrs: math.MaxUint32},
 		spanRec{trace: lo, span: hi, parent: -1, start: hi, dur: lo, fn: math.MaxUint32})
@@ -75,21 +85,58 @@ func FuzzSpanLog(f *testing.F) {
 		spanRec{trace: 1, span: 2, parent: 1, start: 1_700_000_000_000_000_000, dur: 1200, name: 2},
 		spanRec{trace: 1, span: 1, start: 1_699_999_999_999_990_000, dur: 15000, name: 1, tenant: 3, fn: 4})
 
+	// Dense invoke-shaped traces (queue, handler, then the root), the last
+	// cut by the cap after its handler.
+	var b []byte
+	for i, trace := range []int64{100, 103, 106} {
+		start := int64(1_700_000_000_000_000_000) + int64(i)*2500
+		b = putSpanRec(b, spanRec{trace: trace, span: trace + 1, parent: trace, start: start + 90, dur: 120, name: 2}, false)
+		b = putSpanRec(b, spanRec{trace: trace, span: trace + 2, parent: trace, start: start + 250, dur: 700, name: 3}, i == 2)
+		b = putSpanRec(b, spanRec{trace: trace, span: trace, start: start, dur: 1100, name: 1, tenant: 4, fn: 5}, false)
+	}
+	f.Add(b, uint16(0))
+	// Two traces whose ids interleave, so neither is dense.
+	seed(0,
+		spanRec{trace: 10, span: 12, parent: 10, start: 1000, dur: 50, name: 2},
+		spanRec{trace: 10, span: 14, parent: 12, start: 1010, dur: 20, name: 3},
+		spanRec{trace: 10, span: 10, start: 990, dur: 100, name: 1},
+		spanRec{trace: 11, span: 13, parent: 11, start: 1005, dur: 50, name: 2},
+		spanRec{trace: 11, span: 15, parent: 13, start: 1015, dur: 20, name: 3},
+		spanRec{trace: 11, span: 11, start: 995, dur: 100, name: 1})
+	// One dense trace of 40 spans, too long for one record in a 1 KiB chunk.
+	var long []spanRec
+	for i := int64(39); i >= 0; i-- {
+		r := spanRec{trace: 500, span: 500 + i, parent: 500 + i/2, start: 1e9 + i*1000, dur: 40 - i, name: uint32(1 + i%3)}
+		if i == 0 {
+			r.parent = 0
+		}
+		long = append(long, r)
+	}
+	seed(0, long...)
+	// A shape seen once among repeated ones: labels on a child, attrs, an error.
+	seed(0,
+		spanRec{trace: 20, span: 21, parent: 20, start: 5000, dur: 10, name: 2},
+		spanRec{trace: 20, span: 20, start: 4990, dur: 30, name: 1},
+		spanRec{trace: 22, span: 24, parent: 23, start: 6000, dur: 10, name: 3, tenant: 7, fn: 8, attrs: recErr | 1},
+		spanRec{trace: 22, span: 23, parent: 22, start: 5995, dur: 20, name: 2, attrs: 2},
+		spanRec{trace: 22, span: 22, start: 5990, dur: 40, name: 1},
+		spanRec{trace: 25, span: 26, parent: 25, start: 7000, dur: 10, name: 2},
+		spanRec{trace: 25, span: 25, start: 6990, dur: 30, name: 1})
+
 	f.Fuzz(func(t *testing.T, data []byte, n uint16) {
-		want := spanRecs(data, int(n))
+		want, cuts := spanRecs(data, int(n))
 		var l spanLog
-		var got []spanRec
-		for i, r := range want {
-			l.Append(r)
-			if i == len(want)/2 || i == len(want)-1 { // read while still appending, and at the end
-				got = got[:0]
-				for c := l.cursor(); c.next(); {
-					got = append(got, c.rec)
-				}
-				if l.n != i+1 || !reflect.DeepEqual(got, want[:i+1]) {
-					t.Fatalf("after %d appends the log holds %d records and decodes %d; first difference at %d",
-						i+1, l.n, len(got), firstDiff(got, want[:i+1]))
-				}
+		checked := false
+		for i := 0; i < len(want); {
+			j := i + 1
+			for j < len(want) && want[j].trace == want[i].trace && !cuts[j-1] {
+				j++
+			}
+			l.Append(want[i:j])
+			i = j
+			if (i > len(want)/2 && !checked) || i == len(want) { // read while still appending, and at the end
+				checked = true
+				checkSpanLog(t, &l, want[:i])
 			}
 		}
 		// A record that did not fit its chunk would have regrown it.
@@ -99,6 +146,41 @@ func FuzzSpanLog(f *testing.F) {
 			}
 		}
 	})
+}
+
+func checkSpanLog(t *testing.T, l *spanLog, want []spanRec) {
+	t.Helper()
+	var got []spanRec
+	for c := l.cursor(); c.next(); {
+		got = append(got, c.rec)
+	}
+	if l.n != len(want) || !reflect.DeepEqual(got, want) {
+		t.Fatalf("after %d appended spans the log holds %d and decodes %d; first difference at %d",
+			len(want), l.n, len(got), firstDiff(got, want))
+	}
+	var records [][]spanRec
+	for c := l.cursor(); c.record(); {
+		var r []spanRec
+		for c.span() {
+			r = append(r, c.rec)
+		}
+		records = append(records, r)
+	}
+	i := 0
+	for c := l.cursor(); c.record(); i++ {
+		if i%2 == 1 {
+			c.skip()
+			continue
+		}
+		for j := 0; c.span(); j++ {
+			if i >= len(records) || j >= len(records[i]) || c.rec != records[i][j] {
+				t.Fatalf("walking by record, skipping every other one: span %d of record %d is %+v", j, i, c.rec)
+			}
+		}
+	}
+	if i != len(records) {
+		t.Fatalf("walking by record, skipping every other one, met %d records, want %d", i, len(records))
+	}
 }
 
 func firstDiff(a, b []spanRec) int {

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -123,14 +124,16 @@ type Tracer struct {
 	active map[int64]*traceBuf
 	free   []*traceBuf
 	// retained is the finished-span log, first maxSpans kept. Chunked: a
-	// span is written once and never moved, so finalizing a trace never
+	// trace is written once and never moved, so finalizing a trace never
 	// re-copies the history while every Start/End waits on mu. Only a kept
-	// span is converted, so strs, strIdx and attrs hold what retained refers
-	// to and nothing else: at most 3, 3 and 1 entries per retained span.
+	// span is converted, so strs, strIdx, attrs and retained's shape table
+	// hold what retained refers to and nothing else: at most 3, 3, 1 and 1
+	// entries per retained span.
 	retained spanLog
 	strs     []string          // strs[0] == ""
 	strIdx   map[string]uint32 // inverse of strs
 	attrs    seglog.Log[[]Attr]
+	recs     []spanRec // the kept spans of the trace being finalized
 
 	late      int64 // spans whose parent trace already finalized
 	sampled   int64 // spans discarded by the sampler (whole traces)
@@ -326,12 +329,15 @@ func (t *Tracer) finalizeLocked(id int64, buf *traceBuf) {
 	}
 	if keep {
 		t.kept++
-		for i := range buf.spans {
-			if t.retained.n < t.maxSpans {
-				t.retained.Append(t.recordLocked(&buf.spans[i]))
-			} else {
-				t.dropped.Add(1)
-			}
+		n := max(0, min(len(buf.spans), t.maxSpans-t.retained.n)) // the prefix the cap admits
+		recs := slices.Grow(t.recs[:0], n)
+		for i := range buf.spans[:n] {
+			recs = append(recs, t.recordLocked(&buf.spans[i]))
+		}
+		t.retained.Append(recs)
+		t.recs = recs
+		if n < len(buf.spans) {
+			t.dropped.Add(int64(len(buf.spans) - n))
 		}
 		if t.retained.n >= t.maxSpans {
 			t.full.Store(true)
@@ -527,24 +533,21 @@ type TraceSummary struct {
 	Err      bool          `json:"err,omitempty"`
 }
 
-// Traces summarizes the retained traces, slowest-first would be a caller
-// sort; here they come ordered by root start instant (ties by name). Traces
-// whose root span fell past the retention cap are omitted.
+// Traces summarizes the retained traces whose root span was retained (one
+// cut by the cap before its root is omitted), ordered by root start instant,
+// ties by name.
 func (t *Tracer) Traces() []TraceSummary {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
-	byID := make(map[int64]*TraceSummary)
-	order := make([]int64, 0, 64)
-	for c := t.retained.cursor(); c.next(); {
+	out := []TraceSummary{}
+	for c := t.retained.cursor(); c.next(); { // a trace's spans are contiguous
 		rec := &c.rec
-		ts := byID[rec.trace]
-		if ts == nil {
-			ts = &TraceSummary{TraceID: rec.trace}
-			byID[rec.trace] = ts
-			order = append(order, rec.trace)
+		if len(out) == 0 || out[len(out)-1].TraceID != rec.trace {
+			out = append(out, TraceSummary{TraceID: rec.trace})
 		}
+		ts := &out[len(out)-1]
 		ts.Spans++
 		if rec.attrs&recErr != 0 {
 			ts.Err = true
@@ -558,14 +561,13 @@ func (t *Tracer) Traces() []TraceSummary {
 		}
 	}
 	t.mu.Unlock()
-	out := make([]TraceSummary, 0, len(order))
-	for _, id := range order {
-		ts := byID[id]
-		if ts.Name == "" { // root span lost at the cap
-			continue
+	rooted := out[:0]
+	for _, ts := range out {
+		if ts.Name != "" { // root span lost at the cap
+			rooted = append(rooted, ts)
 		}
-		out = append(out, *ts)
 	}
+	out = rooted
 	sort.Slice(out, func(i, j int) bool {
 		if !out[i].Start.Equal(out[j].Start) {
 			return out[i].Start.Before(out[j].Start)
@@ -583,8 +585,12 @@ func (t *Tracer) TraceSpans(traceID int64) []SpanData {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var out []SpanData
-	for c := t.retained.cursor(); c.next(); {
-		if c.rec.trace == traceID {
+	for c := t.retained.cursor(); c.record(); {
+		if c.rec.trace != traceID {
+			c.skip()
+			continue
+		}
+		for c.span() {
 			out = append(out, t.spanLocked(&c.rec))
 		}
 	}
