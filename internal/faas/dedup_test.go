@@ -1,6 +1,7 @@
 package faas
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -167,35 +168,38 @@ func TestRetryDecideLostReply(t *testing.T) {
 
 // TestDedupCacheHoldsTheLiveWindowExactly drives the dedup cache with
 // synthetic timestamps: however many keys are live, none is evicted before its
-// window lapses, and a store drops exactly the entries that have lapsed.
+// window lapses, and a store drops exactly the entries that have lapsed. An
+// entry is told apart by its output, which is all of a Result the window keeps
+// besides Cold, Latency and Billed.
 func TestDedupCacheHoldsTheLiveWindowExactly(t *testing.T) {
 	const n = 3 * 4096
 	fn := &function{cfg: Config{DedupWindow: time.Minute}}
 	t0 := time.Unix(0, 0)
 	key := func(i int) string { return fmt.Sprintf("k%d", i) }
+	out := func(i int) []byte { return []byte(fmt.Sprintf("out%d", i)) }
 	at := func(ms int) time.Time { return t0.Add(time.Duration(ms) * time.Millisecond) }
 	for i := 0; i < n; i++ {
-		fn.dedupStore(key(i), Result{RequestID: int64(i)}, at(i))
+		fn.dedupStore(key(i), Result{Output: out(i)}, at(i))
 	}
-	if len(fn.idem) != n {
-		t.Fatalf("cached %d of %d live keys", len(fn.idem), n)
+	if len(fn.idem.index) != n {
+		t.Fatalf("cached %d of %d live keys", len(fn.idem.index), n)
 	}
 	for i := 0; i < n; i++ {
-		if res, ok := fn.dedupLookup(key(i), at(n)); !ok || res.RequestID != int64(i) {
-			t.Fatalf("live key %d: hit=%v res=%+v", i, ok, res)
+		if res, ok := fn.dedupLookup(key(i), at(n)); !ok || !bytes.Equal(res.Output, out(i)) {
+			t.Fatalf("live key %d: hit=%v output=%q", i, ok, res.Output)
 		}
 	}
 
 	// Key 0 succeeds again at 30s: its entry now outlives its first record.
-	fn.dedupStore(key(0), Result{RequestID: -1}, at(30_000))
+	fn.dedupStore(key(0), Result{Output: out(-1)}, at(30_000))
 	// A store at 65s drops the keys stored before 5s — and only those.
 	now := at(65_000)
 	fn.dedupStore("late", Result{}, now)
-	if want := n - 5000 + 2; len(fn.idem) != want || len(fn.idemOrder) != want {
-		t.Fatalf("after the window: %d cached, %d ordered, want %d each", len(fn.idem), len(fn.idemOrder), want)
+	if want := n - 5000 + 2; len(fn.idem.index) != want || fn.idem.recs.len() != want {
+		t.Fatalf("after the window: %d indexed, %d records, want %d each", len(fn.idem.index), fn.idem.recs.len(), want)
 	}
-	if res, ok := fn.dedupLookup(key(0), now); !ok || res.RequestID != -1 {
-		t.Errorf("re-stored key evicted with its older record: hit=%v res=%+v", ok, res)
+	if res, ok := fn.dedupLookup(key(0), now); !ok || !bytes.Equal(res.Output, out(-1)) {
+		t.Errorf("re-stored key evicted with its older record: hit=%v output=%q", ok, res.Output)
 	}
 	if _, ok := fn.dedupLookup(key(4999), now); ok {
 		t.Error("key past its window still served")

@@ -237,15 +237,12 @@ type function struct {
 	brk      breaker    // armed when cfg.BreakerThreshold > 0
 	brkGauge *obs.Gauge // per-function breaker state; nil → no-op
 
-	// idem is the dedup-window cache (armed when cfg.DedupWindow > 0):
-	// idempotency key → cached successful Result and its expiry. idemOrder
-	// lists the stored keys oldest first; every entry lives one DedupWindow,
-	// so expiries are monotone and the expired ones are always at its head.
-	// Its own mutex, not fn.mu — a dedup hit must not contend with the
-	// instance-pool bookkeeping it exists to bypass.
-	idemMu    sync.Mutex
-	idem      map[string]idemEntry
-	idemOrder []idemExpiry
+	// idem is the dedup window (idem.go), nil until the first keyed success
+	// on a function with a DedupWindow. Its own mutex, not fn.mu — a dedup
+	// hit must not contend with the instance-pool bookkeeping it exists to
+	// bypass.
+	idemMu sync.Mutex
+	idem   *idemWindow
 
 	// Tenant/function-labeled handles and the tenant SLO accumulator,
 	// resolved once at Register (nil no-ops without observability) so a fold
@@ -275,18 +272,6 @@ type function struct {
 	timeline    []ScalePoint
 }
 
-// idemEntry is one cached keyed result in a function's dedup window.
-type idemEntry struct {
-	res     Result
-	expires time.Time
-}
-
-// idemExpiry is one idemOrder record: a stored key and when that store lapses.
-type idemExpiry struct {
-	key     string
-	expires time.Time
-}
-
 // dedupLookup returns the cached Result for an idempotency key if it is still
 // inside the window. Expired entries are deleted on the way.
 func (fn *function) dedupLookup(key string, now time.Time) (Result, bool) {
@@ -295,19 +280,16 @@ func (fn *function) dedupLookup(key string, now time.Time) (Result, bool) {
 	}
 	fn.idemMu.Lock()
 	defer fn.idemMu.Unlock()
-	e, ok := fn.idem[key]
-	if !ok {
+	if fn.idem == nil {
 		return Result{}, false
 	}
-	if now.After(e.expires) {
-		delete(fn.idem, key)
-		return Result{}, false
-	}
-	return e.res, true
+	return fn.idem.lookup(key, now)
 }
 
 // dedupStore records a successful keyed invocation. Only successes are
 // cached: replaying a failure would hide exactly the retry that could fix it.
+// The window keeps what a hit replays — output, Cold, Latency, Billed — and
+// drops what has lapsed, so it is O(live window), not O(history).
 func (fn *function) dedupStore(key string, res Result, now time.Time) {
 	if key == "" || fn.cfg.DedupWindow <= 0 {
 		return
@@ -315,20 +297,9 @@ func (fn *function) dedupStore(key string, res Result, now time.Time) {
 	fn.idemMu.Lock()
 	defer fn.idemMu.Unlock()
 	if fn.idem == nil {
-		fn.idem = map[string]idemEntry{}
+		fn.idem = &idemWindow{base: now, index: map[string]uint64{}}
 	}
-	// Drop what has lapsed, so the cache is O(live window), not O(history).
-	// A key stored again since keeps its newer entry: the map's expiry decides.
-	for len(fn.idemOrder) > 0 && now.After(fn.idemOrder[0].expires) {
-		k := fn.idemOrder[0].key
-		if e, ok := fn.idem[k]; ok && now.After(e.expires) {
-			delete(fn.idem, k)
-		}
-		fn.idemOrder = fn.idemOrder[1:]
-	}
-	expires := now.Add(fn.cfg.DedupWindow)
-	fn.idem[key] = idemEntry{res: res, expires: expires}
-	fn.idemOrder = append(fn.idemOrder, idemExpiry{key: key, expires: expires})
+	fn.idem.store(key, res, now, fn.cfg.DedupWindow)
 }
 
 // Platform is the FaaS control plane plus data plane.
