@@ -154,7 +154,7 @@ func TestPlatformFootprint(t *testing.T) {
 	runtime.KeepAlive(p)
 
 	before = liveHeap()
-	tr := obs.NewTracer(nil)
+	tr := obs.New(nil).Tracer()
 	for tr.Stats().Retained < obs.DefaultMaxSpans {
 		root := tr.Start(obs.TraceCtx{}, "faas.invoke")
 		tr.Start(root.Ctx(), "faas.exec").End()

@@ -227,7 +227,7 @@ func demoStream(w io.Writer, p *core.Platform, clock simclock.Clock) {
 	}
 	cm := sketch.NewCountMinWH(20, 20)
 	fn, err := p.Pulsar.StartFunction(pulsar.FunctionConfig{Name: "cm", Inputs: []string{"clicks"}},
-		func(ctx *pulsar.FnContext, m pulsar.Message) ([]byte, error) {
+		func(m pulsar.Message) ([]byte, error) {
 			cm.Add(m.Key, 1)
 			return nil, nil
 		})

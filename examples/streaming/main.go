@@ -13,8 +13,9 @@
 //	}
 //
 // Here the function consumes a partitioned topic fed with a Zipf-skewed
-// click stream, maintains the sketch as function state, and publishes
-// updated counts for heavy keys to an output topic.
+// click stream, keeps the sketch in the handler's closure (where the Java
+// original keeps it in a field), and publishes updated counts for heavy keys
+// to an output topic.
 package main
 
 import (
@@ -56,7 +57,7 @@ func main() {
 			Name:   "count-min",
 			Inputs: []string{"clicks"},
 			Output: "hot-keys",
-		}, func(ctx *pulsar.FnContext, m pulsar.Message) ([]byte, error) {
+		}, func(m pulsar.Message) ([]byte, error) {
 			cm.Add(m.Key, 1) // calculates bit indexes and performs +1
 			hot.Add(m.Key, 1)
 			count := cm.Estimate(m.Key)

@@ -76,8 +76,8 @@ func TestBurstPanicAndScaleToZero(t *testing.T) {
 			t.Errorf("desired = %d mid-burst, want ≥ 2", fs.Desired)
 		}
 		rep.Wait()
-		if n := len(rep.Errors()); n != 0 {
-			t.Fatalf("burst errors = %d: %v", n, rep.Errors()[0])
+		if st, _ := p.StatsFor("t", "burst"); st.Throttles+st.Failures+st.Timeouts != 0 {
+			t.Fatalf("burst stats = %+v, want no throttle, failure or timeout", st)
 		}
 
 		v.Sleep(25 * time.Second) // panic expiry + idle window + drain delay
@@ -223,8 +223,8 @@ func TestPlacePressureGrowsTheFleet(t *testing.T) {
 		ctrl.Start()
 		rep := faas.Drive(p, "t", "squeeze", nil, make([]time.Duration, 4))
 		rep.Wait()
-		if n := len(rep.Errors()); n != 0 {
-			t.Fatalf("errors = %d (fleet never grew?): %v", n, rep.Errors()[0])
+		if st, _ := p.StatsFor("t", "squeeze"); st.Throttles != 0 {
+			t.Fatalf("throttled = %d (fleet never grew?)", st.Throttles)
 		}
 		if got := cluster.MachineCount(); got < 2 {
 			t.Errorf("machines = %d, want ≥ 2 after place-pressure growth", got)

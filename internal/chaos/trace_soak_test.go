@@ -1,6 +1,8 @@
 package chaos
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"testing"
 	"time"
@@ -116,7 +118,8 @@ func runTraceSoak(t *testing.T, seed int64) (digest string, stats obs.TracerStat
 		wg.Wait()
 		inj.Wait()
 	})
-	return tr.CanonicalDigest(), tr.Stats()
+	sum := sha256.Sum256([]byte(tr.CanonicalText()))
+	return hex.EncodeToString(sum[:]), tr.Stats()
 }
 
 // TestChaosTraceDeterminism is the tracing twin of TestChaosSoak: the same

@@ -3,11 +3,11 @@
 // management, topic ownership and ledger metadata.
 //
 // It provides a hierarchical namespace of versioned nodes ("znodes") with
-// persistent, ephemeral and sequential creation modes, one-shot watches, and
-// session-scoped liveness: when a session closes or its lease expires, every
-// ephemeral node it created is removed and the relevant watches fire. The
-// store is linearizable by construction (a single mutex orders all
-// operations).
+// persistent and ephemeral creation modes and session-scoped liveness: when a
+// session closes, every ephemeral node it created is removed. That is what
+// the messaging layer uses — ephemeral locks, compare-and-set writes and
+// child listings. The store is linearizable by construction (a single mutex
+// orders all operations).
 //
 // A node's data lives in a buffer the node owns: Set overwrites it in place
 // (reusing its capacity), and Get and LockHolder always hand out copies, so no
@@ -31,7 +31,7 @@ var (
 	ErrNodeExists  = errors.New("coord: node already exists")
 	ErrBadVersion  = errors.New("coord: version mismatch")
 	ErrNotEmpty    = errors.New("coord: node has children")
-	ErrNoSession   = errors.New("coord: session expired or closed")
+	ErrNoSession   = errors.New("coord: no such open session")
 	ErrBadPath     = errors.New("coord: malformed path")
 	ErrEphChildren = errors.New("coord: ephemeral nodes cannot have children")
 )
@@ -43,29 +43,9 @@ const (
 	// Persistent nodes live until explicitly deleted.
 	Persistent Mode = iota
 	// Ephemeral nodes are deleted automatically when their creating
-	// session closes or expires.
+	// session closes.
 	Ephemeral
 )
-
-// EventType describes what happened to a watched node.
-type EventType int
-
-const (
-	// EventCreated fires when a watched-for node is created.
-	EventCreated EventType = iota
-	// EventDataChanged fires when a node's data is overwritten.
-	EventDataChanged
-	// EventDeleted fires when a node is deleted.
-	EventDeleted
-	// EventChildrenChanged fires when a node gains or loses a child.
-	EventChildrenChanged
-)
-
-// Event is delivered on watch channels.
-type Event struct {
-	Type EventType
-	Path string
-}
 
 // Stat carries a node's metadata.
 type Stat struct {
@@ -86,18 +66,6 @@ type node struct {
 	data     []byte
 	stat     Stat
 	children map[string]*node // nil until the first child
-	seq      int64            // counter for sequential children
-
-	dataWatch  []chan Event
-	childWatch []chan Event
-}
-
-type session struct {
-	id         SessionID
-	ttl        time.Duration
-	expiresAt  time.Time
-	closed     bool
-	ephemerals map[string]struct{}
 }
 
 // Store is an in-process coordination service instance.
@@ -106,7 +74,7 @@ type Store struct {
 
 	mu       sync.Mutex
 	root     *node
-	sessions map[SessionID]*session
+	sessions map[SessionID]map[string]struct{} // open session → paths of its ephemerals
 	nextSess SessionID
 }
 
@@ -115,125 +83,77 @@ func NewStore(clock simclock.Clock) *Store {
 	return &Store{
 		clock:    clock,
 		root:     &node{},
-		sessions: map[SessionID]*session{},
+		sessions: map[SessionID]map[string]struct{}{},
 	}
 }
 
-// NewSession opens a session with the given lease TTL. A TTL of zero means
-// the session never expires on its own (it must be closed explicitly).
-func (s *Store) NewSession(ttl time.Duration) SessionID {
+// NewSession opens a session. It lasts until CloseSession.
+func (s *Store) NewSession() SessionID {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.nextSess++
-	sess := &session{
-		id:         s.nextSess,
-		ttl:        ttl,
-		ephemerals: map[string]struct{}{},
-	}
-	if ttl > 0 {
-		sess.expiresAt = s.clock.Now().Add(ttl)
-	}
-	s.sessions[sess.id] = sess
-	return sess.id
-}
-
-// KeepAlive renews a session's lease. It returns ErrNoSession if the session
-// has already expired or been closed.
-func (s *Store) KeepAlive(id SessionID) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	now := s.reapLocked()
-	sess, ok := s.sessions[id]
-	if !ok || sess.closed {
-		return ErrNoSession
-	}
-	if sess.ttl > 0 {
-		sess.expiresAt = now.Add(sess.ttl)
-	}
-	return nil
+	s.sessions[s.nextSess] = map[string]struct{}{}
+	return s.nextSess
 }
 
 // CloseSession ends a session, deleting its ephemeral nodes.
 func (s *Store) CloseSession(id SessionID) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sess, ok := s.sessions[id]
+	ephemerals, ok := s.sessions[id]
 	if !ok {
 		return
 	}
-	s.endSessionLocked(sess)
-}
-
-// SessionAlive reports whether the session is open and unexpired.
-func (s *Store) SessionAlive(id SessionID) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.reapLocked()
-	sess, ok := s.sessions[id]
-	return ok && !sess.closed
+	paths := make([]string, 0, len(ephemerals))
+	for p := range ephemerals {
+		paths = append(paths, p)
+	}
+	sort.Strings(paths)
+	for _, p := range paths {
+		_ = s.deleteLocked(p, AnyVersion, false)
+	}
+	delete(s.sessions, id)
 }
 
 // Create makes a new node at path with the given data. Parent nodes must
 // already exist. For Ephemeral mode, owner must be a live session.
 func (s *Store) Create(path string, data []byte, mode Mode, owner SessionID) error {
-	_, err := s.create(path, data, mode, owner, false)
-	return err
-}
-
-// CreateSequential creates a node whose final path component is path's last
-// component suffixed with a monotonically increasing, zero-padded counter
-// scoped to the parent (ZooKeeper's sequential nodes). It returns the actual
-// path created.
-func (s *Store) CreateSequential(path string, data []byte, mode Mode, owner SessionID) (string, error) {
-	return s.create(path, data, mode, owner, true)
-}
-
-func (s *Store) create(path string, data []byte, mode Mode, owner SessionID, sequential bool) (string, error) {
 	if !validPath(path) {
-		return "", errBadPath(path)
+		return errBadPath(path)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	now := s.reapLocked()
-
-	var sess *session
+	var ephemerals map[string]struct{}
 	if mode == Ephemeral {
 		var ok bool
-		sess, ok = s.sessions[owner]
-		if !ok || sess.closed {
-			return "", ErrNoSession
+		if ephemerals, ok = s.sessions[owner]; !ok {
+			return ErrNoSession
 		}
 	}
 
 	dir, name := splitLast(path)
 	parent, missing := s.descendLocked(dir)
 	if parent == nil {
-		return "", fmt.Errorf("%w: missing parent %q in %q", ErrNoNode, missing, path)
+		return fmt.Errorf("%w: missing parent %q in %q", ErrNoNode, missing, path)
 	}
 	if parent != s.root && parent.stat.EphemeralOwner != 0 {
-		return "", ErrEphChildren
-	}
-	if sequential {
-		name = fmt.Sprintf("%s%010d", name, parent.seq)
-		parent.seq++
-		path = dir + "/" + name
+		return ErrEphChildren
 	}
 	if _, ok := parent.children[name]; ok {
-		return "", fmt.Errorf("%w: %q", ErrNodeExists, path)
+		return fmt.Errorf("%w: %q", ErrNodeExists, path)
 	}
-	n := s.addChildLocked(parent, path, name, data, now)
+	n := s.addChildLocked(parent, name, data, s.clock.Now())
 	if mode == Ephemeral {
 		n.stat.EphemeralOwner = owner
-		sess.ephemerals[path] = struct{}{}
+		ephemerals[path] = struct{}{}
 	}
-	return path, nil
+	return nil
 }
 
 // addChildLocked links a new persistent node holding a copy of data under
-// parent as name — path is the new node's full path — stamps it with now and
-// fires parent's child watches. The caller has checked that name is free and
-// that parent may have children.
-func (s *Store) addChildLocked(parent *node, path, name string, data []byte, now time.Time) *node {
+// parent as name and stamps it with now. The caller has checked that name is
+// free and that parent may have children.
+func (s *Store) addChildLocked(parent *node, name string, data []byte, now time.Time) *node {
 	n := &node{
 		data: append([]byte(nil), data...),
 		stat: Stat{CreatedAt: now, ModifiedAt: now},
@@ -243,7 +163,6 @@ func (s *Store) addChildLocked(parent *node, path, name string, data []byte, now
 	}
 	parent.children[name] = n
 	parent.stat.NumChildren = len(parent.children)
-	s.fireLocked(&parent.childWatch, Event{Type: EventChildrenChanged, Path: parentPath(path)})
 	return n
 }
 
@@ -251,7 +170,6 @@ func (s *Store) addChildLocked(parent *node, path, name string, data []byte, now
 func (s *Store) Get(path string) ([]byte, Stat, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.reapLocked()
 	n, err := s.lookupLocked(path)
 	if err != nil {
 		return nil, Stat{}, err
@@ -265,7 +183,6 @@ func (s *Store) Get(path string) ([]byte, Stat, error) {
 func (s *Store) Exists(path string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.reapLocked()
 	_, err := s.lookupLocked(path)
 	return err == nil
 }
@@ -274,7 +191,6 @@ func (s *Store) Exists(path string) bool {
 func (s *Store) Set(path string, data []byte, version int64) (Stat, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	now := s.reapLocked()
 	n, err := s.lookupLocked(path)
 	if err != nil {
 		return Stat{}, err
@@ -284,8 +200,7 @@ func (s *Store) Set(path string, data []byte, version int64) (Stat, error) {
 	}
 	n.data = append(n.data[:0], data...) // in place: readers only ever hold copies
 	n.stat.Version++
-	n.stat.ModifiedAt = now
-	s.fireLocked(&n.dataWatch, Event{Type: EventDataChanged, Path: path})
+	n.stat.ModifiedAt = s.clock.Now()
 	return n.stat, nil
 }
 
@@ -293,7 +208,6 @@ func (s *Store) Set(path string, data []byte, version int64) (Stat, error) {
 func (s *Store) Delete(path string, version int64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.reapLocked()
 	return s.deleteLocked(path, version, true)
 }
 
@@ -301,7 +215,6 @@ func (s *Store) Delete(path string, version int64) error {
 func (s *Store) Children(path string) ([]string, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.reapLocked()
 	n, err := s.lookupLocked(path)
 	if err != nil {
 		return nil, err
@@ -314,37 +227,6 @@ func (s *Store) Children(path string) ([]string, error) {
 	return names, nil
 }
 
-// WatchData registers a one-shot watch that fires when the node's data
-// changes or the node is deleted. The returned channel has capacity 1 and is
-// used at most once.
-func (s *Store) WatchData(path string) (<-chan Event, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.reapLocked()
-	n, err := s.lookupLocked(path)
-	if err != nil {
-		return nil, err
-	}
-	ch := make(chan Event, 1)
-	n.dataWatch = append(n.dataWatch, ch)
-	return ch, nil
-}
-
-// WatchChildren registers a one-shot watch that fires when the node's child
-// set changes.
-func (s *Store) WatchChildren(path string) (<-chan Event, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.reapLocked()
-	n, err := s.lookupLocked(path)
-	if err != nil {
-		return nil, err
-	}
-	ch := make(chan Event, 1)
-	n.childWatch = append(n.childWatch, ch)
-	return ch, nil
-}
-
 // EnsurePath creates every missing component of path as a persistent node
 // with empty data (a convenience ZooKeeper clients typically implement
 // themselves). It is one walk under one lock acquisition, and allocates
@@ -355,7 +237,7 @@ func (s *Store) EnsurePath(path string) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	now := s.reapLocked()
+	now := s.clock.Now()
 	n := s.root
 	for i := 0; i < len(path); {
 		end := partEnd(path, i)
@@ -364,7 +246,7 @@ func (s *Store) EnsurePath(path string) error {
 			if n != s.root && n.stat.EphemeralOwner != 0 {
 				return ErrEphChildren
 			}
-			child = s.addChildLocked(n, path[:end], path[i+1:end], nil, now)
+			child = s.addChildLocked(n, path[i+1:end], nil, now)
 		}
 		n, i = child, end
 	}
@@ -446,59 +328,7 @@ func (s *Store) deleteLocked(path string, version int64, checkChildren bool) err
 	delete(parent.children, name)
 	parent.stat.NumChildren = len(parent.children)
 	if n.stat.EphemeralOwner != 0 {
-		if sess, ok := s.sessions[n.stat.EphemeralOwner]; ok {
-			delete(sess.ephemerals, path)
-		}
+		delete(s.sessions[n.stat.EphemeralOwner], path)
 	}
-	s.fireLocked(&n.dataWatch, Event{Type: EventDeleted, Path: path})
-	s.fireLocked(&parent.childWatch, Event{Type: EventChildrenChanged, Path: parentPath(path)})
 	return nil
-}
-
-// reapLocked lazily expires sessions whose leases have lapsed. It returns
-// the instant it read, which is the operation's one reading of the clock:
-// mutators stamp what they write with it.
-func (s *Store) reapLocked() time.Time {
-	now := s.clock.Now()
-	for _, sess := range s.sessions {
-		if sess.closed || sess.ttl == 0 {
-			continue
-		}
-		if now.After(sess.expiresAt) {
-			s.endSessionLocked(sess)
-		}
-	}
-	return now
-}
-
-func (s *Store) endSessionLocked(sess *session) {
-	if sess.closed {
-		return
-	}
-	sess.closed = true
-	paths := make([]string, 0, len(sess.ephemerals))
-	for p := range sess.ephemerals {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	for _, p := range paths {
-		_ = s.deleteLocked(p, AnyVersion, false)
-	}
-	delete(s.sessions, sess.id)
-}
-
-// fireLocked delivers ev to every registered one-shot watch and clears the list.
-func (s *Store) fireLocked(watches *[]chan Event, ev Event) {
-	for _, ch := range *watches {
-		ch <- ev // capacity 1, used once: never blocks
-	}
-	*watches = nil
-}
-
-func parentPath(path string) string {
-	i := strings.LastIndex(path, "/")
-	if i <= 0 {
-		return "/"
-	}
-	return path[:i]
 }

@@ -3,7 +3,6 @@ package coord
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"repro/internal/simclock"
 )
@@ -111,22 +110,9 @@ func TestChildrenSorted(t *testing.T) {
 	}
 }
 
-func TestSequentialNodes(t *testing.T) {
-	s := newStore()
-	must(t, s.Create("/q", nil, Persistent, 0))
-	p1, err := s.CreateSequential("/q/item-", nil, Persistent, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, _ := s.CreateSequential("/q/item-", nil, Persistent, 0)
-	if p1 != "/q/item-0000000000" || p2 != "/q/item-0000000001" {
-		t.Fatalf("sequential paths = %q, %q", p1, p2)
-	}
-}
-
 func TestEphemeralDeletedOnClose(t *testing.T) {
 	s := newStore()
-	sess := s.NewSession(0)
+	sess := s.NewSession()
 	must(t, s.Create("/e", []byte("owner"), Ephemeral, sess))
 	if !s.Exists("/e") {
 		t.Fatal("ephemeral missing")
@@ -146,116 +132,16 @@ func TestEphemeralRequiresSession(t *testing.T) {
 
 func TestEphemeralNoChildren(t *testing.T) {
 	s := newStore()
-	sess := s.NewSession(0)
+	sess := s.NewSession()
 	must(t, s.Create("/e", nil, Ephemeral, sess))
 	if err := s.Create("/e/kid", nil, Persistent, 0); !errors.Is(err, ErrEphChildren) {
 		t.Fatalf("err = %v, want ErrEphChildren", err)
 	}
 }
 
-func TestSessionExpiryOnVirtualClock(t *testing.T) {
-	v := simclock.NewVirtual()
-	defer v.Close()
-	s := NewStore(v)
-	v.Run(func() {
-		sess := s.NewSession(10 * time.Second)
-		must(t, s.Create("/lease", nil, Ephemeral, sess))
-		v.Sleep(5 * time.Second)
-		if !s.Exists("/lease") {
-			t.Error("ephemeral vanished before lease expiry")
-		}
-		if err := s.KeepAlive(sess); err != nil {
-			t.Error(err)
-		}
-		v.Sleep(8 * time.Second) // renewed at t=5s; still alive at t=13s
-		if !s.Exists("/lease") {
-			t.Error("keepalive did not renew lease")
-		}
-		v.Sleep(10 * time.Second) // now past renewal+ttl
-		if s.Exists("/lease") {
-			t.Error("ephemeral survived lease expiry")
-		}
-		if s.SessionAlive(sess) {
-			t.Error("session alive after expiry")
-		}
-		if err := s.KeepAlive(sess); !errors.Is(err, ErrNoSession) {
-			t.Errorf("KeepAlive on dead session = %v", err)
-		}
-	})
-}
-
-func TestWatchData(t *testing.T) {
-	s := newStore()
-	must(t, s.Create("/w", []byte("a"), Persistent, 0))
-	ch, err := s.WatchData("/w")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Set("/w", []byte("b"), AnyVersion); err != nil {
-		t.Fatal(err)
-	}
-	ev := <-ch
-	if ev.Type != EventDataChanged || ev.Path != "/w" {
-		t.Fatalf("event = %+v", ev)
-	}
-	// One-shot: second Set must not panic or deliver again.
-	if _, err := s.Set("/w", []byte("c"), AnyVersion); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case ev := <-ch:
-		t.Fatalf("one-shot watch fired twice: %+v", ev)
-	default:
-	}
-}
-
-func TestWatchDelete(t *testing.T) {
-	s := newStore()
-	must(t, s.Create("/w", nil, Persistent, 0))
-	ch, _ := s.WatchData("/w")
-	must(t, s.Delete("/w", AnyVersion))
-	if ev := <-ch; ev.Type != EventDeleted {
-		t.Fatalf("event = %+v", ev)
-	}
-}
-
-func TestWatchChildren(t *testing.T) {
-	s := newStore()
-	must(t, s.Create("/p", nil, Persistent, 0))
-	ch, _ := s.WatchChildren("/p")
-	must(t, s.Create("/p/kid", nil, Persistent, 0))
-	if ev := <-ch; ev.Type != EventChildrenChanged || ev.Path != "/p" {
-		t.Fatalf("event = %+v", ev)
-	}
-}
-
-func TestWatchFiresOnSessionExpiry(t *testing.T) {
-	v := simclock.NewVirtual()
-	defer v.Close()
-	s := NewStore(v)
-	v.Run(func() {
-		sess := s.NewSession(time.Second)
-		must(t, s.Create("/owner", nil, Ephemeral, sess))
-		ch, err := s.WatchData("/owner")
-		if err != nil {
-			t.Fatal(err)
-		}
-		v.Sleep(2 * time.Second)
-		s.Exists("/owner") // trigger lazy reap
-		select {
-		case ev := <-ch:
-			if ev.Type != EventDeleted {
-				t.Errorf("event = %+v", ev)
-			}
-		default:
-			t.Error("no delete event after session expiry")
-		}
-	})
-}
-
 func TestTryAcquireRelease(t *testing.T) {
 	s := newStore()
-	a, b := s.NewSession(0), s.NewSession(0)
+	a, b := s.NewSession(), s.NewSession()
 	ok, err := s.TryAcquire("/lock", []byte("a"), a)
 	if err != nil || !ok {
 		t.Fatalf("first acquire: ok=%v err=%v", ok, err)
@@ -330,12 +216,11 @@ func TestPathVerdictsAgree(t *testing.T) {
 		if tc.bad {
 			_, _, getErr := s.Get(tc.path)
 			_, setErr := s.Set(tc.path, nil, AnyVersion)
-			_, wdErr := s.WatchData(tc.path)
 			_, chErr := s.Children(tc.path)
 			for op, err := range map[string]error{
 				"Create": s.Create(tc.path, nil, Persistent, 0), "Get": getErr, "Set": setErr,
 				"Delete": s.Delete(tc.path, AnyVersion), "EnsurePath": s.EnsurePath(tc.path),
-				"WatchData": wdErr, "Children": chErr,
+				"Children": chErr,
 			} {
 				if !errors.Is(err, ErrBadPath) {
 					t.Errorf("%s(%q) = %v, want ErrBadPath", op, tc.path, err)
@@ -373,25 +258,21 @@ func TestPathVerdictsAgree(t *testing.T) {
 }
 
 // TestEnsurePathCreatesOnlyWhatIsMissing: existing components keep their
-// data and version, each missing one fires its parent's child watch once,
-// and an ephemeral node still cannot be given children.
+// data and version, each missing one is added to its parent once, and an
+// ephemeral node still cannot be given children.
 func TestEnsurePathCreatesOnlyWhatIsMissing(t *testing.T) {
 	s := newStore()
 	must(t, s.Create("/a", []byte("keep"), Persistent, 0))
 	_, err := s.Set("/a", []byte("kept"), AnyVersion)
 	must(t, err)
-	rootW, _ := s.WatchChildren("/a")
 	must(t, s.EnsurePath("/a/b/c"))
-	if ev := <-rootW; ev.Type != EventChildrenChanged || ev.Path != "/a" {
-		t.Fatalf("child watch on /a fired %+v", ev)
-	}
 	if data, st, _ := s.Get("/a"); string(data) != "kept" || st.Version != 1 || st.NumChildren != 1 {
 		t.Fatalf("/a after EnsurePath = %q %+v", data, st)
 	}
 	if names, _ := s.Children("/a/b"); len(names) != 1 || names[0] != "c" {
 		t.Fatalf("children of /a/b = %v", names)
 	}
-	sess := s.NewSession(0)
+	sess := s.NewSession()
 	must(t, s.Create("/a/eph", nil, Ephemeral, sess))
 	if err := s.EnsurePath("/a/eph/x/y"); !errors.Is(err, ErrEphChildren) {
 		t.Fatalf("EnsurePath under an ephemeral node = %v, want ErrEphChildren", err)

@@ -5,8 +5,7 @@ import "errors"
 // TryAcquire attempts to take the ephemeral lock at path for the given
 // session, storing data (typically the owner's identity) in the lock node.
 // It returns true if the lock was acquired, false if another live session
-// holds it. The lock is released when the session closes or expires, or via
-// Release.
+// holds it. The lock is released when the session closes, or via Release.
 func (s *Store) TryAcquire(path string, data []byte, owner SessionID) (bool, error) {
 	err := s.Create(path, data, Ephemeral, owner)
 	switch {

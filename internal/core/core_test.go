@@ -21,8 +21,8 @@ func TestNewDefaults(t *testing.T) {
 	if p.Elapsed() != 0 {
 		t.Fatal("real-clock platform reports elapsed time")
 	}
-	if p.Jiffy.TotalBlocks() != 4*256 {
-		t.Fatalf("jiffy pool = %d blocks", p.Jiffy.TotalBlocks())
+	if p.Jiffy.FreeBlocks() != 4*256 {
+		t.Fatalf("jiffy pool = %d free blocks", p.Jiffy.FreeBlocks())
 	}
 }
 

@@ -106,7 +106,7 @@ func TestPatternDataStreaming(t *testing.T) {
 		hll := sketch.NewHLL(10)
 		fn, err := p.Pulsar.StartFunction(pulsar.FunctionConfig{
 			Name: "distinct", Inputs: []string{"stream"},
-		}, func(ctx *pulsar.FnContext, m pulsar.Message) ([]byte, error) {
+		}, func(m pulsar.Message) ([]byte, error) {
 			hll.Add(m.Key)
 			return nil, nil
 		})
@@ -186,7 +186,7 @@ func TestPatternBundled(t *testing.T) {
 		// multi-second tick schedule.)
 		fn, err := p.Pulsar.StartFunction(pulsar.FunctionConfig{
 			Name: "agg", Inputs: []string{"results"}, PollTimeout: 200 * time.Millisecond,
-		}, func(ctx *pulsar.FnContext, m pulsar.Message) ([]byte, error) {
+		}, func(m pulsar.Message) ([]byte, error) {
 			atomic.AddInt64(&aggregated, 1)
 			return nil, nil
 		})

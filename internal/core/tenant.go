@@ -29,9 +29,6 @@ func (p *Platform) Tenant(name string) *TenantHandle {
 // Name returns the tenant this handle is scoped to.
 func (t *TenantHandle) Name() string { return t.name }
 
-// Platform returns the underlying platform for subsystem access.
-func (t *TenantHandle) Platform() *Platform { return t.p }
-
 // Register deploys a function owned by this tenant.
 func (t *TenantHandle) Register(name string, h faas.Handler, cfg faas.Config) error {
 	return t.p.FaaS.Register(name, t.name, h, cfg)
@@ -44,13 +41,6 @@ func (t *TenantHandle) Register(name string, h faas.Handler, cfg faas.Config) er
 // deployments.
 func (t *TenantHandle) Invoke(name string, payload []byte) (faas.Result, error) {
 	return t.p.FaaS.InvokeFor(t.name, name, payload)
-}
-
-// InvokeAsync runs one of this tenant's functions on its own goroutine with
-// the platform's transparent retry; done (if non-nil) receives the final
-// result. Cross-tenant names fail like Invoke.
-func (t *TenantHandle) InvokeAsync(name string, payload []byte, done func(faas.Result, error)) {
-	t.p.FaaS.InvokeAsyncFor(t.name, name, payload, done)
 }
 
 // Unregister removes one of this tenant's functions. Like Invoke, the name
@@ -73,13 +63,6 @@ func (t *TenantHandle) Stats(name string) (faas.Stats, error) {
 // Invoice prices the tenant's accumulated usage.
 func (t *TenantHandle) Invoice() billing.Invoice {
 	return t.p.Meter.Invoice(t.name, t.p.Pricing)
-}
-
-// Limits sets the tenant's admission share: fair-share weight, burst depth
-// and queue bounds. No-op until faas admission is enabled with
-// FaaS.SetAdmission.
-func (t *TenantHandle) Limits(l faas.TenantLimit) {
-	t.p.FaaS.SetTenantLimit(t.name, l)
 }
 
 // Shed returns how many of the tenant's requests admission has shed.

@@ -15,7 +15,7 @@ func TestTenantHandle(t *testing.T) {
 	defer v.Close()
 	acme := p.Tenant("acme")
 	rival := p.Tenant("rival")
-	if acme.Name() != "acme" || acme.Platform() != p {
+	if acme.Name() != "acme" || acme.p != p {
 		t.Fatal("handle identity")
 	}
 
@@ -39,12 +39,12 @@ func TestTenantHandle(t *testing.T) {
 			t.Fatalf("missing-function err = %v, want ErrNoFunction", err)
 		}
 
-		// Async path honors the same scoping.
+		// The platform's async path honors the same scoping.
 		var rivalErr, ownErr error
 		async := simclock.NewGroup(v)
 		async.Add(2)
-		rival.InvokeAsync("resize", nil, func(_ faas.Result, err error) { rivalErr = err; async.Done() })
-		acme.InvokeAsync("resize", []byte("x"), func(_ faas.Result, err error) { ownErr = err; async.Done() })
+		p.FaaS.InvokeAsyncFor("rival", "resize", nil, func(_ faas.Result, err error) { rivalErr = err; async.Done() })
+		p.FaaS.InvokeAsyncFor("acme", "resize", []byte("x"), func(_ faas.Result, err error) { ownErr = err; async.Done() })
 		async.Wait()
 		if !errors.Is(rivalErr, faas.ErrNoFunction) {
 			t.Errorf("cross-tenant async err = %v, want ErrNoFunction", rivalErr)
@@ -63,9 +63,9 @@ func TestTenantHandle(t *testing.T) {
 		t.Fatal("rival billed for acme's work")
 	}
 
-	// Limits + Shed round-trip through admission.
+	// Tenant limits + Shed round-trip through admission.
 	p.FaaS.SetAdmission(faas.AdmissionConfig{RatePerSecond: 1, Burst: 1, MaxWait: time.Nanosecond})
-	acme.Limits(faas.TenantLimit{Weight: 2})
+	p.FaaS.SetTenantLimit("acme", faas.TenantLimit{Weight: 2})
 	v.Run(func() {
 		_, _ = acme.Invoke("resize", nil)
 		_, _ = acme.Invoke("resize", nil)

@@ -44,7 +44,7 @@ func E6PulsarSketch() Table {
 		rf, err := p.Pulsar.StartFunction(pulsar.FunctionConfig{
 			Name:   "countmin",
 			Inputs: []string{"events"},
-		}, func(ctx *pulsar.FnContext, m pulsar.Message) ([]byte, error) {
+		}, func(m pulsar.Message) ([]byte, error) {
 			cm.Add(m.Key, 1) // single instance: the sketch is the function's state (Fig. 3)
 			if seen++; seen == events {
 				doneAt = v.Now()
@@ -107,7 +107,9 @@ func E6PulsarSketch() Table {
 
 // E15PulsarDurability: §4.3 — Pulsar's unified queuing+pub-sub with durable,
 // replicated storage and failure recovery: kill the owning broker and one
-// bookie mid-stream; every acked message must still be consumed.
+// bookie mid-stream; every acked message must still be consumed. Then
+// geo-replication: a replicator mirrors a topic into a second region, where
+// every published message must arrive.
 func E15PulsarDurability() Table {
 	p, v := core.NewVirtual(core.Options{Brokers: 3, Bookies: 4})
 	defer v.Close()
@@ -117,6 +119,7 @@ func E15PulsarDurability() Table {
 		Claim:   "§4.3: brokers are stateless (ownership migrates); bookies replicate entries (quorum survives failures)",
 		Columns: []string{"phase", "published", "received", "lost"},
 	}
+	var geoNote string
 	v.Run(func() {
 		if err := p.Pulsar.CreateTopic("t", 0); err != nil {
 			panic(err)
@@ -129,7 +132,7 @@ func E15PulsarDurability() Table {
 		if err != nil {
 			panic(err)
 		}
-		recvAll := func() map[int64]bool {
+		recvAll := func(cons *pulsar.Consumer) map[int64]bool {
 			seen := map[int64]bool{}
 			for {
 				m, ok := cons.Receive(50 * time.Millisecond)
@@ -148,7 +151,7 @@ func E15PulsarDurability() Table {
 				pub++
 			}
 		}
-		got := recvAll()
+		got := recvAll(cons)
 		table.Rows = append(table.Rows, []string{"steady", f("%d", pub), f("%d", len(got)), f("%d", pub-len(got))})
 
 		// Phase 2: kill the owning broker; keep publishing.
@@ -163,7 +166,7 @@ func E15PulsarDurability() Table {
 				pub++
 			}
 		}
-		got = recvAll()
+		got = recvAll(cons)
 		table.Rows = append(table.Rows, []string{"broker killed", f("%d", pub), f("%d", len(got)), f("%d", maxInt(0, pub-len(got)))})
 
 		// Phase 3: kill one bookie (quorum 2/4 still intact for most stripes).
@@ -176,10 +179,46 @@ func E15PulsarDurability() Table {
 				pub++
 			}
 		}
-		got = recvAll()
+		got = recvAll(cons)
 		table.Rows = append(table.Rows, []string{"bookie killed", f("%d", pub), f("%d", len(got)), f("%d", maxInt(0, pub-len(got)))})
+
+		// Phase 4: geo-replication into a second region — its own brokers,
+		// bookies and metadata on the same clock. Received is counted on the
+		// remote subscription.
+		west := core.New(core.Options{Clock: v})
+		if err := p.Pulsar.CreateTopic("geo", 0); err != nil {
+			panic(err)
+		}
+		if err := west.Pulsar.CreateTopic("geo", 0); err != nil {
+			panic(err)
+		}
+		repl, err := pulsar.StartReplicator(p.Pulsar, west.Pulsar, pulsar.ReplicatorConfig{SrcTopic: "geo", DstTopic: "geo"})
+		if err != nil {
+			panic(err)
+		}
+		geo, err := p.Pulsar.CreateProducer("geo")
+		if err != nil {
+			panic(err)
+		}
+		pub = 0
+		for i := 0; i < 100; i++ {
+			if _, err := geo.Send([]byte{byte(i)}); err == nil {
+				pub++
+			}
+		}
+		for i := 0; i < 1000 && repl.Replicated()+repl.Dropped() < int64(pub); i++ {
+			v.Sleep(5 * time.Millisecond)
+		}
+		repl.Stop()
+		remote, err := west.Pulsar.Subscribe("geo", "s", pulsar.Exclusive, pulsar.Earliest)
+		if err != nil {
+			panic(err)
+		}
+		got = recvAll(remote)
+		table.Rows = append(table.Rows, []string{"geo-replicated", f("%d", pub), f("%d", len(got)), f("%d", maxInt(0, pub-len(got)))})
+		geoNote = f("; geo-replicated: the replicator mirrored %d and dropped %d", repl.Replicated(), repl.Dropped())
 	})
-	table.Notes = "received counts unacked redeliveries as well; 'lost' must be 0 in every phase"
+	table.Notes = "received counts unacked redeliveries as well; 'lost' must be 0 in every phase" + geoNote
 	return table
 }
 

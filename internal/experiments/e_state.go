@@ -135,6 +135,9 @@ func E5Isolation() Table {
 // E18Leases: §4.4 "lifetime of shared state may be much longer than that of
 // the producer task: it is tied to when data is consumed" — namespaces
 // decouple the two via leases, with notifications signalling consumers.
+// State that must outlive its lease, or its memory node, goes to the flush
+// tier: a namespace flushed to the blob store on expiry, and one
+// checkpointed there and rematerialized after its memory node crashes.
 func E18Leases() Table {
 	p, v := core.NewVirtual(core.Options{})
 	defer v.Close()
@@ -178,6 +181,64 @@ func E18Leases() Table {
 		p.Jiffy.ReapExpired()
 		row(v.Elapsed(), "lease expired, reclaimed", readable(ns))
 		table.Notes = f("notifications fired: %d (incl. expiry)", len(notified))
+
+		// The flush tier: a bucket on the platform's blob store.
+		if err := p.Blob.CreateBucket("jiffy-flush", "jiffy"); err != nil {
+			panic(err)
+		}
+		target := jiffy.FlushTarget{Store: p.Blob, Bucket: "jiffy-flush"}
+		p.Jiffy.SetFlushTarget(target)
+
+		// A namespace flushed on expiry: its consumer arrives after the
+		// lease and reads the value back from the blob tier.
+		out, err := p.Jiffy.CreateNamespace("/out", jiffy.NamespaceOptions{Lease: 10 * time.Second, FlushOnExpiry: true})
+		if err != nil {
+			panic(err)
+		}
+		if err := out.Put("result", []byte("output")); err != nil {
+			panic(err)
+		}
+		v.Sleep(20 * time.Second)
+		p.Jiffy.ReapExpired()
+		var flushed []byte
+		for i := 0; i < 1000 && flushed == nil; i++ { // the flush lands on the clock
+			flushed, _ = jiffy.Flushed(target, "/out", "result")
+			if flushed == nil {
+				v.Sleep(10 * time.Millisecond)
+			}
+		}
+		row(v.Elapsed(), "lease expired, read from flush tier", string(flushed) == "output" && !readable(out))
+
+		// A checkpointed namespace outlives its memory: every node crashes
+		// and restarts empty, and the namespace rematerializes from the
+		// checkpoint.
+		ckpt, err := p.Jiffy.CreateNamespace("/ckpt", jiffy.NamespaceOptions{Lease: -1})
+		if err != nil {
+			panic(err)
+		}
+		if err := ckpt.Put("result", []byte("output")); err != nil {
+			panic(err)
+		}
+		if _, err := ckpt.Checkpoint(); err != nil {
+			panic(err)
+		}
+		for _, id := range p.Jiffy.NodeIDs() {
+			if _, _, err := p.Jiffy.CrashNode(id); err != nil {
+				panic(err)
+			}
+		}
+		lost := !readable(ckpt)
+		for _, id := range p.Jiffy.NodeIDs() {
+			if err := p.Jiffy.RestartNode(id); err != nil {
+				panic(err)
+			}
+		}
+		restored, err := ckpt.Rematerialize()
+		if err != nil {
+			panic(err)
+		}
+		row(v.Elapsed(), "memory crashed, rematerialized", lost && readable(ckpt))
+		table.Notes += f("; flush tier: %d key(s) rematerialized from the checkpoint", restored)
 	})
 	return table
 }

@@ -263,6 +263,19 @@ func TestE15NothingLost(t *testing.T) {
 			t.Fatalf("messages lost in phase %s:\n%s", cell(t, tb, i, 0), tb)
 		}
 	}
+	// The geo phase: every published message reaches the remote
+	// subscription, and the replicator mirrored each one once.
+	geo := len(tb.Rows) - 1
+	if len(tb.Rows) != 4 || cell(t, tb, geo, 0) != "geo-replicated" {
+		t.Fatalf("want a fourth phase, geo-replicated:\n%s", tb)
+	}
+	pub := cell(t, tb, geo, 1)
+	if pub == "0" || cell(t, tb, geo, 2) != pub {
+		t.Fatalf("remote received %s of %s published:\n%s", cell(t, tb, geo, 2), pub, tb)
+	}
+	if want := "mirrored " + pub + " and dropped 0"; !strings.Contains(tb.Notes, want) {
+		t.Fatalf("note %q lacks %q", tb.Notes, want)
+	}
 }
 
 func TestE16SameBestMuchFaster(t *testing.T) {
@@ -288,7 +301,12 @@ func TestE17CacheHelps(t *testing.T) {
 
 func TestE18LeaseLifecycle(t *testing.T) {
 	tb := E18Leases()
-	wantReadable := []string{"true", "true", "true", "false"}
+	// The lease rows, then the flush tier: read back after expiry, and
+	// rematerialized from a checkpoint after the memory nodes crash.
+	wantReadable := []string{"true", "true", "true", "false", "true", "true"}
+	if len(tb.Rows) != len(wantReadable) {
+		t.Fatalf("%d rows, want %d\n%s", len(tb.Rows), len(wantReadable), tb)
+	}
 	for i, w := range wantReadable {
 		if cell(t, tb, i, 2) != w {
 			t.Fatalf("row %d readable = %s, want %s\n%s", i, cell(t, tb, i, 2), w, tb)

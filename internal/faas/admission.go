@@ -72,7 +72,6 @@ type tenantBucket struct {
 	last   time.Time // last refill instant
 	queued int       // requests sleeping until their reserved token refills
 	shed   int64
-	admits int64
 
 	shedCtr *obs.Counter // faas.admission.shed.<tenant>; nil → no-op
 }
@@ -177,21 +176,6 @@ func (p *Platform) AdmissionShed(tenant string) int64 {
 	return 0
 }
 
-// AdmissionAdmitted returns how many of the tenant's requests admission let
-// through.
-func (p *Platform) AdmissionAdmitted(tenant string) int64 {
-	a := p.adm.Load()
-	if a == nil {
-		return 0
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if b := a.buckets[tenant]; b != nil {
-		return b.admits
-	}
-	return 0
-}
-
 // admit gates one request from tenant through admission. It returns after
 // the request holds a token — sleeping on the platform clock while queued —
 // or fails with ErrThrottled when the request must be shed. a may be nil
@@ -214,7 +198,6 @@ func (p *Platform) admit(a *admission, tenant string) error {
 	b.last = now
 	if b.tokens >= 1 {
 		b.tokens--
-		b.admits++
 		a.mu.Unlock()
 		return nil
 	}
@@ -235,7 +218,6 @@ func (p *Platform) admit(a *admission, tenant string) error {
 			ErrTenantThrottled, tenant, wait, b.queued)
 	}
 	b.tokens--
-	b.admits++
 	b.queued++
 	a.mu.Unlock()
 

@@ -2,6 +2,7 @@ package faas
 
 import (
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -24,34 +25,42 @@ func TestAdmissionShedAndFairness(t *testing.T) {
 	must(t, p.Register("vic", "victim", echo, Config{}))
 	p.SetAdmission(AdmissionConfig{RatePerSecond: 20, Burst: 4, MaxQueue: 4, MaxWait: 500 * time.Millisecond})
 
+	var mu sync.Mutex
 	var atkErrs []error
 	v.Run(func() {
 		vicOffsets := make([]time.Duration, 10)
 		for i := range vicOffsets {
 			vicOffsets[i] = time.Duration(i) * 200 * time.Millisecond
 		}
-		atkRep := Drive(p, "attacker", "atk", nil, make([]time.Duration, 40))
-		vicRep := Drive(p, "victim", "vic", nil, vicOffsets)
-		atkRep.Wait()
-		vicRep.Wait()
-		atkErrs = atkRep.Errors()
-		if n := len(vicRep.Errors()); n != 0 {
-			t.Errorf("victim saw %d errors: %v", n, vicRep.Errors()[0])
+		atk := simclock.NewGroup(v)
+		atk.Add(40)
+		for i := 0; i < 40; i++ {
+			p.InvokeAsyncFor("attacker", "atk", nil, func(_ Result, err error) {
+				if err != nil {
+					mu.Lock()
+					atkErrs = append(atkErrs, err)
+					mu.Unlock()
+				}
+				atk.Done()
+			})
 		}
+		vicRep := Drive(p, "victim", "vic", nil, vicOffsets)
+		atk.Wait()
+		vicRep.Wait()
 	})
 
 	// Burst 4 admitted instantly + MaxQueue 4 queued; the other 32 shed.
 	if got := p.AdmissionShed("attacker"); got != 32 {
 		t.Errorf("attacker shed = %d, want 32", got)
 	}
-	if got := p.AdmissionAdmitted("attacker"); got != 8 {
-		t.Errorf("attacker admitted = %d, want 8", got)
+	if st, _ := p.StatsFor("attacker", "atk"); st.Invocations != 8 {
+		t.Errorf("attacker admitted = %d, want 8", st.Invocations)
 	}
 	if got := p.AdmissionShed("victim"); got != 0 {
 		t.Errorf("victim shed = %d, want 0", got)
 	}
-	if got := p.AdmissionAdmitted("victim"); got != 10 {
-		t.Errorf("victim admitted = %d, want 10", got)
+	if st, _ := p.StatsFor("victim", "vic"); st.Invocations != 10 || st.Throttles != 0 {
+		t.Errorf("victim admitted = %d with %d throttled, want 10 and 0", st.Invocations, st.Throttles)
 	}
 	if len(atkErrs) != 32 {
 		t.Fatalf("attacker errors = %d, want 32", len(atkErrs))
@@ -90,8 +99,8 @@ func TestAdmissionQueueDeterministic(t *testing.T) {
 		start := v.Now()
 		rep := Drive(p, "t", "q", nil, make([]time.Duration, 4))
 		rep.Wait()
-		if n := len(rep.Errors()); n != 0 {
-			t.Fatalf("errors = %d, want 0", n)
+		if st, _ := p.StatsFor("t", "q"); st.Throttles != 0 {
+			t.Fatalf("throttled = %d, want 0", st.Throttles)
 		}
 		// 1 token instantly, then refills at 10/s: the 4th admit lands at
 		// t=300ms. Everything before that would mean queuing didn't pace.
@@ -99,8 +108,8 @@ func TestAdmissionQueueDeterministic(t *testing.T) {
 			t.Errorf("burst drained in %v, want ≥ 300ms of token pacing", el)
 		}
 	})
-	if got := p.AdmissionAdmitted("t"); got != 4 {
-		t.Errorf("admitted = %d, want 4", got)
+	if st, _ := p.StatsFor("t", "q"); st.Invocations != 4 {
+		t.Errorf("admitted = %d, want 4", st.Invocations)
 	}
 	if got := p.AdmissionShed("t"); got != 0 {
 		t.Errorf("shed = %d, want 0", got)
@@ -118,8 +127,8 @@ func TestAdmissionDisable(t *testing.T) {
 	v.Run(func() {
 		rep := Drive(p, "t", "f", nil, make([]time.Duration, 20))
 		rep.Wait()
-		if n := len(rep.Errors()); n != 0 {
-			t.Fatalf("errors with admission disabled = %d, want 0", n)
+		if st, _ := p.StatsFor("t", "f"); st.Throttles != 0 || st.Invocations != 20 {
+			t.Fatalf("with admission disabled: %d throttled of %d invoked, want 0 of 20", st.Throttles, st.Invocations)
 		}
 	})
 	if got := p.AdmissionShed("t"); got != 0 {

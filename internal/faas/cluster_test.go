@@ -84,8 +84,8 @@ func TestClusterCapacityThrottles(t *testing.T) {
 	v.Run(func() {
 		rep := Drive(p, "t", "tight", nil, make([]time.Duration, 3))
 		rep.Wait()
-		if len(rep.Errors()) != 1 {
-			t.Errorf("errors = %d, want 1 (third instance unplaceable)", len(rep.Errors()))
+		if st, _ := p.StatsFor("t", "tight"); st.Throttles != 1 {
+			t.Errorf("throttled = %d, want 1 (third instance unplaceable)", st.Throttles)
 		}
 	})
 }

@@ -196,21 +196,6 @@ func (c *Ctx) Work(d time.Duration) {
 	c.Clock.Sleep(wall)
 }
 
-// Slowdown returns the invocation's interference multiplier (1 when the
-// platform has no cluster attached or the instance has no contenders).
-func (c *Ctx) Slowdown() float64 {
-	if c.slowdown < 1 {
-		return 1
-	}
-	return c.slowdown
-}
-
-// TimedOut reports whether the invocation has exhausted its time budget.
-func (c *Ctx) TimedOut() bool { return c.exceeded }
-
-// Remaining returns the unconsumed execution time budget.
-func (c *Ctx) Remaining() time.Duration { return c.budget }
-
 type instance struct {
 	id        int64
 	idleSince time.Time

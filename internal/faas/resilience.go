@@ -302,16 +302,3 @@ func retryable(err error) bool {
 		!errors.Is(err, ErrCircuitOpen) &&
 		!errors.Is(err, ErrTenantThrottled)
 }
-
-// BreakerState reports the current breaker position of tenant's function
-// name ("closed", "open", "half-open"); functions without an armed breaker
-// are "closed".
-func (p *Platform) BreakerState(tenant, name string) (string, error) {
-	fn, err := p.lookup(tenant, name)
-	if err != nil {
-		return "", err
-	}
-	fn.brk.mu.Lock()
-	defer fn.brk.mu.Unlock()
-	return fn.brk.state.String(), nil
-}

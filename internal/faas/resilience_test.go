@@ -42,7 +42,7 @@ func TestBreakerOpensAndFastFails(t *testing.T) {
 				t.Error("want handler failure")
 			}
 		}
-		if st, _ := p.BreakerState("t", "f"); st != "open" {
+		if st, _ := breakerPosition(p, "t", "f"); st != "open" {
 			t.Errorf("breaker state = %q, want open", st)
 		}
 		before, _ := p.StatsFor("t", "f")
@@ -101,7 +101,7 @@ func TestBreakerHalfOpenProbeRecloses(t *testing.T) {
 		if res, err := p.InvokeFor("t", "f", nil); err != nil || string(res.Output) != "ok" {
 			t.Errorf("probe invoke = %q, %v", res.Output, err)
 		}
-		if st, _ := p.BreakerState("t", "f"); st != "closed" {
+		if st, _ := breakerPosition(p, "t", "f"); st != "closed" {
 			t.Errorf("state after probe = %q, want closed", st)
 		}
 		if _, err := p.InvokeFor("t", "f", nil); err != nil {
@@ -127,7 +127,7 @@ func TestBreakerProbeFailureReopens(t *testing.T) {
 		if _, err := p.InvokeFor("t", "f", nil); err == nil || errors.Is(err, ErrCircuitOpen) {
 			t.Errorf("probe err = %v, want handler failure", err)
 		}
-		if st, _ := p.BreakerState("t", "f"); st != "open" {
+		if st, _ := breakerPosition(p, "t", "f"); st != "open" {
 			t.Errorf("state after failed probe = %q, want open", st)
 		}
 		if _, err := p.InvokeFor("t", "f", nil); !errors.Is(err, ErrCircuitOpen) {
@@ -370,4 +370,15 @@ func TestRetryStopRuleSharedByBothEntryPoints(t *testing.T) {
 			})
 		}
 	}
+}
+
+// breakerPosition reads the breaker position of tenant's function name.
+func breakerPosition(p *Platform, tenant, name string) (string, error) {
+	fn, err := p.lookup(tenant, name)
+	if err != nil {
+		return "", err
+	}
+	fn.brk.mu.Lock()
+	defer fn.brk.mu.Unlock()
+	return fn.brk.state.String(), nil
 }

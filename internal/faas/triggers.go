@@ -72,7 +72,6 @@ func BindBlob(p *Platform, store *blob.Store, bucketName, tenant, fnName string)
 type DriveReport struct {
 	mu      sync.Mutex
 	results []Result
-	errs    []error
 	wg      *simclock.Group
 }
 
@@ -81,13 +80,6 @@ func (r *DriveReport) Results() []Result {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return append([]Result{}, r.results...)
-}
-
-// Errors returns the collected invocation errors (call after Wait).
-func (r *DriveReport) Errors() []error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]error{}, r.errs...)
 }
 
 // Wait blocks (clock-aware) until every driven invocation has completed.
@@ -105,12 +97,9 @@ func Drive(p *Platform, tenant, fnName string, payload []byte, arrivals []time.D
 		for _, at := range arrivals {
 			p.clock.Sleep(at - prev)
 			prev = at
-			p.InvokeAsyncFor(tenant, fnName, payload, func(res Result, err error) {
+			p.InvokeAsyncFor(tenant, fnName, payload, func(res Result, _ error) {
 				rep.mu.Lock()
 				rep.results = append(rep.results, res)
-				if err != nil {
-					rep.errs = append(rep.errs, err)
-				}
 				rep.mu.Unlock()
 				rep.wg.Done()
 			})

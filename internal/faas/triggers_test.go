@@ -142,8 +142,8 @@ func TestDriveSchedulesArrivals(t *testing.T) {
 	v.Run(func() {
 		rep := Drive(p, "t", "f", nil, arrivals)
 		rep.Wait()
-		if len(rep.Results()) != 3 || len(rep.Errors()) != 0 {
-			t.Errorf("results=%d errors=%d", len(rep.Results()), len(rep.Errors()))
+		if st, _ := p.StatsFor("t", "f"); len(rep.Results()) != 3 || st.Invocations != 3 || st.Throttles+st.Failures != 0 {
+			t.Errorf("results=%d stats=%+v", len(rep.Results()), st)
 		}
 	})
 	if len(stamps) != 3 {

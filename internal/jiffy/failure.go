@@ -25,18 +25,6 @@ func (c *Controller) NodeIDs() []string {
 	return out
 }
 
-// Node returns a registered memory node by id.
-func (c *Controller) Node(id string) (*MemoryNode, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, n := range c.nodes {
-		if n.ID == id {
-			return n, true
-		}
-	}
-	return nil, false
-}
-
 // CrashNode fail-stops a memory node: its block storage vanishes from the
 // pool. Every block group that held a replica there is repaired — surviving
 // replicas adopt a slot on a fresh live node (restoring the namespace's
@@ -194,7 +182,7 @@ func (ns *Namespace) Checkpoint() (int, error) {
 	ns.mu.Unlock()
 	sort.Slice(pairs, func(i, j int) bool { return pairs[i].key < pairs[j].key })
 	for _, p := range pairs {
-		if _, err := target.Store.Put(target.Bucket, FlushKey(ns.path, p.key), p.val, blob.PutOptions{}); err != nil {
+		if _, err := target.Store.Put(target.Bucket, flushKey(ns.path, p.key), p.val, blob.PutOptions{}); err != nil {
 			return 0, err
 		}
 	}
@@ -248,7 +236,7 @@ func (ns *Namespace) Rematerialize() (int, error) {
 	// sleep on the clock).
 	restored := 0
 	if target.Store != nil {
-		keys, err := ListFlushed(target, ns.path)
+		keys, err := listFlushed(target, ns.path)
 		if err == nil {
 			for _, key := range keys {
 				if !restoredIdx[int(hashKey(key))%nblocks] {

@@ -23,10 +23,16 @@ func (c *Controller) SetFlushTarget(t FlushTarget) {
 	c.flush = t
 }
 
-// FlushKey returns the blob key a namespace's KV entry flushes to.
-func FlushKey(nsPath, key string) string {
-	return "flushed" + nsPath + "/" + key
+// flushKey returns the blob key a namespace's KV entry flushes to. A
+// namespace path never contains "//" (splitPath), so the "//" after it ends
+// the path: no other namespace's key can share the name, and the keys of
+// nsPath's children are not under flushPrefix(nsPath).
+func flushKey(nsPath, key string) string {
+	return flushPrefix(nsPath) + key
 }
+
+// flushPrefix is the blob-key prefix of everything nsPath flushes.
+func flushPrefix(nsPath string) string { return "flushed" + nsPath + "//" }
 
 // flushFn builds the closure persisting a namespace's KV pairs to the flush
 // target. Called with ns.mu held during expiry teardown, before the blocks
@@ -50,25 +56,25 @@ func flushFn(t FlushTarget, ns *Namespace, blocks []*block) func() {
 	store, bucket, path := t.Store, t.Bucket, ns.path
 	return func() {
 		for _, p := range pairs {
-			_, _ = store.Put(bucket, FlushKey(path, p.key), p.val, blob.PutOptions{})
+			_, _ = store.Put(bucket, flushKey(path, p.key), p.val, blob.PutOptions{})
 		}
 	}
 }
 
 // Flushed reads a flushed value back from the persistent tier.
 func Flushed(t FlushTarget, nsPath, key string) ([]byte, error) {
-	data, _, err := t.Store.Get(t.Bucket, FlushKey(nsPath, key))
+	data, _, err := t.Store.Get(t.Bucket, flushKey(nsPath, key))
 	return data, err
 }
 
-// ListFlushed returns the keys flushed from a namespace.
-func ListFlushed(t FlushTarget, nsPath string) ([]string, error) {
-	infos, _, err := t.Store.List(t.Bucket, "flushed"+nsPath+"/", "", 0)
+// listFlushed returns the keys flushed from a namespace.
+func listFlushed(t FlushTarget, nsPath string) ([]string, error) {
+	prefix := flushPrefix(nsPath)
+	infos, _, err := t.Store.List(t.Bucket, prefix, "", 0)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]string, len(infos))
-	prefix := "flushed" + nsPath + "/"
 	for i, info := range infos {
 		out[i] = strings.TrimPrefix(info.Key, prefix)
 	}

@@ -42,25 +42,6 @@ func (g *GlobalKV) Put(tenant, key string, value []byte) {
 	g.blocks[int(hashKey(fk))%len(g.blocks)][fk] = append([]byte(nil), value...)
 }
 
-// Get returns a tenant's key.
-func (g *GlobalKV) Get(tenant, key string) ([]byte, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	fk := globalKey(tenant, key)
-	v, ok := g.blocks[int(hashKey(fk))%len(g.blocks)][fk]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s/%s", ErrNoKey, tenant, key)
-	}
-	return append([]byte(nil), v...), nil
-}
-
-// Blocks returns the partition count.
-func (g *GlobalKV) Blocks() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.blocks)
-}
-
 // Scale resizes the global space by delta partitions, re-hashing the entire
 // address space. It returns, per tenant, how many of that tenant's keys had
 // to move — the cross-tenant disruption Jiffy's namespaces avoid.

@@ -177,9 +177,6 @@ func (n *MemoryNode) Free() int {
 	return n.total - n.inUse
 }
 
-// Down reports whether the node is crashed.
-func (n *MemoryNode) Down() bool { return n.down.Load() }
-
 // Namespace is one node of the hierarchical namespace tree, owning blocks
 // and exposing KV and queue interfaces over them.
 type Namespace struct {
@@ -321,17 +318,6 @@ func (c *Controller) FreeBlocks() int {
 		free += n.Free()
 	}
 	return free
-}
-
-// TotalBlocks returns the pool's total block count.
-func (c *Controller) TotalBlocks() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	total := 0
-	for _, n := range c.nodes {
-		total += n.total
-	}
-	return total
 }
 
 // NamespaceOptions parameterize CreateNamespace.
@@ -510,7 +496,7 @@ func (c *Controller) reap(now time.Time) {
 	}
 	target := c.flush
 	c.mu.Unlock()
-	c.finish(victims, true, target)
+	c.finish(victims, target)
 }
 
 // detachLocked unlinks a namespace subtree from the tree (c.mu held),
@@ -540,12 +526,11 @@ func (c *Controller) detachLocked(ns *Namespace, out *[]*Namespace) {
 	*out = append(*out, ns)
 }
 
-// finish completes a removal after the tree detach: marks each namespace
+// finish completes an expiry after the tree detach: marks each namespace
 // dead under its own lock, captures flush data, frees the blocks back to
-// their nodes, and (on expiry) fires EventExpired notifications. victims
-// arrive child-first. Lock order: ns.mu then c.mu, never nested the other
-// way.
-func (c *Controller) finish(victims []*Namespace, expired bool, target FlushTarget) {
+// their nodes, and fires EventExpired notifications. victims arrive
+// child-first. Lock order: ns.mu then c.mu, never nested the other way.
+func (c *Controller) finish(victims []*Namespace, target FlushTarget) {
 	if len(victims) == 0 {
 		return
 	}
@@ -557,13 +542,10 @@ func (c *Controller) finish(victims []*Namespace, expired bool, target FlushTarg
 		blocks := ns.blocks
 		ns.blocks = nil
 		ns.fifo, ns.fifoUsed = nil, 0
-		var subs []func(Event)
-		if expired {
-			if fn := flushFn(target, ns, blocks); fn != nil {
-				flushFns = append(flushFns, fn)
-			}
-			subs = ns.subs
+		if fn := flushFn(target, ns, blocks); fn != nil {
+			flushFns = append(flushFns, fn)
 		}
+		subs := ns.subs
 		ns.mu.Unlock()
 		toFree = append(toFree, blocks...)
 		for _, fn := range subs {

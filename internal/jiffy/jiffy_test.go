@@ -35,8 +35,11 @@ func TestPutGetDelete(t *testing.T) {
 }
 
 func TestHierarchicalNamespaces(t *testing.T) {
-	c := newCtrl(16)
-	app, err := c.CreateNamespace("/tenant", NamespaceOptions{})
+	v := simclock.NewVirtual()
+	defer v.Close()
+	c := NewController(v, nil, Config{Latency: NoLatency, DefaultLease: -1})
+	c.AddNode("node-0", 16)
+	app, err := c.CreateNamespace("/tenant", NamespaceOptions{Lease: time.Second})
 	must(t, err)
 	task, err := app.CreateChild("task1", NamespaceOptions{})
 	must(t, err)
@@ -51,12 +54,12 @@ func TestHierarchicalNamespaces(t *testing.T) {
 	if _, err := c.CreateNamespace("/tenant", NamespaceOptions{}); !errors.Is(err, ErrNsExists) {
 		t.Fatalf("err = %v", err)
 	}
-	if kids := app.Children(); len(kids) != 1 || kids[0] != "task1" {
-		t.Fatalf("children = %v", kids)
+	if len(app.children) != 1 || app.children["task1"] != task {
+		t.Fatalf("children = %v", app.children)
 	}
-	// Removing the parent frees descendants.
+	// An expiring parent frees its descendants, leased or not.
 	free := c.FreeBlocks()
-	must(t, app.Remove())
+	v.Run(func() { v.Sleep(2 * time.Second) })
 	if c.FreeBlocks() != free+2 {
 		t.Fatalf("blocks not freed: %d → %d", free, c.FreeBlocks())
 	}
@@ -180,8 +183,8 @@ func TestQueueFIFO(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		must(t, ns.Enqueue([]byte{byte(i)}))
 	}
-	if ns.QueueLen() != 5 {
-		t.Fatalf("len = %d", ns.QueueLen())
+	if len(ns.fifo) != 5 {
+		t.Fatalf("len = %d", len(ns.fifo))
 	}
 	for i := 0; i < 5; i++ {
 		item, err := ns.Dequeue()
@@ -225,8 +228,8 @@ func TestQueueAutoScale(t *testing.T) {
 	if ns.Blocks() < 2 {
 		t.Fatalf("queue did not grow blocks: %d", ns.Blocks())
 	}
-	if ns.QueueLen() != 10 {
-		t.Fatalf("queue lost items: %d", ns.QueueLen())
+	if len(ns.fifo) != 10 {
+		t.Fatalf("queue lost items: %d", len(ns.fifo))
 	}
 }
 
@@ -298,17 +301,15 @@ func TestGlobalKVDisruptsAllTenants(t *testing.T) {
 	if moved["tenantA"] == 0 || moved["tenantB"] == 0 {
 		t.Fatalf("global scaling should disrupt every tenant: %v", moved)
 	}
-	if g.Blocks() != 16 {
-		t.Fatalf("blocks = %d", g.Blocks())
+	if len(g.blocks) != 16 {
+		t.Fatalf("blocks = %d", len(g.blocks))
 	}
-	// Data intact.
+	// Data intact: every key in the partition its hash names.
 	for i := 0; i < 200; i++ {
-		if _, err := g.Get("tenantA", fmt.Sprintf("a%d", i)); err != nil {
-			t.Fatal(err)
+		fk := globalKey("tenantA", fmt.Sprintf("a%d", i))
+		if _, ok := g.blocks[int(hashKey(fk))%len(g.blocks)][fk]; !ok {
+			t.Fatalf("%q lost by the rescale", fk)
 		}
-	}
-	if _, err := g.Get("ghost", "x"); !errors.Is(err, ErrNoKey) {
-		t.Fatalf("err = %v", err)
 	}
 	if _, err := g.Scale(-99); !errors.Is(err, ErrMinBlocks) {
 		t.Fatalf("err = %v", err)
@@ -322,12 +323,13 @@ func TestBlockSecondsMetering(t *testing.T) {
 	c := NewController(v, m, Config{Latency: NoLatency, Tenant: "acme"})
 	c.AddNode("n0", 4)
 	v.Run(func() {
-		ns, err := c.CreateNamespace("/job", NamespaceOptions{Lease: -1, InitialBlocks: 2})
+		_, err := c.CreateNamespace("/job", NamespaceOptions{Lease: 5 * time.Second, InitialBlocks: 2})
 		must(t, err)
 		v.Sleep(10 * time.Second)
-		must(t, ns.Remove())
+		c.ReapExpired()
 	})
-	// 2 blocks × 10 s = 20 block-seconds.
+	// Held until the reap that reclaims them: 2 blocks × 10 s = 20
+	// block-seconds.
 	if got := m.Units("acme", billing.ResJiffyBlockSecs); got != 20 {
 		t.Fatalf("block-seconds = %v, want 20", got)
 	}
@@ -362,9 +364,20 @@ func TestAllocationSpreadsAcrossNodes(t *testing.T) {
 	if n0.Free() != 2 || n1.Free() != 2 {
 		t.Fatalf("allocation skewed: n0 free %d, n1 free %d", n0.Free(), n1.Free())
 	}
-	if c.TotalBlocks() != 8 || c.FreeBlocks() != 4 {
-		t.Fatalf("totals wrong: %d/%d", c.FreeBlocks(), c.TotalBlocks())
+	if totalBlocks(c) != 8 || c.FreeBlocks() != 4 {
+		t.Fatalf("totals wrong: %d/%d", c.FreeBlocks(), totalBlocks(c))
 	}
+}
+
+// totalBlocks is the pool's block count, crashed nodes included.
+func totalBlocks(c *Controller) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	total := 0
+	for _, n := range c.nodes {
+		total += n.total
+	}
+	return total
 }
 
 func must(t *testing.T, err error) {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/simclock"
 )
@@ -75,40 +76,41 @@ func TestModelRandomOpsAndScaling(t *testing.T) {
 }
 
 // TestPoolAccountingInvariant: allocated + free always equals the pool total
-// through arbitrary create/scale/remove churn.
+// through arbitrary create/scale/expire churn.
 func TestPoolAccountingInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	c := NewController(simclock.Real{}, nil, Config{Latency: NoLatency, DefaultLease: -1})
+	v := simclock.NewVirtual()
+	defer v.Close()
+	c := NewController(v, nil, Config{Latency: NoLatency})
 	c.AddNode("a", 32)
 	c.AddNode("b", 32)
-	total := c.TotalBlocks()
+	total := totalBlocks(c)
 	var spaces []*Namespace
-	for i := 0; i < 200; i++ {
-		switch rng.Intn(3) {
-		case 0:
-			ns, err := c.CreateNamespace(fmt.Sprintf("/ns%d", i), NamespaceOptions{InitialBlocks: 1 + rng.Intn(3)})
-			if err == nil {
-				spaces = append(spaces, ns)
+	v.Run(func() {
+		for i := 0; i < 200; i++ {
+			switch rng.Intn(3) {
+			case 0:
+				lease := time.Duration(1+rng.Intn(5)) * time.Second
+				ns, err := c.CreateNamespace(fmt.Sprintf("/ns%d", i), NamespaceOptions{Lease: lease, InitialBlocks: 1 + rng.Intn(3)})
+				if err == nil {
+					spaces = append(spaces, ns)
+				}
+			case 1:
+				if len(spaces) > 0 {
+					idx := rng.Intn(len(spaces))
+					_, _ = spaces[idx].Scale(rng.Intn(5) - 2)
+				}
+			case 2:
+				v.Sleep(time.Second) // leases lapse; FreeBlocks reaps them
 			}
-		case 1:
-			if len(spaces) > 0 {
-				idx := rng.Intn(len(spaces))
-				_, _ = spaces[idx].Scale(rng.Intn(5) - 2)
+			free := c.FreeBlocks()
+			allocated := 0
+			for _, ns := range spaces {
+				allocated += ns.Blocks()
 			}
-		case 2:
-			if len(spaces) > 0 {
-				idx := rng.Intn(len(spaces))
-				_ = spaces[idx].Remove()
-				spaces = append(spaces[:idx], spaces[idx+1:]...)
+			if allocated+free != total {
+				t.Fatalf("iteration %d: allocated %d + free %d != total %d", i, allocated, free, total)
 			}
 		}
-		allocated := 0
-		for _, ns := range spaces {
-			allocated += ns.Blocks()
-		}
-		if allocated+c.FreeBlocks() != total {
-			t.Fatalf("iteration %d: allocated %d + free %d != total %d",
-				i, allocated, c.FreeBlocks(), total)
-		}
-	}
+	})
 }

@@ -45,21 +45,6 @@ func (ns *Namespace) Renew() error {
 	return nil
 }
 
-// Remove frees the namespace, its descendants and all their blocks.
-func (ns *Namespace) Remove() error {
-	c := ns.ctrl
-	c.mu.Lock()
-	if c.all[ns.path] != ns {
-		c.mu.Unlock()
-		return fmt.Errorf("%w: %q", ErrNoNamespace, ns.path)
-	}
-	var victims []*Namespace
-	c.detachLocked(ns, &victims)
-	c.mu.Unlock()
-	c.finish(victims, false, FlushTarget{})
-	return nil
-}
-
 // CreateChild creates a sub-namespace (e.g. a task's namespace under its
 // application), inheriting nothing: it has its own blocks and lease.
 func (ns *Namespace) CreateChild(name string, opts NamespaceOptions) (*Namespace, error) {
@@ -67,19 +52,6 @@ func (ns *Namespace) CreateChild(name string, opts NamespaceOptions) (*Namespace
 		return nil, fmt.Errorf("%w: child %q", ErrBadPath, name)
 	}
 	return ns.ctrl.CreateNamespace(ns.path+"/"+name, opts)
-}
-
-// Children returns the namespace's child names, sorted.
-func (ns *Namespace) Children() []string {
-	c := ns.ctrl
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, 0, len(ns.children))
-	for name := range ns.children {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // lockLive enforces the lease and acquires the namespace's data lock: the
@@ -112,8 +84,7 @@ func (ns *Namespace) lockLive(now time.Time) error {
 // Put stores key→value in the namespace, auto-scaling by one block when the
 // target block is full and pool capacity allows. Overwriting a key reuses
 // the previous value's buffer when it has capacity (no allocation on
-// steady-state overwrite); slices returned by GetView for that key are
-// invalidated.
+// steady-state overwrite): Get hands out copies, so no reader holds it.
 func (ns *Namespace) Put(key string, value []byte) error {
 	c := ns.ctrl
 	var start time.Time
@@ -180,20 +151,6 @@ func (ns *Namespace) growLocked() error {
 
 // Get returns a copy of the value for key.
 func (ns *Namespace) Get(key string) ([]byte, error) {
-	return ns.get(key, true)
-}
-
-// GetView returns the stored value for key without copying. The returned
-// slice is owned by the store: it stays valid until the key is next
-// overwritten or deleted, and the caller must not modify it. It is the
-// opt-in zero-copy read for read-once consumers (shuffle partitions,
-// producer→consumer handoff) where Get's defensive copy is pure overhead;
-// callers racing writers to the same key must use Get instead.
-func (ns *Namespace) GetView(key string) ([]byte, error) {
-	return ns.get(key, false)
-}
-
-func (ns *Namespace) get(key string, copied bool) ([]byte, error) {
 	c := ns.ctrl
 	var start time.Time
 	if c.obsOpLat != nil {
@@ -211,11 +168,7 @@ func (ns *Namespace) get(key string, copied bool) ([]byte, error) {
 	v, ok := b.kv[key]
 	var out []byte
 	if ok {
-		if copied {
-			out = append([]byte(nil), v...)
-		} else {
-			out = v
-		}
+		out = append([]byte(nil), v...)
 	}
 	ns.mu.Unlock()
 	c.cfg.Latency.sleep(c.clock, len(out))
@@ -406,13 +359,6 @@ func (ns *Namespace) Dequeue() ([]byte, error) {
 	ns.mu.Unlock()
 	c.cfg.Latency.sleep(c.clock, len(item))
 	return item, nil
-}
-
-// QueueLen returns the FIFO's current depth.
-func (ns *Namespace) QueueLen() int {
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	return len(ns.fifo)
 }
 
 func (ns *Namespace) notifyLocked(ev Event) {

@@ -1,16 +1,12 @@
 package jiffy
 
-import (
-	"errors"
-
-	"repro/internal/obs"
-)
+import "repro/internal/obs"
 
 // TracedNamespace is a value wrapper binding a namespace to one request's
-// causal context: each data-plane op records a child span ("jiffy.put",
-// "jiffy.get", ...) on the request's trace. The wrapper is two words and
+// causal context: a Put records a "jiffy.put" child span on the request's
+// trace. The wrapper is two words and
 // lives on the caller's stack — taking one per request allocates nothing —
-// and with a zero context (or no tracer attached) every op degrades to the
+// and with a zero context (or no tracer attached) a Put degrades to the
 // plain namespace call plus one branch.
 type TracedNamespace struct {
 	ns *Namespace
@@ -21,9 +17,6 @@ type TracedNamespace struct {
 func (ns *Namespace) Traced(tc obs.TraceCtx) TracedNamespace {
 	return TracedNamespace{ns: ns, tc: tc}
 }
-
-// Namespace returns the underlying namespace.
-func (t TracedNamespace) Namespace() *Namespace { return t.ns }
 
 func (t TracedNamespace) span(name string) obs.SpanRef {
 	if !t.tc.Valid() {
@@ -38,48 +31,4 @@ func (t TracedNamespace) Put(key string, value []byte) error {
 	err := t.ns.Put(key, value)
 	sp.EndErr(err != nil)
 	return err
-}
-
-// Get returns a copy of the value for key under a "jiffy.get" span.
-func (t TracedNamespace) Get(key string) ([]byte, error) {
-	sp := t.span("jiffy.get")
-	v, err := t.ns.Get(key)
-	sp.EndErr(err != nil)
-	return v, err
-}
-
-// GetView is the zero-copy read under a "jiffy.get" span (the span does not
-// distinguish the copying discipline — latency-wise they are the same op).
-func (t TracedNamespace) GetView(key string) ([]byte, error) {
-	sp := t.span("jiffy.get")
-	v, err := t.ns.GetView(key)
-	sp.EndErr(err != nil)
-	return v, err
-}
-
-// Delete removes key under a "jiffy.delete" span.
-func (t TracedNamespace) Delete(key string) error {
-	sp := t.span("jiffy.delete")
-	err := t.ns.Delete(key)
-	sp.EndErr(err != nil)
-	return err
-}
-
-// Enqueue appends a FIFO item under a "jiffy.enqueue" span.
-func (t TracedNamespace) Enqueue(item []byte) error {
-	sp := t.span("jiffy.enqueue")
-	err := t.ns.Enqueue(item)
-	sp.EndErr(err != nil)
-	return err
-}
-
-// Dequeue pops the oldest FIFO item under a "jiffy.dequeue" span. An empty
-// queue is a routine outcome for polling consumers, not a failure, so
-// ErrEmptyQueue does not flag the span (flagged spans force the whole trace
-// through the tail sampler's always-keep path).
-func (t TracedNamespace) Dequeue() ([]byte, error) {
-	sp := t.span("jiffy.dequeue")
-	v, err := t.ns.Dequeue()
-	sp.EndErr(err != nil && !errors.Is(err, ErrEmptyQueue))
-	return v, err
 }

@@ -349,8 +349,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 // lookup takes a read lock; hot paths resolve their instruments once at
 // setup time and then touch only atomics.
 type Registry struct {
-	clock simclock.Clock
-
 	mu       sync.RWMutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
@@ -371,7 +369,6 @@ func New(clock simclock.Clock) *Registry {
 		clock = simclock.Real{}
 	}
 	r := &Registry{
-		clock:    clock,
 		counters: map[string]*Counter{},
 		gauges:   map[string]*Gauge{},
 		hists:    map[string]*Histogram{},
@@ -461,8 +458,7 @@ func (r *Registry) SLO() *SLOEngine {
 
 // OnRead registers fold to run before every read of the registry: Snapshot
 // (and the exporters and /metrics on it), CounterValue, and the SLO engine's
-// Snapshot and WriteSLOText; and before SLOEngine.SetObjective, so that an
-// outcome is judged against the objective it completed under. A subsystem that batches its writes (faas's
+// Snapshot and WriteSLOText. A subsystem that batches its writes (faas's
 // per-function invoke logs) folds them into its instruments here, so a read
 // sees every write made before it. fold runs with no registry lock held;
 // reads on an instrument handle (Counter.Value, Histogram.Snapshot) do not
@@ -492,14 +488,6 @@ func (r *Registry) Tracer() *Tracer {
 		return nil
 	}
 	return r.tracer
-}
-
-// Clock returns the registry's clock (nil on a nil registry).
-func (r *Registry) Clock() simclock.Clock {
-	if r == nil {
-		return nil
-	}
-	return r.clock
 }
 
 // Snapshot is a point-in-time view of every instrument, sorted by name

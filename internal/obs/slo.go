@@ -36,7 +36,7 @@ type SLOConfig struct {
 	LatencyObjective float64       `json:"latency_objective"` // fraction that must be fast, e.g. 0.99
 }
 
-// DefaultSLOConfig is applied to tenants without an explicit objective.
+// DefaultSLOConfig is every tenant's objectives.
 var DefaultSLOConfig = SLOConfig{
 	Objective:        0.999,
 	LatencyTarget:    500 * time.Millisecond,
@@ -70,8 +70,7 @@ type TenantSLO struct {
 	name  string
 	clock simclock.Clock
 
-	mu  sync.Mutex
-	cfg SLOConfig
+	mu sync.Mutex
 	// buckets is a ring indexed by epoch % len: nil until the first Record,
 	// then sloFirstRing cells, doubled (capped at sloRingLen) whenever an
 	// epoch would overwrite a cell that a 6 h window still reads — so it
@@ -102,7 +101,7 @@ func (s *TenantSLO) Record(at time.Time, d time.Duration, failed bool) {
 		if failed {
 			bump(&c.errs)
 		}
-		if d > s.cfg.LatencyTarget {
+		if d > DefaultSLOConfig.LatencyTarget {
 			bump(&c.slow)
 		}
 	}
@@ -188,9 +187,9 @@ func (s *TenantSLO) snapshot() SLOSnapshot {
 	nowEp := s.epoch()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	snap := SLOSnapshot{Tenant: s.name, Config: s.cfg}
-	errBudget := 1 - s.cfg.Objective
-	latBudget := 1 - s.cfg.LatencyObjective
+	snap := SLOSnapshot{Tenant: s.name, Config: DefaultSLOConfig}
+	errBudget := 1 - DefaultSLOConfig.Objective
+	latBudget := 1 - DefaultSLOConfig.LatencyObjective
 	burns := make([]SLOWindow, 0, len(BurnWindows))
 	for _, w := range BurnWindows {
 		total, errs, slow := s.windowLocked(nowEp, w)
@@ -234,32 +233,8 @@ func (e *SLOEngine) Tenant(name string) *TenantSLO {
 		return nil
 	}
 	return lookup(&e.mu, e.tenants, name, func() *TenantSLO {
-		return &TenantSLO{name: name, clock: e.clock, cfg: DefaultSLOConfig}
+		return &TenantSLO{name: name, clock: e.clock}
 	})
-}
-
-// SetObjective replaces a tenant's objectives (creating the tenant if
-// needed). Zero fields fall back to defaults. The registry's OnRead hooks
-// fold first, so an outcome recorded before the change is judged slow or
-// fast against the latency target it completed under. Nil-safe.
-func (e *SLOEngine) SetObjective(name string, cfg SLOConfig) {
-	if e == nil {
-		return
-	}
-	e.fold()
-	if cfg.Objective <= 0 || cfg.Objective >= 1 {
-		cfg.Objective = DefaultSLOConfig.Objective
-	}
-	if cfg.LatencyTarget <= 0 {
-		cfg.LatencyTarget = DefaultSLOConfig.LatencyTarget
-	}
-	if cfg.LatencyObjective <= 0 || cfg.LatencyObjective >= 1 {
-		cfg.LatencyObjective = DefaultSLOConfig.LatencyObjective
-	}
-	s := e.Tenant(name)
-	s.mu.Lock()
-	s.cfg = cfg
-	s.mu.Unlock()
 }
 
 // Snapshot evaluates every tenant, sorted by name, after the registry's

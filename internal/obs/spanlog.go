@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/binary"
-	"math/bits"
 )
 
 // spanLog is the tracer's retained spans, one record per kept trace
@@ -24,17 +23,12 @@ type spanLog struct {
 	// lastTrace and lastBase are the previous record's trace and base start,
 	// the origin of the next record's deltas.
 	lastTrace, lastBase int64
-	shapes              []spanShape
-	shapeIdx            map[string]uint32 // spanShape.spans → index in shapes
-}
-
-// spanShape is what every record of one kind shares.
-type spanShape struct {
-	// spans holds, per span in completion order, uvarints: name, tenant, fn,
-	// the shape flags, the span's position unless shDeparts, and its parent's
-	// position if shParentIn. It is also the shape's key in shapeIdx.
-	spans string
-	vars  int // varints a record of this shape writes after its header
+	// shapes are what every record of one kind shares: per span in
+	// completion order, uvarints: name, tenant, fn, the shape flags, the
+	// span's position unless shDeparts, and its parent's position if
+	// shParentIn.
+	shapes   []string
+	shapeIdx map[string]uint32 // shape → index in shapes
 }
 
 // Shape flags, one word per span. A parent with neither parent flag is 0.
@@ -132,7 +126,7 @@ func (l *spanLog) record(recs []spanRec, bound int64) {
 	base := recs[anchor].start
 
 	var stack [128]byte // the shape of most records, so looking it up allocates nothing
-	key, vars := stack[:0], 0
+	key := stack[:0]
 	for i := range recs {
 		r := &recs[i]
 		f := shapeFlags(r, trace, bound, i == anchor)
@@ -146,19 +140,15 @@ func (l *spanLog) record(recs []spanRec, bound int64) {
 		if f&shParentIn != 0 {
 			key = binary.AppendUvarint(key, uint64(r.parent-trace))
 		}
-		vars += 2 + bits.OnesCount64(f&(shDeparts|shParentOut|shAttrs)) // start offset, dur, departures
-		if f&shAnchor != 0 {
-			vars--
-		}
 	}
 	id, ok := l.shapeIdx[string(key)]
 	if !ok {
 		if l.shapeIdx == nil { // a platform's traces come in a few kinds
-			l.shapeIdx, l.shapes = map[string]uint32{}, make([]spanShape, 0, 8)
+			l.shapeIdx, l.shapes = map[string]uint32{}, make([]string, 0, 8)
 		}
 		id = uint32(len(l.shapes))
-		sh := spanShape{spans: string(key), vars: vars}
-		l.shapeIdx[sh.spans] = id
+		sh := string(key)
+		l.shapeIdx[sh] = id
 		l.shapes = append(l.shapes, sh)
 	}
 
@@ -191,16 +181,11 @@ func (l *spanLog) record(recs []spanRec, bound int64) {
 // spanCursor decodes a spanLog front to back, span by span:
 //
 //	for c := l.cursor(); c.next(); {}
-//
-// or record by record, decoding a record's spans or skipping them:
-//
-//	for c := l.cursor(); c.record(); { c.skip() or for c.span() {} }
 type spanCursor struct {
 	chunks [][]byte
-	shapes []spanShape
+	shapes []string
 	b      []byte // what is left of the chunk being read
 	sb     string // what is left of the current record's shape
-	vars   int    // the current record's varints after its header
 	base   int64  // the current record's base start
 	rec    spanRec
 }
@@ -218,8 +203,7 @@ func (c *spanCursor) next() bool {
 }
 
 // record moves to the next record, reporting false at the end; rec.trace is
-// then its trace. The current record's spans must all have been decoded or
-// skipped.
+// then its trace. The current record's spans must all have been decoded.
 func (c *spanCursor) record() bool {
 	for len(c.b) == 0 {
 		if len(c.chunks) == 0 {
@@ -227,20 +211,10 @@ func (c *spanCursor) record() bool {
 		}
 		c.b, c.chunks = c.chunks[0], c.chunks[1:]
 	}
-	sh := &c.shapes[c.uvarint()]
-	c.sb, c.vars = sh.spans, sh.vars
+	c.sb = c.shapes[c.uvarint()]
 	c.rec.trace += c.varint()
 	c.base += c.varint()
 	return true
-}
-
-// skip passes over the spans of the record just moved to without decoding
-// them.
-func (c *spanCursor) skip() {
-	for range c.vars {
-		c.uvarint()
-	}
-	c.sb = ""
 }
 
 // span decodes the current record's next span into rec, reporting false

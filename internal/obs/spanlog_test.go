@@ -158,29 +158,6 @@ func checkSpanLog(t *testing.T, l *spanLog, want []spanRec) {
 		t.Fatalf("after %d appended spans the log holds %d and decodes %d; first difference at %d",
 			len(want), l.n, len(got), firstDiff(got, want))
 	}
-	var records [][]spanRec
-	for c := l.cursor(); c.record(); {
-		var r []spanRec
-		for c.span() {
-			r = append(r, c.rec)
-		}
-		records = append(records, r)
-	}
-	i := 0
-	for c := l.cursor(); c.record(); i++ {
-		if i%2 == 1 {
-			c.skip()
-			continue
-		}
-		for j := 0; c.span(); j++ {
-			if i >= len(records) || j >= len(records[i]) || c.rec != records[i][j] {
-				t.Fatalf("walking by record, skipping every other one: span %d of record %d is %+v", j, i, c.rec)
-			}
-		}
-	}
-	if i != len(records) {
-		t.Fatalf("walking by record, skipping every other one, met %d records, want %d", i, len(records))
-	}
 }
 
 func firstDiff(a, b []spanRec) int {

@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"slices"
@@ -156,14 +154,6 @@ func newTracer(clock simclock.Clock) *Tracer {
 	}
 }
 
-// NewTracer creates a standalone tracer on the given clock (nil → real).
-func NewTracer(clock simclock.Clock) *Tracer {
-	if clock == nil {
-		clock = simclock.Real{}
-	}
-	return newTracer(clock)
-}
-
 // SetMaxSpans adjusts the retained-span cap (≤0 restores the default).
 func (t *Tracer) SetMaxSpans(n int) {
 	if t == nil {
@@ -179,8 +169,7 @@ func (t *Tracer) SetMaxSpans(n int) {
 }
 
 // SetSampler enables tail sampling with cfg. The zero SamplerConfig keeps
-// only error traces (KeepFraction 0, no slow threshold); call ClearSampler
-// to restore keep-everything.
+// only error traces (KeepFraction 0, no slow threshold).
 func (t *Tracer) SetSampler(cfg SamplerConfig) {
 	if t == nil {
 		return
@@ -189,14 +178,6 @@ func (t *Tracer) SetSampler(cfg SamplerConfig) {
 	t.sampler = cfg
 	t.mu.Unlock()
 	t.samplerOn.Store(true)
-}
-
-// ClearSampler restores the default keep-every-trace behavior.
-func (t *Tracer) ClearSampler() {
-	if t == nil {
-		return
-	}
-	t.samplerOn.Store(false)
 }
 
 // SpanRef is an in-flight span handle, passed by value so starting and
@@ -461,15 +442,6 @@ func (t *Tracer) Spans() []SpanData {
 	return out
 }
 
-// Dropped reports how many spans were discarded at the retention or
-// active-trace caps (not sampler discards — see Stats).
-func (t *Tracer) Dropped() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.dropped.Load()
-}
-
 // TracerStats breaks down where spans went.
 type TracerStats struct {
 	Retained        int   `json:"retained_spans"`
@@ -497,29 +469,6 @@ func (t *Tracer) Stats() TracerStats {
 		DroppedSpans:    t.dropped.Load(),
 		LateSpans:       t.late,
 	}
-}
-
-// Reset discards all retained and in-flight spans and zeroes every counter.
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.retained = spanLog{}
-	t.strs = t.strs[:1]
-	clear(t.strIdx)
-	t.attrs = seglog.Log[[]Attr]{}
-	t.dropped.Store(0)
-	t.late = 0
-	t.sampled = 0
-	t.kept = 0
-	t.discarded = 0
-	for id, buf := range t.active {
-		delete(t.active, id)
-		t.recycleBufLocked(buf)
-	}
-	t.full.Store(false)
-	t.mu.Unlock()
 }
 
 // TraceSummary is the root-level view of one retained trace.
@@ -577,26 +526,6 @@ func (t *Tracer) Traces() []TraceSummary {
 	return out
 }
 
-// TraceSpans returns the retained spans of one trace, in completion order.
-func (t *Tracer) TraceSpans(traceID int64) []SpanData {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var out []SpanData
-	for c := t.retained.cursor(); c.record(); {
-		if c.rec.trace != traceID {
-			c.skip()
-			continue
-		}
-		for c.span() {
-			out = append(out, t.spanLocked(&c.rec))
-		}
-	}
-	return out
-}
-
 // ExportJSON renders the retained spans as a JSON array — the trace format
 // the EXPERIMENTS.md analyses consume. Returns "[]" on a nil tracer.
 func (t *Tracer) ExportJSON() ([]byte, error) {
@@ -613,7 +542,7 @@ func (t *Tracer) ExportJSON() ([]byte, error) {
 // because they depend on goroutine scheduling; everything else — names,
 // virtual timestamps, durations, tenants, error flags, attributes — is
 // deterministic under simclock.Virtual, so two identical runs produce
-// byte-identical text (and CanonicalDigest hashes).
+// byte-identical text.
 func (t *Tracer) CanonicalText() string {
 	if t == nil {
 		return ""
@@ -689,11 +618,4 @@ func (t *Tracer) CanonicalText() string {
 		b.WriteString(rt.text)
 	}
 	return b.String()
-}
-
-// CanonicalDigest is the sha256 of CanonicalText — the byte-identical
-// rerun-determinism check used by the chaos soaks.
-func (t *Tracer) CanonicalDigest() string {
-	sum := sha256.Sum256([]byte(t.CanonicalText()))
-	return hex.EncodeToString(sum[:])
 }

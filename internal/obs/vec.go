@@ -51,7 +51,6 @@ type family[T any] struct {
 	keys []string
 
 	mu     sync.RWMutex
-	max    int
 	series map[string]*series[T]
 	other  *series[T] // the __other__ series; nil until the cap or a wrong arity
 }
@@ -64,7 +63,7 @@ type series[T any] struct {
 }
 
 func newFamily[T any](name string, keys []string) *family[T] {
-	return &family[T]{name: name, keys: append([]string(nil), keys...), max: DefaultMaxSeries, series: map[string]*series[T]{}}
+	return &family[T]{name: name, keys: append([]string(nil), keys...), series: map[string]*series[T]{}}
 }
 
 // with resolves the instrument for vals, folding into the __other__ series
@@ -77,7 +76,7 @@ func (f *family[T]) with(vals []string) *T {
 	}
 	if len(vals) == len(f.keys) {
 		s := lookup(&f.mu, f.series, strings.Join(vals, "\x1f"), func() *series[T] {
-			if len(f.series) >= f.max {
+			if len(f.series) >= DefaultMaxSeries {
 				return nil
 			}
 			return &series[T]{vals: append([]string(nil), vals...)}
@@ -92,20 +91,6 @@ func (f *family[T]) with(vals []string) *T {
 		f.other = &series[T]{}
 	}
 	return &f.other.inst
-}
-
-// setMax adjusts the cardinality cap (≤0 restores the default). Series
-// already interned stay; only new combinations are folded. Nil-safe.
-func (f *family[T]) setMax(n int) {
-	if f == nil {
-		return
-	}
-	if n <= 0 {
-		n = DefaultMaxSeries
-	}
-	f.mu.Lock()
-	f.max = n
-	f.mu.Unlock()
 }
 
 // each calls fn with every series' labels and instrument, the overflow
@@ -141,15 +126,9 @@ type CounterVec family[Counter]
 // __other__ overflow series past the cardinality cap. Nil-safe.
 func (v *CounterVec) With(vals ...string) *Counter { return (*family[Counter])(v).with(vals) }
 
-// SetMaxSeries adjusts the vec's cardinality cap. Nil-safe.
-func (v *CounterVec) SetMaxSeries(n int) { (*family[Counter])(v).setMax(n) }
-
 // HistogramVec is a family of latency histograms keyed by label values.
 type HistogramVec family[Histogram]
 
 // With resolves the histogram for the given label values, folding into the
 // __other__ overflow series past the cardinality cap. Nil-safe.
 func (v *HistogramVec) With(vals ...string) *Histogram { return (*family[Histogram])(v).with(vals) }
-
-// SetMaxSeries adjusts the vec's cardinality cap. Nil-safe.
-func (v *HistogramVec) SetMaxSeries(n int) { (*family[Histogram])(v).setMax(n) }

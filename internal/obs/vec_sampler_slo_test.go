@@ -30,13 +30,12 @@ func TestCounterVecCardinalityCap(t *testing.T) {
 	defer v.Close()
 	r := New(v)
 	cv := r.CounterVec("api.requests", "tenant")
-	cv.SetMaxSeries(3)
-	for i := 0; i < 10; i++ {
-		cv.With(fmt.Sprintf("t%d", i)).Inc()
+	for i := 0; i < DefaultMaxSeries+7; i++ {
+		cv.With(fmt.Sprintf("t%03d", i)).Inc()
 	}
 	// Interned series keep their identity; the overflow series absorbs the
 	// other seven.
-	cv.With("t0").Inc()
+	cv.With("t000").Inc()
 	snap := r.Snapshot()
 	var seen []string
 	var otherVal, t0Val int64
@@ -49,12 +48,12 @@ func TestCounterVecCardinalityCap(t *testing.T) {
 		switch val {
 		case OverflowLabel:
 			otherVal = c.Value
-		case "t0":
+		case "t000":
 			t0Val = c.Value
 		}
 	}
-	if len(seen) != 4 { // t0, t1, t2 + __other__
-		t.Fatalf("got series %v, want 3 interned + overflow", seen)
+	if len(seen) != DefaultMaxSeries+1 { // t000 … t511 + __other__
+		t.Fatalf("got %d series, want %d interned + overflow", len(seen), DefaultMaxSeries)
 	}
 	if !sort.StringsAreSorted(seen) {
 		t.Fatalf("series must export in sorted order, got %v", seen)
@@ -63,7 +62,7 @@ func TestCounterVecCardinalityCap(t *testing.T) {
 		t.Fatalf("__other__ = %d, want 7", otherVal)
 	}
 	if t0Val != 2 {
-		t.Fatalf("t0 = %d, want 2", t0Val)
+		t.Fatalf("t000 = %d, want 2", t0Val)
 	}
 	// Wrong arity folds into overflow instead of panicking.
 	cv.With("a", "b").Inc()
@@ -90,6 +89,7 @@ func TestVecConcurrentAccess(t *testing.T) {
 		cvOver, cvArgs *Counter
 		hvOver         *Histogram
 	}
+	const combos = DefaultMaxSeries + 16 // each goroutine fills the cap on its own
 	var got [8]handles
 	start := make(chan struct{})
 	var wg sync.WaitGroup
@@ -100,21 +100,19 @@ func TestVecConcurrentAccess(t *testing.T) {
 			<-start
 			cv := r.CounterVec("stress.counter", "tenant", "fn")
 			hv := r.HistogramVec("stress.latency", "tenant")
-			cv.SetMaxSeries(8)
-			hv.SetMaxSeries(8)
 			got[g] = handles{
 				counter: r.Counter("stress"), gauge: r.Gauge("stress"),
 				hist: r.Histogram("stress.hist"), valHist: r.ValueHistogram("stress.value"),
 				cv: cv, hv: hv, cvSeries: cv.With("shared", "fn"), hvSeries: hv.With("shared"),
 				tenant: r.SLO().Tenant("stress"),
 			}
-			for i := 0; i < 500; i++ {
-				cv.With(fmt.Sprintf("tenant-%d", (g+i)%16), "fn").Inc()
-				hv.With(fmt.Sprintf("tenant-%d", i%16)).Observe(time.Duration(i) * time.Microsecond)
+			for i := 0; i < combos; i++ {
+				cv.With(fmt.Sprintf("tenant-%d", (g+i)%combos), "fn").Inc()
+				hv.With(fmt.Sprintf("tenant-%d", i%combos)).Observe(time.Duration(i) * time.Microsecond)
 			}
-			// This goroutine alone has tried 16 combinations, so the cap of 8
-			// is full: a new combination, like a wrong arity, folds into the
-			// one overflow series.
+			// This goroutine alone has tried more combinations than the cap,
+			// so it is full: a new combination, like a wrong arity, folds
+			// into the one overflow series.
 			got[g].cvOver = cv.With(fmt.Sprintf("late-%d", g), "fn")
 			got[g].cvArgs = cv.With("wrong-arity")
 			got[g].hvOver = hv.With(fmt.Sprintf("late-%d", g))
@@ -153,12 +151,12 @@ func TestVecConcurrentAccess(t *testing.T) {
 			over[hs.Name]++
 		}
 	}
-	if total != 8*500 {
-		t.Fatalf("counted %d increments across series, want %d", total, 8*500)
+	if total != 8*combos {
+		t.Fatalf("counted %d increments across series, want %d", total, 8*combos)
 	}
 	for _, name := range []string{"stress.counter", "stress.latency"} {
-		if series[name] != 9 || over[name] != 1 {
-			t.Fatalf("%s exports %d series, %d of them overflow; want the cap of 8 plus one shared overflow", name, series[name], over[name])
+		if series[name] != DefaultMaxSeries+1 || over[name] != 1 {
+			t.Fatalf("%s exports %d series, %d of them overflow; want the cap of %d plus one shared overflow", name, series[name], over[name], DefaultMaxSeries)
 		}
 	}
 }
@@ -221,8 +219,7 @@ func TestSLOBurnRates(t *testing.T) {
 	defer v.Close()
 	r := New(v)
 	eng := r.SLO()
-	eng.SetObjective("acme", SLOConfig{Objective: 0.999, LatencyTarget: 100 * time.Millisecond, LatencyObjective: 0.99})
-	s := eng.Tenant("acme")
+	s := eng.Tenant("acme") // DefaultSLOConfig: 99.9% available, 99% within 500 ms
 	v.Run(func() {
 		// 2% error rate against a 0.1% budget → burn 20 in every window →
 		// page (fast pair ≥ 14.4) and ticket (slow pair ≥ 3.0).
@@ -267,7 +264,7 @@ func TestSLOBurnRates(t *testing.T) {
 	// Slow-but-successful traffic trips the latency objective only.
 	v.Run(func() {
 		for i := 0; i < 1000; i++ {
-			s.Record(v.Now(), 500*time.Millisecond, false) // > 100ms target, 1% budget → burn 100
+			s.Record(v.Now(), 600*time.Millisecond, false) // > 500ms target, 1% budget → burn 100
 		}
 	})
 	snap = eng.Snapshot()[0]
@@ -318,10 +315,9 @@ type sloTwin struct {
 
 func newSLOTwin(t *testing.T, name string) *sloTwin {
 	v := simclock.NewVirtual()
-	cfg := SLOConfig{Objective: 0.99, LatencyTarget: 10 * time.Millisecond, LatencyObjective: 0.9}
 	return &sloTwin{t: t, name: name, v: v,
-		grown: &TenantSLO{name: "t", clock: v, cfg: cfg},
-		fixed: &TenantSLO{name: "t", clock: v, cfg: cfg, buckets: make([]sloCell, sloRingLen)},
+		grown: &TenantSLO{name: "t", clock: v},
+		fixed: &TenantSLO{name: "t", clock: v, buckets: make([]sloCell, sloRingLen)},
 	}
 }
 
@@ -361,7 +357,7 @@ func TestSLORingMatchesFixedOracle(t *testing.T) {
 				switch k := rng.Intn(10); {
 				case k < 4: // a burst in the current epoch
 					for i := rng.Intn(20); i >= 0; i-- {
-						w.record(time.Duration(rng.Intn(20))*time.Millisecond, rng.Intn(4) == 0)
+						w.record(time.Duration(rng.Intn(20))*50*time.Millisecond, rng.Intn(4) == 0) // about half over the 500 ms target
 					}
 				case k < 7:
 					w.sleep(1)

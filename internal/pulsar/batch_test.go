@@ -189,8 +189,8 @@ func TestSyncSendIsAGroupCommitOfOne(t *testing.T) {
 			ts.mu.Unlock()
 			b.mu.RUnlock()
 			must(t, err)
-			for _, sd := range reg.Tracer().TraceSpans(root.TraceID()) {
-				if strings.HasPrefix(sd.Name, "ledger.") {
+			for _, sd := range reg.Tracer().Spans() {
+				if sd.TraceID == root.TraceID() && strings.HasPrefix(sd.Name, "ledger.") {
 					o.ledger = append(o.ledger, sd.Name)
 				}
 			}

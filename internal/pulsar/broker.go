@@ -347,7 +347,7 @@ func (b *Broker) SetDown(down bool) {
 	if down {
 		b.cluster.meta.CloseSession(b.session)
 	} else {
-		b.session = b.cluster.meta.NewSession(0)
+		b.session = b.cluster.meta.NewSession()
 	}
 }
 

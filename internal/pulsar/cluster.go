@@ -163,7 +163,7 @@ func (c *Cluster) AddBroker(id string) *Broker {
 	b := &Broker{
 		ID:      id,
 		cluster: c,
-		session: c.meta.NewSession(0),
+		session: c.meta.NewSession(),
 		topics:  map[string]*topicState{},
 		svcNs:   int64(c.cfg.ServiceTime),
 	}
@@ -223,21 +223,6 @@ func (c *Cluster) CreateTopic(name string, partitions int) error {
 		}
 	}
 	return nil
-}
-
-// Partitions returns a topic's partition count (0 for plain topics).
-func (c *Cluster) Partitions(name string) (int, error) {
-	raw, _, err := c.meta.Get("/pulsar/topics/" + name)
-	if err != nil {
-		return 0, fmt.Errorf("%w: %q", ErrNoTopic, name)
-	}
-	var md struct {
-		Partitions int `json:"partitions"`
-	}
-	if err := json.Unmarshal(raw, &md); err != nil {
-		return 0, err
-	}
-	return md.Partitions, nil
 }
 
 // ownerEntry is a cached ownership resolution.

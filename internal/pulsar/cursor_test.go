@@ -223,7 +223,7 @@ func TestSubscribeReportsFailedCursorCreate(t *testing.T) {
 		must(t, e.cluster.CreateTopic("t", 0))
 		// An ephemeral node cannot have children: the cursor create must fail.
 		must(t, e.cluster.meta.Delete("/pulsar/subs/t", coord.AnyVersion))
-		sess := e.cluster.meta.NewSession(0)
+		sess := e.cluster.meta.NewSession()
 		must(t, e.cluster.meta.Create("/pulsar/subs/t", nil, coord.Ephemeral, sess))
 		if _, err := e.cluster.Subscribe("t", "s", Exclusive, Earliest); !errors.Is(err, coord.ErrEphChildren) {
 			t.Fatalf("Subscribe with an unwritable cursor path = %v, want coord.ErrEphChildren", err)

@@ -362,10 +362,3 @@ func (lm *LoadManager) Report() LoadReport {
 	rep.Events = append([]LoadEvent(nil), lm.events...)
 	return rep
 }
-
-// Events returns every move/split decision so far, in order.
-func (lm *LoadManager) Events() []LoadEvent {
-	lm.mu.Lock()
-	defer lm.mu.Unlock()
-	return append([]LoadEvent(nil), lm.events...)
-}

@@ -143,8 +143,8 @@ func TestSplitPartitionRouting(t *testing.T) {
 		if child != "t-partition-2" {
 			t.Fatalf("child = %q", child)
 		}
-		if parts, _ := e.cluster.Partitions("t"); parts != 3 {
-			t.Fatalf("partitions after split = %d", parts)
+		if md, _ := e.cluster.getTopicMeta("t"); md.Partitions != 3 {
+			t.Fatalf("partitions after split = %d", md.Partitions)
 		}
 		// The same producer re-routes: low key stays on the parent, high key
 		// lands on the child.
@@ -276,7 +276,7 @@ func TestLoadManagerMovesHotTopic(t *testing.T) {
 		}
 		lm.Tick() // baseline sample
 		lm.Tick() // sees the rates, moves the hot topic
-		ev := lm.Events()
+		ev := lm.Report().Events
 		if len(ev) != 1 || ev[0].Action != "move" || ev[0].Topic != names[0] || ev[0].To != "broker-1" {
 			t.Fatalf("events = %+v", ev)
 		}

@@ -197,7 +197,7 @@ func TestLoadManagerRebalanceUnderLoad(t *testing.T) {
 			}
 			wg.Wait()
 			lm.Stop()
-			events = lm.Events()
+			events = lm.Report().Events
 		})
 		moves := 0
 		for _, ev := range events {
@@ -314,7 +314,7 @@ func TestHotKeySplitBoundedP99(t *testing.T) {
 			}
 			wg.Wait()
 			lm.Stop()
-			events = lm.Events()
+			events = lm.Report().Events
 
 			// Drain everything and check per-key order + completeness. The
 			// consumer discovers the split child on its next poll.

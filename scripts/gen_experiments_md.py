@@ -23,10 +23,10 @@ SHAPES = {
     "E12": "Complementary packing achieves the lowest time-averaged contention on a churning, type-bursty fleet without materially more machines than first-fit.",
     "E13": "Encode latency falls with chunk count (real-time ratio crosses below 1.0), with diminishing returns from stitch overhead and larger output from forced boundary key frames.",
     "E14": "Wall time scales near-linearly with workers and every score is bit-identical to the serial Smith-Waterman baseline.",
-    "E15": "Zero messages lost in all three phases: steady state, owning-broker kill (ownership migrates, ledgers fenced+recovered), and single-bookie kill (write quorum still reachable for most entries).",
+    "E15": "Zero messages lost in all four phases: steady state, owning-broker kill (ownership migrates, ledgers fenced+recovered), single-bookie kill (write quorum still reachable for most entries), and geo-replication into a second region (every published message reaches the remote subscription; the replicator mirrors each once and drops none).",
     "E16": "Both modes find the same best configuration; concurrent wall time ≈ the longest single trial instead of the sum.",
     "E17": "Without the cache every request pays the blob model fetch; with the shared cache only the first does — warm p50 drops by an order of magnitude.",
-    "E18": "State outlives its producer exactly until the (renewable) lease expires; the expiry notification fires and blocks return to the shared pool.",
+    "E18": "State outlives its producer exactly until the (renewable) lease expires; the expiry notification fires and blocks return to the shared pool. With a flush tier, state outlives both: a FlushOnExpiry namespace's value is read back from the blob store after its lease lapses, and a checkpointed namespace is readable again after its memory nodes crash and it rematerializes.",
     "E19": "First-fit consolidates but creates cross-tenant co-resident pairs (side-channel exposure); tenant-dedicated placement reaches zero exposure at the cost of more machines.",
     "E20": "Dense packing (first-fit) inflates p99 via same-dominant contention; complementary packing recovers most of the tail at similar machine count; spreading (worst-fit) is fastest but uses the most machines.",
     "E21": "After offload the bookies hold zero entries and the first cold access pays the blob fetch (~20ms+) instead of a ~1ms bookie read; the segment stays fully readable.",

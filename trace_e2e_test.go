@@ -74,7 +74,12 @@ func TestSingleTraceAcrossSubsystems(t *testing.T) {
 		t.Fatalf("trace tenant = %q, want acme", traces[0].Tenant)
 	}
 
-	spans := tr.TraceSpans(res.TraceID)
+	var spans []obs.SpanData
+	for _, sd := range tr.Spans() {
+		if sd.TraceID == res.TraceID {
+			spans = append(spans, sd)
+		}
+	}
 	byName := map[string]obs.SpanData{}
 	for _, sd := range spans {
 		if _, dup := byName[sd.Name]; dup {
