@@ -277,8 +277,7 @@ func demoState(w io.Writer, p *core.Platform, clock simclock.Clock) {
 		"pool_free":  p.Jiffy.FreeBlocks(),
 	})
 	fmt.Fprintf(w, "after scale(+3): %s\n", out)
-	clock.Sleep(2 * time.Minute) // lease lapses
-	p.Jiffy.ReapExpired()
+	clock.Sleep(2 * time.Minute) // lease lapses; its timer reclaims the blocks
 	fmt.Fprintf(w, "after lease expiry: pool free = %d (state reclaimed)\n", p.Jiffy.FreeBlocks())
 }
 

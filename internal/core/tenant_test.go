@@ -63,9 +63,8 @@ func TestTenantHandle(t *testing.T) {
 		t.Fatal("rival billed for acme's work")
 	}
 
-	// Tenant limits + Shed round-trip through admission.
+	// Shed round-trips through admission.
 	p.FaaS.SetAdmission(faas.AdmissionConfig{RatePerSecond: 1, Burst: 1, MaxWait: time.Nanosecond})
-	p.FaaS.SetTenantLimit("acme", faas.TenantLimit{Weight: 2})
 	v.Run(func() {
 		_, _ = acme.Invoke("resize", nil)
 		_, _ = acme.Invoke("resize", nil)

@@ -31,7 +31,7 @@ type elasticDigest struct {
 }
 
 // fairnessDigest compares a well-behaved tenant's latency with and without a
-// flooding neighbour under weighted fair-share admission.
+// flooding neighbour under fair-share admission.
 type fairnessDigest struct {
 	VictimSoloP99 time.Duration
 	VictimP99     time.Duration
@@ -43,8 +43,8 @@ type fairnessDigest struct {
 // E27Elastic: §4.1 "resource elasticity" / §6 SLAs — the elastic control
 // plane under a 10× open-loop burst. The autoscaler must panic up so p99
 // re-converges to ≤2× the steady-state value within the measured window,
-// then scale instances and machines back to zero after idle; weighted
-// fair-share admission must shed a flooding tenant while a well-behaved
+// then scale instances and machines back to zero after idle; fair-share
+// admission must shed a flooding tenant while a well-behaved
 // tenant's p99 stays within 1.5× of running alone.
 func E27Elastic() Table {
 	const seed = 11
@@ -210,8 +210,8 @@ func runBurstConverge(seed int64) elasticDigest {
 }
 
 // runFairness measures a well-behaved tenant's p99 twice — alone, then next
-// to a tenant flooding 20× the platform's admitted rate — under weighted
-// fair-share admission. The flood must be shed, not absorbed into the
+// to a tenant flooding 20× the platform's admitted rate — under fair-share
+// admission. The flood must be shed, not absorbed into the
 // victim's latency.
 func runFairness(seed int64) fairnessDigest {
 	const (

@@ -153,13 +153,17 @@ func E18Leases() Table {
 		})
 	}
 	v.Run(func() {
-		var notified []string
+		notified := 0
+		var expiredAt time.Duration
 		ns, err := p.Jiffy.CreateNamespace("/job", jiffy.NamespaceOptions{Lease: 30 * time.Second})
 		if err != nil {
 			panic(err)
 		}
 		if err := p.Jiffy.Subscribe("/job", func(e jiffy.Event) {
-			notified = append(notified, f("%d@%v", e.Type, v.Elapsed()))
+			notified++
+			if e.Type == jiffy.EventExpired {
+				expiredAt = v.Elapsed()
+			}
 		}); err != nil {
 			panic(err)
 		}
@@ -175,12 +179,13 @@ func E18Leases() Table {
 		if err := ns.Renew(); err != nil {
 			panic(err)
 		}
+		renewedAt := v.Elapsed()
 		v.Sleep(25 * time.Second)
 		row(v.Elapsed(), "renewed lease still live", readable(ns))
 		v.Sleep(40 * time.Second)
-		p.Jiffy.ReapExpired()
 		row(v.Elapsed(), "lease expired, reclaimed", readable(ns))
-		table.Notes = f("notifications fired: %d (incl. expiry)", len(notified))
+		table.Notes = f("notifications fired: %d (incl. expiry); renewed at %v for 30s, expiry notified at %v",
+			notified, renewedAt, expiredAt)
 
 		// The flush tier: a bucket on the platform's blob store.
 		if err := p.Blob.CreateBucket("jiffy-flush", "jiffy"); err != nil {
@@ -198,15 +203,8 @@ func E18Leases() Table {
 		if err := out.Put("result", []byte("output")); err != nil {
 			panic(err)
 		}
-		v.Sleep(20 * time.Second)
-		p.Jiffy.ReapExpired()
-		var flushed []byte
-		for i := 0; i < 1000 && flushed == nil; i++ { // the flush lands on the clock
-			flushed, _ = jiffy.Flushed(target, "/out", "result")
-			if flushed == nil {
-				v.Sleep(10 * time.Millisecond)
-			}
-		}
+		v.Sleep(20 * time.Second) // expiry at 10s flushed the namespace
+		flushed, _ := jiffy.Flushed(target, "/out", "result")
 		row(v.Elapsed(), "lease expired, read from flush tier", string(flushed) == "output" && !readable(out))
 
 		// A checkpointed namespace outlives its memory: every node crashes

@@ -318,6 +318,19 @@ func TestE18LeaseLifecycle(t *testing.T) {
 	if last <= first {
 		t.Fatalf("blocks not reclaimed: %v → %v\n%s", first, last, tb)
 	}
+	// Nothing reaps by hand: the expiry notification is stamped by the
+	// lease's own timer, one nanosecond past the renewed deadline.
+	_, rest, _ := strings.Cut(tb.Notes, "renewed at ")
+	renewed, rest, _ := strings.Cut(rest, " for 30s, expiry notified at ")
+	notified, _, _ := strings.Cut(rest, ";")
+	renewedAt, err1 := time.ParseDuration(renewed)
+	notifiedAt, err2 := time.ParseDuration(notified)
+	if err1 != nil || err2 != nil {
+		t.Fatalf("note %q: %v, %v", tb.Notes, err1, err2)
+	}
+	if want := renewedAt + 30*time.Second + time.Nanosecond; notifiedAt != want {
+		t.Fatalf("expiry notified at %v, want the renewed deadline %v + 1ns\n%s", notifiedAt, want-time.Nanosecond, tb)
+	}
 }
 
 func TestTableRendering(t *testing.T) {

@@ -136,35 +136,6 @@ func TestAdmissionDisable(t *testing.T) {
 	}
 }
 
-// TestSetTenantLimitWeights: a heavier weight buys a larger share of the
-// platform rate — the heavy tenant's queued burst drains twice as fast.
-func TestSetTenantLimitWeights(t *testing.T) {
-	v := simclock.NewVirtual()
-	defer v.Close()
-	p := New(v, nil)
-	must(t, p.Register("heavy", "gold", echo, Config{}))
-	must(t, p.Register("light", "bronze", echo, Config{}))
-	p.SetAdmission(AdmissionConfig{RatePerSecond: 30, Burst: 1, MaxQueue: 20, MaxWait: time.Minute})
-	p.SetTenantLimit("gold", TenantLimit{Weight: 2})
-	p.SetTenantLimit("bronze", TenantLimit{Weight: 1})
-
-	var heavyDone, lightDone time.Duration
-	v.Run(func() {
-		start := v.Now()
-		heavyRep := Drive(p, "gold", "heavy", nil, make([]time.Duration, 10))
-		lightRep := Drive(p, "bronze", "light", nil, make([]time.Duration, 10))
-		heavyRep.Wait()
-		heavyDone = v.Now().Sub(start)
-		lightRep.Wait()
-		lightDone = v.Now().Sub(start)
-	})
-	// gold's share is 20/s, bronze's 10/s: the same 10-wide burst takes
-	// gold about half as long to drain.
-	if heavyDone >= lightDone {
-		t.Errorf("gold (w=2) drained in %v, bronze (w=1) in %v; want gold faster", heavyDone, lightDone)
-	}
-}
-
 // TestSetPoolTarget drives the pool up and down: growth provisions warm
 // instances asynchronously, shrinkage trims idle instances but never below
 // the Prewarm floor, and growth is capped by MaxConcurrency.

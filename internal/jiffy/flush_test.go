@@ -23,9 +23,7 @@ func TestFlushOnExpiryPersistsData(t *testing.T) {
 		must(t, err)
 		must(t, ns.Put("result", []byte("42")))
 		must(t, ns.Put("aux", []byte("meta")))
-		v.Sleep(2 * time.Second)
-		c.ReapExpired()
-		v.Sleep(time.Second) // let the async flush land
+		v.Sleep(2 * time.Second) // expiry at 1 s flushed the namespace
 	})
 	// Ephemeral copy is gone; persistent copy remains.
 	if _, err := c.Namespace("/job"); err == nil {
@@ -56,8 +54,6 @@ func TestNoFlushWithoutOptIn(t *testing.T) {
 		must(t, err)
 		must(t, ns.Put("k", []byte("v")))
 		v.Sleep(2 * time.Second)
-		c.ReapExpired()
-		v.Sleep(time.Second)
 	})
 	if keys, _ := listFlushed(target, "/quiet"); len(keys) != 0 {
 		t.Fatalf("data flushed without opt-in: %v", keys)

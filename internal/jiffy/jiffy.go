@@ -18,15 +18,15 @@
 // the control plane — one tenant's traffic must not serialize another's. The
 // data plane (KV blocks, FIFO queue, subscribers) is guarded per-namespace
 // by Namespace.mu; Controller.mu guards only the shared structures: the
-// namespace tree, the node registry and block free-lists, and the lease
-// expiry heap. Lease expiry is enforced off the hot path: each data op does
-// one atomic load against the earliest deadline in the heap (Controller
-// .nextExpiry) and a second atomic load against its own namespace's
-// deadline; a full reap runs only when a deadline has actually lapsed.
+// namespace tree and the node registry and block free-lists. Lease expiry is
+// a clock event off the hot path: a leased namespace holds one
+// simclock.Timer, armed just past its deadline and re-armed by Renew, whose
+// callback reclaims the namespace and its subtree. A data op's only lease
+// cost is one atomic load of its own namespace's deadline, which keeps every
+// answer independent of when a real-clock timer gets to run.
 package jiffy
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -193,6 +193,10 @@ type Namespace struct {
 	// when the lease never lapses). Data ops load it lock-free; Renew and
 	// the controller store it under ctrl.mu.
 	deadline atomic.Int64
+	// expiry fires one nanosecond past deadline (a namespace is live at its
+	// exact deadline) and runs expire; nil when the lease never lapses.
+	// Reset only under ctrl.mu.
+	expiry *simclock.Timer
 
 	// mu guards the namespace's data plane: everything below. Taking it
 	// does not serialize other namespaces — the §4.4 isolation property.
@@ -211,30 +215,6 @@ type Namespace struct {
 	subs     []func(Event)
 }
 
-// leaseEntry is one scheduled expiry in the controller's lease heap. Entries
-// are lazily invalidated: a renewal pushes a fresh entry and the stale one
-// is discarded when popped (its namespace's live deadline disagrees).
-type leaseEntry struct {
-	at int64 // deadline, unix nanoseconds
-	ns *Namespace
-}
-
-// leaseHeap is a min-heap of lease deadlines (container/heap).
-type leaseHeap []leaseEntry
-
-func (h leaseHeap) Len() int            { return len(h) }
-func (h leaseHeap) Less(i, j int) bool  { return h[i].at < h[j].at }
-func (h leaseHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *leaseHeap) Push(x interface{}) { *h = append(*h, x.(leaseEntry)) }
-func (h *leaseHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = leaseEntry{}
-	*h = old[:n-1]
-	return e
-}
-
 // Controller is Jiffy's control plane: node registry, block allocator,
 // namespace tree, leases and notifications.
 type Controller struct {
@@ -242,18 +222,16 @@ type Controller struct {
 	meter *billing.Meter
 	cfg   Config
 
-	// nextExpiry mirrors the earliest deadline in the lease heap (noExpiry
-	// when the heap is empty). Data ops compare the current time against it
-	// with a single atomic load — the entire lease-enforcement cost when no
-	// lease has lapsed.
-	nextExpiry atomic.Int64
-
-	mu     sync.Mutex
-	nodes  []*MemoryNode
-	root   map[string]*Namespace // top-level namespaces by first path part
-	all    map[string]*Namespace
-	flush  FlushTarget
-	leases leaseHeap
+	mu    sync.Mutex
+	nodes []*MemoryNode
+	root  map[string]*Namespace // top-level namespaces by first path part
+	all   map[string]*Namespace
+	flush FlushTarget
+	// tearing counts expired subtrees detached from the tree whose blocks
+	// finish has not yet returned to the pool; torn (L = &mu) is signalled
+	// when it falls to zero.
+	tearing int
+	torn    sync.Cond
 
 	// Pre-resolved observability handles; nil (no-ops) until SetObs.
 	obsAlloc        *obs.Counter
@@ -293,7 +271,7 @@ func NewController(clock simclock.Clock, meter *billing.Meter, cfg Config) *Cont
 		root:  map[string]*Namespace{},
 		all:   map[string]*Namespace{},
 	}
-	c.nextExpiry.Store(noExpiry)
+	c.torn.L = &c.mu
 	return c
 }
 
@@ -307,10 +285,8 @@ func (c *Controller) AddNode(id string, blocks int) *MemoryNode {
 	return n
 }
 
-// FreeBlocks returns the pool's unallocated block count (reaping expired
-// leases first, so it reflects reclaimable capacity).
+// FreeBlocks returns the pool's unallocated block count.
 func (c *Controller) FreeBlocks() int {
-	c.maybeReap(c.clock.Now())
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	free := 0
@@ -340,7 +316,9 @@ type NamespaceOptions struct {
 }
 
 // CreateNamespace makes a namespace at path (parents must exist, except for
-// top-level paths) and allocates its initial blocks from the shared pool.
+// top-level paths) and allocates its initial blocks from the shared pool. A
+// namespace at path whose lease has lapsed is reclaimed first, whether or
+// not its timer has run yet.
 func (c *Controller) CreateNamespace(path string, opts NamespaceOptions) (*Namespace, error) {
 	parts, err := splitPath(path)
 	if err != nil {
@@ -355,8 +333,15 @@ func (c *Controller) CreateNamespace(path string, opts NamespaceOptions) (*Names
 	}
 
 	now := c.clock.Now()
-	c.maybeReap(now)
 	c.mu.Lock()
+	if old := c.all[path]; old != nil && now.UnixNano() > old.deadline.Load() {
+		c.mu.Unlock()
+		old.expire() // its timer has not run yet
+		c.mu.Lock()
+	}
+	for c.tearing > 0 { // an expiry's teardown is returning blocks
+		c.torn.Wait()
+	}
 	defer c.mu.Unlock()
 	if _, ok := c.all[path]; ok {
 		return nil, fmt.Errorf("%w: %q", ErrNsExists, path)
@@ -398,14 +383,14 @@ func (c *Controller) CreateNamespace(path string, opts NamespaceOptions) (*Names
 	}
 	c.all[path] = ns
 	if lease > 0 {
-		c.trackLeaseLocked(ns, now.Add(lease).UnixNano())
+		ns.expiry = simclock.NewTimer(c.clock, ns.expire)
+		ns.armLocked(now)
 	}
 	return ns, nil
 }
 
 // Namespace returns an existing namespace by path.
 func (c *Controller) Namespace(path string) (*Namespace, error) {
-	c.maybeReap(c.clock.Now())
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ns, ok := c.all[path]
@@ -430,70 +415,32 @@ func (c *Controller) Subscribe(path string, fn func(Event)) error {
 	return nil
 }
 
-// ReapExpired reclaims every namespace whose lease has lapsed, firing
-// EventExpired notifications. It also runs lazily: every data op checks the
-// earliest scheduled deadline with one atomic load and triggers a reap only
-// when it has actually passed.
-func (c *Controller) ReapExpired() {
-	c.reap(c.clock.Now())
+// --- lease expiry ---
+
+// armLocked sets the lease deadline to now plus the TTL and arms the expiry
+// timer one nanosecond past it (c.mu held).
+func (ns *Namespace) armLocked(now time.Time) {
+	at := now.Add(ns.lease)
+	ns.deadline.Store(at.UnixNano())
+	ns.expiry.Reset(at.Add(1))
 }
 
-// --- lease expiry (the off-hot-path reaper) ---
-
-// trackLeaseLocked schedules a namespace's lease deadline (c.mu held).
-func (c *Controller) trackLeaseLocked(ns *Namespace, at int64) {
-	ns.deadline.Store(at)
-	heap.Push(&c.leases, leaseEntry{at: at, ns: ns})
-	c.nextExpiry.Store(c.leases[0].at)
-}
-
-// maybeReap is the hot-path gate: a single atomic comparison unless some
-// lease deadline has actually lapsed.
-func (c *Controller) maybeReap(now time.Time) {
-	if now.UnixNano() <= c.nextExpiry.Load() {
+// expire is the expiry timer's callback, and CreateNamespace's over a lapsed
+// holder: it reclaims the namespace and its subtree, unless a Renew moved
+// the deadline or the namespace is already gone (reclaimed with an ancestor,
+// or by a CreateNamespace over it).
+func (ns *Namespace) expire() {
+	c := ns.ctrl
+	now := c.clock.Now().UnixNano()
+	c.mu.Lock()
+	if c.all[ns.path] != ns || now <= ns.deadline.Load() {
+		c.mu.Unlock()
 		return
 	}
-	c.reap(now)
-}
-
-// reap reclaims every namespace whose deadline has passed. Expiry is
-// strictly-after, matching time.Time.After semantics: a namespace is live at
-// its exact deadline instant.
-func (c *Controller) reap(now time.Time) {
-	nowNs := now.UnixNano()
-	c.mu.Lock()
-	var expired []*Namespace
-	for len(c.leases) > 0 && c.leases[0].at < nowNs {
-		e := heap.Pop(&c.leases).(leaseEntry)
-		if c.all[e.ns.path] != e.ns {
-			continue // already removed; stale entry
-		}
-		if e.ns.deadline.Load() >= nowNs {
-			continue // renewed; a later heap entry tracks the live deadline
-		}
-		expired = append(expired, e.ns)
-	}
-	if len(c.leases) > 0 {
-		c.nextExpiry.Store(c.leases[0].at)
-	} else {
-		c.nextExpiry.Store(noExpiry)
-	}
-	// Deepest-first so children detach before parents; deterministic order.
-	sort.Slice(expired, func(i, j int) bool {
-		di, dj := strings.Count(expired[i].path, "/"), strings.Count(expired[j].path, "/")
-		if di != dj {
-			return di > dj
-		}
-		return expired[i].path < expired[j].path
-	})
+	c.obsLeaseExp.Inc()
+	c.tearing++
 	var victims []*Namespace
-	for _, ns := range expired {
-		if c.all[ns.path] != ns {
-			continue // detached as a descendant of an earlier victim
-		}
-		c.obsLeaseExp.Inc()
-		c.detachLocked(ns, &victims)
-	}
+	c.detachLocked(ns, &victims)
 	target := c.flush
 	c.mu.Unlock()
 	c.finish(victims, target)
@@ -528,15 +475,15 @@ func (c *Controller) detachLocked(ns *Namespace, out *[]*Namespace) {
 
 // finish completes an expiry after the tree detach: marks each namespace
 // dead under its own lock, captures flush data, frees the blocks back to
-// their nodes, and fires EventExpired notifications. victims arrive
-// child-first. Lock order: ns.mu then c.mu, never nested the other way.
+// their nodes, and only then fires EventExpired notifications, so a
+// subscriber finds the pool whole and CreateNamespace does not wait on it.
+// victims arrive child-first. Lock order: ns.mu then c.mu, never nested the
+// other way.
 func (c *Controller) finish(victims []*Namespace, target FlushTarget) {
-	if len(victims) == 0 {
-		return
-	}
 	var toFree []*block
 	var flushFns []func()
-	for _, ns := range victims {
+	subs := make([][]func(Event), len(victims))
+	for i, ns := range victims {
 		ns.mu.Lock()
 		ns.dead = true
 		blocks := ns.blocks
@@ -545,16 +492,22 @@ func (c *Controller) finish(victims []*Namespace, target FlushTarget) {
 		if fn := flushFn(target, ns, blocks); fn != nil {
 			flushFns = append(flushFns, fn)
 		}
-		subs := ns.subs
+		subs[i] = ns.subs
 		ns.mu.Unlock()
 		toFree = append(toFree, blocks...)
-		for _, fn := range subs {
-			fn(Event{Type: EventExpired, Path: ns.path})
-		}
 	}
 	c.mu.Lock()
 	c.freeBlocksLocked(toFree)
+	c.tearing--
+	if c.tearing == 0 {
+		c.torn.Broadcast()
+	}
 	c.mu.Unlock()
+	for i, ns := range victims {
+		for _, fn := range subs[i] {
+			fn(Event{Type: EventExpired, Path: ns.path})
+		}
+	}
 	for _, fn := range flushFns {
 		c.clock.Go(fn)
 	}

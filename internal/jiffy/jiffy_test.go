@@ -135,6 +135,34 @@ func TestLeaseExpiryAndRenewal(t *testing.T) {
 	})
 }
 
+// TestLapsedAnswersIgnoreTimerLateness: on the real clock a lease's expiry
+// timer runs when the runtime gets to it, so every answer after the deadline
+// must come from the deadline itself. Each round lapses a 1 µs lease and
+// asks at once, sometimes before the timer has run and sometimes after; the
+// path's next CreateNamespace needs the lapsed holder's two blocks, which
+// exist only if it is reclaimed first.
+func TestLapsedAnswersIgnoreTimerLateness(t *testing.T) {
+	c := NewController(simclock.Real{}, nil, Config{Latency: NoLatency})
+	c.AddNode("n0", 2)
+	for i := 0; i < 200; i++ {
+		ns, err := c.CreateNamespace("/job", NamespaceOptions{Lease: time.Microsecond, InitialBlocks: 2})
+		if err != nil {
+			t.Fatalf("round %d: CreateNamespace over a lapsed holder = %v", i, err)
+		}
+		for time.Now().UnixNano() <= ns.deadline.Load() {
+		}
+		if err := ns.Renew(); !errors.Is(err, ErrLeaseExpired) {
+			t.Fatalf("round %d: Renew after the deadline = %v, want ErrLeaseExpired", i, err)
+		}
+		if err := ns.Put("k", []byte("v")); !errors.Is(err, ErrLeaseExpired) {
+			t.Fatalf("round %d: Put after the deadline = %v, want ErrLeaseExpired", i, err)
+		}
+	}
+	for c.FreeBlocks() != 2 { // the last round's timer returns its blocks
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestExpiryNotification(t *testing.T) {
 	v := simclock.NewVirtual()
 	defer v.Close()
@@ -146,7 +174,6 @@ func TestExpiryNotification(t *testing.T) {
 		var events []Event
 		must(t, c.Subscribe("/job", func(e Event) { events = append(events, e) }))
 		v.Sleep(2 * time.Second)
-		c.ReapExpired()
 		if len(events) != 1 || events[0].Type != EventExpired {
 			t.Errorf("events = %+v", events)
 		}
@@ -326,12 +353,11 @@ func TestBlockSecondsMetering(t *testing.T) {
 		_, err := c.CreateNamespace("/job", NamespaceOptions{Lease: 5 * time.Second, InitialBlocks: 2})
 		must(t, err)
 		v.Sleep(10 * time.Second)
-		c.ReapExpired()
 	})
-	// Held until the reap that reclaims them: 2 blocks × 10 s = 20
-	// block-seconds.
-	if got := m.Units("acme", billing.ResJiffyBlockSecs); got != 20 {
-		t.Fatalf("block-seconds = %v, want 20", got)
+	// Held exactly for the lease: the timer reclaims them the nanosecond
+	// after the deadline, so 2 blocks × (5 s + 1 ns).
+	if got, want := m.Units("acme", billing.ResJiffyBlockSecs), 2*(5*time.Second+1).Seconds(); got != want {
+		t.Fatalf("block-seconds = %v, want %v", got, want)
 	}
 }
 

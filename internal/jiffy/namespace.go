@@ -30,17 +30,16 @@ func (ns *Namespace) UsedBytes() int {
 func (ns *Namespace) Renew() error {
 	c := ns.ctrl
 	now := c.clock.Now()
-	c.maybeReap(now)
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if now.UnixNano() > ns.deadline.Load() {
+		return fmt.Errorf("%w: %q", ErrLeaseExpired, ns.path)
+	}
 	if c.all[ns.path] != ns {
-		if now.UnixNano() > ns.deadline.Load() {
-			return fmt.Errorf("%w: %q", ErrLeaseExpired, ns.path)
-		}
 		return fmt.Errorf("%w: %q", ErrNoNamespace, ns.path)
 	}
 	if ns.lease > 0 {
-		c.trackLeaseLocked(ns, now.Add(ns.lease).UnixNano())
+		ns.armLocked(now)
 	}
 	return nil
 }
@@ -57,12 +56,10 @@ func (ns *Namespace) CreateChild(name string, opts NamespaceOptions) (*Namespace
 // lockLive enforces the lease and acquires the namespace's data lock: the
 // shared prologue of every data-plane op, so that expired or removed
 // namespaces reject Put, Get, Delete and the queue ops uniformly. The
-// happy path costs two atomic loads (pool-wide earliest deadline, own
-// deadline) plus the namespace lock; a controller-wide reap runs only when
-// some deadline has actually lapsed. On success the caller holds ns.mu.
+// happy path costs one atomic load of the namespace's own deadline — which
+// rejects a lapsed namespace even before its expiry timer has run — plus
+// the namespace lock. On success the caller holds ns.mu.
 func (ns *Namespace) lockLive(now time.Time) error {
-	c := ns.ctrl
-	c.maybeReap(now)
 	if now.UnixNano() > ns.deadline.Load() {
 		return fmt.Errorf("%w: %q", ErrLeaseExpired, ns.path)
 	}

@@ -21,7 +21,11 @@
 //
 // The goroutine whose Sleep, wait or return takes that count to zero jumps
 // the clock to the earliest deadline and wakes the sleepers due at that
-// instant. No goroutine drives the clock and nothing in it reads wall time.
+// instant. A Timer's deadline sits in the same heap: a timer is not a
+// goroutine and never counts as runnable, and when it falls due its callback
+// runs on a tracked goroutine of its own, before any sleeper due at that
+// instant resumes. No goroutine drives the clock and nothing in it reads
+// wall time.
 package simclock
 
 import (
@@ -64,7 +68,36 @@ type Clock interface {
 	// receive and send.
 	park(p *parker)
 	unpark(p *parker)
+
+	// arm schedules t to fire at at, moving it if it is pending.
+	arm(t *Timer, at time.Time)
 }
+
+// Timer runs a callback when its clock reaches an instant; Reset re-arms it,
+// and re-arming allocates nothing. Under the virtual clock the callback runs
+// on a tracked goroutine before any goroutine sleeping until the same instant
+// resumes, and timers due together run one after another in the order they
+// were armed; a pending timer never moves a clock on which no tracked
+// goroutine is alive. Under the real clock it is a time.AfterFunc.
+//
+// Callers serialize Reset. A callback must not wait on the clock (Sleep,
+// Group, Event, Sem): it holds up the other timers due with it. A pending
+// timer keeps its callback, and whatever the callback refers to, alive until
+// it fires.
+type Timer struct {
+	c  Clock
+	s  sleeper     // the callback; under the virtual clock, the heap entry
+	rt *time.Timer // real: made by the first Reset
+}
+
+// NewTimer returns an unarmed timer that will run fn on clock c.
+func NewTimer(c Clock, fn func()) *Timer {
+	return &Timer{c: c, s: sleeper{idx: -1, fn: fn}}
+}
+
+// Reset arms t to fire at at, replacing any instant it was armed for. An
+// instant already past fires as soon as the clock can.
+func (t *Timer) Reset(at time.Time) { t.c.arm(t, at) }
 
 // Real is the wall Clock. The zero value is ready to use.
 type Real struct{}
@@ -110,3 +143,12 @@ func (Real) unpark(p *parker) { p.ch <- struct{}{} }
 
 // Join simply runs fn, on the caller's goroutine.
 func (Real) Join(fn func()) { fn() }
+
+// arm starts t's time.AfterFunc on the first Reset and resets it after.
+func (Real) arm(t *Timer, at time.Time) {
+	if t.rt == nil {
+		t.rt = time.AfterFunc(time.Until(at), t.s.fn)
+		return
+	}
+	t.rt.Reset(time.Until(at))
+}

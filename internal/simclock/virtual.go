@@ -41,28 +41,46 @@ type Virtual struct {
 	parked  []*parker // who is parked, for the deadlock report
 }
 
+// sleeper is one entry in the deadline heap: a goroutine in Sleep, or a
+// Timer (fn set), which is not a goroutine and runs fn when it falls due.
 type sleeper struct {
 	deadline time.Time
 	seq      int64 // FIFO tiebreak for equal deadlines: determinism
+	idx      int   // position in the heap, -1 when not in it
+	fn       func()
 	woken    bool
 	wake     chan struct{} // nil while the sleeper has not had to block
 }
 
+// sleepHeap orders by deadline, then timers before sleepers, then seq.
 type sleepHeap []*sleeper
 
 func (h sleepHeap) Len() int { return len(h) }
 func (h sleepHeap) Less(i, j int) bool {
-	if !h[i].deadline.Equal(h[j].deadline) {
-		return h[i].deadline.Before(h[j].deadline)
+	a, b := h[i], h[j]
+	if !a.deadline.Equal(b.deadline) {
+		return a.deadline.Before(b.deadline)
 	}
-	return h[i].seq < h[j].seq
+	if (a.fn != nil) != (b.fn != nil) {
+		return a.fn != nil
+	}
+	return a.seq < b.seq
 }
-func (h sleepHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *sleepHeap) Push(x any)   { *h = append(*h, x.(*sleeper)) }
+func (h sleepHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].idx, h[j].idx = i, j
+}
+func (h *sleepHeap) Push(x any) {
+	s := x.(*sleeper)
+	s.idx = len(*h)
+	*h = append(*h, s)
+}
 func (h *sleepHeap) Pop() any {
 	old := *h
 	n := len(old)
 	s := old[n-1]
+	old[n-1] = nil
+	s.idx = -1
 	*h = old[:n-1]
 	return s
 }
@@ -95,10 +113,13 @@ func (v *Virtual) Elapsed() time.Duration {
 }
 
 // advance runs, with mu held, after a transition that may have lowered the
-// runnable count. At zero it advances time to the earliest deadline and wakes
-// every sleeper due at that instant. It returns a non-empty report when the
-// simulation cannot continue — nothing runnable, nothing to advance to, and
-// goroutines parked — for the caller to panic with once it has unlocked.
+// runnable count. At zero it advances time to the earliest deadline. When
+// timers are due there it starts one tracked goroutine to run them (runTimers)
+// and wakes nobody yet; otherwise it wakes every sleeper due at that instant.
+// Timers alone never move a clock on which no tracked goroutine is alive. It
+// returns a non-empty report when the simulation cannot continue — nothing
+// runnable, nothing to advance to, and goroutines parked — for the caller to
+// panic with once it has unlocked.
 func (v *Virtual) advance() (fatal string) {
 	covered := v.outside
 	if v.joins < covered {
@@ -108,9 +129,15 @@ func (v *Virtual) advance() (fatal string) {
 	case runnable > 0:
 	case runnable < 0:
 		return "simclock: a goroutine the clock does not track slept, waited or called Outside; spawn it with Go, or enter through Run or Join"
-	case v.sleep.Len() > 0:
-		if next := v.sleep.peek().deadline; next.After(v.now) {
-			v.now = next
+	case v.sleep.Len() > 0 && v.active > 0:
+		next := v.sleep.peek()
+		if next.deadline.After(v.now) {
+			v.now = next.deadline
+		}
+		if next.fn != nil {
+			v.active++
+			go v.runTimers()
+			return ""
 		}
 		for v.sleep.Len() > 0 && !v.sleep.peek().deadline.After(v.now) {
 			s := heap.Pop(&v.sleep).(*sleeper)
@@ -124,6 +151,41 @@ func (v *Virtual) advance() (fatal string) {
 		return v.deadlockReport()
 	}
 	return ""
+}
+
+// runTimers is the tracked goroutine advance starts when timers fall due: it
+// runs every timer due now, one after another in arming order (a timer one
+// of them arms for now included), then exits like any tracked goroutine —
+// and that exit is what lets the sleepers due at the same instant wake.
+func (v *Virtual) runTimers() {
+	v.mu.Lock()
+	for v.sleep.Len() > 0 {
+		t := v.sleep.peek()
+		if t.fn == nil || t.deadline.After(v.now) {
+			break
+		}
+		heap.Pop(&v.sleep)
+		v.mu.Unlock()
+		t.fn()
+		v.mu.Lock()
+	}
+	v.exitLocked()
+}
+
+// arm schedules t's callback at at, or moves it there if it is pending: a
+// re-arm is a heap.Fix and allocates nothing. It takes the next seq, so
+// timers due at one instant run in the order they were last armed.
+func (v *Virtual) arm(t *Timer, at time.Time) {
+	v.mu.Lock()
+	s := &t.s
+	s.deadline, s.seq = at, v.seq
+	v.seq++
+	if s.idx >= 0 {
+		heap.Fix(&v.sleep, s.idx)
+	} else {
+		heap.Push(&v.sleep, s)
+	}
+	v.mu.Unlock()
 }
 
 // unlockAdvance is advance, then Unlock, then the panic if advance asked for one.

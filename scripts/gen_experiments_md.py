@@ -26,7 +26,7 @@ SHAPES = {
     "E15": "Zero messages lost in all four phases: steady state, owning-broker kill (ownership migrates, ledgers fenced+recovered), single-bookie kill (write quorum still reachable for most entries), and geo-replication into a second region (every published message reaches the remote subscription; the replicator mirrors each once and drops none).",
     "E16": "Both modes find the same best configuration; concurrent wall time ≈ the longest single trial instead of the sum.",
     "E17": "Without the cache every request pays the blob model fetch; with the shared cache only the first does — warm p50 drops by an order of magnitude.",
-    "E18": "State outlives its producer exactly until the (renewable) lease expires; the expiry notification fires and blocks return to the shared pool. With a flush tier, state outlives both: a FlushOnExpiry namespace's value is read back from the blob store after its lease lapses, and a checkpointed namespace is readable again after its memory nodes crash and it rematerializes.",
+    "E18": "State outlives its producer exactly until the (renewable) lease expires; the expiry notification fires at the renewed deadline, from the lease's own timer with no reaper, and blocks return to the shared pool. With a flush tier, state outlives both: a FlushOnExpiry namespace's value is read back from the blob store after its lease lapses, and a checkpointed namespace is readable again after its memory nodes crash and it rematerializes.",
     "E19": "First-fit consolidates but creates cross-tenant co-resident pairs (side-channel exposure); tenant-dedicated placement reaches zero exposure at the cost of more machines.",
     "E20": "Dense packing (first-fit) inflates p99 via same-dominant contention; complementary packing recovers most of the tail at similar machine count; spreading (worst-fit) is fastest but uses the most machines.",
     "E21": "After offload the bookies hold zero entries and the first cold access pays the blob fetch (~20ms+) instead of a ~1ms bookie read; the segment stays fully readable.",
@@ -35,7 +35,7 @@ SHAPES = {
     "E25": "Down the ladder — bare metal, VMs, containers, FaaS — provisioning time falls from weeks to milliseconds and the billing granule from a month to 100ms; monthly cost and the paid/used ratio fall monotonically, with serverless paying almost exactly for use.",
     "E22": "On-demand sporadic traffic pays a cold start on every request; provisioned concurrency eliminates cold starts entirely while holding standing instances.",
     "E26": "Every acked write survives the seeded fault schedule — ledger entries re-read exactly, Jiffy KV and FIFO state intact after node loss, no acked publish undelivered across broker takeover — and two runs with the same seed produce byte-identical digests (the chaos plane is deterministic).",
-    "E27": "Under a 10× open-loop burst the panic window scales the pool up so p99 returns to ≤2× the warm steady-state baseline while the burst is still running; after idle, scale-to-zero reclaims every instance and the drain loop every machine. Weighted fair-share admission sheds the flooding tenant (shed > 0) while the well-behaved tenant's p99 stays within 1.5× of running alone — and two runs with the same seed produce byte-identical digests.",
+    "E27": "Under a 10× open-loop burst the panic window scales the pool up so p99 returns to ≤2× the warm steady-state baseline while the burst is still running; after idle, scale-to-zero reclaims every instance and the drain loop every machine. Fair-share admission sheds the flooding tenant (shed > 0) while the well-behaved tenant's p99 stays within 1.5× of running alone — and two runs with the same seed produce byte-identical digests.",
 }
 
 HEADER = """# EXPERIMENTS — paper claims vs. measured results

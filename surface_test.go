@@ -50,7 +50,6 @@ var surfaceAllowlist = map[string]string{
 	"obs.(*Tracer).Stats":               "kept and dropped span counts, read by cross-package tests of the sampler and the span cap",
 	"obs.(*Tracer).CanonicalText":       "the chaos trace-determinism digest compares two runs through it",
 	"pulsar.(*Cluster).SetHandoffDelay": "a chaos hook: its test lives in chaos, which imports pulsar",
-	"faas.(*Platform).SetTenantLimit":   "the one setter of weighted fair-share admission; CI's determinism-stress job runs TestSetTenantLimitWeights on it, and no experiment sets unequal weights yet",
 	"pulsar.(*Producer).SendKeyTrace":   "a handler continues its trace into Pulsar (TestSingleTraceAcrossSubsystems)",
 	"jiffy.(*Namespace).Traced":         "a handler continues its trace into Jiffy (TestSingleTraceAcrossSubsystems)",
 	"jiffy.(TracedNamespace).Put":       "a handler continues its trace into Jiffy (TestSingleTraceAcrossSubsystems)",
