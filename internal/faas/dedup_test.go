@@ -195,8 +195,8 @@ func TestDedupCacheHoldsTheLiveWindowExactly(t *testing.T) {
 	// A store at 65s drops the keys stored before 5s — and only those.
 	now := at(65_000)
 	fn.dedupStore("late", Result{}, now)
-	if want := n - 5000 + 2; len(fn.idem.index) != want || fn.idem.recs.len() != want {
-		t.Fatalf("after the window: %d indexed, %d records, want %d each", len(fn.idem.index), fn.idem.recs.len(), want)
+	if want := n - 5000 + 2; len(fn.idem.index) != want || fn.idem.recs.Len() != want {
+		t.Fatalf("after the window: %d indexed, %d records, want %d each", len(fn.idem.index), fn.idem.recs.Len(), want)
 	}
 	if res, ok := fn.dedupLookup(key(0), now); !ok || !bytes.Equal(res.Output, out(-1)) {
 		t.Errorf("re-stored key evicted with its older record: hit=%v output=%q", ok, res.Output)

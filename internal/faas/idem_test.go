@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/reclog"
 	"repro/internal/simclock"
 )
 
@@ -81,7 +82,7 @@ func TestDedupWindowMatchesMapOracle(t *testing.T) {
 					res := Result{Output: out, Cold: rng.Intn(2) == 0, Latency: time.Duration(op), Billed: time.Duration(rng.Intn(1000)) * time.Millisecond}
 					fn.dedupStore(key, res, at)
 					oracle[key] = entry{res: res, expires: at.Add(window)}
-					maxOut, maxRecs = max(maxOut, len(out)), max(maxRecs, fn.idem.recs.len())
+					maxOut, maxRecs = max(maxOut, len(out)), max(maxRecs, fn.idem.recs.Len())
 					checkWindowBytes(t, fn.idem)
 					continue
 				}
@@ -119,29 +120,17 @@ func TestDedupWindowMatchesMapOracle(t *testing.T) {
 }
 
 // checkWindowBytes holds a window to its invariants: every indexed key names a
-// record the window holds and whose key bytes are the key, and the arena's
-// chunks total at most the held records' key and output bytes plus 1/15 of
-// them (the tails of chunks given up for a fresh one) plus two chunks (the
-// open one's free tail and the lapsed head of the oldest).
+// record the window holds and whose key bytes are the key. What the arena
+// holds beyond the records' own bytes is the log's to bound
+// (reclog.TestRecordLogMatchesSliceOracle).
 func checkWindowBytes(t *testing.T, w *idemWindow) {
 	t.Helper()
-	var held, retained int
-	for n := w.recs.frontNum(); n < w.recs.next(); n++ {
-		r := w.recs.at(n)
-		held += int(r.klen + r.olen)
-	}
-	for n := w.chunks.frontNum(); n < w.chunks.next(); n++ {
-		retained += cap(w.chunks.at(n).buf)
-	}
-	if limit := held + held/15 + 2*idemChunk; retained > limit {
-		t.Fatalf("arena holds %d B in %d chunks for %d B of records, want <= %d", retained, w.chunks.len(), held, limit)
-	}
+	first, next := w.recs.First(), w.recs.First()+uint64(w.recs.Len())
 	for key, n := range w.index {
-		if n < w.recs.frontNum() || n >= w.recs.next() {
-			t.Fatalf("key %q names record %d, outside the held %d..%d", key, n, w.recs.frontNum(), w.recs.next())
+		if n < first || n >= next {
+			t.Fatalf("key %q names record %d, outside the held %d..%d", key, n, first, next)
 		}
-		r := w.recs.at(n)
-		if kb := w.chunks.at(w.chunkNum(r.chunk)).buf[r.off : r.off+r.klen]; string(kb) != key {
+		if kb := w.recs.Bytes(n)[:w.recs.At(n).klen]; string(kb) != key {
 			t.Fatalf("key %q names record %d, whose key is %q", key, n, kb)
 		}
 	}
@@ -190,18 +179,26 @@ func testDedupWindowConcurrentHits(t *testing.T) {
 	}
 }
 
-// testIdemRecordLayout: the window's record is at most 48 bytes and holds
-// nothing the collector has to follow.
+// testIdemRecordLayout: the window's record, as its log stores it with its
+// span, is at most 48 bytes and holds nothing the collector has to follow.
 func testIdemRecordLayout(t *testing.T) {
-	typ := reflect.TypeOf(idemRec{})
+	recs, _ := reflect.TypeOf(reclog.Log[idemRec]{}).FieldByName("recs")
+	items, _ := recs.Type.FieldByName("items")
+	typ := items.Type.Elem()
 	if typ.Size() > 48 {
-		t.Errorf("idemRec is %d bytes, want <= 48", typ.Size())
+		t.Errorf("idemRec is %d bytes as stored, want <= 48", typ.Size())
 	}
-	for i := 0; i < typ.NumField(); i++ {
-		switch f := typ.Field(i); f.Type.Kind() {
-		case reflect.Bool, reflect.Int64, reflect.Uint32:
-		default:
-			t.Errorf("idemRec.%s is a %s: the record must hold no pointer", f.Name, f.Type.Kind())
+	var walk func(prefix string, typ reflect.Type)
+	walk = func(prefix string, typ reflect.Type) {
+		for i := 0; i < typ.NumField(); i++ {
+			switch f := typ.Field(i); f.Type.Kind() {
+			case reflect.Bool, reflect.Int64, reflect.Uint32:
+			case reflect.Struct:
+				walk(prefix+f.Name+".", f.Type)
+			default:
+				t.Errorf("%s%s is a %s: the record must hold no pointer", prefix, f.Name, f.Type.Kind())
+			}
 		}
 	}
+	walk("idemRec slot.", typ)
 }

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -265,6 +266,85 @@ func TestKeyedBodyPinsOnlyItself(t *testing.T) {
 		q := wireReq{token: "tok-a", key: fmt.Sprintf("key-%d", i)}
 		if code, h, out := q.do(t, g); code != http.StatusOK || !resultOf(t, h).Deduped || !bytes.Equal(out, stamped(i, 64)) {
 			t.Fatalf("replay of key %d: status %d, result %q, its own bytes: %v", i, code, h.Get(hdrResult), bytes.Equal(out, stamped(i, 64)))
+		}
+	}
+}
+
+// TestFinishedAsyncPinsOnlyItself: what the async table keeps for a finished
+// 64 B echo is a record and a copy of tenant, function and output, never the
+// request body the output aliased nor a pool buffer. With a 64 KiB buffer put
+// back between 2 000 async echoes, each polled to its end, the live heap
+// grows by under 200 B a finished record. Both readings follow two
+// collections, so sync.Pool victims are out of each. The tracer's span log,
+// which grows with every invoke up to its own cap and is budgeted by
+// TestPlatformFootprint, is capped at one span, so the growth is the table's.
+// Then the first, middle and last ids still poll their own bytes.
+func TestFinishedAsyncPinsOnlyItself(t *testing.T) {
+	const records, budget = 2000, 200
+	p, g := poolGateway(t, echoHandler, 0)
+	p.Obs.Tracer().SetMaxSpans(1) // see above
+	big := make([]byte, 64<<10)
+	liveHeap := func() uint64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	checked := []int{0, records / 2, records - 1}
+	ids := map[int]string{} // checked's, which are all this test keeps beyond the gateway
+	round := func(i int) {
+		if code, _, out := (wireReq{token: "tok-a", body: big}).do(t, g); code != http.StatusOK || len(out) != len(big) {
+			t.Fatalf("un-keyed 64 KiB echo: status %d, %d bytes", code, len(out))
+		}
+		body := stamped(i, 64)
+		req := httptest.NewRequest(http.MethodPost, "/v1/functions/f/invoke-async", bytes.NewReader(body))
+		req.Header.Set("Authorization", "Bearer tok-a")
+		w := httptest.NewRecorder()
+		g.ServeHTTP(w, req)
+		var sub struct{ ID string }
+		if err := json.Unmarshal(w.Body.Bytes(), &sub); err != nil || w.Code != http.StatusAccepted {
+			t.Fatalf("async submit %d: %d %q: %v", i, w.Code, w.Body, err)
+		}
+		if st := pollWire(t, g, sub.ID); st.Status != "succeeded" || !bytes.Equal(st.Output, body) {
+			t.Fatalf("async echo %d: %s, its own bytes: %v", i, st.Status, bytes.Equal(st.Output, body))
+		}
+		if slices.Contains(checked, i) {
+			ids[i] = sub.ID
+		}
+	}
+	round(-1) // the table's maps, the log's first chunk and the recorder's first buffers exist
+	before := liveHeap()
+	for i := 0; i < records; i++ {
+		round(i)
+	}
+	grew := int64(liveHeap()-before) / records
+	t.Logf("live heap grew %d B per finished 64 B async echo", grew)
+	if grew > budget {
+		t.Fatalf("live heap grew %d B per finished 64 B async echo, want <= %d", grew, budget)
+	}
+	for _, i := range checked {
+		if st := pollWire(t, g, ids[i]); st.Status != "succeeded" || st.Function != "f" || !bytes.Equal(st.Output, stamped(i, 64)) {
+			t.Fatalf("poll of %s: %s, function %q, its own bytes: %v", ids[i], st.Status, st.Function, bytes.Equal(st.Output, stamped(i, 64)))
+		}
+	}
+}
+
+// pollWire polls async invocation id through ServeHTTP until it leaves
+// "pending" (5 s at most).
+func pollWire(t *testing.T, g *Gateway, id string) InvocationStatus {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(100 * time.Microsecond) {
+		poll := httptest.NewRequest(http.MethodGet, "/v1/invocations/"+id, nil)
+		poll.Header.Set("Authorization", "Bearer tok-a")
+		pw := httptest.NewRecorder()
+		g.ServeHTTP(pw, poll)
+		var st InvocationStatus
+		if err := json.Unmarshal(pw.Body.Bytes(), &st); err != nil || pw.Code != http.StatusOK {
+			t.Fatalf("poll %s: %d %q: %v", id, pw.Code, pw.Body, err)
+		}
+		if st.Status != "pending" || time.Now().After(deadline) {
+			return st
 		}
 	}
 }

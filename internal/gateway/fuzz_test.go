@@ -3,6 +3,7 @@ package gateway
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -140,6 +141,38 @@ func FuzzResultHeader(f *testing.F) {
 		again, ok := parseResult(value)
 		if !ok || !reflect.DeepEqual(again, got) {
 			t.Fatalf("%q parses to %+v, which formats to %q, which parses to %+v, %v", raw, got, value, again, ok)
+		}
+	})
+}
+
+// FuzzInvocationID: a poll's path id is outside bytes that parseInvID reads
+// without allocating. It must never panic; an id that parses formats back to
+// the very string it came from, so no two strings name one invocation; and
+// every positive id formats to the gateway's "inv-%06d" and parses back.
+func FuzzInvocationID(f *testing.F) {
+	for _, seed := range []string{
+		"inv-000001", "inv-999999", "inv-1000000", "inv-9223372036854775807",
+		"inv-9223372036854775808", "inv-0000001", "inv-+00001", "inv--00001", "inv-1",
+		"inv-000000", "inv-00000a", "inv-", "INV-000001", "", "inv-000001 ", "inv-١٢٣٤٥٦",
+	} {
+		f.Add(seed, int64(len(seed)))
+	}
+	f.Add("inv-000042", int64(math.MaxInt64))
+	f.Fuzz(func(t *testing.T, s string, id int64) {
+		if n, ok := parseInvID(s); ok {
+			if back := string(formatInvID(nil, n)); back != s || n <= 0 {
+				t.Fatalf("%q parses to %d, which formats to %q", s, n, back)
+			}
+		}
+		if id <= 0 {
+			return
+		}
+		s = string(formatInvID(nil, id))
+		if want := fmt.Sprintf("inv-%06d", id); s != want {
+			t.Fatalf("%d formats to %q, want %q", id, s, want)
+		}
+		if n, ok := parseInvID(s); !ok || n != id {
+			t.Fatalf("%d formats to %q, which parses to %d, %v", id, s, n, ok)
 		}
 	})
 }

@@ -76,66 +76,7 @@ type Gateway struct {
 	maxBody int64
 	mux     *http.ServeMux
 
-	mu     sync.Mutex
-	invs   map[string]*invocation
-	nextID int64
-	// Finished records in completion order, oldest at doneHead: the queue
-	// evictLocked trims. Pending records are not on it — they are bounded by
-	// what the platform admits and every one finishes (Config.Timeout).
-	doneHead, doneTail *invocation
-	doneCount          int
-}
-
-// A finished async record is kept for its submitter to poll, not for ever:
-// it is evicted, oldest completion first, once it has been finished for
-// invocationTTL on the platform clock or once more than maxFinished are
-// retained. An evicted id polls exactly like an unknown one (404
-// no_invocation).
-const (
-	invocationTTL = 10 * time.Minute
-	maxFinished   = 1 << 16
-)
-
-// invocation is one async submission's lifecycle record.
-type invocation struct {
-	id       string
-	tenant   string
-	function string
-	done     bool
-	res      faas.Result
-	err      error
-	doneAt   time.Time   // platform clock, set with done
-	next     *invocation // younger neighbour on the finished queue
-}
-
-// finishLocked records an invocation's outcome and queues it for eviction.
-// Caller holds g.mu.
-func (g *Gateway) finishLocked(inv *invocation, res faas.Result, err error, now time.Time) {
-	inv.done, inv.res, inv.err, inv.doneAt = true, res, err, now
-	if g.doneTail == nil {
-		g.doneHead = inv
-	} else {
-		g.doneTail.next = inv
-	}
-	g.doneTail = inv
-	g.doneCount++
-	g.evictLocked(now)
-}
-
-// evictLocked drops finished records from the old end of the queue while
-// there are more than maxFinished or the oldest has outlived invocationTTL.
-// Completion times only grow along the queue, so the expired are always at
-// its head. Caller holds g.mu.
-func (g *Gateway) evictLocked(now time.Time) {
-	for g.doneHead != nil && (g.doneCount > maxFinished || now.Sub(g.doneHead.doneAt) > invocationTTL) {
-		h := g.doneHead
-		delete(g.invs, h.id)
-		g.doneHead, h.next = h.next, nil
-		g.doneCount--
-	}
-	if g.doneHead == nil {
-		g.doneTail = nil
-	}
+	async asyncTable
 }
 
 // New builds a Gateway over p.
@@ -151,7 +92,7 @@ func New(p *core.Platform, cfg Config) *Gateway {
 		exec:    cfg.Executor,
 		tokens:  cfg.Tokens,
 		maxBody: cfg.MaxBody,
-		invs:    make(map[string]*invocation),
+		async:   newAsyncTable(p.Clock.Now()),
 	}
 	m := http.NewServeMux()
 	m.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -537,23 +478,14 @@ func (g *Gateway) handleInvokeAsync(w http.ResponseWriter, r *http.Request, tena
 		return
 	}
 	name := r.PathValue("name")
-
-	g.mu.Lock()
-	g.nextID++
-	id := fmt.Sprintf("inv-%06d", g.nextID)
-	inv := &invocation{id: id, tenant: tenant, function: name}
-	g.invs[id] = inv
-	g.mu.Unlock()
-
+	id := g.async.submit(tenant, name)
 	// InvokeAsyncFor spawns its own clock-tracked goroutine and applies the
 	// platform's transparent retry; the callback lands on that goroutine.
 	g.p.FaaS.InvokeAsyncFor(tenant, name, payload, func(res faas.Result, err error) {
-		now := g.p.Clock.Now()
-		g.mu.Lock()
-		g.finishLocked(inv, res, err, now)
-		g.mu.Unlock()
+		g.async.finish(id, res, err, g.p.Clock.Now())
 	})
-	writeJSON(w, http.StatusAccepted, map[string]string{"id": id, "status": "pending"})
+	var buf [24]byte // "inv-" and up to 19 digits
+	writeJSON(w, http.StatusAccepted, map[string]string{"id": string(formatInvID(buf[:0], id)), "status": "pending"})
 }
 
 // InvocationStatus is the poll response for one async invocation.
@@ -571,33 +503,10 @@ type InvocationStatus struct {
 
 func (g *Gateway) handlePoll(w http.ResponseWriter, r *http.Request, tenant string) {
 	id := r.PathValue("id")
-	now := g.p.Clock.Now()
-	g.mu.Lock()
-	g.evictLocked(now) // a record past its TTL is gone even if nothing finished since
-	inv := g.invs[id]
-	var snap invocation
-	if inv != nil {
-		snap = *inv
-	}
-	g.mu.Unlock()
-	if inv == nil || snap.tenant != tenant {
+	st, ok := g.async.poll(id, tenant, g.p.Clock.Now())
+	if !ok {
 		writeError(w, fmt.Errorf("%w: %s", ErrNoInvocation, id))
 		return
-	}
-	st := InvocationStatus{ID: id, Function: snap.function, Status: "pending"}
-	if snap.done {
-		if snap.err != nil {
-			m := statusFor(snap.err)
-			st.Status = "failed"
-			st.Error = &ErrorBody{Code: m.Code, Message: snap.err.Error()}
-		} else {
-			st.Status = "succeeded"
-			st.Output = snap.res.Output
-		}
-		st.Cold = snap.res.Cold
-		st.LatencyNs = snap.res.Latency.Nanoseconds()
-		st.BilledNs = snap.res.Billed.Nanoseconds()
-		st.Attempt = snap.res.Attempt
 	}
 	writeJSON(w, http.StatusOK, st)
 }

@@ -96,12 +96,20 @@ var codeTable = func() map[string]wireMapping {
 // statusFor resolves err against the contract. Unmapped errors — handler
 // application errors, mostly — fall through to 500 "internal".
 func statusFor(err error) wireMapping {
-	for _, w := range wireTable {
-		if errors.Is(err, w.Err) {
-			return w
-		}
+	if i := wireIndex(err); i >= 0 {
+		return wireTable[i]
 	}
 	return wireMapping{Err: err, Status: http.StatusInternalServerError, Code: "internal"}
+}
+
+// wireIndex is the first wireTable row err matches, or -1 for none.
+func wireIndex(err error) int {
+	for i, w := range wireTable {
+		if errors.Is(err, w.Err) {
+			return i
+		}
+	}
+	return -1
 }
 
 // Envelope is the JSON error body every non-2xx gateway response carries.

@@ -22,8 +22,9 @@
 // a clock event off the hot path: a leased namespace holds one
 // simclock.Timer, armed just past its deadline and re-armed by Renew, whose
 // callback reclaims the namespace and its subtree. A data op's only lease
-// cost is one atomic load of its own namespace's deadline, which keeps every
-// answer independent of when a real-clock timer gets to run.
+// cost is one atomic load of the deadline of its namespace and of each one
+// above it, which keeps every answer independent of when a real-clock timer
+// gets to run.
 package jiffy
 
 import (
@@ -317,12 +318,16 @@ type NamespaceOptions struct {
 
 // CreateNamespace makes a namespace at path (parents must exist, except for
 // top-level paths) and allocates its initial blocks from the shared pool. A
-// namespace at path whose lease has lapsed is reclaimed first, whether or
-// not its timer has run yet.
+// namespace at path or above it whose lease has lapsed is reclaimed first,
+// whether or not its timer has run yet.
 func (c *Controller) CreateNamespace(path string, opts NamespaceOptions) (*Namespace, error) {
 	parts, err := splitPath(path)
 	if err != nil {
 		return nil, err
+	}
+	parentPath := ""
+	if len(parts) > 1 {
+		parentPath = "/" + strings.Join(parts[:len(parts)-1], "/")
 	}
 	if opts.InitialBlocks <= 0 {
 		opts.InitialBlocks = 1
@@ -334,7 +339,11 @@ func (c *Controller) CreateNamespace(path string, opts NamespaceOptions) (*Names
 
 	now := c.clock.Now()
 	c.mu.Lock()
-	if old := c.all[path]; old != nil && now.UnixNano() > old.deadline.Load() {
+	near := c.all[path]
+	if near == nil && parentPath != "" {
+		near = c.all[parentPath]
+	}
+	if old := near.lapsed(now.UnixNano()); old != nil {
 		c.mu.Unlock()
 		old.expire() // its timer has not run yet
 		c.mu.Lock()
@@ -347,8 +356,7 @@ func (c *Controller) CreateNamespace(path string, opts NamespaceOptions) (*Names
 		return nil, fmt.Errorf("%w: %q", ErrNsExists, path)
 	}
 	var parent *Namespace
-	if len(parts) > 1 {
-		parentPath := "/" + strings.Join(parts[:len(parts)-1], "/")
+	if parentPath != "" {
 		parent = c.all[parentPath]
 		if parent == nil {
 			return nil, fmt.Errorf("%w: parent of %q", ErrNoNamespace, path)

@@ -163,6 +163,64 @@ func TestLapsedAnswersIgnoreTimerLateness(t *testing.T) {
 	}
 }
 
+// TestLapsedAncestorBindsItsSubtree: a namespace lives only while every one
+// above it does, whether or not the lapsed one's timer has run. Before the
+// parent's timer can run, its child answers an op at the parent's deadline
+// plus 1 ns with ErrLeaseExpired; then, on the real clock, each round lapses a
+// 200 µs parent over a child leased for an hour and asks at once — the child's
+// ops and Renew answer ErrLeaseExpired, and a CreateNamespace under the
+// parent finds no parent — sometimes before the parent's timer has run and
+// sometimes after.
+func TestLapsedAncestorBindsItsSubtree(t *testing.T) {
+	c := NewController(simclock.Real{}, nil, Config{Latency: NoLatency})
+	c.AddNode("n0", 4)
+	parent, err := c.CreateNamespace("/held", NamespaceOptions{Lease: time.Hour})
+	must(t, err)
+	child, err := parent.CreateChild("task", NamespaceOptions{Lease: 2 * time.Hour})
+	must(t, err)
+	at := time.Unix(0, parent.deadline.Load())
+	if err := child.lockLive(at); err != nil {
+		t.Fatalf("child at its parent's deadline = %v, want live", err)
+	}
+	child.mu.Unlock()
+	if err := child.lockLive(at.Add(time.Nanosecond)); !errors.Is(err, ErrLeaseExpired) {
+		t.Fatalf("child 1 ns past its parent's deadline = %v, want ErrLeaseExpired", err)
+	}
+
+	checked := 0
+	for i := 0; i < 200; i++ {
+		parent, err := c.CreateNamespace("/app", NamespaceOptions{Lease: 200 * time.Microsecond})
+		if err != nil {
+			t.Fatalf("round %d: CreateNamespace over a lapsed holder = %v", i, err)
+		}
+		child, err := parent.CreateChild("task", NamespaceOptions{Lease: time.Hour})
+		if err != nil {
+			if errors.Is(err, ErrNoNamespace) {
+				continue // the parent lapsed first
+			}
+			t.Fatalf("round %d: CreateChild = %v", i, err)
+		}
+		for time.Now().UnixNano() <= parent.deadline.Load() {
+		}
+		if err := child.Put("k", []byte("v")); !errors.Is(err, ErrLeaseExpired) {
+			t.Fatalf("round %d: child Put after its parent's deadline = %v, want ErrLeaseExpired", i, err)
+		}
+		if err := child.Renew(); !errors.Is(err, ErrLeaseExpired) {
+			t.Fatalf("round %d: child Renew after its parent's deadline = %v, want ErrLeaseExpired", i, err)
+		}
+		if _, err := parent.CreateChild("sibling", NamespaceOptions{Lease: time.Hour}); !errors.Is(err, ErrNoNamespace) {
+			t.Fatalf("round %d: CreateChild under a lapsed parent = %v, want ErrNoNamespace", i, err)
+		}
+		checked++
+	}
+	if checked < 100 {
+		t.Fatalf("%d of 200 rounds created the child before its parent lapsed, want most", checked)
+	}
+	for c.FreeBlocks() != 2 { // the last round's timer returns its blocks; /held keeps two
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestExpiryNotification(t *testing.T) {
 	v := simclock.NewVirtual()
 	defer v.Close()

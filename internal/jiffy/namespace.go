@@ -32,7 +32,7 @@ func (ns *Namespace) Renew() error {
 	now := c.clock.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if now.UnixNano() > ns.deadline.Load() {
+	if ns.lapsed(now.UnixNano()) != nil {
 		return fmt.Errorf("%w: %q", ErrLeaseExpired, ns.path)
 	}
 	if c.all[ns.path] != ns {
@@ -54,26 +54,38 @@ func (ns *Namespace) CreateChild(name string, opts NamespaceOptions) (*Namespace
 }
 
 // lockLive enforces the lease and acquires the namespace's data lock: the
-// shared prologue of every data-plane op, so that expired or removed
-// namespaces reject Put, Get, Delete and the queue ops uniformly. The
-// happy path costs one atomic load of the namespace's own deadline — which
-// rejects a lapsed namespace even before its expiry timer has run — plus
-// the namespace lock. On success the caller holds ns.mu.
+// shared prologue of every data-plane op, so that expired namespaces reject
+// Put, Get, Delete and the queue ops uniformly. The happy path costs one
+// atomic load of the deadline of the namespace and of each one above it —
+// which rejects a namespace whose lease, or an ancestor's, has lapsed even
+// before the expiry timer has run — plus the namespace lock. On success the
+// caller holds ns.mu.
 func (ns *Namespace) lockLive(now time.Time) error {
-	if now.UnixNano() > ns.deadline.Load() {
+	if ns.lapsed(now.UnixNano()) != nil {
 		return fmt.Errorf("%w: %q", ErrLeaseExpired, ns.path)
 	}
 	ns.mu.Lock()
 	if ns.dead {
+		// Reclaimed by an expiry timer that ran at a later instant than now:
+		// lease expiry is the one way a namespace dies.
 		ns.mu.Unlock()
-		// A dead namespace whose deadline lapsed was reclaimed by lease
-		// expiry; one with a live deadline was removed explicitly.
-		if now.UnixNano() > ns.deadline.Load() {
-			return fmt.Errorf("%w: %q", ErrLeaseExpired, ns.path)
-		}
-		return fmt.Errorf("%w: %q", ErrNoNamespace, ns.path)
+		return fmt.Errorf("%w: %q", ErrLeaseExpired, ns.path)
 	}
 	return nil
+}
+
+// lapsed returns the outermost of ns and the namespaces above it whose lease
+// has lapsed by now (unix nanoseconds), or nil: a namespace lives only while
+// every one above it does. parent is set once at create and kept through
+// detach, so the walk takes no lock.
+func (ns *Namespace) lapsed(now int64) *Namespace {
+	var out *Namespace
+	for a := ns; a != nil; a = a.parent {
+		if now > a.deadline.Load() {
+			out = a
+		}
+	}
+	return out
 }
 
 // --- KV interface ---
