@@ -26,6 +26,8 @@ func TestDispatch(t *testing.T) {
 		{args: []string{"demo"}, exit: 2, stderr: "demo -list"},
 		{args: []string{"demo", "invoke", "-format", "xml"}, exit: 2, stderr: `unknown -format "xml"`},
 		{args: []string{"sebs", "stray"}, exit: 2, stderr: `unexpected argument "stray"`},
+		{args: []string{"sebs", "-apps", "webapp,nosuch"}, exit: 1, stderr: `unknown apps ["nosuch"]`},
+		{args: []string{"sebs", "-requests", "1", "-apps", "webapp, video"}, exit: 0, stdout: "{", lines: 32},
 		{args: []string{"experiments", "-e", "E99"}, exit: 2, stderr: `unknown experiment "E99"`},
 		{args: []string{"demo", "-list"}, exit: 0, stdout: "burst", lines: len(demos)},
 		{args: []string{"experiments", "-list"}, exit: 0, stdout: "E1   cost-efficiency", lines: 27},

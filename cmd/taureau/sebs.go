@@ -22,7 +22,9 @@ func cmdSebs(args []string, stdout, stderr io.Writer) error {
 	}
 	cfg := sebs.Config{Requests: *requests}
 	if *apps != "" {
-		cfg.Apps = strings.Split(*apps, ",")
+		for _, name := range strings.Split(*apps, ",") {
+			cfg.Apps = append(cfg.Apps, strings.TrimSpace(name))
+		}
 	}
 	rep, err := sebs.Run(cfg)
 	if err != nil {

@@ -67,8 +67,11 @@ type Config struct {
 }
 
 // Gateway serves the v1 REST API over one core.Platform. It is an
-// http.Handler; mount it wherever (httptest, taureau gateway, behind the
-// telemetry mux).
+// http.Handler; mount it wherever (an http.Server of the caller's own, as
+// the SeBS suite does, taureau gateway beside the telemetry routes, a test's
+// httptest server). A server reaches its handler, and through it the
+// platform, for as long as the server is reachable: a caller that outlives
+// its platform clears the server's Handler once no connection can call it.
 type Gateway struct {
 	p       *core.Platform
 	exec    Executor

@@ -12,14 +12,25 @@
 // and billing is the platform meter priced by the default pricing table.
 // The HTTP transport is real (a live TCP listener, real request parsing);
 // only time is simulated.
+//
+// Each run owns its HTTP: an http.Server on a fresh 127.0.0.1 port and one
+// http.Transport its clients share, never http.DefaultTransport. Both are
+// torn down before Run returns, on every path: every connection is closed,
+// the server's handler dropped and the transport's idle connections closed,
+// so nothing net/http still holds — a connection goroutine unwinding, a
+// pooled connection — reaches the run's gateway, platform or virtual clock.
 package sebs
 
 import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"net/http/httptest"
+	"net"
+	"net/http"
+	"slices"
 	"sort"
+	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/blob"
@@ -82,26 +93,28 @@ type app struct {
 func tenantOf(appName string) string { return "sebs-" + appName }
 func tokenOf(appName string) string  { return "tok-" + appName }
 
-// suite returns the full app roster. Specs share lifecycle constants chosen
+// suite returns the full app roster.
+func suite() []app {
+	return []app{
+		{name: "webapp", spec: specOf("webapp"), setup: setupWebapp},
+		{name: "mlserve", spec: specOf("mlserve"), setup: setupMLServe},
+		{name: "graphrank", spec: specOf("graphrank"), setup: setupGraphRank},
+		{name: "video", spec: specOf("video"), setup: setupVideo},
+	}
+}
+
+// specOf is an app's wire spec. Every app shares lifecycle constants chosen
 // so the forced-cold pattern is unambiguous: keep-alive 60s (gaps sleep
 // 61s), cold start 200ms, warm start 1ms.
-func suite() []app {
-	base := func(name string) gateway.FunctionSpec {
-		return gateway.FunctionSpec{
-			Name:        name,
-			Handler:     "sebs-" + name,
-			MemoryMB:    256,
-			TimeoutMs:   30_000,
-			KeepAliveMs: 60_000,
-			ColdStartMs: 200,
-			WarmStartMs: 1,
-		}
-	}
-	return []app{
-		{name: "webapp", spec: base("webapp"), setup: setupWebapp},
-		{name: "mlserve", spec: base("mlserve"), setup: setupMLServe},
-		{name: "graphrank", spec: base("graphrank"), setup: setupGraphRank},
-		{name: "video", spec: base("video"), setup: setupVideo},
+func specOf(name string) gateway.FunctionSpec {
+	return gateway.FunctionSpec{
+		Name:        name,
+		Handler:     "sebs-" + name,
+		MemoryMB:    256,
+		TimeoutMs:   30_000,
+		KeepAliveMs: 60_000,
+		ColdStartMs: 200,
+		WarmStartMs: 1,
 	}
 }
 
@@ -296,29 +309,19 @@ func setupVideo(p *core.Platform) (faas.Handler, func(int) []byte, error) {
 
 // Run executes the suite: boot a virtual-clock platform, serve the gateway
 // on a real listener, and drive each app through HTTP in a closed loop.
-func Run(cfg Config) (Report, error) {
+func Run(cfg Config) (Report, error) { return run(cfg, suite()) }
+
+// run is Run over a given roster.
+func run(cfg Config, roster []app) (Report, error) {
 	if cfg.Requests <= 0 {
 		cfg.Requests = 40
 	}
 	if cfg.ColdEvery == 0 {
 		cfg.ColdEvery = 10
 	}
-	apps := suite()
-	if len(cfg.Apps) > 0 {
-		want := make(map[string]bool, len(cfg.Apps))
-		for _, n := range cfg.Apps {
-			want[n] = true
-		}
-		kept := apps[:0]
-		for _, a := range apps {
-			if want[a.name] {
-				kept = append(kept, a)
-			}
-		}
-		apps = kept
-		if len(apps) == 0 {
-			return Report{}, fmt.Errorf("sebs: no known apps in filter %v", cfg.Apps)
-		}
+	apps, err := pick(roster, cfg.Apps)
+	if err != nil {
+		return Report{}, err
 	}
 
 	p, v := core.NewVirtual(core.Options{})
@@ -327,9 +330,11 @@ func Run(cfg Config) (Report, error) {
 	for _, a := range apps {
 		tokens[tokenOf(a.name)] = tenantOf(a.name)
 	}
-	gw := gateway.New(p, gateway.Config{Tokens: tokens, Executor: exec})
-	srv := httptest.NewServer(gw)
-	defer srv.Close()
+	lb, err := listen(gateway.New(p, gateway.Config{Tokens: tokens, Executor: exec}))
+	if err != nil {
+		return Report{}, err
+	}
+	defer lb.close()
 
 	rep := Report{
 		Suite:          "sebs",
@@ -346,7 +351,7 @@ func Run(cfg Config) (Report, error) {
 				return
 			}
 			exec.Bind(a.spec.Handler, h)
-			c := &gateway.Client{BaseURL: srv.URL, Token: tokenOf(a.name), Block: v.Outside}
+			c := &gateway.Client{BaseURL: lb.url, Token: tokenOf(a.name), HTTP: lb.client, Block: v.Outside}
 			if err := c.Register(a.spec); err != nil {
 				runErr = fmt.Errorf("sebs: %s register: %w", a.name, err)
 				return
@@ -386,6 +391,92 @@ func Run(cfg Config) (Report, error) {
 		}
 	}
 	return rep, nil
+}
+
+// pick returns the roster's apps named in names, in roster order, or the
+// whole roster when names is empty. A name the roster lacks is an error.
+func pick(roster []app, names []string) ([]app, error) {
+	if len(names) == 0 {
+		return roster, nil
+	}
+	known := make([]string, len(roster))
+	for i, a := range roster {
+		known[i] = a.name
+	}
+	var unknown []string
+	for _, n := range names {
+		if !slices.Contains(known, n) {
+			unknown = append(unknown, n)
+		}
+	}
+	if len(unknown) > 0 {
+		return nil, fmt.Errorf("sebs: unknown apps %q (the suite has %s)", unknown, strings.Join(known, ", "))
+	}
+	var kept []app
+	for _, a := range roster {
+		if slices.Contains(names, a.name) {
+			kept = append(kept, a)
+		}
+	}
+	return kept, nil
+}
+
+// loopback is the one HTTP server a run serves its gateway on, and the one
+// transport its clients dial it through. Both belong to the run, and close
+// tears them down before Run returns.
+type loopback struct {
+	url    string
+	client *http.Client
+	srv    *http.Server
+	served chan struct{}  // closed when Serve has returned
+	conns  sync.WaitGroup // the server's connections not yet closed
+}
+
+// listen serves h on a fresh 127.0.0.1 port.
+func listen(h http.Handler) (*loopback, error) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, fmt.Errorf("sebs: listen: %w", err)
+	}
+	lb := &loopback{
+		url:    "http://" + ln.Addr().String(),
+		client: &http.Client{Transport: &http.Transport{}},
+		served: make(chan struct{}),
+	}
+	lb.srv = &http.Server{Handler: h, ConnState: func(_ net.Conn, st http.ConnState) {
+		switch st {
+		case http.StateNew:
+			lb.conns.Add(1)
+		case http.StateClosed, http.StateHijacked:
+			lb.conns.Done()
+		}
+	}}
+	go func() {
+		// ErrServerClosed once close has begun; an earlier failure surfaces
+		// as the run's first failed request.
+		_ = lb.srv.Serve(ln)
+		close(lb.served)
+	}()
+	return lb, nil
+}
+
+// close ends the run's HTTP; no request is in flight when it is called. It
+// closes the listener and every connection, waits for Serve to return and
+// for each connection's goroutine to report itself closed — which orders
+// every handler call before what follows — and only then drops the server's
+// handler: a connection goroutine still unwinding keeps the server, and
+// through its handler the gateway, platform and virtual clock, reachable.
+// Last, the transport closes the idle connections it still pools.
+//
+// Not Shutdown: it polls for idle connections on a 1 ms ticker, so a
+// connection still finishing its last response costs a run a millisecond,
+// and one the transport dialed but never used holds it for 5 s.
+func (lb *loopback) close() {
+	lb.srv.Close()
+	<-lb.served
+	lb.conns.Wait()
+	lb.srv.Handler = nil
+	lb.client.CloseIdleConnections()
 }
 
 func summarize(name string, requests int, lats []time.Duration, colds, errors int) AppReport {

@@ -2,7 +2,14 @@ package sebs
 
 import (
 	"encoding/json"
+	"runtime"
+	"strconv"
+	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/faas"
 )
 
 // TestSuiteShortRun drives every app through the HTTP gateway with a small
@@ -57,5 +64,66 @@ func TestSuiteDeterministic(t *testing.T) {
 	j2, _ := json.Marshal(r2)
 	if string(j1) != string(j2) {
 		t.Fatalf("reports differ:\n%s\n%s", j1, j2)
+	}
+}
+
+// TestUnknownAppsAreAnError: a filter naming any app the suite lacks fails
+// before a platform is built, and the error names every such app — a subset
+// run is never the silent answer to a typo.
+func TestUnknownAppsAreAnError(t *testing.T) {
+	for _, apps := range [][]string{
+		{"nosuch"},
+		{"webapp", "nosuch"},
+		{"webapp", " video", "other"},
+	} {
+		_, err := Run(Config{Requests: 1, Apps: apps})
+		if err == nil {
+			t.Errorf("Run(%q): no error", apps)
+			continue
+		}
+		for _, n := range apps {
+			known := n == "webapp"
+			if strings.Contains(err.Error(), strconv.Quote(n)) == known {
+				t.Errorf("Run(%q): error %q, want it to name exactly the unknown apps", apps, err)
+			}
+		}
+	}
+}
+
+// sentinel is what TestRunReleasesItsPlatform watches: pointer-free, so it
+// is in no cycle, and larger than the 16 B tiny-allocator block, so its
+// finalizer runs when it alone becomes unreachable.
+type sentinel [64]byte
+
+// TestRunReleasesItsPlatform: once Run has returned, nothing net/http keeps
+// — a connection goroutine still unwinding, the server it served for, an
+// idle connection of the transport — reaches the platform. A sentinel only
+// one registered handler refers to must be unreachable at the first
+// collection after Run, the one the benchmark's live heap is read after: the
+// finalizer that collection queues must run within 2 s.
+func TestRunReleasesItsPlatform(t *testing.T) {
+	freed := make(chan struct{})
+	watched := app{name: "sentinel", spec: specOf("sentinel"),
+		setup: func(*core.Platform) (faas.Handler, func(int) []byte, error) {
+			s := new(sentinel)
+			runtime.SetFinalizer(s, func(*sentinel) { close(freed) })
+			h := func(_ *faas.Ctx, payload []byte) ([]byte, error) {
+				runtime.KeepAlive(s)
+				return payload, nil
+			}
+			return h, func(int) []byte { return []byte("ping") }, nil
+		}}
+	rep, err := run(Config{Requests: 3}, []app{watched})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Apps) != 1 || rep.Apps[0].Errors != 0 {
+		t.Fatalf("report = %+v, want one app with no errors", rep.Apps)
+	}
+	runtime.GC()
+	select {
+	case <-freed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("the run's platform was still reachable at the first collection after Run returned")
 	}
 }
