@@ -188,7 +188,6 @@ func demoPipeline(w io.Writer, p *core.Platform, clock simclock.Clock) {
 		log.Fatal(err)
 	}
 	for _, step := range []string{"extract", "transform", "load"} {
-		step := step
 		if err := demo.Register(step, func(ctx *faas.Ctx, in []byte) ([]byte, error) {
 			ctx.Work(25 * time.Millisecond)
 			return append(in, []byte("|"+step)...), nil
@@ -226,29 +225,34 @@ func demoStream(w io.Writer, p *core.Platform, clock simclock.Clock) {
 		log.Fatal(err)
 	}
 	cm := sketch.NewCountMinWH(20, 20)
-	fn, err := p.Pulsar.StartFunction(pulsar.FunctionConfig{Name: "cm", Inputs: []string{"clicks"}},
-		func(m pulsar.Message) ([]byte, error) {
-			cm.Add(m.Key, 1)
-			return nil, nil
-		})
-	if err != nil {
+	keys := workload.ZipfKeys(100, 1.5, 2000, 7)
+	processed := 0
+	done := simclock.NewEvent(clock)
+	// A topic-fed instance is not dispatched per request, so it pays a
+	// microsecond of hand-off per message, not faas's 1 ms default.
+	if err := p.Tenant("analytics").Register("cm", func(_ *faas.Ctx, key []byte) ([]byte, error) {
+		cm.Add(string(key), 1)
+		if processed++; processed == len(keys) {
+			done.Set()
+		}
+		return nil, nil
+	}, faas.Config{WarmStart: time.Microsecond, Prewarm: 1}); err != nil {
+		log.Fatal(err)
+	}
+	if err := faas.BindTopic(p.FaaS, p.Pulsar, "clicks", "analytics", "cm", ""); err != nil {
 		log.Fatal(err)
 	}
 	prod, err := p.Pulsar.CreateProducer("clicks")
 	if err != nil {
 		log.Fatal(err)
 	}
-	keys := workload.ZipfKeys(100, 1.5, 2000, 7)
 	for _, k := range keys {
-		if _, err := prod.SendKey(k, nil); err != nil {
+		if _, err := prod.SendKey(k, []byte(k)); err != nil {
 			log.Fatal(err)
 		}
 	}
-	for i := 0; i < 10000 && fn.Processed() < int64(len(keys)); i++ {
-		clock.Sleep(5 * time.Millisecond)
-	}
-	fn.Stop()
-	fmt.Fprintf(w, "processed %d events; estimate(key-0) = %d\n", fn.Processed(), cm.Estimate("key-0"))
+	done.Wait()
+	fmt.Fprintf(w, "processed %d events; estimate(key-0) = %d\n", processed, cm.Estimate("key-0"))
 }
 
 func demoState(w io.Writer, p *core.Platform, clock simclock.Clock) {
@@ -356,7 +360,6 @@ func demoBurst(w io.Writer, p *core.Platform, clock simclock.Clock) {
 	)
 	start := clock.Now()
 	for _, at := range arrivals {
-		at := at
 		wg.Go(func() {
 			clock.Sleep(at - clock.Now().Sub(start))
 			res, err := demo.Invoke("api", []byte("r"))

@@ -75,7 +75,7 @@ func main() {
 		if err := iotCo.Register("register-device", register, faas.Config{MemoryMB: 128}); err != nil {
 			log.Fatal(err)
 		}
-		if err := faas.BindQueue(platform.FaaS, platform.Queue, "registrations", iotCo.Name(), "register-device", 10); err != nil {
+		if err := faas.BindQueue(platform.FaaS, platform.Queue, "registrations", iotCo.Name(), "register-device"); err != nil {
 			log.Fatal(err)
 		}
 

@@ -51,7 +51,7 @@ func main() {
 		if err := platform.Queue.CreateQueue("greetings", "acme", queue.DefaultConfig()); err != nil {
 			log.Fatal(err)
 		}
-		if err := faas.BindQueue(platform.FaaS, platform.Queue, "greetings", acme.Name(), "greet", 10); err != nil {
+		if err := faas.BindQueue(platform.FaaS, platform.Queue, "greetings", acme.Name(), "greet"); err != nil {
 			log.Fatal(err)
 		}
 		for i := 0; i < 5; i++ {

@@ -12,10 +12,10 @@
 //	    }
 //	}
 //
-// Here the function consumes a partitioned topic fed with a Zipf-skewed
-// click stream, keeps the sketch in the handler's closure (where the Java
-// original keeps it in a field), and publishes updated counts for heavy keys
-// to an output topic.
+// Here the function is a faas function bound to a partitioned topic fed with
+// a Zipf-skewed click stream (faas.BindTopic), keeps the sketch in the
+// handler's closure (where the Java original keeps it in a field), and
+// publishes updated counts for heavy keys to an output topic.
 package main
 
 import (
@@ -25,7 +25,9 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/faas"
 	"repro/internal/pulsar"
+	"repro/internal/simclock"
 	"repro/internal/sketch"
 	"repro/internal/workload"
 )
@@ -53,40 +55,50 @@ func main() {
 			log.Fatal(err)
 		}
 
-		fn, err := platform.Pulsar.StartFunction(pulsar.FunctionConfig{
-			Name:   "count-min",
-			Inputs: []string{"clicks"},
-			Output: "hot-keys",
-		}, func(m pulsar.Message) ([]byte, error) {
-			cm.Add(m.Key, 1) // calculates bit indexes and performs +1
-			hot.Add(m.Key, 1)
-			count := cm.Estimate(m.Key)
+		// A topic-fed instance is not dispatched per request, so it pays a
+		// microsecond of hand-off per message, not faas's 1 ms default.
+		processed := 0
+		var doneAt time.Time
+		done := simclock.NewEvent(clock)
+		if err := platform.Tenant("analytics").Register("count-min", func(_ *faas.Ctx, input []byte) ([]byte, error) {
+			key := string(input)
+			cm.Add(key, 1) // calculates bit indexes and performs +1
+			hot.Add(key, 1)
+			if processed++; processed == events {
+				doneAt = clock.Now()
+				done.Set()
+			}
+			count := cm.Estimate(key)
 			// React to the updated count: publish threshold crossings.
 			if count == 100 || count == 500 {
-				return []byte(fmt.Sprintf("%s crossed %d", m.Key, count)), nil
+				return []byte(fmt.Sprintf("%s crossed %d", key, count)), nil
 			}
 			return nil, nil
-		})
-		if err != nil {
+		}, faas.Config{WarmStart: time.Microsecond, Prewarm: 1}); err != nil {
+			log.Fatal(err)
+		}
+		if err := faas.BindTopic(platform.FaaS, platform.Pulsar, "clicks", "analytics", "count-min", "hot-keys"); err != nil {
 			log.Fatal(err)
 		}
 
-		// Feed the stream.
+		// Feed the stream in bursts of 500 a millisecond apart. A burst fits
+		// in the binding's receive queue, so the function sees it in publish
+		// order (a larger one's order depends on same-instant scheduling).
 		prod, err := platform.Pulsar.CreateProducer("clicks")
 		if err != nil {
 			log.Fatal(err)
 		}
 		start := clock.Now()
-		for _, k := range keys {
-			if _, err := prod.SendKey(k, nil); err != nil {
+		for i, k := range keys {
+			if i > 0 && i%500 == 0 {
+				clock.Sleep(time.Millisecond)
+			}
+			if _, err := prod.SendKey(k, []byte(k)); err != nil {
 				log.Fatal(err)
 			}
 		}
-		for i := 0; i < 100000 && fn.Processed() < events; i++ {
-			clock.Sleep(5 * time.Millisecond)
-		}
-		elapsed := clock.Now().Sub(start)
-		fn.Stop()
+		done.Wait()
+		elapsed := doneAt.Sub(start)
 
 		// Drain the threshold notifications.
 		cons, err := platform.Pulsar.Subscribe("hot-keys", "monitor", pulsar.Exclusive, pulsar.Earliest)
@@ -104,7 +116,7 @@ func main() {
 		}
 
 		fmt.Printf("processed %d events in %v simulated (%.0f msg/s)\n\n",
-			fn.Processed(), elapsed.Round(time.Millisecond), float64(fn.Processed())/elapsed.Seconds())
+			processed, elapsed.Round(time.Millisecond), float64(processed)/elapsed.Seconds())
 
 		// Compare sketch estimates with exact counts for the heavy keys.
 		type kc struct {

@@ -221,7 +221,6 @@ func TestMeterConcurrentRecordInvoice(t *testing.T) {
 
 	var wg sync.WaitGroup
 	for i := 0; i < writers; i++ {
-		i := i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

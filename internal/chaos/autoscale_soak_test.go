@@ -117,7 +117,6 @@ func runAutoscaleSoak(t *testing.T, seed int64) autoscaleSoakResult {
 		wg := simclock.NewGroup(v)
 		var mu sync.Mutex
 		for wave := 0; wave < 16; wave++ {
-			wave := wave
 			width := 2
 			if wave >= 4 && wave < 10 {
 				width = 8 // the burst

@@ -20,7 +20,6 @@ func testOptions() Options {
 // identically — twice, so the witness is deterministic, not a flake.
 func TestReferenceVerdicts(t *testing.T) {
 	for _, ref := range References() {
-		ref := ref
 		t.Run(ref.Workload.Name, func(t *testing.T) {
 			t.Parallel()
 			rep, err := Explore(ref.Workload, testOptions())
@@ -82,7 +81,6 @@ func TestReferenceVerdicts(t *testing.T) {
 // run.
 func TestExplorerDeterminism(t *testing.T) {
 	for _, name := range []string{"put-constant", "counter-increment", "publish-sink"} {
-		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			ref, err := Reference(name)

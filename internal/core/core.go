@@ -107,7 +107,8 @@ type Platform struct {
 	Coord *coord.Store
 	// Ledgers is the BookKeeper-style durable log layer (§4.3, Fig. 1).
 	Ledgers *ledger.System
-	// Pulsar is the messaging cluster with Pulsar Functions (§4.3).
+	// Pulsar is the messaging cluster (§4.3); faas.BindTopic binds its
+	// topics to functions, the Pulsar Functions of §4.3.1.
 	Pulsar *pulsar.Cluster
 	// Jiffy is the ephemeral-state store (§4.4, Fig. 2).
 	Jiffy *jiffy.Controller

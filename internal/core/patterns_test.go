@@ -15,8 +15,8 @@ import (
 	"repro/internal/blob"
 	"repro/internal/faas"
 	"repro/internal/orchestrate"
-	"repro/internal/pulsar"
 	"repro/internal/queue"
+	"repro/internal/simclock"
 	"repro/internal/sketch"
 )
 
@@ -81,7 +81,7 @@ func TestPatternDataTransformation(t *testing.T) {
 			_, err := p.Blob.Put("out", string(payload), upper, blob.PutOptions{})
 			return nil, err
 		}, faas.Config{}))
-		must(t, faas.BindQueue(p.FaaS, p.Queue, "jobs", "t", "transform", 10))
+		must(t, faas.BindQueue(p.FaaS, p.Queue, "jobs", "t", "transform"))
 		for _, name := range []string{"a", "b", "c"} {
 			_, err := p.Queue.Send("jobs", []byte(name))
 			must(t, err)
@@ -97,29 +97,30 @@ func TestPatternDataTransformation(t *testing.T) {
 	})
 }
 
-// Pattern 4: data streaming — a stateful Pulsar function over a topic.
+// Pattern 4: data streaming — a stateful function bound to a topic.
 func TestPatternDataStreaming(t *testing.T) {
 	p, v := NewVirtual(Options{})
 	defer v.Close()
 	v.Run(func() {
 		must(t, p.Pulsar.CreateTopic("stream", 0))
 		hll := sketch.NewHLL(10)
-		fn, err := p.Pulsar.StartFunction(pulsar.FunctionConfig{
-			Name: "distinct", Inputs: []string{"stream"},
-		}, func(m pulsar.Message) ([]byte, error) {
-			hll.Add(m.Key)
+		seen := 0
+		done := simclock.NewEvent(v)
+		must(t, p.Tenant("t").Register("distinct", func(_ *faas.Ctx, key []byte) ([]byte, error) {
+			hll.Add(string(key))
+			if seen++; seen == 200 {
+				done.Set()
+			}
 			return nil, nil
-		})
-		must(t, err)
+		}, faas.Config{}))
+		must(t, faas.BindTopic(p.FaaS, p.Pulsar, "stream", "t", "distinct", ""))
 		prod, _ := p.Pulsar.CreateProducer("stream")
 		for i := 0; i < 200; i++ {
-			_, err := prod.SendKey(fmt.Sprintf("u%d", i%50), nil)
+			k := fmt.Sprintf("u%d", i%50)
+			_, err := prod.SendKey(k, []byte(k))
 			must(t, err)
 		}
-		for i := 0; i < 1000 && fn.Processed() < 200; i++ {
-			v.Sleep(5 * time.Millisecond)
-		}
-		fn.Stop()
+		done.Wait()
 		if est := hll.Estimate(); est < 40 || est > 60 {
 			t.Errorf("distinct estimate %.0f, want ≈50", est)
 		}
@@ -179,18 +180,17 @@ func TestPatternBundled(t *testing.T) {
 			_, err := prod.Send(payload)
 			return nil, err
 		}, faas.Config{}))
-		must(t, faas.BindQueue(p.FaaS, p.Queue, "work", "t", "worker", 10))
+		must(t, faas.BindQueue(p.FaaS, p.Queue, "work", "t", "worker"))
 
-		// Streaming aggregate over results. (The wide poll keeps the idle
-		// function from dominating virtual-clock advances across the
-		// multi-second tick schedule.)
-		fn, err := p.Pulsar.StartFunction(pulsar.FunctionConfig{
-			Name: "agg", Inputs: []string{"results"}, PollTimeout: 200 * time.Millisecond,
-		}, func(m pulsar.Message) ([]byte, error) {
-			atomic.AddInt64(&aggregated, 1)
+		// Streaming aggregate over results.
+		agg := simclock.NewEvent(v)
+		must(t, p.Tenant("t").Register("agg", func(*faas.Ctx, []byte) ([]byte, error) {
+			if atomic.AddInt64(&aggregated, 1) == 9 {
+				agg.Set()
+			}
 			return nil, nil
-		})
-		must(t, err)
+		}, faas.Config{}))
+		must(t, faas.BindTopic(p.FaaS, p.Pulsar, "results", "t", "agg", ""))
 
 		// Periodic tick: every minute, enqueue a batch of work.
 		must(t, p.Tenant("t").Register("tick", func(ctx *faas.Ctx, _ []byte) ([]byte, error) {
@@ -204,10 +204,7 @@ func TestPatternBundled(t *testing.T) {
 		schedule := []time.Duration{0, time.Second, 2 * time.Second}
 		rep := faas.Drive(p.FaaS, "t", "tick", nil, schedule)
 		rep.Wait()
-		for i := 0; i < 2000 && atomic.LoadInt64(&aggregated) < 9; i++ {
-			v.Sleep(50 * time.Millisecond)
-		}
-		fn.Stop()
+		agg.Wait()
 	})
 	if aggregated != 9 {
 		t.Fatalf("aggregated = %d, want 9 (3 ticks × 3 jobs)", aggregated)

@@ -140,7 +140,6 @@ func runBurstConverge(seed int64) elasticDigest {
 		defer ctrl.Stop()
 
 		for _, at := range arrivals {
-			at := at
 			wg.Go(func() {
 				v.Sleep(at)
 				res, err := demo.Invoke("api", nil)
@@ -251,7 +250,6 @@ func runFairness(seed int64) fairnessDigest {
 			}
 			drive := func(t *core.TenantHandle, fn string, arrivals []time.Duration, ok *int) {
 				for _, at := range arrivals {
-					at := at
 					wg.Go(func() {
 						v.Sleep(at)
 						res, err := t.Invoke(fn, nil)

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/faas"
 	"repro/internal/pulsar"
 	"repro/internal/simclock"
 	"repro/internal/sketch"
@@ -12,8 +13,9 @@ import (
 )
 
 // E6PulsarSketch: §4.3.1 / Figure 3 — stateful streaming analytics as a
-// Pulsar function: a Count-Min sketch over a skewed event stream, estimates
-// checked against exact counts and the sketch's εN bound.
+// Pulsar function, a faas function bound to a topic: a Count-Min sketch over
+// a skewed event stream, estimates checked against exact counts and the
+// sketch's εN bound.
 func E6PulsarSketch() Table {
 	p, v := core.NewVirtual(core.Options{})
 	defer v.Close()
@@ -25,34 +27,29 @@ func E6PulsarSketch() Table {
 	}
 
 	cm := sketch.NewCountMinWH(272, 5) // ε≈0.01, δ≈0.007
-	var processed int64
+	var processed int
 	var wall time.Duration
 	v.Run(func() {
-		// Every wait is a clock-visible hand-off, so the measured span is
-		// exactly one poll period at any GOMAXPROCS. The function instance
-		// polls at start (nothing yet) and sleeps its 5ms; the clock can only
-		// carry the driver off the poll grid once it has, so the stream lands
-		// strictly inside that sleep. The handler stamps the instant the last
-		// event lands and releases the driver — polling Processed() instead
-		// would tie with the instance's own wake-up.
-		var seen int
+		// The stream is published at one instant; the handler stamps the
+		// instant the last event lands, so the span is the function's work.
 		var doneAt time.Time
 		done := simclock.NewEvent(v)
 		if err := p.Pulsar.CreateTopic("events", 4); err != nil {
 			panic(err)
 		}
-		rf, err := p.Pulsar.StartFunction(pulsar.FunctionConfig{
-			Name:   "countmin",
-			Inputs: []string{"events"},
-		}, func(m pulsar.Message) ([]byte, error) {
-			cm.Add(m.Key, 1) // single instance: the sketch is the function's state (Fig. 3)
-			if seen++; seen == events {
+		// A topic-fed instance is not dispatched per request, so it pays a
+		// microsecond of hand-off per message, not faas's 1 ms default.
+		if err := p.Tenant("analytics").Register("countmin", func(_ *faas.Ctx, key []byte) ([]byte, error) {
+			cm.Add(string(key), 1) // one drain, serial calls: the sketch is the function's state (Fig. 3)
+			if processed++; processed == events {
 				doneAt = v.Now()
 				done.Set()
 			}
 			return nil, nil
-		})
-		if err != nil {
+		}, faas.Config{WarmStart: time.Microsecond, Prewarm: 1}); err != nil {
+			panic(err)
+		}
+		if err := faas.BindTopic(p.FaaS, p.Pulsar, "events", "analytics", "countmin", ""); err != nil {
 			panic(err)
 		}
 		prod, err := p.Pulsar.CreateProducer("events")
@@ -60,16 +57,13 @@ func E6PulsarSketch() Table {
 			panic(err)
 		}
 		start := v.Now()
-		v.Sleep(333 * time.Microsecond)
 		for _, k := range keys {
-			if _, err := prod.SendKey(k, nil); err != nil {
+			if _, err := prod.SendKey(k, []byte(k)); err != nil {
 				panic(err)
 			}
 		}
 		done.Wait()
 		wall = doneAt.Sub(start)
-		rf.Stop()
-		processed = rf.Processed()
 	})
 
 	// Top keys by true count.

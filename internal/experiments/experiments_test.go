@@ -142,9 +142,9 @@ func TestE6EstimatesWithinBound(t *testing.T) {
 			t.Fatalf("estimate out of bound at row %d:\n%s", i, tb)
 		}
 	}
-	// The span is one function poll period, at every GOMAXPROCS (the line
-	// EXPERIMENTS.md records).
-	const note = "6000 events processed in 5ms simulated (1200000 msg/s through broker+ledger); εN bound = 60"
+	// The span is the bound function's 1µs warm start per event, at every
+	// GOMAXPROCS (the line EXPERIMENTS.md records).
+	const note = "6000 events processed in 6ms simulated (1000000 msg/s through broker+ledger); εN bound = 60"
 	if tb.Notes != note {
 		t.Fatalf("note = %q, want %q", tb.Notes, note)
 	}

@@ -154,7 +154,6 @@ func (p *Platform) SetPoolTarget(tenant, name string, target int) (int, error) {
 		}
 		fn.mu.Unlock()
 		for _, inst := range starts {
-			inst := inst
 			p.clock.Go(func() { p.provision(fn, inst) })
 		}
 		return len(starts), nil

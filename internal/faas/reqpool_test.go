@@ -45,7 +45,6 @@ func TestRequestPoolNoCrossTenantLeak(t *testing.T) {
 	const perTenant = 2000
 
 	for _, tenant := range []string{"tenant-a", "tenant-b"} {
-		tenant := tenant
 		name := "echo-" + tenant
 		err := p.Register(name, tenant, func(ctx *Ctx, in []byte) ([]byte, error) {
 			if ctx.Tenant != tenant || ctx.FunctionName != name {

@@ -6,33 +6,56 @@ import (
 	"time"
 
 	"repro/internal/blob"
+	"repro/internal/pulsar"
 	"repro/internal/queue"
 	"repro/internal/simclock"
 )
 
+// queueBatch is how many messages one BindQueue dispatch receives.
+const queueBatch = 10
+
 // BindQueue wires a queue as an event source for tenant's function (the
 // Lambda+SQS ETL pattern of §3.1): every send triggers a dispatch that
-// receives up to batch messages, invokes the function once per message, and
-// acks messages whose invocation succeeded. Failed messages stay on the queue
-// and redeliver after the visibility timeout, feeding the dead-letter redrive
-// policy.
-func BindQueue(p *Platform, qs *queue.Service, queueName, tenant, fnName string, batch int) error {
-	if batch <= 0 {
-		batch = 1
-	}
+// receives up to queueBatch messages, invokes the function once per message,
+// and acks messages whose invocation succeeded. Failed messages stay on the
+// queue and redeliver after the visibility timeout, feeding the dead-letter
+// redrive policy.
+func BindQueue(p *Platform, qs *queue.Service, queueName, tenant, fnName string) error {
 	return qs.OnSend(queueName, func(qn string) {
-		deliveries, err := qs.Receive(qn, batch)
+		deliveries, err := qs.Receive(qn, queueBatch)
 		if err != nil {
 			return
 		}
 		for _, d := range deliveries {
-			d := d
 			p.InvokeAsyncFor(tenant, fnName, d.Body, func(_ Result, err error) {
 				if err == nil {
 					_ = qs.Ack(qn, d.ReceiptHandle)
 				}
 			})
 		}
+	})
+}
+
+// BindTopic binds a Pulsar topic to tenant's function (the Pulsar Functions
+// of §4.3.1, Fig. 3): each message's payload is one invocation's input,
+// under the message's trace; a non-nil output goes to output, if named, under
+// the input's key; a message is acked once both succeed. Bindings of one
+// function share the Shared subscription "fn-<tenant>-<fn>": binding again
+// adds parallelism, binding per topic adds inputs.
+func BindTopic(p *Platform, cluster *pulsar.Cluster, topic, tenant, fnName, output string) error {
+	var out *pulsar.Producer
+	if output != "" {
+		var err error
+		if out, err = cluster.CreateProducer(output); err != nil {
+			return err
+		}
+	}
+	return cluster.SubscribeFunc(topic, "fn-"+tenant+"-"+fnName, func(m pulsar.Message) error {
+		res, err := p.InvokeForTraceIdem(tenant, fnName, m.Payload, m.Trace, "")
+		if err == nil && res.Output != nil && out != nil {
+			_, err = out.SendKeyTrace(m.Key, res.Output, m.Trace)
+		}
+		return err
 	})
 }
 

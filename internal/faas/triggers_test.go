@@ -2,12 +2,18 @@ package faas
 
 import (
 	"encoding/json"
+	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/billing"
 	"repro/internal/blob"
+	"repro/internal/coord"
+	"repro/internal/ledger"
+	"repro/internal/pulsar"
 	"repro/internal/queue"
 	"repro/internal/simclock"
 )
@@ -28,7 +34,7 @@ func TestBindQueueInvokesAndAcks(t *testing.T) {
 		return nil, nil
 	}
 	must(t, p.Register("etl", "t", h, Config{}))
-	must(t, BindQueue(p, qs, "jobs", "t", "etl", 10))
+	must(t, BindQueue(p, qs, "jobs", "t", "etl"))
 
 	v.Run(func() {
 		for _, m := range []string{"a", "b", "c"} {
@@ -58,7 +64,7 @@ func TestBindQueueFailedMessageStays(t *testing.T) {
 		return nil, errTransient
 	}
 	must(t, p.Register("bad", "t", h, Config{MaxRetries: -1}))
-	must(t, BindQueue(p, qs, "jobs", "t", "bad", 1))
+	must(t, BindQueue(p, qs, "jobs", "t", "bad"))
 	v.Run(func() {
 		_, err := qs.Send("jobs", []byte("x"))
 		must(t, err)
@@ -154,5 +160,327 @@ func TestDriveSchedulesArrivals(t *testing.T) {
 		if stamps[i] != want {
 			t.Fatalf("stamp[%d] = %v, want %v", i, stamps[i], want)
 		}
+	}
+}
+
+// newTopics builds a Pulsar cluster with the given number of brokers over
+// three bookies, on p's clock.
+func newTopics(v *simclock.Virtual, brokers int) *pulsar.Cluster {
+	meta := coord.NewStore(v)
+	ls := ledger.NewSystem(v, meta)
+	for i := 0; i < 3; i++ {
+		ls.AddBookie(ledger.NewBookie(fmt.Sprintf("bookie-%d", i)))
+	}
+	cl := pulsar.NewCluster(v, meta, ls, billing.NewMeter(), pulsar.ClusterConfig{})
+	for i := 0; i < brokers; i++ {
+		cl.AddBroker(fmt.Sprintf("broker-%d", i))
+	}
+	return cl
+}
+
+// TestBindTopicCountsPerKey is Figure 3's pattern: a function keeping
+// per-key counters in its closure publishes each updated count to an output
+// topic under the input message's key.
+func TestBindTopicCountsPerKey(t *testing.T) {
+	v := simclock.NewVirtual()
+	defer v.Close()
+	p := New(v, nil)
+	cl := newTopics(v, 1)
+	counts := map[string]int{} // one binding: the handler runs serially
+	must(t, p.Register("counter", "t", func(_ *Ctx, key []byte) ([]byte, error) {
+		counts[string(key)]++
+		return []byte(fmt.Sprintf("%s=%d", key, counts[string(key)])), nil
+	}, Config{}))
+	v.Run(func() {
+		must(t, cl.CreateTopic("events", 0))
+		must(t, cl.CreateTopic("counts", 0))
+		must(t, BindTopic(p, cl, "events", "t", "counter", "counts"))
+		prod, err := cl.CreateProducer("events")
+		must(t, err)
+		for i := 0; i < 9; i++ {
+			k := fmt.Sprintf("k%d", i%3)
+			_, err := prod.SendKey(k, []byte(k))
+			must(t, err)
+		}
+	})
+	v.Run(func() {
+		out, err := cl.Subscribe("counts", "check", pulsar.Exclusive, pulsar.Earliest)
+		must(t, err)
+		results := map[string]bool{}
+		for i := 0; i < 9; i++ {
+			m, ok := out.Receive(time.Second)
+			if !ok {
+				t.Fatalf("timeout after %d results", i)
+			}
+			if !strings.HasPrefix(string(m.Payload), m.Key+"=") {
+				t.Errorf("output %q published under key %q, want its input's key", m.Payload, m.Key)
+			}
+			results[string(m.Payload)] = true
+			must(t, out.Ack(m))
+		}
+		for _, k := range []string{"k0", "k1", "k2"} {
+			if !results[k+"=3"] {
+				t.Errorf("missing final count for %s: %v", k, results)
+			}
+		}
+		if n, err := cl.Backlog("events", "fn-t-counter"); err != nil || n != 0 {
+			t.Errorf("input backlog = %d (%v), want 0: every message acked", n, err)
+		}
+	})
+}
+
+// TestBindTopicParallelBindingsShareWork: binding a function twice puts two
+// consumers on its Shared subscription, which share the topic's messages.
+func TestBindTopicParallelBindingsShareWork(t *testing.T) {
+	v := simclock.NewVirtual()
+	defer v.Close()
+	p := New(v, nil)
+	cl := newTopics(v, 1)
+	var handled atomic.Int64
+	must(t, p.Register("sink", "t", func(*Ctx, []byte) ([]byte, error) {
+		handled.Add(1)
+		return nil, nil
+	}, Config{}))
+	v.Run(func() {
+		must(t, cl.CreateTopic("in", 0))
+		must(t, BindTopic(p, cl, "in", "t", "sink", ""))
+		must(t, BindTopic(p, cl, "in", "t", "sink", ""))
+		prod, _ := cl.CreateProducer("in")
+		for i := 0; i < 30; i++ {
+			_, err := prod.Send([]byte("x"))
+			must(t, err)
+		}
+	})
+	if n := handled.Load(); n != 30 {
+		t.Fatalf("handled = %d, want 30", n)
+	}
+	// Round-robin dispatch gave each binding half, so the two ran at once:
+	// two instances, each paying its cold start.
+	if st, _ := p.StatsFor("t", "sink"); st.ColdStarts != 2 {
+		t.Fatalf("cold starts = %d, want 2 (one instance per binding)", st.ColdStarts)
+	}
+}
+
+// TestBindTopicTwoInputTopics: a function bound once per topic consumes both.
+func TestBindTopicTwoInputTopics(t *testing.T) {
+	v := simclock.NewVirtual()
+	defer v.Close()
+	p := New(v, nil)
+	cl := newTopics(v, 1)
+	var handled atomic.Int64
+	must(t, p.Register("merge", "t", func(*Ctx, []byte) ([]byte, error) {
+		handled.Add(1)
+		return nil, nil
+	}, Config{}))
+	v.Run(func() {
+		must(t, cl.CreateTopic("a", 0))
+		must(t, cl.CreateTopic("b", 0))
+		must(t, BindTopic(p, cl, "a", "t", "merge", ""))
+		must(t, BindTopic(p, cl, "b", "t", "merge", ""))
+		pa, _ := cl.CreateProducer("a")
+		pb, _ := cl.CreateProducer("b")
+		for i := 0; i < 3; i++ {
+			_, err := pa.Send([]byte("x"))
+			must(t, err)
+			_, err = pb.Send([]byte("y"))
+			must(t, err)
+		}
+	})
+	if n := handled.Load(); n != 6 {
+		t.Fatalf("handled = %d, want 6", n)
+	}
+}
+
+func TestBindTopicUnknownTopic(t *testing.T) {
+	v := simclock.NewVirtual()
+	defer v.Close()
+	p := New(v, nil)
+	cl := newTopics(v, 1)
+	must(t, p.Register("f", "t", func(*Ctx, []byte) ([]byte, error) { return nil, nil }, Config{}))
+	v.Run(func() {
+		if err := BindTopic(p, cl, "nope", "t", "f", ""); err == nil {
+			t.Fatal("binding a topic that does not exist succeeded")
+		}
+	})
+}
+
+// TestBindTopicFailedMessageStaysUnacked: a message whose invocation fails
+// is not acked and publishes nothing; the next message is unaffected.
+func TestBindTopicFailedMessageStaysUnacked(t *testing.T) {
+	v := simclock.NewVirtual()
+	defer v.Close()
+	p := New(v, nil)
+	cl := newTopics(v, 1)
+	var booms atomic.Int64
+	must(t, p.Register("meta", "t", func(_ *Ctx, in []byte) ([]byte, error) {
+		if string(in) == "boom" {
+			booms.Add(1)
+			return nil, errTransient
+		}
+		return []byte("seen"), nil
+	}, Config{}))
+	v.Run(func() {
+		must(t, cl.CreateTopic("in", 0))
+		must(t, cl.CreateTopic("out", 0))
+		must(t, BindTopic(p, cl, "in", "t", "meta", "out"))
+		prod, _ := cl.CreateProducer("in")
+		_, err := prod.SendKey("k", []byte("boom"))
+		must(t, err)
+		_, err = prod.SendKey("k", []byte("ok"))
+		must(t, err)
+	})
+	v.Run(func() {
+		if booms.Load() == 0 {
+			t.Errorf("the failing message never reached the handler")
+		}
+		if n, err := cl.Backlog("in", "fn-t-meta"); err != nil || n != 1 {
+			t.Errorf("backlog = %d (%v), want 1: the failed message stays unacked", n, err)
+		}
+		out, err := cl.Subscribe("out", "check", pulsar.Exclusive, pulsar.Earliest)
+		must(t, err)
+		if m, ok := out.Receive(time.Second); !ok || string(m.Payload) != "seen" || m.Key != "k" {
+			t.Errorf("output = %q (key %q, ok %v), want the ok message's result keyed k", m.Payload, m.Key, ok)
+		}
+		if m, ok := out.Receive(time.Second); ok {
+			t.Errorf("second output %q: the failed message published", m.Payload)
+		}
+	})
+}
+
+// TestBindTopicOneDrainUnderConcurrentPublishers: four producers publishing
+// at once, past the receive queue's 1024 slots, wake one binding from many
+// goroutines; its invocations never overlap, and each message is invoked
+// exactly once.
+func TestBindTopicOneDrainUnderConcurrentPublishers(t *testing.T) {
+	v := simclock.NewVirtual()
+	defer v.Close()
+	p := New(v, nil)
+	cl := newTopics(v, 2)
+	var inside atomic.Int32
+	var mu sync.Mutex
+	seen := map[string]int{}
+	must(t, p.Register("f", "t", func(ctx *Ctx, in []byte) ([]byte, error) {
+		if inside.Add(1) != 1 {
+			t.Error("two invocations of one binding overlap")
+		}
+		ctx.Work(time.Microsecond)
+		inside.Add(-1)
+		mu.Lock()
+		seen[string(in)]++
+		mu.Unlock()
+		return nil, nil
+	}, Config{WarmStart: time.Microsecond, Prewarm: 1}))
+	const producers, each = 4, 400
+	v.Run(func() {
+		must(t, cl.CreateTopic("in", 4))
+		must(t, BindTopic(p, cl, "in", "t", "f", ""))
+		wg := simclock.NewGroup(v)
+		for w := 0; w < producers; w++ {
+			wg.Go(func() {
+				prod, err := cl.CreateProducer("in")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for i := 0; i < each; i++ {
+					m := fmt.Sprintf("w%d-%d", w, i)
+					if _, err := prod.SendKey(m, []byte(m)); err != nil {
+						t.Error(err)
+					}
+				}
+			})
+		}
+		wg.Wait()
+	})
+	if len(seen) != producers*each {
+		t.Fatalf("%d distinct messages invoked, want %d", len(seen), producers*each)
+	}
+	for m, n := range seen {
+		if n != 1 {
+			t.Fatalf("%s invoked %d times, want once", m, n)
+		}
+	}
+}
+
+// TestBindTopicSurvivesOwnershipChange: a binding idle across a move, a
+// failover and a split is woken by the new owner's claim, so the messages
+// published after each change are invoked before the next one, and every
+// message is acked.
+func TestBindTopicSurvivesOwnershipChange(t *testing.T) {
+	v := simclock.NewVirtual()
+	defer v.Close()
+	p := New(v, nil)
+	cl := newTopics(v, 3)
+	var mu sync.Mutex
+	seen := map[string]int{}
+	must(t, p.Register("f", "t", func(_ *Ctx, in []byte) ([]byte, error) {
+		mu.Lock()
+		seen[string(in)]++
+		mu.Unlock()
+		return nil, nil
+	}, Config{ColdStart: time.Millisecond, WarmStart: time.Millisecond}))
+	const part = "in-partition-0"
+	v.Run(func() {
+		must(t, cl.CreateTopic("in", 1))
+		must(t, BindTopic(p, cl, "in", "t", "f", ""))
+		prod, err := cl.CreateProducer("in")
+		must(t, err)
+		publish := func(phase string) {
+			for i := 0; i < 8; i++ {
+				m := fmt.Sprintf("%s-%d", phase, i)
+				_, err := prod.SendKey(m, []byte(m))
+				must(t, err)
+			}
+			v.Sleep(100 * time.Millisecond) // the binding drains and goes idle
+			mu.Lock()
+			defer mu.Unlock()
+			for i := 0; i < 8; i++ {
+				if m := fmt.Sprintf("%s-%d", phase, i); seen[m] == 0 {
+					t.Errorf("%s not invoked within 100ms", m)
+				}
+			}
+		}
+		publish("start")
+		must(t, cl.MoveTopic(part, "broker-1"))
+		publish("moved")
+		b1, _ := cl.Broker("broker-1")
+		b1.SetDown(true)
+		publish("failover")
+		_, err = cl.SplitPartition("in", part, "broker-2")
+		must(t, err)
+		publish("split")
+	})
+	v.Run(func() {
+		if n, err := cl.Backlog("in", "fn-t-f"); err != nil || n != 0 {
+			t.Errorf("backlog = %d (%v), want 0", n, err)
+		}
+	})
+}
+
+// TestBindTopicIdleLeavesNoGoroutine: a binding holds a goroutine only while
+// it has messages, so the run ends at the last invocation's instant with no
+// stop call.
+func TestBindTopicIdleLeavesNoGoroutine(t *testing.T) {
+	v := simclock.NewVirtual()
+	defer v.Close()
+	p := New(v, nil)
+	cl := newTopics(v, 1)
+	var last time.Time
+	must(t, p.Register("f", "t", func(*Ctx, []byte) ([]byte, error) {
+		last = v.Now()
+		return nil, nil
+	}, Config{}))
+	end := v.Run(func() {
+		must(t, cl.CreateTopic("in", 0))
+		must(t, BindTopic(p, cl, "in", "t", "f", ""))
+		prod, _ := cl.CreateProducer("in")
+		for i := 0; i < 3; i++ {
+			_, err := prod.Send([]byte("x"))
+			must(t, err)
+		}
+	})
+	// A 250 ms cold start, then two 1 ms warm starts.
+	if want := simclock.Epoch.Add(252 * time.Millisecond); !last.Equal(want) || !end.Equal(last) {
+		t.Fatalf("last invocation at %v, run ended at %v; want both at %v", last.Sub(simclock.Epoch), end.Sub(simclock.Epoch), want.Sub(simclock.Epoch))
 	}
 }

@@ -132,7 +132,6 @@ func MatVec(p *faas.Platform, a [][]float64, x []float64, cfg CodedConfig) (Code
 	for s := 0; s < cfg.Stripes; s++ {
 		for r := 0; r < cfg.Replication; r++ {
 			payload, _ := json.Marshal(struct{ Stripe, Replica int }{s, r})
-			s := s
 			wgAll.Add(1)
 			p.InvokeAsyncFor(cfg.Tenant, fnName, payload, func(res faas.Result, err error) {
 				defer wgAll.Done()

@@ -36,11 +36,14 @@ var (
 // consumerReg is a consumer's registration on a broker-side subscription:
 // one per Consumer, shared by every partition it is attached to. starved is
 // set by a broker whose push found the queue full and cleared by the consumer
-// when it asks for the stopped rounds to be run again (ensureAttached).
+// when it asks for the stopped rounds to be run again (ensureAttached). wake
+// is set only for a push consumer (SubscribeFunc): a broker calls it after
+// placing a message in the queue.
 type consumerReg struct {
 	id      int64
 	inbox   *inbox
 	starved atomic.Bool
+	wake    func()
 }
 
 // subscription is the broker-side durable cursor plus attached consumers.
@@ -878,6 +881,9 @@ func (b *Broker) deliverLocked(sub *subscription, m *Message, now time.Time) boo
 		// traces fall into the tracer's late-span count by design.
 		if m.Trace.Valid() {
 			b.cluster.tracer.Start(m.Trace, "pulsar.deliver").End()
+		}
+		if target.wake != nil {
+			target.wake()
 		}
 		return true
 	}

@@ -137,8 +137,9 @@ func (p *Producer) SendKeyTrace(key string, payload []byte, tc obs.TraceCtx) (in
 // sendKey is the shared synchronous publish path; pctx (the publish span's
 // context, or zero when untraced) flows to the broker so deliveries and the
 // ledger append parent on it. It does not hold p.mu across the broker call:
-// Pulsar Function instances share one output producer, and a raw mutex wait
-// behind a publish that sleeps on the clock would stall a virtual clock.
+// concurrent invocations of a function whose handler publishes share one
+// producer, and a raw mutex wait behind a publish that sleeps on the clock
+// would stall a virtual clock.
 func (p *Producer) sendKey(key string, payload []byte, pctx obs.TraceCtx) (int64, error) {
 	p.mu.Lock()
 	if p.pendingN > 0 {
@@ -405,6 +406,9 @@ type Consumer struct {
 	rtVersion int64
 	epochs    map[string]int64 // ownership epoch attached at; none until the first attach
 	closed    bool
+
+	fn    func(Message) error // a push consumer's (SubscribeFunc) callback
+	wakes atomic.Int64        // wakes the running drain has not covered yet
 }
 
 // receivePoll is the consumer's queue polling interval.
@@ -413,6 +417,20 @@ const receivePoll = time.Millisecond
 // Subscribe attaches a new consumer to (creating if needed) the named
 // durable subscription.
 func (c *Cluster) Subscribe(topic, subName string, mode SubMode, pos InitialPosition) (*Consumer, error) {
+	return c.subscribe(topic, subName, mode, pos, nil)
+}
+
+// SubscribeFunc attaches a push consumer to the Shared subscription sub on
+// topic, created at Latest: each message placed in its queue is handed to fn
+// on a tracked goroutine and acked when fn returns nil. An idle push
+// consumer holds no goroutine: a delivery starts its drain, and so does an
+// ownership change (claim), whose attach pass re-subscribes it.
+func (c *Cluster) SubscribeFunc(topic, sub string, fn func(Message) error) error {
+	_, err := c.subscribe(topic, sub, Shared, Latest, fn)
+	return err
+}
+
+func (c *Cluster) subscribe(topic, subName string, mode SubMode, pos InitialPosition, fn func(Message) error) (*Consumer, error) {
 	h, err := c.routing(topic)
 	if err != nil {
 		return nil, err
@@ -434,12 +452,47 @@ func (c *Cluster) Subscribe(topic, subName string, mode SubMode, pos InitialPosi
 		concrete:  append([]string(nil), tbl.names...),
 		rtVersion: tbl.version,
 		epochs:    map[string]int64{},
+		fn:        fn,
+	}
+	if fn != nil {
+		cons.reg.wake = cons.wake
 	}
 	if err := cons.ensureAttached(); err != nil {
 		cons.Close() // it may be attached somewhere: a later partition, or the backlog read, failed
 		return nil, err
 	}
+	if fn != nil {
+		c.mu.Lock()
+		c.pushers = append(c.pushers, cons)
+		c.mu.Unlock()
+		cons.wake() // its attach pass covers a claim between the first one and the listing
+	}
 	return cons, nil
+}
+
+// wake starts the push consumer's drain or, when one is running, makes it
+// take another pass: a single drain keeps TryReceive's one-receiver rule.
+func (cons *Consumer) wake() {
+	if cons.wakes.Add(1) == 1 {
+		cons.c.clock.Go(cons.drain)
+	}
+}
+
+// drain calls fn per message and acks what it accepts. A pass ends on the pop
+// that finds the queue empty, which makes an attach pass (tryReceive); the
+// drain exits once a pass has covered every wake.
+func (cons *Consumer) drain() {
+	for n := cons.wakes.Load(); n != 0; n = cons.wakes.Add(-n) {
+		for {
+			m, ok, _ := cons.tryReceive()
+			if !ok {
+				break
+			}
+			if cons.fn(m) == nil {
+				_ = cons.Ack(m)
+			}
+		}
+	}
 }
 
 // ensureAttached is one pass over the consumer's partitions, in creation

@@ -4,7 +4,8 @@
 // partitioned topics, and one unified API generalizing queuing and
 // publish-subscribe via subscription modes (exclusive, shared, failover,
 // key-shared). §4.3.1's Pulsar Functions — serverless functions consuming
-// from and publishing to topics, with per-key state — live in functions.go.
+// from and publishing to topics — are faas functions bound to a topic
+// (faas.BindTopic) through a push subscription (Cluster.SubscribeFunc).
 package pulsar
 
 import (

@@ -68,7 +68,6 @@ func TestPropertyPerKeyOrderOnPartitionedTopics(t *testing.T) {
 // single-broker failures are all eventually received (at-least-once).
 func TestPropertyNoLossUnderRandomBrokerKills(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
-		seed := seed
 		t.Run(fmt.Sprint(seed), func(t *testing.T) {
 			e := newEnv(t, 3, 4)
 			e.v.Run(func() {

@@ -306,6 +306,9 @@ func (c *Cluster) SplitPartition(logical, concrete, target string) (string, erro
 	tbl.version = h.load().version + 1
 	h.p.Store(tbl)
 	c.registerParents(logical, tbl)
+	// The child's claim in step 2 woke the push consumers before this table
+	// existed; the attach pass that finds the child needs it.
+	c.wakePushers()
 
 	// 4. Narrow the live parent's accepted range: from here the parent
 	// fences upper-half keys with ErrRouteMoved.

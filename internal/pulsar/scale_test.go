@@ -104,7 +104,6 @@ func runScaleSoak(t *testing.T, brokers int) (int64, string) {
 		start := e.v.Now()
 		wg := simclock.NewGroup(e.v)
 		for i := range topics {
-			i := i
 			sched := laneSchedule(300, window, int64(100+i), i)
 			wg.Go(func() {
 				atomic.AddInt64(&counts[i], runLane(t, e, prods[i], "", sched, window, start))
@@ -189,7 +188,6 @@ func TestLoadManagerRebalanceUnderLoad(t *testing.T) {
 			start := e.v.Now()
 			wg := simclock.NewGroup(e.v)
 			for i := range topics {
-				i := i
 				sched := laneSchedule(150, window, int64(200+i), i)
 				wg.Go(func() {
 					atomic.AddInt64(&counts[i], runLane(t, e, prods[i], "", sched, window, start))
@@ -293,7 +291,6 @@ func TestHotKeySplitBoundedP99(t *testing.T) {
 			start = e.v.Now()
 			wg := simclock.NewGroup(e.v)
 			for i := 0; i < lanes; i++ {
-				i := i
 				wg.Go(func() {
 					for j, at := range scheds[i] {
 						if d := at - e.v.Now().Sub(start); d > 0 {

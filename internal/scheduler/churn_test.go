@@ -115,7 +115,6 @@ func TestChurnInvariants(t *testing.T) {
 	const rounds = 50
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		w := w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

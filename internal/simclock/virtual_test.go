@@ -125,7 +125,6 @@ func TestVirtualDeterminism(t *testing.T) {
 		v.Run(func() {
 			wg := NewGroup(v)
 			for i := 1; i <= 8; i++ {
-				i := i
 				wg.Go(func() {
 					v.Sleep(time.Duration(i) * time.Minute)
 					mu.Lock()
@@ -216,7 +215,6 @@ func TestVirtualManyGoroutinesStress(t *testing.T) {
 	end := v.Run(func() {
 		wg := NewGroup(v)
 		for i := 0; i < 2000; i++ {
-			i := i
 			wg.Go(func() {
 				for j := 0; j < 5; j++ {
 					v.Sleep(time.Duration(1+(i+j)%7) * time.Second)

@@ -16,7 +16,6 @@ func TestSemHandsOffInArrivalOrder(t *testing.T) {
 		lock.Acquire()
 		waiters := NewGroup(v)
 		for _, i := range []int{2, 0, 1} {
-			i := i
 			waiters.Go(func() {
 				v.Sleep(time.Duration(i+1) * time.Second)
 				lock.Acquire()

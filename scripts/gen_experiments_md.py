@@ -14,7 +14,7 @@ SHAPES = {
     "E3": "Warm latency stays ~21ms; once the inter-arrival gap exceeds the 10-minute keep-alive, the cold fraction jumps to 1.0 and p50 latency grows ~13x (250ms cold start + work).",
     "E4": "Jiffy put+get round trips beat the blob store by one to two orders of magnitude at small payloads, with the gap narrowing as payload size grows (transfer cost starts to dominate).",
     "E5": "Scaling tenant A's namespace moves a fraction of A's keys and exactly zero of B's; scaling the global address space moves keys of every tenant.",
-    "E6": "Every Count-Min estimate is ≥ the true count and within the εN bound; the stream sustains six-figure msg/s through broker + replicated ledger.",
+    "E6": "Every Count-Min estimate is ≥ the true count and within the εN bound; the stream sustains six-figure msg/s through broker + replicated ledger into a faas function bound to the topic, whose 1 µs warm start per event sets the rate.",
     "E7": "Composed GB-seconds equal direct GB-seconds exactly for both a chain and a nested parallel workflow — the orchestration layer adds zero billed charge.",
     "E8": "Flat parameter-server round time grows roughly linearly with workers (pushes serialize); hierarchical aggregation bends the curve, with speedup growing past 8 workers. Losses are bit-identical across topologies.",
     "E9": "Uncoded completion time jumps to the straggler delay as soon as any stripe straggles; 2-replication stays near the straggler-free time at 2x invocation cost.",

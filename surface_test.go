@@ -51,9 +51,61 @@ var surfaceAllowlist = map[string]string{
 	"obs.(*Tracer).Stats":               "kept and dropped span counts, read by cross-package tests of the sampler and the span cap",
 	"obs.(*Tracer).CanonicalText":       "the chaos trace-determinism digest compares two runs through it",
 	"pulsar.(*Cluster).SetHandoffDelay": "a chaos hook: its test lives in chaos, which imports pulsar",
-	"pulsar.(*Producer).SendKeyTrace":   "a handler continues its trace into Pulsar (TestSingleTraceAcrossSubsystems)",
 	"jiffy.(*Namespace).Traced":         "a handler continues its trace into Jiffy (TestSingleTraceAcrossSubsystems)",
 	"jiffy.(TracedNamespace).Put":       "a handler continues its trace into Jiffy (TestSingleTraceAcrossSubsystems)",
+}
+
+// claimRoots are the packages that measure or check the paper's claims: the
+// experiment tables, the SeBS suite and the conformance explorer.
+var claimRoots = []string{"./internal/experiments", "./internal/sebs", "./internal/conform"}
+
+// unclaimedAllowlist holds the internal packages that stay outside every
+// claim root's dependencies, each with its reason.
+var unclaimedAllowlist = map[string]string{
+	"graph":    "claim or delete: ROADMAP item 7",
+	"stateful": "claim or delete: ROADMAP item 7",
+}
+
+// TestEveryInternalPackageIsUnderAClaim: every internal package is a
+// dependency of a claim root, or on unclaimedAllowlist with its reason. A
+// system no experiment, benchmark app or conformance check reaches is code
+// no claim rests on: it earns a claim, or it goes.
+func TestEveryInternalPackageIsUnderAClaim(t *testing.T) {
+	claimed := map[string]bool{}
+	for _, p := range listPackages(t, append([]string{"-deps"}, claimRoots...)...) {
+		claimed[p] = true
+	}
+	const prefix = "repro/internal/"
+	internal := map[string]bool{}
+	for _, p := range listPackages(t, "./internal/...") {
+		name := strings.TrimPrefix(p, prefix)
+		internal[name] = true
+		reason, allowed := unclaimedAllowlist[name]
+		switch {
+		case !claimed[p] && !allowed:
+			t.Errorf("%s is under no claim: no experiment, SeBS app or conformance check reaches it", p)
+		case claimed[p] && allowed:
+			t.Errorf("unclaimedAllowlist names %s (%q), which a claim root now reaches: drop the entry", name, reason)
+		}
+	}
+	for name := range unclaimedAllowlist {
+		if !internal[name] {
+			t.Errorf("unclaimedAllowlist names %s, which is not an internal package: drop the entry", name)
+		}
+	}
+}
+
+// listPackages runs go list with args and returns the import paths it prints.
+func listPackages(t *testing.T, args ...string) []string {
+	t.Helper()
+	out, err := exec.Command("go", append([]string{"list"}, args...)...).Output()
+	if err != nil {
+		if ee, ok := err.(*exec.ExitError); ok {
+			t.Fatalf("go list: %v\n%s", err, ee.Stderr)
+		}
+		t.Fatalf("go list: %v", err)
+	}
+	return strings.Fields(string(out))
 }
 
 // stdIfaces are the standard-library interfaces whose methods a receiver may

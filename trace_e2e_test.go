@@ -8,6 +8,7 @@ package repro
 // handful of disconnected per-subsystem spans.
 
 import (
+	"sort"
 	"testing"
 	"time"
 
@@ -128,6 +129,81 @@ func TestSingleTraceAcrossSubsystems(t *testing.T) {
 	}
 	if got := len(tr.Traces()); got != 2 {
 		t.Fatalf("got %d traces after second invoke, want 2", got)
+	}
+}
+
+// TestTraceThroughBoundTopics: a traced publish to a topic bound to a
+// function whose output topic is bound to a second function is one trace:
+// the publish, its delivery, the first invoke, its output publish and the
+// second invoke all carry the publish's trace id, each invoke parented on
+// the publish that fed it.
+func TestTraceThroughBoundTopics(t *testing.T) {
+	p, v := core.NewVirtual(core.Options{})
+	defer v.Close()
+	tr := p.Obs.Tracer()
+	acme := p.Tenant("acme")
+	cfg := faas.Config{WarmStart: 1, ColdStart: 1}
+	var root obs.SpanRef
+	v.Run(func() {
+		for _, topic := range []string{"in", "mid", "out"} {
+			if err := p.Pulsar.CreateTopic(topic, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, fn := range []string{"first", "second"} {
+			if err := acme.Register(fn, func(_ *faas.Ctx, in []byte) ([]byte, error) { return in, nil }, cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := faas.BindTopic(p.FaaS, p.Pulsar, "in", "acme", "first", "mid"); err != nil {
+			t.Fatal(err)
+		}
+		if err := faas.BindTopic(p.FaaS, p.Pulsar, "mid", "acme", "second", "out"); err != nil {
+			t.Fatal(err)
+		}
+		prod, err := p.Pulsar.CreateProducer("in")
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The caller's span stays open until the run ends, so the trace
+		// cannot finalize before the bound functions join it.
+		root = tr.Start(obs.TraceCtx{}, "client")
+		if _, err := prod.SendKeyTrace("k", []byte("payload"), root.Ctx()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	root.End()
+
+	if traces := tr.Traces(); len(traces) != 1 || traces[0].TraceID != root.TraceID() {
+		t.Fatalf("traces = %+v, want exactly the client's", traces)
+	}
+	byName := map[string][]obs.SpanData{}
+	for _, sd := range tr.Spans() {
+		if sd.TraceID != root.TraceID() {
+			t.Fatalf("span %q in trace %d, want %d", sd.Name, sd.TraceID, root.TraceID())
+		}
+		byName[sd.Name] = append(byName[sd.Name], sd)
+	}
+	// Publishes to in, mid and out; deliveries on in and mid (out has no
+	// subscriber); one invoke per function.
+	for name, want := range map[string]int{"pulsar.publish": 3, "pulsar.deliver": 2, "faas.invoke": 2} {
+		if got := len(byName[name]); got != want {
+			t.Fatalf("%d %q spans, want %d; have %v", got, name, want, names(tr.Spans()))
+		}
+	}
+	// Each function's start takes a nanosecond, so the publishes, and the
+	// invokes, start at distinct instants in causal order.
+	pub, inv := byName["pulsar.publish"], byName["faas.invoke"]
+	for _, ss := range [][]obs.SpanData{pub, inv} {
+		sort.Slice(ss, func(i, j int) bool { return ss[i].Start.Before(ss[j].Start) })
+	}
+	for i, in := range inv {
+		if in.ParentID != pub[i].SpanID {
+			t.Fatalf("faas.invoke %d parent = %d, want the publish that fed it (%d)", i, in.ParentID, pub[i].SpanID)
+		}
+		if out := pub[i+1]; out.ParentID != pub[i].SpanID {
+			t.Fatalf("output publish %d parent = %d, want its input's publish (%d)", i, out.ParentID, pub[i].SpanID)
+		}
 	}
 }
 
