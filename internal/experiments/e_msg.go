@@ -186,7 +186,7 @@ func E15PulsarDurability() Table {
 		if err := west.Pulsar.CreateTopic("geo", 0); err != nil {
 			panic(err)
 		}
-		repl, err := pulsar.StartReplicator(p.Pulsar, west.Pulsar, pulsar.ReplicatorConfig{SrcTopic: "geo", DstTopic: "geo"})
+		repl, err := pulsar.StartReplicator(p.Pulsar, west.Pulsar, "geo", "geo")
 		if err != nil {
 			panic(err)
 		}

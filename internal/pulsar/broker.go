@@ -36,9 +36,8 @@ var (
 // consumerReg is a consumer's registration on a broker-side subscription:
 // one per Consumer, shared by every partition it is attached to. starved is
 // set by a broker whose push found the queue full and cleared by the consumer
-// when it asks for the stopped rounds to be run again (ensureAttached). wake
-// is set only for a push consumer (SubscribeFunc): a broker calls it after
-// placing a message in the queue.
+// when it asks for the stopped rounds to be run again (ensureAttached). A
+// broker calls wake after placing a message in the queue.
 type consumerReg struct {
 	id      int64
 	inbox   *inbox
@@ -709,13 +708,7 @@ func (b *Broker) detach(topicName, subName string, consumerID int64) {
 		return
 	}
 	defer ts.mu.Unlock()
-	kept := sub.consumers[:0]
-	for _, c := range sub.consumers {
-		if c.id != consumerID {
-			kept = append(kept, c)
-		}
-	}
-	sub.consumers = kept
+	sub.consumers = slices.DeleteFunc(sub.consumers, func(c *consumerReg) bool { return c.id == consumerID })
 	sub.rr = 0
 	sub.redeliver = sub.pending.drain(consumerID, sub.redeliver)
 	if b.dispatchLocked(ts, sub) != nil {
@@ -882,9 +875,7 @@ func (b *Broker) deliverLocked(sub *subscription, m *Message, now time.Time) boo
 		if m.Trace.Valid() {
 			b.cluster.tracer.Start(m.Trace, "pulsar.deliver").End()
 		}
-		if target.wake != nil {
-			target.wake()
-		}
+		target.wake()
 		return true
 	}
 	return false

@@ -2,11 +2,13 @@ package pulsar
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/simclock"
 )
 
 // ProducerOptions tunes a producer's batching behavior.
@@ -371,9 +373,9 @@ func (p *Producer) routeTo(tbl *routeTable, key string) string {
 // Consumer receives messages from a subscription. For partitioned topics it
 // consumes a merged stream across all partitions. It holds a receiver queue,
 // not the backlog: brokers push into a fixed ring of receiverQueue messages
-// and end their dispatch round when it is full; Receive polls the ring on the
-// cluster clock, asks the brokers for the rest once the ring has drained to
-// half, and transparently re-attaches after broker failovers.
+// and end their dispatch round when it is full; Receive pops the ring, asks
+// the brokers for the rest once it has drained to half, and transparently
+// re-attaches after broker failovers.
 //
 // At most one goroutine may call TryReceive/Receive on a given Consumer at a
 // time (brokers push into its queue concurrently from many topics; delivery
@@ -407,12 +409,27 @@ type Consumer struct {
 	epochs    map[string]int64 // ownership epoch attached at; none until the first attach
 	closed    bool
 
-	fn    func(Message) error // a push consumer's (SubscribeFunc) callback
-	wakes atomic.Int64        // wakes the running drain has not covered yet
+	fn     func(Message) error // a push consumer's (SubscribeFunc) callback
+	wakes  atomic.Int64        // wakes the running drain has not covered yet
+	drains *simclock.Group     // counts the running drain, for Replicator.Stop to wait on
+
+	// A pull consumer's Receive parks on sem until a wake, Close or its
+	// deadline timer, both made by the first Receive that waits. The timer
+	// reaches the consumer only through cell, which Close clears, so a timer
+	// still pending after Close pins the cell, not the cluster.
+	state atomic.Int32 // recvIdle, recvWaiting or recvWoken
+	sem   *simclock.Sem
+	timer *simclock.Timer
+	cell  *atomic.Pointer[Consumer]
 }
 
-// receivePoll is the consumer's queue polling interval.
-const receivePoll = time.Millisecond
+// Receive's states: a wake moves any of them to recvWoken, and releases sem
+// only when it finds recvWaiting, so sem never holds more than one permit.
+const (
+	recvIdle int32 = iota
+	recvWaiting
+	recvWoken
+)
 
 // Subscribe attaches a new consumer to (creating if needed) the named
 // durable subscription.
@@ -453,28 +470,37 @@ func (c *Cluster) subscribe(topic, subName string, mode SubMode, pos InitialPosi
 		rtVersion: tbl.version,
 		epochs:    map[string]int64{},
 		fn:        fn,
+		cell:      new(atomic.Pointer[Consumer]),
 	}
+	cons.cell.Store(cons)
+	cons.reg.wake = cons.wake
 	if fn != nil {
-		cons.reg.wake = cons.wake
+		cons.drains = simclock.NewGroup(c.clock)
 	}
 	if err := cons.ensureAttached(); err != nil {
 		cons.Close() // it may be attached somewhere: a later partition, or the backlog read, failed
 		return nil, err
 	}
-	if fn != nil {
-		c.mu.Lock()
-		c.pushers = append(c.pushers, cons)
-		c.mu.Unlock()
-		cons.wake() // its attach pass covers a claim between the first one and the listing
-	}
+	c.mu.Lock()
+	c.consumers = append(c.consumers, cons)
+	c.mu.Unlock()
+	cons.wake() // its attach pass covers a claim between the first one and the listing
 	return cons, nil
 }
 
-// wake starts the push consumer's drain or, when one is running, makes it
-// take another pass: a single drain keeps TryReceive's one-receiver rule.
+// wake tells the consumer something may be waiting: a push consumer's drain
+// starts, or takes another pass (one drain keeps TryReceive's one-receiver
+// rule), and a parked Receive is released. It comes from brokers under the
+// topic's lock and from claim under cons.mu, so it takes neither lock.
 func (cons *Consumer) wake() {
-	if cons.wakes.Add(1) == 1 {
-		cons.c.clock.Go(cons.drain)
+	if cons.fn != nil {
+		if cons.wakes.Add(1) == 1 {
+			cons.drains.Go(cons.drain)
+		}
+		return
+	}
+	if cons.state.Swap(recvWoken) == recvWaiting {
+		cons.sem.Release()
 	}
 }
 
@@ -580,20 +606,33 @@ func (cons *Consumer) TryReceive() (Message, bool) {
 	return m, ok
 }
 
-// Receive waits up to timeout (on the cluster clock) for a message. The
-// boolean reports whether a message arrived; on a closed consumer it is false
-// at once.
+// Receive waits up to timeout (on the cluster clock) for a message, parked
+// between passes until a wake or its deadline; the boolean reports whether
+// one arrived. On a closed consumer it is false at once.
 func (cons *Consumer) Receive(timeout time.Duration) (Message, bool) {
 	deadline := cons.c.clock.Now().Add(timeout)
 	for {
+		cons.state.Store(recvIdle) // a wake from here on makes the park fall through
 		m, ok, err := cons.tryReceive()
 		if ok {
 			return m, true
 		}
-		if errors.Is(err, ErrConsumerClosed) || cons.c.clock.Now().After(deadline) {
+		if errors.Is(err, ErrConsumerClosed) || !cons.c.clock.Now().Before(deadline) {
 			return Message{}, false
 		}
-		cons.c.clock.Sleep(receivePoll)
+		if cons.sem == nil {
+			cell := cons.cell
+			cons.sem = simclock.NewSem(cons.c.clock, 0)
+			cons.timer = simclock.NewTimer(cons.c.clock, func() {
+				if c := cell.Load(); c != nil {
+					c.wake()
+				}
+			})
+		}
+		cons.timer.Reset(deadline)
+		if cons.state.CompareAndSwap(recvIdle, recvWaiting) {
+			cons.sem.Acquire()
+		}
 	}
 }
 
@@ -608,7 +647,7 @@ func (cons *Consumer) Ack(m Message) error {
 
 // Close detaches the consumer and empties its queue: its unacked messages,
 // those included, redeliver to surviving consumers on the subscription, and a
-// closed consumer hands out nothing.
+// closed consumer hands out nothing. A parked Receive returns at once.
 func (cons *Consumer) Close() {
 	cons.mu.Lock()
 	if cons.closed {
@@ -618,6 +657,10 @@ func (cons *Consumer) Close() {
 	cons.closed = true
 	concrete := append([]string{}, cons.concrete...)
 	cons.mu.Unlock()
+	cons.cell.Store(nil)
+	cons.c.mu.Lock()
+	cons.c.consumers = slices.DeleteFunc(cons.c.consumers, func(x *Consumer) bool { return x == cons })
+	cons.c.mu.Unlock()
 	for _, t := range concrete {
 		if b, _ := cons.c.lockHolder(t); b != nil {
 			b.detach(t, cons.sub, cons.reg.id)
@@ -627,4 +670,5 @@ func (cons *Consumer) Close() {
 	for ok := true; ok; {
 		_, ok = cons.reg.inbox.pop()
 	}
+	cons.wake()
 }

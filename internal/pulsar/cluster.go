@@ -83,7 +83,7 @@ type Cluster struct {
 	brokerOrder  []string
 	epochs       map[string]int64 // concrete topic → ownership epoch
 	nextConsumer int64
-	pushers      []*Consumer // SubscribeFunc's consumers, woken by claim
+	consumers    []*Consumer // every open consumer, woken by claim
 
 	// owners caches resolved topic ownership so the publish/ack hot path is
 	// one lock-free map probe instead of a coordination-service lock lookup
@@ -348,8 +348,8 @@ func (c *Cluster) lockHolder(topic string) (b *Broker, held bool) {
 // topic on b (releasing the lock if that fails), bumps the ownership epoch
 // and caches the resolution. ok is false, with no error, when someone else
 // holds the lock. Every ownership change (failover, MoveTopic, a split
-// child's first owner) ends here, so claim wakes the push consumers: each
-// makes the attach pass that subscribes it on the new owner.
+// child's first owner) ends here, so claim wakes every consumer: each makes
+// the attach pass that subscribes it on the new owner.
 func (c *Cluster) claim(topic string, b *Broker) (ep int64, ok bool, err error) {
 	if ok, err = c.meta.TryAcquire(ownerPath(topic), []byte(b.ID), b.session); !ok || err != nil {
 		return 0, false, err
@@ -364,17 +364,17 @@ func (c *Cluster) claim(topic string, b *Broker) (ep int64, ok bool, err error) 
 	ep = c.epochs[topic]
 	c.mu.Unlock()
 	c.owners.Store(topic, ownerEntry{b: b, ep: ep})
-	c.wakePushers()
+	c.wakeConsumers()
 	return ep, true, nil
 }
 
-// wakePushers has every push consumer make an attach pass.
-func (c *Cluster) wakePushers() {
+// wakeConsumers has every open consumer make an attach pass. A wake takes no
+// cluster, topic or consumer lock, so it is safe under c.mu.
+func (c *Cluster) wakeConsumers() {
 	c.mu.Lock()
-	pushers := c.pushers
-	c.mu.Unlock()
-	for _, cons := range pushers {
-		cons.reg.wake()
+	defer c.mu.Unlock()
+	for _, cons := range c.consumers {
+		cons.wake()
 	}
 }
 

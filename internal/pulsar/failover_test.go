@@ -141,9 +141,7 @@ func TestGeoReplicationDropsAfterRetries(t *testing.T) {
 		wb, _ := west.Broker("west-broker-0")
 		wb.SetDown(true) // only broker in the region: every dst publish fails
 
-		repl, err := StartReplicator(e.cluster, west, ReplicatorConfig{
-			SrcTopic: "t", DstTopic: "t", MaxRetries: 2, RetryBase: time.Millisecond,
-		})
+		repl, err := StartReplicator(e.cluster, west, "t", "t")
 		must(t, err)
 		prod, _ := e.cluster.CreateProducer("t")
 		for i := 0; i < 3; i++ {
@@ -163,7 +161,7 @@ func TestGeoReplicationDropsAfterRetries(t *testing.T) {
 		// The drops acked the source: a fresh bounded replicator against a
 		// healthy destination has nothing to mirror.
 		wb.SetDown(false)
-		repl2, err := StartReplicator(e.cluster, west, ReplicatorConfig{SrcTopic: "t", DstTopic: "t"})
+		repl2, err := StartReplicator(e.cluster, west, "t", "t")
 		must(t, err)
 		e.v.Sleep(50 * time.Millisecond)
 		repl2.Stop()
@@ -188,21 +186,19 @@ func TestReplicatorStopMidRetryKeepsMessage(t *testing.T) {
 		wb, _ := west.Broker("west-broker-0")
 		wb.SetDown(true)
 
-		repl, err := StartReplicator(e.cluster, west, ReplicatorConfig{
-			SrcTopic: "t", DstTopic: "t", MaxRetries: 3, RetryBase: 100 * time.Millisecond,
-		})
+		repl, err := StartReplicator(e.cluster, west, "t", "t")
 		must(t, err)
 		prod, _ := e.cluster.CreateProducer("t")
 		_, err = prod.Send([]byte("m0"))
 		must(t, err)
-		e.v.Sleep(50 * time.Millisecond) // first publish failed; first backoff (100ms) in progress
+		e.v.Sleep(2 * time.Millisecond) // first publish failed; first backoff (5ms) in progress
 		repl.Stop()
 		if repl.Dropped() != 0 || repl.Replicated() != 0 {
 			t.Fatalf("stopped mid-retry: dropped = %d, replicated = %d, want 0 and 0", repl.Dropped(), repl.Replicated())
 		}
 
 		wb.SetDown(false)
-		repl2, err := StartReplicator(e.cluster, west, ReplicatorConfig{SrcTopic: "t", DstTopic: "t"})
+		repl2, err := StartReplicator(e.cluster, west, "t", "t")
 		must(t, err)
 		cons, err := west.Subscribe("t", "check", Exclusive, Earliest)
 		must(t, err)

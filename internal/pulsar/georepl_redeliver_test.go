@@ -17,7 +17,7 @@ func TestGeoReplicationRedeliveredEntryNotDoubleReplicated(t *testing.T) {
 		must(t, e.cluster.CreateTopic("t", 0))
 		must(t, west.CreateTopic("t", 0))
 
-		repl, err := StartReplicator(e.cluster, west, ReplicatorConfig{SrcTopic: "t", DstTopic: "t"})
+		repl, err := StartReplicator(e.cluster, west, "t", "t")
 		must(t, err)
 		// Lose the replicator's next 3 acks in flight: it will mirror the
 		// messages and believe they are acked, while the source cursor holds.

@@ -99,26 +99,6 @@ func (c *Cluster) routing(topic string) (*routeHolder, error) {
 	return hold, nil
 }
 
-// refreshRouting rebuilds a topic's table from durable metadata (used after
-// an out-of-process-shaped routing change; in-process splits swap the table
-// directly).
-func (c *Cluster) refreshRouting(topic string) error {
-	v, ok := c.routes.Load(topic)
-	if !ok {
-		_, err := c.routing(topic)
-		return err
-	}
-	h := v.(*routeHolder)
-	tbl, err := c.loadRouteTable(topic)
-	if err != nil {
-		return err
-	}
-	tbl.version = h.load().version + 1
-	h.p.Store(tbl)
-	c.registerParents(topic, tbl)
-	return nil
-}
-
 // registerParents records concrete partition → logical topic so the load
 // manager can resolve a hot concrete partition back to its splittable
 // parent.
@@ -306,9 +286,9 @@ func (c *Cluster) SplitPartition(logical, concrete, target string) (string, erro
 	tbl.version = h.load().version + 1
 	h.p.Store(tbl)
 	c.registerParents(logical, tbl)
-	// The child's claim in step 2 woke the push consumers before this table
+	// The child's claim in step 2 woke the consumers before this table
 	// existed; the attach pass that finds the child needs it.
-	c.wakePushers()
+	c.wakeConsumers()
 
 	// 4. Narrow the live parent's accepted range: from here the parent
 	// fences upper-half keys with ErrRouteMoved.

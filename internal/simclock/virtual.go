@@ -268,9 +268,9 @@ func (v *Virtual) exitLocked() {
 	v.unlockAdvance()
 }
 
-// parker is a one-shot parking spot: one goroutine parks on it and one unpark
+// parker is a parking spot: one goroutine parks on it and one unpark
 // releases it, in either order. It is the primitive under Group, Event and
-// Sem.
+// Sem, and waitq.park reuses it once both have happened.
 type parker struct {
 	ch chan struct{} // buffered, one slot: the release
 

@@ -1,6 +1,9 @@
 package simclock
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // waitq is the part Group, Event and Sem share: a mutex guarding their
 // condition and the parkers of the goroutines waiting for it.
@@ -8,14 +11,23 @@ type waitq struct {
 	clock   Clock
 	mu      sync.Mutex
 	waiters []*parker
+	spare   atomic.Pointer[parker] // a parker whose wait is over, for the next park
 }
 
-// park enqueues the caller and parks it. Call with mu held; it unlocks.
+// park enqueues the caller and parks it. Call with mu held; it unlocks. The
+// parker is kept for the next park once its wait is over, so a lone waiter's
+// park and release allocate nothing.
 func (q *waitq) park() {
-	p := newParker()
+	p := q.spare.Swap(nil)
+	if p == nil {
+		p = newParker()
+	} else {
+		p.released = false
+	}
 	q.waiters = append(q.waiters, p)
 	q.mu.Unlock()
 	q.clock.park(p)
+	q.spare.Store(p)
 }
 
 // releaseAll unparks every waiter. Call with mu held; it unlocks.
@@ -132,7 +144,9 @@ func (s *Sem) Release() {
 		return
 	}
 	p := s.q.waiters[0]
-	s.q.waiters = s.q.waiters[1:]
+	n := copy(s.q.waiters, s.q.waiters[1:]) // in place: the array is kept for the next waiter
+	s.q.waiters[n] = nil
+	s.q.waiters = s.q.waiters[:n]
 	s.q.mu.Unlock()
 	s.q.clock.unpark(p)
 }

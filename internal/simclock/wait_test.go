@@ -1,6 +1,7 @@
 package simclock
 
 import (
+	"runtime"
 	"testing"
 	"time"
 )
@@ -76,5 +77,34 @@ func TestWaitHelpersOnRealClock(t *testing.T) {
 	g.Wait()
 	if n != 8 {
 		t.Fatalf("n = %d, want 8", n)
+	}
+}
+
+// TestSemParkReleaseZeroAllocs: once a Sem has had a waiter, a lone waiter's
+// park and the Release that wakes it allocate nothing: the parker and the
+// waiter list are reused.
+func TestSemParkReleaseZeroAllocs(t *testing.T) {
+	const runs = 1000
+	s, woke := NewSem(Real{}, 0), make(chan struct{})
+	go func() {
+		// One more than runs: AllocsPerRun makes a warm-up call.
+		for i := 0; i < runs+1; i++ {
+			s.Acquire()
+			woke <- struct{}{}
+		}
+	}()
+	parked := func() bool {
+		s.q.mu.Lock()
+		defer s.q.mu.Unlock()
+		return len(s.q.waiters) == 1
+	}
+	if n := testing.AllocsPerRun(runs, func() {
+		for !parked() {
+			runtime.Gosched()
+		}
+		s.Release()
+		<-woke
+	}); n != 0 {
+		t.Fatalf("a Sem park/release cycle allocates %v, want 0", n)
 	}
 }

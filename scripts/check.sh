@@ -14,6 +14,11 @@ if grep -nE 'time\.(Sleep|After|NewTimer)\b' internal/simclock/virtual.go; then
 	echo "check: the virtual clock must not wait on wall time" >&2
 	exit 1
 fi
+echo "== consumers are woken, never polled"
+if grep -rn 'receivePoll\|replPoll' internal/; then
+	echo "check: a consumer waits on its wake; receivePoll and replPoll are gone" >&2
+	exit 1
+fi
 echo "== one binary: cmd/ holds a single package"
 [ "$(go list ./cmd/... | wc -l)" -eq 1 ] || { echo "check: cmd/ must hold exactly one package (taureau)" >&2; exit 1; }
 echo "== API.md lists the exported surface"
