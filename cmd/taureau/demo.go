@@ -338,7 +338,7 @@ func demoBurst(w io.Writer, p *core.Platform, clock simclock.Clock) {
 		ScaleToZeroAfter: 5 * time.Second,
 		DrainDelay:       4 * time.Second,
 	})
-	defer ctrl.Stop()
+	defer p.Close()
 
 	const (
 		baseRPS = 2.0
@@ -529,7 +529,7 @@ func demoRebalance(w io.Writer, p *core.Platform, clock simclock.Clock) {
 		OverloadFactor: 1.1,
 		MinMoveRate:    10,
 	})
-	defer lm.Stop()
+	defer p.Close()
 
 	// Skewed load: topic i publishes (i+1)×50 msg per 100ms round.
 	payload := workload.Payload(256, 7)

@@ -213,8 +213,21 @@ func (p *Platform) EnableBrokerLoadManager(cfg pulsar.LoadManagerConfig) *pulsar
 	return lm
 }
 
+// Close ends the platform: it closes FaaS, then stops the autoscaler and the
+// broker load manager EnableAutoscale and EnableBrokerLoadManager started
+// (their loops exit at the next tick). Reads still answer. It is idempotent.
+func (p *Platform) Close() {
+	p.FaaS.Close()
+	if p.Autoscaler != nil {
+		p.Autoscaler.Stop()
+	}
+	if p.BrokerLoad != nil {
+		p.BrokerLoad.Stop()
+	}
+}
+
 // NewVirtual builds a Platform on a fresh virtual clock and returns both.
-// The caller drives the simulation with v.Run and should v.Close it after.
+// The caller drives the simulation with v.Run and Closes the platform after.
 func NewVirtual(opts Options) (*Platform, *simclock.Virtual) {
 	v := simclock.NewVirtual()
 	opts.Clock = v

@@ -137,7 +137,7 @@ func runBurstConverge(seed int64) elasticDigest {
 			ScaleToZeroAfter: 5 * time.Second,
 			DrainDelay:       4 * time.Second,
 		})
-		defer ctrl.Stop()
+		defer p.Close()
 
 		for _, at := range arrivals {
 			wg.Go(func() {

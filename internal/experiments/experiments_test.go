@@ -98,6 +98,17 @@ func TestE2ScalesToZero(t *testing.T) {
 	if peak == 0 {
 		t.Fatalf("never scaled up:\n%s", tb)
 	}
+	// Bursts run over minutes 0–2, 8–10 and 16–18 with a 1-minute
+	// keep-alive: every row more than a keep-alive past a burst and before
+	// the next one shows an empty pool, with nothing but the clock to empty it.
+	for _, row := range tb.Rows {
+		switch row[0] {
+		case "4", "6", "12", "14", "20", "22":
+			if row[2] != "0" {
+				t.Errorf("minute %s: %s instances, want 0 (keep-alive lapsed)\n%s", row[0], row[2], tb)
+			}
+		}
+	}
 }
 
 func TestE3ColdFractionRisesWithGap(t *testing.T) {

@@ -70,7 +70,7 @@ type admission struct {
 }
 
 // bucketLocked returns (creating if needed) the tenant's bucket. a.mu held.
-func (a *admission) bucketLocked(p *Platform, tenant string, now time.Time) *tenantBucket {
+func (a *admission) bucketLocked(p *platform, tenant string, now time.Time) *tenantBucket {
 	b := a.buckets[tenant]
 	if b == nil {
 		b = &tenantBucket{tokens: a.cfg.Burst, last: now} // a fresh tenant starts with a full bucket
@@ -120,7 +120,7 @@ func (p *Platform) AdmissionShed(tenant string) int64 {
 // the request holds a token — sleeping on the platform clock while queued —
 // or fails with ErrThrottled when the request must be shed. a may be nil
 // (admission off).
-func (p *Platform) admit(a *admission, tenant string) error {
+func (p *platform) admit(a *admission, tenant string) error {
 	if a == nil {
 		return nil
 	}

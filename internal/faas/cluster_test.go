@@ -63,8 +63,7 @@ func TestClusterPlacementAndRelease(t *testing.T) {
 		if got := cluster.ActiveMachines(); got == 0 {
 			t.Error("no machines active while instances warm")
 		}
-		v.Sleep(5 * time.Minute)     // keep-alive lapses → instances released
-		p.StatsFor("acme", "placed") // force reap
+		v.Sleep(5 * time.Minute) // keep-alive lapses → the timer releases the instances
 		if got := cluster.ActiveMachines(); got != 0 {
 			t.Errorf("machines still active after scale-to-zero: %d", got)
 		}

@@ -14,6 +14,8 @@ package faas
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -217,7 +219,7 @@ type function struct {
 	key      string
 	handler  Handler
 	cfg      Config
-	platform *Platform
+	platform *platform
 
 	brk      breaker    // armed when cfg.BreakerThreshold > 0
 	brkGauge *obs.Gauge // per-function breaker state; nil → no-op
@@ -242,7 +244,9 @@ type function struct {
 	mu          sync.Mutex
 	log         []invokeRecord // the invoke log: completed invokes not yet folded
 	logged      bool           // listed in platform.logged
-	idle        []*instance    // LIFO: most recently used first
+	idle        []*instance    // in idleSince order: acquire takes the newest (back), reap drops the oldest (front)
+	keepAlive   *simclock.Timer
+	kaArmed     bool // keepAlive is pending
 	running     int
 	warming     int  // instances provisioning toward the pool target
 	gone        bool // set by Unregister; in-flight provisions release
@@ -289,15 +293,25 @@ func (fn *function) dedupStore(key string, res Result, now time.Time) {
 
 // Platform is the FaaS control plane plus data plane.
 //
+// A Platform has a lifetime: Close ends it, and so does a finalizer once no
+// handle is left; a binding (BindTopic, BindQueue, BindBlob) holds one. Its
+// state lives on the *platform it wraps, which refers back to no handle, so
+// a handler that does keeps its platform alive until Close.
+//
 // Admission is lock-free on the platform level: request IDs come from an
 // atomic counter and the function table sits behind an RWMutex, so invokes
 // of different functions never serialize on platform-wide state — only
 // Register/Unregister take the write lock. Per-function state is under the
 // function's own mutex, held only for bookkeeping (never across cold-start
 // placement, start latency or handler execution).
-type Platform struct {
+type Platform struct{ *platform }
+
+type platform struct {
 	clock simclock.Clock
 	meter *billing.Meter
+	// cell points at the platform until Close. It is all a keep-alive timer
+	// holds, so a pending real-clock timer pins the cell, not the platform.
+	cell *atomic.Pointer[platform]
 
 	mu        sync.RWMutex // guards functions, cluster, penalty; serializes SetAdmission
 	functions map[fnID]*function
@@ -353,11 +367,20 @@ type Platform struct {
 
 // New creates an empty Platform. meter may be nil to disable billing.
 func New(clock simclock.Clock, meter *billing.Meter) *Platform {
-	return &Platform{
-		clock:     clock,
-		meter:     meter,
-		functions: map[fnID]*function{},
-	}
+	p := &platform{clock: clock, meter: meter, functions: map[fnID]*function{}, cell: new(atomic.Pointer[platform])}
+	p.cell.Store(p)
+	w := &Platform{p}
+	runtime.SetFinalizer(w, (*Platform).Close)
+	return w
+}
+
+// Close ends the platform: keep-alive timers go quiet, and an instance that
+// would join an idle pool is released instead. Reads still answer. It clears
+// the finalizer New set, so a closed platform is freed at the first
+// collection that finds it unreachable. It is idempotent.
+func (p *Platform) Close() {
+	p.cell.Store(nil)
+	runtime.SetFinalizer(p, nil)
 }
 
 // SetObs attaches observability instruments. Handles are resolved once here,
@@ -392,7 +415,7 @@ func (p *Platform) SetObs(r *obs.Registry) {
 	r.SetHelp("faas.tenant.failures", "Handler failures and timeouts, by tenant and function.")
 	r.SetHelp("faas.tenant.latency", "End-to-end invoke latency, by tenant and function.")
 	r.SetHelp("faas.invoke.latency", "End-to-end invoke latency across all tenants.")
-	r.OnRead(p.foldInvokeLogs)
+	r.OnRead(p.platform.foldInvokeLogs)
 }
 
 // Clock returns the platform's clock (handlers and triggers share it).
@@ -425,7 +448,7 @@ type fnID struct{ tenant, name string }
 // lookup resolves tenant's function name. It is the only resolution path:
 // another tenant's function of the same name is indistinguishable from an
 // unregistered one.
-func (p *Platform) lookup(tenant, name string) (*function, error) {
+func (p *platform) lookup(tenant, name string) (*function, error) {
 	p.mu.RLock()
 	fn := p.functions[fnID{tenant, name}]
 	p.mu.RUnlock()
@@ -446,7 +469,7 @@ func (p *Platform) Register(name, tenant string, handler Handler, cfg Config) er
 		p.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrExists, name)
 	}
-	fn := &function{name: name, tenant: tenant, key: tenant + "/" + name, handler: handler, cfg: cfg.withDefaults(), platform: p}
+	fn := &function{name: name, tenant: tenant, key: tenant + "/" + name, handler: handler, cfg: cfg.withDefaults(), platform: p.platform}
 	if fn.cfg.BreakerThreshold > 0 {
 		fn.brkGauge = p.obsReg.Gauge("faas.breaker.state." + name)
 	}
@@ -484,7 +507,7 @@ func instKey(fnKey string, id int64) string {
 
 // placeInstance claims cluster capacity for a new instance (no-op without a
 // cluster).
-func (p *Platform) placeInstance(fn *function, inst *instance) error {
+func (p *platform) placeInstance(fn *function, inst *instance) error {
 	if p.cluster == nil {
 		return nil
 	}
@@ -498,14 +521,14 @@ func (p *Platform) placeInstance(fn *function, inst *instance) error {
 
 // releaseInstance returns an instance's cluster capacity (no-op without a
 // cluster).
-func (p *Platform) releaseInstance(fn *function, inst *instance) {
+func (p *platform) releaseInstance(fn *function, inst *instance) {
 	if p.cluster != nil {
 		_ = p.cluster.Release(instKey(fn.key, inst.id))
 	}
 }
 
 // slowdownFor computes an instance's current interference multiplier.
-func (p *Platform) slowdownFor(fn *function, inst *instance) float64 {
+func (p *platform) slowdownFor(fn *function, inst *instance) float64 {
 	if p.cluster == nil || p.penalty <= 0 {
 		return 1
 	}
@@ -595,7 +618,7 @@ func (p *Platform) FunctionsFor(tenant string) []FunctionInfo {
 	return out
 }
 
-func (p *Platform) invoke(tenant, name string, payload []byte, attempt int, parent obs.TraceCtx, idemKey string) (Result, error) {
+func (p *platform) invoke(tenant, name string, payload []byte, attempt int, parent obs.TraceCtx, idemKey string) (Result, error) {
 	fn, err := p.lookup(tenant, name)
 	if err != nil {
 		return Result{}, err
@@ -663,10 +686,11 @@ func (p *Platform) invoke(tenant, name string, payload []byte, attempt int, pare
 	// holds, but cluster placement runs after the unlock: a slow cold-start
 	// placement must not block warm acquisitions on sibling instances.
 	fn.mu.Lock()
-	fn.reapLocked(start)
 	var inst *instance
 	cold := false
-	if n := len(fn.idle); n > 0 {
+	// A lapsed newest instance is not handed out even before its timer runs
+	// (a real-clock AfterFunc can be late); a Prewarm floor never lapses.
+	if n := len(fn.idle); n > 0 && (fn.cfg.Prewarm > 0 || start.Before(fn.idle[n-1].idleSince.Add(fn.cfg.KeepAlive))) {
 		inst = fn.idle[n-1]
 		fn.idle = fn.idle[:n-1]
 	} else {
@@ -777,13 +801,7 @@ func (p *Platform) invoke(tenant, name string, payload []byte, attempt int, pare
 	}
 	fn.mu.Lock()
 	fn.running--
-	inst.idleSince = end
-	if fn.cfg.KeepAlive > 0 || fn.cfg.Prewarm > 0 {
-		fn.idle = append(fn.idle, inst)
-		fn.reapLocked(end)
-	} else {
-		p.releaseInstance(fn, inst)
-	}
+	fn.idleLocked(inst, end)
 	if rec.failed {
 		if rec.timeout {
 			fn.timeouts++
@@ -822,47 +840,61 @@ func (p *Platform) invoke(tenant, name string, payload []byte, attempt int, pare
 	return res, err
 }
 
-// reapLocked retires idle instances whose keep-alive lapsed, never dropping
-// the idle pool below the provisioned (Prewarm) floor. Called with fn.mu
-// held — on every acquire and release, so the steady-state scan (nothing
-// expired) must not allocate; only an actual reap event builds slices.
-func (fn *function) reapLocked(now time.Time) {
-	if len(fn.idle) == 0 {
+// idleLocked parks inst in the idle pool, or releases it when the platform is
+// closed, the function gone, or it would sit above the Prewarm floor with no
+// keep-alive. It reports whether inst was parked. Called with fn.mu held.
+func (fn *function) idleLocked(inst *instance, now time.Time) bool {
+	p := fn.platform
+	if p.cell.Load() == nil || fn.gone || (fn.cfg.KeepAlive <= 0 && len(fn.idle) >= fn.cfg.Prewarm) {
+		p.releaseInstance(fn, inst)
+		return false
+	}
+	inst.idleSince = now
+	fn.idle = append(fn.idle, inst)
+	fn.armLocked()
+	return true
+}
+
+// armLocked arms the keep-alive timer at the oldest idle instance's expiry
+// when an instance sits above the Prewarm floor, unless the timer is already
+// pending: a warm release re-arms nothing. Called with fn.mu held.
+func (fn *function) armLocked() {
+	if fn.kaArmed || len(fn.idle) <= fn.cfg.Prewarm {
 		return
 	}
-	anyExpired := false
-	for _, in := range fn.idle {
-		if !(fn.cfg.KeepAlive > 0 && now.Sub(in.idleSince) < fn.cfg.KeepAlive) {
-			anyExpired = true
-			break
-		}
+	if fn.keepAlive == nil {
+		// The callback holds the cell and the function's id, never the
+		// function or the timer: after Close a pending timer pins neither.
+		cell, id := fn.platform.cell, fnID{fn.tenant, fn.name}
+		fn.keepAlive = simclock.NewTimer(fn.platform.clock, func() {
+			if p := cell.Load(); p != nil {
+				if f, err := p.lookup(id.tenant, id.name); err == nil {
+					f.reap(p.clock.Now())
+				}
+			}
+		})
 	}
-	if !anyExpired {
-		return
+	fn.kaArmed = true
+	fn.keepAlive.Reset(fn.idle[0].idleSince.Add(fn.cfg.KeepAlive))
+}
+
+// reap is the keep-alive timer's body: it releases the lapsed idle instances,
+// oldest first, holding the Prewarm floor, and re-arms for the next. An early
+// fire (after a trim, or for a function registered again) just re-arms.
+func (fn *function) reap(now time.Time) {
+	fn.mu.Lock()
+	defer fn.mu.Unlock()
+	fn.kaArmed = false
+	n := 0
+	for n < len(fn.idle)-fn.cfg.Prewarm && !now.Before(fn.idle[n].idleSince.Add(fn.cfg.KeepAlive)) {
+		fn.platform.releaseInstance(fn, fn.idle[n])
+		n++
 	}
-	var kept, expired []*instance
-	for _, in := range fn.idle {
-		if fn.cfg.KeepAlive > 0 && now.Sub(in.idleSince) < fn.cfg.KeepAlive {
-			kept = append(kept, in)
-		} else {
-			expired = append(expired, in)
-		}
-	}
-	// Retain the most recently idle expired instances to hold the floor.
-	if need := fn.cfg.Prewarm - len(kept); need > 0 {
-		if need > len(expired) {
-			need = len(expired)
-		}
-		kept = append(kept, expired[len(expired)-need:]...)
-		expired = expired[:len(expired)-need]
-	}
-	for _, in := range expired {
-		fn.platform.releaseInstance(fn, in)
-	}
-	fn.idle = kept
-	if len(expired) > 0 {
+	if n > 0 {
+		fn.idle = slices.Delete(fn.idle, 0, n)
 		fn.recordLocked(now)
 	}
+	fn.armLocked()
 }
 
 // recordLocked samples the instance footprint for the scaling timeline,
@@ -892,8 +924,8 @@ type Stats struct {
 	Timeline    []ScalePoint
 }
 
-// StatsFor returns a snapshot for tenant's function name, with the warm pool
-// reaped as of now (so WarmIdle reflects scale-to-zero).
+// StatsFor returns a snapshot of tenant's function name. It is a pure read:
+// idle instances leave at their keep-alive instant, not when someone looks.
 func (p *Platform) StatsFor(tenant, name string) (Stats, error) {
 	fn, err := p.lookup(tenant, name)
 	if err != nil {
@@ -901,7 +933,6 @@ func (p *Platform) StatsFor(tenant, name string) (Stats, error) {
 	}
 	fn.mu.Lock()
 	defer fn.mu.Unlock()
-	fn.reapLocked(p.clock.Now())
 	return Stats{
 		Invocations: fn.invocations,
 		ColdStarts:  fn.coldStarts,

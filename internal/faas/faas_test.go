@@ -272,8 +272,7 @@ func TestTimelineRecordsScaling(t *testing.T) {
 	v.Run(func() {
 		rep := Drive(p, "t", "f", nil, make([]time.Duration, 4))
 		rep.Wait()
-		v.Sleep(2 * time.Minute)
-		p.StatsFor("t", "f") // force reap
+		v.Sleep(2 * time.Minute) // keep-alive lapses → the timer reaps, unread
 	})
 	st, _ := p.StatsFor("t", "f")
 	peak := 0

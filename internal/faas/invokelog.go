@@ -83,7 +83,7 @@ func (fn *function) logLocked(r invokeRecord) bool {
 // completion order and replays them. Concurrent invokes keep logging while it
 // runs; what they log after their function was drained waits for the next
 // fold. It holds no registry lock and at most one fn.mu at a time.
-func (p *Platform) foldInvokeLogs() {
+func (p *platform) foldInvokeLogs() {
 	p.foldMu.Lock()
 	defer p.foldMu.Unlock()
 	p.logMu.Lock()
@@ -118,7 +118,7 @@ func (p *Platform) foldInvokeLogs() {
 }
 
 // observe replays one record into the histograms and the tenant's SLO cells.
-func (p *Platform) observe(fn *function, r *invokeRecord) {
+func (p *platform) observe(fn *function, r *invokeRecord) {
 	lat := r.wait + r.run
 	p.obsQueueWait.Observe(r.wait)
 	p.obsHandlerLat.Observe(r.run)
@@ -155,7 +155,7 @@ func (t *foldTally) count(fn *function) {
 }
 
 // flush adds the tally to the platform's counters.
-func (t *foldTally) flush(p *Platform) {
+func (t *foldTally) flush(p *platform) {
 	add(p.obsWarm, t.warm)
 	add(p.obsCold, t.cold)
 	add(p.obsTimeout, t.timeouts)

@@ -21,7 +21,7 @@ const placeRetryInterval = 5 * time.Millisecond
 // within the function's ColdStartBudget (counted from the invocation's
 // start) so a concurrently growing cluster can absorb the demand. With a
 // zero budget it is exactly placeInstance.
-func (p *Platform) placeWithBudget(fn *function, inst *instance, start time.Time) error {
+func (p *platform) placeWithBudget(fn *function, inst *instance, start time.Time) error {
 	err := p.placeInstance(fn, inst)
 	if err == nil || fn.cfg.ColdStartBudget <= 0 {
 		if err != nil {
@@ -182,8 +182,8 @@ func (p *Platform) SetPoolTarget(tenant, name string, target int) (int, error) {
 }
 
 // provision pays one warm instance's placement and cold start, then parks
-// it in the idle pool. Runs on its own clock goroutine.
-func (p *Platform) provision(fn *function, inst *instance) {
+// it in the idle pool (idleLocked). Runs on its own clock goroutine.
+func (p *platform) provision(fn *function, inst *instance) {
 	if err := p.placeInstance(fn, inst); err != nil {
 		fn.mu.Lock()
 		fn.warming--
@@ -196,16 +196,12 @@ func (p *Platform) provision(fn *function, inst *instance) {
 	now := p.clock.Now()
 	fn.mu.Lock()
 	fn.warming--
-	if fn.gone {
-		p.releaseInstance(fn, inst)
-		fn.mu.Unlock()
-		return
-	}
-	inst.idleSince = now
-	fn.idle = append(fn.idle, inst)
+	parked := fn.idleLocked(inst, now)
 	fn.recordLocked(now)
 	fn.mu.Unlock()
-	p.obsPrewarmed.Inc()
+	if parked {
+		p.obsPrewarmed.Inc()
+	}
 }
 
 // PoolTarget returns the current autoscaler target of tenant's function name

@@ -134,7 +134,7 @@ func (b *breaker) record(out breakerOutcome, probe bool, threshold int, now time
 
 // recordBreaker applies an outcome to a function's breaker and keeps the
 // state gauge and open-transition counter current.
-func (p *Platform) recordBreaker(fn *function, out breakerOutcome, probe bool) {
+func (p *platform) recordBreaker(fn *function, out breakerOutcome, probe bool) {
 	st, changed := fn.brk.record(out, probe, fn.cfg.BreakerThreshold, p.clock.Now())
 	if changed {
 		fn.brkGauge.Set(st.gaugeValue())
@@ -200,7 +200,7 @@ func (rp RetryPolicy) withDefaults() RetryPolicy {
 
 // jittered shaves a random slice (up to frac·d) off d, using the platform's
 // seeded rng — deterministic under the virtual clock.
-func (p *Platform) jittered(d time.Duration, frac float64) time.Duration {
+func (p *platform) jittered(d time.Duration, frac float64) time.Duration {
 	if frac <= 0 || d <= 0 {
 		return d
 	}
@@ -250,7 +250,7 @@ func (p *Platform) InvokeAsyncFor(tenant, name string, payload []byte, done func
 // (attempt 1 failing, the wait, attempt 2 …), not N. pol arrives with its
 // defaults applied and is passed by value: the loop allocates nothing per
 // attempt.
-func (p *Platform) invokeRetrying(rootName, tenant, name, idemKey string, payload []byte, pol RetryPolicy) (Result, error) {
+func (p *platform) invokeRetrying(rootName, tenant, name, idemKey string, payload []byte, pol RetryPolicy) (Result, error) {
 	root := p.obsTracer.Start(obs.TraceCtx{}, rootName)
 	var res Result
 	var err error

@@ -325,6 +325,7 @@ func run(cfg Config, roster []app) (Report, error) {
 	}
 
 	p, v := core.NewVirtual(core.Options{})
+	defer p.Close()
 	exec := gateway.NewInProc()
 	tokens := make(map[string]string, len(apps))
 	for _, a := range apps {

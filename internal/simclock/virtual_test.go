@@ -442,10 +442,12 @@ func TestDeadlockReportedAtOnce(t *testing.T) {
 	reports := make(chan any, 2)
 	start := time.Now()
 	// Tracked by hand, not by Go: the goroutine that panics has nothing
-	// to return to, and Go's exit accounting would trip over that.
+	// to return to, and Go's exit accounting would trip over that. Both are
+	// counted before either starts, so the first park is not yet a deadlock.
+	v.enter()
+	v.enter()
 	for _, pair := range [][2]*Event{{a, b}, {b, a}} {
 		wait, set := pair[0], pair[1]
-		v.enter()
 		go func() {
 			defer func() { reports <- recover() }()
 			wait.Wait()

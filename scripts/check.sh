@@ -19,6 +19,11 @@ if grep -rn 'receivePoll\|replPoll' internal/; then
 	echo "check: a consumer waits on its wake; receivePoll and replPoll are gone" >&2
 	exit 1
 fi
+echo "== a read is never called for its side effect: no StatsFor result is discarded"
+if grep -rnE '^\s*(_\s*(,\s*_\s*)?=\s*)?[A-Za-z_][A-Za-z0-9_.()]*\.StatsFor\(' --include='*.go' internal/ cmd/; then
+	echo "check: StatsFor is a pure read; keep-alive reaping is the timer's job, not a probe's" >&2
+	exit 1
+fi
 echo "== one binary: cmd/ holds a single package"
 [ "$(go list ./cmd/... | wc -l)" -eq 1 ] || { echo "check: cmd/ must hold exactly one package (taureau)" >&2; exit 1; }
 echo "== API.md lists the exported surface"
