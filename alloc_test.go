@@ -209,8 +209,9 @@ func TestSebsCallBytes(t *testing.T) {
 }
 
 // TestPublishSyncAtMostOneAlloc pins the synchronous publish path at ≤1
-// alloc per message. The budget covers the amortized arena-block refill
-// (one 128 KB block per ~400 entries) and the bookies' entry-index segments;
+// alloc per message. The budget covers the amortized refill of the entry
+// bytes the topic's current ledger owns (one 128 KB chunk per ~400 entries)
+// and the bookies' entry-index segments;
 // with nobody subscribed the topic's window ring stays at its first size. A
 // per-publish message copy, a rebuilt map or a one-element commit whose
 // arrays escape to the heap would blow well past it.
@@ -373,14 +374,14 @@ func TestAckZeroAllocs(t *testing.T) {
 // the whole stream path asks the allocator for per 256 B keyed message — sync
 // and batch16 producers over a 4-partition topic, one consumer that receives
 // and acks everything — stays within 340 B. About 275 B of that is the one
-// necessary copy (the arena entry); the rest is its ledger's entry table,
-// which the ledger's bookies share and which writes each slot once
-// (DESIGN.md §10). Neither end of the path is in it: a consumer that keeps up
-// cycles through one small window ring on the broker and through the
-// receiver queue it was given at Subscribe. Growing cache and indexes by
-// append read 1115 B here, segmented logs 621 B, the window 501 B, the fixed
-// receiver queue 387 B, one entry table a ledger 339 B, entries without
-// topic and seq 300 B.
+// necessary copy (the entry, in bytes its ledger owns); the rest is that
+// ledger's entry table, which the ledger's bookies share and which writes
+// each slot once (DESIGN.md §10). Neither end of the path is in it: a
+// consumer that keeps up cycles through one small window ring on the broker
+// and through the receiver queue it was given at Subscribe. Growing cache and
+// indexes by append read 1115 B here, segmented logs 621 B, the window 501 B,
+// the fixed receiver queue 387 B, one entry table a ledger 339 B, entries
+// without topic and seq 300 B, entry bytes a ledger owns 310 B.
 func TestStreamBytesPerMessage(t *testing.T) {
 	const burst, warm, timed, budget = 100, 10, 200, 340
 	p := core.New(core.Options{})
@@ -457,14 +458,15 @@ func TestStreamBytesPerMessage(t *testing.T) {
 // partition's ledger rolls at 4080 entries and a ledger every subscription
 // has acked past is deleted, so what the process holds plateaus: the live
 // heap after the whole run is within 1.2× of the live heap after a tenth of
-// it (≈7 MB both: a producer's arena block holds entries of all four
-// partitions and goes once each has deleted the ledger holding its share),
-// and the bookies never hold more than two ledgers' worth of entry replicas
-// per partition. Without deletion the heap grew ≈380 B per message — the
-// arena entry and a 24 B index slot on each of three bookies — ≈76 MB over
-// this run. The rings themselves are internal/pulsar's to see: its
-// TestWindowRingsBoundedAtScale holds each partition's to 1024 slots over
-// this same load.
+// it, and at most 4 MB (≈3.4 MB measured: each chunk of entry bytes belongs
+// to one ledger of one partition and goes with it; ≈5.7 MB when a producer's
+// 128 KB block held entries of all four partitions and went only once each
+// had deleted the ledger holding its share), and the bookies never hold more
+// than two ledgers' worth of entry replicas per partition. Without deletion
+// the heap grew ≈380 B per message — the entry and a 24 B index slot on each
+// of three bookies — ≈76 MB over this run. The rings themselves are
+// internal/pulsar's to see: its TestWindowRingsBoundedAtScale holds each
+// partition's to 1024 slots over this same load.
 func TestTopicMemoryBoundedByBacklog(t *testing.T) {
 	const (
 		burst, warm, partitions = 100, 10, 4
@@ -540,6 +542,9 @@ func TestTopicMemoryBoundedByBacklog(t *testing.T) {
 	if float64(end) > 1.2*float64(tenth) {
 		t.Fatalf("live heap %.2f MB after %d messages, %.2f MB after a tenth of them: want a plateau (<= 1.2x)",
 			float64(end)/(1<<20), total, float64(tenth)/(1<<20))
+	}
+	if end > 4<<20 {
+		t.Fatalf("live heap %.2f MB after %d messages, want <= 4 MB", float64(end)/(1<<20), total)
 	}
 	if n, err := p.Pulsar.Backlog("retain-gate", "s"); err != nil || n != 0 {
 		t.Fatalf("backlog = %d, %v; want 0", n, err)
@@ -721,7 +726,7 @@ func TestGatewayBigEchoBytes(t *testing.T) {
 // copy of everything published since. 200 000 keyed 256 B messages go to 4
 // partitions with a consumer attached that never calls Receive, and what the
 // process holds afterwards has grown by no more than 500 B per message: the
-// arena entry and the entry-table slot every message costs (≈310 B) and its
+// entry and the entry-table slot every message costs (≈310 B) and its
 // 104 B slot in the partition's window, which holds the unacked tail in a
 // ring of up to twice that (≈150 B measured); 460 B measured, 533 B when
 // each of three bookies kept its own index slot and entries named their

@@ -1,41 +1,24 @@
 package pulsar
 
-// arenaBlockSize is the granularity at which entry arenas request memory.
-// One block yields about 400 typical entries, so the allocator touches the
-// heap roughly once per block instead of once per publish. It is 128 KB, not
-// 64: the ledger rolls and deletes that bound a topic's memory
-// (topicLedgerEntries) cost a few allocations each, which the halved block
-// count pays for; a block lives until every ledger holding one of its entries
-// is deleted either way.
-const arenaBlockSize = 128 << 10
+// entryChunkSize is the most entry bytes a topic asks the heap for at once:
+// one chunk holds about 400 typical entries, so the publish path touches the
+// heap roughly once per chunk instead of once per message.
+const entryChunkSize = 128 << 10
 
-// entryArena is a bump allocator for encoded entry buffers. Each producer
-// owns one (guarded by the producer's mutex): carving entries out of large
-// blocks amortizes the per-publish allocation to ~zero in steady state.
-//
-// There is deliberately no free list for the entries themselves: an entry
-// buffer is handed — uncopied — to the bookie ensemble, which retains it for
-// the ledger's lifetime (the topic's message window lets go of its view once
-// the message is acked), so individual entries are never recyclable. What
-// the arena buys is fewer, larger heap objects (and GC ticket counts that
-// don't scale with publish volume); a block stays pinned until the last
-// ledger holding one of its entries is deleted — for a producer spanning
-// partitions, until each has rolled past it.
-type entryArena struct {
-	block []byte // tail of the current block
-}
-
-// alloc carves an n-byte buffer. The result has capacity exactly n, so an
-// append by a confused caller can never bleed into a neighbouring entry.
-func (a *entryArena) alloc(n int) []byte {
-	if n > len(a.block) {
-		size := arenaBlockSize
-		if n > size {
-			size = n
-		}
-		a.block = make([]byte, size)
+// entryBuf carves an n-byte buffer for the entry at position pos of the
+// topic's current ledger from that ledger's chunk (ts.chunk), which
+// rollLocked drops, so a chunk holds one ledger's entries and lives as long
+// as that ledger. There is no free list: the bookies retain each entry
+// uncopied until its ledger is deleted. A fresh chunk is sized to what the
+// ledger can still take at n bytes an entry, so a roll strands no tail. The
+// result has capacity exactly n, so an append by a confused caller can never
+// bleed into a neighbouring entry. Called with the topic's lock held.
+func (ts *topicState) entryBuf(n int, pos int64) []byte {
+	if n > len(ts.chunk) {
+		size := min(entryChunkSize, (topicLedgerEntries-pos)*int64(n))
+		ts.chunk = make([]byte, max(size, int64(n)))
 	}
-	out := a.block[:n:n]
-	a.block = a.block[n:]
+	out := ts.chunk[:n:n]
+	ts.chunk = ts.chunk[n:]
 	return out
 }

@@ -156,6 +156,7 @@ type topicState struct {
 	listPath string
 	listBuf  []byte
 	win      msgWindow // the unacked tail; win.end is the topic's next seq
+	chunk    []byte    // the unused tail of the current ledger's entry bytes (entryBuf)
 	subs     map[string]*subscription
 }
 
@@ -336,7 +337,9 @@ func (b *Broker) takeDrop() bool {
 
 // SetDown injects or clears a broker crash. Going down releases all topic
 // ownership (the coordination session closes, deleting ephemeral owner
-// nodes), so surviving brokers can take the topics over.
+// nodes), so surviving brokers can take the topics over, and wakes every
+// consumer: its attach pass claims the topics on a live broker, which
+// redelivers what the dead one had handed out unacked.
 func (b *Broker) SetDown(down bool) {
 	b.mu.Lock()
 	b.down = down
@@ -348,6 +351,7 @@ func (b *Broker) SetDown(down bool) {
 	b.cluster.dropOwnerEntries(b)
 	if down {
 		b.cluster.meta.CloseSession(b.session)
+		b.cluster.wakeConsumers()
 	} else {
 		b.session = b.cluster.meta.NewSession()
 	}
@@ -389,26 +393,24 @@ func (b *Broker) subLocked(topicName, subName string) (*topicState, *subscriptio
 	return ts, sub, nil
 }
 
-// publishEntries is the one commit from producer to bookie: it appends
-// pre-encoded entries as one ledger group commit and then dispatches. A
-// synchronous send is a group of one. Returns the first assigned seq; all
-// messages share one PublishTime.
+// publishEntries is the one commit from producer to bookie: it encodes each
+// message into its entry and appends them as one ledger group commit, then
+// dispatches. A synchronous send is a group of one. Returns the first
+// assigned seq; all messages share one PublishTime.
 //
-// entries are wire-format buffers (headers unstamped; the broker writes the
-// publish time in place under the topic lock, before the durable append)
-// and views the payloads aliasing them. From here the buffers travel
-// uncopied: the bookie replicas retain them as the durable entries, the
-// topic's window holds the payload views until every subscription has acked
-// past them, and consumers receive those same views.
-// The caller must treat both as immutable once passed in — on a failed
-// append a buffer may already sit on a bookie, so a retry must re-encode
-// into a fresh buffer, never restamp this one (the producer does exactly
-// that).
+// payloads are read once, by the encode under the topic lock, and not kept:
+// each entry is carved from the current ledger's bytes (entryBuf) and encoded
+// with the publish time before the durable append, and entries[i], which the
+// caller supplies as scratch, is set to message i's. From there an entry
+// travels uncopied: the bookie replicas retain it, the topic's window holds
+// its payload view until every subscription has acked past it, and consumers
+// receive that same view. Every attempt encodes afresh, so a retry never
+// touches an entry a failed append may have left on a bookie.
 //
 // traces[i] is message i's publish-side causal context (zero = untraced):
 // the group commit parents on the first traced message, and every delivery
 // on its own message's context.
-func (b *Broker) publishEntries(topicName string, keys []string, entries, views [][]byte, traces []obs.TraceCtx) (int64, error) {
+func (b *Broker) publishEntries(topicName string, keys []string, payloads [][]byte, traces []obs.TraceCtx, entries [][]byte) (int64, error) {
 	if d := b.extraLatency(); d > 0 {
 		b.cluster.clock.Sleep(d) // before any lock: sleeping under a lock stalls the virtual clock
 	}
@@ -417,7 +419,7 @@ func (b *Broker) publishEntries(topicName string, keys []string, entries, views 
 	if err := b.precheck(topicName, keys...); err != nil {
 		return 0, err
 	}
-	b.admitService(len(entries))
+	b.admitService(len(payloads))
 	if b.takeDrop() {
 		return 0, fmt.Errorf("%w: %s", ErrPublishDropped, b.ID)
 	}
@@ -437,15 +439,17 @@ func (b *Broker) publishEntries(topicName string, keys []string, entries, views 
 			return 0, err
 		}
 	}
-	if open := ts.win.end - ts.ranges[len(ts.ranges)-1].StartSeq; open > 0 && open+int64(len(entries)) > topicLedgerEntries {
+	if open := ts.win.end - ts.ranges[len(ts.ranges)-1].StartSeq; open > 0 && open+int64(len(payloads)) > topicLedgerEntries {
 		if err := b.rollLocked(ts); err != nil {
 			return 0, err
 		}
 	}
 	now := b.cluster.clock.Now()
 	first := ts.win.end
-	for i := range entries {
-		stampEntry(entries[i], now)
+	pos := first - ts.ranges[len(ts.ranges)-1].StartSeq
+	for i, p := range payloads {
+		entries[i] = ts.entryBuf(entrySize(keys[i], len(p)), pos+int64(i))
+		encodeEntryInto(entries[i], keys[i], p, now)
 	}
 	var batchCtx obs.TraceCtx
 	for _, tc := range traces {
@@ -462,15 +466,15 @@ func (b *Broker) publishEntries(topicName string, keys []string, entries, views 
 		// is told: publish that prefix, or every later seq would name one
 		// message in the window and another on the ledger. A producer that
 		// sends the batch again duplicates the prefix, as at-least-once allows.
-		rg := ts.ranges[len(ts.ranges)-1]
-		n := rg.StartSeq + ts.writer.Reader().LastEntry() + 1 - first
+		n := ts.writer.Reader().LastEntry() + 1 - pos
 		if n == 0 {
 			return 0, err
 		}
-		entries, views = entries[:n], views[:n]
+		entries = entries[:n]
 	}
 	var nbytes int64
-	for i, v := range views {
+	for i, e := range entries {
+		v := e[len(e)-len(payloads[i]):] // the payload view: an entry ends with its payload
 		ts.retain(Message{Seq: first + int64(i), Key: keys[i], Payload: v, PublishTime: now, Topic: ts.name, Trace: traces[i]})
 		nbytes += int64(len(v))
 	}
@@ -493,6 +497,7 @@ func (b *Broker) rollLocked(ts *topicState) error {
 	if err := ts.writer.Roll(); err != nil {
 		return err
 	}
+	ts.chunk = nil // the new ledger's entries start a chunk of their own
 	ts.ranges = append(ts.ranges, ledgerRange{ID: ts.writer.ID(), StartSeq: ts.win.end})
 	return b.retireLocked(ts, true)
 }
@@ -914,7 +919,8 @@ func (b *Broker) loadTopic(topicName string) error {
 	if err != nil {
 		return err
 	}
-	ts := &topicState{name: topicName, listPath: ledgersPath(topicName), subs: map[string]*subscription{}}
+	// ranges has room for the open ledger and the one its first roll seals.
+	ts := &topicState{name: topicName, listPath: ledgersPath(topicName), ranges: make([]ledgerRange, 0, 2), subs: map[string]*subscription{}}
 	if md, err := c.getTopicMeta(topicName); err == nil {
 		atomic.StoreUint64(&ts.keyLo, md.Lo)
 		atomic.StoreUint64(&ts.keyHi, md.Hi)

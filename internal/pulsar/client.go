@@ -58,23 +58,24 @@ type Producer struct {
 	// redistributed in message order (see publishBatch).
 	batchRT *routeTable
 
-	// arena carves encoded-entry buffers (guarded by mu); free recycles
-	// drained topicBatch scratch structures across flushes. Together they
-	// make the steady-state publish path allocation-free apart from the
-	// entry bytes themselves, which the ledger retains.
-	arena entryArena
-	free  []*topicBatch
+	// buf holds the payloads SendAsync copied since the last flush, and free
+	// recycles drained topicBatch scratch structures across flushes (both
+	// guarded by mu). A flush holds mu throughout and the broker has encoded
+	// every payload into its ledger's bytes by the time it returns, so buf is
+	// rewound after each one, and the steady-state publish path allocates
+	// nothing apart from the entry bytes, which the ledger owns.
+	buf  []byte
+	free []*topicBatch
 }
 
-// topicBatch is the buffered tail of one partition's stream: messages are
-// encoded into their wire-format entries at enqueue time (the encode doubles
-// as the defensive payload copy), so a flush hands the buffers straight to
-// the broker and the bookies without another copy.
+// topicBatch is the buffered tail of one partition's stream: the messages'
+// keys, payload views into the producer's buf, their traces, and the scratch
+// the broker fills with their entries.
 type topicBatch struct {
-	keys    []string
-	entries [][]byte // encoded entries, headers unstamped
-	views   [][]byte // payload views aliasing entries
-	traces  []obs.TraceCtx
+	keys     []string
+	payloads [][]byte
+	entries  [][]byte
+	traces   []obs.TraceCtx
 }
 
 // CreateProducer opens a producer for an existing topic with the cluster's
@@ -151,25 +152,13 @@ func (p *Producer) sendKey(key string, payload []byte, pctx obs.TraceCtx) (int64
 		}
 	}
 	t := p.routeTo(p.holder.load(), key)
-	// A group commit of one: the arrays stay on the stack.
-	keys, entries, views, traces := [1]string{key}, [1][]byte{}, [1][]byte{}, [1]obs.TraceCtx{pctx}
-	entries[0] = p.arena.alloc(entrySize(key, len(payload)))
-	views[0] = encodeEntryInto(entries[0], key, payload)
 	p.mu.Unlock()
+	// A group commit of one: the arrays stay on the stack, and the payload
+	// is read only by the broker's encode, within this call.
+	keys, payloads, traces, entries := [1]string{key}, [1][]byte{payload}, [1]obs.TraceCtx{pctx}, [1][]byte{}
 	var seq int64
-	first := true
 	send := func(b *Broker) (err error) {
-		if !first {
-			// Re-encode into a fresh buffer: the failed attempt may have
-			// left the old one on a bookie, and a restamp would mutate a
-			// retained durable entry.
-			p.mu.Lock()
-			entries[0] = p.arena.alloc(len(entries[0]))
-			views[0] = encodeEntryInto(entries[0], key, views[0])
-			p.mu.Unlock()
-		}
-		first = false
-		seq, err = b.publishEntries(t, keys[:], entries[:], views[:], traces[:])
+		seq, err = b.publishEntries(t, keys[:], payloads[:], traces[:], entries[:])
 		return err
 	}
 	err := p.c.withOwner(t, send)
@@ -191,12 +180,11 @@ func (p *Producer) sendKey(key string, payload []byte, pctx obs.TraceCtx) (int64
 // its partition commits — one group ledger append — when it reaches
 // MaxBatch messages, when a later SendAsync finds the oldest buffered
 // message older than FlushInterval, or on an explicit Flush. The payload is
-// copied (into its encoded entry buffer) at enqueue time, so the caller may
-// reuse its buffer immediately. A flush error discards that flush's
-// buffered messages; the caller decides whether to re-send. They were never
-// assigned seqs, except that a batch whose ledger append failed part-way has
-// published the entries that committed before the failure, so a re-send
-// duplicates those.
+// copied at enqueue time, so the caller may reuse its buffer immediately. A
+// flush error discards that flush's buffered messages; the caller decides
+// whether to re-send. They were never assigned seqs, except that a batch
+// whose ledger append failed part-way has published the entries that
+// committed before the failure, so a re-send duplicates those.
 func (p *Producer) SendAsync(key string, payload []byte) error {
 	return p.SendAsyncTrace(key, payload, obs.TraceCtx{})
 }
@@ -219,10 +207,11 @@ func (p *Producer) SendAsyncTrace(key string, payload []byte, tc obs.TraceCtx) e
 		tb = p.takeBatchLocked()
 		p.pending[t] = tb
 	}
-	entry := p.arena.alloc(entrySize(key, len(payload)))
+	n := len(p.buf)
+	p.buf = append(p.buf, payload...)
 	tb.keys = append(tb.keys, key)
-	tb.entries = append(tb.entries, entry)
-	tb.views = append(tb.views, encodeEntryInto(entry, key, payload))
+	tb.payloads = append(tb.payloads, p.buf[n:len(p.buf):len(p.buf)])
+	tb.entries = append(tb.entries, nil)
 	tb.traces = append(tb.traces, tc)
 	p.pendingN++
 	if p.pendingN >= p.maxBatch {
@@ -249,15 +238,15 @@ func (p *Producer) takeBatchLocked() *topicBatch {
 	return &topicBatch{}
 }
 
-// recycleBatchLocked clears a drained batch's slices (dropping buffer
-// references — the ledger and the topic's window own them now) and shelves
-// it for reuse. Called with p.mu held.
+// recycleBatchLocked clears a drained batch's slices (dropping its
+// references to buf and to the ledger's entries) and shelves it for reuse.
+// Called with p.mu held.
 func (p *Producer) recycleBatchLocked(tb *topicBatch) {
-	for i := range tb.entries {
-		tb.keys[i], tb.entries[i], tb.views[i] = "", nil, nil
-		tb.traces[i] = obs.TraceCtx{}
-	}
-	tb.keys, tb.entries, tb.views, tb.traces = tb.keys[:0], tb.entries[:0], tb.views[:0], tb.traces[:0]
+	clear(tb.keys)
+	clear(tb.payloads)
+	clear(tb.entries)
+	clear(tb.traces)
+	tb.keys, tb.payloads, tb.entries, tb.traces = tb.keys[:0], tb.payloads[:0], tb.entries[:0], tb.traces[:0]
 	p.free = append(p.free, tb)
 }
 
@@ -270,8 +259,8 @@ func (p *Producer) Flush() error {
 }
 
 // flushLocked commits each partition's buffered batch. Called with p.mu
-// held. The buffer is cleared (and its scratch recycled) regardless of
-// outcome.
+// held. The buffer is cleared (its scratch recycled, buf rewound) regardless
+// of outcome.
 func (p *Producer) flushLocked() error {
 	if p.pendingN == 0 {
 		return nil
@@ -285,6 +274,7 @@ func (p *Producer) flushLocked() error {
 		p.recycleBatchLocked(tb)
 	}
 	p.pendingN = 0
+	p.buf = p.buf[:0]
 	return firstErr
 }
 
@@ -295,19 +285,8 @@ func (p *Producer) flushLocked() error {
 // synchronous send, a flush keeps the lock across the broker call, which is
 // what keeps per-key order across flushes.
 func (p *Producer) publishBatch(t string, tb *topicBatch, allowReroute bool) error {
-	first := true
 	err := p.c.withOwner(t, func(b *Broker) error {
-		if !first {
-			// Fresh buffers for the retry: the failed append may have left
-			// the old ones on bookie replicas (see Broker.publishEntries).
-			for i := range tb.entries {
-				fresh := p.arena.alloc(len(tb.entries[i]))
-				tb.views[i] = encodeEntryInto(fresh, tb.keys[i], tb.views[i])
-				tb.entries[i] = fresh
-			}
-		}
-		first = false
-		_, err := b.publishEntries(t, tb.keys, tb.entries, tb.views, tb.traces)
+		_, err := b.publishEntries(t, tb.keys, tb.payloads, tb.traces, tb.entries)
 		return err
 	})
 	if errors.Is(err, ErrRouteMoved) && allowReroute {
@@ -336,12 +315,9 @@ func (p *Producer) redistributeLocked(tb *topicBatch) error {
 			groups[t2] = g
 			order = append(order, t2)
 		}
-		// An entry does not name its partition, and a batch the fence
-		// bounced was never stamped or appended, so its buffers move as
-		// they are.
-		g.views = append(g.views, tb.views[i])
-		g.entries = append(g.entries, tb.entries[i])
 		g.keys = append(g.keys, key)
+		g.payloads = append(g.payloads, tb.payloads[i])
+		g.entries = append(g.entries, nil)
 		g.traces = append(g.traces, tb.traces[i])
 	}
 	var firstErr error

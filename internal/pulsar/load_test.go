@@ -34,13 +34,10 @@ func newEnvCfg(t *testing.T, brokers, bookies int, cfg ClusterConfig) *env {
 }
 
 // publish commits one message straight to a broker, bypassing the producer's
-// routing and retries: it encodes the entry itself and commits it as a group
-// of one.
+// routing and retries, as a group of one.
 func (b *Broker) publish(topicName, key string, payload []byte) (int64, error) {
-	entry := make([]byte, entrySize(key, len(payload)))
-	keys, traces := [1]string{key}, [1]obs.TraceCtx{}
-	entries, views := [1][]byte{entry}, [1][]byte{encodeEntryInto(entry, key, payload)}
-	return b.publishEntries(topicName, keys[:], entries[:], views[:], traces[:])
+	keys, payloads, traces, entries := [1]string{key}, [1][]byte{payload}, [1]obs.TraceCtx{}, [1][]byte{}
+	return b.publishEntries(topicName, keys[:], payloads[:], traces[:], entries[:])
 }
 
 // keysInRange deterministically scans "user-N" keys until it finds count

@@ -55,8 +55,7 @@ const msgFixedHeader = 1 + 8 // version + publish time
 // and Topic are not part of the entry.
 func encodeMessage(m Message) []byte {
 	b := make([]byte, entrySize(m.Key, len(m.Payload)))
-	encodeEntryInto(b, m.Key, m.Payload)
-	stampEntry(b, m.PublishTime)
+	encodeEntryInto(b, m.Key, m.Payload, m.PublishTime)
 	return b
 }
 
@@ -68,29 +67,20 @@ func entrySize(key string, payloadLen int) int {
 		uvarintLen(uint64(payloadLen)) + payloadLen
 }
 
-// encodeEntryInto serializes an entry into buf — which must be exactly
-// entrySize bytes — leaving the publish-time header field zero for the
-// owning broker to stamp (stampEntry). It returns the view of buf's payload
-// bytes: the one copy on the publish path happens here, and that view is
-// what the topic's window and consumers share afterwards. Producers carve
-// buf from an arena, so this is also where the buffer's zero-copy journey to
-// the bookies begins.
-func encodeEntryInto(buf []byte, key string, payload []byte) []byte {
+// encodeEntryInto serializes an entry published at `at` into buf, which must
+// be exactly entrySize bytes; the payload is its last bytes. On the publish
+// path the broker carves buf from its topic's current ledger (entryBuf) under
+// the topic lock, so this is the one copy a payload sees: from here the entry
+// goes uncopied to the bookies, and its payload view to the topic's window
+// and consumers, and nothing writes it again.
+func encodeEntryInto(buf []byte, key string, payload []byte, at time.Time) {
 	buf[0] = codecVersion
+	binary.BigEndian.PutUint64(buf[1:], uint64(at.UnixNano()))
 	off := msgFixedHeader
 	off += binary.PutUvarint(buf[off:], uint64(len(key)))
 	off += copy(buf[off:], key)
 	off += binary.PutUvarint(buf[off:], uint64(len(payload)))
 	copy(buf[off:], payload)
-	return buf[off : off+len(payload) : off+len(payload)]
-}
-
-// stampEntry writes the publish time into a pre-encoded entry's fixed-offset
-// header. The owning broker calls this under the topic lock, before the
-// durable append — the only mutation an entry buffer ever sees after
-// encoding.
-func stampEntry(entry []byte, at time.Time) {
-	binary.BigEndian.PutUint64(entry[1:], uint64(at.UnixNano()))
 }
 
 // decodeMessage parses a ledger entry of topic's. The returned Message's

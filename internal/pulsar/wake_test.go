@@ -243,3 +243,44 @@ func TestParkedReceiveFollowsOwnership(t *testing.T) {
 		t.Fatalf("received %v, want each phase at its publish instant %v", got, sent)
 	}
 }
+
+// TestParkedReceiveWokenByOwnerCrash: a Receive parked with an unacked message
+// out gets that message again at the instant its topic's owner crashes.
+// SetDown wakes every consumer, and the attach pass claims the topic on the
+// surviving broker, whose recovery redelivers it.
+func TestParkedReceiveWokenByOwnerCrash(t *testing.T) {
+	e := newEnv(t, 2, 3)
+	var first, again Message
+	var crashed, got time.Time
+	e.v.Run(func() {
+		must(t, e.cluster.CreateTopic("t", 0))
+		cons, err := e.cluster.Subscribe("t", "s", Exclusive, Latest)
+		must(t, err)
+		prod, err := e.cluster.CreateProducer("t")
+		must(t, err)
+		_, err = prod.Send([]byte("m1"))
+		must(t, err)
+		var ok bool
+		if first, ok = cons.Receive(time.Second); !ok {
+			t.Fatal("Receive timed out on the first delivery")
+		}
+		owner, _ := e.cluster.lockHolder("t")
+		g := simclock.NewGroup(e.v)
+		g.Go(func() {
+			e.v.Sleep(5*time.Millisecond + 333*time.Microsecond)
+			owner.SetDown(true)
+			crashed = e.v.Now()
+		})
+		if again, ok = cons.Receive(time.Hour); !ok {
+			t.Error("Receive timed out")
+		}
+		got = e.v.Now()
+		g.Wait()
+	})
+	if again.Seq != first.Seq || string(again.Payload) != "m1" {
+		t.Fatalf("after the crash Receive got seq %d %q, want the redelivered seq %d %q", again.Seq, again.Payload, first.Seq, "m1")
+	}
+	if !got.Equal(crashed) {
+		t.Fatalf("Receive returned at +%v, the owner crashed at +%v", got.Sub(simclock.Epoch), crashed.Sub(simclock.Epoch))
+	}
+}

@@ -24,6 +24,11 @@ if grep -rnE '^\s*(_\s*(,\s*_\s*)?=\s*)?[A-Za-z_][A-Za-z0-9_.()]*\.StatsFor\(' -
 	echo "check: StatsFor is a pure read; keep-alive reaping is the timer's job, not a probe's" >&2
 	exit 1
 fi
+echo "== a producer holds no entry allocator: entry bytes belong to the topic's ledger"
+if grep -n 'arena' internal/pulsar/client.go; then
+	echo "check: the broker encodes each entry into bytes its topic's current ledger owns; a producer carves none" >&2
+	exit 1
+fi
 echo "== one binary: cmd/ holds a single package"
 [ "$(go list ./cmd/... | wc -l)" -eq 1 ] || { echo "check: cmd/ must hold exactly one package (taureau)" >&2; exit 1; }
 echo "== API.md lists the exported surface"
