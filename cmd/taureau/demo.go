@@ -324,10 +324,9 @@ func demoBurst(w io.Writer, p *core.Platform, clock simclock.Clock) {
 		ctx.Work(250 * time.Millisecond)
 		return in, nil
 	}, faas.Config{
-		MemoryMB:        128,
-		ColdStart:       200 * time.Millisecond,
-		KeepAlive:       4 * time.Second,
-		ColdStartBudget: 10 * time.Second,
+		MemoryMB:  128,
+		ColdStart: 200 * time.Millisecond,
+		KeepAlive: 4 * time.Second,
 	}); err != nil {
 		log.Fatal(err)
 	}

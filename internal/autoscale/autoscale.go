@@ -1,7 +1,9 @@
 // Package autoscale is the platform's elastic control plane: a control loop
-// that watches per-function load (in-flight concurrency, arrival deltas,
-// placement failures) and drives both the instance pools (faas.SetPoolTarget)
-// and the machine fleet (scheduler.Grow / DrainEmpty) toward demand.
+// that watches per-function load (in-flight concurrency, arrival deltas) and
+// drives both the instance pools (faas.SetPoolTarget) and the machine fleet
+// (scheduler.Grow / DrainEmpty) toward demand. Placement itself grows the
+// fleet when no machine fits, so no invocation waits on the loop for
+// capacity: the loop pre-sizes the fleet ahead of demand and drains it after.
 //
 // It implements the reactive core the paper attributes to production FaaS
 // platforms (§4.1 "resource elasticity", §6 "A Look Forward"): a
@@ -96,7 +98,6 @@ type fnState struct {
 	panicUntil time.Time
 
 	lastInvocations int64
-	lastPlaceFails  int64
 
 	lastArrival time.Time
 	interEWMA   time.Duration // smoothed inter-arrival time; 0 = unknown
@@ -217,7 +218,6 @@ func (c *Controller) Tick() {
 	actions := make([]action, 0, len(loads))
 	var (
 		machinesNeeded float64
-		placePressure  int64
 		panicking      int
 		totalDesired   int
 	)
@@ -236,9 +236,6 @@ func (c *Controller) Tick() {
 		inflight := float64(l.Running)
 		delta := l.Invocations - s.lastInvocations
 		s.lastInvocations = l.Invocations
-		pfDelta := l.PlaceFails - s.lastPlaceFails
-		s.lastPlaceFails = l.PlaceFails
-		placePressure += pfDelta
 
 		if delta > 0 || l.Running > 0 {
 			s.lastActive = now
@@ -344,11 +341,6 @@ func (c *Controller) Tick() {
 	if c.cluster != nil {
 		target := int(math.Ceil(machinesNeeded))
 		cur := c.cluster.MachineCount()
-		if placePressure > 0 && target <= cur {
-			// Placements failed at current size: our packing estimate is
-			// optimistic (fragmentation), so force one machine of growth.
-			target = cur + 1
-		}
 		switch {
 		case target > cur:
 			c.cluster.Grow(target - cur)
@@ -427,11 +419,4 @@ func (c *Controller) Status() Status {
 		})
 	}
 	return st
-}
-
-// Ticks returns how many control-loop evaluations have run.
-func (c *Controller) Ticks() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ticks
 }

@@ -19,24 +19,6 @@ func worker(d time.Duration) faas.Handler {
 	}
 }
 
-// boundedGrow is a policy that packs first-fit but refuses to self-grow the
-// cluster beyond its initial machine: capacity is added only by an explicit
-// Grow (i.e. by the autoscaler), which is how a fixed fleet behaves.
-type boundedGrow struct{}
-
-func (boundedGrow) Name() string { return "bounded" }
-func (boundedGrow) Choose(machines []*scheduler.Machine, demand scheduler.Resources, _ string) int {
-	for _, m := range machines {
-		if m.Free().Fits(demand) {
-			return m.ID
-		}
-	}
-	if len(machines) == 0 {
-		return -1
-	}
-	return machines[0].ID // full: force a placement failure, not growth
-}
-
 // TestBurstPanicAndScaleToZero walks the full reactive arc: a 12-wide burst
 // flips the controller into panic mode and holds capacity up; after the
 // burst drains and panic expires, the function scales to zero and the
@@ -100,11 +82,12 @@ func TestBurstPanicAndScaleToZero(t *testing.T) {
 		}
 		ctrl.Stop()
 	})
-	if ctrl.Ticks() < 20 {
-		t.Errorf("ticks = %d, want ≥ 20 over ~26s of virtual time", ctrl.Ticks())
+	ticks := ctrl.Status().Ticks
+	if ticks < 20 {
+		t.Errorf("ticks = %d, want ≥ 20 over ~26s of virtual time", ticks)
 	}
-	if got := reg.CounterValue("autoscale.ticks"); got != ctrl.Ticks() {
-		t.Errorf("obs ticks = %d, want %d", got, ctrl.Ticks())
+	if got := reg.CounterValue("autoscale.ticks"); got != ticks {
+		t.Errorf("obs ticks = %d, want %d", got, ticks)
 	}
 	if got := reg.CounterValue("autoscale.machines.drained"); got == 0 {
 		t.Error("no machines recorded as drained")
@@ -199,40 +182,6 @@ func TestPredictivePrewarm(t *testing.T) {
 	}
 }
 
-// TestPlacePressureGrowsTheFleet: on a fixed fleet that cannot self-grow,
-// provisioning failures feed back into the next tick as place pressure and
-// the controller adds machines until the burst's cold invocations — waiting
-// inside their ColdStartBudget — find capacity.
-func TestPlacePressureGrowsTheFleet(t *testing.T) {
-	v := simclock.NewVirtual()
-	defer v.Close()
-	p := faas.New(v, nil)
-	cluster := scheduler.NewCluster(machineCap, boundedGrow{})
-	p.AttachCluster(cluster, 0)
-	must(t, p.Register("squeeze", "t", worker(20*time.Second), faas.Config{
-		Demand:          scheduler.Resources{CPU: 2000, MemMB: 512}, // 2 per machine
-		ColdStartBudget: 15 * time.Second,
-		KeepAlive:       5 * time.Second, ColdStart: 10 * time.Millisecond,
-		MaxRetries: -1,
-	}))
-	ctrl := New(v, p, cluster, Config{
-		TickInterval: time.Second, StableWindow: 30 * time.Second,
-		PanicWindow: 2 * time.Second, ScaleToZeroAfter: 5 * time.Second,
-	})
-	v.Run(func() {
-		ctrl.Start()
-		rep := faas.Drive(p, "t", "squeeze", nil, make([]time.Duration, 4))
-		rep.Wait()
-		if st, _ := p.StatsFor("t", "squeeze"); st.Throttles != 0 {
-			t.Fatalf("throttled = %d (fleet never grew?)", st.Throttles)
-		}
-		if got := cluster.MachineCount(); got < 2 {
-			t.Errorf("machines = %d, want ≥ 2 after place-pressure growth", got)
-		}
-		ctrl.Stop()
-	})
-}
-
 // TestStartStopIdempotent: Start twice runs one loop; Stop ends it.
 func TestStartStopIdempotent(t *testing.T) {
 	v := simclock.NewVirtual()
@@ -245,7 +194,7 @@ func TestStartStopIdempotent(t *testing.T) {
 		v.Sleep(5500 * time.Millisecond)
 		ctrl.Stop()
 	})
-	if got := ctrl.Ticks(); got != 5 {
+	if got := ctrl.Status().Ticks; got != 5 {
 		t.Errorf("ticks = %d, want exactly 5 (double Start must not double-tick)", got)
 	}
 }

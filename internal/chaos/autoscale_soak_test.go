@@ -100,10 +100,9 @@ func runAutoscaleSoak(t *testing.T, seed int64) autoscaleSoakResult {
 			smu.Unlock()
 			return payload, nil
 		}, faas.Config{
-			MemoryMB:        128,
-			ColdStart:       150 * time.Millisecond,
-			KeepAlive:       3 * time.Second,
-			ColdStartBudget: 5 * time.Second,
+			MemoryMB:  128,
+			ColdStart: 150 * time.Millisecond,
+			KeepAlive: 3 * time.Second,
 		}); err != nil {
 			t.Error(err)
 			return
@@ -176,7 +175,7 @@ func runAutoscaleSoak(t *testing.T, seed int64) autoscaleSoakResult {
 	})
 
 	res.log = inj.Log()
-	res.ticks = ctrl.Ticks()
+	res.ticks = ctrl.Status().Ticks
 	return res
 }
 

@@ -5,9 +5,9 @@
 //
 //	res, err := tenant.Invoke("fn", payload)
 //	switch {
-//	case errors.Is(err, core.ErrThrottled):        // admission or concurrency shed
-//	case errors.Is(err, core.ErrColdStartTimeout): // capacity did not appear in time
-//	case errors.Is(err, core.ErrBreakerOpen):      // circuit breaker fast-fail
+//	case errors.Is(err, core.ErrNoCapacity):  // demand fits no machine (also throttled)
+//	case errors.Is(err, core.ErrThrottled):   // admission or concurrency shed
+//	case errors.Is(err, core.ErrBreakerOpen): // circuit breaker fast-fail
 //	}
 //
 // The per-subsystem sentinels (faas.ErrThrottled, jiffy.ErrNoCapacity,
@@ -20,9 +20,6 @@ var (
 	// ErrThrottled: the request was shed by admission control — a tenant's
 	// fair-share token bucket or a function's concurrency cap.
 	ErrThrottled = errs.ErrThrottled
-	// ErrColdStartTimeout: a cold invocation waited for capacity (cluster
-	// placement) past its ColdStartBudget.
-	ErrColdStartTimeout = errs.ErrColdStartTimeout
 	// ErrBreakerOpen: a per-function circuit breaker fast-failed the call.
 	ErrBreakerOpen = errs.ErrBreakerOpen
 	// ErrLeaseExpired: the ephemeral state's lease lapsed and it was

@@ -15,7 +15,7 @@ import (
 // wraps exactly one platform-wide sentinel, survives further wrapping, and
 // does not bleed into the other sentinels.
 func TestSentinelRoundTrip(t *testing.T) {
-	sentinels := []error{ErrThrottled, ErrColdStartTimeout, ErrBreakerOpen, ErrLeaseExpired, ErrNoCapacity}
+	sentinels := []error{ErrThrottled, ErrBreakerOpen, ErrLeaseExpired, ErrNoCapacity}
 	cases := []struct {
 		name string
 		err  error
@@ -23,7 +23,6 @@ func TestSentinelRoundTrip(t *testing.T) {
 	}{
 		{"faas concurrency cap", faas.ErrThrottled, ErrThrottled},
 		{"faas tenant admission", faas.ErrTenantThrottled, ErrThrottled},
-		{"faas cold-start budget", faas.ErrColdStartTimeout, ErrColdStartTimeout},
 		{"faas circuit breaker", faas.ErrCircuitOpen, ErrBreakerOpen},
 		{"jiffy lease expiry", jiffy.ErrLeaseExpired, ErrLeaseExpired},
 		{"jiffy pool exhausted", jiffy.ErrNoCapacity, ErrNoCapacity},
@@ -87,6 +86,24 @@ func TestSentinelLivePaths(t *testing.T) {
 		}
 		if !errors.Is(err, jiffy.ErrNoNamespace) {
 			t.Fatalf("err = %v lost the legacy ErrNoNamespace match", err)
+		}
+	})
+}
+
+// TestUnplaceableInvokeKeepsBothIdentities: an invoke whose demand fits no
+// machine is shed as a throttle and still carries the scheduler's capacity
+// identity, so a caller can tell "too big for any host" from a busy one.
+func TestUnplaceableInvokeKeepsBothIdentities(t *testing.T) {
+	p, v := NewVirtual(Options{})
+	defer v.Close()
+	p.FaaS.AttachCluster(scheduler.NewCluster(scheduler.Resources{CPU: 1000, MemMB: 1024}, scheduler.FirstFit{}), 0)
+	acme := p.Tenant("acme")
+	must(t, acme.Register("huge", func(ctx *faas.Ctx, in []byte) ([]byte, error) { return in, nil },
+		faas.Config{Demand: scheduler.Resources{CPU: 2000, MemMB: 512}, MaxRetries: -1}))
+	v.Run(func() {
+		_, err := acme.Invoke("huge", nil)
+		if !errors.Is(err, ErrThrottled) || !errors.Is(err, ErrNoCapacity) {
+			t.Fatalf("err = %v, want both ErrThrottled and ErrNoCapacity", err)
 		}
 	})
 }

@@ -19,10 +19,6 @@ var (
 	// concurrency cap or a tenant's fair-share token bucket.
 	ErrThrottled = errors.New("throttled")
 
-	// ErrColdStartTimeout marks a request that waited for cold-start
-	// capacity (cluster placement or admission queue) past its budget.
-	ErrColdStartTimeout = errors.New("cold-start timeout")
-
 	// ErrBreakerOpen marks a request fast-failed by an open circuit breaker.
 	ErrBreakerOpen = errors.New("circuit breaker open")
 

@@ -123,10 +123,9 @@ func runBurstConverge(seed int64) elasticDigest {
 			ctx.Work(250 * time.Millisecond)
 			return nil, nil
 		}, faas.Config{
-			MemoryMB:        128,
-			ColdStart:       time.Second,
-			KeepAlive:       8 * time.Second,
-			ColdStartBudget: 10 * time.Second,
+			MemoryMB:  128,
+			ColdStart: time.Second,
+			KeepAlive: 8 * time.Second,
 		}); err != nil {
 			panic(err)
 		}

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/billing"
 	"repro/internal/errs"
-	"repro/internal/scheduler"
 	"repro/internal/simclock"
 )
 
@@ -226,67 +225,6 @@ func TestLoadsSnapshot(t *testing.T) {
 	if a.Pool() != 3 {
 		t.Errorf("alpha pool = %d, want 3", a.Pool())
 	}
-}
-
-// TestColdStartBudget: a cold invocation that finds the cluster full waits
-// inside its budget for capacity, succeeding when capacity frees in time
-// and failing with ErrColdStartTimeout when it does not.
-func TestColdStartBudget(t *testing.T) {
-	v := simclock.NewVirtual()
-	defer v.Close()
-	p := New(v, nil)
-	// One machine, two 2000-CPU slots, no growth.
-	cluster := scheduler.NewCluster(scheduler.Resources{CPU: 4000, MemMB: 16384}, onlyOneMachine{})
-	p.AttachCluster(cluster, 0)
-	demand := scheduler.Resources{CPU: 2000, MemMB: 512}
-	must(t, p.Register("hog", "t", echo, Config{Demand: demand, KeepAlive: time.Hour, ColdStart: time.Millisecond}))
-	must(t, p.Register("late", "t", echo, Config{
-		Demand: demand, ColdStartBudget: 200 * time.Millisecond,
-		ColdStart: time.Millisecond, MaxRetries: -1,
-	}))
-	must(t, p.Register("strict", "t", echo, Config{Demand: demand, MaxRetries: -1}))
-
-	v.Run(func() {
-		// Fill the machine with two prewarmed hog instances.
-		if n, err := p.SetPoolTarget("t", "hog", 2); err != nil || n != 2 {
-			t.Fatalf("prewarm hog: n=%d err=%v", n, err)
-		}
-		v.Sleep(10 * time.Millisecond)
-
-		// Without a budget the cold placement fails immediately.
-		start := v.Now()
-		_, err := p.InvokeFor("t", "strict", nil)
-		if !errors.Is(err, ErrThrottled) {
-			t.Fatalf("no-budget err = %v, want ErrThrottled", err)
-		}
-		if el := v.Now().Sub(start); el > 50*time.Millisecond {
-			t.Fatalf("no-budget failure took %v, want immediate", el)
-		}
-
-		// With a budget and no relief, the invocation fails only after the
-		// budget lapses, with the typed timeout sentinel.
-		start = v.Now()
-		_, err = p.InvokeFor("t", "late", nil)
-		if !errors.Is(err, ErrColdStartTimeout) || !errors.Is(err, errs.ErrColdStartTimeout) {
-			t.Fatalf("budget err = %v, want ErrColdStartTimeout", err)
-		}
-		if el := v.Now().Sub(start); el < 150*time.Millisecond {
-			t.Fatalf("budget failure took %v, want ≈200ms of retrying", el)
-		}
-
-		// Capacity freed inside the budget rescues the invocation.
-		v.Go(func() {
-			v.Sleep(50 * time.Millisecond)
-			if _, err := p.SetPoolTarget("t", "hog", 0); err != nil {
-				t.Errorf("trim hog: %v", err)
-			}
-		})
-		res, err := p.InvokeFor("t", "late", nil)
-		must(t, err)
-		if !res.Cold {
-			t.Fatal("rescued invocation should be cold")
-		}
-	})
 }
 
 // TestPercentileOK: the empty-window percentile is explicit, not a silent 0.

@@ -30,10 +30,9 @@ import (
 	"repro/internal/simclock"
 )
 
-// Errors returned by the platform. Throttle, breaker and cold-start
-// sentinels wrap the platform-wide identities in internal/errs, so
-// errors.Is(err, core.ErrThrottled) matches regardless of which plane shed
-// the request.
+// Errors returned by the platform. Throttle and breaker sentinels wrap the
+// platform-wide identities in internal/errs, so errors.Is(err,
+// core.ErrThrottled) matches regardless of which plane shed the request.
 var (
 	ErrNoFunction  = errors.New("faas: function not registered")
 	ErrExists      = errors.New("faas: function already registered")
@@ -41,10 +40,6 @@ var (
 	ErrTimeout     = errors.New("faas: execution time limit exceeded")
 	ErrPayloadSize = errors.New("faas: payload too large")
 	ErrCircuitOpen = fmt.Errorf("faas: %w", errs.ErrBreakerOpen)
-	// ErrColdStartTimeout is returned when a cold invocation could not obtain
-	// cluster capacity within its ColdStartBudget (the autoscaler did not
-	// grow the fleet in time).
-	ErrColdStartTimeout = fmt.Errorf("faas: %w waiting for capacity", errs.ErrColdStartTimeout)
 )
 
 // Handler is the user function body. It may call Ctx.Work to model compute
@@ -100,11 +95,6 @@ type Config struct {
 	// BreakerCooldown is how long an open breaker rejects before letting a
 	// single half-open probe through. Default 30s when the breaker is armed.
 	BreakerCooldown time.Duration
-	// ColdStartBudget bounds how long a cold invocation may wait for
-	// cluster capacity (retrying placement while the autoscaler grows the
-	// fleet) before failing with ErrColdStartTimeout. Zero keeps the legacy
-	// behaviour: a failed placement throttles immediately.
-	ColdStartBudget time.Duration
 	// DedupWindow arms per-function idempotency-key deduplication: an invoke
 	// carrying a key (InvokeForTraceIdem, InvokeWithRetry) whose previous
 	// keyed invocation *succeeded* within the window is served the cached Result —
@@ -250,8 +240,7 @@ type function struct {
 	running     int
 	warming     int  // instances provisioning toward the pool target
 	gone        bool // set by Unregister; in-flight provisions release
-	placeFails  int64
-	poolTarget  int // autoscaler-desired pool size (informational)
+	poolTarget  int  // autoscaler-desired pool size (informational)
 	nextInst    int64
 	invocations int64
 	coldStarts  int64
@@ -506,16 +495,15 @@ func instKey(fnKey string, id int64) string {
 }
 
 // placeInstance claims cluster capacity for a new instance (no-op without a
-// cluster).
+// cluster); a rejection counts on faas.pool.placefail.
 func (p *platform) placeInstance(fn *function, inst *instance) error {
 	if p.cluster == nil {
 		return nil
 	}
-	demand := fn.cfg.Demand
-	if demand == (scheduler.Resources{}) {
-		demand = scheduler.Resources{CPU: 1000, MemMB: float64(fn.cfg.MemoryMB)}
+	_, err := p.cluster.PlaceTenant(instKey(fn.key, inst.id), fn.tenant, fn.demandOf())
+	if err != nil {
+		p.obsPlaceFail.Inc()
 	}
-	_, err := p.cluster.PlaceTenant(instKey(fn.key, inst.id), fn.tenant, demand)
 	return err
 }
 
@@ -717,7 +705,7 @@ func (p *platform) invoke(tenant, name string, payload []byte, attempt int, pare
 	fn.mu.Unlock()
 
 	if cold {
-		if err := p.placeWithBudget(fn, inst, start); err != nil {
+		if err := p.placeInstance(fn, inst); err != nil {
 			// Roll back the reservation; the instance ID is not reused.
 			fn.mu.Lock()
 			fn.running--
@@ -732,11 +720,8 @@ func (p *platform) invoke(tenant, name string, payload []byte, attempt int, pare
 			}
 			qspan.EndErr(true)
 			span.EndLabeled(fn.tenant, fn.name, true)
-			res := Result{RequestID: reqID, Attempt: attempt, TraceID: span.TraceID()}
-			if fn.cfg.ColdStartBudget > 0 {
-				return res, fmt.Errorf("%w: %q after %v: %v", ErrColdStartTimeout, name, fn.cfg.ColdStartBudget, err)
-			}
-			return res, fmt.Errorf("%w: %q: %v", ErrThrottled, name, err)
+			return Result{RequestID: reqID, Attempt: attempt, TraceID: span.TraceID()},
+				fmt.Errorf("%w: %q: %w", ErrThrottled, name, err)
 		}
 	}
 

@@ -8,37 +8,9 @@ import (
 )
 
 // This file is the autoscaler's surface on the platform: light load
-// snapshots (Loads), pool-target driving (SetPoolTarget) and bounded
-// cold-start placement waits (placeWithBudget). The autoscaler in
-// internal/autoscale ticks on these; nothing here assumes one exists —
+// snapshots (Loads) and pool-target driving (SetPoolTarget). The autoscaler
+// in internal/autoscale ticks on these; nothing here assumes one exists —
 // SetPoolTarget is equally usable as a manual pre-warming knob.
-
-// placeRetryInterval spaces placement retries while a cold invocation waits
-// inside its ColdStartBudget for the autoscaler to grow the cluster.
-const placeRetryInterval = 5 * time.Millisecond
-
-// placeWithBudget claims cluster capacity for a cold instance, retrying
-// within the function's ColdStartBudget (counted from the invocation's
-// start) so a concurrently growing cluster can absorb the demand. With a
-// zero budget it is exactly placeInstance.
-func (p *platform) placeWithBudget(fn *function, inst *instance, start time.Time) error {
-	err := p.placeInstance(fn, inst)
-	if err == nil || fn.cfg.ColdStartBudget <= 0 {
-		if err != nil {
-			p.obsPlaceFail.Inc()
-		}
-		return err
-	}
-	deadline := start.Add(fn.cfg.ColdStartBudget)
-	for p.clock.Now().Add(placeRetryInterval).Before(deadline) {
-		p.clock.Sleep(placeRetryInterval)
-		if err = p.placeInstance(fn, inst); err == nil {
-			return nil
-		}
-	}
-	p.obsPlaceFail.Inc()
-	return err
-}
 
 // demandOf returns the function's per-instance resource demand with the
 // MemoryMB default applied (what placement actually claims).
@@ -66,9 +38,6 @@ type Load struct {
 	// Invocations is the function's lifetime invocation count; deltas
 	// between autoscaler ticks give the arrival rate.
 	Invocations int64
-	// PlaceFails counts cold placements the cluster rejected — scale-up
-	// pressure the autoscaler must answer with Grow.
-	PlaceFails int64
 	// KeepAlive and Prewarm are the function's configured floors: the
 	// autoscaler must not scale to zero before an idle instance's
 	// keep-alive lapses, nor trim below the provisioned floor.
@@ -104,7 +73,6 @@ func (p *Platform) Loads() []Load {
 			WarmIdle:       len(fn.idle),
 			Warming:        fn.warming,
 			Invocations:    fn.invocations,
-			PlaceFails:     fn.placeFails,
 			KeepAlive:      fn.cfg.KeepAlive,
 			Prewarm:        fn.cfg.Prewarm,
 			Demand:         fn.demandOf(),
@@ -118,9 +86,9 @@ func (p *Platform) Loads() []Load {
 // SetPoolTarget drives the instance pool (running + warm idle + warming) of
 // tenant's function name toward target. Growth provisions warm instances
 // asynchronously — each pays its cold start off the request path and joins
-// the idle pool when ready; a placement rejection is counted (Load.PlaceFails) and
-// surrendered for this tick, so the autoscaler can Grow the cluster and
-// retry next tick. Shrinkage releases surplus idle instances immediately
+// the idle pool when ready; a placement rejection is counted
+// (faas.pool.placefail) and surrendered, and the next call retries it.
+// Shrinkage releases surplus idle instances immediately
 // (oldest first), never below the Prewarm floor and never touching running
 // or still-warming instances. It returns how many instances were started
 // (+) or released (-).
@@ -187,9 +155,7 @@ func (p *platform) provision(fn *function, inst *instance) {
 	if err := p.placeInstance(fn, inst); err != nil {
 		fn.mu.Lock()
 		fn.warming--
-		fn.placeFails++
 		fn.mu.Unlock()
-		p.obsPlaceFail.Inc()
 		return
 	}
 	p.clock.Sleep(fn.cfg.ColdStart)

@@ -63,7 +63,6 @@ var wireTable = []wireMapping{
 	// FaaS sentinels (specific forms first).
 	{faas.ErrTenantThrottled, http.StatusTooManyRequests, "tenant_throttled", true},
 	{faas.ErrCircuitOpen, http.StatusServiceUnavailable, "breaker_open", true},
-	{faas.ErrColdStartTimeout, http.StatusServiceUnavailable, "cold_start_timeout", false},
 	{faas.ErrNoFunction, http.StatusNotFound, "no_function", false},
 	{faas.ErrExists, http.StatusConflict, "function_exists", false},
 	{faas.ErrPayloadSize, http.StatusRequestEntityTooLarge, "payload_too_large", false},
@@ -74,7 +73,6 @@ var wireTable = []wireMapping{
 	// fails the build when a new sentinel lands without a mapping.
 	{errs.ErrThrottled, http.StatusTooManyRequests, "throttled", true},
 	{errs.ErrBreakerOpen, http.StatusServiceUnavailable, "breaker_open", true},
-	{errs.ErrColdStartTimeout, http.StatusServiceUnavailable, "cold_start_timeout", false},
 	{errs.ErrLeaseExpired, http.StatusGone, "lease_expired", false},
 	{errs.ErrNoCapacity, http.StatusServiceUnavailable, "no_capacity", false},
 }

@@ -19,11 +19,10 @@ import (
 // parser and fails until it is added both here and to wireTable — the test
 // cannot silently go stale.
 var errsSentinels = map[string]error{
-	"ErrThrottled":        errs.ErrThrottled,
-	"ErrColdStartTimeout": errs.ErrColdStartTimeout,
-	"ErrBreakerOpen":      errs.ErrBreakerOpen,
-	"ErrLeaseExpired":     errs.ErrLeaseExpired,
-	"ErrNoCapacity":       errs.ErrNoCapacity,
+	"ErrThrottled":    errs.ErrThrottled,
+	"ErrBreakerOpen":  errs.ErrBreakerOpen,
+	"ErrLeaseExpired": errs.ErrLeaseExpired,
+	"ErrNoCapacity":   errs.ErrNoCapacity,
 }
 
 // TestWireTableExhaustive parses the internal/errs source and asserts every
@@ -90,7 +89,6 @@ func TestStatusForSpecificity(t *testing.T) {
 		{faas.ErrTenantThrottled, "tenant_throttled"},
 		{faas.ErrThrottled, "throttled"},
 		{faas.ErrCircuitOpen, "breaker_open"},
-		{faas.ErrColdStartTimeout, "cold_start_timeout"},
 		{errs.ErrThrottled, "throttled"},
 		{errors.New("some handler error"), "internal"},
 	}

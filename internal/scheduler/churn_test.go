@@ -42,24 +42,23 @@ func TestDrainAndGrowCycle(t *testing.T) {
 		t.Fatalf("RetiredMachines = %d, want 2", got)
 	}
 
-	// A placement now must not land on a retired machine.
+	// Machines 0, 1 are full, so placement grows the fleet: it revives the
+	// lowest retired machine (2) rather than appending one.
 	p, err := c.Place("j0", full)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Machine == 2 || p.Machine == 3 {
-		t.Fatalf("placed on retired machine %d", p.Machine)
+	if p.Machine != 2 {
+		t.Fatalf("placed on machine %d, want revived machine 2", p.Machine)
 	}
-	// Machines 0, 1 are full, so the cluster grew a fresh machine (ID 4).
-	if p.Machine != 4 {
-		t.Fatalf("placed on machine %d, want new machine 4", p.Machine)
+	if got := c.RetiredMachines(); got != 1 {
+		t.Fatalf("RetiredMachines after placement = %d, want 1", got)
 	}
 
-	// Grow revives the two retired machines before adding new ones.
-	before := len(c.Machines())
+	// Grow revives the last retired machine before adding a new one.
 	c.Grow(2)
-	if got := len(c.Machines()); got != before {
-		t.Fatalf("Grow(2) provisioned new machines (%d → %d) instead of reviving", before, got)
+	if got := len(c.Machines()); got != 5 {
+		t.Fatalf("Grow(2) left %d machines, want 5 (one revived, one new)", got)
 	}
 	if got := c.RetiredMachines(); got != 0 {
 		t.Fatalf("RetiredMachines after Grow = %d, want 0", got)
@@ -69,32 +68,33 @@ func TestDrainAndGrowCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Machine != 2 {
-		t.Fatalf("revived placement on machine %d, want 2", p.Machine)
+	if p.Machine != 3 {
+		t.Fatalf("revived placement on machine %d, want 3", p.Machine)
 	}
 }
 
-// TestFreeSlots checks the autoscaler headroom signal against hand-counted
-// capacity, including the retired-machine exclusion.
-func TestFreeSlots(t *testing.T) {
+// TestPlacementRevivesRetiredMachines: a fleet that drains and then
+// re-grows on the placement path reuses its retired hosts before appending,
+// exactly as Grow does, so repeated drain/burst cycles do not pile up
+// retired machines.
+func TestPlacementRevivesRetiredMachines(t *testing.T) {
 	c := NewCluster(machineCap, FirstFit{})
-	demand := Resources{CPU: 1000, MemMB: 4096}
-	if got := c.SlotsPerMachine(demand); got != 4 {
-		t.Fatalf("SlotsPerMachine = %d, want 4", got)
-	}
 	c.Grow(2)
-	if got := c.FreeSlots(demand); got != 8 {
-		t.Fatalf("FreeSlots on empty fleet = %d, want 8", got)
+	if got := c.DrainEmpty(2); got != 2 {
+		t.Fatalf("DrainEmpty = %d, want 2", got)
 	}
-	mustPlace(t, c, "a", demand)
-	if got := c.FreeSlots(demand); got != 7 {
-		t.Fatalf("FreeSlots = %d, want 7", got)
+	full := Resources{CPU: 4000, MemMB: 16384}
+	for i := 0; i < 3; i++ {
+		mustPlace(t, c, fmt.Sprintf("i%d", i), full)
 	}
-	if got := c.DrainEmpty(1); got != 1 {
-		t.Fatalf("DrainEmpty = %d, want 1", got)
+	if got := len(c.Machines()); got != 3 {
+		t.Fatalf("fleet = %d machines, want 3 (two revived, one new)", got)
 	}
-	if got := c.FreeSlots(demand); got != 3 {
-		t.Fatalf("FreeSlots after drain = %d, want 3", got)
+	if got := c.RetiredMachines(); got != 0 {
+		t.Fatalf("RetiredMachines = %d, want 0", got)
+	}
+	if c.SlotsPerMachine(Resources{CPU: 1000, MemMB: 4096}) != 4 {
+		t.Fatal("SlotsPerMachine != 4")
 	}
 	if c.SlotsPerMachine(Resources{Accel: 1}) != 0 {
 		t.Fatal("accel demand should not fit an accel-free machine")

@@ -94,9 +94,6 @@ type Machine struct {
 	instances map[string]Resources
 }
 
-// Tenants returns how many distinct tenants share the machine.
-func (m *Machine) Tenants() int { return len(m.byTenant) }
-
 // HostsOnly reports whether the machine is empty or hosts only the given
 // tenant.
 func (m *Machine) HostsOnly(tenant string) bool {
@@ -149,30 +146,36 @@ func NewCluster(perMachine Resources, policy Policy) *Cluster {
 	return &Cluster{template: perMachine, policy: policy, placed: map[string]int{}, tenantOf: map[string]string{}}
 }
 
-// Grow adds n machines to the placeable fleet: retired machines are revived
-// first (a drained host returning to service is cheaper than provisioning),
-// then new empty machines are appended.
+// Grow adds n machines to the placeable fleet (see addMachineLocked).
 func (c *Cluster) Grow(n int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	for i := 0; i < n; i++ {
+		c.addMachineLocked()
+	}
+}
+
+// addMachineLocked adds one machine to the placeable fleet and returns it:
+// the lowest-ID retired machine is revived (a drained host returning to
+// service is cheaper than provisioning), else a new empty machine is
+// appended. Grow and PlaceTenant's self-growth both go through it, so a
+// fleet that drains and re-grows reuses its hosts. c.mu held.
+func (c *Cluster) addMachineLocked() *Machine {
 	for _, m := range c.machines {
-		if n == 0 {
-			return
-		}
 		if m.retired {
 			m.retired = false
-			n--
+			return m
 		}
 	}
-	for i := 0; i < n; i++ {
-		c.machines = append(c.machines, &Machine{
-			ID:         len(c.machines),
-			Capacity:   c.template,
-			byDominant: map[string]int{},
-			byTenant:   map[string]int{},
-			instances:  map[string]Resources{},
-		})
+	m := &Machine{
+		ID:         len(c.machines),
+		Capacity:   c.template,
+		byDominant: map[string]int{},
+		byTenant:   map[string]int{},
+		instances:  map[string]Resources{},
 	}
+	c.machines = append(c.machines, m)
+	return m
 }
 
 // DrainEmpty retires up to max empty machines (highest IDs first, so the
@@ -223,28 +226,10 @@ func (c *Cluster) RetiredMachines() int {
 	return n
 }
 
-// FreeSlots returns how many instances of demand the placeable fleet's
-// current free capacity can absorb — the autoscaler's headroom signal.
-func (c *Cluster) FreeSlots(demand Resources) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	total := 0
-	for _, m := range c.machines {
-		if m.retired {
-			continue
-		}
-		total += slotsIn(m.Free(), demand)
-	}
-	return total
-}
-
 // SlotsPerMachine returns how many instances of demand one empty machine
 // holds (0 when the demand does not fit at all).
 func (c *Cluster) SlotsPerMachine(demand Resources) int {
-	return slotsIn(c.template, demand)
-}
-
-func slotsIn(free, demand Resources) int {
+	free := c.template
 	n := math.MaxInt
 	dim := func(f, d float64) {
 		if d > 0 {
@@ -263,7 +248,8 @@ func slotsIn(free, demand Resources) int {
 }
 
 // Place assigns an instance's demand to a machine, growing the cluster if
-// the policy finds no fit. Equivalent to PlaceTenant with an empty tenant.
+// the policy finds no fit: placement itself provisions, so no caller waits
+// for capacity. Equivalent to PlaceTenant with an empty tenant.
 func (c *Cluster) Place(instanceID string, demand Resources) (Placement, error) {
 	return c.PlaceTenant(instanceID, "", demand)
 }
@@ -277,15 +263,7 @@ func (c *Cluster) PlaceTenant(instanceID, tenant string, demand Resources) (Plac
 	}
 	idx := c.policy.Choose(c.eligibleLocked(), demand, tenant)
 	if idx < 0 {
-		m := &Machine{
-			ID:         len(c.machines),
-			Capacity:   c.template,
-			byDominant: map[string]int{},
-			byTenant:   map[string]int{},
-			instances:  map[string]Resources{},
-		}
-		c.machines = append(c.machines, m)
-		idx = m.ID
+		idx = c.addMachineLocked().ID
 	} else if idx >= len(c.machines) || !c.machines[idx].Free().Fits(demand) {
 		return Placement{}, fmt.Errorf("%w: policy %s chose machine %d without room for %+v",
 			ErrUnplaceable, c.policy.Name(), idx, demand)

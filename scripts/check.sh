@@ -29,6 +29,11 @@ if grep -n 'arena' internal/pulsar/client.go; then
 	echo "check: the broker encodes each entry into bytes its topic's current ledger owns; a producer carves none" >&2
 	exit 1
 fi
+echo "== one fleet model: placement grows the fleet, so no cold start waits for capacity"
+if grep -rnE 'placeRetryInterval|placeWithBudget|ColdStartBudget|ErrColdStartTimeout|PlaceFails' --include='*.go' --exclude='*_test.go' internal/ cmd/; then
+	echo "check: a failed placement throttles at once; the cold-start budget, its poll and place pressure are gone" >&2
+	exit 1
+fi
 echo "== one binary: cmd/ holds a single package"
 [ "$(go list ./cmd/... | wc -l)" -eq 1 ] || { echo "check: cmd/ must hold exactly one package (taureau)" >&2; exit 1; }
 echo "== API.md lists the exported surface"

@@ -35,9 +35,9 @@ import (
 )
 
 // surfacePackages are the packages whose exported names must have a caller:
-// scripts/api.sh's list plus coord and the two log structures, seglog and
-// reclog.
-var surfacePackages = []string{"core", "faas", "pulsar", "ledger", "jiffy", "gateway", "simclock", "obs", "coord", "seglog", "reclog"}
+// scripts/api.sh's list plus coord, the two log structures (seglog and
+// reclog) and the fleet (scheduler and autoscale).
+var surfacePackages = []string{"core", "faas", "pulsar", "ledger", "jiffy", "gateway", "simclock", "obs", "coord", "seglog", "reclog", "scheduler", "autoscale"}
 
 // surfaceAllowlist holds the exported names that stay without a non-test
 // caller, each with its reason.
