@@ -18,9 +18,11 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -238,6 +240,94 @@ func TestPublishSyncAtMostOneAlloc(t *testing.T) {
 	if got > 1 {
 		t.Fatalf("sync publish allocates %.3f allocs/op, want <= 1", got)
 	}
+}
+
+// TestBatchFlushProducerZeroAllocs pins a batching producer's own share of
+// a flush at zero allocations. Its buffer is MaxBatch slots whatever the
+// partition count, taken by the first SendAsync, so after one full flush of
+// MaxBatch messages every later flush, however its seeded random keys spread
+// over 16 partitions, allocates only below the producer: the entry chunks
+// and index segments the topics' ledgers take. Every allocation is recorded
+// (MemProfileRate 1) and charged to the first frame of its stack outside the
+// runtime; a per-partition batch that regrows by append when one flush gives
+// its partition more messages than it has held before is charged to the
+// producer.
+func TestBatchFlushProducerZeroAllocs(t *testing.T) {
+	const partitions, maxBatch, flushes = 16, 64, 200
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	p := core.New(core.Options{})
+	if err := p.Pulsar.CreateTopic("flush-gate", partitions); err != nil {
+		t.Fatal(err)
+	}
+	prod, err := p.Pulsar.CreateProducerOpts("flush-gate", pulsar.ProducerOptions{MaxBatch: maxBatch, FlushInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	keys := make([]string, 1024)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%04d-%08x", i, rng.Uint32())
+	}
+	payload := make([]byte, 256)
+	flush := func() { // the MaxBatch-th SendAsync flushes
+		for i := 0; i < maxBatch; i++ {
+			if err := prod.SendAsync(keys[rng.Intn(len(keys))], payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	flush()
+	before := producerAllocs()
+	mallocs := runtimeMallocs()
+	for i := 0; i < flushes; i++ {
+		flush()
+	}
+	total := runtimeMallocs() - mallocs
+	got := producerAllocs() - before
+	t.Logf("%d flushes of %d messages: %d allocations, %d of them the producer's", flushes, maxBatch, total, got)
+	if got != 0 {
+		t.Fatalf("the producer allocated %d times in %d flushes, want 0", got, flushes)
+	}
+}
+
+// producerAllocs is how many allocations the memory profile charges to a
+// pulsar.Producer method: the first frame of the allocation's stack outside
+// the runtime. Two collections publish every allocation made before the
+// call.
+func producerAllocs() int64 {
+	runtime.GC()
+	runtime.GC()
+	n, _ := runtime.MemProfile(nil, true)
+	recs := make([]runtime.MemProfileRecord, n+64)
+	n, ok := runtime.MemProfile(recs, true)
+	for !ok {
+		recs = make([]runtime.MemProfileRecord, n+64)
+		n, ok = runtime.MemProfile(recs, true)
+	}
+	var total int64
+	for _, r := range recs[:n] {
+		frames := runtime.CallersFrames(r.Stack())
+		for f, more := frames.Next(); ; f, more = frames.Next() {
+			if !strings.HasPrefix(f.Function, "runtime.") {
+				if strings.HasPrefix(f.Function, "repro/internal/pulsar.(*Producer).") {
+					total += r.AllocObjects
+				}
+				break
+			}
+			if !more {
+				break
+			}
+		}
+	}
+	return total
+}
+
+// runtimeMallocs is the process's cumulative heap allocation count.
+func runtimeMallocs() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.Mallocs
 }
 
 // TestWarmInvokeTracedZeroAllocs pins the warm invoke path at zero allocs

@@ -45,8 +45,9 @@ type Options struct {
 	// JiffyBlockSize is bytes per block. Default 64 KiB.
 	JiffyBlockSize int
 	// PulsarBatchMax is the default producer batch size: how many
-	// SendAsync messages buffer per partition before one group-commit
-	// ledger append. Default 1 (batching off).
+	// SendAsync messages a producer buffers, across all partitions, before
+	// a flush commits them, one group-commit ledger append per partition.
+	// Default 1 (batching off).
 	PulsarBatchMax int
 	// PulsarFlushInterval bounds buffered-message staleness for batching
 	// producers. Default 1ms.

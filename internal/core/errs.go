@@ -5,7 +5,7 @@
 //
 //	res, err := tenant.Invoke("fn", payload)
 //	switch {
-//	case errors.Is(err, core.ErrNoCapacity):  // demand fits no machine (also throttled)
+//	case errors.Is(err, core.ErrNoCapacity):  // demand fits no machine, or a finite fleet is full (then also throttled)
 //	case errors.Is(err, core.ErrThrottled):   // admission or concurrency shed
 //	case errors.Is(err, core.ErrBreakerOpen): // circuit breaker fast-fail
 //	}

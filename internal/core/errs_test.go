@@ -90,10 +90,11 @@ func TestSentinelLivePaths(t *testing.T) {
 	})
 }
 
-// TestUnplaceableInvokeKeepsBothIdentities: an invoke whose demand fits no
-// machine is shed as a throttle and still carries the scheduler's capacity
-// identity, so a caller can tell "too big for any host" from a busy one.
-func TestUnplaceableInvokeKeepsBothIdentities(t *testing.T) {
+// TestUnplaceableInvokeIsNoCapacity: an invoke whose demand fits no machine
+// even when empty carries the scheduler's capacity identity and is not a
+// throttle, so a caller can tell "too big for any host" from a busy one and
+// does not retry it.
+func TestUnplaceableInvokeIsNoCapacity(t *testing.T) {
 	p, v := NewVirtual(Options{})
 	defer v.Close()
 	p.FaaS.AttachCluster(scheduler.NewCluster(scheduler.Resources{CPU: 1000, MemMB: 1024}, scheduler.FirstFit{}), 0)
@@ -102,8 +103,8 @@ func TestUnplaceableInvokeKeepsBothIdentities(t *testing.T) {
 		faas.Config{Demand: scheduler.Resources{CPU: 2000, MemMB: 512}, MaxRetries: -1}))
 	v.Run(func() {
 		_, err := acme.Invoke("huge", nil)
-		if !errors.Is(err, ErrThrottled) || !errors.Is(err, ErrNoCapacity) {
-			t.Fatalf("err = %v, want both ErrThrottled and ErrNoCapacity", err)
+		if !errors.Is(err, ErrNoCapacity) || errors.Is(err, ErrThrottled) {
+			t.Fatalf("err = %v, want ErrNoCapacity and not ErrThrottled", err)
 		}
 	})
 }

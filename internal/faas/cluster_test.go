@@ -1,6 +1,7 @@
 package faas
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -87,6 +88,74 @@ func TestClusterCapacityThrottles(t *testing.T) {
 			t.Errorf("throttled = %d, want 1 (third instance unplaceable)", st.Throttles)
 		}
 	})
+}
+
+// TestRegisterIsAllOrNothing: a Register whose Prewarm placement fails
+// releases every instance it placed and lists no function, so the name is
+// free for a Register whose demand fits.
+func TestRegisterIsAllOrNothing(t *testing.T) {
+	v := simclock.NewVirtual()
+	defer v.Close()
+	p := New(v, nil)
+	// One machine only fits two 2000-CPU instances, and the fleet never grows.
+	cluster := scheduler.NewCluster(scheduler.Resources{CPU: 4000, MemMB: 16384}, onlyOneMachine{})
+	p.AttachCluster(cluster, 0)
+	fits := scheduler.Resources{CPU: 2000, MemMB: 512}
+	cases := []struct {
+		name string
+		cfg  Config
+		want error
+	}{
+		// The third instance finds the machine full after two were placed.
+		{"full", Config{Demand: fits, Prewarm: 3}, scheduler.ErrMachineFull},
+		// The first instance fits no machine even when empty.
+		{"unplaceable", Config{Demand: scheduler.Resources{CPU: 8000, MemMB: 512}, Prewarm: 1}, scheduler.ErrUnplaceable},
+	}
+	for _, c := range cases {
+		if err := p.Register("f", "t", worker(time.Millisecond), c.cfg); !errors.Is(err, c.want) {
+			t.Fatalf("%s: Register err = %v, want %v", c.name, err, c.want)
+		}
+		if _, ok := p.PoolTarget("t", "f"); ok {
+			t.Errorf("%s: PoolTarget finds the function a failed Register left", c.name)
+		}
+		if _, err := p.StatsFor("t", "f"); !errors.Is(err, ErrNoFunction) {
+			t.Errorf("%s: StatsFor err = %v, want ErrNoFunction", c.name, err)
+		}
+		for _, m := range cluster.Machines() {
+			if m.Used != (scheduler.Resources{}) {
+				t.Errorf("%s: machine %d still has %+v claimed", c.name, m.ID, m.Used)
+			}
+		}
+	}
+	must(t, p.Register("f", "t", worker(time.Millisecond), Config{Demand: fits, Prewarm: 2}))
+	if st, err := p.StatsFor("t", "f"); err != nil || st.WarmIdle != 2 {
+		t.Fatalf("after a fitting Register: stats %+v, err %v; want 2 warm idle", st, err)
+	}
+}
+
+// TestUnplaceableColdStartIsNotAThrottle: a cold start whose demand fits no
+// machine even when empty fails with the scheduler's capacity identity only,
+// counts no throttle and is not retried. (One that finds a finite fleet full
+// stays a throttle: TestClusterCapacityThrottles.)
+func TestUnplaceableColdStartIsNotAThrottle(t *testing.T) {
+	v := simclock.NewVirtual()
+	defer v.Close()
+	p := New(v, nil)
+	p.AttachCluster(scheduler.NewCluster(scheduler.Resources{CPU: 1000, MemMB: 1024}, scheduler.FirstFit{}), 0)
+	must(t, p.Register("huge", "t", worker(time.Millisecond), Config{Demand: scheduler.Resources{CPU: 2000, MemMB: 512}}))
+	v.Run(func() {
+		start := v.Now()
+		res, err := p.InvokeWithRetry("t", "huge", "", nil, RetryPolicy{MaxAttempts: 3})
+		if !errors.Is(err, scheduler.ErrUnplaceable) || errors.Is(err, ErrThrottled) {
+			t.Fatalf("err = %v, want scheduler.ErrUnplaceable and not ErrThrottled", err)
+		}
+		if res.Attempt != 1 || v.Now() != start {
+			t.Errorf("attempt %d after %v: an unplaceable cold start was retried", res.Attempt, v.Now().Sub(start))
+		}
+	})
+	if st, err := p.StatsFor("t", "huge"); err != nil || st.Throttles != 0 || st.Invocations != 0 {
+		t.Errorf("stats %+v, err %v: want no throttle and no invocation", st, err)
+	}
 }
 
 // onlyOneMachine is a test policy that refuses to grow beyond machine 0.

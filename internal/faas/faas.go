@@ -458,7 +458,25 @@ func (p *Platform) Register(name, tenant string, handler Handler, cfg Config) er
 		p.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrExists, name)
 	}
+	p.mu.Unlock()
 	fn := &function{name: name, tenant: tenant, key: tenant + "/" + name, handler: handler, cfg: cfg.withDefaults(), platform: p.platform}
+
+	// Provisioned concurrency: instances exist before the first request, and
+	// before the function is listed, so a registration is all or nothing: a
+	// placement that fails releases the ones placed so far and lists nothing.
+	now := p.clock.Now()
+	for i := 0; i < fn.cfg.Prewarm; i++ {
+		fn.nextInst++
+		inst := &instance{id: fn.nextInst, idleSince: now}
+		if err := p.placeInstance(fn, inst); err != nil {
+			p.releaseIdle(fn)
+			return err
+		}
+		fn.idle = append(fn.idle, inst)
+	}
+	if fn.cfg.Prewarm > 0 {
+		fn.recordLocked(now)
+	}
 	if fn.cfg.BreakerThreshold > 0 {
 		fn.brkGauge = p.obsReg.Gauge("faas.breaker.state." + name)
 	}
@@ -466,23 +484,15 @@ func (p *Platform) Register(name, tenant string, handler Handler, cfg Config) er
 	fn.lblFail = p.obsFailVec.With(tenant, name)
 	fn.lblLat = p.obsLatVec.With(tenant, name)
 	fn.slo = p.obsSLO.Tenant(tenant)
-	p.functions[id] = fn
-	p.mu.Unlock()
-
-	// Provisioned concurrency: instances exist before the first request.
-	fn.mu.Lock()
-	defer fn.mu.Unlock()
-	now := p.clock.Now()
-	for i := 0; i < fn.cfg.Prewarm; i++ {
-		fn.nextInst++
-		inst := &instance{id: fn.nextInst, idleSince: now}
-		if err := p.placeInstance(fn, inst); err != nil {
-			return err
-		}
-		fn.idle = append(fn.idle, inst)
+	p.mu.Lock()
+	_, taken := p.functions[id] // by a concurrent Register of the name
+	if !taken {
+		p.functions[id] = fn
 	}
-	if fn.cfg.Prewarm > 0 {
-		fn.recordLocked(now)
+	p.mu.Unlock()
+	if taken {
+		p.releaseIdle(fn)
+		return fmt.Errorf("%w: %q", ErrExists, name)
 	}
 	return nil
 }
@@ -515,6 +525,15 @@ func (p *platform) releaseInstance(fn *function, inst *instance) {
 	}
 }
 
+// releaseIdle returns every idle instance's cluster capacity and empties the
+// pool. Called with fn.mu held, or before fn is listed.
+func (p *platform) releaseIdle(fn *function) {
+	for _, in := range fn.idle {
+		p.releaseInstance(fn, in)
+	}
+	fn.idle = nil
+}
+
 // slowdownFor computes an instance's current interference multiplier.
 func (p *platform) slowdownFor(fn *function, inst *instance) float64 {
 	if p.cluster == nil || p.penalty <= 0 {
@@ -539,10 +558,7 @@ func (p *Platform) UnregisterFor(tenant, name string) error {
 
 	fn.mu.Lock()
 	fn.gone = true
-	for _, in := range fn.idle {
-		p.releaseInstance(fn, in)
-	}
-	fn.idle = nil
+	p.releaseIdle(fn)
 	fn.mu.Unlock()
 	// Once gone is set, an invoke still in flight folds its own record as it
 	// completes; this fold takes everything logged before.
@@ -706,22 +722,32 @@ func (p *platform) invoke(tenant, name string, payload []byte, attempt int, pare
 
 	if cold {
 		if err := p.placeInstance(fn, inst); err != nil {
-			// Roll back the reservation; the instance ID is not reused.
+			// Roll back the reservation; the instance ID is not reused. A
+			// full fleet is a throttle, worth a retry later; a demand no
+			// machine can fit (scheduler.ErrUnplaceable) never succeeds, so
+			// it is not one.
+			throttle := !errors.Is(err, scheduler.ErrUnplaceable)
 			fn.mu.Lock()
 			fn.running--
 			fn.coldStarts--
 			fn.invocations--
-			fn.throttles++
+			if throttle {
+				fn.throttles++
+			}
 			fn.recordLocked(start)
 			fn.mu.Unlock()
-			p.obsThrottled.Inc()
+			if throttle {
+				p.obsThrottled.Inc()
+				err = fmt.Errorf("%w: %q: %w", ErrThrottled, name, err)
+			} else {
+				err = fmt.Errorf("faas: %q: %w", name, err)
+			}
 			if gated {
 				p.recordBreaker(fn, outcomeAborted, probe)
 			}
 			qspan.EndErr(true)
 			span.EndLabeled(fn.tenant, fn.name, true)
-			return Result{RequestID: reqID, Attempt: attempt, TraceID: span.TraceID()},
-				fmt.Errorf("%w: %q: %w", ErrThrottled, name, err)
+			return Result{RequestID: reqID, Attempt: attempt, TraceID: span.TraceID()}, err
 		}
 	}
 

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/scheduler"
 )
 
 // This file is the platform's invoke resilience plane: a per-function
@@ -290,8 +291,8 @@ func (p *platform) invokeRetrying(rootName, tenant, name, idemKey string, payloa
 }
 
 // retryable reports whether a retry could plausibly change the outcome. Not
-// retryable: an unknown function and an oversized payload (nothing changes
-// between attempts); an open circuit breaker (it exists to shed load, so
+// retryable: an unknown function, an oversized payload and a demand no
+// machine can fit (nothing changes between attempts); an open circuit breaker (it exists to shed load, so
 // hammering it from the retry loop would defeat the point); and a
 // tenant-level shed — an explicit back-pressure signal, where retrying from
 // inside the platform would amplify exactly the overload admission is
@@ -299,6 +300,7 @@ func (p *platform) invokeRetrying(rootName, tenant, name, idemKey string, payloa
 func retryable(err error) bool {
 	return !errors.Is(err, ErrNoFunction) &&
 		!errors.Is(err, ErrPayloadSize) &&
+		!errors.Is(err, scheduler.ErrUnplaceable) &&
 		!errors.Is(err, ErrCircuitOpen) &&
 		!errors.Is(err, ErrTenantThrottled)
 }

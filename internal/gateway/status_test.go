@@ -12,6 +12,8 @@ import (
 
 	"repro/internal/errs"
 	"repro/internal/faas"
+	"repro/internal/scheduler"
+	"repro/internal/simclock"
 )
 
 // errsSentinels maps every exported sentinel in internal/errs by name. When
@@ -96,6 +98,30 @@ func TestStatusForSpecificity(t *testing.T) {
 		if got := statusFor(c.err).Code; got != c.wantCode {
 			t.Errorf("statusFor(%v).Code = %q, want %q", c.err, got, c.wantCode)
 		}
+	}
+}
+
+// TestUnplaceableColdStartIsNoCapacity: the error of a cold start whose
+// demand fits no machine even when empty maps to 503 no_capacity with no
+// Retry-After: the request can never succeed, so it is not a throttle.
+func TestUnplaceableColdStartIsNoCapacity(t *testing.T) {
+	v := simclock.NewVirtual()
+	defer v.Close()
+	p := faas.New(v, nil)
+	p.AttachCluster(scheduler.NewCluster(scheduler.Resources{CPU: 1000, MemMB: 1024}, scheduler.FirstFit{}), 0)
+	huge := func(ctx *faas.Ctx, in []byte) ([]byte, error) { return in, nil }
+	if err := p.Register("huge", "t", huge, faas.Config{Demand: scheduler.Resources{CPU: 2000, MemMB: 512}}); err != nil {
+		t.Fatal(err)
+	}
+	var err error
+	v.Run(func() { _, err = p.InvokeFor("t", "huge", nil) })
+	if err == nil {
+		t.Fatal("an unplaceable cold start succeeded")
+	}
+	m := statusFor(err)
+	if m.Status != http.StatusServiceUnavailable || m.Code != "no_capacity" || m.RetryAfter {
+		t.Fatalf("statusFor(%v) = %d %q RetryAfter=%v, want 503 \"no_capacity\" without Retry-After",
+			err, m.Status, m.Code, m.RetryAfter)
 	}
 }
 

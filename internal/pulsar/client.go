@@ -13,10 +13,11 @@ import (
 
 // ProducerOptions tunes a producer's batching behavior.
 type ProducerOptions struct {
-	// MaxBatch is the number of messages SendAsync buffers per partition
-	// before forcing a flush (a group-commit ledger append). ≤1 disables
-	// batching: every SendAsync publishes immediately. Defaults to the
-	// cluster's ClusterConfig.BatchMaxMessages.
+	// MaxBatch is the number of messages SendAsync buffers, across all
+	// partitions, before forcing a flush (one group-commit ledger append per
+	// partition the buffer holds). ≤1 disables batching: every SendAsync
+	// publishes immediately. Defaults to the cluster's
+	// ClusterConfig.BatchMaxMessages.
 	MaxBatch int
 	// FlushInterval bounds how stale a buffered message may get: a
 	// SendAsync arriving FlushInterval after the oldest buffered message
@@ -28,9 +29,9 @@ type ProducerOptions struct {
 
 // Producer publishes messages to a topic (routing across partitions for
 // partitioned topics: by key hash when a key is given, round-robin
-// otherwise). With batching enabled (MaxBatch > 1), SendAsync accumulates
-// messages per partition and commits each batch with one replicated ledger
-// round trip.
+// otherwise). With batching enabled (MaxBatch > 1), SendAsync buffers
+// messages for every partition in one batch and commits each partition's
+// share with one replicated ledger round trip.
 type Producer struct {
 	c     *Cluster
 	topic string
@@ -46,36 +47,31 @@ type Producer struct {
 	maxBatch int
 	interval time.Duration
 
-	mu       sync.Mutex
-	pending  map[string]*topicBatch // concrete topic → buffered batch
-	pendingN int
-	firstAt  time.Time // publish-clock time of the oldest buffered message
+	mu      sync.Mutex
+	firstAt time.Time // publish-clock time of the oldest buffered message
 	// batchRT pins one routing-table snapshot for the lifetime of the
-	// buffered batch set (refreshed whenever the buffer is empty). Without
-	// the pin, a split mid-buffer could spread one key across two batches
-	// whose flush order is unordered — a per-key order violation. With it,
-	// a stale batch is bounced whole by the broker's range fence and
-	// redistributed in message order (see publishBatch).
+	// buffered batch (refreshed whenever the buffer is empty). Without the
+	// pin, a split mid-buffer could spread one key across two partition
+	// groups whose flush order is unordered — a per-key order violation.
+	// With it, a stale group is bounced whole by the broker's range fence and
+	// redistributed in message order (see publishGroup).
 	batchRT *routeTable
 
-	// buf holds the payloads SendAsync copied since the last flush, and free
-	// recycles drained topicBatch scratch structures across flushes (both
-	// guarded by mu). A flush holds mu throughout and the broker has encoded
-	// every payload into its ledger's bytes by the time it returns, so buf is
-	// rewound after each one, and the steady-state publish path allocates
-	// nothing apart from the entry bytes, which the ledger owns.
-	buf  []byte
-	free []*topicBatch
-}
-
-// topicBatch is the buffered tail of one partition's stream: the messages'
-// keys, payload views into the producer's buf, their traces, and the scratch
-// the broker fills with their entries.
-type topicBatch struct {
+	// The batch is one slot per buffered message, in arrival order, across
+	// every partition: its concrete topic, key, payload view into buf, trace
+	// and the entry scratch the broker fills (all guarded by mu). The first
+	// SendAsync allocates each array at MaxBatch slots, which the batch
+	// never outgrows: it flushes when full. A flush holds mu throughout and
+	// the broker has encoded every payload into its ledger's bytes by the
+	// time it returns, so the slots are cleared (the producer pins no
+	// ledger chunk) and buf rewound after each one, and the steady-state
+	// publish path allocates nothing apart from the entry bytes.
+	routes   []string
 	keys     []string
 	payloads [][]byte
-	entries  [][]byte
 	traces   []obs.TraceCtx
+	entries  [][]byte
+	buf      []byte
 }
 
 // CreateProducer opens a producer for an existing topic with the cluster's
@@ -105,7 +101,6 @@ func (c *Cluster) CreateProducerOpts(topic string, opts ProducerOptions) (*Produ
 		holder:   h,
 		maxBatch: opts.MaxBatch,
 		interval: opts.FlushInterval,
-		pending:  map[string]*topicBatch{},
 	}, nil
 }
 
@@ -145,11 +140,9 @@ func (p *Producer) SendKeyTrace(key string, payload []byte, tc obs.TraceCtx) (in
 // would stall a virtual clock.
 func (p *Producer) sendKey(key string, payload []byte, pctx obs.TraceCtx) (int64, error) {
 	p.mu.Lock()
-	if p.pendingN > 0 {
-		if err := p.flushLocked(); err != nil {
-			p.mu.Unlock()
-			return 0, err
-		}
+	if err := p.flushLocked(); err != nil {
+		p.mu.Unlock()
+		return 0, err
 	}
 	t := p.routeTo(p.holder.load(), key)
 	p.mu.Unlock()
@@ -176,78 +169,55 @@ func (p *Producer) sendKey(key string, payload []byte, pctx obs.TraceCtx) (int64
 	return seq, nil
 }
 
-// SendAsync buffers a keyed message for batched publication. The batch for
-// its partition commits — one group ledger append — when it reaches
-// MaxBatch messages, when a later SendAsync finds the oldest buffered
-// message older than FlushInterval, or on an explicit Flush. The payload is
-// copied at enqueue time, so the caller may reuse its buffer immediately. A
-// flush error discards that flush's buffered messages; the caller decides
-// whether to re-send. They were never assigned seqs, except that a batch
-// whose ledger append failed part-way has published the entries that
-// committed before the failure, so a re-send duplicates those.
+// SendAsync buffers a keyed message for batched publication. The batch
+// commits — one group ledger append per partition it holds — when it holds
+// MaxBatch messages across all partitions, when a later SendAsync finds the
+// oldest buffered message older than FlushInterval, or on an explicit Flush.
+// The payload is copied at enqueue time, so the caller may reuse its buffer
+// immediately. A flush error discards that flush's buffered messages; the
+// caller decides whether to re-send. They were never assigned seqs, except
+// that a partition's group whose ledger append failed part-way has published
+// the entries that committed before the failure, so a re-send duplicates
+// those.
 func (p *Producer) SendAsync(key string, payload []byte) error {
 	return p.SendAsyncTrace(key, payload, obs.TraceCtx{})
 }
 
 // SendAsyncTrace is SendAsync carrying the caller's causal context. Batched
-// publishes are traced coarsely: each buffered message remembers its tc, the
-// group ledger commit parents on the batch's first traced message, and each
-// delivery parents on its own message's tc.
+// publishes are traced coarsely: each buffered message remembers its tc, each
+// partition's group ledger commit parents on its first traced message, and
+// each delivery parents on its own message's tc.
 func (p *Producer) SendAsyncTrace(key string, payload []byte, tc obs.TraceCtx) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	// Route against the batch's pinned table snapshot so a concurrent split
-	// never spreads one key across two unordered batches (see batchRT).
-	if p.pendingN == 0 || p.batchRT == nil {
+	if len(p.keys) == 0 {
+		if p.keys == nil {
+			n := p.maxBatch
+			p.routes, p.keys, p.payloads = make([]string, 0, n), make([]string, 0, n), make([][]byte, 0, n)
+			p.traces, p.entries = make([]obs.TraceCtx, 0, n), make([][]byte, n)
+		}
+		// Route against the batch's pinned table snapshot so a concurrent
+		// split never spreads one key across two unordered groups (see
+		// batchRT).
 		p.batchRT = p.holder.load()
-	}
-	t := p.routeTo(p.batchRT, key)
-	tb := p.pending[t]
-	if tb == nil {
-		tb = p.takeBatchLocked()
-		p.pending[t] = tb
 	}
 	n := len(p.buf)
 	p.buf = append(p.buf, payload...)
-	tb.keys = append(tb.keys, key)
-	tb.payloads = append(tb.payloads, p.buf[n:len(p.buf):len(p.buf)])
-	tb.entries = append(tb.entries, nil)
-	tb.traces = append(tb.traces, tc)
-	p.pendingN++
-	if p.pendingN >= p.maxBatch {
+	p.routes = append(p.routes, p.routeTo(p.batchRT, key))
+	p.keys = append(p.keys, key)
+	p.payloads = append(p.payloads, p.buf[n:len(p.buf):len(p.buf)])
+	p.traces = append(p.traces, tc)
+	if len(p.keys) >= p.maxBatch {
 		return p.flushLocked()
 	}
 	// The staleness bound needs the clock only when the batch stays open.
 	now := p.c.clock.Now()
-	if p.pendingN == 1 {
+	if len(p.keys) == 1 {
 		p.firstAt = now
 	} else if p.interval > 0 && now.Sub(p.firstAt) >= p.interval {
 		return p.flushLocked()
 	}
 	return nil
-}
-
-// takeBatchLocked returns a recycled (or new) empty topicBatch. Called with
-// p.mu held.
-func (p *Producer) takeBatchLocked() *topicBatch {
-	if n := len(p.free); n > 0 {
-		tb := p.free[n-1]
-		p.free = p.free[:n-1]
-		return tb
-	}
-	return &topicBatch{}
-}
-
-// recycleBatchLocked clears a drained batch's slices (dropping its
-// references to buf and to the ledger's entries) and shelves it for reuse.
-// Called with p.mu held.
-func (p *Producer) recycleBatchLocked(tb *topicBatch) {
-	clear(tb.keys)
-	clear(tb.payloads)
-	clear(tb.entries)
-	clear(tb.traces)
-	tb.keys, tb.payloads, tb.entries, tb.traces = tb.keys[:0], tb.payloads[:0], tb.entries[:0], tb.traces[:0]
-	p.free = append(p.free, tb)
 }
 
 // Flush publishes every buffered SendAsync message. It is a no-op on an
@@ -258,79 +228,84 @@ func (p *Producer) Flush() error {
 	return p.flushLocked()
 }
 
-// flushLocked commits each partition's buffered batch. Called with p.mu
-// held. The buffer is cleared (its scratch recycled, buf rewound) regardless
-// of outcome.
+// flushLocked commits the batch, one group per partition. Called with p.mu
+// held. The batch is emptied (its slots cleared, buf rewound) regardless of
+// outcome.
 func (p *Producer) flushLocked() error {
-	if p.pendingN == 0 {
+	n := len(p.keys)
+	if n == 0 {
 		return nil
 	}
-	var firstErr error
-	for t, tb := range p.pending {
-		if err := p.publishBatch(t, tb, true); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		delete(p.pending, t)
-		p.recycleBatchLocked(tb)
-	}
-	p.pendingN = 0
+	err := p.publishGroups(0, n, true)
+	clear(p.routes)
+	clear(p.keys)
+	clear(p.payloads)
+	clear(p.traces)
+	clear(p.entries[:n])
+	p.routes, p.keys, p.payloads, p.traces = p.routes[:0], p.keys[:0], p.payloads[:0], p.traces[:0]
 	p.buf = p.buf[:0]
-	return firstErr
-}
-
-// publishBatch commits one partition's batch through withOwner, like the
-// synchronous path. With allowReroute, a batch bounced whole by the broker's
-// key-range fence (the partition split while it was buffered) is
-// redistributed against fresh routing once. Called with p.mu held: unlike a
-// synchronous send, a flush keeps the lock across the broker call, which is
-// what keeps per-key order across flushes.
-func (p *Producer) publishBatch(t string, tb *topicBatch, allowReroute bool) error {
-	err := p.c.withOwner(t, func(b *Broker) error {
-		_, err := b.publishEntries(t, tb.keys, tb.payloads, tb.traces, tb.entries)
-		return err
-	})
-	if errors.Is(err, ErrRouteMoved) && allowReroute {
-		return p.redistributeLocked(tb)
-	}
-	if err == nil {
-		p.c.meterPublish(len(tb.entries))
-	}
 	return err
 }
 
-// redistributeLocked re-routes a fenced batch's messages against the
-// current table — in enqueue order, so per-key order is preserved (each key
-// maps to exactly one new partition) — and publishes the regrouped batches.
+// publishGroups commits batch slots [lo, hi), one group commit per concrete
+// topic, in the order of each topic's first message. It groups the slots in
+// place first, stably: a topic's messages become one contiguous run in
+// arrival order, and since a key routes to one topic, per-key order holds.
 // Called with p.mu held.
-func (p *Producer) redistributeLocked(tb *topicBatch) error {
-	tbl := p.holder.load()
-	groups := map[string]*topicBatch{}
-	var order []string
-	for i := range tb.entries {
-		key := tb.keys[i]
-		t2 := p.routeTo(tbl, key)
-		g := groups[t2]
-		if g == nil {
-			g = p.takeBatchLocked()
-			groups[t2] = g
-			order = append(order, t2)
-		}
-		g.keys = append(g.keys, key)
-		g.payloads = append(g.payloads, tb.payloads[i])
-		g.entries = append(g.entries, nil)
-		g.traces = append(g.traces, tb.traces[i])
-	}
+func (p *Producer) publishGroups(lo, hi int, allowReroute bool) error {
 	var firstErr error
-	for _, t2 := range order {
-		g := groups[t2]
-		// A second fence bounce would mean routing regressed mid-call;
-		// surface it rather than recurse.
-		if err := p.publishBatch(t2, g, false); err != nil && firstErr == nil {
+	for lo < hi {
+		end := lo + 1
+		for i := end; i < hi; i++ {
+			if p.routes[i] == p.routes[lo] {
+				moveTo(p.routes, end, i)
+				moveTo(p.keys, end, i)
+				moveTo(p.payloads, end, i)
+				moveTo(p.traces, end, i)
+				end++
+			}
+		}
+		if err := p.publishGroup(lo, end, allowReroute); err != nil && firstErr == nil {
 			firstErr = err
 		}
-		p.recycleBatchLocked(g)
+		lo = end
 	}
 	return firstErr
+}
+
+// moveTo moves s[from] to s[to], to <= from, shifting s[to:from] up one.
+func moveTo[T any](s []T, to, from int) {
+	v := s[from]
+	copy(s[to+1:from+1], s[to:from])
+	s[to] = v
+}
+
+// publishGroup commits batch slots [lo, hi), all routed to one concrete
+// topic, through withOwner, like the synchronous path. With allowReroute, a
+// group bounced whole by the broker's key-range fence (the partition split
+// while it was buffered) is re-routed against the current table, in message
+// order, and published again as groups. Called with p.mu held: unlike a
+// synchronous send, a flush keeps the lock across the broker call, which is
+// what keeps per-key order across flushes.
+func (p *Producer) publishGroup(lo, hi int, allowReroute bool) error {
+	t := p.routes[lo]
+	err := p.c.withOwner(t, func(b *Broker) error {
+		_, err := b.publishEntries(t, p.keys[lo:hi], p.payloads[lo:hi], p.traces[lo:hi], p.entries[lo:hi])
+		return err
+	})
+	if errors.Is(err, ErrRouteMoved) && allowReroute {
+		tbl := p.holder.load()
+		for i := lo; i < hi; i++ {
+			p.routes[i] = p.routeTo(tbl, p.keys[i])
+		}
+		// A second fence bounce would mean routing regressed mid-call;
+		// surface it rather than recurse.
+		return p.publishGroups(lo, hi, false)
+	}
+	if err == nil {
+		p.c.meterPublish(hi - lo)
+	}
+	return err
 }
 
 // routeTo picks the concrete topic for a key under the given table: plain

@@ -21,9 +21,10 @@ type ClusterConfig struct {
 	// Tenant is billed for publishes. Default "pulsar".
 	Tenant string
 	// BatchMaxMessages is the default per-producer batch size for
-	// SendAsync (messages buffered per partition before a group-commit
-	// ledger append). Default 1 — batching off; Send/SendKey are always
-	// synchronous regardless.
+	// SendAsync: messages buffered across all partitions before a flush,
+	// one group-commit ledger append per partition the batch holds.
+	// Default 1 — batching off; Send/SendKey are always synchronous
+	// regardless.
 	BatchMaxMessages int
 	// BatchFlushInterval is the default staleness bound on buffered
 	// messages (see ProducerOptions.FlushInterval). Default 1ms.

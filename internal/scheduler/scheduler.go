@@ -20,9 +20,15 @@ import (
 	"repro/internal/errs"
 )
 
-// ErrUnplaceable is returned when no machine can fit a demand even when
-// empty. It wraps the platform-wide errs.ErrNoCapacity identity.
-var ErrUnplaceable = fmt.Errorf("scheduler: demand exceeds machine capacity (%w)", errs.ErrNoCapacity)
+// Placement failures. Both wrap the platform-wide errs.ErrNoCapacity
+// identity. ErrUnplaceable is permanent: the demand fits no machine even
+// when empty, so no retry can succeed. ErrMachineFull is transient: the
+// policy chose a machine without room instead of growing the fleet (a
+// policy that holds the fleet finite), and it passes as instances leave.
+var (
+	ErrUnplaceable = fmt.Errorf("scheduler: demand exceeds machine capacity (%w)", errs.ErrNoCapacity)
+	ErrMachineFull = fmt.Errorf("scheduler: chosen machine has no room (%w)", errs.ErrNoCapacity)
+)
 
 // Resources is a demand or capacity vector. Units are abstract (millicores,
 // MB, accelerator slots); only ratios matter to the policies.
@@ -265,8 +271,8 @@ func (c *Cluster) PlaceTenant(instanceID, tenant string, demand Resources) (Plac
 	if idx < 0 {
 		idx = c.addMachineLocked().ID
 	} else if idx >= len(c.machines) || !c.machines[idx].Free().Fits(demand) {
-		return Placement{}, fmt.Errorf("%w: policy %s chose machine %d without room for %+v",
-			ErrUnplaceable, c.policy.Name(), idx, demand)
+		return Placement{}, fmt.Errorf("%w: policy %s chose machine %d for %+v",
+			ErrMachineFull, c.policy.Name(), idx, demand)
 	}
 	m := c.machines[idx]
 	m.Used = m.Used.Add(demand)

@@ -29,6 +29,11 @@ if grep -n 'arena' internal/pulsar/client.go; then
 	echo "check: the broker encodes each entry into bytes its topic's current ledger owns; a producer carves none" >&2
 	exit 1
 fi
+echo "== a producer batches in one buffer of MaxBatch slots, not a recycled batch per partition"
+if grep -rnE 'topicBatch|takeBatchLocked|recycleBatchLocked' --include='*.go' internal/pulsar/; then
+	echo "check: SendAsync queues every partition's messages in one arrival-ordered buffer; per-partition batches and their free list are gone" >&2
+	exit 1
+fi
 echo "== one fleet model: placement grows the fleet, so no cold start waits for capacity"
 if grep -rnE 'placeRetryInterval|placeWithBudget|ColdStartBudget|ErrColdStartTimeout|PlaceFails' --include='*.go' --exclude='*_test.go' internal/ cmd/; then
 	echo "check: a failed placement throttles at once; the cold-start budget, its poll and place pressure are gone" >&2
