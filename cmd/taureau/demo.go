@@ -386,7 +386,7 @@ func demoBurst(w io.Writer, p *core.Platform, clock simclock.Clock) {
 	})
 	wg.Wait()
 
-	p99, _ := faas.PercentileOK(latencies, 99)
+	p99 := faas.Percentile(latencies, 99)
 	fmt.Fprintf(w, "served %d/%d invocations (%d cold starts), p99 %v, peak desired instances %d\n",
 		len(latencies), len(arrivals), cold, p99.Round(time.Millisecond), peakWant)
 

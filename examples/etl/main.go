@@ -107,11 +107,14 @@ func main() {
 			}
 		}
 
-		// The pipeline is a composition — itself a function (§4.2).
+		// The pipeline is a composition — itself a function (§4.2). Its load
+		// step retries through the platform's one retry loop: a failed
+		// transaction is attempted again after a jittered backoff, a shed
+		// one is not.
 		if err := platform.Orchestrator.RegisterComposition("etl-pipeline", orchestrate.Chain(
 			orchestrate.Task("extract"),
 			orchestrate.Task("transform"),
-			orchestrate.TaskRetry("load", orchestrate.RetryPolicy{MaxAttempts: 3, Interval: 50 * time.Millisecond}),
+			orchestrate.TaskRetry("load", faas.RetryPolicy{MaxAttempts: 3, Base: 50 * time.Millisecond}),
 		)); err != nil {
 			log.Fatal(err)
 		}

@@ -459,7 +459,7 @@ func driveInvocation(env *Env, w Workload, i int, plan InvPlan) error {
 			return true
 		},
 	}
-	_, err := p.InvokeWithRetry(envTenant, envFunction, key, payload, pol)
+	_, err := p.InvokeWithRetry(envTenant, envFunction, key, payload, obs.TraceCtx{}, pol)
 	cr.Disarm()
 	if err != nil {
 		return fmt.Errorf("final attempt failed: %w", err)

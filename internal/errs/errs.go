@@ -29,3 +29,21 @@ var (
 	// ErrNoCapacity marks a demand that no machine or memory pool can hold.
 	ErrNoCapacity = errors.New("no capacity")
 )
+
+// Class says who, if anyone, retries a failed request. faas.ClassOf maps
+// every error identity to exactly one class; its retry loop and the
+// gateway's Retry-After header both read that one table.
+type Class int
+
+const (
+	// RetryNow: the failure may clear on its own, so the platform's retry
+	// loop retries it on its backoff. An error no row classifies is RetryNow.
+	RetryNow Class = iota
+	// RetryAfter: load was shed. The platform never retries it itself —
+	// that would amplify the overload being shed — and the wire sends
+	// Retry-After so the caller can come back later.
+	RetryAfter
+	// Permanent: no attempt can change the outcome; nobody retries and no
+	// hint is sent.
+	Permanent
+)

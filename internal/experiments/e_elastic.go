@@ -195,9 +195,7 @@ func runBurstConverge(seed int64) elasticDigest {
 	d.BurstP99 = faas.Percentile(burst, 99)
 	series := make([]time.Duration, len(perSecond))
 	for i, b := range perSecond {
-		if p99, ok := faas.PercentileOK(b, 99); ok {
-			series[i] = p99
-		}
+		series[i] = faas.Percentile(b, 99)
 	}
 	// Measured from burst start: how long cold-start pain lasted before the
 	// panic-scaled pool brought p99 back under 2× the warm baseline.

@@ -227,20 +227,17 @@ func TestLoadsSnapshot(t *testing.T) {
 	}
 }
 
-// TestPercentileOK: the empty-window percentile is explicit, not a silent 0.
+// TestPercentileOK pins Percentile's contract for an empty window: it is 0,
+// and a non-empty window still yields its sorted pick.
 func TestPercentileOK(t *testing.T) {
-	if v, ok := PercentileOK(nil, 99); ok || v != 0 {
-		t.Fatalf("PercentileOK(nil) = %v,%v, want 0,false", v, ok)
+	if v := Percentile(nil, 99); v != 0 {
+		t.Fatalf("Percentile(nil) = %v, want 0", v)
 	}
 	ds := []time.Duration{4 * time.Millisecond, 1 * time.Millisecond, 3 * time.Millisecond, 2 * time.Millisecond}
-	if v, ok := PercentileOK(ds, 50); !ok || v != 2*time.Millisecond {
-		t.Fatalf("p50 = %v,%v", v, ok)
+	if v := Percentile(ds, 50); v != 2*time.Millisecond {
+		t.Fatalf("p50 = %v", v)
 	}
-	if v, ok := PercentileOK(ds, 100); !ok || v != 4*time.Millisecond {
-		t.Fatalf("p100 = %v,%v", v, ok)
-	}
-	// The legacy wrapper keeps its 0-on-empty contract.
-	if Percentile(nil, 99) != 0 {
-		t.Fatal("Percentile(nil) != 0")
+	if v := Percentile(ds, 100); v != 4*time.Millisecond {
+		t.Fatalf("p100 = %v", v)
 	}
 }

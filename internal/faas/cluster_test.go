@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/scheduler"
 	"repro/internal/simclock"
 )
@@ -145,7 +146,7 @@ func TestUnplaceableColdStartIsNotAThrottle(t *testing.T) {
 	must(t, p.Register("huge", "t", worker(time.Millisecond), Config{Demand: scheduler.Resources{CPU: 2000, MemMB: 512}}))
 	v.Run(func() {
 		start := v.Now()
-		res, err := p.InvokeWithRetry("t", "huge", "", nil, RetryPolicy{MaxAttempts: 3})
+		res, err := p.InvokeWithRetry("t", "huge", "", nil, obs.TraceCtx{}, RetryPolicy{MaxAttempts: 3})
 		if !errors.Is(err, scheduler.ErrUnplaceable) || errors.Is(err, ErrThrottled) {
 			t.Fatalf("err = %v, want scheduler.ErrUnplaceable and not ErrThrottled", err)
 		}

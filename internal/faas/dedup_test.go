@@ -31,7 +31,7 @@ func TestRetryBreakerTripBillingConsistent(t *testing.T) {
 		BreakerCooldown:  time.Hour,
 	}))
 	v.Run(func() {
-		res, err := p.InvokeWithRetry("acme", "f", "", nil, RetryPolicy{
+		res, err := p.InvokeWithRetry("acme", "f", "", nil, obs.TraceCtx{}, RetryPolicy{
 			MaxAttempts: 5,
 			Base:        time.Millisecond,
 			Jitter:      -1,
@@ -150,12 +150,12 @@ func TestRetryDecideLostReply(t *testing.T) {
 		Decide:      func(attempt int, res Result, err error) bool { return attempt < 2 },
 	}
 	v.Run(func() {
-		res, err := p.InvokeWithRetry("acme", "plain", "", nil, lostReply)
+		res, err := p.InvokeWithRetry("acme", "plain", "", nil, obs.TraceCtx{}, lostReply)
 		must(t, err)
 		if res.Attempt != 2 || atomic.LoadInt64(&plain) != 2 {
 			t.Errorf("plain: attempt=%d execs=%d, want 2/2 (lost reply re-executes)", res.Attempt, plain)
 		}
-		res, err = p.InvokeWithRetry("acme", "keyed", "req-1", nil, lostReply)
+		res, err = p.InvokeWithRetry("acme", "keyed", "req-1", nil, obs.TraceCtx{}, lostReply)
 		must(t, err)
 		if res.Attempt != 2 || !res.Deduped {
 			t.Errorf("keyed: attempt=%d deduped=%v, want attempt 2 served from cache", res.Attempt, res.Deduped)

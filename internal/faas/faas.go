@@ -957,22 +957,13 @@ func (p *Platform) StatsFor(tenant, name string) (Stats, error) {
 	}, nil
 }
 
-// PercentileOK returns the q-th percentile (0..100) of ds, with ok=false
-// when the window is empty — an empty window has no percentile, and callers
-// that render one must say so rather than print a silent 0.
-func PercentileOK(ds []time.Duration, q float64) (time.Duration, bool) {
+// Percentile returns the q-th percentile (0..100) of ds, or 0 for an empty
+// slice.
+func Percentile(ds []time.Duration, q float64) time.Duration {
 	if len(ds) == 0 {
-		return 0, false
+		return 0
 	}
 	s := append([]time.Duration{}, ds...)
 	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	idx := int(q / 100 * float64(len(s)-1))
-	return s[idx], true
-}
-
-// Percentile returns the q-th percentile (0..100) of ds. It returns 0 for an
-// empty slice; use PercentileOK to distinguish that from a real 0.
-func Percentile(ds []time.Duration, q float64) time.Duration {
-	v, _ := PercentileOK(ds, q)
-	return v
+	return s[int(q/100*float64(len(s)-1))]
 }

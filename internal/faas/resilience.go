@@ -6,17 +6,21 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/errs"
 	"repro/internal/obs"
 	"repro/internal/scheduler"
 )
 
 // This file is the platform's invoke resilience plane: a per-function
 // circuit breaker (closed → open → half-open) that sheds load fast when a
-// handler persistently fails, and the one capped exponential-backoff retry
-// loop with deterministic jitter behind both at-least-once entry points
-// (InvokeWithRetry, InvokeAsyncFor). Jangda et al. ("Formal Foundations of Serverless
-// Computing") make the case that retry behaviour *is* the observable
-// contract of a FaaS platform; this makes ours explicit and testable.
+// handler persistently fails; the one capped exponential-backoff retry loop
+// with deterministic jitter behind every at-least-once caller
+// (InvokeWithRetry, InvokeAsyncFor, and through InvokeWithRetry each
+// orchestrated step); and the one class table (ClassOf) that decides who
+// retries an error — this loop, the caller after a Retry-After, or nobody.
+// Jangda et al. ("Formal Foundations of Serverless Computing") make the case
+// that retry behaviour *is* the observable contract of a FaaS platform; this
+// makes ours explicit and testable.
 
 // breakerState is the circuit breaker's position.
 type breakerState int
@@ -165,7 +169,8 @@ type RetryPolicy struct {
 	// after a *successful* attempt — modelling a client that lost the reply
 	// and re-invokes — which is what lets the conformance explorer
 	// (internal/conform) drive every attempt boundary as an explicit
-	// decision point. Errors that are not retryable still end the loop.
+	// decision point. An error ClassOf does not call RetryNow still ends
+	// the loop.
 	Decide func(attempt int, res Result, err error) bool
 }
 
@@ -216,13 +221,15 @@ func (p *platform) jittered(d time.Duration, frac float64) time.Duration {
 
 // InvokeWithRetry runs tenant's function name synchronously, re-invoking
 // failed attempts after a capped exponential backoff with jitter; an error
-// that is not retryable returns immediately. Every attempt presents idemKey
-// ("" = none), so on a function with a DedupWindow a retry of an attempt that
-// actually succeeded (a lost reply) is served from the dedup cache instead of
-// re-executing the handler. The returned Result's Attempt and RetryWait
-// fields report the attempt that produced it and the total backoff slept.
-func (p *Platform) InvokeWithRetry(tenant, name, idemKey string, payload []byte, pol RetryPolicy) (Result, error) {
-	return p.invokeRetrying("faas.invoke.retry", tenant, name, idemKey, payload, pol.withDefaults())
+// ClassOf does not call RetryNow returns at once. Every attempt presents
+// idemKey ("" = none), so on a function with a DedupWindow a retry of an
+// attempt that actually succeeded (a lost reply) is served from the dedup
+// cache instead of re-executing the handler. A zero tc roots a new trace at
+// the retry span; a valid tc (an orchestrate step) makes it the caller's
+// child. The returned Result's Attempt and RetryWait fields report the
+// attempt that produced it and the total backoff slept.
+func (p *Platform) InvokeWithRetry(tenant, name, idemKey string, payload []byte, tc obs.TraceCtx, pol RetryPolicy) (Result, error) {
+	return p.invokeRetrying("faas.invoke.retry", tenant, name, idemKey, payload, tc, pol.withDefaults())
 }
 
 // InvokeAsyncFor runs tenant's function name on its own goroutine,
@@ -238,7 +245,7 @@ func (p *Platform) InvokeAsyncFor(tenant, name string, payload []byte, done func
 		if fn, err := p.lookup(tenant, name); err == nil {
 			pol.MaxAttempts += fn.cfg.MaxRetries
 		}
-		res, err := p.invokeRetrying("faas.invoke.async", tenant, name, "", payload, pol)
+		res, err := p.invokeRetrying("faas.invoke.async", tenant, name, "", payload, obs.TraceCtx{}, pol)
 		if done != nil {
 			done(res, err)
 		}
@@ -246,13 +253,13 @@ func (p *Platform) InvokeAsyncFor(tenant, name string, payload []byte, done func
 }
 
 // invokeRetrying is the platform's one attempt/backoff loop. All attempts
-// share one trace under a root span named rootName — each execution and each
-// backoff sleep is a child — so a retried request reads as one causal story
-// (attempt 1 failing, the wait, attempt 2 …), not N. pol arrives with its
-// defaults applied and is passed by value: the loop allocates nothing per
-// attempt.
-func (p *platform) invokeRetrying(rootName, tenant, name, idemKey string, payload []byte, pol RetryPolicy) (Result, error) {
-	root := p.obsTracer.Start(obs.TraceCtx{}, rootName)
+// share one span named rootName under parent — each execution and each
+// backoff sleep is its child — so a retried request reads as one causal story
+// (attempt 1 failing, the wait, attempt 2 …), not N. It retries only a
+// RetryNow error. pol arrives with its defaults applied and is passed by
+// value: the loop allocates nothing per attempt.
+func (p *platform) invokeRetrying(rootName, tenant, name, idemKey string, payload []byte, parent obs.TraceCtx, pol RetryPolicy) (Result, error) {
+	root := p.obsTracer.Start(parent, rootName)
 	var res Result
 	var err error
 	var waited time.Duration
@@ -271,7 +278,7 @@ func (p *platform) invokeRetrying(rootName, tenant, name, idemKey string, payloa
 		res, err = p.invoke(tenant, name, payload, attempt, root.Ctx(), idemKey)
 		res.Attempt = attempt
 		res.RetryWait = waited
-		if err != nil && !retryable(err) {
+		if err != nil && ClassOf(err) != errs.RetryNow {
 			break
 		}
 		if pol.Decide != nil {
@@ -290,17 +297,36 @@ func (p *platform) invokeRetrying(rootName, tenant, name, idemKey string, payloa
 	return res, err
 }
 
-// retryable reports whether a retry could plausibly change the outcome. Not
-// retryable: an unknown function, an oversized payload and a demand no
-// machine can fit (nothing changes between attempts); an open circuit breaker (it exists to shed load, so
-// hammering it from the retry loop would defeat the point); and a
-// tenant-level shed — an explicit back-pressure signal, where retrying from
-// inside the platform would amplify exactly the overload admission is
-// shedding (a retry storm).
-func retryable(err error) bool {
-	return !errors.Is(err, ErrNoFunction) &&
-		!errors.Is(err, ErrPayloadSize) &&
-		!errors.Is(err, scheduler.ErrUnplaceable) &&
-		!errors.Is(err, ErrCircuitOpen) &&
-		!errors.Is(err, ErrTenantThrottled)
+// classTable is the platform's one retry classification, read through
+// ClassOf by the retry loop above and by the gateway's Retry-After header.
+// The first row an error matches (errors.Is) decides its class.
+var classTable = []struct {
+	err   error
+	class errs.Class
+}{
+	// Nothing changes between attempts: an unknown or duplicate function, an
+	// oversized payload, a demand no machine can fit, a reclaimed lease.
+	{ErrNoFunction, errs.Permanent},
+	{ErrExists, errs.Permanent},
+	{ErrPayloadSize, errs.Permanent},
+	{scheduler.ErrUnplaceable, errs.Permanent},
+	{errs.ErrLeaseExpired, errs.Permanent},
+	// Shed load — a function's concurrency cap, a tenant's bucket, a full
+	// machine, an open breaker. Retrying from inside the platform would
+	// amplify exactly the overload being shed (a retry storm), so only the
+	// caller retries, after the Retry-After the wire sends.
+	{errs.ErrThrottled, errs.RetryAfter},
+	{errs.ErrBreakerOpen, errs.RetryAfter},
+}
+
+// ClassOf classifies err for retrying: the class of the first classTable row
+// it matches, or errs.RetryNow — a handler error, a timeout, a crashed
+// attempt — when it matches none.
+func ClassOf(err error) errs.Class {
+	for _, row := range classTable {
+		if errors.Is(err, row.err) {
+			return row.class
+		}
+	}
+	return errs.RetryNow
 }

@@ -151,7 +151,7 @@ func TestInvokeWithRetryBacksOff(t *testing.T) {
 	}
 	must(t, p.Register("f", "t", flaky, Config{}))
 	v.Run(func() {
-		res, err := p.InvokeWithRetry("t", "f", "", nil, RetryPolicy{
+		res, err := p.InvokeWithRetry("t", "f", "", nil, obs.TraceCtx{}, RetryPolicy{
 			MaxAttempts: 5,
 			Base:        100 * time.Millisecond,
 			Jitter:      -1, // exact backoffs
@@ -181,12 +181,12 @@ func TestInvokeWithRetryStopsOnNonRetryable(t *testing.T) {
 		BreakerCooldown:  time.Hour,
 	}))
 	v.Run(func() {
-		if _, err := p.InvokeWithRetry("t", "nope", "", nil, RetryPolicy{}); !errors.Is(err, ErrNoFunction) {
+		if _, err := p.InvokeWithRetry("t", "nope", "", nil, obs.TraceCtx{}, RetryPolicy{}); !errors.Is(err, ErrNoFunction) {
 			t.Errorf("err = %v, want ErrNoFunction", err)
 		}
 		p.InvokeFor("t", "f", nil) // opens the breaker
 		start := v.Now()
-		res, err := p.InvokeWithRetry("t", "f", "", nil, RetryPolicy{MaxAttempts: 5, Base: time.Second})
+		res, err := p.InvokeWithRetry("t", "f", "", nil, obs.TraceCtx{}, RetryPolicy{MaxAttempts: 5, Base: time.Second})
 		if !errors.Is(err, ErrCircuitOpen) {
 			t.Errorf("err = %v, want ErrCircuitOpen", err)
 		}
@@ -213,7 +213,7 @@ func TestRetryJitterDeterministic(t *testing.T) {
 		var waits []time.Duration
 		v.Run(func() {
 			for i := 0; i < 4; i++ {
-				res, _ := p.InvokeWithRetry("t", "f", "", nil, RetryPolicy{MaxAttempts: 3, Base: 50 * time.Millisecond})
+				res, _ := p.InvokeWithRetry("t", "f", "", nil, obs.TraceCtx{}, RetryPolicy{MaxAttempts: 3, Base: 50 * time.Millisecond})
 				waits = append(waits, res.RetryWait)
 			}
 		})
@@ -288,8 +288,8 @@ func TestAsyncRetryJitterBounds(t *testing.T) {
 }
 
 // TestRetryStopRuleSharedByBothEntryPoints drives InvokeWithRetry and
-// InvokeAsyncFor — three attempts allowed each — over every error the one
-// retryable predicate refuses, plus a plain handler error: both entry points
+// InvokeAsyncFor — three attempts allowed each — over every error ClassOf
+// does not call RetryNow, plus a plain handler error: both entry points
 // stop after a single attempt on the former and retry the latter, reporting
 // Attempt and RetryWait.
 func TestRetryStopRuleSharedByBothEntryPoints(t *testing.T) {
@@ -298,7 +298,7 @@ func TestRetryStopRuleSharedByBothEntryPoints(t *testing.T) {
 		call func(p *Platform, v *simclock.Virtual, fn string, payload []byte) (Result, error)
 	}{
 		{"sync", func(p *Platform, _ *simclock.Virtual, fn string, payload []byte) (Result, error) {
-			return p.InvokeWithRetry("t", fn, "", payload, RetryPolicy{MaxAttempts: 3})
+			return p.InvokeWithRetry("t", fn, "", payload, obs.TraceCtx{}, RetryPolicy{MaxAttempts: 3})
 		}},
 		{"async", func(p *Platform, v *simclock.Virtual, fn string, payload []byte) (res Result, err error) {
 			done := simclock.NewEvent(v)
@@ -322,7 +322,8 @@ func TestRetryStopRuleSharedByBothEntryPoints(t *testing.T) {
 		fn      string
 		payload []byte
 		setup   func(p *Platform) // runs on the clock, before the retrying call
-		want    error             // nil: the third attempt succeeds
+		first   func(p *Platform, v *simclock.Virtual)
+		want    error // nil: the third attempt succeeds
 	}{
 		{name: "tenant throttled", fn: "echo", want: ErrTenantThrottled, setup: func(p *Platform) {
 			// One token, refilled once a second: the first invoke takes it,
@@ -336,6 +337,9 @@ func TestRetryStopRuleSharedByBothEntryPoints(t *testing.T) {
 		{name: "payload too large", fn: "echo", payload: make([]byte, 9), want: ErrPayloadSize},
 		{name: "no function", fn: "nope", want: ErrNoFunction},
 		{name: "handler error", fn: "flaky"},
+		// busy holds f's one instance: a retry from inside the platform
+		// would only add to the overload its cap sheds.
+		{name: "function throttled", fn: "f", want: ErrThrottled, first: busy},
 	}
 	for _, tc := range cases {
 		for _, entry := range entries {
@@ -349,9 +353,16 @@ func TestRetryStopRuleSharedByBothEntryPoints(t *testing.T) {
 				must(t, p.Register("echo", "t", echo, Config{MaxPayload: 8}))
 				must(t, p.Register("flaky", "t", flaky, Config{}))
 				must(t, p.Register("broken", "t", failing(&unhealthy), Config{BreakerThreshold: 1, BreakerCooldown: time.Hour}))
+				must(t, p.Register("f", "t", func(ctx *Ctx, _ []byte) ([]byte, error) {
+					ctx.Work(time.Second)
+					return nil, nil
+				}, Config{MaxConcurrency: 1}))
 				v.Run(func() {
 					if tc.setup != nil {
 						tc.setup(p)
+					}
+					if tc.first != nil {
+						tc.first(p, v)
 					}
 					res, err := entry.call(p, v, tc.fn, tc.payload)
 					if tc.want == nil {

@@ -39,12 +39,12 @@ var (
 	ErrNoTenant = errors.New("gateway: no such tenant")
 )
 
-// wireMapping is one row of the errs→HTTP contract.
+// wireMapping is one row of the errs→HTTP contract. Whether a row's error
+// carries a Retry-After header is not a column: faas.ClassOf decides it.
 type wireMapping struct {
-	Err        error
-	Status     int
-	Code       string
-	RetryAfter bool // emit a Retry-After header (throttle-class errors)
+	Err    error
+	Status int
+	Code   string
 }
 
 // wireTable is the single source of truth for error translation, ordered
@@ -54,27 +54,27 @@ type wireMapping struct {
 // throttle. statusFor walks it with errors.Is; codeTable inverts it.
 var wireTable = []wireMapping{
 	// Gateway-layer failures.
-	{ErrUnauthorized, http.StatusUnauthorized, "unauthorized", false},
-	{ErrUnknownHandler, http.StatusBadRequest, "unknown_handler", false},
-	{ErrBadRequest, http.StatusBadRequest, "bad_request", false},
-	{ErrNoInvocation, http.StatusNotFound, "no_invocation", false},
-	{ErrNoTenant, http.StatusNotFound, "no_tenant", false},
+	{ErrUnauthorized, http.StatusUnauthorized, "unauthorized"},
+	{ErrUnknownHandler, http.StatusBadRequest, "unknown_handler"},
+	{ErrBadRequest, http.StatusBadRequest, "bad_request"},
+	{ErrNoInvocation, http.StatusNotFound, "no_invocation"},
+	{ErrNoTenant, http.StatusNotFound, "no_tenant"},
 
 	// FaaS sentinels (specific forms first).
-	{faas.ErrTenantThrottled, http.StatusTooManyRequests, "tenant_throttled", true},
-	{faas.ErrCircuitOpen, http.StatusServiceUnavailable, "breaker_open", true},
-	{faas.ErrNoFunction, http.StatusNotFound, "no_function", false},
-	{faas.ErrExists, http.StatusConflict, "function_exists", false},
-	{faas.ErrPayloadSize, http.StatusRequestEntityTooLarge, "payload_too_large", false},
-	{faas.ErrTimeout, http.StatusGatewayTimeout, "execution_timeout", false},
+	{faas.ErrTenantThrottled, http.StatusTooManyRequests, "tenant_throttled"},
+	{faas.ErrCircuitOpen, http.StatusServiceUnavailable, "breaker_open"},
+	{faas.ErrNoFunction, http.StatusNotFound, "no_function"},
+	{faas.ErrExists, http.StatusConflict, "function_exists"},
+	{faas.ErrPayloadSize, http.StatusRequestEntityTooLarge, "payload_too_large"},
+	{faas.ErrTimeout, http.StatusGatewayTimeout, "execution_timeout"},
 
 	// Platform-wide identities (internal/errs). Every sentinel defined there
 	// must appear here — TestWireTableExhaustive parses the errs source and
 	// fails the build when a new sentinel lands without a mapping.
-	{errs.ErrThrottled, http.StatusTooManyRequests, "throttled", true},
-	{errs.ErrBreakerOpen, http.StatusServiceUnavailable, "breaker_open", true},
-	{errs.ErrLeaseExpired, http.StatusGone, "lease_expired", false},
-	{errs.ErrNoCapacity, http.StatusServiceUnavailable, "no_capacity", false},
+	{errs.ErrThrottled, http.StatusTooManyRequests, "throttled"},
+	{errs.ErrBreakerOpen, http.StatusServiceUnavailable, "breaker_open"},
+	{errs.ErrLeaseExpired, http.StatusGone, "lease_expired"},
+	{errs.ErrNoCapacity, http.StatusServiceUnavailable, "no_capacity"},
 }
 
 // codeTable maps a wire code back to the most specific sentinel that emits
@@ -123,16 +123,17 @@ type ErrorBody struct {
 	RetryAfterMs int64  `json:"retry_after_ms,omitempty"`
 }
 
-// retryAfterMs is the backoff hint attached to throttle-class errors. The
-// admission plane sheds instead of queueing once its bounds are hit, so any
-// constant short hint is honest; 1s matches the token-bucket refill horizon.
+// retryAfterMs is the backoff hint attached to an error whose class is
+// errs.RetryAfter (shed load). The admission plane sheds instead of queueing
+// once its bounds are hit, so any constant short hint is honest; 1s matches
+// the token-bucket refill horizon.
 const retryAfterMs = 1000
 
 // writeError renders err as its contractual status + JSON envelope.
 func writeError(w http.ResponseWriter, err error) {
 	m := statusFor(err)
 	body := Envelope{Error: ErrorBody{Code: m.Code, Message: err.Error()}}
-	if m.RetryAfter {
+	if faas.ClassOf(err) == errs.RetryAfter {
 		body.Error.RetryAfterMs = retryAfterMs
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfterMs/1000))
 	}
@@ -148,8 +149,8 @@ type APIError struct {
 	Status  int
 	Code    string
 	Message string
-	// RetryAfter is the server's back-off hint on throttle-class errors
-	// (the envelope's retry_after_ms); zero when it sent none.
+	// RetryAfter is the server's back-off hint on shed load (the envelope's
+	// retry_after_ms); zero when it sent none.
 	RetryAfter time.Duration
 }
 

@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -119,9 +120,10 @@ func TestUnplaceableColdStartIsNoCapacity(t *testing.T) {
 		t.Fatal("an unplaceable cold start succeeded")
 	}
 	m := statusFor(err)
-	if m.Status != http.StatusServiceUnavailable || m.Code != "no_capacity" || m.RetryAfter {
+	retryAfter := faas.ClassOf(err) == errs.RetryAfter
+	if m.Status != http.StatusServiceUnavailable || m.Code != "no_capacity" || retryAfter {
 		t.Fatalf("statusFor(%v) = %d %q RetryAfter=%v, want 503 \"no_capacity\" without Retry-After",
-			err, m.Status, m.Code, m.RetryAfter)
+			err, m.Status, m.Code, retryAfter)
 	}
 }
 
@@ -140,14 +142,41 @@ func TestErrorEnvelopeRoundTrip(t *testing.T) {
 		if !errors.Is(decoded, w.Err) {
 			t.Errorf("%q: decoded error %v does not errors.Is-match %v", w.Code, decoded, w.Err)
 		}
-		if w.RetryAfter && rec.Header().Get("Retry-After") == "" {
-			t.Errorf("%q: throttle-class error missing Retry-After header", w.Code)
-		}
 	}
 	// Garbage bodies still decode to a usable APIError.
 	garbage := decodeError(http.StatusBadGateway, []byte("<html>proxy error</html>"))
 	if garbage.Code != "internal" || garbage.Status != http.StatusBadGateway {
 		t.Errorf("garbage body decoded to %+v", garbage)
+	}
+}
+
+// TestRetryAfterSet pins which wire codes tell the caller to come back: a
+// Retry-After header, and the envelope's retry_after_ms, go out with exactly
+// the rows faas.ClassOf calls errs.RetryAfter (shed load), and with no other
+// row and no unmapped handler error.
+func TestRetryAfterSet(t *testing.T) {
+	want := map[string]bool{"tenant_throttled": true, "breaker_open": true, "throttled": true}
+	got := map[string]bool{}
+	send := func(err error) (code string, retryAfter bool) {
+		rec := httptest.NewRecorder()
+		writeError(rec, err)
+		header := rec.Header().Get("Retry-After") != ""
+		decoded := decodeError(rec.Code, rec.Body.Bytes())
+		if header != (decoded.RetryAfter > 0) {
+			t.Errorf("%q: Retry-After header %v but retry_after_ms %v", decoded.Code, header, decoded.RetryAfter)
+		}
+		return decoded.Code, header
+	}
+	for _, w := range wireTable {
+		if code, retryAfter := send(w.Err); retryAfter {
+			got[code] = true
+		}
+	}
+	if !maps.Equal(got, want) {
+		t.Fatalf("codes sent with Retry-After = %v, want %v", got, want)
+	}
+	if code, retryAfter := send(errors.New("some handler error")); retryAfter {
+		t.Fatalf("%q sent with Retry-After", code)
 	}
 }
 

@@ -42,47 +42,33 @@ type State interface {
 	run(e *Engine, ec *execCtx, input []byte) ([]byte, error)
 }
 
-// RetryPolicy controls task re-execution on error.
-type RetryPolicy struct {
-	MaxAttempts int           // total attempts (≥1); 0 means 1
-	Interval    time.Duration // delay before first retry
-	Backoff     float64       // multiplier per retry; 0 means 2.0
-}
-
-func (r RetryPolicy) attempts() int {
-	if r.MaxAttempts < 1 {
-		return 1
-	}
-	return r.MaxAttempts
-}
-
-func (r RetryPolicy) backoff() float64 {
-	if r.Backoff <= 0 {
-		return 2.0
-	}
-	return r.Backoff
-}
-
 // --- state constructors ---
 
 type taskState struct {
 	target string
-	retry  RetryPolicy
+	retry  faas.RetryPolicy
 	catch  State
 }
 
 // Task invokes the named target — a registered platform function or a
 // registered composition (property 2) — passing the state input as payload.
-func Task(target string) State { return taskState{target: target} }
+// It runs the target once.
+func Task(target string) State {
+	return taskState{target: target, retry: faas.RetryPolicy{MaxAttempts: 1}}
+}
 
-// TaskRetry is Task with a retry policy.
-func TaskRetry(target string, retry RetryPolicy) State {
+// TaskRetry is Task with a retry policy: the step is one
+// faas.Platform.InvokeWithRetry, so the platform's one retry loop and its
+// stop rule (faas.ClassOf) decide which failures are attempted again. Only a
+// function target retries; a composition target with a policy of more than
+// one attempt fails with ErrBadInput.
+func TaskRetry(target string, retry faas.RetryPolicy) State {
 	return taskState{target: target, retry: retry}
 }
 
-// TaskCatch is Task with a retry policy and an error fallback state that
-// receives the original input when all attempts fail.
-func TaskCatch(target string, retry RetryPolicy, catch State) State {
+// TaskCatch is TaskRetry with an error fallback state that receives the
+// original input when the step fails.
+func TaskCatch(target string, retry faas.RetryPolicy, catch State) State {
 	return taskState{target: target, retry: retry, catch: catch}
 }
 
@@ -145,32 +131,8 @@ func Fail(reason string) State { return failState(reason) }
 
 // --- engine ---
 
-// Event records one step of an execution trace.
-type Event struct {
-	At     time.Time
-	Kind   string // "task", "retry", "choice", "wait", ...
-	Detail string
-}
-
-// Trace is the observable history of one execution.
-type Trace struct {
-	mu     sync.Mutex
-	Events []Event
-}
-
-func (t *Trace) add(at time.Time, kind, detail string) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.Events = append(t.Events, Event{At: at, Kind: kind, Detail: detail})
-	t.mu.Unlock()
-}
-
 type execCtx struct {
-	tenant string // whose functions Task steps invoke
-	trace  *Trace
-	depth  int
+	tenant string      // whose functions Task steps invoke
 	span   obs.SpanRef // current parent span; inert when tracing is off
 }
 
@@ -258,66 +220,40 @@ func (e *Engine) Execute(tenant string, sm State, input []byte) ([]byte, error) 
 	return out, err
 }
 
-// ExecuteTraced runs a state machine, also returning its execution trace.
-func (e *Engine) ExecuteTraced(tenant string, sm State, input []byte) ([]byte, *Trace, error) {
-	e.obsExecs.Inc()
-	tr := &Trace{}
-	root := e.obs.Tracer().Start(obs.TraceCtx{}, "orchestrate.execution")
-	out, err := sm.run(e, &execCtx{tenant: tenant, trace: tr, span: root}, input)
-	endSpan(root, err)
-	return out, tr, err
-}
-
 // --- interpreters ---
 
-func (s taskState) run(e *Engine, ec *execCtx, input []byte) ([]byte, error) {
-	clock := e.platform.Clock()
+func (s taskState) run(e *Engine, ec *execCtx, input []byte) (out []byte, err error) {
 	e.mu.Lock()
 	comp, isComp := e.compositions[s.target]
 	e.mu.Unlock()
+	if isComp && s.retry.MaxAttempts != 1 {
+		return nil, fmt.Errorf("%w: composition %q runs once; retry its function steps", ErrBadInput, s.target)
+	}
 
 	e.obsSteps.Inc()
 	sp, ec := ec.childCtx(e, "task:", s.target)
-	var attrs []obs.Attr // retry/catch annotations, attached when the span ends
-	var out []byte
-	var err, spanErr error
-	defer func() { endSpan(sp, spanErr, attrs...) }()
-	interval := s.retry.Interval
-	for attempt := 1; attempt <= s.retry.attempts(); attempt++ {
-		if attempt > 1 {
-			ec.trace.add(clock.Now(), "retry", fmt.Sprintf("%s attempt %d", s.target, attempt))
-			if sp.Active() {
-				attrs = append(attrs, obs.Attr{Key: "retry", Value: fmt.Sprintf("attempt %d", attempt)})
-			}
-			clock.Sleep(interval)
-			interval = time.Duration(float64(interval) * s.retry.backoff())
+	var caught []obs.Attr
+	defer func() { endSpan(sp, err, caught...) }()
+	if isComp {
+		out, err = comp.run(e, ec, input)
+	} else {
+		// The step span's context rides into the platform, so the retry loop
+		// and every attempt (queue, handler, and anything the handler
+		// touches) join the execution's trace instead of rooting their own.
+		var res faas.Result
+		res, err = e.platform.InvokeWithRetry(ec.tenant, s.target, "", input, sp.Ctx(), s.retry)
+		if errors.Is(err, faas.ErrNoFunction) {
+			return nil, fmt.Errorf("%w: %q", ErrUnknownTarget, s.target)
 		}
-		ec.trace.add(clock.Now(), "task", s.target)
-		if isComp {
-			out, err = comp.run(e, ec, input)
-		} else {
-			// The step span's context rides into the platform, so the
-			// invocation (queue, handler, and anything the handler touches)
-			// joins the execution's trace instead of rooting its own.
-			var res faas.Result
-			res, err = e.platform.InvokeForTraceIdem(ec.tenant, s.target, input, sp.Ctx(), "")
-			out = res.Output
-			if err != nil && errors.Is(err, faas.ErrNoFunction) {
-				return nil, fmt.Errorf("%w: %q", ErrUnknownTarget, s.target)
-			}
-		}
-		if err == nil {
-			return out, nil
-		}
+		out = res.Output
+	}
+	if err == nil {
+		return out, nil
 	}
 	if s.catch != nil {
-		ec.trace.add(clock.Now(), "catch", s.target)
-		if sp.Active() {
-			attrs = append(attrs, obs.Attr{Key: "catch", Value: s.target})
-		}
+		caught = []obs.Attr{{Key: "catch", Value: s.target}}
 		return s.catch.run(e, ec, input)
 	}
-	spanErr = err
 	return nil, err
 }
 
@@ -334,35 +270,18 @@ func (s chainState) run(e *Engine, ec *execCtx, input []byte) ([]byte, error) {
 }
 
 func (s parallelState) run(e *Engine, ec *execCtx, input []byte) ([]byte, error) {
-	clock := e.platform.Clock()
-	ec.trace.add(clock.Now(), "parallel", fmt.Sprintf("%d branches", len(s)))
 	sp, ec := ec.childCtx(e, "", "parallel")
 	if sp.Active() {
 		defer sp.EndAttrs(false, obs.Attr{Key: "branches", Value: fmt.Sprint(len(s))})
 	}
-	outs := make([]json.RawMessage, len(s))
-	errs := make([]error, len(s))
-	wg := simclock.NewGroup(clock)
-	for i, br := range s {
-		i, br := i, br
-		wg.Go(func() {
-			out, err := br.run(e, ec, input)
-			outs[i], errs[i] = out, err
-		})
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return marshalArray(outs)
+	return fanOut(e.platform.Clock(), len(s), 0, func(i int) ([]byte, error) {
+		return s[i].run(e, ec, input)
+	})
 }
 
 func (s choiceState) run(e *Engine, ec *execCtx, input []byte) ([]byte, error) {
 	for i, br := range s.branches {
 		if br.When(input) {
-			ec.trace.add(e.platform.Clock().Now(), "choice", fmt.Sprintf("branch %d", i))
 			sp, ec := ec.childCtx(e, "", "choice")
 			if sp.Active() {
 				defer sp.EndAttrs(false, obs.Attr{Key: "branch", Value: fmt.Sprint(i)})
@@ -373,7 +292,6 @@ func (s choiceState) run(e *Engine, ec *execCtx, input []byte) ([]byte, error) {
 	if s.fallback == nil {
 		return nil, ErrNoChoice
 	}
-	ec.trace.add(e.platform.Clock().Now(), "choice", "default")
 	sp, ec := ec.childCtx(e, "", "choice")
 	defer sp.EndAttrs(false, obs.Attr{Key: "branch", Value: "default"})
 	return s.fallback.run(e, ec, input)
@@ -384,43 +302,16 @@ func (s mapState) run(e *Engine, ec *execCtx, input []byte) ([]byte, error) {
 	if err := json.Unmarshal(input, &items); err != nil {
 		return nil, fmt.Errorf("%w: Map needs a JSON array: %v", ErrBadInput, err)
 	}
-	clock := e.platform.Clock()
-	ec.trace.add(clock.Now(), "map", fmt.Sprintf("%d items", len(items)))
 	sp, ec := ec.childCtx(e, "", "map")
 	if sp.Active() {
 		defer sp.EndAttrs(false, obs.Attr{Key: "items", Value: fmt.Sprint(len(items))})
 	}
-	outs := make([]json.RawMessage, len(items))
-	errs := make([]error, len(items))
-	wg := simclock.NewGroup(clock)
-	var sem *simclock.Sem
-	if s.maxConc > 0 {
-		sem = simclock.NewSem(clock, s.maxConc)
-	}
-	for i, item := range items {
-		i, item := i, item
-		if sem != nil {
-			sem.Acquire()
-		}
-		wg.Go(func() {
-			if sem != nil {
-				defer sem.Release()
-			}
-			out, err := s.iterator.run(e, ec, item)
-			outs[i], errs[i] = out, err
-		})
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return marshalArray(outs)
+	return fanOut(e.platform.Clock(), len(items), s.maxConc, func(i int) ([]byte, error) {
+		return s.iterator.run(e, ec, items[i])
+	})
 }
 
 func (s waitState) run(e *Engine, ec *execCtx, input []byte) ([]byte, error) {
-	ec.trace.add(e.platform.Clock().Now(), "wait", time.Duration(s).String())
 	sp, _ := ec.childCtx(e, "", "wait")
 	e.platform.Clock().Sleep(time.Duration(s))
 	sp.End()
@@ -438,8 +329,33 @@ func (s failState) run(e *Engine, ec *execCtx, input []byte) ([]byte, error) {
 	return nil, fmt.Errorf("%w: %s", ErrFailed, string(s))
 }
 
-func marshalArray(outs []json.RawMessage) ([]byte, error) {
+// fanOut runs run(0) … run(n-1) concurrently on clock, at most limit at once
+// when limit > 0, and returns the first error in index order or else the JSON
+// array of their outputs in index order.
+func fanOut(clock simclock.Clock, n, limit int, run func(i int) ([]byte, error)) ([]byte, error) {
+	outs := make([]json.RawMessage, n)
+	errs := make([]error, n)
+	wg := simclock.NewGroup(clock)
+	var sem *simclock.Sem
+	if limit > 0 {
+		sem = simclock.NewSem(clock, limit)
+	}
+	for i := 0; i < n; i++ {
+		if sem != nil {
+			sem.Acquire()
+		}
+		wg.Go(func() {
+			if sem != nil {
+				defer sem.Release()
+			}
+			outs[i], errs[i] = run(i)
+		})
+	}
+	wg.Wait()
 	for i, o := range outs {
+		if errs[i] != nil {
+			return nil, errs[i]
+		}
 		if len(o) == 0 {
 			outs[i] = json.RawMessage("null")
 		} else if !json.Valid(o) {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"slices"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -11,6 +13,7 @@ import (
 
 	"repro/internal/billing"
 	"repro/internal/faas"
+	"repro/internal/obs"
 	"repro/internal/simclock"
 )
 
@@ -195,7 +198,7 @@ func TestTaskRetryWithBackoff(t *testing.T) {
 	}
 	start := simclock.Epoch
 	end := v.Run(func() {
-		out, err := e.Execute("acme", TaskRetry("flaky", RetryPolicy{MaxAttempts: 4, Interval: time.Second, Backoff: 2}), nil)
+		out, err := e.Execute("acme", TaskRetry("flaky", faas.RetryPolicy{MaxAttempts: 4, Base: time.Second, Jitter: -1}), nil)
 		if err != nil || string(out) != "ok" {
 			t.Errorf("out = %q err = %v", out, err)
 		}
@@ -216,7 +219,7 @@ func TestTaskCatchFallback(t *testing.T) {
 	}, faas.Config{ColdStart: time.Millisecond, MaxRetries: -1}); err != nil {
 		t.Fatal(err)
 	}
-	sm := TaskCatch("broken", RetryPolicy{MaxAttempts: 2}, Task("exclaim"))
+	sm := TaskCatch("broken", faas.RetryPolicy{MaxAttempts: 2}, Task("exclaim"))
 	v.Run(func() {
 		out, err := e.Execute("acme", sm, []byte("in"))
 		if err != nil || string(out) != "in!" {
@@ -254,6 +257,26 @@ func TestCompositionIsAFunction(t *testing.T) {
 	})
 }
 
+// TestCompositionRunsOnce: only a function step retries. A composition
+// target with a policy of more than one attempt is refused before it runs.
+func TestCompositionRunsOnce(t *testing.T) {
+	v, _, m, e := testEnv(t)
+	if err := e.RegisterComposition("shout", Chain(Task("upper"), Task("exclaim"))); err != nil {
+		t.Fatal(err)
+	}
+	v.Run(func() {
+		if _, err := e.Execute("acme", TaskRetry("shout", faas.RetryPolicy{MaxAttempts: 2}), []byte("x")); !errors.Is(err, ErrBadInput) {
+			t.Errorf("err = %v, want ErrBadInput", err)
+		}
+		if out, err := e.Execute("acme", TaskRetry("shout", faas.RetryPolicy{MaxAttempts: 1}), []byte("x")); err != nil || string(out) != "X!" {
+			t.Errorf("out = %q err = %v", out, err)
+		}
+	})
+	if got := m.Units("acme", billing.ResInvocationReqs); got != 2 {
+		t.Fatalf("billed %v requests, want the 2 of the one run", got)
+	}
+}
+
 // TestNoDoubleBilling checks Lopez property 3: executing a composition bills
 // exactly the basic function invocations, nothing for the composition.
 func TestNoDoubleBilling(t *testing.T) {
@@ -286,19 +309,167 @@ func TestNoDoubleBilling(t *testing.T) {
 	}
 }
 
-func TestExecuteTraced(t *testing.T) {
-	v, _, _, e := testEnv(t)
+// TestTaskRetryStopRule: a TaskRetry step is one faas.InvokeWithRetry, so
+// it stops where the platform's retry loop stops. Payload too large, a
+// tenant shed, a function's concurrency throttle and an open breaker each
+// run once; a handler error is retried.
+func TestTaskRetryStopRule(t *testing.T) {
+	var calls int64
+	flaky := func(ctx *faas.Ctx, in []byte) ([]byte, error) {
+		if atomic.AddInt64(&calls, 1) < 3 {
+			return nil, errors.New("transient")
+		}
+		return []byte("ok"), nil
+	}
+	cases := []struct {
+		name    string
+		cfg     faas.Config
+		handler faas.Handler
+		payload []byte
+		// first runs on the clock before the execution: its effect (a taken
+		// token, an open breaker, a busy instance) is what the step meets.
+		first func(v *simclock.Virtual, p *faas.Platform)
+		want  error // nil: the third attempt succeeds
+		runs  int
+	}{
+		{name: "payload too large", cfg: faas.Config{MaxPayload: 8}, handler: flaky,
+			payload: make([]byte, 9), want: faas.ErrPayloadSize, runs: 1},
+		{name: "tenant shed", handler: flaky, want: faas.ErrTenantThrottled, runs: 1,
+			first: func(_ *simclock.Virtual, p *faas.Platform) {
+				p.SetAdmission(faas.AdmissionConfig{RatePerSecond: 1, Burst: 1, MaxWait: time.Millisecond})
+				p.InvokeFor("acme", "f", nil)
+			}},
+		{name: "function throttled", cfg: faas.Config{MaxConcurrency: 1}, want: faas.ErrThrottled, runs: 1,
+			handler: func(ctx *faas.Ctx, in []byte) ([]byte, error) {
+				ctx.Work(time.Second)
+				return in, nil
+			},
+			first: func(v *simclock.Virtual, p *faas.Platform) {
+				v.Go(func() { p.InvokeFor("acme", "f", nil) })
+				v.Sleep(time.Millisecond)
+			}},
+		{name: "breaker open", cfg: faas.Config{BreakerThreshold: 1, BreakerCooldown: time.Hour},
+			handler: func(*faas.Ctx, []byte) ([]byte, error) { return nil, errors.New("down") },
+			want:    faas.ErrCircuitOpen, runs: 1,
+			first: func(_ *simclock.Virtual, p *faas.Platform) { p.InvokeFor("acme", "f", nil) }},
+		{name: "handler error", handler: flaky, runs: 3},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			atomic.StoreInt64(&calls, 0)
+			v, p, reg, e := tracedEnv(t)
+			tc.cfg.MaxRetries = -1
+			if err := p.Register("f", "acme", tc.handler, tc.cfg); err != nil {
+				t.Fatal(err)
+			}
+			var err error
+			v.Run(func() {
+				if tc.first != nil {
+					tc.first(v, p)
+				}
+				_, err = e.Execute("acme", TaskRetry("f", faas.RetryPolicy{MaxAttempts: 3, Base: time.Second}), tc.payload)
+			})
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("err = %v, want %v", err, tc.want)
+			}
+			exec := spansByName(reg)["orchestrate.execution"]
+			if len(exec) != 1 {
+				t.Fatalf("%d executions traced, want 1", len(exec))
+			}
+			runs := 0
+			for _, sd := range spansByName(reg)["faas.invoke"] {
+				if sd.TraceID == exec[0].TraceID {
+					runs++
+				}
+			}
+			if runs != tc.runs {
+				t.Fatalf("the step ran %d times, want %d", runs, tc.runs)
+			}
+		})
+	}
+}
+
+// TestExecutionSpans: the obs spans are an execution's one record. A chain
+// reads as orchestrate.execution → task:upper, wait (1 s), task:exclaim in
+// order, and a TaskRetry step holds the platform's retry span, whose
+// children are each attempt and each backoff.
+func TestExecutionSpans(t *testing.T) {
+	v, p, reg, e := tracedEnv(t)
+	var calls int64
+	if err := p.Register("flaky", "acme", func(ctx *faas.Ctx, in []byte) ([]byte, error) {
+		if atomic.AddInt64(&calls, 1) < 3 {
+			return nil, errors.New("transient")
+		}
+		return []byte("ok"), nil
+	}, faas.Config{ColdStart: time.Millisecond, MaxRetries: -1}); err != nil {
+		t.Fatal(err)
+	}
 	v.Run(func() {
-		_, tr, err := e.ExecuteTraced("acme", Chain(Task("upper"), Wait(time.Second), Task("exclaim")), []byte("x"))
-		if err != nil {
+		if _, err := e.Execute("acme", Chain(Task("upper"), Wait(time.Second), Task("exclaim")), []byte("x")); err != nil {
 			t.Fatal(err)
 		}
-		kinds := map[string]int{}
-		for _, ev := range tr.Events {
-			kinds[ev.Kind]++
-		}
-		if kinds["task"] != 2 || kinds["wait"] != 1 {
-			t.Errorf("trace kinds = %v", kinds)
+		if _, err := e.Execute("acme", TaskRetry("flaky", faas.RetryPolicy{MaxAttempts: 3, Base: time.Second, Jitter: -1}), nil); err != nil {
+			t.Fatal(err)
 		}
 	})
+	spans := reg.Tracer().Spans()
+	children := func(parent obs.SpanData) (names []string, out []obs.SpanData) {
+		for _, sd := range spans {
+			if sd.TraceID == parent.TraceID && sd.ParentID == parent.SpanID {
+				out = append(out, sd)
+			}
+		}
+		sort.SliceStable(out, func(i, j int) bool { return out[i].Start.Before(out[j].Start) })
+		for _, sd := range out {
+			names = append(names, sd.Name)
+		}
+		return names, out
+	}
+	execs := spansByName(reg)["orchestrate.execution"]
+	if len(execs) != 2 {
+		t.Fatalf("%d executions traced, want 2", len(execs))
+	}
+	names, steps := children(execs[0])
+	if want := []string{"task:upper", "wait", "task:exclaim"}; !slices.Equal(names, want) {
+		t.Fatalf("chain steps = %v, want %v", names, want)
+	}
+	if steps[1].Duration != time.Second {
+		t.Fatalf("wait span lasted %v, want 1s", steps[1].Duration)
+	}
+
+	names, steps = children(execs[1])
+	if !slices.Equal(names, []string{"task:flaky"}) {
+		t.Fatalf("retry execution steps = %v, want [task:flaky]", names)
+	}
+	names, loop := children(steps[0])
+	if !slices.Equal(names, []string{"faas.invoke.retry"}) {
+		t.Fatalf("task:flaky children = %v, want the platform's retry span", names)
+	}
+	names, waits := children(loop[0])
+	want := []string{"faas.invoke", "faas.retry.backoff", "faas.invoke", "faas.retry.backoff", "faas.invoke"}
+	if !slices.Equal(names, want) {
+		t.Fatalf("retry span children = %v, want %v", names, want)
+	}
+	if waits[1].Duration != time.Second || waits[3].Duration != 2*time.Second {
+		t.Fatalf("backoffs = %v, %v; want 1s then 2s", waits[1].Duration, waits[3].Duration)
+	}
+}
+
+// tracedEnv is testEnv with one obs registry on the platform and the engine.
+func tracedEnv(t *testing.T) (*simclock.Virtual, *faas.Platform, *obs.Registry, *Engine) {
+	t.Helper()
+	v, p, _, e := testEnv(t)
+	reg := obs.New(v)
+	p.SetObs(reg)
+	e.SetObs(reg)
+	return v, p, reg, e
+}
+
+// spansByName groups reg's retained spans by name.
+func spansByName(reg *obs.Registry) map[string][]obs.SpanData {
+	by := map[string][]obs.SpanData{}
+	for _, sd := range reg.Tracer().Spans() {
+		by[sd.Name] = append(by[sd.Name], sd)
+	}
+	return by
 }

@@ -39,6 +39,14 @@ if grep -rnE 'placeRetryInterval|placeWithBudget|ColdStartBudget|ErrColdStartTim
 	echo "check: a failed placement throttles at once; the cold-start budget, its poll and place pressure are gone" >&2
 	exit 1
 fi
+echo "== one retry contract: faas's loop and class table; orchestrate keeps no retry loop or trace log of its own"
+if grep -rnE 'RetryPolicy struct|ExecuteTraced' internal/orchestrate/ ||
+	grep -rn 'func retryable(' internal/faas/ ||
+	grep -nE 'RetryAfter +bool' internal/gateway/status.go ||
+	grep -rnw 'PercentileOK' --include='*.go' internal/ cmd/ examples/ ./*.go; then
+	echo "check: faas.ClassOf is the one retry classification and InvokeWithRetry the one loop; a step retries through it and its spans are its record" >&2
+	exit 1
+fi
 echo "== one binary: cmd/ holds a single package"
 [ "$(go list ./cmd/... | wc -l)" -eq 1 ] || { echo "check: cmd/ must hold exactly one package (taureau)" >&2; exit 1; }
 echo "== API.md lists the exported surface"
