@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/autoscale"
@@ -203,7 +202,7 @@ func demoPipeline(w io.Writer, p *core.Platform, clock simclock.Clock) {
 	var results []string
 	faas.BindBlob(p.FaaS, p.Blob, "in", demo.Name(), "driver")
 	if err := demo.Register("driver", func(ctx *faas.Ctx, in []byte) ([]byte, error) {
-		out, err := p.Orchestrator.Execute(demo.Name(), orchestrate.Task("etl"), in)
+		out, err := p.Orchestrator.Execute(demo.Name(), orchestrate.Task("etl"), in, ctx.Trace)
 		if err == nil {
 			results = append(results, string(out))
 		}
@@ -350,41 +349,33 @@ func demoBurst(w io.Writer, p *core.Platform, clock simclock.Clock) {
 	fmt.Fprintf(w, "open-loop drive: %.0f rps steady, 10× burst at 5s for 5s — %d arrivals over %v\n",
 		baseRPS, len(arrivals), window)
 
-	var (
-		mu        sync.Mutex
-		wg        = simclock.NewGroup(clock)
-		latencies []time.Duration
-		cold      int
-		peakWant  int
-	)
-	start := clock.Now()
-	for _, at := range arrivals {
-		wg.Go(func() {
-			clock.Sleep(at - clock.Now().Sub(start))
-			res, err := demo.Invoke("api", []byte("r"))
-			if err != nil {
-				return
-			}
-			mu.Lock()
-			latencies = append(latencies, res.Latency)
-			if res.Cold {
-				cold++
-			}
-			mu.Unlock()
-		})
+	payloads := make([][]byte, len(arrivals))
+	for i := range payloads {
+		payloads[i] = []byte("r")
 	}
+	rep := faas.Drive(p.FaaS, demo.Name(), "api", payloads, arrivals)
 	// Sample the controller's desired count while the surge is in flight.
-	wg.Go(func() {
-		for i := 0; i < 12; i++ {
-			clock.Sleep(time.Second)
-			for _, f := range ctrl.Status().Functions {
-				if f.Name == "api" && f.Desired > peakWant {
-					peakWant = f.Desired
-				}
+	peakWant := 0
+	for i := 0; i < 12; i++ {
+		clock.Sleep(time.Second)
+		for _, f := range ctrl.Status().Functions {
+			if f.Name == "api" && f.Desired > peakWant {
+				peakWant = f.Desired
 			}
 		}
-	})
-	wg.Wait()
+	}
+	results, errs := rep.Wait()
+	var latencies []time.Duration
+	cold := 0
+	for i, res := range results {
+		if errs[i] != nil {
+			continue
+		}
+		latencies = append(latencies, res.Latency)
+		if res.Cold {
+			cold++
+		}
+	}
 
 	p99 := faas.Percentile(latencies, 99)
 	fmt.Fprintf(w, "served %d/%d invocations (%d cold starts), p99 %v, peak desired instances %d\n",

@@ -122,7 +122,7 @@ func main() {
 		// Blob uploads drive the pipeline, event-style.
 		faas.BindBlob(platform.FaaS, platform.Blob, "photos", acme.Name(), "etl-driver")
 		if err := acme.Register("etl-driver", func(ctx *faas.Ctx, payload []byte) ([]byte, error) {
-			return platform.Orchestrator.Execute(acme.Name(), orchestrate.Task("etl-pipeline"), payload)
+			return platform.Orchestrator.Execute(acme.Name(), orchestrate.Task("etl-pipeline"), payload, ctx.Trace)
 		}, faas.Config{MemoryMB: 128}); err != nil {
 			log.Fatal(err)
 		}

@@ -159,9 +159,9 @@ func TestPredictivePrewarm(t *testing.T) {
 		v.Run(func() {
 			ctrl.Start()
 			rep := faas.Drive(p, "t", "tides", nil, offsets)
-			rep.Wait()
+			results, _ := rep.Wait()
 			ctrl.Stop()
-			for _, r := range rep.Results() {
+			for _, r := range results {
 				if r.Cold {
 					cold++
 				}

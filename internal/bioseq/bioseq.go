@@ -11,11 +11,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"repro/internal/faas"
-	"repro/internal/simclock"
 )
 
 // ErrBadInput is returned for invalid workloads.
@@ -188,36 +186,27 @@ func AllPairsServerless(p *faas.Platform, seqs []string, s Scoring, cfg Serverle
 	}
 	defer p.UnregisterFor(cfg.Tenant, fnName)
 
-	wg := simclock.NewGroup(p.Clock())
-	var mu sync.Mutex
-	var firstErr error
-	results := make(map[Pair]int, len(pairs))
+	var payloads [][]byte
 	for w := 0; w < W; w++ {
 		lo, hi := w*len(pairs)/W, (w+1)*len(pairs)/W
 		if lo >= hi {
 			continue
 		}
 		payload, _ := json.Marshal(pairs[lo:hi])
-		wg.Add(1)
-		p.InvokeAsyncFor(cfg.Tenant, fnName, payload, func(res faas.Result, err error) {
-			mu.Lock()
-			if err != nil && firstErr == nil {
-				firstErr = err
-			} else if err == nil {
-				var out batchOut
-				if uerr := json.Unmarshal(res.Output, &out); uerr == nil {
-					for i, pr := range out.Pairs {
-						results[pr] = out.Scores[i]
-					}
-				}
-			}
-			mu.Unlock()
-			wg.Done()
-		})
+		payloads = append(payloads, payload)
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	outs, errs := faas.Drive(p, cfg.Tenant, fnName, payloads, make([]time.Duration, len(payloads))).Wait()
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
+	results := make(map[Pair]int, len(pairs))
+	for _, res := range outs {
+		var out batchOut
+		if json.Unmarshal(res.Output, &out) == nil {
+			for i, pr := range out.Pairs {
+				results[pr] = out.Scores[i]
+			}
+		}
 	}
 	return results, nil
 }

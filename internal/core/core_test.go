@@ -8,6 +8,7 @@ import (
 	"repro/internal/faas"
 	"repro/internal/jiffy"
 	"repro/internal/kvdb"
+	"repro/internal/obs"
 	"repro/internal/orchestrate"
 )
 
@@ -106,7 +107,7 @@ func TestOrchestratorWired(t *testing.T) {
 		out, err := p.Orchestrator.Execute("t", orchestrate.Chain(
 			orchestrate.Task("double"),
 			orchestrate.Task("double"),
-		), []byte("ab"))
+		), []byte("ab"), obs.TraceCtx{})
 		must(t, err)
 		if string(out) != "abababab" {
 			t.Errorf("out = %q", out)

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/blob"
 	"repro/internal/faas"
+	"repro/internal/obs"
 	"repro/internal/orchestrate"
 	"repro/internal/queue"
 	"repro/internal/simclock"
@@ -148,12 +149,12 @@ func TestPatternStateMachine(t *testing.T) {
 				{When: func(in []byte) bool { return len(in) < 5 }, Then: orchestrate.Task("small")},
 			}, orchestrate.Task("large")),
 		)
-		out, err := p.Orchestrator.Execute("t", sm, []byte("ab"))
+		out, err := p.Orchestrator.Execute("t", sm, []byte("ab"), obs.TraceCtx{})
 		must(t, err)
 		if string(out) != "small:ab" {
 			t.Errorf("out = %q", out)
 		}
-		out, err = p.Orchestrator.Execute("t", sm, []byte("abcdefgh"))
+		out, err = p.Orchestrator.Execute("t", sm, []byte("abcdefgh"), obs.TraceCtx{})
 		must(t, err)
 		if string(out) != "large:abcdefgh" {
 			t.Errorf("out = %q", out)

@@ -55,9 +55,8 @@ func E1CostEfficiency() Table {
 			if err := p.Tenant("acme").Register("api", handler, faas.Config{MemoryMB: memoryMB}); err != nil {
 				panic(err)
 			}
-			rep := faas.Drive(p.FaaS, "acme", "api", nil, arrivals)
-			rep.Wait()
-			nInvocations = len(rep.Results())
+			results, _ := faas.Drive(p.FaaS, "acme", "api", nil, arrivals).Wait()
+			nInvocations = len(results)
 		})
 		v.Close()
 
@@ -148,7 +147,7 @@ func E3ColdStart() Table {
 	for _, gap := range []time.Duration{time.Second, time.Minute, 5 * time.Minute, 12 * time.Minute} {
 		p, v := core.NewVirtual(core.Options{})
 		const n = 40
-		var rep *faas.DriveReport
+		var results []faas.Result
 		arrivals := make([]time.Duration, n)
 		for i := range arrivals {
 			arrivals[i] = time.Duration(i) * gap
@@ -160,25 +159,24 @@ func E3ColdStart() Table {
 			}, faas.Config{KeepAlive: keepAlive, ColdStart: 250 * time.Millisecond, WarmStart: time.Millisecond}); err != nil {
 				panic(err)
 			}
-			rep = faas.Drive(p.FaaS, "t", "fn", nil, arrivals)
-			rep.Wait()
+			results, _ = faas.Drive(p.FaaS, "t", "fn", nil, arrivals).Wait()
 		})
 		st, _ := p.FaaS.StatsFor("t", "fn")
 		v.Close()
 		table.Rows = append(table.Rows, []string{
 			gap.String(), f("%d", st.Invocations), f("%d", st.ColdStarts),
 			f("%.2f", float64(st.ColdStarts)/float64(st.Invocations)),
-			faas.Percentile(latencies(rep), 50).String(),
-			faas.Percentile(latencies(rep), 99).String(),
+			faas.Percentile(latencies(results), 50).String(),
+			faas.Percentile(latencies(results), 99).String(),
 		})
 	}
 	table.Notes = "keep-alive 10m: gaps beyond it make every invocation cold (~13x warm latency here)"
 	return table
 }
 
-// latencies lists the end-to-end latency of every invocation rep drove.
-func latencies(rep *faas.DriveReport) (out []time.Duration) {
-	for _, r := range rep.Results() {
+// latencies lists the end-to-end latency of every result.
+func latencies(results []faas.Result) (out []time.Duration) {
+	for _, r := range results {
 		out = append(out, r.Latency)
 	}
 	return out

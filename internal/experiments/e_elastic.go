@@ -2,14 +2,13 @@ package experiments
 
 import (
 	"reflect"
-	"sync"
+	"slices"
 	"time"
 
 	"repro/internal/autoscale"
 	"repro/internal/core"
 	"repro/internal/faas"
 	"repro/internal/scheduler"
-	"repro/internal/simclock"
 	"repro/internal/workload"
 )
 
@@ -109,11 +108,9 @@ func runBurstConverge(seed int64) elasticDigest {
 	arrivals := workload.OffsetArrivals(workload.UniformArrivals(workload.Constant(baseRPS), window), 500*time.Microsecond)
 	surge := workload.OffsetArrivals(workload.Arrivals(workload.Constant(9*baseRPS), burstFor, seed), burstAt+500*time.Microsecond)
 	arrivals = append(arrivals, surge...)
+	slices.Sort(arrivals)
 
 	var (
-		mu        sync.Mutex
-		wg        = simclock.NewGroup(v)
-		latAll    []time.Duration
 		perSecond = make([][]time.Duration, int(window/time.Second)+1)
 		d         elasticDigest
 	)
@@ -138,40 +135,33 @@ func runBurstConverge(seed int64) elasticDigest {
 		})
 		defer p.Close()
 
-		for _, at := range arrivals {
-			wg.Go(func() {
-				v.Sleep(at)
-				res, err := demo.Invoke("api", nil)
-				if err != nil {
-					return
-				}
-				mu.Lock()
-				latAll = append(latAll, res.Latency)
-				if sec := int(at / time.Second); sec < len(perSecond) {
-					perSecond[sec] = append(perSecond[sec], res.Latency)
-				}
-				if res.Cold {
-					d.Cold++
-				}
-				mu.Unlock()
-			})
-		}
+		rep := faas.Drive(p.FaaS, demo.Name(), "api", nil, arrivals)
 		// Sample the controller's view once per tick while the burst runs.
-		wg.Go(func() {
-			for i := 0; i < int(window/time.Second); i++ {
-				v.Sleep(time.Second)
-				st := ctrl.Status()
-				if st.Machines > d.PeakMachines {
-					d.PeakMachines = st.Machines
-				}
-				for _, fs := range st.Functions {
-					if fs.Name == "api" && fs.Desired > d.PeakDesired {
-						d.PeakDesired = fs.Desired
-					}
+		for i := 0; i < int(window/time.Second); i++ {
+			v.Sleep(time.Second)
+			st := ctrl.Status()
+			if st.Machines > d.PeakMachines {
+				d.PeakMachines = st.Machines
+			}
+			for _, fs := range st.Functions {
+				if fs.Name == "api" && fs.Desired > d.PeakDesired {
+					d.PeakDesired = fs.Desired
 				}
 			}
-		})
-		wg.Wait()
+		}
+		results, errs := rep.Wait()
+		for i, res := range results {
+			if errs[i] != nil {
+				continue
+			}
+			d.Served++
+			if sec := int(arrivals[i] / time.Second); sec < len(perSecond) {
+				perSecond[sec] = append(perSecond[sec], res.Latency)
+			}
+			if res.Cold {
+				d.Cold++
+			}
+		}
 
 		v.Sleep(30 * time.Second) // idle: scale-to-zero, then drain
 		st := ctrl.Status()
@@ -179,7 +169,6 @@ func runBurstConverge(seed int64) elasticDigest {
 		d.FinalPool, _ = p.FaaS.PoolTarget(demo.Name(), "api")
 	})
 
-	d.Served = len(latAll)
 	// Steady p99 from the warm pre-burst phase (skip the first second's
 	// unavoidable cold start), then convergence of the per-second series
 	// measured from burst end.
@@ -228,8 +217,6 @@ func runFairness(seed int64) fairnessDigest {
 		attacker := p.Tenant("attacker")
 
 		var (
-			mu   sync.Mutex
-			wg   = simclock.NewGroup(v)
 			lats []time.Duration
 			aOK  int
 		)
@@ -245,29 +232,23 @@ func runFairness(seed int64) fairnessDigest {
 			if err := attacker.Register("a", h, cfg); err != nil {
 				panic(err)
 			}
-			drive := func(t *core.TenantHandle, fn string, arrivals []time.Duration, ok *int) {
-				for _, at := range arrivals {
-					wg.Go(func() {
-						v.Sleep(at)
-						res, err := t.Invoke(fn, nil)
-						if err != nil {
-							return
-						}
-						mu.Lock()
-						if ok != nil {
-							*ok++
-						} else {
-							lats = append(lats, res.Latency)
-						}
-						mu.Unlock()
-					})
+			vArrivals := workload.OffsetArrivals(workload.Arrivals(workload.Constant(victimRPS), window, seed), 300*time.Microsecond)
+			vRep := faas.Drive(p.FaaS, victim.Name(), "v", nil, vArrivals)
+			if withAttacker {
+				aArrivals := workload.OffsetArrivals(workload.Arrivals(workload.Constant(floodRPS), window, seed+1), 700*time.Microsecond)
+				_, errs := faas.Drive(p.FaaS, attacker.Name(), "a", nil, aArrivals).Wait()
+				for _, err := range errs {
+					if err == nil {
+						aOK++
+					}
 				}
 			}
-			drive(victim, "v", workload.OffsetArrivals(workload.Arrivals(workload.Constant(victimRPS), window, seed), 300*time.Microsecond), nil)
-			if withAttacker {
-				drive(attacker, "a", workload.OffsetArrivals(workload.Arrivals(workload.Constant(floodRPS), window, seed+1), 700*time.Microsecond), &aOK)
+			results, errs := vRep.Wait()
+			for i, res := range results {
+				if errs[i] == nil {
+					lats = append(lats, res.Latency)
+				}
 			}
-			wg.Wait()
 		})
 		return lats, victim.Shed(), attacker.Shed(), aOK
 	}

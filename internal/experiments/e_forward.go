@@ -79,9 +79,9 @@ func E20SLA() Table {
 		v.Run(func() {
 			repA := faas.Drive(p.FaaS, "acme", "cpu-fn", nil, make([]time.Duration, 8))
 			repB := faas.Drive(p.FaaS, "acme", "mem-fn", nil, make([]time.Duration, 8))
-			repA.Wait()
-			repB.Wait()
-			durations = append(latencies(repA), latencies(repB)...)
+			resA, _ := repA.Wait()
+			resB, _ := repB.Wait()
+			durations = append(latencies(resA), latencies(resB)...)
 		})
 		used := 0
 		for _, m := range cluster.Machines() {
@@ -203,10 +203,9 @@ func E22Provisioned() Table {
 		}, faas.Config{Prewarm: prewarm, ColdStart: 400 * time.Millisecond, WarmStart: time.Millisecond}); err != nil {
 			panic(err)
 		}
-		var rep *faas.DriveReport
+		var results []faas.Result
 		v.Run(func() {
-			rep = faas.Drive(p.FaaS, "t", "spiky", nil, arrivals)
-			rep.Wait()
+			results, _ = faas.Drive(p.FaaS, "t", "spiky", nil, arrivals).Wait()
 		})
 		st, _ := p.FaaS.StatsFor("t", "spiky")
 		v.Close()
@@ -216,8 +215,8 @@ func E22Provisioned() Table {
 		}
 		table.Rows = append(table.Rows, []string{
 			cfg, f("%d", st.Invocations), f("%d", st.ColdStarts),
-			faas.Percentile(latencies(rep), 50).Round(time.Millisecond).String(),
-			faas.Percentile(latencies(rep), 99).Round(time.Millisecond).String(),
+			faas.Percentile(latencies(results), 50).Round(time.Millisecond).String(),
+			faas.Percentile(latencies(results), 99).Round(time.Millisecond).String(),
 			f("%d", st.WarmIdle),
 		})
 	}

@@ -35,16 +35,15 @@ func E24IsolationTech() Table {
 		}, cfg); err != nil {
 			panic(err)
 		}
-		var rep *faas.DriveReport
+		var results []faas.Result
 		v.Run(func() {
-			rep = faas.Drive(p.FaaS, "t", "fn", nil, arrivals)
-			rep.Wait()
+			results, _ = faas.Drive(p.FaaS, "t", "fn", nil, arrivals).Wait()
 		})
 		v.Close()
 		table.Rows = append(table.Rows, []string{
 			iso.Name,
 			iso.ColdStart.String(),
-			faas.Percentile(latencies(rep), 99).Round(time.Millisecond).String(),
+			faas.Percentile(latencies(results), 99).Round(time.Millisecond).String(),
 			f("%d", iso.Density(128, 16384)),
 		})
 	}

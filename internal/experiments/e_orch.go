@@ -6,6 +6,7 @@ import (
 	"repro/internal/billing"
 	"repro/internal/core"
 	"repro/internal/faas"
+	"repro/internal/obs"
 	"repro/internal/orchestrate"
 )
 
@@ -69,7 +70,7 @@ func E7Orchestration() Table {
 			direct := p.Meter.Units("acme", billing.ResInvocationGBs)
 
 			p.Meter.Reset()
-			if _, err := e.Execute("acme", c.machine, []byte("x")); err != nil {
+			if _, err := e.Execute("acme", c.machine, []byte("x"), obs.TraceCtx{}); err != nil {
 				panic(err)
 			}
 			composed := p.Meter.Units("acme", billing.ResInvocationGBs)

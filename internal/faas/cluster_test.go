@@ -20,8 +20,8 @@ func TestPrewarmEliminatesColdStarts(t *testing.T) {
 	v.Run(func() {
 		// Four concurrent first requests: all should hit warm instances.
 		rep := Drive(p, "t", "hot", nil, make([]time.Duration, 4))
-		rep.Wait()
-		for _, r := range rep.Results() {
+		results, _ := rep.Wait()
+		for _, r := range results {
 			if r.Cold {
 				t.Errorf("prewarmed function paid a cold start: %+v", r)
 			}
@@ -194,9 +194,9 @@ func TestInterferenceSlowdown(t *testing.T) {
 		// Four concurrent instances on one machine: 3 contenders each →
 		// slowdown 2.5× → ~2.5s.
 		rep := Drive(p, "t", "noisy", nil, make([]time.Duration, 4))
-		rep.Wait()
+		results, _ := rep.Wait()
 		sawSlow := false
-		for _, r := range rep.Results() {
+		for _, r := range results {
 			if r.Latency > 2*time.Second {
 				sawSlow = true
 			}

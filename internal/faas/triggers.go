@@ -2,7 +2,6 @@ package faas
 
 import (
 	"encoding/json"
-	"sync"
 	"time"
 
 	"repro/internal/blob"
@@ -91,39 +90,44 @@ func BindBlob(p *Platform, store *blob.Store, bucketName, tenant, fnName string)
 	})
 }
 
-// DriveReport collects the outcomes of a Drive run.
+// DriveReport holds the outcome of every call a Drive run fires: slot i is
+// call i's.
 type DriveReport struct {
-	mu      sync.Mutex
 	results []Result
+	errs    []error
 	wg      *simclock.Group
 }
 
-// Results returns the collected invocation results (call after Wait).
-func (r *DriveReport) Results() []Result {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]Result{}, r.results...)
+// Wait blocks (clock-aware) until every driven invocation has completed and
+// returns each call's final result and error in call order — index i is call
+// i, whatever order the calls completed in.
+func (r *DriveReport) Wait() ([]Result, []error) {
+	r.wg.Wait()
+	return r.results, r.errs
 }
 
-// Wait blocks (clock-aware) until every driven invocation has completed.
-func (r *DriveReport) Wait() { r.wg.Wait() }
-
-// Drive replays an arrival schedule against tenant's function: at each offset
-// in arrivals (relative to now), one asynchronous invocation fires. It is the
-// bridge from workload generators to the platform used by the elasticity,
-// cold-start and cost experiments (E1-E3).
-func Drive(p *Platform, tenant, fnName string, payload []byte, arrivals []time.Duration) *DriveReport {
-	rep := &DriveReport{wg: simclock.NewGroup(p.clock)}
-	rep.wg.Add(len(arrivals))
+// Drive is the platform's one fan-out, the bridge from workload generators
+// and fanned-out applications to the platform: call i invokes tenant's
+// function asynchronously at arrivals[i] with payloads[i] as its input (a nil
+// payloads gives every call a nil input). Offsets count from now and must be
+// ascending. Every call gets InvokeAsyncFor's retry contract.
+func Drive(p *Platform, tenant, fnName string, payloads [][]byte, arrivals []time.Duration) *DriveReport {
+	n := len(arrivals)
+	rep := &DriveReport{results: make([]Result, n), errs: make([]error, n), wg: simclock.NewGroup(p.clock)}
+	rep.wg.Add(n)
 	p.clock.Go(func() {
 		var prev time.Duration
-		for _, at := range arrivals {
+		for i, at := range arrivals {
 			p.clock.Sleep(at - prev)
 			prev = at
-			p.InvokeAsyncFor(tenant, fnName, payload, func(res Result, _ error) {
-				rep.mu.Lock()
-				rep.results = append(rep.results, res)
-				rep.mu.Unlock()
+			var payload []byte
+			if payloads != nil {
+				payload = payloads[i]
+			}
+			// Each callback writes only its own slot; Group.Wait orders
+			// every write before Wait's read.
+			p.InvokeAsyncFor(tenant, fnName, payload, func(res Result, err error) {
+				rep.results[i], rep.errs[i] = res, err
 				rep.wg.Done()
 			})
 		}

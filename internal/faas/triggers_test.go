@@ -2,7 +2,9 @@ package faas
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -147,9 +149,9 @@ func TestDriveSchedulesArrivals(t *testing.T) {
 	arrivals := []time.Duration{0, time.Second, 2 * time.Second}
 	v.Run(func() {
 		rep := Drive(p, "t", "f", nil, arrivals)
-		rep.Wait()
-		if st, _ := p.StatsFor("t", "f"); len(rep.Results()) != 3 || st.Invocations != 3 || st.Throttles+st.Failures != 0 {
-			t.Errorf("results=%d stats=%+v", len(rep.Results()), st)
+		results, _ := rep.Wait()
+		if st, _ := p.StatsFor("t", "f"); len(results) != 3 || st.Invocations != 3 || st.Throttles+st.Failures != 0 {
+			t.Errorf("results=%d stats=%+v", len(results), st)
 		}
 	})
 	if len(stamps) != 3 {
@@ -161,6 +163,64 @@ func TestDriveSchedulesArrivals(t *testing.T) {
 			t.Fatalf("stamp[%d] = %v, want %v", i, stamps[i], want)
 		}
 	}
+}
+
+// TestDriveCallOrder: Wait hands back call i's result and error in slot i
+// though the calls complete last to first, and a nil payloads gives every
+// call a nil input.
+func TestDriveCallOrder(t *testing.T) {
+	v := simclock.NewVirtual()
+	defer v.Close()
+	p := New(v, nil)
+	const n = 8
+	errBad := errors.New("bad payload")
+	var nilInputs atomic.Int32
+	// Call i works n-i ms, so later calls finish first; a payload ending in
+	// "!" fails.
+	h := func(ctx *Ctx, in []byte) ([]byte, error) {
+		if in == nil {
+			nilInputs.Add(1)
+			return nil, nil
+		}
+		i, err := strconv.Atoi(strings.TrimSuffix(string(in), "!"))
+		if err != nil {
+			return nil, err
+		}
+		ctx.Work(time.Duration(n-i) * time.Millisecond)
+		if strings.HasSuffix(string(in), "!") {
+			return nil, errBad
+		}
+		return in, nil
+	}
+	must(t, p.Register("f", "t", h, Config{ColdStart: time.Millisecond, WarmStart: time.Millisecond, MaxRetries: -1}))
+	payloads := make([][]byte, n)
+	for i := range payloads {
+		payloads[i] = []byte(strconv.Itoa(i))
+		if i%3 == 1 {
+			payloads[i] = append(payloads[i], '!')
+		}
+	}
+	v.Run(func() {
+		results, errs := Drive(p, "t", "f", payloads, make([]time.Duration, n)).Wait()
+		if len(results) != n || len(errs) != n {
+			t.Fatalf("%d results, %d errors, want %d each", len(results), len(errs), n)
+		}
+		for i := range payloads {
+			if fail := i%3 == 1; fail != errors.Is(errs[i], errBad) || fail != (errs[i] != nil) {
+				t.Errorf("call %d: err %v, want failure %v", i, errs[i], fail)
+			} else if !fail && string(results[i].Output) != string(payloads[i]) {
+				t.Errorf("call %d: output %q, want %q", i, results[i].Output, payloads[i])
+			}
+			if i > 0 && results[i].Latency >= results[i-1].Latency {
+				t.Errorf("call %d finished after call %d (%v ≥ %v): completion order is not reversed", i, i-1, results[i].Latency, results[i-1].Latency)
+			}
+		}
+
+		results, errs = Drive(p, "t", "f", nil, make([]time.Duration, 3)).Wait()
+		if len(results) != 3 || errors.Join(errs...) != nil || nilInputs.Load() != 3 {
+			t.Errorf("nil payloads: %d results, errors %v, %d nil inputs; want 3, none, 3", len(results), errs, nilInputs.Load())
+		}
+	})
 }
 
 // newTopics builds a Pulsar cluster with the given number of brokers over

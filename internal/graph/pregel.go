@@ -2,14 +2,13 @@ package graph
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"repro/internal/faas"
 	"repro/internal/jiffy"
-	"repro/internal/simclock"
 )
 
 // VertexProgram defines one vertex-centric computation (the Pregel model
@@ -173,38 +172,28 @@ func Run(p *faas.Platform, ns *jiffy.Namespace, g *Graph, prog VertexProgram, cf
 
 	stats := RunStats{}
 	for step := 0; step < cfg.MaxSupersteps; step++ {
-		wg := simclock.NewGroup(p.Clock())
-		var mu sync.Mutex
-		var firstErr error
-		stepSent := int64(0)
-		stepActive := false
-		for q := 0; q < W; q++ {
-			payload, _ := json.Marshal(struct {
+		payloads := make([][]byte, W)
+		for q := range payloads {
+			payloads[q], _ = json.Marshal(struct {
 				Partition int `json:"partition"`
 				Step      int `json:"step"`
 			}{q, step})
-			wg.Add(1)
-			p.InvokeAsyncFor(cfg.Tenant, fnName, payload, func(res faas.Result, err error) {
-				mu.Lock()
-				if err != nil && firstErr == nil {
-					firstErr = err
-				} else if err == nil {
-					var out struct {
-						Sent   int64 `json:"sent"`
-						Active bool  `json:"active"`
-					}
-					if json.Unmarshal(res.Output, &out) == nil {
-						stepSent += out.Sent
-						stepActive = stepActive || out.Active
-					}
-				}
-				mu.Unlock()
-				wg.Done()
-			})
 		}
-		wg.Wait()
-		if firstErr != nil {
-			return nil, stats, firstErr
+		outs, errs := faas.Drive(p, cfg.Tenant, fnName, payloads, make([]time.Duration, W)).Wait()
+		if err := errors.Join(errs...); err != nil {
+			return nil, stats, err
+		}
+		stepSent := int64(0)
+		stepActive := false
+		for _, res := range outs {
+			var out struct {
+				Sent   int64 `json:"sent"`
+				Active bool  `json:"active"`
+			}
+			if json.Unmarshal(res.Output, &out) == nil {
+				stepSent += out.Sent
+				stepActive = stepActive || out.Active
+			}
 		}
 		stats.Supersteps++
 		stats.MessagesSent += stepSent

@@ -123,8 +123,6 @@ type Config struct {
 	DefaultLease time.Duration
 	// Latency is the modelled access cost. Default MemoryLatency.
 	Latency LatencyModel
-	// Tenant bills block-seconds when a meter is attached; default "jiffy".
-	Tenant string
 }
 
 func (c Config) withDefaults() Config {
@@ -136,9 +134,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Latency == (LatencyModel{}) {
 		c.Latency = MemoryLatency
-	}
-	if c.Tenant == "" {
-		c.Tenant = "jiffy"
 	}
 	return c
 }
@@ -631,7 +626,7 @@ func (c *Controller) freeBlocksLocked(blocks []*block) {
 		if c.meter != nil && len(b.nodes) > 0 {
 			held := now.Sub(b.since).Seconds()
 			c.meter.Add(billing.Record{
-				Tenant:   c.cfg.Tenant,
+				Tenant:   "jiffy",
 				Resource: billing.ResJiffyBlockSecs,
 				Units:    held * float64(len(b.nodes)),
 			})

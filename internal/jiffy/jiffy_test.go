@@ -405,7 +405,7 @@ func TestBlockSecondsMetering(t *testing.T) {
 	v := simclock.NewVirtual()
 	defer v.Close()
 	m := billing.NewMeter()
-	c := NewController(v, m, Config{Latency: NoLatency, Tenant: "acme"})
+	c := NewController(v, m, Config{Latency: NoLatency})
 	c.AddNode("n0", 4)
 	v.Run(func() {
 		_, err := c.CreateNamespace("/job", NamespaceOptions{Lease: 5 * time.Second, InitialBlocks: 2})
@@ -414,7 +414,7 @@ func TestBlockSecondsMetering(t *testing.T) {
 	})
 	// Held exactly for the lease: the timer reclaims them the nanosecond
 	// after the deadline, so 2 blocks × (5 s + 1 ns).
-	if got, want := m.Units("acme", billing.ResJiffyBlockSecs), 2*(5*time.Second+1).Seconds(); got != want {
+	if got, want := m.Units("jiffy", billing.ResJiffyBlockSecs), 2*(5*time.Second+1).Seconds(); got != want {
 		t.Fatalf("block-seconds = %v, want %v", got, want)
 	}
 }

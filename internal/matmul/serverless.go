@@ -3,14 +3,13 @@ package matmul
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"repro/internal/faas"
 	"repro/internal/jiffy"
-	"repro/internal/simclock"
 )
 
 // encode serializes a matrix for ephemeral storage.
@@ -144,26 +143,16 @@ func MulBlocked(p *faas.Platform, ns *jiffy.Namespace, a, b Matrix, cfg Serverle
 	}
 	defer p.UnregisterFor(cfg.Tenant, fnName)
 
-	wg := simclock.NewGroup(p.Clock())
-	var mu sync.Mutex
-	var firstErr error
+	var payloads [][]byte
 	for i := 0; i < aRT; i++ {
 		for j := 0; j < bCT; j++ {
 			payload, _ := json.Marshal(struct{ I, J, K int }{i, j, aCT})
-			wg.Add(1)
-			p.InvokeAsyncFor(cfg.Tenant, fnName, payload, func(_ faas.Result, err error) {
-				mu.Lock()
-				if err != nil && firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-				wg.Done()
-			})
+			payloads = append(payloads, payload)
 		}
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return Matrix{}, firstErr
+	_, errs := faas.Drive(p, cfg.Tenant, fnName, payloads, make([]time.Duration, len(payloads))).Wait()
+	if err := errors.Join(errs...); err != nil {
+		return Matrix{}, err
 	}
 
 	// Assemble C from ephemeral tiles.
@@ -251,24 +240,13 @@ func StrassenServerless(p *faas.Platform, ns *jiffy.Namespace, a, b Matrix, cuto
 	}
 	defer p.UnregisterFor(cfg.Tenant, fnName)
 
-	wg := simclock.NewGroup(p.Clock())
-	var mu sync.Mutex
-	var firstErr error
-	for i := 0; i < 7; i++ {
-		payload, _ := json.Marshal(struct{ I int }{i})
-		wg.Add(1)
-		p.InvokeAsyncFor(cfg.Tenant, fnName, payload, func(_ faas.Result, err error) {
-			mu.Lock()
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
-			wg.Done()
-		})
+	payloads := make([][]byte, 7)
+	for i := range payloads {
+		payloads[i], _ = json.Marshal(struct{ I int }{i})
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return Matrix{}, firstErr
+	_, errs := faas.Drive(p, cfg.Tenant, fnName, payloads, make([]time.Duration, len(payloads))).Wait()
+	if err := errors.Join(errs...); err != nil {
+		return Matrix{}, err
 	}
 
 	m := make([]Matrix, 7)

@@ -2,14 +2,13 @@ package mlserve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 	"time"
 
 	"repro/internal/faas"
-	"repro/internal/simclock"
 )
 
 // CodedConfig parameterizes straggler-resilient distributed mat-vec — the
@@ -77,7 +76,6 @@ func MatVec(p *faas.Platform, a [][]float64, x []float64, cfg CodedConfig) (Code
 	if cfg.Stripes > rows {
 		cfg.Stripes = rows
 	}
-	clock := p.Clock()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	// Pre-decide stragglers deterministically, task order = (stripe, replica).
@@ -121,52 +119,38 @@ func MatVec(p *faas.Platform, a [][]float64, x []float64, cfg CodedConfig) (Code
 	}
 	defer p.UnregisterFor(cfg.Tenant, fnName)
 
-	start := clock.Now()
-	var mu sync.Mutex
-	stripeDone := make([]bool, cfg.Stripes)
-	stripeOut := make([][]float64, cfg.Stripes)
-	remaining := cfg.Stripes
-	allDone := simclock.NewEvent(clock)
-	wgAll := simclock.NewGroup(clock)
-
+	payloads := make([][]byte, 0, cfg.Stripes*cfg.Replication)
 	for s := 0; s < cfg.Stripes; s++ {
 		for r := 0; r < cfg.Replication; r++ {
 			payload, _ := json.Marshal(struct{ Stripe, Replica int }{s, r})
-			wgAll.Add(1)
-			p.InvokeAsyncFor(cfg.Tenant, fnName, payload, func(res faas.Result, err error) {
-				defer wgAll.Done()
-				if err != nil {
-					return
-				}
-				var out []float64
-				if json.Unmarshal(res.Output, &out) != nil {
-					return
-				}
-				mu.Lock()
-				if !stripeDone[s] {
-					stripeDone[s] = true
-					stripeOut[s] = out
-					remaining--
-					if remaining == 0 {
-						allDone.Set()
-					}
-				}
-				mu.Unlock()
-			})
+			payloads = append(payloads, payload)
 		}
 	}
-	allDone.Wait()
-	wall := clock.Now().Sub(start)
-	// Drain the redundant replicas before returning (they exist and bill;
-	// the *result* was ready at wall).
-	wgAll.Wait()
-
+	// Every task starts now and Result.Latency is end-to-end, so a stripe is
+	// done at its fastest replica's latency and the result at the slowest
+	// stripe's. Wait also drains the redundant replicas (they exist and
+	// bill; the *result* was ready at wall).
+	outs, errs := faas.Drive(p, cfg.Tenant, fnName, payloads, make([]time.Duration, len(payloads))).Wait()
+	var wall time.Duration
 	y := make([]float64, 0, rows)
-	mu.Lock()
-	for _, part := range stripeOut {
+	for s := 0; s < cfg.Stripes; s++ {
+		lo, hi := s*cfg.Replication, (s+1)*cfg.Replication
+		first := -1
+		for i := lo; i < hi; i++ {
+			if errs[i] == nil && (first < 0 || outs[i].Latency < outs[first].Latency) {
+				first = i
+			}
+		}
+		if first < 0 {
+			return CodedReport{}, fmt.Errorf("mlserve: stripe %d: every replica failed: %w", s, errors.Join(errs[lo:hi]...))
+		}
+		var part []float64
+		if err := json.Unmarshal(outs[first].Output, &part); err != nil {
+			return CodedReport{}, err
+		}
 		y = append(y, part...)
+		wall = max(wall, outs[first].Latency)
 	}
-	mu.Unlock()
 	return CodedReport{
 		Y:           y,
 		Wall:        wall,

@@ -4,11 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"repro/internal/faas"
-	"repro/internal/simclock"
 )
 
 // HyperConfig parameterizes a hyperparameter grid search in the style of
@@ -102,25 +100,19 @@ func GridSearch(p *faas.Platform, train, val Dataset, cfg HyperConfig) (HyperRep
 		}
 		return &out
 	}
+	payloads := make([][]byte, len(grid))
+	for i, tr := range grid {
+		payloads[i], _ = json.Marshal(tr)
+	}
 	if cfg.Concurrent {
-		wg := simclock.NewGroup(clock)
-		var mu sync.Mutex
-		for _, tr := range grid {
-			payload, _ := json.Marshal(tr)
-			wg.Add(1)
-			p.InvokeAsyncFor(cfg.Tenant, fnName, payload, func(res faas.Result, err error) {
-				if out := collect(res, err); out != nil {
-					mu.Lock()
-					rep.Trials = append(rep.Trials, *out)
-					mu.Unlock()
-				}
-				wg.Done()
-			})
+		outs, errs := faas.Drive(p, cfg.Tenant, fnName, payloads, make([]time.Duration, len(grid))).Wait()
+		for i, res := range outs {
+			if out := collect(res, errs[i]); out != nil {
+				rep.Trials = append(rep.Trials, *out)
+			}
 		}
-		wg.Wait()
 	} else {
-		for _, tr := range grid {
-			payload, _ := json.Marshal(tr)
+		for _, payload := range payloads {
 			res, err := p.InvokeFor(cfg.Tenant, fnName, payload)
 			if out := collect(res, err); out != nil {
 				rep.Trials = append(rep.Trials, *out)

@@ -2,6 +2,7 @@ package mlserve
 
 import (
 	"encoding/json"
+	"errors"
 	"math"
 	"testing"
 	"time"
@@ -186,6 +187,24 @@ func TestCodedBeatsUncodedUnderStragglers(t *testing.T) {
 	if walls[2] >= walls[1]/2 {
 		t.Fatalf("coded %v not ≪ uncoded %v", walls[2], walls[1])
 	}
+}
+
+// TestCodedStripeWithNoReplicaFails: when every replica of a stripe fails
+// (here each straggles past the worker's one-hour timeout), MatVec returns
+// an error instead of waiting for a replica that never succeeds.
+func TestCodedStripeWithNoReplicaFails(t *testing.T) {
+	v, p := env(t)
+	a := RandomMatrix(8, 4, 1)
+	x := RandomVector(4, 2)
+	v.Run(func() {
+		_, err := MatVec(p, a, x, CodedConfig{
+			Stripes: 2, Replication: 2,
+			StragglerProb: 1, StragglerDelay: 2 * time.Hour, Seed: 3,
+		})
+		if !errors.Is(err, faas.ErrTimeout) {
+			t.Errorf("err = %v, want every replica's timeout", err)
+		}
+	})
 }
 
 func TestGridSearchConcurrentFasterSameBest(t *testing.T) {

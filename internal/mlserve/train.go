@@ -2,12 +2,12 @@ package mlserve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
 
 	"repro/internal/faas"
-	"repro/internal/simclock"
 )
 
 // Topology selects the parameter-server arrangement.
@@ -134,24 +134,13 @@ func TrainDistributed(p *faas.Platform, ds Dataset, cfg TrainConfig) (TrainRepor
 		snapshot = root.Snapshot()
 		snapMu.Unlock()
 		start := clock.Now()
-		wg := simclock.NewGroup(clock)
-		var mu sync.Mutex
-		var firstErr error
-		for wkr := 0; wkr < cfg.Workers; wkr++ {
-			payload, _ := json.Marshal(struct{ Shard int }{wkr})
-			wg.Add(1)
-			p.InvokeAsyncFor(cfg.Tenant, fnName, payload, func(_ faas.Result, err error) {
-				mu.Lock()
-				if err != nil && firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-				wg.Done()
-			})
+		payloads := make([][]byte, cfg.Workers)
+		for wkr := range payloads {
+			payloads[wkr], _ = json.Marshal(struct{ Shard int }{wkr})
 		}
-		wg.Wait()
-		if firstErr != nil {
-			return rep, firstErr
+		_, errs := faas.Drive(p, cfg.Tenant, fnName, payloads, make([]time.Duration, cfg.Workers)).Wait()
+		if err := errors.Join(errs...); err != nil {
+			return rep, err
 		}
 		rep.RoundWalls = append(rep.RoundWalls, clock.Now().Sub(start))
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/faas"
+	"repro/internal/obs"
 	"repro/internal/orchestrate"
 	"repro/internal/simclock"
 )
@@ -25,7 +26,7 @@ func ExampleChain() {
 	out, err := engine.Execute("demo", orchestrate.Chain(
 		orchestrate.Task("upper"),
 		orchestrate.Task("exclaim"),
-	), []byte("le taureau"))
+	), []byte("le taureau"), obs.TraceCtx{})
 	if err != nil {
 		fmt.Println(err)
 		return

@@ -210,11 +210,12 @@ func (e *Engine) RegisterComposition(name string, sm State) error {
 
 // Execute runs a state machine to completion on behalf of tenant — every Task
 // step invokes that tenant's function — and returns its output. With
-// observability attached, the execution forms one trace: a root span plus a
-// child span per step.
-func (e *Engine) Execute(tenant string, sm State, input []byte) ([]byte, error) {
+// observability attached, the execution is one span with a child span per
+// step. A zero tc roots a new trace at it; a valid tc (the handler that runs
+// the composition) makes it the caller's child.
+func (e *Engine) Execute(tenant string, sm State, input []byte, tc obs.TraceCtx) ([]byte, error) {
 	e.obsExecs.Inc()
-	root := e.obs.Tracer().Start(obs.TraceCtx{}, "orchestrate.execution")
+	root := e.obs.Tracer().Start(tc, "orchestrate.execution")
 	out, err := sm.run(e, &execCtx{tenant: tenant, span: root}, input)
 	endSpan(root, err)
 	return out, err

@@ -48,7 +48,7 @@ func TestChainPipesOutput(t *testing.T) {
 	var out []byte
 	var err error
 	v.Run(func() {
-		out, err = e.Execute("acme", Chain(Task("upper"), Task("exclaim")), []byte("hi"))
+		out, err = e.Execute("acme", Chain(Task("upper"), Task("exclaim")), []byte("hi"), obs.TraceCtx{})
 	})
 	if err != nil || string(out) != "HI!" {
 		t.Fatalf("out = %q err = %v", out, err)
@@ -60,7 +60,7 @@ func TestParallelFanOut(t *testing.T) {
 	var out []byte
 	var err error
 	v.Run(func() {
-		out, err = e.Execute("acme", Parallel(Task("upper"), Task("exclaim")), []byte("go"))
+		out, err = e.Execute("acme", Parallel(Task("upper"), Task("exclaim")), []byte("go"), obs.TraceCtx{})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +83,7 @@ func TestParallelRunsConcurrently(t *testing.T) {
 		t.Fatal(err)
 	}
 	end := v.Run(func() {
-		if _, err := e.Execute("acme", Parallel(Task("slow"), Task("slow"), Task("slow")), nil); err != nil {
+		if _, err := e.Execute("acme", Parallel(Task("slow"), Task("slow"), Task("slow")), nil, obs.TraceCtx{}); err != nil {
 			t.Error(err)
 		}
 	})
@@ -98,11 +98,11 @@ func TestChoiceRouting(t *testing.T) {
 		{When: func(in []byte) bool { return strings.HasPrefix(string(in), "img:") }, Then: Task("upper")},
 	}, Task("exclaim"))
 	v.Run(func() {
-		out, err := e.Execute("acme", sm, []byte("img:cat"))
+		out, err := e.Execute("acme", sm, []byte("img:cat"), obs.TraceCtx{})
 		if err != nil || string(out) != "IMG:CAT" {
 			t.Errorf("branch out = %q err=%v", out, err)
 		}
-		out, err = e.Execute("acme", sm, []byte("other"))
+		out, err = e.Execute("acme", sm, []byte("other"), obs.TraceCtx{})
 		if err != nil || string(out) != "other!" {
 			t.Errorf("default out = %q err=%v", out, err)
 		}
@@ -115,7 +115,7 @@ func TestChoiceNoMatchNoDefault(t *testing.T) {
 		{When: func([]byte) bool { return false }, Then: Task("upper")},
 	}, nil)
 	v.Run(func() {
-		if _, err := e.Execute("acme", sm, []byte("x")); !errors.Is(err, ErrNoChoice) {
+		if _, err := e.Execute("acme", sm, []byte("x"), obs.TraceCtx{}); !errors.Is(err, ErrNoChoice) {
 			t.Errorf("err = %v", err)
 		}
 	})
@@ -127,7 +127,7 @@ func TestMapAppliesPerElement(t *testing.T) {
 	var out []byte
 	var err error
 	v.Run(func() {
-		out, err = e.Execute("acme", Map(Task("upper"), 2), input)
+		out, err = e.Execute("acme", Map(Task("upper"), 2), input, obs.TraceCtx{})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +146,7 @@ func TestMapAppliesPerElement(t *testing.T) {
 func TestMapRejectsNonArray(t *testing.T) {
 	v, _, _, e := testEnv(t)
 	v.Run(func() {
-		if _, err := e.Execute("acme", Map(Task("upper"), 0), []byte("notjson")); !errors.Is(err, ErrBadInput) {
+		if _, err := e.Execute("acme", Map(Task("upper"), 0), []byte("notjson"), obs.TraceCtx{}); !errors.Is(err, ErrBadInput) {
 			t.Errorf("err = %v", err)
 		}
 	})
@@ -155,7 +155,7 @@ func TestMapRejectsNonArray(t *testing.T) {
 func TestWaitAdvancesClock(t *testing.T) {
 	v, _, _, e := testEnv(t)
 	end := v.Run(func() {
-		out, err := e.Execute("acme", Chain(Wait(time.Minute), Pass(nil)), []byte("keep"))
+		out, err := e.Execute("acme", Chain(Wait(time.Minute), Pass(nil)), []byte("keep"), obs.TraceCtx{})
 		if err != nil || string(out) != "keep" {
 			t.Errorf("out = %q err = %v", out, err)
 		}
@@ -169,7 +169,7 @@ func TestPassTransform(t *testing.T) {
 	v, _, _, e := testEnv(t)
 	double := Pass(func(in []byte) ([]byte, error) { return append(in, in...), nil })
 	v.Run(func() {
-		out, err := e.Execute("acme", double, []byte("ab"))
+		out, err := e.Execute("acme", double, []byte("ab"), obs.TraceCtx{})
 		if err != nil || string(out) != "abab" {
 			t.Errorf("out = %q err = %v", out, err)
 		}
@@ -179,7 +179,7 @@ func TestPassTransform(t *testing.T) {
 func TestFailState(t *testing.T) {
 	v, _, _, e := testEnv(t)
 	v.Run(func() {
-		if _, err := e.Execute("acme", Fail("bad input"), nil); !errors.Is(err, ErrFailed) {
+		if _, err := e.Execute("acme", Fail("bad input"), nil, obs.TraceCtx{}); !errors.Is(err, ErrFailed) {
 			t.Errorf("err = %v", err)
 		}
 	})
@@ -198,7 +198,7 @@ func TestTaskRetryWithBackoff(t *testing.T) {
 	}
 	start := simclock.Epoch
 	end := v.Run(func() {
-		out, err := e.Execute("acme", TaskRetry("flaky", faas.RetryPolicy{MaxAttempts: 4, Base: time.Second, Jitter: -1}), nil)
+		out, err := e.Execute("acme", TaskRetry("flaky", faas.RetryPolicy{MaxAttempts: 4, Base: time.Second, Jitter: -1}), nil, obs.TraceCtx{})
 		if err != nil || string(out) != "ok" {
 			t.Errorf("out = %q err = %v", out, err)
 		}
@@ -221,7 +221,7 @@ func TestTaskCatchFallback(t *testing.T) {
 	}
 	sm := TaskCatch("broken", faas.RetryPolicy{MaxAttempts: 2}, Task("exclaim"))
 	v.Run(func() {
-		out, err := e.Execute("acme", sm, []byte("in"))
+		out, err := e.Execute("acme", sm, []byte("in"), obs.TraceCtx{})
 		if err != nil || string(out) != "in!" {
 			t.Errorf("catch out = %q err = %v", out, err)
 		}
@@ -231,7 +231,7 @@ func TestTaskCatchFallback(t *testing.T) {
 func TestUnknownTarget(t *testing.T) {
 	v, _, _, e := testEnv(t)
 	v.Run(func() {
-		if _, err := e.Execute("acme", Task("ghost"), nil); !errors.Is(err, ErrUnknownTarget) {
+		if _, err := e.Execute("acme", Task("ghost"), nil, obs.TraceCtx{}); !errors.Is(err, ErrUnknownTarget) {
 			t.Errorf("err = %v", err)
 		}
 	})
@@ -250,7 +250,7 @@ func TestCompositionIsAFunction(t *testing.T) {
 	// Nest the composition inside another composition.
 	outer := Chain(Task("shout"), Task("exclaim"))
 	v.Run(func() {
-		out, err := e.Execute("acme", outer, []byte("hey"))
+		out, err := e.Execute("acme", outer, []byte("hey"), obs.TraceCtx{})
 		if err != nil || string(out) != "HEY!!" {
 			t.Errorf("out = %q err = %v", out, err)
 		}
@@ -265,10 +265,10 @@ func TestCompositionRunsOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	v.Run(func() {
-		if _, err := e.Execute("acme", TaskRetry("shout", faas.RetryPolicy{MaxAttempts: 2}), []byte("x")); !errors.Is(err, ErrBadInput) {
+		if _, err := e.Execute("acme", TaskRetry("shout", faas.RetryPolicy{MaxAttempts: 2}), []byte("x"), obs.TraceCtx{}); !errors.Is(err, ErrBadInput) {
 			t.Errorf("err = %v, want ErrBadInput", err)
 		}
-		if out, err := e.Execute("acme", TaskRetry("shout", faas.RetryPolicy{MaxAttempts: 1}), []byte("x")); err != nil || string(out) != "X!" {
+		if out, err := e.Execute("acme", TaskRetry("shout", faas.RetryPolicy{MaxAttempts: 1}), []byte("x"), obs.TraceCtx{}); err != nil || string(out) != "X!" {
 			t.Errorf("out = %q err = %v", out, err)
 		}
 	})
@@ -297,7 +297,7 @@ func TestNoDoubleBilling(t *testing.T) {
 	m.Reset()
 
 	v.Run(func() {
-		if _, err := e.Execute("acme", Task("pipeline"), []byte("hi")); err != nil {
+		if _, err := e.Execute("acme", Task("pipeline"), []byte("hi"), obs.TraceCtx{}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -367,7 +367,7 @@ func TestTaskRetryStopRule(t *testing.T) {
 				if tc.first != nil {
 					tc.first(v, p)
 				}
-				_, err = e.Execute("acme", TaskRetry("f", faas.RetryPolicy{MaxAttempts: 3, Base: time.Second}), tc.payload)
+				_, err = e.Execute("acme", TaskRetry("f", faas.RetryPolicy{MaxAttempts: 3, Base: time.Second}), tc.payload, obs.TraceCtx{})
 			})
 			if !errors.Is(err, tc.want) {
 				t.Fatalf("err = %v, want %v", err, tc.want)
@@ -405,10 +405,10 @@ func TestExecutionSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	v.Run(func() {
-		if _, err := e.Execute("acme", Chain(Task("upper"), Wait(time.Second), Task("exclaim")), []byte("x")); err != nil {
+		if _, err := e.Execute("acme", Chain(Task("upper"), Wait(time.Second), Task("exclaim")), []byte("x"), obs.TraceCtx{}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.Execute("acme", TaskRetry("flaky", faas.RetryPolicy{MaxAttempts: 3, Base: time.Second, Jitter: -1}), nil); err != nil {
+		if _, err := e.Execute("acme", TaskRetry("flaky", faas.RetryPolicy{MaxAttempts: 3, Base: time.Second, Jitter: -1}), nil, obs.TraceCtx{}); err != nil {
 			t.Fatal(err)
 		}
 	})

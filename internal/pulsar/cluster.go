@@ -18,8 +18,6 @@ import (
 
 // ClusterConfig parameterizes a cluster.
 type ClusterConfig struct {
-	// Tenant is billed for publishes. Default "pulsar".
-	Tenant string
 	// BatchMaxMessages is the default per-producer batch size for
 	// SendAsync: messages buffered across all partitions before a flush,
 	// one group-commit ledger append per partition the batch holds.
@@ -58,9 +56,6 @@ const (
 )
 
 func (c ClusterConfig) withDefaults() ClusterConfig {
-	if c.Tenant == "" {
-		c.Tenant = "pulsar"
-	}
 	if c.BatchMaxMessages < 1 {
 		c.BatchMaxMessages = 1
 	}
@@ -542,9 +537,10 @@ func (c *Cluster) persistCursor(sub *subscription) error {
 	return nil
 }
 
+// meterPublish bills n publishes to the "pulsar" tenant.
 func (c *Cluster) meterPublish(n int) {
 	if c.meter != nil && n > 0 {
-		c.meter.Add(billing.Record{Tenant: c.cfg.Tenant, Resource: billing.ResMsgPublish, Units: float64(n)})
+		c.meter.Add(billing.Record{Tenant: "pulsar", Resource: billing.ResMsgPublish, Units: float64(n)})
 	}
 }
 

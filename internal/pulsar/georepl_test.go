@@ -18,7 +18,7 @@ func newSecondCluster(e *env, brokers, bookies int) *Cluster {
 	for i := 0; i < bookies; i++ {
 		ls.AddBookie(ledger.NewBookie(fmt.Sprintf("west-bookie-%d", i)))
 	}
-	cl := NewCluster(e.v, meta, ls, nil, ClusterConfig{Tenant: "west"})
+	cl := NewCluster(e.v, meta, ls, nil, ClusterConfig{})
 	for i := 0; i < brokers; i++ {
 		cl.AddBroker(fmt.Sprintf("west-broker-%d", i))
 	}

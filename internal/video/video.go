@@ -12,11 +12,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"repro/internal/faas"
-	"repro/internal/simclock"
 )
 
 // ErrNoFrames is returned for empty videos.
@@ -161,10 +159,7 @@ func encodeChunked(p *faas.Platform, v Video, cost CostModel, chunks int) (Repor
 	defer p.UnregisterFor(tenant, fnName)
 
 	per := (len(v.Frames) + chunks - 1) / chunks
-	wg := simclock.NewGroup(clock)
-	var mu sync.Mutex
-	var firstErr error
-	totalBytes := 0
+	var payloads [][]byte
 	for c := 0; c < chunks; c++ {
 		lo := c * per
 		hi := lo + per
@@ -175,24 +170,18 @@ func encodeChunked(p *faas.Platform, v Video, cost CostModel, chunks int) (Repor
 			continue
 		}
 		payload, _ := json.Marshal(struct{ Lo, Hi int }{lo, hi})
-		wg.Add(1)
-		p.InvokeAsyncFor(tenant, fnName, payload, func(res faas.Result, err error) {
-			mu.Lock()
-			if err != nil && firstErr == nil {
-				firstErr = err
-			} else if err == nil {
-				var out chunkResult
-				if json.Unmarshal(res.Output, &out) == nil {
-					totalBytes += out.Bytes
-				}
-			}
-			mu.Unlock()
-			wg.Done()
-		})
+		payloads = append(payloads, payload)
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return Report{}, firstErr
+	outs, errs := faas.Drive(p, tenant, fnName, payloads, make([]time.Duration, len(payloads))).Wait()
+	if err := errors.Join(errs...); err != nil {
+		return Report{}, err
+	}
+	totalBytes := 0
+	for _, res := range outs {
+		var out chunkResult
+		if json.Unmarshal(res.Output, &out) == nil {
+			totalBytes += out.Bytes
+		}
 	}
 	// Stitch pass: one boundary between each adjacent chunk pair.
 	clock.Sleep(time.Duration(chunks-1) * cost.StitchPerBoundary)

@@ -47,6 +47,12 @@ if grep -rnE 'RetryPolicy struct|ExecuteTraced' internal/orchestrate/ ||
 	echo "check: faas.ClassOf is the one retry classification and InvokeWithRetry the one loop; a step retries through it and its spans are its record" >&2
 	exit 1
 fi
+echo "== one fan-out: every batch of invocations goes through faas.Drive"
+if grep -rn 'InvokeAsyncFor(' --include='*.go' --exclude='*_test.go' internal/matmul/ internal/bioseq/ internal/graph/ internal/mlserve/ internal/video/ internal/experiments/ cmd/ ||
+	grep -rn 'func (r \*DriveReport) Results' --include='*.go' internal/faas/; then
+	echo "check: a batch of invocations is one faas.Drive, whose Wait returns every call's result and error in call order; no hand-rolled group, mutex or first-error loop" >&2
+	exit 1
+fi
 echo "== one binary: cmd/ holds a single package"
 [ "$(go list ./cmd/... | wc -l)" -eq 1 ] || { echo "check: cmd/ must hold exactly one package (taureau)" >&2; exit 1; }
 echo "== API.md lists the exported surface"

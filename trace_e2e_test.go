@@ -9,13 +9,16 @@ package repro
 
 import (
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/blob"
 	"repro/internal/core"
 	"repro/internal/faas"
 	"repro/internal/jiffy"
 	"repro/internal/obs"
+	"repro/internal/orchestrate"
 	"repro/internal/pulsar"
 )
 
@@ -203,6 +206,79 @@ func TestTraceThroughBoundTopics(t *testing.T) {
 		}
 		if out := pub[i+1]; out.ParentID != pub[i].SpanID {
 			t.Fatalf("output publish %d parent = %d, want its input's publish (%d)", i, out.ParentID, pub[i].SpanID)
+		}
+	}
+}
+
+// TestCompositionJoinsHandlerTrace: a blob-triggered handler that runs a
+// three-step chain is one trace. The trigger's async invoke roots it, the
+// execution is the handler's child, and every step hangs under the
+// execution.
+func TestCompositionJoinsHandlerTrace(t *testing.T) {
+	p, v := core.NewVirtual(core.Options{})
+	defer v.Close()
+	tr := p.Obs.Tracer()
+	acme := p.Tenant("acme")
+	cfg := faas.Config{WarmStart: 1, ColdStart: 1}
+	v.Run(func() {
+		for _, step := range []string{"extract", "transform", "load"} {
+			if err := acme.Register(step, func(_ *faas.Ctx, in []byte) ([]byte, error) {
+				return append(in, "|"+step...), nil
+			}, cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := acme.Register("driver", func(ctx *faas.Ctx, in []byte) ([]byte, error) {
+			return p.Orchestrator.Execute("acme", orchestrate.Chain(
+				orchestrate.Task("extract"), orchestrate.Task("transform"), orchestrate.Task("load"),
+			), in, ctx.Trace)
+		}, cfg); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Blob.CreateBucket("in", "acme"); err != nil {
+			t.Fatal(err)
+		}
+		faas.BindBlob(p.FaaS, p.Blob, "in", "acme", "driver")
+		if _, err := p.Blob.Put("in", "obj", []byte("x"), blob.PutOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	traces := tr.Traces()
+	if len(traces) != 1 || traces[0].Name != "faas.invoke.async" {
+		t.Fatalf("traces = %+v, want one rooted at the trigger's faas.invoke.async", traces)
+	}
+	byID := map[int64]obs.SpanData{}
+	var exec obs.SpanData
+	var tasks []obs.SpanData
+	for _, sd := range tr.Spans() {
+		if sd.TraceID != traces[0].TraceID {
+			t.Fatalf("span %q in trace %d, want %d", sd.Name, sd.TraceID, traces[0].TraceID)
+		}
+		byID[sd.SpanID] = sd
+		switch {
+		case sd.Name == "orchestrate.execution":
+			exec = sd
+		case strings.HasPrefix(sd.Name, "task:"):
+			tasks = append(tasks, sd)
+		}
+	}
+	// orchestrate.execution → faas.handler → faas.invoke → faas.invoke.async.
+	sd := exec
+	for _, want := range []string{"faas.handler", "faas.invoke", "faas.invoke.async"} {
+		if sd = byID[sd.ParentID]; sd.Name != want {
+			t.Fatalf("ancestor %q of orchestrate.execution, want %q; have %v", sd.Name, want, names(tr.Spans()))
+		}
+	}
+	if sd.ParentID != 0 {
+		t.Fatalf("faas.invoke.async has parent %d, want the trace root", sd.ParentID)
+	}
+	if len(tasks) != 3 {
+		t.Fatalf("%d task spans, want 3; have %v", len(tasks), names(tr.Spans()))
+	}
+	for _, task := range tasks {
+		if task.ParentID != exec.SpanID {
+			t.Fatalf("%s parent = %d, want orchestrate.execution (%d)", task.Name, task.ParentID, exec.SpanID)
 		}
 	}
 }
