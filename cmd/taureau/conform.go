@@ -13,8 +13,8 @@ import (
 // cmdConform explores every reference workload with the deterministic
 // interleaving explorer and reports each verdict against its locked
 // expectation. A divergent workload prints its minimal witness schedule as
-// JSON — replayable via conform.RunSchedule — and a verdict that contradicts
-// the reference expectation fails the process.
+// JSON — rerunning that schedule reproduces its digest — and a verdict that
+// contradicts the reference expectation fails the process.
 func cmdConform(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("taureau conform", flag.ContinueOnError)
 	full := fs.Bool("full", false, "explore 300 schedules per workload instead of the quick 60")

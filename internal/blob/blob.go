@@ -1,6 +1,6 @@
 // Package blob implements the S3-style Backend-as-a-Service object store
 // from §2.2/§4.1 of the paper: arbitrarily scalable buckets of immutable
-// versioned objects, billed per request and per byte, with event
+// objects, billed per request and per byte, with event
 // notifications that FaaS triggers subscribe to.
 //
 // Access latency is modelled on the shared Clock (per-operation setup cost
@@ -29,7 +29,6 @@ var (
 	ErrBucketExists = errors.New("blob: bucket already exists")
 	ErrNoObject     = errors.New("blob: object does not exist")
 	ErrPrecondition = errors.New("blob: precondition failed")
-	ErrBucketFull   = errors.New("blob: bucket not empty")
 )
 
 // LatencyModel gives the simulated access cost of the store.
@@ -49,7 +48,8 @@ func (l LatencyModel) Cost(n int) time.Duration {
 // cites ([124], [125]).
 var S3Latency = LatencyModel{PerOp: 20 * time.Millisecond, PerByte: 12 * time.Nanosecond}
 
-// ObjectInfo describes one stored object version.
+// ObjectInfo describes one stored object. VersionID counts the puts to its
+// key: the first is 1.
 type ObjectInfo struct {
 	Bucket     string
 	Key        string
@@ -59,36 +59,21 @@ type ObjectInfo struct {
 	ModifiedAt time.Time
 }
 
-// Event is emitted to notification subscribers after a mutation.
+// Event is emitted to notification subscribers after a put.
 type Event struct {
-	Type   EventType
 	Object ObjectInfo
 }
 
-// EventType distinguishes object mutations.
-type EventType int
-
-const (
-	// EventPut fires after an object version is written.
-	EventPut EventType = iota
-	// EventDelete fires after an object is deleted.
-	EventDelete
-)
-
-type version struct {
+// object is a key's latest and only version.
+type object struct {
 	data []byte
 	info ObjectInfo
 }
 
-type object struct {
-	versions []version // newest last
-}
-
 type bucket struct {
-	name       string
-	tenant     string
-	versioning bool
-	objects    map[string]*object
+	name    string
+	tenant  string
+	objects map[string]*object
 }
 
 // Store is an in-process blob service shared by all tenants.
@@ -117,7 +102,7 @@ func (s *Store) SetObs(r *obs.Registry) {
 	s.obsGetLat = r.Histogram("blob.get.latency")
 }
 
-// Subscribe registers fn to receive an Event after every mutation. Handlers
+// Subscribe registers fn to receive an Event after every put. Handlers
 // run synchronously on the mutating goroutine, mirroring how provider-side
 // notification hooks dispatch before the call returns.
 func (s *Store) Subscribe(fn func(Event)) {
@@ -137,34 +122,6 @@ func (s *Store) CreateBucket(name, tenant string) error {
 	return nil
 }
 
-// DeleteBucket removes an empty bucket.
-func (s *Store) DeleteBucket(name string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b, ok := s.buckets[name]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNoBucket, name)
-	}
-	if len(b.objects) > 0 {
-		return fmt.Errorf("%w: %q", ErrBucketFull, name)
-	}
-	delete(s.buckets, name)
-	return nil
-}
-
-// SetVersioning toggles version retention on a bucket. Unversioned buckets
-// keep only the latest version of each object.
-func (s *Store) SetVersioning(name string, on bool) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b, ok := s.buckets[name]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNoBucket, name)
-	}
-	b.versioning = on
-	return nil
-}
-
 // PutOptions carries optional preconditions for Put.
 type PutOptions struct {
 	// IfMatch, when non-empty, requires the current ETag to equal it.
@@ -173,8 +130,8 @@ type PutOptions struct {
 	IfNoneMatch bool
 }
 
-// Put writes an object version and returns its info. The calling goroutine
-// pays the modelled transfer latency.
+// Put writes an object, replacing any earlier version, and returns its info.
+// The calling goroutine pays the modelled transfer latency.
 func (s *Store) Put(bucketName, key string, data []byte, opts PutOptions) (ObjectInfo, error) {
 	if s.obsPutLat != nil {
 		start := s.clock.Now()
@@ -188,11 +145,11 @@ func (s *Store) Put(bucketName, key string, data []byte, opts PutOptions) (Objec
 		s.mu.Unlock()
 		return ObjectInfo{}, fmt.Errorf("%w: %q", ErrNoBucket, bucketName)
 	}
-	obj := b.objects[key]
-	cur := ""
-	if obj != nil && len(obj.versions) > 0 {
-		cur = obj.versions[len(obj.versions)-1].info.ETag
+	var prev ObjectInfo
+	if obj := b.objects[key]; obj != nil {
+		prev = obj.info
 	}
+	cur := prev.ETag
 	if opts.IfNoneMatch && cur != "" {
 		s.mu.Unlock()
 		return ObjectInfo{}, fmt.Errorf("%w: object %q exists", ErrPrecondition, key)
@@ -201,41 +158,28 @@ func (s *Store) Put(bucketName, key string, data []byte, opts PutOptions) (Objec
 		s.mu.Unlock()
 		return ObjectInfo{}, fmt.Errorf("%w: etag %q != %q", ErrPrecondition, cur, opts.IfMatch)
 	}
-	if obj == nil {
-		obj = &object{}
-		b.objects[key] = obj
-	}
-	var nextVersion int64 = 1
-	if n := len(obj.versions); n > 0 {
-		nextVersion = obj.versions[n-1].info.VersionID + 1
-	}
 	info := ObjectInfo{
 		Bucket:     bucketName,
 		Key:        key,
 		Size:       len(data),
 		ETag:       etag(data),
-		VersionID:  nextVersion,
+		VersionID:  prev.VersionID + 1,
 		ModifiedAt: s.clock.Now(),
 	}
-	v := version{data: append([]byte(nil), data...), info: info}
-	if b.versioning {
-		obj.versions = append(obj.versions, v)
-	} else {
-		obj.versions = []version{v}
-	}
+	b.objects[key] = &object{data: append([]byte(nil), data...), info: info}
 	tenant := b.tenant
 	subs := append([]func(Event){}, s.subs...)
 	s.mu.Unlock()
 
 	s.meterAdd(tenant, billing.ResBlobPut, 1)
 	for _, fn := range subs {
-		fn(Event{Type: EventPut, Object: info})
+		fn(Event{Object: info})
 	}
 	return info, nil
 }
 
-// Get returns the latest version of an object. The calling goroutine pays the
-// modelled transfer latency.
+// Get returns an object. The calling goroutine pays the modelled transfer
+// latency.
 func (s *Store) Get(bucketName, key string) ([]byte, ObjectInfo, error) {
 	if s.obsGetLat != nil {
 		start := s.clock.Now()
@@ -248,87 +192,20 @@ func (s *Store) Get(bucketName, key string) ([]byte, ObjectInfo, error) {
 		return nil, ObjectInfo{}, fmt.Errorf("%w: %q", ErrNoBucket, bucketName)
 	}
 	obj, ok := b.objects[key]
-	if !ok || len(obj.versions) == 0 {
+	if !ok {
 		s.mu.Unlock()
 		s.clock.Sleep(s.latency.Cost(0))
 		s.meterAdd(b.tenant, billing.ResBlobGet, 1)
 		return nil, ObjectInfo{}, fmt.Errorf("%w: %s/%s", ErrNoObject, bucketName, key)
 	}
-	v := obj.versions[len(obj.versions)-1]
-	data := append([]byte(nil), v.data...)
+	data := append([]byte(nil), obj.data...)
 	tenant := b.tenant
 	s.mu.Unlock()
 
 	s.clock.Sleep(s.latency.Cost(len(data)))
 	s.meterAdd(tenant, billing.ResBlobGet, 1)
 	s.meterAdd(tenant, billing.ResBlobBytesOut, float64(len(data)))
-	return data, v.info, nil
-}
-
-// GetVersion returns a specific version of an object (versioned buckets).
-func (s *Store) GetVersion(bucketName, key string, versionID int64) ([]byte, ObjectInfo, error) {
-	s.mu.Lock()
-	b, ok := s.buckets[bucketName]
-	if !ok {
-		s.mu.Unlock()
-		return nil, ObjectInfo{}, fmt.Errorf("%w: %q", ErrNoBucket, bucketName)
-	}
-	obj, ok := b.objects[key]
-	if ok {
-		for _, v := range obj.versions {
-			if v.info.VersionID == versionID {
-				data := append([]byte(nil), v.data...)
-				tenant := b.tenant
-				s.mu.Unlock()
-				s.clock.Sleep(s.latency.Cost(len(data)))
-				s.meterAdd(tenant, billing.ResBlobGet, 1)
-				return data, v.info, nil
-			}
-		}
-	}
-	s.mu.Unlock()
-	return nil, ObjectInfo{}, fmt.Errorf("%w: %s/%s@v%d", ErrNoObject, bucketName, key, versionID)
-}
-
-// Head returns object metadata without transferring the payload.
-func (s *Store) Head(bucketName, key string) (ObjectInfo, error) {
-	s.clock.Sleep(s.latency.Cost(0))
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b, ok := s.buckets[bucketName]
-	if !ok {
-		return ObjectInfo{}, fmt.Errorf("%w: %q", ErrNoBucket, bucketName)
-	}
-	obj, ok := b.objects[key]
-	if !ok || len(obj.versions) == 0 {
-		return ObjectInfo{}, fmt.Errorf("%w: %s/%s", ErrNoObject, bucketName, key)
-	}
-	return obj.versions[len(obj.versions)-1].info, nil
-}
-
-// Delete removes an object (all versions).
-func (s *Store) Delete(bucketName, key string) error {
-	s.clock.Sleep(s.latency.Cost(0))
-	s.mu.Lock()
-	b, ok := s.buckets[bucketName]
-	if !ok {
-		s.mu.Unlock()
-		return fmt.Errorf("%w: %q", ErrNoBucket, bucketName)
-	}
-	obj, ok := b.objects[key]
-	if !ok {
-		s.mu.Unlock()
-		return fmt.Errorf("%w: %s/%s", ErrNoObject, bucketName, key)
-	}
-	info := obj.versions[len(obj.versions)-1].info
-	delete(b.objects, key)
-	subs := append([]func(Event){}, s.subs...)
-	s.mu.Unlock()
-
-	for _, fn := range subs {
-		fn(Event{Type: EventDelete, Object: info})
-	}
-	return nil
+	return data, obj.info, nil
 }
 
 // List returns up to max object infos with keys beginning with prefix and
@@ -357,28 +234,9 @@ func (s *Store) List(bucketName, prefix, startAfter string, max int) ([]ObjectIn
 	}
 	out := make([]ObjectInfo, len(keys))
 	for i, k := range keys {
-		vs := b.objects[k].versions
-		out[i] = vs[len(vs)-1].info
+		out[i] = b.objects[k].info
 	}
 	return out, truncated, nil
-}
-
-// TotalBytes returns the bytes currently stored in a bucket (latest versions
-// plus retained history).
-func (s *Store) TotalBytes(bucketName string) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b, ok := s.buckets[bucketName]
-	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrNoBucket, bucketName)
-	}
-	var n int
-	for _, obj := range b.objects {
-		for _, v := range obj.versions {
-			n += len(v.data)
-		}
-	}
-	return n, nil
 }
 
 func (s *Store) meterAdd(tenant, resource string, units float64) {

@@ -47,14 +47,7 @@ func TestBucketLifecycle(t *testing.T) {
 	if err := s.CreateBucket("b", "t"); !errors.Is(err, ErrBucketExists) {
 		t.Fatalf("err = %v", err)
 	}
-	_, err := s.Put("b", "k", []byte("x"), PutOptions{})
-	must(t, err)
-	if err := s.DeleteBucket("b"); !errors.Is(err, ErrBucketFull) {
-		t.Fatalf("err = %v", err)
-	}
-	must(t, s.Delete("b", "k"))
-	must(t, s.DeleteBucket("b"))
-	if err := s.DeleteBucket("b"); !errors.Is(err, ErrNoBucket) {
+	if _, err := s.Put("nobucket", "k", []byte("x"), PutOptions{}); !errors.Is(err, ErrNoBucket) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -80,28 +73,25 @@ func TestConditionalPut(t *testing.T) {
 	}
 }
 
+// TestVersioning: an object holds one version. A put replaces the data and
+// bumps VersionID, and Get and List report the latest.
 func TestVersioning(t *testing.T) {
 	s := newStore()
 	must(t, s.CreateBucket("b", "t"))
-	must(t, s.SetVersioning("b", true))
 	_, err := s.Put("b", "k", []byte("v1"), PutOptions{})
 	must(t, err)
-	_, err = s.Put("b", "k", []byte("v2"), PutOptions{})
+	info, err := s.Put("b", "k", []byte("v2"), PutOptions{})
 	must(t, err)
-	data, _, err := s.GetVersion("b", "k", 1)
-	if err != nil || string(data) != "v1" {
-		t.Fatalf("GetVersion(1) = %q %v", data, err)
+	if info.VersionID != 2 {
+		t.Fatalf("second put VersionID = %d, want 2", info.VersionID)
 	}
-	data, _, _ = s.Get("b", "k")
-	if string(data) != "v2" {
-		t.Fatalf("latest = %q", data)
+	data, got, err := s.Get("b", "k")
+	if err != nil || string(data) != "v2" || got.VersionID != 2 {
+		t.Fatalf("Get = %q %+v %v", data, got, err)
 	}
-	// Unversioned buckets keep only the latest.
-	must(t, s.CreateBucket("u", "t"))
-	_, _ = s.Put("u", "k", []byte("v1"), PutOptions{})
-	_, _ = s.Put("u", "k", []byte("v2"), PutOptions{})
-	if _, _, err := s.GetVersion("u", "k", 1); !errors.Is(err, ErrNoObject) {
-		t.Fatalf("unversioned retained history: %v", err)
+	infos, _, err := s.List("b", "", "", 0)
+	if err != nil || len(infos) != 1 || infos[0].VersionID != 2 || infos[0].Size != 2 {
+		t.Fatalf("List = %+v %v", infos, err)
 	}
 }
 
@@ -130,21 +120,6 @@ func TestListPrefixPagination(t *testing.T) {
 	}
 }
 
-func TestHeadAndTotalBytes(t *testing.T) {
-	s := newStore()
-	must(t, s.CreateBucket("b", "t"))
-	_, err := s.Put("b", "k", make([]byte, 100), PutOptions{})
-	must(t, err)
-	info, err := s.Head("b", "k")
-	if err != nil || info.Size != 100 {
-		t.Fatalf("Head = %+v %v", info, err)
-	}
-	n, err := s.TotalBytes("b")
-	if err != nil || n != 100 {
-		t.Fatalf("TotalBytes = %d %v", n, err)
-	}
-}
-
 func TestNotifications(t *testing.T) {
 	s := newStore()
 	must(t, s.CreateBucket("b", "t"))
@@ -152,8 +127,7 @@ func TestNotifications(t *testing.T) {
 	s.Subscribe(func(e Event) { events = append(events, e) })
 	_, err := s.Put("b", "k", []byte("x"), PutOptions{})
 	must(t, err)
-	must(t, s.Delete("b", "k"))
-	if len(events) != 2 || events[0].Type != EventPut || events[1].Type != EventDelete {
+	if len(events) != 1 {
 		t.Fatalf("events = %+v", events)
 	}
 	if events[0].Object.Key != "k" {

@@ -21,8 +21,7 @@ func (s *Store) Buckets() []string {
 	return names
 }
 
-// SnapshotObjects returns copies of the latest version of every object in a
-// bucket (deleted objects excluded).
+// SnapshotObjects returns copies of every object in a bucket.
 func (s *Store) SnapshotObjects(bucketName string) (map[string][]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -32,11 +31,7 @@ func (s *Store) SnapshotObjects(bucketName string) (map[string][]byte, error) {
 	}
 	out := map[string][]byte{}
 	for key, o := range b.objects {
-		if len(o.versions) == 0 {
-			continue
-		}
-		v := o.versions[len(o.versions)-1]
-		out[key] = append([]byte(nil), v.data...)
+		out[key] = append([]byte(nil), o.data...)
 	}
 	return out, nil
 }

@@ -39,7 +39,6 @@ type Crasher struct {
 	mu    sync.Mutex
 	armed int // effect index to crash at; <0 disarmed
 	count int // effects applied in the current attempt
-	trace []string
 }
 
 // NewCrasher returns a disarmed Crasher.
@@ -61,13 +60,11 @@ func (c *Crasher) Disarm() {
 	c.mu.Unlock()
 }
 
-// Begin starts an attempt: the effect count and boundary trace reset. If the
-// Crasher is armed at 0 the attempt dies here — a crash at function entry,
-// before any effect.
+// Begin starts an attempt: the effect count resets. If the Crasher is armed
+// at 0 the attempt dies here — a crash at function entry, before any effect.
 func (c *Crasher) Begin() {
 	c.mu.Lock()
 	c.count = 0
-	c.trace = c.trace[:0]
 	fire := c.armed == 0
 	if fire {
 		c.armed = -1
@@ -85,7 +82,6 @@ func (c *Crasher) Begin() {
 func (c *Crasher) Boundary(name string) {
 	c.mu.Lock()
 	c.count++
-	c.trace = append(c.trace, name)
 	fire := c.armed == c.count
 	idx := c.count
 	if fire {
@@ -103,14 +99,6 @@ func (c *Crasher) Crossings() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.count
-}
-
-// Trace returns the boundary names the current (or last) attempt crossed, in
-// order.
-func (c *Crasher) Trace() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]string(nil), c.trace...)
 }
 
 // RecoverCrash converts an in-flight CrashSignal panic into *err (wrapping

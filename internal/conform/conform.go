@@ -24,8 +24,8 @@
 //     duplicates do not).
 //
 // A workload that holds on every explored schedule is conformant; one that
-// diverges yields a minimal Witness — the exact schedule, replayable via
-// RunSchedule — because schedules are enumerated in weight order.
+// diverges yields a minimal Witness — the exact schedule, which replays to
+// the same digest — because schedules are enumerated in weight order.
 package conform
 
 import (
@@ -153,8 +153,8 @@ func (w Workload) withDefaults() Workload {
 
 // Witness is a minimal divergent interleaving: the exact schedule, the
 // digests on both sides, and a first-divergence diff. Re-running the schedule
-// (RunSchedule) reproduces Digest exactly — the witness is a replayable
-// counterexample, not a flake.
+// reproduces Digest exactly — the witness is a replayable counterexample, not
+// a flake.
 type Witness struct {
 	Schedule       Schedule `json:"schedule"`
 	BaselineDigest uint64   `json:"baselineDigest"`
@@ -187,18 +187,13 @@ type Report struct {
 	ExploreDigest uint64
 }
 
-// RunResult is one schedule's observable outcome, for witness replay.
-type RunResult struct {
+// outcome is one schedule's observable result plus driver-level failure.
+type outcome struct {
 	Digest     uint64
 	DigestText string
 	Execs      int
 	Billed     int
-}
-
-// outcome is RunResult plus driver-level failure.
-type outcome struct {
-	RunResult
-	runErr error
+	runErr     error
 	// maxEffects is the largest boundary count any single execution
 	// crossed (the baseline run uses it to size the crash alphabet).
 	maxEffects int
@@ -330,14 +325,6 @@ func digestDiff(base, got string) string {
 		}
 	}
 	return "digest hash mismatch with identical text (unreachable)"
-}
-
-// RunSchedule replays one schedule against the workload on a fresh platform
-// and returns its observables — the witness replay entry point.
-func RunSchedule(w Workload, s Schedule) (RunResult, error) {
-	w = w.withDefaults()
-	res := runSchedule(w, s)
-	return res.RunResult, res.runErr
 }
 
 // runSchedule executes the workload under one fault schedule: fresh platform,

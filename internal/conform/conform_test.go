@@ -57,13 +57,13 @@ func TestReferenceVerdicts(t *testing.T) {
 			if w.Diff == "" {
 				t.Error("witness has no diff")
 			}
-			r1, err := RunSchedule(ref.Workload, w.Schedule)
-			if err != nil {
-				t.Fatalf("witness replay: %v", err)
+			r1 := runSchedule(ref.Workload.withDefaults(), w.Schedule)
+			if r1.runErr != nil {
+				t.Fatalf("witness replay: %v", r1.runErr)
 			}
-			r2, err := RunSchedule(ref.Workload, w.Schedule)
-			if err != nil {
-				t.Fatalf("witness replay (2nd): %v", err)
+			r2 := runSchedule(ref.Workload.withDefaults(), w.Schedule)
+			if r2.runErr != nil {
+				t.Fatalf("witness replay (2nd): %v", r2.runErr)
 			}
 			if r1.Digest != w.Digest || r2.Digest != w.Digest {
 				t.Errorf("witness replays diverged from recorded digest: got %x then %x, witness %x",
@@ -83,10 +83,7 @@ func TestExplorerDeterminism(t *testing.T) {
 	for _, name := range []string{"put-constant", "counter-increment", "publish-sink"} {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			ref, err := Reference(name)
-			if err != nil {
-				t.Fatal(err)
-			}
+			ref := reference(t, name)
 			opts := Options{MaxSchedules: 40, Parallelism: 2}
 			r1, err := Explore(ref.Workload, opts)
 			if err != nil {
@@ -141,4 +138,25 @@ func TestScheduleEnumerationShape(t *testing.T) {
 	if len(dups) != 6*6*6-1 {
 		t.Errorf("dup-only I=3: %d schedules, want %d", len(dups), 6*6*6-1)
 	}
+}
+
+// reference returns the named reference workload.
+func reference(t *testing.T, name string) Ref {
+	t.Helper()
+	for _, r := range References() {
+		if r.Workload.Name == name {
+			return r
+		}
+	}
+	t.Fatalf("unknown reference workload %q", name)
+	return Ref{}
+}
+
+// weight is the schedule's total fault count — the explorer's search depth.
+func (s Schedule) weight() int {
+	w := len(s.DropAcks)
+	for _, p := range s.Invs {
+		w += len(p.Faults) + p.Dups
+	}
+	return w
 }

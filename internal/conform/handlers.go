@@ -1,7 +1,6 @@
 package conform
 
 import (
-	"fmt"
 	"strconv"
 
 	"repro/internal/faas"
@@ -157,14 +156,4 @@ func References() []Ref {
 			Why:            "replayed puts of the same bytes leave the same latest object version",
 		},
 	}
-}
-
-// Reference returns the named reference workload.
-func Reference(name string) (Ref, error) {
-	for _, r := range References() {
-		if r.Workload.Name == name {
-			return r, nil
-		}
-	}
-	return Ref{}, fmt.Errorf("conform: unknown reference workload %q", name)
 }

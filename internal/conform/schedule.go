@@ -33,15 +33,6 @@ type Schedule struct {
 	DropAcks []int     `json:"dropAcks,omitempty"`
 }
 
-// weight is the schedule's total fault count — the explorer's search depth.
-func (s Schedule) weight() int {
-	w := len(s.DropAcks)
-	for _, p := range s.Invs {
-		w += len(p.Faults) + p.Dups
-	}
-	return w
-}
-
 // String renders a schedule compactly, e.g.
 // "inv0[crash@1 lost +1dup] drop{0,2}".
 func (s Schedule) String() string {

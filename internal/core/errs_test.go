@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/errs"
 	"repro/internal/faas"
 	"repro/internal/jiffy"
 	"repro/internal/scheduler"
@@ -15,18 +16,18 @@ import (
 // wraps exactly one platform-wide sentinel, survives further wrapping, and
 // does not bleed into the other sentinels.
 func TestSentinelRoundTrip(t *testing.T) {
-	sentinels := []error{ErrThrottled, ErrBreakerOpen, ErrLeaseExpired, ErrNoCapacity}
+	sentinels := []error{errs.ErrThrottled, errs.ErrBreakerOpen, errs.ErrLeaseExpired, errs.ErrNoCapacity}
 	cases := []struct {
 		name string
 		err  error
 		want error
 	}{
-		{"faas concurrency cap", faas.ErrThrottled, ErrThrottled},
-		{"faas tenant admission", faas.ErrTenantThrottled, ErrThrottled},
-		{"faas circuit breaker", faas.ErrCircuitOpen, ErrBreakerOpen},
-		{"jiffy lease expiry", jiffy.ErrLeaseExpired, ErrLeaseExpired},
-		{"jiffy pool exhausted", jiffy.ErrNoCapacity, ErrNoCapacity},
-		{"scheduler unplaceable", scheduler.ErrUnplaceable, ErrNoCapacity},
+		{"faas concurrency cap", faas.ErrThrottled, errs.ErrThrottled},
+		{"faas tenant admission", faas.ErrTenantThrottled, errs.ErrThrottled},
+		{"faas circuit breaker", faas.ErrCircuitOpen, errs.ErrBreakerOpen},
+		{"jiffy lease expiry", jiffy.ErrLeaseExpired, errs.ErrLeaseExpired},
+		{"jiffy pool exhausted", jiffy.ErrNoCapacity, errs.ErrNoCapacity},
+		{"scheduler unplaceable", scheduler.ErrUnplaceable, errs.ErrNoCapacity},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -66,23 +67,23 @@ func TestSentinelLivePaths(t *testing.T) {
 		}
 		_, err := acme.Invoke("f", nil)
 		switch {
-		case errors.Is(err, ErrThrottled): // expected
+		case errors.Is(err, errs.ErrThrottled): // expected
 		case err == nil:
 			t.Fatal("second invoke admitted, want shed")
 		default:
-			t.Fatalf("err = %v, want ErrThrottled", err)
+			t.Fatalf("err = %v, want errs.ErrThrottled", err)
 		}
 	})
 
-	// A lapsed jiffy lease surfaces ErrLeaseExpired (and stays compatible
+	// A lapsed jiffy lease surfaces errs.ErrLeaseExpired (and stays compatible
 	// with the legacy no-namespace match).
 	v.Run(func() {
 		ns, err := p.Jiffy.CreateNamespace("/tmp", jiffy.NamespaceOptions{Lease: 100 * time.Millisecond})
 		must(t, err)
 		v.Sleep(time.Second)
 		err = ns.Put("k", []byte("v"))
-		if !errors.Is(err, ErrLeaseExpired) {
-			t.Fatalf("err = %v, want ErrLeaseExpired", err)
+		if !errors.Is(err, errs.ErrLeaseExpired) {
+			t.Fatalf("err = %v, want errs.ErrLeaseExpired", err)
 		}
 		if !errors.Is(err, jiffy.ErrNoNamespace) {
 			t.Fatalf("err = %v lost the legacy ErrNoNamespace match", err)
@@ -103,8 +104,8 @@ func TestUnplaceableInvokeIsNoCapacity(t *testing.T) {
 		faas.Config{Demand: scheduler.Resources{CPU: 2000, MemMB: 512}, MaxRetries: -1}))
 	v.Run(func() {
 		_, err := acme.Invoke("huge", nil)
-		if !errors.Is(err, ErrNoCapacity) || errors.Is(err, ErrThrottled) {
-			t.Fatalf("err = %v, want ErrNoCapacity and not ErrThrottled", err)
+		if !errors.Is(err, errs.ErrNoCapacity) || errors.Is(err, errs.ErrThrottled) {
+			t.Fatalf("err = %v, want errs.ErrNoCapacity and not errs.ErrThrottled", err)
 		}
 	})
 }

@@ -104,17 +104,17 @@ func TestPatternDataStreaming(t *testing.T) {
 	defer v.Close()
 	v.Run(func() {
 		must(t, p.Pulsar.CreateTopic("stream", 0))
-		hll := sketch.NewHLL(10)
+		cm := sketch.NewCountMinWH(272, 5)
 		seen := 0
 		done := simclock.NewEvent(v)
-		must(t, p.Tenant("t").Register("distinct", func(_ *faas.Ctx, key []byte) ([]byte, error) {
-			hll.Add(string(key))
+		must(t, p.Tenant("t").Register("count", func(_ *faas.Ctx, key []byte) ([]byte, error) {
+			cm.Add(string(key), 1)
 			if seen++; seen == 200 {
 				done.Set()
 			}
 			return nil, nil
 		}, faas.Config{}))
-		must(t, faas.BindTopic(p.FaaS, p.Pulsar, "stream", "t", "distinct", ""))
+		must(t, faas.BindTopic(p.FaaS, p.Pulsar, "stream", "t", "count", ""))
 		prod, _ := p.Pulsar.CreateProducer("stream")
 		for i := 0; i < 200; i++ {
 			k := fmt.Sprintf("u%d", i%50)
@@ -122,14 +122,15 @@ func TestPatternDataStreaming(t *testing.T) {
 			must(t, err)
 		}
 		done.Wait()
-		if est := hll.Estimate(); est < 40 || est > 60 {
-			t.Errorf("distinct estimate %.0f, want ≈50", est)
+		// Each of the 50 keys was sent 4 times.
+		if est := cm.Estimate("u7"); est < 4 || est > 4+cm.ErrorBound() {
+			t.Errorf("count estimate %d, want 4 (+ at most %d)", est, cm.ErrorBound())
 		}
 	})
 }
 
 // Pattern 5: state machine — an orchestrated multi-step workflow with
-// branching.
+// parallel branches.
 func TestPatternStateMachine(t *testing.T) {
 	p, v := NewVirtual(Options{})
 	defer v.Close()
@@ -145,18 +146,11 @@ func TestPatternStateMachine(t *testing.T) {
 		}, faas.Config{}))
 		sm := orchestrate.Chain(
 			orchestrate.Task("classify"),
-			orchestrate.Choice([]orchestrate.ChoiceBranch{
-				{When: func(in []byte) bool { return len(in) < 5 }, Then: orchestrate.Task("small")},
-			}, orchestrate.Task("large")),
+			orchestrate.Parallel(orchestrate.Task("small"), orchestrate.Task("large")),
 		)
 		out, err := p.Orchestrator.Execute("t", sm, []byte("ab"), obs.TraceCtx{})
 		must(t, err)
-		if string(out) != "small:ab" {
-			t.Errorf("out = %q", out)
-		}
-		out, err = p.Orchestrator.Execute("t", sm, []byte("abcdefgh"), obs.TraceCtx{})
-		must(t, err)
-		if string(out) != "large:abcdefgh" {
+		if string(out) != `["small:ab","large:ab"]` {
 			t.Errorf("out = %q", out)
 		}
 	})

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/faas"
 	"repro/internal/mlserve"
 )
 
@@ -187,8 +188,8 @@ func E17Inference() Table {
 		}
 		table.Rows = append(table.Rows, []string{
 			cfg, first.Round(time.Millisecond).String(),
-			percentile(warm, 50).Round(time.Millisecond).String(),
-			percentile(warm, 99).Round(time.Millisecond).String(),
+			faas.Percentile(warm, 50).Round(time.Millisecond).String(),
+			faas.Percentile(warm, 99).Round(time.Millisecond).String(),
 		})
 	}
 	table.Notes = "with the cache, only the first request pays the blob model fetch"
@@ -205,17 +206,4 @@ func inferPayload(dim int) []byte {
 		b = append(b, '0')
 	}
 	return append(b, ']', '}')
-}
-
-func percentile(ds []time.Duration, q float64) time.Duration {
-	if len(ds) == 0 {
-		return 0
-	}
-	s := append([]time.Duration{}, ds...)
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-	return s[int(q/100*float64(len(s)-1))]
 }

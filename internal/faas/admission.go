@@ -172,6 +172,6 @@ func (p *platform) admit(a *admission, tenant string) error {
 
 // ErrTenantThrottled marks a request shed by per-tenant admission. It wraps
 // the same platform-wide errs.ErrThrottled identity as ErrThrottled, so
-// errors.Is(err, core.ErrThrottled) matches either; matching this sentinel
+// errors.Is(err, errs.ErrThrottled) matches either; matching this sentinel
 // distinguishes tenant-level shedding from a function's concurrency cap.
 var ErrTenantThrottled = fmt.Errorf("faas: tenant rate limit reached (%w)", errs.ErrThrottled)

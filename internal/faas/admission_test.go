@@ -241,3 +241,32 @@ func TestPercentileOK(t *testing.T) {
 		t.Fatalf("p100 = %v", v)
 	}
 }
+
+// TestLatencyIncludesAdmissionWait: Result.Latency runs from the request's
+// arrival, so time a request spends queued for a tenant token counts. Three
+// back-to-back calls at 1 token/s: the third waits about a second for its
+// token.
+func TestLatencyIncludesAdmissionWait(t *testing.T) {
+	v := simclock.NewVirtual()
+	defer v.Close()
+	p := New(v, nil)
+	must(t, p.Register("f", "t", echo, Config{}))
+	p.SetAdmission(AdmissionConfig{RatePerSecond: 1, Burst: 1})
+
+	v.Run(func() {
+		var res Result
+		for i := 0; i < 3; i++ {
+			var err error
+			arrival := v.Now()
+			if res, err = p.InvokeFor("t", "f", nil); err != nil {
+				t.Fatalf("call %d: %v", i+1, err)
+			}
+			if el := v.Now().Sub(arrival); res.Latency != el {
+				t.Errorf("call %d: Latency = %v, returned %v after it arrived", i+1, res.Latency, el)
+			}
+		}
+		if res.Latency < 900*time.Millisecond {
+			t.Errorf("third call Latency = %v, want ≥ 900ms: the admission wait is left out", res.Latency)
+		}
+	})
+}

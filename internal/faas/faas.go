@@ -32,7 +32,7 @@ import (
 
 // Errors returned by the platform. Throttle and breaker sentinels wrap the
 // platform-wide identities in internal/errs, so errors.Is(err,
-// core.ErrThrottled) matches regardless of which plane shed the request.
+// errs.ErrThrottled) matches regardless of which plane shed the request.
 var (
 	ErrNoFunction  = errors.New("faas: function not registered")
 	ErrExists      = errors.New("faas: function already registered")
@@ -570,7 +570,7 @@ func (p *Platform) UnregisterFor(tenant, name string) error {
 type Result struct {
 	Output    []byte
 	Cold      bool          // the invocation paid a cold start
-	Latency   time.Duration // end-to-end: queuing + start + execution
+	Latency   time.Duration // end-to-end: admission wait + queuing + start + execution
 	Billed    time.Duration // duration billed (rounded up)
 	RequestID int64
 	Attempt   int           // 1-based attempt that produced this result
@@ -645,7 +645,8 @@ func (p *platform) invoke(tenant, name string, payload []byte, attempt int, pare
 	// reaches admission, the breaker, the pool or the meter — the cached
 	// reply *is* the invocation, which is what makes keyed retries
 	// billing-invisible.
-	if res, ok := fn.dedupLookup(idemKey, p.clock.Now()); ok {
+	arrival := p.clock.Now()
+	if res, ok := fn.dedupLookup(idemKey, arrival); ok {
 		res.RequestID = reqID
 		res.Attempt = attempt
 		res.Deduped = true
@@ -839,7 +840,7 @@ func (p *platform) invoke(tenant, name string, payload []byte, attempt int, pare
 	res := Result{
 		Output:    out,
 		Cold:      cold,
-		Latency:   end.Sub(start),
+		Latency:   end.Sub(arrival),
 		Billed:    billing.BilledDuration(execDur),
 		RequestID: reqID,
 		Attempt:   attempt,

@@ -60,14 +60,14 @@ func BindTopic(p *Platform, cluster *pulsar.Cluster, topic, tenant, fnName, outp
 
 // BlobEvent is the JSON payload delivered to blob-triggered functions.
 type BlobEvent struct {
-	Type   string `json:"type"` // "put" or "delete"
+	Type   string `json:"type"` // always "put"
 	Bucket string `json:"bucket"`
 	Key    string `json:"key"`
 	Size   int    `json:"size"`
 	ETag   string `json:"etag"`
 }
 
-// BindBlob invokes tenant's function for every mutation in the given bucket
+// BindBlob invokes tenant's function for every put in the given bucket
 // (the event-driven web/data-processing pattern of §3.1: an object lands in
 // storage and a function reacts).
 func BindBlob(p *Platform, store *blob.Store, bucketName, tenant, fnName string) {
@@ -75,12 +75,8 @@ func BindBlob(p *Platform, store *blob.Store, bucketName, tenant, fnName string)
 		if e.Object.Bucket != bucketName {
 			return
 		}
-		typ := "put"
-		if e.Type == blob.EventDelete {
-			typ = "delete"
-		}
 		payload, _ := json.Marshal(BlobEvent{
-			Type:   typ,
+			Type:   "put",
 			Bucket: e.Object.Bucket,
 			Key:    e.Object.Key,
 			Size:   e.Object.Size,

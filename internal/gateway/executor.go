@@ -12,8 +12,7 @@ import (
 // FunctionSpec is the wire form of a function registration: what
 // POST /v1/functions accepts. Handler names an executor entry — a builtin
 // ("echo", "work", "fail") or a handler the host process bound with
-// InProc.Bind — because the gateway ships no code-upload path yet; the
-// Executor seam is where a subprocess or container backend would slot in.
+// InProc.Bind — because the gateway ships no code-upload path.
 type FunctionSpec struct {
 	Name    string            `json:"name"`
 	Handler string            `json:"handler"`
@@ -44,16 +43,6 @@ func (s FunctionSpec) faasConfig() faas.Config {
 	}
 }
 
-// Executor materializes a FunctionSpec into runnable code. The gateway is
-// agnostic to how: InProc dispatches to Go funcs in this process; a later
-// backend can exec subprocesses or containers behind the same interface
-// without the HTTP surface changing.
-type Executor interface {
-	// Resolve returns the handler for spec, or ErrUnknownHandler (wrapped)
-	// when the spec names nothing the executor can run.
-	Resolve(spec FunctionSpec) (faas.Handler, error)
-}
-
 // InProc is the in-process executor: a catalog of builtin handlers plus
 // whatever the host program binds. Safe for concurrent use.
 type InProc struct {
@@ -74,7 +63,9 @@ func (e *InProc) Bind(name string, h faas.Handler) {
 	e.mu.Unlock()
 }
 
-// Resolve implements Executor. Host-bound handlers shadow builtins.
+// Resolve returns the handler for spec, or ErrUnknownHandler (wrapped) when
+// the spec names nothing the executor can run. Host-bound handlers shadow
+// builtins.
 func (e *InProc) Resolve(spec FunctionSpec) (faas.Handler, error) {
 	e.mu.RLock()
 	h, ok := e.bound[spec.Handler]

@@ -61,7 +61,7 @@ type Config struct {
 	Tokens map[string]string
 	// Executor materializes FunctionSpecs. Default: NewInProc() (builtins
 	// only).
-	Executor Executor
+	Executor *InProc
 	// MaxBody bounds request bodies in bytes. Default 8 MiB.
 	MaxBody int64
 }
@@ -74,7 +74,7 @@ type Config struct {
 // its platform clears the server's Handler once no connection can call it.
 type Gateway struct {
 	p       *core.Platform
-	exec    Executor
+	exec    *InProc
 	tokens  map[string]string
 	maxBody int64
 	mux     *http.ServeMux

@@ -60,29 +60,3 @@ func SSSP(src int) VertexProgram {
 		},
 	}
 }
-
-// WCC returns the vertex program labelling weakly connected components with
-// the minimum vertex id (min-label propagation). It treats edges as
-// undirected only if the graph already contains both directions.
-func WCC() VertexProgram {
-	return VertexProgram{
-		Init: func(v int, g *Graph) float64 { return float64(v) },
-		Compute: func(v int, g *Graph, value float64, msgs []float64, step int) (float64, []Message, bool) {
-			best := value
-			for _, m := range msgs {
-				if m < best {
-					best = m
-				}
-			}
-			improved := best < value || step == 0
-			if !improved {
-				return best, nil, false
-			}
-			var out []Message
-			for _, e := range g.Adj[v] {
-				out = append(out, Message{To: e.To, Value: best})
-			}
-			return best, out, false
-		},
-	}
-}

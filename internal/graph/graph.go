@@ -3,8 +3,8 @@
 // per-superstep vertex computation fans out over FaaS workers, with vertex
 // state and message exchange held in an in-memory engine — here a Jiffy
 // namespace, standing in for the distributed Redis memory engine Toader et
-// al. used. PageRank, single-source shortest paths and connected components
-// are provided as vertex programs with exact serial baselines.
+// al. used. PageRank and single-source shortest paths are provided as vertex
+// programs with exact serial baselines.
 package graph
 
 import (
@@ -54,27 +54,6 @@ func Random(n, outDegree int, seed int64) *Graph {
 			to := rng.Intn(n)
 			g.AddEdge(v, to, 1+rng.Float64()*9)
 		}
-	}
-	return g
-}
-
-// Ring generates a bidirectional ring (diameter n/2 — a worst case for BSP
-// propagation).
-func Ring(n int) *Graph {
-	g := NewGraph(n)
-	for v := 0; v < n; v++ {
-		g.AddEdge(v, (v+1)%n, 1)
-		g.AddEdge((v+1)%n, v, 1)
-	}
-	return g
-}
-
-// Star generates a hub-and-spoke graph (vertex 0 is the hub).
-func Star(n int) *Graph {
-	g := NewGraph(n)
-	for v := 1; v < n; v++ {
-		g.AddEdge(0, v, 1)
-		g.AddEdge(v, 0, 1)
 	}
 	return g
 }
@@ -129,44 +108,6 @@ func SSSPSerial(g *Graph, src int) []float64 {
 		}
 	}
 	return dist
-}
-
-// WCCSerial labels weakly connected components with union-find; the label is
-// the smallest vertex id in the component.
-func WCCSerial(g *Graph) []int {
-	parent := make([]int, g.N)
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b int) {
-		ra, rb := find(a), find(b)
-		if ra == rb {
-			return
-		}
-		if ra < rb {
-			parent[rb] = ra
-		} else {
-			parent[ra] = rb
-		}
-	}
-	for v := 0; v < g.N; v++ {
-		for _, e := range g.Adj[v] {
-			union(v, e.To)
-		}
-	}
-	out := make([]int, g.N)
-	for v := range out {
-		out[v] = find(v)
-	}
-	return out
 }
 
 type distEntry struct {

@@ -55,21 +55,6 @@ func TestSSSPSerialOnRing(t *testing.T) {
 	}
 }
 
-func TestWCCSerial(t *testing.T) {
-	g := NewGraph(6)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 0, 1)
-	g.AddEdge(2, 3, 1)
-	g.AddEdge(3, 2, 1)
-	labels := WCCSerial(g)
-	if labels[0] != 0 || labels[1] != 0 || labels[2] != 2 || labels[3] != 2 {
-		t.Fatalf("labels = %v", labels)
-	}
-	if labels[4] != 4 || labels[5] != 5 {
-		t.Fatalf("isolated labels = %v", labels)
-	}
-}
-
 func pregelEnv(t *testing.T) (*simclock.Virtual, *faas.Platform, *jiffy.Namespace) {
 	t.Helper()
 	v := simclock.NewVirtual()
@@ -126,32 +111,6 @@ func TestPregelSSSPMatchesDijkstra(t *testing.T) {
 	}
 }
 
-func TestPregelWCCMatchesUnionFind(t *testing.T) {
-	v, p, ns := pregelEnv(t)
-	// Three components: a ring, a pair, an isolated vertex.
-	g := NewGraph(13)
-	for i := 0; i < 10; i++ {
-		g.AddEdge(i, (i+1)%10, 1)
-		g.AddEdge((i+1)%10, i, 1)
-	}
-	g.AddEdge(10, 11, 1)
-	g.AddEdge(11, 10, 1)
-	want := WCCSerial(g)
-	var got []float64
-	v.Run(func() {
-		var err error
-		got, _, err = Run(p, ns, g, WCC(), EngineConfig{Workers: 3, MaxSupersteps: 50})
-		if err != nil {
-			t.Error(err)
-		}
-	})
-	for i := range want {
-		if int(got[i]) != want[i] {
-			t.Fatalf("label[%d] = %v, want %d", i, got[i], want[i])
-		}
-	}
-}
-
 func TestPregelHaltsEarly(t *testing.T) {
 	v, p, ns := pregelEnv(t)
 	g := Ring(6) // SSSP on a small ring converges in ~4 supersteps
@@ -181,4 +140,25 @@ func TestPregelWorkersCappedByVertices(t *testing.T) {
 			t.Errorf("dist = %v", got)
 		}
 	})
+}
+
+// Ring generates a bidirectional ring (diameter n/2 — a worst case for BSP
+// propagation).
+func Ring(n int) *Graph {
+	g := NewGraph(n)
+	for v := 0; v < n; v++ {
+		g.AddEdge(v, (v+1)%n, 1)
+		g.AddEdge((v+1)%n, v, 1)
+	}
+	return g
+}
+
+// Star generates a hub-and-spoke graph (vertex 0 is the hub).
+func Star(n int) *Graph {
+	g := NewGraph(n)
+	for v := 1; v < n; v++ {
+		g.AddEdge(0, v, 1)
+		g.AddEdge(v, 0, 1)
+	}
+	return g
 }

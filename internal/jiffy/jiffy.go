@@ -60,7 +60,6 @@ var (
 	ErrEmptyQueue   = errors.New("jiffy: queue is empty")
 	ErrBadPath      = errors.New("jiffy: malformed namespace path")
 	ErrValueTooBig  = errors.New("jiffy: value exceeds block size")
-	ErrHasChildren  = errors.New("jiffy: namespace has children")
 	ErrMinBlocks    = errors.New("jiffy: cannot scale below one block")
 	ErrNodeDown     = errors.New("jiffy: memory node is down")
 	ErrNoNode       = errors.New("jiffy: memory node does not exist")

@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -48,7 +47,6 @@ func (r Row) clone() Row {
 
 type rowVersion struct {
 	commitTS int64
-	deleted  bool
 	row      Row
 }
 
@@ -102,22 +100,6 @@ func (db *DB) CreateTable(name, tenant string, indexCols ...string) error {
 	return nil
 }
 
-// DropTable removes a table and its data.
-func (db *DB) DropTable(name string) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if _, ok := db.tables[name]; !ok {
-		return fmt.Errorf("%w: %q", ErrNoTable, name)
-	}
-	delete(db.tables, name)
-	return nil
-}
-
-type writeOp struct {
-	row     Row
-	deleted bool
-}
-
 type writeKey struct {
 	table string
 	pk    string
@@ -128,7 +110,7 @@ type writeKey struct {
 type Txn struct {
 	db     *DB
 	readTS int64
-	writes map[writeKey]writeOp
+	writes map[writeKey]Row
 	order  []writeKey // write order, for deterministic index updates
 	done   bool
 }
@@ -137,7 +119,7 @@ type Txn struct {
 func (db *DB) Begin() *Txn {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return &Txn{db: db, readTS: db.ts, writes: map[writeKey]writeOp{}}
+	return &Txn{db: db, readTS: db.ts, writes: map[writeKey]Row{}}
 }
 
 // Get returns the row for pk visible in this transaction's snapshot,
@@ -151,10 +133,7 @@ func (tx *Txn) Get(tableName, pk string) (Row, bool, error) {
 		defer func() { tx.db.obsGetLat.Observe(tx.db.clock.Now().Sub(start)) }()
 	}
 	if w, ok := tx.writes[writeKey{tableName, pk}]; ok {
-		if w.deleted {
-			return nil, false, nil
-		}
-		return w.row.clone(), true, nil
+		return w.clone(), true, nil
 	}
 	tx.db.mu.Lock()
 	defer tx.db.mu.Unlock()
@@ -164,7 +143,7 @@ func (tx *Txn) Get(tableName, pk string) (Row, bool, error) {
 	}
 	tx.db.meterAdd(t.tenant, billing.ResDBReadUnits, 1)
 	v, ok := visible(t.rows[pk], tx.readTS)
-	if !ok || v.deleted {
+	if !ok {
 		return nil, false, nil
 	}
 	return v.row.clone(), true, nil
@@ -182,23 +161,7 @@ func (tx *Txn) Put(tableName, pk string, row Row) error {
 	if _, seen := tx.writes[k]; !seen {
 		tx.order = append(tx.order, k)
 	}
-	tx.writes[k] = writeOp{row: row.clone()}
-	return nil
-}
-
-// Delete buffers a row deletion.
-func (tx *Txn) Delete(tableName, pk string) error {
-	if tx.done {
-		return ErrTxnDone
-	}
-	if err := tx.checkTable(tableName); err != nil {
-		return err
-	}
-	k := writeKey{tableName, pk}
-	if _, seen := tx.writes[k]; !seen {
-		tx.order = append(tx.order, k)
-	}
-	tx.writes[k] = writeOp{deleted: true}
+	tx.writes[k] = row.clone()
 	return nil
 }
 
@@ -216,37 +179,15 @@ func (tx *Txn) Scan(tableName string) (map[string]Row, error) {
 	}
 	out := map[string]Row{}
 	for pk, versions := range t.rows {
-		if v, ok := visible(versions, tx.readTS); ok && !v.deleted {
+		if v, ok := visible(versions, tx.readTS); ok {
 			out[pk] = v.row.clone()
 		}
 	}
 	tx.db.meterAdd(t.tenant, billing.ResDBReadUnits, float64(len(out)))
 	tx.db.mu.Unlock()
 	for k, w := range tx.writes {
-		if k.table != tableName {
-			continue
-		}
-		if w.deleted {
-			delete(out, k.pk)
-		} else {
-			out[k.pk] = w.row.clone()
-		}
-	}
-	return out, nil
-}
-
-// ScanPrefix returns every (pk, row) visible in the snapshot whose primary
-// key begins with prefix, merged with the transaction's buffered writes —
-// the range-query primitive web/IoT registries page with.
-func (tx *Txn) ScanPrefix(tableName, prefix string) (map[string]Row, error) {
-	all, err := tx.Scan(tableName)
-	if err != nil {
-		return nil, err
-	}
-	out := map[string]Row{}
-	for pk, row := range all {
-		if strings.HasPrefix(pk, prefix) {
-			out[pk] = row
+		if k.table == tableName {
+			out[k.pk] = w.clone()
 		}
 	}
 	return out, nil
@@ -273,7 +214,7 @@ func (tx *Txn) IndexLookup(tableName, column, value string) ([]string, error) {
 	// Index entries are insert-only hints; each candidate is verified
 	// against the snapshot so stale entries never leak.
 	for pk := range idx[value] {
-		if v, ok := visible(t.rows[pk], tx.readTS); ok && !v.deleted && v.row[column] == value {
+		if v, ok := visible(t.rows[pk], tx.readTS); ok && v.row[column] == value {
 			set[pk] = true
 		}
 	}
@@ -283,9 +224,7 @@ func (tx *Txn) IndexLookup(tableName, column, value string) ([]string, error) {
 		if k.table != tableName {
 			continue
 		}
-		if w.deleted {
-			delete(set, k.pk)
-		} else if w.row[column] == value {
+		if w[column] == value {
 			set[k.pk] = true
 		} else {
 			delete(set, k.pk)
@@ -331,15 +270,13 @@ func (tx *Txn) Commit() error {
 	for _, k := range tx.order {
 		w := tx.writes[k]
 		t := tx.db.tables[k.table]
-		t.rows[k.pk] = append(t.rows[k.pk], rowVersion{commitTS: commitTS, deleted: w.deleted, row: w.row})
-		if !w.deleted {
-			for col, idx := range t.indexes {
-				if val, ok := w.row[col]; ok {
-					if idx[val] == nil {
-						idx[val] = map[string]struct{}{}
-					}
-					idx[val][k.pk] = struct{}{}
+		t.rows[k.pk] = append(t.rows[k.pk], rowVersion{commitTS: commitTS, row: w})
+		for col, idx := range t.indexes {
+			if val, ok := w[col]; ok {
+				if idx[val] == nil {
+					idx[val] = map[string]struct{}{}
 				}
+				idx[val][k.pk] = struct{}{}
 			}
 		}
 		tx.db.meterAdd(t.tenant, billing.ResDBWriteUnits, 1)
@@ -404,23 +341,9 @@ func (db *DB) Vacuum(horizon int64) int {
 				dropped += keepFrom
 				t.rows[pk] = append([]rowVersion{}, versions[keepFrom:]...)
 			}
-			// A lone deletion tombstone at or below the horizon is fully
-			// reclaimable: every current reader sees "absent" either way.
-			vs := t.rows[pk]
-			if len(vs) == 1 && vs[0].deleted && vs[0].commitTS <= horizon {
-				delete(t.rows, pk)
-				dropped++
-			}
 		}
 	}
 	return dropped
-}
-
-// CommitTS returns the current commit timestamp (for tests and tooling).
-func (db *DB) CommitTS() int64 {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.ts
 }
 
 func (tx *Txn) checkTable(name string) error {

@@ -24,8 +24,7 @@ func (db *DB) Tables() []string {
 }
 
 // LatestRows returns deep copies of every live row of a table as of the
-// newest commit: the version visible at the current timestamp oracle,
-// excluding deletions.
+// newest commit: the version visible at the current timestamp oracle.
 func (db *DB) LatestRows(name string) (map[string]Row, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -35,7 +34,7 @@ func (db *DB) LatestRows(name string) (map[string]Row, error) {
 	}
 	out := map[string]Row{}
 	for pk, versions := range t.rows {
-		if v, ok := visible(versions, db.ts); ok && !v.deleted {
+		if v, ok := visible(versions, db.ts); ok {
 			out[pk] = v.row.clone()
 		}
 	}

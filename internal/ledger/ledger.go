@@ -40,7 +40,6 @@ import (
 var (
 	ErrNoLedger     = errors.New("ledger: ledger does not exist")
 	ErrNoEntry      = errors.New("ledger: entry does not exist")
-	ErrClosed       = errors.New("ledger: ledger is closed")
 	ErrNotClosed    = errors.New("ledger: ledger is still open")
 	ErrFenced       = errors.New("ledger: ledger is fenced")
 	ErrBookieDown   = errors.New("ledger: bookie is down")

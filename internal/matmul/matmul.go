@@ -2,8 +2,8 @@
 // of §5.1 ([181]): dense matrices, a serial baseline, a block-parallel
 // serverless MATMUL that fans block products out over FaaS functions with
 // intermediate results in ephemeral storage, and Strassen's seven-product
-// recursion ([170]) — both serial and with its top-level products executed
-// as serverless functions.
+// recursion ([170]) with its top-level products executed as serverless
+// functions.
 package matmul
 
 import (
@@ -42,9 +42,6 @@ func Random(rows, cols int, seed int64) Matrix {
 
 // At returns m[i,j].
 func (m Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
-
-// Set assigns m[i,j].
-func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 
 // Mul is the serial O(n³) baseline.
 func Mul(a, b Matrix) (Matrix, error) {
@@ -135,21 +132,8 @@ func StrassenOps(n, cutoff int) int64 {
 	return 7*StrassenOps(n/2, cutoff) + 0 // additions are free in this count
 }
 
-// Strassen multiplies square power-of-two matrices with the seven-product
+// strassen multiplies square power-of-two matrices with the seven-product
 // recursion, falling back to the serial kernel at or below cutoff.
-func Strassen(a, b Matrix, cutoff int) (Matrix, error) {
-	if a.Rows != a.Cols || b.Rows != b.Cols || a.Cols != b.Rows {
-		return Matrix{}, fmt.Errorf("%w: %dx%d × %dx%d", ErrNotPow2, a.Rows, a.Cols, b.Rows, b.Cols)
-	}
-	if a.Rows&(a.Rows-1) != 0 {
-		return Matrix{}, fmt.Errorf("%w: n=%d", ErrNotPow2, a.Rows)
-	}
-	if cutoff < 1 {
-		cutoff = 64
-	}
-	return strassen(a, b, cutoff), nil
-}
-
 func strassen(a, b Matrix, cutoff int) Matrix {
 	n := a.Rows
 	if n <= cutoff {

@@ -42,10 +42,7 @@ func TestStrassenMatchesSerial(t *testing.T) {
 	for _, n := range []int{2, 8, 32, 64} {
 		a, b := Random(n, n, 1), Random(n, n, 2)
 		want, _ := Mul(a, b)
-		got, err := Strassen(a, b, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := strassen(a, b, 4)
 		if d := MaxAbsDiff(want, got); d > 1e-9 {
 			t.Fatalf("n=%d: strassen differs by %v", n, d)
 		}
@@ -53,12 +50,15 @@ func TestStrassenMatchesSerial(t *testing.T) {
 }
 
 func TestStrassenValidation(t *testing.T) {
-	if _, err := Strassen(New(3, 3), New(3, 3), 1); !errors.Is(err, ErrNotPow2) {
-		t.Fatalf("err = %v", err)
-	}
-	if _, err := Strassen(New(4, 2), New(2, 4), 1); !errors.Is(err, ErrNotPow2) {
-		t.Fatalf("err = %v", err)
-	}
+	v, p, ns := serverlessEnv(t)
+	v.Run(func() {
+		if _, err := StrassenServerless(p, ns, New(3, 3), New(3, 3), 1, ServerlessConfig{}); !errors.Is(err, ErrNotPow2) {
+			t.Errorf("err = %v", err)
+		}
+		if _, err := StrassenServerless(p, ns, New(4, 2), New(2, 4), 1, ServerlessConfig{}); !errors.Is(err, ErrNotPow2) {
+			t.Errorf("err = %v", err)
+		}
+	})
 }
 
 func TestStrassenOpsSavings(t *testing.T) {

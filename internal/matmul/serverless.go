@@ -175,8 +175,8 @@ func MulBlocked(p *faas.Platform, ns *jiffy.Namespace, a, b Matrix, cfg Serverle
 
 // StrassenServerless runs Strassen's seven top-level products as concurrent
 // FaaS invocations (Werner et al.'s distributed Strassen [181]), with
-// operands and products exchanged through ephemeral storage; each product is
-// computed with serial Strassen below the top level.
+// operands and products exchanged through ephemeral storage; each worker
+// computes its product with the serial seven-product recursion (strassen).
 func StrassenServerless(p *faas.Platform, ns *jiffy.Namespace, a, b Matrix, cutoff int, cfg ServerlessConfig) (Matrix, error) {
 	if a.Rows != a.Cols || b.Rows != b.Cols || a.Cols != b.Rows || a.Rows&(a.Rows-1) != 0 {
 		return Matrix{}, fmt.Errorf("%w: %dx%d × %dx%d", ErrNotPow2, a.Rows, a.Cols, b.Rows, b.Cols)

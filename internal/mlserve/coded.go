@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"time"
 
@@ -159,7 +158,7 @@ func MatVec(p *faas.Platform, a [][]float64, x []float64, cfg CodedConfig) (Code
 	}, nil
 }
 
-// MatVecSerial is the baseline.
+// MatVecSerial is the baseline the coded MatVec is checked against.
 func MatVecSerial(a [][]float64, x []float64) []float64 {
 	y := make([]float64, len(a))
 	for i, row := range a {
@@ -191,18 +190,4 @@ func RandomVector(n int, seed int64) []float64 {
 		x[i] = rng.NormFloat64()
 	}
 	return x
-}
-
-// MaxAbsDiffVec returns max |a[i]-b[i]|.
-func MaxAbsDiffVec(a, b []float64) float64 {
-	if len(a) != len(b) {
-		return math.Inf(1)
-	}
-	var m float64
-	for i := range a {
-		if d := math.Abs(a[i] - b[i]); d > m {
-			m = d
-		}
-	}
-	return m
 }

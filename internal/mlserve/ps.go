@@ -7,7 +7,7 @@ import (
 )
 
 // Server is a parameter server: it holds the model weights and processes
-// pulls and gradient applications *sequentially*, each costing a modelled
+// gradient applications *sequentially*, each costing a modelled
 // service time — the serialization that makes a flat parameter server the
 // bottleneck of data-parallel training as worker counts grow, and that
 // hierarchical aggregation ([94]) alleviates.
@@ -15,10 +15,8 @@ type Server struct {
 	clock   simclock.Clock
 	service time.Duration
 
-	mu      *simclock.Sem // one permit: held across the modelled service time
-	w       []float64
-	pulls   int64
-	applies int64
+	mu *simclock.Sem // one permit: held across the modelled service time
+	w  []float64
 }
 
 // NewServer creates a parameter server with zero-initialized weights of the
@@ -27,21 +25,11 @@ func NewServer(clock simclock.Clock, dim int, service time.Duration) *Server {
 	return &Server{clock: clock, service: service, mu: simclock.NewSem(clock, 1), w: make([]float64, dim)}
 }
 
-// Pull returns a copy of the current weights, paying one service time.
-func (s *Server) Pull() []float64 {
-	s.mu.Acquire()
-	defer s.mu.Release()
-	s.clock.Sleep(s.service)
-	s.pulls++
-	return append([]float64{}, s.w...)
-}
-
 // Apply subtracts factor·grad from the weights, paying one service time.
 func (s *Server) Apply(grad []float64, factor float64) {
 	s.mu.Acquire()
 	defer s.mu.Release()
 	s.clock.Sleep(s.service)
-	s.applies++
 	for i := range s.w {
 		s.w[i] -= factor * grad[i]
 	}
@@ -53,13 +41,6 @@ func (s *Server) Snapshot() []float64 {
 	s.mu.Acquire()
 	defer s.mu.Release()
 	return append([]float64{}, s.w...)
-}
-
-// Stats returns (pulls, applies) processed so far.
-func (s *Server) Stats() (int64, int64) {
-	s.mu.Acquire()
-	defer s.mu.Release()
-	return s.pulls, s.applies
 }
 
 // Pusher accepts worker gradients. Both Server (flat topology) and

@@ -90,14 +90,8 @@ func New(store *blob.Store, bucketName, prefix string, n int, seed int64) (*Clie
 	return c, nil
 }
 
-// Capacity returns the logical block capacity.
-func (c *Client) Capacity() int { return c.n }
-
 // Levels returns the tree height (path length is Levels+1 buckets).
 func (c *Client) Levels() int { return c.levels }
-
-// StashSize returns the current client stash occupancy.
-func (c *Client) StashSize() int { return len(c.stash) }
 
 // Write stores data under block id.
 func (c *Client) Write(id int64, data []byte) error {

@@ -1,7 +1,6 @@
 // Package orchestrate implements the FaaS orchestration framework of §4.2:
-// composition of serverless functions into state machines (sequences,
-// parallel branches, choices, maps, waits) in the style of AWS Step
-// Functions / IBM Composer.
+// composition of serverless functions into state machines (tasks, sequences
+// and parallel branches) in the style of AWS Step Functions / IBM Composer.
 //
 // The design enforces the three properties Lopez et al. require of such
 // frameworks (§4.2):
@@ -21,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/faas"
 	"repro/internal/obs"
@@ -31,9 +29,7 @@ import (
 // Errors returned by the engine.
 var (
 	ErrUnknownTarget = errors.New("orchestrate: task target is neither a function nor a composition")
-	ErrNoChoice      = errors.New("orchestrate: no choice branch matched and no default given")
 	ErrBadInput      = errors.New("orchestrate: input does not match state requirements")
-	ErrFailed        = errors.New("orchestrate: execution reached a Fail state")
 )
 
 // State is one node of a state machine. States are built with the
@@ -47,7 +43,6 @@ type State interface {
 type taskState struct {
 	target string
 	retry  faas.RetryPolicy
-	catch  State
 }
 
 // Task invokes the named target — a registered platform function or a
@@ -66,12 +61,6 @@ func TaskRetry(target string, retry faas.RetryPolicy) State {
 	return taskState{target: target, retry: retry}
 }
 
-// TaskCatch is TaskRetry with an error fallback state that receives the
-// original input when the step fails.
-func TaskCatch(target string, retry faas.RetryPolicy, catch State) State {
-	return taskState{target: target, retry: retry, catch: catch}
-}
-
 type chainState []State
 
 // Chain runs states sequentially, piping each output into the next input.
@@ -82,52 +71,6 @@ type parallelState []State
 // Parallel runs branches concurrently on the same input; its output is the
 // JSON array of branch outputs, in branch order.
 func Parallel(branches ...State) State { return parallelState(branches) }
-
-// ChoiceBranch pairs a predicate over the input with the state to run.
-type ChoiceBranch struct {
-	When func(input []byte) bool
-	Then State
-}
-
-type choiceState struct {
-	branches []ChoiceBranch
-	fallback State
-}
-
-// Choice runs the first branch whose predicate matches; otherwise the
-// default (which may be nil, making an unmatched input an error).
-func Choice(branches []ChoiceBranch, def State) State {
-	return choiceState{branches: branches, fallback: def}
-}
-
-type mapState struct {
-	iterator State
-	maxConc  int
-}
-
-// Map applies iterator to every element of the JSON-array input, with at
-// most maxConc concurrent iterations (0 = unlimited). Output is the JSON
-// array of per-element outputs in input order.
-func Map(iterator State, maxConc int) State { return mapState{iterator: iterator, maxConc: maxConc} }
-
-type waitState time.Duration
-
-// Wait pauses the execution for d (on the platform clock) and passes its
-// input through.
-func Wait(d time.Duration) State { return waitState(d) }
-
-type passState struct {
-	transform func([]byte) ([]byte, error)
-}
-
-// Pass transforms the input inline (pure glue, no function invocation; bills
-// nothing). A nil transform is the identity.
-func Pass(transform func([]byte) ([]byte, error)) State { return passState{transform} }
-
-type failState string
-
-// Fail aborts the execution with the given reason.
-func Fail(reason string) State { return failState(reason) }
 
 // --- engine ---
 
@@ -233,8 +176,7 @@ func (s taskState) run(e *Engine, ec *execCtx, input []byte) (out []byte, err er
 
 	e.obsSteps.Inc()
 	sp, ec := ec.childCtx(e, "task:", s.target)
-	var caught []obs.Attr
-	defer func() { endSpan(sp, err, caught...) }()
+	defer func() { endSpan(sp, err) }()
 	if isComp {
 		out, err = comp.run(e, ec, input)
 	} else {
@@ -248,14 +190,10 @@ func (s taskState) run(e *Engine, ec *execCtx, input []byte) (out []byte, err er
 		}
 		out = res.Output
 	}
-	if err == nil {
-		return out, nil
+	if err != nil {
+		return nil, err
 	}
-	if s.catch != nil {
-		caught = []obs.Attr{{Key: "catch", Value: s.target}}
-		return s.catch.run(e, ec, input)
-	}
-	return nil, err
+	return out, nil
 }
 
 func (s chainState) run(e *Engine, ec *execCtx, input []byte) ([]byte, error) {
@@ -275,80 +213,20 @@ func (s parallelState) run(e *Engine, ec *execCtx, input []byte) ([]byte, error)
 	if sp.Active() {
 		defer sp.EndAttrs(false, obs.Attr{Key: "branches", Value: fmt.Sprint(len(s))})
 	}
-	return fanOut(e.platform.Clock(), len(s), 0, func(i int) ([]byte, error) {
+	return fanOut(e.platform.Clock(), len(s), func(i int) ([]byte, error) {
 		return s[i].run(e, ec, input)
 	})
 }
 
-func (s choiceState) run(e *Engine, ec *execCtx, input []byte) ([]byte, error) {
-	for i, br := range s.branches {
-		if br.When(input) {
-			sp, ec := ec.childCtx(e, "", "choice")
-			if sp.Active() {
-				defer sp.EndAttrs(false, obs.Attr{Key: "branch", Value: fmt.Sprint(i)})
-			}
-			return br.Then.run(e, ec, input)
-		}
-	}
-	if s.fallback == nil {
-		return nil, ErrNoChoice
-	}
-	sp, ec := ec.childCtx(e, "", "choice")
-	defer sp.EndAttrs(false, obs.Attr{Key: "branch", Value: "default"})
-	return s.fallback.run(e, ec, input)
-}
-
-func (s mapState) run(e *Engine, ec *execCtx, input []byte) ([]byte, error) {
-	var items []json.RawMessage
-	if err := json.Unmarshal(input, &items); err != nil {
-		return nil, fmt.Errorf("%w: Map needs a JSON array: %v", ErrBadInput, err)
-	}
-	sp, ec := ec.childCtx(e, "", "map")
-	if sp.Active() {
-		defer sp.EndAttrs(false, obs.Attr{Key: "items", Value: fmt.Sprint(len(items))})
-	}
-	return fanOut(e.platform.Clock(), len(items), s.maxConc, func(i int) ([]byte, error) {
-		return s.iterator.run(e, ec, items[i])
-	})
-}
-
-func (s waitState) run(e *Engine, ec *execCtx, input []byte) ([]byte, error) {
-	sp, _ := ec.childCtx(e, "", "wait")
-	e.platform.Clock().Sleep(time.Duration(s))
-	sp.End()
-	return input, nil
-}
-
-func (s passState) run(e *Engine, ec *execCtx, input []byte) ([]byte, error) {
-	if s.transform == nil {
-		return input, nil
-	}
-	return s.transform(input)
-}
-
-func (s failState) run(e *Engine, ec *execCtx, input []byte) ([]byte, error) {
-	return nil, fmt.Errorf("%w: %s", ErrFailed, string(s))
-}
-
-// fanOut runs run(0) … run(n-1) concurrently on clock, at most limit at once
-// when limit > 0, and returns the first error in index order or else the JSON
-// array of their outputs in index order.
-func fanOut(clock simclock.Clock, n, limit int, run func(i int) ([]byte, error)) ([]byte, error) {
+// fanOut runs run(0) … run(n-1) concurrently on clock and returns the first
+// error in index order or else the JSON array of their outputs in index
+// order.
+func fanOut(clock simclock.Clock, n int, run func(i int) ([]byte, error)) ([]byte, error) {
 	outs := make([]json.RawMessage, n)
 	errs := make([]error, n)
 	wg := simclock.NewGroup(clock)
-	var sem *simclock.Sem
-	if limit > 0 {
-		sem = simclock.NewSem(clock, limit)
-	}
 	for i := 0; i < n; i++ {
-		if sem != nil {
-			sem.Acquire()
-		}
 		wg.Go(func() {
-			if sem != nil {
-				defer sem.Release()
-			}
 			outs[i], errs[i] = run(i)
 		})
 	}

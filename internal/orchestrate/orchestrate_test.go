@@ -6,7 +6,6 @@ import (
 	"errors"
 	"slices"
 	"sort"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -92,99 +91,6 @@ func TestParallelRunsConcurrently(t *testing.T) {
 	}
 }
 
-func TestChoiceRouting(t *testing.T) {
-	v, _, _, e := testEnv(t)
-	sm := Choice([]ChoiceBranch{
-		{When: func(in []byte) bool { return strings.HasPrefix(string(in), "img:") }, Then: Task("upper")},
-	}, Task("exclaim"))
-	v.Run(func() {
-		out, err := e.Execute("acme", sm, []byte("img:cat"), obs.TraceCtx{})
-		if err != nil || string(out) != "IMG:CAT" {
-			t.Errorf("branch out = %q err=%v", out, err)
-		}
-		out, err = e.Execute("acme", sm, []byte("other"), obs.TraceCtx{})
-		if err != nil || string(out) != "other!" {
-			t.Errorf("default out = %q err=%v", out, err)
-		}
-	})
-}
-
-func TestChoiceNoMatchNoDefault(t *testing.T) {
-	v, _, _, e := testEnv(t)
-	sm := Choice([]ChoiceBranch{
-		{When: func([]byte) bool { return false }, Then: Task("upper")},
-	}, nil)
-	v.Run(func() {
-		if _, err := e.Execute("acme", sm, []byte("x"), obs.TraceCtx{}); !errors.Is(err, ErrNoChoice) {
-			t.Errorf("err = %v", err)
-		}
-	})
-}
-
-func TestMapAppliesPerElement(t *testing.T) {
-	v, _, _, e := testEnv(t)
-	input, _ := json.Marshal([]string{"a", "b", "c"})
-	var out []byte
-	var err error
-	v.Run(func() {
-		out, err = e.Execute("acme", Map(Task("upper"), 2), input, obs.TraceCtx{})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var arr []string
-	if err := json.Unmarshal(out, &arr); err != nil {
-		t.Fatalf("bad output %q: %v", out, err)
-	}
-	// upper receives the raw JSON element (`"a"`), uppercases it to `"A"`,
-	// which is itself valid JSON and embeds directly in the output array.
-	if len(arr) != 3 || arr[0] != "A" || arr[2] != "C" {
-		t.Fatalf("arr = %q", arr)
-	}
-}
-
-func TestMapRejectsNonArray(t *testing.T) {
-	v, _, _, e := testEnv(t)
-	v.Run(func() {
-		if _, err := e.Execute("acme", Map(Task("upper"), 0), []byte("notjson"), obs.TraceCtx{}); !errors.Is(err, ErrBadInput) {
-			t.Errorf("err = %v", err)
-		}
-	})
-}
-
-func TestWaitAdvancesClock(t *testing.T) {
-	v, _, _, e := testEnv(t)
-	end := v.Run(func() {
-		out, err := e.Execute("acme", Chain(Wait(time.Minute), Pass(nil)), []byte("keep"), obs.TraceCtx{})
-		if err != nil || string(out) != "keep" {
-			t.Errorf("out = %q err = %v", out, err)
-		}
-	})
-	if el := end.Sub(simclock.Epoch); el != time.Minute {
-		t.Fatalf("elapsed = %v", el)
-	}
-}
-
-func TestPassTransform(t *testing.T) {
-	v, _, _, e := testEnv(t)
-	double := Pass(func(in []byte) ([]byte, error) { return append(in, in...), nil })
-	v.Run(func() {
-		out, err := e.Execute("acme", double, []byte("ab"), obs.TraceCtx{})
-		if err != nil || string(out) != "abab" {
-			t.Errorf("out = %q err = %v", out, err)
-		}
-	})
-}
-
-func TestFailState(t *testing.T) {
-	v, _, _, e := testEnv(t)
-	v.Run(func() {
-		if _, err := e.Execute("acme", Fail("bad input"), nil, obs.TraceCtx{}); !errors.Is(err, ErrFailed) {
-			t.Errorf("err = %v", err)
-		}
-	})
-}
-
 func TestTaskRetryWithBackoff(t *testing.T) {
 	v, p, _, e := testEnv(t)
 	var calls int64
@@ -212,22 +118,6 @@ func TestTaskRetryWithBackoff(t *testing.T) {
 	}
 }
 
-func TestTaskCatchFallback(t *testing.T) {
-	v, p, _, e := testEnv(t)
-	if err := p.Register("broken", "acme", func(ctx *faas.Ctx, in []byte) ([]byte, error) {
-		return nil, errors.New("always fails")
-	}, faas.Config{ColdStart: time.Millisecond, MaxRetries: -1}); err != nil {
-		t.Fatal(err)
-	}
-	sm := TaskCatch("broken", faas.RetryPolicy{MaxAttempts: 2}, Task("exclaim"))
-	v.Run(func() {
-		out, err := e.Execute("acme", sm, []byte("in"), obs.TraceCtx{})
-		if err != nil || string(out) != "in!" {
-			t.Errorf("catch out = %q err = %v", out, err)
-		}
-	})
-}
-
 func TestUnknownTarget(t *testing.T) {
 	v, _, _, e := testEnv(t)
 	v.Run(func() {
@@ -244,7 +134,7 @@ func TestCompositionIsAFunction(t *testing.T) {
 	if err := e.RegisterComposition("shout", Chain(Task("upper"), Task("exclaim"))); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.RegisterComposition("shout", Pass(nil)); err == nil {
+	if err := e.RegisterComposition("shout", Task("upper")); err == nil {
 		t.Fatal("duplicate composition allowed")
 	}
 	// Nest the composition inside another composition.
@@ -405,7 +295,7 @@ func TestExecutionSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	v.Run(func() {
-		if _, err := e.Execute("acme", Chain(Task("upper"), Wait(time.Second), Task("exclaim")), []byte("x"), obs.TraceCtx{}); err != nil {
+		if _, err := e.Execute("acme", Chain(Task("upper"), Parallel(Task("exclaim"), Task("len"))), []byte("x"), obs.TraceCtx{}); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := e.Execute("acme", TaskRetry("flaky", faas.RetryPolicy{MaxAttempts: 3, Base: time.Second, Jitter: -1}), nil, obs.TraceCtx{}); err != nil {
@@ -430,11 +320,13 @@ func TestExecutionSpans(t *testing.T) {
 		t.Fatalf("%d executions traced, want 2", len(execs))
 	}
 	names, steps := children(execs[0])
-	if want := []string{"task:upper", "wait", "task:exclaim"}; !slices.Equal(names, want) {
+	if want := []string{"task:upper", "parallel"}; !slices.Equal(names, want) {
 		t.Fatalf("chain steps = %v, want %v", names, want)
 	}
-	if steps[1].Duration != time.Second {
-		t.Fatalf("wait span lasted %v, want 1s", steps[1].Duration)
+	names, _ = children(steps[1])
+	sort.Strings(names)
+	if want := []string{"task:exclaim", "task:len"}; !slices.Equal(names, want) {
+		t.Fatalf("parallel branches = %v, want %v", names, want)
 	}
 
 	names, steps = children(execs[1])

@@ -92,3 +92,11 @@ func FuzzDecodeMessage(f *testing.F) {
 		}
 	})
 }
+
+// encodeMessage serializes m into a single freshly allocated buffer. Its Seq
+// and Topic are not part of the entry.
+func encodeMessage(m Message) []byte {
+	b := make([]byte, entrySize(m.Key, len(m.Payload)))
+	encodeEntryInto(b, m.Key, m.Payload, m.PublishTime)
+	return b
+}

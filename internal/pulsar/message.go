@@ -51,14 +51,6 @@ const codecVersion = 0x02
 
 const msgFixedHeader = 1 + 8 // version + publish time
 
-// encodeMessage serializes m into a single freshly allocated buffer. Its Seq
-// and Topic are not part of the entry.
-func encodeMessage(m Message) []byte {
-	b := make([]byte, entrySize(m.Key, len(m.Payload)))
-	encodeEntryInto(b, m.Key, m.Payload, m.PublishTime)
-	return b
-}
-
 // entrySize returns the encoded size of an entry with the given key and
 // payload length.
 func entrySize(key string, payloadLen int) int {

@@ -10,9 +10,8 @@ import (
 	"repro/internal/simclock"
 )
 
-// TestPropertyAtLeastOnce: under random consumer behaviour (ack, drop,
-// nack), every message is eventually acked or lands in the DLQ — none
-// vanish.
+// TestPropertyAtLeastOnce: under random consumer behaviour (ack or drop),
+// every message is eventually acked or lands in the DLQ — none vanish.
 func TestPropertyAtLeastOnce(t *testing.T) {
 	f := func(seed int64) bool {
 		v := simclock.NewVirtual()
@@ -48,22 +47,20 @@ func TestPropertyAtLeastOnce(t *testing.T) {
 				}
 				if len(ds) == 0 {
 					v.Sleep(1200 * time.Millisecond) // let inflight time out
-					if l, _ := s.Len("q"); l == 0 {
+					if queued(s, "q") == 0 {
 						break
 					}
 					continue
 				}
 				for _, d := range ds {
-					switch rng.Intn(3) {
+					switch rng.Intn(2) {
 					case 0: // ack
 						if err := s.Ack("q", d.ReceiptHandle); err != nil {
 							ok = false
 							return
 						}
 						acked[string(d.Body)] = true
-					case 1: // fast nack
-						_ = s.ChangeVisibility("q", d.ReceiptHandle, 0)
-					case 2: // drop (let visibility lapse)
+					case 1: // drop (let visibility lapse)
 					}
 				}
 			}

@@ -1,8 +1,9 @@
 // Package queue implements the SQS/SNS-style messaging BaaS that serverless
 // applications in §3.1 of the paper glue their event-driven pipelines with:
 // at-least-once queues with visibility timeouts and dead-letter redrive, and
-// fan-out notification topics. Queues are the canonical FaaS event source
-// (the "serverless ETL using Lambda and SQS" pattern the paper cites).
+// notification topics that fan out to functions. Queues are the canonical
+// FaaS event source (the "serverless ETL using Lambda and SQS" pattern the
+// paper cites).
 package queue
 
 import (
@@ -75,7 +76,6 @@ type qstate struct {
 type topic struct {
 	name     string
 	tenant   string
-	queues   []string
 	handlers []func(body []byte)
 }
 
@@ -113,17 +113,6 @@ func (s *Service) CreateQueue(name, tenant string, cfg Config) error {
 		return fmt.Errorf("%w: %q", ErrQueueExists, name)
 	}
 	s.queues[name] = &qstate{name: name, tenant: tenant, cfg: cfg}
-	return nil
-}
-
-// DeleteQueue removes a queue and its messages.
-func (s *Service) DeleteQueue(name string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.queues[name]; !ok {
-		return fmt.Errorf("%w: %q", ErrNoQueue, name)
-	}
-	delete(s.queues, name)
 	return nil
 }
 
@@ -248,49 +237,7 @@ func (s *Service) Ack(name, receiptHandle string) error {
 	return fmt.Errorf("%w: message %d gone", ErrBadHandle, id)
 }
 
-// ChangeVisibility adjusts how long a delivered message stays hidden.
-// A zero duration makes it immediately visible again (fast nack).
-func (s *Service) ChangeVisibility(name, receiptHandle string, d time.Duration) error {
-	var id int64
-	var gen int
-	var qname string
-	if _, err := fmt.Sscanf(receiptHandle, "%s %d %d", &qname, &id, &gen); err != nil || qname != name {
-		return fmt.Errorf("%w: %q", ErrBadHandle, receiptHandle)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	q, ok := s.queues[name]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNoQueue, name)
-	}
-	for _, m := range q.msgs {
-		if m.msg.ID == id && m.gen == gen {
-			m.visibleAt = s.clock.Now().Add(d)
-			return nil
-		}
-	}
-	return fmt.Errorf("%w: message %d", ErrBadHandle, id)
-}
-
-// Len returns the number of messages currently visible in the queue.
-func (s *Service) Len(name string) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	q, ok := s.queues[name]
-	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrNoQueue, name)
-	}
-	now := s.clock.Now()
-	n := 0
-	for _, m := range q.msgs {
-		if !m.visibleAt.After(now) {
-			n++
-		}
-	}
-	return n, nil
-}
-
-// CreateTopic makes a fan-out notification topic billed to tenant.
+// CreateTopic makes a notification topic billed to tenant.
 func (s *Service) CreateTopic(name, tenant string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -298,21 +245,6 @@ func (s *Service) CreateTopic(name, tenant string) error {
 		return fmt.Errorf("%w: %q", ErrTopicExists, name)
 	}
 	s.topics[name] = &topic{name: name, tenant: tenant}
-	return nil
-}
-
-// SubscribeQueue fans topic messages out into a queue.
-func (s *Service) SubscribeQueue(topicName, queueName string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t, ok := s.topics[topicName]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNoTopic, topicName)
-	}
-	if _, ok := s.queues[queueName]; !ok {
-		return fmt.Errorf("%w: %q", ErrNoQueue, queueName)
-	}
-	t.queues = append(t.queues, queueName)
 	return nil
 }
 
@@ -336,15 +268,11 @@ func (s *Service) Publish(topicName string, body []byte) error {
 		s.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrNoTopic, topicName)
 	}
-	queues := append([]string{}, t.queues...)
 	handlers := append([]func([]byte){}, t.handlers...)
 	tenant := t.tenant
 	s.mu.Unlock()
 
 	s.meterAdd(tenant, 1)
-	for _, qn := range queues {
-		_, _ = s.Send(qn, body)
-	}
 	for _, fn := range handlers {
 		fn(append([]byte(nil), body...))
 	}

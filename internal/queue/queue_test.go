@@ -25,9 +25,8 @@ func TestSendReceiveAck(t *testing.T) {
 		t.Fatalf("deliveries = %+v", ds)
 	}
 	must(t, s.Ack("q", ds[0].ReceiptHandle))
-	n, _ := s.Len("q")
-	if n != 0 {
-		t.Fatalf("Len = %d after ack", n)
+	if left := queued(s, "q"); left != 0 {
+		t.Fatalf("%d messages left after ack", left)
 	}
 	// Double ack fails.
 	if err := s.Ack("q", ds[0].ReceiptHandle); !errors.Is(err, ErrBadHandle) {
@@ -77,23 +76,6 @@ func TestVisibilityTimeoutRedelivery(t *testing.T) {
 	})
 }
 
-func TestChangeVisibilityNack(t *testing.T) {
-	v := simclock.NewVirtual()
-	defer v.Close()
-	s := New(v, nil)
-	v.Run(func() {
-		must(t, s.CreateQueue("q", "t", Config{VisibilityTimeout: time.Hour}))
-		_, err := s.Send("q", []byte("m"))
-		must(t, err)
-		ds, _ := s.Receive("q", 1)
-		must(t, s.ChangeVisibility("q", ds[0].ReceiptHandle, 0))
-		ds2, _ := s.Receive("q", 1)
-		if len(ds2) != 1 {
-			t.Fatal("nacked message not redelivered")
-		}
-	})
-}
-
 func TestDeadLetterRedrive(t *testing.T) {
 	v := simclock.NewVirtual()
 	defer v.Close()
@@ -136,22 +118,15 @@ func TestOnSendHook(t *testing.T) {
 
 func TestTopicFanout(t *testing.T) {
 	s := newSvc()
-	must(t, s.CreateQueue("q1", "t", DefaultConfig()))
-	must(t, s.CreateQueue("q2", "t", DefaultConfig()))
 	must(t, s.CreateTopic("tp", "t"))
-	must(t, s.SubscribeQueue("tp", "q1"))
-	must(t, s.SubscribeQueue("tp", "q2"))
-	var direct [][]byte
-	must(t, s.SubscribeFunc("tp", func(b []byte) { direct = append(direct, b) }))
+	var a, b [][]byte
+	must(t, s.SubscribeFunc("tp", func(body []byte) { a = append(a, body) }))
+	must(t, s.SubscribeFunc("tp", func(body []byte) { b = append(b, body) }))
 	must(t, s.Publish("tp", []byte("news")))
-	for _, q := range []string{"q1", "q2"} {
-		ds, _ := s.Receive(q, 1)
-		if len(ds) != 1 || string(ds[0].Body) != "news" {
-			t.Fatalf("%s = %+v", q, ds)
+	for _, got := range [][][]byte{a, b} {
+		if len(got) != 1 || string(got[0]) != "news" {
+			t.Fatalf("func subs = %q, %q", a, b)
 		}
-	}
-	if len(direct) != 1 || string(direct[0]) != "news" {
-		t.Fatalf("func sub = %v", direct)
 	}
 }
 
@@ -171,10 +146,6 @@ func TestErrors(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 	if err := s.Ack("q", "garbage"); !errors.Is(err, ErrBadHandle) {
-		t.Fatalf("err = %v", err)
-	}
-	must(t, s.DeleteQueue("q"))
-	if err := s.DeleteQueue("q"); !errors.Is(err, ErrNoQueue) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -210,4 +181,11 @@ func must(t *testing.T, err error) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// queued returns how many messages the named queue holds, visible or not.
+func queued(s *Service, name string) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.queues[name].msgs)
 }

@@ -20,31 +20,3 @@ func ExampleCountMin() {
 	// popular ≈ 100
 	// rare    ≈ 1
 }
-
-// ExampleCountMin_Merge shows distributing a sketch across function
-// instances and merging the shards — the composability §4.3.1 calls for.
-func ExampleCountMin_Merge() {
-	shard1 := sketch.NewCountMinWH(64, 4)
-	shard2 := sketch.NewCountMinWH(64, 4)
-	shard1.Add("k", 3)
-	shard2.Add("k", 4)
-	if err := shard1.Merge(shard2); err != nil {
-		fmt.Println(err)
-		return
-	}
-	fmt.Println("merged estimate:", shard1.Estimate("k"))
-	// Output:
-	// merged estimate: 7
-}
-
-// ExampleHLL estimates stream cardinality.
-func ExampleHLL() {
-	h := sketch.NewHLL(12)
-	for i := 0; i < 1000; i++ {
-		h.Add(fmt.Sprintf("user-%d", i%100)) // 100 distinct users
-	}
-	est := h.Estimate()
-	fmt.Println("within 5% of 100:", est > 95 && est < 105)
-	// Output:
-	// within 5% of 100: true
-}

@@ -1,21 +1,14 @@
-// Package sketch implements the family of streaming data sketches that §5.1
-// of the paper identifies as natural serverless analytics workloads —
-// frequency (Count-Min, the paper's Figure 3 example), membership (Bloom),
-// cardinality (HyperLogLog), heavy hitters (SpaceSaving), sampling
-// (reservoir), quantiles (Greenwald-Khanna) and second moments (AMS F2).
-//
-// Every sketch that is mergeable exposes a Merge method, since composability
-// is exactly what distributing a sketch across serverless function instances
-// requires (§4.3.1 notes composable/concurrent sketches need ephemeral state
-// exchange between instances).
+// Package sketch implements the streaming data sketches that the platform's
+// workloads run, from the family §5.1 of the paper identifies as natural
+// serverless analytics workloads: frequency (Count-Min, the paper's Figure 3
+// example) and heavy hitters (SpaceSaving).
 package sketch
 
 import "hash/fnv"
 
 // hash2 returns two independent 64-bit hashes of key; the i-th derived hash
 // is h1 + i·h2 (Kirsch-Mitzenmacher double hashing). FNV output is passed
-// through a splitmix64 finalizer: raw FNV has poor high-bit avalanche on
-// short keys, which HyperLogLog's bucket-index-from-high-bits scheme needs.
+// through a splitmix64 finalizer: raw FNV has poor avalanche on short keys.
 func hash2(key string) (uint64, uint64) {
 	h := fnv.New64a()
 	h.Write([]byte(key))

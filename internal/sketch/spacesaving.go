@@ -10,7 +10,6 @@ type SpaceSaving struct {
 	k      int
 	counts map[string]uint64
 	errs   map[string]uint64
-	total  uint64
 }
 
 // NewSpaceSaving creates a summary with k counters.
@@ -23,7 +22,6 @@ func NewSpaceSaving(k int) *SpaceSaving {
 
 // Add observes key occurring count times.
 func (s *SpaceSaving) Add(key string, count uint64) {
-	s.total += count
 	if _, ok := s.counts[key]; ok {
 		s.counts[key] += count
 		return
@@ -70,13 +68,4 @@ func (s *SpaceSaving) Top(n int) []Entry {
 		out = out[:n]
 	}
 	return out
-}
-
-// N returns the total count observed.
-func (s *SpaceSaving) N() uint64 { return s.total }
-
-// GuaranteedHeavy reports whether an entry's true count certainly exceeds
-// threshold (count - err > threshold).
-func (e Entry) GuaranteedHeavy(threshold uint64) bool {
-	return e.Count-e.Err > threshold
 }

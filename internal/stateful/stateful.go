@@ -20,9 +20,6 @@ import (
 	"repro/internal/jiffy"
 )
 
-// ErrNoKey mirrors jiffy.ErrNoKey for state misses.
-var ErrNoKey = jiffy.ErrNoKey
-
 // Handler is a stateful function body.
 type Handler func(ctx *Ctx, payload []byte) ([]byte, error)
 
@@ -134,19 +131,6 @@ func (c *Ctx) Put(key string, value []byte) error {
 	}
 	c.cacheStore(key, value, c.Clock.Now())
 	return nil
-}
-
-// Delete removes a state key everywhere this instance can see.
-func (c *Ctx) Delete(key string) error {
-	c.p.mu.RLock()
-	ch := c.p.caches[c.key]
-	c.p.mu.RUnlock()
-	if ch != nil {
-		ch.mu.Lock()
-		delete(ch.entries, key)
-		ch.mu.Unlock()
-	}
-	return c.p.ns.Delete(key)
 }
 
 func (c *Ctx) cacheStore(key string, value []byte, at time.Time) {

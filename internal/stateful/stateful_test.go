@@ -177,27 +177,3 @@ func TestWriteThroughVisibleImmediatelyToWriter(t *testing.T) {
 		}
 	})
 }
-
-func TestDeleteClearsCacheAndStore(t *testing.T) {
-	v, p := env(t, jiffy.NoLatency)
-	h := func(ctx *Ctx, _ []byte) ([]byte, error) {
-		if err := ctx.Put("k", []byte("v")); err != nil {
-			return nil, err
-		}
-		if err := ctx.Delete("k"); err != nil {
-			return nil, err
-		}
-		if _, err := ctx.Get("k"); !IsNoKey(err) {
-			return nil, fmt.Errorf("deleted key readable: %v", err)
-		}
-		return nil, nil
-	}
-	if err := p.Register("h", "t", h, Config{CacheTTL: time.Minute}); err != nil {
-		t.Fatal(err)
-	}
-	v.Run(func() {
-		if _, err := p.Invoke("t", "h", nil); err != nil {
-			t.Fatal(err)
-		}
-	})
-}

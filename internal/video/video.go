@@ -1,8 +1,8 @@
 // Package video implements the serverless video-processing workload of §5.1
 // (ExCamera [97] and Sprocket [71]): a synthetic video model (frames with
-// per-frame encode complexity, grouped into GOPs) and two encode pipelines —
-// a serial baseline and a chunk-parallel pipeline that fans chunks out over
-// FaaS functions and pays a stitching cost at chunk boundaries. As in
+// per-frame encode complexity, grouped into GOPs) and a chunk-parallel
+// encode pipeline that fans chunks out over FaaS functions and pays a
+// stitching cost at chunk boundaries; one chunk is the serial baseline. As in
 // ExCamera, finer-grained parallelism buys latency at the price of extra
 // boundary key-frames (larger output) and stitch work.
 package video
@@ -100,14 +100,6 @@ type Report struct {
 	// RealTimeRatio is encode latency / clip duration (<1 = faster than
 	// real time; ExCamera's goal).
 	RealTimeRatio float64
-}
-
-// EncodeSerial encodes the whole clip in one function invocation.
-func EncodeSerial(p *faas.Platform, v Video, cost CostModel) (Report, error) {
-	if len(v.Frames) == 0 {
-		return Report{}, ErrNoFrames
-	}
-	return encodeChunked(p, v, cost, 1)
 }
 
 // EncodeParallel splits the clip into chunks encoded by concurrent function

@@ -48,7 +48,7 @@ func TestSyntheticShape(t *testing.T) {
 func TestEncodeEmpty(t *testing.T) {
 	v, p := env(t)
 	v.Run(func() {
-		if _, err := EncodeSerial(p, Video{FPS: 30}, DefaultCost()); !errors.Is(err, ErrNoFrames) {
+		if _, err := EncodeParallel(p, Video{FPS: 30}, DefaultCost(), 1); !errors.Is(err, ErrNoFrames) {
 			t.Errorf("err = %v", err)
 		}
 	})
@@ -60,7 +60,7 @@ func TestParallelFasterThanSerial(t *testing.T) {
 	var serial, par Report
 	v.Run(func() {
 		var err error
-		serial, err = EncodeSerial(p, clip, DefaultCost())
+		serial, err = EncodeParallel(p, clip, DefaultCost(), 1)
 		if err != nil {
 			t.Error(err)
 			return
@@ -86,7 +86,7 @@ func TestParallelCostsMoreBytes(t *testing.T) {
 	clip := Synthetic(120, 30, 3)
 	var serial, par Report
 	v.Run(func() {
-		serial, _ = EncodeSerial(p, clip, DefaultCost())
+		serial, _ = EncodeParallel(p, clip, DefaultCost(), 1)
 		par, _ = EncodeParallel(p, clip, DefaultCost(), 6)
 	})
 	if par.OutputBytes <= serial.OutputBytes {
@@ -122,7 +122,7 @@ func TestRealTimeRatio(t *testing.T) {
 	clip := Synthetic(300, 30, 5) // 10s clip
 	var serial, par Report
 	v.Run(func() {
-		serial, _ = EncodeSerial(p, clip, DefaultCost())
+		serial, _ = EncodeParallel(p, clip, DefaultCost(), 1)
 		par, _ = EncodeParallel(p, clip, DefaultCost(), 10)
 	})
 	// Serial software encode is slower than real time; enough chunks push

@@ -19,16 +19,6 @@ func ZipfKeys(n uint64, s float64, count int, seed int64) []string {
 	return out
 }
 
-// UniformKeys draws count keys uniformly from a universe of n distinct keys.
-func UniformKeys(n uint64, count int, seed int64) []string {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]string, count)
-	for i := range out {
-		out[i] = fmt.Sprintf("key-%d", rng.Uint64()%n)
-	}
-	return out
-}
-
 // Payload returns a deterministic pseudo-random byte payload of the given size.
 func Payload(size int, seed int64) []byte {
 	rng := rand.New(rand.NewSource(seed))

@@ -1,34 +1,12 @@
 package workload
 
-import (
-	"math"
-	"time"
-)
+import "time"
 
 // This file holds the open-loop shapes the elasticity experiments drive the
-// autoscaler with (§3.2: "peak several times the mean"): linear ramps and
-// multiplicative bursts. Open-loop means arrivals are scheduled by the shape
-// alone — a slow platform does not slow the offered load, it builds queues —
-// which is what makes burst→cold-start→converge curves honest.
-
-// Ramp rises (or falls) linearly from startRPS to endRPS over dur, holding
-// endRPS from then on. A ramp with dur <= 0 is a step to endRPS.
-func Ramp(startRPS, endRPS float64, dur time.Duration) RateFunc {
-	return func(t time.Duration) float64 {
-		if dur <= 0 || t >= dur {
-			return endRPS
-		}
-		if t < 0 {
-			return startRPS
-		}
-		frac := float64(t) / float64(dur)
-		r := startRPS + (endRPS-startRPS)*frac
-		if r < 0 {
-			return 0
-		}
-		return r
-	}
-}
+// autoscaler with (§3.2: "peak several times the mean"): multiplicative
+// bursts. Open-loop means arrivals are scheduled by the shape alone — a slow
+// platform does not slow the offered load, it builds queues — which is what
+// makes burst→cold-start→converge curves honest.
 
 // Burst is the burst-convergence shape: steady baseRPS, a multiple× surge
 // starting at 'at' for 'width', then steady baseRPS again. Burst(2, 10, …)
@@ -36,25 +14,6 @@ func Ramp(startRPS, endRPS float64, dur time.Duration) RateFunc {
 // of the burst→cold-start→converge experiment (E27).
 func Burst(baseRPS, multiple float64, at, width time.Duration) RateFunc {
 	return Spike(Constant(baseRPS), baseRPS*multiple, at, width)
-}
-
-// StaircaseRamp climbs from 0 to peakRPS in equal steps of stepDur — the
-// load pattern autoscaler papers use to read scaling lag per step. After
-// steps×stepDur it holds peakRPS.
-func StaircaseRamp(peakRPS float64, steps int, stepDur time.Duration) RateFunc {
-	if steps <= 0 {
-		steps = 1
-	}
-	return func(t time.Duration) float64 {
-		if t < 0 {
-			return 0
-		}
-		k := int(t/stepDur) + 1
-		if k > steps {
-			k = steps
-		}
-		return peakRPS * float64(k) / float64(steps)
-	}
 }
 
 // OffsetArrivals shifts every arrival by delta — used to keep open-loop
@@ -98,14 +57,4 @@ func ConvergenceTime(perSecondP99 []time.Duration, steady time.Duration, toleran
 		return 0
 	}
 	return conv - from
-}
-
-// TotalArrivals integrates rf over [0, window) — the expected open-loop
-// request count, useful for sizing admission budgets in experiments.
-func TotalArrivals(rf RateFunc, window time.Duration) int {
-	var sum float64
-	for t := time.Duration(0); t < window; t += sampleEvery {
-		sum += rf(t)
-	}
-	return int(math.Round(sum))
 }

@@ -5,25 +5,6 @@ import (
 	"time"
 )
 
-func TestRamp(t *testing.T) {
-	rf := Ramp(0, 100, 10*time.Second)
-	if got := rf(0); got != 0 {
-		t.Fatalf("ramp(0) = %v", got)
-	}
-	if got := rf(5 * time.Second); got != 50 {
-		t.Fatalf("ramp(mid) = %v, want 50", got)
-	}
-	if got := rf(10 * time.Second); got != 100 {
-		t.Fatalf("ramp(end) = %v, want 100", got)
-	}
-	if got := rf(time.Minute); got != 100 {
-		t.Fatalf("ramp holds %v, want 100", got)
-	}
-	if got := Ramp(5, 50, 0)(0); got != 50 {
-		t.Fatalf("zero-duration ramp = %v, want step to 50", got)
-	}
-}
-
 func TestBurstShape(t *testing.T) {
 	rf := Burst(2, 10, 30*time.Second, 10*time.Second)
 	if got := rf(0); got != 2 {
@@ -36,24 +17,8 @@ func TestBurstShape(t *testing.T) {
 		t.Fatalf("post-burst = %v, want 2", got)
 	}
 	// §3.2's signature: peak is several times the mean.
-	if ptm := PeakToMean(rf, time.Minute); ptm < 3 {
+	if ptm := peakToMean(rf, time.Minute); ptm < 3 {
 		t.Fatalf("peak-to-mean = %v, want ≥ 3", ptm)
-	}
-}
-
-func TestStaircaseRamp(t *testing.T) {
-	rf := StaircaseRamp(100, 4, 10*time.Second)
-	want := []struct {
-		at   time.Duration
-		rate float64
-	}{
-		{0, 25}, {9 * time.Second, 25}, {10 * time.Second, 50},
-		{25 * time.Second, 75}, {39 * time.Second, 100}, {time.Hour, 100},
-	}
-	for _, w := range want {
-		if got := rf(w.at); got != w.rate {
-			t.Errorf("staircase(%v) = %v, want %v", w.at, got, w.rate)
-		}
 	}
 }
 
@@ -88,16 +53,5 @@ func TestConvergenceTime(t *testing.T) {
 	// Already converged at burst end.
 	if got := ConvergenceTime(series, steady, 10, time.Second); got != 0 {
 		t.Fatalf("instant convergence = %v, want 0", got)
-	}
-}
-
-func TestTotalArrivals(t *testing.T) {
-	if got := TotalArrivals(Constant(5), 10*time.Second); got != 50 {
-		t.Fatalf("total = %d, want 50", got)
-	}
-	rf := Burst(2, 10, 10*time.Second, 5*time.Second)
-	// 2 rps × 55s + 20 rps × 5s = 110 + 100 = 210.
-	if got := TotalArrivals(rf, time.Minute); got != 210 {
-		t.Fatalf("burst total = %d, want 210", got)
 	}
 }

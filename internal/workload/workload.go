@@ -34,29 +34,6 @@ func Bursty(baseRPS, peakRPS float64, period, burstLen time.Duration) RateFunc {
 	}
 }
 
-// Diurnal returns a sinusoidal day/night cycle around mean with the given
-// amplitude, clipped at zero. period is the cycle length (24h for a day).
-func Diurnal(mean, amplitude float64, period time.Duration) RateFunc {
-	return func(t time.Duration) float64 {
-		r := mean + amplitude*math.Sin(2*math.Pi*float64(t)/float64(period))
-		if r < 0 {
-			return 0
-		}
-		return r
-	}
-}
-
-// OnOff alternates onRPS for onDur, then zero for offDur.
-func OnOff(onRPS float64, onDur, offDur time.Duration) RateFunc {
-	period := onDur + offDur
-	return func(t time.Duration) float64 {
-		if period <= 0 || t%period < onDur {
-			return onRPS
-		}
-		return 0
-	}
-}
-
 // Spike overlays a single rectangular spike of peakRPS on top of base,
 // starting at 'at' and lasting 'width'.
 func Spike(base RateFunc, peakRPS float64, at, width time.Duration) RateFunc {
@@ -65,40 +42,6 @@ func Spike(base RateFunc, peakRPS float64, at, width time.Duration) RateFunc {
 			return peakRPS
 		}
 		return base(t)
-	}
-}
-
-// Trace replays per-second rates from a recorded trace, holding the last
-// value beyond its end.
-func Trace(perSecond []float64) RateFunc {
-	return func(t time.Duration) float64 {
-		if len(perSecond) == 0 {
-			return 0
-		}
-		i := int(t / time.Second)
-		if i >= len(perSecond) {
-			i = len(perSecond) - 1
-		}
-		if i < 0 {
-			i = 0
-		}
-		return perSecond[i]
-	}
-}
-
-// Scale multiplies a rate function by k.
-func Scale(rf RateFunc, k float64) RateFunc {
-	return func(t time.Duration) float64 { return rf(t) * k }
-}
-
-// Sum superposes rate functions (multiple tenants on one pool).
-func Sum(rfs ...RateFunc) RateFunc {
-	return func(t time.Duration) float64 {
-		var s float64
-		for _, rf := range rfs {
-			s += rf(t)
-		}
-		return s
 	}
 }
 
@@ -150,7 +93,7 @@ func UniformArrivals(rf RateFunc, window time.Duration) []time.Duration {
 	return out
 }
 
-// sampleEvery is the numeric-integration step used by PeakRate and MeanRate.
+// sampleEvery is the sampling step PeakRate uses.
 const sampleEvery = time.Second
 
 // PeakRate returns the maximum of rf over [0, window], sampled each second.
@@ -162,28 +105,4 @@ func PeakRate(rf RateFunc, window time.Duration) float64 {
 		}
 	}
 	return peak
-}
-
-// MeanRate returns the time-average of rf over [0, window), sampled each second.
-func MeanRate(rf RateFunc, window time.Duration) float64 {
-	if window <= 0 {
-		return 0
-	}
-	var sum float64
-	var n int
-	for t := time.Duration(0); t < window; t += sampleEvery {
-		sum += rf(t)
-		n++
-	}
-	return sum / float64(n)
-}
-
-// PeakToMean returns the peak/mean ratio of rf over window (∞-safe: returns 0
-// when the mean is 0).
-func PeakToMean(rf RateFunc, window time.Duration) float64 {
-	m := MeanRate(rf, window)
-	if m == 0 {
-		return 0
-	}
-	return PeakRate(rf, window) / m
 }

@@ -1,14 +1,14 @@
 package repro
 
-// Surface gate: every exported function and method of the platform's
-// packages has a caller outside the tests, or it is on the allowlist below
-// with the reason it stays. A name only tests reach is surface nobody uses:
-// it goes, or it earns a caller in the experiment that measures the claim it
-// serves.
+// Surface gate: every package-level function and method in internal/,
+// exported or not, and every exported package-level var there has a user
+// outside the tests, or it is on the allowlist below with the reason it
+// stays. A name only tests reach is code nobody runs: it goes, or it earns a
+// caller in the experiment that measures the claim it serves.
 //
 // The scan type-checks the non-test files of every package in the module
 // (benchmark/, cmd/ and examples/ included) with go/types, and keys every
-// use by its function's full name. The standard library comes from the
+// use by its function's full name or its var's package path and name. The standard library comes from the
 // export data `go list -export` reports; the module's own packages are
 // checked from source in dependency order, so an interface and the types
 // that implement it share one type universe. A method is exempt when its
@@ -34,13 +34,8 @@ import (
 	"testing"
 )
 
-// surfacePackages are the packages whose exported names must have a caller:
-// scripts/api.sh's list plus coord, the two log structures (seglog and
-// reclog) and the fleet (scheduler and autoscale).
-var surfacePackages = []string{"core", "faas", "pulsar", "ledger", "jiffy", "gateway", "simclock", "obs", "coord", "seglog", "reclog", "scheduler", "autoscale"}
-
-// surfaceAllowlist holds the exported names that stay without a non-test
-// caller, each with its reason.
+// surfaceAllowlist holds the names that stay without a non-test caller, each
+// with its reason.
 var surfaceAllowlist = map[string]string{
 	"gateway.(*APIError).Unwrap":        "errors.Is and errors.As call it",
 	"gateway.(*Client).List":            "the client side of the served GET /v1/functions route",
@@ -53,6 +48,8 @@ var surfaceAllowlist = map[string]string{
 	"pulsar.(*Cluster).SetHandoffDelay": "a chaos hook: its test lives in chaos, which imports pulsar",
 	"jiffy.(*Namespace).Traced":         "a handler continues its trace into Jiffy (TestSingleTraceAcrossSubsystems)",
 	"jiffy.(TracedNamespace).Put":       "a handler continues its trace into Jiffy (TestSingleTraceAcrossSubsystems)",
+	"mlserve.MatVecSerial":              "the serial reference the coded MatVec tests compare against",
+	"kvdb.(*DB).Vacuum":                 "bounds MVCC row history; ROADMAP item 13 gives it its caller",
 }
 
 // claimRoots are the packages that measure or check the paper's claims: the
@@ -124,6 +121,10 @@ type listedPkg struct {
 	imports   []string
 }
 
+// TestEveryExportedNameHasACaller: every package that go list ./internal/...
+// prints is gated, so a new package is gated the day it lands. Its
+// package-level functions and methods, exported or not, need a call (or any
+// other use) outside the tests, and so do its exported package-level vars.
 func TestEveryExportedNameHasACaller(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds export data for the module")
@@ -173,8 +174,13 @@ func TestEveryExportedNameHasACaller(t *testing.T) {
 		}
 		checked[lp.path] = p
 		for _, obj := range info.Uses {
-			if fn, ok := obj.(*types.Func); ok {
-				uses[fn.Origin().FullName()] = true
+			switch obj := obj.(type) {
+			case *types.Func:
+				uses[obj.Origin().FullName()] = true
+			case *types.Var:
+				if obj.Pkg() != nil && obj.Parent() == obj.Pkg().Scope() {
+					uses[obj.Pkg().Path()+"."+obj.Name()] = true
+				}
 			}
 		}
 		for _, name := range p.Scope().Names() {
@@ -190,15 +196,23 @@ func TestEveryExportedNameHasACaller(t *testing.T) {
 
 	declared := map[string]bool{} // by short name
 	flagged := map[string]bool{}
-	for _, short := range surfacePackages {
-		p := checked["repro/internal/"+short]
+	for _, path := range listPackages(t, "./internal/...") {
+		p := checked[path]
 		if p == nil {
-			t.Fatalf("package internal/%s not found", short)
+			t.Fatalf("package %s not found", path)
 		}
-		for _, fn := range exportedFuncs(p) {
+		for _, fn := range gatedFuncs(p) {
 			name := shortName(fn.FullName())
 			declared[name] = true
 			if !uses[fn.FullName()] && !implemented(fn, ifaces) {
+				flagged[name] = true
+			}
+		}
+		for _, v := range exportedVars(p) {
+			full := path + "." + v.Name()
+			name := shortName(full)
+			declared[name] = true
+			if !uses[full] {
 				flagged[name] = true
 			}
 		}
@@ -211,12 +225,12 @@ func TestEveryExportedNameHasACaller(t *testing.T) {
 	}
 	sort.Strings(missing)
 	for _, name := range missing {
-		t.Errorf("%s has no caller outside the tests: give it one or delete it", name)
+		t.Errorf("%s has no user outside the tests: give it one or delete it", name)
 	}
 	for name := range surfaceAllowlist {
 		switch {
 		case !declared[name]:
-			t.Errorf("allowlist names %s, which is not an exported function or method: drop the entry", name)
+			t.Errorf("allowlist names %s, which is not a function, method or exported var: drop the entry", name)
 		case !flagged[name]:
 			t.Errorf("allowlist names %s, which now has a caller: drop the entry", name)
 		}
@@ -240,26 +254,33 @@ func shortName(full string) string {
 	return pkg + ".(" + star + typ
 }
 
-// exportedFuncs lists p's exported package-level functions and the exported
-// methods declared on its named types.
-func exportedFuncs(p *types.Package) []*types.Func {
+// gatedFuncs lists p's package-level functions and the methods declared on
+// its named types, exported or not.
+func gatedFuncs(p *types.Package) []*types.Func {
 	var out []*types.Func
 	for _, name := range p.Scope().Names() {
 		switch obj := p.Scope().Lookup(name).(type) {
 		case *types.Func:
-			if obj.Exported() {
-				out = append(out, obj)
-			}
+			out = append(out, obj)
 		case *types.TypeName:
 			named, ok := obj.Type().(*types.Named)
 			if !ok || obj.IsAlias() {
 				continue
 			}
 			for i := 0; i < named.NumMethods(); i++ {
-				if m := named.Method(i); m.Exported() {
-					out = append(out, m)
-				}
+				out = append(out, named.Method(i))
 			}
+		}
+	}
+	return out
+}
+
+// exportedVars lists p's exported package-level vars.
+func exportedVars(p *types.Package) []*types.Var {
+	var out []*types.Var
+	for _, name := range p.Scope().Names() {
+		if v, ok := p.Scope().Lookup(name).(*types.Var); ok && v.Exported() {
+			out = append(out, v)
 		}
 	}
 	return out
