@@ -463,17 +463,18 @@ func TestAckZeroAllocs(t *testing.T) {
 // TestStreamBytesPerMessage is the byte budget beside the count budgets: what
 // the whole stream path asks the allocator for per 256 B keyed message — sync
 // and batch16 producers over a 4-partition topic, one consumer that receives
-// and acks everything — stays within 340 B. About 275 B of that is the one
-// necessary copy (the entry, in bytes its ledger owns); the rest is that
-// ledger's entry table, which the ledger's bookies share and which writes
-// each slot once (DESIGN.md §10). Neither end of the path is in it: a
-// consumer that keeps up cycles through one small window ring on the broker
-// and through the receiver queue it was given at Subscribe. Growing cache and
-// indexes by append read 1115 B here, segmented logs 621 B, the window 501 B,
-// the fixed receiver queue 387 B, one entry table a ledger 339 B, entries
-// without topic and seq 300 B, entry bytes a ledger owns 310 B.
+// and acks everything — stays within 300 B. About 270 B of that is the one
+// stored copy (the entry, in the entry log its ledger owns); the rest is
+// that ledger's index, which the ledger's bookies share: one 8 B
+// pointer-free record an entry, written once (DESIGN.md §10). Neither end of
+// the path is in it: a consumer that keeps up cycles through one small
+// window ring on the broker and through the receiver queue it was given at
+// Subscribe. Growing cache and indexes by append read 1115 B here, segmented
+// logs 621 B, the window 501 B, the fixed receiver queue 387 B, one entry
+// table a ledger 339 B, entries without topic and seq 300 B, entry bytes a
+// ledger owns 310 B, an 8 B index record over the ledger's entry log 280 B.
 func TestStreamBytesPerMessage(t *testing.T) {
-	const burst, warm, timed, budget = 100, 10, 200, 340
+	const burst, warm, timed, budget = 100, 10, 200, 300
 	p := core.New(core.Options{})
 	if err := p.Pulsar.CreateTopic("bytes-gate", 4); err != nil {
 		t.Fatal(err)
@@ -548,13 +549,14 @@ func TestStreamBytesPerMessage(t *testing.T) {
 // partition's ledger rolls at 4080 entries and a ledger every subscription
 // has acked past is deleted, so what the process holds plateaus: the live
 // heap after the whole run is within 1.2× of the live heap after a tenth of
-// it, and at most 4 MB (≈3.4 MB measured: each chunk of entry bytes belongs
-// to one ledger of one partition and goes with it; ≈5.7 MB when a producer's
-// 128 KB block held entries of all four partitions and went only once each
-// had deleted the ledger holding its share), and the bookies never hold more
-// than two ledgers' worth of entry replicas per partition. Without deletion
-// the heap grew ≈380 B per message — the entry and a 24 B index slot on each
-// of three bookies — ≈76 MB over this run. The rings themselves are
+// it, and at most 3.25 MB (≈3.1 MB measured: each chunk of entry bytes
+// belongs to one ledger of one partition and goes with it, found through an
+// 8 B index record; ≈3.4 MB when that record was a 32 B slot, ≈5.7 MB when a
+// producer's 128 KB block held entries of all four partitions and went only
+// once each had deleted the ledger holding its share), and the bookies never
+// hold more than two ledgers' worth of entry replicas per partition. Without
+// deletion the heap grew ≈380 B per message — the entry and a 24 B index
+// slot on each of three bookies — ≈76 MB over this run. The rings themselves are
 // internal/pulsar's to see: its TestWindowRingsBoundedAtScale holds each
 // partition's to 1024 slots over this same load.
 func TestTopicMemoryBoundedByBacklog(t *testing.T) {
@@ -633,8 +635,8 @@ func TestTopicMemoryBoundedByBacklog(t *testing.T) {
 		t.Fatalf("live heap %.2f MB after %d messages, %.2f MB after a tenth of them: want a plateau (<= 1.2x)",
 			float64(end)/(1<<20), total, float64(tenth)/(1<<20))
 	}
-	if end > 4<<20 {
-		t.Fatalf("live heap %.2f MB after %d messages, want <= 4 MB", float64(end)/(1<<20), total)
+	if end > 3.25*(1<<20) {
+		t.Fatalf("live heap %.2f MB after %d messages, want <= 3.25 MB", float64(end)/(1<<20), total)
 	}
 	if n, err := p.Pulsar.Backlog("retain-gate", "s"); err != nil || n != 0 {
 		t.Fatalf("backlog = %d, %v; want 0", n, err)

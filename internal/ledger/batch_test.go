@@ -111,8 +111,8 @@ func TestAppendBatchQuorumLoss(t *testing.T) {
 }
 
 // TestBookieSharesEntryBuffer pins the single-copy contract: replicas of an
-// entry share one buffer rather than copying per bookie, and reads still
-// hand back a private copy.
+// entry share the ledger's one copy of it rather than copying per bookie,
+// and reads still hand back a private copy.
 func TestBookieSharesEntryBuffer(t *testing.T) {
 	s := newSystem(3)
 	w, err := s.CreateLedger(3, 3, 3)
@@ -124,12 +124,12 @@ func TestBookieSharesEntryBuffer(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		b, _ := s.Bookie(fmt.Sprintf("bookie-%d", i))
 		b.mu.Lock()
-		bufs = append(bufs, b.entryLocked(w.ledgerID, id))
+		bufs = append(bufs, b.entryLocked(w.ledgerID, id).data)
 		b.mu.Unlock()
 	}
 	for i := 1; i < len(bufs); i++ {
 		if &bufs[0][0] != &bufs[i][0] {
-			t.Fatalf("bookie %d holds a private copy; replicas should share the writer's buffer", i)
+			t.Fatalf("bookie %d holds a private copy; replicas should share the ledger's copy", i)
 		}
 	}
 	must(t, w.Close())

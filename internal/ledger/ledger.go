@@ -15,8 +15,10 @@
 // on its own once nobody needs it.
 //
 // A ledger's entries are stored once however many bookies hold them: the
-// System keeps one entry table per ledger, whose slot for an entry holds the
-// writer's buffer and a bitmask of the bookies that store it.
+// System keeps one entry table per ledger, which copies each entry into an
+// append-only log of 128 KiB chunks the ledger owns and finds it through an
+// 8-byte, pointer-free index record: its offset, its length and a bitmask of
+// the bookies that store it (entrylog.go).
 //
 // Ledger metadata (ensemble, quorum sizes, state) lives in the coordination
 // service, as it does in the real system, in a fixed binary record (meta.go).
@@ -25,14 +27,12 @@ package ledger
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/coord"
 	"repro/internal/obs"
-	"repro/internal/seglog"
 	"repro/internal/simclock"
 )
 
@@ -50,112 +50,17 @@ var (
 	ErrDropped      = errors.New("ledger: replication write dropped")
 )
 
-// entryTable is one ledger's entries, shared by its bookies as they share
-// each entry's buffer (see the Bookie contract). Entry IDs are dense and
-// ascending, so it is a log addressed by entry ID whose slots, once written,
-// are never copied again (DESIGN.md §10). The System makes a ledger's table
-// with the ledger and drops it with the ledger's entries; its lock is taken
-// under a Bookie's, never the other way round.
-type entryTable struct {
-	mu      sync.Mutex
-	slots   seglog.Log[entrySlot] // indexed by entry ID
-	members int                   // bookies given a bit so far
-}
-
-// entrySlot is one entry and the bookies that store that buffer as it: bit
-// i is the i-th bookie to hold any entry of the ledger.
-type entrySlot struct {
-	data []byte
-	held uint64
-}
-
-// ledgerStore is one bookie's part in one ledger.
-type ledgerStore struct {
-	table  *entryTable // nil until the bookie stores an entry of the ledger
-	bit    uint64      // the bookie's bit in table; 0 for a 65th member
-	count  int         // entries this bookie stores
-	last   int64       // highest entry id seen (-1 if none)
-	fenced bool
-	// own holds the entries this bookie stores apart from the table: one it
-	// was sent a different buffer for than another bookie still holds (a
-	// failed append retried at the same id), or all of them for a bookie
-	// without a bit. Nil until the first.
-	own map[int64][]byte
-}
-
-// store makes data the bookie's entry e and reports whether it held no
-// entry e before. Called with the bookie's lock held.
-func (ls *ledgerStore) store(t *entryTable, e int64, data []byte) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if ls.table == nil {
-		ls.table = t
-		if t.members < 64 {
-			ls.bit = 1 << t.members
-			t.members++
-		}
-	}
-	_, had := ls.own[e]
-	delete(ls.own, e)
-	if ls.bit == 0 {
-		ls.keep(e, data)
-		return !had
-	}
-	for int64(t.slots.Len()) <= e {
-		t.slots.Append(entrySlot{})
-	}
-	s := t.slots.At(int(e))
-	had = had || s.held&ls.bit != 0
-	switch {
-	case s.held&^ls.bit == 0: // no other bookie holds the slot's buffer
-		s.data, s.held = data, ls.bit
-	case sameBuffer(s.data, data):
-		s.held |= ls.bit
-	default: // another bookie keeps the buffer of an earlier attempt
-		s.held &^= ls.bit
-		ls.keep(e, data)
-	}
-	return !had
-}
-
-func (ls *ledgerStore) keep(e int64, data []byte) {
-	if ls.own == nil {
-		ls.own = map[int64][]byte{}
-	}
-	ls.own[e] = data
-}
-
-// entry returns the buffer the bookie stores as entry e, nil when it holds
-// none. Called with the bookie's lock held.
-func (ls *ledgerStore) entry(e int64) []byte {
-	if t := ls.table; t != nil && ls.bit != 0 {
-		t.mu.Lock()
-		defer t.mu.Unlock()
-		if e >= 0 && e < int64(t.slots.Len()) {
-			if s := t.slots.At(int(e)); s.held&ls.bit != 0 {
-				return s.data
-			}
-		}
-	}
-	return ls.own[e]
-}
-
-// sameBuffer reports whether a and b are one buffer rather than equal bytes.
-func sameBuffer(a, b []byte) bool {
-	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
-}
-
 // Bookie is one storage node.
 //
-// Entry immutability contract: addEntry retains the data slice it is handed
-// without copying, and every replica of an entry shares that one buffer —
-// and that one slot of the ledger's entryTable, which records which bookies
-// store it. Callers above the ledger layer must never mutate a buffer after
-// appending it. readEntry still returns a fresh copy, so readers may mutate
-// what they get back. What a bookie serves is its own all the same: an entry
-// it missed (down, dropped or fenced) is not served by it, one rewritten at
-// the same id while another bookie keeps the earlier buffer is served as
-// rewritten, and fence and EntryCount count its entries only.
+// Entry immutability contract: the bytes a bookie stores are a copy its
+// ledger owns (entryTable.add), made once per attempt at an entry and never
+// written again, so every replica of an attempt shares that one copy — and
+// the one index record that names it, which records which bookies store it.
+// Writers may reuse their buffers once an append returns, and a reader gets a
+// fresh copy (Reader.Read). What a bookie serves is its own all the same: an
+// entry it missed (down, dropped or fenced) is not served by it, one
+// rewritten at the same id while another bookie keeps the earlier attempt is
+// served as rewritten, and fence and EntryCount count its entries only.
 type Bookie struct {
 	ID string
 
@@ -214,9 +119,9 @@ func (b *Bookie) DropNext(n int) {
 	b.dropNext = int64(n)
 }
 
-// addEntry stores data as the ledger's entry entryID; t is the ledger's
-// entry table.
-func (b *Bookie) addEntry(t *entryTable, ledgerID, entryID int64, data []byte) error {
+// addEntry stores c, a copy t made, as the ledger's entry entryID; t is the
+// ledger's entry table.
+func (b *Bookie) addEntry(t *entryTable, ledgerID, entryID int64, c entryCopy) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.down {
@@ -230,7 +135,7 @@ func (b *Bookie) addEntry(t *entryTable, ledgerID, entryID int64, data []byte) e
 	if ls.fenced {
 		return fmt.Errorf("%w: ledger %d on %s", ErrFenced, ledgerID, b.ID)
 	}
-	if ls.store(t, entryID, data) { // shared, immutable (see type doc)
+	if ls.store(t, entryID, c) { // shared, immutable (see type doc)
 		ls.count++
 	}
 	if entryID > ls.last {
@@ -239,35 +144,27 @@ func (b *Bookie) addEntry(t *entryTable, ledgerID, entryID int64, data []byte) e
 	return nil
 }
 
-func (b *Bookie) readEntry(ledgerID, entryID int64) ([]byte, error) {
-	data, err := b.storedEntry(ledgerID, entryID)
-	if err != nil {
-		return nil, err
-	}
-	return append([]byte(nil), data...), nil
-}
-
-// storedEntry is readEntry without the copy: the buffer itself, for
-// rereplication to share.
-func (b *Bookie) storedEntry(ledgerID, entryID int64) ([]byte, error) {
+// storedEntry serves an entry as the bookie stores it, uncopied: for a read
+// to copy, for Recover to probe, and for rereplication to share.
+func (b *Bookie) storedEntry(ledgerID, entryID int64) (entryCopy, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.down {
-		return nil, fmt.Errorf("%w: %s", ErrBookieDown, b.ID)
+		return entryCopy{}, fmt.Errorf("%w: %s", ErrBookieDown, b.ID)
 	}
-	if data := b.entryLocked(ledgerID, entryID); data != nil {
-		return data, nil
+	if c := b.entryLocked(ledgerID, entryID); c.data != nil {
+		return c, nil
 	}
-	return nil, fmt.Errorf("%w: ledger %d entry %d on %s", ErrNoEntry, ledgerID, entryID, b.ID)
+	return entryCopy{}, fmt.Errorf("%w: ledger %d entry %d on %s", ErrNoEntry, ledgerID, entryID, b.ID)
 }
 
-// entryLocked returns the buffer this bookie stores for an entry, nil when
-// it holds none. Called with b.mu held.
-func (b *Bookie) entryLocked(ledgerID, entryID int64) []byte {
+// entryLocked returns the copy this bookie stores for an entry, with nil data
+// when it holds none. Called with b.mu held.
+func (b *Bookie) entryLocked(ledgerID, entryID int64) entryCopy {
 	if ls := b.ledgers[ledgerID]; ls != nil {
 		return ls.entry(entryID)
 	}
-	return nil
+	return entryCopy{}
 }
 
 // fence marks the ledger read-only on this bookie and returns the highest
@@ -377,6 +274,13 @@ func (s *System) BookieIDs() []string {
 
 // Writer appends entries to an open ledger. A ledger has a single writer.
 type Writer struct {
+	// LedgerEntries is how many entries the writer's owner appends to each
+	// of its ledgers before it rolls (zero: no bound). It sizes what a
+	// ledger allocates, nothing else: a ledger's index is presized to it,
+	// and a fresh chunk of its entry log to what the ledger can still take,
+	// so a full ledger strands no tail. Set it before the first append.
+	LedgerEntries int64
+
 	sys      *System
 	ledgerID int64
 	path     string // the ledger's metadata node
@@ -432,9 +336,9 @@ func (s *System) allLive(ensemble []string) bool {
 }
 
 // open points the writer at a new, empty ledger with metadata md, whose node
-// it creates, and whose entry table it presizes to reserve entries
-// (seglog.Log.Reserve; zero leaves the table to grow). The writer is
-// unchanged when that fails.
+// it creates, and whose entry table's index it presizes to reserve entries
+// (seglog.Log.Reserve; zero leaves it to LedgerEntries, or to grow). The
+// writer is unchanged when that fails.
 func (w *Writer) open(md metadata, reserve int) error {
 	w.sys.mu.Lock()
 	w.sys.nextID++
@@ -446,7 +350,7 @@ func (w *Writer) open(md metadata, reserve int) error {
 		return err
 	}
 	t := &entryTable{}
-	t.slots.Reserve(reserve)
+	t.index.Reserve(reserve)
 	w.sys.mu.Lock()
 	w.sys.tables[id] = t
 	w.sys.mu.Unlock()
@@ -464,8 +368,8 @@ func (w *Writer) saveMeta() error {
 // Roll seals the writer's ledger as Close does and continues the writer in a
 // fresh ledger, whose first entry id is 0 again. The new ledger keeps the
 // ensemble while every member is live and otherwise takes live bookies as
-// CreateLedger does; its entry table is presized to the length of the ledger
-// just sealed. A failed Roll leaves the writer appending where it
+// CreateLedger does; its entry table's index is presized to the length of
+// the ledger just sealed. A failed Roll leaves the writer appending where it
 // was, with no new ledger.
 func (w *Writer) Roll() error {
 	if w.closed {
@@ -503,9 +407,9 @@ func (w *Writer) Roll() error {
 func (w *Writer) ID() int64 { return w.ledgerID }
 
 // Append writes data as the next entry — a group commit of one — returning
-// its entry id once ackQuorum bookies have it. The writer retains data
-// without copying (see the Bookie immutability contract): do not mutate it
-// after the call.
+// its entry id once ackQuorum bookies have it. The ledger stores a copy of
+// data in bytes it owns (see the Bookie immutability contract), so the
+// caller may reuse data once Append returns.
 func (w *Writer) Append(data []byte) (int64, error) {
 	entries := [1][]byte{data}
 	id, err := w.AppendBatchCtx(entries[:], obs.TraceCtx{})
@@ -523,7 +427,9 @@ func (w *Writer) Append(data []byte) (int64, error) {
 // reach its ack quorum the batch stops there, the error is returned, and the
 // earlier entries of the batch stay committed (callers needing atomicity
 // must treat the whole batch as failed and rely on recovery semantics, as
-// the broker does). Entries are retained without copying, like Append.
+// the broker does). Each entry is copied, as Append copies it; on return
+// entries[i] of every committed entry is the ledger's copy, which a caller
+// may keep views of for as long as it likes and must not write.
 func (w *Writer) AppendBatch(entries [][]byte) (int64, error) {
 	return w.AppendBatchCtx(entries, obs.TraceCtx{})
 }
@@ -551,11 +457,13 @@ func (w *Writer) AppendBatchCtx(entries [][]byte, tc obs.TraceCtx) (int64, error
 		start = w.sys.clock.Now()
 	}
 	w.sys.clock.Sleep(w.sys.AppendLatency + w.stragglerExtra())
-	for _, data := range entries {
-		if err := w.replicate(w.next, data); err != nil {
+	for i, data := range entries {
+		c := w.table.add(w.next, data, w.LedgerEntries)
+		if err := w.replicate(w.next, c); err != nil {
 			span.EndErr(true)
 			return first, err
 		}
+		entries[i] = c.data
 		w.next++
 	}
 	w.sys.obsAppends.Add(int64(len(entries)))
@@ -567,14 +475,14 @@ func (w *Writer) AppendBatchCtx(entries [][]byte, tc obs.TraceCtx) (int64, error
 	return first, nil
 }
 
-// replicate pushes one entry to its write quorum and requires ackQuorum
-// durable copies. A fenced ensemble permanently closes the writer. When the
-// quorum cannot be reached because replicas are down, the writer performs a
-// BookKeeper-style ensemble change instead of failing: the dead bookies are
-// swapped for live spares in the metadata, the entry retries against the new
-// ensemble, and a background task re-replicates earlier entries onto the
-// replacements.
-func (w *Writer) replicate(entryID int64, data []byte) error {
+// replicate pushes c, one attempt at an entry, to its write quorum and
+// requires ackQuorum durable copies. A fenced ensemble permanently closes the
+// writer. When the quorum cannot be reached because replicas are down, the
+// writer performs a BookKeeper-style ensemble change instead of failing: the
+// dead bookies are swapped for live spares in the metadata, the entry
+// retries against the new ensemble, and a background task re-replicates
+// earlier entries onto the replacements.
+func (w *Writer) replicate(entryID int64, c entryCopy) error {
 	const maxEnsembleChanges = 2
 	for change := 0; ; change++ {
 		acks := 0
@@ -587,10 +495,10 @@ func (w *Writer) replicate(entryID int64, data []byte) error {
 				failed = append(failed, pos)
 				continue
 			}
-			err := b.addEntry(w.table, w.ledgerID, entryID, data)
+			err := b.addEntry(w.table, w.ledgerID, entryID, c)
 			if errors.Is(err, ErrDropped) {
 				// One immediate retry absorbs an isolated lost RPC.
-				err = b.addEntry(w.table, w.ledgerID, entryID, data)
+				err = b.addEntry(w.table, w.ledgerID, entryID, c)
 			}
 			if err != nil {
 				if errors.Is(err, ErrFenced) {
@@ -664,7 +572,7 @@ func (w *Writer) replaceBookies(positions []int) error {
 
 // rereplicate restores every entry in [0, upto) whose replica set includes a
 // replaced ensemble position onto the replacement bookie: it takes a
-// surviving replica's buffer and stores it there, which sets the bookie's bit
+// surviving replica's copy and stores it there, which sets the bookie's bit
 // in the ledger's table t rather than copying. Entries with no reachable
 // replica are skipped: they were either never acked, or lost beyond what the
 // quorum can protect.
@@ -681,18 +589,18 @@ func (s *System) rereplicate(t *entryTable, ledgerID int64, md metadata, replace
 			if !ok {
 				continue
 			}
-			data := s.readReplica(ledgerID, md, e, pos)
-			if data == nil {
+			c := s.readReplica(ledgerID, md, e, pos)
+			if c.data == nil {
 				// Last resort: the replaced bookie may still serve reads
 				// (e.g. it only dropped writes).
 				if ob, ok := s.Bookie(old); ok {
-					data, _ = ob.storedEntry(ledgerID, e)
+					c, _ = ob.storedEntry(ledgerID, e)
 				}
 			}
-			if data == nil {
+			if c.data == nil {
 				continue
 			}
-			if err := dst.addEntry(t, ledgerID, e, data); err == nil {
+			if err := dst.addEntry(t, ledgerID, e, c); err == nil {
 				copied++
 			}
 		}
@@ -700,20 +608,21 @@ func (s *System) rereplicate(t *entryTable, ledgerID int64, md metadata, replace
 	return copied
 }
 
-// readReplica fetches one entry's buffer from any replica position but skipPos.
-func (s *System) readReplica(ledgerID int64, md metadata, entryID int64, skipPos int) []byte {
+// readReplica fetches one entry's stored copy from any replica position but
+// skipPos; nil data when none serves it.
+func (s *System) readReplica(ledgerID int64, md metadata, entryID int64, skipPos int) entryCopy {
 	for j := 0; j < md.WriteQuorum; j++ {
 		pos := int((entryID + int64(j)) % int64(len(md.Ensemble)))
 		if pos == skipPos {
 			continue
 		}
 		if b, ok := s.Bookie(md.Ensemble[pos]); ok {
-			if data, err := b.storedEntry(ledgerID, entryID); err == nil {
-				return data
+			if c, err := b.storedEntry(ledgerID, entryID); err == nil {
+				return c
 			}
 		}
 	}
-	return nil
+	return entryCopy{}
 }
 
 // stragglerExtra is the injected latency gating an append: the slowest
@@ -791,6 +700,16 @@ func (r *Reader) Read(entryID int64) ([]byte, error) {
 		}
 		return append([]byte(nil), r.cold[entryID]...), nil
 	}
+	data, err := r.fetch(entryID)
+	if err != nil {
+		return nil, err
+	}
+	return append([]byte(nil), data...), nil
+}
+
+// fetch is Read from the bookies without the copy, at the same modelled
+// cost: the bytes a replica stores, which nobody may write.
+func (r *Reader) fetch(entryID int64) ([]byte, error) {
 	if entryID < 0 || entryID > r.meta.LastEntry {
 		return nil, fmt.Errorf("%w: %d (last is %d)", ErrNoEntry, entryID, r.meta.LastEntry)
 	}
@@ -811,21 +730,22 @@ func (r *Reader) Read(entryID int64) ([]byte, error) {
 		if !ok {
 			continue
 		}
-		data, err := b.readEntry(r.ledgerID, entryID)
+		c, err := b.storedEntry(r.ledgerID, entryID)
 		if err == nil {
 			r.sys.clock.Sleep(b.extraLatency())
-			return data, nil
+			return c.data, nil
 		}
 		lastErr = err
 	}
 	return nil, fmt.Errorf("ledger %d entry %d unreadable: %w", r.ledgerID, entryID, lastErr)
 }
 
-// readAll returns every entry in order.
+// readAll returns every entry of a ledger on the bookies in order, uncopied
+// (fetch).
 func (r *Reader) readAll() ([][]byte, error) {
 	out := make([][]byte, 0, r.meta.LastEntry+1)
 	for e := int64(0); e <= r.meta.LastEntry; e++ {
-		data, err := r.Read(e)
+		data, err := r.fetch(e)
 		if err != nil {
 			return nil, err
 		}
@@ -846,9 +766,8 @@ func (s *System) Recover(ledgerID int64) (*Reader, error) {
 	if md.Closed {
 		return &Reader{sys: s, ledgerID: ledgerID, meta: md}, nil
 	}
-	// Fence and collect per-bookie last-entry ids.
-	reachable := 0
-	var lasts []int64
+	// Fence, and find the highest entry id any reachable bookie has seen.
+	reachable, maxSeen := 0, int64(-1)
 	for _, bid := range md.Ensemble {
 		b, ok := s.Bookie(bid)
 		if !ok {
@@ -859,7 +778,7 @@ func (s *System) Recover(ledgerID int64) (*Reader, error) {
 			continue
 		}
 		reachable++
-		lasts = append(lasts, last)
+		maxSeen = max(maxSeen, last)
 	}
 	if reachable == 0 {
 		return nil, fmt.Errorf("%w: no ensemble bookie reachable for recovery", ErrNotEnough)
@@ -870,14 +789,12 @@ func (s *System) Recover(ledgerID int64) (*Reader, error) {
 	// readable from a replica. (Entries past the last acked one may exist
 	// on a minority; BookKeeper recovers them too — anything readable is
 	// kept, which preserves the "acked entries are never lost" guarantee.)
-	sort.Slice(lasts, func(i, j int) bool { return lasts[i] < lasts[j] })
-	maxSeen := lasts[len(lasts)-1]
 	lastEntry := int64(-1)
 	probe := Reader{sys: s, ledgerID: ledgerID, meta: metadata{
 		Ensemble: md.Ensemble, WriteQuorum: md.WriteQuorum, AckQuorum: md.AckQuorum, Closed: true, LastEntry: maxSeen,
 	}}
 	for e := int64(0); e <= maxSeen; e++ {
-		if _, err := probe.Read(e); err != nil {
+		if _, err := probe.fetch(e); err != nil {
 			break
 		}
 		lastEntry = e

@@ -3,6 +3,7 @@ package ledger
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -243,4 +244,35 @@ func TestWriterReadsItsOwnOpenLedger(t *testing.T) {
 		must(t, err)
 		readAll(w.Reader(), 13)
 	})
+}
+
+// TestRecoverProbesWithoutCopying: Recover learns how far a crashed writer's
+// ledger is readable by reading each entry from the replicas, at a read's
+// modelled cost but without copying it, so recovering a ledger of 1000
+// entries of 256 B allocates a handful of times for the fence and the sealed
+// metadata, not once per entry (1017 allocations and 256 KB when each probe
+// took a private copy).
+func TestRecoverProbesWithoutCopying(t *testing.T) {
+	const entries, budget = 1000, 20
+	s := newSystem(3)
+	w, err := s.CreateLedger(3, 2, 2)
+	must(t, err)
+	data := make([]byte, 256)
+	for i := 0; i < entries; i++ {
+		_, err := w.Append(data)
+		must(t, err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r, err := s.Recover(w.ID())
+	runtime.ReadMemStats(&after)
+	must(t, err)
+	if r.LastEntry() != entries-1 {
+		t.Fatalf("Recover ends the ledger at %d, want %d", r.LastEntry(), entries-1)
+	}
+	allocs, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+	t.Logf("recovering %d entries of %d B allocated %d times, %d B", entries, len(data), allocs, bytes)
+	if allocs > budget {
+		t.Fatalf("recovering %d entries allocated %d times, want <= %d", entries, allocs, budget)
+	}
 }

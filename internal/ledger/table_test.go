@@ -83,6 +83,9 @@ type tableRun struct {
 	hi     map[int64]int64 // live ledger -> highest entry id written
 	gone   map[int64]int64 // the same, for ledgers dropped since the last check
 	nbuf   int
+	// copyOf maps an attempt (the oracle's buffer) to the ledger's copy of
+	// it that bookies serve, and attemptOf the other way.
+	copyOf, attemptOf map[*byte]*byte
 }
 
 func (r *tableRun) bookie(id string) *Bookie {
@@ -90,16 +93,18 @@ func (r *tableRun) bookie(id string) *Bookie {
 	return b
 }
 
-// fresh returns a new buffer: equal bytes never mean a shared buffer here.
+// fresh returns a new buffer, one attempt at an entry: equal bytes never
+// mean one attempt here.
 func (r *tableRun) fresh(ledgerID, e int64) []byte {
 	r.nbuf++
 	return []byte(fmt.Sprintf("l%d-e%d-#%d", ledgerID, e, r.nbuf))
 }
 
-// add sends data as entry e to the ensemble member at pos, on both sides.
-func (r *tableRun) add(w *Writer, pos int, e int64, data []byte) {
+// add sends one attempt at entry e to the ensemble member at pos, on both
+// sides: c, the ledger's copy of it, to the bookie and data to the oracle.
+func (r *tableRun) add(w *Writer, pos int, e int64, c entryCopy, data []byte) {
 	id := w.meta.Ensemble[pos]
-	err := r.bookie(id).addEntry(w.table, w.ledgerID, e, data)
+	err := r.bookie(id).addEntry(w.table, w.ledgerID, e, c)
 	if ok := r.oracle[id].add(w.ledgerID, e, data); ok != (err == nil) {
 		r.t.Fatalf("add of ledger %d entry %d on %s: table %v, oracle ok=%v", w.ledgerID, e, id, err, ok)
 	}
@@ -193,15 +198,16 @@ func (r *tableRun) step() {
 		}
 		must(t, err)
 		if rng.Intn(4) == 0 {
-			w.table.members = 64 // every bookie of this ledger is a 65th member
+			w.table.members = maxMembers // every bookie of this ledger is past the index's bits
 		}
 		r.open = append(r.open, w)
 		r.hi[w.ledgerID] = -1
 	case op < 8: // append
 		w := r.open[rng.Intn(len(r.open))]
 		data := r.fresh(w.ledgerID, w.next)
+		c := w.table.add(w.next, data, w.LedgerEntries)
 		for j := 0; j < w.meta.WriteQuorum; j++ {
-			r.add(w, int((w.next+int64(j))%int64(len(w.meta.Ensemble))), w.next, data)
+			r.add(w, int((w.next+int64(j))%int64(len(w.meta.Ensemble))), w.next, c, data)
 		}
 		w.next++
 	case op < 11: // a failed append retried at the same id, in a fresh buffer
@@ -211,9 +217,10 @@ func (r *tableRun) step() {
 		}
 		e := w.next - 1
 		data := r.fresh(w.ledgerID, e)
+		c := w.table.add(e, data, w.LedgerEntries)
 		for j := 0; j < w.meta.WriteQuorum; j++ {
 			if rng.Intn(3) > 0 {
-				r.add(w, int((e+int64(j))%int64(len(w.meta.Ensemble))), e, data)
+				r.add(w, int((e+int64(j))%int64(len(w.meta.Ensemble))), e, c, data)
 			}
 		}
 	case op < 12: // DropNext
@@ -309,9 +316,8 @@ func (r *tableRun) step() {
 	}
 }
 
-// check compares every bookie with its oracle: reads, the stored buffer's
-// identity, and the entry count; and the system holds a table per live
-// ledger.
+// check compares every bookie with its oracle: reads, which copy it stores,
+// and the entry count; and the system holds a table per live ledger.
 func (r *tableRun) check(step int) {
 	t := r.t
 	for _, id := range r.ids {
@@ -336,22 +342,33 @@ func (r *tableRun) check(step int) {
 }
 
 // compare checks one bookie's entries [-1, hi+1] of a ledger against its
-// oracle.
+// oracle. Bookies holding one attempt serve one stored copy; a divergent
+// attempt is another copy.
 func (r *tableRun) compare(step int, b *Bookie, o *oracleBookie, l, hi int64) {
 	t := r.t
 	for e := int64(-1); e <= hi+1; e++ {
-		got, err := b.readEntry(l, e)
+		got, err := b.storedEntry(l, e)
 		want := o.serve(l, e)
-		if (err == nil) != (want != nil) || !bytes.Equal(got, want) {
-			t.Fatalf("step %d: %s reads ledger %d entry %d as %q (%v), oracle %q", step, b.ID, l, e, got, err, want)
+		if (err == nil) != (want != nil) || !bytes.Equal(got.data, want) {
+			t.Fatalf("step %d: %s reads ledger %d entry %d as %q (%v), oracle %q", step, b.ID, l, e, got.data, err, want)
 		}
 		b.mu.Lock()
-		buf := b.entryLocked(l, e)
+		buf := b.entryLocked(l, e).data
 		b.mu.Unlock()
 		held := o.entries[l][e]
-		if (buf == nil) != (held == nil) || buf != nil && &buf[0] != &held[0] {
-			t.Fatalf("step %d: %s stores ledger %d entry %d as %q, oracle %q (or another buffer)", step, b.ID, l, e, buf, held)
+		if (buf == nil) != (held == nil) {
+			t.Fatalf("step %d: %s stores ledger %d entry %d as %q, oracle %q", step, b.ID, l, e, buf, held)
 		}
+		if buf == nil {
+			continue
+		}
+		if c, ok := r.copyOf[&held[0]]; ok && c != &buf[0] {
+			t.Fatalf("step %d: %s stores ledger %d entry %d in another copy than other bookies holding that attempt", step, b.ID, l, e)
+		}
+		if a, ok := r.attemptOf[&buf[0]]; ok && a != &held[0] {
+			t.Fatalf("step %d: %s stores ledger %d entry %d in the copy of another attempt", step, b.ID, l, e)
+		}
+		r.copyOf[&held[0]], r.attemptOf[&buf[0]] = &buf[0], &held[0]
 	}
 }
 
@@ -360,16 +377,18 @@ func (r *tableRun) compare(step int, b *Bookie, o *oracleBookie, l, hi int64) {
 // bookies, ensemble changes with rereplication, fencing, Recover,
 // DeleteLedger and Offload against the bookies and against an oracle that
 // keeps one private map per bookie per ledger. Every bookie must serve the
-// same bytes, hold the very same buffer, count the same entries and fence at
-// the same last entry as its oracle, whether the ledger's entries sit in the
-// shared table or, past 64 members or after a divergent rewrite, in a
+// same bytes, count the same entries and fence at the same last entry as its
+// oracle, and bookies holding one attempt must serve one stored copy of it,
+// another attempt's copy being another, whether the ledger's entries sit in the
+// shared index or, past 8 members or after a divergent rewrite, in a
 // bookie's own map.
 func TestEntryTableMatchesPerBookieOracle(t *testing.T) {
 	_, store := tieredSystem(t)
 	for seed := int64(1); seed <= 40; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			r := &tableRun{t: t, rng: rand.New(rand.NewSource(seed)), s: newSystem(6), oracle: map[string]*oracleBookie{},
-				store: store, hi: map[int64]int64{}, gone: map[int64]int64{}}
+				store: store, hi: map[int64]int64{}, gone: map[int64]int64{},
+				copyOf: map[*byte]*byte{}, attemptOf: map[*byte]*byte{}}
 			r.ids = r.s.BookieIDs()
 			for _, id := range r.ids {
 				r.oracle[id] = &oracleBookie{entries: map[int64]map[int64][]byte{}}

@@ -156,7 +156,7 @@ type topicState struct {
 	listPath string
 	listBuf  []byte
 	win      msgWindow // the unacked tail; win.end is the topic's next seq
-	chunk    []byte    // the unused tail of the current ledger's entry bytes (entryBuf)
+	enc      []byte    // where a publish encodes its entries for the ledger to copy
 	subs     map[string]*subscription
 }
 
@@ -399,13 +399,14 @@ func (b *Broker) subLocked(topicName, subName string) (*topicState, *subscriptio
 // assigned seq; all messages share one PublishTime.
 //
 // payloads are read once, by the encode under the topic lock, and not kept:
-// each entry is carved from the current ledger's bytes (entryBuf) and encoded
-// with the publish time before the durable append, and entries[i], which the
-// caller supplies as scratch, is set to message i's. From there an entry
-// travels uncopied: the bookie replicas retain it, the topic's window holds
-// its payload view until every subscription has acked past it, and consumers
-// receive that same view. Every attempt encodes afresh, so a retry never
-// touches an entry a failed append may have left on a bookie.
+// the entries are encoded with the publish time into the topic's scratch
+// (ts.enc), and the durable append copies each into bytes the current ledger
+// owns and sets entries[i], which the caller supplies as scratch, to message
+// i's copy. From there an entry travels uncopied: the bookie replicas share
+// it, the topic's window holds its payload view until every subscription has
+// acked past it, and consumers receive that same view. The ledger copies
+// every attempt afresh, so a retry never touches an entry a failed append may
+// have left on a bookie.
 //
 // traces[i] is message i's publish-side causal context (zero = untraced):
 // the group commit parents on the first traced message, and every delivery
@@ -447,10 +448,7 @@ func (b *Broker) publishEntries(topicName string, keys []string, payloads [][]by
 	now := b.cluster.clock.Now()
 	first := ts.win.end
 	pos := first - ts.ranges[len(ts.ranges)-1].StartSeq
-	for i, p := range payloads {
-		entries[i] = ts.entryBuf(entrySize(keys[i], len(p)), pos+int64(i))
-		encodeEntryInto(entries[i], keys[i], p, now)
-	}
+	ts.encode(keys, payloads, entries, now)
 	var batchCtx obs.TraceCtx
 	for _, tc := range traces {
 		if tc.Valid() {
@@ -489,6 +487,33 @@ func (b *Broker) publishEntries(topicName string, keys []string, payloads [][]by
 	return first, err
 }
 
+// maxScratch is the most encoded bytes a topic keeps for its next publish:
+// a few hundred typical entries, far above a full batch of them.
+const maxScratch = 64 << 10
+
+// encode sets entries[i] to message i's entry, published at now, encoded
+// into the topic's scratch, which the next publish reuses: the ledger's
+// append copies each entry out of it. A batch larger than maxScratch
+// encodes into bytes that go with it. Called with the topic's lock held.
+func (ts *topicState) encode(keys []string, payloads [][]byte, entries [][]byte, now time.Time) {
+	n := 0
+	for i, p := range payloads {
+		n += entrySize(keys[i], len(p))
+	}
+	buf := ts.enc[:cap(ts.enc)]
+	if n > len(buf) {
+		buf = make([]byte, n)
+		if n <= maxScratch {
+			ts.enc = buf
+		}
+	}
+	for i, p := range payloads {
+		size := entrySize(keys[i], len(p))
+		entries[i], buf = buf[:size:size], buf[size:]
+		encodeEntryInto(entries[i], keys[i], p, now)
+	}
+}
+
 // rollLocked moves the topic's writer to a fresh ledger, which a batch can
 // then fill without straddling two, names it in the topic's ledger list
 // before anything is appended to it, and deletes what every subscription has
@@ -497,7 +522,6 @@ func (b *Broker) rollLocked(ts *topicState) error {
 	if err := ts.writer.Roll(); err != nil {
 		return err
 	}
-	ts.chunk = nil // the new ledger's entries start a chunk of their own
 	ts.ranges = append(ts.ranges, ledgerRange{ID: ts.writer.ID(), StartSeq: ts.win.end})
 	return b.retireLocked(ts, true)
 }
@@ -987,6 +1011,7 @@ func (b *Broker) loadTopic(topicName string) error {
 	if err != nil {
 		return err
 	}
+	w.LedgerEntries = topicLedgerEntries
 	ts.writer = w
 	ts.ranges = append(ts.ranges, ledgerRange{ID: w.ID(), StartSeq: next})
 	if err := c.setTopicLedgers(ts, ts.ranges); err != nil {

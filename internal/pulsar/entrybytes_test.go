@@ -11,8 +11,8 @@ import (
 	"repro/internal/ledger"
 )
 
-// TestLedgerOwnedBytesMatchOracle holds the entry bytes the broker carves from
-// its topic's current ledger to a map oracle of what was sent. One producer
+// TestLedgerOwnedBytesMatchOracle holds the entry bytes a topic's current
+// ledger copies and owns to a map oracle of what was sent. One producer
 // drives a seeded random stream into a plain topic: sync sends and
 // SendAsync+Flush, keyed and unkeyed, payloads from 0 B to more than one
 // chunk, written from one source buffer the test overwrites after every call.
@@ -26,6 +26,7 @@ import (
 // oracle byte for byte.
 func TestLedgerOwnedBytesMatchOracle(t *testing.T) {
 	const ops = 9000
+	const ledgerChunk = 128 << 10 // a ledger's entry log is chunks of this many bytes
 	e := newEnv(t, 2, 3)
 	type sent struct {
 		key     string
@@ -43,7 +44,7 @@ func TestLedgerOwnedBytesMatchOracle(t *testing.T) {
 		owner, _ := e.cluster.lockHolder("t")
 		bookie, _ := e.ledgers.Bookie("bookie-0")
 		rng := rand.New(rand.NewSource(44))
-		src := make([]byte, 0, 3*entryChunkSize)
+		src := make([]byte, 0, 3*ledgerChunk)
 		var next int64 // the seq the next committed message gets
 		var batch []sent
 		var unacked []Message
@@ -52,7 +53,7 @@ func TestLedgerOwnedBytesMatchOracle(t *testing.T) {
 			n := rng.Intn(64)
 			switch r := rng.Intn(1000); {
 			case r == 0:
-				n = entryChunkSize + rng.Intn(2*entryChunkSize) // more than a chunk
+				n = ledgerChunk + rng.Intn(2*ledgerChunk) // more than a chunk
 			case r < 10:
 				n = 0
 			case r < 100:
@@ -123,7 +124,7 @@ func TestLedgerOwnedBytesMatchOracle(t *testing.T) {
 				if !ok {
 					break
 				}
-				if got.Seq%97 == 0 || len(got.Payload) > entryChunkSize {
+				if got.Seq%97 == 0 || len(got.Payload) > ledgerChunk {
 					kept = append(kept, got)
 				}
 				if rng.Intn(10) == 0 {

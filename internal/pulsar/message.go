@@ -61,10 +61,11 @@ func entrySize(key string, payloadLen int) int {
 
 // encodeEntryInto serializes an entry published at `at` into buf, which must
 // be exactly entrySize bytes; the payload is its last bytes. On the publish
-// path the broker carves buf from its topic's current ledger (entryBuf) under
-// the topic lock, so this is the one copy a payload sees: from here the entry
-// goes uncopied to the bookies, and its payload view to the topic's window
-// and consumers, and nothing writes it again.
+// path buf is the topic's encode scratch (topicState.encode), which the
+// current ledger's append copies into the entry log it owns: that copy is the
+// one a payload is kept in, which goes uncopied to the bookies, and as a
+// payload view to the topic's window and consumers, and nothing writes it
+// again.
 func encodeEntryInto(buf []byte, key string, payload []byte, at time.Time) {
 	buf[0] = codecVersion
 	binary.BigEndian.PutUint64(buf[1:], uint64(at.UnixNano()))

@@ -1,11 +1,12 @@
 // Package seglog is the one structure behind the platform's rule that an
 // element appended to a log is written once and never moved: a ledger's
-// entry table, which its bookies share, and the tracer's attr side log are
-// each a Log.
+// entry index — an 8-byte record per entry into the entry log the ledger
+// owns, which its bookies share — and the tracer's attr side log are each a
+// Log.
 //
 // A plain slice grown by append re-copies its whole history at every growth
 // step — on the hot path, under the owner's lock, for elements the
-// immutability contract (DESIGN.md §10) says never change. A Log instead
+// immutability contract (DESIGN.md §10) says never move. A Log instead
 // allocates segments and leaves them where they are: At(i) stays valid for
 // the life of the Log however many appends follow. A log whose length is
 // known in advance reserves it as one first segment (Reserve), so filling it

@@ -29,6 +29,12 @@ if grep -n 'arena' internal/pulsar/client.go; then
 	echo "check: the broker encodes each entry into bytes its topic's current ledger owns; a producer carves none" >&2
 	exit 1
 fi
+echo "== a ledger owns its entry bytes: the broker's arena and the 32 B entry slot are gone"
+if grep -rnwE 'entryBuf|entryChunkSize' --include='*.go' --exclude='*_test.go' internal/pulsar/ ||
+	grep -rnw 'entrySlot' --include='*.go' --exclude='*_test.go' internal/ledger/; then
+	echo "check: a ledger copies each entry into its own entry log and finds it through an 8 B index record; the broker carves no entry bytes" >&2
+	exit 1
+fi
 echo "== a producer batches in one buffer of MaxBatch slots, not a recycled batch per partition"
 if grep -rnE 'topicBatch|takeBatchLocked|recycleBatchLocked' --include='*.go' internal/pulsar/; then
 	echo "check: SendAsync queues every partition's messages in one arrival-ordered buffer; per-partition batches and their free list are gone" >&2
