@@ -711,17 +711,25 @@ func (w *discardWriter) WriteHeader(code int)        { w.status = code }
 func (w *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
 
 // TestGatewayServeAllocs pins what Gateway.ServeHTTP itself allocates for a
-// sync 64 B echo — no network, a reusable writer. Five are the gateway's: the
-// mux's match, the invoke closure and its results, and the two allocations
-// behind both of the response's header values (X-Taureau-Result and
-// Content-Length, one string and one backing array); two are this test's
-// request copy and body wrapper. The eighth was http.MaxBytesReader, now kept
-// for the body of undeclared length: net/http ends a declared one itself, and
-// one declared over MaxBody is refused unread. The body buffer is borrowed
-// from the gateway's pool. It was 18 with io.ReadAll, seven Header.Set +
-// strconv pairs and a goroutine hop per invoke.
+// sync 64 B echo — no network, a reusable writer. Three are the gateway's: the
+// mux's match and the two allocations behind both of the response's header
+// values (X-Taureau-Result and Content-Length, one string and one backing
+// array, which the writer's header map keeps past the handler); two are this
+// test's request copy and body wrapper. What runInvoke hands Clock.Join and
+// gets back is one pooled invocation with its run func bound once: it was a
+// closure and a holder for its results, 7 in all. The eighth before that was
+// http.MaxBytesReader, now kept for the body of undeclared length: net/http
+// ends a declared one itself, and one declared over MaxBody is refused unread.
+// The body buffer is borrowed from the gateway's pool. It was 18 with
+// io.ReadAll, seven Header.Set + strconv pairs and a goroutine hop per invoke.
 func TestGatewayServeAllocs(t *testing.T) {
-	const want = 7
+	want := 5
+	if raceDetector {
+		// sync.Pool drops a quarter of its Puts under the race detector, so
+		// the body buffer and the invocation (two allocations each) are
+		// bought anew for a quarter of requests: 6 measured.
+		want = 6
+	}
 	gw := echoGateway(t)
 	payload := make([]byte, 64)
 	tmpl := httptest.NewRequest(http.MethodPost, "/v1/functions/echo/invoke", nil)
@@ -744,7 +752,7 @@ func TestGatewayServeAllocs(t *testing.T) {
 	}
 	got := testing.AllocsPerRun(2000, serve)
 	t.Logf("ServeHTTP allocates %.1f allocs/op for a 64 B echo", got)
-	if got > want {
+	if got > float64(want) {
 		t.Fatalf("ServeHTTP allocates %.1f allocs/op for a 64 B echo, want <= %d", got, want)
 	}
 }
@@ -752,16 +760,20 @@ func TestGatewayServeAllocs(t *testing.T) {
 // TestGatewayClientInvokeAllocs pins a whole Client.Invoke of 64 B over a
 // loopback keep-alive connection — client, net/http on both sides, server —
 // as the process-wide malloc count per call. It was 123, then 102 with seven
-// metadata headers sent through http.Client.Do, and measures 83. Six are the
-// Client's (the call, its path, the header map's two, the body's NopCloser
-// and GetBody), one the result's buffer, five the gateway's (above); the
-// other 71 are net/http's — the Transport's round trip (contexts, channels,
-// the connection key), the server's request and the client's response (MIME
-// header parse, one map, value and key string per header it does not know by
-// heart, Header.Clone on WriteHeader) — and the three spare are for its next
-// release.
+// metadata headers sent through http.Client.Do, then 83, and measures 76. The
+// Client's request, URL, header map, body reader and bound funcs are one
+// pooled call, which goes back to its pool once the Transport's trace says it
+// is done with the request (it was six allocations: the call, the header
+// map's two, the body's NopCloser, GetBody, and the path, which is left);
+// the gateway's invocation is pooled too (above). Of the 76, one is the
+// Client's path, one the result's buffer, three the gateway's; the other 71
+// are net/http's — the Transport's round trip (contexts, channels, the
+// connection key, a copy of a request with a body), the server's request and
+// the client's response (MIME header parse, one map, value and key string per
+// header it does not know by heart, Header.Clone on WriteHeader) — and the
+// three spare are for its next release.
 func TestGatewayClientInvokeAllocs(t *testing.T) {
-	const want = 86
+	const want = 79
 	c := loopbackClient(t, echoGateway(t))
 	payload := make([]byte, 64)
 	invoke := func() {

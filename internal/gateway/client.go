@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptrace"
 	"net/url"
 	"sync"
 	"time"
@@ -23,6 +24,11 @@ import (
 // and CheckRedirect are not consulted: the v1 API sets no cookie and issues no
 // redirect, so a 3xx is an *APIError like any other non-2xx, and http.Client.Do
 // is not paid to prepare for either on every request.
+//
+// A call's request state is pooled and recycled only under an *http.Transport
+// (the default), over HTTP/1.x, on a connection kept for the next request.
+// Any other RoundTripper may keep what it is handed, so under one, as under
+// HTTP/2 or after a failed call, nothing is recycled.
 //
 // Block, when set, wraps every HTTP round-trip. A driver goroutine tracked
 // by the virtual clock MUST set it to Virtual.Outside: the socket wait inside
@@ -57,42 +63,75 @@ type InvokeResult struct {
 	Deduped   bool
 }
 
-// call is everything one request allocates on the client's side of net/http,
-// in one piece: the request, its URL and body reader, the backing array of
-// its header values, and what the round trip returns.
+// call is one request's state on the client's side of net/http, drawn from
+// callPool with its request (over a context that carries its trace), header
+// map, body reader and bound funcs built once: of its own a request allocates
+// only its path and what it returns.
 type call struct {
 	c       *Client
-	req     http.Request
+	req     *http.Request
+	trace   httptrace.ClientTrace
 	url     url.URL
+	vals    [4]string // one header value each: Authorization, Accept-Encoding, Content-Type, Idempotency-Key
 	payload []byte
 	body    bytes.Reader
-	vals    [4]string // one header value each: Authorization, Accept-Encoding, Content-Type, Idempotency-Key
+	bodyRC  io.ReadCloser                 // io.NopCloser(&body)
+	getBody func() (io.ReadCloser, error) // k.rewind
+	run     func()                        // k.roundTrip
 
-	resp *http.Response
-	out  []byte
-	err  error
+	// pooled says the round trip went to an *http.Transport, and idle that its
+	// trace saw PutIdleConn(nil): the Transport is done with the request.
+	pooled, idle bool
+	resp         *http.Response
+	out          []byte
+	err          error
 }
 
-// getBody is the request's GetBody: a fresh reader over the payload, for the
+// callPool recycles calls across requests and Clients, zeroed on Put.
+var callPool = sync.Pool{New: func() any {
+	k := new(call)
+	k.trace.PutIdleConn = func(err error) { k.idle = err == nil }
+	ctx := httptrace.WithClientTrace(context.Background(), &k.trace)
+	k.req = (&http.Request{URL: &k.url, Header: http.Header{}, Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1}).WithContext(ctx)
+	k.bodyRC, k.getBody, k.run = io.NopCloser(&k.body), k.rewind, k.roundTrip
+	return k
+}}
+
+// putCall zeroes every field a request set, so no Client's token, key, path
+// or payload reaches the call's next request, and returns the call to the pool.
+func putCall(k *call) {
+	r := k.req
+	r.Method, r.Host, r.Body, r.GetBody, r.ContentLength = "", "", nil, nil, 0
+	clear(r.Header)
+	k.c, k.url, k.vals, k.payload = nil, url.URL{}, [4]string{}, nil
+	k.body.Reset(nil)
+	k.pooled, k.idle, k.resp, k.out, k.err = false, false, nil, nil, nil
+	callPool.Put(k)
+}
+
+// rewind is the request's GetBody: a fresh reader over the payload, for the
 // Transport's retry on a keep-alive connection the server had closed.
-func (k *call) getBody() (io.ReadCloser, error) {
+func (k *call) rewind() (io.ReadCloser, error) {
 	return io.NopCloser(bytes.NewReader(k.payload)), nil
 }
 
 // roundTrip sends the request on the Transport and reads the whole response
 // body, both inside HTTP.Timeout when there is one.
 func (k *call) roundTrip() {
-	rt, req := http.DefaultTransport, &k.req
+	rt, req := http.DefaultTransport, k.req
 	if h := k.c.HTTP; h != nil {
 		if h.Transport != nil {
 			rt = h.Transport
 		}
 		if h.Timeout > 0 {
-			ctx, cancel := context.WithTimeout(context.Background(), h.Timeout)
+			ctx, cancel := context.WithTimeout(req.Context(), h.Timeout)
 			defer cancel()
 			req = req.WithContext(ctx)
 		}
 	}
+	// A RoundTripper that wraps the Transport may keep the request; only the
+	// Transport's own word that it is done with it lets the call be reused.
+	_, k.pooled = rt.(*http.Transport)
 	k.resp, k.err = rt.RoundTrip(req)
 	if k.err != nil {
 		return
@@ -107,6 +146,12 @@ func (k *call) roundTrip() {
 // a space reaches the server as that name. Non-2xx responses — a 3xx too:
 // nothing under this follows a redirect — come back as (*APIError, nil body)
 // so errors.Is works against platform sentinels across the wire.
+//
+// The call goes back to callPool only when its trace saw PutIdleConn(nil),
+// which the Transport's read loop calls after the request is fully written and
+// the response read to its end, before it releases the caller's last Read; it
+// then only cancels the request's context and deletes the pointer from its
+// CancelRequest table, reading no field. Any other call is left to the GC.
 func (c *Client) do(method, dir, name, verb, contentType, idemKey string, body []byte) ([]byte, http.Header, error) {
 	c.once.Do(func() {
 		u, err := url.Parse(c.BaseURL)
@@ -120,13 +165,15 @@ func (c *Client) do(method, dir, name, verb, contentType, idemKey string, body [
 		return nil, nil, c.baseErr
 	}
 
-	k := &call{c: c, url: c.base, payload: body}
+	k := callPool.Get().(*call)
+	k.c, k.url, k.payload = c, c.base, body
 	k.url.Path = c.base.Path + dir + name + verb
-	// The header is a fresh map per request: RoundTripper wrappers Set on it.
-	hdr, n := make(http.Header, len(k.vals)), 0
+	r := k.req
+	r.Method, r.Host = method, k.url.Host
+	n := 0
 	set := func(key, v string) {
 		k.vals[n] = v
-		hdr[key] = k.vals[n : n+1 : n+1]
+		r.Header[key] = k.vals[n : n+1 : n+1]
 		n++
 	}
 	set("Authorization", c.bearer)
@@ -139,29 +186,29 @@ func (c *Client) do(method, dir, name, verb, contentType, idemKey string, body [
 	if idemKey != "" {
 		set("Idempotency-Key", idemKey)
 	}
-	k.req = http.Request{
-		Method: method, URL: &k.url, Host: k.url.Host, Header: hdr,
-		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
-	}
 	if len(body) > 0 {
 		k.body.Reset(body)
 		// io.NopCloser over a *bytes.Reader is a body net/http knows to be in
 		// memory, which it sends in the same write as the request header.
-		k.req.Body, k.req.GetBody, k.req.ContentLength = io.NopCloser(&k.body), k.getBody, int64(len(body))
+		r.Body, r.GetBody, r.ContentLength = k.bodyRC, k.getBody, int64(len(body))
 	}
 
 	if c.Block != nil {
-		c.Block(k.roundTrip)
+		c.Block(k.run)
 	} else {
-		k.roundTrip()
+		k.run()
 	}
 	if k.err != nil {
 		return nil, nil, fmt.Errorf("gateway client: %s %s: %w", method, k.url.Path, k.err)
 	}
-	if k.resp.StatusCode < 200 || k.resp.StatusCode > 299 {
-		return nil, k.resp.Header, decodeError(k.resp.StatusCode, k.out)
+	out, resp := k.out, k.resp
+	if k.pooled && k.idle {
+		putCall(k)
 	}
-	return k.out, k.resp.Header, nil
+	if resp.StatusCode < 200 || resp.StatusCode > 299 {
+		return nil, resp.Header, decodeError(resp.StatusCode, out)
+	}
+	return out, resp.Header, nil
 }
 
 // Register deploys a function from its spec.

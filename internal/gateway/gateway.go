@@ -23,7 +23,9 @@
 // the output. Bodies are read once into a buffer of their declared size —
 // borrowed from bodyPool by an un-keyed sync invoke, bought by every other
 // request — and the output, one []byte already, goes out under its
-// Content-Length in a single write.
+// Content-Length in a single write. A sync invoke's state and a Client's per
+// request state are pooled, so a round trip allocates of its own only what it
+// hands back: the output, the response's header values, the request path.
 //
 // Clock discipline: gateway handlers run on net/http goroutines the virtual
 // clock does not track. Each invoke therefore runs inside Clock.Join: under
@@ -282,10 +284,11 @@ func (g *Gateway) handleRegister(w http.ResponseWriter, r *http.Request, tenant 
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, map[string]string{
-		"name":   spec.Name,
-		"tenant": tenant,
-	})
+	// Fields in sorted order, so the body is what a map of the two encoded.
+	writeJSON(w, http.StatusCreated, struct {
+		Name   string `json:"name"`
+		Tenant string `json:"tenant"`
+	}{spec.Name, tenant})
 }
 
 // FunctionSummary is one row of GET /v1/functions.
@@ -327,24 +330,50 @@ func (g *Gateway) handleDelete(w http.ResponseWriter, r *http.Request, tenant st
 // under the real one. Each HTTP invoke roots exactly one trace; the span
 // carries tenant and function labels into the SLO/telemetry pipeline.
 func (g *Gateway) runInvoke(tenant, name string, payload []byte, idemKey string) (faas.Result, error) {
-	// One heap object for what the closure hands back, not one per result.
-	var out struct {
-		res faas.Result
-		err error
+	inv := invocationPool.Get().(*invocation)
+	inv.g, inv.tenant, inv.name, inv.payload, inv.idemKey = g, tenant, name, payload, idemKey
+	g.p.Clock.Join(inv.run)
+	res, err := inv.res, inv.err
+	putInvocation(inv)
+	return res, err
+}
+
+// invocation is what runInvoke hands Clock.Join and what comes back, pooled,
+// with its run func bound once: Join gets the same func value every time.
+type invocation struct {
+	g                     *Gateway
+	tenant, name, idemKey string
+	payload               []byte
+	res                   faas.Result
+	err                   error
+	run                   func() // inv.invoke
+}
+
+var invocationPool = sync.Pool{New: func() any {
+	inv := new(invocation)
+	inv.run = inv.invoke
+	return inv
+}}
+
+// putInvocation zeroes all but the bound run func, so no tenant, name, key,
+// payload or result reaches whichever request draws the invocation next.
+func putInvocation(inv *invocation) {
+	*inv = invocation{run: inv.run}
+	invocationPool.Put(inv)
+}
+
+func (inv *invocation) invoke() {
+	p := inv.g.p
+	var span obs.SpanRef
+	var tc obs.TraceCtx
+	if p.Obs != nil {
+		span = p.Obs.Tracer().Start(obs.TraceCtx{}, "gateway.invoke")
+		tc = span.Ctx()
 	}
-	g.p.Clock.Join(func() {
-		var span obs.SpanRef
-		var tc obs.TraceCtx
-		if g.p.Obs != nil {
-			span = g.p.Obs.Tracer().Start(obs.TraceCtx{}, "gateway.invoke")
-			tc = span.Ctx()
-		}
-		out.res, out.err = g.p.FaaS.InvokeForTraceIdem(tenant, name, payload, tc, idemKey)
-		if span.Active() {
-			span.EndLabeled(tenant, name, out.err != nil)
-		}
-	})
-	return out.res, out.err
+	inv.res, inv.err = p.FaaS.InvokeForTraceIdem(inv.tenant, inv.name, inv.payload, tc, inv.idemKey)
+	if span.Active() {
+		span.EndLabeled(inv.tenant, inv.name, inv.err != nil)
+	}
 }
 
 // hdrResult carries a sync invoke's metadata beside the output: an RFC 8941
@@ -488,7 +517,10 @@ func (g *Gateway) handleInvokeAsync(w http.ResponseWriter, r *http.Request, tena
 		g.async.finish(id, res, err, g.p.Clock.Now())
 	})
 	var buf [24]byte // "inv-" and up to 19 digits
-	writeJSON(w, http.StatusAccepted, map[string]string{"id": string(formatInvID(buf[:0], id)), "status": "pending"})
+	writeJSON(w, http.StatusAccepted, struct {
+		ID     string `json:"id"`
+		Status string `json:"status"`
+	}{string(formatInvID(buf[:0], id)), "pending"})
 }
 
 // InvocationStatus is the poll response for one async invocation.

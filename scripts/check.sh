@@ -59,6 +59,11 @@ if grep -rn 'InvokeAsyncFor(' --include='*.go' --exclude='*_test.go' internal/ma
 	echo "check: a batch of invocations is one faas.Drive, whose Wait returns every call's result and error in call order; no hand-rolled group, mutex or first-error loop" >&2
 	exit 1
 fi
+echo "== a gateway round trip allocates only what it hands back: the client's per-call state is pooled"
+if grep -nE 'k := &call\{|make\(http\.Header' internal/gateway/client.go; then
+	echo "check: Client.do draws its request, URL, header map and body reader from callPool; it builds none per call" >&2
+	exit 1
+fi
 echo "== one binary: cmd/ holds a single package"
 [ "$(go list ./cmd/... | wc -l)" -eq 1 ] || { echo "check: cmd/ must hold exactly one package (taureau)" >&2; exit 1; }
 echo "== API.md lists the exported surface"
