@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"encoding/binary"
 	"math"
 	"strconv"
 	"strings"
@@ -8,6 +9,7 @@ import (
 	"time"
 	"unsafe"
 
+	"repro/internal/errs"
 	"repro/internal/faas"
 	"repro/internal/reclog"
 )
@@ -23,52 +25,55 @@ const (
 )
 
 // asyncTable is the gateway's async invocations. A submitted one is pending:
-// an entry naming its tenant and function, bounded by what the platform
-// admits and by Config.Timeout, since every one finishes. A finished one is a
-// record in a log, in completion order, with its tenant, function and output
-// or error message copied into the log's arena: it pins neither the request
-// body its output may alias nor the request line its function name is cut
-// from.
+// an entry naming its tenant, bounded by what the platform admits and by
+// Config.Timeout, since every one finishes. A finished one is a record in a
+// log, in completion order, with its tenant and output or error message
+// copied into the log's arena: it pins neither the request body its output
+// may alias nor the request that submitted it.
 type asyncTable struct {
 	mu      sync.Mutex
 	base    time.Time // doneAt counts from here
 	nextID  int64
-	pending map[int64]pendingInv
+	pending map[int64]string // pending id → tenant
 	index   map[int64]uint64 // finished id → record number in done
 	done    reclog.Log[asyncRec]
 }
 
-// pendingInv is a submitted invocation that has not finished.
-type pendingInv struct{ tenant, function string }
-
-// asyncRec is a finished invocation. Its span is tenant ‖ function ‖ the
-// output (a success) or the error's message (a failure). It holds no pointer.
+// asyncRec is a finished invocation: with its span, what writePoll needs to
+// answer as its sync invoke would have. The span is tenant ‖ the result's
+// request and trace ids as uvarints ‖ the output (a success) or the error's
+// message (a failure): two counters take a few bytes there, where two int64
+// fields would grow every record's slot in the log by 16. It holds no
+// pointer. The zero record, which no finished one is, stands for a pending
+// invocation.
 type asyncRec struct {
 	id          int64
 	doneAt      int64 // nanoseconds after the table's base instant
 	lat, billed int64
-	tlen, flen  uint32
+	tlen        uint32
 	attempt     int32
 	cold        bool
 	code        uint8 // codeSucceeded, codeInternal, or codeWire+ the error's wireTable row
+	retryAfter  bool  // the error's class is errs.RetryAfter
 }
 
 const (
-	codeSucceeded = iota
-	codeInternal  // a failure no wireTable row matches
+	codePending = iota
+	codeSucceeded
+	codeInternal // a failure no wireTable row matches
 	codeWire
 )
 
 func newAsyncTable(now time.Time) asyncTable {
-	return asyncTable{base: now, pending: map[int64]pendingInv{}, index: map[int64]uint64{}}
+	return asyncTable{base: now, pending: map[int64]string{}, index: map[int64]uint64{}}
 }
 
-// submit numbers a new pending invocation.
-func (t *asyncTable) submit(tenant, function string) int64 {
+// submit numbers a new pending invocation of tenant's.
+func (t *asyncTable) submit(tenant string) int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.nextID++
-	t.pending[t.nextID] = pendingInv{tenant, function}
+	t.pending[t.nextID] = tenant
 	return t.nextID
 }
 
@@ -78,21 +83,24 @@ func (t *asyncTable) finish(id int64, res faas.Result, err error, now time.Time)
 		id: id, doneAt: int64(now.Sub(t.base)), lat: int64(res.Latency), billed: int64(res.Billed),
 		attempt: int32(res.Attempt), cold: res.Cold, code: codeSucceeded,
 	}
+	var ids [2 * binary.MaxVarintLen64]byte
+	nIDs := binary.PutUvarint(ids[:], uint64(res.RequestID))
+	nIDs += binary.PutUvarint(ids[nIDs:], uint64(res.TraceID))
 	tail, msg := res.Output, ""
 	if err != nil {
-		rec.code, tail, msg = codeInternal, nil, err.Error()
+		rec.code, rec.retryAfter, tail, msg = codeInternal, faas.ClassOf(err) == errs.RetryAfter, nil, err.Error()
 		if i := wireIndex(err); i >= 0 {
 			rec.code = uint8(codeWire + i)
 		}
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	p := t.pending[id]
+	tenant := t.pending[id]
 	delete(t.pending, id)
-	rec.tlen, rec.flen = uint32(len(p.tenant)), uint32(len(p.function))
-	num, b := t.done.Push(rec, len(p.tenant)+len(p.function)+len(tail)+len(msg))
-	n := copy(b, p.tenant)
-	n += copy(b[n:], p.function)
+	rec.tlen = uint32(len(tenant))
+	num, b := t.done.Push(rec, len(tenant)+nIDs+len(tail)+len(msg))
+	n := copy(b, tenant)
+	n += copy(b[n:], ids[:nIDs])
 	n += copy(b[n:], tail)
 	copy(b[n:], msg)
 	t.index[id] = num
@@ -115,49 +123,43 @@ func (t *asyncTable) evictLocked(now time.Time) {
 	}
 }
 
-// poll answers a poll of wire id by tenant at now, after evicting what has
-// lapsed by then. An id that is unknown, evicted, another tenant's, or not
-// exactly as formatInvID writes it reads as not found. A finished record's
-// output and error message are the arena's bytes, which are never written
-// again: they stay valid after the lock is released and the record evicted.
-func (t *asyncTable) poll(id, tenant string, now time.Time) (InvocationStatus, bool) {
+// poll finds wire id for tenant at now, after evicting what has lapsed by
+// then: the zero record for a pending invocation, else its record and its
+// span past the tenant, which result reads. An id that is unknown, evicted,
+// another tenant's, or not exactly as formatInvID writes it is not found.
+// The bytes are the arena's, which are never written again: they stay valid
+// after the lock is released and the record evicted.
+func (t *asyncTable) poll(id, tenant string, now time.Time) (asyncRec, []byte, bool) {
 	n, ok := parseInvID(id)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.evictLocked(now) // a record past its TTL is gone even if nothing finished since
 	if !ok {
-		return InvocationStatus{}, false
+		return asyncRec{}, nil, false
 	}
-	if p, ok := t.pending[n]; ok {
-		if p.tenant != tenant {
-			return InvocationStatus{}, false
-		}
-		return InvocationStatus{ID: id, Function: p.function, Status: "pending"}, true
+	if owner, ok := t.pending[n]; ok {
+		return asyncRec{}, nil, owner == tenant
 	}
 	num, ok := t.index[n]
 	if !ok {
-		return InvocationStatus{}, false
+		return asyncRec{}, nil, false
 	}
 	r, b := t.done.At(num), t.done.Bytes(num)
 	if string(b[:r.tlen]) != tenant {
-		return InvocationStatus{}, false
+		return asyncRec{}, nil, false
 	}
-	fn, tail := b[r.tlen:r.tlen+r.flen], b[r.tlen+r.flen:]
-	st := InvocationStatus{
-		ID: id, Function: arenaString(fn), Status: "succeeded",
-		Cold: r.cold, LatencyNs: r.lat, BilledNs: r.billed, Attempt: int(r.attempt),
-	}
-	switch r.code {
-	case codeSucceeded:
-		if len(tail) > 0 {
-			st.Output = tail
-		}
-	case codeInternal:
-		st.Status, st.Error = "failed", &ErrorBody{Code: "internal", Message: arenaString(tail)}
-	default:
-		st.Status, st.Error = "failed", &ErrorBody{Code: wireTable[r.code-codeWire].Code, Message: arenaString(tail)}
-	}
-	return st, true
+	return *r, b[r.tlen:], true
+}
+
+// result is the finished invocation's result, less its output, and the output
+// or error message it kept, read from the span poll returned with it.
+func (r *asyncRec) result(span []byte) (faas.Result, []byte) {
+	reqID, n := binary.Uvarint(span)
+	traceID, m := binary.Uvarint(span[n:])
+	return faas.Result{
+		Cold: r.cold, Latency: time.Duration(r.lat), Billed: time.Duration(r.billed),
+		RequestID: int64(reqID), Attempt: int(r.attempt), TraceID: int64(traceID),
+	}, span[n+m:]
 }
 
 // arenaString is b as a string without a copy. Only for arena bytes, which

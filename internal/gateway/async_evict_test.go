@@ -30,21 +30,39 @@ func serve(t *testing.T, g *Gateway, method, path string, body []byte) *httptest
 	return w
 }
 
+// pollStatus polls id once. A poll's own failure comes back as its envelope.
 func pollStatus(t *testing.T, g *Gateway, id string) (int, InvocationStatus, Envelope) {
 	t.Helper()
 	w := serve(t, g, "GET", "/v1/invocations/"+id, nil)
-	var st InvocationStatus
+	st, err := recordedStatus(id, w)
 	var env Envelope
-	var err error
-	if w.Code == http.StatusOK {
-		err = json.Unmarshal(w.Body.Bytes(), &st)
-	} else {
-		err = json.Unmarshal(w.Body.Bytes(), &env)
-	}
-	if err != nil {
+	if apiErr := (*APIError)(nil); errors.As(err, &apiErr) {
+		env.Error = ErrorBody{Code: apiErr.Code, Message: apiErr.Message}
+	} else if err != nil {
 		t.Fatalf("poll %s: %d %q: %v", id, w.Code, w.Body, err)
 	}
 	return w.Code, st, env
+}
+
+// recordedStatus reads a recorded poll of id as Client.Invocation reads one.
+func recordedStatus(id string, w *httptest.ResponseRecorder) (InvocationStatus, error) {
+	resp, body := w.Result(), w.Body.Bytes()
+	var err error
+	if resp.StatusCode < 200 || resp.StatusCode > 299 {
+		body, err = nil, decodeError(resp.StatusCode, body)
+	}
+	return invocationStatus(id, body, resp, err)
+}
+
+// submittedID is the id a recorded submit names: an empty 202 whose Location
+// is the poll URL.
+func submittedID(t *testing.T, w *httptest.ResponseRecorder) string {
+	t.Helper()
+	id, ok := strings.CutPrefix(w.Header().Get("Location"), pollPath)
+	if _, valid := parseInvID(id); w.Code != http.StatusAccepted || w.Body.Len() != 0 || !ok || !valid {
+		t.Fatalf("submit: %d, Location %q, body %q", w.Code, w.Header().Get("Location"), w.Body)
+	}
+	return id
 }
 
 // TestAsyncRecordsEvicted: the async table is bounded by count and by age.
@@ -62,12 +80,7 @@ func TestAsyncRecordsEvicted(t *testing.T) {
 			t.Fatalf("register: %d %s", w.Code, w.Body)
 		}
 		submit := func() string {
-			w := serve(t, g, "POST", "/v1/functions/task/invoke-async", []byte("x"))
-			var out struct{ ID string }
-			if err := json.Unmarshal(w.Body.Bytes(), &out); err != nil || w.Code != http.StatusAccepted {
-				t.Fatalf("submit: %d %q: %v", w.Code, w.Body, err)
-			}
-			return out.ID
+			return submittedID(t, serve(t, g, "POST", "/v1/functions/task/invoke-async", []byte("x")))
 		}
 		retained := func() (records, finished int) {
 			g.async.mu.Lock()
@@ -137,7 +150,7 @@ type asyncOracle struct {
 }
 
 type oracleInv struct {
-	id, tenant, function string
+	id, tenant, function string // function is named by the submit, not by a poll
 	finished             bool
 	res                  faas.Result
 	err                  error
@@ -163,14 +176,19 @@ func (o *asyncOracle) poll(id, tenant string, now time.Time) (InvocationStatus, 
 	if inv == nil || inv.tenant != tenant {
 		return InvocationStatus{}, false
 	}
-	st := InvocationStatus{ID: id, Function: inv.function, Status: "pending"}
+	st := InvocationStatus{ID: id, Status: "pending"}
 	if inv.finished {
-		if inv.err != nil {
+		switch {
+		case inv.err != nil:
 			st.Status = "failed"
 			st.Error = &ErrorBody{Code: statusFor(inv.err).Code, Message: inv.err.Error()}
-		} else {
+			if faas.ClassOf(inv.err) == errs.RetryAfter {
+				st.Error.RetryAfterMs = retryAfterMs
+			}
+		case len(inv.res.Output) > 0:
+			st.Status, st.Output = "succeeded", inv.res.Output
+		default:
 			st.Status = "succeeded"
-			st.Output = inv.res.Output
 		}
 		st.Cold = inv.res.Cold
 		st.LatencyNs = inv.res.Latency.Nanoseconds()
@@ -186,8 +204,10 @@ func (o *asyncOracle) poll(id, tenant string, now time.Time) (InvocationStatus, 
 // back in time as concurrent completions are; polls by own, foreign-tenant,
 // evicted, never-issued and malformed ids; clock steps that land exactly on,
 // and 1 ns past, the oldest record's invocationTTL; and floods that carry the
-// table past maxFinished. Every poll must answer as the oracle does, down to
-// the JSON bytes, and a poll of a finished success allocates nothing.
+// table past maxFinished. Every poll, written as handlePoll writes it and read
+// back as Client.Invocation reads it, must answer as the oracle does, its
+// X-Taureau-Result carrying the invocation's request and trace ids, and a
+// poll of a finished success allocates nothing.
 func TestAsyncTableMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(39))
 	now := time.Unix(1_700_000_000, 0)
@@ -204,7 +224,7 @@ func TestAsyncTableMatchesOracle(t *testing.T) {
 	var pending []*oracleInv
 	submit := func() {
 		tenant, fn := tenants[rng.Intn(2)], functions[rng.Intn(len(functions))]
-		n := tbl.submit(tenant, fn)
+		n := tbl.submit(tenant)
 		inv := &oracleInv{id: fmt.Sprintf("inv-%06d", n), tenant: tenant, function: fn}
 		if got := string(formatInvID(nil, n)); got != inv.id {
 			t.Fatalf("id %d formats to %q, want %q", n, got, inv.id)
@@ -234,13 +254,29 @@ func TestAsyncTableMatchesOracle(t *testing.T) {
 		res.Cold, res.Attempt = rng.Intn(4) == 0, 1+rng.Intn(3)
 		res.Latency, res.Billed = time.Duration(rng.Int63n(int64(time.Second))), time.Duration(rng.Intn(1000))*time.Millisecond
 		n, _ := parseInvID(inv.id)
+		// Ids of every width the span's uvarints take, 0 and negative too.
+		res.RequestID, res.TraceID = n*1_000_003, n<<(n%64)
 		tbl.finish(n, res, err, at)
 		o.finish(inv, res, err, at)
 	}
 	var onEdge, pastEdge, foreign, evicted, flooded int
 	poll := func(op int, id, tenant string) {
-		got, gotOK := tbl.poll(id, tenant, now)
+		rec, span, gotOK := tbl.poll(id, tenant, now)
+		var got InvocationStatus
+		var meta InvokeResult
+		if gotOK {
+			w := httptest.NewRecorder()
+			writePoll(w, &rec, span)
+			var err error
+			if got, err = recordedStatus(id, w); err != nil {
+				t.Fatalf("op %d: poll %q by %s: %d %.200q: %v", op, id, tenant, w.Code, w.Body, err)
+			}
+			meta, _ = parseResult(w.Header().Get(hdrResult))
+		}
 		want, wantOK := o.poll(id, tenant, now)
+		if inv := o.invs[id]; wantOK && inv.finished && (meta.RequestID != inv.res.RequestID || meta.TraceID != inv.res.TraceID) {
+			t.Fatalf("op %d: poll %q answers request id %d, trace id %d; want %d, %d", op, id, meta.RequestID, meta.TraceID, inv.res.RequestID, inv.res.TraceID)
+		}
 		gj, _ := json.Marshal(got)
 		wj, _ := json.Marshal(want)
 		if gotOK != wantOK || !bytes.Equal(gj, wj) {
@@ -319,10 +355,97 @@ func TestAsyncTableMatchesOracle(t *testing.T) {
 			onEdge, pastEdge, foreign, evicted, flooded)
 	}
 
-	n := tbl.submit("alpha", "f")
+	n := tbl.submit("alpha")
 	tbl.finish(n, faas.Result{Output: []byte("out"), Attempt: 1}, nil, now)
 	id := string(formatInvID(nil, n))
 	if allocs := testing.AllocsPerRun(100, func() { tbl.poll(id, "alpha", now) }); allocs != 0 {
 		t.Errorf("a poll of a finished success allocates %.0f times, want 0", allocs)
 	}
+}
+
+// TestPollAnswersAsSyncInvoke holds the async wire to the sync one. For an
+// echo, an echo of nothing, a handler that fails and one that times out, the
+// poll of the finished invocation answers with the status, Content-Type,
+// Content-Length and Retry-After, and the body or the envelope's code and
+// message, that a sync invoke of the same function and payload answers with;
+// and it carries X-Taureau-Result, as the sync success does. A poll's own
+// failures, a 401 and a 404 no_invocation, carry none.
+func TestPollAnswersAsSyncInvoke(t *testing.T) {
+	p, v := core.NewVirtual(core.Options{})
+	defer v.Close()
+	g := New(p, Config{Tokens: map[string]string{"tok-a": "alpha"}})
+	fail, slow := fastSpec("fail"), fastSpec("slow")
+	fail.Handler, fail.MaxRetries = "fail", -1
+	slow.Handler, slow.Env, slow.TimeoutMs, slow.MaxRetries = "work", map[string]string{"ms": "50"}, 10, -1
+	envelope := func(w *httptest.ResponseRecorder) ErrorBody {
+		var env Envelope
+		if err := json.Unmarshal(w.Body.Bytes(), &env); err != nil {
+			t.Fatalf("envelope %q: %v", w.Body, err)
+		}
+		return env.Error
+	}
+	v.Run(func() {
+		for _, spec := range []FunctionSpec{fastSpec("echo"), fail, slow} {
+			body, _ := json.Marshal(spec)
+			if w := serve(t, g, "POST", "/v1/functions", body); w.Code != http.StatusCreated {
+				t.Fatalf("register %s: %d %s", spec.Name, w.Code, w.Body)
+			}
+		}
+		var id string
+		for _, tc := range []struct {
+			fn      string
+			payload []byte
+			status  int
+		}{
+			{"echo", []byte("hello, async"), http.StatusOK},
+			{"echo", nil, http.StatusOK},
+			{"fail", []byte("x"), http.StatusInternalServerError},
+			{"slow", []byte("x"), http.StatusGatewayTimeout},
+		} {
+			var sync *httptest.ResponseRecorder
+			v.Outside(func() { sync = serve(t, g, "POST", "/v1/functions/"+tc.fn+"/invoke", tc.payload) })
+			id = submittedID(t, serve(t, g, "POST", "/v1/functions/"+tc.fn+"/invoke-async", tc.payload))
+			v.Sleep(time.Second)
+			poll := serve(t, g, "GET", "/v1/invocations/"+id, nil)
+			what := fmt.Sprintf("%s of %d B", tc.fn, len(tc.payload))
+			if sync.Code != tc.status || poll.Code != sync.Code {
+				t.Fatalf("%s: sync %d, poll %d; want %d for both", what, sync.Code, poll.Code, tc.status)
+			}
+			for _, h := range []string{"Content-Type", "Content-Length", "Retry-After"} {
+				if s, a := sync.Header().Values(h), poll.Header().Values(h); !slices.Equal(s, a) {
+					t.Errorf("%s: %s %q on the sync answer, %q on the poll", what, h, s, a)
+				}
+			}
+			if _, ok := parseResult(poll.Header().Get(hdrResult)); !ok {
+				t.Errorf("%s: the poll's %s is %q", what, hdrResult, poll.Header().Get(hdrResult))
+			}
+			if sync.Code == http.StatusOK {
+				if _, ok := parseResult(sync.Header().Get(hdrResult)); !ok || !bytes.Equal(poll.Body.Bytes(), sync.Body.Bytes()) {
+					t.Errorf("%s: sync %q with %s %q, poll %q", what, sync.Body, hdrResult, sync.Header().Get(hdrResult), poll.Body)
+				}
+				continue
+			}
+			if s, a := envelope(sync), envelope(poll); s != a {
+				t.Errorf("%s: sync envelope %+v, poll %+v", what, s, a)
+			}
+		}
+
+		stranger := httptest.NewRequest("GET", "/v1/invocations/"+id, nil)
+		stranger.Header.Set("Authorization", "Bearer nobody")
+		unauthorized := httptest.NewRecorder()
+		g.ServeHTTP(unauthorized, stranger)
+		for _, tc := range []struct {
+			w      *httptest.ResponseRecorder
+			status int
+			code   string
+		}{
+			{unauthorized, http.StatusUnauthorized, "unauthorized"},
+			{serve(t, g, "GET", "/v1/invocations/inv-999999", nil), http.StatusNotFound, "no_invocation"},
+		} {
+			if tc.w.Code != tc.status || envelope(tc.w).Code != tc.code || len(tc.w.Header().Values(hdrResult)) != 0 {
+				t.Errorf("poll: %d %q with %s %q; want %d %s and no %s", tc.w.Code, envelope(tc.w).Code,
+					hdrResult, tc.w.Header().Values(hdrResult), tc.status, tc.code, hdrResult)
+			}
+		}
+	})
 }

@@ -202,22 +202,23 @@ func TestInvocationPoolResetOnPut(t *testing.T) {
 }
 
 // TestSmallResponseBodies pins the bodies of a register and an async submit
-// byte for byte: two sorted keys, two-space indent, HTML-escaped strings.
+// byte for byte: two sorted keys, two-space indent, HTML-escaped strings; and
+// none, beside the poll URL in Location.
 func TestSmallResponseBodies(t *testing.T) {
 	_, g := poolGateway(t, echoHandler, 0)
-	serve := func(method, path, body string) (int, string) {
+	serve := func(method, path, body string) (int, string, string) {
 		req := httptest.NewRequest(method, path, strings.NewReader(body))
 		req.Header.Set("Authorization", "Bearer tok-a")
 		w := httptest.NewRecorder()
 		g.ServeHTTP(w, req)
-		return w.Code, w.Body.String()
+		return w.Code, w.Body.String(), w.Header().Get("Location")
 	}
-	if code, got := serve(http.MethodPost, "/v1/functions", `{"name":"g<&>","handler":"echo"}`); code != http.StatusCreated ||
+	if code, got, _ := serve(http.MethodPost, "/v1/functions", `{"name":"g<&>","handler":"echo"}`); code != http.StatusCreated ||
 		got != "{\n  \"name\": \"g\\u003c\\u0026\\u003e\",\n  \"tenant\": \"alpha\"\n}\n" {
 		t.Errorf("register: %d %q", code, got)
 	}
-	if code, got := serve(http.MethodPost, "/v1/functions/f/invoke-async", "in"); code != http.StatusAccepted ||
-		got != "{\n  \"id\": \"inv-000001\",\n  \"status\": \"pending\"\n}\n" {
-		t.Errorf("async submit: %d %q", code, got)
+	if code, got, loc := serve(http.MethodPost, "/v1/functions/f/invoke-async", "in"); code != http.StatusAccepted ||
+		got != "" || loc != "/v1/invocations/inv-000001" {
+		t.Errorf("async submit: %d %q, Location %q", code, got, loc)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptrace"
 	"net/url"
+	"strings"
 	"sync"
 	"time"
 
@@ -47,6 +48,11 @@ type Client struct {
 	base    url.URL // BaseURL, parsed
 	baseErr error
 	bearer  string // the Authorization value
+
+	// The last path built for each verb that takes a name: invoke and
+	// invoke-async. One entry per verb, replaced on a miss.
+	pathMu sync.Mutex
+	paths  [2]struct{ name, path string }
 }
 
 // InvokeResult is the client-side decoding of a sync invoke response: the
@@ -61,6 +67,21 @@ type InvokeResult struct {
 	TraceID   int64
 	Attempt   int
 	Deduped   bool
+}
+
+// InvocationStatus is Client.Invocation's reading of one async invocation:
+// Status is "pending" until it finishes, then "succeeded" with the Output, or
+// "failed" with the Error its sync invoke would have returned, and with the
+// metadata of the X-Taureau-Result header its poll carries either way.
+type InvocationStatus struct {
+	ID        string
+	Status    string // pending | succeeded | failed
+	Output    []byte
+	Error     *ErrorBody
+	Cold      bool
+	LatencyNs int64
+	BilledNs  int64
+	Attempt   int
 }
 
 // call is one request's state on the client's side of net/http, drawn from
@@ -140,19 +161,19 @@ func (k *call) roundTrip() {
 	k.out, k.err = readAllSized(k.resp.Body, k.resp.ContentLength)
 }
 
-// do runs one request and returns body and headers. The path is dir+name+verb
-// under BaseURL's own, joined here so that a call builds one path string. It
-// is unescaped: it is assigned to URL.Path, so a name holding "?", "#", "%" or
-// a space reaches the server as that name. Non-2xx responses — a 3xx too:
-// nothing under this follows a redirect — come back as (*APIError, nil body)
-// so errors.Is works against platform sentinels across the wire.
+// do runs one request and returns its body and response, which is nil only
+// when the round trip failed. The path is dir+name+verb under BaseURL's own
+// (path). It is unescaped: it is assigned to URL.Path, so a name holding "?",
+// "#", "%" or a space reaches the server as that name. Non-2xx responses — a
+// 3xx too: nothing under this follows a redirect — come back as (nil body,
+// *APIError) so errors.Is works against platform sentinels across the wire.
 //
 // The call goes back to callPool only when its trace saw PutIdleConn(nil),
 // which the Transport's read loop calls after the request is fully written and
 // the response read to its end, before it releases the caller's last Read; it
 // then only cancels the request's context and deletes the pointer from its
 // CancelRequest table, reading no field. Any other call is left to the GC.
-func (c *Client) do(method, dir, name, verb, contentType, idemKey string, body []byte) ([]byte, http.Header, error) {
+func (c *Client) do(method, dir, name, verb, contentType, idemKey string, body []byte) ([]byte, *http.Response, error) {
 	c.once.Do(func() {
 		u, err := url.Parse(c.BaseURL)
 		if err != nil {
@@ -167,7 +188,7 @@ func (c *Client) do(method, dir, name, verb, contentType, idemKey string, body [
 
 	k := callPool.Get().(*call)
 	k.c, k.url, k.payload = c, c.base, body
-	k.url.Path = c.base.Path + dir + name + verb
+	k.url.Path = c.path(dir, name, verb)
 	r := k.req
 	r.Method, r.Host = method, k.url.Host
 	n := 0
@@ -206,9 +227,31 @@ func (c *Client) do(method, dir, name, verb, contentType, idemKey string, body [
 		putCall(k)
 	}
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		return nil, resp.Header, decodeError(resp.StatusCode, out)
+		return nil, resp, decodeError(resp.StatusCode, out)
 	}
-	return out, resp.Header, nil
+	return out, resp, nil
+}
+
+// path joins BaseURL's path and dir+name+verb in one string. An invoke's or an
+// invoke-async's is kept for the next call of that verb, which builds none if
+// it names the same function; one that names another replaces it, so a Client
+// holds two paths however many names it calls.
+func (c *Client) path(dir, name, verb string) string {
+	slot := 0
+	switch verb {
+	case "/invoke":
+	case "/invoke-async":
+		slot = 1
+	default:
+		return c.base.Path + dir + name + verb
+	}
+	c.pathMu.Lock()
+	defer c.pathMu.Unlock()
+	p := &c.paths[slot]
+	if p.path == "" || p.name != name {
+		p.name, p.path = name, c.base.Path+dir+name+verb
+	}
+	return p.path
 }
 
 // Register deploys a function from its spec.
@@ -230,42 +273,73 @@ func (c *Client) Invoke(name string, payload []byte) (InvokeResult, error) {
 
 // InvokeIdem is Invoke carrying an idempotency key.
 func (c *Client) InvokeIdem(name, idemKey string, payload []byte) (InvokeResult, error) {
-	body, respHdr, err := c.do(http.MethodPost, "/v1/functions/", name, "/invoke", octetStream, idemKey, payload)
+	body, resp, err := c.do(http.MethodPost, "/v1/functions/", name, "/invoke", octetStream, idemKey, payload)
 	if err != nil {
 		return InvokeResult{}, err
 	}
-	res, ok := parseResult(respHdr.Get(hdrResult))
+	res, ok := parseResult(resp.Header.Get(hdrResult))
 	if !ok {
-		return InvokeResult{}, fmt.Errorf("gateway client: bad result header %q", respHdr.Get(hdrResult))
+		return InvokeResult{}, fmt.Errorf("gateway client: bad result header %q", resp.Header.Get(hdrResult))
 	}
 	res.Output = body
 	return res, nil
 }
 
-// InvokeAsync submits an invocation and returns its id for polling.
+// InvokeAsync submits an invocation and returns its id for Invocation: the
+// last segment of the 202's Location, which must be an id as the gateway
+// writes them.
 func (c *Client) InvokeAsync(name string, payload []byte) (string, error) {
-	body, _, err := c.do(http.MethodPost, "/v1/functions/", name, "/invoke-async", octetStream, "", payload)
+	_, resp, err := c.do(http.MethodPost, "/v1/functions/", name, "/invoke-async", octetStream, "", payload)
 	if err != nil {
 		return "", err
 	}
-	var resp struct {
-		ID string `json:"id"`
+	loc := resp.Header.Get("Location")
+	id := loc[strings.LastIndexByte(loc, '/')+1:]
+	if _, ok := parseInvID(id); !ok {
+		return "", fmt.Errorf("gateway client: bad submit response: Location %q", loc)
 	}
-	if err := json.Unmarshal(body, &resp); err != nil {
-		return "", fmt.Errorf("gateway client: bad submit response: %w", err)
-	}
-	return resp.ID, nil
+	return id, nil
 }
 
-// Invocation polls one async invocation's status.
+// Invocation polls one async invocation. A 202 reads as "pending". Once it
+// has finished, the poll answers what its sync invoke would have, with the
+// X-Taureau-Result header: a 200 reads as "succeeded" with the output, an
+// error envelope as "failed" with that Error and a nil error. An error
+// answer without that header is the poll's own failure (401, or 404
+// no_invocation for an id unknown, evicted or another tenant's), returned
+// as the *APIError.
 func (c *Client) Invocation(id string) (InvocationStatus, error) {
-	body, _, err := c.do(http.MethodGet, "/v1/invocations/", id, "", "", "", nil)
-	if err != nil {
-		return InvocationStatus{}, err
+	body, resp, err := c.do(http.MethodGet, pollPath, id, "", "", "", nil)
+	return invocationStatus(id, body, resp, err)
+}
+
+// invocationStatus reads a poll of id from what do returned for it.
+func invocationStatus(id string, body []byte, resp *http.Response, err error) (InvocationStatus, error) {
+	if resp == nil || len(resp.Header[hdrResult]) == 0 {
+		switch {
+		case err != nil: // the round trip's or the poll's own failure
+			return InvocationStatus{}, err
+		case resp.StatusCode == http.StatusAccepted:
+			return InvocationStatus{ID: id, Status: "pending"}, nil
+		}
+		return InvocationStatus{}, fmt.Errorf("gateway client: bad poll response: status %d without %s", resp.StatusCode, hdrResult)
 	}
-	var st InvocationStatus
-	if err := json.Unmarshal(body, &st); err != nil {
-		return InvocationStatus{}, fmt.Errorf("gateway client: bad poll response: %w", err)
+	res, ok := parseResult(resp.Header.Get(hdrResult))
+	if !ok {
+		return InvocationStatus{}, fmt.Errorf("gateway client: bad result header %q", resp.Header.Get(hdrResult))
+	}
+	st := InvocationStatus{
+		ID: id, Status: "succeeded",
+		Cold: res.Cold, LatencyNs: int64(res.Latency), BilledNs: int64(res.Billed), Attempt: res.Attempt,
+	}
+	switch apiErr, failed := err.(*APIError); {
+	case failed: // the invocation's failure, as its sync invoke would have answered
+		st.Status = "failed"
+		st.Error = &ErrorBody{Code: apiErr.Code, Message: apiErr.Message, RetryAfterMs: apiErr.RetryAfter.Milliseconds()}
+	case resp.StatusCode != http.StatusOK:
+		return InvocationStatus{}, fmt.Errorf("gateway client: bad poll response: status %d with %s", resp.StatusCode, hdrResult)
+	case len(body) > 0:
+		st.Output = body
 	}
 	return st, nil
 }

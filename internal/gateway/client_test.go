@@ -14,6 +14,7 @@ import (
 	"syscall"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/faas"
@@ -232,5 +233,107 @@ func TestClientReplaysOnClosedKeepAlive(t *testing.T) {
 	echo("after a close met on the write", 64, 3)
 	if breakNext.Load() {
 		t.Fatal("the broken write never happened: nothing was replayed")
+	}
+}
+
+// pathTransport answers every request without a network, as the gateway
+// would an invoke or a submit, and keeps the path of the last one.
+type pathTransport struct{ last string }
+
+func (pt *pathTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	pt.last = r.URL.Path
+	resp := &http.Response{StatusCode: http.StatusOK, Header: http.Header{}, Body: http.NoBody}
+	if strings.HasSuffix(r.URL.Path, "/invoke-async") {
+		resp.StatusCode = http.StatusAccepted
+		resp.Header.Set("Location", "/v1/invocations/inv-000001")
+	} else {
+		setResultHeaders(resp.Header, &faas.Result{RequestID: 1, Attempt: 1})
+	}
+	return resp, nil
+}
+
+// TestClientPathCacheIsBounded: a Client that invokes and submits 10 000
+// names in turn sends every call to its own name's path, under BaseURL's, and
+// then holds two paths, the last name's; a call that names the function the
+// last one of its verb named reuses that path's string.
+func TestClientPathCacheIsBounded(t *testing.T) {
+	pt := &pathTransport{}
+	c := &Client{BaseURL: "http://gw.invalid/prefix", Token: "tok-a", HTTP: &http.Client{Transport: pt}}
+	var name string
+	for i := 0; i < 10_000; i++ {
+		name = fmt.Sprintf("fn-%d", i)
+		if _, err := c.Invoke(name, nil); err != nil || pt.last != "/prefix/v1/functions/"+name+"/invoke" {
+			t.Fatalf("invoke of %s went to %q: %v", name, pt.last, err)
+		}
+		if _, err := c.InvokeAsync(name, nil); err != nil || pt.last != "/prefix/v1/functions/"+name+"/invoke-async" {
+			t.Fatalf("submit of %s went to %q: %v", name, pt.last, err)
+		}
+	}
+	want := [2]struct{ name, path string }{
+		{name, "/prefix/v1/functions/" + name + "/invoke"},
+		{name, "/prefix/v1/functions/" + name + "/invoke-async"},
+	}
+	if c.paths != want {
+		t.Fatalf("after 10 000 names the Client holds %+v, want %+v", c.paths, want)
+	}
+	held := unsafe.StringData(c.paths[0].path)
+	if _, err := c.Invoke(name, nil); err != nil || unsafe.StringData(pt.last) != held {
+		t.Fatalf("a second invoke of %s built its path again (%v)", name, err)
+	}
+}
+
+// TestClientRefusesWhatIsNoInvocation: a submit's id is the last segment of
+// its Location and must be one the gateway writes, and a poll answer that is
+// neither an empty 202 nor a finished invocation's, with X-Taureau-Result,
+// is an error, not a status.
+func TestClientRefusesWhatIsNoInvocation(t *testing.T) {
+	const good = "request-id=7, attempt=1, latency-ns=5, billed-ns=1000000, trace-id=9, cold=?0, deduped=?0"
+	for _, tc := range []struct {
+		location, wantID string
+	}{
+		{"/v1/invocations/inv-000042", "inv-000042"},
+		{"http://gw.example/v2/jobs/inv-1234567", "inv-1234567"},
+		{"/v1/invocations/inv-42", ""},
+		{"/v1/invocations/inv-000042/", ""},
+		{"", ""},
+	} {
+		c := stubServer(t, func(w http.ResponseWriter, r *http.Request) {
+			if tc.location != "" {
+				w.Header().Set("Location", tc.location)
+			}
+			w.WriteHeader(http.StatusAccepted)
+		})
+		id, err := c.InvokeAsync("f", []byte("in"))
+		if id != tc.wantID || (err == nil) != (tc.wantID != "") {
+			t.Errorf("Location %q: id %q, err %v; want id %q", tc.location, id, err, tc.wantID)
+		}
+	}
+	for _, tc := range []struct {
+		name, result string
+		status       int
+		wantStatus   string // else an error
+	}{
+		{"202", "", http.StatusAccepted, "pending"},
+		{"200 with metadata", good, http.StatusOK, "succeeded"},
+		{"500 envelope with metadata", good, http.StatusInternalServerError, "failed"},
+		{"200 without metadata", "", http.StatusOK, ""},
+		{"202 with metadata", good, http.StatusAccepted, ""},
+		{"200 with a bad header", "request-id=7", http.StatusOK, ""},
+		{"404 without metadata", "", http.StatusNotFound, ""},
+	} {
+		c := stubServer(t, func(w http.ResponseWriter, r *http.Request) {
+			if tc.result != "" {
+				w.Header().Set(hdrResult, tc.result)
+			}
+			if tc.status >= 400 {
+				writeEnvelope(w, wireMapping{Status: tc.status, Code: "internal"}, "boom", false)
+				return
+			}
+			w.WriteHeader(tc.status)
+		})
+		st, err := c.Invocation("inv-000001")
+		if st.Status != tc.wantStatus || (err == nil) != (tc.wantStatus != "") {
+			t.Errorf("%s: status %q, err %v; want %q", tc.name, st.Status, err, tc.wantStatus)
+		}
 	}
 }

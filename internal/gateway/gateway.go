@@ -11,8 +11,8 @@
 //	GET    /v1/functions                  list this tenant's functions
 //	DELETE /v1/functions/{name}           unregister
 //	POST   /v1/functions/{name}/invoke    sync invoke (raw body in, raw body out)
-//	POST   /v1/functions/{name}/invoke-async   submit, 202 + id
-//	GET    /v1/invocations/{id}           poll an async invocation (kept 10 min after it finishes)
+//	POST   /v1/functions/{name}/invoke-async   submit: 202, Location /v1/invocations/{id}
+//	GET    /v1/invocations/{id}           poll: 202 while pending, then the sync invoke's answer (kept 10 min)
 //	GET    /v1/tenants/{tenant}/invoice   priced usage
 //	GET    /healthz                       liveness (no auth)
 //
@@ -20,12 +20,15 @@
 // wire table in status.go; invocation metadata (cold, latency, billed
 // duration — all on the platform clock, so deterministic under the virtual
 // clock) travels in one structured response header, X-Taureau-Result, beside
-// the output. Bodies are read once into a buffer of their declared size —
+// the output. An async invocation answers on the same wire: its submit is an
+// empty 202 naming the poll URL in Location, and a poll of it, once it has
+// finished, is what its sync invoke would have answered. Bodies are read once into a buffer of their declared size —
 // borrowed from bodyPool by an un-keyed sync invoke, bought by every other
 // request — and the output, one []byte already, goes out under its
 // Content-Length in a single write. A sync invoke's state and a Client's per
 // request state are pooled, so a round trip allocates of its own only what it
-// hands back: the output, the response's header values, the request path.
+// hands back: the output and the response's header values. A Client keeps the
+// path of its last invoke and of its last submit.
 //
 // Clock discipline: gateway handlers run on net/http goroutines the virtual
 // clock does not track. Each invoke therefore runs inside Clock.Join: under
@@ -141,9 +144,11 @@ func (g *Gateway) authed(h func(http.ResponseWriter, *http.Request, string)) htt
 // whose payload has a known end: faas hands it to the handler and nowhere
 // else, and by the time handleInvoke puts the buffer back the handler has
 // returned (faas.Handler: valid until then) and the output, which may alias
-// it, is written. A keyed invoke's output stays in the dedup window and an
-// async one's payload and result outlive the request, so neither draws from
-// it: a small body kept in a recycled large buffer would pin all of it.
+// it, is written. An async invoke's payload outlives the request, so it never
+// draws. A keyed one could: the dedup window copies the key and the output
+// into its own arena. It does not because drawing was measured (DESIGN.md
+// §10) to save 0.65 allocations per op at the price of about 0.08 MB more
+// live heap, the larger buffers that keyed bodies leave resting in the pool.
 var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // readBody reads the request body once, at its declared size, under the size
@@ -230,7 +235,7 @@ func readAllSized(r io.Reader, declared int64, from ...[]byte) ([]byte, error) {
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = valJSON
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -455,8 +460,12 @@ func parseResult(s string) (InvokeResult, bool) {
 
 const octetStream = "application/octet-stream"
 
-// The Content-Type every sync invoke response shares; nothing writes through it.
-var valOctetStream = []string{octetStream}
+// The Content-Types every sync invoke response and every JSON body share;
+// nothing writes through them.
+var (
+	valOctetStream = []string{octetStream}
+	valJSON        = []string{"application/json"}
+)
 
 // setResultHeaders writes the metadata, Content-Type and Content-Length of a
 // sync invoke response (the output is one []byte, so its length is known).
@@ -503,47 +512,66 @@ func (g *Gateway) handleInvoke(w http.ResponseWriter, r *http.Request, tenant st
 	_, _ = w.Write(res.Output) // an error means the client went away
 }
 
+// handleInvokeAsync submits an invocation and answers 202 Accepted with an
+// empty body and Location: the URL that polls it.
 func (g *Gateway) handleInvokeAsync(w http.ResponseWriter, r *http.Request, tenant string) {
 	payload, err := g.readBody(w, r, new([]byte))
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	name := r.PathValue("name")
-	id := g.async.submit(tenant, name)
+	id := g.async.submit(tenant)
 	// InvokeAsyncFor spawns its own clock-tracked goroutine and applies the
 	// platform's transparent retry; the callback lands on that goroutine.
-	g.p.FaaS.InvokeAsyncFor(tenant, name, payload, func(res faas.Result, err error) {
+	g.p.FaaS.InvokeAsyncFor(tenant, r.PathValue("name"), payload, func(res faas.Result, err error) {
 		g.async.finish(id, res, err, g.p.Clock.Now())
 	})
-	var buf [24]byte // "inv-" and up to 19 digits
-	writeJSON(w, http.StatusAccepted, struct {
-		ID     string `json:"id"`
-		Status string `json:"status"`
-	}{string(formatInvID(buf[:0], id)), "pending"})
+	var buf [48]byte // the poll path, "inv-" and up to 19 digits
+	w.Header()["Location"] = []string{string(formatInvID(append(buf[:0], pollPath...), id))}
+	w.WriteHeader(http.StatusAccepted)
 }
 
-// InvocationStatus is the poll response for one async invocation.
-type InvocationStatus struct {
-	ID        string     `json:"id"`
-	Function  string     `json:"function"`
-	Status    string     `json:"status"`           // pending | succeeded | failed
-	Output    []byte     `json:"output,omitempty"` // base64 in JSON
-	Error     *ErrorBody `json:"error,omitempty"`
-	Cold      bool       `json:"cold,omitempty"`
-	LatencyNs int64      `json:"latency_ns,omitempty"`
-	BilledNs  int64      `json:"billed_ns,omitempty"`
-	Attempt   int        `json:"attempt,omitempty"`
-}
+// pollPath is where an async invocation's id is polled.
+const pollPath = "/v1/invocations/"
 
+// handlePoll answers a poll of an id in the caller's namespace as writePoll
+// does, and any other as 404 no_invocation, without X-Taureau-Result: that
+// header is what tells an invocation's failure from the poll's own.
 func (g *Gateway) handlePoll(w http.ResponseWriter, r *http.Request, tenant string) {
 	id := r.PathValue("id")
-	st, ok := g.async.poll(id, tenant, g.p.Clock.Now())
+	rec, span, ok := g.async.poll(id, tenant, g.p.Clock.Now())
 	if !ok {
 		writeError(w, fmt.Errorf("%w: %s", ErrNoInvocation, id))
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	writePoll(w, &rec, span)
+}
+
+// writePoll answers a poll of a found invocation from its record and span:
+// 202 with an empty body while it is pending, then exactly what its sync
+// invoke would have answered — the output under setResultHeaders, or the
+// error envelope at its wire-table status, Retry-After included — and
+// X-Taureau-Result either way.
+func writePoll(w http.ResponseWriter, rec *asyncRec, span []byte) {
+	if rec.code == codePending {
+		w.WriteHeader(http.StatusAccepted)
+		return
+	}
+	res, tail := rec.result(span)
+	if rec.code == codeSucceeded {
+		res.Output = tail
+		setResultHeaders(w.Header(), &res)
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write(tail) // an error means the client went away
+		return
+	}
+	var buf [180]byte // 78 bytes of keys and booleans, five int64s of at most 20 each
+	w.Header()[hdrResult] = []string{string(appendResult(buf[:0], &res))}
+	m := wireMapping{Status: http.StatusInternalServerError, Code: "internal"}
+	if rec.code >= codeWire {
+		m = wireTable[rec.code-codeWire]
+	}
+	writeEnvelope(w, m, arenaString(tail), rec.retryAfter)
 }
 
 func (g *Gateway) handleInvoice(w http.ResponseWriter, r *http.Request, tenant string) {

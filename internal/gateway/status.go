@@ -131,13 +131,19 @@ const retryAfterMs = 1000
 
 // writeError renders err as its contractual status + JSON envelope.
 func writeError(w http.ResponseWriter, err error) {
-	m := statusFor(err)
-	body := Envelope{Error: ErrorBody{Code: m.Code, Message: err.Error()}}
-	if faas.ClassOf(err) == errs.RetryAfter {
+	writeEnvelope(w, statusFor(err), err.Error(), faas.ClassOf(err) == errs.RetryAfter)
+}
+
+// writeEnvelope renders an error of row m with message msg, and the back-off
+// hint, in the envelope and in Retry-After, when its class is errs.RetryAfter.
+// An async invocation's failure is answered from what its record kept of these.
+func writeEnvelope(w http.ResponseWriter, m wireMapping, msg string, retryAfter bool) {
+	body := Envelope{Error: ErrorBody{Code: m.Code, Message: msg}}
+	if retryAfter {
 		body.Error.RetryAfterMs = retryAfterMs
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfterMs/1000))
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = valJSON
 	w.WriteHeader(m.Status)
 	_ = json.NewEncoder(w).Encode(body)
 }

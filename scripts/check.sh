@@ -64,6 +64,12 @@ if grep -nE 'k := &call\{|make\(http\.Header' internal/gateway/client.go; then
 	echo "check: Client.do draws its request, URL, header map and body reader from callPool; it builds none per call" >&2
 	exit 1
 fi
+echo "== an async invocation answers on the sync wire: no JSON in its submit or poll"
+if grep -rnF -e 'json.Unmarshal(body, &st)' -e 'writeJSON(w, http.StatusAccepted' -e 'writeJSON(w, http.StatusOK, st)' \
+	--include='*.go' --exclude='*_test.go' internal/gateway/; then
+	echo "check: a submit is an empty 202 with Location, and a poll answers what the sync invoke would have; neither encodes nor decodes JSON" >&2
+	exit 1
+fi
 echo "== one binary: cmd/ holds a single package"
 [ "$(go list ./cmd/... | wc -l)" -eq 1 ] || { echo "check: cmd/ must hold exactly one package (taureau)" >&2; exit 1; }
 echo "== API.md lists the exported surface"
