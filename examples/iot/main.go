@@ -1,7 +1,7 @@
 // Command iot reproduces the paper's §3.1 "Internet of Things" archetype:
 // device registration management. Whenever a new IoT device registers (a
-// message on a queue), a serverless function populates a registry in the
-// serverless data store; other functions then query the registry — here
+// message on a Pulsar topic), a serverless function populates a registry in
+// the serverless data store; other functions then query the registry — here
 // through a secondary index — and a notification topic fans alerts out to
 // interested parties.
 package main
@@ -16,7 +16,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/faas"
 	"repro/internal/kvdb"
-	"repro/internal/queue"
+	"repro/internal/pulsar"
 )
 
 type registration struct {
@@ -35,20 +35,24 @@ func main() {
 		if err := platform.DB.CreateTable("devices", "iot-co", "kind"); err != nil {
 			log.Fatal(err)
 		}
-		if err := platform.Queue.CreateQueue("registrations", "iot-co", queue.DefaultConfig()); err != nil {
-			log.Fatal(err)
+		for _, topic := range []string{"registrations", "alerts"} {
+			if err := platform.Pulsar.CreateTopic(topic, 0); err != nil {
+				log.Fatal(err)
+			}
 		}
-		if err := platform.Queue.CreateTopic("alerts", "iot-co"); err != nil {
+		alertsOut, err := platform.Pulsar.CreateProducer("alerts")
+		if err != nil {
 			log.Fatal(err)
 		}
 		var alerts []string
-		if err := platform.Queue.SubscribeFunc("alerts", func(b []byte) {
-			alerts = append(alerts, string(b))
+		if err := platform.Pulsar.SubscribeFunc("alerts", "notify", func(m pulsar.Message) error {
+			alerts = append(alerts, string(m.Payload))
+			return nil
 		}); err != nil {
 			log.Fatal(err)
 		}
 
-		// The registration function: triggered per queue message, writes
+		// The registration function: triggered per topic message, writes
 		// the registry row transactionally and raises alerts for hot
 		// fermenters (the Raspberry Pi example from §1).
 		register := func(ctx *faas.Ctx, payload []byte) ([]byte, error) {
@@ -68,14 +72,18 @@ func main() {
 				return nil, err
 			}
 			if r.TempC > 30 {
-				_ = platform.Queue.Publish("alerts", []byte(fmt.Sprintf("%s overheating: %.1fC", r.DeviceID, r.TempC)))
+				_, _ = alertsOut.Send([]byte(fmt.Sprintf("%s overheating: %.1fC", r.DeviceID, r.TempC)))
 			}
 			return nil, nil
 		}
 		if err := iotCo.Register("register-device", register, faas.Config{MemoryMB: 128}); err != nil {
 			log.Fatal(err)
 		}
-		if err := faas.BindQueue(platform.FaaS, platform.Queue, "registrations", iotCo.Name(), "register-device"); err != nil {
+		if err := faas.BindTopic(platform.FaaS, platform.Pulsar, "registrations", iotCo.Name(), "register-device", ""); err != nil {
+			log.Fatal(err)
+		}
+		registrations, err := platform.Pulsar.CreateProducer("registrations")
+		if err != nil {
 			log.Fatal(err)
 		}
 
@@ -89,7 +97,7 @@ func main() {
 				TempC:    18 + float64(i),
 			}
 			raw, _ := json.Marshal(r)
-			if _, err := platform.Queue.Send("registrations", raw); err != nil {
+			if _, err := registrations.Send(raw); err != nil {
 				log.Fatal(err)
 			}
 		}

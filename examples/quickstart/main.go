@@ -1,5 +1,5 @@
 // Command quickstart is the smallest end-to-end tour of the platform:
-// deploy a function, invoke it synchronously and through a queue trigger,
+// deploy a function, invoke it synchronously and through a topic trigger,
 // watch it scale to zero, and read the fine-grained bill — the §2 trio of
 // ease of use, demand-driven execution, and cost efficiency.
 package main
@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faas"
-	"repro/internal/queue"
 )
 
 func main() {
@@ -46,20 +45,25 @@ func main() {
 				res.Output, res.Cold, res.Latency, res.Billed)
 		}
 
-		// 3. Wire an event source: a queue send triggers the function
-		// (§3.1's event-driven pattern).
-		if err := platform.Queue.CreateQueue("greetings", "acme", queue.DefaultConfig()); err != nil {
+		// 3. Wire an event source: each message on a Pulsar topic triggers
+		// the function (§3.1's event-driven pattern). A failed invocation
+		// is retried, and dead-lettered after five calls.
+		if err := platform.Pulsar.CreateTopic("greetings", 0); err != nil {
 			log.Fatal(err)
 		}
-		if err := faas.BindQueue(platform.FaaS, platform.Queue, "greetings", acme.Name(), "greet"); err != nil {
+		if err := faas.BindTopic(platform.FaaS, platform.Pulsar, "greetings", acme.Name(), "greet", ""); err != nil {
+			log.Fatal(err)
+		}
+		greetings, err := platform.Pulsar.CreateProducer("greetings")
+		if err != nil {
 			log.Fatal(err)
 		}
 		for i := 0; i < 5; i++ {
-			if _, err := platform.Queue.Send("greetings", []byte(fmt.Sprintf("queued-%d", i))); err != nil {
+			if _, err := greetings.Send([]byte(fmt.Sprintf("queued-%d", i))); err != nil {
 				log.Fatal(err)
 			}
 		}
-		clock.Sleep(time.Second) // let the async invocations drain
+		clock.Sleep(time.Second) // let the binding drain the topic
 
 		// 4. Demand-driven execution: idle past the keep-alive, the warm
 		// pool scales back to zero (§2).

@@ -29,7 +29,6 @@ const (
 	ResBlobGet        = "blob:get-requests"   //
 	ResBlobPut        = "blob:put-requests"   //
 	ResBlobBytesOut   = "blob:bytes-out"      // egress
-	ResQueueReqs      = "queue:requests"      //
 	ResDBReadUnits    = "db:read-units"       //
 	ResDBWriteUnits   = "db:write-units"      //
 	ResVMHours        = "vm:reserved-hours"   // server-centric baseline
@@ -51,7 +50,6 @@ func DefaultPricing() Pricing {
 		ResBlobGet:        0.0000004,    // per GET
 		ResBlobPut:        0.000005,     // per PUT
 		ResBlobBytesOut:   0.09 / 1e9,   // $0.09/GB egress
-		ResQueueReqs:      0.40 / 1e6,   // per request (SQS)
 		ResDBReadUnits:    0.25 / 1e6,   // per read unit (DynamoDB on-demand)
 		ResDBWriteUnits:   1.25 / 1e6,   // per write unit
 		ResVMHours:        0.096,        // m5.large on-demand per hour

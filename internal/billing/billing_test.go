@@ -179,7 +179,7 @@ func TestDefaultPricingCoversCanonicalResources(t *testing.T) {
 	p := DefaultPricing()
 	for _, r := range []string{
 		ResInvocationGBs, ResInvocationReqs, ResBlobStorageGBh, ResBlobGet,
-		ResBlobPut, ResBlobBytesOut, ResQueueReqs, ResDBReadUnits,
+		ResBlobPut, ResBlobBytesOut, ResDBReadUnits,
 		ResDBWriteUnits, ResVMHours, ResMsgPublish, ResJiffyBlockSecs,
 	} {
 		if p[r] <= 0 {

@@ -1,9 +1,9 @@
 // Package core assembles the full serverless stack the paper deconstructs
 // into one handle: the FaaS platform (§2, §4.1), the BaaS substrates — blob
-// storage, transactional database, queues/notifications (§2.2, §4.1) — the
-// orchestration engine (§4.2), the Pulsar messaging cluster with Pulsar
-// Functions (§4.3), and the Jiffy ephemeral-state store (§4.4), all sharing
-// one clock and one billing meter.
+// storage and a transactional database (§2.2, §4.1) — the orchestration
+// engine (§4.2), the Pulsar messaging cluster with Pulsar Functions (§4.3),
+// which is also the platform's queue and notification service, and the Jiffy
+// ephemeral-state store (§4.4), all sharing one clock and one billing meter.
 //
 // This is the public API examples and experiments build on; the individual
 // subsystem packages stay usable on their own.
@@ -24,7 +24,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/orchestrate"
 	"repro/internal/pulsar"
-	"repro/internal/queue"
 	"repro/internal/simclock"
 )
 
@@ -100,8 +99,6 @@ type Platform struct {
 	FaaS *faas.Platform
 	// Blob is the S3-style object store (§2.2).
 	Blob *blob.Store
-	// Queue is the SQS/SNS-style messaging BaaS (§3.1).
-	Queue *queue.Service
 	// DB is the transactional serverless database (§4.1).
 	DB *kvdb.DB
 	// Coord is the ZooKeeper-style coordination service (§4.3, Fig. 1).
@@ -155,7 +152,6 @@ func New(opts Options) *Platform {
 	}
 	fp := faas.New(clock, meter)
 	blobStore := blob.New(clock, meter, blob.S3Latency)
-	queueSvc := queue.New(clock, meter)
 	db := kvdb.New(clock, meter)
 	engine := orchestrate.NewEngine(fp)
 
@@ -166,7 +162,6 @@ func New(opts Options) *Platform {
 	jf.SetObs(reg)
 	fp.SetObs(reg)
 	blobStore.SetObs(reg)
-	queueSvc.SetObs(reg)
 	db.SetObs(reg)
 	engine.SetObs(reg)
 
@@ -177,7 +172,6 @@ func New(opts Options) *Platform {
 		Obs:          reg,
 		FaaS:         fp,
 		Blob:         blobStore,
-		Queue:        queueSvc,
 		DB:           db,
 		Coord:        meta,
 		Ledgers:      ledgers,

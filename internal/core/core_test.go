@@ -14,7 +14,7 @@ import (
 
 func TestNewDefaults(t *testing.T) {
 	p := New(Options{})
-	if p.FaaS == nil || p.Blob == nil || p.Queue == nil || p.DB == nil ||
+	if p.FaaS == nil || p.Blob == nil || p.DB == nil ||
 		p.Coord == nil || p.Ledgers == nil || p.Pulsar == nil || p.Jiffy == nil ||
 		p.Orchestrator == nil || p.Meter == nil {
 		t.Fatal("subsystem missing from default platform")

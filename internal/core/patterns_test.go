@@ -16,7 +16,6 @@ import (
 	"repro/internal/faas"
 	"repro/internal/obs"
 	"repro/internal/orchestrate"
-	"repro/internal/queue"
 	"repro/internal/simclock"
 	"repro/internal/sketch"
 )
@@ -69,22 +68,24 @@ func TestPatternEventDriven(t *testing.T) {
 	}
 }
 
-// Pattern 3: data transformation — queue-fed transform writing back to
+// Pattern 3: data transformation — topic-fed transform writing back to
 // storage (the ETL archetype).
 func TestPatternDataTransformation(t *testing.T) {
 	p, v := NewVirtual(Options{})
 	defer v.Close()
 	v.Run(func() {
 		must(t, p.Blob.CreateBucket("out", "t"))
-		must(t, p.Queue.CreateQueue("jobs", "t", queue.DefaultConfig()))
+		must(t, p.Pulsar.CreateTopic("jobs", 0))
 		must(t, p.Tenant("t").Register("transform", func(ctx *faas.Ctx, payload []byte) ([]byte, error) {
 			upper := []byte(fmt.Sprintf("transformed:%s", payload))
 			_, err := p.Blob.Put("out", string(payload), upper, blob.PutOptions{})
 			return nil, err
 		}, faas.Config{}))
-		must(t, faas.BindQueue(p.FaaS, p.Queue, "jobs", "t", "transform"))
+		must(t, faas.BindTopic(p.FaaS, p.Pulsar, "jobs", "t", "transform", ""))
+		jobs, err := p.Pulsar.CreateProducer("jobs")
+		must(t, err)
 		for _, name := range []string{"a", "b", "c"} {
-			_, err := p.Queue.Send("jobs", []byte(name))
+			_, err := jobs.Send([]byte(name))
 			must(t, err)
 		}
 		v.Sleep(time.Second)
@@ -157,25 +158,27 @@ func TestPatternStateMachine(t *testing.T) {
 }
 
 // Pattern 6: bundled pattern — one deployment combining several of the
-// above: a periodic tick fans a queue out to workers whose results feed a
-// streaming aggregate.
+// above: a periodic tick fans a work topic out to workers whose results feed
+// a streaming aggregate.
 func TestPatternBundled(t *testing.T) {
 	p, v := NewVirtual(Options{})
 	defer v.Close()
 	var aggregated int64
 	v.Run(func() {
-		must(t, p.Queue.CreateQueue("work", "t", queue.DefaultConfig()))
+		must(t, p.Pulsar.CreateTopic("work", 0))
 		must(t, p.Pulsar.CreateTopic("results", 0))
+		work, err := p.Pulsar.CreateProducer("work")
+		must(t, err)
 		prod, err := p.Pulsar.CreateProducer("results")
 		must(t, err)
 
-		// Worker: queue-driven, publishes results to the topic.
+		// Worker: bound to the work topic, publishes results to the other.
 		must(t, p.Tenant("t").Register("worker", func(ctx *faas.Ctx, payload []byte) ([]byte, error) {
 			ctx.Work(10 * time.Millisecond)
 			_, err := prod.Send(payload)
 			return nil, err
 		}, faas.Config{}))
-		must(t, faas.BindQueue(p.FaaS, p.Queue, "work", "t", "worker"))
+		must(t, faas.BindTopic(p.FaaS, p.Pulsar, "work", "t", "worker", ""))
 
 		// Streaming aggregate over results.
 		agg := simclock.NewEvent(v)
@@ -187,10 +190,10 @@ func TestPatternBundled(t *testing.T) {
 		}, faas.Config{}))
 		must(t, faas.BindTopic(p.FaaS, p.Pulsar, "results", "t", "agg", ""))
 
-		// Periodic tick: every minute, enqueue a batch of work.
+		// Periodic tick: every second, publish a batch of work.
 		must(t, p.Tenant("t").Register("tick", func(ctx *faas.Ctx, _ []byte) ([]byte, error) {
 			for i := 0; i < 3; i++ {
-				if _, err := p.Queue.Send("work", []byte(fmt.Sprintf("job-%d", i))); err != nil {
+				if _, err := work.Send([]byte(fmt.Sprintf("job-%d", i))); err != nil {
 					return nil, err
 				}
 			}

@@ -200,7 +200,7 @@ func E15PulsarDurability() Table {
 				pub++
 			}
 		}
-		for i := 0; i < 1000 && repl.Replicated()+repl.Dropped() < int64(pub); i++ {
+		for i := 0; i < 1000 && repl.Replicated()+repl.DeadLettered() < int64(pub); i++ {
 			v.Sleep(5 * time.Millisecond)
 		}
 		repl.Stop()
@@ -210,7 +210,7 @@ func E15PulsarDurability() Table {
 		}
 		got = recvAll(remote)
 		table.Rows = append(table.Rows, []string{"geo-replicated", f("%d", pub), f("%d", len(got)), f("%d", maxInt(0, pub-len(got)))})
-		geoNote = f("; geo-replicated: the replicator mirrored %d and dropped %d", repl.Replicated(), repl.Dropped())
+		geoNote = f("; geo-replicated: the replicator mirrored %d and dead-lettered %d", repl.Replicated(), repl.DeadLettered())
 	})
 	table.Notes = "received counts unacked redeliveries as well; 'lost' must be 0 in every phase" + geoNote
 	return table

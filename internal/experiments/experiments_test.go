@@ -284,7 +284,7 @@ func TestE15NothingLost(t *testing.T) {
 	if pub == "0" || cell(t, tb, geo, 2) != pub {
 		t.Fatalf("remote received %s of %s published:\n%s", cell(t, tb, geo, 2), pub, tb)
 	}
-	if want := "mirrored " + pub + " and dropped 0"; !strings.Contains(tb.Notes, want) {
+	if want := "mirrored " + pub + " and dead-lettered 0"; !strings.Contains(tb.Notes, want) {
 		t.Fatalf("note %q lacks %q", tb.Notes, want)
 	}
 }

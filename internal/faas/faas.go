@@ -283,7 +283,7 @@ func (fn *function) dedupStore(key string, res Result, now time.Time) {
 // Platform is the FaaS control plane plus data plane.
 //
 // A Platform has a lifetime: Close ends it, and so does a finalizer once no
-// handle is left; a binding (BindTopic, BindQueue, BindBlob) holds one. Its
+// handle is left; a binding (BindTopic, BindBlob) holds one. Its
 // state lives on the *platform it wraps, which refers back to no handle, so
 // a handler that does keeps its platform alive until Close.
 //

@@ -16,66 +16,8 @@ import (
 	"repro/internal/coord"
 	"repro/internal/ledger"
 	"repro/internal/pulsar"
-	"repro/internal/queue"
 	"repro/internal/simclock"
 )
-
-func TestBindQueueInvokesAndAcks(t *testing.T) {
-	v := simclock.NewVirtual()
-	defer v.Close()
-	p := New(v, nil)
-	qs := queue.New(v, nil)
-	must(t, qs.CreateQueue("jobs", "t", queue.DefaultConfig()))
-
-	var mu sync.Mutex
-	var seen []string
-	h := func(ctx *Ctx, payload []byte) ([]byte, error) {
-		mu.Lock()
-		seen = append(seen, string(payload))
-		mu.Unlock()
-		return nil, nil
-	}
-	must(t, p.Register("etl", "t", h, Config{}))
-	must(t, BindQueue(p, qs, "jobs", "t", "etl"))
-
-	v.Run(func() {
-		for _, m := range []string{"a", "b", "c"} {
-			_, err := qs.Send("jobs", []byte(m))
-			must(t, err)
-		}
-		v.Sleep(time.Second) // let async invocations drain
-	})
-	if len(seen) != 3 {
-		t.Fatalf("invoked %d times, want 3: %v", len(seen), seen)
-	}
-	if ds, _ := qs.Receive("jobs", 10); len(ds) != 0 {
-		t.Fatalf("%d messages left after acks, want 0", len(ds))
-	}
-}
-
-func TestBindQueueFailedMessageStays(t *testing.T) {
-	v := simclock.NewVirtual()
-	defer v.Close()
-	p := New(v, nil)
-	qs := queue.New(v, nil)
-	must(t, qs.CreateQueue("jobs", "t", queue.Config{VisibilityTimeout: 10 * time.Second}))
-	var calls int64
-	h := func(ctx *Ctx, payload []byte) ([]byte, error) {
-		atomic.AddInt64(&calls, 1)
-		return nil, errTransient
-	}
-	must(t, p.Register("bad", "t", h, Config{MaxRetries: -1}))
-	must(t, BindQueue(p, qs, "jobs", "t", "bad"))
-	v.Run(func() {
-		_, err := qs.Send("jobs", []byte("x"))
-		must(t, err)
-		v.Sleep(11 * time.Second) // past visibility timeout
-	})
-	// The message must still be on the queue (unacked after failure).
-	if ds, _ := qs.Receive("jobs", 10); len(ds) != 1 {
-		t.Fatalf("%d messages visible, want 1 (failed message retained)", len(ds))
-	}
-}
 
 var errTransient = errString("transient")
 
@@ -352,8 +294,9 @@ func TestBindTopicUnknownTopic(t *testing.T) {
 	})
 }
 
-// TestBindTopicFailedMessageStaysUnacked: a message whose invocation fails
-// is not acked and publishes nothing; the next message is unaffected.
+// TestBindTopicFailedMessageStaysUnacked: a message whose invocation keeps
+// failing is invoked five times, a second apart, and then dead-lettered
+// under its key, publishing nothing; the next message is unaffected.
 func TestBindTopicFailedMessageStaysUnacked(t *testing.T) {
 	v := simclock.NewVirtual()
 	defer v.Close()
@@ -378,11 +321,16 @@ func TestBindTopicFailedMessageStaysUnacked(t *testing.T) {
 		must(t, err)
 	})
 	v.Run(func() {
-		if booms.Load() == 0 {
-			t.Errorf("the failing message never reached the handler")
+		if n := booms.Load(); n != 5 {
+			t.Errorf("the failing message was invoked %d times, want 5", n)
 		}
-		if n, err := cl.Backlog("in", "fn-t-meta"); err != nil || n != 1 {
-			t.Errorf("backlog = %d (%v), want 1: the failed message stays unacked", n, err)
+		if n, err := cl.Backlog("in", "fn-t-meta"); err != nil || n != 0 {
+			t.Errorf("backlog = %d (%v), want 0: one message acked, one dead-lettered", n, err)
+		}
+		dlq, err := cl.Subscribe("in-fn-t-meta-DLQ", "check", pulsar.Exclusive, pulsar.Earliest)
+		must(t, err)
+		if m, ok := dlq.Receive(time.Second); !ok || string(m.Payload) != "boom" || m.Key != "k" {
+			t.Errorf("dead letter = %q (key %q, ok %v), want boom keyed k", m.Payload, m.Key, ok)
 		}
 		out, err := cl.Subscribe("out", "check", pulsar.Exclusive, pulsar.Earliest)
 		must(t, err)
@@ -393,6 +341,58 @@ func TestBindTopicFailedMessageStaysUnacked(t *testing.T) {
 			t.Errorf("second output %q: the failed message published", m.Payload)
 		}
 	})
+}
+
+// TestBindTopicThrottledEventComesBack is Fig. 3's Count-Min function under
+// a concurrency cap: while a direct invoke holds the one slot, the binding's
+// invocation is throttled, and its event comes back a second later and is
+// counted exactly once.
+func TestBindTopicThrottledEventComesBack(t *testing.T) {
+	v := simclock.NewVirtual()
+	defer v.Close()
+	p := New(v, nil)
+	cl := newTopics(v, 1)
+	counted := map[string]int{} // one binding: the handler runs serially
+	var countedAt time.Time
+	must(t, p.Register("count", "t", func(ctx *Ctx, in []byte) ([]byte, error) {
+		if string(in) == "hold" {
+			ctx.Work(300 * time.Millisecond)
+			return nil, nil
+		}
+		counted[string(in)]++
+		countedAt = v.Now()
+		return nil, nil
+	}, Config{MaxConcurrency: 1, Prewarm: 1, WarmStart: time.Millisecond}))
+	var published time.Time
+	v.Run(func() {
+		must(t, cl.CreateTopic("events", 0))
+		must(t, BindTopic(p, cl, "events", "t", "count", ""))
+		prod, err := cl.CreateProducer("events")
+		must(t, err)
+		v.Go(func() {
+			_, err := p.InvokeFor("t", "count", []byte("hold"))
+			must(t, err)
+		})
+		v.Sleep(time.Millisecond) // the direct invoke holds the slot
+		_, err = prod.SendKey("e1", []byte("e1"))
+		must(t, err)
+		published = v.Now()
+		if n := counted["e1"]; n != 0 {
+			t.Errorf("e1 counted %d times while the slot was held, want 0", n)
+		}
+	})
+	if st, _ := p.StatsFor("t", "count"); st.Throttles != 1 {
+		t.Errorf("throttles = %d, want 1: the binding's first invocation is shed", st.Throttles)
+	}
+	if n := counted["e1"]; n != 1 {
+		t.Fatalf("e1 counted %d times, want exactly once after the slot freed", n)
+	}
+	if d := countedAt.Sub(published); d != time.Second+time.Millisecond {
+		t.Errorf("e1 counted %v after its publish, want the 1 s redelivery delay plus a warm start", d)
+	}
+	if n, err := cl.Backlog("events", "fn-t-count"); err != nil || n != 0 {
+		t.Fatalf("backlog = %d (%v), want 0", n, err)
+	}
 }
 
 // TestBindTopicOneDrainUnderConcurrentPublishers: four producers publishing

@@ -360,9 +360,10 @@ type Consumer struct {
 	epochs    map[string]int64 // ownership epoch attached at; none until the first attach
 	closed    bool
 
-	fn     func(Message) error // a push consumer's (SubscribeFunc) callback
-	wakes  atomic.Int64        // wakes the running drain has not covered yet
-	drains *simclock.Group     // counts the running drain, for Replicator.Stop to wait on
+	fn           func(Message) error // a push consumer's (SubscribeFunc) callback
+	wakes        atomic.Int64        // wakes the running drain has not covered yet
+	drains       *simclock.Group     // counts the running drain, for Replicator.Stop to wait on
+	deadLettered atomic.Int64        // messages fn refused maxDeliveries times and deadLetter moved
 
 	// A pull consumer's Receive parks on sem until a wake, Close or its
 	// deadline timer, both made by the first Receive that waits. The timer
@@ -390,9 +391,12 @@ func (c *Cluster) Subscribe(topic, subName string, mode SubMode, pos InitialPosi
 
 // SubscribeFunc attaches a push consumer to the Shared subscription sub on
 // topic, created at Latest: each message placed in its queue is handed to fn
-// on a tracked goroutine and acked when fn returns nil. An idle push
-// consumer holds no goroutine: a delivery starts its drain, and so does an
-// ownership change (claim), whose attach pass re-subscribes it.
+// on a tracked goroutine and acked when fn returns nil. A message fn fails is
+// handed to it again redeliverDelay later, and after maxDeliveries failed
+// calls is published to the topic "<topic>-<sub>-DLQ" and acked, so every
+// message ends acked or dead-lettered. An idle push consumer holds no
+// goroutine: a delivery starts its drain, and so does an ownership change
+// (claim), whose attach pass re-subscribes it.
 func (c *Cluster) SubscribeFunc(topic, sub string, fn func(Message) error) error {
 	_, err := c.subscribe(topic, sub, Shared, Latest, fn)
 	return err
@@ -455,9 +459,21 @@ func (cons *Consumer) wake() {
 	}
 }
 
-// drain calls fn per message and acks what it accepts. A pass ends on the pop
-// that finds the queue empty, which makes an attach pass (tryReceive); the
-// drain exits once a pass has covered every wake.
+// A push consumer's retry contract (deliver).
+const (
+	// redeliverDelay is the shed-load back-off the gateway sends as
+	// Retry-After: a throttled function gets its event back once a slot has
+	// had that long to free.
+	redeliverDelay = time.Second
+	// maxDeliveries is how many calls a message gets before it is
+	// dead-lettered, so one a handler keeps refusing holds its drain for at
+	// most (maxDeliveries-1)×redeliverDelay.
+	maxDeliveries = 5
+)
+
+// drain delivers each message in turn. A pass ends on the pop that finds the
+// queue empty, which makes an attach pass (tryReceive); the drain exits once
+// a pass has covered every wake.
 func (cons *Consumer) drain() {
 	for n := cons.wakes.Load(); n != 0; n = cons.wakes.Add(-n) {
 		for {
@@ -465,11 +481,57 @@ func (cons *Consumer) drain() {
 			if !ok {
 				break
 			}
-			if cons.fn(m) == nil {
-				_ = cons.Ack(m)
-			}
+			cons.deliver(m)
 		}
 	}
+}
+
+// deliver calls fn with m until it returns nil, and acks m then. The calls
+// are redeliverDelay apart, and once maxDeliveries have failed m is
+// dead-lettered. Retrying in place, not by a nack to the broker, is what
+// keeps per-key order on a Failover or KeyShared subscription: no later
+// message overtakes m. m stays unacked, for Close to offer again, if fn
+// returns ErrConsumerClosed or the consumer is closed while it waits.
+func (cons *Consumer) deliver(m Message) {
+	for calls := 1; ; calls++ {
+		err := cons.fn(m)
+		switch {
+		case err == nil:
+			_ = cons.Ack(m)
+			return
+		case errors.Is(err, ErrConsumerClosed):
+			return
+		case calls == maxDeliveries:
+			cons.deadLetter(m)
+			return
+		}
+		cons.c.clock.Sleep(redeliverDelay)
+		if cons.cell.Load() == nil {
+			return
+		}
+	}
+}
+
+// deadLetter publishes m, under its key and trace, to the consumer's
+// dead-letter topic, "<topic>-<sub>-DLQ" (the name Pulsar's client gives
+// it), created on first use, and acks m. If the publish fails m stays
+// unacked, counted in pulsar.dead_letter.failed.
+func (cons *Consumer) deadLetter(m Message) {
+	dlq := cons.name + "-" + cons.sub + "-DLQ"
+	err := cons.c.CreateTopic(dlq, 0)
+	if err == nil || errors.Is(err, ErrTopicExists) {
+		var p *Producer
+		if p, err = cons.c.CreateProducer(dlq); err == nil {
+			_, err = p.SendKeyTrace(m.Key, m.Payload, m.Trace)
+		}
+	}
+	if err != nil {
+		cons.c.obsDeadLetterFailed.Inc()
+		return
+	}
+	cons.deadLettered.Add(1)
+	cons.c.obsDeadLettered.Inc()
+	_ = cons.Ack(m)
 }
 
 // ensureAttached is one pass over the consumer's partitions, in creation

@@ -120,7 +120,10 @@ type Cluster struct {
 	obsRecoveries    *obs.Counter
 	obsRecoveryTime  *obs.Histogram
 	obsGeoReplicated *obs.Counter
-	obsGeoDropped    *obs.Counter
+	// obsDeadLettered counts messages a push consumer moved to a DLQ topic,
+	// obsDeadLetterFailed those it could not (they stay unacked).
+	obsDeadLettered     *obs.Counter
+	obsDeadLetterFailed *obs.Counter
 }
 
 // SetObs attaches observability instruments. Call before traffic starts: the
@@ -134,7 +137,8 @@ func (c *Cluster) SetObs(r *obs.Registry) {
 	c.obsRecoveries = r.Counter("pulsar.recoveries")
 	c.obsRecoveryTime = r.Histogram("pulsar.recovery.time")
 	c.obsGeoReplicated = r.Counter("pulsar.georepl.replicated")
-	c.obsGeoDropped = r.Counter("pulsar.georepl.dropped")
+	c.obsDeadLettered = r.Counter("pulsar.dead_lettered")
+	c.obsDeadLetterFailed = r.Counter("pulsar.dead_letter.failed")
 }
 
 // NewCluster creates a cluster. meter may be nil.

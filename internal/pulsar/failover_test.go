@@ -127,9 +127,9 @@ func TestBrokerSetSlowAddsLatency(t *testing.T) {
 	})
 }
 
-// TestGeoReplicationDropsAfterRetries: with the destination hard-down, a
-// bounded replicator retries with backoff, then drops (acking the source)
-// instead of wedging the stream.
+// TestGeoReplicationDropsAfterRetries: with the destination hard-down, the
+// replicator's push consumer retries each message, then dead-letters it on
+// the source (acking it there) instead of wedging the stream.
 func TestGeoReplicationDropsAfterRetries(t *testing.T) {
 	e := newEnv(t, 1, 3)
 	west := newSecondCluster(e, 1, 3)
@@ -148,17 +148,25 @@ func TestGeoReplicationDropsAfterRetries(t *testing.T) {
 			_, err := prod.Send([]byte(fmt.Sprintf("m%d", i)))
 			must(t, err)
 		}
-		for i := 0; i < 1000 && repl.Dropped() < 3; i++ {
-			e.v.Sleep(5 * time.Millisecond)
+		for i := 0; i < 1000 && repl.DeadLettered() < 3; i++ {
+			e.v.Sleep(50 * time.Millisecond)
 		}
 		repl.Stop()
-		if repl.Dropped() != 3 {
-			t.Fatalf("dropped = %d, want 3", repl.Dropped())
+		if repl.DeadLettered() != 3 {
+			t.Fatalf("dead-lettered = %d, want 3", repl.DeadLettered())
 		}
 		if repl.Replicated() != 0 {
 			t.Fatalf("replicated = %d, want 0", repl.Replicated())
 		}
-		// The drops acked the source: a fresh bounded replicator against a
+		// The source's dead-letter topic holds the three, in order.
+		dlq, err := e.cluster.Subscribe("t-geo-replicator-DLQ", "check", Exclusive, Earliest)
+		must(t, err)
+		for i := 0; i < 3; i++ {
+			if m, ok := dlq.TryReceive(); !ok || string(m.Payload) != fmt.Sprintf("m%d", i) {
+				t.Fatalf("dead letter %d = %q (ok %v), want m%d", i, m.Payload, ok, i)
+			}
+		}
+		// The dead letters acked the source: a fresh replicator against a
 		// healthy destination has nothing to mirror.
 		wb.SetDown(false)
 		repl2, err := StartReplicator(e.cluster, west, "t", "t")
@@ -166,11 +174,11 @@ func TestGeoReplicationDropsAfterRetries(t *testing.T) {
 		e.v.Sleep(50 * time.Millisecond)
 		repl2.Stop()
 		if repl2.Replicated() != 0 {
-			t.Fatalf("post-drop replicator mirrored %d, want 0", repl2.Replicated())
+			t.Fatalf("post-dead-letter replicator mirrored %d, want 0", repl2.Replicated())
 		}
 	})
-	if n := reg.CounterValue("pulsar.georepl.dropped"); n != 3 {
-		t.Errorf("pulsar.georepl.dropped = %d, want 3", n)
+	if n := reg.CounterValue("pulsar.dead_lettered"); n != 3 {
+		t.Errorf("pulsar.dead_lettered = %d, want 3", n)
 	}
 }
 
@@ -193,8 +201,8 @@ func TestReplicatorStopMidRetryKeepsMessage(t *testing.T) {
 		must(t, err)
 		e.v.Sleep(2 * time.Millisecond) // first publish failed; first backoff (5ms) in progress
 		repl.Stop()
-		if repl.Dropped() != 0 || repl.Replicated() != 0 {
-			t.Fatalf("stopped mid-retry: dropped = %d, replicated = %d, want 0 and 0", repl.Dropped(), repl.Replicated())
+		if repl.DeadLettered() != 0 || repl.Replicated() != 0 {
+			t.Fatalf("stopped mid-retry: dropped = %d, replicated = %d, want 0 and 0", repl.DeadLettered(), repl.Replicated())
 		}
 
 		wb.SetDown(false)
@@ -206,8 +214,8 @@ func TestReplicatorStopMidRetryKeepsMessage(t *testing.T) {
 			t.Fatalf("destination got %q, %v; want the message the first replicator was still retrying", m.Payload, ok)
 		}
 		repl2.Stop()
-		if repl2.Replicated() != 1 || repl2.Dropped() != 0 {
-			t.Fatalf("second replicator: replicated = %d, dropped = %d, want 1 and 0", repl2.Replicated(), repl2.Dropped())
+		if repl2.Replicated() != 1 || repl2.DeadLettered() != 0 {
+			t.Fatalf("second replicator: replicated = %d, dropped = %d, want 1 and 0", repl2.Replicated(), repl2.DeadLettered())
 		}
 	})
 }

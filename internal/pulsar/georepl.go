@@ -1,34 +1,25 @@
 package pulsar
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "sync/atomic"
 
 // Replicator implements Pulsar's geo-replication (§4.3 names it among the
 // system's key features): messages published to a topic in one cluster are
 // asynchronously republished to a topic in another cluster, preserving
 // per-key order. As in Pulsar, the replicator is a durable subscription on
 // the source topic feeding a producer on the destination cluster: a push
-// consumer, so an idle replicator holds no goroutine.
+// consumer, so an idle replicator holds no goroutine, and a destination
+// publish that fails is retried by the push consumer's contract (see
+// SubscribeFunc). A message the destination refuses maxDeliveries times is
+// dead-lettered on the source, to "<srcTopic>-geo-replicator-DLQ".
 type Replicator struct {
 	cons    *Consumer
 	stopped atomic.Bool
 
 	replicated atomic.Int64
-	dropped    atomic.Int64
 }
 
-const (
-	// replSubscription names the replicator's durable cursor on the source.
-	replSubscription = "geo-replicator"
-	// A failed destination publish is retried replRetries times, backing off
-	// replRetryBase and doubling, before the message is dropped — acked on
-	// the source and counted in pulsar.georepl.dropped — so one poisoned
-	// message cannot wedge the replication stream forever.
-	replRetries   = 5
-	replRetryBase = 5 * time.Millisecond
-)
+// replSubscription names the replicator's durable cursor on the source.
+const replSubscription = "geo-replicator"
 
 // StartReplicator begins replicating srcTopic on src (from the earliest
 // unreplicated position) into dstTopic on dst, which must exist. Stop it
@@ -53,26 +44,13 @@ func StartReplicator(src, dst *Cluster, srcTopic, dstTopic string) (*Replicator,
 		if hw, ok := mirrored[m.Topic]; ok && m.Seq <= hw {
 			return nil
 		}
-		backoff := replRetryBase
-		for retry := 0; ; retry++ {
-			if r.stopped.Load() {
-				// Stop is closing the consumer: leave the message unacked
-				// so the durable cursor holds position for the next
-				// replicator.
-				return ErrConsumerClosed
-			}
-			if _, err := prod.SendKey(m.Key, m.Payload); err == nil {
-				break
-			}
-			if retry == replRetries {
-				// Retries exhausted: drop the message rather than wedge the
-				// stream — it is acked on the source and the loss counted.
-				r.dropped.Add(1)
-				src.obsGeoDropped.Inc()
-				return nil
-			}
-			src.clock.Sleep(backoff)
-			backoff *= 2
+		if r.stopped.Load() {
+			// Stop is closing the consumer: leave the message unacked so
+			// the durable cursor holds position for the next replicator.
+			return ErrConsumerClosed
+		}
+		if _, err := prod.SendKey(m.Key, m.Payload); err != nil {
+			return err
 		}
 		mirrored[m.Topic] = m.Seq
 		r.replicated.Add(1)
@@ -88,13 +66,13 @@ func StartReplicator(src, dst *Cluster, srcTopic, dstTopic string) (*Replicator,
 // Replicated returns how many messages have been mirrored.
 func (r *Replicator) Replicated() int64 { return r.replicated.Load() }
 
-// Dropped returns how many messages were abandoned after exhausting their
-// destination-publish retries.
-func (r *Replicator) Dropped() int64 { return r.dropped.Load() }
+// DeadLettered returns how many messages the destination refused
+// maxDeliveries times, which went to the source's dead-letter topic.
+func (r *Replicator) DeadLettered() int64 { return r.cons.deadLettered.Load() }
 
 // Stop halts replication (clock-aware): it waits for the running mirror call
-// and its ack, so the consumer detaches with nothing mirrored left unacked,
-// then closes the consumer.
+// and its ack, or the end of a redelivery wait, so the consumer detaches with
+// nothing mirrored left unacked, then closes the consumer.
 func (r *Replicator) Stop() {
 	r.stopped.Store(true)
 	r.cons.drains.Wait()

@@ -196,8 +196,8 @@ func TestReplicatorIdleLeavesNoGoroutine(t *testing.T) {
 	}
 }
 
-// TestReplicatorStopWaitsForRunningMirror: Stop during a retry backoff
-// returns once that mirror call has, at the end of the backoff.
+// TestReplicatorStopWaitsForRunningMirror: Stop during a redelivery wait
+// returns at the end of the wait, once the mirror call after it has.
 func TestReplicatorStopWaitsForRunningMirror(t *testing.T) {
 	e := newEnv(t, 1, 3)
 	west := newSecondCluster(e, 1, 3)
@@ -213,11 +213,11 @@ func TestReplicatorStopWaitsForRunningMirror(t *testing.T) {
 		_, err = prod.Send([]byte("m0"))
 		must(t, err)
 		published = e.v.Now()
-		e.v.Sleep(2 * time.Millisecond) // first publish failed; first backoff in progress
+		e.v.Sleep(2 * time.Millisecond) // first publish failed; first redelivery wait in progress
 		repl.Stop()
 		stopped = e.v.Now()
 	})
-	if d := stopped.Sub(published); d != replRetryBase {
-		t.Fatalf("Stop returned %v after the publish, want the first backoff's end (%v)", d, replRetryBase)
+	if d := stopped.Sub(published); d != redeliverDelay {
+		t.Fatalf("Stop returned %v after the publish, want the first redelivery wait's end (%v)", d, redeliverDelay)
 	}
 }

@@ -70,6 +70,12 @@ if grep -rnF -e 'json.Unmarshal(body, &st)' -e 'writeJSON(w, http.StatusAccepted
 	echo "check: a submit is an empty 202 with Location, and a poll answers what the sync invoke would have; neither encodes nor decodes JSON" >&2
 	exit 1
 fi
+echo "== Pulsar is the one queue: a push consumer's retry contract, no second queue or retry loop"
+if [ -e internal/queue ] ||
+	grep -rnwE 'BindQueue|replRetries|replRetryBase' --include='*.go' --exclude='*_test.go' .; then
+	echo "check: a failed message comes back through Consumer.deliver (redeliverDelay, maxDeliveries, then <topic>-<sub>-DLQ); internal/queue, faas.BindQueue and the replicator's retry loop are gone" >&2
+	exit 1
+fi
 echo "== one binary: cmd/ holds a single package"
 [ "$(go list ./cmd/... | wc -l)" -eq 1 ] || { echo "check: cmd/ must hold exactly one package (taureau)" >&2; exit 1; }
 echo "== API.md lists the exported surface"
