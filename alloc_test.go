@@ -758,23 +758,23 @@ func TestGatewayServeAllocs(t *testing.T) {
 }
 
 // TestGatewayClientInvokeAllocs pins a whole Client.Invoke of 64 B over a
-// loopback keep-alive connection — client, net/http on both sides, server —
-// as the process-wide malloc count per call. It was 123, then 102 with seven
-// metadata headers sent through http.Client.Do, then 83, then 76, and
-// measures 75. The Client's request, URL, header map, body reader and bound
-// funcs are one pooled call, which goes back to its pool once the Transport's
-// trace says it is done with the request (it was six allocations: the call,
-// the header map's two, the body's NopCloser, GetBody, and the path); the
-// path is built once and kept while the Client invokes the same function,
-// and the gateway's invocation is pooled too (above). Of the 75, one is the
-// result's buffer, three the gateway's; the other 71 are net/http's — the
-// Transport's round trip (contexts, channels, the connection key, a copy of a
-// request with a body), the server's request and the client's response (MIME
-// header parse, one map, value and key string per header it does not know by
-// heart, Header.Clone on WriteHeader) — and the three spare are for its next
-// release.
+// loopback keep-alive connection — client, server and net/http's server
+// under it — as the process-wide malloc count per call. It was 123, then 102
+// with seven metadata headers sent through http.Client.Do, then 83, 76 and
+// 75 with the Client's request state pooled on net/http's Transport, and
+// measures 33 now that a Client on a plain *http.Transport speaks HTTP/1.1
+// itself: it writes the request into its connection's buffer and reads the
+// answer's head in place, building no request, response, header map,
+// context or channel (net/http's client took 44 of the 75). Of the 33, two
+// are the client's: the result's buffer and its X-Taureau-Result string. The
+// other 31 are the server's: three the gateway's (the mux's match and the
+// two allocations behind each response header value, above) and 28
+// net/http's — the server's request, its MIME header parse (one map, value
+// and key string per header it does not know by heart), its contexts and
+// body readers, Header.Clone on WriteHeader. The three spare are for its
+// next release.
 func TestGatewayClientInvokeAllocs(t *testing.T) {
-	const want = 78
+	const want = 36
 	c := loopbackClient(t, echoGateway(t))
 	payload := make([]byte, 64)
 	invoke := func() {
@@ -799,11 +799,15 @@ func TestGatewayClientInvokeAllocs(t *testing.T) {
 // invocation's own goroutine included). The submits go first, a thousand in
 // a row, then a pause no echo outlasts, then one poll each, so that no
 // pending poll is counted. It was 167 (88 + 79) when both answers were JSON
-// the server indented and the client decoded, the output in base64; each
-// answer is now the sync invoke's wire, an empty 202 with a Location and a
-// poll that answers what the sync invoke would have: 134 measured.
+// the server indented and the client decoded, the output in base64, and 134
+// when each answer became the sync invoke's wire — an empty 202 with a
+// Location and a poll that answers what the sync invoke would have — sent
+// through net/http's client. The Client now writes both requests itself,
+// the poll's path included, in pieces, and keeps of the answers the submit's
+// Location and the poll's output and X-Taureau-Result: 62 measured, of which
+// the client's are those three; the server's are the rest.
 func TestGatewayAsyncAllocs(t *testing.T) {
-	const want, n = 137, 1000
+	const want, n = 65, 1000
 	c := loopbackClient(t, echoGateway(t))
 	payload := make([]byte, 64)
 	ids := make([]string, n)
@@ -871,13 +875,15 @@ func TestGatewayPollMissAllocs(t *testing.T) {
 }
 
 // TestGatewayBigEchoBytes bounds the bytes a 64 KiB echo round trip asks the
-// allocator for at 2x the payload. What is left is one buffer of the declared
-// size where the client reads the response — the caller's result, its to keep
-// — and net/http's 32 KiB copy buffer for the request body, which belongs to
-// the caller's http.Transport (1.6x in all). The server's buffer is borrowed
-// from the gateway's pool, bought once for requests served one after another
-// and not once each: it was the third piece of 2.6x, itself down from 9.4x
-// when both sides grew io.ReadAll buffers from 512 B.
+// allocator for at 1.25x the payload. What is left is one buffer of the
+// declared size where the client reads the response — the caller's result,
+// its to keep — and the server's and the client's small change (1.1x in
+// all). The request body goes out from the caller's own slice: the Client
+// writes it on its connection with no copy buffer (net/http's Transport
+// copied it through one of 32 KiB, 1.6x then). The server's buffer is
+// borrowed from the gateway's pool, bought once for requests served one
+// after another and not once each: it was the third piece of 2.6x, itself
+// down from 9.4x when both sides grew io.ReadAll buffers from 512 B.
 func TestGatewayBigEchoBytes(t *testing.T) {
 	const size, runs = 64 << 10, 200
 	c := loopbackClient(t, echoGateway(t))
@@ -898,8 +904,8 @@ func TestGatewayBigEchoBytes(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	got := float64(after.TotalAlloc-before.TotalAlloc) / runs
 	t.Logf("64 KiB echo allocates %.0f B per round trip (%.1fx the payload)", got, got/size)
-	if got > 2*size {
-		t.Fatalf("64 KiB echo allocates %.0f B per round trip (%.1fx the payload), want <= 2x", got, got/size)
+	if got > 1.25*size {
+		t.Fatalf("64 KiB echo allocates %.0f B per round trip (%.2fx the payload), want <= 1.25x", got, got/size)
 	}
 }
 

@@ -46,12 +46,12 @@ func pollStatus(t *testing.T, g *Gateway, id string) (int, InvocationStatus, Env
 
 // recordedStatus reads a recorded poll of id as Client.Invocation reads one.
 func recordedStatus(id string, w *httptest.ResponseRecorder) (InvocationStatus, error) {
-	resp, body := w.Result(), w.Body.Bytes()
+	rep := reply{status: w.Code, body: w.Body.Bytes(), result: w.Header().Get(hdrResult), location: w.Header().Get("Location")}
 	var err error
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		body, err = nil, decodeError(resp.StatusCode, body)
+	if rep.status < 200 || rep.status > 299 {
+		rep.body, err = nil, decodeError(rep.status, rep.body)
 	}
-	return invocationStatus(id, body, resp, err)
+	return invocationStatus(id, rep, err)
 }
 
 // submittedID is the id a recorded submit names: an empty 202 whose Location

@@ -9,12 +9,12 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
-	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/faas"
@@ -243,42 +243,74 @@ type pathTransport struct{ last string }
 func (pt *pathTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 	pt.last = r.URL.Path
 	resp := &http.Response{StatusCode: http.StatusOK, Header: http.Header{}, Body: http.NoBody}
+	answerPath(resp.Header, r.URL.Path)
 	if strings.HasSuffix(r.URL.Path, "/invoke-async") {
 		resp.StatusCode = http.StatusAccepted
-		resp.Header.Set("Location", "/v1/invocations/inv-000001")
-	} else {
-		setResultHeaders(resp.Header, &faas.Result{RequestID: 1, Attempt: 1})
 	}
 	return resp, nil
 }
 
-// TestClientPathCacheIsBounded: a Client that invokes and submits 10 000
-// names in turn sends every call to its own name's path, under BaseURL's, and
-// then holds two paths, the last name's; a call that names the function the
-// last one of its verb named reuses that path's string.
+// answerPath writes the header of the gateway's answer to a submit, a 202's
+// Location, or else to an invoke.
+func answerPath(h http.Header, path string) {
+	if strings.HasSuffix(path, "/invoke-async") {
+		h.Set("Location", "/v1/invocations/inv-000001")
+	} else {
+		setResultHeaders(h, &faas.Result{RequestID: 1, Attempt: 1})
+	}
+}
+
+// TestClientPathCacheIsBounded: a Client that invokes and submits many names
+// in turn sends every call to its own name's path, under BaseURL's, on both
+// paths: through net/http, on a RoundTripper that is no *http.Transport, and
+// on the Client's own HTTP/1.1 path, to a real server. A name that holds
+// bytes a path must escape reaches that server as the name, in the request
+// line net/http would have written.
 func TestClientPathCacheIsBounded(t *testing.T) {
 	pt := &pathTransport{}
-	c := &Client{BaseURL: "http://gw.invalid/prefix", Token: "tok-a", HTTP: &http.Client{Transport: pt}}
-	var name string
+	viaHTTP := &Client{BaseURL: "http://gw.invalid/prefix", Token: "tok-a", HTTP: &http.Client{Transport: pt}}
 	for i := 0; i < 10_000; i++ {
-		name = fmt.Sprintf("fn-%d", i)
-		if _, err := c.Invoke(name, nil); err != nil || pt.last != "/prefix/v1/functions/"+name+"/invoke" {
+		name := fmt.Sprintf("fn-%d", i)
+		if _, err := viaHTTP.Invoke(name, nil); err != nil || pt.last != "/prefix/v1/functions/"+name+"/invoke" {
 			t.Fatalf("invoke of %s went to %q: %v", name, pt.last, err)
 		}
-		if _, err := c.InvokeAsync(name, nil); err != nil || pt.last != "/prefix/v1/functions/"+name+"/invoke-async" {
+		if _, err := viaHTTP.InvokeAsync(name, nil); err != nil || pt.last != "/prefix/v1/functions/"+name+"/invoke-async" {
 			t.Fatalf("submit of %s went to %q: %v", name, pt.last, err)
 		}
 	}
-	want := [2]struct{ name, path string }{
-		{name, "/prefix/v1/functions/" + name + "/invoke"},
-		{name, "/prefix/v1/functions/" + name + "/invoke-async"},
+
+	var last, lastURI string
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		last, lastURI = r.URL.Path, r.RequestURI
+		answerPath(w.Header(), r.URL.Path)
+		if strings.HasSuffix(r.URL.Path, "/invoke-async") {
+			w.WriteHeader(http.StatusAccepted)
+		}
+	}))
+	defer srv.Close()
+	tr := &http.Transport{}
+	defer tr.CloseIdleConnections()
+	own := &Client{BaseURL: srv.URL + "/prefix", Token: "tok-a", HTTP: &http.Client{Transport: tr}}
+	for i := 0; i < 1_000; i++ {
+		name := fmt.Sprintf("fn-%d", i)
+		if i == 0 {
+			name = "fn ?#%\xe9!*'()[]{}|^`\"<>$&+,;=@:~"
+		}
+		for _, verb := range []string{"/invoke", "/invoke-async"} {
+			var err error
+			if verb == "/invoke" {
+				_, err = own.Invoke(name, nil)
+			} else {
+				_, err = own.InvokeAsync(name, nil)
+			}
+			want := "/prefix/v1/functions/" + name + verb
+			if err != nil || last != want || lastURI != (&url.URL{Path: want}).EscapedPath() {
+				t.Fatalf("%s of %q went to %q as %q: %v", verb, name, last, lastURI, err)
+			}
+		}
 	}
-	if c.paths != want {
-		t.Fatalf("after 10 000 names the Client holds %+v, want %+v", c.paths, want)
-	}
-	held := unsafe.StringData(c.paths[0].path)
-	if _, err := c.Invoke(name, nil); err != nil || unsafe.StringData(pt.last) != held {
-		t.Fatalf("a second invoke of %s built its path again (%v)", name, err)
+	if own.wire == nil || viaHTTP.wire != nil {
+		t.Fatalf("the Client on a bare Transport took the own path: %v, the one on a wrapper: %v", own.wire != nil, viaHTTP.wire != nil)
 	}
 }
 

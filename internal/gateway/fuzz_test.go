@@ -1,13 +1,18 @@
 package gateway
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -173,6 +178,96 @@ func FuzzInvocationID(f *testing.F) {
 		}
 		if n, ok := parseInvID(s); !ok || n != id {
 			t.Fatalf("%d formats to %q, which parses to %d, %v", id, s, n, ok)
+		}
+	})
+}
+
+// gatewayAnswers are the raw bytes of every answer shape the gateway writes,
+// as a real server sends them: a register's 201, the sync invoke's 200, the
+// submit's empty 202 with Location, the poll's 200 once it has finished, an
+// error envelope small enough for a Content-Length, one over 2 KiB that
+// net/http chunks, and a delete's 204.
+func gatewayAnswers(tb testing.TB) [][]byte {
+	srv := httptest.NewServer(New(core.New(core.Options{}), Config{Tokens: map[string]string{"tok-a": "alpha"}}))
+	defer srv.Close()
+	conn, err := net.Dial("tcp", srv.Listener.Addr().String())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer conn.Close()
+	br := bufio.NewReader(conn)
+	answer := func(method, path, body, want string) []byte {
+		req := fmt.Sprintf("%s %s HTTP/1.1\r\nHost: gw\r\nAuthorization: Bearer tok-a\r\nContent-Length: %d\r\n\r\n%s", method, path, len(body), body)
+		if _, err := io.WriteString(conn, req); err != nil {
+			tb.Fatal(err)
+		}
+		var raw bytes.Buffer
+		resp, err := http.ReadResponse(bufio.NewReader(io.TeeReader(br, &raw)), nil)
+		if err == nil {
+			_, err = io.Copy(io.Discard, resp.Body)
+		}
+		// Nothing follows the answer on the connection until the next request,
+		// so the tee holds exactly its bytes.
+		if err != nil || !strings.Contains(raw.String(), want) {
+			tb.Fatalf("%s %s: %v, answer %q lacks %q", method, path, err, raw.String(), want)
+		}
+		return raw.Bytes()
+	}
+	spec, _ := json.Marshal(fastSpec("f"))
+	seeds := [][]byte{
+		answer("POST", "/v1/functions", string(spec), "201 Created"),
+		answer("POST", "/v1/functions/f/invoke", strings.Repeat("x", 64), hdrResult),
+		answer("POST", "/v1/functions/f/invoke-async", "in", "Location: /v1/invocations/"),
+	}
+	time.Sleep(50 * time.Millisecond) // the async echo is long done
+	seeds = append(seeds,
+		answer("GET", "/v1/invocations/inv-000001", "", hdrResult),
+		answer("POST", "/v1/functions/ghost/invoke", "", "Content-Length"),
+		answer("POST", "/v1/functions/"+strings.Repeat("g", 3000)+"/invoke", "", "Transfer-Encoding: chunked"),
+		answer("DELETE", "/v1/functions/f", "", "204 No Content"),
+	)
+	return seeds
+}
+
+// FuzzClientResponse: the Client's own response reader against
+// http.ReadResponse, the bytes a server sends read as the answer to a GET
+// and to a POST. The own reader may refuse an answer net/http accepts, never
+// the reverse; where both accept, they agree on the status, the framing
+// (Content-Length, chunked, or to the close), the body, X-Taureau-Result,
+// Location and whether the connection may carry another request.
+func FuzzClientResponse(f *testing.F) {
+	for _, seed := range gatewayAnswers(f) {
+		if _, _, err := readResponse(bufio.NewReaderSize(bytes.NewReader(seed), wireBufSize)); err != nil {
+			f.Fatalf("the own reader refuses the gateway's answer %q: %v", seed, err)
+		}
+		f.Add(seed)
+	}
+	f.Add([]byte("HTTP/1.1 401 Unauthorized\r\nConnection: close\r\nContent-Type: application/json\r\nContent-Length: 2\r\n\r\n{}"))
+	f.Add([]byte("HTTP/1.1 200 OK\r\nConnection: x, close\r\n\r\nto the close"))
+	f.Add([]byte("HTTP/1.1 304 Not Modified\r\nContent-Length: 9\r\nLocation: /a\r\n\r\n"))
+	f.Fuzz(func(t *testing.T, answer []byte) {
+		own, _, ownErr := readResponse(bufio.NewReaderSize(bytes.NewReader(answer), wireBufSize))
+		body := own.body
+		for _, method := range []string{http.MethodGet, http.MethodPost} {
+			resp, err := http.ReadResponse(bufio.NewReader(bytes.NewReader(answer)), &http.Request{Method: method})
+			var stdBody []byte
+			if err == nil {
+				stdBody, err = io.ReadAll(resp.Body)
+			}
+			if ownErr != nil {
+				continue // the own reader may refuse more
+			}
+			if err != nil {
+				t.Fatalf("%s: the own reader accepted %q, net/http refused it: %v", method, answer, err)
+			}
+			chunked := slices.Equal(resp.TransferEncoding, []string{"chunked"})
+			framed := own.chunked == chunked && (own.chunked || own.length == resp.ContentLength)
+			if own.status != resp.StatusCode || !framed || !bytes.Equal(body, stdBody) ||
+				own.result != resp.Header.Get(hdrResult) || own.location != resp.Header.Get("Location") || own.keep == resp.Close {
+				t.Fatalf("%s %q:\nown     %+v, body %q\nnet/http status %d, length %d, chunked %v, body %q, result %q, location %q, close %v",
+					method, answer, own, body, resp.StatusCode, resp.ContentLength, chunked, stdBody,
+					resp.Header.Get(hdrResult), resp.Header.Get("Location"), resp.Close)
+			}
 		}
 	})
 }

@@ -14,11 +14,14 @@
 // only time is simulated.
 //
 // Each run owns its HTTP: an http.Server on a fresh 127.0.0.1 port and one
-// http.Transport its clients share, never http.DefaultTransport. Both are
-// torn down before Run returns, on every path: every connection is closed,
-// the server's handler dropped and the transport's idle connections closed,
-// so nothing net/http still holds — a connection goroutine unwinding, a
-// pooled connection — reaches the run's gateway, platform or virtual clock.
+// http.Transport its clients share, never http.DefaultTransport. The server
+// is torn down before Run returns, on every path: it closes every
+// connection, and its handler is dropped, so nothing net/http still holds —
+// a connection goroutine unwinding — reaches the run's gateway, platform or
+// virtual clock. The clients speak HTTP/1.1 themselves over one pool of
+// connections for that Transport; their idle ones, which the server has
+// closed, close at their next peek or with the Transport, and hold nothing
+// of the run.
 package sebs
 
 import (
@@ -467,7 +470,8 @@ func listen(h http.Handler) (*loopback, error) {
 // every handler call before what follows — and only then drops the server's
 // handler: a connection goroutine still unwinding keeps the server, and
 // through its handler the gateway, platform and virtual clock, reachable.
-// Last, the transport closes the idle connections it still pools.
+// Last, the transport closes the idle connections net/http still pools,
+// if a client sent through it.
 //
 // Not Shutdown: it polls for idle connections on a 1 ms ticker, so a
 // connection still finishing its last response costs a run a millisecond,

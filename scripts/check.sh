@@ -59,9 +59,9 @@ if grep -rn 'InvokeAsyncFor(' --include='*.go' --exclude='*_test.go' internal/ma
 	echo "check: a batch of invocations is one faas.Drive, whose Wait returns every call's result and error in call order; no hand-rolled group, mutex or first-error loop" >&2
 	exit 1
 fi
-echo "== a gateway round trip allocates only what it hands back: the client's per-call state is pooled"
-if grep -nE 'k := &call\{|make\(http\.Header' internal/gateway/client.go; then
-	echo "check: Client.do draws its request, URL, header map and body reader from callPool; it builds none per call" >&2
+echo "== a Client on a plain *http.Transport speaks HTTP/1.1 itself: its own path builds no *http.Response and calls no RoundTripper"
+if grep -nE 'http\.Response\b|http\.ReadResponse\(|\.RoundTrip\(' internal/gateway/wire.go | grep -vE '^[0-9]+:\s*//'; then
+	echo "check: wire.go writes each request head itself and reads back only the status, body, X-Taureau-Result and Location (readResponse)" >&2
 	exit 1
 fi
 echo "== an async invocation answers on the sync wire: no JSON in its submit or poll"
@@ -74,6 +74,11 @@ echo "== Pulsar is the one queue: a push consumer's retry contract, no second qu
 if [ -e internal/queue ] ||
 	grep -rnwE 'BindQueue|replRetries|replRetryBase' --include='*.go' --exclude='*_test.go' .; then
 	echo "check: a failed message comes back through Consumer.deliver (redeliverDelay, maxDeliveries, then <topic>-<sub>-DLQ); internal/queue, faas.BindQueue and the replicator's retry loop are gone" >&2
+	exit 1
+fi
+echo "== a gateway Client picks its path by observation: no environment variable reaches internal/gateway"
+if grep -rnE 'os\.(Getenv|LookupEnv)' --include='*.go' --exclude='*_test.go' internal/gateway/; then
+	echo "check: which path a Client takes follows from its RoundTripper and BaseURL alone; internal/gateway reads no environment variable" >&2
 	exit 1
 fi
 echo "== one binary: cmd/ holds a single package"
