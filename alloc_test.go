@@ -256,11 +256,11 @@ func TestBatchFlushProducerZeroAllocs(t *testing.T) {
 	const partitions, maxBatch, flushes = 16, 64, 200
 	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
 	runtime.MemProfileRate = 1
-	p := core.New(core.Options{})
+	p := core.New(core.Options{PulsarFlushInterval: time.Hour})
 	if err := p.Pulsar.CreateTopic("flush-gate", partitions); err != nil {
 		t.Fatal(err)
 	}
-	prod, err := p.Pulsar.CreateProducerOpts("flush-gate", pulsar.ProducerOptions{MaxBatch: maxBatch, FlushInterval: time.Hour})
+	prod, err := p.Pulsar.CreateProducerOpts("flush-gate", pulsar.ProducerOptions{MaxBatch: maxBatch})
 	if err != nil {
 		t.Fatal(err)
 	}

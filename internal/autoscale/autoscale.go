@@ -1,5 +1,5 @@
 // Package autoscale is the platform's elastic control plane: a control loop
-// that watches per-function load (in-flight concurrency, arrival deltas) and
+// that watches per-function load (in-flight concurrency, invocation deltas) and
 // drives both the instance pools (faas.SetPoolTarget) and the machine fleet
 // (scheduler.Grow / DrainEmpty) toward demand. Placement itself grows the
 // fleet when no machine fits, so no invocation waits on the loop for
@@ -11,8 +11,7 @@
 // steady-state capacity and a fast panic window that reacts to bursts and
 // never scales down while panicking — plus scale-to-zero after idle (the
 // defining serverless property, §2) with the function's keep-alive as the
-// floor, and a predictive prewarm hint from an inter-arrival-time EWMA so
-// periodic workloads dodge their next cold start.
+// floor.
 //
 // The controller ticks on a simclock.Clock, so experiments drive it under
 // the virtual clock with byte-identical results run over run.
@@ -45,10 +44,6 @@ type Config struct {
 	// been idle this long. A function's own KeepAlive acts as a floor:
 	// the effective delay is max(ScaleToZeroAfter, KeepAlive). Default 60s.
 	ScaleToZeroAfter time.Duration
-	// PredictivePrewarm keeps one instance warm when the inter-arrival
-	// EWMA predicts the next request within two ticks, even if reactive
-	// sizing would scale to zero. Off by default.
-	PredictivePrewarm bool
 	// DrainDelay is how long machine surplus must persist before empty
 	// machines are drained — hysteresis against thrashing. Default 30s.
 	DrainDelay time.Duration
@@ -98,9 +93,6 @@ type fnState struct {
 	panicUntil time.Time
 
 	lastInvocations int64
-
-	lastArrival time.Time
-	interEWMA   time.Duration // smoothed inter-arrival time; 0 = unknown
 
 	desired int
 
@@ -241,18 +233,6 @@ func (c *Controller) Tick() {
 			s.lastActive = now
 			s.everActive = true
 		}
-		if delta > 0 {
-			// Fold the mean gap since the last arrival tick into the EWMA.
-			if !s.lastArrival.IsZero() {
-				inter := now.Sub(s.lastArrival) / time.Duration(delta)
-				if s.interEWMA == 0 {
-					s.interEWMA = inter
-				} else {
-					s.interEWMA = (3*s.interEWMA + inter) / 4
-				}
-			}
-			s.lastArrival = now
-		}
 
 		if !s.seeded {
 			s.stable, s.panicky, s.seeded = inflight, inflight, true
@@ -298,15 +278,6 @@ func (c *Controller) Tick() {
 		} else if desired == 0 && s.everActive {
 			desired = 1
 		}
-		// Predictive prewarm: if the arrival rhythm says the next request
-		// lands within two ticks, keep one instance warm through the gap.
-		if c.cfg.PredictivePrewarm && desired == 0 && s.interEWMA > 0 {
-			next := s.lastArrival.Add(s.interEWMA)
-			if next.After(now) && next.Sub(now) <= 2*c.cfg.TickInterval {
-				desired = 1
-			}
-		}
-
 		if l.Prewarm > desired {
 			desired = l.Prewarm
 		}
@@ -378,7 +349,6 @@ type FnStatus struct {
 	Desired        int           `json:"desired"`
 	PanicMode      bool          `json:"panic_mode"`
 	IdleFor        time.Duration `json:"idle_for"`
-	InterArrival   time.Duration `json:"inter_arrival_ewma"`
 }
 
 // Status is a point-in-time snapshot of the control loop, served by
@@ -415,7 +385,6 @@ func (c *Controller) Status() Status {
 			Desired:        s.desired,
 			PanicMode:      now.Before(s.panicUntil),
 			IdleFor:        now.Sub(s.lastActive),
-			InterArrival:   s.interEWMA,
 		})
 	}
 	return st

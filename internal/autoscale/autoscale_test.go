@@ -134,54 +134,6 @@ func TestKeepAliveIsTheScaleToZeroFloor(t *testing.T) {
 	})
 }
 
-// TestPredictivePrewarm: with a steady 4s arrival rhythm and an aggressive
-// scale-to-zero, the inter-arrival EWMA prewarms one instance ahead of each
-// request, eliminating steady-state cold starts; the same rhythm without
-// prediction pays a cold start every time.
-func TestPredictivePrewarm(t *testing.T) {
-	run := func(predict bool) (cold int) {
-		v := simclock.NewVirtual()
-		defer v.Close()
-		p := faas.New(v, nil)
-		must(t, p.Register("tides", "t", worker(50*time.Millisecond), faas.Config{
-			KeepAlive: time.Second, ColdStart: 200 * time.Millisecond, WarmStart: time.Millisecond,
-		}))
-		ctrl := New(v, p, nil, Config{
-			TickInterval: time.Second, StableWindow: 2 * time.Second,
-			PanicWindow: time.Second, ScaleToZeroAfter: time.Second,
-			PredictivePrewarm: predict,
-		})
-		offsets := make([]time.Duration, 6)
-		for i := range offsets {
-			// Off-grid arrivals so requests never race a tick instant.
-			offsets[i] = time.Duration(i)*4*time.Second + 500*time.Microsecond
-		}
-		v.Run(func() {
-			ctrl.Start()
-			rep := faas.Drive(p, "t", "tides", nil, offsets)
-			results, _ := rep.Wait()
-			ctrl.Stop()
-			for _, r := range results {
-				if r.Cold {
-					cold++
-				}
-			}
-		})
-		return cold
-	}
-
-	coldWith := run(true)
-	coldWithout := run(false)
-	if coldWithout != 6 {
-		t.Errorf("without prediction: cold = %d, want all 6", coldWithout)
-	}
-	// The first arrival is always cold and the EWMA needs one gap to seed,
-	// so prediction can save arrivals 3..6 at best.
-	if coldWith > 2 {
-		t.Errorf("with prediction: cold = %d, want ≤ 2", coldWith)
-	}
-}
-
 // TestStartStopIdempotent: Start twice runs one loop; Stop ends it.
 func TestStartStopIdempotent(t *testing.T) {
 	v := simclock.NewVirtual()

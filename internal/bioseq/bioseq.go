@@ -124,27 +124,14 @@ type ServerlessConfig struct {
 	Workers int
 	// WorkPerCell models compute time per DP cell on the platform clock.
 	WorkPerCell time.Duration
-	// Tenant owns the worker function. Default "bioseq".
-	Tenant string
-	// Worker overrides the function config.
-	Worker faas.Config
 }
+
+// tenant owns the worker function.
+const tenant = "bioseq"
 
 func (c ServerlessConfig) withDefaults() ServerlessConfig {
 	if c.Workers <= 0 {
 		c.Workers = 8
-	}
-	if c.Tenant == "" {
-		c.Tenant = "bioseq"
-	}
-	if c.Worker.ColdStart == 0 {
-		c.Worker.ColdStart = 100 * time.Millisecond
-	}
-	if c.Worker.Timeout == 0 {
-		c.Worker.Timeout = time.Hour
-	}
-	if c.Worker.MaxRetries == 0 {
-		c.Worker.MaxRetries = -1
 	}
 	return c
 }
@@ -181,10 +168,14 @@ func AllPairsServerless(p *faas.Platform, seqs []string, s Scoring, cfg Serverle
 		ctx.Work(time.Duration(cells) * cfg.WorkPerCell)
 		return json.Marshal(out)
 	}
-	if err := p.Register(fnName, cfg.Tenant, worker, cfg.Worker); err != nil {
+	if err := p.Register(fnName, tenant, worker, faas.Config{
+		ColdStart:  100 * time.Millisecond,
+		Timeout:    time.Hour,
+		MaxRetries: -1,
+	}); err != nil {
 		return nil, err
 	}
-	defer p.UnregisterFor(cfg.Tenant, fnName)
+	defer p.UnregisterFor(tenant, fnName)
 
 	var payloads [][]byte
 	for w := 0; w < W; w++ {
@@ -195,7 +186,7 @@ func AllPairsServerless(p *faas.Platform, seqs []string, s Scoring, cfg Serverle
 		payload, _ := json.Marshal(pairs[lo:hi])
 		payloads = append(payloads, payload)
 	}
-	outs, errs := faas.Drive(p, cfg.Tenant, fnName, payloads, make([]time.Duration, len(payloads))).Wait()
+	outs, errs := faas.Drive(p, tenant, fnName, payloads, make([]time.Duration, len(payloads))).Wait()
 	if err := errors.Join(errs...); err != nil {
 		return nil, err
 	}

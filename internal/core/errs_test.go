@@ -16,7 +16,7 @@ import (
 // wraps exactly one platform-wide sentinel, survives further wrapping, and
 // does not bleed into the other sentinels.
 func TestSentinelRoundTrip(t *testing.T) {
-	sentinels := []error{errs.ErrThrottled, errs.ErrBreakerOpen, errs.ErrLeaseExpired, errs.ErrNoCapacity}
+	sentinels := []error{errs.ErrThrottled, errs.ErrLeaseExpired, errs.ErrNoCapacity}
 	cases := []struct {
 		name string
 		err  error
@@ -24,7 +24,6 @@ func TestSentinelRoundTrip(t *testing.T) {
 	}{
 		{"faas concurrency cap", faas.ErrThrottled, errs.ErrThrottled},
 		{"faas tenant admission", faas.ErrTenantThrottled, errs.ErrThrottled},
-		{"faas circuit breaker", faas.ErrCircuitOpen, errs.ErrBreakerOpen},
 		{"jiffy lease expiry", jiffy.ErrLeaseExpired, errs.ErrLeaseExpired},
 		{"jiffy pool exhausted", jiffy.ErrNoCapacity, errs.ErrNoCapacity},
 		{"scheduler unplaceable", scheduler.ErrUnplaceable, errs.ErrNoCapacity},

@@ -18,9 +18,6 @@ var (
 	// concurrency cap or a tenant's fair-share token bucket.
 	ErrThrottled = errors.New("throttled")
 
-	// ErrBreakerOpen marks a request fast-failed by an open circuit breaker.
-	ErrBreakerOpen = errors.New("circuit breaker open")
-
 	// ErrLeaseExpired marks state rejected because its lease lapsed and the
 	// platform reclaimed it.
 	ErrLeaseExpired = errors.New("lease expired")

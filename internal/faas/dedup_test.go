@@ -13,41 +13,38 @@ import (
 	"repro/internal/simclock"
 )
 
-// TestRetryBreakerTripBillingConsistent pins the contract between the retry
-// loop, the breaker and the meter: with a threshold of 3 and an always-failing
-// handler, InvokeWithRetry's first three attempts execute (and bill), the
-// third trips the breaker, and the fourth fast-fails with ErrCircuitOpen —
-// ending the loop immediately. The Result's Attempt count and the billed
-// faas:requests must tell the same story: 4 attempts issued, 3 executions
-// billed.
-func TestRetryBreakerTripBillingConsistent(t *testing.T) {
+// TestRetryShedAttemptDoesNotBill pins the contract between the retry loop,
+// tenant admission and the meter: with a bucket of 3 tokens and an
+// always-failing handler, InvokeWithRetry's first three attempts execute
+// (and bill), and the fourth is shed with ErrTenantThrottled — ending the
+// loop immediately. The Result's Attempt count and the billed faas:requests
+// must tell the same story: 4 attempts issued, 3 executions billed.
+func TestRetryShedAttemptDoesNotBill(t *testing.T) {
 	v := simclock.NewVirtual()
 	defer v.Close()
 	meter := billing.NewMeter()
 	p := New(v, meter)
+	p.SetAdmission(AdmissionConfig{RatePerSecond: 0.01, Burst: 3, MaxWait: time.Millisecond})
 	var healthy int64
-	must(t, p.Register("f", "acme", failing(&healthy), Config{
-		BreakerThreshold: 3,
-		BreakerCooldown:  time.Hour,
-	}))
+	must(t, p.Register("f", "acme", failing(&healthy), Config{}))
 	v.Run(func() {
 		res, err := p.InvokeWithRetry("acme", "f", "", nil, obs.TraceCtx{}, RetryPolicy{
 			MaxAttempts: 5,
 			Base:        time.Millisecond,
 			Jitter:      -1,
 		})
-		if !errors.Is(err, ErrCircuitOpen) {
-			t.Fatalf("err = %v, want ErrCircuitOpen", err)
+		if !errors.Is(err, ErrTenantThrottled) {
+			t.Fatalf("err = %v, want ErrTenantThrottled", err)
 		}
 		if res.Attempt != 4 {
-			t.Errorf("res.Attempt = %d, want 4 (three executions + the fast-fail)", res.Attempt)
+			t.Errorf("res.Attempt = %d, want 4 (three executions + the shed)", res.Attempt)
 		}
 		st, _ := p.StatsFor("acme", "f")
 		if st.Invocations != 3 {
 			t.Errorf("executions = %d, want 3", st.Invocations)
 		}
 		if got := meter.Units("acme", billing.ResInvocationReqs); got != 3 {
-			t.Errorf("billed faas:requests = %v, want 3 (the fast-failed attempt must not bill)", got)
+			t.Errorf("billed faas:requests = %v, want 3 (the shed attempt must not bill)", got)
 		}
 	})
 }

@@ -30,8 +30,8 @@ import (
 	"repro/internal/simclock"
 )
 
-// Errors returned by the platform. Throttle and breaker sentinels wrap the
-// platform-wide identities in internal/errs, so errors.Is(err,
+// Errors returned by the platform. The throttle sentinel wraps the
+// platform-wide identity in internal/errs, so errors.Is(err,
 // errs.ErrThrottled) matches regardless of which plane shed the request.
 var (
 	ErrNoFunction  = errors.New("faas: function not registered")
@@ -39,8 +39,11 @@ var (
 	ErrThrottled   = fmt.Errorf("faas: concurrency limit reached (%w)", errs.ErrThrottled)
 	ErrTimeout     = errors.New("faas: execution time limit exceeded")
 	ErrPayloadSize = errors.New("faas: payload too large")
-	ErrCircuitOpen = fmt.Errorf("faas: %w", errs.ErrBreakerOpen)
 )
+
+// MaxPayload bounds a request payload in bytes (6 MiB, as AWS Lambda's
+// synchronous invoke does); a larger one fails with ErrPayloadSize.
+const MaxPayload = 6 << 20
 
 // Handler is the user function body. It may call Ctx.Work to model compute
 // and may use any platform service captured in its closure; its returned
@@ -76,8 +79,6 @@ type Config struct {
 	// invocation. Default 2 (i.e. up to 3 attempts), as AWS Lambda does
 	// for asynchronous events.
 	MaxRetries int
-	// MaxPayload bounds the request payload size in bytes. Default 6 MB.
-	MaxPayload int
 	// Prewarm keeps at least this many instances warm at all times
 	// ("provisioned concurrency"): they are created at registration and
 	// exempt from keep-alive reaping, trading standing cost for zero cold
@@ -87,14 +88,6 @@ type Config struct {
 	// attached to a cluster (AttachCluster). Zero means {CPU: 1000,
 	// MemMB: MemoryMB}.
 	Demand scheduler.Resources
-	// BreakerThreshold arms a per-function circuit breaker: after this many
-	// consecutive handler failures the breaker opens and invokes fast-fail
-	// with ErrCircuitOpen — before reserving a concurrency slot — until a
-	// half-open probe succeeds. Zero (default) disables the breaker.
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker rejects before letting a
-	// single half-open probe through. Default 30s when the breaker is armed.
-	BreakerCooldown time.Duration
 	// DedupWindow arms per-function idempotency-key deduplication: an invoke
 	// carrying a key (InvokeForTraceIdem, InvokeWithRetry) whose previous
 	// keyed invocation *succeeded* within the window is served the cached Result —
@@ -133,12 +126,6 @@ func (c Config) withDefaults() Config {
 		c.MaxRetries = 2
 	} else if c.MaxRetries < 0 {
 		c.MaxRetries = 0 // negative disables async retry
-	}
-	if c.MaxPayload == 0 {
-		c.MaxPayload = 6 << 20
-	}
-	if c.BreakerThreshold > 0 && c.BreakerCooldown == 0 {
-		c.BreakerCooldown = 30 * time.Second
 	}
 	return c
 }
@@ -210,9 +197,6 @@ type function struct {
 	handler  Handler
 	cfg      Config
 	platform *platform
-
-	brk      breaker    // armed when cfg.BreakerThreshold > 0
-	brkGauge *obs.Gauge // per-function breaker state; nil → no-op
 
 	// idem is the dedup window (idem.go), nil until the first keyed success
 	// on a function with a DedupWindow. Its own mutex, not fn.mu — a dedup
@@ -331,27 +315,25 @@ type platform struct {
 	foldBuf []loggedInvoke
 
 	// Pre-resolved observability handles; nil (all no-ops) until SetObs.
-	obsReg         *obs.Registry // kept for per-function breaker gauges
-	obsCold        *obs.Counter
-	obsWarm        *obs.Counter
-	obsThrottled   *obs.Counter
-	obsTimeout     *obs.Counter
-	obsFailure     *obs.Counter
-	obsQueueWait   *obs.Histogram
-	obsHandlerLat  *obs.Histogram
-	obsInvokeLat   *obs.Histogram
-	obsBreakerFast *obs.Counter
-	obsBreakerOpen *obs.Counter
-	obsRetryWait   *obs.Histogram
-	obsAdmShed     *obs.Counter
-	obsAdmWait     *obs.Histogram
-	obsPrewarmed   *obs.Counter
-	obsPlaceFail   *obs.Counter
-	obsTracer      *obs.Tracer
-	obsSLO         *obs.SLOEngine
-	obsInvVec      *obs.CounterVec
-	obsFailVec     *obs.CounterVec
-	obsLatVec      *obs.HistogramVec
+	obsReg        *obs.Registry // nil: no invoke log is kept
+	obsCold       *obs.Counter
+	obsWarm       *obs.Counter
+	obsThrottled  *obs.Counter
+	obsTimeout    *obs.Counter
+	obsFailure    *obs.Counter
+	obsQueueWait  *obs.Histogram
+	obsHandlerLat *obs.Histogram
+	obsInvokeLat  *obs.Histogram
+	obsRetryWait  *obs.Histogram
+	obsAdmShed    *obs.Counter
+	obsAdmWait    *obs.Histogram
+	obsPrewarmed  *obs.Counter
+	obsPlaceFail  *obs.Counter
+	obsTracer     *obs.Tracer
+	obsSLO        *obs.SLOEngine
+	obsInvVec     *obs.CounterVec
+	obsFailVec    *obs.CounterVec
+	obsLatVec     *obs.HistogramVec
 }
 
 // New creates an empty Platform. meter may be nil to disable billing.
@@ -376,8 +358,7 @@ func (p *Platform) Close() {
 // and the fold of the functions' invoke logs is registered as the registry's
 // OnRead hook, so every registry read sees every completed invoke; a nil
 // registry yields nil instruments, whose methods are no-ops, and no invoke
-// log is kept. Call before registering functions so their breaker gauges
-// land in the registry.
+// log is kept.
 func (p *Platform) SetObs(r *obs.Registry) {
 	p.obsReg = r
 	p.obsCold = r.Counter("faas.invoke.cold")
@@ -388,8 +369,6 @@ func (p *Platform) SetObs(r *obs.Registry) {
 	p.obsQueueWait = r.Histogram("faas.queue.wait")
 	p.obsHandlerLat = r.Histogram("faas.handler.latency")
 	p.obsInvokeLat = r.Histogram("faas.invoke.latency")
-	p.obsBreakerFast = r.Counter("faas.breaker.fastfail")
-	p.obsBreakerOpen = r.Counter("faas.breaker.opened")
 	p.obsRetryWait = r.Histogram("faas.retry.wait")
 	p.obsAdmShed = r.Counter("faas.admission.shed")
 	p.obsAdmWait = r.Histogram("faas.admission.wait")
@@ -476,9 +455,6 @@ func (p *Platform) Register(name, tenant string, handler Handler, cfg Config) er
 	}
 	if fn.cfg.Prewarm > 0 {
 		fn.recordLocked(now)
-	}
-	if fn.cfg.BreakerThreshold > 0 {
-		fn.brkGauge = p.obsReg.Gauge("faas.breaker.state." + name)
 	}
 	fn.lblInv = p.obsInvVec.With(tenant, name)
 	fn.lblFail = p.obsFailVec.With(tenant, name)
@@ -631,18 +607,18 @@ func (p *platform) invoke(tenant, name string, payload []byte, attempt int, pare
 
 	// The invoke span roots a new trace (zero parent) or joins the caller's
 	// (orchestrate step, async retry wrapper, nested invocation). It covers
-	// admission, the breaker gate, queuing, and the handler, so shed and
-	// fast-failed requests still yield a (failed) trace.
+	// admission, queuing, and the handler, so shed requests still yield a
+	// (failed) trace.
 	span := p.obsTracer.Start(parent, "faas.invoke")
 
-	if len(payload) > fn.cfg.MaxPayload {
+	if len(payload) > MaxPayload {
 		span.EndLabeled(fn.tenant, fn.name, true)
 		return Result{RequestID: reqID, Attempt: attempt, TraceID: span.TraceID()},
-			fmt.Errorf("%w: %d > %d bytes", ErrPayloadSize, len(payload), fn.cfg.MaxPayload)
+			fmt.Errorf("%w: %d > %d bytes", ErrPayloadSize, len(payload), MaxPayload)
 	}
 
 	// Dedup window: a key that already succeeded inside the window never
-	// reaches admission, the breaker, the pool or the meter — the cached
+	// reaches admission, the pool or the meter — the cached
 	// reply *is* the invocation, which is what makes keyed retries
 	// billing-invisible.
 	arrival := p.clock.Now()
@@ -656,31 +632,13 @@ func (p *platform) invoke(tenant, name string, payload []byte, attempt int, pare
 	}
 
 	// Tenant admission: the fair-share token bucket gates (and may queue or
-	// shed) the request before any breaker or concurrency state is touched.
+	// shed) the request before any concurrency state is touched.
 	if err := p.admit(p.adm.Load(), fn.tenant); err != nil {
 		fn.mu.Lock()
 		fn.throttles++
 		fn.mu.Unlock()
 		span.EndLabeled(fn.tenant, fn.name, true)
 		return Result{RequestID: reqID, Attempt: attempt, TraceID: span.TraceID()}, err
-	}
-
-	// Circuit-breaker gate: an open breaker sheds the request here, before
-	// the concurrency-slot reservation below — fast-fail must not consume
-	// capacity the healthy traffic could use.
-	gated := fn.cfg.BreakerThreshold > 0
-	var probe bool
-	if gated {
-		var ok bool
-		ok, probe = fn.brk.allow(p.clock.Now(), fn.cfg.BreakerCooldown)
-		if !ok {
-			p.obsBreakerFast.Inc()
-			span.EndLabeled(fn.tenant, fn.name, true)
-			return Result{RequestID: reqID, Attempt: attempt, TraceID: span.TraceID()}, fmt.Errorf("%w: %q", ErrCircuitOpen, name)
-		}
-		if probe {
-			fn.brkGauge.Set(breakerHalfOpen.gaugeValue())
-		}
 	}
 
 	start := p.clock.Now()
@@ -703,9 +661,6 @@ func (p *platform) invoke(tenant, name string, payload []byte, attempt int, pare
 			fn.throttles++
 			fn.mu.Unlock()
 			p.obsThrottled.Inc()
-			if gated {
-				p.recordBreaker(fn, outcomeAborted, probe)
-			}
 			qspan.EndErr(true)
 			span.EndLabeled(fn.tenant, fn.name, true)
 			return Result{RequestID: reqID, Attempt: attempt, TraceID: span.TraceID()},
@@ -742,9 +697,6 @@ func (p *platform) invoke(tenant, name string, payload []byte, attempt int, pare
 				err = fmt.Errorf("%w: %q: %w", ErrThrottled, name, err)
 			} else {
 				err = fmt.Errorf("faas: %q: %w", name, err)
-			}
-			if gated {
-				p.recordBreaker(fn, outcomeAborted, probe)
 			}
 			qspan.EndErr(true)
 			span.EndLabeled(fn.tenant, fn.name, true)
@@ -825,14 +777,6 @@ func (p *platform) invoke(tenant, name string, payload []byte, attempt int, pare
 	fn.mu.Unlock()
 	if fold {
 		p.foldInvokeLogs()
-	}
-
-	if gated {
-		out := outcomeSuccess
-		if err != nil {
-			out = outcomeFailure
-		}
-		p.recordBreaker(fn, out, probe)
 	}
 
 	span.EndLabeled(fn.tenant, fn.name, err != nil)

@@ -258,8 +258,8 @@ func TestAttemptNumberVisibleToHandler(t *testing.T) {
 
 func TestPayloadLimit(t *testing.T) {
 	p := New(simclock.Real{}, nil)
-	must(t, p.Register("f", "t", echo, Config{MaxPayload: 10}))
-	if _, err := p.InvokeFor("t", "f", make([]byte, 11)); !errors.Is(err, ErrPayloadSize) {
+	must(t, p.Register("f", "t", echo, Config{}))
+	if _, err := p.InvokeFor("t", "f", make([]byte, MaxPayload+1)); !errors.Is(err, ErrPayloadSize) {
 		t.Fatalf("err = %v", err)
 	}
 }

@@ -337,28 +337,24 @@ func TestEarlyExitsCarryIdentity(t *testing.T) {
 		ctx.Work(time.Second)
 		return nil, nil
 	}
-	boom := func(ctx *Ctx, in []byte) ([]byte, error) { return nil, errSeeded }
 	cases := []struct {
 		name    string
 		handler Handler
 		cfg     Config
 		setup   func(p *Platform)
 		// first runs before the measured invoke: nil, or a call whose effect
-		// (a taken token, an open breaker, a busy instance) the invoke meets.
+		// (a taken token, a busy instance) the invoke meets.
 		first   func(p *Platform, v *simclock.Virtual)
 		payload []byte
 		want    error
 	}{
-		{name: "payload", handler: echo, cfg: Config{MaxPayload: 4}, payload: make([]byte, 8), want: ErrPayloadSize},
+		{name: "payload", handler: echo, payload: make([]byte, MaxPayload+1), want: ErrPayloadSize},
 		{name: "shed", handler: echo,
 			setup: func(p *Platform) {
 				p.SetAdmission(AdmissionConfig{RatePerSecond: 1, Burst: 1, MaxWait: time.Millisecond})
 			},
 			first: func(p *Platform, v *simclock.Virtual) { p.InvokeFor("t", "f", nil) },
 			want:  ErrTenantThrottled},
-		{name: "breaker", handler: boom, cfg: Config{BreakerThreshold: 1, BreakerCooldown: time.Hour},
-			first: func(p *Platform, v *simclock.Virtual) { p.InvokeFor("t", "f", nil) },
-			want:  ErrCircuitOpen},
 		{name: "throttle", handler: block, cfg: Config{MaxConcurrency: 1},
 			first: busy, want: ErrThrottled},
 		{name: "placement", handler: block,

@@ -3,7 +3,6 @@ package faas
 import (
 	"errors"
 	"math/rand"
-	"sync"
 	"time"
 
 	"repro/internal/errs"
@@ -11,143 +10,14 @@ import (
 	"repro/internal/scheduler"
 )
 
-// This file is the platform's invoke resilience plane: a per-function
-// circuit breaker (closed → open → half-open) that sheds load fast when a
-// handler persistently fails; the one capped exponential-backoff retry loop
-// with deterministic jitter behind every at-least-once caller
-// (InvokeWithRetry, InvokeAsyncFor, and through InvokeWithRetry each
-// orchestrated step); and the one class table (ClassOf) that decides who
+// This file is the platform's invoke resilience plane: the one capped
+// exponential-backoff retry loop with deterministic jitter behind every
+// at-least-once caller (InvokeWithRetry, InvokeAsyncFor, and through
+// InvokeWithRetry each orchestrated step); and the one class table (ClassOf) that decides who
 // retries an error — this loop, the caller after a Retry-After, or nobody.
 // Jangda et al. ("Formal Foundations of Serverless Computing") make the case
 // that retry behaviour *is* the observable contract of a FaaS platform; this
 // makes ours explicit and testable.
-
-// breakerState is the circuit breaker's position.
-type breakerState int
-
-const (
-	breakerClosed breakerState = iota
-	breakerOpen
-	breakerHalfOpen
-)
-
-// gaugeValue encodes the state for the faas.breaker.state.<fn> gauge:
-// 0 closed, 1 open, 0.5 half-open.
-func (s breakerState) gaugeValue() float64 {
-	switch s {
-	case breakerOpen:
-		return 1
-	case breakerHalfOpen:
-		return 0.5
-	default:
-		return 0
-	}
-}
-
-func (s breakerState) String() string {
-	switch s {
-	case breakerOpen:
-		return "open"
-	case breakerHalfOpen:
-		return "half-open"
-	default:
-		return "closed"
-	}
-}
-
-// breakerOutcome classifies a gated invocation for breaker accounting.
-// Throttles and placement failures are aborted: they carry no signal about
-// the handler's health and must not trip or reset the breaker.
-type breakerOutcome int
-
-const (
-	outcomeSuccess breakerOutcome = iota
-	outcomeFailure
-	outcomeAborted
-)
-
-// breaker is the per-function circuit breaker. While closed it counts
-// consecutive handler failures; at the threshold it opens and invocations
-// fast-fail without reserving a concurrency slot. After the cooldown a
-// single probe runs half-open: success re-closes the breaker, failure
-// re-opens it for another cooldown.
-type breaker struct {
-	mu       sync.Mutex
-	state    breakerState
-	fails    int // consecutive failures while closed
-	openedAt time.Time
-	probing  bool // the single half-open probe is in flight
-}
-
-// allow reports whether an invocation may proceed; probe is true when this
-// invocation is the half-open probe.
-func (b *breaker) allow(now time.Time, cooldown time.Duration) (ok, probe bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	switch b.state {
-	case breakerClosed:
-		return true, false
-	case breakerOpen:
-		if now.Sub(b.openedAt) >= cooldown {
-			b.state = breakerHalfOpen
-			b.probing = true
-			return true, true
-		}
-		return false, false
-	default: // half-open: exactly one probe at a time
-		if !b.probing {
-			b.probing = true
-			return true, true
-		}
-		return false, false
-	}
-}
-
-// record folds an invocation outcome into the state machine, returning the
-// new state and whether it changed.
-func (b *breaker) record(out breakerOutcome, probe bool, threshold int, now time.Time) (breakerState, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if probe {
-		b.probing = false
-		switch out {
-		case outcomeSuccess:
-			b.state = breakerClosed
-			b.fails = 0
-			return breakerClosed, true
-		case outcomeFailure:
-			b.state = breakerOpen
-			b.openedAt = now
-			return breakerOpen, true
-		default:
-			return b.state, false // aborted probe: stay half-open
-		}
-	}
-	switch out {
-	case outcomeSuccess:
-		b.fails = 0
-	case outcomeFailure:
-		b.fails++
-		if b.state == breakerClosed && b.fails >= threshold {
-			b.state = breakerOpen
-			b.openedAt = now
-			return breakerOpen, true
-		}
-	}
-	return b.state, false
-}
-
-// recordBreaker applies an outcome to a function's breaker and keeps the
-// state gauge and open-transition counter current.
-func (p *platform) recordBreaker(fn *function, out breakerOutcome, probe bool) {
-	st, changed := fn.brk.record(out, probe, fn.cfg.BreakerThreshold, p.clock.Now())
-	if changed {
-		fn.brkGauge.Set(st.gaugeValue())
-		if st == breakerOpen {
-			p.obsBreakerOpen.Inc()
-		}
-	}
-}
 
 // RetryPolicy configures InvokeWithRetry: exponential backoff (doubling from
 // Base, each wait capped at retryCap) with jitter, slept on the platform clock.
@@ -312,11 +182,10 @@ var classTable = []struct {
 	{scheduler.ErrUnplaceable, errs.Permanent},
 	{errs.ErrLeaseExpired, errs.Permanent},
 	// Shed load — a function's concurrency cap, a tenant's bucket, a full
-	// machine, an open breaker. Retrying from inside the platform would
+	// machine. Retrying from inside the platform would
 	// amplify exactly the overload being shed (a retry storm), so only the
 	// caller retries, after the Retry-After the wire sends.
 	{errs.ErrThrottled, errs.RetryAfter},
-	{errs.ErrBreakerOpen, errs.RetryAfter},
 }
 
 // ClassOf classifies err for retrying: the class of the first classTable row

@@ -21,121 +21,6 @@ func failing(healthy *int64) Handler {
 	}
 }
 
-// TestBreakerOpensAndFastFails pins the acceptance criterion: once the
-// breaker opens, every invoke fast-fails with ErrCircuitOpen without
-// reserving a concurrency slot (the invocation counter — incremented only
-// after slot reservation — must not move).
-func TestBreakerOpensAndFastFails(t *testing.T) {
-	v := simclock.NewVirtual()
-	defer v.Close()
-	p := New(v, nil)
-	reg := obs.New(v)
-	p.SetObs(reg)
-	var healthy int64
-	must(t, p.Register("f", "t", failing(&healthy), Config{
-		BreakerThreshold: 3,
-		BreakerCooldown:  time.Hour,
-	}))
-	v.Run(func() {
-		for i := 0; i < 3; i++ {
-			if _, err := p.InvokeFor("t", "f", nil); err == nil {
-				t.Error("want handler failure")
-			}
-		}
-		if st, _ := breakerPosition(p, "t", "f"); st != "open" {
-			t.Errorf("breaker state = %q, want open", st)
-		}
-		before, _ := p.StatsFor("t", "f")
-		fastFails := 0
-		for i := 0; i < 100; i++ {
-			if _, err := p.InvokeFor("t", "f", nil); errors.Is(err, ErrCircuitOpen) {
-				fastFails++
-			}
-		}
-		if fastFails < 95 {
-			t.Errorf("fast-fails = %d/100, want >= 95", fastFails)
-		}
-		after, _ := p.StatsFor("t", "f")
-		if after.Invocations != before.Invocations {
-			t.Errorf("open breaker consumed slots: invocations %d -> %d", before.Invocations, after.Invocations)
-		}
-	})
-	if got := reg.CounterValue("faas.breaker.fastfail"); got < 95 {
-		t.Errorf("faas.breaker.fastfail = %d, want >= 95", got)
-	}
-	if got := reg.CounterValue("faas.breaker.opened"); got != 1 {
-		t.Errorf("faas.breaker.opened = %d, want 1", got)
-	}
-	snap := reg.Snapshot()
-	found := false
-	for _, g := range snap.Gauges {
-		if g.Name == "faas.breaker.state.f" && g.Value == 1 {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("faas.breaker.state.f gauge not 1 (open) in snapshot")
-	}
-}
-
-// TestBreakerHalfOpenProbeRecloses: after the cooldown a single probe runs;
-// when the handler has recovered the breaker re-closes and traffic flows.
-func TestBreakerHalfOpenProbeRecloses(t *testing.T) {
-	v := simclock.NewVirtual()
-	defer v.Close()
-	p := New(v, nil)
-	var healthy int64
-	must(t, p.Register("f", "t", failing(&healthy), Config{
-		BreakerThreshold: 2,
-		BreakerCooldown:  time.Second,
-	}))
-	v.Run(func() {
-		p.InvokeFor("t", "f", nil)
-		p.InvokeFor("t", "f", nil)
-		if _, err := p.InvokeFor("t", "f", nil); !errors.Is(err, ErrCircuitOpen) {
-			t.Errorf("err = %v, want ErrCircuitOpen", err)
-		}
-		atomic.StoreInt64(&healthy, 1)
-		v.Sleep(2 * time.Second)
-		// The next invoke is the half-open probe; it succeeds and re-closes.
-		if res, err := p.InvokeFor("t", "f", nil); err != nil || string(res.Output) != "ok" {
-			t.Errorf("probe invoke = %q, %v", res.Output, err)
-		}
-		if st, _ := breakerPosition(p, "t", "f"); st != "closed" {
-			t.Errorf("state after probe = %q, want closed", st)
-		}
-		if _, err := p.InvokeFor("t", "f", nil); err != nil {
-			t.Errorf("invoke after re-close: %v", err)
-		}
-	})
-}
-
-// TestBreakerProbeFailureReopens: a failed probe puts the breaker straight
-// back to open for another cooldown.
-func TestBreakerProbeFailureReopens(t *testing.T) {
-	v := simclock.NewVirtual()
-	defer v.Close()
-	p := New(v, nil)
-	var healthy int64
-	must(t, p.Register("f", "t", failing(&healthy), Config{
-		BreakerThreshold: 1,
-		BreakerCooldown:  time.Second,
-	}))
-	v.Run(func() {
-		p.InvokeFor("t", "f", nil) // opens
-		v.Sleep(2 * time.Second)
-		if _, err := p.InvokeFor("t", "f", nil); err == nil || errors.Is(err, ErrCircuitOpen) {
-			t.Errorf("probe err = %v, want handler failure", err)
-		}
-		if st, _ := breakerPosition(p, "t", "f"); st != "open" {
-			t.Errorf("state after failed probe = %q, want open", st)
-		}
-		if _, err := p.InvokeFor("t", "f", nil); !errors.Is(err, ErrCircuitOpen) {
-			t.Errorf("err = %v, want ErrCircuitOpen", err)
-		}
-	})
-}
-
 // TestInvokeWithRetryBacksOff: the retry policy sleeps doubling backoffs and
 // surfaces Attempt/RetryWait in the result.
 func TestInvokeWithRetryBacksOff(t *testing.T) {
@@ -169,32 +54,31 @@ func TestInvokeWithRetryBacksOff(t *testing.T) {
 }
 
 // TestInvokeWithRetryStopsOnNonRetryable: errors a retry cannot fix return
-// after a single attempt — including an open breaker, which exists to shed
-// load, not attract it.
+// after a single attempt — including a function's concurrency throttle,
+// which exists to shed load, not attract it — and the loop sleeps no backoff.
 func TestInvokeWithRetryStopsOnNonRetryable(t *testing.T) {
 	v := simclock.NewVirtual()
 	defer v.Close()
 	p := New(v, nil)
-	var healthy int64
-	must(t, p.Register("f", "t", failing(&healthy), Config{
-		BreakerThreshold: 1,
-		BreakerCooldown:  time.Hour,
-	}))
+	must(t, p.Register("f", "t", func(ctx *Ctx, _ []byte) ([]byte, error) {
+		ctx.Work(time.Hour)
+		return nil, nil
+	}, Config{MaxConcurrency: 1}))
 	v.Run(func() {
 		if _, err := p.InvokeWithRetry("t", "nope", "", nil, obs.TraceCtx{}, RetryPolicy{}); !errors.Is(err, ErrNoFunction) {
 			t.Errorf("err = %v, want ErrNoFunction", err)
 		}
-		p.InvokeFor("t", "f", nil) // opens the breaker
+		busy(p, v) // holds f's one instance for an hour
 		start := v.Now()
 		res, err := p.InvokeWithRetry("t", "f", "", nil, obs.TraceCtx{}, RetryPolicy{MaxAttempts: 5, Base: time.Second})
-		if !errors.Is(err, ErrCircuitOpen) {
-			t.Errorf("err = %v, want ErrCircuitOpen", err)
+		if !errors.Is(err, ErrThrottled) {
+			t.Errorf("err = %v, want ErrThrottled", err)
 		}
 		if res.Attempt != 1 {
-			t.Errorf("Attempt = %d, want 1 (no retries against an open breaker)", res.Attempt)
+			t.Errorf("Attempt = %d, want 1 (no retries against a throttle)", res.Attempt)
 		}
 		if waited := v.Now().Sub(start); waited != 0 {
-			t.Errorf("retry loop slept %v against an open breaker", waited)
+			t.Errorf("retry loop slept %v against a throttle", waited)
 		}
 	})
 }
@@ -331,10 +215,7 @@ func TestRetryStopRuleSharedByBothEntryPoints(t *testing.T) {
 			p.SetAdmission(AdmissionConfig{RatePerSecond: 1, Burst: 1, MaxWait: time.Millisecond})
 			p.InvokeFor("t", "echo", nil)
 		}},
-		{name: "circuit open", fn: "broken", want: ErrCircuitOpen, setup: func(p *Platform) {
-			p.InvokeFor("t", "broken", nil) // threshold 1: opens the breaker
-		}},
-		{name: "payload too large", fn: "echo", payload: make([]byte, 9), want: ErrPayloadSize},
+		{name: "payload too large", fn: "echo", payload: make([]byte, MaxPayload+1), want: ErrPayloadSize},
 		{name: "no function", fn: "nope", want: ErrNoFunction},
 		{name: "handler error", fn: "flaky"},
 		// busy holds f's one instance: a retry from inside the platform
@@ -348,11 +229,9 @@ func TestRetryStopRuleSharedByBothEntryPoints(t *testing.T) {
 				v := simclock.NewVirtual()
 				defer v.Close()
 				p := New(v, nil)
-				var unhealthy int64
 				atomic.StoreInt64(&calls, 0)
-				must(t, p.Register("echo", "t", echo, Config{MaxPayload: 8}))
+				must(t, p.Register("echo", "t", echo, Config{}))
 				must(t, p.Register("flaky", "t", flaky, Config{}))
-				must(t, p.Register("broken", "t", failing(&unhealthy), Config{BreakerThreshold: 1, BreakerCooldown: time.Hour}))
 				must(t, p.Register("f", "t", func(ctx *Ctx, _ []byte) ([]byte, error) {
 					ctx.Work(time.Second)
 					return nil, nil
@@ -381,15 +260,4 @@ func TestRetryStopRuleSharedByBothEntryPoints(t *testing.T) {
 			})
 		}
 	}
-}
-
-// breakerPosition reads the breaker position of tenant's function name.
-func breakerPosition(p *Platform, tenant, name string) (string, error) {
-	fn, err := p.lookup(tenant, name)
-	if err != nil {
-		return "", err
-	}
-	fn.brk.mu.Lock()
-	defer fn.brk.mu.Unlock()
-	return fn.brk.state.String(), nil
 }

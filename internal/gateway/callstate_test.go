@@ -15,14 +15,15 @@ import (
 	"repro/internal/faas"
 )
 
-// TestPooledCallEarlyRefusal: a server that answers before it has read the
-// request body must not let the call go back to the pool while the
-// Transport still writes that body. The gateway refuses an unknown token
-// before it reads a byte, so a 1 MiB upload under one is answered 401 while
-// most of it is still on its way; four goroutines alternate those with small
-// echoes through one *http.Transport, so a call the Transport was still
-// reading, recycled into the next echo, shows as a race or a wrong echo.
-func TestPooledCallEarlyRefusal(t *testing.T) {
+// TestEarlyRefusalMidUpload: a server that answers before it has read the
+// request body must not leave the next call anything the writer of that
+// body still uses. The gateway refuses an unknown token before it reads a
+// byte, so a 1 MiB upload under one is answered 401 while most of it is
+// still on its way; four goroutines alternate those with small echoes
+// through one *http.Transport, so a connection or request state still in
+// the writer's hands, reused by the next echo, shows as a race or a wrong
+// echo.
+func TestEarlyRefusalMidUpload(t *testing.T) {
 	const workers, rounds = 4, 8
 	_, srv := newRealGateway(t, nil)
 	tr := &http.Transport{}
@@ -83,13 +84,13 @@ func (rt *recordingTransport) RoundTrip(r *http.Request) (*http.Response, error)
 	return rt.next.RoundTrip(r)
 }
 
-// TestPooledCallSetsEveryField: one call's request carries nothing of the
+// TestEachRequestSetsEveryField: one call's request carries nothing of the
 // call before it. Two Clients take turns on one Transport: a keyed POST with
 // a body, a bodyless poll GET and an un-keyed POST. Each request carries its
 // own Client's token, the GET no body, length, key or Content-Type, and the
 // un-keyed POST no key — as a RoundTripper wrapper sees them, and as the
-// server does through the bare Transport, under which calls are recycled.
-func TestPooledCallSetsEveryField(t *testing.T) {
+// server does through the bare Transport, on the Client's own HTTP/1.1 path.
+func TestEachRequestSetsEveryField(t *testing.T) {
 	p := core.New(core.Options{})
 	for _, tenant := range []string{"alpha", "beta"} {
 		h, err := NewInProc().Resolve(fastSpec("f"))
@@ -143,11 +144,11 @@ func TestPooledCallSetsEveryField(t *testing.T) {
 	}
 }
 
-// TestPooledCallForeignRoundTripper: a RoundTripper that is not an
-// *http.Transport may keep what it is handed, so a call sent through one is
-// never recycled: every request it kept still reads as it was sent, and no
-// two are the same request.
-func TestPooledCallForeignRoundTripper(t *testing.T) {
+// TestForeignRoundTripperKeepsItsRequests: a RoundTripper that is not an
+// *http.Transport may keep what it is handed, so every request sent through
+// one is its own: each it kept still reads as it was sent, and no two are
+// the same request.
+func TestForeignRoundTripperKeepsItsRequests(t *testing.T) {
 	_, srv := newRealGateway(t, nil)
 	tr := &http.Transport{}
 	defer tr.CloseIdleConnections()

@@ -95,7 +95,7 @@ func (e *InProc) Resolve(spec FunctionSpec) (faas.Handler, error) {
 			return payload, nil
 		}, nil
 	case "fail":
-		// Always fails — exercises retry, breaker and error-envelope paths.
+		// Always fails — exercises retry and error-envelope paths.
 		return func(ctx *faas.Ctx, payload []byte) ([]byte, error) {
 			return nil, fmt.Errorf("builtin fail: handler error")
 		}, nil

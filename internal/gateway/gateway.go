@@ -67,7 +67,8 @@ type Config struct {
 	// Executor materializes FunctionSpecs. Default: NewInProc() (builtins
 	// only).
 	Executor *InProc
-	// MaxBody bounds request bodies in bytes. Default 8 MiB.
+	// MaxBody bounds request bodies in bytes. Default faas.MaxPayload, so a
+	// payload faas would refuse is refused at the door, sync or async.
 	MaxBody int64
 }
 
@@ -93,7 +94,7 @@ func New(p *core.Platform, cfg Config) *Gateway {
 		cfg.Executor = NewInProc()
 	}
 	if cfg.MaxBody <= 0 {
-		cfg.MaxBody = 8 << 20
+		cfg.MaxBody = faas.MaxPayload
 	}
 	g := &Gateway{
 		p:       p,

@@ -444,10 +444,10 @@ func TestInvokeUnknownLength(t *testing.T) {
 
 // TestLargeBodyGrowsAsItArrives: a declared length over eagerBody is not
 // allocated up front — an upload that announces MaxBody and then stalls holds
-// 1 MiB, not 8 — and an honest body of that size still arrives byte-exact,
+// 1 MiB, not 6 — and an honest body of that size still arrives byte-exact,
 // in a buffer of exactly its length.
 func TestLargeBodyGrowsAsItArrives(t *testing.T) {
-	const size = 8 << 20
+	const size = faas.MaxPayload
 	stalled := errors.New("stalled")
 	b, err := readAllSized(io.MultiReader(strings.NewReader("x"), iotest.ErrReader(stalled)), size)
 	if err != stalled || string(b) != "x" || cap(b) > eagerBody {
@@ -463,18 +463,18 @@ func TestLargeBodyGrowsAsItArrives(t *testing.T) {
 		payload[i] = byte(i * 31 >> 3)
 	}
 	if b, err = readAllSized(bytes.NewReader(payload), size); err != nil || !bytes.Equal(b, payload) || cap(b) != size {
-		t.Fatalf("8 MiB body: %d bytes in a %d B buffer, err %v", len(b), cap(b), err)
+		t.Fatalf("6 MiB body: %d bytes in a %d B buffer, err %v", len(b), cap(b), err)
 	}
 
 	p, srv := newRealGateway(t, nil)
 	if err := p.Tenant("alpha").Register("big", func(ctx *faas.Ctx, in []byte) ([]byte, error) {
 		return in, nil
-	}, faas.Config{MaxPayload: size, ColdStart: time.Millisecond, WarmStart: time.Millisecond}); err != nil {
+	}, faas.Config{ColdStart: time.Millisecond, WarmStart: time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
 	c := &Client{BaseURL: srv.URL, Token: "tok-a"}
 	if res, err := c.Invoke("big", payload); err != nil || !bytes.Equal(res.Output, payload) {
-		t.Fatalf("8 MiB echo through the gateway: %d bytes back, err %v", len(res.Output), err)
+		t.Fatalf("6 MiB echo through the gateway: %d bytes back, err %v", len(res.Output), err)
 	}
 }
 
@@ -648,6 +648,22 @@ func TestPayloadTooLarge(t *testing.T) {
 	var apiErr *APIError
 	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversize invoke status = %+v, want 413", apiErr)
+	}
+}
+
+// TestAsyncOversizeRefusedAtTheDoor: under the default MaxBody, an async
+// submit of a payload faas would refuse is 413 payload_too_large at the
+// submit, not a 202 whose poll fails.
+func TestAsyncOversizeRefusedAtTheDoor(t *testing.T) {
+	_, srv := newRealGateway(t, nil)
+	c := &Client{BaseURL: srv.URL, Token: "tok-a"}
+	if err := c.Register(fastSpec("task")); err != nil {
+		t.Fatal(err)
+	}
+	id, err := c.InvokeAsync("task", make([]byte, faas.MaxPayload+1))
+	var apiErr *APIError
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusRequestEntityTooLarge || apiErr.Code != "payload_too_large" {
+		t.Fatalf("oversize async submit = %q, %v; want 413 payload_too_large", id, err)
 	}
 }
 

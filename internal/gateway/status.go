@@ -62,7 +62,6 @@ var wireTable = []wireMapping{
 
 	// FaaS sentinels (specific forms first).
 	{faas.ErrTenantThrottled, http.StatusTooManyRequests, "tenant_throttled"},
-	{faas.ErrCircuitOpen, http.StatusServiceUnavailable, "breaker_open"},
 	{faas.ErrNoFunction, http.StatusNotFound, "no_function"},
 	{faas.ErrExists, http.StatusConflict, "function_exists"},
 	{faas.ErrPayloadSize, http.StatusRequestEntityTooLarge, "payload_too_large"},
@@ -72,15 +71,12 @@ var wireTable = []wireMapping{
 	// must appear here — TestWireTableExhaustive parses the errs source and
 	// fails the build when a new sentinel lands without a mapping.
 	{errs.ErrThrottled, http.StatusTooManyRequests, "throttled"},
-	{errs.ErrBreakerOpen, http.StatusServiceUnavailable, "breaker_open"},
 	{errs.ErrLeaseExpired, http.StatusGone, "lease_expired"},
 	{errs.ErrNoCapacity, http.StatusServiceUnavailable, "no_capacity"},
 }
 
 // codeTable maps a wire code back to the most specific sentinel that emits
-// it (first table occurrence wins, so "breaker_open" decodes to
-// faas.ErrCircuitOpen — which still errors.Is-matches errs.ErrBreakerOpen
-// through its wrap chain).
+// it (first table occurrence wins).
 var codeTable = func() map[string]wireMapping {
 	m := make(map[string]wireMapping, len(wireTable))
 	for _, w := range wireTable {

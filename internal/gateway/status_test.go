@@ -23,7 +23,6 @@ import (
 // cannot silently go stale.
 var errsSentinels = map[string]error{
 	"ErrThrottled":    errs.ErrThrottled,
-	"ErrBreakerOpen":  errs.ErrBreakerOpen,
 	"ErrLeaseExpired": errs.ErrLeaseExpired,
 	"ErrNoCapacity":   errs.ErrNoCapacity,
 }
@@ -91,7 +90,6 @@ func TestStatusForSpecificity(t *testing.T) {
 	}{
 		{faas.ErrTenantThrottled, "tenant_throttled"},
 		{faas.ErrThrottled, "throttled"},
-		{faas.ErrCircuitOpen, "breaker_open"},
 		{errs.ErrThrottled, "throttled"},
 		{errors.New("some handler error"), "internal"},
 	}
@@ -155,7 +153,7 @@ func TestErrorEnvelopeRoundTrip(t *testing.T) {
 // the rows faas.ClassOf calls errs.RetryAfter (shed load), and with no other
 // row and no unmapped handler error.
 func TestRetryAfterSet(t *testing.T) {
-	want := map[string]bool{"tenant_throttled": true, "breaker_open": true, "throttled": true}
+	want := map[string]bool{"tenant_throttled": true, "throttled": true}
 	got := map[string]bool{}
 	send := func(err error) (code string, retryAfter bool) {
 		rec := httptest.NewRecorder()

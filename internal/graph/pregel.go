@@ -36,13 +36,12 @@ type EngineConfig struct {
 	Workers int
 	// MaxSupersteps bounds the run. Default 50.
 	MaxSupersteps int
-	// Tenant owns the worker function. Default "graph".
-	Tenant string
 	// WorkPerVertex models compute time per vertex visit.
 	WorkPerVertex time.Duration
-	// Worker overrides the function config.
-	Worker faas.Config
 }
+
+// tenant owns the worker function.
+const tenant = "graph"
 
 func (c EngineConfig) withDefaults() EngineConfig {
 	if c.Workers <= 0 {
@@ -50,18 +49,6 @@ func (c EngineConfig) withDefaults() EngineConfig {
 	}
 	if c.MaxSupersteps <= 0 {
 		c.MaxSupersteps = 50
-	}
-	if c.Tenant == "" {
-		c.Tenant = "graph"
-	}
-	if c.Worker.ColdStart == 0 {
-		c.Worker.ColdStart = time.Millisecond
-	}
-	if c.Worker.MaxRetries == 0 {
-		c.Worker.MaxRetries = -1
-	}
-	if c.Worker.Timeout == 0 {
-		c.Worker.Timeout = 5 * time.Minute
 	}
 	return c
 }
@@ -165,10 +152,14 @@ func Run(p *faas.Platform, ns *jiffy.Namespace, g *Graph, prog VertexProgram, cf
 			Active bool  `json:"active"`
 		}{sent, anyActive})
 	}
-	if err := p.Register(fnName, cfg.Tenant, worker, cfg.Worker); err != nil {
+	if err := p.Register(fnName, tenant, worker, faas.Config{
+		ColdStart:  time.Millisecond,
+		MaxRetries: -1,
+		Timeout:    5 * time.Minute,
+	}); err != nil {
 		return nil, RunStats{}, err
 	}
-	defer p.UnregisterFor(cfg.Tenant, fnName)
+	defer p.UnregisterFor(tenant, fnName)
 
 	stats := RunStats{}
 	for step := 0; step < cfg.MaxSupersteps; step++ {
@@ -179,7 +170,7 @@ func Run(p *faas.Platform, ns *jiffy.Namespace, g *Graph, prog VertexProgram, cf
 				Step      int `json:"step"`
 			}{q, step})
 		}
-		outs, errs := faas.Drive(p, cfg.Tenant, fnName, payloads, make([]time.Duration, W)).Wait()
+		outs, errs := faas.Drive(p, tenant, fnName, payloads, make([]time.Duration, W)).Wait()
 		if err := errors.Join(errs...); err != nil {
 			return nil, stats, err
 		}

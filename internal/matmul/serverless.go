@@ -44,27 +44,19 @@ func decode(b []byte) (Matrix, error) {
 type ServerlessConfig struct {
 	// BlockSize is the tile dimension for MulBlocked. Default 64.
 	BlockSize int
-	// Tenant owns the worker function. Default "matmul".
-	Tenant string
 	// WorkPerOp models compute time per scalar multiply-add on the
 	// platform clock (zero = real compute only).
 	WorkPerOp time.Duration
-	// Worker overrides the worker function config.
-	Worker faas.Config
 }
+
+// tenant owns the worker functions, which run under workerConfig.
+const tenant = "matmul"
+
+var workerConfig = faas.Config{ColdStart: time.Millisecond, MaxRetries: -1}
 
 func (c ServerlessConfig) withDefaults() ServerlessConfig {
 	if c.BlockSize <= 0 {
 		c.BlockSize = 64
-	}
-	if c.Tenant == "" {
-		c.Tenant = "matmul"
-	}
-	if c.Worker.ColdStart == 0 {
-		c.Worker.ColdStart = time.Millisecond
-	}
-	if c.Worker.MaxRetries == 0 {
-		c.Worker.MaxRetries = -1
 	}
 	return c
 }
@@ -138,10 +130,10 @@ func MulBlocked(p *faas.Platform, ns *jiffy.Namespace, a, b Matrix, cfg Serverle
 		}
 		return nil, ns.Put(fmt.Sprintf("C/%d/%d", in.I, in.J), encode(acc))
 	}
-	if err := p.Register(fnName, cfg.Tenant, worker, cfg.Worker); err != nil {
+	if err := p.Register(fnName, tenant, worker, workerConfig); err != nil {
 		return Matrix{}, err
 	}
-	defer p.UnregisterFor(cfg.Tenant, fnName)
+	defer p.UnregisterFor(tenant, fnName)
 
 	var payloads [][]byte
 	for i := 0; i < aRT; i++ {
@@ -150,7 +142,7 @@ func MulBlocked(p *faas.Platform, ns *jiffy.Namespace, a, b Matrix, cfg Serverle
 			payloads = append(payloads, payload)
 		}
 	}
-	_, errs := faas.Drive(p, cfg.Tenant, fnName, payloads, make([]time.Duration, len(payloads))).Wait()
+	_, errs := faas.Drive(p, tenant, fnName, payloads, make([]time.Duration, len(payloads))).Wait()
 	if err := errors.Join(errs...); err != nil {
 		return Matrix{}, err
 	}
@@ -235,16 +227,16 @@ func StrassenServerless(p *faas.Platform, ns *jiffy.Namespace, a, b Matrix, cuto
 		ctx.Work(time.Duration(StrassenOps(l.Rows, cutoff)) * cfg.WorkPerOp)
 		return nil, ns.Put(fmt.Sprintf("S/M/%d", in.I), encode(m))
 	}
-	if err := p.Register(fnName, cfg.Tenant, worker, cfg.Worker); err != nil {
+	if err := p.Register(fnName, tenant, worker, workerConfig); err != nil {
 		return Matrix{}, err
 	}
-	defer p.UnregisterFor(cfg.Tenant, fnName)
+	defer p.UnregisterFor(tenant, fnName)
 
 	payloads := make([][]byte, 7)
 	for i := range payloads {
 		payloads[i], _ = json.Marshal(struct{ I int }{i})
 	}
-	_, errs := faas.Drive(p, cfg.Tenant, fnName, payloads, make([]time.Duration, len(payloads))).Wait()
+	_, errs := faas.Drive(p, tenant, fnName, payloads, make([]time.Duration, len(payloads))).Wait()
 	if err := errors.Join(errs...); err != nil {
 		return Matrix{}, err
 	}

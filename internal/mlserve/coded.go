@@ -29,9 +29,10 @@ type CodedConfig struct {
 	StragglerDelay time.Duration
 	// Seed drives straggler injection.
 	Seed int64
-	// Tenant owns the worker function. Default "coded".
-	Tenant string
 }
+
+// codedTenant owns the coded mat-vec worker function.
+const codedTenant = "coded"
 
 // workPerEntry models compute per matrix entry.
 const workPerEntry = time.Microsecond
@@ -45,9 +46,6 @@ func (c CodedConfig) withDefaults(rows int) CodedConfig {
 	}
 	if c.StragglerDelay == 0 {
 		c.StragglerDelay = 10 * time.Duration(rows) * time.Millisecond
-	}
-	if c.Tenant == "" {
-		c.Tenant = "coded"
 	}
 	return c
 }
@@ -109,14 +107,14 @@ func MatVec(p *faas.Platform, a [][]float64, x []float64, cfg CodedConfig) (Code
 		}
 		return json.Marshal(out)
 	}
-	if err := p.Register(fnName, cfg.Tenant, worker, faas.Config{
+	if err := p.Register(fnName, codedTenant, worker, faas.Config{
 		ColdStart:  20 * time.Millisecond,
 		Timeout:    time.Hour,
 		MaxRetries: -1,
 	}); err != nil {
 		return CodedReport{}, err
 	}
-	defer p.UnregisterFor(cfg.Tenant, fnName)
+	defer p.UnregisterFor(codedTenant, fnName)
 
 	payloads := make([][]byte, 0, cfg.Stripes*cfg.Replication)
 	for s := 0; s < cfg.Stripes; s++ {
@@ -129,7 +127,7 @@ func MatVec(p *faas.Platform, a [][]float64, x []float64, cfg CodedConfig) (Code
 	// done at its fastest replica's latency and the result at the slowest
 	// stripe's. Wait also drains the redundant replicas (they exist and
 	// bill; the *result* was ready at wall).
-	outs, errs := faas.Drive(p, cfg.Tenant, fnName, payloads, make([]time.Duration, len(payloads))).Wait()
+	outs, errs := faas.Drive(p, codedTenant, fnName, payloads, make([]time.Duration, len(payloads))).Wait()
 	var wall time.Duration
 	y := make([]float64, 0, rows)
 	for s := 0; s < cfg.Stripes; s++ {

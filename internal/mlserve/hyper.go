@@ -21,9 +21,10 @@ type HyperConfig struct {
 	Concurrent bool
 	// WorkPerTrial models each trial's compute time. Default 2s.
 	WorkPerTrial time.Duration
-	// Tenant owns the trial function. Default "hyper".
-	Tenant string
 }
+
+// hyperTenant owns the trial function.
+const hyperTenant = "hyper"
 
 func (c HyperConfig) withDefaults() HyperConfig {
 	if len(c.LRs) == 0 {
@@ -34,9 +35,6 @@ func (c HyperConfig) withDefaults() HyperConfig {
 	}
 	if c.WorkPerTrial == 0 {
 		c.WorkPerTrial = 2 * time.Second
-	}
-	if c.Tenant == "" {
-		c.Tenant = "hyper"
 	}
 	return c
 }
@@ -72,14 +70,14 @@ func GridSearch(p *faas.Platform, train, val Dataset, cfg HyperConfig) (HyperRep
 		ctx.Work(cfg.WorkPerTrial)
 		return json.Marshal(in)
 	}
-	if err := p.Register(fnName, cfg.Tenant, worker, faas.Config{
+	if err := p.Register(fnName, hyperTenant, worker, faas.Config{
 		ColdStart:  100 * time.Millisecond,
 		Timeout:    time.Hour,
 		MaxRetries: -1,
 	}); err != nil {
 		return HyperReport{}, err
 	}
-	defer p.UnregisterFor(cfg.Tenant, fnName)
+	defer p.UnregisterFor(hyperTenant, fnName)
 
 	var grid []Trial
 	for _, lr := range cfg.LRs {
@@ -105,7 +103,7 @@ func GridSearch(p *faas.Platform, train, val Dataset, cfg HyperConfig) (HyperRep
 		payloads[i], _ = json.Marshal(tr)
 	}
 	if cfg.Concurrent {
-		outs, errs := faas.Drive(p, cfg.Tenant, fnName, payloads, make([]time.Duration, len(grid))).Wait()
+		outs, errs := faas.Drive(p, hyperTenant, fnName, payloads, make([]time.Duration, len(grid))).Wait()
 		for i, res := range outs {
 			if out := collect(res, errs[i]); out != nil {
 				rep.Trials = append(rep.Trials, *out)
@@ -113,7 +111,7 @@ func GridSearch(p *faas.Platform, train, val Dataset, cfg HyperConfig) (HyperRep
 		}
 	} else {
 		for _, payload := range payloads {
-			res, err := p.InvokeFor(cfg.Tenant, fnName, payload)
+			res, err := p.InvokeFor(hyperTenant, fnName, payload)
 			if out := collect(res, err); out != nil {
 				rep.Trials = append(rep.Trials, *out)
 			}

@@ -78,8 +78,6 @@ type ServeConfig struct {
 	Model string
 	// UseCache enables the shared model cache (the TrIMS treatment arm).
 	UseCache bool
-	// Function overrides the function config.
-	Function faas.Config
 	// Tenant owns the function. Default "infer".
 	Tenant string
 }
@@ -91,12 +89,6 @@ const inferCost = 2 * time.Millisecond
 func (c ServeConfig) withDefaults() ServeConfig {
 	if c.Tenant == "" {
 		c.Tenant = "infer"
-	}
-	if c.Function.ColdStart == 0 {
-		c.Function.ColdStart = 150 * time.Millisecond
-	}
-	if c.Function.MaxRetries == 0 {
-		c.Function.MaxRetries = -1
 	}
 	return c
 }
@@ -138,7 +130,7 @@ func Deploy(p *faas.Platform, ms *ModelStore, name string, cfg ServeConfig) (str
 		}
 		return json.Marshal(InferResponse{Probability: prob, Label: label})
 	}
-	if err := p.Register(fnName, cfg.Tenant, handler, cfg.Function); err != nil {
+	if err := p.Register(fnName, cfg.Tenant, handler, faas.Config{ColdStart: 150 * time.Millisecond, MaxRetries: -1}); err != nil {
 		return "", err
 	}
 	return fnName, nil

@@ -33,9 +33,10 @@ type TrainConfig struct {
 	PSService time.Duration
 	// WorkPerExample models per-example gradient compute. Default 50µs.
 	WorkPerExample time.Duration
-	// Tenant owns the worker function. Default "mltrain".
-	Tenant string
 }
+
+// trainTenant owns the SGD worker function.
+const trainTenant = "mltrain"
 
 func (c TrainConfig) withDefaults() TrainConfig {
 	if c.Workers <= 0 {
@@ -52,9 +53,6 @@ func (c TrainConfig) withDefaults() TrainConfig {
 	}
 	if c.WorkPerExample == 0 {
 		c.WorkPerExample = 50 * time.Microsecond
-	}
-	if c.Tenant == "" {
-		c.Tenant = "mltrain"
 	}
 	return c
 }
@@ -119,14 +117,14 @@ func TrainDistributed(p *faas.Platform, ds Dataset, cfg TrainConfig) (TrainRepor
 		paths[in.Shard].Push(g, cfg.LR/float64(ds.Len()))
 		return nil, nil
 	}
-	if err := p.Register(fnName, cfg.Tenant, worker, faas.Config{
+	if err := p.Register(fnName, trainTenant, worker, faas.Config{
 		ColdStart:  50 * time.Millisecond,
 		Timeout:    time.Hour,
 		MaxRetries: -1,
 	}); err != nil {
 		return TrainReport{}, err
 	}
-	defer p.UnregisterFor(cfg.Tenant, fnName)
+	defer p.UnregisterFor(trainTenant, fnName)
 
 	rep := TrainReport{}
 	for r := 0; r < cfg.Rounds; r++ {
@@ -138,7 +136,7 @@ func TrainDistributed(p *faas.Platform, ds Dataset, cfg TrainConfig) (TrainRepor
 		for wkr := range payloads {
 			payloads[wkr], _ = json.Marshal(struct{ Shard int }{wkr})
 		}
-		_, errs := faas.Drive(p, cfg.Tenant, fnName, payloads, make([]time.Duration, cfg.Workers)).Wait()
+		_, errs := faas.Drive(p, trainTenant, fnName, payloads, make([]time.Duration, cfg.Workers)).Wait()
 		if err := errors.Join(errs...); err != nil {
 			return rep, err
 		}

@@ -201,8 +201,8 @@ func TestNoDoubleBilling(t *testing.T) {
 
 // TestTaskRetryStopRule: a TaskRetry step is one faas.InvokeWithRetry, so
 // it stops where the platform's retry loop stops. Payload too large, a
-// tenant shed, a function's concurrency throttle and an open breaker each
-// run once; a handler error is retried.
+// tenant shed and a function's concurrency throttle each run once; a
+// handler error is retried.
 func TestTaskRetryStopRule(t *testing.T) {
 	var calls int64
 	flaky := func(ctx *faas.Ctx, in []byte) ([]byte, error) {
@@ -217,13 +217,13 @@ func TestTaskRetryStopRule(t *testing.T) {
 		handler faas.Handler
 		payload []byte
 		// first runs on the clock before the execution: its effect (a taken
-		// token, an open breaker, a busy instance) is what the step meets.
+		// token, a busy instance) is what the step meets.
 		first func(v *simclock.Virtual, p *faas.Platform)
 		want  error // nil: the third attempt succeeds
 		runs  int
 	}{
-		{name: "payload too large", cfg: faas.Config{MaxPayload: 8}, handler: flaky,
-			payload: make([]byte, 9), want: faas.ErrPayloadSize, runs: 1},
+		{name: "payload too large", handler: flaky,
+			payload: make([]byte, faas.MaxPayload+1), want: faas.ErrPayloadSize, runs: 1},
 		{name: "tenant shed", handler: flaky, want: faas.ErrTenantThrottled, runs: 1,
 			first: func(_ *simclock.Virtual, p *faas.Platform) {
 				p.SetAdmission(faas.AdmissionConfig{RatePerSecond: 1, Burst: 1, MaxWait: time.Millisecond})
@@ -238,10 +238,6 @@ func TestTaskRetryStopRule(t *testing.T) {
 				v.Go(func() { p.InvokeFor("acme", "f", nil) })
 				v.Sleep(time.Millisecond)
 			}},
-		{name: "breaker open", cfg: faas.Config{BreakerThreshold: 1, BreakerCooldown: time.Hour},
-			handler: func(*faas.Ctx, []byte) ([]byte, error) { return nil, errors.New("down") },
-			want:    faas.ErrCircuitOpen, runs: 1,
-			first: func(_ *simclock.Virtual, p *faas.Platform) { p.InvokeFor("acme", "f", nil) }},
 		{name: "handler error", handler: flaky, runs: 3},
 	}
 	for _, tc := range cases {

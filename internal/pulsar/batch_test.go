@@ -16,10 +16,10 @@ import (
 // TestSendAsyncFlushesAtMaxBatch: messages stay buffered until the batch
 // fills, then commit as one group with one PublishTime.
 func TestSendAsyncFlushesAtMaxBatch(t *testing.T) {
-	e := newEnv(t, 1, 3)
+	e := newEnvCfg(t, 1, 3, ClusterConfig{BatchFlushInterval: time.Hour})
 	e.v.Run(func() {
 		must(t, e.cluster.CreateTopic("t", 0))
-		prod, err := e.cluster.CreateProducerOpts("t", ProducerOptions{MaxBatch: 3, FlushInterval: time.Hour})
+		prod, err := e.cluster.CreateProducerOpts("t", ProducerOptions{MaxBatch: 3})
 		must(t, err)
 		cons, err := e.cluster.Subscribe("t", "s", Exclusive, Earliest)
 		must(t, err)
@@ -41,10 +41,10 @@ func TestSendAsyncFlushesAtMaxBatch(t *testing.T) {
 // TestSendAsyncFlushInterval: a SendAsync arriving after the staleness bound
 // flushes even a non-full batch.
 func TestSendAsyncFlushInterval(t *testing.T) {
-	e := newEnv(t, 1, 3)
+	e := newEnvCfg(t, 1, 3, ClusterConfig{BatchFlushInterval: 5 * time.Millisecond})
 	e.v.Run(func() {
 		must(t, e.cluster.CreateTopic("t", 0))
-		prod, err := e.cluster.CreateProducerOpts("t", ProducerOptions{MaxBatch: 100, FlushInterval: 5 * time.Millisecond})
+		prod, err := e.cluster.CreateProducerOpts("t", ProducerOptions{MaxBatch: 100})
 		must(t, err)
 		cons, err := e.cluster.Subscribe("t", "s", Exclusive, Earliest)
 		must(t, err)
@@ -63,10 +63,10 @@ func TestSendAsyncFlushInterval(t *testing.T) {
 // TestSendKeyFlushesBufferedFirst: a synchronous send never overtakes
 // buffered async messages.
 func TestSendKeyFlushesBufferedFirst(t *testing.T) {
-	e := newEnv(t, 1, 3)
+	e := newEnvCfg(t, 1, 3, ClusterConfig{BatchFlushInterval: time.Hour})
 	e.v.Run(func() {
 		must(t, e.cluster.CreateTopic("t", 0))
-		prod, err := e.cluster.CreateProducerOpts("t", ProducerOptions{MaxBatch: 100, FlushInterval: time.Hour})
+		prod, err := e.cluster.CreateProducerOpts("t", ProducerOptions{MaxBatch: 100})
 		must(t, err)
 		cons, err := e.cluster.Subscribe("t", "s", Exclusive, Earliest)
 		must(t, err)
@@ -89,10 +89,10 @@ func TestSendKeyFlushesBufferedFirst(t *testing.T) {
 // TestBatchedPublishIsMeteredPerMessage: one group commit still bills one
 // publish unit per message.
 func TestBatchedPublishIsMeteredPerMessage(t *testing.T) {
-	e := newEnv(t, 1, 3)
+	e := newEnvCfg(t, 1, 3, ClusterConfig{BatchFlushInterval: time.Hour})
 	e.v.Run(func() {
 		must(t, e.cluster.CreateTopic("t", 0))
-		prod, err := e.cluster.CreateProducerOpts("t", ProducerOptions{MaxBatch: 4, FlushInterval: time.Hour})
+		prod, err := e.cluster.CreateProducerOpts("t", ProducerOptions{MaxBatch: 4})
 		must(t, err)
 		for i := 0; i < 4; i++ {
 			must(t, prod.SendAsync("", []byte("x")))
@@ -107,10 +107,10 @@ func TestBatchedPublishIsMeteredPerMessage(t *testing.T) {
 // TestBatchedPartitionedPerKeyRouting: batches split per partition and keyed
 // messages keep per-key order within their partition.
 func TestBatchedPartitionedPerKeyRouting(t *testing.T) {
-	e := newEnv(t, 2, 3)
+	e := newEnvCfg(t, 2, 3, ClusterConfig{BatchFlushInterval: time.Hour})
 	e.v.Run(func() {
 		must(t, e.cluster.CreateTopic("pt", 4))
-		prod, err := e.cluster.CreateProducerOpts("pt", ProducerOptions{MaxBatch: 64, FlushInterval: time.Hour})
+		prod, err := e.cluster.CreateProducerOpts("pt", ProducerOptions{MaxBatch: 64})
 		must(t, err)
 		cons, err := e.cluster.Subscribe("pt", "s", KeyShared, Earliest)
 		must(t, err)
@@ -156,14 +156,14 @@ func TestSyncSendIsAGroupCommitOfOne(t *testing.T) {
 		fanIn  obs.HistogramSnapshot
 	}
 	run := func(send func(p *Producer, tc obs.TraceCtx) (int64, error)) outcome {
-		e := newEnv(t, 1, 3)
+		e := newEnvCfg(t, 1, 3, ClusterConfig{BatchFlushInterval: time.Hour})
 		reg := obs.New(e.v)
 		e.cluster.SetObs(reg)
 		e.ledgers.SetObs(reg)
 		var o outcome
 		e.v.Run(func() {
 			must(t, e.cluster.CreateTopic("t", 0))
-			prod, err := e.cluster.CreateProducerOpts("t", ProducerOptions{MaxBatch: 16, FlushInterval: time.Hour})
+			prod, err := e.cluster.CreateProducerOpts("t", ProducerOptions{MaxBatch: 16})
 			must(t, err)
 			cons, err := e.cluster.Subscribe("t", "s", Exclusive, Earliest)
 			must(t, err)

@@ -19,12 +19,6 @@ type ProducerOptions struct {
 	// publishes immediately. Defaults to the cluster's
 	// ClusterConfig.BatchMaxMessages.
 	MaxBatch int
-	// FlushInterval bounds how stale a buffered message may get: a
-	// SendAsync arriving FlushInterval after the oldest buffered message
-	// flushes the batch even if it is not full. (The producer has no
-	// background timer — an idle tail batch stays buffered until Flush or
-	// the next SendAsync.) Defaults to ClusterConfig.BatchFlushInterval.
-	FlushInterval time.Duration
 }
 
 // Producer publishes messages to a topic (routing across partitions for
@@ -77,10 +71,7 @@ type Producer struct {
 // CreateProducer opens a producer for an existing topic with the cluster's
 // default batching configuration.
 func (c *Cluster) CreateProducer(topic string) (*Producer, error) {
-	return c.CreateProducerOpts(topic, ProducerOptions{
-		MaxBatch:      c.cfg.BatchMaxMessages,
-		FlushInterval: c.cfg.BatchFlushInterval,
-	})
+	return c.CreateProducerOpts(topic, ProducerOptions{MaxBatch: c.cfg.BatchMaxMessages})
 }
 
 // CreateProducerOpts opens a producer with explicit batching options.
@@ -92,15 +83,12 @@ func (c *Cluster) CreateProducerOpts(topic string, opts ProducerOptions) (*Produ
 	if opts.MaxBatch < 1 {
 		opts.MaxBatch = 1
 	}
-	if opts.FlushInterval <= 0 {
-		opts.FlushInterval = c.cfg.BatchFlushInterval
-	}
 	return &Producer{
 		c:        c,
 		topic:    topic,
 		holder:   h,
 		maxBatch: opts.MaxBatch,
-		interval: opts.FlushInterval,
+		interval: c.cfg.BatchFlushInterval,
 	}, nil
 }
 
@@ -172,7 +160,7 @@ func (p *Producer) sendKey(key string, payload []byte, pctx obs.TraceCtx) (int64
 // SendAsync buffers a keyed message for batched publication. The batch
 // commits — one group ledger append per partition it holds — when it holds
 // MaxBatch messages across all partitions, when a later SendAsync finds the
-// oldest buffered message older than FlushInterval, or on an explicit Flush.
+// oldest buffered message older than BatchFlushInterval, or on an explicit Flush.
 // The payload is copied at enqueue time, so the caller may reuse its buffer
 // immediately. A flush error discards that flush's buffered messages; the
 // caller decides whether to re-send. They were never assigned seqs, except

@@ -24,8 +24,11 @@ type ClusterConfig struct {
 	// Default 1 — batching off; Send/SendKey are always synchronous
 	// regardless.
 	BatchMaxMessages int
-	// BatchFlushInterval is the default staleness bound on buffered
-	// messages (see ProducerOptions.FlushInterval). Default 1ms.
+	// BatchFlushInterval bounds how stale a producer's buffered message may
+	// get: a SendAsync arriving BatchFlushInterval after the oldest buffered
+	// message flushes the batch even if it is not full. (A producer has no
+	// background timer — an idle tail batch stays buffered until Flush or
+	// the next SendAsync.) Default 1ms.
 	BatchFlushInterval time.Duration
 	// ServiceTime models each broker as a FIFO server that spends this long
 	// per message (publishers queue on the broker's virtual-time capacity

@@ -27,7 +27,7 @@ import (
 func TestLedgerOwnedBytesMatchOracle(t *testing.T) {
 	const ops = 9000
 	const ledgerChunk = 128 << 10 // a ledger's entry log is chunks of this many bytes
-	e := newEnv(t, 2, 3)
+	e := newEnvCfg(t, 2, 3, ClusterConfig{BatchFlushInterval: time.Hour})
 	type sent struct {
 		key     string
 		payload []byte
@@ -37,7 +37,7 @@ func TestLedgerOwnedBytesMatchOracle(t *testing.T) {
 	failed := 0
 	e.v.Run(func() {
 		must(t, e.cluster.CreateTopic("t", 0))
-		prod, err := e.cluster.CreateProducerOpts("t", ProducerOptions{MaxBatch: 16, FlushInterval: time.Hour})
+		prod, err := e.cluster.CreateProducerOpts("t", ProducerOptions{MaxBatch: 16})
 		must(t, err)
 		cons, err := e.cluster.Subscribe("t", "live", Shared, Earliest)
 		must(t, err)

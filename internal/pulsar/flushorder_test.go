@@ -20,13 +20,13 @@ func TestBatchFlushOrderDeterministic(t *testing.T) {
 		at    time.Duration // publish time after the run's start
 	}
 	run := func() []record {
-		e := newEnv(t, 2, 3)
+		e := newEnvCfg(t, 2, 3, ClusterConfig{BatchFlushInterval: time.Hour})
 		e.ledgers.AppendLatency = time.Millisecond
 		var out []record
 		e.v.Run(func() {
 			start := e.v.Now()
 			must(t, e.cluster.CreateTopic("pt", partitions))
-			prod, err := e.cluster.CreateProducerOpts("pt", ProducerOptions{MaxBatch: maxBatch, FlushInterval: time.Hour})
+			prod, err := e.cluster.CreateProducerOpts("pt", ProducerOptions{MaxBatch: maxBatch})
 			must(t, err)
 			cons, err := e.cluster.Subscribe("pt", "s", Shared, Earliest)
 			must(t, err)

@@ -173,10 +173,10 @@ func TestSplitPartitionRouting(t *testing.T) {
 // redistributes it in message order — no key is ever delivered out of
 // order, and nothing is lost or duplicated.
 func TestSplitPreservesPerKeyOrderBatched(t *testing.T) {
-	e := newEnv(t, 2, 3)
+	e := newEnvCfg(t, 2, 3, ClusterConfig{BatchFlushInterval: time.Hour})
 	e.v.Run(func() {
 		must(t, e.cluster.CreateTopic("t", 2))
-		prod, err := e.cluster.CreateProducerOpts("t", ProducerOptions{MaxBatch: 64, FlushInterval: time.Hour})
+		prod, err := e.cluster.CreateProducerOpts("t", ProducerOptions{MaxBatch: 64})
 		must(t, err)
 		cons, err := e.cluster.Subscribe("t", "tail", Shared, Earliest)
 		must(t, err)

@@ -81,6 +81,11 @@ if grep -rnE 'os\.(Getenv|LookupEnv)' --include='*.go' --exclude='*_test.go' int
 	echo "check: which path a Client takes follows from its RoundTripper and BaseURL alone; internal/gateway reads no environment variable" >&2
 	exit 1
 fi
+echo "== every knob has a setter: the circuit breaker and predictive prewarm no program armed are gone"
+if grep -rnwE 'BreakerThreshold|BreakerCooldown|ErrCircuitOpen|ErrBreakerOpen|breaker_open|PredictivePrewarm' --include='*.go' --exclude='*_test.go' .; then
+	echo "check: a function's concurrency cap and its tenant's bucket are the only sheds; a knob no program sets goes (TestEveryKnobHasASetter)" >&2
+	exit 1
+fi
 echo "== one binary: cmd/ holds a single package"
 [ "$(go list ./cmd/... | wc -l)" -eq 1 ] || { echo "check: cmd/ must hold exactly one package (taureau)" >&2; exit 1; }
 echo "== API.md lists the exported surface"

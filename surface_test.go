@@ -15,6 +15,10 @@ package repro
 // receiver implements an interface that declares it (the module's own, or
 // one of the standard ones in stdIfaces): such a method is reached through
 // the interface, where no use names it.
+//
+// Knob gate: every exported field of an internal/ Config, Options or Policy
+// struct is set by non-test code outside its own package, or it is on
+// knobAllowlist with the reason it stays. It reads the same type universe.
 
 import (
 	"bufio"
@@ -129,51 +133,18 @@ func TestEveryExportedNameHasACaller(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds export data for the module")
 	}
-	pkgs, exports := goList(t)
-	fset := token.NewFileSet()
-	std := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		f, ok := exports[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(f)
-	})
-
-	// Type-check the module's packages from source in dependency order, so
-	// one package's uses and another's declarations are the same objects.
-	checked := map[string]*types.Package{}
-	imp := importerFunc(func(path string) (*types.Package, error) {
-		if p, ok := checked[path]; ok {
-			return p, nil
-		}
-		return std.Import(path)
-	})
+	u := checkModule(t)
 	uses := map[string]bool{}
 	ifaces := []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface)}
 	for _, si := range stdIfaces {
-		p, err := std.Import(si.pkg)
+		p, err := u.std.Import(si.pkg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ifaces = append(ifaces, p.Scope().Lookup(si.name).Type().Underlying().(*types.Interface))
 	}
-	for _, lp := range topoSort(pkgs) {
-		files := make([]*ast.File, 0, len(lp.files))
-		for _, name := range lp.files {
-			f, err := parser.ParseFile(fset, filepath.Join(lp.dir, name), nil, parser.SkipObjectResolution)
-			if err != nil {
-				t.Fatal(err)
-			}
-			files = append(files, f)
-		}
-		info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
-		conf := types.Config{Importer: imp}
-		p, err := conf.Check(lp.path, fset, files, info)
-		if err != nil {
-			t.Fatalf("type-check %s: %v", lp.path, err)
-		}
-		checked[lp.path] = p
-		for _, obj := range info.Uses {
+	for _, cp := range u.pkgs {
+		for _, obj := range cp.info.Uses {
 			switch obj := obj.(type) {
 			case *types.Func:
 				uses[obj.Origin().FullName()] = true
@@ -183,8 +154,8 @@ func TestEveryExportedNameHasACaller(t *testing.T) {
 				}
 			}
 		}
-		for _, name := range p.Scope().Names() {
-			tn, ok := p.Scope().Lookup(name).(*types.TypeName)
+		for _, name := range cp.pkg.Scope().Names() {
+			tn, ok := cp.pkg.Scope().Lookup(name).(*types.TypeName)
 			if !ok || tn.IsAlias() {
 				continue
 			}
@@ -197,7 +168,7 @@ func TestEveryExportedNameHasACaller(t *testing.T) {
 	declared := map[string]bool{} // by short name
 	flagged := map[string]bool{}
 	for _, path := range listPackages(t, "./internal/...") {
-		p := checked[path]
+		p := u.checked[path]
 		if p == nil {
 			t.Fatalf("package %s not found", path)
 		}
@@ -235,6 +206,122 @@ func TestEveryExportedNameHasACaller(t *testing.T) {
 			t.Errorf("allowlist names %s, which now has a caller: drop the entry", name)
 		}
 	}
+}
+
+// knobAllowlist holds the knobs that stay without a setter outside their own
+// package's non-test code, each with its reason.
+var knobAllowlist = map[string]string{
+	"blob.PutOptions.IfMatch":            "conditional put, in DESIGN §1's inventory; benchmark/ passes PutOptions{}",
+	"blob.PutOptions.IfNoneMatch":        "conditional put, in DESIGN §1's inventory; benchmark/ passes PutOptions{}",
+	"gateway.Config.MaxBody":             "the front door's body cap, a deployment setting",
+	"obs.SLOConfig.Objective":            "one of the objectives every SLOSnapshot reports: one value, not a knob",
+	"obs.SLOConfig.LatencyObjective":     "one of the objectives every SLOSnapshot reports: one value, not a knob",
+	"obs.SLOConfig.LatencyTarget":        "one of the objectives every SLOSnapshot reports: one value, not a knob",
+	"obs.SamplerConfig.KeepFraction":     "the tail sampler's policy; ROADMAP item 13 turns the sampler on",
+	"obs.SamplerConfig.Seed":             "the tail sampler's policy; ROADMAP item 13 turns the sampler on",
+	"obs.SamplerConfig.SlowThreshold":    "the tail sampler's policy; ROADMAP item 13 turns the sampler on",
+	"pulsar.ClusterConfig.ServiceTime":   "the broker capacity model TestMultiBrokerScaleOut runs on: claim or delete, ROADMAP item 7",
+	"pulsar.LoadManagerConfig.SplitRate": "the load manager's bundle-split trigger: claim or delete, ROADMAP item 7",
+	"sebs.Config.ColdEvery":              "the SeBS cold-start cadence: ROADMAP item 6",
+}
+
+// TestEveryKnobHasASetter: a knob is an exported field of an exported struct
+// type in internal/ whose name ends in Config, Options or Policy. Non-test
+// code in another package must set it — a composite-literal key, the left
+// side of an assignment or ++/--, or its address — or it is on
+// knobAllowlist with its reason. A knob only tests or its own package's
+// defaults set is a second way to do what the default already does: it
+// goes, with whatever only it switches on.
+func TestEveryKnobHasASetter(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds export data for the module")
+	}
+	u := checkModule(t)
+	set := map[*types.Var]bool{}
+	for _, cp := range u.pkgs {
+		mark := func(id *ast.Ident) {
+			if v, ok := cp.info.Uses[id].(*types.Var); ok && v.IsField() && v.Pkg() != cp.pkg {
+				set[v.Origin()] = true
+			}
+		}
+		write := func(e ast.Expr) {
+			if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+				mark(sel.Sel)
+			}
+		}
+		for _, f := range cp.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.KeyValueExpr:
+					if key, ok := n.Key.(*ast.Ident); ok {
+						mark(key)
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						write(lhs)
+					}
+				case *ast.IncDecStmt:
+					write(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						write(n.X)
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	declared := map[string]bool{}
+	flagged := map[string]bool{}
+	for _, path := range listPackages(t, "./internal/...") {
+		p := u.checked[path]
+		for _, name := range p.Scope().Names() {
+			tn, ok := p.Scope().Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || tn.IsAlias() || !isKnobType(name) {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				v := st.Field(i)
+				if !v.Exported() {
+					continue
+				}
+				knob := shortName(path + "." + name + "." + v.Name())
+				declared[knob] = true
+				if !set[v] {
+					flagged[knob] = true
+				}
+			}
+		}
+	}
+	t.Logf("%d knobs, %d without a setter outside their package", len(declared), len(flagged))
+	var missing []string
+	for knob := range flagged {
+		if _, ok := knobAllowlist[knob]; !ok {
+			missing = append(missing, knob)
+		}
+	}
+	sort.Strings(missing)
+	for _, knob := range missing {
+		t.Errorf("knob %s has no setter outside the tests and its own package: set it where a program needs it, or delete it", knob)
+	}
+	for knob := range knobAllowlist {
+		switch {
+		case !declared[knob]:
+			t.Errorf("knobAllowlist names %s, which is not a knob: drop the entry", knob)
+		case !flagged[knob]:
+			t.Errorf("knobAllowlist names %s, which now has a setter: drop the entry", knob)
+		}
+	}
+}
+
+// isKnobType reports whether a type of this name holds knobs.
+func isKnobType(name string) bool {
+	return strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Policy")
 }
 
 // shortName turns a full name such as "(*repro/internal/obs.Tracer).Stats"
@@ -316,6 +403,64 @@ func declares(it *types.Interface, name string) bool {
 		}
 	}
 	return false
+}
+
+// checkedPkg is one module package, type-checked from its non-test files.
+type checkedPkg struct {
+	pkg   *types.Package
+	files []*ast.File
+	info  *types.Info
+}
+
+// module is the module's type universe: its packages in dependency order,
+// each keyed by import path in checked, and the importer of the standard
+// library's export data.
+type module struct {
+	std     types.Importer
+	pkgs    []checkedPkg
+	checked map[string]*types.Package
+}
+
+// checkModule type-checks the module's packages from source in dependency
+// order, so one package's uses and another's declarations are the same
+// objects.
+func checkModule(t *testing.T) *module {
+	t.Helper()
+	pkgs, exports := goList(t)
+	fset := token.NewFileSet()
+	m := &module{checked: map[string]*types.Package{}}
+	m.std = importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		f, ok := exports[path]
+		if !ok {
+			return nil, fmt.Errorf("no export data for %q", path)
+		}
+		return os.Open(f)
+	})
+	imp := importerFunc(func(path string) (*types.Package, error) {
+		if p, ok := m.checked[path]; ok {
+			return p, nil
+		}
+		return m.std.Import(path)
+	})
+	for _, lp := range topoSort(pkgs) {
+		files := make([]*ast.File, 0, len(lp.files))
+		for _, name := range lp.files {
+			f, err := parser.ParseFile(fset, filepath.Join(lp.dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files = append(files, f)
+		}
+		info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+		conf := types.Config{Importer: imp}
+		p, err := conf.Check(lp.path, fset, files, info)
+		if err != nil {
+			t.Fatalf("type-check %s: %v", lp.path, err)
+		}
+		m.checked[lp.path] = p
+		m.pkgs = append(m.pkgs, checkedPkg{pkg: p, files: files, info: info})
+	}
+	return m
 }
 
 type importerFunc func(path string) (*types.Package, error)
