@@ -9,8 +9,8 @@ import (
 	"repro/internal/experiments"
 )
 
-// cmdExperiments regenerates the experiment tables (DESIGN.md §2,
-// EXPERIMENTS.md), each on a fresh deterministic virtual-clock platform.
+// cmdExperiments prints the experiment tables (DESIGN.md §2), each on a fresh
+// deterministic virtual-clock platform; TestExperiments writes EXPERIMENTS.md.
 func cmdExperiments(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("taureau experiments", flag.ContinueOnError)
 	id := fs.String("e", "", "run a single experiment by ID (e.g. E4); default all")

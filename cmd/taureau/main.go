@@ -5,7 +5,7 @@
 //	taureau gateway [flags]        serve the v1 REST API + telemetry on the real clock
 //	taureau sebs [flags]           SeBS-style suite through the HTTP gateway, JSON report
 //	taureau conform [flags]        execution-semantics conformance explorer
-//	taureau experiments [flags]    regenerate the experiment tables E1–E27 (EXPERIMENTS.md)
+//	taureau experiments [flags]    print the experiment tables E1–E27
 //
 // demo boots a full in-process deployment (FaaS + BaaS + Pulsar + Jiffy +
 // orchestration), runs the named scenario, and prints what happened and what
@@ -64,7 +64,7 @@ var commands = []command{
 	{"gateway", "[flags]: serve the v1 REST API + telemetry until killed", cmdGateway},
 	{"sebs", "[flags]: run the SeBS-style suite, print the JSON report", cmdSebs},
 	{"conform", "[flags]: run the conformance explorer over the reference workloads", cmdConform},
-	{"experiments", "[flags]: regenerate the experiment tables E1–E27", cmdExperiments},
+	{"experiments", "[flags]: print the experiment tables E1–E27", cmdExperiments},
 }
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }

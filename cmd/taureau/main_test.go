@@ -10,7 +10,7 @@ import (
 // one, or an old top-level flag prints the usage to stderr and exits 2; a
 // mistake inside a subcommand also exits 2 with its reason on stderr; nothing
 // reaches stdout in either case; the two index listings name every demo and
-// every experiment.
+// every experiment, and `experiments -e` prints that one table.
 func TestDispatch(t *testing.T) {
 	const usage = "usage: taureau <subcommand> [flags]"
 	for _, tc := range []struct {
@@ -29,6 +29,7 @@ func TestDispatch(t *testing.T) {
 		{args: []string{"sebs", "-apps", "webapp,nosuch"}, exit: 1, stderr: `unknown apps ["nosuch"]`},
 		{args: []string{"sebs", "-requests", "1", "-apps", "webapp, video"}, exit: 0, stdout: "{", lines: 32},
 		{args: []string{"experiments", "-e", "E99"}, exit: 2, stderr: `unknown experiment "E99"`},
+		{args: []string{"experiments", "-e", "E5"}, exit: 0, stdout: "== E5: Keys moved when tenant A scales +8 blocks (2000 keys/tenant) ==", lines: 8},
 		{args: []string{"demo", "-list"}, exit: 0, stdout: "burst", lines: len(demos)},
 		{args: []string{"experiments", "-list"}, exit: 0, stdout: "E1   cost-efficiency", lines: 27},
 	} {

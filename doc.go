@@ -9,8 +9,8 @@
 // the analytics/ML workloads the paper surveys.
 //
 // Start at internal/core for the assembled platform, DESIGN.md for the
-// system inventory, and EXPERIMENTS.md for the experiment results. The
-// examples/ directory holds runnable programs; cmd/taureau is the one binary
-// (taureau experiments regenerates every experiment table) and benchmark/
-// owns every performance number.
+// system inventory, and EXPERIMENTS.md for the experiment results, which
+// internal/experiments' TestExperiments checks and writes. The examples/
+// directory holds runnable programs; cmd/taureau is the one binary (taureau
+// experiments prints every table) and benchmark/ owns every performance number.
 package repro

@@ -67,7 +67,7 @@ func E10Matmul() Table {
 				maxDiff = d
 			}
 		})
-		v.Close()
+		p.Close()
 		naive := int64(n) * int64(n) * int64(n)
 		table.Rows = append(table.Rows, []string{
 			f("%d", n),
@@ -104,7 +104,7 @@ func E13Video() Table {
 				panic(err)
 			}
 		})
-		v.Close()
+		p.Close()
 		if chunks == 1 {
 			base = rep.Wall
 		}
@@ -161,7 +161,7 @@ func E14SeqCompare() Table {
 				}
 			}
 		})
-		v.Close()
+		p.Close()
 		if w == 1 {
 			base = wall
 		}

@@ -58,7 +58,7 @@ func E1CostEfficiency() Table {
 			results, _ := faas.Drive(p.FaaS, "acme", "api", nil, arrivals).Wait()
 			nInvocations = len(results)
 		})
-		v.Close()
+		p.Close()
 
 		serverless := p.Tenant("acme").Invoice().Total
 		reserved := billing.ReservedCost(billing.VMsForPeak(peakRPS, perVMRPS), window, p.Pricing)
@@ -80,7 +80,7 @@ func E1CostEfficiency() Table {
 // requirements over time", including scale to (and from) zero.
 func E2Elasticity() Table {
 	p, v := core.NewVirtual(core.Options{})
-	defer v.Close()
+	defer p.Close()
 	const window = 20 * time.Minute
 	rf := workload.Bursty(0, 6, 8*time.Minute, 2*time.Minute)
 	arrivals := workload.Arrivals(rf, window, 2)
@@ -162,7 +162,7 @@ func E3ColdStart() Table {
 			results, _ = faas.Drive(p.FaaS, "t", "fn", nil, arrivals).Wait()
 		})
 		st, _ := p.FaaS.StatsFor("t", "fn")
-		v.Close()
+		p.Close()
 		table.Rows = append(table.Rows, []string{
 			gap.String(), f("%d", st.Invocations), f("%d", st.ColdStarts),
 			f("%.2f", float64(st.ColdStarts)/float64(st.Invocations)),

@@ -96,7 +96,7 @@ func runBurstConverge(seed int64) elasticDigest {
 		steadyCut = 10 * time.Second
 	)
 	p, v := core.NewVirtual(core.Options{})
-	defer v.Close()
+	defer p.Close()
 	p.FaaS.AttachCluster(scheduler.NewCluster(scheduler.Resources{CPU: 4000, MemMB: 16384}, scheduler.FirstFit{}), 0)
 	demo := p.Tenant("demo")
 
@@ -206,7 +206,7 @@ func runFairness(seed int64) fairnessDigest {
 	)
 	victimLat := func(withAttacker bool) ([]time.Duration, int64, int64, int) {
 		p, v := core.NewVirtual(core.Options{})
-		defer v.Close()
+		defer p.Close()
 		p.FaaS.SetAdmission(faas.AdmissionConfig{
 			RatePerSecond: 12,
 			Burst:         6,

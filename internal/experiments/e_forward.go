@@ -91,7 +91,7 @@ func E20SLA() Table {
 		}
 		p50 := faas.Percentile(durations, 50)
 		p99 := faas.Percentile(durations, 99)
-		v.Close()
+		p.Close()
 		table.Rows = append(table.Rows, []string{
 			pol.Name(), f("%d", used),
 			p50.Round(time.Millisecond).String(), p99.Round(time.Millisecond).String(),
@@ -208,7 +208,7 @@ func E22Provisioned() Table {
 			results, _ = faas.Drive(p.FaaS, "t", "spiky", nil, arrivals).Wait()
 		})
 		st, _ := p.FaaS.StatsFor("t", "spiky")
-		v.Close()
+		p.Close()
 		cfg := "on-demand"
 		if prewarm > 0 {
 			cfg = f("provisioned=%d", prewarm)

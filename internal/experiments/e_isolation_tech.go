@@ -39,7 +39,7 @@ func E24IsolationTech() Table {
 		v.Run(func() {
 			results, _ = faas.Drive(p.FaaS, "t", "fn", nil, arrivals).Wait()
 		})
-		v.Close()
+		p.Close()
 		table.Rows = append(table.Rows, []string{
 			iso.Name,
 			iso.ColdStart.String(),

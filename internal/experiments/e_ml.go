@@ -39,7 +39,7 @@ func E8Training() Table {
 				walls[topo] = sum / time.Duration(len(rep.RoundWalls))
 				losses[topo] = rep.FinalLoss
 			})
-			v.Close()
+			p.Close()
 		}
 		table.Rows = append(table.Rows, []string{
 			f("%d", w),
@@ -82,7 +82,7 @@ func E9Stragglers() Table {
 				walls[repl] = rep.Wall
 				invs[repl] = rep.Invocations
 			})
-			v.Close()
+			p.Close()
 		}
 		table.Rows = append(table.Rows, []string{
 			f("%.1f", prob),
@@ -123,7 +123,7 @@ func E16Hyperparam() Table {
 				panic(err)
 			}
 		})
-		v.Close()
+		p.Close()
 		mode := "sequential"
 		if conc {
 			mode = "concurrent"
@@ -181,7 +181,7 @@ func E17Inference() Table {
 				}
 			}
 		})
-		v.Close()
+		p.Close()
 		cfg := "reload per request"
 		if useCache {
 			cfg = "shared model cache"

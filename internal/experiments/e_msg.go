@@ -18,7 +18,7 @@ import (
 // sketch's εN bound.
 func E6PulsarSketch() Table {
 	p, v := core.NewVirtual(core.Options{})
-	defer v.Close()
+	defer p.Close()
 	const events = 6000
 	keys := workload.ZipfKeys(500, 1.3, events, 6)
 	truth := map[string]uint64{}
@@ -106,7 +106,7 @@ func E6PulsarSketch() Table {
 // every published message must arrive.
 func E15PulsarDurability() Table {
 	p, v := core.NewVirtual(core.Options{Brokers: 3, Bookies: 4})
-	defer v.Close()
+	defer p.Close()
 	table := Table{
 		ID:      "E15",
 		Title:   "Message durability across broker and bookie failures",

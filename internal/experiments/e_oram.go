@@ -56,7 +56,7 @@ func E23ORAM() Table {
 			}
 			directDur = v.Now().Sub(start) / accesses
 		})
-		v.Close()
+		p.Close()
 		table.Rows = append(table.Rows, []string{
 			f("%d", n), f("%d", pathLen), f("%.0f", opsPerAccess),
 			oramDur.Round(time.Millisecond).String(),

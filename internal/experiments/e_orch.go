@@ -16,7 +16,7 @@ import (
 // not the composition as well, i.e., they should not be double-billed".
 func E7Orchestration() Table {
 	p, v := core.NewVirtual(core.Options{})
-	defer v.Close()
+	defer p.Close()
 	table := Table{
 		ID:      "E7",
 		Title:   "Composition billing vs direct invocation billing",

@@ -57,7 +57,7 @@ func E4EphemeralState() Table {
 			}
 			blobDur = v.Now().Sub(start) / reps
 		})
-		v.Close()
+		p.Close()
 		table.Rows = append(table.Rows, []string{
 			fmtBytes(size), jiffyDur.String(), blobDur.String(),
 			f("%.1fx", float64(blobDur)/float64(jiffyDur)),
@@ -74,7 +74,7 @@ func E4EphemeralState() Table {
 func E5Isolation() Table {
 	const keysPerTenant = 2000
 	p, v := core.NewVirtual(core.Options{})
-	defer v.Close()
+	defer p.Close()
 	var aMoved, bMoved int
 	v.Run(func() {
 		a, err := p.Jiffy.CreateNamespace("/tenantA", jiffy.NamespaceOptions{Lease: -1, InitialBlocks: 8})
@@ -140,7 +140,7 @@ func E5Isolation() Table {
 // checkpointed there and rematerialized after its memory node crashes.
 func E18Leases() Table {
 	p, v := core.NewVirtual(core.Options{})
-	defer v.Close()
+	defer p.Close()
 	table := Table{
 		ID:      "E18",
 		Title:   "State lifetime decoupled from producer via leases",

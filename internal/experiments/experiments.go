@@ -2,10 +2,10 @@
 // measurable experiments (E1-E27; see DESIGN.md §2 for the index).
 // Le Taureau is a vision/tutorial paper with no evaluation tables of its
 // own, so each experiment here turns one claim from the text into a
-// reproducible table: the workload, the treatment and baseline systems, and
-// the shape the claim predicts. `taureau experiments` prints the tables;
-// experiments_test.go asserts each shape; EXPERIMENTS.md records expected vs
-// measured shapes.
+// reproducible table of the workload, the treatment and the baseline
+// systems. `taureau experiments` prints the tables. Each table's expected
+// shape is stated once, beside its check, in TestExperiments, which writes
+// EXPERIMENTS.md: go test ./internal/experiments -run TestExperiments -update.
 //
 // Every experiment runs on a fresh virtual-clock platform, so results are
 // deterministic and a full sweep takes seconds of real time.

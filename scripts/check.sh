@@ -86,6 +86,12 @@ if grep -rnwE 'BreakerThreshold|BreakerCooldown|ErrCircuitOpen|ErrBreakerOpen|br
 	echo "check: a function's concurrency cap and its tenant's bucket are the only sheds; a knob no program sets goes (TestEveryKnobHasASetter)" >&2
 	exit 1
 fi
+echo "== each claim's shape is stated once, beside its check: no Python generator, no per-experiment test"
+if find . -name '*.py' -not -path './.git/*' | grep . ||
+	grep -rnE '^func TestE[0-9]' internal/experiments/; then
+	echo "check: EXPERIMENTS.md is TestExperiments' golden file (go test ./internal/experiments -run TestExperiments -update); a shape and its check are one entry of its table" >&2
+	exit 1
+fi
 echo "== one binary: cmd/ holds a single package"
 [ "$(go list ./cmd/... | wc -l)" -eq 1 ] || { echo "check: cmd/ must hold exactly one package (taureau)" >&2; exit 1; }
 echo "== API.md lists the exported surface"
