@@ -90,7 +90,7 @@ func cmdDemo(args []string, stdout, stderr io.Writer) error {
 	}
 
 	platform, clock := core.NewVirtual(core.Options{})
-	defer clock.Close()
+	defer platform.Close()
 	var inj *chaos.Injector
 	clock.Run(func() {
 		if *seed >= 0 {
@@ -111,7 +111,7 @@ func cmdDemo(args []string, stdout, stderr io.Writer) error {
 	for _, tenant := range platform.Meter.Tenants() {
 		fmt.Fprint(stdout, platform.Tenant(tenant).Invoice())
 	}
-	fmt.Fprintf(stdout, "simulated time: %v\n", platform.Elapsed())
+	fmt.Fprintf(stdout, "simulated time: %v\n", clock.Elapsed())
 
 	if *metrics {
 		fmt.Fprintln(stdout)
@@ -535,7 +535,7 @@ func demoRebalance(w io.Writer, p *core.Platform, clock simclock.Clock) {
 	}
 
 	rep := lm.Report()
-	fmt.Fprintf(w, "\nload manager: %d moves, %d splits\n", rep.Moves, rep.Splits)
+	fmt.Fprintf(w, "\nload manager: %d moves\n", rep.Moves)
 	for _, ev := range rep.Events {
 		fmt.Fprintf(w, "  %-5s %-10s %s → %s\n", ev.Action, ev.Topic, ev.From, ev.To)
 	}

@@ -34,7 +34,7 @@ type photo struct {
 func main() {
 	platform, clock := core.NewVirtual(core.Options{})
 	acme := platform.Tenant("acme")
-	defer clock.Close()
+	defer platform.Close()
 
 	clock.Run(func() {
 		if err := platform.Blob.CreateBucket("photos", "acme"); err != nil {

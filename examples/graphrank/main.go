@@ -21,7 +21,7 @@ import (
 
 func main() {
 	platform, clock := core.NewVirtual(core.Options{JiffyBlockSize: 1 << 20})
-	defer clock.Close()
+	defer platform.Close()
 
 	g := graph.Random(400, 5, 2026)
 	fmt.Printf("graph: %d vertices, %d edges\n\n", g.N, g.Edges())

@@ -29,7 +29,7 @@ type registration struct {
 func main() {
 	platform, clock := core.NewVirtual(core.Options{})
 	iotCo := platform.Tenant("iot-co")
-	defer clock.Close()
+	defer platform.Close()
 
 	clock.Run(func() {
 		if err := platform.DB.CreateTable("devices", "iot-co", "kind"); err != nil {

@@ -17,7 +17,7 @@ import (
 
 func main() {
 	platform, clock := core.NewVirtual(core.Options{})
-	defer clock.Close()
+	defer platform.Close()
 
 	train, val := mlserve.SyntheticLogistic(2800, 8, 1).Split(0.7)
 

@@ -17,7 +17,7 @@ func main() {
 	// A virtual clock makes the demo deterministic and instant; pass
 	// simclock.Real{} via core.Options to run against wall time instead.
 	platform, clock := core.NewVirtual(core.Options{})
-	defer clock.Close()
+	defer platform.Close()
 	acme := platform.Tenant("acme")
 
 	clock.Run(func() {
@@ -77,5 +77,5 @@ func main() {
 	// reserved servers (§2 "cost efficiency").
 	fmt.Println()
 	fmt.Print(acme.Invoice())
-	fmt.Printf("\nsimulated time elapsed: %v\n", platform.Elapsed())
+	fmt.Printf("\nsimulated time elapsed: %v\n", clock.Elapsed())
 }

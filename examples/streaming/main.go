@@ -34,7 +34,7 @@ import (
 
 func main() {
 	platform, clock := core.NewVirtual(core.Options{})
-	defer clock.Close()
+	defer platform.Close()
 
 	const events = 8000
 	keys := workload.ZipfKeys(400, 1.4, events, 2026)

@@ -31,7 +31,7 @@ type cartRequest struct {
 func main() {
 	platform, clock := core.NewVirtual(core.Options{})
 	shop := platform.Tenant("shop")
-	defer clock.Close()
+	defer platform.Close()
 
 	clock.Run(func() {
 		// Static assets live in the blob store.

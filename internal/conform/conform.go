@@ -339,7 +339,7 @@ func runSchedule(w Workload, s Schedule) (out outcome) {
 		JiffyLatency:  jiffy.NoLatency,
 		DisableObs:    true,
 	})
-	defer v.Close()
+	defer plat.Close()
 
 	cr := chaos.NewCrasher()
 	env := &Env{P: plat, Crasher: cr, Tenant: envTenant}

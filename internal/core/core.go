@@ -198,9 +198,8 @@ func (p *Platform) EnableAutoscale(cfg autoscale.Config) *autoscale.Controller {
 
 // EnableBrokerLoadManager builds and starts the Pulsar broker load manager
 // (DESIGN.md §12): per-partition load sampling, hot-partition reassignment
-// through the cursor-exact handoff, and key-range splits when configured.
-// The manager is stored on Platform.BrokerLoad for the `/brokers` endpoint
-// and demos.
+// through the cursor-exact handoff. The manager is stored on
+// Platform.BrokerLoad for the `/brokers` endpoint and demos.
 func (p *Platform) EnableBrokerLoadManager(cfg pulsar.LoadManagerConfig) *pulsar.LoadManager {
 	lm := p.Pulsar.NewLoadManager(cfg)
 	p.BrokerLoad = lm
@@ -227,13 +226,4 @@ func NewVirtual(opts Options) (*Platform, *simclock.Virtual) {
 	v := simclock.NewVirtual()
 	opts.Clock = v
 	return New(opts), v
-}
-
-// Elapsed returns the time elapsed on a virtual platform clock (zero on the
-// real clock).
-func (p *Platform) Elapsed() time.Duration {
-	if v, ok := p.Clock.(*simclock.Virtual); ok {
-		return v.Elapsed()
-	}
-	return 0
 }

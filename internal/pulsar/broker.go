@@ -24,13 +24,6 @@ var (
 	ErrBadTopicName   = errors.New("pulsar: invalid topic name")
 	ErrConsumerClosed = errors.New("pulsar: consumer is closed")
 	ErrPublishDropped = errors.New("pulsar: publish dropped")
-	// ErrRouteMoved fences a keyed publish whose key hash falls outside the
-	// partition's accepted range — the partition split after the sender
-	// routed. The sender re-resolves routing and republishes to the child;
-	// the fence is what makes a split safe under concurrent traffic (a
-	// stale route can only produce this error, never an out-of-order
-	// append).
-	ErrRouteMoved = errors.New("pulsar: key range moved")
 )
 
 // consumerReg is a consumer's registration on a broker-side subscription:
@@ -135,14 +128,6 @@ type topicState struct {
 	// them without touching the topic lock. First for 64-bit alignment.
 	pubMsgs  int64
 	pubBytes int64
-	// keyLo/keyHi is the partition's accepted key-hash range (read from
-	// topic metadata at load, narrowed in place by a split). keyHi == 0
-	// means unranged: any key is accepted (plain topics). Atomics so a
-	// publisher can fail fast on a misrouted key before reserving modeled
-	// service capacity; the authoritative check still runs under ts.mu,
-	// where the range also narrows, so an append either fully precedes a
-	// split's fence or bounces — never lands out of range.
-	keyLo, keyHi uint64
 
 	name string
 
@@ -416,8 +401,8 @@ func (b *Broker) publishEntries(topicName string, keys []string, payloads [][]by
 		b.cluster.clock.Sleep(d) // before any lock: sleeping under a lock stalls the virtual clock
 	}
 	// Fail fast before reserving capacity: a publish the broker will reject
-	// anyway (not owned, fenced key) must not queue behind real work.
-	if err := b.precheck(topicName, keys...); err != nil {
+	// anyway (a topic it does not own) must not queue behind real work.
+	if err := b.precheck(topicName); err != nil {
 		return 0, err
 	}
 	b.admitService(len(payloads))
@@ -432,14 +417,6 @@ func (b *Broker) publishEntries(topicName string, keys []string, payloads [][]by
 	}
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	// Fence the whole batch before any append: either every message is in
-	// range or none is written, so the producer can redistribute the batch
-	// against fresh routing without a partial prefix landing here.
-	for _, k := range keys {
-		if err := ts.checkRange(k); err != nil {
-			return 0, err
-		}
-	}
 	if open := ts.win.end - ts.ranges[len(ts.ranges)-1].StartSeq; open > 0 && open+int64(len(payloads)) > topicLedgerEntries {
 		if err := b.rollLocked(ts); err != nil {
 			return 0, err
@@ -580,57 +557,14 @@ func (b *Broker) dispatchAllLocked(ts *topicState) {
 	}
 }
 
-// checkRange fences keyed publishes against the partition's accepted
-// key-hash range. Lock-free (atomic loads): publishers call it once before
-// admitService as a cheap fail-fast — a misrouted key should not consume
-// broker capacity — and again under ts.mu as the authoritative check (the
-// range narrows under that lock during a split, so a publish either sees the
-// old range and lands on the parent, or is bounced to re-route — never both).
-func (ts *topicState) checkRange(key string) error {
-	if key == "" {
-		return nil
-	}
-	lo, hi := atomic.LoadUint64(&ts.keyLo), atomic.LoadUint64(&ts.keyHi)
-	if hi == 0 {
-		return nil
-	}
-	if h := uint64(fnv1a(key)); h < lo || h >= hi {
-		return fmt.Errorf("%w: key %q outside %q [%d,%d)", ErrRouteMoved, key, ts.name, lo, hi)
-	}
-	return nil
-}
-
-// precheck is the advisory pre-admission gate: it mirrors the ownership and
-// key-range checks the publish body performs authoritatively under locks,
-// but runs before admitService so rejected work never consumes capacity.
-func (b *Broker) precheck(topicName string, keys ...string) error {
+// precheck is the advisory pre-admission gate: it mirrors the ownership check
+// the publish body performs authoritatively under locks, but runs before
+// admitService so rejected work never consumes capacity.
+func (b *Broker) precheck(topicName string) error {
 	b.mu.RLock()
-	ts, err := b.topicLocked(topicName)
-	if err == nil {
-		for _, k := range keys {
-			if err = ts.checkRange(k); err != nil {
-				break
-			}
-		}
-	}
+	_, err := b.topicLocked(topicName)
 	b.mu.RUnlock()
 	return err
-}
-
-// narrowRange shrinks the accepted key range of a loaded topic in place
-// (split step 3). A broker that does not hold the topic ignores the call —
-// whoever loads it next reads the narrowed range from metadata.
-func (b *Broker) narrowRange(topicName string, lo, hi uint64) {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	ts, ok := b.topics[topicName]
-	if !ok {
-		return
-	}
-	ts.mu.Lock()
-	atomic.StoreUint64(&ts.keyLo, lo)
-	atomic.StoreUint64(&ts.keyHi, hi)
-	ts.mu.Unlock()
 }
 
 // dropTopic releases a topic's in-memory state for a graceful handoff:
@@ -945,10 +879,6 @@ func (b *Broker) loadTopic(topicName string) error {
 	}
 	// ranges has room for the open ledger and the one its first roll seals.
 	ts := &topicState{name: topicName, listPath: ledgersPath(topicName), ranges: make([]ledgerRange, 0, 2), subs: map[string]*subscription{}}
-	if md, err := c.getTopicMeta(topicName); err == nil {
-		atomic.StoreUint64(&ts.keyLo, md.Lo)
-		atomic.StoreUint64(&ts.keyHi, md.Hi)
-	}
 	// The topic starts where its oldest retained ledger does: seqs below
 	// it were deleted once every subscription had acked them. Ledgers that
 	// recover empty are dropped from the topic's ledger list (and deleted
@@ -978,10 +908,10 @@ func (b *Broker) loadTopic(topicName string) error {
 	}
 	for name, cur := range cursors {
 		if cur.AckedPrefix < start {
-			// A cursor below the oldest retained seq — a split's copy that no
-			// consumer had attached to while the other subscriptions' acks
-			// deleted the ledgers under it — resumes where the topic now
-			// starts, as an Earliest subscription would.
+			// A cursor below the oldest retained seq — one written while no
+			// owner had the topic loaded, so no subscription held the
+			// ledgers under it — resumes where the topic now starts, as an
+			// Earliest subscription would.
 			i, _ := slices.BinarySearch(cur.Acks, start)
 			cur.AckedPrefix, cur.Acks = start, cur.Acks[i:]
 			for len(cur.Acks) > 0 && cur.Acks[0] == cur.AckedPrefix {

@@ -27,29 +27,17 @@ type ProducerOptions struct {
 // messages for every partition in one batch and commits each partition's
 // share with one replicated ledger round trip.
 type Producer struct {
-	c     *Cluster
-	topic string
+	c *Cluster
+	// parts are the topic's concrete topics, in partition order: the topic
+	// itself when it is plain. rr is the next unkeyed message's partition.
+	parts []string
 	rr    int64
-
-	// holder is the logical topic's shared routing handle: every route is a
-	// lock-free load of the current table, so a partition split is visible
-	// to existing producers on their next send — there is no per-producer
-	// partition count to go stale (brokers additionally fence stale routes
-	// with ErrRouteMoved; see sendKey's re-route).
-	holder *routeHolder
 
 	maxBatch int
 	interval time.Duration
 
 	mu      sync.Mutex
 	firstAt time.Time // publish-clock time of the oldest buffered message
-	// batchRT pins one routing-table snapshot for the lifetime of the
-	// buffered batch (refreshed whenever the buffer is empty). Without the
-	// pin, a split mid-buffer could spread one key across two partition
-	// groups whose flush order is unordered — a per-key order violation.
-	// With it, a stale group is bounced whole by the broker's range fence and
-	// redistributed in message order (see publishGroup).
-	batchRT *routeTable
 
 	// The batch is one slot per buffered message, in arrival order, across
 	// every partition: its concrete topic, key, payload view into buf, trace
@@ -76,7 +64,7 @@ func (c *Cluster) CreateProducer(topic string) (*Producer, error) {
 
 // CreateProducerOpts opens a producer with explicit batching options.
 func (c *Cluster) CreateProducerOpts(topic string, opts ProducerOptions) (*Producer, error) {
-	h, err := c.routing(topic)
+	parts, err := c.partitions(topic)
 	if err != nil {
 		return nil, err
 	}
@@ -85,8 +73,7 @@ func (c *Cluster) CreateProducerOpts(topic string, opts ProducerOptions) (*Produ
 	}
 	return &Producer{
 		c:        c,
-		topic:    topic,
-		holder:   h,
+		parts:    parts,
 		maxBatch: opts.MaxBatch,
 		interval: c.cfg.BatchFlushInterval,
 	}, nil
@@ -132,7 +119,7 @@ func (p *Producer) sendKey(key string, payload []byte, pctx obs.TraceCtx) (int64
 		p.mu.Unlock()
 		return 0, err
 	}
-	t := p.routeTo(p.holder.load(), key)
+	t := p.routeTo(key)
 	p.mu.Unlock()
 	// A group commit of one: the arrays stay on the stack, and the payload
 	// is read only by the broker's encode, within this call.
@@ -142,15 +129,7 @@ func (p *Producer) sendKey(key string, payload []byte, pctx obs.TraceCtx) (int64
 		seq, err = b.publishEntries(t, keys[:], payloads[:], traces[:], entries[:])
 		return err
 	}
-	err := p.c.withOwner(t, send)
-	if errors.Is(err, ErrRouteMoved) {
-		// The partition split after we routed: ownership is fine, the route
-		// is stale. Re-route against the current table and republish to the
-		// child.
-		t = p.routeTo(p.holder.load(), key)
-		err = p.c.withOwner(t, send)
-	}
-	if err != nil {
+	if err := p.c.withOwner(t, send); err != nil {
 		return 0, err
 	}
 	p.c.meterPublish(1)
@@ -178,20 +157,14 @@ func (p *Producer) SendAsync(key string, payload []byte) error {
 func (p *Producer) SendAsyncTrace(key string, payload []byte, tc obs.TraceCtx) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if len(p.keys) == 0 {
-		if p.keys == nil {
-			n := p.maxBatch
-			p.routes, p.keys, p.payloads = make([]string, 0, n), make([]string, 0, n), make([][]byte, 0, n)
-			p.traces, p.entries = make([]obs.TraceCtx, 0, n), make([][]byte, n)
-		}
-		// Route against the batch's pinned table snapshot so a concurrent
-		// split never spreads one key across two unordered groups (see
-		// batchRT).
-		p.batchRT = p.holder.load()
+	if p.keys == nil {
+		n := p.maxBatch
+		p.routes, p.keys, p.payloads = make([]string, 0, n), make([]string, 0, n), make([][]byte, 0, n)
+		p.traces, p.entries = make([]obs.TraceCtx, 0, n), make([][]byte, n)
 	}
 	n := len(p.buf)
 	p.buf = append(p.buf, payload...)
-	p.routes = append(p.routes, p.routeTo(p.batchRT, key))
+	p.routes = append(p.routes, p.routeTo(key))
 	p.keys = append(p.keys, key)
 	p.payloads = append(p.payloads, p.buf[n:len(p.buf):len(p.buf)])
 	p.traces = append(p.traces, tc)
@@ -224,7 +197,7 @@ func (p *Producer) flushLocked() error {
 	if n == 0 {
 		return nil
 	}
-	err := p.publishGroups(0, n, true)
+	err := p.publishGroups()
 	clear(p.routes)
 	clear(p.keys)
 	clear(p.payloads)
@@ -235,14 +208,14 @@ func (p *Producer) flushLocked() error {
 	return err
 }
 
-// publishGroups commits batch slots [lo, hi), one group commit per concrete
-// topic, in the order of each topic's first message. It groups the slots in
-// place first, stably: a topic's messages become one contiguous run in
-// arrival order, and since a key routes to one topic, per-key order holds.
-// Called with p.mu held.
-func (p *Producer) publishGroups(lo, hi int, allowReroute bool) error {
+// publishGroups commits the batch, one group commit per concrete topic, in
+// the order of each topic's first message. It groups the slots in place
+// first, stably: a topic's messages become one contiguous run in arrival
+// order, and since a key routes to one topic, per-key order holds. Called
+// with p.mu held.
+func (p *Producer) publishGroups() error {
 	var firstErr error
-	for lo < hi {
+	for lo, hi := 0, len(p.keys); lo < hi; {
 		end := lo + 1
 		for i := end; i < hi; i++ {
 			if p.routes[i] == p.routes[lo] {
@@ -253,7 +226,7 @@ func (p *Producer) publishGroups(lo, hi int, allowReroute bool) error {
 				end++
 			}
 		}
-		if err := p.publishGroup(lo, end, allowReroute); err != nil && firstErr == nil {
+		if err := p.publishGroup(lo, end); err != nil && firstErr == nil {
 			firstErr = err
 		}
 		lo = end
@@ -269,44 +242,32 @@ func moveTo[T any](s []T, to, from int) {
 }
 
 // publishGroup commits batch slots [lo, hi), all routed to one concrete
-// topic, through withOwner, like the synchronous path. With allowReroute, a
-// group bounced whole by the broker's key-range fence (the partition split
-// while it was buffered) is re-routed against the current table, in message
-// order, and published again as groups. Called with p.mu held: unlike a
-// synchronous send, a flush keeps the lock across the broker call, which is
-// what keeps per-key order across flushes.
-func (p *Producer) publishGroup(lo, hi int, allowReroute bool) error {
+// topic, through withOwner, like the synchronous path. Called with p.mu
+// held: unlike a synchronous send, a flush keeps the lock across the broker
+// call, which is what keeps per-key order across flushes.
+func (p *Producer) publishGroup(lo, hi int) error {
 	t := p.routes[lo]
 	err := p.c.withOwner(t, func(b *Broker) error {
 		_, err := b.publishEntries(t, p.keys[lo:hi], p.payloads[lo:hi], p.traces[lo:hi], p.entries[lo:hi])
 		return err
 	})
-	if errors.Is(err, ErrRouteMoved) && allowReroute {
-		tbl := p.holder.load()
-		for i := lo; i < hi; i++ {
-			p.routes[i] = p.routeTo(tbl, p.keys[i])
-		}
-		// A second fence bounce would mean routing regressed mid-call;
-		// surface it rather than recurse.
-		return p.publishGroups(lo, hi, false)
-	}
 	if err == nil {
 		p.c.meterPublish(hi - lo)
 	}
 	return err
 }
 
-// routeTo picks the concrete topic for a key under the given table: plain
-// topics route to themselves, keys route by hash range, unkeyed messages
-// round-robin across every concrete partition.
-func (p *Producer) routeTo(tbl *routeTable, key string) string {
-	if len(tbl.parts) == 0 {
-		return p.topic
+// routeTo picks the concrete topic for a message: a plain topic is its own,
+// a key routes by its hash (partitionOf), and unkeyed messages round-robin
+// across the partitions.
+func (p *Producer) routeTo(key string) string {
+	switch {
+	case len(p.parts) == 1:
+		return p.parts[0]
+	case key != "":
+		return p.parts[partitionOf(fnv1a(key), len(p.parts))]
 	}
-	if key != "" {
-		return tbl.lookup(uint64(fnv1a(key)))
-	}
-	return tbl.names[int(atomic.AddInt64(&p.rr, 1)-1)%len(tbl.names)]
+	return p.parts[int(atomic.AddInt64(&p.rr, 1)-1)%len(p.parts)]
 }
 
 // Consumer receives messages from a subscription. For partitioned topics it
@@ -331,22 +292,13 @@ type Consumer struct {
 	// mark a broker leaves when the queue was full.
 	reg consumerReg
 
-	// holder tracks the logical topic's routing table; rtVersion is the
-	// last version whose partitions this consumer has seen. A split bumps
-	// the version, and the next attach pass discovers the child partitions
-	// (appended to names in creation order — parents first, which is what
-	// keeps per-key delivery ordered across a split). Partitions beyond the
-	// initial initialN attach at Earliest regardless of the subscription's
-	// requested position: a child's stream starts at the split, and
-	// skipping its backlog would drop post-split messages.
-	holder   *routeHolder
-	initialN int
+	// concrete are the topic's partitions, in the order each attach pass
+	// walks them.
+	concrete []string
 
-	mu        sync.Mutex
-	concrete  []string
-	rtVersion int64
-	epochs    map[string]int64 // ownership epoch attached at; none until the first attach
-	closed    bool
+	mu     sync.Mutex
+	epochs map[string]int64 // ownership epoch attached at; none until the first attach
+	closed bool
 
 	fn           func(Message) error // a push consumer's (SubscribeFunc) callback
 	wakes        atomic.Int64        // wakes the running drain has not covered yet
@@ -391,7 +343,7 @@ func (c *Cluster) SubscribeFunc(topic, sub string, fn func(Message) error) error
 }
 
 func (c *Cluster) subscribe(topic, subName string, mode SubMode, pos InitialPosition, fn func(Message) error) (*Consumer, error) {
-	h, err := c.routing(topic)
+	parts, err := c.partitions(topic)
 	if err != nil {
 		return nil, err
 	}
@@ -399,21 +351,17 @@ func (c *Cluster) subscribe(topic, subName string, mode SubMode, pos InitialPosi
 	c.nextConsumer++
 	id := c.nextConsumer
 	c.mu.Unlock()
-	tbl := h.load()
 	cons := &Consumer{
-		c:         c,
-		name:      topic,
-		sub:       subName,
-		mode:      mode,
-		pos:       pos,
-		reg:       consumerReg{id: id, inbox: newInbox()},
-		holder:    h,
-		initialN:  len(tbl.names),
-		concrete:  append([]string(nil), tbl.names...),
-		rtVersion: tbl.version,
-		epochs:    map[string]int64{},
-		fn:        fn,
-		cell:      new(atomic.Pointer[Consumer]),
+		c:        c,
+		name:     topic,
+		sub:      subName,
+		mode:     mode,
+		pos:      pos,
+		reg:      consumerReg{id: id, inbox: newInbox()},
+		concrete: parts,
+		epochs:   map[string]int64{},
+		fn:       fn,
+		cell:     new(atomic.Pointer[Consumer]),
 	}
 	cons.cell.Store(cons)
 	cons.reg.wake = cons.wake
@@ -522,31 +470,17 @@ func (cons *Consumer) deadLetter(m Message) {
 	_ = cons.Ack(m)
 }
 
-// ensureAttached is one pass over the consumer's partitions, in creation
-// order, first folding in any a split created since the last pass. A
-// partition whose ownership epoch changed is subscribed again on its new
-// owner. If a broker found the queue full since the last pass, the mark is
-// cleared and every other partition is subscribed again too, which changes
-// nothing on its broker and runs the dispatch round the full queue ended.
-//
-// A partition is attached for the first time only while no partition before
-// it has been refused room. Per-key order across a split is the parent's
-// backlog entering the queue before the child's stream (route.go); with a
-// queue that can fill, that means the child waits until a pass over the
-// partitions already attached has placed everything they had.
+// ensureAttached is one pass over the consumer's partitions, in partition
+// order. A partition whose ownership epoch changed is subscribed again on its
+// new owner. If a broker found the queue full since the last pass, the mark
+// is cleared and every other partition is subscribed again too, which
+// changes nothing on its broker and runs the dispatch round the full queue
+// ended.
 func (cons *Consumer) ensureAttached() (err error) {
 	cons.mu.Lock()
 	defer cons.mu.Unlock()
 	if cons.closed {
 		return ErrConsumerClosed
-	}
-	if tbl := cons.holder.load(); tbl.version != cons.rtVersion {
-		// names is append-only across splits, so new partitions are exactly
-		// the tail beyond what we already track.
-		if len(tbl.names) > len(cons.concrete) {
-			cons.concrete = append(cons.concrete, tbl.names[len(cons.concrete):]...)
-		}
-		cons.rtVersion = tbl.version
 	}
 	flow := cons.reg.starved.Swap(false)
 	if flow {
@@ -556,23 +490,15 @@ func (cons *Consumer) ensureAttached() (err error) {
 			}
 		}()
 	}
-	for i, t := range cons.concrete {
+	for _, t := range cons.concrete {
 		b, ep, err := cons.c.ensureOwner(t)
 		if err != nil {
 			return err
 		}
-		attached := cons.epochs[t]
-		if attached == ep && !flow {
+		if cons.epochs[t] == ep && !flow {
 			continue
 		}
-		if attached == 0 && cons.reg.starved.Load() {
-			return nil
-		}
-		pos := cons.pos
-		if i >= cons.initialN {
-			pos = Earliest // split children: consume from their first message
-		}
-		if err := b.subscribe(t, cons.sub, cons.mode, pos, &cons.reg); err != nil {
+		if err := b.subscribe(t, cons.sub, cons.mode, cons.pos, &cons.reg); err != nil {
 			if staleOwner(err) {
 				cons.c.invalidateOwner(t) // the next attach re-resolves
 			}
@@ -656,13 +582,12 @@ func (cons *Consumer) Close() {
 		return
 	}
 	cons.closed = true
-	concrete := append([]string{}, cons.concrete...)
 	cons.mu.Unlock()
 	cons.cell.Store(nil)
 	cons.c.mu.Lock()
 	cons.c.consumers = slices.DeleteFunc(cons.c.consumers, func(x *Consumer) bool { return x == cons })
 	cons.c.mu.Unlock()
-	for _, t := range concrete {
+	for _, t := range cons.concrete {
 		if b, _ := cons.c.lockHolder(t); b != nil {
 			b.detach(t, cons.sub, cons.reg.id)
 		}

@@ -96,16 +96,10 @@ type Cluster struct {
 	// ledger.
 	owners sync.Map // concrete topic → ownerEntry
 
-	// routes caches one stable routeHolder per logical topic; the holder's
-	// table pointer is swapped atomically on a split, so producer routing
-	// and consumer partition discovery are lock-free pointer loads with no
-	// name formatting on the hot path. partParent maps each ranged concrete
-	// partition back to its logical topic (load-manager split decisions).
-	routes     sync.Map // logical topic → *routeHolder
-	partParent sync.Map // concrete topic → logical topic
-
-	// splitMu serializes partition splits (metadata read-modify-write).
-	splitMu sync.Mutex
+	// routes caches each logical topic's concrete topics (partitions), fixed
+	// when the topic is created, so neither routing nor attaching formats a
+	// name or reads the coordination service.
+	routes sync.Map // logical topic → []string
 
 	// handoffDelay (atomic ns) stretches the unowned window inside
 	// MoveTopic — a chaos hook so fault schedules can land inside a
@@ -195,19 +189,14 @@ func (c *Cluster) BrokerIDs() []string {
 }
 
 // CreateTopic declares a topic. partitions == 0 creates a plain topic;
-// partitions > 0 creates that many partition topics addressed as one, each
-// owning an equal contiguous slice of the key-hash space (so a hot
-// partition can later split its range; see SplitPartition).
+// partitions > 0 creates that many partition topics addressed as one, a key
+// routing to the one whose equal slice of the key-hash space holds its hash
+// (partitionOf). A topic keeps the partitions it is created with.
 func (c *Cluster) CreateTopic(name string, partitions int) error {
 	if name == "" || strings.ContainsAny(name, "/ ") {
 		return fmt.Errorf("%w: %q", ErrBadTopicName, name)
 	}
-	meta := topicMeta{Partitions: partitions}
-	if partitions > 0 {
-		meta.Ranges = equalRanges(name, partitions)
-		meta.NextPart = partitions
-	}
-	md, _ := json.Marshal(meta)
+	md, _ := json.Marshal(topicMeta{Partitions: partitions})
 	if err := c.meta.Create("/pulsar/topics/"+name, md, coord.Persistent, 0); err != nil {
 		if errors.Is(err, coord.ErrNodeExists) {
 			return fmt.Errorf("%w: %q", ErrTopicExists, name)
@@ -217,12 +206,12 @@ func (c *Cluster) CreateTopic(name string, partitions int) error {
 	if partitions <= 0 {
 		return c.meta.EnsurePath("/pulsar/subs/" + name)
 	}
-	for _, r := range meta.Ranges {
-		pmd, _ := json.Marshal(topicMeta{Lo: r.Lo, Hi: r.Hi})
-		if err := c.meta.Create("/pulsar/topics/"+r.Topic, pmd, coord.Persistent, 0); err != nil {
+	pmd, _ := json.Marshal(topicMeta{})
+	for _, t := range partitionNames(name, partitions) {
+		if err := c.meta.Create("/pulsar/topics/"+t, pmd, coord.Persistent, 0); err != nil {
 			return err
 		}
-		if err := c.meta.EnsurePath("/pulsar/subs/" + r.Topic); err != nil {
+		if err := c.meta.EnsurePath("/pulsar/subs/" + t); err != nil {
 			return err
 		}
 	}
@@ -269,8 +258,8 @@ func staleOwner(err error) bool {
 // one way a client op reaches a topic's owner: when op fails with a stale
 // owner, the cached resolution is dropped and op runs again on a fresh one,
 // up to ownerAttempts times in all. Any other error (an unknown
-// subscription, ErrRouteMoved, a readback error) is returned at once and
-// leaves the cache as it is.
+// subscription, a readback error) is returned at once and leaves the cache
+// as it is.
 func (c *Cluster) withOwner(topic string, op func(b *Broker) error) error {
 	var err error
 	for attempt := 0; attempt < ownerAttempts; attempt++ {
@@ -350,9 +339,9 @@ func (c *Cluster) lockHolder(topic string) (b *Broker, held bool) {
 // claim makes b the topic's owner: it takes the ownership lock, loads the
 // topic on b (releasing the lock if that fails), bumps the ownership epoch
 // and caches the resolution. ok is false, with no error, when someone else
-// holds the lock. Every ownership change (failover, MoveTopic, a split
-// child's first owner) ends here, so claim wakes every consumer: each makes
-// the attach pass that subscribes it on the new owner.
+// holds the lock. Every ownership change (a first election, failover,
+// MoveTopic) ends here, so claim wakes every consumer: each makes the attach
+// pass that subscribes it on the new owner.
 func (c *Cluster) claim(topic string, b *Broker) (ep int64, ok bool, err error) {
 	if ok, err = c.meta.TryAcquire(ownerPath(topic), []byte(b.ID), b.session); !ok || err != nil {
 		return 0, false, err
@@ -518,13 +507,6 @@ func (c *Cluster) createCursor(sub *subscription) error {
 		sub.cursorBuf = appendCursor(sub.cursorBuf[:0], cursorRecord{Mode: sub.mode, AckedPrefix: sub.ackedPrefix})
 		err = c.meta.Create(sub.cursorPath, sub.cursorBuf, coord.Persistent, 0)
 	}
-	if errors.Is(err, coord.ErrNodeExists) {
-		// A split wrote the child's cursor copies after this broker had
-		// already loaded the child (an inspection such as Topics +
-		// AckedMessages can elect it early). Nothing has acked against the
-		// copy, so overwriting it loses nothing.
-		return c.persistCursor(sub)
-	}
 	if err != nil {
 		return fmt.Errorf("pulsar: create cursor: %w", err)
 	}
@@ -554,12 +536,12 @@ func (c *Cluster) meterPublish(n int) {
 // Backlog returns the unacked message count for a subscription on a plain
 // topic, or the sum across partitions for a partitioned topic.
 func (c *Cluster) Backlog(topic, subName string) (int64, error) {
-	h, err := c.routing(topic)
+	parts, err := c.partitions(topic)
 	if err != nil {
 		return 0, err
 	}
 	var total int64
-	for _, t := range h.load().names {
+	for _, t := range parts {
 		var n int64
 		if err := c.withOwner(t, func(b *Broker) (err error) {
 			n, err = b.backlog(t, subName)

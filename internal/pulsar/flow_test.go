@@ -251,85 +251,6 @@ func TestFlowResumesWhereDispatchStopped(t *testing.T) {
 	})
 }
 
-// TestSplitKeepsKeyOrderWithFullQueue: per-key order across a split is the
-// parent's backlog entering the queue before the child's stream. With more
-// on the parent than the queue holds, the child is attached only once a pass
-// over the parent has placed everything, however much keyed traffic the child
-// takes meanwhile — for a consumer that was attached when the partition split,
-// and for one that subscribes afterwards and finds both backlogs waiting.
-func TestSplitKeepsKeyOrderWithFullQueue(t *testing.T) {
-	const backlog = 3 * receiverQueue
-	e := newEnv(t, 2, 3)
-	e.v.Run(func() {
-		must(t, e.cluster.CreateTopic("t", 2))
-		prod, err := e.cluster.CreateProducer("t")
-		must(t, err)
-		// Partition 0 spans [0, 2^31); the split moves [2^30, 2^31) to the child.
-		low, moved := keysInRange(0, 1<<30, 3), keysInRange(1<<30, 1<<31, 3)
-		sent := 0
-		perKey := map[string]int{}
-		send := func(n int, keys ...string) {
-			for i := 0; i < n; i++ {
-				k := keys[i%len(keys)]
-				sent++
-				perKey[k]++
-				_, err := prod.SendKey(k, []byte(k+"#"+strconv.Itoa(perKey[k])))
-				must(t, err)
-			}
-		}
-		var child string
-		// drain receives everything sent, checking each key's numbers come in
-		// order, and for its first two backlogs' worth keeps traffic on the moved
-		// keys going: that lands on the child, whose broker would put it in
-		// whatever room the queue has at that moment, ahead of the parent's
-		// backlog, if the child were attached by then.
-		drain := func(who string, cons *Consumer) {
-			last := map[string]int{}
-			onChild := 0
-			for received := 0; received < sent; received++ {
-				m, ok := cons.Receive(time.Second)
-				if !ok {
-					t.Fatalf("%s: received %d of %d then timed out", who, received, sent)
-				}
-				k, num, _ := strings.Cut(string(m.Payload), "#")
-				n, err := strconv.Atoi(num)
-				if err != nil || k != m.Key {
-					t.Fatalf("%s: message %q under key %q", who, m.Payload, m.Key)
-				}
-				if n != last[k]+1 {
-					t.Fatalf("%s: key %s: #%d arrived after #%d (on %s)", who, k, n, last[k], m.Topic)
-				}
-				last[k] = n
-				if m.Topic == child {
-					onChild++
-				}
-				must(t, cons.Ack(m))
-				if received%8 == 0 && received < 2*backlog {
-					send(len(moved), moved...)
-				}
-			}
-			if onChild == 0 {
-				t.Fatalf("%s: nothing arrived from the child partition: the split moved no traffic", who)
-			}
-			if m, ok := cons.Receive(10 * time.Millisecond); ok {
-				t.Fatalf("%s: extra delivery %q on %s", who, m.Payload, m.Topic)
-			}
-		}
-
-		cons, err := e.cluster.Subscribe("t", "s", KeyShared, Earliest)
-		must(t, err)
-		send(backlog, append(low, moved...)...)
-		child, err = e.cluster.SplitPartition("t", "t-partition-0", "broker-1")
-		must(t, err)
-		drain("attached at the split", cons)
-		cons.Close()
-
-		late, err := e.cluster.Subscribe("t", "late", KeyShared, Earliest)
-		must(t, err)
-		drain("subscribed after it", late)
-	})
-}
-
 // TestLateEarliestReadsBackAQueueAtATime: a late Earliest subscriber on a long
 // topic starts at the oldest seq the topic retains — the ledgers the first
 // subscription acked past are deleted — and its attach reads back what its

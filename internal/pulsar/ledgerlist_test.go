@@ -74,13 +74,13 @@ func FuzzTopicLedgers(f *testing.F) {
 // then publishes a tail of ten and acks a ragged subset of it: the first
 // three, the sixth and the eighth. It returns the tail's first seq and
 // checks that the topic retains seqs from the second roll on.
-func deletedPrefixTail(t *testing.T, e *env, topic string, prod *Producer, cons *Consumer, key func(int) string) int64 {
+func deletedPrefixTail(t *testing.T, e *env, topic string, prod *Producer, cons *Consumer) int64 {
 	t.Helper()
 	const burst = 100
 	n := 2*topicLedgerEntries + 500
 	for first := 0; first < n; first += burst {
 		for i := first; i < min(first+burst, n); i++ {
-			_, err := prod.SendKey(key(i), []byte(fmt.Sprintf("m%d", i)))
+			_, err := prod.Send([]byte(fmt.Sprintf("m%d", i)))
 			must(t, err)
 		}
 		for i := first; i < min(first+burst, n); i++ {
@@ -92,7 +92,7 @@ func deletedPrefixTail(t *testing.T, e *env, topic string, prod *Producer, cons 
 		}
 	}
 	for i := n; i < n+10; i++ {
-		_, err := prod.SendKey(key(i), []byte(fmt.Sprintf("m%d", i)))
+		_, err := prod.Send([]byte(fmt.Sprintf("m%d", i)))
 		must(t, err)
 	}
 	for i := 0; i < 10; i++ {
@@ -152,7 +152,7 @@ func TestFailoverWithDeletedPrefix(t *testing.T) {
 		must(t, err)
 		cons, err := e.cluster.Subscribe("t", "s", Exclusive, Earliest)
 		must(t, err)
-		tail := deletedPrefixTail(t, e, "t", prod, cons, noKey)
+		tail := deletedPrefixTail(t, e, "t", prod, cons)
 		owner, _, err := e.cluster.ensureOwner("t")
 		must(t, err)
 		owner.SetDown(true)
@@ -180,7 +180,7 @@ func TestMoveWithDeletedPrefix(t *testing.T) {
 		must(t, err)
 		cons, err := e.cluster.Subscribe("t", "s", Shared, Earliest)
 		must(t, err)
-		tail := deletedPrefixTail(t, e, "t", prod, cons, noKey)
+		tail := deletedPrefixTail(t, e, "t", prod, cons)
 		from, _, err := e.cluster.ensureOwner("t")
 		must(t, err)
 		to := "broker-0"
@@ -200,54 +200,6 @@ func TestMoveWithDeletedPrefix(t *testing.T) {
 			t.Fatalf("first seq after the move = %d, want %d", seq, tail+10)
 		}
 		expectTail(t, cons, tail, tail+10)
-	})
-}
-
-// TestSplitWithDeletedPrefix: splitting a partition whose first ledgers are
-// deleted leaves the parent retaining from the same seq and the child
-// starting at its own seq 0; a failover of the parent after the split
-// starts it at its oldest retained seq and keeps the exact cursor.
-func TestSplitWithDeletedPrefix(t *testing.T) {
-	e := newEnv(t, 2, 3)
-	e.v.Run(func() {
-		must(t, e.cluster.CreateTopic("t", 1))
-		prod, err := e.cluster.CreateProducer("t")
-		must(t, err)
-		cons, err := e.cluster.Subscribe("t", "s", Exclusive, Earliest)
-		must(t, err)
-		parent := "t-partition-0"
-		low, high := keysInRange(0, 1<<31, 1)[0], keysInRange(1<<31, 1<<32, 1)[0]
-		tail := deletedPrefixTail(t, e, parent, prod, cons, func(i int) string {
-			if i%2 == 0 {
-				return low
-			}
-			return high
-		})
-		child, err := e.cluster.SplitPartition("t", parent, "broker-1")
-		must(t, err)
-		if first, _ := retainedFirst(t, e.cluster, parent); first != 2*topicLedgerEntries {
-			t.Fatalf("after the split the parent retains from seq %d, want %d", first, 2*topicLedgerEntries)
-		}
-		owner, _, err := e.cluster.ensureOwner(parent)
-		must(t, err)
-		owner.SetDown(true)
-		seq, err := prod.SendKey(low, []byte(fmt.Sprintf("m%d", tail+10)))
-		must(t, err)
-		if seq != tail+10 {
-			t.Fatalf("first parent seq after the split and failover = %d, want %d", seq, tail+10)
-		}
-		if first, _ := retainedFirst(t, e.cluster, parent); first != 2*topicLedgerEntries {
-			t.Fatalf("the parent's new owner starts it at seq %d, want %d", first, 2*topicLedgerEntries)
-		}
-		seq, err = prod.SendKey(high, []byte("m0"))
-		must(t, err)
-		if seq != 0 {
-			t.Fatalf("the child's first seq = %d, want 0", seq)
-		}
-		if first, _ := retainedFirst(t, e.cluster, child); first != 0 {
-			t.Fatalf("the child starts at seq %d, want 0", first)
-		}
-		expectTail(t, cons, tail, tail+10, 0)
 	})
 }
 
@@ -300,11 +252,11 @@ func TestRedeliveryHoldsLedgers(t *testing.T) {
 	})
 }
 
-// TestCursorBelowRetainedStart: a durable cursor the owner never loaded —
-// as a split writes for every parent subscription — can lie below the seqs
-// the topic retains once the subscriptions the owner knows have acked
-// ledgers away. A takeover resumes it at the topic's oldest retained seq,
-// keeping its acks from there on, and it receives everything else retained.
+// TestCursorBelowRetainedStart: a durable cursor the owner never loaded can
+// lie below the seqs the topic retains once the subscriptions the owner
+// knows have acked ledgers away. A takeover resumes it at the topic's oldest
+// retained seq, keeping its acks from there on, and it receives everything
+// else retained.
 func TestCursorBelowRetainedStart(t *testing.T) {
 	e := newEnv(t, 2, 3)
 	e.v.Run(func() {
@@ -313,7 +265,7 @@ func TestCursorBelowRetainedStart(t *testing.T) {
 		must(t, err)
 		cons, err := e.cluster.Subscribe("t", "s", Exclusive, Earliest)
 		must(t, err)
-		tail := deletedPrefixTail(t, e, "t", prod, cons, noKey)
+		tail := deletedPrefixTail(t, e, "t", prod, cons)
 		start := int64(2 * topicLedgerEntries)
 		copied := appendCursor(nil, cursorRecord{Mode: Exclusive, AckedPrefix: 0, Acks: []int64{start - 1, start, start + 2}})
 		must(t, e.cluster.meta.Create(cursorPath("t", "copy"), copied, coord.Persistent, 0))

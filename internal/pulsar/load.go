@@ -22,12 +22,9 @@ type LoadManagerConfig struct {
 	// MinMoveRate is the smallest per-topic publish rate (msgs/s) worth
 	// moving — idle topics stay put. Default 1.
 	MinMoveRate float64
-	// SplitRate is the per-partition publish rate (msgs/s) above which a
-	// ranged partition splits its key range in two. Zero disables splits.
-	SplitRate float64
 }
 
-// loadCooldown is how many ticks a topic rests after being moved or split
+// loadCooldown is how many ticks a topic rests after being moved
 // (its counters reset on handoff, so its measured rate is noise for a tick;
 // acting on it again immediately would ping-pong).
 const loadCooldown = 2
@@ -48,11 +45,10 @@ func (c LoadManagerConfig) withDefaults() LoadManagerConfig {
 // LoadEvent is one rebalancing action, for logs, tests and digests.
 type LoadEvent struct {
 	At     time.Time `json:"at"`
-	Action string    `json:"action"` // "move" or "split"
+	Action string    `json:"action"` // "move"
 	Topic  string    `json:"topic"`  // concrete topic acted on
 	From   string    `json:"from,omitempty"`
 	To     string    `json:"to,omitempty"`
-	Child  string    `json:"child,omitempty"` // split: the new partition
 }
 
 // PartitionLoad is one concrete topic's load as of the last sample.
@@ -78,15 +74,14 @@ type LoadReport struct {
 	At      time.Time    `json:"at"`
 	Brokers []BrokerLoad `json:"brokers"`
 	Moves   int64        `json:"moves"`
-	Splits  int64        `json:"splits"`
 	Events  []LoadEvent  `json:"events,omitempty"`
 }
 
 // LoadManager is the Pulsar-style broker load manager: it samples
 // per-partition publish counters on the cluster clock, reassigns the
 // hottest partitions off overloaded brokers through the cursor-exact
-// MoveTopic handoff, and splits a partition whose key range runs hot enough
-// that no single broker should carry it.
+// MoveTopic handoff. A partition keeps its key range: like Pulsar's, this
+// load manager moves topics and never re-ranges one.
 type LoadManager struct {
 	c   *Cluster
 	cfg LoadManagerConfig
@@ -99,11 +94,9 @@ type LoadManager struct {
 	cool   map[string]int             // concrete topic → remaining cooldown ticks
 	report LoadReport
 	events []LoadEvent
-	moves  int64 // local totals: the obs registry may be absent (nil-safe no-ops)
-	splits int64
+	moves  int64 // local total: the obs registry may be absent (nil-safe no-ops)
 
 	obsMoves    *obs.Counter
-	obsSplits   *obs.Counter
 	obsTicks    *obs.Counter
 	obsDecision *obs.CounterVec
 }
@@ -118,7 +111,6 @@ func (c *Cluster) NewLoadManager(cfg LoadManagerConfig) *LoadManager {
 		cool: map[string]int{},
 	}
 	lm.obsMoves = c.obs.Counter("pulsar.loadmgr.moves")
-	lm.obsSplits = c.obs.Counter("pulsar.loadmgr.splits")
 	lm.obsTicks = c.obs.Counter("pulsar.loadmgr.ticks")
 	lm.obsDecision = c.obs.CounterVec("pulsar.loadmgr.decisions", "action")
 	return lm
@@ -203,26 +195,6 @@ func (lm *LoadManager) Tick() {
 	}
 	mean := total / float64(len(live))
 
-	// Splits first: a partition hot enough to split is hot enough that
-	// moving it alone cannot help (one broker still serves the whole key
-	// range). One split per tick.
-	if lm.cfg.SplitRate > 0 {
-		if topic, ok := lm.hottestSplittableLocked(snaps); ok {
-			target := leastLoaded(live)
-			if parent, ok := lm.c.partParent.Load(topic); ok {
-				if child, err := lm.c.SplitPartition(parent.(string), topic, target.id); err == nil {
-					lm.splits++
-					lm.obsSplits.Inc()
-					lm.obsDecision.With("split").Inc()
-					lm.cool[topic] = loadCooldown
-					lm.cool[child] = loadCooldown
-					lm.events = append(lm.events, LoadEvent{At: now, Action: "split", Topic: topic, To: target.id, Child: child})
-					return // act once per tick; resample before the next step
-				}
-			}
-		}
-	}
-
 	// Reassignment: shed the hottest eligible partition from the most
 	// loaded broker to the least loaded one, when the spread is worth it.
 	// One move per tick, so the plane converges in small, observable steps.
@@ -280,26 +252,6 @@ func (lm *LoadManager) sampleLocked(secs float64) []brokerSnap {
 	return snaps
 }
 
-// hottestSplittableLocked returns the ranged partition with the highest
-// rate at or above SplitRate that is not cooling down, if any.
-func (lm *LoadManager) hottestSplittableLocked(snaps []brokerSnap) (string, bool) {
-	best, bestRate := "", 0.0
-	for i := range snaps {
-		for _, tr := range snaps[i].topics {
-			if tr.rate < lm.cfg.SplitRate || lm.cool[tr.topic] > 0 {
-				continue
-			}
-			if _, ranged := lm.c.partParent.Load(tr.topic); !ranged {
-				continue
-			}
-			if tr.rate > bestRate || (tr.rate == bestRate && (best == "" || tr.topic < best)) {
-				best, bestRate = tr.topic, tr.rate
-			}
-		}
-	}
-	return best, best != ""
-}
-
 // pickMoveLocked selects src's hottest topic whose transfer to dst strictly
 // narrows the spread between them.
 func (lm *LoadManager) pickMoveLocked(src, dst *brokerSnap) (topicRate, bool) {
@@ -322,20 +274,10 @@ func (lm *LoadManager) pickMoveLocked(src, dst *brokerSnap) (topicRate, bool) {
 	return topicRate{}, false
 }
 
-func leastLoaded(live []*brokerSnap) *brokerSnap {
-	best := live[0]
-	for _, s := range live[1:] {
-		if s.rate < best.rate || (s.rate == best.rate && s.id < best.id) {
-			best = s
-		}
-	}
-	return best
-}
-
 // buildReportLocked refreshes the externally visible report and per-broker
 // gauges.
 func (lm *LoadManager) buildReportLocked(now time.Time, snaps []brokerSnap) {
-	rep := LoadReport{At: now, Moves: lm.moves, Splits: lm.splits}
+	rep := LoadReport{At: now, Moves: lm.moves}
 	for i := range snaps {
 		s := &snaps[i]
 		bl := BrokerLoad{ID: s.id, Down: s.down, Topics: len(s.topics), MsgsPerSec: s.rate}
@@ -350,7 +292,7 @@ func (lm *LoadManager) buildReportLocked(now time.Time, snaps []brokerSnap) {
 	lm.report = rep
 }
 
-// Report returns the load state as of the last tick. Move/split totals and
+// Report returns the load state as of the last tick. The move total and
 // the event log are read live (a tick samples before it acts, so the stored
 // report would otherwise trail its own tick's decisions by one round).
 func (lm *LoadManager) Report() LoadReport {
@@ -358,7 +300,6 @@ func (lm *LoadManager) Report() LoadReport {
 	defer lm.mu.Unlock()
 	rep := lm.report
 	rep.Moves = lm.moves
-	rep.Splits = lm.splits
 	rep.Events = append([]LoadEvent(nil), lm.events...)
 	return rep
 }

@@ -1,17 +1,13 @@
 package pulsar
 
 import (
-	"errors"
 	"fmt"
-	"strconv"
-	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/billing"
 	"repro/internal/coord"
 	"repro/internal/ledger"
-	"repro/internal/obs"
 	"repro/internal/simclock"
 )
 
@@ -31,26 +27,6 @@ func newEnvCfg(t *testing.T, brokers, bookies int, cfg ClusterConfig) *env {
 		cl.AddBroker(fmt.Sprintf("broker-%d", i))
 	}
 	return &env{v: v, cluster: cl, meter: meter, ledgers: ls}
-}
-
-// publish commits one message straight to a broker, bypassing the producer's
-// routing and retries, as a group of one.
-func (b *Broker) publish(topicName, key string, payload []byte) (int64, error) {
-	keys, payloads, traces, entries := [1]string{key}, [1][]byte{payload}, [1]obs.TraceCtx{}, [1][]byte{}
-	return b.publishEntries(topicName, keys[:], payloads[:], traces[:], entries[:])
-}
-
-// keysInRange deterministically scans "user-N" keys until it finds count
-// whose fnv1a hash falls in [lo, hi).
-func keysInRange(lo, hi uint64, count int) []string {
-	var out []string
-	for i := 0; len(out) < count; i++ {
-		k := fmt.Sprintf("user-%d", i)
-		if h := uint64(fnv1a(k)); h >= lo && h < hi {
-			out = append(out, k)
-		}
-	}
-	return out
 }
 
 // TestMoveTopicExactCursor: a graceful reassignment restores the cursor
@@ -112,122 +88,6 @@ func TestMoveTopicExactCursor(t *testing.T) {
 		must(t, err)
 		if seq != 10 {
 			t.Fatalf("post-move seq = %d, want 10", seq)
-		}
-	})
-}
-
-// TestSplitPartitionRouting: splitting a partition moves the upper half of
-// its key range onto a new concrete topic; producers created before the
-// split route to the child without recreation, and the parent fences stale
-// routes with ErrRouteMoved.
-func TestSplitPartitionRouting(t *testing.T) {
-	e := newEnv(t, 2, 3)
-	e.v.Run(func() {
-		must(t, e.cluster.CreateTopic("t", 2))
-		prod, err := e.cluster.CreateProducer("t")
-		must(t, err)
-		// Partition 0 spans [0, 2^31); after one split its upper half
-		// [2^30, 2^31) belongs to the child t-partition-2.
-		low := keysInRange(0, 1<<30, 1)[0]
-		high := keysInRange(1<<30, 1<<31, 1)[0]
-		for _, k := range []string{low, high} {
-			if _, err := prod.SendKey(k, []byte("pre")); err != nil {
-				t.Fatalf("pre-split send %q: %v", k, err)
-			}
-		}
-		child, err := e.cluster.SplitPartition("t", "t-partition-0", "broker-1")
-		must(t, err)
-		if child != "t-partition-2" {
-			t.Fatalf("child = %q", child)
-		}
-		if md, _ := e.cluster.getTopicMeta("t"); md.Partitions != 3 {
-			t.Fatalf("partitions after split = %d", md.Partitions)
-		}
-		// The same producer re-routes: low key stays on the parent, high key
-		// lands on the child.
-		if _, err := prod.SendKey(low, []byte("post")); err != nil {
-			t.Fatalf("post-split low send: %v", err)
-		}
-		if _, err := prod.SendKey(high, []byte("post")); err != nil {
-			t.Fatalf("post-split high send: %v", err)
-		}
-		b, _, err := e.cluster.ensureOwner(child)
-		must(t, err)
-		if b.ID != "broker-1" {
-			t.Fatalf("child owner = %s, want broker-1", b.ID)
-		}
-		if n, err := b.backlog(child, "nosub"); err == nil {
-			t.Fatalf("unexpected subscription on child: %d", n)
-		}
-		// The parent broker now fences the high key outright.
-		pb, _, err := e.cluster.ensureOwner("t-partition-0")
-		must(t, err)
-		if _, err := pb.publish("t-partition-0", high, []byte("stale")); !errors.Is(err, ErrRouteMoved) {
-			t.Fatalf("stale publish err = %v, want ErrRouteMoved", err)
-		}
-	})
-}
-
-// TestSplitPreservesPerKeyOrderBatched: a producer with a buffered batch
-// spanning a split gets the whole batch bounced by the range fence and
-// redistributes it in message order — no key is ever delivered out of
-// order, and nothing is lost or duplicated.
-func TestSplitPreservesPerKeyOrderBatched(t *testing.T) {
-	e := newEnvCfg(t, 2, 3, ClusterConfig{BatchFlushInterval: time.Hour})
-	e.v.Run(func() {
-		must(t, e.cluster.CreateTopic("t", 2))
-		prod, err := e.cluster.CreateProducerOpts("t", ProducerOptions{MaxBatch: 64})
-		must(t, err)
-		cons, err := e.cluster.Subscribe("t", "tail", Shared, Earliest)
-		must(t, err)
-
-		keys := append(keysInRange(0, 1<<30, 2), keysInRange(1<<30, 1<<31, 2)...)
-		counter := map[string]int{}
-		sendRound := func(n int) {
-			for i := 0; i < n; i++ {
-				k := keys[i%len(keys)]
-				counter[k]++
-				must(t, prod.SendAsync(k, []byte(fmt.Sprintf("%s#%d", k, counter[k]))))
-			}
-		}
-		sendRound(20)
-		must(t, prod.Flush())
-		// Buffer a batch, split mid-buffer, then flush: the batch routed
-		// with the pre-split table and must be redistributed.
-		sendRound(20)
-		if _, err := e.cluster.SplitPartition("t", "t-partition-0", "broker-1"); err != nil {
-			t.Fatal(err)
-		}
-		must(t, prod.Flush())
-		sendRound(20)
-		must(t, prod.Flush())
-
-		total := 0
-		for _, n := range counter {
-			total += n
-		}
-		lastSeen := map[string]int{}
-		for received := 0; received < total; received++ {
-			m, ok := cons.Receive(time.Second)
-			if !ok {
-				t.Fatalf("received %d of %d then timed out", received, total)
-			}
-			k, seq, ok := strings.Cut(string(m.Payload), "#")
-			if !ok || k != m.Key {
-				t.Fatalf("payload %q does not match key %q", m.Payload, m.Key)
-			}
-			n, err := strconv.Atoi(seq)
-			if err != nil {
-				t.Fatalf("payload %q: %v", m.Payload, err)
-			}
-			if n != lastSeen[m.Key]+1 {
-				t.Fatalf("key %s: received #%d after #%d (payload %q on %s)", m.Key, n, lastSeen[m.Key], m.Payload, m.Topic)
-			}
-			lastSeen[m.Key] = n
-			must(t, cons.Ack(m))
-		}
-		if m, ok := cons.Receive(10 * time.Millisecond); ok {
-			t.Fatalf("duplicate delivery %q seq %d on %s", m.Payload, m.Seq, m.Topic)
 		}
 	})
 }

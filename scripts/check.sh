@@ -86,6 +86,11 @@ if grep -rnwE 'BreakerThreshold|BreakerCooldown|ErrCircuitOpen|ErrBreakerOpen|br
 	echo "check: a function's concurrency cap and its tenant's bucket are the only sheds; a knob no program sets goes (TestEveryKnobHasASetter)" >&2
 	exit 1
 fi
+echo "== a partitioned topic keeps the partitions it was created with: no split, range fence or re-route"
+if grep -rnwE 'SplitPartition|ErrRouteMoved|ErrCannotSplit|SplitRate|narrowRange|batchRT|checkRange' --include='*.go' .; then
+	echo "check: a key routes by arithmetic (partitionOf) over the partitions CreateTopic made; the load manager moves topics and splits none" >&2
+	exit 1
+fi
 echo "== each claim's shape is stated once, beside its check: no Python generator, no per-experiment test"
 if find . -name '*.py' -not -path './.git/*' | grep . ||
 	grep -rnE '^func TestE[0-9]' internal/experiments/; then

@@ -211,18 +211,17 @@ func TestEveryExportedNameHasACaller(t *testing.T) {
 // knobAllowlist holds the knobs that stay without a setter outside their own
 // package's non-test code, each with its reason.
 var knobAllowlist = map[string]string{
-	"blob.PutOptions.IfMatch":            "conditional put, in DESIGN §1's inventory; benchmark/ passes PutOptions{}",
-	"blob.PutOptions.IfNoneMatch":        "conditional put, in DESIGN §1's inventory; benchmark/ passes PutOptions{}",
-	"gateway.Config.MaxBody":             "the front door's body cap, a deployment setting",
-	"obs.SLOConfig.Objective":            "one of the objectives every SLOSnapshot reports: one value, not a knob",
-	"obs.SLOConfig.LatencyObjective":     "one of the objectives every SLOSnapshot reports: one value, not a knob",
-	"obs.SLOConfig.LatencyTarget":        "one of the objectives every SLOSnapshot reports: one value, not a knob",
-	"obs.SamplerConfig.KeepFraction":     "the tail sampler's policy; ROADMAP item 13 turns the sampler on",
-	"obs.SamplerConfig.Seed":             "the tail sampler's policy; ROADMAP item 13 turns the sampler on",
-	"obs.SamplerConfig.SlowThreshold":    "the tail sampler's policy; ROADMAP item 13 turns the sampler on",
-	"pulsar.ClusterConfig.ServiceTime":   "the broker capacity model TestMultiBrokerScaleOut runs on: claim or delete, ROADMAP item 7",
-	"pulsar.LoadManagerConfig.SplitRate": "the load manager's bundle-split trigger: claim or delete, ROADMAP item 7",
-	"sebs.Config.ColdEvery":              "the SeBS cold-start cadence: ROADMAP item 6",
+	"blob.PutOptions.IfMatch":          "conditional put, in DESIGN §1's inventory; benchmark/ passes PutOptions{}",
+	"blob.PutOptions.IfNoneMatch":      "conditional put, in DESIGN §1's inventory; benchmark/ passes PutOptions{}",
+	"gateway.Config.MaxBody":           "the front door's body cap, a deployment setting",
+	"obs.SLOConfig.Objective":          "one of the objectives every SLOSnapshot reports: one value, not a knob",
+	"obs.SLOConfig.LatencyObjective":   "one of the objectives every SLOSnapshot reports: one value, not a knob",
+	"obs.SLOConfig.LatencyTarget":      "one of the objectives every SLOSnapshot reports: one value, not a knob",
+	"obs.SamplerConfig.KeepFraction":   "the tail sampler's policy; ROADMAP item 13 turns the sampler on",
+	"obs.SamplerConfig.Seed":           "the tail sampler's policy; ROADMAP item 13 turns the sampler on",
+	"obs.SamplerConfig.SlowThreshold":  "the tail sampler's policy; ROADMAP item 13 turns the sampler on",
+	"pulsar.ClusterConfig.ServiceTime": "the broker capacity model TestMultiBrokerScaleOut runs on: claim or delete, ROADMAP item 7",
+	"sebs.Config.ColdEvery":            "the SeBS cold-start cadence: ROADMAP item 6",
 }
 
 // TestEveryKnobHasASetter: a knob is an exported field of an exported struct
